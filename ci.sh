@@ -79,6 +79,17 @@ echo "== tail-latency forensics (committed artifacts regenerate byte-identically
 #   cargo run --release -p mlperf-harness --bin analyze -- --check --bless
 cargo run -q --release -p mlperf-harness --bin analyze -- --check
 
+echo "== repo benchmark smoke (perfbench builds against crates/ and its checks pass) =="
+# perfbench/ is a package of its own outside the workspace, so no stage
+# above compiles it: a crates/ refactor that breaks what it imports (e.g.
+# mlperf_wire::frame::{crc32, open, read_frame, seal, write_frame}) or one
+# of its correctness checks (round trips, bit-flip rejection, result
+# hashes, VALID runs) must fail here, not in the benchmark run. --quick
+# takes seconds in total; the numbers it prints are not for comparison.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- \
+    --workload all --seed 1 --quick > /dev/null
+
 echo "== bench suite (smoke mode, JSON report) =="
 # Fast smoke pass over every bench binary: each one appends its medians to
 # one machine-readable report. MLPERF_TRACE_OVERHEAD_MAX_PCT makes the

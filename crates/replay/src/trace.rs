@@ -17,6 +17,7 @@ use crate::fingerprint::TraceFingerprint;
 use mlperf_loadgen::replay::ReplaySchedule;
 use mlperf_loadgen::{Nanos, Scenario, TestSettings};
 use mlperf_stats::Percentile;
+use mlperf_trace::crc::crc32;
 use std::fmt;
 
 /// File magic: the first four bytes of every recorded trace.
@@ -114,37 +115,6 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// CRC-32 (IEEE 802.3), table generated at compile time. Same polynomial
-/// as the wire frame codec; duplicated here so the trace format does not
-/// drag in the transport layer.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 fn scenario_code(s: Scenario) -> u8 {
     match s {

@@ -27,6 +27,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use crate::crc::crc32;
+
 /// File magic: the first four bytes of every run journal.
 pub const MAGIC: [u8; 4] = *b"MLPJ";
 /// Current journal format version.
@@ -38,37 +40,6 @@ const FRAME_HEADER_LEN: usize = 8;
 /// Sanity cap on a decoded frame length (a checkpoint is kilobytes; 256 MiB
 /// is a corrupt length field, not a record).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
-
-/// CRC-32 (IEEE 802.3), table generated at compile time. Deliberately
-/// duplicated per crate (wire, replay, here) so each codec stays
-/// self-contained and dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// A journal (or detail log) whose final record was cut mid-write.
 ///

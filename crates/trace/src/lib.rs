@@ -26,6 +26,8 @@
 //!   event stream into a `chrome://tracing` / Perfetto-loadable timeline.
 //! * [`flight`] — [`flight::FlightRecorder`], a bounded ring of recent
 //!   events dumped as a post-mortem when a run ends INVALID or aborts.
+//! * [`crc`] — [`crc::crc32`], the one CRC-32 (slice-by-8) behind wire
+//!   frames, `MLPJ` journal frames and the `MLPR` trace trailer.
 //! * [`journal`] — [`journal::JournalWriter`] / [`journal::read_journal`],
 //!   the `MLPJ` append-only write-ahead journal (CRC-framed, batched
 //!   `fsync`, torn-tail salvage) that crash-safe runs checkpoint into.
@@ -67,6 +69,7 @@
 
 pub mod bench;
 pub mod chrome;
+pub mod crc;
 pub mod event;
 pub mod flight;
 pub mod journal;

@@ -254,6 +254,11 @@ impl ClientShared {
         self.start.elapsed().as_nanos() as u64
     }
 
+    /// The link state right now.
+    fn link(&self) -> Link {
+        self.state.lock().expect("wire client state poisoned").link
+    }
+
     /// Whether the negotiated protocol carries trace context (v3+).
     fn traced(&self) -> bool {
         self.negotiated.load(Ordering::SeqCst) >= 3
@@ -654,14 +659,7 @@ impl RemoteSut {
 
     /// Whether the link is up (not reconnecting, not dead).
     pub fn is_connected(&self) -> bool {
-        matches!(
-            self.shared
-                .state
-                .lock()
-                .expect("wire client state poisoned")
-                .link,
-            Link::Up
-        )
+        matches!(self.shared.link(), Link::Up)
     }
 
     /// Sends `Drain`, closes the socket, and joins the worker threads.
@@ -693,21 +691,25 @@ impl RemoteSut {
                 }
             }
         }
-        self.shared
-            .writer
-            .lock()
-            .expect("wire writer poisoned")
-            .shutdown();
-        self.shared.fail("client shutdown", FailKind::Errored);
-        // A reconnect racing this shutdown may have installed a fresh
+        self.close("client shutdown", FailKind::Errored);
+    }
+
+    /// Severs the transport, fails the link, and joins the reader and
+    /// heartbeat threads; `stopping` is already set. The heartbeat thread
+    /// is unparked so it sees the flag now rather than at the end of its
+    /// interval.
+    fn close(&self, reason: &str, kind: FailKind) {
+        let sever = || {
+            let writer = self.shared.writer.lock().expect("wire writer poisoned");
+            writer.shutdown();
+        };
+        sever();
+        self.shared.fail(reason, kind);
+        // A reconnect racing this close may have installed a fresh
         // transport after the sever above; the reconnect path re-checks
         // `stopping`/`Dead` before installing, so at most one extra sever
         // is needed.
-        self.shared
-            .writer
-            .lock()
-            .expect("wire writer poisoned")
-            .shutdown();
+        sever();
         if let Some(handle) = self.reader.lock().expect("reader handle poisoned").take() {
             let _ = handle.join();
         }
@@ -717,6 +719,7 @@ impl RemoteSut {
             .expect("heartbeat handle poisoned")
             .take()
         {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -733,28 +736,7 @@ impl RemoteSut {
         }
         self.shared
             .wire_event("abandon", 0, "severed without drain");
-        self.shared
-            .writer
-            .lock()
-            .expect("wire writer poisoned")
-            .shutdown();
-        self.shared.fail("client abandoned", FailKind::Vanished);
-        self.shared
-            .writer
-            .lock()
-            .expect("wire writer poisoned")
-            .shutdown();
-        if let Some(handle) = self.reader.lock().expect("reader handle poisoned").take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self
-            .heartbeat
-            .lock()
-            .expect("heartbeat handle poisoned")
-            .take()
-        {
-            let _ = handle.join();
-        }
+        self.close("client abandoned", FailKind::Vanished);
     }
 }
 
@@ -1007,14 +989,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                     shared.incr("wire_crc_failures");
                     shared.wire_event("corrupt_frame", 0, &reason);
                 }
-                if matches!(
-                    shared
-                        .state
-                        .lock()
-                        .expect("wire client state poisoned")
-                        .link,
-                    Link::Dead(_)
-                ) {
+                if matches!(shared.link(), Link::Dead(_)) {
                     return; // e.g. heartbeat loss already failed the run
                 }
                 let Some(policy) = shared.config.resume else {
@@ -1043,16 +1018,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
         // During a shutdown drain the reader must keep going long enough
         // to absorb the server's shipped events and goodbye — those paths
         // return on their own. Bail here only once the link is settled.
-        if shared.stopping.load(Ordering::SeqCst)
-            && matches!(
-                shared
-                    .state
-                    .lock()
-                    .expect("wire client state poisoned")
-                    .link,
-                Link::Dead(_)
-            )
-        {
+        if shared.stopping.load(Ordering::SeqCst) && matches!(shared.link(), Link::Dead(_)) {
             return;
         }
     }
@@ -1150,19 +1116,25 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
 fn heartbeat_loop(shared: &Arc<ClientShared>) {
     let mut seq: u64 = 0;
     loop {
-        std::thread::sleep(shared.config.heartbeat_interval);
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        {
-            let st = shared.state.lock().expect("wire client state poisoned");
-            match st.link {
-                Link::Dead(_) => return,
-                // Reconnecting: silence is expected; the resume resets the
-                // pong clock.
-                Link::Down => continue,
-                Link::Up => {}
+        // Parked, not asleep: `RemoteSut::close` unparks this thread once
+        // `stopping` is set, so a shutdown never waits out the interval.
+        let wake_at = Instant::now() + shared.config.heartbeat_interval;
+        loop {
+            if shared.stopping.load(Ordering::SeqCst) {
+                return;
             }
+            let left = wake_at.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
+        }
+        match shared.link() {
+            Link::Dead(_) => return,
+            // Reconnecting: silence is expected; the resume resets the
+            // pong clock.
+            Link::Down => continue,
+            Link::Up => {}
         }
         seq += 1;
         // On a traced link every heartbeat doubles as a clock probe: the

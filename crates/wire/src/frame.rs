@@ -8,8 +8,9 @@
 //! +----------------+----------------+---------------------------------+
 //! ```
 //!
-//! The CRC32 (IEEE polynomial, hand-rolled below) covers the body; it is
-//! sealed in by [`seal`] and checked by [`open`] *above* the raw transport,
+//! The CRC32 (IEEE polynomial; the workspace's one implementation,
+//! `mlperf_trace::crc`, re-exported here) covers the body; it is sealed in
+//! by [`seal`] and checked by [`open`] *above* the raw transport,
 //! so a byte flipped anywhere in transit — including by a
 //! [`ChaosTransport`](crate::transport::ChaosTransport) — surfaces as a
 //! structured [`FrameError`], never as a plausible message. The body is a
@@ -23,38 +24,7 @@
 
 use std::io::{Read, Write};
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) lookup table, generated at
-/// compile time so the hot path is one table index per byte.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes`. Detects every single-byte error and all burst
-/// errors up to 32 bits, which is exactly the failure model a chaotic
-/// network presents to a frame.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+pub use mlperf_trace::crc::crc32;
 
 /// Hard ceiling on a frame's payload size. An offline query over a
 /// 24,576-sample QSL encodes in ~400 KiB; 64 MiB leaves room for
@@ -134,21 +104,37 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame: `u32` big-endian payload length, then the payload.
+/// Writes one frame: `u32` big-endian payload length, then the payload,
+/// assembled and handed to the writer in a single `write_all`. On a
+/// `TCP_NODELAY` socket every write is a TCP send of its own, so a frame
+/// written as prefix-then-payload pays for the loopback stack twice.
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Protocol`] for an oversized payload and
-/// [`WireError::Io`] for socket failures.
+/// Returns [`WireError::Protocol`] for an oversized payload (nothing is
+/// written) and [`WireError::Io`] for socket failures.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
+    write_frame_via(writer, payload, &mut Vec::new())
+}
+
+/// [`write_frame`] assembling into a caller-owned buffer, so a long-lived
+/// connection allocates nothing per frame.
+pub(crate) fn write_frame_via<W: Write>(
+    writer: &mut W,
+    payload: &[u8],
+    scratch: &mut Vec<u8>,
+) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::Protocol(format!(
             "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
             payload.len()
         )));
     }
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    scratch.clear();
+    scratch.reserve(4 + payload.len());
+    scratch.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    scratch.extend_from_slice(payload);
+    writer.write_all(scratch)?;
     writer.flush()?;
     Ok(())
 }
@@ -225,8 +211,25 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An encoder whose first four bytes are reserved for the checksum
+    /// [`ByteWriter::into_sealed`] patches in. Sized so a one-sample issue
+    /// or completion (the common frame) never regrows the buffer.
+    pub(crate) fn sealed() -> Self {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&[0; 4]);
+        ByteWriter { buf }
+    }
+
     /// Consumes the encoder, returning the payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Consumes an encoder made by [`ByteWriter::sealed`], returning
+    /// `crc32(body) || body` — what [`seal`] builds, without the copy.
+    pub(crate) fn into_sealed(mut self) -> Vec<u8> {
+        let crc = crc32(&self.buf[4..]);
+        self.buf[..4].copy_from_slice(&crc.to_be_bytes());
         self.buf
     }
 
@@ -382,6 +385,85 @@ mod tests {
         assert!(read_frame(&mut cursor).is_err()); // EOF
     }
 
+    /// A `Write` that takes at most `accept` bytes per call and counts calls.
+    struct CountingWriter {
+        accept: usize,
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl CountingWriter {
+        fn accepting(accept: usize) -> Self {
+            CountingWriter {
+                accept,
+                writes: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.accept);
+            self.writes += 1;
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn completion(samples: u64) -> crate::message::Message {
+        use mlperf_loadgen::query::{ResponsePayload, SampleCompletion};
+        crate::message::Message::Completion {
+            query_id: 17,
+            error: false,
+            samples: (0..samples)
+                .map(|i| SampleCompletion {
+                    sample_id: 170 + i,
+                    payload: ResponsePayload::Class(i as usize),
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn one_write_call_per_frame() {
+        for samples in [1, 256] {
+            let payload = completion(samples).to_wire();
+            let mut w = CountingWriter::accepting(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{samples}-sample frame");
+            assert_eq!(w.bytes.len(), 4 + payload.len());
+            assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn oversized_payload_rejected_before_any_byte_is_written() {
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut w = CountingWriter::accepting(usize::MAX);
+        assert!(matches!(
+            write_frame(&mut w, &payload),
+            Err(WireError::Protocol(_))
+        ));
+        assert_eq!((w.writes, w.bytes.len()), (0, 0));
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_frame() {
+        let message = completion(8);
+        let mut w = CountingWriter::accepting(3);
+        write_frame(&mut w, &message.to_wire()).unwrap();
+        assert!(w.writes > 1);
+        let payload = read_frame(&mut w.bytes.as_slice()).unwrap();
+        assert_eq!(
+            crate::message::Message::from_wire(&payload).unwrap(),
+            message
+        );
+    }
+
     #[test]
     fn oversized_length_prefix_rejected() {
         let mut buf = Vec::new();
@@ -450,17 +532,6 @@ mod tests {
         bytes.extend_from_slice(&[0xff, 0xfe]);
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.get_str(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Published IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //! 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
 //! (n u32, n× u32).
 //!
-//! On the wire every encoded message travels [`seal`]ed — prefixed by its
-//! CRC32 — via [`Message::to_wire`] / [`Message::from_wire`]; see
-//! [`crate::frame`] for the frame format.
+//! On the wire every encoded message travels sealed — prefixed by its
+//! CRC32, as [`crate::frame::seal`] would — via [`Message::to_wire`] /
+//! [`Message::from_wire`]; see [`crate::frame`] for the frame format.
 
-use crate::frame::{open, seal, ByteReader, ByteWriter, WireError};
+use crate::frame::{open, ByteReader, ByteWriter, WireError};
 use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleCompletion};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
@@ -310,6 +310,11 @@ impl Message {
     /// Encodes the message as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             Message::Hello(h) => {
                 w.put_u8(1);
@@ -340,7 +345,7 @@ impl Message {
             }
             Message::Issue(query) => {
                 w.put_u8(4);
-                put_query(&mut w, query);
+                put_query(w, query);
             }
             Message::Completion {
                 query_id,
@@ -353,7 +358,7 @@ impl Message {
                 w.put_u32(samples.len() as u32);
                 for s in samples {
                     w.put_u64(s.sample_id);
-                    put_payload(&mut w, &s.payload);
+                    put_payload(w, &s.payload);
                 }
             }
             Message::Heartbeat { seq } => {
@@ -374,7 +379,7 @@ impl Message {
             Message::IssueTraced { trace_id, query } => {
                 w.put_u8(10);
                 w.put_u64(*trace_id);
-                put_query(&mut w, query);
+                put_query(w, query);
             }
             Message::Events { jsonl } => {
                 w.put_u8(11);
@@ -400,12 +405,14 @@ impl Message {
                 w.put_u64(*t2);
             }
         }
-        w.into_bytes()
     }
 
-    /// Encodes the message and seals it for the wire: `crc32 || body`.
+    /// Encodes the message and seals it for the wire: `crc32 || body`,
+    /// byte for byte what `seal(&self.encode())` builds, in one buffer.
     pub fn to_wire(&self) -> Vec<u8> {
-        seal(&self.encode())
+        let mut w = ByteWriter::sealed();
+        self.encode_into(&mut w);
+        w.into_sealed()
     }
 
     /// Opens a sealed wire payload (verifying the CRC32) and decodes it.
@@ -653,6 +660,19 @@ mod tests {
         for message in sample_messages() {
             let payload = message.to_wire();
             assert_eq!(Message::from_wire(&payload).unwrap(), message);
+        }
+    }
+
+    /// Sealing in place changes no byte: every message kind's `to_wire`
+    /// is exactly `seal` over its `encode`.
+    #[test]
+    fn to_wire_equals_seal_of_encode() {
+        for message in sample_messages() {
+            assert_eq!(
+                message.to_wire(),
+                crate::frame::seal(&message.encode()),
+                "{message:?}"
+            );
         }
     }
 

@@ -199,10 +199,14 @@ impl Session {
     /// Sends one frame on the session's current writer, if any. Errors are
     /// swallowed: the journal preserves the reply for the next epoch.
     fn send(&self, msg: &Message) {
-        let payload = msg.to_wire();
+        self.send_sealed(&msg.to_wire());
+    }
+
+    /// [`Session::send`] for a message already encoded by `to_wire`.
+    fn send_sealed(&self, payload: &[u8]) {
         let mut guard = self.writer.lock().expect("session writer poisoned");
         if let Some((_, transport)) = guard.as_mut() {
-            let _ = transport.send(&payload);
+            let _ = transport.send(payload);
         }
     }
 
@@ -604,11 +608,17 @@ fn spawn_session(
                         // Journal first, then send: if the connection dies
                         // between the two, the reply survives for replay.
                         // One critical section retires "in progress" and
-                        // records the journal entry atomically.
+                        // records the journal entry atomically. Encoded
+                        // once: the same sealed bytes go to disk and socket.
+                        let error = reply.error;
                         let completion = Message::Completion {
                             query_id: query.id,
-                            error: reply.error,
+                            error,
                             samples: reply.samples,
+                        };
+                        let sealed = completion.to_wire();
+                        let Message::Completion { samples, .. } = completion else {
+                            unreachable!("constructed above");
                         };
                         {
                             let mut book = session_t.book.lock().expect("session book poisoned");
@@ -618,14 +628,11 @@ fn spawn_session(
                                 // bytes are the journal payload, so replay
                                 // after a daemon restart parses them back
                                 // with the same decoder the socket uses.
-                                let _ = disk.append(&completion.to_wire());
+                                let _ = disk.append(&sealed);
                             }
-                            let Message::Completion { error, samples, .. } = &completion else {
-                                unreachable!("constructed above");
-                            };
-                            book.journal.insert(query.id, (*error, samples.clone()));
+                            book.journal.insert(query.id, (error, samples));
                         }
-                        session_t.send(&completion);
+                        session_t.send_sealed(&sealed);
                         shared.served.fetch_add(1, Ordering::SeqCst);
                         shared.metrics.incr("wire_served", 1);
                     }
@@ -817,46 +824,36 @@ fn handle_conn(
     // the same id is retired and the service state cleared. A non-zero
     // epoch resumes the existing session (or, if the daemon restarted and
     // forgot it, starts an empty one — the replayed queries simply re-run).
-    let session = if hello.epoch == 0 {
-        let stale = shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
-            .remove(&hello.session);
-        if let Some(stale) = stale {
-            stale.retire();
+    let fresh = hello.epoch == 0;
+    let found = {
+        let mut sessions = shared.sessions.lock().expect("server sessions poisoned");
+        if fresh {
+            sessions.remove(&hello.session)
+        } else {
+            sessions.get(&hello.session).cloned()
         }
-        // A fresh session is a fresh run: let stateful services clear.
-        service.reset();
-        let session = spawn_session(service, workers, shared, hello.session, false);
-        shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
-            .insert(hello.session, Arc::clone(&session));
-        session
-    } else {
-        let existing = shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
-            .get(&hello.session)
-            .cloned();
-        match existing {
-            Some(session) => session,
-            None => {
-                // The daemon forgot this session (it restarted). With a
-                // journal dir the session book is rebuilt from disk and
-                // replayed queries answer without re-running; without one
-                // the book starts empty and they simply re-run.
-                let session = spawn_session(service, workers, shared, hello.session, true);
-                shared
-                    .sessions
-                    .lock()
-                    .expect("server sessions poisoned")
-                    .insert(hello.session, Arc::clone(&session));
-                session
+    };
+    let session = match found {
+        Some(session) if !fresh => session,
+        stale => {
+            if let Some(stale) = stale {
+                stale.retire();
             }
+            if fresh {
+                // A fresh session is a fresh run: let stateful services clear.
+                service.reset();
+            }
+            // On a resume the daemon forgot this session (it restarted).
+            // With a journal dir the session book is rebuilt from disk and
+            // replayed queries answer without re-running; without one the
+            // book starts empty and they simply re-run.
+            let session = spawn_session(service, workers, shared, hello.session, !fresh);
+            shared
+                .sessions
+                .lock()
+                .expect("server sessions poisoned")
+                .insert(hello.session, Arc::clone(&session));
+            session
         }
     };
 
@@ -957,17 +954,24 @@ fn handle_conn(
     if clean {
         // The run drained: the session is complete, reap it — including
         // its on-disk journal, which exists only to rescue unfinished runs.
-        let removed = shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
-            .remove(&hello.session);
-        if let Some(session) = removed {
-            session.retire();
-            if let Some(path) = &session.disk_path {
-                let _ = std::fs::remove_file(path);
+        // Only if the map still holds *this* session: a client may close
+        // and open its next run (same id, epoch 0) before this thread gets
+        // here, and that successor's session and journal are not ours to
+        // reap. The file goes under the lock, because the successor creates
+        // its own only after taking the lock to look for a stale session.
+        {
+            let mut sessions = shared.sessions.lock().expect("server sessions poisoned");
+            if sessions
+                .get(&hello.session)
+                .is_some_and(|s| Arc::ptr_eq(s, &session))
+            {
+                sessions.remove(&hello.session);
+                if let Some(path) = &session.disk_path {
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
+        session.retire();
     } else {
         // The link died dirty: the session lives on for a resume. Clear
         // the writer only if it is still ours — a successor epoch may

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use mlperf_trace::event::{TraceEvent, TraceSink};
 
-use crate::frame::{read_frame, write_frame, WireError};
+use crate::frame::{read_frame, write_frame_via, WireError};
 
 /// Moves whole frame payloads over some byte stream.
 ///
@@ -63,18 +63,24 @@ pub trait Transport: Send {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    /// Where `send` assembles `len ‖ payload` for its one write; kept so
+    /// the steady state allocates nothing per frame.
+    scratch: Vec<u8>,
 }
 
 impl TcpTransport {
     /// Wraps a connected stream.
     pub fn new(stream: TcpStream) -> Self {
-        TcpTransport { stream }
+        TcpTransport {
+            stream,
+            scratch: Vec::new(),
+        }
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        write_frame(&mut self.stream, payload)
+        write_frame_via(&mut self.stream, payload, &mut self.scratch)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, WireError> {
@@ -86,9 +92,7 @@ impl Transport for TcpTransport {
     }
 
     fn try_clone(&self) -> Result<Box<dyn Transport>, WireError> {
-        Ok(Box::new(TcpTransport {
-            stream: self.stream.try_clone()?,
-        }))
+        Ok(Box::new(TcpTransport::new(self.stream.try_clone()?)))
     }
 }
 

@@ -347,3 +347,186 @@ fn v2_client_interoperates_with_a_v3_daemon() {
     }
     server.shutdown();
 }
+
+/// `shutdown` wakes the parked heartbeat thread instead of waiting out its
+/// interval: closing an idle healthy link takes milliseconds even when the
+/// next heartbeat is seconds away.
+#[test]
+fn shutdown_on_an_idle_link_does_not_wait_for_the_heartbeat_interval() {
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let interval = Duration::from_secs(3);
+    let config = RemoteSutConfig::default().with_heartbeat(interval, Duration::from_secs(30));
+    let hello = hello_for(&settings, &qsl, &config);
+    let service = Arc::new(SimHost::new(FixedLatencySut::new(
+        "idle-peer",
+        Nanos::from_micros(10),
+    )));
+    let (client, server) =
+        loopback(service, ServeConfig::default(), hello, config).expect("loopback");
+    assert!(client.is_connected());
+
+    let started = std::time::Instant::now();
+    client.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < interval / 6,
+        "shutdown of an idle link took {took:?} against a {interval:?} heartbeat interval"
+    );
+    server.shutdown();
+}
+
+/// Parking must not change the cadence: heartbeats keep coming, and never
+/// sooner than one per interval (an early wake-up re-parks, it does not ping).
+#[test]
+fn heartbeats_still_fire_on_schedule() {
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let interval = Duration::from_millis(20);
+    let config = RemoteSutConfig::default().with_heartbeat(interval, Duration::from_secs(30));
+    let hello = hello_for(&settings, &qsl, &config);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let service = Arc::new(SimHost::new(FixedLatencySut::new(
+        "beating-peer",
+        Nanos::from_micros(10),
+    )));
+    let started = std::time::Instant::now();
+    let (client, server) = loopback_instrumented(
+        service,
+        ServeConfig::default(),
+        hello,
+        config,
+        None,
+        Some(metrics.clone()),
+    )
+    .expect("loopback");
+
+    let beats = || {
+        let snapshot = metrics.snapshot();
+        snapshot
+            .counters
+            .get("wire_heartbeats")
+            .copied()
+            .unwrap_or(0)
+    };
+    while beats() < 5 {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "only {} heartbeats in 10 s at a {interval:?} interval",
+            beats()
+        );
+        std::thread::sleep(interval / 4);
+    }
+    let seen = beats();
+    let most = (started.elapsed().as_nanos() / interval.as_nanos()) as u64;
+    assert!(
+        seen <= most,
+        "{seen} heartbeats where {most} intervals have elapsed"
+    );
+    assert!(client.is_connected(), "acks kept the link alive");
+    client.shutdown();
+    server.shutdown();
+}
+
+/// The journaled daemon encodes a completion once: the bytes appended to
+/// `session_*.mlpj` are the bytes sent on the socket for the same query.
+#[test]
+fn journaled_completion_bytes_equal_the_bytes_on_the_socket() {
+    let dir = std::env::temp_dir().join(format!("mlpj-wire-once-{}", std::process::id()));
+    let service = Arc::new(SimHost::new(FixedLatencySut::new(
+        "journaled-peer",
+        Nanos::from_micros(10),
+    )));
+    let server = serve_on(
+        "127.0.0.1:0",
+        service,
+        ServeConfig::default().with_journal_dir(&dir),
+    )
+    .expect("serve");
+
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 8, 8);
+    let hello = hello_for(&settings, &qsl, &RemoteSutConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, &Message::Hello(hello.clone()).to_wire()).expect("hello");
+    let ack = Message::from_wire(&read_frame(&mut stream).expect("ack frame")).expect("ack");
+    assert!(matches!(ack, Message::HelloAck { .. }), "{ack:?}");
+
+    let mut on_socket = Vec::new();
+    for id in 0..4u64 {
+        let samples = (0..=id)
+            .map(|i| mlperf_loadgen::QuerySample {
+                id: id * 10 + i,
+                index: i as usize,
+            })
+            .collect();
+        let issue = Message::Issue(Query {
+            id,
+            samples,
+            scheduled_at: Nanos::ZERO,
+            tenant: 0,
+        });
+        write_frame(&mut stream, &issue.to_wire()).expect("issue");
+        let payload = read_frame(&mut stream).expect("completion frame");
+        assert!(matches!(
+            Message::from_wire(&payload),
+            Ok(Message::Completion { query_id, .. }) if query_id == id
+        ));
+        on_socket.push(payload);
+    }
+
+    // The worker journals before it sends, so every frame read above is
+    // already in the file; the undrained session keeps it on disk.
+    let journal = dir.join(format!("session_{:016x}.mlpj", hello.session));
+    let scan = mlperf_trace::read_journal(&journal).expect("session journal");
+    assert!(scan.torn.is_none());
+    assert_eq!(scan.records, on_socket);
+
+    drop(stream);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A drained run's reaping must not touch its successor: a client that
+/// closes one run and at once opens the next under the same session id
+/// keeps its session and its on-disk journal, every round.
+#[test]
+fn back_to_back_runs_under_one_session_id_keep_their_journal() {
+    let dir = std::env::temp_dir().join(format!("mlpj-wire-b2b-{}", std::process::id()));
+    let service = Arc::new(SimHost::new(FixedLatencySut::new(
+        "b2b-peer",
+        Nanos::from_micros(10),
+    )));
+    let server = serve_on(
+        "127.0.0.1:0",
+        service,
+        ServeConfig::default().with_journal_dir(&dir),
+    )
+    .expect("serve");
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let config = RemoteSutConfig::default();
+    let hello = hello_for(&settings, &qsl, &config);
+    let journal = dir.join(format!("session_{:016x}.mlpj", hello.session));
+    let query = Query {
+        id: 1,
+        samples: vec![mlperf_loadgen::QuerySample { id: 10, index: 0 }],
+        scheduled_at: Nanos::ZERO,
+        tenant: 0,
+    };
+    for round in 0..25 {
+        let client =
+            RemoteSut::connect(server.addr(), hello.clone(), config.clone()).expect("connect");
+        assert!(
+            matches!(client.issue_outcome(&query), IssueOutcome::Completed(_)),
+            "round {round}"
+        );
+        assert!(
+            journal.exists(),
+            "round {round}: journal reaped by predecessor"
+        );
+        client.shutdown();
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
