@@ -105,11 +105,15 @@ echo "== bench suite (smoke mode, JSON report) =="
 # replay_reduce (warn-only — replay has historically been *faster* than
 # the native scheduler, so a warning here means the replay path grew a
 # hot-loop cost);
-# MLPERF_JOURNAL_OVERHEAD_MAX_PCT bounds the fsync-free checkpoint
-# serialization tax in journal_overhead (warn-only: the plain DES
-# baseline is ~300 ns/query, so the ratio is noisy by construction —
-# the gate exists to flag a return of the quadratic full-snapshot
-# serialization, which showed up as >16000% before delta frames).
+# MLPERF_JOURNAL_OVERHEAD_MAX_PCT bounds the fsync-free checkpointing
+# tax in journal_overhead (warn-only). Binary checkpoint frames read
+# +180%, +128% and +246% on three consecutive ./ci.sh passes (+161%
+# twice standalone, +235% on a fourth pass); the allowance is twice
+# their median. The JSON frames they replaced read +454% and +428% on
+# the same box the same day, so a relapse is called out. It stays
+# warn-only because the readings spread nearly 2x: the two fsyncs
+# `create` always makes (header, meta frame) against a 1.6 ms plain
+# run, not the encoder — too noisy for a 5,000-query bench to fail on.
 BENCH_JSON="$(pwd)/target/bench-current.json"
 rm -f "$BENCH_JSON"
 MLPERF_BENCH_JSON="$BENCH_JSON" \
@@ -121,7 +125,7 @@ MLPERF_FAULT_OVERHEAD_MAX_PCT=10 \
 MLPERF_WIRE_OVERHEAD_MAX_PCT=150 \
 MLPERF_WIRE_CHAOS_OVERHEAD_MAX_PCT=25 \
 MLPERF_REPLAY_OVERHEAD_MAX_PCT=25 \
-MLPERF_JOURNAL_OVERHEAD_MAX_PCT=2000 \
+MLPERF_JOURNAL_OVERHEAD_MAX_PCT=360 \
 cargo bench -p mlperf-bench
 
 if [[ -f BENCH_PR10.json ]]; then

@@ -851,11 +851,6 @@ impl JournalTap<'_> {
         sched: ([u64; 4], f64),
     ) -> Result<bool, LoadGenError> {
         let seq = self.journal.checkpoints;
-        let epoch = self
-            .cfg
-            .epoch_source
-            .as_ref()
-            .map_or(0, |e| e.load(std::sync::atomic::Ordering::SeqCst));
         let (records_from, accuracy_from) = self.journal.flushed_marks();
         let cp = Checkpoint {
             seq,
@@ -867,7 +862,7 @@ impl JournalTap<'_> {
             sched_rng: sched.0,
             sched_now_bits: sched.1.to_bits(),
             acc_rng: sim.acc_rng.state(),
-            epoch,
+            epoch: self.cfg.epoch(),
             recorder: sim.recorder.snapshot_suffix(records_from, accuracy_from),
         };
         self.journal.append_checkpoint(self.cfg, &cp)

@@ -28,25 +28,21 @@
 //! from the daemon's own journal, keeping execution effects exactly-once.
 
 use crate::config::TestSettings;
-use crate::record::RecorderSnapshot;
+use crate::record::{get_opt_nanos, put_opt_nanos, RecorderSnapshot};
 use crate::time::Nanos;
 use crate::LoadGenError;
+use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::journal::{read_journal, JournalWriter, TornTail};
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
-/// FNV-1a 64-bit, for the settings digest. Same constants as the detail
-/// log's logical hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// First byte of a run journal's meta frame: which payload encoding every
+/// frame in the file uses. This build reads and writes exactly one — the
+/// fixed-width binary layout of DESIGN §3g; any other first byte (JSON-era
+/// journals start with `{`) is refused on load, never mis-parsed.
+pub const PAYLOAD_FORMAT: u8 = 1;
 
 /// Digest of everything about a run's configuration that resume
 /// correctness depends on. A journal may only resume a run whose settings
@@ -81,45 +77,51 @@ pub struct RunMeta {
     pub qsl_size: u64,
 }
 
-impl ToJson for RunMeta {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("kind", "meta".to_json_value()),
-            ("scenario", self.scenario.to_json_value()),
-            ("digest", self.digest.to_json_value()),
-            ("qsl_size", self.qsl_size.to_json_value()),
-        ])
+impl RunMeta {
+    /// The meta frame: [`PAYLOAD_FORMAT`], then the fields.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(PAYLOAD_FORMAT);
+        w.put_str(&self.scenario);
+        w.put_u64(self.digest);
+        w.put_u64(self.qsl_size);
+        w.into_bytes()
+    }
+
+    /// Refuses any frame that does not start with [`PAYLOAD_FORMAT`]
+    /// before reading a field, so another encoding is never mis-parsed.
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        match bytes.split_first() {
+            Some((&PAYLOAD_FORMAT, fields)) => {
+                Self::decode_fields(fields).map_err(|e| e.to_string())
+            }
+            Some((other, _)) => Err(format!(
+                "payload format byte {other:#04x}, this build reads only {PAYLOAD_FORMAT:#04x}: \
+                 the journal was written by another build (JSON-era journals start with `{{`) \
+                 and can only be resumed by it"
+            )),
+            None => Err("empty frame".into()),
+        }
+    }
+
+    fn decode_fields(bytes: &[u8]) -> Result<Self, ByteError> {
+        let mut r = ByteReader::new(bytes);
+        let meta = RunMeta {
+            scenario: r.get_str()?,
+            digest: r.get_u64()?,
+            qsl_size: r.get_u64()?,
+        };
+        r.finish()?;
+        Ok(meta)
     }
 }
 
-impl FromJson for RunMeta {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(RunMeta {
-            scenario: value.field("scenario")?.as_str()?.to_string(),
-            digest: value.field("digest")?.as_u64()?,
-            qsl_size: value.field("qsl_size")?.as_u64()?,
-        })
-    }
+fn put_rng_state(w: &mut ByteWriter, s: &[u64; 4]) {
+    s.iter().for_each(|word| w.put_u64(*word));
 }
 
-fn rng_state_json(s: &[u64; 4]) -> JsonValue {
-    JsonValue::Array(s.iter().map(|w| w.to_json_value()).collect())
-}
-
-fn rng_state_from(value: &JsonValue) -> Result<[u64; 4], JsonError> {
-    let words = value.as_array()?;
-    if words.len() != 4 {
-        return Err(JsonError::new(format!(
-            "RNG state needs 4 words, got {}",
-            words.len()
-        )));
-    }
-    Ok([
-        words[0].as_u64()?,
-        words[1].as_u64()?,
-        words[2].as_u64()?,
-        words[3].as_u64()?,
-    ])
+fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], ByteError> {
+    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
 }
 
 /// A complete image of the issue loop at one issued-query boundary.
@@ -150,40 +152,50 @@ pub struct Checkpoint {
     pub recorder: RecorderSnapshot,
 }
 
-impl ToJson for Checkpoint {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("kind", "checkpoint".to_json_value()),
-            ("seq", self.seq.to_json_value()),
-            ("issued", self.issued.to_json_value()),
-            ("next_sample_id", self.next_sample_id.to_json_value()),
-            ("wall", self.wall.to_json_value()),
-            ("pending_arrival", self.pending_arrival.to_json_value()),
-            ("qsl_rng", rng_state_json(&self.qsl_rng)),
-            ("sched_rng", rng_state_json(&self.sched_rng)),
-            ("sched_now_bits", self.sched_now_bits.to_json_value()),
-            ("acc_rng", rng_state_json(&self.acc_rng)),
-            ("epoch", self.epoch.to_json_value()),
-            ("recorder", self.recorder.to_json_value()),
-        ])
+impl Checkpoint {
+    /// The checkpoint as one journal frame payload: fixed-width
+    /// big-endian fields in declaration order (layout: DESIGN §3g).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(256 + 48 * self.recorder.records.len());
+        w.put_u64(self.seq);
+        w.put_u64(self.issued);
+        w.put_u64(self.next_sample_id);
+        w.put_u64(self.wall.as_nanos());
+        put_opt_nanos(&mut w, self.pending_arrival);
+        put_rng_state(&mut w, &self.qsl_rng);
+        put_rng_state(&mut w, &self.sched_rng);
+        w.put_u64(self.sched_now_bits);
+        put_rng_state(&mut w, &self.acc_rng);
+        w.put_u32(self.epoch);
+        self.recorder.encode_into(&mut w);
+        w.into_bytes()
     }
-}
 
-impl FromJson for Checkpoint {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(Checkpoint {
-            seq: value.field("seq")?.as_u64()?,
-            issued: value.field("issued")?.as_u64()?,
-            next_sample_id: value.field("next_sample_id")?.as_u64()?,
-            wall: Nanos::from_json_value(value.field("wall")?)?,
-            pending_arrival: Option::from_json_value(value.field("pending_arrival")?)?,
-            qsl_rng: rng_state_from(value.field("qsl_rng")?)?,
-            sched_rng: rng_state_from(value.field("sched_rng")?)?,
-            sched_now_bits: value.field("sched_now_bits")?.as_u64()?,
-            acc_rng: rng_state_from(value.field("acc_rng")?)?,
-            epoch: value.field("epoch")?.as_u32()?,
-            recorder: RecorderSnapshot::from_json_value(value.field("recorder")?)?,
-        })
+    /// Decodes a frame payload written by [`Checkpoint::encode`]. Total:
+    /// arbitrary bytes come back as an error, never a panic, and no list
+    /// is allocated before its count is checked against the bytes left.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ByteError`] on truncation, a flag other than 0/1, an
+    /// unknown payload tag, an impossible count, or trailing bytes.
+    pub fn decode(bytes: &[u8]) -> Result<Self, ByteError> {
+        let mut r = ByteReader::new(bytes);
+        let cp = Checkpoint {
+            seq: r.get_u64()?,
+            issued: r.get_u64()?,
+            next_sample_id: r.get_u64()?,
+            wall: Nanos::from_nanos(r.get_u64()?),
+            pending_arrival: get_opt_nanos(&mut r, "pending_arrival flag")?,
+            qsl_rng: get_rng_state(&mut r)?,
+            sched_rng: get_rng_state(&mut r)?,
+            sched_now_bits: r.get_u64()?,
+            acc_rng: get_rng_state(&mut r)?,
+            epoch: r.get_u32()?,
+            recorder: RecorderSnapshot::decode_from(&mut r)?,
+        };
+        r.finish()?;
+        Ok(cp)
     }
 }
 
@@ -252,6 +264,12 @@ impl JournalConfig {
         self.epoch_source = Some(source);
         self
     }
+
+    /// The wire session epoch in force right now; 0 for purely local runs.
+    pub(crate) fn epoch(&self) -> u32 {
+        let live = self.epoch_source.as_ref();
+        live.map_or(0, |e| e.load(std::sync::atomic::Ordering::SeqCst))
+    }
 }
 
 /// Everything a journal load recovers.
@@ -294,9 +312,8 @@ fn parse_scan(
     let meta_bytes = frames
         .next()
         .ok_or_else(|| journal_err(&ctx, "journal has no meta frame"))?;
-    let meta_text =
-        String::from_utf8(meta_bytes).map_err(|e| journal_err(&ctx, format!("meta frame: {e}")))?;
-    let meta = RunMeta::from_json_str(&meta_text).map_err(|e| journal_err(&ctx, e))?;
+    let meta =
+        RunMeta::decode(&meta_bytes).map_err(|e| journal_err(&ctx, format!("meta frame: {e}")))?;
     let mut last: Option<Checkpoint> = None;
     let mut checkpoints = 0u64;
     // Checkpoint frames are deltas: each carries only the records past the
@@ -310,9 +327,8 @@ fn parse_scan(
     let mut folded_accuracy = Vec::new();
     let mut stable = 0usize;
     for frame in frames {
-        let text = String::from_utf8(frame)
-            .map_err(|e| journal_err(&ctx, format!("checkpoint frame: {e}")))?;
-        let mut cp = Checkpoint::from_json_str(&text).map_err(|e| journal_err(&ctx, e))?;
+        let mut cp = Checkpoint::decode(&frame)
+            .map_err(|e| journal_err(&ctx, format!("checkpoint frame {checkpoints}: {e}")))?;
         folded_records.truncate(stable);
         folded_records.append(&mut cp.recorder.records);
         folded_accuracy.append(&mut cp.recorder.accuracy_log);
@@ -369,7 +385,7 @@ impl RunJournal {
         let mut writer =
             JournalWriter::create(&cfg.path, cfg.fsync_every).map_err(|e| journal_err(&ctx, e))?;
         writer
-            .append(meta.to_json_string().as_bytes())
+            .append(&meta.encode())
             .and_then(|()| writer.sync())
             .map_err(|e| journal_err(&ctx, e))?;
         Ok(Self {
@@ -488,9 +504,8 @@ impl RunJournal {
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
     pub fn checkpoint(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
-        let payload = cp.to_json_string();
         self.writer
-            .append(payload.as_bytes())
+            .append(&cp.encode())
             .map_err(|e| journal_err("checkpoint append", e))?;
         let total = self.records_flushed + cp.recorder.records.len();
         self.records_flushed = stable_prefix(&cp.recorder.outstanding, total);
@@ -509,9 +524,9 @@ impl RunJournal {
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
     pub fn checkpoint_torn(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
-        let payload = cp.to_json_string();
+        let payload = cp.encode();
         self.writer
-            .append_torn(payload.as_bytes(), payload.len() / 2)
+            .append_torn(&payload, payload.len() / 2)
             .map_err(|e| journal_err("torn checkpoint append", e))
     }
 
@@ -581,10 +596,44 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_through_json() {
+    fn checkpoint_roundtrips_through_the_binary_codec() {
         let cp = sample_checkpoint(3);
-        let back = Checkpoint::from_json_str(&cp.to_json_string()).unwrap();
-        assert_eq!(back, cp);
+        let bytes = cp.encode();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), cp);
+        // Strict: a flag other than 0/1 and a trailing byte are errors.
+        let mut bad_flag = bytes.clone();
+        bad_flag[32] = 2; // pending_arrival's flag follows four u64s
+        assert!(Checkpoint::decode(&bad_flag).is_err());
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(Checkpoint::decode(&trailing).is_err());
+    }
+
+    /// Builds before the binary codec wrote each frame as JSON text. Such
+    /// a journal must come back as a structured error that says so — not
+    /// be parsed as binary, and not look like an empty or torn journal.
+    #[test]
+    fn a_json_journal_from_an_older_build_is_refused_not_misread() {
+        let path = tmp("json_era");
+        let mut w = JournalWriter::create(&path, 0).unwrap();
+        w.append(br#"{"kind":"meta","scenario":"server","digest":1,"qsl_size":8}"#)
+            .unwrap();
+        w.append(br#"{"kind":"checkpoint","seq":0,"issued":16}"#)
+            .unwrap();
+        drop(w);
+        for result in [
+            load_run_journal(&path).map(|_| ()),
+            RunJournal::open_resume(&JournalConfig::new(&path)).map(|_| ()),
+        ] {
+            match result {
+                Err(LoadGenError::Journal(m)) => {
+                    assert!(m.contains("payload format byte 0x7b"), "{m}");
+                    assert!(m.contains("another build"), "{m}");
+                }
+                other => panic!("expected a structured refusal, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

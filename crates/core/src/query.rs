@@ -1,6 +1,7 @@
 //! Queries, samples, and responses.
 
 use crate::time::Nanos;
+use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
 /// Identifier of an issued query, unique within one run.
@@ -64,6 +65,58 @@ impl ResponsePayload {
     /// Whether the payload carries data.
     pub fn is_empty(&self) -> bool {
         matches!(self, ResponsePayload::Empty)
+    }
+
+    /// Appends the binary form wire completions and run-journal accuracy
+    /// entries share: a tag byte (0 empty, 1 class, 2 boxes, 3 tokens),
+    /// then a class `u64`, a list of (class `u64`, score `f32`, 4 × `f32`),
+    /// or a list of token `u32`s.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        match self {
+            ResponsePayload::Empty => w.put_u8(0),
+            ResponsePayload::Class(class) => {
+                w.put_u8(1);
+                w.put_u64(*class as u64);
+            }
+            ResponsePayload::Boxes(boxes) => {
+                w.put_u8(2);
+                w.put_list(boxes, |w, (class, score, rect)| {
+                    w.put_u64(*class as u64);
+                    w.put_f32(*score);
+                    for coord in rect {
+                        w.put_f32(*coord);
+                    }
+                });
+            }
+            ResponsePayload::Tokens(tokens) => {
+                w.put_u8(3);
+                w.put_list(tokens, |w, t| w.put_u32(*t));
+            }
+        }
+    }
+
+    /// Reads what [`ResponsePayload::encode_into`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ByteError`] on truncation, an unknown tag, or a count the
+    /// remaining bytes cannot hold.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        match r.get_u8()? {
+            0 => Ok(ResponsePayload::Empty),
+            1 => Ok(ResponsePayload::Class(r.get_u64()? as usize)),
+            2 => Ok(ResponsePayload::Boxes(r.get_list(28, |r| {
+                let class = r.get_u64()? as usize;
+                let score = r.get_f32()?;
+                let rect = [r.get_f32()?, r.get_f32()?, r.get_f32()?, r.get_f32()?];
+                Ok((class, score, rect))
+            })?)),
+            3 => Ok(ResponsePayload::Tokens(r.get_list(4, ByteReader::get_u32)?)),
+            other => Err(ByteError::Invalid {
+                what: "payload tag",
+                value: u64::from(other),
+            }),
+        }
     }
 }
 
@@ -319,6 +372,27 @@ mod tests {
             let json = payload.to_json_string();
             assert_eq!(ResponsePayload::from_json_str(&json).unwrap(), payload);
         }
+    }
+
+    #[test]
+    fn payload_roundtrips_through_bytes() {
+        for payload in [
+            ResponsePayload::Empty,
+            ResponsePayload::Class(17),
+            ResponsePayload::Boxes(vec![(2, 0.9, [0.0, 0.0, 4.0, 4.0])]),
+            ResponsePayload::Tokens(vec![1, 2, 3]),
+        ] {
+            let mut w = ByteWriter::new();
+            payload.encode_into(&mut w);
+            let mut r = ByteReader::new(w.as_bytes());
+            assert_eq!(ResponsePayload::decode_from(&mut r).unwrap(), payload);
+            r.finish().unwrap();
+        }
+        let unknown_tag = ResponsePayload::decode_from(&mut ByteReader::new(&[9]));
+        assert!(matches!(
+            unknown_tag,
+            Err(ByteError::Invalid { value: 9, .. })
+        ));
     }
 
     #[test]

@@ -605,10 +605,7 @@ where
                 // The realtime drain rebuilds its accuracy-log sampler from
                 // the seed, so the checkpoint pins the seed-fresh state.
                 acc_rng: Rng64::new(settings.seeds.accuracy_seed).state(),
-                epoch: cfg
-                    .epoch_source
-                    .as_ref()
-                    .map_or(0, |e| e.load(std::sync::atomic::Ordering::SeqCst)),
+                epoch: cfg.epoch(),
                 recorder: recorder.snapshot_suffix(records_from, accuracy_from),
             };
             if journal.append_checkpoint(cfg, &cp)? {

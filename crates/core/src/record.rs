@@ -3,6 +3,7 @@
 use crate::query::{Query, QueryCompletion, QueryId, ResponsePayload, SampleIndex};
 use crate::time::Nanos;
 use crate::LoadGenError;
+use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
 
@@ -130,41 +131,31 @@ pub struct OutstandingEntry {
     pub samples: Vec<(u64, SampleIndex)>,
 }
 
-impl ToJson for OutstandingEntry {
-    fn to_json_value(&self) -> JsonValue {
-        let samples: Vec<JsonValue> = self
-            .samples
-            .iter()
-            .map(|(sid, sindex)| {
-                JsonValue::object(vec![
-                    ("id", sid.to_json_value()),
-                    ("index", sindex.to_json_value()),
-                ])
-            })
-            .collect();
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("pos", self.pos.to_json_value()),
-            ("samples", JsonValue::Array(samples)),
-        ])
+/// Writes an optional timestamp: a 0/1 flag, then the `u64` when present.
+pub(crate) fn put_opt_nanos(w: &mut ByteWriter, t: Option<Nanos>) {
+    w.put_bool(t.is_some());
+    if let Some(t) = t {
+        w.put_u64(t.as_nanos());
     }
 }
 
-impl FromJson for OutstandingEntry {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        let samples = value
-            .field("samples")?
-            .as_array()?
-            .iter()
-            .map(|s| Ok((s.field("id")?.as_u64()?, s.field("index")?.as_usize()?)))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(OutstandingEntry {
-            id: value.field("id")?.as_u64()?,
-            pos: value.field("pos")?.as_usize()?,
-            samples,
-        })
-    }
+/// Reads what [`put_opt_nanos`] wrote.
+pub(crate) fn get_opt_nanos(
+    r: &mut ByteReader<'_>,
+    what: &'static str,
+) -> Result<Option<Nanos>, ByteError> {
+    let present = r.get_bool(what)?;
+    present
+        .then(|| r.get_u64().map(Nanos::from_nanos))
+        .transpose()
 }
+
+// The least bytes one item of each list in a checkpoint frame occupies
+// (layout: DESIGN §3g): what `get_list` checks a count against.
+const RECORD_MIN_BYTES: usize = 38; // 3×u64, flag, u64, u32, flag
+const OUTSTANDING_MIN_BYTES: usize = 20; // 2×u64, sample count
+const SAMPLE_BYTES: usize = 16; // 2×u64
+const LOGGED_MIN_BYTES: usize = 17; // 2×u64, payload tag
 
 /// A serializable image of a [`Recorder`]'s complete state.
 ///
@@ -218,28 +209,68 @@ impl RecorderSnapshot {
     }
 }
 
-impl ToJson for RecorderSnapshot {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("records", self.records.to_json_value()),
-            ("outstanding", self.outstanding.to_json_value()),
-            ("accuracy_log", self.accuracy_log.to_json_value()),
-            ("samples_completed", self.samples_completed.to_json_value()),
-            ("last_completion", self.last_completion.to_json_value()),
-            ("errored", self.errored.to_json_value()),
-        ])
+impl RecorderSnapshot {
+    /// Appends the snapshot's binary form (a checkpoint frame's tail).
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_list(&self.records, |w, record| {
+            w.put_u64(record.id);
+            w.put_u64(record.scheduled_at.as_nanos());
+            w.put_u64(record.issued_at.as_nanos());
+            put_opt_nanos(w, record.completed_at);
+            w.put_u64(record.sample_count as u64);
+            w.put_u32(record.skipped_intervals);
+            w.put_bool(record.error);
+        });
+        w.put_list(&self.outstanding, |w, entry| {
+            w.put_u64(entry.id);
+            w.put_u64(entry.pos as u64);
+            w.put_list(&entry.samples, |w, (sid, sindex)| {
+                w.put_u64(*sid);
+                w.put_u64(*sindex as u64);
+            });
+        });
+        w.put_list(&self.accuracy_log, |w, logged| {
+            w.put_u64(logged.sample_id);
+            w.put_u64(logged.sample_index as u64);
+            logged.payload.encode_into(w);
+        });
+        w.put_u64(self.samples_completed);
+        w.put_u64(self.last_completion.as_nanos());
+        w.put_u64(self.errored);
     }
-}
 
-impl FromJson for RecorderSnapshot {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
+    /// Reads what [`RecorderSnapshot::encode_into`] wrote.
+    pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
         Ok(RecorderSnapshot {
-            records: Vec::from_json_value(value.field("records")?)?,
-            outstanding: Vec::from_json_value(value.field("outstanding")?)?,
-            accuracy_log: Vec::from_json_value(value.field("accuracy_log")?)?,
-            samples_completed: value.field("samples_completed")?.as_u64()?,
-            last_completion: Nanos::from_json_value(value.field("last_completion")?)?,
-            errored: value.field("errored")?.as_u64()?,
+            records: r.get_list(RECORD_MIN_BYTES, |r| {
+                Ok(QueryRecord {
+                    id: r.get_u64()?,
+                    scheduled_at: Nanos::from_nanos(r.get_u64()?),
+                    issued_at: Nanos::from_nanos(r.get_u64()?),
+                    completed_at: get_opt_nanos(r, "completed_at flag")?,
+                    sample_count: r.get_u64()? as usize,
+                    skipped_intervals: r.get_u32()?,
+                    error: r.get_bool("record error flag")?,
+                })
+            })?,
+            outstanding: r.get_list(OUTSTANDING_MIN_BYTES, |r| {
+                Ok(OutstandingEntry {
+                    id: r.get_u64()?,
+                    pos: r.get_u64()? as usize,
+                    samples: r
+                        .get_list(SAMPLE_BYTES, |r| Ok((r.get_u64()?, r.get_u64()? as usize)))?,
+                })
+            })?,
+            accuracy_log: r.get_list(LOGGED_MIN_BYTES, |r| {
+                Ok(LoggedResponse {
+                    sample_id: r.get_u64()?,
+                    sample_index: r.get_u64()? as usize,
+                    payload: ResponsePayload::decode_from(r)?,
+                })
+            })?,
+            samples_completed: r.get_u64()?,
+            last_completion: Nanos::from_nanos(r.get_u64()?),
+            errored: r.get_u64()?,
         })
     }
 }
@@ -585,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_through_json() {
+    fn snapshot_restore_roundtrips_through_the_binary_codec() {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::from_micros(5)).unwrap();
         r.record_issue(&query(2), Nanos::from_micros(7)).unwrap();
@@ -595,8 +626,12 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.outstanding.len(), 2);
         assert_eq!(snap.outstanding[0].id, 1);
-        let json = snap.to_json_string();
-        let back = RecorderSnapshot::from_json_str(&json).unwrap();
+        let mut w = ByteWriter::new();
+        snap.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let back = RecorderSnapshot::decode_from(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back, snap);
 
         // The restored recorder behaves exactly like the original: known

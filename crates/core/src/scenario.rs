@@ -33,6 +33,17 @@ impl Scenario {
         Scenario::Offline,
     ];
 
+    /// The scenario's byte in binary formats (wire `Hello`, `MLPR`
+    /// header): its position in [`Scenario::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The scenario a [`Scenario::tag`] byte names, if any.
+    pub fn from_tag(tag: u8) -> Option<Scenario> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
+
     /// The canonical short code used in the paper's figures (SS/MS/S/O).
     pub fn code(&self) -> &'static str {
         match self {
@@ -160,6 +171,17 @@ mod tests {
         assert_eq!(Scenario::MultiStream.code(), "MS");
         assert_eq!(Scenario::Server.code(), "S");
         assert_eq!(Scenario::Offline.code(), "O");
+    }
+
+    /// The tags are bytes on the wire and in committed `MLPR` fixtures.
+    #[test]
+    fn tags_are_pinned_and_round_trip() {
+        let tags: Vec<u8> = Scenario::ALL.iter().map(|s| s.tag()).collect();
+        assert_eq!(tags, [0, 1, 2, 3]);
+        for scenario in Scenario::ALL {
+            assert_eq!(Scenario::from_tag(scenario.tag()), Some(scenario));
+        }
+        assert_eq!(Scenario::from_tag(4), None);
     }
 
     #[test]

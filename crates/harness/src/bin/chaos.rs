@@ -79,6 +79,7 @@ use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_sut::faults::FaultPlan;
 use mlperf_sut::resilience::{ResiliencePolicy, ResilientSut};
 use mlperf_sut::{BalancePolicy, FaultySut, ShardEndpoint, ShardedSut};
+use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::flight::render_flight_dump;
 use mlperf_trace::{JsonValue, NoopSink, RingBufferSink, ToJson, TraceEvent};
 use mlperf_wire::{
@@ -326,15 +327,6 @@ fn wire_settings(seed: u64) -> [(&'static str, TestSettings); 2] {
                 .with_seeds(seeds),
         ),
     ]
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// FNV-1a over a run's logical per-query records (id, scheduled time,
@@ -1860,12 +1852,6 @@ mod tests {
             observed: 0.5,
         };
         assert_eq!(issue.kind(), "error_fraction_exceeded");
-    }
-
-    #[test]
-    fn fnv_hash_is_deterministic_and_input_sensitive() {
-        assert_eq!(fnv1a64(b"abc"), fnv1a64(b"abc"));
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! reference fingerprint, and enough of the original run's settings to
 //! rebuild a [`TestSettings`] whose validity rules match the recording.
 //!
-//! The on-disk format is hand-rolled the way the wire codec is: a `MLPR`
-//! magic, a version, big-endian fixed-width integers, IEEE-754 bit
-//! patterns for floats, length-prefixed UTF-8 strings, and a trailing
-//! CRC-32 over everything before it. Encoding is a pure function of the
+//! The on-disk format is written with the byte codec the wire and the run
+//! journal use (`mlperf_trace::bytes`): a `MLPR` magic, a version,
+//! big-endian fixed-width integers, IEEE-754 bit patterns for floats,
+//! length-prefixed UTF-8 strings, and a trailing CRC-32 over everything
+//! before it. Encoding is a pure function of the
 //! struct — byte-reproducibility of the whole record→reduce pipeline
 //! rests on that, so nothing here consults clocks, hashes maps, or pads.
 
@@ -17,6 +18,7 @@ use crate::fingerprint::TraceFingerprint;
 use mlperf_loadgen::replay::ReplaySchedule;
 use mlperf_loadgen::{Nanos, Scenario, TestSettings};
 use mlperf_stats::Percentile;
+use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
 use mlperf_trace::crc::crc32;
 use std::fmt;
 
@@ -24,9 +26,9 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"MLPR";
 /// Current format version.
 pub const VERSION: u16 = 1;
-/// Sanity cap on the decoded query count (1 billion queries ≈ 30 GB —
-/// anything larger is a corrupt length, not a workload).
-const MAX_QUERIES: u32 = 1_000_000_000;
+/// Least bytes one encoded query occupies: delta, latency, error flag,
+/// index count.
+const QUERY_MIN_BYTES: usize = 21;
 
 /// One recorded query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,68 +118,17 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn scenario_code(s: Scenario) -> u8 {
-    match s {
-        Scenario::SingleStream => 0,
-        Scenario::MultiStream => 1,
-        Scenario::Server => 2,
-        Scenario::Offline => 3,
-    }
-}
-
-fn scenario_from_code(code: u8) -> Result<Scenario, CodecError> {
-    match code {
-        0 => Ok(Scenario::SingleStream),
-        1 => Ok(Scenario::MultiStream),
-        2 => Ok(Scenario::Server),
-        3 => Ok(Scenario::Offline),
-        other => Err(CodecError::Malformed(format!("scenario code {other}"))),
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated {
-                need: n,
-                have: self.buf.len() - self.pos,
-            });
+impl From<ByteError> for CodecError {
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Truncated {
+                wanted, remaining, ..
+            } => CodecError::Truncated {
+                need: wanted,
+                have: remaining,
+            },
+            other => CodecError::Malformed(other.to_string()),
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::Malformed("non-UTF-8 string".into()))
     }
 }
 
@@ -188,33 +139,28 @@ impl RecordedTrace {
     /// audit's byte-reproducibility checks compare these directly.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.queries.len() * 24);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.push(scenario_code(self.scenario));
-        out.push(u8::from(self.synthetic_indices));
-        out.extend_from_slice(&self.population.to_be_bytes());
-        out.extend_from_slice(&self.samples_per_query.to_be_bytes());
-        out.extend_from_slice(&self.target_latency_ns.to_be_bytes());
-        out.extend_from_slice(&self.target_percentile.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.server_target_qps.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.max_error_fraction.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.interval_ns.to_be_bytes());
-        out.extend_from_slice(&(self.source.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.source.as_bytes());
-        out.extend_from_slice(&(self.queries.len() as u32).to_be_bytes());
-        for q in &self.queries {
-            out.extend_from_slice(&q.delta_ns.to_be_bytes());
-            out.extend_from_slice(&q.latency_ns.unwrap_or(u64::MAX).to_be_bytes());
-            out.push(u8::from(q.error));
-            out.extend_from_slice(&(q.indices.len() as u32).to_be_bytes());
-            for &i in &q.indices {
-                out.extend_from_slice(&i.to_be_bytes());
-            }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_be_bytes());
-        out
+        let mut w = ByteWriter::with_capacity(64 + self.queries.len() * 25);
+        w.put_bytes(&MAGIC);
+        w.put_u16(VERSION);
+        w.put_u8(self.scenario.tag());
+        w.put_bool(self.synthetic_indices);
+        w.put_u64(self.population);
+        w.put_u32(self.samples_per_query);
+        w.put_u64(self.target_latency_ns);
+        w.put_f64(self.target_percentile);
+        w.put_f64(self.server_target_qps);
+        w.put_f64(self.max_error_fraction);
+        w.put_u64(self.interval_ns);
+        w.put_str(&self.source);
+        w.put_list(&self.queries, |w, q| {
+            w.put_u64(q.delta_ns);
+            w.put_u64(q.latency_ns.unwrap_or(u64::MAX));
+            w.put_bool(q.error);
+            w.put_list(&q.indices, |w, i| w.put_u32(*i));
+        });
+        let crc = crc32(w.as_bytes());
+        w.put_u32(crc);
+        w.into_bytes()
     }
 
     /// Decodes a trace from bytes, verifying magic, version, structure,
@@ -240,51 +186,34 @@ impl RecordedTrace {
         if expect != got {
             return Err(CodecError::BadCrc { expect, got });
         }
-        let mut r = Reader {
-            buf: body,
-            pos: MAGIC.len(),
-        };
-        let version = r.u16()?;
+        let mut r = ByteReader::new(&body[MAGIC.len()..]);
+        let version = r.get_u16()?;
         if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
-        let scenario = scenario_from_code(r.u8()?)?;
-        let synthetic_indices = r.u8()? != 0;
-        let population = r.u64()?;
-        let samples_per_query = r.u32()?;
-        let target_latency_ns = r.u64()?;
-        let target_percentile = r.f64()?;
-        let server_target_qps = r.f64()?;
-        let max_error_fraction = r.f64()?;
-        let interval_ns = r.u64()?;
-        let source = r.string()?;
-        let count = r.u32()?;
-        if count > MAX_QUERIES {
-            return Err(CodecError::Malformed(format!("query count {count}")));
-        }
-        let mut queries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let delta_ns = r.u64()?;
-            let latency = r.u64()?;
-            let error = r.u8()? != 0;
-            let index_count = r.u32()? as usize;
-            let mut indices = Vec::with_capacity(index_count);
-            for _ in 0..index_count {
-                indices.push(r.u32()?);
-            }
-            queries.push(RecordedQuery {
+        let code = r.get_u8()?;
+        let scenario = Scenario::from_tag(code)
+            .ok_or_else(|| CodecError::Malformed(format!("scenario code {code}")))?;
+        let synthetic_indices = r.get_u8()? != 0;
+        let population = r.get_u64()?;
+        let samples_per_query = r.get_u32()?;
+        let target_latency_ns = r.get_u64()?;
+        let target_percentile = r.get_f64()?;
+        let server_target_qps = r.get_f64()?;
+        let max_error_fraction = r.get_f64()?;
+        let interval_ns = r.get_u64()?;
+        let source = r.get_str()?;
+        let queries = r.get_list(QUERY_MIN_BYTES, |r| {
+            let delta_ns = r.get_u64()?;
+            let latency = r.get_u64()?;
+            Ok(RecordedQuery {
                 delta_ns,
                 latency_ns: (latency != u64::MAX).then_some(latency),
-                error,
-                indices,
-            });
-        }
-        if r.pos != body.len() {
-            return Err(CodecError::Malformed(format!(
-                "{} trailing bytes after the last query",
-                body.len() - r.pos
-            )));
-        }
+                error: r.get_u8()? != 0,
+                indices: r.get_list(4, ByteReader::get_u32)?,
+            })
+        })?;
+        r.finish()?;
         Ok(RecordedTrace {
             scenario,
             source,
@@ -466,6 +395,55 @@ mod tests {
             RecordedTrace::decode(&wrong_version),
             Err(CodecError::BadVersion(99))
         );
+    }
+
+    /// Re-seals `bytes` with a valid CRC, as a corruption the checksum
+    /// cannot see would arrive.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]).to_be_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
+        bytes
+    }
+
+    /// A count the bytes cannot hold is refused before anything is
+    /// allocated for it: `Truncated` names what the count would need.
+    #[test]
+    fn absurd_counts_under_a_valid_crc_are_refused_without_allocating() {
+        let bytes = sample_trace(2).encode();
+        // Header: magic 4, version 2, scenario 1, synthetic 1, population 8,
+        // samples/query 4, latency 8, three f64s 24, interval 8, "test" 4+4.
+        let query_count_at = 68;
+        assert_eq!(bytes[query_count_at..query_count_at + 4], [0, 0, 0, 2]);
+
+        let mut absurd_queries = bytes.clone();
+        absurd_queries[query_count_at..query_count_at + 4].copy_from_slice(&[0xff; 4]);
+        assert_eq!(
+            RecordedTrace::decode(&resealed(absurd_queries)),
+            Err(CodecError::Truncated {
+                need: u32::MAX as usize * QUERY_MIN_BYTES,
+                have: 2 * 25,
+            })
+        );
+
+        // First query: delta 8, latency 8, error 1, then its index count.
+        let index_count_at = query_count_at + 4 + 17;
+        let mut absurd_indices = bytes.clone();
+        absurd_indices[index_count_at..index_count_at + 4].copy_from_slice(&[0xff; 4]);
+        assert_eq!(
+            RecordedTrace::decode(&resealed(absurd_indices)),
+            Err(CodecError::Truncated {
+                need: u32::MAX as usize * 4,
+                have: 4 + 25,
+            })
+        );
+
+        let mut extended = bytes;
+        extended.extend_from_slice(&[0; 3]);
+        assert!(matches!(
+            RecordedTrace::decode(&resealed(extended)),
+            Err(CodecError::Malformed(text)) if text.contains("trailing")
+        ));
     }
 
     #[test]

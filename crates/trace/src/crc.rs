@@ -3,7 +3,9 @@
 //! Wire frames (`crc32 ‖ body`), `MLPJ` journal frames and the `MLPR`
 //! trace trailer all carry this checksum. It lives in the leaf crate so
 //! every codec can reach it without depending on another; the wire crate
-//! re-exports it as `mlperf_wire::frame::crc32`.
+//! re-exports it as `mlperf_wire::frame::crc32`. The one FNV-1a hash
+//! (settings digests, logical detail-log hashes, per-system seeds) sits
+//! beside it for the same reason.
 
 /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
 /// CRC of byte `b` followed by `k` zero bytes, which lets the main loop
@@ -62,9 +64,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// FNV-1a, 64-bit: the workspace's one non-cryptographic content hash.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::crc32;
+    use super::{crc32, fnv1a64};
+
+    #[test]
+    fn fnv1a64_matches_published_vectors() {
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     /// Bit-at-a-time reference: the polynomial division written out, with
     /// no table to share a bug with.

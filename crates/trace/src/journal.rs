@@ -41,6 +41,19 @@ const FRAME_HEADER_LEN: usize = 8;
 /// is a corrupt length field, not a record).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
+/// A payload's length as the frame header carries it, or `InvalidInput`
+/// for one the reader's [`MAX_FRAME_LEN`] cap would report as a torn tail —
+/// dropping it and every frame after it.
+fn frame_len(payload_len: usize) -> std::io::Result<u32> {
+    match u32::try_from(payload_len) {
+        Ok(len) if len <= MAX_FRAME_LEN => Ok(len),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("journal frame of {payload_len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
+        )),
+    }
+}
+
 /// A journal (or detail log) whose final record was cut mid-write.
 ///
 /// Not an error: everything before the tear is intact and usable. Readers
@@ -260,10 +273,12 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error.
+    /// Returns `InvalidInput` for a payload over the frame cap (nothing is
+    /// written), otherwise the underlying I/O error.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        let len = frame_len(payload.len())?;
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&len.to_be_bytes());
         frame.extend_from_slice(&crc32(payload).to_be_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
@@ -284,7 +299,8 @@ impl JournalWriter {
     /// Returns the underlying I/O error.
     pub fn append_torn(&mut self, payload: &[u8], keep: usize) -> std::io::Result<()> {
         let keep = keep.min(payload.len().saturating_sub(1));
-        self.file.write_all(&(payload.len() as u32).to_be_bytes())?;
+        self.file
+            .write_all(&frame_len(payload.len())?.to_be_bytes())?;
         self.file.write_all(&crc32(payload).to_be_bytes())?;
         self.file.write_all(&payload[..keep])?;
         self.file.sync_all()
@@ -382,6 +398,26 @@ mod tests {
             assert_eq!(scan.torn.is_some(), !on_boundary, "cut={cut}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `append` sizes the header through `frame_len` before it builds or
+    /// writes anything, so the refusal is pinned on lengths alone — no
+    /// 256 MiB payload needed.
+    #[test]
+    fn oversized_payload_is_refused_as_invalid_input() {
+        let cap = MAX_FRAME_LEN as usize;
+        assert_eq!(frame_len(0).unwrap(), 0);
+        assert_eq!(frame_len(cap).unwrap(), MAX_FRAME_LEN);
+        for len in [
+            cap + 1,
+            u32::MAX as usize,
+            u32::MAX as usize + 1,
+            usize::MAX,
+        ] {
+            let err = frame_len(len).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{len}");
+            assert!(err.to_string().contains(&len.to_string()), "{err}");
+        }
     }
 
     #[test]

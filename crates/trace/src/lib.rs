@@ -26,8 +26,10 @@
 //!   event stream into a `chrome://tracing` / Perfetto-loadable timeline.
 //! * [`flight`] — [`flight::FlightRecorder`], a bounded ring of recent
 //!   events dumped as a post-mortem when a run ends INVALID or aborts.
-//! * [`crc`] — [`crc::crc32`], the one CRC-32 (slice-by-8) behind wire
-//!   frames, `MLPJ` journal frames and the `MLPR` trace trailer.
+//! * [`crc`] / [`bytes`] — one of each for every binary format (wire
+//!   frames, `MLPJ` journal frames and checkpoints, `MLPR`): the
+//!   slice-by-8 [`crc::crc32`], the FNV-1a [`crc::fnv1a64`], and the
+//!   big-endian codec [`bytes::ByteWriter`] / [`bytes::ByteReader`].
 //! * [`journal`] — [`journal::JournalWriter`] / [`journal::read_journal`],
 //!   the `MLPJ` append-only write-ahead journal (CRC-framed, batched
 //!   `fsync`, torn-tail salvage) that crash-safe runs checkpoint into.
@@ -68,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod bytes;
 pub mod chrome;
 pub mod crc;
 pub mod event;

@@ -15,15 +15,17 @@
 //! [`ChaosTransport`](crate::transport::ChaosTransport) — surfaces as a
 //! structured [`FrameError`], never as a plausible message. The body is a
 //! tagged binary encoding of one [`Message`]; see [`crate::message`] for
-//! the per-message layouts. Integers are big-endian, strings are a `u32`
-//! byte length followed by UTF-8, and floats travel as their IEEE-754 bit
-//! patterns. Everything is hand-rolled on `std::io` — the workspace is
-//! dependency-free by rule.
+//! the per-message layouts, written and read with the workspace's one byte
+//! codec (`mlperf_trace::bytes`, re-exported here): integers are
+//! big-endian, strings are a `u32` byte length followed by UTF-8, and
+//! floats travel as their IEEE-754 bit patterns. Everything is hand-rolled
+//! on `std::io` — the workspace is dependency-free by rule.
 //!
 //! [`Message`]: crate::message::Message
 
 use std::io::{Read, Write};
 
+pub use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
 pub use mlperf_trace::crc::crc32;
 
 /// Hard ceiling on a frame's payload size. An offline query over a
@@ -101,6 +103,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<ByteError> for WireError {
+    fn from(e: ByteError) -> Self {
+        WireError::Protocol(e.to_string())
     }
 }
 
@@ -197,177 +205,6 @@ pub fn open(payload: &[u8]) -> Result<&[u8], WireError> {
         }));
     }
     Ok(body)
-}
-
-/// Append-only encoder for frame payloads.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// Creates an empty encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An encoder whose first four bytes are reserved for the checksum
-    /// [`ByteWriter::into_sealed`] patches in. Sized so a one-sample issue
-    /// or completion (the common frame) never regrows the buffer.
-    pub(crate) fn sealed() -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&[0; 4]);
-        ByteWriter { buf }
-    }
-
-    /// Consumes the encoder, returning the payload bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Consumes an encoder made by [`ByteWriter::sealed`], returning
-    /// `crc32(body) || body` — what [`seal`] builds, without the copy.
-    pub(crate) fn into_sealed(mut self) -> Vec<u8> {
-        let crc = crc32(&self.buf[4..]);
-        self.buf[..4].copy_from_slice(&crc.to_be_bytes());
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-}
-
-/// Cursor-based decoder for frame payloads. Every accessor checks bounds;
-/// truncated or trailing bytes surface as [`WireError::Protocol`].
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Wraps a payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Protocol(format!(
-                "payload truncated: wanted {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation (as do all readers).
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a big-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    /// Reads a big-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a big-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<String, WireError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Protocol(format!("invalid UTF-8 in string field: {e}")))
-    }
-
-    /// Asserts the payload was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] if trailing bytes remain.
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -482,56 +319,6 @@ mod tests {
         buf.extend_from_slice(b"only4");
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cursor), Err(WireError::Io(_))));
-    }
-
-    #[test]
-    fn scalar_roundtrip() {
-        let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u16(1_000);
-        w.put_u32(70_000);
-        w.put_u64(u64::MAX - 3);
-        w.put_f32(0.25);
-        w.put_str("schnell");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 1_000);
-        assert_eq!(r.get_u32().unwrap(), 70_000);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f32().unwrap(), 0.25);
-        assert_eq!(r.get_str().unwrap(), "schnell");
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn truncated_payload_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u64(42);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[..5]);
-        assert!(matches!(r.get_u64(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u8(1);
-        w.put_u8(2);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        r.get_u8().unwrap();
-        assert!(matches!(r.finish(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn bad_utf8_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u32(2);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(r.get_str(), Err(WireError::Protocol(_))));
     }
 
     #[test]
