@@ -94,7 +94,10 @@ echo "== bench suite (smoke mode, JSON report) =="
 # Fast smoke pass over every bench binary: each one appends its medians to
 # one machine-readable report. MLPERF_TRACE_OVERHEAD_MAX_PCT makes the
 # trace_overhead bench assert that a disabled sink stays within noise of
-# the un-traced baseline (the observability layer must be free when off);
+# the un-traced baseline (the observability layer must be free when off).
+# It covers the *disabled* sink only: what an enabled sink costs (JSONL
+# out, read back) is the repo benchmark's sim_traced workload and its
+# trace.* layer metrics, not this 10 % gate;
 # MLPERF_FAULT_OVERHEAD_MAX_PCT does the same for a disarmed FaultySut
 # wrapper (the chaos hooks must be free when no fault is armed);
 # MLPERF_WIRE_OVERHEAD_MAX_PCT bounds the loopback wire tax in the

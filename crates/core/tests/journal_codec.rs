@@ -12,42 +12,10 @@ use mlperf_loadgen::query::ResponsePayload;
 use mlperf_loadgen::record::{LoggedResponse, OutstandingEntry, QueryRecord, RecorderSnapshot};
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::Rng64;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Largest single allocation this thread asked for since the last reset.
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Watching;
-
-fn note(size: usize) {
-    let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; `note` only updates a thread-local `Cell<usize>`
-// (no allocation, no destructor).
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Watching = Watching;
+#[path = "../../trace/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::largest_alloc_during;
 
 fn golden_checkpoint() -> Checkpoint {
     let logged = |sample_id, sample_index, payload| LoggedResponse {
@@ -305,9 +273,7 @@ fn mutated_frames_decode_to_an_error_or_to_what_the_bytes_spell() {
                 bytes[at..at + 4].copy_from_slice(&count.to_be_bytes());
             }
         }
-        LARGEST_ALLOC.with(|m| m.set(0));
-        let decoded = Checkpoint::decode(&bytes);
-        let largest = LARGEST_ALLOC.with(Cell::get);
+        let (decoded, largest) = largest_alloc_during(|| Checkpoint::decode(&bytes));
         // In memory a list item is at most ~3× its encoded minimum (a
         // 48-byte `LoggedResponse` from 17 bytes), so no honest decode of
         // `n` bytes needs one allocation past 4n.

@@ -60,7 +60,7 @@ use mlperf_trace::chrome::chrome_trace_json;
 use mlperf_trace::event::TraceRecord;
 use mlperf_trace::flight::render_flight_dump;
 use mlperf_trace::metrics::MetricsRegistry;
-use mlperf_trace::{JsonValue, RingBufferSink, ToJson, TraceEvent};
+use mlperf_trace::{render_detail_log, JsonValue, RingBufferSink, ToJson, TraceEvent};
 use mlperf_wire::{
     fetch_stats, serve_on, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig, ServerHandle,
     SimHost,
@@ -772,12 +772,8 @@ fn write_artifacts(
     if paths.detail.is_some() || paths.chrome.is_some() {
         let merged = &summaries.last().expect("run pair is never empty").records;
         if let Some(path) = &paths.detail {
-            let mut text = String::new();
-            for record in merged {
-                text.push_str(&record.to_json_string());
-                text.push('\n');
-            }
-            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, render_detail_log(merged))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote merged detail log to {path}");
         }
         if let Some(path) = &paths.chrome {

@@ -47,7 +47,7 @@ use mlperf_replay::{
 use mlperf_stats::rng::SeedTriple;
 use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
 use mlperf_trace::metrics::MetricsRegistry;
-use mlperf_trace::{read_detail_log, RingBufferSink, ToJson, TraceRecord};
+use mlperf_trace::{read_detail_log, render_detail_log, RingBufferSink, TraceRecord};
 use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -305,12 +305,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(path) = detail_out {
-        let mut text = String::new();
-        for record in &records {
-            text.push_str(&record.to_json_string());
-            text.push('\n');
-        }
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(&path, render_detail_log(&records))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote replay detail log to {path}");
     }
     if out.result.is_valid() {

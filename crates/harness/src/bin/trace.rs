@@ -49,8 +49,8 @@ use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_trace::{
-    chrome_trace_json, profile, FanoutSink, JsonValue, LogHistogram, MetricsRegistry,
-    RingBufferSink, TimeSeriesSampler, ToJson, TraceEvent, TraceRecord,
+    chrome_trace_json, profile, render_detail_log, FanoutSink, JsonValue, LogHistogram,
+    MetricsRegistry, RingBufferSink, TimeSeriesSampler, ToJson, TraceEvent, TraceRecord,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -329,14 +329,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
 
     let rendered = match format.as_str() {
         "chrome" => chrome_trace_json(&records),
-        _ => {
-            let mut out = String::new();
-            for record in &records {
-                out.push_str(&record.to_json_string());
-                out.push('\n');
-            }
-            out
-        }
+        _ => render_detail_log(&records),
     };
     std::fs::write(&path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
 

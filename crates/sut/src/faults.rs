@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn same_seed_replays_to_byte_identical_detail_logs() {
         use mlperf_loadgen::des::run_simulated_traced;
-        use mlperf_trace::{RingBufferSink, ToJson};
+        use mlperf_trace::RingBufferSink;
 
         let detail_log = || {
             let plan = FaultPlan::new(0xD15EA5E)
@@ -511,12 +511,7 @@ mod tests {
             let mut faulty = FaultySut::new(inner(), plan).with_trace(sink.clone());
             let mut qsl = MemoryQsl::new("q", 16, 16);
             run_simulated_traced(&server_settings(), &mut qsl, &mut faulty, &*sink).unwrap();
-            let mut log = String::new();
-            for record in sink.snapshot() {
-                log.push_str(&record.to_json_string());
-                log.push('\n');
-            }
-            log
+            mlperf_trace::render_detail_log(&sink.snapshot())
         };
 
         let first = detail_log();

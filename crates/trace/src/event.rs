@@ -4,11 +4,15 @@
 //! argument to [`TraceSink::record`]), not wall-clock time: a trace taken
 //! from a deterministic run is itself deterministic.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{FromJson, JsonError, JsonValue, ToJson};
+use crate::json::{
+    missing_field, write_escaped, write_u64, FromJson, JsonError, JsonValue, Members, Parser,
+    Scalar, ToJson, Token,
+};
 
 /// One structured event in a LoadGen run.
 ///
@@ -217,158 +221,147 @@ impl TraceEvent {
     }
 }
 
-impl ToJson for TraceEvent {
-    fn to_json_value(&self) -> JsonValue {
-        let (name, payload) = match self {
-            TraceEvent::RunPhase { phase, scenario } => (
+impl TraceEvent {
+    /// The event's JSON shape, once: the variant name and its fields in
+    /// the order they are written. Both encoders — the tree
+    /// ([`ToJson::to_json_value`]) and the streamed line (`write_record`)
+    /// — read it from here.
+    fn fields<R>(&self, visit: impl FnOnce(&'static str, &[(&'static str, Scalar<'_>)]) -> R) -> R {
+        use Scalar::{Bool, Str, F64, I64, U64};
+        let size = |n: &usize| U64(*n as u64);
+        match self {
+            TraceEvent::RunPhase { phase, scenario } => visit(
                 "RunPhase",
-                JsonValue::object(vec![
-                    ("phase", phase.to_json_value()),
-                    ("scenario", scenario.to_json_value()),
-                ]),
+                &[("phase", Str(phase)), ("scenario", Str(scenario))],
             ),
             TraceEvent::QueryScheduled {
                 query_id,
                 sample_count,
-            } => (
+            } => visit(
                 "QueryScheduled",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("sample_count", sample_count.to_json_value()),
-                ]),
+                &[
+                    ("query_id", U64(*query_id)),
+                    ("sample_count", size(sample_count)),
+                ],
             ),
             TraceEvent::QueryIssued {
                 query_id,
                 sample_count,
                 delay_ns,
-            } => (
+            } => visit(
                 "QueryIssued",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("sample_count", sample_count.to_json_value()),
-                    ("delay_ns", delay_ns.to_json_value()),
-                ]),
+                &[
+                    ("query_id", U64(*query_id)),
+                    ("sample_count", size(sample_count)),
+                    ("delay_ns", U64(*delay_ns)),
+                ],
             ),
-            TraceEvent::QuerySent { query_id } => (
-                "QuerySent",
-                JsonValue::object(vec![("query_id", query_id.to_json_value())]),
-            ),
+            TraceEvent::QuerySent { query_id } => {
+                visit("QuerySent", &[("query_id", U64(*query_id))])
+            }
             TraceEvent::QueryCompleted {
                 query_id,
                 latency_ns,
-            } => (
+            } => visit(
                 "QueryCompleted",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("latency_ns", latency_ns.to_json_value()),
-                ]),
+                &[
+                    ("query_id", U64(*query_id)),
+                    ("latency_ns", U64(*latency_ns)),
+                ],
             ),
             TraceEvent::BatchFormed {
                 unit,
                 batch_size,
                 service_ns,
-            } => (
+            } => visit(
                 "BatchFormed",
-                JsonValue::object(vec![
-                    ("unit", unit.to_json_value()),
-                    ("batch_size", batch_size.to_json_value()),
-                    ("service_ns", service_ns.to_json_value()),
-                ]),
+                &[
+                    ("unit", size(unit)),
+                    ("batch_size", size(batch_size)),
+                    ("service_ns", U64(*service_ns)),
+                ],
             ),
             TraceEvent::DvfsStateChange {
                 unit,
                 multiplier_milli,
-            } => (
+            } => visit(
                 "DvfsStateChange",
-                JsonValue::object(vec![
-                    ("unit", unit.to_json_value()),
-                    ("multiplier_milli", multiplier_milli.to_json_value()),
-                ]),
+                &[
+                    ("unit", size(unit)),
+                    ("multiplier_milli", U64(u64::from(*multiplier_milli))),
+                ],
             ),
             TraceEvent::OverloadDropped {
                 query_id,
                 intervals,
-            } => (
+            } => visit(
                 "OverloadDropped",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("intervals", intervals.to_json_value()),
-                ]),
+                &[("query_id", U64(*query_id)), ("intervals", U64(*intervals))],
             ),
-            TraceEvent::AccuracyLogged { query_id, samples } => (
+            TraceEvent::AccuracyLogged { query_id, samples } => visit(
                 "AccuracyLogged",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("samples", samples.to_json_value()),
-                ]),
+                &[("query_id", U64(*query_id)), ("samples", size(samples))],
             ),
-            TraceEvent::ValidityCheckFailed { issue } => (
-                "ValidityCheckFailed",
-                JsonValue::object(vec![("issue", issue.to_json_value())]),
-            ),
-            TraceEvent::PeakSearchStep { target, valid } => (
+            TraceEvent::ValidityCheckFailed { issue } => {
+                visit("ValidityCheckFailed", &[("issue", Str(issue))])
+            }
+            TraceEvent::PeakSearchStep { target, valid } => visit(
                 "PeakSearchStep",
-                JsonValue::object(vec![
-                    ("target", target.to_json_value()),
-                    ("valid", valid.to_json_value()),
-                ]),
+                &[("target", F64(*target)), ("valid", Bool(*valid))],
             ),
             TraceEvent::QueryErrored {
                 query_id,
                 latency_ns,
-            } => (
+            } => visit(
                 "QueryErrored",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("latency_ns", latency_ns.to_json_value()),
-                ]),
+                &[
+                    ("query_id", U64(*query_id)),
+                    ("latency_ns", U64(*latency_ns)),
+                ],
             ),
-            TraceEvent::FaultInjected { query_id, fault } => (
+            TraceEvent::FaultInjected { query_id, fault } => visit(
                 "FaultInjected",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("fault", fault.to_json_value()),
-                ]),
+                &[("query_id", U64(*query_id)), ("fault", Str(fault))],
             ),
             TraceEvent::RecoveryAction {
                 query_id,
                 action,
                 attempt,
-            } => (
+            } => visit(
                 "RecoveryAction",
-                JsonValue::object(vec![
-                    ("query_id", query_id.to_json_value()),
-                    ("action", action.to_json_value()),
-                    ("attempt", attempt.to_json_value()),
-                ]),
+                &[
+                    ("query_id", U64(*query_id)),
+                    ("action", Str(action)),
+                    ("attempt", U64(u64::from(*attempt))),
+                ],
             ),
             TraceEvent::WireEvent {
                 endpoint,
                 kind,
                 query_id,
                 detail,
-            } => (
+            } => visit(
                 "WireEvent",
-                JsonValue::object(vec![
-                    ("endpoint", endpoint.to_json_value()),
-                    ("kind", kind.to_json_value()),
-                    ("query_id", query_id.to_json_value()),
-                    ("detail", detail.to_json_value()),
-                ]),
+                &[
+                    ("endpoint", Str(endpoint)),
+                    ("kind", Str(kind)),
+                    ("query_id", U64(*query_id)),
+                    ("detail", Str(detail)),
+                ],
             ),
             TraceEvent::WireFault {
                 endpoint,
                 fault,
                 frame,
                 detail,
-            } => (
+            } => visit(
                 "WireFault",
-                JsonValue::object(vec![
-                    ("endpoint", endpoint.to_json_value()),
-                    ("fault", fault.to_json_value()),
-                    ("frame", frame.to_json_value()),
-                    ("detail", detail.to_json_value()),
-                ]),
+                &[
+                    ("endpoint", Str(endpoint)),
+                    ("fault", Str(fault)),
+                    ("frame", U64(*frame)),
+                    ("detail", Str(detail)),
+                ],
             ),
             TraceEvent::SpanEvent {
                 host,
@@ -376,140 +369,166 @@ impl ToJson for TraceEvent {
                 query_id,
                 phase,
                 dur_ns,
-            } => (
+            } => visit(
                 "SpanEvent",
-                JsonValue::object(vec![
-                    ("host", host.to_json_value()),
-                    ("trace_id", trace_id.to_json_value()),
-                    ("query_id", query_id.to_json_value()),
-                    ("phase", phase.to_json_value()),
-                    ("dur_ns", dur_ns.to_json_value()),
-                ]),
+                &[
+                    ("host", Str(host)),
+                    ("trace_id", U64(*trace_id)),
+                    ("query_id", U64(*query_id)),
+                    ("phase", Str(phase)),
+                    ("dur_ns", U64(*dur_ns)),
+                ],
             ),
             TraceEvent::ClockSync {
                 host,
                 offset_ns,
                 rtt_ns,
-            } => (
+            } => visit(
                 "ClockSync",
-                JsonValue::object(vec![
-                    ("host", host.to_json_value()),
-                    ("offset_ns", offset_ns.to_json_value()),
-                    ("rtt_ns", rtt_ns.to_json_value()),
-                ]),
+                &[
+                    ("host", Str(host)),
+                    ("offset_ns", I64(*offset_ns)),
+                    ("rtt_ns", U64(*rtt_ns)),
+                ],
             ),
             TraceEvent::ShardEvent {
                 shard,
                 kind,
                 query_id,
                 detail,
-            } => (
+            } => visit(
                 "ShardEvent",
-                JsonValue::object(vec![
-                    ("shard", shard.to_json_value()),
-                    ("kind", kind.to_json_value()),
-                    ("query_id", query_id.to_json_value()),
-                    ("detail", detail.to_json_value()),
-                ]),
+                &[
+                    ("shard", Str(shard)),
+                    ("kind", Str(kind)),
+                    ("query_id", U64(*query_id)),
+                    ("detail", Str(detail)),
+                ],
             ),
-        };
-        JsonValue::object(vec![(name, payload)])
+        }
+    }
+
+    /// The inverse of [`TraceEvent::fields`]: builds variant `name` from
+    /// `get`, which finds a payload member by key. Both decoders — over a
+    /// tree ([`FromJson::from_json_value`]) and over a line
+    /// ([`TraceRecord::from_json_str`]) — come through here.
+    fn from_fields<'v>(
+        name: &str,
+        get: impl Fn(&str) -> Result<Token<'v>, JsonError>,
+    ) -> Result<Self, JsonError> {
+        let uint = |key| get(key)?.as_u64();
+        let size = |key| get(key)?.as_usize();
+        let uint32 = |key| get(key)?.as_u32();
+        let string = |key| get(key)?.into_string();
+        Ok(match name {
+            "RunPhase" => TraceEvent::RunPhase {
+                phase: string("phase")?,
+                scenario: string("scenario")?,
+            },
+            "QueryScheduled" => TraceEvent::QueryScheduled {
+                query_id: uint("query_id")?,
+                sample_count: size("sample_count")?,
+            },
+            "QueryIssued" => TraceEvent::QueryIssued {
+                query_id: uint("query_id")?,
+                sample_count: size("sample_count")?,
+                delay_ns: uint("delay_ns")?,
+            },
+            "QuerySent" => TraceEvent::QuerySent {
+                query_id: uint("query_id")?,
+            },
+            "QueryCompleted" => TraceEvent::QueryCompleted {
+                query_id: uint("query_id")?,
+                latency_ns: uint("latency_ns")?,
+            },
+            "BatchFormed" => TraceEvent::BatchFormed {
+                unit: size("unit")?,
+                batch_size: size("batch_size")?,
+                service_ns: uint("service_ns")?,
+            },
+            "DvfsStateChange" => TraceEvent::DvfsStateChange {
+                unit: size("unit")?,
+                multiplier_milli: uint32("multiplier_milli")?,
+            },
+            "OverloadDropped" => TraceEvent::OverloadDropped {
+                query_id: uint("query_id")?,
+                intervals: uint("intervals")?,
+            },
+            "AccuracyLogged" => TraceEvent::AccuracyLogged {
+                query_id: uint("query_id")?,
+                samples: size("samples")?,
+            },
+            "ValidityCheckFailed" => TraceEvent::ValidityCheckFailed {
+                issue: string("issue")?,
+            },
+            "PeakSearchStep" => TraceEvent::PeakSearchStep {
+                target: get("target")?.as_f64()?,
+                valid: get("valid")?.as_bool()?,
+            },
+            "QueryErrored" => TraceEvent::QueryErrored {
+                query_id: uint("query_id")?,
+                latency_ns: uint("latency_ns")?,
+            },
+            "FaultInjected" => TraceEvent::FaultInjected {
+                query_id: uint("query_id")?,
+                fault: string("fault")?,
+            },
+            "RecoveryAction" => TraceEvent::RecoveryAction {
+                query_id: uint("query_id")?,
+                action: string("action")?,
+                attempt: uint32("attempt")?,
+            },
+            "WireEvent" => TraceEvent::WireEvent {
+                endpoint: string("endpoint")?,
+                kind: string("kind")?,
+                query_id: uint("query_id")?,
+                detail: string("detail")?,
+            },
+            "WireFault" => TraceEvent::WireFault {
+                endpoint: string("endpoint")?,
+                fault: string("fault")?,
+                frame: uint("frame")?,
+                detail: string("detail")?,
+            },
+            "SpanEvent" => TraceEvent::SpanEvent {
+                host: string("host")?,
+                trace_id: uint("trace_id")?,
+                query_id: uint("query_id")?,
+                phase: string("phase")?,
+                dur_ns: uint("dur_ns")?,
+            },
+            "ClockSync" => TraceEvent::ClockSync {
+                host: string("host")?,
+                offset_ns: get("offset_ns")?.as_i64()?,
+                rtt_ns: uint("rtt_ns")?,
+            },
+            "ShardEvent" => TraceEvent::ShardEvent {
+                shard: string("shard")?,
+                kind: string("kind")?,
+                query_id: uint("query_id")?,
+                detail: string("detail")?,
+            },
+            other => return Err(JsonError::new(format!("unknown trace event {other:?}"))),
+        })
+    }
+}
+
+impl ToJson for TraceEvent {
+    fn to_json_value(&self) -> JsonValue {
+        self.fields(|name, fields| {
+            let payload = fields
+                .iter()
+                .map(|(key, value)| (*key, value.to_json_value()))
+                .collect();
+            JsonValue::object(vec![(name, JsonValue::object(payload))])
+        })
     }
 }
 
 impl FromJson for TraceEvent {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        let (name, p) = value.as_variant()?;
-        match name {
-            "RunPhase" => Ok(TraceEvent::RunPhase {
-                phase: p.field("phase")?.as_str()?.to_string(),
-                scenario: p.field("scenario")?.as_str()?.to_string(),
-            }),
-            "QueryScheduled" => Ok(TraceEvent::QueryScheduled {
-                query_id: p.field("query_id")?.as_u64()?,
-                sample_count: p.field("sample_count")?.as_usize()?,
-            }),
-            "QueryIssued" => Ok(TraceEvent::QueryIssued {
-                query_id: p.field("query_id")?.as_u64()?,
-                sample_count: p.field("sample_count")?.as_usize()?,
-                delay_ns: p.field("delay_ns")?.as_u64()?,
-            }),
-            "QuerySent" => Ok(TraceEvent::QuerySent {
-                query_id: p.field("query_id")?.as_u64()?,
-            }),
-            "QueryCompleted" => Ok(TraceEvent::QueryCompleted {
-                query_id: p.field("query_id")?.as_u64()?,
-                latency_ns: p.field("latency_ns")?.as_u64()?,
-            }),
-            "BatchFormed" => Ok(TraceEvent::BatchFormed {
-                unit: p.field("unit")?.as_usize()?,
-                batch_size: p.field("batch_size")?.as_usize()?,
-                service_ns: p.field("service_ns")?.as_u64()?,
-            }),
-            "DvfsStateChange" => Ok(TraceEvent::DvfsStateChange {
-                unit: p.field("unit")?.as_usize()?,
-                multiplier_milli: p.field("multiplier_milli")?.as_u32()?,
-            }),
-            "OverloadDropped" => Ok(TraceEvent::OverloadDropped {
-                query_id: p.field("query_id")?.as_u64()?,
-                intervals: p.field("intervals")?.as_u64()?,
-            }),
-            "AccuracyLogged" => Ok(TraceEvent::AccuracyLogged {
-                query_id: p.field("query_id")?.as_u64()?,
-                samples: p.field("samples")?.as_usize()?,
-            }),
-            "ValidityCheckFailed" => Ok(TraceEvent::ValidityCheckFailed {
-                issue: p.field("issue")?.as_str()?.to_string(),
-            }),
-            "PeakSearchStep" => Ok(TraceEvent::PeakSearchStep {
-                target: p.field("target")?.as_f64()?,
-                valid: p.field("valid")?.as_bool()?,
-            }),
-            "QueryErrored" => Ok(TraceEvent::QueryErrored {
-                query_id: p.field("query_id")?.as_u64()?,
-                latency_ns: p.field("latency_ns")?.as_u64()?,
-            }),
-            "FaultInjected" => Ok(TraceEvent::FaultInjected {
-                query_id: p.field("query_id")?.as_u64()?,
-                fault: p.field("fault")?.as_str()?.to_string(),
-            }),
-            "RecoveryAction" => Ok(TraceEvent::RecoveryAction {
-                query_id: p.field("query_id")?.as_u64()?,
-                action: p.field("action")?.as_str()?.to_string(),
-                attempt: p.field("attempt")?.as_u32()?,
-            }),
-            "WireEvent" => Ok(TraceEvent::WireEvent {
-                endpoint: p.field("endpoint")?.as_str()?.to_string(),
-                kind: p.field("kind")?.as_str()?.to_string(),
-                query_id: p.field("query_id")?.as_u64()?,
-                detail: p.field("detail")?.as_str()?.to_string(),
-            }),
-            "WireFault" => Ok(TraceEvent::WireFault {
-                endpoint: p.field("endpoint")?.as_str()?.to_string(),
-                fault: p.field("fault")?.as_str()?.to_string(),
-                frame: p.field("frame")?.as_u64()?,
-                detail: p.field("detail")?.as_str()?.to_string(),
-            }),
-            "SpanEvent" => Ok(TraceEvent::SpanEvent {
-                host: p.field("host")?.as_str()?.to_string(),
-                trace_id: p.field("trace_id")?.as_u64()?,
-                query_id: p.field("query_id")?.as_u64()?,
-                phase: p.field("phase")?.as_str()?.to_string(),
-                dur_ns: p.field("dur_ns")?.as_u64()?,
-            }),
-            "ClockSync" => Ok(TraceEvent::ClockSync {
-                host: p.field("host")?.as_str()?.to_string(),
-                offset_ns: p.field("offset_ns")?.as_i64()?,
-                rtt_ns: p.field("rtt_ns")?.as_u64()?,
-            }),
-            "ShardEvent" => Ok(TraceEvent::ShardEvent {
-                shard: p.field("shard")?.as_str()?.to_string(),
-                kind: p.field("kind")?.as_str()?.to_string(),
-                query_id: p.field("query_id")?.as_u64()?,
-                detail: p.field("detail")?.as_str()?.to_string(),
-            }),
-            other => Err(JsonError::new(format!("unknown trace event {other:?}"))),
-        }
+        let (name, payload) = value.as_variant()?;
+        TraceEvent::from_fields(name, |key| payload.field(key).map(JsonValue::shallow))
     }
 }
 
@@ -522,6 +541,29 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+/// Appends `{"ts_ns":N,"event":{"Variant":{...}}}`, the detail-log line
+/// of one record without its newline: the bytes
+/// `to_json_value().to_compact()` renders, written from the field table
+/// without building the tree.
+fn write_record(out: &mut String, ts_ns: u64, event: &TraceEvent) {
+    out.push_str("{\"ts_ns\":");
+    write_u64(out, ts_ns);
+    out.push_str(",\"event\":{");
+    event.fields(|name, fields| {
+        write_escaped(out, name);
+        out.push_str(":{");
+        for (i, (key, value)) in fields.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(out, key);
+            out.push(':');
+            value.write(out);
+        }
+    });
+    out.push_str("}}}");
+}
+
 impl ToJson for TraceRecord {
     fn to_json_value(&self) -> JsonValue {
         JsonValue::object(vec![
@@ -529,6 +571,44 @@ impl ToJson for TraceRecord {
             ("event", self.event.to_json_value()),
         ])
     }
+
+    fn to_json_string(&self) -> String {
+        let mut out = String::new();
+        write_record(&mut out, self.ts_ns, &self.event);
+        out
+    }
+}
+
+/// Reads the value of an `event` member: the variant name, with the
+/// variant's payload left in `payload`. The outer error is the document's
+/// (malformed JSON), the inner one the event's (not a one-member object),
+/// which the tree path would only raise once the whole line had parsed.
+fn pull_event<'a>(
+    parser: &mut Parser<'a>,
+    payload: &mut Members<'a>,
+) -> Result<Result<Cow<'a, str>, JsonError>, JsonError> {
+    if parser.peek() != Some(b'{') {
+        let other = parser.token(1)?;
+        return Ok(other.wrong_kind("single-variant object"));
+    }
+    let mut variant = None;
+    let mut members = 0;
+    let mut more = parser.open(b'{', b'}')?;
+    while more {
+        let name = parser.key()?;
+        if members == 0 {
+            parser.members(2, payload)?;
+            variant = Some(name);
+        } else {
+            parser.token(2)?;
+        }
+        members += 1;
+        more = parser.next(b'}')?;
+    }
+    Ok(match variant {
+        Some(name) if members == 1 => Ok(name),
+        _ => Token::Object.wrong_kind("single-variant object"),
+    })
 }
 
 impl FromJson for TraceRecord {
@@ -537,6 +617,41 @@ impl FromJson for TraceRecord {
             ts_ns: value.field("ts_ns")?.as_u64()?,
             event: TraceEvent::from_json_value(value.field("event")?)?,
         })
+    }
+
+    /// Reads a detail-log line without building its tree: one walk with
+    /// the tokenizer [`JsonValue::parse`] uses, then the checks
+    /// [`FromJson::from_json_value`] makes, in its order. A line is
+    /// accepted, or rejected with the same error, exactly as
+    /// `from_json_value(&JsonValue::parse(line)?)` would: any key order,
+    /// the first of a duplicated key, unknown members ignored.
+    fn from_json_str(input: &str) -> Result<Self, JsonError> {
+        let mut parser = Parser::new(input);
+        let (mut ts_ns, mut event) = (None, None);
+        let mut payload = Members::none();
+        if parser.peek() == Some(b'{') {
+            let mut more = parser.open(b'{', b'}')?;
+            while more {
+                let key = parser.key()?;
+                match &*key {
+                    "ts_ns" if ts_ns.is_none() => ts_ns = Some(parser.token(1)?),
+                    "event" if event.is_none() => {
+                        event = Some(pull_event(&mut parser, &mut payload)?);
+                    }
+                    _ => {
+                        parser.token(1)?;
+                    }
+                }
+                more = parser.next(b'}')?;
+            }
+        } else {
+            parser.token(0)?;
+        }
+        parser.finish()?;
+        let ts_ns = ts_ns.ok_or_else(|| missing_field("ts_ns"))?.as_u64()?;
+        let name = event.ok_or_else(|| missing_field("event"))??;
+        let event = TraceEvent::from_fields(&name, |key| payload.get(key))?;
+        Ok(TraceRecord { ts_ns, event })
     }
 }
 
@@ -693,14 +808,24 @@ impl TraceSink for FanoutSink {
 /// line — to any writer. This is the repository's `mlperf_log_detail`
 /// analog.
 pub struct JsonlSink {
-    writer: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<JsonlOut>,
+}
+
+/// The writer and the buffer each line is rendered into before it goes
+/// out in one `write_all`; under one lock, so the buffer is reused.
+struct JsonlOut {
+    writer: Box<dyn Write + Send>,
+    line: String,
 }
 
 impl JsonlSink {
     /// Wraps a writer.
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
         Self {
-            writer: Mutex::new(writer),
+            out: Mutex::new(JsonlOut {
+                writer,
+                line: String::new(),
+            }),
         }
     }
 
@@ -723,19 +848,31 @@ impl std::fmt::Debug for JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
-        let record = TraceRecord {
-            ts_ns,
-            event: event.clone(),
-        };
-        let mut writer = self.writer.lock().expect("jsonl sink poisoned");
+        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let JsonlOut { writer, line } = &mut *out;
+        line.clear();
+        write_record(line, ts_ns, event);
+        line.push('\n');
         // A sink must not panic the run on I/O failure; the flush at the
         // end surfaces persistent errors via the caller.
-        let _ = writeln!(writer, "{}", record.to_json_string());
+        let _ = writer.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
-        let _ = self.writer.lock().expect("jsonl sink poisoned").flush();
+        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let _ = out.writer.flush();
     }
+}
+
+/// The non-blank lines of a detail log, each with its byte offset in
+/// `text`: the one place that decides what a line of a log is.
+pub(crate) fn detail_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut at = 0;
+    text.split_inclusive('\n').filter_map(move |line| {
+        let start = at;
+        at += line.len();
+        (!line.trim().is_empty()).then_some((start, line))
+    })
 }
 
 /// Parses a JSONL detail log back into records.
@@ -744,10 +881,21 @@ impl TraceSink for JsonlSink {
 ///
 /// Returns [`JsonError`] for the first malformed line.
 pub fn parse_detail_log(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(TraceRecord::from_json_str)
+    detail_lines(text)
+        .map(|(_, line)| TraceRecord::from_json_str(line))
         .collect()
+}
+
+/// Renders records as a JSONL detail log, one line each: the text a
+/// [`JsonlSink`] writes for the same events, and the inverse of
+/// [`parse_detail_log`].
+pub fn render_detail_log(records: &[TraceRecord]) -> String {
+    let mut out = String::new();
+    for record in records {
+        write_record(&mut out, record.ts_ns, &record.event);
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -868,9 +1016,272 @@ mod tests {
         let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         let records = parse_detail_log(&text).unwrap();
         assert_eq!(records.len(), sample_events().len());
+        assert_eq!(text, render_detail_log(&records), "sink and renderer agree");
         for (i, (record, event)) in records.iter().zip(sample_events()).enumerate() {
             assert_eq!(record.ts_ns, i as u64 * 10);
             assert_eq!(record.event, event);
+        }
+    }
+
+    /// One literal line per variant: the detail-log format, pinned.
+    fn golden_lines() -> Vec<(TraceRecord, &'static str)> {
+        let s = String::from;
+        let at = |ts_ns, event| TraceRecord { ts_ns, event };
+        vec![
+            (
+                at(
+                    0,
+                    TraceEvent::RunPhase {
+                        phase: s("is\"sue"),
+                        scenario: s("ser\\ver"),
+                    },
+                ),
+                r#"{"ts_ns":0,"event":{"RunPhase":{"phase":"is\"sue","scenario":"ser\\ver"}}}"#,
+            ),
+            (
+                at(
+                    u64::MAX,
+                    TraceEvent::QueryScheduled {
+                        query_id: u64::MAX,
+                        sample_count: 2,
+                    },
+                ),
+                r#"{"ts_ns":18446744073709551615,"event":{"QueryScheduled":{"query_id":18446744073709551615,"sample_count":2}}}"#,
+            ),
+            (
+                at(
+                    1_000,
+                    TraceEvent::QueryIssued {
+                        query_id: 7,
+                        sample_count: 2,
+                        delay_ns: 15,
+                    },
+                ),
+                r#"{"ts_ns":1000,"event":{"QueryIssued":{"query_id":7,"sample_count":2,"delay_ns":15}}}"#,
+            ),
+            (
+                at(1_000, TraceEvent::QuerySent { query_id: 0 }),
+                r#"{"ts_ns":1000,"event":{"QuerySent":{"query_id":0}}}"#,
+            ),
+            (
+                at(
+                    131_000,
+                    TraceEvent::QueryCompleted {
+                        query_id: 7,
+                        latency_ns: 130_000,
+                    },
+                ),
+                r#"{"ts_ns":131000,"event":{"QueryCompleted":{"query_id":7,"latency_ns":130000}}}"#,
+            ),
+            (
+                at(
+                    5,
+                    TraceEvent::BatchFormed {
+                        unit: 1,
+                        batch_size: 8,
+                        service_ns: 42_000,
+                    },
+                ),
+                r#"{"ts_ns":5,"event":{"BatchFormed":{"unit":1,"batch_size":8,"service_ns":42000}}}"#,
+            ),
+            (
+                at(
+                    6,
+                    TraceEvent::DvfsStateChange {
+                        unit: 0,
+                        multiplier_milli: u32::MAX,
+                    },
+                ),
+                r#"{"ts_ns":6,"event":{"DvfsStateChange":{"unit":0,"multiplier_milli":4294967295}}}"#,
+            ),
+            (
+                at(
+                    7,
+                    TraceEvent::OverloadDropped {
+                        query_id: 9,
+                        intervals: 3,
+                    },
+                ),
+                r#"{"ts_ns":7,"event":{"OverloadDropped":{"query_id":9,"intervals":3}}}"#,
+            ),
+            (
+                at(
+                    8,
+                    TraceEvent::AccuracyLogged {
+                        query_id: 9,
+                        samples: 4,
+                    },
+                ),
+                r#"{"ts_ns":8,"event":{"AccuracyLogged":{"query_id":9,"samples":4}}}"#,
+            ),
+            (
+                at(
+                    9,
+                    TraceEvent::ValidityCheckFailed {
+                        issue: s("a\nb\r\tc\u{1}\u{1f}é😀/"),
+                    },
+                ),
+                r#"{"ts_ns":9,"event":{"ValidityCheckFailed":{"issue":"a\nb\r\tc\u0001\u001fé😀/"}}}"#,
+            ),
+            (
+                at(
+                    10,
+                    TraceEvent::PeakSearchStep {
+                        target: 3.0,
+                        valid: true,
+                    },
+                ),
+                r#"{"ts_ns":10,"event":{"PeakSearchStep":{"target":3.0,"valid":true}}}"#,
+            ),
+            (
+                at(
+                    11,
+                    TraceEvent::PeakSearchStep {
+                        target: f64::NAN,
+                        valid: false,
+                    },
+                ),
+                r#"{"ts_ns":11,"event":{"PeakSearchStep":{"target":null,"valid":false}}}"#,
+            ),
+            (
+                at(
+                    12,
+                    TraceEvent::PeakSearchStep {
+                        target: -125.5,
+                        valid: false,
+                    },
+                ),
+                r#"{"ts_ns":12,"event":{"PeakSearchStep":{"target":-125.5,"valid":false}}}"#,
+            ),
+            (
+                at(
+                    13,
+                    TraceEvent::QueryErrored {
+                        query_id: 11,
+                        latency_ns: 88_000,
+                    },
+                ),
+                r#"{"ts_ns":13,"event":{"QueryErrored":{"query_id":11,"latency_ns":88000}}}"#,
+            ),
+            (
+                at(
+                    14,
+                    TraceEvent::FaultInjected {
+                        query_id: 11,
+                        fault: s("transient_error"),
+                    },
+                ),
+                r#"{"ts_ns":14,"event":{"FaultInjected":{"query_id":11,"fault":"transient_error"}}}"#,
+            ),
+            (
+                at(
+                    15,
+                    TraceEvent::RecoveryAction {
+                        query_id: 11,
+                        action: s("retry"),
+                        attempt: 2,
+                    },
+                ),
+                r#"{"ts_ns":15,"event":{"RecoveryAction":{"query_id":11,"action":"retry","attempt":2}}}"#,
+            ),
+            (
+                at(
+                    16,
+                    TraceEvent::WireEvent {
+                        endpoint: s("client"),
+                        kind: s("heartbeat_loss"),
+                        query_id: 0,
+                        detail: s(""),
+                    },
+                ),
+                r#"{"ts_ns":16,"event":{"WireEvent":{"endpoint":"client","kind":"heartbeat_loss","query_id":0,"detail":""}}}"#,
+            ),
+            (
+                at(
+                    17,
+                    TraceEvent::WireFault {
+                        endpoint: s("server"),
+                        fault: s("corrupt"),
+                        frame: 4,
+                        detail: s("recv: flipped byte 17"),
+                    },
+                ),
+                r#"{"ts_ns":17,"event":{"WireFault":{"endpoint":"server","fault":"corrupt","frame":4,"detail":"recv: flipped byte 17"}}}"#,
+            ),
+            (
+                at(
+                    18,
+                    TraceEvent::SpanEvent {
+                        host: s("server"),
+                        trace_id: 0xDEAD_BEEF_CAFE_F00D,
+                        query_id: 7,
+                        phase: s("compute"),
+                        dur_ns: 42_000,
+                    },
+                ),
+                r#"{"ts_ns":18,"event":{"SpanEvent":{"host":"server","trace_id":16045690984503111693,"query_id":7,"phase":"compute","dur_ns":42000}}}"#,
+            ),
+            (
+                at(
+                    19,
+                    TraceEvent::ClockSync {
+                        host: s("server"),
+                        offset_ns: i64::MIN,
+                        rtt_ns: 18_000,
+                    },
+                ),
+                r#"{"ts_ns":19,"event":{"ClockSync":{"host":"server","offset_ns":-9223372036854775808,"rtt_ns":18000}}}"#,
+            ),
+            (
+                at(
+                    20,
+                    TraceEvent::ShardEvent {
+                        shard: s("shard-2"),
+                        kind: s("failover"),
+                        query_id: 7,
+                        detail: s("shard-0 vanished"),
+                    },
+                ),
+                r#"{"ts_ns":20,"event":{"ShardEvent":{"shard":"shard-2","kind":"failover","query_id":7,"detail":"shard-0 vanished"}}}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_variant_renders_its_golden_line_both_ways() {
+        let golden = golden_lines();
+        let kinds: std::collections::BTreeSet<_> =
+            golden.iter().map(|(r, _)| r.event.kind()).collect();
+        assert_eq!(kinds.len(), 19, "a line for every variant");
+        for (record, line) in &golden {
+            assert_eq!(record.to_json_string(), *line, "streamed");
+            assert_eq!(record.to_json_value().to_compact(), *line, "tree");
+            // Back through both decoders and out again (NaN is not `==`
+            // itself, so the comparison is on the rendered line).
+            let pulled = TraceRecord::from_json_str(line).unwrap();
+            let tree = TraceRecord::from_json_value(&JsonValue::parse(line).unwrap()).unwrap();
+            assert_eq!(pulled.to_json_string(), *line);
+            assert_eq!(tree.to_json_string(), *line);
+        }
+        let records: Vec<_> = golden.iter().map(|(r, _)| r.clone()).collect();
+        let lines: Vec<_> = golden.iter().map(|(_, line)| *line).collect();
+        assert_eq!(render_detail_log(&records), lines.join("\n") + "\n");
+    }
+
+    #[test]
+    fn a_bad_escape_in_a_line_is_an_error_not_a_character() {
+        // What a peer's `Events` frame can carry: neither may panic or
+        // decode to a plausible string.
+        for escape in [r"\ud800\ud800", r"\u+041"] {
+            let line = format!(
+                r#"{{"ts_ns":1,"event":{{"ValidityCheckFailed":{{"issue":"{escape}"}}}}}}"#
+            );
+            assert!(TraceRecord::from_json_str(&line).is_err(), "{line}");
+            assert!(parse_detail_log(&line).is_err(), "{line}");
+            // In a member nothing asks for, too: the line is one document.
+            let line =
+                format!(r#"{{"ts_ns":1,"x":"{escape}","event":{{"QuerySent":{{"query_id":1}}}}}}"#);
+            assert!(TraceRecord::from_json_str(&line).is_err(), "{line}");
         }
     }
 

@@ -12,7 +12,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::event::{RingBufferSink, TraceEvent, TraceRecord, TraceSink};
+use crate::event::{
+    detail_lines, render_detail_log, RingBufferSink, TraceEvent, TraceRecord, TraceSink,
+};
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 
 /// A shareable bounded event ring that can post-mortem itself.
@@ -75,10 +77,7 @@ pub fn render_flight_dump(reason: &str, records: &[TraceRecord], evicted: u64) -
     )]);
     let mut out = header.to_compact();
     out.push('\n');
-    for record in records {
-        out.push_str(&record.to_json_string());
-        out.push('\n');
-    }
+    out.push_str(&render_detail_log(records));
     out
 }
 
@@ -100,7 +99,7 @@ pub struct FlightDump {
 /// Returns [`JsonError`] if the header is missing/malformed or any body
 /// line fails to parse as a `TraceRecord`.
 pub fn parse_flight_dump(text: &str) -> Result<FlightDump, JsonError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let mut lines = detail_lines(text).map(|(_, line)| line);
     let header = lines
         .next()
         .ok_or_else(|| JsonError::new("empty flight dump"))?;

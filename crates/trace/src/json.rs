@@ -14,6 +14,7 @@
 //! held as `i128` internally), and floats use Rust's shortest round-trip
 //! formatting.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -92,8 +93,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] if `self` is not an object or lacks `key`.
     pub fn field(&self, key: &str) -> Result<&JsonValue, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field {key:?}")))
+        self.get(key).ok_or_else(|| missing_field(key))
     }
 
     /// The value as `bool`.
@@ -102,10 +102,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] on any other value kind.
     pub fn as_bool(&self) -> Result<bool, JsonError> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            other => err(format!("expected bool, found {}", other.kind())),
-        }
+        self.shallow().as_bool()
     }
 
     /// The value as `u64` (integers only).
@@ -114,12 +111,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for non-integers or out-of-range values.
     pub fn as_u64(&self) -> Result<u64, JsonError> {
-        match self {
-            JsonValue::Int(i) => {
-                u64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of u64 range")))
-            }
-            other => err(format!("expected unsigned integer, found {}", other.kind())),
-        }
+        self.shallow().as_u64()
     }
 
     /// The value as `i64`.
@@ -128,12 +120,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for non-integers or out-of-range values.
     pub fn as_i64(&self) -> Result<i64, JsonError> {
-        match self {
-            JsonValue::Int(i) => {
-                i64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of i64 range")))
-            }
-            other => err(format!("expected integer, found {}", other.kind())),
-        }
+        self.shallow().as_i64()
     }
 
     /// The value as `usize`.
@@ -142,7 +129,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for non-integers or out-of-range values.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
-        usize::try_from(self.as_u64()?).map_err(|_| JsonError::new("out of usize range"))
+        self.shallow().as_usize()
     }
 
     /// The value as `u32`.
@@ -151,7 +138,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for non-integers or out-of-range values.
     pub fn as_u32(&self) -> Result<u32, JsonError> {
-        u32::try_from(self.as_u64()?).map_err(|_| JsonError::new("out of u32 range"))
+        self.shallow().as_u32()
     }
 
     /// The value as `f64` (accepts both number forms; `null` maps to NaN,
@@ -161,12 +148,7 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for non-numeric values.
     pub fn as_f64(&self) -> Result<f64, JsonError> {
-        match self {
-            JsonValue::Int(i) => Ok(*i as f64),
-            JsonValue::Float(f) => Ok(*f),
-            JsonValue::Null => Ok(f64::NAN),
-            other => err(format!("expected number, found {}", other.kind())),
-        }
+        self.shallow().as_f64()
     }
 
     /// The value as `f32`.
@@ -186,7 +168,7 @@ impl JsonValue {
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
             JsonValue::Str(s) => Ok(s),
-            other => err(format!("expected string, found {}", other.kind())),
+            other => other.shallow().wrong_kind("string"),
         }
     }
 
@@ -198,7 +180,7 @@ impl JsonValue {
     pub fn as_array(&self) -> Result<&[JsonValue], JsonError> {
         match self {
             JsonValue::Array(items) => Ok(items),
-            other => err(format!("expected array, found {}", other.kind())),
+            other => other.shallow().wrong_kind("array"),
         }
     }
 
@@ -213,22 +195,20 @@ impl JsonValue {
             JsonValue::Object(fields) if fields.len() == 1 => {
                 Ok((fields[0].0.as_str(), &fields[0].1))
             }
-            other => err(format!(
-                "expected single-variant object, found {}",
-                other.kind()
-            )),
+            other => other.shallow().wrong_kind("single-variant object"),
         }
     }
 
-    fn kind(&self) -> &'static str {
+    /// The value with its containers elided: what typed extraction reads.
+    pub(crate) fn shallow(&self) -> Token<'_> {
         match self {
-            JsonValue::Null => "null",
-            JsonValue::Bool(_) => "bool",
-            JsonValue::Int(_) => "integer",
-            JsonValue::Float(_) => "float",
-            JsonValue::Str(_) => "string",
-            JsonValue::Array(_) => "array",
-            JsonValue::Object(_) => "object",
+            JsonValue::Null => Token::Null,
+            JsonValue::Bool(b) => Token::Bool(*b),
+            JsonValue::Int(i) => Token::Int(*i),
+            JsonValue::Float(f) => Token::Float(*f),
+            JsonValue::Str(s) => Token::Str(Cow::Borrowed(s)),
+            JsonValue::Array(_) => Token::Array,
+            JsonValue::Object(_) => Token::Object,
         }
     }
 
@@ -251,23 +231,8 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            JsonValue::Float(f) => {
-                if f.is_finite() {
-                    if f.fract() == 0.0 && f.abs() < 1e15 {
-                        // Keep a trailing ".0" so the value re-parses as a
-                        // float, matching serde_json's behaviour.
-                        let _ = write!(out, "{f:.1}");
-                    } else {
-                        let _ = write!(out, "{f}");
-                    }
-                } else {
-                    // JSON has no NaN/Infinity literal.
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Int(i) => write_int(out, *i),
+            JsonValue::Float(f) => write_float(out, *f),
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -315,16 +280,9 @@ impl JsonValue {
     ///
     /// Returns [`JsonError`] for malformed input or trailing garbage.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
+        let mut parser = Parser::new(input);
         let value = parser.value(0)?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return err(format!("trailing characters at byte {}", parser.pos));
-        }
+        parser.finish()?;
         Ok(value)
     }
 }
@@ -338,42 +296,291 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole characters and go out in one copy.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Appends `v` in decimal.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
+}
+
+/// Appends `v` in decimal.
+pub(crate) fn write_int(out: &mut String, v: i128) {
+    if v < 0 {
+        out.push('-');
+    }
+    match u64::try_from(v.unsigned_abs()) {
+        Ok(magnitude) => write_u64(out, magnitude),
+        // Wider than any integer type the workspace serializes; only a
+        // parsed document can hold one.
+        Err(_) => {
+            let _ = write!(out, "{}", v.unsigned_abs());
+        }
+    }
+}
+
+/// Appends `f` in Rust's shortest round-trip form, `null` when not finite.
+pub(crate) fn write_float(out: &mut String, f: f64) {
+    if f.is_finite() {
+        if f.fract() == 0.0 && f.abs() < 1e15 {
+            // Keep a trailing ".0" so the value re-parses as a float,
+            // matching serde_json's behaviour.
+            let _ = write!(out, "{f:.1}");
+        } else {
+            let _ = write!(out, "{f}");
+        }
+    } else {
+        // JSON has no NaN/Infinity literal.
+        out.push_str("null");
+    }
+}
+
+/// What one field of a flat record holds: the value side of a field
+/// table such as `TraceEvent::fields`.
+#[derive(Clone, Copy)]
+pub(crate) enum Scalar<'a> {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+impl Scalar<'_> {
+    /// Appends the value's JSON text.
+    pub(crate) fn write(self, out: &mut String) {
+        match self {
+            Scalar::U64(v) => write_u64(out, v),
+            Scalar::I64(v) => write_int(out, i128::from(v)),
+            Scalar::F64(v) => write_float(out, v),
+            Scalar::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            Scalar::Str(v) => write_escaped(out, v),
+        }
+    }
+
+    /// The same value in the tree model.
+    pub(crate) fn to_json_value(self) -> JsonValue {
+        match self {
+            Scalar::U64(v) => JsonValue::Int(i128::from(v)),
+            Scalar::I64(v) => JsonValue::Int(i128::from(v)),
+            Scalar::F64(v) => JsonValue::Float(v),
+            Scalar::Bool(v) => JsonValue::Bool(v),
+            Scalar::Str(v) => JsonValue::Str(v.to_string()),
+        }
+    }
+}
+
+/// One JSON value with its containers elided: scalars in full, an array
+/// or object by kind only. It is what the pull parser yields per value
+/// and what every typed accessor reads.
+#[derive(Clone)]
+pub(crate) enum Token<'a> {
+    Null,
+    Bool(bool),
+    Int(i128),
+    Float(f64),
+    /// Borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    Array,
+    Object,
+}
+
+impl Token<'_> {
+    fn kind(&self) -> &'static str {
+        match self {
+            Token::Null => "null",
+            Token::Bool(_) => "bool",
+            Token::Int(_) => "integer",
+            Token::Float(_) => "float",
+            Token::Str(_) => "string",
+            Token::Array => "array",
+            Token::Object => "object",
+        }
+    }
+
+    pub(crate) fn wrong_kind<T>(&self, expected: &str) -> Result<T, JsonError> {
+        err(format!("expected {expected}, found {}", self.kind()))
+    }
+
+    pub(crate) fn as_bool(&self) -> Result<bool, JsonError> {
+        match self {
+            Token::Bool(b) => Ok(*b),
+            other => other.wrong_kind("bool"),
+        }
+    }
+
+    pub(crate) fn as_u64(&self) -> Result<u64, JsonError> {
+        match self {
+            Token::Int(i) => {
+                u64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of u64 range")))
+            }
+            other => other.wrong_kind("unsigned integer"),
+        }
+    }
+
+    pub(crate) fn as_i64(&self) -> Result<i64, JsonError> {
+        match self {
+            Token::Int(i) => {
+                i64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of i64 range")))
+            }
+            other => other.wrong_kind("integer"),
+        }
+    }
+
+    pub(crate) fn as_usize(&self) -> Result<usize, JsonError> {
+        usize::try_from(self.as_u64()?).map_err(|_| JsonError::new("out of usize range"))
+    }
+
+    pub(crate) fn as_u32(&self) -> Result<u32, JsonError> {
+        u32::try_from(self.as_u64()?).map_err(|_| JsonError::new("out of u32 range"))
+    }
+
+    pub(crate) fn as_f64(&self) -> Result<f64, JsonError> {
+        match self {
+            Token::Int(i) => Ok(*i as f64),
+            Token::Float(f) => Ok(*f),
+            Token::Null => Ok(f64::NAN),
+            other => other.wrong_kind("number"),
+        }
+    }
+
+    pub(crate) fn into_string(self) -> Result<String, JsonError> {
+        match self {
+            Token::Str(s) => Ok(s.into_owned()),
+            other => other.wrong_kind("string"),
+        }
+    }
+}
+
+/// Objects this wide or narrower are held without touching the heap.
+const INLINE_MEMBERS: usize = 8;
+
+/// The members of one object in order, each value as a [`Token`]; looked
+/// up first match first, as [`JsonValue::field`] does, without the tree.
+pub(crate) struct Members<'a> {
+    inline: [(Cow<'a, str>, Token<'a>); INLINE_MEMBERS],
+    len: usize,
+    spill: Vec<(Cow<'a, str>, Token<'a>)>,
+}
+
+impl<'a> Members<'a> {
+    /// No members: also what a value that is not an object has.
+    pub(crate) fn none() -> Self {
+        Members {
+            inline: std::array::from_fn(|_| (Cow::Borrowed(""), Token::Null)),
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn find(&self, key: &str) -> Option<&Token<'a>> {
+        self.inline[..self.len]
+            .iter()
+            .chain(&self.spill)
+            .find(|(k, _)| k == key)
+            .map(|(_, token)| token)
+    }
+
+    fn push(&mut self, key: Cow<'a, str>, token: Token<'a>) {
+        if self.len < INLINE_MEMBERS {
+            self.inline[self.len] = (key, token);
+            self.len += 1;
+        } else {
+            self.spill.push((key, token));
+        }
+    }
+
+    /// A required member.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when no member has `key`.
+    pub(crate) fn get(&self, key: &str) -> Result<Token<'a>, JsonError> {
+        self.find(key).cloned().ok_or_else(|| missing_field(key))
+    }
+}
+
+pub(crate) fn missing_field(key: &str) -> JsonError {
+    JsonError::new(format!("missing field {key:?}"))
+}
+
+/// The one tokenizer. [`JsonValue::parse`] builds a tree from it
+/// ([`Parser::value`]); a decoder that knows the shape it wants pulls
+/// from it ([`Parser::open`], [`Parser::key`], [`Parser::token`],
+/// [`Parser::members`], [`Parser::next`]) and so accepts and rejects
+/// exactly the same documents, with the same error at the same byte.
+///
+/// `depth` is the nesting level of the value about to be read, 0 for the
+/// document itself.
+pub(crate) struct Parser<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser at the first non-blank byte of `src`.
+    pub(crate) fn new(src: &'a str) -> Self {
+        let mut parser = Parser { src, pos: 0 };
+        parser.skip_ws();
+        parser
+    }
+
+    /// Ends the document.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] if anything but whitespace is left.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -386,7 +593,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             true
         } else {
@@ -394,18 +601,61 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+    /// Enters an array (`[`, `]`) or object (`{`, `}`); whether it has a
+    /// first element.
+    pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// Steps past an element; whether another follows before `close`.
+    pub(crate) fn next(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => err(format!(
+                "expected ',' or {:?} at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// Reads `"key":` and stops at the member's value.
+    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Reads a scalar; an array or object is only announced, with the
+    /// cursor left on its opening bracket.
+    fn scalar(&mut self, depth: usize) -> Result<Token<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return err("document nests too deeply");
         }
         match self.peek() {
             None => err("unexpected end of input"),
-            Some(b'n') if self.literal("null") => Ok(JsonValue::Null),
-            Some(b't') if self.literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'n') if self.literal("null") => Ok(Token::Null),
+            Some(b't') if self.literal("true") => Ok(Token::Bool(true)),
+            Some(b'f') if self.literal("false") => Ok(Token::Bool(false)),
+            Some(b'"') => Ok(Token::Str(self.string()?)),
+            Some(b'[') => Ok(Token::Array),
+            Some(b'{') => Ok(Token::Object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => err(format!(
                 "unexpected character {:?} at byte {}",
@@ -414,158 +664,210 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+    /// Reads one value, walking (and so validating) a container without
+    /// keeping it.
+    pub(crate) fn token(&mut self, depth: usize) -> Result<Token<'a>, JsonError> {
+        self.walk(depth, None)
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+    /// [`Parser::token`], with the members of an object (nothing for any
+    /// other kind) left in `members`.
+    pub(crate) fn members(
+        &mut self,
+        depth: usize,
+        members: &mut Members<'a>,
+    ) -> Result<Token<'a>, JsonError> {
+        self.walk(depth, Some(members))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn walk(
+        &mut self,
+        depth: usize,
+        mut keep: Option<&mut Members<'a>>,
+    ) -> Result<Token<'a>, JsonError> {
+        let token = self.scalar(depth)?;
+        match token {
+            Token::Array => {
+                let mut more = self.open(b'[', b']')?;
+                while more {
+                    self.token(depth + 1)?;
+                    more = self.next(b']')?;
+                }
+            }
+            Token::Object => {
+                let mut more = self.open(b'{', b'}')?;
+                while more {
+                    let key = self.key()?;
+                    let member = self.token(depth + 1)?;
+                    if let Some(members) = keep.as_deref_mut() {
+                        members.push(key, member);
+                    }
+                    more = self.next(b'}')?;
+                }
+            }
+            _ => {}
+        }
+        Ok(token)
+    }
+
+    /// Reads one value as a tree.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        Ok(match self.scalar(depth)? {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Int(i) => JsonValue::Int(i),
+            Token::Float(f) => JsonValue::Float(f),
+            Token::Str(s) => JsonValue::Str(s.into_owned()),
+            Token::Array => {
+                let mut items = Vec::new();
+                let mut more = self.open(b'[', b']')?;
+                while more {
+                    items.push(self.value(depth + 1)?);
+                    more = self.next(b']')?;
+                }
+                JsonValue::Array(items)
+            }
+            Token::Object => {
+                let mut fields = Vec::new();
+                let mut more = self.open(b'{', b'}')?;
+                while more {
+                    let key = self.key()?.into_owned();
+                    fields.push((key, self.value(depth + 1)?));
+                    more = self.next(b'}')?;
+                }
+                JsonValue::Object(fields)
+            }
+        })
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Stays `None`, and the result borrowed, until the first escape.
+        let mut decoded: Option<String> = None;
         loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError::new("invalid UTF-8 in string"))?;
-                out.push_str(chunk);
-            }
+            // Ends only before an ASCII byte, so `run` is whole characters.
+            let rest = &self.src[self.pos..];
+            let end = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let run = &rest[..end];
+            self.pos += end;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                if !self.literal("\\u") {
-                                    return err("unpaired surrogate");
-                                }
-                                let second = self.hex4()?;
-                                let combined = 0x10000
-                                    + ((first - 0xD800) << 10)
-                                    + (second.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(first)
-                            };
-                            out.push(c.ok_or_else(|| JsonError::new("invalid \\u escape"))?);
-                            continue;
-                        }
-                        _ => return err("invalid escape sequence"),
-                    }
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    out.push(c);
                 }
                 _ => return err("unterminated string"),
             }
         }
     }
 
+    /// Decodes the escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let first = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&first) {
+                    // A high surrogate is half a character: only a low
+                    // one may follow.
+                    if !self.literal("\\u") {
+                        return err("unpaired surrogate");
+                    }
+                    let second = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return err("unpaired surrogate");
+                    }
+                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                } else {
+                    first
+                };
+                return char::from_u32(code).ok_or_else(|| JsonError::new("invalid \\u escape"));
+            }
+            _ => return err("invalid escape sequence"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Exactly four hex digits.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return err("truncated \\u escape");
+        let digits = self
+            .src
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
+        let mut value = 0;
+        for &b in digits {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::new("invalid \\u escape"))?;
+            value = value << 4 | digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| JsonError::new("invalid \\u escape"))?;
-        let value =
-            u32::from_str_radix(hex, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
-        let mut is_float = false;
-        if self.peek() == Some(b'-') {
+        // A plain run of up to 19 digits cannot overflow a `u64`: almost
+        // every number in a detail log, read without a second pass.
+        let mut plain = 0u64;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            if self.pos - start == 19 {
+                break;
+            }
+            plain = plain * 10 + u64::from(b - b'0');
             self.pos += 1;
         }
+        let more = matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        );
+        if self.pos > start && !more {
+            return Ok(Token::Int(i128::from(plain)));
+        }
+        let mut is_float = false;
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => {}
+                // A sign is consumed anywhere; `parse` below rejects one
+                // that is out of place.
+                b'-' if self.pos == start => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(JsonValue::Float)
-                .map_err(|_| JsonError::new(format!("invalid number {text:?}")))
+        let text = &self.src[start..self.pos];
+        let parsed = if is_float {
+            text.parse().ok().map(Token::Float)
         } else {
-            text.parse::<i128>()
-                .map(JsonValue::Int)
-                .map_err(|_| JsonError::new(format!("invalid number {text:?}")))
-        }
+            text.parse().ok().map(Token::Int)
+        };
+        parsed.ok_or_else(|| JsonError::new(format!("invalid number {text:?}")))
     }
 }
 
@@ -628,7 +930,7 @@ macro_rules! int_json {
                 match value {
                     JsonValue::Int(i) => <$ty>::try_from(*i)
                         .map_err(|_| JsonError::new("integer out of range")),
-                    other => err(format!("expected integer, found {}", other.kind())),
+                    other => other.shallow().wrong_kind("integer"),
                 }
             }
         }
@@ -754,6 +1056,46 @@ mod tests {
         assert_eq!(
             String::from_json_str("\"\\u0041\\ud83d\\ude00\"").unwrap(),
             "A😀"
+        );
+    }
+
+    #[test]
+    fn surrogates_must_pair_and_hex_must_be_hex() {
+        let parse = |text: &str| JsonValue::parse(text).map_err(|e| e.to_string());
+        // A high surrogate takes a low one and nothing else; a low one
+        // cannot stand alone.
+        for text in [
+            r#""\ud800\ud800""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ue000""#,
+            r#""\ud800x""#,
+            r#""\ud800""#,
+        ] {
+            assert_eq!(
+                parse(text),
+                Err("json error: unpaired surrogate".into()),
+                "{text}"
+            );
+        }
+        assert!(parse(r#""\udc00""#).is_err());
+        // `from_str_radix` takes a sign; an escape does not.
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00\u00e9""#,
+            "\"\\u00é\"",
+        ] {
+            assert_eq!(
+                parse(text),
+                Err("json error: invalid \\u escape".into()),
+                "{text}"
+            );
+        }
+        assert!(parse(r#""\u004""#).is_err());
+        assert_eq!(
+            parse(r#""\uDBFF\uDFFF\u00E9\ud83d\ude00""#),
+            Ok(JsonValue::Str("\u{10FFFF}é😀".into()))
         );
     }
 

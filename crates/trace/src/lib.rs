@@ -17,11 +17,14 @@
 //!
 //! * [`json`] — [`json::JsonValue`] plus the [`json::ToJson`] /
 //!   [`json::FromJson`] traits; output shapes match serde_json's defaults
-//!   so pre-existing artifacts keep parsing.
+//!   so pre-existing artifacts keep parsing. One tokenizer serves the
+//!   tree parser and the detail log's pull decoder.
 //! * [`event`] — the [`event::TraceEvent`] taxonomy, the
-//!   [`event::TraceSink`] trait, and the built-in sinks
+//!   [`event::TraceSink`] trait, the built-in sinks
 //!   ([`event::NoopSink`], [`event::RingBufferSink`],
-//!   [`event::JsonlSink`]).
+//!   [`event::JsonlSink`]), and the detail-log line codec
+//!   ([`event::render_detail_log`] / [`event::parse_detail_log`]), which
+//!   streams records to text and pulls them back without a tree.
 //! * [`chrome`] — [`chrome::chrome_trace_json`], converting a recorded
 //!   event stream into a `chrome://tracing` / Perfetto-loadable timeline.
 //! * [`flight`] — [`flight::FlightRecorder`], a bounded ring of recent
@@ -85,8 +88,8 @@ pub mod timeseries;
 pub use bench::{BenchComparison, BenchEntry, BenchReport};
 pub use chrome::chrome_trace_json;
 pub use event::{
-    parse_detail_log, FanoutSink, JsonlSink, NoopSink, RingBufferSink, TraceEvent, TraceRecord,
-    TraceSink,
+    parse_detail_log, render_detail_log, FanoutSink, JsonlSink, NoopSink, RingBufferSink,
+    TraceEvent, TraceRecord, TraceSink,
 };
 pub use flight::{parse_flight_dump, FlightDump, FlightRecorder};
 pub use journal::{read_journal, JournalError, JournalScan, JournalWriter, TornTail};

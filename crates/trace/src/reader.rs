@@ -11,7 +11,7 @@
 //! This module is that reader, so the sniffing logic lives in exactly one
 //! place instead of being copy-pasted into each binary.
 
-use crate::event::TraceRecord;
+use crate::event::{detail_lines, TraceRecord};
 use crate::flight::parse_flight_dump;
 use crate::journal::TornTail;
 use crate::json::{FromJson, JsonError};
@@ -72,34 +72,28 @@ impl std::error::Error for ReadError {}
 /// failing the whole artifact. A bad line anywhere else is corruption,
 /// not a tear, and still errors.
 fn parse_jsonl_salvaging(text: &str) -> Result<(Vec<TraceRecord>, Option<TornTail>), JsonError> {
-    // Walk lines with their byte offsets so the tear can be located.
-    let mut lines: Vec<(usize, &str)> = Vec::new();
-    let mut at = 0usize;
-    for line in text.split_inclusive('\n') {
-        if !line.trim().is_empty() {
-            lines.push((at, line.trim_end_matches(['\n', '\r'])));
-        }
-        at += line.len();
-    }
     let mut records = Vec::new();
-    let last = lines.len().saturating_sub(1);
-    for (i, (line_start, line)) in lines.iter().enumerate() {
+    // A line that failed to parse, with its byte offset: a tear if the
+    // log ends here, corruption if another line follows.
+    let mut failed: Option<(usize, JsonError)> = None;
+    for (line_start, line) in detail_lines(text) {
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
         match TraceRecord::from_json_str(line) {
             Ok(r) => records.push(r),
             // Only a *tail* can tear: salvage needs at least one valid
             // record ahead of it, else the file is garbage, not a log.
-            Err(e) if i == last && !records.is_empty() => {
-                let torn = TornTail {
-                    valid_records: records.len(),
-                    byte_offset: *line_start as u64,
-                    reason: format!("final line cut mid-write: {e}"),
-                };
-                return Ok((records, Some(torn)));
-            }
-            Err(e) => return Err(e),
+            Err(e) if records.is_empty() => return Err(e),
+            Err(e) => failed = Some((line_start, e)),
         }
     }
-    Ok((records, None))
+    let torn = failed.map(|(line_start, e)| TornTail {
+        valid_records: records.len(),
+        byte_offset: line_start as u64,
+        reason: format!("final line cut mid-write: {e}"),
+    });
+    Ok((records, torn))
 }
 
 /// Parses detail-log text, auto-detecting flight-recorder dumps.
@@ -115,7 +109,7 @@ fn parse_jsonl_salvaging(text: &str) -> Result<(Vec<TraceRecord>, Option<TornTai
 ///
 /// Returns the underlying [`JsonError`] when neither shape parses.
 pub fn read_detail_log_str(text: &str) -> Result<DetailLog, JsonError> {
-    let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
+    let first = detail_lines(text).next().map_or("", |(_, line)| line);
     if first.contains("\"flight_dump\"") {
         let dump = parse_flight_dump(text)?;
         Ok(DetailLog {
@@ -156,7 +150,7 @@ pub fn read_detail_log(path: impl AsRef<Path>) -> Result<DetailLog, ReadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceEvent, TraceSink};
+    use crate::event::{render_detail_log as render_jsonl, TraceEvent, TraceSink};
     use crate::flight::{render_flight_dump, FlightRecorder};
 
     fn sample_records() -> Vec<TraceRecord> {
@@ -177,16 +171,6 @@ mod tests {
                 },
             },
         ]
-    }
-
-    fn render_jsonl(records: &[TraceRecord]) -> String {
-        use crate::json::ToJson;
-        let mut out = String::new();
-        for r in records {
-            out.push_str(&r.to_json_string());
-            out.push('\n');
-        }
-        out
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mlperf_loadgen::query::{Query, SampleCompletion};
-use mlperf_trace::event::{RingBufferSink, TraceEvent, TraceSink};
+use mlperf_trace::event::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
 use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::JournalWriter;
@@ -930,11 +930,7 @@ fn handle_conn(
                 if hello.version >= 3 {
                     let records = session.events.snapshot();
                     for chunk in records.chunks(EVENTS_CHUNK) {
-                        let mut jsonl = String::new();
-                        for record in chunk {
-                            jsonl.push_str(&record.to_json_string());
-                            jsonl.push('\n');
-                        }
+                        let jsonl = render_detail_log(chunk);
                         session.send(&Message::Events { jsonl });
                     }
                 }
