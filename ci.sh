@@ -9,6 +9,35 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== engine census (one of everything, and the size metric) =="
+# Seconds, no timing. The run engine has one builder (`Run`), one event
+# heap, one wall-clock worker pool and one Poisson constructor; this stage
+# fails when a second copy of any of them, or an eleventh driver, appears.
+# The six names besides `run_simulated`, `run_multitenant_server` and the
+# two `find_peak_*` are `#[doc(hidden)]` delegations kept only because
+# `perfbench/` imports them; nothing in the workspace may call them.
+census_fail() { echo "engine census: $*" >&2; exit 1; }
+kept="find_peak_multistream find_peak_server_qps resume_journaled run_instrumented
+run_journaled run_multitenant_server run_realtime_traced_at run_simulated
+run_simulated_replay run_simulated_traced"
+drivers=$(grep -hoE "^pub fn (run_|resume_|find_peak_)\w+" crates/core/src/*.rs | sed 's/^pub fn //' | sort | xargs)
+[[ "$drivers" == "$(echo $kept)" ]] || census_fail "public drivers are: $drivers"
+heaps=$(grep -l "BinaryHeap" crates/core/src/*.rs | xargs)
+[[ "$heaps" == "crates/core/src/des.rs" ]] || census_fail "BinaryHeap in: $heaps"
+pools=$(cat crates/core/src/{realtime,replay,run}.rs | grep -c "thread::spawn")
+[[ "$pools" == 1 ]] || census_fail "$pools thread::spawn sites in realtime.rs/replay.rs/run.rs"
+poissons=$(cat crates/core/src/*.rs | grep -c "PoissonProcess::new")
+[[ "$poissons" == 1 ]] || census_fail "$poissons PoissonProcess::new sites in crates/core/src"
+shims='run_simulated_traced|run_instrumented|run_journaled|resume_journaled|run_simulated_replay|run_realtime_traced_at'
+callers=$(grep -rnE "\b($shims)\b" --include='*.rs' crates src tests examples | grep -vE "^crates/core/src/(des|realtime|replay)\.rs:[0-9]+:pub fn " || true)
+[[ -z "$callers" ]] || census_fail "perfbench-only names used in the workspace:
+$callers"
+# The size metric every PR states: lines of crates/*/src before a file's
+# first #[cfg(test)], per crate and in total.
+find crates/*/src -name '*.rs' | sort | while read -r f; do
+    echo "$(echo "$f" | cut -d/ -f2) $(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")"
+done | awk '{c[$1]+=$2; t+=$2} END{for (k in c) printf "  %-12s %6d\n", k, c[k] | "sort"; close("sort"); printf "  %-12s %6d non-test lines\n", "crates/*/src", t}'
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -1,13 +1,12 @@
 //! Behavioural audits run against a live SUT.
 
 use mlperf_loadgen::config::{TestMode, TestSettings};
-use mlperf_loadgen::des::{run_simulated, run_simulated_traced};
+use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::qsl::QuerySampleLibrary;
 use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleIndex};
-use mlperf_loadgen::realtime::run_realtime_traced;
 use mlperf_loadgen::sut::{RealtimeSut, SimSut};
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::LoadGenError;
+use mlperf_loadgen::{LoadGenError, Run};
 use mlperf_trace::event::TraceRecord;
 use mlperf_trace::{RingBufferSink, TraceEvent};
 use std::collections::HashMap;
@@ -321,7 +320,7 @@ where
 {
     let perf = settings.clone().with_mode(TestMode::PerformanceOnly);
     let sink = RingBufferSink::unbounded();
-    let _outcome = run_simulated_traced(&perf, qsl, sut, &sink)?;
+    let _outcome = Run::simulated(&perf).sink(&sink).run(qsl, sut)?;
     Ok(completeness_report(&sink.snapshot()))
 }
 
@@ -346,7 +345,7 @@ where
 {
     let perf = settings.clone().with_mode(TestMode::PerformanceOnly);
     let sink = RingBufferSink::unbounded();
-    let _outcome = run_realtime_traced(&perf, qsl, sut, &sink)?;
+    let _outcome = Run::wall_clock(&perf).sink(&sink).run(qsl, sut)?;
     Ok(completeness_report(&sink.snapshot()))
 }
 
@@ -427,7 +426,7 @@ where
         .with_mode(TestMode::PerformanceOnly)
         .with_accuracy_log_probability(0.0);
     let sink = RingBufferSink::unbounded();
-    let outcome = run_simulated_traced(&perf, qsl, sut, &sink)?;
+    let outcome = Run::simulated(&perf).sink(&sink).run(qsl, sut)?;
     let records = sink.snapshot();
     let accuracy_events = records
         .iter()
@@ -530,7 +529,10 @@ mod unit {
         // Control: the same settings run as submitted DO emit accuracy
         // events, so the audit is checking something real.
         let sink = RingBufferSink::unbounded();
-        let out = run_simulated_traced(&settings, &mut qsl, &mut sut, &sink).unwrap();
+        let out = Run::simulated(&settings)
+            .sink(&sink)
+            .run(&mut qsl, &mut sut)
+            .unwrap();
         assert!(!out.accuracy_log.is_empty());
         assert!(sink
             .snapshot()
@@ -676,7 +678,10 @@ mod unit {
             .with_min_duration(Nanos::from_millis(1))
             .with_mode(TestMode::PerformanceOnly);
         let mut qsl = MemoryQsl::new("q", 32, 32);
-        run_realtime_traced(&settings, &mut qsl, router, sink.as_ref()).unwrap();
+        Run::wall_clock(&settings)
+            .sink(sink.as_ref())
+            .run(&mut qsl, router)
+            .unwrap();
 
         let records = sink.snapshot();
         let shard_kind = |kind: &str| {

@@ -1,6 +1,6 @@
 //! Cost of crash-safety: a journaled DES run vs the plain runner.
 //!
-//! `run_journaled` adds a durable write-ahead journal to the simulated
+//! `Run::journal` adds a durable write-ahead journal to the simulated
 //! server scenario — one binary checkpoint frame (scenario cursor, RNG
 //! states, recorder delta: each record encoded exactly once across the
 //! run) per `checkpoint_every` issued queries, CRC-framed and
@@ -13,12 +13,11 @@
 
 use mlperf_bench::runner::Bench;
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::{run_instrumented, run_journaled};
 use mlperf_loadgen::journal::JournalConfig;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::Instruments;
+use mlperf_loadgen::{Instruments, Run};
 use std::hint::black_box;
 
 fn main() {
@@ -33,7 +32,12 @@ fn main() {
         let mut qsl = MemoryQsl::new("q", 1_024, 1_024);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
         let instruments = Instruments::none();
-        black_box(run_instrumented(&settings, &mut qsl, &mut sut, &instruments).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .instruments(&instruments)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     // Encoding-only: the fsync batching window never fills, so this row
@@ -46,7 +50,13 @@ fn main() {
         let cfg = JournalConfig::new(dir.join("nofsync.mlpj"))
             .with_checkpoint_every(64)
             .with_fsync_every(u32::MAX);
-        black_box(run_journaled(&settings, &mut qsl, &mut sut, &instruments, &cfg).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .instruments(&instruments)
+                .journal(&cfg)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     // Durability pricing: fsync per checkpoint (the default), and batched
@@ -56,7 +66,13 @@ fn main() {
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
         let instruments = Instruments::none();
         let cfg = JournalConfig::new(dir.join("each.mlpj")).with_checkpoint_every(64);
-        black_box(run_journaled(&settings, &mut qsl, &mut sut, &instruments, &cfg).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .instruments(&instruments)
+                .journal(&cfg)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     bench.bench("run_server_journaled_fsync_batch_8", || {
@@ -66,7 +82,13 @@ fn main() {
         let cfg = JournalConfig::new(dir.join("batch8.mlpj"))
             .with_checkpoint_every(64)
             .with_fsync_every(8);
-        black_box(run_journaled(&settings, &mut qsl, &mut sut, &instruments, &cfg).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .instruments(&instruments)
+                .journal(&cfg)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     bench.finish();

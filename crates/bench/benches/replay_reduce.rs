@@ -16,14 +16,13 @@
 
 use mlperf_bench::runner::Bench;
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::run_simulated_traced;
 use mlperf_loadgen::qsl::MemoryQsl;
-use mlperf_loadgen::replay::run_simulated_replay_traced;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_replay::{record_trace, reduce_trace, RecordOptions, ReduceOptions};
 use mlperf_stats::rng::SeedTriple;
-use mlperf_trace::{NoopSink, RingBufferSink, TraceRecord};
+use mlperf_trace::{RingBufferSink, TraceRecord};
 use std::hint::black_box;
 
 const POPULATION: usize = 1_024;
@@ -33,7 +32,10 @@ fn traced_run(settings: &TestSettings) -> Vec<TraceRecord> {
     let mut qsl = MemoryQsl::new("q", POPULATION, POPULATION);
     let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
     let sink = RingBufferSink::unbounded();
-    run_simulated_traced(settings, &mut qsl, &mut sut, &sink).expect("runs");
+    Run::simulated(settings)
+        .sink(&sink)
+        .run(&mut qsl, &mut sut)
+        .expect("runs");
     sink.snapshot()
 }
 
@@ -76,7 +78,9 @@ fn main() {
         let mut qsl = MemoryQsl::new("q", POPULATION, POPULATION);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
         black_box(
-            run_simulated_traced(&small_settings, &mut qsl, &mut sut, &NoopSink).expect("runs"),
+            Run::simulated(&small_settings)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
         )
     });
 
@@ -84,7 +88,9 @@ fn main() {
         let mut qsl = MemoryQsl::new("q", POPULATION, POPULATION);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
         black_box(
-            run_simulated_replay_traced(&replay_settings, &schedule, &mut qsl, &mut sut, &NoopSink)
+            Run::simulated(&replay_settings)
+                .replay(&schedule)
+                .run(&mut qsl, &mut sut)
                 .expect("replays"),
         )
     });

@@ -1,18 +1,19 @@
 //! Cost of the tracing hooks when tracing is off.
 //!
-//! `run_simulated` delegates to `run_simulated_traced` with a `NoopSink`,
-//! so every hot-path event site pays one `sink.enabled()` virtual call.
-//! This bench compares the plain entry point against an explicit
-//! `NoopSink` and against a real `RingBufferSink`, so a regression in the
-//! disabled-path overhead is visible as a gap between the first two
-//! numbers.
+//! `run_simulated` is the `Run` builder with its default `NoopSink`, so
+//! every hot-path event site pays one `sink.enabled()` virtual call. This
+//! bench compares the plain entry point against the builder with an
+//! explicit `NoopSink` and against a real `RingBufferSink`, so a
+//! regression in the disabled-path overhead is visible as a gap between
+//! the first two numbers.
 
 use mlperf_bench::runner::Bench;
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::{run_simulated, run_simulated_traced};
+use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_trace::{NoopSink, RingBufferSink};
 use std::hint::black_box;
 
@@ -31,14 +32,24 @@ fn main() {
     let noop = bench.bench("run_simulated_traced_noop_sink", || {
         let mut qsl = MemoryQsl::new("q", 1_024, 1_024);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
-        black_box(run_simulated_traced(&settings, &mut qsl, &mut sut, &NoopSink).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .sink(&NoopSink)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     bench.bench("run_simulated_traced_ring_buffer", || {
         let sink = RingBufferSink::unbounded();
         let mut qsl = MemoryQsl::new("q", 1_024, 1_024);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(50));
-        black_box(run_simulated_traced(&settings, &mut qsl, &mut sut, &sink).expect("runs"))
+        black_box(
+            Run::simulated(&settings)
+                .sink(&sink)
+                .run(&mut qsl, &mut sut)
+                .expect("runs"),
+        )
     });
 
     bench.finish();

@@ -15,9 +15,9 @@ use mlperf_bench::runner::Bench;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::query::{ResponsePayload, SampleCompletion};
-use mlperf_loadgen::realtime::run_realtime;
 use mlperf_loadgen::sut::SleepSut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_wire::frame::{open, seal};
 use mlperf_wire::message::Message;
 use mlperf_wire::{loopback, RemoteSut, RemoteSutConfig, ServeConfig, WireChaosPlan};
@@ -58,7 +58,9 @@ fn main() {
         let hello = RemoteSut::hello_for(&settings, 64, &config);
         let service = Arc::new(SleepSut::new("engine", per_sample));
         let (client, server) = loopback(service, serve, hello, config).expect("loopback");
-        let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("runs");
+        let out = Run::wall_clock(&settings)
+            .run(&mut qsl, Arc::new(client))
+            .expect("runs");
         server.shutdown();
         out
     };

@@ -10,9 +10,9 @@ use mlperf_bench::runner::Bench;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleCompletion};
-use mlperf_loadgen::realtime::run_realtime;
 use mlperf_loadgen::sut::SleepSut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_wire::message::Message;
 use mlperf_wire::{loopback, RemoteSut, RemoteSutConfig, ServeConfig};
 use std::hint::black_box;
@@ -58,7 +58,7 @@ fn main() {
     let direct = bench.bench("run_realtime_direct", || {
         let mut qsl = MemoryQsl::new("q", 64, 64);
         let sut = Arc::new(SleepSut::new("engine", per_sample));
-        black_box(run_realtime(&settings, &mut qsl, sut).expect("runs"))
+        black_box(Run::wall_clock(&settings).run(&mut qsl, sut).expect("runs"))
     });
 
     let wired = bench.bench("run_realtime_loopback_wire", || {
@@ -68,7 +68,9 @@ fn main() {
         let service = Arc::new(SleepSut::new("engine", per_sample));
         let (client, server) =
             loopback(service, ServeConfig::default(), hello, config).expect("loopback");
-        let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("runs");
+        let out = Run::wall_clock(&settings)
+            .run(&mut qsl, Arc::new(client))
+            .expect("runs");
         server.shutdown();
         black_box(out)
     });

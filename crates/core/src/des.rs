@@ -5,25 +5,26 @@
 //! wall-clock run, but a 270,336-query server experiment completes in
 //! milliseconds. This is what makes reproducing the paper's evaluation
 //! tractable on a laptop (the original submissions ran for hours per result).
+//!
+//! [`run_simulated`] is the paper-shaped entry, `StartTest(sut, qsl,
+//! settings)`; every other simulated run — traced, sampled, replayed,
+//! journaled — is spelled with the [`Run`] builder and lands in the one
+//! body here, `simulate`.
 
 use crate::config::{TestMode, TestSettings};
 use crate::instrument::Instruments;
-use crate::journal::{
-    settings_digest, Checkpoint, JournalConfig, JournaledRun, RunJournal, RunMeta,
-};
+use crate::journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal};
+use crate::multitenant::{query_id, tenant_of};
 use crate::qsl::QuerySampleLibrary;
-use crate::query::{Query, QueryCompletion};
-use crate::record::{LoggedResponse, QueryRecord, Recorder};
-use crate::replay::ReplaySchedule;
-use crate::results::{LatencyStats, ScenarioMetric, TestResult};
+use crate::query::{QueryCompletion, SampleIndex};
+use crate::record::{LoggedResponse, QueryRecord};
+use crate::results::TestResult;
+use crate::run::{finish_run, start, trace_issue, Arrivals, Clock, Lane, Run};
 use crate::scenario::Scenario;
-use crate::schedule::build_query;
+use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{SimSut, SutReaction};
 use crate::time::Nanos;
-use crate::validate::{check_run, overlatency_fraction, percentile_latency};
 use crate::LoadGenError;
-use mlperf_stats::dist::PoissonProcess;
-use mlperf_stats::Rng64;
 use mlperf_trace::profile_span;
 use mlperf_trace::{MetricsRegistry, MetricsSnapshot, TimeSeriesSampler, TraceEvent, TraceSink};
 use std::cmp::Reverse;
@@ -49,7 +50,8 @@ pub struct RunOutcome {
 
 #[derive(Debug)]
 enum EventKind {
-    Arrival,
+    /// The lane's arrival source is due.
+    Arrival(usize),
     Wakeup,
     Completion(QueryCompletion),
 }
@@ -88,42 +90,43 @@ impl Ord for Event {
     }
 }
 
-struct Sim<'a, S: SimSut + ?Sized> {
-    sut: &'a mut S,
+/// The simulator: one event heap and one SUT under one or more [`Lane`]s.
+/// A single-tenant run is lane 0; the multitenant extension adds a lane
+/// per tenant. A query id is (tenant byte, ordinal) and completions route
+/// by the byte, so lane 0's ids are the plain ordinals.
+pub(crate) struct Sim<'a, 's, S: SimSut + ?Sized> {
+    sut: &'s mut S,
     heap: BinaryHeap<Reverse<Event>>,
-    recorder: Recorder,
-    acc_rng: Rng64,
-    log_probability: f64,
+    pub(crate) lanes: Vec<Lane<'a>>,
+    /// Response ids are unique across the SUT, whichever lane issued.
+    next_sample_id: u64,
     seq: u64,
     events_processed: u64,
+    /// Simulated time of the event being processed.
+    pub(crate) now: Nanos,
     sink: &'a dyn TraceSink,
     metrics: Option<&'a MetricsRegistry>,
     sampler: Option<&'a TimeSeriesSampler>,
 }
 
-impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
-    fn new(
-        settings: &TestSettings,
-        sut: &'a mut S,
-        sink: &'a dyn TraceSink,
+impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
+    pub(crate) fn new(
+        lanes: Vec<Lane<'a>>,
+        sut: &'s mut S,
+        instruments: &Instruments<'a>,
         metrics: Option<&'a MetricsRegistry>,
-        sampler: Option<&'a TimeSeriesSampler>,
     ) -> Self {
-        let log_probability = match settings.mode {
-            TestMode::AccuracyOnly => 1.0,
-            TestMode::PerformanceOnly => settings.accuracy_log_probability,
-        };
         Self {
             sut,
             heap: BinaryHeap::new(),
-            recorder: Recorder::new(),
-            acc_rng: Rng64::new(settings.seeds.accuracy_seed),
-            log_probability,
+            lanes,
+            next_sample_id: 0,
             seq: 0,
             events_processed: 0,
-            sink,
+            now: Nanos::ZERO,
+            sink: instruments.sink,
             metrics,
-            sampler,
+            sampler: instruments.sampler,
         }
     }
 
@@ -137,8 +140,8 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
         }));
     }
 
-    fn schedule_arrival(&mut self, at: Nanos) {
-        self.push(at, 0, EventKind::Arrival);
+    fn schedule_arrival(&mut self, lane: usize, at: Nanos) {
+        self.push(at, 0, EventKind::Arrival(lane));
     }
 
     fn pop(&mut self) -> Result<Option<Event>, LoadGenError> {
@@ -149,43 +152,38 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
             )));
         }
         let event = self.heap.pop().map(|Reverse(e)| e);
-        // Sample *before* the event is processed, so each row reflects the
-        // state strictly before its boundary.
-        if let (Some(sampler), Some(metrics), Some(event)) =
-            (self.sampler, self.metrics, event.as_ref())
-        {
-            sampler.advance_to(event.at.as_nanos(), metrics);
+        if let Some(event) = event.as_ref() {
+            self.now = event.at;
+            // Sample *before* the event is processed, so each row reflects
+            // the state strictly before its boundary.
+            if let (Some(sampler), Some(metrics)) = (self.sampler, self.metrics) {
+                sampler.advance_to(event.at.as_nanos(), metrics);
+            }
         }
         Ok(event)
     }
 
-    fn issue(&mut self, query: Query) -> Result<(), LoadGenError> {
+    /// Issues query number `ordinal` of `lane` at `at`, exactly on
+    /// schedule (simulated issue has no delay); returns its id.
+    fn issue(
+        &mut self,
+        lane: usize,
+        ordinal: u64,
+        indices: &[SampleIndex],
+        at: Nanos,
+    ) -> Result<u64, LoadGenError> {
         profile_span!("loadgen/issue");
-        let now = query.scheduled_at;
-        self.recorder.record_issue(&query, now)?;
+        let id = query_id(lane, ordinal);
+        let mut query = build_query(id, &mut self.next_sample_id, indices, at);
+        query.tenant = lane as u32;
+        self.lanes[lane].issue(&query, at, self.sink, self.metrics)?;
+        let reaction = self.sut.on_query(at, &query);
         if self.sink.enabled() {
-            self.sink.record(
-                now.as_nanos(),
-                &TraceEvent::QueryIssued {
-                    query_id: query.id,
-                    sample_count: query.sample_count(),
-                    // Simulated issue happens exactly on schedule.
-                    delay_ns: 0,
-                },
-            );
+            let sent = TraceEvent::QuerySent { query_id: id };
+            self.sink.record(at.as_nanos(), &sent);
         }
-        if let Some(m) = self.metrics {
-            m.incr("queries_issued", 1);
-            m.incr("samples_issued", query.sample_count() as u64);
-        }
-        let reaction = self.sut.on_query(now, &query);
-        if self.sink.enabled() {
-            self.sink.record(
-                now.as_nanos(),
-                &TraceEvent::QuerySent { query_id: query.id },
-            );
-        }
-        self.apply(now, reaction)
+        self.apply(at, reaction)?;
+        Ok(id)
     }
 
     fn apply(&mut self, now: Nanos, reaction: SutReaction) -> Result<(), LoadGenError> {
@@ -215,97 +213,197 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
         self.apply(now, reaction)
     }
 
-    /// Re-sends a checkpoint's outstanding query to the (reset) SUT
-    /// without touching the recorder or the detail log: the issue already
-    /// happened before the crash and is already recorded; only the SUT's
-    /// side of it needs to run again.
-    fn reissue(&mut self, query: Query) -> Result<(), LoadGenError> {
-        let now = query.scheduled_at;
-        // The resumed process's detail log starts empty, so the re-issue
-        // is re-stamped: every completion the log will carry then has a
-        // matching issue, keeping the TEST06 completeness audit green on
-        // resumed logs.
-        if self.sink.enabled() {
-            self.sink.record(
-                now.as_nanos(),
-                &TraceEvent::QueryIssued {
-                    query_id: query.id,
-                    sample_count: query.sample_count(),
-                    delay_ns: 0,
-                },
-            );
-        }
-        let reaction = self.sut.on_query(now, &query);
-        self.apply(now, reaction)
-    }
-
-    /// Restores the checkpointed recorder and accuracy RNG, then
-    /// re-issues every outstanding query (id order) so their completions
-    /// re-enter the event heap.
+    /// Restores a checkpoint into lane 0, then re-sends every query that
+    /// was outstanding at it to the (reset) SUT so their completions
+    /// re-enter the event heap. The issues already happened before the
+    /// crash and are already recorded; only the SUT's side runs again.
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
-        self.acc_rng = Rng64::from_state(cp.acc_rng);
-        let snapshot = cp.recorder.clone();
-        let outstanding = snapshot.outstanding_queries();
-        self.recorder = Recorder::restore(snapshot);
-        for query in outstanding {
-            self.reissue(query)?;
+        self.next_sample_id = cp.next_sample_id;
+        for query in self.lanes[0].restore(cp) {
+            let now = query.scheduled_at;
+            trace_issue(self.sink, &query, now);
+            let reaction = self.sut.on_query(now, &query);
+            self.apply(now, reaction)?;
         }
         Ok(())
     }
 
     fn complete(&mut self, completion: &QueryCompletion) -> Result<(), LoadGenError> {
         profile_span!("loadgen/complete");
-        let p = self.log_probability;
-        let rng = &mut self.acc_rng;
-        let logged_before = self.recorder.accuracy_log().len();
-        let latency = self
-            .recorder
-            .record_completion(completion, |_| p > 0.0 && rng.next_bool(p))?;
-        if self.sink.enabled() {
-            if completion.error {
-                self.sink.record(
-                    completion.finished_at.as_nanos(),
-                    &TraceEvent::QueryErrored {
-                        query_id: completion.query_id,
-                        latency_ns: latency.as_nanos(),
-                    },
-                );
-            } else {
-                self.sink.record(
-                    completion.finished_at.as_nanos(),
-                    &TraceEvent::QueryCompleted {
-                        query_id: completion.query_id,
-                        latency_ns: latency.as_nanos(),
-                    },
-                );
-            }
-            let logged = self.recorder.accuracy_log().len() - logged_before;
-            if logged > 0 {
-                self.sink.record(
-                    completion.finished_at.as_nanos(),
-                    &TraceEvent::AccuracyLogged {
-                        query_id: completion.query_id,
-                        samples: logged,
-                    },
-                );
+        let lane = tenant_of(completion.query_id) as usize;
+        let lane = self.lanes.get_mut(lane).ok_or_else(|| {
+            LoadGenError::SutProtocol(format!("completion routed to unknown tenant {lane}"))
+        })?;
+        lane.complete(completion, self.sink, self.metrics)
+    }
+
+    /// The one arrival-driven loop: every open-loop run — the server
+    /// scenario, a replayed schedule, N tenants' Poisson streams — is
+    /// `sources[lane]` issued into `lanes[lane]` until all sources end and
+    /// the heap is empty. With a journal attached (single lane, the
+    /// resumable source), a checkpoint is captured every
+    /// `checkpoint_every` issued queries; returns `true` when its armed
+    /// halt fired and the run stopped at that boundary.
+    pub(crate) fn run_arrivals(
+        &mut self,
+        sources: &mut [ArrivalSource<'_>],
+        mut journal: Option<&mut RunJournal<'_>>,
+    ) -> Result<bool, LoadGenError> {
+        for (lane, source) in sources.iter().enumerate() {
+            if let Some(at) = source.pending() {
+                self.schedule_arrival(lane, at);
             }
         }
-        if let Some(m) = self.metrics {
-            if completion.error {
-                // Errored latencies stay out of the latency histogram: it
-                // summarizes service behaviour, not failure timing.
-                m.incr("queries_errored", 1);
-            } else {
-                m.incr("queries_completed", 1);
-                m.incr("samples_completed", completion.samples.len() as u64);
-                m.observe("query_latency_ns", latency.as_nanos());
+        while let Some(event) = self.pop()? {
+            let lane = match event.kind {
+                EventKind::Arrival(lane) => lane,
+                EventKind::Wakeup => {
+                    self.wakeup(event.at)?;
+                    continue;
+                }
+                EventKind::Completion(c) => {
+                    self.complete(&c)?;
+                    continue;
+                }
+            };
+            let source = &mut sources[lane];
+            let (ordinal, at, indices) = source
+                .next(Clock::Simulated)
+                .expect("arrival event without pending arrival");
+            debug_assert_eq!(at, event.at);
+            self.issue(lane, ordinal, &indices, at)?;
+            if let Some(next) = source.pending() {
+                self.schedule_arrival(lane, next);
+            }
+            if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &*source)
+            {
+                if tap.due(ordinal + 1)
+                    && tap.capture(cursor.state(), self.next_sample_id, at, &self.lanes[lane])?
+                {
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    fn run_single_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
+        let (ordinal, indices) = cursor.draw();
+        self.issue(0, ordinal, &indices, Nanos::ZERO)?;
+        while let Some(event) = self.pop()? {
+            match event.kind {
+                EventKind::Arrival(_) => unreachable!("single-stream issues on completion"),
+                EventKind::Wakeup => self.wakeup(event.at)?,
+                EventKind::Completion(c) => {
+                    self.complete(&c)?;
+                    if cursor.more(c.finished_at) {
+                        let (ordinal, indices) = cursor.draw();
+                        self.issue(0, ordinal, &indices, c.finished_at)?;
+                    }
+                }
             }
         }
         Ok(())
     }
+
+    fn run_multi_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
+        let interval = self.lanes[0].settings.multistream_arrival_interval;
+        let (ordinal, indices) = cursor.draw();
+        // (query id, issue boundary) of the in-flight query.
+        let mut in_flight = Some((self.issue(0, ordinal, &indices, Nanos::ZERO)?, Nanos::ZERO));
+        while let Some(event) = self.pop()? {
+            let c = match event.kind {
+                EventKind::Arrival(_) => {
+                    let (ordinal, indices) = cursor.draw();
+                    in_flight = Some((self.issue(0, ordinal, &indices, event.at)?, event.at));
+                    continue;
+                }
+                EventKind::Wakeup => {
+                    self.wakeup(event.at)?;
+                    continue;
+                }
+                EventKind::Completion(c) => c,
+            };
+            self.complete(&c)?;
+            let Some((id, boundary)) = in_flight.take() else {
+                continue;
+            };
+            if c.query_id != id {
+                return Err(LoadGenError::SutProtocol(format!(
+                    "multistream completion for query {} while {} in flight",
+                    c.query_id, id
+                )));
+            }
+            // Intervals consumed by this query; every one beyond the
+            // first was skipped and delays the remaining queries.
+            let elapsed = c.finished_at.saturating_sub(boundary).as_nanos();
+            let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
+            let skips = (consumed - 1) as u32;
+            if skips > 0 {
+                self.lanes[0].recorder.record_skips(id, skips);
+                if self.sink.enabled() {
+                    self.sink.record(
+                        c.finished_at.as_nanos(),
+                        &TraceEvent::OverloadDropped {
+                            query_id: id,
+                            intervals: u64::from(skips),
+                        },
+                    );
+                }
+                if let Some(m) = self.metrics {
+                    m.incr("skipped_intervals", u64::from(skips));
+                }
+            }
+            let next_boundary = boundary + interval.mul(consumed);
+            if cursor.more(next_boundary) {
+                self.schedule_arrival(0, next_boundary);
+            }
+        }
+        Ok(())
+    }
+
+    /// One query, then the completion drain: the offline batch, or in
+    /// accuracy mode the entire data set once. A journaled offline run
+    /// checkpoints right after the issue; a run resumed from that
+    /// checkpoint skips the issue (the query is outstanding and was
+    /// re-sent during restore) and goes straight to the drain.
+    fn run_batch(
+        &mut self,
+        cursor: &SampleCursor<'_>,
+        indices: &[SampleIndex],
+        journal: Option<&mut RunJournal<'_>>,
+        resumed: bool,
+    ) -> Result<bool, LoadGenError> {
+        if !resumed {
+            self.issue(0, 0, indices, Nanos::ZERO)?;
+            if let Some(tap) = journal {
+                if tap.capture(
+                    cursor.state(),
+                    self.next_sample_id,
+                    Nanos::ZERO,
+                    &self.lanes[0],
+                )? {
+                    return Ok(true);
+                }
+            }
+        }
+        while let Some(event) = self.pop()? {
+            match event.kind {
+                EventKind::Arrival(_) => {
+                    return Err(LoadGenError::SutProtocol(
+                        "arrival event in drain phase".into(),
+                    ))
+                }
+                EventKind::Wakeup => self.wakeup(event.at)?,
+                EventKind::Completion(c) => self.complete(&c)?,
+            }
+        }
+        Ok(false)
+    }
 }
 
-/// Runs one benchmark under simulated time.
+/// Runs one benchmark under simulated time: the paper's `StartTest(sut,
+/// qsl, settings)`, and [`Run::simulated`]`(settings).run(qsl, sut)`.
 ///
 /// In performance mode the scenario's arrival rules apply; in accuracy mode
 /// the entire data set is processed once and every response payload is
@@ -324,19 +422,16 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_instrumented(settings, qsl, sut, &Instruments::none())
+    Run::simulated(settings).run(qsl, sut)
 }
 
-/// [`run_simulated`] with a trace sink attached.
-///
-/// Every lifecycle event of the run flows into `sink`; when the sink is
-/// enabled a [`MetricsRegistry`] also rides along and its snapshot lands in
-/// [`RunOutcome::metrics`]. With [`mlperf_trace::NoopSink`] the overhead is
-/// one branch per event.
-///
-/// # Errors
-///
-/// Same contract as [`run_simulated`].
+// The four names below are what `perfbench/` imports from this module. It
+// is frozen for any PR that is not a benchmark PR, so they stay as
+// delegations to the builder at their old paths and signatures; nothing
+// else in the workspace may call them (ci.sh's engine census checks), and
+// the benchmark PR that moves `perfbench` to `Run` deletes them.
+
+#[doc(hidden)]
 pub fn run_simulated_traced<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
@@ -347,22 +442,10 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_instrumented(settings, qsl, sut, &Instruments::traced(sink))
+    Run::simulated(settings).sink(sink).run(qsl, sut)
 }
 
-/// The one real simulated issue loop; [`run_simulated`] and
-/// [`run_simulated_traced`] are thin wrappers over it.
-///
-/// Beyond the PR 1 tracing contract, `instruments` may attach a
-/// [`TimeSeriesSampler`] — snapshotted once per crossed interval boundary
-/// as simulated time advances, then flushed to the final run duration —
-/// and/or a caller-owned [`MetricsRegistry`] shared with device engines;
-/// when a registry is active (owned or supplied) its snapshot lands in
-/// [`RunOutcome::metrics`].
-///
-/// # Errors
-///
-/// Same contract as [`run_simulated`].
+#[doc(hidden)]
 pub fn run_instrumented<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
@@ -373,551 +456,12 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_sim(settings, qsl, sut, instruments, None)
+    Run::simulated(settings)
+        .instruments(instruments)
+        .run(qsl, sut)
 }
 
-/// The shared simulated run body. `replay` switches the performance-mode
-/// issue loop from the scenario's generative arrival process to an
-/// explicit recorded schedule (`crate::replay`); everything else —
-/// seeding, recording, validation, scoring — is identical.
-pub(crate) fn run_sim<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    instruments: &Instruments<'_>,
-    replay: Option<&ReplaySchedule>,
-) -> Result<RunOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    profile_span!("loadgen/run");
-    let sink = instruments.sink;
-    settings.validate()?;
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    sut.reset();
-    // Untimed sample loading (Figure 3, steps 1-4).
-    let loaded: Vec<usize> = match settings.mode {
-        TestMode::PerformanceOnly => (0..qsl.performance_sample_count()).collect(),
-        TestMode::AccuracyOnly => (0..qsl.total_sample_count()).collect(),
-    };
-    {
-        profile_span!("loadgen/load_samples");
-        qsl.load_samples(&loaded);
-    }
-
-    let own_registry =
-        (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
-    let registry = instruments.metrics.or(own_registry.as_ref());
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: "issue".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut sim = Sim::new(settings, sut, sink, registry, instruments.sampler);
-    {
-        profile_span!("loadgen/event_loop");
-        match (settings.mode, replay) {
-            (TestMode::AccuracyOnly, _) => run_accuracy(settings, &loaded, &mut sim)?,
-            (TestMode::PerformanceOnly, Some(schedule)) => {
-                run_replay(schedule, loaded.len(), &mut sim)?
-            }
-            (TestMode::PerformanceOnly, None) => match settings.scenario {
-                Scenario::SingleStream => run_single_stream(settings, loaded.len(), &mut sim)?,
-                Scenario::MultiStream => run_multi_stream(settings, loaded.len(), &mut sim)?,
-                Scenario::Server => run_server(settings, loaded.len(), &mut sim)?,
-                Scenario::Offline => run_offline(settings, loaded.len(), &mut sim)?,
-            },
-        }
-    }
-
-    qsl.unload_samples(&loaded);
-    let recorder = std::mem::take(&mut sim.recorder);
-    let outcome = {
-        profile_span!("loadgen/score");
-        finish_run(settings, sut.name(), qsl.name(), recorder, sink, registry)
-    };
-    if let (Some(sampler), Some(registry)) = (instruments.sampler, registry) {
-        sampler.finish(outcome.result.duration.as_nanos(), registry);
-    }
-    sink.flush();
-    Ok(outcome)
-}
-
-/// Scores a finished run: metric, latency stats, and validity checks.
-/// Shared by the simulated and realtime issue loops.
-pub(crate) fn finish_run(
-    settings: &TestSettings,
-    sut_name: &str,
-    qsl_name: &str,
-    recorder: Recorder,
-    sink: &dyn TraceSink,
-    metrics: Option<&MetricsRegistry>,
-) -> RunOutcome {
-    let outstanding = recorder.outstanding() as u64;
-    let duration = recorder.last_completion();
-    let (records, accuracy_log) = recorder.into_parts();
-    let validity = match settings.mode {
-        TestMode::PerformanceOnly => check_run(settings, &records, duration, outstanding),
-        TestMode::AccuracyOnly => Vec::new(),
-    };
-    if sink.enabled() {
-        sink.record(
-            duration.as_nanos(),
-            &TraceEvent::RunPhase {
-                phase: "report".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-        for issue in &validity {
-            sink.record(
-                duration.as_nanos(),
-                &TraceEvent::ValidityCheckFailed {
-                    issue: issue.to_string(),
-                },
-            );
-        }
-    }
-    let samples_completed: u64 = records
-        .iter()
-        .filter(|r| r.completed_at.is_some() && !r.error)
-        .map(|r| r.sample_count as u64)
-        .sum();
-    let error_count = records.iter().filter(|r| r.error).count() as u64;
-    let metric = compute_metric(settings, &records, duration, samples_completed);
-    let latencies: Vec<Nanos> = records.iter().filter_map(QueryRecord::latency).collect();
-    let result = TestResult {
-        sut_name: sut_name.to_string(),
-        qsl_name: qsl_name.to_string(),
-        scenario: settings.scenario,
-        performance_mode: matches!(settings.mode, TestMode::PerformanceOnly),
-        metric,
-        latency_stats: LatencyStats::from_latencies(&latencies),
-        query_count: records.len() as u64,
-        error_count,
-        sample_count: samples_completed,
-        duration,
-        validity,
-    };
-    let metrics = metrics.map(|m| {
-        m.incr("validity_issues", result.validity.len() as u64);
-        m.set_gauge("metric_score", result.metric.score());
-        m.set_gauge("duration_secs", duration.as_secs_f64());
-        m.snapshot()
-    });
-    RunOutcome {
-        result,
-        records,
-        accuracy_log,
-        metrics,
-    }
-}
-
-fn compute_metric(
-    settings: &TestSettings,
-    records: &[QueryRecord],
-    duration: Nanos,
-    samples_completed: u64,
-) -> ScenarioMetric {
-    match settings.scenario {
-        Scenario::SingleStream => ScenarioMetric::SingleStream {
-            p90_latency: percentile_latency(records, 0.90).unwrap_or(Nanos::MAX),
-        },
-        Scenario::MultiStream => {
-            let skippers = records.iter().filter(|r| r.skipped_intervals > 0).count();
-            ScenarioMetric::MultiStream {
-                streams: settings.samples_per_query,
-                skip_fraction: if records.is_empty() {
-                    0.0
-                } else {
-                    skippers as f64 / records.len() as f64
-                },
-            }
-        }
-        Scenario::Server => ScenarioMetric::Server {
-            qps: settings.server_target_qps,
-            overlatency_fraction: overlatency_fraction(records, settings.target_latency),
-        },
-        Scenario::Offline => ScenarioMetric::Offline {
-            samples_per_second: if duration == Nanos::ZERO {
-                0.0
-            } else {
-                samples_completed as f64 / duration.as_secs_f64()
-            },
-        },
-    }
-}
-
-/// Drains every remaining event; used once no further queries will issue.
-fn drain<S: SimSut + ?Sized>(sim: &mut Sim<'_, S>) -> Result<(), LoadGenError> {
-    while let Some(event) = sim.pop()? {
-        match event.kind {
-            EventKind::Arrival => {
-                return Err(LoadGenError::SutProtocol(
-                    "arrival event in drain phase".into(),
-                ))
-            }
-            EventKind::Wakeup => sim.wakeup(event.at)?,
-            EventKind::Completion(c) => sim.complete(&c)?,
-        }
-    }
-    Ok(())
-}
-
-fn run_single_stream<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let mut next_sample_id = 0u64;
-    let mut issued = 0u64;
-    let issue_at = |sim: &mut Sim<'_, S>,
-                    issued: &mut u64,
-                    next_sample_id: &mut u64,
-                    rng: &mut Rng64,
-                    at: Nanos|
-     -> Result<(), LoadGenError> {
-        let indices = rng.sample_with_replacement(population, settings.samples_per_query);
-        let query = build_query(*issued, next_sample_id, &indices, at);
-        *issued += 1;
-        sim.issue(query)
-    };
-    issue_at(
-        sim,
-        &mut issued,
-        &mut next_sample_id,
-        &mut qsl_rng,
-        Nanos::ZERO,
-    )?;
-    while let Some(event) = sim.pop()? {
-        match event.kind {
-            EventKind::Arrival => unreachable!("single-stream issues on completion"),
-            EventKind::Wakeup => sim.wakeup(event.at)?,
-            EventKind::Completion(c) => {
-                let now = c.finished_at;
-                sim.complete(&c)?;
-                if issued < settings.min_query_count || now < settings.min_duration {
-                    issue_at(sim, &mut issued, &mut next_sample_id, &mut qsl_rng, now)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The server scenario's resumable issue cursor: everything the arrival
-/// loop mutates, in a shape a [`Checkpoint`] can capture and restore.
-pub(crate) struct ServerCursor {
-    pub(crate) qsl_rng: Rng64,
-    pub(crate) arrivals: PoissonProcess,
-    pub(crate) next_sample_id: u64,
-    pub(crate) issued: u64,
-    pub(crate) pending_arrival: Option<Nanos>,
-}
-
-impl ServerCursor {
-    pub(crate) fn fresh(settings: &TestSettings) -> Result<Self, LoadGenError> {
-        let mut arrivals = PoissonProcess::new(
-            settings.server_target_qps,
-            Rng64::new(settings.seeds.schedule_seed),
-        )
-        .map_err(|e| LoadGenError::BadSettings(e.to_string()))?;
-        let first = Nanos::from_secs_f64(arrivals.next().expect("poisson process is infinite"));
-        Ok(Self {
-            qsl_rng: Rng64::new(settings.seeds.qsl_seed),
-            arrivals,
-            next_sample_id: 0,
-            issued: 0,
-            pending_arrival: Some(first),
-        })
-    }
-
-    pub(crate) fn restore(settings: &TestSettings, cp: &Checkpoint) -> Result<Self, LoadGenError> {
-        let arrivals = PoissonProcess::resume(
-            settings.server_target_qps,
-            cp.sched_rng,
-            f64::from_bits(cp.sched_now_bits),
-        )
-        .map_err(|e| LoadGenError::BadSettings(e.to_string()))?;
-        Ok(Self {
-            qsl_rng: Rng64::from_state(cp.qsl_rng),
-            arrivals,
-            next_sample_id: cp.next_sample_id,
-            issued: cp.issued,
-            pending_arrival: cp.pending_arrival,
-        })
-    }
-
-    pub(crate) fn next_arrival(&mut self) -> Nanos {
-        Nanos::from_secs_f64(self.arrivals.next().expect("poisson process is infinite"))
-    }
-}
-
-fn run_server<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut cursor = ServerCursor::fresh(settings)?;
-    run_server_loop(settings, population, sim, &mut cursor, &mut None).map(|_| ())
-}
-
-/// The one server-scenario event loop, shared by plain and journaled runs.
-/// With a journal tap attached, a checkpoint is captured every
-/// `checkpoint_every` issued queries; returns `true` when the tap's armed
-/// halt fired (the run stops at that boundary, as a killed process would).
-fn run_server_loop<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-    cursor: &mut ServerCursor,
-    journal: &mut Option<JournalTap<'_>>,
-) -> Result<bool, LoadGenError> {
-    if let Some(at) = cursor.pending_arrival {
-        sim.schedule_arrival(at);
-    }
-    while let Some(event) = sim.pop()? {
-        match event.kind {
-            EventKind::Arrival => {
-                let at = cursor
-                    .pending_arrival
-                    .take()
-                    .expect("arrival event without pending arrival");
-                debug_assert_eq!(at, event.at);
-                let indices = cursor
-                    .qsl_rng
-                    .sample_with_replacement(population, settings.samples_per_query);
-                let query = build_query(cursor.issued, &mut cursor.next_sample_id, &indices, at);
-                cursor.issued += 1;
-                sim.issue(query)?;
-                let next = cursor.next_arrival();
-                // Stop issuing once both Table V count and 60-s duration are
-                // satisfied.
-                if cursor.issued < settings.min_query_count || next < settings.min_duration {
-                    cursor.pending_arrival = Some(next);
-                    sim.schedule_arrival(next);
-                }
-                if let Some(tap) = journal.as_mut() {
-                    if cursor.issued.is_multiple_of(tap.cfg.checkpoint_every) {
-                        let sched = cursor.arrivals.state();
-                        let halted = tap.capture(
-                            sim,
-                            cursor.issued,
-                            cursor.next_sample_id,
-                            at,
-                            cursor.pending_arrival,
-                            cursor.qsl_rng.state(),
-                            sched,
-                        )?;
-                        if halted {
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
-            EventKind::Wakeup => sim.wakeup(event.at)?,
-            EventKind::Completion(c) => sim.complete(&c)?,
-        }
-    }
-    Ok(false)
-}
-
-fn run_multi_stream<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let interval = settings.multistream_arrival_interval;
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let mut next_sample_id = 0u64;
-    let mut issued = 0u64;
-    let issue = |sim: &mut Sim<'_, S>,
-                 issued: &mut u64,
-                 next_sample_id: &mut u64,
-                 rng: &mut Rng64,
-                 at: Nanos|
-     -> Result<u64, LoadGenError> {
-        let indices = rng.sample_with_replacement(population, settings.samples_per_query);
-        let id = *issued;
-        let query = build_query(id, next_sample_id, &indices, at);
-        *issued += 1;
-        sim.issue(query)?;
-        Ok(id)
-    };
-    // (query id, issue boundary) of the in-flight query.
-    let mut in_flight: Option<(u64, Nanos)> = Some((
-        issue(
-            sim,
-            &mut issued,
-            &mut next_sample_id,
-            &mut qsl_rng,
-            Nanos::ZERO,
-        )?,
-        Nanos::ZERO,
-    ));
-    while let Some(event) = sim.pop()? {
-        match event.kind {
-            EventKind::Arrival => {
-                let at = event.at;
-                in_flight = Some((
-                    issue(sim, &mut issued, &mut next_sample_id, &mut qsl_rng, at)?,
-                    at,
-                ));
-            }
-            EventKind::Wakeup => sim.wakeup(event.at)?,
-            EventKind::Completion(c) => {
-                let finished = c.finished_at;
-                sim.complete(&c)?;
-                if let Some((id, boundary)) = in_flight.take() {
-                    if c.query_id != id {
-                        return Err(LoadGenError::SutProtocol(format!(
-                            "multistream completion for query {} while {} in flight",
-                            c.query_id, id
-                        )));
-                    }
-                    // Intervals consumed by this query; every one beyond the
-                    // first was skipped and delays the remaining queries.
-                    let elapsed = finished.saturating_sub(boundary).as_nanos();
-                    let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
-                    let skips = (consumed - 1) as u32;
-                    if skips > 0 {
-                        sim.recorder.record_skips(id, skips);
-                        if sim.sink.enabled() {
-                            sim.sink.record(
-                                finished.as_nanos(),
-                                &TraceEvent::OverloadDropped {
-                                    query_id: id,
-                                    intervals: u64::from(skips),
-                                },
-                            );
-                        }
-                        if let Some(m) = sim.metrics {
-                            m.incr("skipped_intervals", u64::from(skips));
-                        }
-                    }
-                    let next_boundary = boundary + interval.mul(consumed);
-                    if issued < settings.min_query_count || next_boundary < settings.min_duration {
-                        sim.schedule_arrival(next_boundary);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn run_offline<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let count = settings.offline_min_sample_count as usize;
-    let indices = qsl_rng.sample_with_replacement(population, count);
-    let mut next_sample_id = 0u64;
-    let query = build_query(0, &mut next_sample_id, &indices, Nanos::ZERO);
-    sim.issue(query)?;
-    drain(sim)
-}
-
-/// The journal attachment a journaled run threads through its issue loop.
-struct JournalTap<'a> {
-    journal: RunJournal,
-    cfg: &'a JournalConfig,
-}
-
-impl JournalTap<'_> {
-    /// Captures one checkpoint; returns `true` when the config's armed
-    /// halt fired at this boundary (clean or torn, per `torn_halt`).
-    #[allow(clippy::too_many_arguments)]
-    fn capture<S: SimSut + ?Sized>(
-        &mut self,
-        sim: &Sim<'_, S>,
-        issued: u64,
-        next_sample_id: u64,
-        wall: Nanos,
-        pending_arrival: Option<Nanos>,
-        qsl_rng: [u64; 4],
-        sched: ([u64; 4], f64),
-    ) -> Result<bool, LoadGenError> {
-        let seq = self.journal.checkpoints;
-        let (records_from, accuracy_from) = self.journal.flushed_marks();
-        let cp = Checkpoint {
-            seq,
-            issued,
-            next_sample_id,
-            wall,
-            pending_arrival,
-            qsl_rng,
-            sched_rng: sched.0,
-            sched_now_bits: sched.1.to_bits(),
-            acc_rng: sim.acc_rng.state(),
-            epoch: self.cfg.epoch(),
-            recorder: sim.recorder.snapshot_suffix(records_from, accuracy_from),
-        };
-        self.journal.append_checkpoint(self.cfg, &cp)
-    }
-}
-
-/// Offline journaled body: one query, one checkpoint right after its
-/// issue, then the completion drain. Resume with a restored recorder
-/// skips the issue entirely (the query is outstanding and was re-issued
-/// during restore) and goes straight to the drain.
-fn run_offline_journaled<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-    tap: &mut JournalTap<'_>,
-    resumed: bool,
-) -> Result<bool, LoadGenError> {
-    if !resumed {
-        let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-        let count = settings.offline_min_sample_count as usize;
-        let indices = qsl_rng.sample_with_replacement(population, count);
-        let mut next_sample_id = 0u64;
-        let query = build_query(0, &mut next_sample_id, &indices, Nanos::ZERO);
-        sim.issue(query)?;
-        let sched_state = ([0u64; 4], 0.0);
-        let halted = tap.capture(
-            sim,
-            1,
-            next_sample_id,
-            Nanos::ZERO,
-            None,
-            qsl_rng.state(),
-            sched_state,
-        )?;
-        if halted {
-            return Ok(true);
-        }
-    }
-    drain(sim)?;
-    Ok(false)
-}
-
-/// Runs a fresh crash-safe benchmark: identical to [`run_instrumented`],
-/// plus a durable run journal at `cfg.path` capturing a [`Checkpoint`]
-/// every `cfg.checkpoint_every` issued queries. A process killed mid-run
-/// leaves a journal [`resume_journaled`] can continue from.
-///
-/// Journaled runs support the server and offline scenarios in performance
-/// mode — the completion-driven scenarios (single-/multi-stream) have no
-/// issue boundary independent of the SUT to checkpoint at.
-///
-/// # Errors
-///
-/// [`LoadGenError::Journal`] on journal I/O failure, plus the
-/// [`run_simulated`] contract.
+#[doc(hidden)]
 pub fn run_journaled<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
@@ -929,26 +473,11 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_journaled_sim(settings, qsl, sut, instruments, cfg, false)
+    let run = Run::simulated(settings).instruments(instruments);
+    run.journal(cfg).run(qsl, sut)
 }
 
-/// Resumes a crash-interrupted run from its journal: rolls back to the
-/// last complete checkpoint (a torn tail is truncated), restores the
-/// scenario cursor, RNG streams, and recorder, re-issues the queries that
-/// were outstanding at the checkpoint, and continues the run — appending
-/// further checkpoints to the same journal.
-///
-/// The resumed run's *logical* detail log (ids, schedule, sample counts,
-/// error flags) is identical to an uninterrupted run's whenever the SUT's
-/// per-query outcome is a function of the query alone; post-crash
-/// latencies are re-derived against the reset SUT and may differ for
-/// stateful (queueing) SUTs.
-///
-/// # Errors
-///
-/// [`LoadGenError::Journal`] when the journal is unreadable or belongs to
-/// a different run (settings/QSL digest mismatch), plus the
-/// [`run_simulated`] contract.
+#[doc(hidden)]
 pub fn resume_journaled<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
@@ -960,107 +489,75 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_journaled_sim(settings, qsl, sut, instruments, cfg, true)
+    let run = Run::simulated(settings).instruments(instruments);
+    run.resume(cfg).run(qsl, sut)
 }
 
-fn run_journaled_sim<Q, S>(
+/// The one simulated run body: prologue, the issue loop `arrivals` and
+/// the settings select, epilogue. Everything but the loop — seeding,
+/// recording, validation, scoring — is the same for every run.
+///
+/// A resumed run's *logical* detail log (ids, schedule, sample counts,
+/// error flags) is identical to an uninterrupted run's whenever the SUT's
+/// per-query outcome is a function of the query alone; post-crash
+/// latencies are re-derived against the reset SUT and may differ for
+/// stateful (queueing) SUTs.
+pub(crate) fn simulate<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
     sut: &mut S,
     instruments: &Instruments<'_>,
-    cfg: &JournalConfig,
-    resume: bool,
+    arrivals: Arrivals<'_>,
 ) -> Result<JournaledRun, LoadGenError>
 where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    profile_span!("loadgen/run_journaled");
+    profile_span!("loadgen/run");
     let sink = instruments.sink;
-    settings.validate()?;
-    if !matches!(settings.mode, TestMode::PerformanceOnly) {
-        return Err(LoadGenError::BadSettings(
-            "journaled runs are performance-mode only".into(),
-        ));
-    }
-    if !matches!(settings.scenario, Scenario::Server | Scenario::Offline) {
-        return Err(LoadGenError::BadSettings(format!(
-            "journaled runs support the server and offline scenarios, not {}",
-            settings.scenario
-        )));
-    }
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    sut.reset();
-    let loaded: Vec<usize> = (0..qsl.performance_sample_count()).collect();
-    qsl.load_samples(&loaded);
+    let (loaded, mut tap, restored) = start(settings, qsl, sink, arrivals)?;
     let population = loaded.len();
-
-    let meta = RunMeta {
-        scenario: settings.scenario.to_string(),
-        digest: settings_digest(settings, population as u64),
-        qsl_size: population as u64,
-    };
-    let (journal, restored) = RunJournal::attach(cfg, &meta, resume)?;
-
+    sut.reset();
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: if restored.is_some() {
-                    "resume".into()
-                } else {
-                    "issue".into()
-                },
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut sim = Sim::new(settings, sut, sink, registry, instruments.sampler);
-    let resumed = restored.is_some();
+    let mut sim = Sim::new(vec![Lane::new(settings)], sut, instruments, registry);
     if let Some(cp) = &restored {
         sim.restore(cp)?;
     }
-    let mut tap = JournalTap { journal, cfg };
-    let halted = match settings.scenario {
-        Scenario::Server => {
-            let mut cursor = match &restored {
-                Some(cp) => ServerCursor::restore(settings, cp)?,
-                None => ServerCursor::fresh(settings)?,
-            };
-            let mut journal = Some(tap);
-            let halted =
-                run_server_loop(settings, population, &mut sim, &mut cursor, &mut journal)?;
-            tap = journal.expect("journal tap survives the loop");
-            halted
+    let halted = {
+        profile_span!("loadgen/event_loop");
+        let mut cursor = SampleCursor::new(settings, population);
+        let mut open_loop = |source| sim.run_arrivals(&mut [source], tap.as_mut());
+        match (settings.mode, arrivals, settings.scenario) {
+            (TestMode::AccuracyOnly, ..) => sim.run_batch(&cursor, &loaded, None, false)?,
+            (_, Arrivals::Replay(schedule), _) => open_loop(ArrivalSource::Replay {
+                schedule,
+                population,
+                next: 0,
+            })?,
+            (_, _, Scenario::SingleStream) => sim.run_single_stream(cursor).map(|()| false)?,
+            (_, _, Scenario::MultiStream) => sim.run_multi_stream(cursor).map(|()| false)?,
+            (_, _, Scenario::Server) => {
+                let poisson = PoissonCursor::start(settings, population, restored.as_ref())?;
+                open_loop(ArrivalSource::Poisson(poisson))?
+            }
+            (_, _, Scenario::Offline) => {
+                let (_, indices) = cursor.draw();
+                sim.run_batch(&cursor, &indices, tap.as_mut(), restored.is_some())?
+            }
         }
-        Scenario::Offline => {
-            run_offline_journaled(settings, population, &mut sim, &mut tap, resumed)?
-        }
-        _ => unreachable!("scenario gate above"),
     };
     qsl.unload_samples(&loaded);
-    if halted {
-        sink.flush();
-        return Ok(JournaledRun::Halted {
-            // A torn halt's frame is not counted (it is not a complete
-            // checkpoint), so the boundary seq is `checkpoints` itself.
-            checkpoint: tap
-                .journal
-                .checkpoints
-                .saturating_sub(if cfg.torn_halt { 0 } else { 1 }),
-        });
+    let lane = sim.lanes.remove(0);
+    if let Some(tap) = tap.as_mut() {
+        if halted {
+            sink.flush();
+            return Ok(tap.halted());
+        }
+        tap.sync()?;
     }
-    tap.journal.sync()?;
-    let recorder = std::mem::take(&mut sim.recorder);
-    let outcome = finish_run(settings, sut.name(), qsl.name(), recorder, sink, registry);
+    let outcome = finish_run(lane, sut.name(), qsl.name(), sink, registry);
     if let (Some(sampler), Some(registry)) = (instruments.sampler, registry) {
         sampler.finish(outcome.result.duration.as_nanos(), registry);
     }
@@ -1068,63 +565,13 @@ where
     Ok(JournaledRun::Finished(Box::new(outcome)))
 }
 
-/// Re-issues a recorded schedule: explicit arrival times and explicit
-/// per-query sample indices, open loop. The scenario's generative rules
-/// are bypassed — the schedule *is* the run — but recording, validity
-/// checks, and scoring still follow `settings.scenario`.
-fn run_replay<S: SimSut + ?Sized>(
-    schedule: &ReplaySchedule,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut next_sample_id = 0u64;
-    let mut next = 0usize;
-    if schedule.arrivals.is_empty() {
-        return Ok(());
-    }
-    sim.schedule_arrival(schedule.arrivals[0]);
-    while let Some(event) = sim.pop()? {
-        match event.kind {
-            EventKind::Arrival => {
-                let at = schedule.arrivals[next];
-                debug_assert_eq!(at, event.at);
-                // A recorded trace may index a larger QSL than the one it
-                // replays against; fold indices into the population rather
-                // than rejecting the run.
-                let indices: Vec<usize> = schedule.indices[next]
-                    .iter()
-                    .map(|&i| i % population)
-                    .collect();
-                let query = build_query(next as u64, &mut next_sample_id, &indices, at);
-                next += 1;
-                sim.issue(query)?;
-                if next < schedule.arrivals.len() {
-                    sim.schedule_arrival(schedule.arrivals[next]);
-                }
-            }
-            EventKind::Wakeup => sim.wakeup(event.at)?,
-            EventKind::Completion(c) => sim.complete(&c)?,
-        }
-    }
-    Ok(())
-}
-
-fn run_accuracy<S: SimSut + ?Sized>(
-    _settings: &TestSettings,
-    loaded: &[usize],
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    // Accuracy mode goes through the entire data set, once, as one batch.
-    let mut next_sample_id = 0u64;
-    let query = build_query(0, &mut next_sample_id, loaded, Nanos::ZERO);
-    sim.issue(query)?;
-    drain(sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalConfig;
     use crate::qsl::MemoryQsl;
+    use crate::query::Query;
+    use crate::results::ScenarioMetric;
     use crate::sut::FixedLatencySut;
 
     fn small(settings: TestSettings) -> TestSettings {
@@ -1146,7 +593,10 @@ mod tests {
         let mut qsl = MemoryQsl::new("q", 64, 64);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(300));
         let sink = RingBufferSink::unbounded();
-        let out = run_simulated_traced(&settings, &mut qsl, &mut sut, &sink).unwrap();
+        let out = Run::simulated(&settings)
+            .sink(&sink)
+            .run(&mut qsl, &mut sut)
+            .unwrap();
         let metrics = out.metrics.expect("traced run snapshots metrics");
         let h = metrics.histogram("query_latency_ns").expect("histogram");
         assert_eq!(h.count(), out.result.query_count);
@@ -1338,7 +788,9 @@ mod tests {
         let cfg = JournalConfig::new(&path).with_checkpoint_every(8);
         let mut qsl = MemoryQsl::new("q", 32, 32);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-        let out = run_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg)
+        let out = Run::simulated(&settings)
+            .journal(&cfg)
+            .run(&mut qsl, &mut sut)
             .unwrap()
             .finished()
             .expect("no halt armed");
@@ -1368,7 +820,10 @@ mod tests {
         {
             let mut qsl = MemoryQsl::new("q", 32, 32);
             let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-            run_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg).unwrap();
+            Run::simulated(&settings)
+                .journal(&cfg)
+                .run(&mut qsl, &mut sut)
+                .unwrap();
         }
         let total = crate::journal::load_run_journal(&path).unwrap().checkpoints;
         assert!(total >= 3, "need a real sweep, got {total} checkpoints");
@@ -1379,21 +834,19 @@ mod tests {
             let halt_cfg = cfg.clone().with_halt_after(kill_at);
             let mut qsl = MemoryQsl::new("q", 32, 32);
             let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-            match run_journaled(
-                &settings,
-                &mut qsl,
-                &mut sut,
-                &Instruments::none(),
-                &halt_cfg,
-            )
-            .unwrap()
+            match Run::simulated(&settings)
+                .journal(&halt_cfg)
+                .run(&mut qsl, &mut sut)
+                .unwrap()
             {
                 JournaledRun::Halted { checkpoint } => assert_eq!(checkpoint, kill_at),
                 JournaledRun::Finished(_) => panic!("halt {kill_at} did not fire"),
             }
             let mut qsl = MemoryQsl::new("q", 32, 32);
             let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-            let out = resume_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg)
+            let out = Run::simulated(&settings)
+                .resume(&cfg)
+                .run(&mut qsl, &mut sut)
                 .unwrap()
                 .finished()
                 .expect("resume runs to completion");
@@ -1422,20 +875,18 @@ mod tests {
         let halt_cfg = cfg.clone().with_halt_after(2).with_torn_halt();
         let mut qsl = MemoryQsl::new("q", 32, 32);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-        run_journaled(
-            &settings,
-            &mut qsl,
-            &mut sut,
-            &Instruments::none(),
-            &halt_cfg,
-        )
-        .unwrap();
+        Run::simulated(&settings)
+            .journal(&halt_cfg)
+            .run(&mut qsl, &mut sut)
+            .unwrap();
         let loaded = crate::journal::load_run_journal(&path).unwrap();
         assert!(loaded.torn.is_some(), "torn halt must leave a torn tail");
         assert_eq!(loaded.checkpoints, 2);
         let mut qsl = MemoryQsl::new("q", 32, 32);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-        let out = resume_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg)
+        let out = Run::simulated(&settings)
+            .resume(&cfg)
+            .run(&mut qsl, &mut sut)
             .unwrap()
             .finished()
             .expect("resume after tear");
@@ -1458,21 +909,19 @@ mod tests {
         let halt_cfg = cfg.clone().with_halt_after(0);
         let mut qsl = MemoryQsl::new("q", 64, 64);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(10));
-        match run_journaled(
-            &settings,
-            &mut qsl,
-            &mut sut,
-            &Instruments::none(),
-            &halt_cfg,
-        )
-        .unwrap()
+        match Run::simulated(&settings)
+            .journal(&halt_cfg)
+            .run(&mut qsl, &mut sut)
+            .unwrap()
         {
             JournaledRun::Halted { checkpoint } => assert_eq!(checkpoint, 0),
             JournaledRun::Finished(_) => panic!("halt did not fire"),
         }
         let mut qsl = MemoryQsl::new("q", 64, 64);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(10));
-        let out = resume_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg)
+        let out = Run::simulated(&settings)
+            .resume(&cfg)
+            .run(&mut qsl, &mut sut)
             .unwrap()
             .finished()
             .expect("offline resume");
@@ -1489,11 +938,16 @@ mod tests {
         let cfg = JournalConfig::new(&path).with_checkpoint_every(8);
         let mut qsl = MemoryQsl::new("q", 32, 32);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(100));
-        run_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg).unwrap();
+        Run::simulated(&settings)
+            .journal(&cfg)
+            .run(&mut qsl, &mut sut)
+            .unwrap();
         // Same journal, different run parameters: digest mismatch.
         let other = settings.clone().with_min_query_count(41);
-        let err =
-            resume_journaled(&other, &mut qsl, &mut sut, &Instruments::none(), &cfg).unwrap_err();
+        let err = Run::simulated(&other)
+            .resume(&cfg)
+            .run(&mut qsl, &mut sut)
+            .unwrap_err();
         assert!(matches!(err, LoadGenError::Journal(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -1505,8 +959,10 @@ mod tests {
         let cfg = JournalConfig::new(&path);
         let mut qsl = MemoryQsl::new("q", 8, 8);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(10));
-        let err =
-            run_journaled(&settings, &mut qsl, &mut sut, &Instruments::none(), &cfg).unwrap_err();
+        let err = Run::simulated(&settings)
+            .journal(&cfg)
+            .run(&mut qsl, &mut sut)
+            .unwrap_err();
         assert!(matches!(err, LoadGenError::BadSettings(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }

@@ -89,64 +89,88 @@ impl PeakSearchOutcome {
     }
 }
 
+/// One probe of a peak search: a plain run at `target`, counted in `runs`
+/// and reported to the sink as a [`TraceEvent::PeakSearchStep`].
+///
+/// Only the search itself is instrumented (step events, a profiler span
+/// per probe); the inner LoadGen runs stay uninstrumented because each
+/// restarts simulated time at zero, which would scramble a sampler or
+/// trace timeline. For the same reason a step is stamped with its ordinal,
+/// not a clock.
+fn probe<Q, S>(
+    settings: &TestSettings,
+    target: f64,
+    qsl: &mut Q,
+    sut: &mut S,
+    sink: &dyn TraceSink,
+    runs: &mut u32,
+) -> Result<RunOutcome, LoadGenError>
+where
+    Q: QuerySampleLibrary + ?Sized,
+    S: SimSut + ?Sized,
+{
+    profile_span!("loadgen/peak_probe");
+    *runs += 1;
+    let out = run_simulated(settings, qsl, sut)?;
+    if sink.enabled() {
+        let valid = out.result.is_valid();
+        let step = TraceEvent::PeakSearchStep { target, valid };
+        sink.record(u64::from(*runs), &step);
+    }
+    Ok(out)
+}
+
+/// The search both metrics share once `lo` is known valid (`best` is its
+/// run): double the load while it stays valid, then bisect between the
+/// last valid and the first invalid load, taking midpoints from `mid`
+/// until it says the bracket is tight enough. Stops early, keeping the
+/// best point so far, when `max_runs` is spent.
+fn grow_and_bisect(
+    mut lo: f64,
+    mut best: RunOutcome,
+    max_runs: u32,
+    mut runs: u32,
+    mut try_at: impl FnMut(f64, &mut u32) -> Result<RunOutcome, LoadGenError>,
+    mid: impl Fn(f64, f64) -> Option<f64>,
+) -> Result<PeakSearchOutcome, LoadGenError> {
+    let mut hi = lo * 2.0;
+    while runs < max_runs {
+        let out = try_at(hi, &mut runs)?;
+        if !out.result.is_valid() {
+            break;
+        }
+        (lo, best) = (hi, out);
+        hi *= 2.0;
+    }
+    while let Some(mid) = mid(lo, hi).filter(|_| runs < max_runs) {
+        let out = try_at(mid, &mut runs)?;
+        if out.result.is_valid() {
+            (lo, best) = (mid, out);
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(PeakSearchOutcome::Converged(Box::new(PeakResult {
+        peak: lo,
+        outcome: best,
+        runs,
+    })))
+}
+
 /// Finds the peak valid server QPS by exponential growth + bisection.
 ///
 /// `settings` must be a server-scenario configuration; its
 /// `server_target_qps` seeds the search. A SUT with no valid operating
 /// point (including one that dies mid-search) yields
-/// [`PeakSearchOutcome::Aborted`] — the search always terminates.
+/// [`PeakSearchOutcome::Aborted`] — the search always terminates. Each
+/// probed operating point emits a [`TraceEvent::PeakSearchStep`] to
+/// `instruments.sink`.
 ///
 /// # Errors
 ///
 /// Returns [`LoadGenError::BadSettings`] if the scenario is not server, and
 /// propagates any run error.
 pub fn find_peak_server_qps<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    options: PeakSearchOptions,
-) -> Result<PeakSearchOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    find_peak_server_qps_instrumented(settings, qsl, sut, options, &Instruments::none())
-}
-
-/// [`find_peak_server_qps`] with a trace sink: each probed operating point
-/// emits a [`TraceEvent::PeakSearchStep`], stamped with the step ordinal
-/// (the inner runs each restart simulated time at zero, so their clocks
-/// cannot order the steps).
-///
-/// # Errors
-///
-/// Same contract as [`find_peak_server_qps`].
-pub fn find_peak_server_qps_traced<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    options: PeakSearchOptions,
-    sink: &dyn TraceSink,
-) -> Result<PeakSearchOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    find_peak_server_qps_instrumented(settings, qsl, sut, options, &Instruments::traced(sink))
-}
-
-/// The one real server peak search; the plain and `_traced` entry points
-/// are thin wrappers over it.
-///
-/// Only the search itself is instrumented (step events on the sink, a
-/// profiler span per probe); the inner LoadGen runs stay uninstrumented
-/// because each restarts simulated time at zero, which would scramble a
-/// sampler or trace timeline.
-///
-/// # Errors
-///
-/// Same contract as [`find_peak_server_qps`].
-pub fn find_peak_server_qps_instrumented<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
     sut: &mut S,
@@ -158,35 +182,19 @@ where
     S: SimSut + ?Sized,
 {
     profile_span!("loadgen/peak_search_server");
-    let sink = instruments.sink;
     if settings.scenario != Scenario::Server {
         return Err(LoadGenError::BadSettings(
             "find_peak_server_qps requires the server scenario".into(),
         ));
     }
     let mut runs = 0u32;
-    let try_qps = |qps: f64, qsl: &mut Q, sut: &mut S, runs: &mut u32| {
-        profile_span!("loadgen/peak_probe");
-        *runs += 1;
+    let mut try_qps = |qps: f64, runs: &mut u32| {
         let s = settings.clone().with_server_target_qps(qps);
-        let out = run_simulated(&s, qsl, sut);
-        if sink.enabled() {
-            if let Ok(out) = &out {
-                sink.record(
-                    u64::from(*runs),
-                    &TraceEvent::PeakSearchStep {
-                        target: qps,
-                        valid: out.result.is_valid(),
-                    },
-                );
-            }
-        }
-        out
+        probe(&s, qps, qsl, sut, instruments.sink, runs)
     };
     // Shrink until valid.
     let mut lo = settings.server_target_qps.max(1e-6);
-    let mut best: Option<(f64, RunOutcome)>;
-    loop {
+    let first = loop {
         if runs >= options.max_runs {
             return Ok(PeakSearchOutcome::Aborted {
                 reason: format!(
@@ -196,10 +204,9 @@ where
                 runs,
             });
         }
-        let out = try_qps(lo, qsl, sut, &mut runs)?;
+        let out = try_qps(lo, &mut runs)?;
         if out.result.is_valid() {
-            best = Some((lo, out));
-            break;
+            break out;
         }
         lo /= 2.0;
         if lo < 1e-6 {
@@ -210,90 +217,22 @@ where
                 runs,
             });
         }
-    }
-    // Grow until invalid.
-    let mut hi = lo * 2.0;
-    loop {
-        if runs >= options.max_runs {
-            break;
-        }
-        let out = try_qps(hi, qsl, sut, &mut runs)?;
-        if out.result.is_valid() {
-            best = Some((hi, out));
-            lo = hi;
-            hi *= 2.0;
-        } else {
-            break;
-        }
-    }
-    // Bisect.
-    while runs < options.max_runs && (hi - lo) / lo > options.relative_tolerance {
-        let mid = (lo + hi) / 2.0;
-        let out = try_qps(mid, qsl, sut, &mut runs)?;
-        if out.result.is_valid() {
-            best = Some((mid, out));
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let (peak, outcome) = best.expect("loop established a valid point");
-    Ok(PeakSearchOutcome::Converged(Box::new(PeakResult {
-        peak,
-        outcome,
-        runs,
-    })))
+    };
+    let tolerance = options.relative_tolerance;
+    let mid = |lo: f64, hi: f64| ((hi - lo) / lo > tolerance).then(|| (lo + hi) / 2.0);
+    grow_and_bisect(lo, first, options.max_runs, runs, try_qps, mid)
 }
 
 /// Finds the maximum valid multistream stream count (samples per query).
 ///
 /// Yields [`PeakSearchOutcome::Aborted`] if even one stream is
-/// unsustainable.
+/// unsustainable; see [`find_peak_server_qps`] for the event contract.
 ///
 /// # Errors
 ///
 /// Returns [`LoadGenError::BadSettings`] if the scenario is not multistream,
 /// and propagates run errors.
 pub fn find_peak_multistream<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    options: PeakSearchOptions,
-) -> Result<PeakSearchOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    find_peak_multistream_instrumented(settings, qsl, sut, options, &Instruments::none())
-}
-
-/// [`find_peak_multistream`] with a trace sink; see
-/// [`find_peak_server_qps_traced`] for the event contract.
-///
-/// # Errors
-///
-/// Same contract as [`find_peak_multistream`].
-pub fn find_peak_multistream_traced<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    options: PeakSearchOptions,
-    sink: &dyn TraceSink,
-) -> Result<PeakSearchOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    find_peak_multistream_instrumented(settings, qsl, sut, options, &Instruments::traced(sink))
-}
-
-/// The one real multistream peak search; see
-/// [`find_peak_server_qps_instrumented`] for the instrumentation contract.
-///
-/// # Errors
-///
-/// Same contract as [`find_peak_multistream`].
-pub fn find_peak_multistream_instrumented<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
     sut: &mut S,
@@ -305,68 +244,27 @@ where
     S: SimSut + ?Sized,
 {
     profile_span!("loadgen/peak_search_multistream");
-    let sink = instruments.sink;
     if settings.scenario != Scenario::MultiStream {
         return Err(LoadGenError::BadSettings(
             "find_peak_multistream requires the multistream scenario".into(),
         ));
     }
     let mut runs = 0u32;
-    let try_n = |n: usize, qsl: &mut Q, sut: &mut S, runs: &mut u32| {
-        profile_span!("loadgen/peak_probe");
-        *runs += 1;
-        let s = settings.clone().with_samples_per_query(n);
-        let out = run_simulated(&s, qsl, sut);
-        if sink.enabled() {
-            if let Ok(out) = &out {
-                sink.record(
-                    u64::from(*runs),
-                    &TraceEvent::PeakSearchStep {
-                        target: n as f64,
-                        valid: out.result.is_valid(),
-                    },
-                );
-            }
-        }
-        out
+    let mut try_n = |n: f64, runs: &mut u32| {
+        let s = settings.clone().with_samples_per_query(n as usize);
+        probe(&s, n, qsl, sut, instruments.sink, runs)
     };
-    let first = try_n(1, qsl, sut, &mut runs)?;
+    let first = try_n(1.0, &mut runs)?;
     if !first.result.is_valid() {
         return Ok(PeakSearchOutcome::Aborted {
             reason: "SUT cannot sustain even a single multistream stream".into(),
             runs,
         });
     }
-    let mut best = (1usize, first);
-    // Exponential growth.
-    let mut hi = 2usize;
-    let mut lo = 1usize;
-    while runs < options.max_runs {
-        let out = try_n(hi, qsl, sut, &mut runs)?;
-        if out.result.is_valid() {
-            lo = hi;
-            best = (hi, out);
-            hi *= 2;
-        } else {
-            break;
-        }
-    }
-    // Integer bisection.
-    while runs < options.max_runs && hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        let out = try_n(mid, qsl, sut, &mut runs)?;
-        if out.result.is_valid() {
-            lo = mid;
-            best = (mid, out);
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(PeakSearchOutcome::Converged(Box::new(PeakResult {
-        peak: best.0 as f64,
-        outcome: best.1,
-        runs,
-    })))
+    // Stream counts are whole numbers (exact in an `f64` far beyond any
+    // real count): bisect on them until the bracket is two neighbours.
+    let mid = |lo: f64, hi: f64| (hi - lo > 1.0).then(|| ((lo + hi) / 2.0).floor());
+    grow_and_bisect(1.0, first, options.max_runs, runs, try_n, mid)
 }
 
 #[cfg(test)]
@@ -393,6 +291,7 @@ mod tests {
             &mut qsl,
             &mut sut,
             PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .unwrap()
         .converged()
@@ -416,6 +315,7 @@ mod tests {
             &mut qsl,
             &mut fast,
             PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .unwrap()
         .converged()
@@ -425,6 +325,7 @@ mod tests {
             &mut qsl,
             &mut slow,
             PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .unwrap()
         .converged()
@@ -441,8 +342,9 @@ mod tests {
             .with_min_duration(Nanos::from_millis(1));
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_millis(2));
+        let options = PeakSearchOptions::default();
         let peak =
-            find_peak_multistream(&settings, &mut qsl, &mut sut, PeakSearchOptions::default())
+            find_peak_multistream(&settings, &mut qsl, &mut sut, options, &Instruments::none())
                 .unwrap()
                 .converged()
                 .unwrap();
@@ -456,8 +358,9 @@ mod tests {
             .with_min_duration(Nanos::from_millis(1));
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_millis(25));
+        let options = PeakSearchOptions::default();
         let outcome =
-            find_peak_multistream(&settings, &mut qsl, &mut sut, PeakSearchOptions::default())
+            find_peak_multistream(&settings, &mut qsl, &mut sut, options, &Instruments::none())
                 .unwrap();
         match outcome {
             PeakSearchOutcome::Aborted { reason, runs } => {
@@ -494,6 +397,7 @@ mod tests {
             &mut qsl,
             &mut DeadSut,
             PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .unwrap();
         match outcome {
@@ -511,12 +415,12 @@ mod tests {
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_millis(1));
         let sink = RingBufferSink::unbounded();
-        let peak = find_peak_server_qps_traced(
+        let peak = find_peak_server_qps(
             &server_settings(),
             &mut qsl,
             &mut sut,
             PeakSearchOptions::default(),
-            &sink,
+            &Instruments::traced(&sink),
         )
         .unwrap()
         .converged()
@@ -544,14 +448,16 @@ mod tests {
             &TestSettings::offline(),
             &mut qsl,
             &mut sut,
-            PeakSearchOptions::default()
+            PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .is_err());
         assert!(find_peak_multistream(
             &TestSettings::offline(),
             &mut qsl,
             &mut sut,
-            PeakSearchOptions::default()
+            PeakSearchOptions::default(),
+            &Instruments::none(),
         )
         .is_err());
     }

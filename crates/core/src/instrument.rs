@@ -1,11 +1,9 @@
 //! The instrumentation bundle threaded through the issue loops.
 //!
-//! PR 1 grew `*_traced` twins of every runner; this module collapses the
-//! pattern: each runner has **one** real implementation taking an
-//! [`Instruments`] value, and the plain / `_traced` entry points are thin
-//! wrappers over it. The bundle carries everything observability-related
-//! so future additions extend one struct instead of multiplying entry
-//! points:
+//! Everything observability-related a run can carry is one
+//! [`Instruments`] value — [`crate::Run::instruments`] takes it, as do the
+//! multitenant runner and the peak searches — so an addition extends one
+//! struct instead of multiplying entry points:
 //!
 //! * a [`TraceSink`] for the simulated-time detail log (PR 1),
 //! * an optional [`TimeSeriesSampler`] snapshotting run metrics on a
@@ -55,7 +53,7 @@ impl<'a> Instruments<'a> {
         }
     }
 
-    /// Tracing only — the PR 1 `*_traced` contract.
+    /// Tracing only: a sink, and with it a run-private metrics registry.
     pub fn traced(sink: &'a dyn TraceSink) -> Self {
         Instruments {
             sink,

@@ -29,6 +29,7 @@
 
 use crate::config::TestSettings;
 use crate::record::{get_opt_nanos, put_opt_nanos, RecorderSnapshot};
+use crate::run::Lane;
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
@@ -357,30 +358,44 @@ fn stable_prefix(outstanding: &[crate::record::OutstandingEntry], records: usize
     outstanding.iter().map(|e| e.pos).min().unwrap_or(records)
 }
 
-/// The typed writer a journaled run appends through.
+/// The issue cursor's share of a [`Checkpoint`]: what the arrival source
+/// hands the journal at a boundary.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CursorState {
+    pub(crate) issued: u64,
+    pub(crate) pending_arrival: Option<Nanos>,
+    pub(crate) qsl_rng: [u64; 4],
+    pub(crate) sched_rng: [u64; 4],
+    pub(crate) sched_now_bits: u64,
+}
+
+/// The typed journal a journaled run threads through its issue loop, on
+/// either clock.
 #[derive(Debug)]
-pub struct RunJournal {
+pub struct RunJournal<'a> {
+    cfg: &'a JournalConfig,
     writer: JournalWriter,
     /// Complete checkpoints written (including any recovered on reopen).
     pub checkpoints: u64,
     /// Records durably journaled *and immutable* (the stable prefix of
-    /// the last frame written); the next frame carries only records past
-    /// this mark. Callers read the mark back via
-    /// [`flushed_marks`](RunJournal::flushed_marks) and snapshot only the
-    /// suffix; [`load_run_journal`] folds the deltas back together.
+    /// the last frame written). The next frame carries only records past
+    /// this mark, so building and serializing a checkpoint costs the delta
+    /// — the window since the last frame plus the still-mutable
+    /// outstanding suffix — not the whole run so far; [`load_run_journal`]
+    /// folds the deltas back together.
     records_flushed: usize,
     /// Same high-water mark for the accuracy log.
     accuracy_flushed: usize,
 }
 
-impl RunJournal {
+impl<'a> RunJournal<'a> {
     /// Creates a fresh journal for a run: header plus the meta frame,
     /// synced to disk before any query issues.
     ///
     /// # Errors
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn create(cfg: &JournalConfig, meta: &RunMeta) -> Result<Self, LoadGenError> {
+    pub fn create(cfg: &'a JournalConfig, meta: &RunMeta) -> Result<Self, LoadGenError> {
         let ctx = cfg.path.display().to_string();
         let mut writer =
             JournalWriter::create(&cfg.path, cfg.fsync_every).map_err(|e| journal_err(&ctx, e))?;
@@ -389,6 +404,7 @@ impl RunJournal {
             .and_then(|()| writer.sync())
             .map_err(|e| journal_err(&ctx, e))?;
         Ok(Self {
+            cfg,
             writer,
             checkpoints: 0,
             records_flushed: 0,
@@ -404,7 +420,7 @@ impl RunJournal {
     ///
     /// Returns [`LoadGenError::Journal`] when the file is unreadable or
     /// its frames do not decode.
-    pub fn open_resume(cfg: &JournalConfig) -> Result<(Self, LoadedJournal), LoadGenError> {
+    pub fn open_resume(cfg: &'a JournalConfig) -> Result<(Self, LoadedJournal), LoadGenError> {
         let ctx = cfg.path.display().to_string();
         let (writer, scan) = JournalWriter::open_append(&cfg.path, cfg.fsync_every)
             .map_err(|e| journal_err(&ctx, e))?;
@@ -417,6 +433,7 @@ impl RunJournal {
         });
         Ok((
             Self {
+                cfg,
                 writer,
                 checkpoints: loaded.checkpoints,
                 records_flushed,
@@ -426,23 +443,25 @@ impl RunJournal {
         ))
     }
 
-    /// Creates a fresh journal or reopens one for resumption, validating
-    /// the meta digest on resume. Returns the journal plus the checkpoint
-    /// to restore from (`None` on a fresh run, or when a resumed journal
-    /// holds no complete checkpoint yet — the run then restarts from the
-    /// beginning, which is exactly roll-back-and-re-execute to seq -1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadGenError::Journal`] on I/O failure or when a resumed
-    /// journal's digest does not match `meta` (a different run's journal).
-    pub fn attach(
-        cfg: &JournalConfig,
-        meta: &RunMeta,
+    /// Creates the run's journal or, with `resume`, reopens it, refusing
+    /// one whose meta digest belongs to a different run. Returns the
+    /// journal plus the checkpoint to restore from (`None` on a fresh run,
+    /// or when a resumed journal holds no complete checkpoint yet — the
+    /// run then restarts from the beginning, which is exactly
+    /// roll-back-and-re-execute to seq -1).
+    pub(crate) fn attach(
+        cfg: &'a JournalConfig,
+        settings: &TestSettings,
+        population: usize,
         resume: bool,
     ) -> Result<(Self, Option<Checkpoint>), LoadGenError> {
+        let meta = RunMeta {
+            scenario: settings.scenario.to_string(),
+            digest: settings_digest(settings, population as u64),
+            qsl_size: population as u64,
+        };
         if !resume {
-            return Ok((Self::create(cfg, meta)?, None));
+            return Ok((Self::create(cfg, &meta)?, None));
         }
         let (journal, history) = Self::open_resume(cfg)?;
         if history.meta.digest != meta.digest {
@@ -456,49 +475,64 @@ impl RunJournal {
         Ok((journal, history.last))
     }
 
-    /// Appends one checkpoint, honouring the config's armed chaos halt:
-    /// returns `true` when this boundary is `cfg.halt_after` (after
-    /// writing the frame cleanly — or tearing it, under `torn_halt` —
-    /// and syncing), meaning the run must stop here as a killed process
-    /// would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn append_checkpoint(
-        &mut self,
-        cfg: &JournalConfig,
-        cp: &Checkpoint,
-    ) -> Result<bool, LoadGenError> {
-        if cfg.halt_after == Some(cp.seq) {
-            if cfg.torn_halt {
-                self.checkpoint_torn(cp)?;
-            } else {
-                self.checkpoint(cp)?;
-                self.sync()?;
-            }
-            return Ok(true);
-        }
-        self.checkpoint(cp)?;
-        Ok(false)
+    /// Whether a checkpoint is due once `issued` queries have issued.
+    pub(crate) fn due(&self, issued: u64) -> bool {
+        issued.is_multiple_of(self.cfg.checkpoint_every)
     }
 
-    /// The `(records, accuracy)` high-water marks already journaled by
-    /// earlier frames. Callers capture the next checkpoint's recorder
-    /// with [`crate::record::Recorder::snapshot_suffix`] from exactly
-    /// these marks, so building and serializing a checkpoint costs the
-    /// delta — the window since the last frame plus the still-mutable
-    /// outstanding suffix — not the whole run so far.
-    pub fn flushed_marks(&self) -> (usize, usize) {
-        (self.records_flushed, self.accuracy_flushed)
+    /// Captures one checkpoint at run clock `wall`, honouring the config's
+    /// armed chaos halt: returns `true` when this boundary is
+    /// `cfg.halt_after` (after writing the frame cleanly — or tearing it,
+    /// under `torn_halt` — and syncing), meaning the run must stop here as
+    /// a killed process would.
+    pub(crate) fn capture(
+        &mut self,
+        cursor: CursorState,
+        next_sample_id: u64,
+        wall: Nanos,
+        lane: &Lane<'_>,
+    ) -> Result<bool, LoadGenError> {
+        let cp = Checkpoint {
+            seq: self.checkpoints,
+            issued: cursor.issued,
+            next_sample_id,
+            wall,
+            pending_arrival: cursor.pending_arrival,
+            qsl_rng: cursor.qsl_rng,
+            sched_rng: cursor.sched_rng,
+            sched_now_bits: cursor.sched_now_bits,
+            acc_rng: lane.acc_rng.state(),
+            epoch: self.cfg.epoch(),
+            recorder: lane
+                .recorder
+                .snapshot_suffix(self.records_flushed, self.accuracy_flushed),
+        };
+        let halt = self.cfg.halt_after == Some(cp.seq);
+        if halt && self.cfg.torn_halt {
+            self.checkpoint_torn(&cp)?;
+        } else {
+            self.checkpoint(&cp)?;
+            if halt {
+                self.sync()?;
+            }
+        }
+        Ok(halt)
+    }
+
+    /// What a run whose halt fired returns. The halt fires at the
+    /// checkpoint whose `seq` is `halt_after` and nowhere else, clean or
+    /// torn, so that is the boundary the run stopped at.
+    pub(crate) fn halted(&self) -> JournaledRun {
+        let armed = self.cfg.halt_after;
+        JournaledRun::Halted {
+            checkpoint: armed.expect("capture reports a halt only when one is armed"),
+        }
     }
 
     /// Appends one checkpoint frame. `cp.recorder` must be a suffix
-    /// snapshot taken from this journal's [`flushed_marks`]; the frame is
+    /// snapshot taken from this journal's flushed marks; the frame is
     /// written as-is and [`load_run_journal`] folds the deltas back into
     /// a complete image on reload.
-    ///
-    /// [`flushed_marks`]: RunJournal::flushed_marks
     ///
     /// # Errors
     ///

@@ -17,7 +17,13 @@
 //! * [`sut`] — SUT traits: [`sut::SimSut`] for discrete-event co-simulation
 //!   and [`sut::RealtimeSut`] for wall-clock runs.
 //! * [`schedule`] — arrival-time generation (Poisson for server, fixed
-//!   interval for multistream, sequential and batch for the rest).
+//!   interval for multistream, sequential and batch for the rest) and the
+//!   one arrival source both open-loop issue loops pull from: the
+//!   scenario's resumable Poisson cursor, or a recorded schedule.
+//! * [`run`] — the one entry: the [`Run`] builder (clock first, then
+//!   sink/instruments, replayed schedule, run journal, wall-clock origin)
+//!   over the prologue, bookkeeping and scoring every run shares;
+//!   [`des::run_simulated`] is `Run::simulated(settings).run(qsl, sut)`.
 //! * [`des`] — the discrete-event issue loop used by the experiments; a
 //!   270,336-query server run finishes in well under a second of wall time.
 //! * [`journal`] — crash safety: run checkpoints (scenario cursor, RNG
@@ -25,8 +31,7 @@
 //!   write-ahead journal at deterministic boundaries, and the
 //!   roll-back-and-re-execute resume semantics built on them.
 //! * [`instrument`] — [`instrument::Instruments`], the observability
-//!   bundle (trace sink, time-series sampler, shared metrics registry)
-//!   accepted by the `*_instrumented` runners.
+//!   bundle (trace sink, time-series sampler, shared metrics registry).
 //! * [`realtime`] — a thread-based wall-clock issue loop mirroring the C++
 //!   LoadGen's operation, used by the quickstart example and tests.
 //! * [`replay`] — a recorded schedule as a first-class arrival process:
@@ -80,6 +85,7 @@ pub mod record;
 pub mod replay;
 pub mod requirements;
 pub mod results;
+pub mod run;
 pub mod scenario;
 pub mod schedule;
 pub mod sut;
@@ -92,6 +98,7 @@ pub use journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal, RunMeta};
 pub use query::{Query, QueryId, QuerySample, ResponsePayload, SampleIndex};
 pub use replay::ReplaySchedule;
 pub use results::{ScenarioMetric, TestResult};
+pub use run::Run;
 pub use scenario::Scenario;
 pub use time::Nanos;
 

@@ -10,23 +10,19 @@
 //!
 //! Queries carry [`Query::tenant`](crate::query::Query::tenant), and query
 //! ids encode the tenant in the top byte so completions route back without
-//! any side channel.
+//! any side channel. The event loop is the simulator's own: a tenant is a
+//! lane of [`crate::des`]'s `Sim` fed by its own arrival source.
 
 use crate::config::{TestMode, TestSettings};
-use crate::des::{finish_run, RunOutcome};
+use crate::des::{RunOutcome, Sim};
 use crate::instrument::Instruments;
 use crate::qsl::QuerySampleLibrary;
-use crate::query::{Query, QueryCompletion, QuerySample};
-use crate::record::Recorder;
+use crate::run::{finish_run, prologue, Lane};
 use crate::scenario::Scenario;
-use crate::sut::{SimSut, SutReaction};
-use crate::time::Nanos;
+use crate::schedule::{ArrivalSource, PoissonCursor};
+use crate::sut::SimSut;
 use crate::LoadGenError;
-use mlperf_stats::dist::PoissonProcess;
-use mlperf_stats::Rng64;
-use mlperf_trace::{profile_span, MetricsRegistry, TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use mlperf_trace::{profile_span, MetricsRegistry};
 
 /// Bits reserved for the per-tenant sequence number inside a query id.
 const TENANT_SHIFT: u32 = 56;
@@ -36,52 +32,10 @@ pub fn tenant_of(query_id: u64) -> u32 {
     (query_id >> TENANT_SHIFT) as u32
 }
 
-#[derive(Debug)]
-enum EventKind {
-    Arrival(usize),
-    Wakeup,
-    Completion(QueryCompletion),
-}
-
-#[derive(Debug)]
-struct Event {
-    at: Nanos,
-    order: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Event {
-    fn key(&self) -> (Nanos, u8, u64) {
-        (self.at, self.order, self.seq)
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-struct Tenant {
-    settings: TestSettings,
-    arrivals: Box<dyn Iterator<Item = Nanos>>,
-    qsl_rng: Rng64,
-    population: usize,
-    issued: u64,
-    recorder: Recorder,
-    acc_rng: Rng64,
+/// The id of query number `ordinal` of tenant `lane`; lane 0's ids are
+/// the plain ordinals every single-tenant run uses.
+pub(crate) fn query_id(lane: usize, ordinal: u64) -> u64 {
+    ((lane as u64) << TENANT_SHIFT) | ordinal
 }
 
 /// Runs several server-scenario streams concurrently against one SUT.
@@ -92,56 +46,19 @@ struct Tenant {
 /// its own validity, so a shared SUT that starves one model FAILS that
 /// model's run even if the other sails through.
 ///
+/// All tenants' events interleave into `instruments.sink` in simulated-time
+/// order, which is exactly what a cross-tenant timeline needs (the tenant
+/// is recoverable from the query id via [`tenant_of`]). An attached
+/// [`mlperf_trace::TimeSeriesSampler`] and the metrics (a supplied registry
+/// or a run-private one) likewise observe the *combined* load, not any
+/// single tenant's view.
+///
 /// # Errors
 ///
 /// Returns [`LoadGenError::BadSettings`] for non-server settings, more than
 /// 255 tenants, or an unusable QSL, and [`LoadGenError::SutProtocol`] if
 /// the SUT misroutes completions.
 pub fn run_multitenant_server<Q, S>(
-    tenants: &mut [(&TestSettings, &mut Q)],
-    sut: &mut S,
-) -> Result<Vec<RunOutcome>, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    run_multitenant_server_instrumented(tenants, sut, &Instruments::none())
-}
-
-/// [`run_multitenant_server`] with a trace sink attached.
-///
-/// All tenants' events interleave into one stream in simulated-time order,
-/// which is exactly what a cross-tenant timeline needs; the tenant is
-/// recoverable from the query id via [`tenant_of`].
-///
-/// # Errors
-///
-/// Same contract as [`run_multitenant_server`].
-pub fn run_multitenant_server_traced<Q, S>(
-    tenants: &mut [(&TestSettings, &mut Q)],
-    sut: &mut S,
-    sink: &dyn TraceSink,
-) -> Result<Vec<RunOutcome>, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    run_multitenant_server_instrumented(tenants, sut, &Instruments::traced(sink))
-}
-
-/// The one real multitenant loop; the plain and `_traced` entry points are
-/// thin wrappers over it.
-///
-/// An attached [`mlperf_trace::TimeSeriesSampler`] observes the *combined*
-/// load: rows are emitted as the interleaved event stream crosses interval
-/// boundaries, so the time series shows cross-tenant aggregate throughput
-/// and latency, not any single tenant's view. Metrics (whether a supplied
-/// registry or a run-private one) aggregate across tenants the same way.
-///
-/// # Errors
-///
-/// Same contract as [`run_multitenant_server`].
-pub fn run_multitenant_server_instrumented<Q, S>(
     tenants: &mut [(&TestSettings, &mut Q)],
     sut: &mut S,
     instruments: &Instruments<'_>,
@@ -151,7 +68,6 @@ where
     S: SimSut + ?Sized,
 {
     profile_span!("loadgen/multitenant_run");
-    let sink = instruments.sink;
     if tenants.is_empty() {
         return Err(LoadGenError::BadSettings(
             "multitenant run needs at least one tenant".into(),
@@ -163,244 +79,37 @@ where
         ));
     }
     sut.reset();
-    let mut states = Vec::with_capacity(tenants.len());
+    let mut loaded = Vec::with_capacity(tenants.len());
+    let mut sources = Vec::with_capacity(tenants.len());
     for (settings, qsl) in tenants.iter_mut() {
-        settings.validate()?;
         if settings.scenario != Scenario::Server || settings.mode != TestMode::PerformanceOnly {
             return Err(LoadGenError::BadSettings(
                 "multitenant mode currently supports performance-mode server streams".into(),
             ));
         }
-        if qsl.performance_sample_count() == 0 {
-            return Err(LoadGenError::BadQsl(format!(
-                "QSL {} has no samples",
-                qsl.name()
-            )));
-        }
-        let loaded: Vec<usize> = (0..qsl.performance_sample_count()).collect();
-        qsl.load_samples(&loaded);
-        let arrivals = PoissonProcess::new(
-            settings.server_target_qps,
-            Rng64::new(settings.seeds.schedule_seed),
-        )
-        .map_err(|e| LoadGenError::BadSettings(e.to_string()))?
-        .map(Nanos::from_secs_f64);
-        states.push(Tenant {
-            settings: (*settings).clone(),
-            arrivals: Box::new(arrivals),
-            qsl_rng: Rng64::new(settings.seeds.qsl_seed),
-            population: loaded.len(),
-            issued: 0,
-            recorder: Recorder::new(),
-            acc_rng: Rng64::new(settings.seeds.accuracy_seed),
-        });
+        let samples = prologue(settings, &mut **qsl)?;
+        let cursor = PoissonCursor::start(settings, samples.len(), None)?;
+        sources.push(ArrivalSource::Poisson(cursor));
+        loaded.push(samples);
     }
-
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut sample_id = 0u64;
-    // Prime each tenant's first arrival.
-    let mut pending_arrivals: Vec<Option<Nanos>> = Vec::with_capacity(states.len());
-    for (t, state) in states.iter_mut().enumerate() {
-        let at = state.arrivals.next().expect("poisson process is infinite");
-        pending_arrivals.push(Some(at));
-        seq += 1;
-        heap.push(Reverse(Event {
-            at,
-            order: 0,
-            seq,
-            kind: EventKind::Arrival(t),
-        }));
-    }
-
-    let mut events = 0u64;
-    let mut horizon = Nanos::ZERO;
-    while let Some(Reverse(event)) = heap.pop() {
-        events += 1;
-        if events > 200_000_000 {
-            return Err(LoadGenError::SutProtocol(
-                "multitenant event budget exhausted; SUT appears to loop".into(),
-            ));
-        }
-        horizon = horizon.max(event.at);
-        // Sample *before* the event is processed, so each row reflects the
-        // state strictly up to its interval boundary.
-        if let (Some(sampler), Some(metrics)) = (instruments.sampler, registry) {
-            sampler.advance_to(event.at.as_nanos(), metrics);
-        }
-        match event.kind {
-            EventKind::Arrival(t) => {
-                profile_span!("loadgen/mt_arrival");
-                let state = &mut states[t];
-                let at = pending_arrivals[t]
-                    .take()
-                    .expect("arrival event without pending arrival");
-                let indices = state
-                    .qsl_rng
-                    .sample_with_replacement(state.population, state.settings.samples_per_query);
-                let id = ((t as u64) << TENANT_SHIFT) | state.issued;
-                let samples = indices
-                    .into_iter()
-                    .map(|index| {
-                        let sid = sample_id;
-                        sample_id += 1;
-                        QuerySample { id: sid, index }
-                    })
-                    .collect();
-                let query = Query {
-                    id,
-                    samples,
-                    scheduled_at: at,
-                    tenant: t as u32,
-                };
-                state.issued += 1;
-                state.recorder.record_issue(&query, at)?;
-                if let Some(m) = registry {
-                    m.incr("queries_issued", 1);
-                    m.incr("samples_issued", query.sample_count() as u64);
-                }
-                if sink.enabled() {
-                    sink.record(
-                        at.as_nanos(),
-                        &TraceEvent::QueryIssued {
-                            query_id: id,
-                            sample_count: query.sample_count(),
-                            delay_ns: 0,
-                        },
-                    );
-                }
-                let reaction = sut.on_query(at, &query);
-                if sink.enabled() {
-                    sink.record(at.as_nanos(), &TraceEvent::QuerySent { query_id: id });
-                }
-                apply(&mut heap, &mut seq, at, reaction)?;
-                let next = state.arrivals.next().expect("poisson process is infinite");
-                if state.issued < state.settings.min_query_count
-                    || next < state.settings.min_duration
-                {
-                    pending_arrivals[t] = Some(next);
-                    seq += 1;
-                    heap.push(Reverse(Event {
-                        at: next,
-                        order: 0,
-                        seq,
-                        kind: EventKind::Arrival(t),
-                    }));
-                }
-            }
-            EventKind::Wakeup => {
-                profile_span!("loadgen/mt_wakeup");
-                let reaction = sut.on_wakeup(event.at);
-                apply(&mut heap, &mut seq, event.at, reaction)?;
-            }
-            EventKind::Completion(completion) => {
-                profile_span!("loadgen/mt_completion");
-                let t = tenant_of(completion.query_id) as usize;
-                let state = states.get_mut(t).ok_or_else(|| {
-                    LoadGenError::SutProtocol(format!("completion routed to unknown tenant {t}"))
-                })?;
-                let p = state.settings.accuracy_log_probability;
-                let rng = &mut state.acc_rng;
-                let latency = state
-                    .recorder
-                    .record_completion(&completion, |_| p > 0.0 && rng.next_bool(p))?;
-                if completion.error {
-                    if let Some(m) = registry {
-                        m.incr("queries_errored", 1);
-                    }
-                    if sink.enabled() {
-                        sink.record(
-                            completion.finished_at.as_nanos(),
-                            &TraceEvent::QueryErrored {
-                                query_id: completion.query_id,
-                                latency_ns: latency.as_nanos(),
-                            },
-                        );
-                    }
-                } else {
-                    if let Some(m) = registry {
-                        m.incr("queries_completed", 1);
-                        m.incr("samples_completed", completion.samples.len() as u64);
-                        m.observe("query_latency_ns", latency.as_nanos());
-                    }
-                    if sink.enabled() {
-                        sink.record(
-                            completion.finished_at.as_nanos(),
-                            &TraceEvent::QueryCompleted {
-                                query_id: completion.query_id,
-                                latency_ns: latency.as_nanos(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
+    let lanes = tenants.iter().map(|(settings, _)| Lane::new(settings));
+    let mut sim = Sim::new(lanes.collect(), sut, instruments, registry);
+    sim.run_arrivals(&mut sources, None)?;
     if let (Some(sampler), Some(metrics)) = (instruments.sampler, registry) {
-        sampler.finish(horizon.as_nanos(), metrics);
+        sampler.finish(sim.now.as_nanos(), metrics);
     }
-    let mut outcomes = Vec::with_capacity(states.len());
-    {
-        profile_span!("loadgen/score");
-        for (state, (_, qsl)) in states.into_iter().zip(tenants.iter_mut()) {
-            // Mirror run_simulated: unload what was loaded at start.
-            let loaded: Vec<usize> = (0..state.population).collect();
-            qsl.unload_samples(&loaded);
-            outcomes.push(finish_run(
-                &state.settings,
-                sut.name(),
-                qsl.name(),
-                state.recorder,
-                sink,
-                registry,
-            ));
-        }
+    let lanes = std::mem::take(&mut sim.lanes);
+    let mut outcomes = Vec::with_capacity(lanes.len());
+    let sink = instruments.sink;
+    for ((lane, samples), (_, qsl)) in lanes.into_iter().zip(&loaded).zip(tenants.iter_mut()) {
+        qsl.unload_samples(samples);
+        outcomes.push(finish_run(lane, sut.name(), qsl.name(), sink, registry));
     }
     sink.flush();
     Ok(outcomes)
-}
-
-fn apply(
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
-    now: Nanos,
-    reaction: SutReaction,
-) -> Result<(), LoadGenError> {
-    for completion in reaction.completions {
-        if completion.finished_at < now {
-            return Err(LoadGenError::SutProtocol(format!(
-                "query {} completion stamped {} in the past of {}",
-                completion.query_id, completion.finished_at, now
-            )));
-        }
-        *seq += 1;
-        heap.push(Reverse(Event {
-            at: completion.finished_at,
-            order: 2,
-            seq: *seq,
-            kind: EventKind::Completion(completion),
-        }));
-    }
-    if let Some(at) = reaction.wakeup_at {
-        if at < now {
-            return Err(LoadGenError::SutProtocol(format!(
-                "wakeup requested at {at}, before now {now}"
-            )));
-        }
-        *seq += 1;
-        heap.push(Reverse(Event {
-            at,
-            order: 1,
-            seq: *seq,
-            kind: EventKind::Wakeup,
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -408,6 +117,7 @@ mod tests {
     use super::*;
     use crate::qsl::MemoryQsl;
     use crate::sut::FixedLatencySut;
+    use crate::time::Nanos;
 
     fn settings(qps: f64, bound_ms: u64, count: u64) -> TestSettings {
         TestSettings::server(qps, Nanos::from_millis(bound_ms))
@@ -423,7 +133,8 @@ mod tests {
         let mut qb = MemoryQsl::new("tenant-b", 64, 64);
         let mut sut = FixedLatencySut::new("shared", Nanos::from_micros(100));
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-        let outcomes = run_multitenant_server(&mut tenants, &mut sut).unwrap();
+        let outcomes =
+            run_multitenant_server(&mut tenants, &mut sut, &Instruments::none()).unwrap();
         assert_eq!(outcomes.len(), 2);
         for (i, out) in outcomes.iter().enumerate() {
             assert!(
@@ -439,7 +150,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_preserves_order_and_monotonic_time() {
-        use mlperf_trace::RingBufferSink;
+        use mlperf_trace::{RingBufferSink, TraceEvent};
         let a = settings(300.0, 10, 200);
         let b = settings(150.0, 20, 100);
         let mut qa = MemoryQsl::new("tenant-a", 64, 64);
@@ -447,7 +158,7 @@ mod tests {
         let mut sut = FixedLatencySut::new("shared", Nanos::from_micros(100));
         let sink = RingBufferSink::unbounded();
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-        run_multitenant_server_traced(&mut tenants, &mut sut, &sink).unwrap();
+        run_multitenant_server(&mut tenants, &mut sut, &Instruments::traced(&sink)).unwrap();
         let records = sink.snapshot();
         assert_eq!(sink.dropped(), 0);
 
@@ -505,7 +216,8 @@ mod tests {
         let mut sut = FixedLatencySut::new("shared", Nanos::from_micros(500));
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> =
             vec![(&a, &mut qa), (&heavy, &mut qh)];
-        let outcomes = run_multitenant_server(&mut tenants, &mut sut).unwrap();
+        let outcomes =
+            run_multitenant_server(&mut tenants, &mut sut, &Instruments::none()).unwrap();
         assert!(
             !outcomes[0].result.is_valid(),
             "shared contention must break the 1 ms tenant"
@@ -528,7 +240,7 @@ mod tests {
             match co_qps {
                 None => {
                     let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa)];
-                    run_multitenant_server(&mut tenants, &mut sut)
+                    run_multitenant_server(&mut tenants, &mut sut, &Instruments::none())
                         .unwrap()
                         .remove(0)
                 }
@@ -537,7 +249,7 @@ mod tests {
                     let mut qb = MemoryQsl::new("b", 64, 64);
                     let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> =
                         vec![(&a, &mut qa), (&b, &mut qb)];
-                    run_multitenant_server(&mut tenants, &mut sut)
+                    run_multitenant_server(&mut tenants, &mut sut, &Instruments::none())
                         .unwrap()
                         .remove(0)
                 }
@@ -561,10 +273,10 @@ mod tests {
     fn rejects_bad_configs() {
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(1));
         let mut empty: Vec<(&TestSettings, &mut MemoryQsl)> = vec![];
-        assert!(run_multitenant_server(&mut empty, &mut sut).is_err());
+        assert!(run_multitenant_server(&mut empty, &mut sut, &Instruments::none()).is_err());
         let offline = TestSettings::offline();
         let mut q = MemoryQsl::new("q", 8, 8);
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&offline, &mut q)];
-        assert!(run_multitenant_server(&mut tenants, &mut sut).is_err());
+        assert!(run_multitenant_server(&mut tenants, &mut sut, &Instruments::none()).is_err());
     }
 }

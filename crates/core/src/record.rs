@@ -457,8 +457,8 @@ impl Recorder {
     /// `accuracy_from`, so a delta checkpoint clones only what the last
     /// frame has not already made durable. Outstanding entries keep their
     /// absolute positions. `records_from` must be a stable prefix — no
-    /// outstanding entry below it — which is exactly what
-    /// `RunJournal::flushed_marks` hands out.
+    /// outstanding entry below it — which is exactly the mark a
+    /// `RunJournal` keeps.
     pub fn snapshot_suffix(&self, records_from: usize, accuracy_from: usize) -> RecorderSnapshot {
         let mut outstanding: Vec<OutstandingEntry> = self
             .outstanding

@@ -6,13 +6,34 @@
 //! before the timed portion of the run begins. Optimizations that exploit
 //! the fixed schedule are prohibited — and detectable, because the audit
 //! reruns with alternate seeds.
+//!
+//! The issue loops do not materialize: they pull one query at a time from
+//! the cursors at the end of this module — `SampleCursor` for the draws
+//! every scenario makes, `ArrivalSource` for the open-loop runs' arrivals
+//! (the scenario's resumable Poisson rule, or a recorded schedule) — which
+//! yield exactly what the functions above would have materialized.
 
 use crate::config::TestSettings;
+use crate::journal::{Checkpoint, CursorState};
 use crate::query::{Query, QuerySample, SampleIndex};
+use crate::replay::ReplaySchedule;
+use crate::run::Clock;
+use crate::scenario::Scenario;
 use crate::time::Nanos;
+use crate::LoadGenError;
 use mlperf_stats::dist::PoissonProcess;
 use mlperf_stats::Rng64;
 use mlperf_trace::{profile_span, TraceEvent, TraceSink};
+
+/// The server scenario's arrival process: the one place a Poisson process
+/// is built from settings.
+fn poisson(settings: &TestSettings) -> Result<PoissonProcess, LoadGenError> {
+    PoissonProcess::new(
+        settings.server_target_qps,
+        Rng64::new(settings.seeds.schedule_seed),
+    )
+    .map_err(|e| LoadGenError::BadSettings(e.to_string()))
+}
 
 /// Generates the sample indices for `count` queries of
 /// `samples_per_query` each, drawn uniformly with replacement from
@@ -44,12 +65,8 @@ pub fn sample_indices(
 /// settings cannot).
 pub fn server_arrivals(settings: &TestSettings, count: u64) -> Vec<Nanos> {
     profile_span!("schedule/server_arrivals");
-    let process = PoissonProcess::new(
-        settings.server_target_qps,
-        Rng64::new(settings.seeds.schedule_seed),
-    )
-    .expect("validated settings have positive qps");
-    process
+    poisson(settings)
+        .expect("validated settings have positive qps")
         .take(count as usize)
         .map(Nanos::from_secs_f64)
         .collect()
@@ -101,6 +118,175 @@ pub fn build_query(id: u64, next_sample_id: &mut u64, indices: &[SampleIndex], a
         samples,
         scheduled_at: at,
         tenant: 0,
+    }
+}
+
+/// Which query is next and which samples it holds: the part of a run's
+/// position every scenario advances, on either clock.
+pub(crate) struct SampleCursor<'a> {
+    settings: &'a TestSettings,
+    population: usize,
+    qsl_rng: Rng64,
+    issued: u64,
+}
+
+impl<'a> SampleCursor<'a> {
+    pub(crate) fn new(settings: &'a TestSettings, population: usize) -> Self {
+        Self {
+            settings,
+            population,
+            qsl_rng: Rng64::new(settings.seeds.qsl_seed),
+            issued: 0,
+        }
+    }
+
+    /// Draws the next query: its ordinal and its sample indices — one
+    /// offline batch, `samples_per_query` otherwise.
+    #[inline]
+    pub(crate) fn draw(&mut self) -> (u64, Vec<SampleIndex>) {
+        let count = match self.settings.scenario {
+            Scenario::Offline => self.settings.offline_min_sample_count as usize,
+            _ => self.settings.samples_per_query,
+        };
+        let ordinal = self.issued;
+        self.issued += 1;
+        let indices = self.qsl_rng.sample_with_replacement(self.population, count);
+        (ordinal, indices)
+    }
+
+    /// Whether a query at `at` is still owed: the run goes on until both
+    /// the Table V count and the minimum duration are satisfied.
+    #[inline]
+    pub(crate) fn more(&self, at: Nanos) -> bool {
+        self.issued < self.settings.min_query_count || at < self.settings.min_duration
+    }
+
+    /// The cursor as a checkpoint of a scenario with no arrival process
+    /// carries it (offline).
+    pub(crate) fn state(&self) -> CursorState {
+        CursorState {
+            issued: self.issued,
+            qsl_rng: self.qsl_rng.state(),
+            ..CursorState::default()
+        }
+    }
+}
+
+/// The scenario's own open-loop rule: Poisson arrivals, uniform sample
+/// draws. The one resumable source — a checkpoint captures
+/// [`state`](PoissonCursor::state) and [`start`](PoissonCursor::start)
+/// continues the identical stream from it.
+pub(crate) struct PoissonCursor<'a> {
+    samples: SampleCursor<'a>,
+    arrivals: PoissonProcess,
+    pending: Option<Nanos>,
+}
+
+impl<'a> PoissonCursor<'a> {
+    /// The cursor at the start of a run, or where `restored` left it.
+    pub(crate) fn start(
+        settings: &'a TestSettings,
+        population: usize,
+        restored: Option<&Checkpoint>,
+    ) -> Result<Self, LoadGenError> {
+        let mut samples = SampleCursor::new(settings, population);
+        let Some(cp) = restored else {
+            let mut arrivals = poisson(settings)?;
+            let pending = Some(draw(&mut arrivals));
+            return Ok(Self {
+                samples,
+                arrivals,
+                pending,
+            });
+        };
+        samples.qsl_rng = Rng64::from_state(cp.qsl_rng);
+        samples.issued = cp.issued;
+        let (qps, now) = (
+            settings.server_target_qps,
+            f64::from_bits(cp.sched_now_bits),
+        );
+        Ok(Self {
+            samples,
+            arrivals: PoissonProcess::resume(qps, cp.sched_rng, now)
+                .map_err(|e| LoadGenError::BadSettings(e.to_string()))?,
+            pending: cp.pending_arrival,
+        })
+    }
+
+    pub(crate) fn state(&self) -> CursorState {
+        let (sched_rng, sched_now) = self.arrivals.state();
+        CursorState {
+            pending_arrival: self.pending,
+            sched_rng,
+            sched_now_bits: sched_now.to_bits(),
+            ..self.samples.state()
+        }
+    }
+}
+
+fn draw(arrivals: &mut PoissonProcess) -> Nanos {
+    Nanos::from_secs_f64(arrivals.next().expect("poisson process is infinite"))
+}
+
+/// Where an open-loop run's queries come from. Static dispatch: the issue
+/// loops match on it once per arrival, nothing is boxed.
+pub(crate) enum ArrivalSource<'a> {
+    /// The scenario's generative rule.
+    Poisson(PoissonCursor<'a>),
+    /// A recorded schedule, re-issued as recorded: it ends when it is
+    /// exhausted, whatever `min_query_count` / `min_duration` say.
+    Replay {
+        schedule: &'a ReplaySchedule,
+        population: usize,
+        next: usize,
+    },
+}
+
+impl ArrivalSource<'_> {
+    /// When the next query is due; `None` once the source has ended.
+    #[inline]
+    pub(crate) fn pending(&self) -> Option<Nanos> {
+        match self {
+            Self::Poisson(cursor) => cursor.pending,
+            Self::Replay { schedule, next, .. } => schedule.arrivals.get(*next).copied(),
+        }
+    }
+
+    /// Takes the pending arrival — query ordinal, arrival time, sample
+    /// indices — and lines up the one after it.
+    #[inline]
+    pub(crate) fn next(&mut self, clock: Clock) -> Option<(u64, Nanos, Vec<SampleIndex>)> {
+        let at = self.pending()?;
+        match self {
+            Self::Poisson(cursor) => {
+                let (ordinal, indices) = cursor.samples.draw();
+                // Which arrival ends a Poisson run differs by clock, and
+                // both behaviours are pinned by logical-log hashes (DESIGN
+                // §3, "where the two clocks still differ"): simulated, the
+                // first arrival at or past `min_duration` is drawn but
+                // never issued; wall, it is still issued and nothing is
+                // drawn after it.
+                let (samples, arrivals) = (&cursor.samples, &mut cursor.arrivals);
+                cursor.pending = match clock {
+                    Clock::Simulated => Some(draw(arrivals)).filter(|next| samples.more(*next)),
+                    Clock::Wall => samples.more(at).then(|| draw(arrivals)),
+                };
+                Some((ordinal, at, indices))
+            }
+            Self::Replay {
+                schedule,
+                population,
+                next,
+            } => {
+                // A recorded trace may index a larger QSL than the one it
+                // replays against; fold indices into the population rather
+                // than rejecting the run.
+                let ordinal = *next;
+                *next += 1;
+                let indices = schedule.indices[ordinal].iter().map(|i| i % *population);
+                Some((ordinal as u64, at, indices.collect()))
+            }
+        }
     }
 }
 

@@ -19,6 +19,7 @@ use mlperf_loadgen::find_peak::{find_peak_server_qps, PeakSearchOptions};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::sut::SimSut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Instruments;
 use mlperf_models::proxy::{ClassifierProxy, Precision};
 use mlperf_models::qsl::TaskQsl;
 use mlperf_models::{TaskId, Workload};
@@ -62,6 +63,7 @@ fn peak_qps<S: SimSut>(task: TaskId, sut: &mut S, profile: Profile) -> f64 {
             relative_tolerance: 0.03,
             max_runs: 32,
         },
+        &Instruments::none(),
     )
     .ok()
     .and_then(|o| o.peak())

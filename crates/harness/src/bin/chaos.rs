@@ -67,11 +67,10 @@ use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::{run_realtime_journaled, run_realtime_traced_at};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::sut::{FixedLatencySut, RealtimeSut};
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::JournaledRun;
+use mlperf_loadgen::{JournaledRun, Run};
 use mlperf_models::{TaskId, Workload};
 use mlperf_stats::rng::SeedTriple;
 use mlperf_sut::device::{Architecture, DeviceSpec};
@@ -81,7 +80,7 @@ use mlperf_sut::resilience::{ResiliencePolicy, ResilientSut};
 use mlperf_sut::{BalancePolicy, FaultySut, ShardEndpoint, ShardedSut};
 use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::flight::render_flight_dump;
-use mlperf_trace::{JsonValue, NoopSink, RingBufferSink, ToJson, TraceEvent};
+use mlperf_trace::{JsonValue, RingBufferSink, ToJson, TraceEvent};
 use mlperf_wire::{
     loopback_instrumented, serve_on, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig,
     ServerHandle, SimHost, WireChaosPlan,
@@ -427,7 +426,10 @@ fn run_wire(
     )
     .map_err(|e| format!("{scenario} / {fault}: loopback failed: {e}"))?;
     let origin = client.clock_origin();
-    let out = run_realtime_traced_at(settings, &mut qsl, Arc::new(client), sink.as_ref(), origin)
+    let out = Run::wall_clock(settings)
+        .sink(sink.as_ref())
+        .origin(origin)
+        .run(&mut qsl, Arc::new(client))
         .map_err(|e| format!("{scenario} / {fault}: run failed: {e}"))?;
     server.shutdown();
 
@@ -657,13 +659,10 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
                 None
             })
         });
-        let run = run_realtime_traced_at(
-            &settings,
-            &mut qsl,
-            Arc::clone(&router) as _,
-            sink.as_ref(),
-            origin,
-        );
+        let run = Run::wall_clock(&settings)
+            .sink(sink.as_ref())
+            .origin(origin)
+            .run(&mut qsl, Arc::clone(&router) as _);
         stop.store(true, Ordering::SeqCst);
         let respawned = watcher.and_then(|w| w.join().expect("shard watcher panicked"));
         (run, respawned)
@@ -1248,7 +1247,7 @@ fn crash_client_child(args: &[String]) -> ExitCode {
         cfg = cfg.with_torn_halt();
     }
     let sut: Arc<dyn RealtimeSut> = client.clone();
-    match run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, false) {
+    match Run::wall_clock(&settings).journal(&cfg).run(&mut qsl, sut) {
         Ok(JournaledRun::Halted { checkpoint }) => {
             println!("HALTED {checkpoint}");
             let _ = std::io::stdout().flush();
@@ -1318,7 +1317,9 @@ fn halt_in_parent(addr: &str, journal: &Path, seed: u64) -> Result<u64, String> 
         .with_halt_after(CRASH_HALT_AT)
         .with_epoch_source(client.epoch_source());
     let sut: Arc<dyn RealtimeSut> = client.clone();
-    let run = run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, false)
+    let run = Run::wall_clock(&settings)
+        .journal(&cfg)
+        .run(&mut qsl, sut)
         .map_err(|e| format!("crash halt run failed: {e}"))?;
     client.abandon();
     match run {
@@ -1349,7 +1350,9 @@ fn resume_crash_run(
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
         .with_epoch_source(client.epoch_source());
     let sut: Arc<dyn RealtimeSut> = client.clone();
-    let out = run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, true)
+    let out = Run::wall_clock(&settings)
+        .resume(&cfg)
+        .run(&mut qsl, sut)
         .map_err(|e| format!("crash resume failed: {e}"))?
         .finished()
         .ok_or("crash resume halted instead of finishing")?;
@@ -1377,7 +1380,9 @@ fn crash_baseline(seed: u64, dir: &Path) -> Result<String, String> {
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
         .with_epoch_source(client.epoch_source());
     let sut: Arc<dyn RealtimeSut> = client.clone();
-    let out = run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, false)
+    let out = Run::wall_clock(&settings)
+        .journal(&cfg)
+        .run(&mut qsl, sut)
         .map_err(|e| format!("crash baseline run failed: {e}"))?
         .finished()
         .ok_or("crash baseline halted")?;

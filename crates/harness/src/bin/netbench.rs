@@ -51,9 +51,9 @@ use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime_traced_at;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_stats::rng::SeedTriple;
 use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
 use mlperf_trace::chrome::chrome_trace_json;
@@ -154,7 +154,10 @@ fn run_one(addr: &str, label: &'static str, settings: &TestSettings) -> Result<R
     // time axis. Dropping the client at the end of the run drains the
     // link, which ships the server's spans into the same sink.
     let origin = client.clock_origin();
-    let out = run_realtime_traced_at(settings, &mut qsl, Arc::new(client), sink.as_ref(), origin)
+    let out = Run::wall_clock(settings)
+        .sink(sink.as_ref())
+        .origin(origin)
+        .run(&mut qsl, Arc::new(client))
         .map_err(|e| format!("{label}: run failed: {e}"))?;
 
     let snapshot = metrics.snapshot();
@@ -374,13 +377,10 @@ fn check_v2_interop(addr: &str, seed: u64) -> Option<String> {
         ));
     }
     let origin = client.clock_origin();
-    match run_realtime_traced_at(
-        &settings,
-        &mut qsl,
-        Arc::new(client),
-        &mlperf_trace::NoopSink,
-        origin,
-    ) {
+    match Run::wall_clock(&settings)
+        .origin(origin)
+        .run(&mut qsl, Arc::new(client))
+    {
         Ok(out) if out.result.is_valid() => None,
         Ok(out) => Some(format!(
             "v2 interop: run INVALID: {:?}",
@@ -550,13 +550,10 @@ fn run_fleet_one(
                 false
             })
         });
-        let run = run_realtime_traced_at(
-            settings,
-            &mut qsl,
-            Arc::clone(&router) as _,
-            sink.as_ref(),
-            origin,
-        );
+        let run = Run::wall_clock(settings)
+            .sink(sink.as_ref())
+            .origin(origin)
+            .run(&mut qsl, Arc::clone(&router) as _);
         stop.store(true, Ordering::SeqCst);
         let killed = watcher.map(|w| w.join().expect("kill watcher panicked"));
         (run, killed)

@@ -34,12 +34,11 @@
 //!    [`ShardedSut`] fleet to a VALID run.
 
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::{run_simulated_traced, RunOutcome};
+use mlperf_loadgen::des::RunOutcome;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime_traced_at;
-use mlperf_loadgen::replay::{run_realtime_replay_traced_at, run_simulated_replay_traced};
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_replay::{
     fingerprint_of_records, record_trace, reduce_trace, EquivalenceBound, FingerprintDistance,
     RecordOptions, RecordedTrace, ReduceOptions, TraceFingerprint,
@@ -332,14 +331,11 @@ fn replay_sim(trace: &RecordedTrace, seed: u64) -> Result<(RunOutcome, Vec<Trace
     );
     let mut sut = FixedLatencySut::new("replay-dev", DEVICE_PER_SAMPLE);
     let sink = RingBufferSink::unbounded();
-    let out = run_simulated_replay_traced(
-        &settings,
-        &trace.replay_schedule(),
-        &mut qsl,
-        &mut sut,
-        &sink,
-    )
-    .map_err(|e| format!("simulated replay failed: {e}"))?;
+    let out = Run::simulated(&settings)
+        .sink(&sink)
+        .replay(&trace.replay_schedule())
+        .run(&mut qsl, &mut sut)
+        .map_err(|e| format!("simulated replay failed: {e}"))?;
     Ok((out, sink.snapshot()))
 }
 
@@ -370,15 +366,12 @@ fn replay_wire(
     let client = RemoteSut::connect_instrumented(addr, hello, config, Some(sink.clone()), None)
         .map_err(|e| format!("connect to {addr} failed: {e}"))?;
     let origin = client.clock_origin();
-    let out = run_realtime_replay_traced_at(
-        &settings,
-        &trace.replay_schedule(),
-        &mut qsl,
-        Arc::new(client),
-        sink.as_ref(),
-        origin,
-    )
-    .map_err(|e| format!("wire replay failed: {e}"))?;
+    let out = Run::wall_clock(&settings)
+        .sink(sink.as_ref())
+        .origin(origin)
+        .replay(&trace.replay_schedule())
+        .run(&mut qsl, Arc::new(client))
+        .map_err(|e| format!("wire replay failed: {e}"))?;
     Ok((out, sink.snapshot()))
 }
 
@@ -448,15 +441,12 @@ fn replay_fleet(
         );
     }
 
-    let result = run_realtime_replay_traced_at(
-        &settings,
-        &trace.replay_schedule(),
-        &mut qsl,
-        Arc::new(router),
-        sink.as_ref(),
-        origin,
-    )
-    .map_err(|e| format!("fleet replay failed: {e}"));
+    let result = Run::wall_clock(&settings)
+        .sink(sink.as_ref())
+        .origin(origin)
+        .replay(&trace.replay_schedule())
+        .run(&mut qsl, Arc::new(router))
+        .map_err(|e| format!("fleet replay failed: {e}"));
     for client in &clients {
         client.shutdown();
     }
@@ -530,7 +520,9 @@ fn roundtrip_des(seed: u64, check: bool, bless: bool) -> Result<Vec<String>, Str
         let mut qsl = MemoryQsl::new("replay-qsl", POPULATION, POPULATION);
         let mut sut = FixedLatencySut::new("replay-dev", DEVICE_PER_SAMPLE);
         let sink = RingBufferSink::unbounded();
-        let out = run_simulated_traced(&settings, &mut qsl, &mut sut, &sink)
+        let out = Run::simulated(&settings)
+            .sink(&sink)
+            .run(&mut qsl, &mut sut)
             .map_err(|e| format!("des leg: recorded run failed: {e}"))?;
         let opts = RecordOptions::for_population(POPULATION as u64)
             .with_qsl_seed(seeds.qsl_seed)
@@ -633,9 +625,11 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
     let client = RemoteSut::connect_instrumented(&addr, hello, config, Some(sink.clone()), None)
         .map_err(|e| format!("wire leg: connect failed: {e}"))?;
     let origin = client.clock_origin();
-    let original_out =
-        run_realtime_traced_at(&settings, &mut qsl, Arc::new(client), sink.as_ref(), origin)
-            .map_err(|e| format!("wire leg: recorded run failed: {e}"))?;
+    let original_out = Run::wall_clock(&settings)
+        .sink(sink.as_ref())
+        .origin(origin)
+        .run(&mut qsl, Arc::new(client))
+        .map_err(|e| format!("wire leg: recorded run failed: {e}"))?;
     println!("wire leg: recorded run {}", verdict(&original_out));
 
     let opts = RecordOptions::for_population(POPULATION as u64)

@@ -38,13 +38,11 @@
 
 use mlperf_harness::panic_guard;
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::{resume_journaled, run_instrumented, run_journaled};
 use mlperf_loadgen::journal::JournalConfig;
-use mlperf_loadgen::multitenant::run_multitenant_server_instrumented;
+use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::Instruments;
-use mlperf_loadgen::JournaledRun;
+use mlperf_loadgen::{Instruments, JournaledRun, Run};
 use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
@@ -272,7 +270,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
             .collect();
         let mut pairs: Vec<(&TestSettings, &mut MemoryQsl)> =
             per_tenant.iter().zip(qsls.iter_mut()).collect();
-        let outcomes = run_multitenant_server_instrumented(&mut pairs, &mut sut, &instruments)
+        let outcomes = run_multitenant_server(&mut pairs, &mut sut, &instruments)
             .map_err(|e| format!("run failed: {e}"))?;
         for (t, out) in outcomes.iter().enumerate() {
             println!("tenant {t}: {}", out.result.summary_line());
@@ -294,12 +292,15 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         }
         // The panic hook fsyncs this journal before the process unwinds.
         panic_guard::guard_journal(&jpath);
+        let run = Run::simulated(&settings).instruments(&instruments);
         let run = if resuming {
-            resume_journaled(&settings, &mut qsl, &mut sut, &instruments, &cfg)
+            run.resume(&cfg)
         } else {
-            run_journaled(&settings, &mut qsl, &mut sut, &instruments, &cfg)
-        }
-        .map_err(|e| format!("journaled run failed: {e}"))?;
+            run.journal(&cfg)
+        };
+        let run = run
+            .run(&mut qsl, &mut sut)
+            .map_err(|e| format!("journaled run failed: {e}"))?;
         match run {
             JournaledRun::Halted { checkpoint } => {
                 println!(
@@ -316,7 +317,9 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         }
     } else {
         let mut qsl = MemoryQsl::new("trace-demo-qsl", 1_024, 1_024);
-        let outcome = run_instrumented(&settings, &mut qsl, &mut sut, &instruments)
+        let outcome = Run::simulated(&settings)
+            .instruments(&instruments)
+            .run(&mut qsl, &mut sut)
             .map_err(|e| format!("run failed: {e}"))?;
         println!("{}", outcome.result.summary_line());
         outcome

@@ -14,6 +14,7 @@ use mlperf_loadgen::requirements::{min_query_count, QosClass};
 use mlperf_loadgen::results::ScenarioMetric;
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Instruments;
 use mlperf_models::qsl::TaskQsl;
 use mlperf_models::{TaskId, Workload};
 use mlperf_stats::Percentile;
@@ -87,6 +88,7 @@ pub fn measure_cell(system: &FleetSystem, task: TaskId, profile: Profile) -> Opt
             relative_tolerance: 0.02,
             max_runs: 40,
         },
+        &Instruments::none(),
     )
     .ok()?
     .converged()?;

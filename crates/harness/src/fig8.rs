@@ -14,6 +14,7 @@ use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::find_peak::{find_peak_multistream, find_peak_server_qps, PeakSearchOptions};
 use mlperf_loadgen::requirements::{min_query_count, QosClass};
 use mlperf_loadgen::scenario::Scenario;
+use mlperf_loadgen::Instruments;
 use mlperf_models::qsl::TaskQsl;
 use mlperf_models::{TaskId, Workload};
 use mlperf_stats::Percentile;
@@ -136,7 +137,7 @@ pub fn score_combo(
                 .with_min_query_count(queries)
                 .with_min_duration(server_duration)
                 .with_latency_percentile(percentile_for(task));
-            find_peak_server_qps(&settings, &mut qsl, &mut sut, options)
+            find_peak_server_qps(&settings, &mut qsl, &mut sut, options, &Instruments::none())
                 .ok()?
                 .converged()?
                 .peak
@@ -146,9 +147,10 @@ pub fn score_combo(
                 .with_min_query_count(queries)
                 .with_min_duration(duration)
                 .with_latency_percentile(percentile_for(task));
-            let peak = find_peak_multistream(&settings, &mut qsl, &mut sut, options)
-                .ok()?
-                .converged()?;
+            let peak =
+                find_peak_multistream(&settings, &mut qsl, &mut sut, options, &Instruments::none())
+                    .ok()?
+                    .converged()?;
             peak.peak
         }
     };

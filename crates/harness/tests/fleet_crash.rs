@@ -15,13 +15,12 @@ use mlperf_audit::AuditOutcome;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime_journaled;
 use mlperf_loadgen::record::QueryRecord;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::JournaledRun;
+use mlperf_loadgen::{JournaledRun, Run};
 use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
-use mlperf_trace::{NoopSink, RingBufferSink};
+use mlperf_trace::RingBufferSink;
 use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
 
 const SHARDS: usize = 3;
@@ -104,7 +103,9 @@ fn fleet_survives_daemon_and_client_death() {
         assert_eq!(qsl.total_sample_count(), 16);
         let (_clients, router) = build_fleet(&addrs, &RemoteSutConfig::default());
         let cfg = JournalConfig::new(dir.join("baseline.mlpj")).with_checkpoint_every(8);
-        let out = run_realtime_journaled(&settings, &mut qsl, router, &NoopSink, &cfg, false)
+        let out = Run::wall_clock(&settings)
+            .journal(&cfg)
+            .run(&mut qsl, router)
             .expect("baseline run")
             .finished()
             .expect("no halt armed");
@@ -122,7 +123,9 @@ fn fleet_survives_daemon_and_client_death() {
             .with_checkpoint_every(8)
             .with_halt_after(HALT_AT)
             .with_epoch_source(clients[0].epoch_source());
-        let halted = run_realtime_journaled(&settings, &mut qsl, router, &NoopSink, &cfg, false)
+        let halted = Run::wall_clock(&settings)
+            .journal(&cfg)
+            .run(&mut qsl, router)
             .expect("halted run");
         match halted {
             JournaledRun::Halted { checkpoint } => assert_eq!(checkpoint, HALT_AT),
@@ -154,7 +157,10 @@ fn fleet_survives_daemon_and_client_death() {
             .with_checkpoint_every(8)
             .with_epoch_source(clients[0].epoch_source());
         let sink = RingBufferSink::unbounded();
-        let out = run_realtime_journaled(&settings, &mut qsl, router, &sink, &cfg, true)
+        let out = Run::wall_clock(&settings)
+            .sink(&sink)
+            .resume(&cfg)
+            .run(&mut qsl, router)
             .expect("resumed run")
             .finished()
             .expect("resume runs to completion");

@@ -17,6 +17,7 @@ use mlperf_loadgen::requirements::{min_query_count, QosClass};
 use mlperf_loadgen::results::TestResult;
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Instruments;
 use mlperf_models::proxy::{ClassifierProxy, DetectorProxy, Precision, TranslatorProxy};
 use mlperf_models::qsl::TaskQsl;
 use mlperf_models::{TaskId, Workload};
@@ -412,7 +413,7 @@ fn run_one(
                 relative_tolerance: 0.05,
                 max_runs: 24,
             };
-            match find_peak_multistream(&search, &mut qsl, &mut sut, options)
+            match find_peak_multistream(&search, &mut qsl, &mut sut, options, &Instruments::none())
                 .expect("well-formed settings")
                 .converged()
             {
@@ -470,10 +471,11 @@ fn run_one(
             // Systems are capability-prechecked, but a search can still
             // fail on marginal systems; fall back to a token rate and let
             // review handle the (invalid) result.
-            let peak_qps = find_peak_server_qps(&search, &mut qsl, &mut sut, options)
-                .ok()
-                .and_then(|o| o.peak())
-                .unwrap_or(0.5);
+            let peak_qps =
+                find_peak_server_qps(&search, &mut qsl, &mut sut, options, &Instruments::none())
+                    .ok()
+                    .and_then(|o| o.peak())
+                    .unwrap_or(0.5);
             // Final validation run at the found rate, backing off on
             // failure (longer runs see more tail).
             let mut qps = peak_qps;

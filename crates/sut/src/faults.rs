@@ -499,7 +499,7 @@ mod tests {
     /// payload, so a degraded run can be replayed exactly from its seed.
     #[test]
     fn same_seed_replays_to_byte_identical_detail_logs() {
-        use mlperf_loadgen::des::run_simulated_traced;
+        use mlperf_loadgen::Run;
         use mlperf_trace::RingBufferSink;
 
         let detail_log = || {
@@ -510,7 +510,10 @@ mod tests {
             let sink = Arc::new(RingBufferSink::unbounded());
             let mut faulty = FaultySut::new(inner(), plan).with_trace(sink.clone());
             let mut qsl = MemoryQsl::new("q", 16, 16);
-            run_simulated_traced(&server_settings(), &mut qsl, &mut faulty, &*sink).unwrap();
+            Run::simulated(&server_settings())
+                .sink(&*sink)
+                .run(&mut qsl, &mut faulty)
+                .unwrap();
             mlperf_trace::render_detail_log(&sink.snapshot())
         };
 

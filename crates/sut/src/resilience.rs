@@ -412,6 +412,7 @@ mod tests {
     use mlperf_loadgen::qsl::MemoryQsl;
     use mlperf_loadgen::sut::FixedLatencySut;
     use mlperf_loadgen::validate::ValidityIssue;
+    use mlperf_loadgen::Instruments;
 
     fn server_settings() -> TestSettings {
         TestSettings::server(500.0, Nanos::from_millis(20))
@@ -514,7 +515,8 @@ mod tests {
             policy,
         );
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-        let outcomes = run_multitenant_server(&mut tenants, &mut sut).unwrap();
+        let outcomes =
+            run_multitenant_server(&mut tenants, &mut sut, &Instruments::none()).unwrap();
         assert!(
             outcomes[0].result.is_valid(),
             "tenant 0 must be protected: {:?}",

@@ -1,6 +1,6 @@
 //! The LoadGen-side endpoint: [`RemoteSut`].
 //!
-//! `RemoteSut` implements [`RealtimeSut`], so `run_realtime` drives a
+//! `RemoteSut` implements [`RealtimeSut`], so `Run::wall_clock` drives a
 //! machine on the other end of a TCP connection exactly as it drives an
 //! in-process SUT. Internally it keeps a bounded in-flight window
 //! (backpressure), a reader thread routing completion frames to blocked
@@ -755,8 +755,8 @@ impl RealtimeSut for RemoteSut {
         match self.issue_outcome(query) {
             IssueOutcome::Completed(samples) => samples,
             // `issue` has no failure channel; echo empty payloads so the
-            // recorder's sample-id checks still hold. `run_realtime` uses
-            // `issue_outcome` and never hits this path.
+            // recorder's sample-id checks still hold. The wall-clock loop
+            // uses `issue_outcome` and never hits this path.
             IssueOutcome::Errored | IssueOutcome::Vanished => query
                 .samples
                 .iter()

@@ -4,7 +4,7 @@
 //! The MLPerf rulebook measures latency at the LoadGen/SUT boundary; this
 //! crate moves that boundary onto a TCP connection without moving the
 //! rules. A [`RemoteSut`] implements the core `RealtimeSut` trait, so
-//! `run_realtime` drives a machine on the other side of the network
+//! `Run::wall_clock` drives a machine on the other side of the network
 //! unchanged, and [`serve`] exports any local SUT — simulated device
 //! fleets ([`SimHost`]), fault-injection stacks, anything implementing
 //! [`WireService`] — as a daemon.

@@ -14,9 +14,9 @@ use std::time::Duration;
 use mlperf_audit::tests::{completeness_check_realtime, completeness_report, AuditOutcome};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime_traced;
 use mlperf_loadgen::sut::{FixedLatencySut, SleepSut};
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_trace::RingBufferSink;
 use mlperf_wire::{
     loopback, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig, SilentDropService, SimHost,
@@ -99,7 +99,10 @@ fn mid_run_disconnect_without_resume_fails_completeness() {
     };
 
     let sink = RingBufferSink::unbounded();
-    let out = run_realtime_traced(&settings, &mut qsl, Arc::new(client), &sink).expect("run");
+    let out = Run::wall_clock(&settings)
+        .sink(&sink)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run");
     killer.join().unwrap();
 
     // The in-flight completions' fate is genuinely unknown: without a

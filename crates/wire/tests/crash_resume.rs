@@ -19,13 +19,12 @@ use mlperf_audit::AuditOutcome;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime_journaled;
 use mlperf_loadgen::record::QueryRecord;
 use mlperf_loadgen::sut::{FixedLatencySut, RealtimeSut};
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::JournaledRun;
+use mlperf_loadgen::{JournaledRun, Run};
 use mlperf_trace::metrics::MetricsRegistry;
-use mlperf_trace::{NoopSink, RingBufferSink};
+use mlperf_trace::RingBufferSink;
 use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
 
 fn settings() -> TestSettings {
@@ -71,7 +70,9 @@ fn baseline(server: &ServerHandle, journal: &Path) -> Vec<QueryRecord> {
     let client = connect(server, RemoteSutConfig::default());
     let sut: Arc<dyn RealtimeSut> = client.clone();
     let cfg = JournalConfig::new(journal).with_checkpoint_every(8);
-    let out = run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, false)
+    let out = Run::wall_clock(&settings)
+        .journal(&cfg)
+        .run(&mut qsl, sut)
         .expect("baseline run")
         .finished()
         .expect("no halt armed");
@@ -90,7 +91,9 @@ fn crash_client_at(server: &ServerHandle, journal: &Path, halt_at: u64) {
         .with_checkpoint_every(8)
         .with_halt_after(halt_at)
         .with_epoch_source(client.epoch_source());
-    let halted = run_realtime_journaled(&settings, &mut qsl, sut, &NoopSink, &cfg, false)
+    let halted = Run::wall_clock(&settings)
+        .journal(&cfg)
+        .run(&mut qsl, sut)
         .expect("halted run");
     match halted {
         JournaledRun::Halted { checkpoint } => assert_eq!(checkpoint, halt_at),
@@ -115,7 +118,10 @@ fn resume(server: &ServerHandle, journal: &Path) -> Vec<QueryRecord> {
         .with_checkpoint_every(8)
         .with_epoch_source(client.epoch_source());
     let sink = RingBufferSink::unbounded();
-    let out = run_realtime_journaled(&settings, &mut qsl, sut, &sink, &cfg, true)
+    let out = Run::wall_clock(&settings)
+        .sink(&sink)
+        .resume(&cfg)
+        .run(&mut qsl, sut)
         .expect("resumed run")
         .finished()
         .expect("resume runs to completion");

@@ -9,11 +9,10 @@ use std::time::Duration;
 
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::run_realtime;
 use mlperf_loadgen::sut::{FixedLatencySut, IssueOutcome, RealtimeSut, SleepSut};
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::validate::ValidityIssue;
-use mlperf_loadgen::Query;
+use mlperf_loadgen::{Query, Run};
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::RingBufferSink;
 use mlperf_wire::frame::{read_frame, write_frame};
@@ -43,7 +42,9 @@ fn loopback_offline_run_is_valid() {
         loopback(service, ServeConfig::default(), hello, config).expect("loopback");
     assert_eq!(RealtimeSut::name(&client), "remote-dev");
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
     assert!(out.result.sample_count >= 64);
     assert!(server.served() >= 1);
@@ -74,7 +75,9 @@ fn loopback_single_stream_collects_wire_metrics() {
     )
     .expect("loopback");
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
 
     let snapshot = metrics.snapshot();
@@ -119,7 +122,9 @@ fn killing_the_server_mid_run_yields_structured_invalid() {
         })
     };
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run must not hang");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run must not hang");
     killer.join().unwrap();
     assert!(!out.result.is_valid(), "a killed server cannot yield VALID");
     assert!(
@@ -222,7 +227,9 @@ fn heartbeat_loss_run_ends_error_fraction_exceeded_not_a_hang() {
         loopback(service, ServeConfig::default(), hello, config).expect("loopback");
 
     let started = std::time::Instant::now();
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run must not hang");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run must not hang");
     assert!(
         started.elapsed() < Duration::from_secs(4),
         "heartbeat loss must resolve the run well before the response timeout"
@@ -255,9 +262,11 @@ fn daemon_shutdown_joins_threads_and_releases_the_port() {
         loopback(service, ServeConfig::default(), hello, config).expect("loopback");
     let addr = server.addr();
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
-    // `run_realtime` consumed (and dropped) the client, so its Drain
+    // The run consumed (and dropped) the client, so its Drain
     // already closed the connection; shutdown must reap every thread and
     // the listener so the exact same port binds again.
     server.shutdown();
@@ -289,7 +298,9 @@ fn silently_dropped_queries_vanish_and_stay_outstanding() {
     let (client, server) =
         loopback(service, ServeConfig::default(), hello, config).expect("loopback");
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run must not hang");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run must not hang");
     assert!(!out.result.is_valid());
     assert!(
         out.result
@@ -330,7 +341,9 @@ fn v2_client_interoperates_with_a_v3_daemon() {
     .expect("v2 handshake must be accepted");
     assert_eq!(client.negotiated_version(), 2);
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
 
     // An untraced link produces wire events but never spans or syncs.

@@ -15,10 +15,10 @@ use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::realtime::{run_realtime, run_realtime_traced, run_realtime_traced_at};
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::validate::ValidityIssue;
+use mlperf_loadgen::Run;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::{RingBufferSink, TraceEvent};
 use mlperf_wire::{
@@ -72,7 +72,9 @@ fn disconnect_with_resume_finishes_valid_without_double_counting() {
     .expect("loopback");
 
     let run_sink = RingBufferSink::unbounded();
-    let out = run_realtime_traced(&settings, &mut qsl, Arc::new(client), &run_sink)
+    let out = Run::wall_clock(&settings)
+        .sink(&run_sink)
+        .run(&mut qsl, Arc::new(client))
         .expect("run must not hang");
     assert!(
         out.result.is_valid(),
@@ -161,14 +163,11 @@ fn resume_replays_under_the_same_trace_ids_exactly_once() {
     .expect("loopback");
 
     let origin = client.clock_origin();
-    let out = run_realtime_traced_at(
-        &settings,
-        &mut qsl,
-        Arc::new(client),
-        merged.as_ref(),
-        origin,
-    )
-    .expect("run must not hang");
+    let out = Run::wall_clock(&settings)
+        .sink(merged.as_ref())
+        .origin(origin)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run must not hang");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
     server.shutdown();
 
@@ -240,7 +239,9 @@ fn same_disconnect_without_resume_ends_incomplete_queries() {
         loopback_instrumented(service, ServeConfig::default(), hello, config, None, None)
             .expect("loopback");
 
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run must not hang");
+    let out = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("run must not hang");
     assert!(!out.result.is_valid());
     assert!(
         out.result

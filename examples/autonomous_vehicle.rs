@@ -14,6 +14,7 @@ use mlperf_inference::loadgen::find_peak::{find_peak_multistream, PeakSearchOpti
 use mlperf_inference::loadgen::results::ScenarioMetric;
 use mlperf_inference::loadgen::scenario::Scenario;
 use mlperf_inference::loadgen::time::Nanos;
+use mlperf_inference::loadgen::Instruments;
 use mlperf_inference::models::qsl::TaskQsl;
 use mlperf_inference::models::TaskId;
 use mlperf_inference::sut::fleet::fleet;
@@ -36,9 +37,15 @@ fn main() {
         let settings = TestSettings::multi_stream(1, spec.multistream_interval)
             .with_min_query_count(4_096)
             .with_min_duration(Nanos::from_millis(500));
-        match find_peak_multistream(&settings, &mut qsl, &mut sut, PeakSearchOptions::default())
-            .expect("well-formed run")
-            .converged()
+        match find_peak_multistream(
+            &settings,
+            &mut qsl,
+            &mut sut,
+            PeakSearchOptions::default(),
+            &Instruments::none(),
+        )
+        .expect("well-formed run")
+        .converged()
         {
             Some(peak) => {
                 let skip = match peak.outcome.result.metric {

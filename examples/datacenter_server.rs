@@ -14,6 +14,7 @@ use mlperf_inference::loadgen::des::run_simulated;
 use mlperf_inference::loadgen::find_peak::{find_peak_server_qps, PeakSearchOptions};
 use mlperf_inference::loadgen::scenario::Scenario;
 use mlperf_inference::loadgen::time::Nanos;
+use mlperf_inference::loadgen::Instruments;
 use mlperf_inference::models::qsl::TaskQsl;
 use mlperf_inference::models::{TaskId, Workload};
 use mlperf_inference::sut::fleet::fleet;
@@ -48,6 +49,7 @@ fn main() {
         &mut qsl,
         &mut sut,
         PeakSearchOptions::default(),
+        &Instruments::none(),
     )
     .expect("datacenter GPU serves ResNet")
     .converged()

@@ -12,6 +12,7 @@ use mlperf_inference::loadgen::config::TestSettings;
 use mlperf_inference::loadgen::multitenant::run_multitenant_server;
 use mlperf_inference::loadgen::scenario::Scenario;
 use mlperf_inference::loadgen::time::Nanos;
+use mlperf_inference::loadgen::Instruments;
 use mlperf_inference::models::qsl::TaskQsl;
 use mlperf_inference::models::{TaskId, Workload};
 use mlperf_inference::stats::Percentile;
@@ -51,7 +52,8 @@ fn main() {
         (&vision_settings, &mut vision_qsl),
         (&translation_settings, &mut translation_qsl),
     ];
-    let outcomes = run_multitenant_server(&mut tenants, &mut sut).expect("well-formed run");
+    let outcomes = run_multitenant_server(&mut tenants, &mut sut, &Instruments::none())
+        .expect("well-formed run");
 
     for (task, outcome) in [vision, translation].iter().zip(&outcomes) {
         let stats = outcome.result.latency_stats.expect("queries completed");

@@ -172,8 +172,8 @@ fn translator_bleu_scored_from_loadgen_log() {
 #[test]
 fn realtime_and_simulated_agree_on_fixed_latency() {
     use mlperf_inference::loadgen::qsl::MemoryQsl;
-    use mlperf_inference::loadgen::realtime::run_realtime;
     use mlperf_inference::loadgen::sut::{FixedLatencySut, SleepSut};
+    use mlperf_inference::loadgen::Run;
 
     let settings = TestSettings::single_stream()
         .with_min_query_count(32)
@@ -181,15 +181,15 @@ fn realtime_and_simulated_agree_on_fixed_latency() {
     let mut qsl = MemoryQsl::new("q", 32, 32);
     let mut sim_sut = FixedLatencySut::new("fixed", Nanos::from_micros(400));
     let sim = run_simulated(&settings, &mut qsl, &mut sim_sut).expect("simulated run");
-    let real = run_realtime(
-        &settings,
-        &mut qsl,
-        Arc::new(SleepSut::new(
-            "fixed",
-            std::time::Duration::from_micros(400),
-        )),
-    )
-    .expect("realtime run");
+    let real = Run::wall_clock(&settings)
+        .run(
+            &mut qsl,
+            Arc::new(SleepSut::new(
+                "fixed",
+                std::time::Duration::from_micros(400),
+            )),
+        )
+        .expect("realtime run");
     // Same rulebook: both valid, same query count, latencies within a
     // scheduler-jitter factor of each other.
     assert!(sim.result.is_valid() && real.result.is_valid());
@@ -220,7 +220,9 @@ fn realtime_and_simulated_agree_on_fixed_latency() {
     )));
     let (client, server) =
         loopback(service, ServeConfig::default(), hello, config).expect("loopback");
-    let remote = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("remote run");
+    let remote = Run::wall_clock(&settings)
+        .run(&mut qsl, Arc::new(client))
+        .expect("remote run");
     server.shutdown();
 
     assert!(
@@ -243,6 +245,7 @@ fn realtime_and_simulated_agree_on_fixed_latency() {
 #[test]
 fn multitenant_server_shares_one_gpu() {
     use mlperf_inference::loadgen::multitenant::run_multitenant_server;
+    use mlperf_inference::loadgen::Instruments;
     use mlperf_inference::models::Workload;
 
     let gpu = system("datacenter-gpu");
@@ -263,7 +266,8 @@ fn multitenant_server_shares_one_gpu() {
         (&vision_settings, &mut vision_qsl),
         (&translation_settings, &mut translation_qsl),
     ];
-    let outcomes = run_multitenant_server(&mut tenants, &mut sut).expect("well-formed run");
+    let outcomes = run_multitenant_server(&mut tenants, &mut sut, &Instruments::none())
+        .expect("well-formed run");
     assert_eq!(outcomes.len(), 2);
     assert!(
         outcomes[0].result.is_valid(),

@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::run_simulated_traced;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_trace::flight::{parse_flight_dump, render_flight_dump};
 use mlperf_trace::RingBufferSink;
 
@@ -25,7 +25,10 @@ fn doomed_run(sink: &RingBufferSink) -> mlperf_loadgen::des::RunOutcome {
         .with_min_duration(Nanos::from_millis(10));
     let mut qsl = MemoryQsl::new("forensics-qsl", 64, 64);
     let mut sut = FixedLatencySut::new("forensics-slow", Nanos::from_millis(2));
-    run_simulated_traced(&settings, &mut qsl, &mut sut, sink).expect("run completes")
+    Run::simulated(&settings)
+        .sink(sink)
+        .run(&mut qsl, &mut sut)
+        .expect("run completes")
 }
 
 #[test]

@@ -7,11 +7,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::des::{run_instrumented, run_simulated_traced};
-use mlperf_loadgen::multitenant::run_multitenant_server_instrumented;
+use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::Instruments;
+use mlperf_loadgen::{Instruments, Run};
 use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
@@ -63,7 +62,9 @@ fn chrome_export_of_device_run_round_trips() {
         },
     )
     .with_trace(sink.clone());
-    let outcome = run_simulated_traced(&settings, &mut qsl, &mut sut, sink.as_ref())
+    let outcome = Run::simulated(&settings)
+        .sink(sink.as_ref())
+        .run(&mut qsl, &mut sut)
         .expect("smoke run succeeds");
     assert!(outcome.result.is_valid(), "{:?}", outcome.result.validity);
 
@@ -130,7 +131,7 @@ fn multitenant_timeseries_covers_the_run() {
         .with_metrics(&registry)
         .with_sampler(&sampler);
     let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-    let outcomes = run_multitenant_server_instrumented(&mut tenants, &mut sut, &instruments)
+    let outcomes = run_multitenant_server(&mut tenants, &mut sut, &instruments)
         .expect("multitenant smoke run succeeds");
     for (i, out) in outcomes.iter().enumerate() {
         assert!(
@@ -191,7 +192,8 @@ fn profiler_root_inclusive_tracks_wall_clock() {
     profile::reset();
     profile::set_enabled(true);
     let wall_start = Instant::now();
-    let outcome = run_instrumented(&settings, &mut qsl, &mut sut, &Instruments::none())
+    let outcome = Run::simulated(&settings)
+        .run(&mut qsl, &mut sut)
         .expect("smoke run succeeds");
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
     profile::set_enabled(false);
