@@ -19,7 +19,7 @@ use crate::qsl::QuerySampleLibrary;
 use crate::query::{QueryCompletion, SampleIndex};
 use crate::record::{LoggedResponse, QueryRecord};
 use crate::results::TestResult;
-use crate::run::{finish_run, start, trace_issue, Arrivals, Clock, Lane, Run};
+use crate::run::{finish_run, start, trace_issue, Arrivals, Lane, Run};
 use crate::scenario::Scenario;
 use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{SimSut, SutReaction};
@@ -268,7 +268,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
             };
             let source = &mut sources[lane];
             let (ordinal, at, indices) = source
-                .next(Clock::Simulated)
+                .next(PoissonCursor::advance_simulated)
                 .expect("arrival event without pending arrival");
             debug_assert_eq!(at, event.at);
             self.issue(lane, ordinal, &indices, at)?;

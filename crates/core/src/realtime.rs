@@ -26,7 +26,7 @@ use crate::des::RunOutcome;
 use crate::journal::{JournaledRun, RunJournal};
 use crate::qsl::QuerySampleLibrary;
 use crate::query::{Query, QueryCompletion, SampleIndex};
-use crate::run::{finish_run, phase, start, trace_issue, Arrivals, Clock, Lane, Run};
+use crate::run::{finish_run, phase, start, trace_issue, Arrivals, Lane, Run};
 use crate::scenario::Scenario;
 use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{IssueOutcome, RealtimeSut};
@@ -209,7 +209,7 @@ impl Wall<'_> {
             trace_issue(self.sink, &query, query.scheduled_at);
             send(query)?;
         }
-        while let Some((id, arrival, indices)) = source.next(Clock::Wall) {
+        while let Some((id, arrival, indices)) = source.next(PoissonCursor::advance_wall) {
             std::thread::sleep(arrival.saturating_sub(self.now()).to_duration());
             let query = build_query(id, &mut self.next_sample_id, &indices, arrival);
             // The honest stamp: when the query actually left, which is the
@@ -547,10 +547,8 @@ mod tests {
             .collect()
     }
 
-    /// The latency bound is out of a scheduler stall's reach: what these
-    /// tests own is that every query is issued, re-sent and recorded once.
     fn crashy_settings() -> TestSettings {
-        TestSettings::server(4_000.0, Nanos::from_secs(5))
+        TestSettings::server(4_000.0, Nanos::from_millis(50))
             .with_min_query_count(40)
             .with_min_duration(Nanos::from_millis(1))
     }
@@ -647,24 +645,59 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("baseline.mlpj"));
     }
 
+    /// A SUT and a sink in one, which together hold the issue thread at
+    /// query `k` until the pool's single worker has entered the SUT for
+    /// query `k - 1`. The worker sends one completion before it takes the
+    /// next query, so by then completions up to `k - 2` are in the channel:
+    /// every fold at the end of an issue iteration finds them, and a
+    /// checkpoint can only ever see the last three queries outstanding —
+    /// by construction, whatever the test box's scheduler does.
+    #[derive(Default)]
+    struct Lockstep {
+        entered: Mutex<u64>,
+        turn: std::sync::Condvar,
+    }
+
+    impl RealtimeSut for Lockstep {
+        fn name(&self) -> &str {
+            "lockstep"
+        }
+
+        fn issue(&self, query: &Query) -> Vec<SampleCompletion> {
+            *self.entered.lock().unwrap() = query.id + 1;
+            self.turn.notify_all();
+            echo(query)
+        }
+    }
+
+    impl TraceSink for Lockstep {
+        fn record(&self, _ts_ns: u64, event: &TraceEvent) {
+            if let TraceEvent::QueryIssued { query_id, .. } = event {
+                let entered = self.entered.lock().unwrap();
+                drop(self.turn.wait_while(entered, |n| *n < *query_id).unwrap());
+            }
+        }
+    }
+
     /// Journal bytes per query and the last checkpoint's outstanding count
-    /// for a zero-time SUT, checkpointing every 16 queries. 5 k qps keeps
-    /// the run sleep-paced: a worker the test box deschedules for a
-    /// millisecond then holds the stable prefix back by five queries, not
-    /// by the burst an unpaced loop would issue meanwhile.
+    /// for a [`Lockstep`] run, checkpointing every 16 queries.
     fn journal_cost(queries: u64) -> (f64, usize) {
-        let settings = TestSettings::server(5_000.0, Nanos::from_millis(50))
+        let settings = TestSettings::server(100_000.0, Nanos::from_millis(50))
             .with_min_query_count(queries)
-            .with_min_duration(Nanos::from_millis(1));
+            .with_min_duration(Nanos::from_millis(1))
+            .with_server_workers(1);
         let name = format!("mlpj-rt-cost-{}-{queries}.mlpj", std::process::id());
         let path = std::env::temp_dir().join(name);
         let cfg = crate::journal::JournalConfig::new(&path)
             .with_checkpoint_every(16)
             .with_fsync_every(u32::MAX);
         let mut qsl = MemoryQsl::new("q", 16, 16);
-        let run = Run::wall_clock(&settings).journal(&cfg);
-        let out = run.run(&mut qsl, sleepy(0)).unwrap().finished().unwrap();
-        assert_eq!(out.result.query_count, out.result.sample_count);
+        let lockstep = Arc::new(Lockstep::default());
+        let run = Run::wall_clock(&settings).sink(&*lockstep).journal(&cfg);
+        let sut = Arc::clone(&lockstep);
+        let out = run.run(&mut qsl, sut).unwrap().finished().unwrap();
+        assert_eq!(out.result.query_count, queries);
+        assert_eq!(out.result.sample_count, queries);
         let bytes = std::fs::metadata(&path).unwrap().len();
         let last = crate::journal::load_run_journal(&path)
             .unwrap()
@@ -672,7 +705,7 @@ mod tests {
             .unwrap();
         std::fs::remove_file(&path).unwrap();
         (
-            bytes as f64 / out.result.query_count as f64,
+            bytes as f64 / queries as f64,
             last.recorder.outstanding.len(),
         )
     }
@@ -684,21 +717,16 @@ mod tests {
     /// and the journal would grow ×4 per doubling of the run.
     #[test]
     fn a_wall_clock_journal_grows_with_the_run_not_with_its_square() {
-        // A worker the test box deschedules mid-run inflates that run's
-        // journal and nothing deflates one, so a miss is measured once
-        // more; the quadratic journal misses by ×4 every time.
-        for last_try in [false, true] {
-            let (short, _) = journal_cost(1_000);
-            let (long, outstanding) = journal_cost(4_000);
-            if long <= 1.5 * short && outstanding <= 1_000 {
-                return;
-            }
-            assert!(
-                !last_try,
-                "{long:.0} B/query at 4,000 queries, {short:.0} at 1,000; {outstanding} of \
-                 4,000 outstanding at the last checkpoint"
-            );
-        }
+        let (short, _) = journal_cost(1_000);
+        let (long, outstanding) = journal_cost(4_000);
+        assert!(
+            outstanding <= 3,
+            "{outstanding} outstanding, last checkpoint"
+        );
+        assert!(
+            long <= 1.5 * short,
+            "{long:.0} B/query at 4,000 queries, {short:.0} at 1,000"
+        );
     }
 
     /// Answers query 0 with no sample completions — a protocol violation

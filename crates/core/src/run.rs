@@ -88,16 +88,22 @@ pub(crate) enum Arrivals<'a> {
     },
 }
 
-/// The builder's arrival-source state, which decides what `run` returns:
-/// [`RunOutcome`], or [`JournaledRun`] when an armed halt may end the run
-/// early.
-pub trait Plan {
-    /// What `run` returns in this state.
-    type Outcome;
-    /// Narrows what the engine returned to what this state can return.
-    #[doc(hidden)]
-    fn outcome(run: JournaledRun) -> Self::Outcome;
+mod sealed {
+    /// What seals [`Plan`](super::Plan): the outcome a builder state has
+    /// and how the engine's return narrows to it. Not nameable outside the
+    /// crate, so nothing else implements `Plan` or calls `narrow`.
+    pub trait Narrow {
+        type Outcome;
+        fn narrow(run: crate::journal::JournaledRun) -> Self::Outcome;
+    }
 }
+
+/// The builder's arrival-source state, which decides what `run` returns
+/// (`P::Outcome`): [`RunOutcome`] for [`FromScenario`] and [`Replayed`],
+/// [`JournaledRun`] for [`Journaled`], where an armed halt may end the run
+/// early. Sealed: those three states are all there are.
+pub trait Plan: sealed::Narrow {}
+impl<P: sealed::Narrow> Plan for P {}
 
 /// [`Plan`]: the scenario's own arrival rule (the builder's initial state).
 #[derive(Debug, Clone, Copy)]
@@ -110,23 +116,23 @@ pub struct Replayed;
 #[derive(Debug, Clone, Copy)]
 pub struct Journaled;
 
-impl Plan for FromScenario {
+impl sealed::Narrow for FromScenario {
     type Outcome = RunOutcome;
-    fn outcome(run: JournaledRun) -> RunOutcome {
+    fn narrow(run: JournaledRun) -> RunOutcome {
         run.finished().expect("only an armed halt ends a run early")
     }
 }
 
-impl Plan for Replayed {
+impl sealed::Narrow for Replayed {
     type Outcome = RunOutcome;
-    fn outcome(run: JournaledRun) -> RunOutcome {
-        FromScenario::outcome(run)
+    fn narrow(run: JournaledRun) -> RunOutcome {
+        FromScenario::narrow(run)
     }
 }
 
-impl Plan for Journaled {
+impl sealed::Narrow for Journaled {
     type Outcome = JournaledRun;
-    fn outcome(run: JournaledRun) -> JournaledRun {
+    fn narrow(run: JournaledRun) -> JournaledRun {
         run
     }
 }
@@ -137,16 +143,6 @@ pub struct Simulated;
 /// Clock marker: real sleeps and threads against a [`RealtimeSut`].
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock(Option<Instant>);
-
-/// The two clocks, for the rules that differ by clock: what `check`
-/// refuses and which arrival ends a Poisson run (`ArrivalSource::next`). A
-/// name, not a seam: the issue loops stay separate (`des`, `realtime`)
-/// because [`SimSut`] and [`RealtimeSut`] are different contracts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Clock {
-    Simulated,
-    Wall,
-}
 
 /// One benchmark run, described before it starts. See the [module
 /// docs](self) for the shape and for what does not compile.
@@ -178,6 +174,8 @@ impl<'a, C, P> Run<'a, C, P> {
     /// Sends every lifecycle event of the run to `sink` (the detail log).
     /// On the simulated clock an enabled sink also brings a run-private
     /// [`MetricsRegistry`] whose snapshot lands in [`RunOutcome::metrics`].
+    /// The sink is a field of the [`Instruments`] bundle: the later of
+    /// `sink` and [`instruments`](Run::instruments) decides it.
     #[must_use]
     pub fn sink(mut self, sink: &'a dyn TraceSink) -> Self {
         self.instruments.sink = sink;
@@ -187,7 +185,9 @@ impl<'a, C, P> Run<'a, C, P> {
 
 impl<'a, P> Run<'a, Simulated, P> {
     /// Attaches the whole observability bundle: sink, simulated-time
-    /// sampler, caller-owned registry shared with device engines.
+    /// sampler, caller-owned registry shared with device engines. It
+    /// replaces all three, so an earlier [`sink`](Run::sink) is dropped for
+    /// the bundle's own; call `sink` after this to override just that.
     #[must_use]
     pub fn instruments(mut self, instruments: &Instruments<'a>) -> Self {
         self.instruments = *instruments;
@@ -270,8 +270,9 @@ impl<P: Plan> Run<'_, Simulated, P> {
         Q: QuerySampleLibrary + ?Sized,
         S: SimSut + ?Sized,
     {
-        check(Clock::Simulated, self.settings, &self.arrivals)?;
-        des::simulate(self.settings, qsl, sut, &self.instruments, self.arrivals).map(P::outcome)
+        let offline_checkpoints = true;
+        check(self.settings, &self.arrivals, offline_checkpoints)?;
+        des::simulate(self.settings, qsl, sut, &self.instruments, self.arrivals).map(P::narrow)
     }
 }
 
@@ -288,24 +289,28 @@ impl<P: Plan> Run<'_, WallClock, P> {
     where
         Q: QuerySampleLibrary + ?Sized,
     {
-        check(Clock::Wall, self.settings, &self.arrivals)?;
+        let offline_checkpoints = false;
+        check(self.settings, &self.arrivals, offline_checkpoints)?;
         let (sink, origin) = (self.instruments.sink, self.clock.0);
-        realtime::run_wall(self.settings, qsl, sut, sink, origin, self.arrivals).map(P::outcome)
+        realtime::run_wall(self.settings, qsl, sut, sink, origin, self.arrivals).map(P::narrow)
     }
 }
 
 /// The rules about combinations that depend on values in the settings,
-/// which no builder type can carry — all of them, for both clocks.
+/// which no builder type can carry — all of them, for both clocks. The
+/// one thing the clocks differ in here is `offline_checkpoints`: simulated
+/// time can stop inside the offline batch; the wall clock issues it as one
+/// blocking call, which leaves nothing to checkpoint.
 pub(crate) fn check(
-    clock: Clock,
     settings: &TestSettings,
     arrivals: &Arrivals<'_>,
+    offline_checkpoints: bool,
 ) -> Result<(), LoadGenError> {
     let performance = settings.mode == TestMode::PerformanceOnly;
     let scenario = settings.scenario;
-    let refusal = match (arrivals, clock) {
-        (Arrivals::Scenario, _) => None,
-        (Arrivals::Replay(schedule), _) => {
+    let refusal = match arrivals {
+        Arrivals::Scenario => None,
+        Arrivals::Replay(schedule) => {
             schedule.validate()?;
             if !performance {
                 Some("replay only runs in performance mode".into())
@@ -319,20 +324,19 @@ pub(crate) fn check(
             }
         }
         // The closed-loop scenarios have no issue boundary independent of
-        // the SUT to checkpoint at, and the wall clock issues the offline
-        // batch as one blocking call.
-        (Arrivals::Journal { .. }, Clock::Wall) => (!performance || scenario != Scenario::Server)
-            .then(|| {
+        // the SUT to checkpoint at.
+        Arrivals::Journal { .. } if !offline_checkpoints => {
+            (!performance || scenario != Scenario::Server).then(|| {
                 "journaled realtime runs support the server scenario in performance mode".into()
-            }),
-        (Arrivals::Journal { .. }, Clock::Simulated) if !performance => {
-            Some("journaled runs are performance-mode only".into())
-        }
-        (Arrivals::Journal { .. }, Clock::Simulated) => {
-            (!matches!(scenario, Scenario::Server | Scenario::Offline)).then(|| {
-                format!("journaled runs support the server and offline scenarios, not {scenario}")
             })
         }
+        Arrivals::Journal { .. } if !performance => {
+            Some("journaled runs are performance-mode only".into())
+        }
+        Arrivals::Journal { .. } => (!matches!(scenario, Scenario::Server | Scenario::Offline))
+            .then(|| {
+                format!("journaled runs support the server and offline scenarios, not {scenario}")
+            }),
     };
     refusal.map_or(Ok(()), |why| Err(LoadGenError::BadSettings(why)))
 }
@@ -537,7 +541,6 @@ pub(crate) fn finish_run(
     } = lane;
     let outstanding = recorder.outstanding() as u64;
     let duration = recorder.last_completion();
-    let (samples_completed, error_count) = (recorder.samples_completed(), recorder.errored());
     let (records, accuracy_log) = recorder.into_parts();
     let validity = match settings.mode {
         TestMode::PerformanceOnly => check_run(settings, &records, duration, outstanding),
@@ -554,6 +557,12 @@ pub(crate) fn finish_run(
             );
         }
     }
+    let samples_completed: u64 = records
+        .iter()
+        .filter(|r| r.completed_at.is_some() && !r.error)
+        .map(|r| r.sample_count as u64)
+        .sum();
+    let error_count = records.iter().filter(|r| r.error).count() as u64;
     let metric = compute_metric(settings, &records, duration, samples_completed);
     let latencies: Vec<Nanos> = records.iter().filter_map(QueryRecord::latency).collect();
     let result = TestResult {
@@ -628,7 +637,9 @@ mod tests {
     /// the message their old driver gave, the neighbouring cells pass.
     #[test]
     fn each_value_level_rule_is_refused_with_its_message_on_both_clocks() {
-        use Clock::{Simulated, Wall};
+        // `check`'s `offline_checkpoints`, by the clock that passes it.
+        const SIMULATED: bool = true;
+        const WALL: bool = false;
         let cfg = JournalConfig::new("never-opened.mlpj");
         let journal = Arrivals::Journal {
             cfg: &cfg,
@@ -646,69 +657,70 @@ mod tests {
         let multi = TestSettings::multi_stream(2, Nanos::from_millis(50));
         let closed = "journaled runs support the server and offline scenarios, not ";
         let wall = "journaled realtime runs support the server scenario in performance mode";
-        let table: &[(Clock, &TestSettings, Arrivals<'_>, Option<String>)] = &[
-            (Simulated, &server, journal, None),
-            (Simulated, &offline, journal, None),
+        let table: &[(bool, &TestSettings, Arrivals<'_>, Option<String>)] = &[
+            (SIMULATED, &server, journal, None),
+            (SIMULATED, &offline, journal, None),
             (
-                Simulated,
+                SIMULATED,
                 &single,
                 journal,
                 Some(format!("{closed}single-stream")),
             ),
             (
-                Simulated,
+                SIMULATED,
                 &multi,
                 journal,
                 Some(format!("{closed}multistream")),
             ),
             (
-                Simulated,
+                SIMULATED,
                 &accuracy,
                 journal,
                 Some("journaled runs are performance-mode only".into()),
             ),
-            (Wall, &server, journal, None),
-            (Wall, &offline, journal, Some(wall.into())),
-            (Wall, &single, journal, Some(wall.into())),
-            (Wall, &multi, journal, Some(wall.into())),
-            (Wall, &accuracy, journal, Some(wall.into())),
-            (Simulated, &server, replay, None),
-            (Wall, &server, replay, None),
+            (WALL, &server, journal, None),
+            (WALL, &offline, journal, Some(wall.into())),
+            (WALL, &single, journal, Some(wall.into())),
+            (WALL, &multi, journal, Some(wall.into())),
+            (WALL, &accuracy, journal, Some(wall.into())),
+            (SIMULATED, &server, replay, None),
+            (WALL, &server, replay, None),
             (
-                Simulated,
+                SIMULATED,
                 &accuracy,
                 replay,
                 Some("replay only runs in performance mode".into()),
             ),
             (
-                Wall,
+                WALL,
                 &accuracy,
                 replay,
                 Some("replay only runs in performance mode".into()),
             ),
             (
-                Simulated,
+                SIMULATED,
                 &offline,
                 replay,
                 Some("settings scenario offline but schedule was recorded under server".into()),
             ),
             (
-                Wall,
+                WALL,
                 &single,
                 replay,
                 Some(
                     "settings scenario single-stream but schedule was recorded under server".into(),
                 ),
             ),
-            (Simulated, &accuracy, Arrivals::Scenario, None),
-            (Wall, &multi, Arrivals::Scenario, None),
+            (SIMULATED, &accuracy, Arrivals::Scenario, None),
+            (WALL, &multi, Arrivals::Scenario, None),
         ];
         for (clock, settings, arrivals, want) in table {
-            let got = check(*clock, settings, arrivals);
+            let got = check(settings, arrivals, *clock);
             let want = want
                 .clone()
                 .map_or(Ok(()), |why| Err(LoadGenError::BadSettings(why)));
-            assert_eq!(got, want, "{clock:?} {} {arrivals:?}", settings.scenario);
+            let clock = if *clock { "simulated" } else { "wall" };
+            assert_eq!(got, want, "{clock} {} {arrivals:?}", settings.scenario);
         }
     }
 

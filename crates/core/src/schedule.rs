@@ -17,7 +17,6 @@ use crate::config::TestSettings;
 use crate::journal::{Checkpoint, CursorState};
 use crate::query::{Query, QuerySample, SampleIndex};
 use crate::replay::ReplaySchedule;
-use crate::run::Clock;
 use crate::scenario::Scenario;
 use crate::time::Nanos;
 use crate::LoadGenError;
@@ -222,6 +221,27 @@ impl<'a> PoissonCursor<'a> {
             ..self.samples.state()
         }
     }
+
+    // Which arrival ends a Poisson run differs by clock, and both
+    // behaviours are pinned by logical-log hashes (DESIGN §3, "where the
+    // two clocks still differ"), so each issue loop hands
+    // `ArrivalSource::next` its own rule for lining up the arrival after
+    // the one it just took at `taken`.
+
+    /// The simulated loop's rule: the first arrival at or past
+    /// `min_duration` is drawn but never issued.
+    #[inline]
+    pub(crate) fn advance_simulated(&mut self, _taken: Nanos) {
+        let next = draw(&mut self.arrivals);
+        self.pending = self.samples.more(next).then_some(next);
+    }
+
+    /// The wall-clock loop's rule: that arrival is still issued, and
+    /// nothing is drawn after it.
+    #[inline]
+    pub(crate) fn advance_wall(&mut self, taken: Nanos) {
+        self.pending = self.samples.more(taken).then(|| draw(&mut self.arrivals));
+    }
 }
 
 fn draw(arrivals: &mut PoissonProcess) -> Nanos {
@@ -242,7 +262,7 @@ pub(crate) enum ArrivalSource<'a> {
     },
 }
 
-impl ArrivalSource<'_> {
+impl<'a> ArrivalSource<'a> {
     /// When the next query is due; `None` once the source has ended.
     #[inline]
     pub(crate) fn pending(&self) -> Option<Nanos> {
@@ -253,24 +273,19 @@ impl ArrivalSource<'_> {
     }
 
     /// Takes the pending arrival — query ordinal, arrival time, sample
-    /// indices — and lines up the one after it.
+    /// indices — and lines up the one after it: a recorded schedule's next
+    /// entry, or whatever `advance` (the calling loop's
+    /// `PoissonCursor::advance_*`) says follows.
     #[inline]
-    pub(crate) fn next(&mut self, clock: Clock) -> Option<(u64, Nanos, Vec<SampleIndex>)> {
+    pub(crate) fn next(
+        &mut self,
+        advance: impl FnOnce(&mut PoissonCursor<'a>, Nanos),
+    ) -> Option<(u64, Nanos, Vec<SampleIndex>)> {
         let at = self.pending()?;
         match self {
             Self::Poisson(cursor) => {
                 let (ordinal, indices) = cursor.samples.draw();
-                // Which arrival ends a Poisson run differs by clock, and
-                // both behaviours are pinned by logical-log hashes (DESIGN
-                // §3, "where the two clocks still differ"): simulated, the
-                // first arrival at or past `min_duration` is drawn but
-                // never issued; wall, it is still issued and nothing is
-                // drawn after it.
-                let (samples, arrivals) = (&cursor.samples, &mut cursor.arrivals);
-                cursor.pending = match clock {
-                    Clock::Simulated => Some(draw(arrivals)).filter(|next| samples.more(*next)),
-                    Clock::Wall => samples.more(at).then(|| draw(arrivals)),
-                };
+                advance(cursor, at);
                 Some((ordinal, at, indices))
             }
             Self::Replay {
