@@ -32,6 +32,18 @@ shims='run_simulated_traced|run_instrumented|run_journaled|resume_journaled|run_
 callers=$(grep -rnE "\b($shims)\b" --include='*.rs' crates src tests examples | grep -vE "^crates/core/src/(des|realtime|replay)\.rs:[0-9]+:pub fn " || true)
 [[ -z "$callers" ]] || census_fail "perfbench-only names used in the workspace:
 $callers"
+# The loopback wire topology (daemons -> a RemoteSut each -> a weighted
+# ShardedSut -> a kill watcher) is built once, in crates/harness/src/rig.rs;
+# chaos, netbench, replay and the fleet-crash test pass in what differs.
+# A second hand-built fleet, a second copy of the netbench/replay service
+# cycle, or a daemon leaked to outlive its scope fails here.
+wiring='ShardEndpoint::new|RemoteSut::hello_for|ShardedSut::new'
+strays=$(grep -rnE "$wiring" crates/harness/src crates/harness/tests | grep -v "^crates/harness/src/rig\.rs:" || true)
+[[ -z "$strays" ]] || census_fail "fleet wiring outside crates/harness/src/rig.rs:
+$strays"
+strays=$(grep -rnE "fn fleet_per_sample|mem::forget" crates/harness/src crates/harness/tests || true)
+[[ -z "$strays" ]] || census_fail "a copied service cycle or a leaked handle in crates/harness:
+$strays"
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
@@ -68,23 +80,27 @@ echo "== crash chaos smoke (process-kill quadrant: journal resume is lossless) =
 cargo run -q --release -p mlperf-harness --bin chaos -- --crash --check > /dev/null
 
 echo "== netbench loopback smoke (network SUT: tracing + telemetry + interop) =="
-# Single-process wire smoke: a serving daemon and a RemoteSut client on a
-# loopback socket run the scaled-down offline + server pair twice, asserting
-# every run is VALID, the logical detail log (deterministic per-query
-# fields) renders byte-identically across connections under the fixed seed,
-# the merged client+server detail log passes the TEST06 completeness audit
-# with at least one end-to-end trace (client issue -> server compute ->
-# client complete under one trace id), the daemon's live stats snapshot
-# parses, and a v2-pinned client still interoperates with the v3 daemon.
+# Single-process wire smoke: a rig of one — a serving daemon and a RemoteSut
+# client on a loopback socket — runs the scaled-down offline + server pair
+# twice, asserting every run is VALID, the logical detail log
+# (deterministic per-query fields) renders byte-identically across
+# connections under the fixed seed, the merged client+server detail log
+# passes the TEST06 completeness audit with at least one end-to-end trace
+# (client issue -> server compute -> client complete under one trace id),
+# the daemon's live stats snapshot parses, and a v2-pinned client still
+# interoperates with the v3 daemon.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --stats --check
 
 echo "== netbench fleet smoke (sharded serving survives losing a shard) =="
-# Fleet mode: three heterogeneous loopback daemons behind one weighted
-# ShardedSut router. A seeded victim daemon is killed mid-server-run while
-# it has a query in flight; the check asserts the router rescues the
-# in-flight work (the run stays VALID, the merged sharded log passes the
-# completeness audit, and the victim's down + failover rows are present),
-# and that a second fresh fleet renders a byte-identical logical log.
+# Fleet mode, the same path over a rig of three: heterogeneous loopback
+# daemons behind one weighted ShardedSut router. A seeded victim daemon is
+# killed mid-server-run while it has a query in flight; the check asserts
+# the router rescues the in-flight work (the run stays VALID, the merged
+# sharded log passes the completeness audit, and the victim's down +
+# failover rows are present). The first rig has lost its victim, so the
+# reproducibility leg is a second fresh rig: it must survive the same kill
+# and render a byte-identical logical log, and the v2 interop leg runs
+# against one of its survivors.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --shards 3 --check
 
 echo "== replay roundtrip smoke (record -> reduce -> replay, three legs) =="

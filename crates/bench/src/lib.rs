@@ -88,12 +88,6 @@ pub mod runner {
             }
         }
 
-        /// Overrides the per-benchmark measurement budget.
-        pub fn with_budget(mut self, budget: Duration) -> Self {
-            self.budget = budget;
-            self
-        }
-
         /// Measures `f`, printing `name`, the median ns/iter, and the
         /// sample spread. Returns the median so callers can compare
         /// benchmarks programmatically (the trace-overhead bench does).

@@ -625,7 +625,7 @@ mod tests {
             sched_now_bits: 0.25f64.to_bits(),
             acc_rng: [9, 10, 11, 12],
             epoch: 2,
-            recorder: Recorder::new().snapshot(),
+            recorder: Recorder::new().snapshot_suffix(0, 0),
         }
     }
 

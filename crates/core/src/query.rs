@@ -176,50 +176,6 @@ impl QueryCompletion {
     }
 }
 
-impl ToJson for QuerySample {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("index", self.index.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for QuerySample {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(QuerySample {
-            id: value.field("id")?.as_u64()?,
-            index: value.field("index")?.as_usize()?,
-        })
-    }
-}
-
-impl ToJson for Query {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("samples", self.samples.to_json_value()),
-            ("scheduled_at", self.scheduled_at.to_json_value()),
-            ("tenant", self.tenant.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for Query {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(Query {
-            id: value.field("id")?.as_u64()?,
-            samples: Vec::from_json_value(value.field("samples")?)?,
-            scheduled_at: Nanos::from_json_value(value.field("scheduled_at")?)?,
-            // Logs written before the multitenancy extension lack the field.
-            tenant: match value.get("tenant") {
-                Some(v) => v.as_u32()?,
-                None => 0,
-            },
-        })
-    }
-}
-
 impl ToJson for ResponsePayload {
     fn to_json_value(&self) -> JsonValue {
         match self {
@@ -280,51 +236,6 @@ impl FromJson for ResponsePayload {
     }
 }
 
-impl ToJson for SampleCompletion {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("sample_id", self.sample_id.to_json_value()),
-            ("payload", self.payload.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SampleCompletion {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SampleCompletion {
-            sample_id: value.field("sample_id")?.as_u64()?,
-            payload: ResponsePayload::from_json_value(value.field("payload")?)?,
-        })
-    }
-}
-
-impl ToJson for QueryCompletion {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("query_id", self.query_id.to_json_value()),
-            ("finished_at", self.finished_at.to_json_value()),
-            ("samples", self.samples.to_json_value()),
-            ("error", self.error.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for QueryCompletion {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(QueryCompletion {
-            query_id: value.field("query_id")?.as_u64()?,
-            finished_at: Nanos::from_json_value(value.field("finished_at")?)?,
-            samples: Vec::from_json_value(value.field("samples")?)?,
-            // Logs written before the fault-injection extension lack the
-            // field; every completion then was a success.
-            error: match value.get("error") {
-                Some(v) => v.as_bool()?,
-                None => false,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,20 +264,10 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let c = QueryCompletion {
-            query_id: 9,
-            finished_at: Nanos::from_micros(77),
-            samples: vec![SampleCompletion {
-                sample_id: 1,
-                payload: ResponsePayload::Boxes(vec![(2, 0.9, [0.0, 0.0, 4.0, 4.0])]),
-            }],
-            error: false,
-        };
-        let json = c.to_json_string();
-        assert_eq!(QueryCompletion::from_json_str(&json).unwrap(), c);
         for payload in [
             ResponsePayload::Empty,
             ResponsePayload::Class(17),
+            ResponsePayload::Boxes(vec![(2, 0.9, [0.0, 0.0, 4.0, 4.0])]),
             ResponsePayload::Tokens(vec![1, 2, 3]),
         ] {
             let json = payload.to_json_string();
@@ -396,14 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_without_error_field_parses_as_success() {
-        let json = r#"{"query_id":4,"finished_at":90,"samples":[]}"#;
-        let c = QueryCompletion::from_json_str(json).unwrap();
-        assert!(!c.error);
-        assert_eq!(c.finished_at, Nanos::from_nanos(90));
-    }
-
-    #[test]
     fn errored_completion_echoes_every_sample() {
         let q = Query {
             id: 7,
@@ -418,15 +311,5 @@ mod tests {
         assert!(c.error);
         assert_eq!(c.samples.len(), 2);
         assert_eq!(c.samples[1].sample_id, 71);
-        let json = c.to_json_string();
-        assert_eq!(QueryCompletion::from_json_str(&json).unwrap(), c);
-    }
-
-    #[test]
-    fn query_without_tenant_field_parses() {
-        let json = r#"{"id":1,"samples":[{"id":2,"index":3}],"scheduled_at":50}"#;
-        let q = Query::from_json_str(json).unwrap();
-        assert_eq!(q.tenant, 0);
-        assert_eq!(q.scheduled_at, Nanos::from_nanos(50));
     }
 }

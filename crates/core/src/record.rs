@@ -446,16 +446,11 @@ impl Recorder {
         self.last_completion
     }
 
-    /// Captures the recorder's complete state for a checkpoint.
-    pub fn snapshot(&self) -> RecorderSnapshot {
-        self.snapshot_suffix(0, 0)
-    }
-
-    /// Captures the recorder's state past the given journal high-water
-    /// marks: the same shape as [`snapshot`](Recorder::snapshot), but
-    /// `records` starts at `records_from` and `accuracy_log` at
-    /// `accuracy_from`, so a delta checkpoint clones only what the last
-    /// frame has not already made durable. Outstanding entries keep their
+    /// Captures the recorder's state for a checkpoint, past the given
+    /// journal high-water marks (`(0, 0)` captures all of it): `records`
+    /// starts at `records_from` and `accuracy_log` at `accuracy_from`, so
+    /// a delta checkpoint clones only what the last frame has not already
+    /// made durable. Outstanding entries keep their
     /// absolute positions. `records_from` must be a stable prefix — no
     /// outstanding entry below it — which is exactly the mark a
     /// `RunJournal` keeps.
@@ -623,7 +618,7 @@ mod tests {
         r.record_issue(&query(3), Nanos::from_micros(9)).unwrap();
         r.record_completion(&completion(2, Nanos::from_micros(30)), |_| true)
             .unwrap();
-        let snap = r.snapshot();
+        let snap = r.snapshot_suffix(0, 0);
         assert_eq!(snap.outstanding.len(), 2);
         assert_eq!(snap.outstanding[0].id, 1);
         let mut w = ByteWriter::new();
@@ -653,7 +648,7 @@ mod tests {
     fn snapshot_rebuilds_outstanding_queries() {
         let mut r = Recorder::new();
         r.record_issue(&query(4), Nanos::from_micros(5)).unwrap();
-        let qs = r.snapshot().outstanding_queries();
+        let qs = r.snapshot_suffix(0, 0).outstanding_queries();
         assert_eq!(qs.len(), 1);
         assert_eq!(qs[0].id, 4);
         assert_eq!(qs[0].scheduled_at, Nanos::from_micros(5));

@@ -28,7 +28,7 @@
 //! beside it.
 //!
 //! `--wire` also sweeps the *fleet* fault rows: a server-scenario run over
-//! three heterogeneous loopback shards behind a weighted [`ShardedSut`]
+//! three heterogeneous loopback shards behind a weighted `ShardedSut`
 //! router, once per shard fault — `none`, `shard-kill` (the victim daemon
 //! dies mid-query and the router's failover rescues its in-flight work),
 //! `shard-degrade` (one shard's wire delayed, no health transition), and
@@ -63,12 +63,12 @@
 //! disconnect under a resume policy is rescued to VALID with a logical
 //! detail log byte-identical to the fault-free run's.
 
+use mlperf_harness::rig::{dump_flight, issue_kinds, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
 use mlperf_loadgen::scenario::Scenario;
-use mlperf_loadgen::sut::{FixedLatencySut, RealtimeSut};
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::{JournaledRun, Run};
 use mlperf_models::{TaskId, Workload};
@@ -77,26 +77,18 @@ use mlperf_sut::device::{Architecture, DeviceSpec};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_sut::faults::FaultPlan;
 use mlperf_sut::resilience::{ResiliencePolicy, ResilientSut};
-use mlperf_sut::{BalancePolicy, FaultySut, ShardEndpoint, ShardedSut};
+use mlperf_sut::{BalancePolicy, FaultySut};
 use mlperf_trace::crc::fnv1a64;
-use mlperf_trace::flight::render_flight_dump;
 use mlperf_trace::{JsonValue, RingBufferSink, ToJson, TraceEvent};
-use mlperf_wire::{
-    loopback_instrumented, serve_on, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig,
-    ServerHandle, SimHost, WireChaosPlan,
-};
+use mlperf_wire::{RemoteSutConfig, ResumePolicy, ServeConfig, WireChaosPlan};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: chaos [--seed <n>] [--out <path>] [--check] [--wire] [--crash] \
      [--flight-dir <dir>] [--analyze]";
-
-/// Events kept in a flight-recorder dump of an INVALID wire cell.
-const FLIGHT_TAIL: usize = 256;
 
 const SCENARIOS: [Scenario; 4] = [
     Scenario::SingleStream,
@@ -410,28 +402,25 @@ fn run_wire(
             backoff: Duration::from_millis(30),
         });
     }
-    let hello = RemoteSut::hello_for(settings, qsl.total_sample_count() as u64, &config);
-    let service = Arc::new(SimHost::new(FixedLatencySut::new(
-        "wire-chaos-dev",
-        Nanos::from_micros(200),
-    )));
+    let cell = |e: String| format!("{scenario} / {fault}: {e}");
+    let serve = |_| ServeConfig::default();
+    let rig = Rig::spawn("wire-chaos-dev", &[Nanos::from_micros(200)], serve).map_err(cell)?;
     let sink = Arc::new(RingBufferSink::unbounded());
-    let (client, server) = loopback_instrumented(
-        service,
-        ServeConfig::default(),
-        hello,
-        config,
-        Some(sink.clone()),
-        None,
-    )
-    .map_err(|e| format!("{scenario} / {fault}: loopback failed: {e}"))?;
-    let origin = client.clock_origin();
-    let out = Run::wall_clock(settings)
-        .sink(sink.as_ref())
-        .origin(origin)
-        .run(&mut qsl, Arc::new(client))
+    let wired = rig
+        .connect(
+            settings,
+            qsl.total_sample_count() as u64,
+            |_| config.clone(),
+            BalancePolicy::WeightedThroughput,
+            Some(sink.clone()),
+            None,
+        )
+        .map_err(cell)?;
+    let out = wired
+        .run(settings)
+        .run(&mut qsl, Arc::clone(&wired.sut))
         .map_err(|e| format!("{scenario} / {fault}: run failed: {e}"))?;
-    server.shutdown();
+    wired.drain();
 
     let valid = out.result.is_valid();
     let mut root_constraints = Vec::new();
@@ -448,49 +437,20 @@ fn run_wire(
         root_constraints.sort();
         root_constraints.dedup();
         if let Some(dir) = flight_dir {
-            let tail_start = records.len().saturating_sub(FLIGHT_TAIL);
             let reason = format!(
                 "wire cell INVALID: scenario={scenario} fault={fault} resume={resume}: {:?}",
                 out.result.validity
             );
-            let tail = &records[tail_start..];
-            let dump = render_flight_dump(&reason, tail, tail_start as u64);
             let suffix = if resume { "_resumed" } else { "" };
             let path = format!("{dir}/chaos_flight_{scenario}_{fault}{suffix}.jsonl");
-            match std::fs::write(&path, dump) {
-                Ok(()) => eprintln!("flight recorder: dumped {path}"),
-                Err(e) => eprintln!("flight recorder: cannot write {path}: {e}"),
-            }
-            if analyze {
-                let analysis = mlperf_analysis::analyze_records(
-                    &path,
-                    tail,
-                    std::slice::from_ref(&reason),
-                    None,
-                );
-                let md_path = format!("{path}.analysis.md");
-                match std::fs::write(&md_path, mlperf_analysis::render_markdown(&analysis)) {
-                    Ok(()) => eprintln!("analyze: wrote {md_path}"),
-                    Err(e) => eprintln!("analyze: cannot write {md_path}: {e}"),
-                }
-            }
+            dump_flight(&path, &reason, &records, analyze);
         }
     }
-
-    let mut issues: Vec<String> = out
-        .result
-        .validity
-        .iter()
-        .map(|i| i.kind().to_string())
-        .collect();
-    issues.sort();
-    issues.dedup();
-    let log_hash = valid.then(|| logical_hash(&out.records));
     Ok(WireRun {
         valid,
-        issues,
+        issues: issue_kinds(&out.result),
         root_constraints,
-        log_hash,
+        log_hash: valid.then(|| logical_hash(&out.records)),
     })
 }
 
@@ -546,29 +506,17 @@ struct ShardCell {
 }
 
 /// One fleet run: three heterogeneous loopback daemons behind a weighted
-/// [`ShardedSut`] router, with the cell's shard fault injected mid-run.
+/// `ShardedSut` router (one [`Rig`]), with the cell's shard fault injected
+/// mid-run.
 fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
     let [_, (scenario, settings)] = wire_settings(seed);
     let mut qsl = MemoryQsl::new("shard-chaos-qsl", 64, 64);
     let sink = Arc::new(RingBufferSink::unbounded());
     let victim = seed as usize % SHARD_PER_SAMPLE.len();
 
-    let mut labels = Vec::new();
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for (i, per_sample) in SHARD_PER_SAMPLE.iter().enumerate() {
-        let label = format!("shard-{i}");
-        let service = Arc::new(SimHost::new(FixedLatencySut::new(
-            "shard-chaos-dev",
-            *per_sample,
-        )));
-        let config = ServeConfig::default().with_shard_label(&label);
-        let handle = serve_on("127.0.0.1:0", service, config)
-            .map_err(|e| format!("{scenario} / {fault}: cannot start {label}: {e}"))?;
-        addrs.push(handle.addr().to_string());
-        handles.push(handle);
-        labels.push(label);
-    }
+    let cell = |e: String| format!("{scenario} / {fault}: {e}");
+    let serve = |_| ServeConfig::default();
+    let mut rig = Rig::spawn("shard-chaos-dev", &SHARD_PER_SAMPLE, serve).map_err(cell)?;
 
     // The kill cell wants fast link-death detection so in-flight queries
     // vanish and fail over; the rejoin cell instead retries long enough
@@ -585,106 +533,53 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
             backoff: Duration::from_millis(10),
         }
     };
-    let mut clients: Vec<Arc<RemoteSut>> = Vec::new();
-    for (i, addr) in addrs.iter().enumerate() {
-        let mut config = RemoteSutConfig::default().with_resume(resume);
+    let config = |i: usize| {
+        let config = RemoteSutConfig::default().with_resume(resume);
         if fault == "shard-degrade" && i == victim {
-            config = config
-                .with_chaos(WireChaosPlan::new(seed).with_delay_recv(Duration::from_millis(3)));
+            let slow = WireChaosPlan::new(seed).with_delay_recv(Duration::from_millis(3));
+            return config.with_chaos(slow);
         }
-        let hello = RemoteSut::hello_for(&settings, qsl.total_sample_count() as u64, &config);
-        let client = RemoteSut::connect_instrumented(addr, hello, config, Some(sink.clone()), None)
-            .map_err(|e| {
-                format!(
-                    "{scenario} / {fault}: connect to {} at {addr} failed: {e}",
-                    labels[i]
-                )
-            })?;
-        clients.push(Arc::new(client));
-    }
+        config
+    };
+    let wired = rig
+        .connect(
+            &settings,
+            qsl.total_sample_count() as u64,
+            config,
+            BalancePolicy::WeightedThroughput,
+            Some(sink.clone()),
+            None,
+        )
+        .map_err(cell)?;
 
-    let origin = clients[0].clock_origin();
-    let mut router = ShardedSut::new("shard-chaos-fleet", BalancePolicy::WeightedThroughput)
-        .with_sink(sink.clone())
-        .with_origin(origin);
-    for (i, client) in clients.iter().enumerate() {
-        let probe = Arc::clone(client);
-        let weight = 1e9 / SHARD_PER_SAMPLE[i].as_nanos() as f64;
-        router = router.with_endpoint(
-            ShardEndpoint::new(&labels[i], Arc::clone(client) as _)
-                .with_weight(weight)
-                .with_probe(Arc::new(move || probe.is_connected())),
-        );
+    let mut run = || wired.run(&settings).run(&mut qsl, Arc::clone(&wired.sut));
+    let mut rebound = Ok(());
+    let out = match fault {
+        // Kill on the victim's first query in flight. A run that ends
+        // before the watcher strikes shows up as a row with no `down`.
+        "shard-kill" => wired.run_watched(victim, 1, || rig.kill(victim), run).0,
+        // Kill, then rebind the same port with a fresh daemon after a down
+        // window long enough for the router to notice.
+        "shard-rejoin" => {
+            let strike = || {
+                rig.kill(victim);
+                std::thread::sleep(Duration::from_millis(60));
+                rebound = rig.respawn(victim, Rebind::SameAddress);
+            };
+            wired.run_watched(victim, 1, strike, run).0
+        }
+        _ => run(),
     }
-    let router = Arc::new(router);
+    .map_err(|e| format!("{scenario} / {fault}: fleet run failed: {e}"))?;
+    rebound.map_err(cell)?;
+    wired.drain();
 
-    let wants_kill = matches!(fault, "shard-kill" | "shard-rejoin");
-    let stop = AtomicBool::new(false);
-    let (run, respawned) = std::thread::scope(|scope| {
-        let watcher = wants_kill.then(|| {
-            let router = Arc::clone(&router);
-            let handle = &handles[victim];
-            let addr = addrs[victim].clone();
-            let victim_label = labels[victim].clone();
-            let per_sample = SHARD_PER_SAMPLE[victim];
-            let stop = &stop;
-            let rejoin = fault == "shard-rejoin";
-            scope.spawn(move || -> Option<ServerHandle> {
-                // Kill while the victim has a query in flight: routing
-                // increments `outstanding` before issuing on the wire,
-                // and service time dwarfs this poll interval, so the
-                // query is mid-flight when the daemon dies.
-                while !stop.load(Ordering::SeqCst) {
-                    let status = &router.status()[victim];
-                    if status.routed >= 1 && status.outstanding > 0 {
-                        handle.kill();
-                        if !rejoin {
-                            return None;
-                        }
-                        // Rebind the same port with a fresh daemon after
-                        // a down window long enough for the router to
-                        // notice. `shutdown` joins the dead daemon's
-                        // threads so the port is immediately free.
-                        handle.shutdown();
-                        std::thread::sleep(Duration::from_millis(60));
-                        let service = Arc::new(SimHost::new(FixedLatencySut::new(
-                            "shard-chaos-dev",
-                            per_sample,
-                        )));
-                        let config = ServeConfig::default().with_shard_label(&victim_label);
-                        return serve_on(&addr, service, config).ok();
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                None
-            })
-        });
-        let run = Run::wall_clock(&settings)
-            .sink(sink.as_ref())
-            .origin(origin)
-            .run(&mut qsl, Arc::clone(&router) as _);
-        stop.store(true, Ordering::SeqCst);
-        let respawned = watcher.and_then(|w| w.join().expect("shard watcher panicked"));
-        (run, respawned)
-    });
-    let out = run.map_err(|e| format!("{scenario} / {fault}: fleet run failed: {e}"))?;
-
-    for client in &clients {
-        client.shutdown();
-    }
-    for handle in &handles {
-        handle.shutdown();
-    }
-    if let Some(handle) = respawned {
-        handle.shutdown();
-    }
-
-    let victim_label = &labels[victim];
+    let victim_label = rig.label(victim);
     let mut down_seen = false;
     let mut rejoined = false;
     for record in sink.snapshot() {
         if let TraceEvent::ShardEvent { shard, kind, .. } = &record.event {
-            if shard == victim_label {
+            if *shard == victim_label {
                 match kind.as_str() {
                     "down" => down_seen = true,
                     "rejoin" => rejoined = true,
@@ -695,19 +590,11 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
     }
 
     let valid = out.result.is_valid();
-    let mut issues: Vec<String> = out
-        .result
-        .validity
-        .iter()
-        .map(|i| i.kind().to_string())
-        .collect();
-    issues.sort();
-    issues.dedup();
     Ok(ShardCell {
         scenario,
         fault,
         valid,
-        issues,
+        issues: issue_kinds(&out.result),
         log_hash: valid.then(|| logical_hash(&out.records)),
         down_seen,
         rejoined,
@@ -786,13 +673,53 @@ fn shard_cell_json(c: &ShardCell) -> JsonValue {
     ])
 }
 
-fn render_json(
+/// One build of everything the flags select: the device-fault matrix
+/// always, the wire and fleet matrices with `--wire`, the crash quadrant
+/// with `--crash`.
+struct Matrices {
+    cells: Vec<Cell>,
+    wire: Option<Vec<WireCell>>,
+    shard: Option<Vec<ShardCell>>,
+    crash: Option<Vec<CrashCell>>,
+}
+
+/// Builds the selected matrices, in the order they are reported. `tag`
+/// keeps the two builds' crash directories apart.
+fn build_all(
     seed: u64,
-    cells: &[Cell],
-    wire: Option<&[WireCell]>,
-    shard: Option<&[ShardCell]>,
-    crash: Option<&[CrashCell]>,
-) -> String {
+    wire_mode: bool,
+    crash_mode: bool,
+    flight_dir: Option<&str>,
+    analyze: bool,
+    tag: &str,
+) -> Result<Matrices, String> {
+    let cells = build_matrix(seed)?;
+    let (wire, shard) = if wire_mode {
+        let wire = build_wire_matrix(seed, flight_dir, analyze)?;
+        (Some(wire), Some(build_shard_matrix(seed)?))
+    } else {
+        (None, None)
+    };
+    let crash = if crash_mode {
+        Some(build_crash_matrix(seed, tag)?)
+    } else {
+        None
+    };
+    Ok(Matrices {
+        cells,
+        wire,
+        shard,
+        crash,
+    })
+}
+
+fn render_json(seed: u64, matrices: &Matrices) -> String {
+    let Matrices {
+        cells,
+        wire,
+        shard,
+        crash,
+    } = matrices;
     let rows = cells
         .iter()
         .map(|c| {
@@ -1153,22 +1080,24 @@ fn crash_qsl() -> MemoryQsl {
     MemoryQsl::new("crash-qsl", 64, 64)
 }
 
-fn crash_service() -> Arc<SimHost<FixedLatencySut>> {
-    Arc::new(SimHost::new(FixedLatencySut::new(
-        "crash-dev",
-        Nanos::from_micros(200),
-    )))
+/// A rig of one crash-quadrant daemon keeping disk session journals
+/// under `journal_dir`.
+fn crash_rig(journal_dir: &Path) -> Result<Rig, String> {
+    Rig::spawn("crash-dev", &[Nanos::from_micros(200)], |_| {
+        ServeConfig::default().with_journal_dir(journal_dir)
+    })
 }
 
+/// Connects the crash-quadrant client to the daemon of `rig` — one this
+/// process spawned, or ([`Rig::over`]) a child process's.
 fn crash_connect(
-    addr: &str,
+    rig: &Rig,
     settings: &TestSettings,
     config: RemoteSutConfig,
-) -> Result<Arc<RemoteSut>, String> {
-    let hello = RemoteSut::hello_for(settings, 64, &config);
-    RemoteSut::connect(addr, hello, config)
-        .map(Arc::new)
-        .map_err(|e| format!("crash client cannot connect to {addr}: {e}"))
+) -> Result<Wired, String> {
+    let policy = BalancePolicy::WeightedThroughput;
+    rig.connect(settings, 64, |_| config.clone(), policy, None, None)
+        .map_err(|e| format!("crash client: {e}"))
 }
 
 /// One row of the crash matrix. Only kill-timing-invariant facts are
@@ -1199,18 +1128,14 @@ fn crash_daemon_child(args: &[String]) -> ExitCode {
         eprintln!("__crash-daemon <journal-dir>");
         return ExitCode::FAILURE;
     };
-    let server = match serve_on(
-        "127.0.0.1:0",
-        crash_service(),
-        ServeConfig::default().with_journal_dir(journal_dir),
-    ) {
-        Ok(server) => server,
+    let rig = match crash_rig(Path::new(journal_dir)) {
+        Ok(rig) => rig,
         Err(e) => {
             eprintln!("crash daemon cannot serve: {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!("ADDR {}", server.addr());
+    println!("ADDR {}", rig.addr(0));
     let _ = std::io::stdout().flush();
     loop {
         std::thread::sleep(Duration::from_secs(3_600));
@@ -1232,8 +1157,8 @@ fn crash_client_child(args: &[String]) -> ExitCode {
     };
     let settings = crash_settings(seed);
     let mut qsl = crash_qsl();
-    let client = match crash_connect(addr, &settings, RemoteSutConfig::default()) {
-        Ok(client) => client,
+    let wired = match crash_connect(&Rig::over(addr), &settings, RemoteSutConfig::default()) {
+        Ok(wired) => wired,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
@@ -1242,11 +1167,11 @@ fn crash_client_child(args: &[String]) -> ExitCode {
     let mut cfg = JournalConfig::new(journal)
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
         .with_halt_after(CRASH_HALT_AT)
-        .with_epoch_source(client.epoch_source());
+        .with_epoch_source(wired.clients[0].epoch_source());
     if torn == "1" {
         cfg = cfg.with_torn_halt();
     }
-    let sut: Arc<dyn RealtimeSut> = client.clone();
+    let sut = Arc::clone(&wired.sut);
     match Run::wall_clock(&settings).journal(&cfg).run(&mut qsl, sut) {
         Ok(JournaledRun::Halted { checkpoint }) => {
             println!("HALTED {checkpoint}");
@@ -1311,28 +1236,27 @@ fn kill_crash_child(mut child: Child) {
 fn halt_in_parent(addr: &str, journal: &Path, seed: u64) -> Result<u64, String> {
     let settings = crash_settings(seed);
     let mut qsl = crash_qsl();
-    let client = crash_connect(addr, &settings, RemoteSutConfig::default())?;
+    let wired = crash_connect(&Rig::over(addr), &settings, RemoteSutConfig::default())?;
     let cfg = JournalConfig::new(journal)
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
         .with_halt_after(CRASH_HALT_AT)
-        .with_epoch_source(client.epoch_source());
-    let sut: Arc<dyn RealtimeSut> = client.clone();
+        .with_epoch_source(wired.clients[0].epoch_source());
     let run = Run::wall_clock(&settings)
         .journal(&cfg)
-        .run(&mut qsl, sut)
+        .run(&mut qsl, Arc::clone(&wired.sut))
         .map_err(|e| format!("crash halt run failed: {e}"))?;
-    client.abandon();
+    wired.clients[0].abandon();
     match run {
         JournaledRun::Halted { checkpoint } => Ok(checkpoint),
         JournaledRun::Finished(_) => Err("crash halt run finished instead of halting".into()),
     }
 }
 
-/// Resumes the journaled run at `journal` against the daemon at `addr`,
+/// Resumes the journaled run at `journal` against the daemon of `rig`,
 /// returning the journal's pre-resume forensics plus the rescued verdict
 /// and logical hash.
 fn resume_crash_run(
-    addr: &str,
+    rig: &Rig,
     journal: &Path,
     seed: u64,
 ) -> Result<(bool, bool, Option<String>), String> {
@@ -1341,18 +1265,14 @@ fn resume_crash_run(
     let loaded = load_run_journal(journal).map_err(|e| format!("load crash journal: {e}"))?;
     let torn_detected = loaded.torn.is_some();
     let epoch = loaded.last.as_ref().map_or(0, |cp| cp.epoch);
-    let client = crash_connect(
-        addr,
-        &settings,
-        RemoteSutConfig::default().with_initial_epoch(epoch + 1),
-    )?;
+    let config = RemoteSutConfig::default().with_initial_epoch(epoch + 1);
+    let wired = crash_connect(rig, &settings, config)?;
     let cfg = JournalConfig::new(journal)
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
-        .with_epoch_source(client.epoch_source());
-    let sut: Arc<dyn RealtimeSut> = client.clone();
+        .with_epoch_source(wired.clients[0].epoch_source());
     let out = Run::wall_clock(&settings)
         .resume(&cfg)
-        .run(&mut qsl, sut)
+        .run(&mut qsl, Arc::clone(&wired.sut))
         .map_err(|e| format!("crash resume failed: {e}"))?
         .finished()
         .ok_or("crash resume halted instead of finishing")?;
@@ -1365,28 +1285,18 @@ fn resume_crash_run(
 fn crash_baseline(seed: u64, dir: &Path) -> Result<String, String> {
     let settings = crash_settings(seed);
     let mut qsl = crash_qsl();
-    let server = serve_on(
-        "127.0.0.1:0",
-        crash_service(),
-        ServeConfig::default().with_journal_dir(dir.join("baseline-daemon")),
-    )
-    .map_err(|e| format!("crash baseline daemon: {e}"))?;
-    let client = crash_connect(
-        &server.addr().to_string(),
-        &settings,
-        RemoteSutConfig::default(),
-    )?;
+    let rig = crash_rig(&dir.join("baseline-daemon"))
+        .map_err(|e| format!("crash baseline daemon: {e}"))?;
+    let wired = crash_connect(&rig, &settings, RemoteSutConfig::default())?;
     let cfg = JournalConfig::new(dir.join("baseline.mlpj"))
         .with_checkpoint_every(CRASH_CHECKPOINT_EVERY)
-        .with_epoch_source(client.epoch_source());
-    let sut: Arc<dyn RealtimeSut> = client.clone();
+        .with_epoch_source(wired.clients[0].epoch_source());
     let out = Run::wall_clock(&settings)
         .journal(&cfg)
-        .run(&mut qsl, sut)
+        .run(&mut qsl, Arc::clone(&wired.sut))
         .map_err(|e| format!("crash baseline run failed: {e}"))?
         .finished()
         .ok_or("crash baseline halted")?;
-    server.shutdown();
     if !out.result.is_valid() {
         return Err(format!(
             "crash baseline is INVALID: {:?}",
@@ -1409,22 +1319,16 @@ fn run_crash_cell(
     let daemon_dir = dir.join(format!("{cell}-daemon"));
     let daemon_dir_text = daemon_dir.display().to_string();
     let seed_text = seed.to_string();
-    let (killed, halt_checkpoint, resume_addr, survivor, successor) = match cell {
+    let (killed, halt_checkpoint, rig, successor) = match cell {
         // The client dies holding live sockets; the daemon survives with
         // the session in memory.
         "client-kill" | "torn-checkpoint" => {
             let torn = cell == "torn-checkpoint";
-            let server = serve_on(
-                "127.0.0.1:0",
-                crash_service(),
-                ServeConfig::default().with_journal_dir(&daemon_dir),
-            )
-            .map_err(|e| format!("{cell}: daemon: {e}"))?;
-            let addr = server.addr().to_string();
+            let rig = crash_rig(&daemon_dir).map_err(|e| format!("{cell}: daemon: {e}"))?;
             let (client_child, halted) = spawn_crash_child(
                 "__crash-client",
                 &[
-                    &addr,
+                    rig.addr(0),
                     &journal_text,
                     if torn { "1" } else { "0" },
                     &seed_text,
@@ -1440,7 +1344,7 @@ fn run_crash_cell(
             } else {
                 "client"
             };
-            (killed, halt_checkpoint, addr, Some(server), None)
+            (killed, halt_checkpoint, rig, None)
         }
         // The daemon dies (alone or with the client); its successor
         // re-adopts the session's completion journal from disk.
@@ -1469,14 +1373,12 @@ fn run_crash_cell(
             } else {
                 "daemon"
             };
-            (killed, halt_checkpoint, addr, None, Some(successor))
+            (killed, halt_checkpoint, Rig::over(&addr), Some(successor))
         }
         other => unreachable!("unknown crash cell {other}"),
     };
-    let resumed = resume_crash_run(&resume_addr, &journal, seed);
-    if let Some(server) = survivor {
-        server.shutdown();
-    }
+    let resumed = resume_crash_run(&rig, &journal, seed);
+    drop(rig);
     if let Some(child) = successor {
         kill_crash_child(child);
     }
@@ -1648,54 +1550,22 @@ fn main() -> ExitCode {
         }
     }
 
-    let cells = match build_matrix(seed) {
-        Ok(cells) => cells,
+    let flight = flight_dir.as_deref();
+    let built = match build_all(seed, wire_mode, crash_mode, flight, analyze_mode, "a") {
+        Ok(built) => built,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let wire_cells = if wire_mode {
-        match build_wire_matrix(seed, flight_dir.as_deref(), analyze_mode) {
-            Ok(cells) => Some(cells),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-    let shard_cells = if wire_mode {
-        match build_shard_matrix(seed) {
-            Ok(cells) => Some(cells),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-    let crash_cells = if crash_mode {
-        match build_crash_matrix(seed, "a") {
-            Ok(cells) => Some(cells),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-    let rendered = render_json(
-        seed,
-        &cells,
-        wire_cells.as_deref(),
-        shard_cells.as_deref(),
-        crash_cells.as_deref(),
-    );
-    print!("{}", render_table(&cells));
+    let rendered = render_json(seed, &built);
+    let Matrices {
+        cells,
+        wire: wire_cells,
+        shard: shard_cells,
+        crash: crash_cells,
+    } = &built;
+    print!("{}", render_table(cells));
     let invalid = cells.iter().filter(|c| !c.faulty_valid).count();
     let recovered = cells
         .iter()
@@ -1705,7 +1575,7 @@ fn main() -> ExitCode {
         "\n{} cells, {invalid} INVALID under faults, {recovered} recovered by resilience (seed {seed})",
         cells.len()
     );
-    if let Some(wire_cells) = &wire_cells {
+    if let Some(wire_cells) = wire_cells {
         print!("{}", render_wire_table(wire_cells));
         let invalid = wire_cells.iter().filter(|c| !c.plain.valid).count();
         let rescued = wire_cells.iter().filter(|c| c.rescued()).count();
@@ -1714,7 +1584,7 @@ fn main() -> ExitCode {
             wire_cells.len()
         );
     }
-    if let Some(shard_cells) = &shard_cells {
+    if let Some(shard_cells) = shard_cells {
         print!("{}", render_shard_table(shard_cells));
         let survived = shard_cells
             .iter()
@@ -1725,7 +1595,7 @@ fn main() -> ExitCode {
             shard_cells.len()
         );
     }
-    if let Some(crash_cells) = &crash_cells {
+    if let Some(crash_cells) = crash_cells {
         print!("{}", render_crash_table(crash_cells));
         let rescued = crash_cells
             .iter()
@@ -1746,63 +1616,23 @@ fn main() -> ExitCode {
     }
 
     if check_mode {
-        let again_cells = match build_matrix(seed) {
-            Ok(cells) => cells,
+        // The rebuild skips flight dumps: the first build already wrote
+        // them, and the reproducibility check only compares the JSON.
+        let again = match build_all(seed, wire_mode, crash_mode, None, false, "b") {
+            Ok(again) => render_json(seed, &again),
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        // The rebuild skips flight dumps: the first build already wrote
-        // them, and the reproducibility check only compares the JSON.
-        let again_wire = if wire_mode {
-            match build_wire_matrix(seed, None, false) {
-                Ok(cells) => Some(cells),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            None
-        };
-        let again_shard = if wire_mode {
-            match build_shard_matrix(seed) {
-                Ok(cells) => Some(cells),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            None
-        };
-        let again_crash = if crash_mode {
-            match build_crash_matrix(seed, "b") {
-                Ok(cells) => Some(cells),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            None
-        };
-        let again = render_json(
-            seed,
-            &again_cells,
-            again_wire.as_deref(),
-            again_shard.as_deref(),
-            again_crash.as_deref(),
-        );
-        let mut failures = check(seed, &cells, &rendered, &again);
-        if let Some(wire_cells) = &wire_cells {
+        let mut failures = check(seed, cells, &rendered, &again);
+        if let Some(wire_cells) = wire_cells {
             failures.extend(check_wire(wire_cells));
         }
-        if let Some(shard_cells) = &shard_cells {
+        if let Some(shard_cells) = shard_cells {
             failures.extend(check_shard(shard_cells));
         }
-        if let Some(crash_cells) = &crash_cells {
+        if let Some(crash_cells) = crash_cells {
             failures.extend(check_crash(crash_cells));
         }
         if failures.is_empty() {

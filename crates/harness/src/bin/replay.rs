@@ -31,23 +31,23 @@
 //!    Asserts: identical verdicts and a fingerprint within bound (scale
 //!    it with `MLPERF_REPLAY_WIRE_BOUND_SCALE` on loaded machines).
 //! 3. **Fleet leg** — the same reduced trace drives a 3-shard
-//!    [`ShardedSut`] fleet to a VALID run.
+//!    `ShardedSut` fleet to a VALID run.
 
+use mlperf_harness::rig::{device_per_sample, Rig, DEVICE_PER_SAMPLE};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::RunOutcome;
-use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
+use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::Run;
+use mlperf_loadgen::{ReplaySchedule, Run};
 use mlperf_replay::{
     fingerprint_of_records, record_trace, reduce_trace, EquivalenceBound, FingerprintDistance,
     RecordOptions, RecordedTrace, ReduceOptions, TraceFingerprint,
 };
 use mlperf_stats::rng::SeedTriple;
-use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
-use mlperf_trace::metrics::MetricsRegistry;
+use mlperf_sut::BalancePolicy;
 use mlperf_trace::{read_detail_log, render_detail_log, RingBufferSink, TraceRecord};
-use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
+use mlperf_wire::{RemoteSutConfig, ServeConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -56,10 +56,6 @@ const USAGE: &str = "usage: replay <record|reduce|run|roundtrip> [opts]
   reduce    --in <mlpr> --target <n> [--seed <n>] [--scale <f>] --out <mlpr>
   run       --in <mlpr> [--wire | --shards <n>] [--seed <n>] [--detail <jsonl>]
   roundtrip [--check] [--bless] [--seed <n>]";
-
-/// Simulated per-sample service time of the built-in benchmark device
-/// (same device netbench exports).
-const DEVICE_PER_SAMPLE: Nanos = Nanos::from_micros(40);
 
 /// QSL population for the audit runs.
 const POPULATION: usize = 64;
@@ -247,15 +243,11 @@ fn cmd_reduce(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-enum RunTarget {
-    Sim,
-    Wire,
-    Fleet(usize),
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut input = None;
-    let mut target = RunTarget::Sim;
+    // How many loopback daemons to replay over: none (the discrete-event
+    // loop), one (`--wire`), or a fleet (`--shards N`).
+    let mut daemons = None;
     let mut seed = 0xBE7Cu64;
     let mut detail_out = None;
     let mut it = args.iter();
@@ -267,9 +259,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         };
         match arg.as_str() {
             "--in" => input = Some(value("--in")?),
-            "--wire" => target = RunTarget::Wire,
+            "--wire" => daemons = Some(1),
             "--shards" => {
-                target = RunTarget::Fleet(parse_u64(&value("--shards")?, "--shards")? as usize)
+                let shards = parse_u64(&value("--shards")?, "--shards")? as usize;
+                if shards < 2 {
+                    return Err("--shards needs at least 2 endpoints".into());
+                }
+                daemons = Some(shards);
             }
             "--seed" => seed = parse_u64(&value("--seed")?, "--seed")?,
             "--detail" => detail_out = Some(value("--detail")?),
@@ -280,15 +276,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let trace = load_trace(&input)?;
     println!("replaying {input}: {}", describe(&trace));
 
-    let (out, records) = match target {
-        RunTarget::Sim => replay_sim(&trace, seed)?,
-        RunTarget::Wire => {
-            let daemon = spawn_daemon()?;
-            let result = replay_wire(&trace, &daemon.addr().to_string(), seed);
-            daemon.shutdown();
-            result?
-        }
-        RunTarget::Fleet(shards) => replay_fleet(&trace, shards, seed)?,
+    let (out, records) = match daemons {
+        None => replay_sim(&trace, seed)?,
+        Some(daemons) => replay_over(&spawn_rig(daemons)?, &trace, seed)?,
     };
 
     println!(
@@ -339,122 +329,56 @@ fn replay_sim(trace: &RecordedTrace, seed: u64) -> Result<(RunOutcome, Vec<Trace
     Ok((out, sink.snapshot()))
 }
 
-fn spawn_daemon() -> Result<ServerHandle, String> {
-    let device = SimHost::new(FixedLatencySut::new("replay-dev", DEVICE_PER_SAMPLE));
-    let config = ServeConfig::default().with_metrics(Arc::new(MetricsRegistry::new()));
-    serve_on("127.0.0.1:0", Arc::new(device), config)
-        .map_err(|e| format!("cannot start loopback daemon: {e}"))
+/// The loopback rig replays run over: the built-in benchmark device (the
+/// one netbench exports), or netbench's heterogeneous fleet of them.
+fn spawn_rig(daemons: usize) -> Result<Rig, String> {
+    Rig::spawn("replay-dev", &device_per_sample(daemons), |_| {
+        ServeConfig::default()
+    })
 }
 
-/// Replays over the wire against the daemon at `addr`.
-fn replay_wire(
-    trace: &RecordedTrace,
-    addr: &str,
-    seed: u64,
+/// Runs `settings` over fresh connections to `rig` — from `schedule` if
+/// given one, by the scenario's own arrival rule otherwise — and returns
+/// the outcome with the merged detail log.
+fn run_over(
+    rig: &Rig,
+    settings: &TestSettings,
+    population: usize,
+    schedule: Option<&ReplaySchedule>,
 ) -> Result<(RunOutcome, Vec<TraceRecord>), String> {
-    let settings = trace
-        .replay_settings()
-        .with_seeds(SeedTriple::from_master(seed));
-    let mut qsl = MemoryQsl::new(
-        "replay-qsl",
-        trace.population as usize,
-        trace.population as usize,
-    );
-    let config = RemoteSutConfig::default();
-    let hello = RemoteSut::hello_for(&settings, qsl.total_sample_count() as u64, &config);
+    let mut qsl = MemoryQsl::new("replay-qsl", population, population);
     let sink = Arc::new(RingBufferSink::unbounded());
-    let client = RemoteSut::connect_instrumented(addr, hello, config, Some(sink.clone()), None)
-        .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let origin = client.clock_origin();
-    let out = Run::wall_clock(&settings)
-        .sink(sink.as_ref())
-        .origin(origin)
-        .replay(&trace.replay_schedule())
-        .run(&mut qsl, Arc::new(client))
-        .map_err(|e| format!("wire replay failed: {e}"))?;
+    let wired = rig.connect(
+        settings,
+        population as u64,
+        |_| RemoteSutConfig::default(),
+        BalancePolicy::WeightedThroughput,
+        Some(sink.clone()),
+        None,
+    )?;
+    let run = wired.run(settings);
+    let sut = Arc::clone(&wired.sut);
+    let out = match schedule {
+        Some(schedule) => run.replay(schedule).run(&mut qsl, sut),
+        None => run.run(&mut qsl, sut),
+    }
+    .map_err(|e| format!("run failed: {e}"))?;
+    wired.drain();
     Ok((out, sink.snapshot()))
 }
 
-/// Per-shard simulated service time — same heterogeneous cycle netbench
-/// uses, so replay drives a realistic weighted fleet.
-fn fleet_per_sample(i: usize) -> Nanos {
-    Nanos::from_micros(20 + 30 * (i as u64 % 4))
-}
-
-/// Replays through a sharded fleet: N loopback daemons behind one
+/// Replays `trace` over `rig`: a lone daemon directly, a fleet through its
 /// weighted router.
-fn replay_fleet(
+fn replay_over(
+    rig: &Rig,
     trace: &RecordedTrace,
-    shards: usize,
     seed: u64,
 ) -> Result<(RunOutcome, Vec<TraceRecord>), String> {
-    if shards < 2 {
-        return Err("--shards needs at least 2 endpoints".into());
-    }
     let settings = trace
         .replay_settings()
         .with_seeds(SeedTriple::from_master(seed));
-    let mut qsl = MemoryQsl::new(
-        "replay-qsl",
-        trace.population as usize,
-        trace.population as usize,
-    );
-    let sink = Arc::new(RingBufferSink::unbounded());
-    let metrics = Arc::new(MetricsRegistry::new());
-
-    let mut handles = Vec::new();
-    let mut clients: Vec<Arc<RemoteSut>> = Vec::new();
-    let config = RemoteSutConfig::default();
-    for i in 0..shards {
-        let label = format!("shard-{i}");
-        let device = SimHost::new(FixedLatencySut::new("replay-dev", fleet_per_sample(i)));
-        let serve = ServeConfig::default()
-            .with_metrics(Arc::new(MetricsRegistry::new()))
-            .with_shard_label(&label);
-        let handle = serve_on("127.0.0.1:0", Arc::new(device), serve)
-            .map_err(|e| format!("cannot start fleet daemon {label}: {e}"))?;
-        let hello = RemoteSut::hello_for(&settings, qsl.total_sample_count() as u64, &config);
-        let client = RemoteSut::connect_instrumented(
-            handle.addr().to_string(),
-            hello,
-            config.clone(),
-            Some(sink.clone()),
-            Some(metrics.clone()),
-        )
-        .map_err(|e| format!("connect to {label} failed: {e}"))?;
-        handles.push(handle);
-        clients.push(Arc::new(client));
-    }
-
-    let origin = clients[0].clock_origin();
-    let mut router = ShardedSut::new("replay-fleet", BalancePolicy::WeightedThroughput)
-        .with_sink(sink.clone())
-        .with_metrics(metrics)
-        .with_origin(origin);
-    for (i, client) in clients.iter().enumerate() {
-        let probe = Arc::clone(client);
-        let weight = 1e9 / fleet_per_sample(i).as_nanos() as f64;
-        router = router.with_endpoint(
-            ShardEndpoint::new(&format!("shard-{i}"), Arc::clone(client) as _)
-                .with_weight(weight)
-                .with_probe(Arc::new(move || probe.is_connected())),
-        );
-    }
-
-    let result = Run::wall_clock(&settings)
-        .sink(sink.as_ref())
-        .origin(origin)
-        .replay(&trace.replay_schedule())
-        .run(&mut qsl, Arc::new(router))
-        .map_err(|e| format!("fleet replay failed: {e}"));
-    for client in &clients {
-        client.shutdown();
-    }
-    for handle in &handles {
-        handle.shutdown();
-    }
-    let out = result?;
-    Ok((out, sink.snapshot()))
+    let schedule = trace.replay_schedule();
+    run_over(rig, &settings, trace.population as usize, Some(&schedule))
 }
 
 // ---------------------------------------------------------------------------
@@ -614,30 +538,18 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
         .with_min_duration(Nanos::from_millis(100))
         .with_seeds(seeds);
 
-    let daemon = spawn_daemon()?;
-    let addr = daemon.addr().to_string();
-
     // Recorded run over the wire.
-    let mut qsl = MemoryQsl::new("replay-qsl", POPULATION, POPULATION);
-    let config = RemoteSutConfig::default();
-    let hello = RemoteSut::hello_for(&settings, qsl.total_sample_count() as u64, &config);
-    let sink = Arc::new(RingBufferSink::unbounded());
-    let client = RemoteSut::connect_instrumented(&addr, hello, config, Some(sink.clone()), None)
-        .map_err(|e| format!("wire leg: connect failed: {e}"))?;
-    let origin = client.clock_origin();
-    let original_out = Run::wall_clock(&settings)
-        .sink(sink.as_ref())
-        .origin(origin)
-        .run(&mut qsl, Arc::new(client))
-        .map_err(|e| format!("wire leg: recorded run failed: {e}"))?;
+    let daemon = spawn_rig(1)?;
+    let (original_out, recorded) = run_over(&daemon, &settings, POPULATION, None)
+        .map_err(|e| format!("wire leg: recorded run: {e}"))?;
     println!("wire leg: recorded run {}", verdict(&original_out));
 
     let opts = RecordOptions::for_population(POPULATION as u64)
         .with_qsl_seed(seeds.qsl_seed)
         .with_latency_target(Nanos::from_millis(50).as_nanos(), 99.0)
         .with_source("roundtrip-wire");
-    let trace = record_trace(&sink.snapshot(), &opts)
-        .map_err(|e| format!("wire leg: record failed: {e}"))?;
+    let trace =
+        record_trace(&recorded, &opts).map_err(|e| format!("wire leg: record failed: {e}"))?;
     println!("wire leg: recorded {}", describe(&trace));
 
     // 10x reduction. The recording's latencies are wall-clock, so even a
@@ -653,9 +565,9 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
     );
 
     // Replay over a fresh connection to the same daemon.
-    let replay_result = replay_wire(&reduced, &addr, seed);
-    daemon.shutdown();
-    let (replay_out, replay_records) = replay_result?;
+    let (replay_out, replay_records) =
+        replay_over(&daemon, &reduced, seed).map_err(|e| format!("wire leg: replay: {e}"))?;
+    drop(daemon);
     println!("wire leg: replay {}", verdict(&replay_out));
     let (distance, replay_failures) = audit_replay(
         "wire leg",
@@ -671,7 +583,8 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
     }
 
     // Fleet leg: the same reduced trace drives a 3-shard fleet VALID.
-    let (fleet_out, fleet_records) = replay_fleet(&reduced, 3, seed)?;
+    let (fleet_out, fleet_records) = replay_over(&spawn_rig(3)?, &reduced, seed)
+        .map_err(|e| format!("fleet leg: replay: {e}"))?;
     println!("fleet leg: replay {}", verdict(&fleet_out));
     if !fleet_out.result.is_valid() {
         failures.push(format!(

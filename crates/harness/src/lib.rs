@@ -7,6 +7,10 @@
 //!
 //! Every binary accepts `--profile smoke|paper` (default `paper` — the
 //! calibrated reproduction profile; `smoke` is a seconds-scale check).
+//!
+//! [`rig`] is the loopback wire rig the robustness binaries (`chaos`,
+//! `netbench`, `replay`) and the fleet-crash test build their daemons,
+//! clients and router through (DESIGN.md §3e).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +20,7 @@ pub mod fig6;
 pub mod fig8;
 pub mod panic_guard;
 pub mod profile;
+pub mod rig;
 pub mod roundio;
 pub mod tables;
 

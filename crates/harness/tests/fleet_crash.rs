@@ -1,29 +1,29 @@
-//! The EXPERIMENTS.md fleet-crash walkthrough, pinned as a test: a
-//! journaled server run drives a 3-shard wire fleet through the
-//! [`ShardedSut`] router, the client and one shard daemon both die at a
+//! The EXPERIMENTS.md fleet-crash walkthrough, pinned as a test — and the
+//! integration test of the harness's [`Rig`]: a journaled server run drives
+//! a 3-shard wire fleet through the rig's round-robin `ShardedSut` router,
+//! the client and one shard daemon both die at a
 //! checkpoint boundary, and the rescued run — restarted daemon re-adopting
 //! its session journal from disk, fresh client resuming from the run
 //! journal with an epoch bump — finishes VALID with a logical record
 //! stream identical to an uninterrupted fleet run's, and its detail log
 //! passes the TEST06 completeness audit.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
+use mlperf_harness::rig::{Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
 use mlperf_loadgen::record::QueryRecord;
-use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::{JournaledRun, Run};
-use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
+use mlperf_sut::BalancePolicy;
 use mlperf_trace::RingBufferSink;
-use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
+use mlperf_wire::{RemoteSutConfig, ServeConfig};
 
-const SHARDS: usize = 3;
 const HALT_AT: u64 = 1;
 
 fn settings() -> TestSettings {
@@ -32,45 +32,20 @@ fn settings() -> TestSettings {
         .with_min_duration(Nanos::from_millis(1))
 }
 
-/// Heterogeneous per-shard service time, like netbench's fleet.
-fn shard_latency(i: usize) -> Nanos {
-    Nanos::from_micros(100 + 50 * i as u64)
-}
+/// Heterogeneous per-shard service times, like netbench's fleet.
+const SHARD_LATENCY: [Nanos; 3] = [
+    Nanos::from_micros(100),
+    Nanos::from_micros(150),
+    Nanos::from_micros(200),
+];
 
-fn spawn_shard(i: usize, journal_dir: &Path) -> ServerHandle {
-    let device = SimHost::new(FixedLatencySut::new("fleet-dev", shard_latency(i)));
-    serve_on(
-        "127.0.0.1:0",
-        Arc::new(device),
-        ServeConfig::default()
-            .with_shard_label(&format!("shard-{i}"))
-            .with_journal_dir(journal_dir),
-    )
-    .expect("spawn shard daemon")
-}
-
-/// Connects a client per shard and wires them into the round-robin
-/// router. Returns the clients too: the crash leg severs them directly
-/// and the checkpoint reads the first one's epoch.
-fn build_fleet(
-    addrs: &[String],
-    config: &RemoteSutConfig,
-) -> (Vec<Arc<RemoteSut>>, Arc<ShardedSut>) {
-    let settings = settings();
-    let mut clients = Vec::new();
-    let mut router = ShardedSut::new("crash-fleet", BalancePolicy::RoundRobin);
-    for (i, addr) in addrs.iter().enumerate() {
-        let hello = RemoteSut::hello_for(&settings, 16, config);
-        let client =
-            Arc::new(RemoteSut::connect(addr, hello, config.clone()).expect("connect shard"));
-        let probe = Arc::clone(&client);
-        router = router.with_endpoint(
-            ShardEndpoint::new(&format!("shard-{i}"), Arc::clone(&client) as _)
-                .with_probe(Arc::new(move || probe.is_connected())),
-        );
-        clients.push(client);
-    }
-    (clients, Arc::new(router))
+/// Connects a client per shard behind the rig's round-robin router. The
+/// crash leg severs the clients directly and the checkpoint reads the
+/// first one's epoch.
+fn connect(rig: &Rig, config: &RemoteSutConfig) -> Wired {
+    let policy = BalancePolicy::RoundRobin;
+    rig.connect(&settings(), 16, |_| config.clone(), policy, None, None)
+        .expect("connect fleet")
 }
 
 /// The fields a crash + resume must reproduce exactly; latencies
@@ -92,20 +67,20 @@ fn tmp_dir() -> PathBuf {
 fn fleet_survives_daemon_and_client_death() {
     let settings = settings();
     let dir = tmp_dir();
-    let mut handles: Vec<ServerHandle> = (0..SHARDS)
-        .map(|i| spawn_shard(i, &dir.join(format!("daemon{i}"))))
-        .collect();
-    let mut addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
+    let mut rig = Rig::spawn("fleet-dev", &SHARD_LATENCY, |i| {
+        ServeConfig::default().with_journal_dir(dir.join(format!("daemon{i}")))
+    })
+    .expect("spawn shard daemons");
 
     // Uninterrupted fleet baseline.
     let expected = {
         let mut qsl = MemoryQsl::new("fleet-qsl", 16, 16);
         assert_eq!(qsl.total_sample_count(), 16);
-        let (_clients, router) = build_fleet(&addrs, &RemoteSutConfig::default());
+        let wired = connect(&rig, &RemoteSutConfig::default());
         let cfg = JournalConfig::new(dir.join("baseline.mlpj")).with_checkpoint_every(8);
         let out = Run::wall_clock(&settings)
             .journal(&cfg)
-            .run(&mut qsl, router)
+            .run(&mut qsl, Arc::clone(&wired.sut))
             .expect("baseline run")
             .finished()
             .expect("no halt armed");
@@ -118,30 +93,28 @@ fn fleet_survives_daemon_and_client_death() {
     let journal = dir.join("crash.mlpj");
     {
         let mut qsl = MemoryQsl::new("fleet-qsl", 16, 16);
-        let (clients, router) = build_fleet(&addrs, &RemoteSutConfig::default());
+        let wired = connect(&rig, &RemoteSutConfig::default());
         let cfg = JournalConfig::new(&journal)
             .with_checkpoint_every(8)
             .with_halt_after(HALT_AT)
-            .with_epoch_source(clients[0].epoch_source());
+            .with_epoch_source(wired.clients[0].epoch_source());
         let halted = Run::wall_clock(&settings)
             .journal(&cfg)
-            .run(&mut qsl, router)
+            .run(&mut qsl, Arc::clone(&wired.sut))
             .expect("halted run");
         match halted {
             JournaledRun::Halted { checkpoint } => assert_eq!(checkpoint, HALT_AT),
             JournaledRun::Finished(_) => panic!("halt_after({HALT_AT}) did not fire"),
         }
-        for client in &clients {
+        for client in &wired.clients {
             client.abandon();
         }
     }
 
     // One shard daemon dies hard too, and a successor re-adopts its
     // session journal from disk on a fresh address.
-    handles[1].kill();
-    handles[1].shutdown();
-    handles[1] = spawn_shard(1, &dir.join("daemon1"));
-    addrs[1] = handles[1].addr().to_string();
+    rig.kill(1);
+    rig.respawn(1, Rebind::FreshPort).expect("respawn shard 1");
 
     // Resume: fresh clients reconnect with an epoch bump, the run rolls
     // back to the checkpoint, re-issues the outstanding window, and runs
@@ -152,15 +125,15 @@ fn fleet_survives_daemon_and_client_death() {
         assert_eq!(loaded.checkpoints, HALT_AT + 1);
         let epoch = loaded.last.as_ref().map_or(0, |cp| cp.epoch);
         let config = RemoteSutConfig::default().with_initial_epoch(epoch + 1);
-        let (clients, router) = build_fleet(&addrs, &config);
+        let wired = connect(&rig, &config);
         let cfg = JournalConfig::new(&journal)
             .with_checkpoint_every(8)
-            .with_epoch_source(clients[0].epoch_source());
+            .with_epoch_source(wired.clients[0].epoch_source());
         let sink = RingBufferSink::unbounded();
         let out = Run::wall_clock(&settings)
             .sink(&sink)
             .resume(&cfg)
-            .run(&mut qsl, router)
+            .run(&mut qsl, Arc::clone(&wired.sut))
             .expect("resumed run")
             .finished()
             .expect("resume runs to completion");
@@ -175,8 +148,6 @@ fn fleet_survives_daemon_and_client_death() {
     };
     assert_eq!(rescued, expected, "rescued fleet run must match baseline");
 
-    for handle in &handles {
-        handle.shutdown();
-    }
+    drop(rig);
     let _ = std::fs::remove_dir_all(&dir);
 }

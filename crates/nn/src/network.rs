@@ -194,12 +194,6 @@ impl NetworkBuilder {
         }
     }
 
-    /// Overrides the weight initializer for subsequent layers.
-    pub fn with_init(mut self, init: WeightInit) -> Self {
-        self.init = init;
-        self
-    }
-
     fn push(mut self, layer: Layer) -> Result<Self, NnError> {
         self.current = layer.output_shape(&self.current)?;
         self.nodes.push(Node::Layer(layer));

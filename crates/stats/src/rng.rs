@@ -170,12 +170,24 @@ impl SplitMix64 {
     }
 
     fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
+        out
     }
+}
+
+/// SplitMix64's state increment (the odd integer nearest 2^64 / φ).
+const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One round of SplitMix64: the output the generator seeded with `x` gives
+/// first. Enough avalanche to decorrelate adjacent inputs (query ids, frame
+/// indices) before they seed an [`Rng64`] or become an id themselves.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SPLITMIX_GAMMA);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// The LoadGen's three decoupled seed streams (Section IV-B).

@@ -19,6 +19,7 @@
 use mlperf_loadgen::query::{Query, QueryCompletion};
 use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
+use mlperf_stats::rng::splitmix64;
 use mlperf_stats::Rng64;
 use mlperf_trace::{MetricsRegistry, TraceEvent, TraceSink};
 use std::sync::Arc;
@@ -153,15 +154,6 @@ impl FaultPlan {
     fn query_rng(&self, query_id: u64) -> Rng64 {
         Rng64::new(splitmix64(self.seed ^ splitmix64(query_id)))
     }
-}
-
-/// One round of splitmix64 — enough avalanche to decorrelate adjacent
-/// query ids before they seed [`Rng64`].
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Decorator injecting a [`FaultPlan`] into any inner [`SimSut`].

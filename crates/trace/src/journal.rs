@@ -25,7 +25,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::crc::crc32;
 
@@ -201,7 +201,6 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalScan, JournalError>
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: PathBuf,
     /// Appends since the last sync.
     unsynced: u32,
     /// Sync after this many appends (0 = sync on every append).
@@ -219,14 +218,12 @@ impl JournalWriter {
     ///
     /// Returns the underlying I/O error.
     pub fn create(path: impl AsRef<Path>, fsync_every: u32) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::create(&path)?;
+        let mut file = File::create(path)?;
         file.write_all(&MAGIC)?;
         file.write_all(&VERSION.to_be_bytes())?;
         file.sync_all()?;
         Ok(Self {
             file,
-            path,
             unsynced: 0,
             fsync_every,
         })
@@ -245,7 +242,6 @@ impl JournalWriter {
         path: impl AsRef<Path>,
         fsync_every: u32,
     ) -> Result<(Self, JournalScan), JournalError> {
-        let path = path.as_ref().to_path_buf();
         let scan = read_journal(&path)?;
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         if let Some(torn) = &scan.torn {
@@ -256,17 +252,11 @@ impl JournalWriter {
         Ok((
             Self {
                 file,
-                path,
                 unsynced: 0,
                 fsync_every,
             },
             scan,
         ))
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one frame, syncing if the batch window filled.
@@ -321,6 +311,7 @@ impl JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -38,13 +38,14 @@ use std::time::{Duration, Instant};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::sut::{IssueOutcome, RealtimeSut};
+use mlperf_stats::rng::splitmix64;
 use mlperf_trace::event::{parse_detail_log, TraceEvent, TraceSink};
 use mlperf_trace::metrics::MetricsRegistry;
 
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::frame::WireError;
 use crate::message::{Hello, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-use crate::transport::{splitmix64, ChaosSession, TcpTransport, Transport, WireChaosPlan};
+use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
 
 /// How long [`RemoteSut::shutdown`] waits for the server's drained
 /// goodbye (and the event shipment that precedes it) before closing the
@@ -118,13 +119,6 @@ impl Default for RemoteSutConfig {
 }
 
 impl RemoteSutConfig {
-    /// Overrides the in-flight window.
-    #[must_use]
-    pub fn with_max_in_flight(mut self, n: u32) -> Self {
-        self.max_in_flight = n.max(1);
-        self
-    }
-
     /// Overrides the per-query response timeout.
     #[must_use]
     pub fn with_response_timeout(mut self, t: Duration) -> Self {

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mlperf_stats::rng::splitmix64;
 use mlperf_trace::event::{TraceEvent, TraceSink};
 
 use crate::frame::{read_frame, write_frame_via, WireError};
@@ -96,14 +97,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One round of splitmix64, identical to the device fault layer's mixer.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Seeded description of the wire faults to inject. Mirrors the device
 /// layer's `FaultPlan`: a default plan is disarmed (pure pass-through), and
 /// every probabilistic decision is an order-independent hash of the plan
@@ -115,8 +108,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct WireChaosPlan {
     seed: u64,
-    /// Probability a sent frame has one byte flipped.
-    pub corrupt_send_prob: f64,
     /// Probability a received frame has one byte flipped.
     pub corrupt_recv_prob: f64,
     /// Flip one byte in exactly this received frame (1-based index).
@@ -135,9 +126,6 @@ pub struct WireChaosPlan {
     /// One-way partition inbound: discard every received frame after this
     /// many (reads block until the stream dies).
     pub partition_recv_after: Option<u64>,
-    /// Re-arm the one-shot faults on every reconnect instead of only the
-    /// first connection. Off by default so a resumed session heals.
-    pub rearm_on_reconnect: bool,
 }
 
 impl WireChaosPlan {
@@ -145,7 +133,6 @@ impl WireChaosPlan {
     pub fn new(seed: u64) -> Self {
         WireChaosPlan {
             seed,
-            corrupt_send_prob: 0.0,
             corrupt_recv_prob: 0.0,
             corrupt_recv_at: None,
             truncate_recv_at: None,
@@ -154,15 +141,7 @@ impl WireChaosPlan {
             disconnect_after_send: None,
             partition_send_after: None,
             partition_recv_after: None,
-            rearm_on_reconnect: false,
         }
-    }
-
-    /// Arms per-frame byte corruption on the send side.
-    #[must_use]
-    pub fn with_corrupt_send(mut self, prob: f64) -> Self {
-        self.corrupt_send_prob = prob.clamp(0.0, 1.0);
-        self
     }
 
     /// Arms per-frame byte corruption on the receive side.
@@ -222,18 +201,9 @@ impl WireChaosPlan {
         self
     }
 
-    /// Re-arms one-shot faults on every reconnect (default: first
-    /// connection only, so reconnect+resume can heal the link).
-    #[must_use]
-    pub fn with_rearm_on_reconnect(mut self) -> Self {
-        self.rearm_on_reconnect = true;
-        self
-    }
-
     /// Whether any fault is armed. A disarmed plan is a pure pass-through.
     pub fn is_armed(&self) -> bool {
-        self.corrupt_send_prob > 0.0
-            || self.corrupt_recv_prob > 0.0
+        self.corrupt_recv_prob > 0.0
             || self.corrupt_recv_at.is_some()
             || self.truncate_recv_at.is_some()
             || self.duplicate_send_prob > 0.0
@@ -273,7 +243,7 @@ struct ChaosState {
 /// Per-endpoint chaos context: holds the plan, the cross-connection fault
 /// state, and the trace sink injections are reported to. One session wraps
 /// every (re)connection of its endpoint, so one-shot faults fire exactly
-/// once unless the plan re-arms them.
+/// once.
 pub struct ChaosSession {
     plan: WireChaosPlan,
     state: Arc<ChaosState>,
@@ -308,14 +278,14 @@ impl ChaosSession {
     }
 
     /// Decorates one (re)connection's transport. The first connection is
-    /// armed whenever the plan is; later connections are pass-throughs
-    /// unless the plan re-arms on reconnect. Partitions always heal on a
+    /// armed whenever the plan is; later connections are pass-throughs,
+    /// so reconnect+resume can heal the link. Partitions always heal on a
     /// new connection (a reconnect takes a new route).
     pub fn wrap(self: &Arc<Self>, inner: Box<dyn Transport>) -> Box<dyn Transport> {
         let conn = self.state.connections.fetch_add(1, Ordering::SeqCst) + 1;
         self.state.send_partitioned.store(false, Ordering::SeqCst);
         self.state.recv_partitioned.store(false, Ordering::SeqCst);
-        let armed = self.plan.is_armed() && (conn == 1 || self.plan.rearm_on_reconnect);
+        let armed = self.plan.is_armed() && conn == 1;
         Box::new(ChaosTransport {
             inner,
             session: Arc::clone(self),
@@ -373,28 +343,14 @@ impl Transport for ChaosTransport {
             }
         }
 
-        let mut owned;
-        let mut to_send = payload;
-        if plan.corrupt_send_prob > 0.0
-            && plan.draw(SEND_SALT, frame) < plan.corrupt_send_prob
-            && !payload.is_empty()
-        {
-            let pos = plan.flip_at(SEND_SALT, frame, payload.len());
-            owned = payload.to_vec();
-            owned[pos] ^= 0x20;
-            to_send = &owned[..];
-            self.session
-                .emit("corrupt", frame, format!("send: flipped byte {pos}"));
-        }
-
-        self.inner.send(to_send)?;
+        self.inner.send(payload)?;
 
         if plan.duplicate_send_prob > 0.0
             && plan.draw(SEND_SALT ^ 0xD0B, frame) < plan.duplicate_send_prob
         {
             self.session
                 .emit("duplicate", frame, "send: frame sent twice".to_string());
-            self.inner.send(to_send)?;
+            self.inner.send(payload)?;
         }
 
         if let Some(at) = plan.disconnect_after_send {
