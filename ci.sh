@@ -26,6 +26,16 @@ heaps=$(grep -l "BinaryHeap" crates/core/src/*.rs | xargs)
 [[ "$heaps" == "crates/core/src/des.rs" ]] || census_fail "BinaryHeap in: $heaps"
 pools=$(cat crates/core/src/{realtime,replay,run}.rs | grep -c "thread::spawn")
 [[ "$pools" == 1 ]] || census_fail "$pools thread::spawn sites in realtime.rs/replay.rs/run.rs"
+# The wall-clock loops wait for the schedule in one place, the pacer, which
+# sleeps short of a deadline and yields up to it: a second `thread::sleep`
+# is a loop that issues a timer slack late again. And `TcpTransport` reads
+# through its receive buffer only; the unbuffered `read_frame` is there as
+# the reference its tests compare against.
+before_tests() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
+sleeps=$(before_tests crates/core/src/realtime.rs | grep -c "thread::sleep" || true)
+[[ "$sleeps" == 1 ]] || census_fail "$sleeps non-test thread::sleep sites in realtime.rs"
+unbuffered=$(before_tests crates/wire/src/transport.rs | grep -c "read_frame(" || true)
+[[ "$unbuffered" == 0 ]] || census_fail "$unbuffered non-test read_frame( calls in wire/src/transport.rs"
 poissons=$(cat crates/core/src/*.rs | grep -c "PoissonProcess::new")
 [[ "$poissons" == 1 ]] || census_fail "$poissons PoissonProcess::new sites in crates/core/src"
 shims='run_simulated_traced|run_instrumented|run_journaled|resume_journaled|run_simulated_replay|run_realtime_traced_at'
@@ -47,7 +57,7 @@ $strays"
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
-    echo "$(echo "$f" | cut -d/ -f2) $(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")"
+    echo "$(echo "$f" | cut -d/ -f2) $(before_tests "$f" | wc -l)"
 done | awk '{c[$1]+=$2; t+=$2} END{for (k in c) printf "  %-12s %6d\n", k, c[k] | "sort"; close("sort"); printf "  %-12s %6d non-test lines\n", "crates/*/src", t}'
 
 echo "== cargo test =="

@@ -1,12 +1,12 @@
 //! The wall-clock issue loop.
 //!
 //! Drives a [`RealtimeSut`] exactly the way the reference C++ LoadGen drives
-//! a real system: real sleeps between arrivals, a worker pool for open-loop
-//! queries (the server scenario, a replayed schedule), and `Instant`-based
-//! latency measurement. The rulebook (seeding, scheduling, recording,
-//! validation, metrics) is shared with the simulated loop, so the two
-//! runners agree wherever timing permits — an integration test asserts
-//! that. Entered through [`crate::Run::wall_clock`].
+//! a real system: a thread paced to each arrival on the real clock, a
+//! worker pool for open-loop queries (the server scenario, a replayed
+//! schedule), and `Instant`-based latency measurement. The rulebook
+//! (seeding, scheduling, recording, validation, metrics) is shared with the
+//! simulated loop, so the two runners agree wherever timing permits — an
+//! integration test asserts that. Entered through [`crate::Run::wall_clock`].
 //!
 //! Unlike the simulated loop, a realtime SUT can fail *structurally*: the
 //! wire extension puts the LoadGen/SUT boundary on a socket, and sockets
@@ -33,8 +33,9 @@ use crate::sut::{IssueOutcome, RealtimeSut};
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::TraceSink;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 // What `perfbench/` imports from this module; see the note on the
@@ -65,12 +66,169 @@ fn resolve(query: &Query, outcome: IssueOutcome, finished: Nanos) -> Option<Quer
     }
 }
 
-/// The wall-clock run in progress: the SUT, the run clock and the one
-/// [`Lane`] every scenario's loop records into.
+/// What a [`Pacer`] needs of its thread: the run clock and the two ways of
+/// giving the CPU away. The wall-clock loops pass the run's origin, the
+/// pacer's tests a script.
+trait PaceClock {
+    fn now(&self) -> Nanos;
+    fn sleep(&mut self, span: Nanos);
+    fn yield_now(&mut self);
+}
+
+impl PaceClock for Instant {
+    fn now(&self) -> Nanos {
+        Nanos::from(self.elapsed())
+    }
+
+    fn sleep(&mut self, span: Nanos) {
+        std::thread::sleep(span.to_duration());
+    }
+
+    fn yield_now(&mut self) {
+        std::thread::yield_now();
+    }
+}
+
+/// Holds one thread to deadlines on the run clock. A sleep wakes a timer
+/// slack and a wake-up late (84 µs here) and a query is timed from its
+/// *scheduled* arrival, so that lateness would be charged to the SUT. The
+/// pacer sleeps to short of the deadline by a margin, then yields until
+/// the clock reads it — yields, not `spin_loop`: on one CPU a woken worker
+/// must run at once, and on an idle core a yield is a spin. The margin is
+/// measured, not configured: the retransmission-timer estimator (RFC 6298:
+/// smoothed mean, gain 1/8, plus four smoothed mean deviations, gain 1/4)
+/// over the overshoot of every sleep this thread makes, starting at zero.
+#[derive(Debug, Default)]
+struct Pacer {
+    overshoot_ns: u64,
+    deviation_ns: u64,
+    /// The last deadline waited for was met without a sleep.
+    coasting: bool,
+}
+
+impl Pacer {
+    fn margin(&self) -> Nanos {
+        Nanos::from_nanos(self.overshoot_ns + 4 * self.deviation_ns)
+    }
+
+    /// The estimator's decay: what a sample is blended into and, with no
+    /// sample, what forgets a margin nothing confirms.
+    fn shrink(&mut self) {
+        self.deviation_ns -= self.deviation_ns / 4;
+        self.overshoot_ns -= self.overshoot_ns / 8;
+    }
+
+    /// Returns once `clock` reads `deadline` or later: at once, without a
+    /// syscall, when it already does (saturation, a resumed run catching
+    /// up).
+    fn wait_until(&mut self, deadline: Nanos, clock: &mut impl PaceClock) {
+        let mut now = clock.now();
+        if now >= deadline {
+            return;
+        }
+        let (left, margin) = (deadline.saturating_sub(now), self.margin());
+        if left > margin {
+            let asked = left.saturating_sub(margin);
+            clock.sleep(asked);
+            let woke = clock.now();
+            let overshot = woke.saturating_sub(now + asked).as_nanos();
+            now = woke;
+            let off = self.overshoot_ns.abs_diff(overshot);
+            self.shrink();
+            self.deviation_ns += off / 4;
+            self.overshoot_ns += overshot / 8;
+            self.coasting = false;
+        } else {
+            // Met without a sleep: nothing measured. One host stall lifts
+            // the margin above every gap in the schedule, and then no
+            // sleep is taken again to correct it and this thread yields
+            // to the end of the run; so a run of sleepless deadlines
+            // shrinks the estimate until sleeps resume. From the second on:
+            // a lone one is a short Poisson gap (a fifth of them at 2,000
+            // qps), and shrinking on each put the yield phase at 9 % of
+            // such a run against 6 %, the bias on the mean coming back
+            // fourfold through the deviation.
+            if self.coasting {
+                self.shrink();
+            }
+            self.coasting = true;
+        }
+        while now < deadline {
+            clock.yield_now();
+            now = clock.now();
+        }
+    }
+}
+
+/// The pool's work queue: first in, first out, any number of workers, one
+/// wake per hand-off. (`mpsc`'s single-consumer receiver shared behind a
+/// mutex parks every idle worker but one on the *mutex*: each query woke a
+/// second worker only for it to block again in `recv`.)
+#[derive(Default)]
+struct WorkQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    queries: VecDeque<Query>,
+    /// Workers parked in [`WorkQueue::pop`]: a push wakes one only when
+    /// there is one, so a busy pool costs the issue thread no syscall.
+    idle: usize,
+    closed: bool,
+}
+
+impl WorkQueue {
+    /// Queues `query` for the next free worker. A worker holds a handle to
+    /// the queue until it exits, by return or by panic; when this is the
+    /// only handle the pool is dead, and the run fails here instead of
+    /// queueing to the end of its schedule.
+    fn push(self: &Arc<Self>, query: Query) -> Result<(), LoadGenError> {
+        if Arc::strong_count(self) == 1 {
+            return Err(LoadGenError::SutProtocol("server worker pool died".into()));
+        }
+        let wake = {
+            let mut state = self.state.lock().expect("work queue poisoned");
+            state.queries.push_back(query);
+            state.idle > 0
+        };
+        if wake {
+            self.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    /// The next query, blocking while the queue is empty and open; `None`
+    /// once it is closed and drained.
+    fn pop(&self) -> Option<Query> {
+        let mut state = self.state.lock().expect("work queue poisoned");
+        loop {
+            if let Some(query) = state.queries.pop_front() {
+                return Some(query);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle += 1;
+            state = self.ready.wait(state).expect("work queue poisoned");
+            state.idle -= 1;
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().expect("work queue poisoned").closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// The wall-clock run in progress: the SUT, the run clock and its pacer,
+/// and the one [`Lane`] every scenario's loop records into.
 struct Wall<'a> {
     sut: &'a Arc<dyn RealtimeSut>,
     sink: &'a dyn TraceSink,
     start: Instant,
+    pacer: Pacer,
     lane: Lane<'a>,
     next_sample_id: u64,
 }
@@ -86,10 +244,11 @@ impl Wall<'_> {
         &mut self,
         id: u64,
         indices: &[SampleIndex],
-        at: Nanos,
+        scheduled_at: Nanos,
+        issued_at: Nanos,
     ) -> Result<Nanos, LoadGenError> {
-        let query = build_query(id, &mut self.next_sample_id, indices, at);
-        self.lane.issue(&query, at, self.sink, None)?;
+        let query = build_query(id, &mut self.next_sample_id, indices, scheduled_at);
+        self.lane.issue(&query, issued_at, self.sink, None)?;
         let outcome = self.sut.issue_outcome(&query);
         let finished = self.now();
         if let Some(completion) = resolve(&query, outcome, finished) {
@@ -101,7 +260,8 @@ impl Wall<'_> {
     fn run_single_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
         loop {
             let (id, indices) = cursor.draw();
-            let finished = self.issue_blocking(id, &indices, self.now())?;
+            let now = self.now();
+            let finished = self.issue_blocking(id, &indices, now, now)?;
             if !cursor.more(finished) {
                 return Ok(());
             }
@@ -112,9 +272,11 @@ impl Wall<'_> {
         let interval = self.lane.settings.multistream_arrival_interval;
         let mut boundary = Nanos::ZERO;
         loop {
-            std::thread::sleep(boundary.saturating_sub(self.now()).to_duration());
+            self.pacer.wait_until(boundary, &mut self.start);
             let (id, indices) = cursor.draw();
-            let finished = self.issue_blocking(id, &indices, boundary)?;
+            // The pool's stamp: the boundary plus however late we met it.
+            let issued_at = self.now().max(boundary);
+            let finished = self.issue_blocking(id, &indices, boundary, issued_at)?;
             let elapsed = finished.saturating_sub(boundary).as_nanos();
             let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
             if consumed > 1 {
@@ -128,7 +290,7 @@ impl Wall<'_> {
     }
 
     /// The one open-loop issue loop: a worker pool blocks on the SUT while
-    /// this thread sleeps to each arrival of `source`, stamps the query,
+    /// this thread is paced to each arrival of `source`, stamps the query,
     /// hands it over, takes a checkpoint when one is due, and folds in
     /// whatever completed meanwhile. `resend` is a resumed run's
     /// outstanding queries: already recorded, so only re-stamped in the
@@ -141,37 +303,33 @@ impl Wall<'_> {
         resend: Vec<Query>,
         journal: Option<&mut RunJournal<'_>>,
     ) -> Result<bool, LoadGenError> {
-        let (work_tx, work_rx) = mpsc::channel::<Query>();
+        let queue = Arc::new(WorkQueue::default());
         let (done_tx, done_rx) = mpsc::channel::<QueryCompletion>();
-        // std's Receiver is single-consumer; the pool shares it behind a
-        // mutex (each worker holds the lock only for the dequeue itself).
-        let work_rx = Arc::new(Mutex::new(work_rx));
         let workers: Vec<_> = (0..self.lane.settings.server_workers)
             .map(|_| {
-                let (rx, tx) = (Arc::clone(&work_rx), done_tx.clone());
+                let (queue, tx) = (Arc::clone(&queue), done_tx.clone());
                 let (sut, start) = (Arc::clone(self.sut), self.start);
                 // A worker blocks on the SUT one query at a time until the
                 // queue closes (or the run is gone).
-                std::thread::spawn(move || loop {
-                    let Ok(query) = rx.lock().expect("work queue poisoned").recv() else {
-                        return;
-                    };
-                    let outcome = sut.issue_outcome(&query);
-                    let finished = Nanos::from(start.elapsed());
-                    if let Some(completion) = resolve(&query, outcome, finished) {
-                        if tx.send(completion).is_err() {
-                            return;
+                std::thread::spawn(move || {
+                    while let Some(query) = queue.pop() {
+                        let outcome = sut.issue_outcome(&query);
+                        let finished = Nanos::from(start.elapsed());
+                        if let Some(completion) = resolve(&query, outcome, finished) {
+                            if tx.send(completion).is_err() {
+                                return;
+                            }
                         }
                     }
                 })
             })
             .collect();
-        drop((work_rx, done_tx));
-        let issued = self.issue_all(source, resend, &work_tx, &done_rx, journal);
+        drop(done_tx);
+        let issued = self.issue_all(source, resend, &queue, &done_rx, journal);
         // The one way out, for a finished issue phase, a halt and an error
         // alike: close the queue so the workers run dry and exit, take
         // what they still deliver, join them.
-        drop(work_tx);
+        queue.close();
         let drained = issued.and_then(|halted| {
             if !halted {
                 phase(self.sink, self.now(), "drain", self.lane.settings);
@@ -197,26 +355,22 @@ impl Wall<'_> {
         &mut self,
         source: &mut ArrivalSource<'_>,
         resend: Vec<Query>,
-        work_tx: &Sender<Query>,
+        queue: &Arc<WorkQueue>,
         done_rx: &Receiver<QueryCompletion>,
         mut journal: Option<&mut RunJournal<'_>>,
     ) -> Result<bool, LoadGenError> {
-        let send = |query| {
-            let died = |_| LoadGenError::SutProtocol("server worker pool died".into());
-            work_tx.send(query).map_err(died)
-        };
         for query in resend {
             trace_issue(self.sink, &query, query.scheduled_at);
-            send(query)?;
+            queue.push(query)?;
         }
         while let Some((id, arrival, indices)) = source.next(PoissonCursor::advance_wall) {
-            std::thread::sleep(arrival.saturating_sub(self.now()).to_duration());
+            self.pacer.wait_until(arrival, &mut self.start);
             let query = build_query(id, &mut self.next_sample_id, &indices, arrival);
             // The honest stamp: when the query actually left, which is the
-            // arrival plus however late the sleep woke.
+            // arrival plus however late the pacer let go.
             let issued_at = self.now().max(arrival);
             self.lane.issue(&query, issued_at, self.sink, None)?;
-            send(query)?;
+            queue.push(query)?;
             if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &*source)
             {
                 if tap.due(id + 1)
@@ -267,6 +421,7 @@ where
         sut: &sut,
         sink,
         start: origin,
+        pacer: Pacer::default(),
         lane: Lane::new(settings),
         next_sample_id: 0,
     };
@@ -279,7 +434,8 @@ where
     }
     let mut cursor = SampleCursor::new(settings, population);
     let batch = |wall: &mut Wall<'_>, indices: &[SampleIndex]| {
-        wall.issue_blocking(0, indices, Nanos::ZERO).map(|_| false)
+        let at = Nanos::ZERO;
+        wall.issue_blocking(0, indices, at, at).map(|_| false)
     };
     let halted = match (settings.mode, arrivals, settings.scenario) {
         // Accuracy mode goes through the entire data set, once, as one batch.
@@ -452,7 +608,12 @@ mod tests {
             let consumed = took.as_nanos().div_ceil(interval.as_nanos()).max(1);
             assert_eq!(u64::from(r.skipped_intervals), consumed - 1, "{r:?}");
             assert_eq!(r.sample_count, 2);
+            // Scheduled on the boundary, stamped when it really left.
+            assert_eq!(r.scheduled_at.as_nanos() % interval.as_nanos(), 0);
+            assert!(r.issued_at >= r.scheduled_at, "{r:?}");
         }
+        let late = out.records.iter().any(|r| r.issued_at > r.scheduled_at);
+        assert!(late, "issued_at copies the schedule");
     }
 
     #[test]
@@ -759,6 +920,216 @@ mod tests {
         let run = Run::wall_clock(&settings).run(&mut qsl, Arc::clone(&sut));
         assert!(matches!(run, Err(LoadGenError::SutProtocol(_))), "{run:?}");
         assert_eq!(Arc::strong_count(&sut), 1, "workers outlived the run");
+    }
+
+    /// Panics in query 0 and would serve nothing after it.
+    struct Dies;
+
+    impl RealtimeSut for Dies {
+        fn name(&self) -> &str {
+            "dies"
+        }
+
+        fn issue(&self, query: &Query) -> Vec<SampleCompletion> {
+            panic!("query {} killed its worker (a test of the pool)", query.id);
+        }
+    }
+
+    /// A push to a pool with no live worker fails the run there and then:
+    /// nothing queues up behind a dead pool to the end of the schedule.
+    #[test]
+    fn a_pool_whose_last_worker_died_fails_the_run_at_once() {
+        // 10,000 queries at 500 qps: a twenty-second schedule.
+        let settings = TestSettings::server(500.0, Nanos::from_millis(50))
+            .with_min_query_count(10_000)
+            .with_min_duration(Nanos::from_millis(1))
+            .with_server_workers(1);
+        let mut qsl = MemoryQsl::new("q", 16, 16);
+        let started = Instant::now();
+        let run = Run::wall_clock(&settings).run(&mut qsl, Arc::new(Dies));
+        assert!(matches!(run, Err(LoadGenError::SutProtocol(_))), "{run:?}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// `close` after the last push: the workers drain every queued query —
+    /// none lost, none served twice, each worker's share in queue order —
+    /// and then exit.
+    #[test]
+    fn a_closed_queue_is_drained_in_order_by_however_many_workers() {
+        for workers in [1, 4] {
+            let queue = Arc::new(WorkQueue::default());
+            let go = std::sync::Barrier::new(workers + 1);
+            let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
+                let pool: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let (queue, go) = (Arc::clone(&queue), &go);
+                        scope.spawn(move || {
+                            go.wait();
+                            std::iter::from_fn(|| queue.pop().map(|q| q.id)).collect()
+                        })
+                    })
+                    .collect();
+                for id in 0..1_000 {
+                    let query = build_query(id, &mut 0, &[0], Nanos::ZERO);
+                    queue.push(query).expect("live workers hold the queue");
+                }
+                queue.close();
+                go.wait();
+                pool.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for share in &served {
+                assert!(share.windows(2).all(|w| w[0] < w[1]), "{share:?}");
+            }
+            let mut all: Vec<u64> = served.concat();
+            all.sort_unstable();
+            assert!(all.into_iter().eq(0..1_000), "{workers} workers");
+            assert_eq!(Arc::strong_count(&queue), 1, "a worker outlived the drain");
+        }
+    }
+
+    /// A scripted thread for the [`Pacer`]: the clock moves only when the
+    /// pacer sleeps — by what it asked for plus the overshoot scripted for
+    /// that sleep — or yields, by 1 µs. No wall time, so nothing to flake.
+    struct Script {
+        now_ns: u64,
+        /// Overshoot of the `n`-th sleep, ns.
+        overshoot: fn(usize) -> u64,
+        asked: Vec<Nanos>,
+        slept_ns: u64,
+        yields: u64,
+    }
+
+    impl Script {
+        fn overshooting(overshoot: fn(usize) -> u64) -> Self {
+            Script {
+                now_ns: 0,
+                overshoot,
+                asked: Vec::new(),
+                slept_ns: 0,
+                yields: 0,
+            }
+        }
+    }
+
+    impl PaceClock for Script {
+        fn now(&self) -> Nanos {
+            Nanos::from_nanos(self.now_ns)
+        }
+
+        fn sleep(&mut self, span: Nanos) {
+            let took = span.as_nanos() + (self.overshoot)(self.asked.len());
+            self.asked.push(span);
+            self.slept_ns += took;
+            self.now_ns += took;
+        }
+
+        fn yield_now(&mut self) {
+            self.yields += 1;
+            self.now_ns += 1_000;
+        }
+    }
+
+    const GAP: Nanos = Nanos::from_micros(500);
+
+    /// 80 ± 10 µs, spread by a multiplicative hash of the sleep's ordinal.
+    fn around_80_us(n: usize) -> u64 {
+        70_000 + (n as u64).wrapping_mul(0x9E37_79B9) % 20_001
+    }
+
+    #[test]
+    fn the_pacer_sleeps_to_margin_short_of_the_deadline_and_never_returns_early() {
+        let mut clock = Script::overshooting(around_80_us);
+        let mut pacer = Pacer::default();
+        for arrival in 1..=500 {
+            // A little issue-loop work before each wait.
+            clock.now_ns += 3_000;
+            let deadline = GAP.mul(arrival);
+            let left = deadline.saturating_sub(clock.now());
+            let (margin, sleeps) = (pacer.margin(), clock.asked.len());
+            pacer.wait_until(deadline, &mut clock);
+            assert!(clock.now() >= deadline, "arrival {arrival} left early");
+            if clock.asked.len() > sleeps {
+                assert_eq!(clock.asked.len(), sleeps + 1, "one sleep a deadline");
+                assert_eq!(clock.asked[sleeps], left.saturating_sub(margin));
+            }
+        }
+        assert!(clock.asked.len() > 400, "{} sleeps", clock.asked.len());
+    }
+
+    /// What deadline pacing buys and what it costs, bounded: at 2,000 qps
+    /// under a sleep that wakes 80 ± 10 µs late, arrivals are met to within
+    /// the yield's granularity, for a yield phase under a third of the time
+    /// slept.
+    #[test]
+    fn the_pacer_settles_on_time_at_a_bounded_price_in_yields() {
+        let mut clock = Script::overshooting(around_80_us);
+        let mut pacer = Pacer::default();
+        for arrival in 1..=1_000 {
+            pacer.wait_until(GAP.mul(arrival), &mut clock);
+        }
+        let (slept, yields) = (clock.slept_ns, clock.yields);
+        for arrival in 1_001..=3_000 {
+            let deadline = GAP.mul(arrival);
+            pacer.wait_until(deadline, &mut clock);
+            let late = clock.now().saturating_sub(deadline);
+            assert!(late <= Nanos::from_micros(5), "arrival {arrival}: {late}");
+        }
+        let (slept, yielded) = (clock.slept_ns - slept, (clock.yields - yields) * 1_000);
+        assert!(3 * yielded <= slept, "yielded {yielded} ns, slept {slept}");
+    }
+
+    /// One host stall must not ratchet the margin above every gap for
+    /// good: arrivals met without a sleep shrink it until sleeps resume.
+    #[test]
+    fn the_pacer_sleeps_again_soon_after_a_host_stall() {
+        fn stalls_once(n: usize) -> u64 {
+            if n == 200 {
+                150_000_000
+            } else {
+                around_80_us(n)
+            }
+        }
+        let mut clock = Script::overshooting(stalls_once);
+        let mut pacer = Pacer::default();
+        let mut arrival = 0;
+        while clock.asked.len() <= 200 {
+            arrival += 1;
+            pacer.wait_until(GAP.mul(arrival), &mut clock);
+        }
+        assert!(pacer.margin() > GAP.mul(100), "{}", pacer.margin());
+        // Three hundred arrivals passed during the stall: caught up on
+        // without a sleep, a yield, or a change to the estimate.
+        let (sleeps, yields, margin) = (clock.asked.len(), clock.yields, pacer.margin());
+        while GAP.mul(arrival + 1) <= clock.now() {
+            arrival += 1;
+            pacer.wait_until(GAP.mul(arrival), &mut clock);
+        }
+        assert_eq!((clock.asked.len(), clock.yields), (sleeps, yields));
+        assert_eq!(pacer.margin(), margin);
+        // Back on schedule with a margin of many gaps: met by yielding
+        // alone, but not for long.
+        let mut met_without_a_sleep = 0;
+        while clock.asked.len() == sleeps {
+            arrival += 1;
+            pacer.wait_until(GAP.mul(arrival), &mut clock);
+            met_without_a_sleep += 1;
+            assert!(met_without_a_sleep <= 100, "margin {}", pacer.margin());
+        }
+        assert!(met_without_a_sleep > 1, "the stall never raised the margin");
+    }
+
+    #[test]
+    fn a_deadline_already_passed_costs_no_sleep_and_no_yield() {
+        let mut clock = Script::overshooting(around_80_us);
+        clock.now_ns = 1_000_000;
+        let mut pacer = Pacer::default();
+        for deadline in [Nanos::ZERO, Nanos::from_micros(999), Nanos::from_millis(1)] {
+            pacer.wait_until(deadline, &mut clock);
+        }
+        assert_eq!(
+            (clock.asked.len(), clock.yields, clock.now_ns),
+            (0, 0, 1_000_000)
+        );
     }
 
     #[test]

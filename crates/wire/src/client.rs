@@ -461,8 +461,11 @@ fn dial(
                 theirs: version,
             });
         }
-        let reader = transport.try_clone()?;
-        return Ok((transport, reader, peer, sut_name, version));
+        // The handle that read the `HelloAck` stays the reader: on a
+        // resumed session a replayed `Completion` can arrive right behind
+        // it, already read ahead into this handle and no other.
+        let writer = transport.try_clone()?;
+        return Ok((writer, transport, peer, sut_name, version));
     }
     Err(last_err)
 }

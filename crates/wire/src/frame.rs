@@ -156,15 +156,103 @@ pub(crate) fn write_frame_via<W: Write>(
 pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, WireError> {
     let mut len_bytes = [0u8; 4];
     reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
+    let len = payload_len(len_bytes)?;
+    let mut payload = vec![0u8; len];
+    reader.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
+/// A length prefix's payload size, checked against [`MAX_FRAME_LEN`]
+/// before anything is allocated for it: the one rule, and the one error
+/// text, of both frame readers.
+#[inline]
+fn payload_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Protocol(format!(
             "frame length prefix {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(len)
+}
+
+/// Bytes a [`FrameReader`] takes from its stream at a time: many times a
+/// paced run's frames (tens of bytes to a few KiB), so a burst of them
+/// still comes in one read.
+const READ_AHEAD: usize = 16 << 10;
+
+/// [`read_frame`] for a long-lived connection, the read side of
+/// [`write_frame_via`]: a fixed buffer takes whatever the stream has ready
+/// in one `read` and hands whole frames out of it, so a frame that arrived
+/// in one piece costs one `read`, not one for the prefix and one for the
+/// payload, and frames that arrived together cost one between them. What
+/// it has read ahead exists only here: the handle that has read from a
+/// stream must stay the one that reads from it.
+pub(crate) struct FrameReader {
+    buf: Box<[u8]>,
+    /// `buf[start..end]` is read and not yet handed out.
+    start: usize,
+    end: usize,
+}
+
+impl std::fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameReader")
+            .field("buffered", &(self.end - self.start))
+            .finish_non_exhaustive()
+    }
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> Self {
+        FrameReader {
+            buf: vec![0u8; READ_AHEAD].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The next frame's payload, blocking in `reader` only for bytes the
+    /// buffer does not hold yet.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`]: [`WireError::Io`] on failure or EOF, between
+    /// frames or within one, [`WireError::Protocol`] for a length prefix
+    /// beyond [`MAX_FRAME_LEN`].
+    pub(crate) fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<Vec<u8>, WireError> {
+        while self.end - self.start < 4 {
+            // At most three bytes to move, and then the whole buffer to
+            // read into.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            match reader.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    // What `read_exact` says at this point in `read_frame`.
+                    let eof = std::io::ErrorKind::UnexpectedEof;
+                    return Err(std::io::Error::new(eof, "failed to fill whole buffer").into());
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let prefix = &self.buf[self.start..self.start + 4];
+        let len = payload_len(prefix.try_into().expect("four bytes"))?;
+        self.start += 4;
+        let held = len.min(self.end - self.start);
+        let mut payload = Vec::with_capacity(len);
+        payload.extend_from_slice(&self.buf[self.start..self.start + held]);
+        self.start += held;
+        if held < len {
+            // The rest has yet to arrive, or never fitted: it goes straight
+            // into the payload, and the buffer is empty again.
+            payload.resize(len, 0);
+            reader.read_exact(&mut payload[held..])?;
+        }
+        Ok(payload)
+    }
 }
 
 /// Seals a message body into a frame payload: `crc32(body) || body`.
@@ -299,6 +387,166 @@ mod tests {
             crate::message::Message::from_wire(&payload).unwrap(),
             message
         );
+    }
+
+    /// A `Read` that hands its bytes out in scripted chunk sizes (the last
+    /// one repeats) and counts calls: the mirror of [`CountingWriter`].
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        chunks: &'a [usize],
+        reads: usize,
+    }
+
+    impl<'a> CountingReader<'a> {
+        fn in_chunks(bytes: &'a [u8], chunks: &'a [usize]) -> Self {
+            CountingReader {
+                bytes,
+                chunks,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks[self.reads.min(self.chunks.len() - 1)];
+            let n = chunk.min(buf.len()).min(self.bytes.len());
+            self.reads += 1;
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every frame `reader` yields through a fresh [`FrameReader`], and the
+    /// error that ended the stream.
+    fn drain_buffered(reader: &mut impl Read) -> (Vec<Vec<u8>>, WireError) {
+        let mut frames = FrameReader::new();
+        let mut payloads = Vec::new();
+        loop {
+            match frames.next_frame(reader) {
+                Ok(payload) => payloads.push(payload),
+                Err(e) => return (payloads, e),
+            }
+        }
+    }
+
+    /// The same through [`read_frame`], the reference.
+    fn drain_unbuffered(mut bytes: &[u8]) -> (Vec<Vec<u8>>, WireError) {
+        let mut payloads = Vec::new();
+        loop {
+            match read_frame(&mut bytes) {
+                Ok(payload) => payloads.push(payload),
+                Err(e) => return (payloads, e),
+            }
+        }
+    }
+
+    /// `count` frames drawn from `sample_messages()` by a seeded hash, as
+    /// they would sit in a socket buffer.
+    fn seeded_stream(seed: u64, count: u64) -> Vec<u8> {
+        let messages = crate::message::tests::sample_messages();
+        let mut stream = Vec::new();
+        for i in 0..count {
+            let pick = mlperf_stats::rng::splitmix64(seed ^ i) as usize % messages.len();
+            write_frame(&mut stream, &messages[pick].to_wire()).unwrap();
+        }
+        stream
+    }
+
+    #[test]
+    fn buffered_reader_agrees_with_read_frame_however_the_bytes_arrive() {
+        let stream = seeded_stream(0xF4A3E, 48);
+        let (expected, _) = drain_unbuffered(&stream);
+        assert_eq!(expected.len(), 48);
+        let mut deliveries: Vec<Vec<usize>> = vec![vec![usize::MAX]];
+        deliveries.extend([1, 2, 3, 5, 7, 64, 1_000].map(|k| vec![k]));
+        deliveries.extend((1..stream.len()).map(|split| vec![split, usize::MAX]));
+        for chunks in &deliveries {
+            let mut reader = CountingReader::in_chunks(&stream, chunks);
+            let (payloads, end) = drain_buffered(&mut reader);
+            assert!(payloads == expected, "delivered as {chunks:?}");
+            assert!(matches!(end, WireError::Io(_)), "{chunks:?}: {end:?}");
+        }
+    }
+
+    #[test]
+    fn one_read_call_per_frame() {
+        for samples in [1, 256] {
+            let payload = completion(samples).to_wire();
+            let mut stream = Vec::new();
+            write_frame(&mut stream, &payload).unwrap();
+            let mut reader = CountingReader::in_chunks(&stream, &[usize::MAX]);
+            let mut frames = FrameReader::new();
+            assert_eq!(frames.next_frame(&mut reader).unwrap(), payload);
+            assert_eq!(reader.reads, 1, "{samples}-sample frame");
+        }
+        // Two frames that arrived together: one read between them.
+        let stream = seeded_stream(7, 2);
+        let mut reader = CountingReader::in_chunks(&stream, &[usize::MAX]);
+        let mut frames = FrameReader::new();
+        frames.next_frame(&mut reader).unwrap();
+        frames.next_frame(&mut reader).unwrap();
+        assert_eq!(reader.reads, 1);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_is_read_whole() {
+        let big: Vec<u8> = (0..3 * READ_AHEAD + 5).map(|i| (i % 251) as u8).collect();
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"before").unwrap();
+        write_frame(&mut stream, &big).unwrap();
+        write_frame(&mut stream, b"after").unwrap();
+        for chunks in [&[usize::MAX][..], &[1_000], &[READ_AHEAD, 1]] {
+            let mut reader = CountingReader::in_chunks(&stream, chunks);
+            let (payloads, _) = drain_buffered(&mut reader);
+            assert!(
+                payloads == [&b"before"[..], &big, b"after"],
+                "delivered as {chunks:?}"
+            );
+        }
+        // All there at once: the buffer's fill, then the remainder in one
+        // read straight into the payload, then the frame behind it.
+        let mut reader = CountingReader::in_chunks(&stream, &[usize::MAX]);
+        let mut frames = FrameReader::new();
+        for _ in 0..3 {
+            frames.next_frame(&mut reader).unwrap();
+        }
+        assert_eq!(reader.reads, 3);
+    }
+
+    #[test]
+    fn buffered_reader_refuses_an_oversized_prefix_as_read_frame_does() {
+        let prefix = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        let reference = read_frame(&mut &prefix[..]).unwrap_err();
+        let mut reader = CountingReader::in_chunks(&prefix, &[usize::MAX]);
+        let refused = FrameReader::new().next_frame(&mut reader).unwrap_err();
+        assert!(matches!(refused, WireError::Protocol(_)), "{refused:?}");
+        assert_eq!(refused.to_string(), reference.to_string());
+        // Refused on the prefix alone: nothing was sized by it, and no
+        // read was made for a payload.
+        assert_eq!(reader.reads, 1);
+    }
+
+    /// The client's `classify` resolves any `Io` as `Vanished` (the
+    /// queries' fate is unknown) and anything else as `Errored`; an EOF
+    /// must stay on the `Io` side wherever it falls.
+    #[test]
+    fn eof_between_frames_and_within_one_are_both_io_errors() {
+        let stream = seeded_stream(11, 3);
+        for cut in 0..stream.len() {
+            let mut reader = CountingReader::in_chunks(&stream[..cut], &[usize::MAX]);
+            let (payloads, end) = drain_buffered(&mut reader);
+            let (expected, reference) = drain_unbuffered(&stream[..cut]);
+            assert!(payloads == expected, "cut at {cut}");
+            match (&end, &reference) {
+                (WireError::Io(e), WireError::Io(r)) => {
+                    assert_eq!(e.kind(), r.kind(), "cut at {cut}");
+                    assert_eq!(e.to_string(), r.to_string(), "cut at {cut}");
+                }
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -434,10 +434,10 @@ impl Message {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_messages() -> Vec<Message> {
+    pub(crate) fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello(Hello {
                 version: PROTOCOL_VERSION,

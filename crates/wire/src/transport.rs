@@ -24,13 +24,14 @@ use std::time::{Duration, Instant};
 use mlperf_stats::rng::splitmix64;
 use mlperf_trace::event::{TraceEvent, TraceSink};
 
-use crate::frame::{read_frame, write_frame_via, WireError};
+use crate::frame::{write_frame_via, FrameReader, WireError};
 
 /// Moves whole frame payloads over some byte stream.
 ///
-/// Implementations are used from one thread at a time per handle; the
-/// client keeps the send half behind a mutex and gives the receive half to
-/// its reader thread via [`Transport::try_clone`].
+/// Implementations are used from one thread at a time per handle. Each end
+/// receives on the handle it read the handshake on — what that handle has
+/// read ahead of the frame it returned stays with it — and sends on a
+/// [`Transport::try_clone`] of it, kept behind a mutex.
 pub trait Transport: Send {
     /// Sends one frame payload.
     ///
@@ -52,7 +53,8 @@ pub trait Transport: Send {
     /// on any clone fail. Best-effort and idempotent.
     fn shutdown(&self);
 
-    /// A second handle to the same stream (shared fault state included).
+    /// A second handle to the same stream (shared fault state included,
+    /// bytes the first has read ahead not).
     ///
     /// # Errors
     ///
@@ -67,6 +69,9 @@ pub struct TcpTransport {
     /// Where `send` assembles `len ‖ payload` for its one write; kept so
     /// the steady state allocates nothing per frame.
     scratch: Vec<u8>,
+    /// Where `recv` takes what the socket has in one read. This handle's,
+    /// not the stream's: a [`try_clone`](Transport::try_clone) starts empty.
+    inbox: FrameReader,
 }
 
 impl TcpTransport {
@@ -75,6 +80,7 @@ impl TcpTransport {
         TcpTransport {
             stream,
             scratch: Vec::new(),
+            inbox: FrameReader::new(),
         }
     }
 }
@@ -85,7 +91,7 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, WireError> {
-        read_frame(&mut self.stream)
+        self.inbox.next_frame(&mut self.stream)
     }
 
     fn shutdown(&self) {
@@ -542,6 +548,36 @@ mod tests {
         assert_eq!(picks, replay);
         assert!(picks.iter().any(|&p| p));
         assert!(picks.iter().any(|&p| !p));
+    }
+
+    /// The two halves of a link share a socket and nothing else: each has
+    /// its own receive buffer, so severing must still reach a reader
+    /// parked in the kernel through the *other* handle.
+    #[test]
+    fn shutdown_from_the_writer_half_unblocks_a_reader_parked_in_recv() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        let mut peer = TcpTransport::new(peer);
+        let mut reader = TcpTransport::new(stream);
+        let mut writer = reader.try_clone().unwrap();
+
+        let (parking, parked) = std::sync::mpsc::channel();
+        let blocked = std::thread::spawn(move || {
+            let first = reader.recv();
+            parking.send(()).unwrap();
+            (first, reader.recv())
+        });
+        peer.send(&seal(b"one frame, then silence")).unwrap();
+        parked.recv().unwrap();
+        // The reader is in (or about to enter) its second `recv`, with the
+        // peer holding the socket open and silent. Either way it must
+        // return, and with an `Io` error.
+        writer.shutdown();
+        let (first, second) = blocked.join().unwrap();
+        assert_eq!(first.unwrap(), seal(b"one frame, then silence"));
+        assert!(matches!(second, Err(WireError::Io(_))), "{second:?}");
+        assert!(writer.send(&seal(b"too late")).is_err());
     }
 
     #[test]

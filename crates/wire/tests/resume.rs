@@ -8,6 +8,8 @@
 //! `IncompleteQueries`.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,14 +17,16 @@ use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::sut::FixedLatencySut;
+use mlperf_loadgen::query::{Query, QuerySample, SampleCompletion};
+use mlperf_loadgen::sut::{FixedLatencySut, IssueOutcome, RealtimeSut};
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::validate::ValidityIssue;
 use mlperf_loadgen::Run;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::{RingBufferSink, TraceEvent};
+use mlperf_wire::frame::{read_frame, write_frame};
 use mlperf_wire::{
-    loopback_instrumented, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig, SimHost,
+    loopback_instrumented, Message, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig, SimHost,
     WireChaosPlan,
 };
 
@@ -252,4 +256,85 @@ fn same_disconnect_without_resume_ends_incomplete_queries() {
         out.result.validity
     );
     server.shutdown();
+}
+
+/// A daemon's worker answers on the session's writer the moment a resumed
+/// connection installs one, so a `Completion` can reach the client in the
+/// same segment as the `HelloAck`. The client's receive buffer takes both
+/// in one read; the handle that read the handshake must therefore be the
+/// one its reader thread goes on reading, or the completion is stranded
+/// and its issuer waits out `response_timeout` for a `Vanished`.
+#[test]
+fn a_completion_right_behind_the_resume_handshake_reaches_its_issuer() {
+    let settings = settings();
+    let config = RemoteSutConfig::default()
+        .with_response_timeout(Duration::from_secs(2))
+        .with_resume(ResumePolicy {
+            max_attempts: 5,
+            backoff: Duration::from_millis(5),
+        });
+    let hello = RemoteSut::hello_for(&settings, 8, &config);
+    let query = Query {
+        id: 1,
+        samples: vec![QuerySample { id: 10, index: 0 }],
+        scheduled_at: Nanos::ZERO,
+        tenant: 0,
+    };
+    let answer = vec![SampleCompletion {
+        sample_id: 10,
+        payload: Default::default(),
+    }];
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let samples = answer.clone();
+    let server = std::thread::spawn(move || {
+        let handshake = |stream: &mut TcpStream, epoch: u32| -> Vec<u8> {
+            let frame = read_frame(stream).expect("hello frame");
+            match Message::from_wire(&frame).expect("hello") {
+                Message::Hello(h) => assert_eq!(h.epoch, epoch),
+                other => panic!("expected Hello, got {other:?}"),
+            }
+            let ack = Message::HelloAck {
+                version: mlperf_wire::PROTOCOL_VERSION,
+                sut_name: "hand-rolled".to_string(),
+                max_in_flight: 4,
+            };
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &ack.to_wire()).unwrap();
+            bytes
+        };
+        // Epoch 0: handshake, take the issue of query 1, hang up on it.
+        let (mut stream, _) = listener.accept().expect("accept");
+        let ack = handshake(&mut stream, 0);
+        stream.write_all(&ack).expect("ack");
+        loop {
+            let frame = read_frame(&mut stream).expect("a frame before the issue");
+            match Message::from_wire(&frame).expect("message") {
+                Message::Issue(q) | Message::IssueTraced { query: q, .. } if q.id == 1 => break,
+                _ => {} // the handshake's clock probe
+            }
+        }
+        drop(stream);
+        // Epoch 1: the answer rides in the same write as the ack, and the
+        // replayed issue is never answered.
+        let (mut stream, _) = listener.accept().expect("accept the redial");
+        let mut bytes = handshake(&mut stream, 1);
+        let completion = Message::Completion {
+            query_id: 1,
+            error: false,
+            samples,
+        };
+        write_frame(&mut bytes, &completion.to_wire()).unwrap();
+        stream.write_all(&bytes).expect("ack and completion");
+        while read_frame(&mut stream).is_ok() {}
+    });
+
+    let client = RemoteSut::connect(addr, hello, config).expect("handshake");
+    assert_eq!(
+        client.issue_outcome(&query),
+        IssueOutcome::Completed(answer)
+    );
+    client.shutdown();
+    server.join().expect("hand-rolled server");
 }
