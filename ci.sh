@@ -36,6 +36,21 @@ sleeps=$(before_tests crates/core/src/realtime.rs | grep -c "thread::sleep" || t
 [[ "$sleeps" == 1 ]] || census_fail "$sleeps non-test thread::sleep sites in realtime.rs"
 unbuffered=$(before_tests crates/wire/src/transport.rs | grep -c "read_frame(" || true)
 [[ "$unbuffered" == 0 ]] || census_fail "$unbuffered non-test read_frame( calls in wire/src/transport.rs"
+# One work queue in the tree — core's `WorkQueue<T>`, which the daemon's
+# server-scenario pool takes too — and nothing built per query: no `mpsc`
+# in the wire's two endpoints. A completion there wakes a waiter only when
+# one is parked, with `notify_one`; `notify_all` is for the rare paths that
+# change what every waiter sees: the client's `fail` (issuers and the
+# shutdown wait), `sever`, resume and response timeout. The daemon has
+# none: closing its queue is `WorkQueue::close`.
+queues=$(grep -l "struct WorkQueue" crates/*/src/*.rs | xargs)
+[[ "$queues" == "crates/core/src/realtime.rs" ]] || census_fail "work queues in: $queues"
+for end in server client; do
+    chans=$(before_tests crates/wire/src/$end.rs | grep -c "mpsc" || true)
+    [[ "$chans" == 0 ]] || census_fail "$chans mentions of mpsc in wire/src/$end.rs"
+done
+wakes="$(before_tests crates/wire/src/server.rs | grep -c "notify_all" || true) $(before_tests crates/wire/src/client.rs | grep -c "notify_all" || true)"
+[[ "$wakes" == "0 5" ]] || census_fail "notify_all sites in wire/src/{server,client}.rs: $wakes (want 0 5)"
 poissons=$(cat crates/core/src/*.rs | grep -c "PoissonProcess::new")
 [[ "$poissons" == 1 ]] || census_fail "$poissons PoissonProcess::new sites in crates/core/src"
 shims='run_simulated_traced|run_instrumented|run_journaled|resume_journaled|run_simulated_replay|run_realtime_traced_at'

@@ -160,37 +160,57 @@ impl Pacer {
     }
 }
 
-/// The pool's work queue: first in, first out, any number of workers, one
-/// wake per hand-off. (`mpsc`'s single-consumer receiver shared behind a
-/// mutex parks every idle worker but one on the *mutex*: each query woke a
-/// second worker only for it to block again in `recv`.)
-#[derive(Default)]
-struct WorkQueue {
-    state: Mutex<QueueState>,
+/// A work queue for a pool of threads: first in, first out, any number of
+/// workers, one wake per hand-off. (`mpsc`'s single-consumer receiver
+/// shared behind a mutex parks every idle worker but one on the *mutex*:
+/// each item woke a second worker only for it to block again in `recv`.)
+/// The wall-clock pool below hands queries to its workers through one; so
+/// does the wire daemon's server-scenario session.
+pub struct WorkQueue<T> {
+    state: Mutex<QueueState<T>>,
     ready: Condvar,
 }
 
-#[derive(Default)]
-struct QueueState {
-    queries: VecDeque<Query>,
+struct QueueState<T> {
+    items: VecDeque<T>,
     /// Workers parked in [`WorkQueue::pop`]: a push wakes one only when
-    /// there is one, so a busy pool costs the issue thread no syscall.
+    /// there is one, so a busy pool costs the pushing thread no syscall.
     idle: usize,
     closed: bool,
 }
 
-impl WorkQueue {
-    /// Queues `query` for the next free worker. A worker holds a handle to
-    /// the queue until it exits, by return or by panic; when this is the
-    /// only handle the pool is dead, and the run fails here instead of
-    /// queueing to the end of its schedule.
-    fn push(self: &Arc<Self>, query: Query) -> Result<(), LoadGenError> {
+impl<T> Default for WorkQueue<T> {
+    fn default() -> Self {
+        WorkQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                idle: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> WorkQueue<T> {
+    /// Queues `item` for the next free worker, or hands it back when no
+    /// worker will ever take it: the queue is closed, or — a worker holds
+    /// a handle to the queue until it exits, by return or by panic — this
+    /// is the only handle left and the pool is dead.
+    ///
+    /// # Errors
+    ///
+    /// Returns `item` when the queue is closed or has no live worker.
+    pub fn push(self: &Arc<Self>, item: T) -> Result<(), T> {
         if Arc::strong_count(self) == 1 {
-            return Err(LoadGenError::SutProtocol("server worker pool died".into()));
+            return Err(item);
         }
         let wake = {
             let mut state = self.state.lock().expect("work queue poisoned");
-            state.queries.push_back(query);
+            if state.closed {
+                return Err(item);
+            }
+            state.items.push_back(item);
             state.idle > 0
         };
         if wake {
@@ -199,13 +219,13 @@ impl WorkQueue {
         Ok(())
     }
 
-    /// The next query, blocking while the queue is empty and open; `None`
+    /// The next item, blocking while the queue is empty and open; `None`
     /// once it is closed and drained.
-    fn pop(&self) -> Option<Query> {
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("work queue poisoned");
         loop {
-            if let Some(query) = state.queries.pop_front() {
-                return Some(query);
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -216,10 +236,19 @@ impl WorkQueue {
         }
     }
 
-    fn close(&self) {
+    /// Closes the queue: workers drain what is queued, then see `None`.
+    pub fn close(&self) {
         self.state.lock().expect("work queue poisoned").closed = true;
         self.ready.notify_all();
     }
+}
+
+/// Hands `query` to the pool: a dead pool fails the run here instead of
+/// queueing to the end of its schedule.
+fn hand_over(queue: &Arc<WorkQueue<Query>>, query: Query) -> Result<(), LoadGenError> {
+    queue
+        .push(query)
+        .map_err(|_| LoadGenError::SutProtocol("server worker pool died".into()))
 }
 
 /// The wall-clock run in progress: the SUT, the run clock and its pacer,
@@ -303,7 +332,7 @@ impl Wall<'_> {
         resend: Vec<Query>,
         journal: Option<&mut RunJournal<'_>>,
     ) -> Result<bool, LoadGenError> {
-        let queue = Arc::new(WorkQueue::default());
+        let queue = Arc::new(WorkQueue::<Query>::default());
         let (done_tx, done_rx) = mpsc::channel::<QueryCompletion>();
         let workers: Vec<_> = (0..self.lane.settings.server_workers)
             .map(|_| {
@@ -355,13 +384,13 @@ impl Wall<'_> {
         &mut self,
         source: &mut ArrivalSource<'_>,
         resend: Vec<Query>,
-        queue: &Arc<WorkQueue>,
+        queue: &Arc<WorkQueue<Query>>,
         done_rx: &Receiver<QueryCompletion>,
         mut journal: Option<&mut RunJournal<'_>>,
     ) -> Result<bool, LoadGenError> {
         for query in resend {
             trace_issue(self.sink, &query, query.scheduled_at);
-            queue.push(query)?;
+            hand_over(queue, query)?;
         }
         while let Some((id, arrival, indices)) = source.next(PoissonCursor::advance_wall) {
             self.pacer.wait_until(arrival, &mut self.start);
@@ -370,7 +399,7 @@ impl Wall<'_> {
             // arrival plus however late the pacer let go.
             let issued_at = self.now().max(arrival);
             self.lane.issue(&query, issued_at, self.sink, None)?;
-            queue.push(query)?;
+            hand_over(queue, query)?;
             if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &*source)
             {
                 if tap.due(id + 1)
@@ -957,7 +986,7 @@ mod tests {
     #[test]
     fn a_closed_queue_is_drained_in_order_by_however_many_workers() {
         for workers in [1, 4] {
-            let queue = Arc::new(WorkQueue::default());
+            let queue = Arc::new(WorkQueue::<Query>::default());
             let go = std::sync::Barrier::new(workers + 1);
             let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
                 let pool: Vec<_> = (0..workers)
@@ -985,6 +1014,18 @@ mod tests {
             assert!(all.into_iter().eq(0..1_000), "{workers} workers");
             assert_eq!(Arc::strong_count(&queue), 1, "a worker outlived the drain");
         }
+    }
+
+    /// A closed queue takes nothing more — the item comes back — and what
+    /// it already held is still drained.
+    #[test]
+    fn a_push_to_a_closed_queue_hands_the_item_back() {
+        let queue = Arc::new(WorkQueue::default());
+        let _worker = Arc::clone(&queue);
+        queue.push(7).expect("open, and a worker holds it");
+        queue.close();
+        assert_eq!(queue.push(8), Err(8));
+        assert_eq!((queue.pop(), queue.pop()), (Some(7), None));
     }
 
     /// A scripted thread for the [`Pacer`]: the clock moves only when the

@@ -30,7 +30,6 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,7 +81,11 @@ pub struct RemoteSutConfig {
     /// Interval between heartbeat frames.
     pub heartbeat_interval: Duration,
     /// Silence tolerated (no heartbeat ack, no completion) before the
-    /// connection is declared dead.
+    /// connection is declared dead. A daemon serving a closed-loop
+    /// session's query on its connection thread answers no heartbeat
+    /// meanwhile; it vouches for itself instead, at least every two of its
+    /// 25 ms liveness ticks — so a client whose queries can outlast its own
+    /// grace needs a grace of three ticks (75 ms) or more.
     pub heartbeat_grace: Duration,
     /// Reconnect-and-resume policy; `None` (the default) fails the link on
     /// the first disconnect, as protocol v1 did.
@@ -200,9 +203,49 @@ enum Reply {
     Failed(FailKind),
 }
 
+impl Reply {
+    fn outcome(self) -> IssueOutcome {
+        match self {
+            Reply::Completion {
+                error: false,
+                samples,
+            } => IssueOutcome::Completed(samples),
+            Reply::Completion { error: true, .. } => IssueOutcome::Errored,
+            Reply::Failed(kind) => kind.outcome(),
+        }
+    }
+}
+
+/// One query's reply on its way from the reader thread to the issuer
+/// blocked on it: filled once, taken once.
+#[derive(Default)]
+struct ReplySlot {
+    reply: Mutex<Option<Reply>>,
+    filled: Condvar,
+}
+
+impl ReplySlot {
+    fn fill(&self, reply: Reply) {
+        *self.reply.lock().expect("reply slot poisoned") = Some(reply);
+        self.filled.notify_one();
+    }
+
+    /// The reply, or `None` when `timeout` passes without one.
+    fn wait(&self, timeout: Duration) -> Option<Reply> {
+        let reply = self.reply.lock().expect("reply slot poisoned");
+        let (mut reply, _timed_out) = self
+            .filled
+            .wait_timeout_while(reply, timeout, |reply| reply.is_none())
+            .expect("reply slot poisoned");
+        reply.take()
+    }
+}
+
 struct Pending {
-    tx: mpsc::Sender<Reply>,
-    sent_at: Instant,
+    slot: Arc<ReplySlot>,
+    /// When the query was registered — read only to observe the round
+    /// trip, so only taken with a metrics registry attached.
+    sent_at: Option<Instant>,
     /// Kept for replay: a resumed link re-sends every in-flight query.
     query: Query,
     /// Trace context carried by the issue frame; `0` on a v2 link. A
@@ -216,6 +259,9 @@ struct ClientState {
     reason: String,
     epoch: u32,
     in_flight: u32,
+    /// Issuers parked on [`ClientShared::window`]: a completion wakes one
+    /// only when there is one.
+    window_waiters: u32,
     pending: HashMap<u64, Pending>,
 }
 
@@ -226,7 +272,10 @@ struct ClientShared {
     writer: Mutex<Box<dyn Transport>>,
     chaos: Option<Arc<ChaosSession>>,
     state: Mutex<ClientState>,
+    /// Issuers waiting for a slot in the in-flight window.
     window: Condvar,
+    /// `shutdown` waiting for the link to leave `Up` (the drained goodbye).
+    settled: Condvar,
     start: Instant,
     last_pong: Mutex<Instant>,
     stopping: AtomicBool,
@@ -271,21 +320,22 @@ impl ClientShared {
         }
     }
 
-    /// Records one client-side span into the trace sink (no-op untraced).
-    fn span_event(&self, ts_ns: u64, trace_id: u64, query_id: u64, phase: &str, dur_ns: u64) {
+    /// Records one client-side instant span, stamped now, into the trace
+    /// sink. Untraced or with no sink it is a no-op that reads no clock.
+    fn span_event(&self, trace_id: u64, query_id: u64, phase: &str) {
         if trace_id == 0 {
             return;
         }
         if let Some(sink) = &self.sink {
             if sink.enabled() {
                 sink.record(
-                    ts_ns,
+                    self.now_ns(),
                     &TraceEvent::SpanEvent {
                         host: "client".to_string(),
                         trace_id,
                         query_id,
                         phase: phase.to_string(),
-                        dur_ns,
+                        dur_ns: 0,
                     },
                 );
             }
@@ -323,6 +373,18 @@ impl ClientShared {
         }
     }
 
+    /// The start of an interval [`ClientShared::observe_since`] will
+    /// observe: no registry, no clock read.
+    fn stamp(&self) -> Option<Instant> {
+        self.metrics.as_ref().map(|_| Instant::now())
+    }
+
+    fn observe_since(&self, name: &str, started: Option<Instant>) {
+        if let (Some(m), Some(started)) = (&self.metrics, started) {
+            m.observe(name, started.elapsed().as_nanos() as u64);
+        }
+    }
+
     fn observe(&self, name: &str, value: u64) {
         if let Some(m) = &self.metrics {
             m.observe(name, value);
@@ -340,10 +402,11 @@ impl ClientShared {
         st.reason = reason.to_string();
         st.in_flight = 0;
         for (_, pending) in st.pending.drain() {
-            let _ = pending.tx.send(Reply::Failed(kind));
+            pending.slot.fill(Reply::Failed(kind));
         }
         drop(st);
         self.window.notify_all();
+        self.settled.notify_all();
         self.incr("wire_disconnects");
         if !self.stopping.load(Ordering::SeqCst) {
             self.wire_event("disconnect", 0, reason);
@@ -381,9 +444,9 @@ impl ClientShared {
     /// caller may treat the send as best-effort, because a resumed link
     /// replays every pending query.
     fn send(&self, msg: &Message) -> Result<(), WireError> {
-        let encode_started = Instant::now();
+        let encode_started = self.stamp();
         let payload = msg.to_wire();
-        self.observe("wire_encode_ns", encode_started.elapsed().as_nanos() as u64);
+        self.observe_since("wire_encode_ns", encode_started);
         let result = {
             let mut writer = self.writer.lock().expect("wire writer poisoned");
             writer.send(&payload)
@@ -543,9 +606,11 @@ impl RemoteSut {
                 reason: String::new(),
                 epoch: epoch0,
                 in_flight: 0,
+                window_waiters: 0,
                 pending: HashMap::new(),
             }),
             window: Condvar::new(),
+            settled: Condvar::new(),
             epoch_watch: Arc::new(AtomicU32::new(epoch0)),
             start: Instant::now(),
             last_pong: Mutex::new(Instant::now()),
@@ -681,7 +746,7 @@ impl RemoteSut {
                 while matches!(st.link, Link::Up) && Instant::now() < deadline {
                     let (guard, _timeout) = self
                         .shared
-                        .window
+                        .settled
                         .wait_timeout(st, Duration::from_millis(20))
                         .expect("wire client state poisoned");
                     st = guard;
@@ -777,72 +842,60 @@ impl RealtimeSut for RemoteSut {
         } else {
             0
         };
-        let rx = {
+        let slot = Arc::new(ReplySlot::default());
+        {
             let mut st = shared.state.lock().expect("wire client state poisoned");
             loop {
                 match st.link {
                     Link::Dead(kind) => return kind.outcome(),
                     _ if st.in_flight < shared.config.max_in_flight => break,
-                    _ => st = shared.window.wait(st).expect("wire client state poisoned"),
+                    _ => {
+                        st.window_waiters += 1;
+                        st = shared.window.wait(st).expect("wire client state poisoned");
+                        st.window_waiters -= 1;
+                    }
                 }
             }
-            let (tx, rx) = mpsc::channel();
             st.in_flight += 1;
             st.pending.insert(
                 query.id,
                 Pending {
-                    tx,
-                    sent_at: Instant::now(),
+                    slot: Arc::clone(&slot),
+                    sent_at: shared.stamp(),
                     query: query.clone(),
                     trace_id,
                 },
             );
-            rx
-        };
+        }
 
-        shared.span_event(shared.now_ns(), trace_id, query.id, "issue", 0);
+        shared.span_event(trace_id, query.id, "issue");
         // Best-effort: a send failure severs or fails the link. Severed,
         // our pending entry survives and the resume replay re-sends it;
-        // failed, `fail` already resolved our channel.
+        // failed, `fail` already filled our slot.
         let _ = shared.send(&issue_message(query.clone(), trace_id));
 
-        match rx.recv_timeout(shared.config.response_timeout) {
-            Ok(Reply::Completion { error, samples }) => {
-                if error {
-                    IssueOutcome::Errored
-                } else {
-                    IssueOutcome::Completed(samples)
-                }
-            }
-            Ok(Reply::Failed(kind)) => kind.outcome(),
-            Err(_) => {
-                let mut st = shared.state.lock().expect("wire client state poisoned");
-                if st.pending.remove(&query.id).is_some() {
-                    st.in_flight = st.in_flight.saturating_sub(1);
-                    drop(st);
-                    shared.window.notify_all();
-                    shared.incr("wire_timeouts");
-                    shared.wire_event(
-                        "response_timeout",
-                        query.id,
-                        "no completion frame within the response timeout",
-                    );
-                    IssueOutcome::Vanished
-                } else {
-                    // The reply raced in between our timeout and taking
-                    // the lock; it is sitting in the channel.
-                    drop(st);
-                    match rx.try_recv() {
-                        Ok(Reply::Completion {
-                            error: false,
-                            samples,
-                        }) => IssueOutcome::Completed(samples),
-                        Ok(Reply::Failed(kind)) => kind.outcome(),
-                        _ => IssueOutcome::Errored,
-                    }
-                }
-            }
+        let timeout = shared.config.response_timeout;
+        if let Some(reply) = slot.wait(timeout) {
+            return reply.outcome();
         }
+        let mut st = shared.state.lock().expect("wire client state poisoned");
+        if st.pending.remove(&query.id).is_some() {
+            st.in_flight = st.in_flight.saturating_sub(1);
+            drop(st);
+            shared.window.notify_all();
+            shared.incr("wire_timeouts");
+            shared.wire_event(
+                "response_timeout",
+                query.id,
+                "no completion frame within the response timeout",
+            );
+            return IssueOutcome::Vanished;
+        }
+        // The reply raced in between our timeout and taking the lock: the
+        // reader has our entry, and fills the slot next.
+        drop(st);
+        slot.wait(timeout)
+            .map_or(IssueOutcome::Errored, Reply::outcome)
     }
 }
 
@@ -874,10 +927,10 @@ fn classify(e: &WireError) -> (String, FailKind) {
 /// armed — owning the reconnect loop.
 fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
     loop {
-        let decode_started = Instant::now();
+        let decode_started = shared.stamp();
         let message = transport.recv().and_then(|payload| {
             let msg = Message::from_wire(&payload);
-            shared.observe("wire_decode_ns", decode_started.elapsed().as_nanos() as u64);
+            shared.observe_since("wire_decode_ns", decode_started);
             msg
         });
         match message {
@@ -889,20 +942,23 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 shared.incr("wire_frames_received");
                 // A completion is as good as a heartbeat ack for liveness.
                 *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
-                let pending = {
+                let (pending, slot_wanted) = {
                     let mut st = shared.state.lock().expect("wire client state poisoned");
                     let pending = st.pending.remove(&query_id);
                     if pending.is_some() {
                         st.in_flight = st.in_flight.saturating_sub(1);
                     }
-                    pending
+                    (pending, st.window_waiters > 0)
                 };
                 match pending {
                     Some(p) => {
-                        shared.window.notify_all();
-                        shared.observe("wire_rtt_ns", p.sent_at.elapsed().as_nanos() as u64);
-                        shared.span_event(shared.now_ns(), p.trace_id, query_id, "complete", 0);
-                        let _ = p.tx.send(Reply::Completion { error, samples });
+                        // One slot came free: one parked issuer, if any.
+                        if slot_wanted {
+                            shared.window.notify_one();
+                        }
+                        shared.observe_since("wire_rtt_ns", p.sent_at);
+                        shared.span_event(p.trace_id, query_id, "complete");
+                        p.slot.fill(Reply::Completion { error, samples });
                     }
                     None => {
                         // Reply for a query we already resolved: a timeout,
@@ -1168,5 +1224,103 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use mlperf_loadgen::query::QuerySample;
+    use mlperf_loadgen::time::Nanos;
+    use std::net::TcpListener;
+    use std::sync::Barrier;
+
+    fn query(id: u64) -> Query {
+        Query {
+            id,
+            samples: vec![QuerySample { id, index: 0 }],
+            scheduled_at: Nanos::ZERO,
+            tenant: 0,
+        }
+    }
+
+    /// Reads up to the next issue frame (past probes and heartbeats) and
+    /// returns the completion that answers it.
+    fn answer_to_next_issue(stream: &mut TcpStream) -> Message {
+        loop {
+            let frame = read_frame(stream).expect("a frame");
+            match Message::from_wire(&frame).expect("a message") {
+                Message::Issue(q) | Message::IssueTraced { query: q, .. } => {
+                    return Message::Completion {
+                        query_id: q.id,
+                        error: false,
+                        samples: vec![SampleCompletion {
+                            sample_id: q.id,
+                            payload: Default::default(),
+                        }],
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// No lost wake-up between a completion and an issuer parked on a full
+    /// window: nothing but that completion's notify can release it (the
+    /// wait has no timeout), and the run of two queries finishes.
+    #[test]
+    fn a_completion_releases_an_issuer_parked_on_the_window() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let step = Arc::new(Barrier::new(2));
+        let config = RemoteSutConfig {
+            max_in_flight: 1,
+            response_timeout: Duration::from_secs(60),
+            ..RemoteSutConfig::default()
+        };
+        let hello = RemoteSut::hello_for(&TestSettings::single_stream(), 8, &config);
+
+        let server = {
+            let step = Arc::clone(&step);
+            std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let _hello = read_frame(&mut stream).expect("hello frame");
+                let ack = Message::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    sut_name: "hand-rolled".to_string(),
+                    max_in_flight: 1,
+                };
+                write_frame(&mut stream, &ack.to_wire()).expect("ack");
+                let first = answer_to_next_issue(&mut stream);
+                step.wait(); // query 1 is in flight
+                step.wait(); // ...and query 2's issuer is parked behind it
+                write_frame(&mut stream, &first.to_wire()).expect("completion 1");
+                let second = answer_to_next_issue(&mut stream);
+                write_frame(&mut stream, &second.to_wire()).expect("completion 2");
+                while read_frame(&mut stream).is_ok() {}
+            })
+        };
+
+        let client = RemoteSut::connect(addr, hello, config).expect("handshake");
+        let issue = |id: u64| {
+            let outcome = client.issue_outcome(&query(id));
+            assert!(matches!(outcome, IssueOutcome::Completed(_)), "{outcome:?}");
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| issue(1));
+            step.wait();
+            scope.spawn(|| issue(2));
+            // Counted under the lock it then waits on: once the count
+            // reads 1 the issuer is parked, or will be before the reader
+            // thread can take the lock to retire query 1.
+            let parked = || client.shared.state.lock().unwrap().window_waiters;
+            while parked() == 0 {
+                std::thread::yield_now();
+            }
+            step.wait();
+        });
+        client.shutdown();
+        server.join().expect("hand-rolled server");
     }
 }

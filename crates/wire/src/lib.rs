@@ -26,8 +26,9 @@
 //! * [`client`] — [`RemoteSut`], with bounded in-flight backpressure,
 //!   heartbeats, the errored/vanished failure mapping, and
 //!   reconnect-and-resume under a [`ResumePolicy`];
-//! * [`server`] — [`serve`] / [`ServerHandle`], per-session worker pools
-//!   and a completion journal that makes resume replay exactly-once;
+//! * [`server`] — [`serve`] / [`ServerHandle`]: closed-loop sessions served
+//!   on their connection thread, server sessions on a worker pool, and a
+//!   completion journal that makes resume replay exactly-once;
 //! * [`host`] — [`SimHost`], bridging event-driven simulated SUTs onto
 //!   the wall clock;
 //! * [`cheat`] — deliberately misbehaving services for audit tests.

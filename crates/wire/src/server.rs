@@ -1,12 +1,17 @@
 //! The daemon-side endpoint: [`serve`] and [`ServerHandle`].
 //!
 //! `serve` exports any [`WireService`] over a TCP listener. Each accepted
-//! connection performs the versioned handshake, then runs a worker pool
-//! (one worker per connection by default) pulling issue frames off the
-//! socket, resolving them through the service, and writing completion
-//! frames back. Heartbeats are answered inline; `Drain` waits for the
-//! connection's outstanding queries to resolve, then answers `Goodbye`
-//! and closes.
+//! connection performs the versioned handshake, then pulls issue frames
+//! off the socket, resolves them through the service, and writes
+//! completion frames back. A server-scenario session resolves them on a
+//! worker pool (one worker by default) fed through a work queue, so a
+//! pipelined client's backlog waits where it is observed; a closed-loop
+//! session (single-stream, multistream, offline: one query in flight by
+//! the scenario's own rules) is served on the connection thread itself and
+//! has no pool. Heartbeats are answered by the connection thread; while it
+//! is inside the service the daemon's one `wire-liveness` thread vouches
+//! for it with unasked `HeartbeatAck`s. `Drain` waits for the session's
+//! outstanding queries to resolve, then answers `Goodbye` and closes.
 //!
 //! Connections belong to **sessions** (the `session` id in the `Hello`).
 //! A session outlives its connections: it keeps a journal of every
@@ -21,26 +26,28 @@
 //! live connection abruptly — the moral equivalent of yanking the
 //! machine's power cord mid-run — so clients exercise their disconnect
 //! path. [`ServerHandle::shutdown`] is the opposite: it stops accepting,
-//! severs what remains, and joins every accept, connection, and worker
-//! thread, so the port is immediately rebindable.
+//! severs what remains, and joins the accept, liveness, connection, and
+//! worker threads, so the port is immediately rebindable.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mlperf_loadgen::query::{Query, SampleCompletion};
+use mlperf_loadgen::realtime::WorkQueue;
+use mlperf_loadgen::Scenario;
 use mlperf_trace::event::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
 use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::JournalWriter;
 
 use crate::message::{Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
-use crate::service::WireService;
+use crate::service::{ServedReply, WireService};
 use crate::stats::DaemonStats;
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
 
@@ -59,10 +66,23 @@ const EVENTS_CHUNK: usize = 256;
 /// re-execution for not paying an `fsync` per completion.
 const JOURNAL_FSYNC_BATCH: u32 = 8;
 
+/// How often the liveness thread looks for connection threads inside the
+/// service. A client hears from a daemon serving its query at least every
+/// two ticks (the first vouch waits for a whole tick inside `serve`, and
+/// that tick may have just begun), so a query may outlast any
+/// `heartbeat_grace` of three ticks or more.
+const LIVENESS_TICK: Duration = Duration::from_millis(25);
+
+/// How often a `Drain` waiting on outstanding queries looks at the stop
+/// flag. Not what releases it: the last completion wakes it.
+const DRAIN_POLL: Duration = Duration::from_millis(100);
+
 /// Tuning knobs for a serving daemon.
 #[derive(Clone, Default)]
 pub struct ServeConfig {
-    /// Workers resolving queries per connection. `0` means one.
+    /// Workers resolving queries per connection. `0` means one. The pool
+    /// is a server-scenario session's: a closed-loop session has one query
+    /// in flight and is served on its connection thread.
     pub workers_per_conn: usize,
     /// Optional sink receiving server-side `WireEvent`s
     /// (connect, reject, drain, disconnect, replay).
@@ -165,19 +185,89 @@ struct SessionBook {
     disk: Option<JournalWriter>,
 }
 
+/// Queries a session has accepted but not yet resolved; `Drain` waits for
+/// none. A completion wakes a drainer only when one is parked — the count
+/// is kept under the same lock — so a query pays for no `futex` call that
+/// nobody is waiting on.
+#[derive(Default)]
+struct Outstanding {
+    state: Mutex<OutstandingState>,
+    idle: Condvar,
+}
+
+#[derive(Default)]
+struct OutstandingState {
+    queries: usize,
+    drainers: usize,
+}
+
+impl Outstanding {
+    fn begin(&self) {
+        self.state
+            .lock()
+            .expect("server outstanding poisoned")
+            .queries += 1;
+    }
+
+    fn end(&self) {
+        let wake = {
+            let mut state = self.state.lock().expect("server outstanding poisoned");
+            state.queries = state.queries.saturating_sub(1);
+            state.queries == 0 && state.drainers > 0
+        };
+        if wake {
+            // One live connection a session, so one drainer; a second (a
+            // stale epoch's) would leave on its next poll.
+            self.idle.notify_one();
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.state
+            .lock()
+            .expect("server outstanding poisoned")
+            .queries
+    }
+
+    /// Blocks until nothing is outstanding or `stop` is set, looking at
+    /// `stop` every `poll`. Returns how many polls expired on the way: zero
+    /// when the last completion's wake is what ended the wait.
+    fn wait_idle(&self, poll: Duration, stop: &AtomicBool) -> u32 {
+        let mut polls = 0;
+        let mut state = self.state.lock().expect("server outstanding poisoned");
+        while state.queries > 0 && !stop.load(Ordering::SeqCst) {
+            state.drainers += 1;
+            let (guard, timeout) = self
+                .idle
+                .wait_timeout(state, poll)
+                .expect("server outstanding poisoned");
+            state = guard;
+            state.drainers -= 1;
+            polls += u32::from(timeout.timed_out());
+        }
+        polls
+    }
+}
+
 /// One logical client run. Connections come and go (each at a distinct
 /// epoch); the session's journal, worker pool, and outstanding counter
 /// persist until the run drains cleanly or the daemon shuts down.
 struct Session {
+    id: u64,
     book: Mutex<SessionBook>,
-    /// Outstanding = queries accepted but not yet resolved; `Drain` waits
-    /// on this.
-    outstanding: (Mutex<usize>, Condvar),
+    outstanding: Outstanding,
     /// The live connection's writer half, tagged with its epoch so a dead
     /// connection's epilogue cannot clear a successor's writer.
     writer: Mutex<Option<(u32, Box<dyn Transport>)>>,
-    work_tx: Mutex<Option<mpsc::Sender<WorkItem>>>,
+    /// The worker pool's queue: server-scenario sessions only. A
+    /// closed-loop session has no pool; its connection thread serves.
+    work: Option<Arc<WorkQueue<WorkItem>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Server-clock instant (never 0) at which this session's connection
+    /// thread entered the service, 0 while it is outside: what the
+    /// liveness thread reads to vouch for a thread that cannot answer a
+    /// heartbeat itself.
+    serving_since: AtomicU64,
     /// Server-side queue/compute spans for traced (v3) queries, shipped to
     /// the client at drain so one run yields one merged detail log.
     events: Arc<RingBufferSink>,
@@ -186,13 +276,39 @@ struct Session {
     disk_path: Option<PathBuf>,
 }
 
-/// One query handed to the worker pool, with its trace context and the
-/// server-clock instant it entered the queue.
+/// One query on its way to the service, with its trace context and the
+/// server-clock instant it was accepted.
 struct WorkItem {
     query: Query,
     /// `0` means untraced (a v2 `Issue` frame).
     trace_id: u64,
     enqueued_ns: u64,
+}
+
+/// Marks a session's connection thread as inside the service until
+/// dropped, by return or by unwind.
+struct Serving<'a> {
+    since: &'a AtomicU64,
+    stamp: u64,
+}
+
+impl<'a> Serving<'a> {
+    fn enter(since: &'a AtomicU64, now_ns: u64) -> Self {
+        let stamp = now_ns.max(1);
+        since.store(stamp, Ordering::SeqCst);
+        Serving { since, stamp }
+    }
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        // Only our own stamp: after a resume the dead epoch's thread can
+        // still be in `serve` when the live one enters, and must not
+        // unvouch it on the way out.
+        let _ = self
+            .since
+            .compare_exchange(self.stamp, 0, Ordering::SeqCst, Ordering::SeqCst);
+    }
 }
 
 impl Session {
@@ -210,12 +326,11 @@ impl Session {
         }
     }
 
-    /// Drops the work queue, joins the workers, and closes the writer.
+    /// Closes the work queue, joins the workers, and closes the writer.
     fn retire(&self) {
-        self.work_tx
-            .lock()
-            .expect("session work_tx poisoned")
-            .take();
+        if let Some(queue) = &self.work {
+            queue.close();
+        }
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.workers.lock().expect("session workers poisoned"));
         for handle in handles {
@@ -275,7 +390,8 @@ impl ServerShared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    /// The daemon's own two threads: accept, then liveness.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -312,20 +428,30 @@ impl ServerHandle {
     }
 
     /// Stops accepting, severs any connection still open, and joins the
-    /// accept thread, every connection thread, and every session's worker
-    /// pool. When this returns the daemon holds no threads and no
-    /// sockets — the port can be rebound immediately.
+    /// accept thread, the liveness thread, every connection thread, and
+    /// every session's worker pool. When this returns the daemon holds no
+    /// threads and no sockets — the port can be rebound immediately.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.unblock_accept();
-        if let Some(handle) = self.accept.lock().expect("accept handle poisoned").take() {
-            let _ = handle.join();
+        let mut threads =
+            std::mem::take(&mut *self.threads.lock().expect("daemon threads poisoned")).into_iter();
+        // The accept thread before the sever, so nothing is accepted after
+        // it...
+        if let Some(accept) = threads.next() {
+            let _ = accept.join();
         }
         {
             let conns = self.shared.conns.lock().expect("server conns poisoned");
             for conn in conns.iter() {
                 let _ = conn.shutdown(Shutdown::Both);
             }
+        }
+        // ...and the liveness thread after it: parked on its tick, or in a
+        // vouch to a peer that stopped reading, which the sever ends.
+        for liveness in threads {
+            liveness.thread().unpark();
+            let _ = liveness.join();
         }
         let conn_threads: Vec<JoinHandle<()>> = std::mem::take(
             &mut *self
@@ -369,7 +495,7 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Returns [`WireError::Io`] if the listener's local address cannot be
-/// resolved or the accept thread cannot spawn.
+/// resolved or the accept or liveness thread cannot spawn.
 pub fn serve(
     listener: TcpListener,
     service: Arc<dyn WireService>,
@@ -400,19 +526,73 @@ pub fn serve(
         shard: config.shard_label.clone().unwrap_or_default(),
         journal_dir: config.journal_dir.clone(),
     });
-    let accept = {
-        let shared = Arc::clone(&shared);
-        let workers = config.workers_per_conn.max(1);
-        std::thread::Builder::new()
-            .name("wire-accept".to_string())
-            .spawn(move || accept_loop(&listener, &service, workers, &shared))
-            .map_err(crate::frame::WireError::Io)?
-    };
-    Ok(ServerHandle {
+    let handle = ServerHandle {
         addr,
-        shared,
-        accept: Mutex::new(Some(accept)),
-    })
+        shared: Arc::clone(&shared),
+        threads: Mutex::new(Vec::with_capacity(2)),
+    };
+    let workers = config.workers_per_conn.max(1);
+    let vouching = Arc::clone(&shared);
+    type Body = Box<dyn FnOnce() + Send>;
+    let bodies: [(&str, Body); 2] = [
+        (
+            "wire-accept",
+            Box::new(move || accept_loop(&listener, &service, workers, &shared)),
+        ),
+        ("wire-liveness", Box::new(move || liveness_loop(&vouching))),
+    ];
+    for (name, body) in bodies {
+        match std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(body)
+        {
+            Ok(thread) => handle
+                .threads
+                .lock()
+                .expect("daemon threads poisoned")
+                .push(thread),
+            Err(e) => {
+                // Reaps the one that did start.
+                handle.shutdown();
+                return Err(crate::frame::WireError::Io(e));
+            }
+        }
+    }
+    Ok(handle)
+}
+
+/// Vouches for connection threads that cannot answer for themselves. A
+/// closed-loop session's connection thread reads no heartbeat while it is
+/// inside the service, and a query may take longer than the client's
+/// `heartbeat_grace`; an in-flight query implies a live daemon, so the
+/// daemon says so: every tick, each session whose thread has been inside
+/// `serve` for a whole tick is sent `HeartbeatAck { seq: 0 }` — a frame
+/// both protocol versions have, whose `seq` the client ignores and whose
+/// arrival refreshes its liveness clock like any other ack.
+fn liveness_loop(shared: &ServerShared) {
+    let tick_ns = LIVENESS_TICK.as_nanos() as u64;
+    while !shared.stop.load(Ordering::SeqCst) {
+        // Parked, not asleep: `shutdown` unparks this thread.
+        std::thread::park_timeout(LIVENESS_TICK);
+        let now = shared.now_ns();
+        // Collected first (an empty `Vec` allocates nothing): a send can
+        // block on a full socket, and must not hold up a handshake.
+        let serving: Vec<Arc<Session>> = shared
+            .sessions
+            .lock()
+            .expect("server sessions poisoned")
+            .values()
+            .filter(|session| {
+                let since = session.serving_since.load(Ordering::SeqCst);
+                since != 0 && now.saturating_sub(since) >= tick_ns
+            })
+            .cloned()
+            .collect();
+        for session in serving {
+            session.send(&Message::HeartbeatAck { seq: 0 });
+            shared.metrics.incr("wire_liveness_vouches", 1);
+        }
+    }
 }
 
 /// Binds `addr` and starts a daemon on it. `"127.0.0.1:0"` picks a free
@@ -523,136 +703,49 @@ fn open_session_disk(
     (writer, Some(path), recovered)
 }
 
-/// Spawns a fresh session with its worker pool. With a journal dir
-/// configured, the session's completion book is mirrored to (and, at a
-/// nonzero epoch, recovered from) `session_<id>.mlpj` in that dir.
+/// Starts a fresh session — with a worker pool when `pooled` (the server
+/// scenario), with none otherwise. With a journal dir configured, the
+/// session's completion book is mirrored to (and, at a nonzero epoch,
+/// recovered from) `session_<id>.mlpj` in that dir.
 fn spawn_session(
     service: &Arc<dyn WireService>,
     workers: usize,
+    pooled: bool,
     shared: &Arc<ServerShared>,
     session_id: u64,
     resume: bool,
 ) -> Arc<Session> {
-    let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
     let (disk, disk_path, recovered) = open_session_disk(shared, session_id, resume);
     let session = Arc::new(Session {
+        id: session_id,
         book: Mutex::new(SessionBook {
             journal: recovered,
             in_progress: HashSet::new(),
             disk,
         }),
-        outstanding: (Mutex::new(0usize), Condvar::new()),
+        outstanding: Outstanding::default(),
         writer: Mutex::new(None),
-        work_tx: Mutex::new(Some(work_tx)),
-        workers: Mutex::new(Vec::with_capacity(workers)),
+        work: pooled.then(|| Arc::new(WorkQueue::default())),
+        workers: Mutex::new(Vec::new()),
+        serving_since: AtomicU64::new(0),
         events: Arc::new(RingBufferSink::new(SESSION_EVENT_CAPACITY)),
         disk_path,
     });
+    let Some(queue) = &session.work else {
+        return session;
+    };
     let mut pool = Vec::with_capacity(workers);
     for i in 0..workers {
-        let work_rx = Arc::clone(&work_rx);
+        let queue = Arc::clone(queue);
         let session_t = Arc::clone(&session);
         let service = Arc::clone(service);
         let shared = Arc::clone(shared);
         let worker = std::thread::Builder::new()
             .name(format!("wire-worker-{i}"))
-            .spawn(move || loop {
-                let item = {
-                    let rx = work_rx.lock().expect("server work queue poisoned");
-                    rx.recv()
-                };
-                let Ok(WorkItem {
-                    query,
-                    trace_id,
-                    enqueued_ns,
-                }) = item
-                else {
-                    return;
-                };
-                let dequeued_ns = shared.now_ns();
-                shared
-                    .metrics
-                    .observe("wire_queue_ns", dequeued_ns.saturating_sub(enqueued_ns));
-                if trace_id != 0 {
-                    session_t.events.record(
-                        enqueued_ns,
-                        &TraceEvent::SpanEvent {
-                            host: shared.host_label.clone(),
-                            trace_id,
-                            query_id: query.id,
-                            phase: "queue".to_string(),
-                            dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
-                        },
-                    );
+            .spawn(move || {
+                while let Some(item) = queue.pop() {
+                    serve_item(&*service, &session_t, &shared, item);
                 }
-                let reply = service.serve(&query);
-                let served_ns = shared.now_ns();
-                shared
-                    .metrics
-                    .observe("wire_serve_ns", served_ns.saturating_sub(dequeued_ns));
-                if trace_id != 0 {
-                    session_t.events.record(
-                        dequeued_ns,
-                        &TraceEvent::SpanEvent {
-                            host: shared.host_label.clone(),
-                            trace_id,
-                            query_id: query.id,
-                            phase: "compute".to_string(),
-                            dur_ns: served_ns.saturating_sub(dequeued_ns),
-                        },
-                    );
-                }
-                match reply {
-                    Some(reply) => {
-                        // Journal first, then send: if the connection dies
-                        // between the two, the reply survives for replay.
-                        // One critical section retires "in progress" and
-                        // records the journal entry atomically. Encoded
-                        // once: the same sealed bytes go to disk and socket.
-                        let error = reply.error;
-                        let completion = Message::Completion {
-                            query_id: query.id,
-                            error,
-                            samples: reply.samples,
-                        };
-                        let sealed = completion.to_wire();
-                        let Message::Completion { samples, .. } = completion else {
-                            unreachable!("constructed above");
-                        };
-                        {
-                            let mut book = session_t.book.lock().expect("session book poisoned");
-                            book.in_progress.remove(&query.id);
-                            if let Some(disk) = book.disk.as_mut() {
-                                // Durable mirror first: the wire-codec
-                                // bytes are the journal payload, so replay
-                                // after a daemon restart parses them back
-                                // with the same decoder the socket uses.
-                                let _ = disk.append(&sealed);
-                            }
-                            book.journal.insert(query.id, (error, samples));
-                        }
-                        session_t.send_sealed(&sealed);
-                        shared.served.fetch_add(1, Ordering::SeqCst);
-                        shared.metrics.incr("wire_served", 1);
-                    }
-                    None => {
-                        // The service swallowed the query: no frame goes
-                        // back, and nothing is journaled — a replay will
-                        // be swallowed again, which is the point.
-                        session_t
-                            .book
-                            .lock()
-                            .expect("session book poisoned")
-                            .in_progress
-                            .remove(&query.id);
-                        shared.wire_event("dropped_reply", query.id, "service returned nothing");
-                    }
-                }
-                let (count, cv) = &session_t.outstanding;
-                let mut n = count.lock().expect("server outstanding poisoned");
-                *n = n.saturating_sub(1);
-                cv.notify_all();
             });
         if let Ok(handle) = worker {
             pool.push(handle);
@@ -662,13 +755,118 @@ fn spawn_session(
     session
 }
 
+/// Resolves one accepted query through the service and answers it: the
+/// body of a pool worker, and of a closed-loop session's connection
+/// thread. A service that panics errors the one query it panicked on;
+/// the thread, the session and the daemon carry on.
+fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShared, item: WorkItem) {
+    let WorkItem {
+        query,
+        trace_id,
+        enqueued_ns,
+    } = item;
+    let dequeued_ns = shared.now_ns();
+    shared
+        .metrics
+        .observe("wire_queue_ns", dequeued_ns.saturating_sub(enqueued_ns));
+    if trace_id != 0 {
+        session.events.record(
+            enqueued_ns,
+            &TraceEvent::SpanEvent {
+                host: shared.host_label.clone(),
+                trace_id,
+                query_id: query.id,
+                phase: "queue".to_string(),
+                dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
+            },
+        );
+    }
+    let served = catch_unwind(AssertUnwindSafe(|| service.serve(&query)));
+    let reply = served.unwrap_or_else(|_| {
+        let thread = std::thread::current();
+        let detail = format!(
+            "thread={} session={:#x}",
+            thread.name().unwrap_or("<unnamed>"),
+            session.id
+        );
+        shared.wire_event("service_panic", query.id, &detail);
+        shared.metrics.incr("wire_service_panics", 1);
+        Some(ServedReply::errored(&query))
+    });
+    let served_ns = shared.now_ns();
+    shared
+        .metrics
+        .observe("wire_serve_ns", served_ns.saturating_sub(dequeued_ns));
+    if trace_id != 0 {
+        session.events.record(
+            dequeued_ns,
+            &TraceEvent::SpanEvent {
+                host: shared.host_label.clone(),
+                trace_id,
+                query_id: query.id,
+                phase: "compute".to_string(),
+                dur_ns: served_ns.saturating_sub(dequeued_ns),
+            },
+        );
+    }
+    match reply {
+        Some(reply) => {
+            // Journal first, then send: if the connection dies between the
+            // two, the reply survives for replay. One critical section
+            // retires "in progress" and records the journal entry
+            // atomically. Encoded once: the same sealed bytes go to disk
+            // and socket.
+            let error = reply.error;
+            let completion = Message::Completion {
+                query_id: query.id,
+                error,
+                samples: reply.samples,
+            };
+            let sealed = completion.to_wire();
+            let Message::Completion { samples, .. } = completion else {
+                unreachable!("constructed above");
+            };
+            {
+                let mut book = session.book.lock().expect("session book poisoned");
+                book.in_progress.remove(&query.id);
+                if let Some(disk) = book.disk.as_mut() {
+                    // Durable mirror first: the wire-codec bytes are the
+                    // journal payload, so replay after a daemon restart
+                    // parses them back with the same decoder the socket
+                    // uses.
+                    let _ = disk.append(&sealed);
+                }
+                book.journal.insert(query.id, (error, samples));
+            }
+            session.send_sealed(&sealed);
+            shared.served.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.incr("wire_served", 1);
+        }
+        None => {
+            // The service swallowed the query: no frame goes back, and
+            // nothing is journaled — a replay will be swallowed again,
+            // which is the point.
+            session
+                .book
+                .lock()
+                .expect("session book poisoned")
+                .in_progress
+                .remove(&query.id);
+            shared.wire_event("dropped_reply", query.id, "service returned nothing");
+        }
+    }
+    session.outstanding.end();
+}
+
 /// Routes one issued query (traced or not) through the session's journal
-/// discipline: fresh queries go to the worker pool, journaled ones are
-/// answered by replay, in-progress duplicates are skipped. Returns `false`
-/// when the connection must drop (the work queue is gone).
+/// discipline: fresh queries go to the worker pool — or, in a session that
+/// has none, are served here and now — journaled ones are answered by
+/// replay, in-progress duplicates are skipped. Returns `false` when the
+/// connection must drop (the work queue is gone).
 fn handle_issue(
-    session: &Arc<Session>,
-    shared: &Arc<ServerShared>,
+    service: &dyn WireService,
+    session: &Session,
+    shared: &ServerShared,
     query: Query,
     trace_id: u64,
 ) -> bool {
@@ -690,28 +888,26 @@ fn handle_issue(
     };
     match action {
         IssueAction::Fresh => {
-            {
-                let (count, _) = &session.outstanding;
-                *count.lock().expect("server outstanding poisoned") += 1;
-            }
+            session.outstanding.begin();
             let item = WorkItem {
                 query,
                 trace_id,
                 enqueued_ns: shared.now_ns(),
             };
-            let sent = {
-                let tx = session.work_tx.lock().expect("session work_tx poisoned");
-                match tx.as_ref() {
-                    Some(tx) => tx.send(item).is_ok(),
-                    None => false,
+            match &session.work {
+                Some(queue) => {
+                    if queue.push(item).is_err() {
+                        session.outstanding.end();
+                        return false;
+                    }
                 }
-            };
-            if !sent {
-                let (count, cv) = &session.outstanding;
-                let mut n = count.lock().expect("server outstanding poisoned");
-                *n = n.saturating_sub(1);
-                cv.notify_all();
-                return false;
+                None => {
+                    // One query in flight by the scenario's own rules, so
+                    // nothing waits behind this call but heartbeats — and
+                    // those the liveness thread answers for us meanwhile.
+                    let _serving = Serving::enter(&session.serving_since, item.enqueued_ns);
+                    serve_item(service, session, shared, item);
+                }
             }
         }
         IssueAction::Replay(error, samples) => {
@@ -726,8 +922,8 @@ fn handle_issue(
             });
         }
         IssueAction::Skip => {
-            // Replayed while the original is still in a worker:
-            // the worker's completion will answer both.
+            // Replayed while the original is still in the service: its
+            // completion will answer both.
             shared.wire_event("dup_issue", query.id, "already in progress");
             shared.metrics.incr("wire_dup_issues", 1);
         }
@@ -746,11 +942,7 @@ fn answer_stats(
         let sessions = shared.sessions.lock().expect("server sessions poisoned");
         let mut per_session: Vec<(u64, u64)> = sessions
             .iter()
-            .map(|(id, s)| {
-                let outstanding =
-                    *s.outstanding.0.lock().expect("server outstanding poisoned") as u64;
-                (*id, outstanding)
-            })
+            .map(|(id, s)| (*id, s.outstanding.count() as u64))
             .collect();
         per_session.sort_unstable();
         let in_flight: u64 = per_session.iter().map(|(_, n)| n).sum();
@@ -847,7 +1039,8 @@ fn handle_conn(
             // With a journal dir the session book is rebuilt from disk and
             // replayed queries answer without re-running; without one the
             // book starts empty and they simply re-run.
-            let session = spawn_session(service, workers, shared, hello.session, !fresh);
+            let pooled = hello.scenario == Scenario::Server;
+            let session = spawn_session(service, workers, pooled, shared, hello.session, !fresh);
             shared
                 .sessions
                 .lock()
@@ -891,12 +1084,12 @@ fn handle_conn(
         }
         match transport.recv().and_then(|p| Message::from_wire(&p)) {
             Ok(Message::Issue(query)) => {
-                if !handle_issue(&session, shared, query, 0) {
+                if !handle_issue(&**service, &session, shared, query, 0) {
                     break;
                 }
             }
             Ok(Message::IssueTraced { trace_id, query }) => {
-                if !handle_issue(&session, shared, query, trace_id) {
+                if !handle_issue(&**service, &session, shared, query, trace_id) {
                     break;
                 }
             }
@@ -914,15 +1107,7 @@ fn handle_conn(
                 session.send(&Message::ClockProbeAck { seq, t0, t1, t2 });
             }
             Ok(Message::Drain) => {
-                let (count, cv) = &session.outstanding;
-                let mut n = count.lock().expect("server outstanding poisoned");
-                while *n > 0 && !shared.stop.load(Ordering::SeqCst) {
-                    let (guard, _timeout) = cv
-                        .wait_timeout(n, Duration::from_millis(100))
-                        .expect("server outstanding poisoned");
-                    n = guard;
-                }
-                drop(n);
+                session.outstanding.wait_idle(DRAIN_POLL, &shared.stop);
                 shared.wire_event("drain", 0, "flushed outstanding queries");
                 // A v3 client gets the session's server-side spans shipped
                 // back before the goodbye, so its detail log covers both
@@ -980,5 +1165,61 @@ fn handle_conn(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mlperf_loadgen::sut::SleepSut;
+
+    /// No lost wake-up between the last completion and a parked drainer:
+    /// with the poll a minute away, only the completion's own notify can
+    /// end the wait, and it does so without a poll expiring.
+    #[test]
+    fn a_drainer_parked_before_the_last_completion_is_woken_by_it() {
+        let outstanding = Outstanding::default();
+        let stop = AtomicBool::new(false);
+        outstanding.begin();
+        outstanding.begin();
+        let polls = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| outstanding.wait_idle(Duration::from_secs(60), &stop));
+            // Counted under the lock it then waits on: once the count
+            // reads 1 the drainer is parked, or will be before this
+            // thread can take the lock again.
+            while outstanding.state.lock().unwrap().drainers == 0 {
+                std::thread::yield_now();
+            }
+            outstanding.end();
+            outstanding.end();
+            drainer.join().unwrap()
+        });
+        assert_eq!(polls, 0, "the drainer left on a poll, not on the wake");
+        assert_eq!(outstanding.count(), 0);
+    }
+
+    /// `shutdown` means "holds no threads": every thread the daemon starts
+    /// — accept, liveness, connection, worker — holds the shared state.
+    #[test]
+    fn shutdown_leaves_no_thread_holding_the_daemon() {
+        let service = Arc::new(SleepSut::new("idle", Duration::ZERO));
+        let handle = serve_on("127.0.0.1:0", service, ServeConfig::default()).expect("serve");
+        assert_eq!(handle.threads.lock().unwrap().len(), 2);
+        handle.shutdown();
+        assert_eq!(Arc::strong_count(&handle.shared), 1);
+    }
+
+    /// The guard clears only its own stamp: a dead epoch's thread leaving
+    /// the service does not unvouch the live one that entered after it.
+    #[test]
+    fn leaving_the_service_clears_only_ones_own_stamp() {
+        let since = AtomicU64::new(0);
+        let dead_epoch = Serving::enter(&since, 0);
+        assert_eq!(since.load(Ordering::SeqCst), 1, "0 means outside");
+        let live_epoch = Serving::enter(&since, 500);
+        drop(dead_epoch);
+        assert_eq!(since.load(Ordering::SeqCst), 500);
+        drop(live_epoch);
+        assert_eq!(since.load(Ordering::SeqCst), 0);
     }
 }

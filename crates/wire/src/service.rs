@@ -41,7 +41,11 @@ impl ServedReply {
 /// Something a wire daemon can export.
 ///
 /// Implementations must be internally synchronized: the daemon invokes
-/// `serve` from one worker pool per connection, concurrently.
+/// `serve` concurrently — from each closed-loop session's connection
+/// thread (`wire-conn-*`: single-stream, multistream, offline) and from
+/// each server-scenario session's worker pool (`wire-worker-*`). A `serve`
+/// that panics costs the query it was handed, answered as errored, and
+/// nothing else; the thread carries on calling it.
 pub trait WireService: Send + Sync {
     /// Name reported in the handshake (lands in the client's run results).
     fn name(&self) -> &str;

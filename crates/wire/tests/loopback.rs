@@ -4,7 +4,7 @@
 
 use std::io::Write;
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mlperf_loadgen::config::TestSettings;
@@ -19,11 +19,32 @@ use mlperf_wire::frame::{read_frame, write_frame};
 use mlperf_wire::message::{Hello, Message, PROTOCOL_VERSION};
 use mlperf_wire::{
     loopback, loopback_instrumented, serve_on, RemoteSut, RemoteSutConfig, ServeConfig,
-    SilentDropService, SimHost, WireChaosPlan, WireError,
+    ServedReply, SilentDropService, SimHost, WireChaosPlan, WireError, WireService,
 };
 
 fn hello_for(settings: &TestSettings, qsl: &MemoryQsl, config: &RemoteSutConfig) -> Hello {
     RemoteSut::hello_for(settings, qsl.total_sample_count() as u64, config)
+}
+
+/// A one-sample query.
+fn query(id: u64) -> Query {
+    Query {
+        id,
+        samples: vec![mlperf_loadgen::QuerySample {
+            id: id * 10,
+            index: 0,
+        }],
+        scheduled_at: Nanos::ZERO,
+        tenant: 0,
+    }
+}
+
+/// What an honest service answers `query` with: every sample, no error.
+fn answered(query: &Query) -> Option<ServedReply> {
+    Some(ServedReply {
+        error: false,
+        ..ServedReply::errored(query)
+    })
 }
 
 #[test]
@@ -258,18 +279,34 @@ fn daemon_shutdown_joins_threads_and_releases_the_port() {
         "short-lived",
         Nanos::from_micros(5),
     )));
-    let (client, server) =
-        loopback(service, ServeConfig::default(), hello, config).expect("loopback");
+    let serve = ServeConfig::default().with_workers_per_conn(2);
+    let (client, server) = loopback(service.clone(), serve, hello, config).expect("loopback");
     let addr = server.addr();
 
+    // One session served on its connection thread...
     let out = Run::wall_clock(&settings)
         .run(&mut qsl, Arc::new(client))
         .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
-    // The run consumed (and dropped) the client, so its Drain
-    // already closed the connection; shutdown must reap every thread and
-    // the listener so the exact same port binds again.
+    // ...and one on a worker pool, still connected: its connection thread
+    // and both its workers are parked when `shutdown` comes for them.
+    let pooled = TestSettings::server(100.0, Nanos::from_millis(50));
+    let config = RemoteSutConfig::default();
+    let hello = hello_for(&pooled, &qsl, &config);
+    let client = RemoteSut::connect(addr, hello, config).expect("second session");
+    assert!(matches!(
+        client.issue_outcome(&query(1)),
+        IssueOutcome::Completed(_)
+    ));
+
+    // The first run consumed (and dropped) its client, so its Drain
+    // already closed that connection; shutdown must reap every thread —
+    // each accept, connection and worker thread holds the service — and
+    // the listener, so the exact same port binds again.
     server.shutdown();
+    assert_eq!(Arc::strong_count(&service), 1, "a thread outlived shutdown");
+    assert_eq!(server.served(), 6);
+    drop(client);
 
     let service = Arc::new(SimHost::new(FixedLatencySut::new(
         "second-tenant",
@@ -542,4 +579,165 @@ fn back_to_back_runs_under_one_session_id_keep_their_journal() {
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon serving a closed-loop query answers no heartbeat itself — its
+/// connection thread is inside the service — so it vouches for the query
+/// in flight, and a query six times the client's grace still completes.
+/// (Without the vouching send this is `Errored`: heartbeat loss.)
+#[test]
+fn a_query_served_longer_than_the_grace_keeps_the_link() {
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let config = RemoteSutConfig::default()
+        .with_heartbeat(Duration::from_millis(50), Duration::from_millis(400));
+    let hello = hello_for(&settings, &qsl, &config);
+    let service = Arc::new(SleepSut::new("slow", Duration::from_millis(1_500)));
+    let metrics = Arc::new(MetricsRegistry::new());
+    let serve = ServeConfig::default().with_metrics(metrics.clone());
+    let (client, server) = loopback(service, serve, hello, config).expect("loopback");
+
+    let outcome = client.issue_outcome(&query(1));
+    assert!(matches!(outcome, IssueOutcome::Completed(_)), "{outcome:?}");
+    assert!(client.is_connected());
+    let vouches = metrics.snapshot().counter("wire_liveness_vouches");
+    assert!(vouches >= 10, "{vouches} vouches in 1.5 s of 25 ms ticks");
+    client.shutdown();
+    server.shutdown();
+}
+
+/// Records the name of every thread that calls into it.
+#[derive(Default)]
+struct WhoServes {
+    threads: Mutex<Vec<String>>,
+}
+
+impl WireService for WhoServes {
+    fn name(&self) -> &str {
+        "who-serves"
+    }
+
+    fn serve(&self, query: &Query) -> Option<ServedReply> {
+        let thread = std::thread::current();
+        let name = thread.name().unwrap_or("<unnamed>").to_string();
+        self.threads.lock().unwrap().push(name);
+        answered(query)
+    }
+}
+
+/// Closed-loop sessions have one query in flight by their own rules and
+/// are served where the frame was read; a server session's pipelined
+/// backlog waits in the observed work queue, for a pool worker.
+#[test]
+fn closed_loop_sessions_are_served_on_the_connection_thread() {
+    let service = Arc::new(WhoServes::default());
+    let server = serve_on("127.0.0.1:0", service.clone(), ServeConfig::default()).expect("serve");
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    // The closed-loop three, then the one with a pool.
+    for settings in [
+        TestSettings::single_stream(),
+        TestSettings::multi_stream(2, Nanos::from_millis(50)),
+        TestSettings::offline(),
+        TestSettings::server(100.0, Nanos::from_millis(50)),
+    ] {
+        let config = RemoteSutConfig::default();
+        let hello = hello_for(&settings, &qsl, &config);
+        let client = RemoteSut::connect(server.addr(), hello, config).expect("connect");
+        for id in 1..=3 {
+            let outcome = client.issue_outcome(&query(id));
+            assert!(matches!(outcome, IssueOutcome::Completed(_)), "{outcome:?}");
+        }
+        client.shutdown();
+    }
+    server.shutdown();
+    let threads = service.threads.lock().unwrap();
+    let (closed, pooled) = threads.split_at(9);
+    assert!(
+        closed.iter().all(|name| name.starts_with("wire-conn-")),
+        "{closed:?}"
+    );
+    assert_eq!(pooled, ["wire-worker-0"; 3], "{pooled:?}");
+}
+
+/// Panics on the third query it is handed.
+#[derive(Default)]
+struct PanicsOnce {
+    seen: Mutex<u32>,
+}
+
+impl WireService for PanicsOnce {
+    fn name(&self) -> &str {
+        "panics-once"
+    }
+
+    fn serve(&self, query: &Query) -> Option<ServedReply> {
+        let nth = {
+            let mut seen = self.seen.lock().unwrap();
+            *seen += 1;
+            *seen
+        };
+        assert!(
+            nth != 3,
+            "query {} took the service down (a test)",
+            query.id
+        );
+        answered(query)
+    }
+
+    fn reset(&self) {
+        *self.seen.lock().unwrap() = 0;
+    }
+}
+
+/// A service that panics costs the query it panicked on and nothing else,
+/// whichever thread was serving: the connection thread (single-stream) or
+/// a pool worker (server). One `service_panic` event names that thread.
+#[test]
+fn a_panicking_service_errors_one_query_and_the_session_survives() {
+    let single = TestSettings::single_stream();
+    let server_settings = TestSettings::server(100.0, Nanos::from_millis(50));
+    for (settings, thread) in [(single, "wire-conn-"), (server_settings, "wire-worker-0")] {
+        let service = Arc::new(PanicsOnce::default());
+        let sink = Arc::new(RingBufferSink::unbounded());
+        let serve = ServeConfig::default().with_sink(sink.clone());
+        let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+        let config = RemoteSutConfig::default();
+        let hello = hello_for(&settings, &qsl, &config);
+        let (client, server) = loopback(service.clone(), serve, hello, config).expect("loopback");
+
+        for id in 1..=5 {
+            let outcome = client.issue_outcome(&query(id));
+            if id == 3 {
+                assert_eq!(outcome, IssueOutcome::Errored, "{thread}");
+            } else {
+                assert!(
+                    matches!(outcome, IssueOutcome::Completed(_)),
+                    "{thread} query {id}: {outcome:?}"
+                );
+            }
+        }
+        assert!(client.is_connected());
+        client.shutdown();
+        server.shutdown();
+        assert_eq!(Arc::strong_count(&service), 1, "a thread outlived shutdown");
+
+        let panics: Vec<_> = sink
+            .snapshot()
+            .into_iter()
+            .filter_map(|record| match record.event {
+                mlperf_trace::TraceEvent::WireEvent {
+                    kind,
+                    query_id,
+                    detail,
+                    ..
+                } if kind == "service_panic" => Some((query_id, detail)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(panics.len(), 1, "{panics:?}");
+        let (query_id, detail) = &panics[0];
+        assert_eq!(*query_id, 3);
+        assert!(detail.starts_with(&format!("thread={thread}")), "{detail}");
+        assert!(detail.contains(" session=0x"), "{detail}");
+    }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use mlperf_audit::tests::completeness_report;
@@ -23,11 +23,11 @@ use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::validate::ValidityIssue;
 use mlperf_loadgen::Run;
 use mlperf_trace::metrics::MetricsRegistry;
-use mlperf_trace::{RingBufferSink, TraceEvent};
+use mlperf_trace::{RingBufferSink, TraceEvent, TraceSink};
 use mlperf_wire::frame::{read_frame, write_frame};
 use mlperf_wire::{
-    loopback_instrumented, Message, RemoteSut, RemoteSutConfig, ResumePolicy, ServeConfig, SimHost,
-    WireChaosPlan,
+    loopback, loopback_instrumented, Message, RemoteSut, RemoteSutConfig, ResumePolicy,
+    ServeConfig, ServedReply, SimHost, WireChaosPlan, WireService,
 };
 
 fn settings() -> TestSettings {
@@ -337,4 +337,79 @@ fn a_completion_right_behind_the_resume_handshake_reaches_its_issuer() {
     );
     client.shutdown();
     server.join().expect("hand-rolled server");
+}
+
+/// A service and the daemon's sink in one, which together hold the
+/// service inside query 1 until the daemon has logged the replay of that
+/// same query as a duplicate — so the replay meets it in progress by
+/// construction, whatever the scheduler does.
+#[derive(Default)]
+struct HeldUntilReplayed {
+    events: Mutex<Vec<String>>,
+    turn: Condvar,
+}
+
+impl WireService for HeldUntilReplayed {
+    fn name(&self) -> &str {
+        "held-until-replayed"
+    }
+
+    fn serve(&self, query: &Query) -> Option<ServedReply> {
+        let events = self.events.lock().unwrap();
+        let unreplayed = |events: &mut Vec<String>| !events.iter().any(|kind| kind == "dup_issue");
+        drop(self.turn.wait_while(events, unreplayed).unwrap());
+        Some(ServedReply {
+            error: false,
+            ..ServedReply::errored(query)
+        })
+    }
+}
+
+impl TraceSink for HeldUntilReplayed {
+    fn record(&self, _ts_ns: u64, event: &TraceEvent) {
+        if let TraceEvent::WireEvent { kind, .. } = event {
+            self.events.lock().unwrap().push(kind.clone());
+            self.turn.notify_all();
+        }
+    }
+}
+
+/// The link is severed while a closed-loop session's connection thread is
+/// inside the service. That thread is the dead epoch's; the query is still
+/// the session's: its replay on the next epoch is skipped as in progress,
+/// and its one completion goes out on whichever connection the session
+/// has by then — the new one.
+#[test]
+fn a_link_severed_mid_serve_is_answered_over_the_next_epoch() {
+    let settings = settings();
+    let config = RemoteSutConfig::default()
+        .with_response_timeout(Duration::from_secs(30))
+        .with_resume(ResumePolicy {
+            max_attempts: 5,
+            backoff: Duration::from_millis(5),
+        })
+        .with_chaos(disconnect_plan());
+    let hello = RemoteSut::hello_for(&settings, 8, &config);
+    let held = Arc::new(HeldUntilReplayed::default());
+    let serve = ServeConfig::default().with_sink(held.clone());
+    let (client, server) = loopback(held.clone(), serve, hello, config).expect("loopback");
+
+    let query = Query {
+        id: 1,
+        samples: vec![QuerySample { id: 10, index: 0 }],
+        scheduled_at: Nanos::ZERO,
+        tenant: 0,
+    };
+    let outcome = client.issue_outcome(&query);
+    assert!(matches!(outcome, IssueOutcome::Completed(_)), "{outcome:?}");
+    client.shutdown();
+    server.shutdown();
+    // Counted after the send, so read once the serving thread is joined.
+    assert_eq!(server.served(), 1);
+
+    let events = held.events.lock().unwrap();
+    let count = |kind: &str| events.iter().filter(|k| *k == kind).count();
+    assert_eq!(count("handshake"), 2, "{events:?}");
+    assert_eq!(count("dup_issue"), 1, "{events:?}");
+    assert_eq!(count("replay"), 0, "{events:?}");
 }
