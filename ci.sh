@@ -69,6 +69,11 @@ $strays"
 strays=$(grep -rnE "fn fleet_per_sample|mem::forget" crates/harness/src crates/harness/tests || true)
 [[ -z "$strays" ]] || census_fail "a copied service cycle or a leaked handle in crates/harness:
 $strays"
+# One measuring system, perf, and no knob in the environment: nothing
+# reads a variable, no bench holds a threshold, no baseline is committed.
+strays=$(grep -rn "env::var" crates src tests examples; grep -rnE "process::exit|MAX_PCT" crates/bench; ls BENCH_*.json 2>/dev/null) || true
+[[ -z "$strays" ]] || census_fail "an environment read, a gate in crates/bench or a stored bench baseline:
+$strays"
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
@@ -160,66 +165,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- \
     --workload all --seed 1 --quick > /dev/null
 
-echo "== bench suite (smoke mode, JSON report) =="
-# Fast smoke pass over every bench binary: each one appends its medians to
-# one machine-readable report. MLPERF_TRACE_OVERHEAD_MAX_PCT makes the
-# trace_overhead bench assert that a disabled sink stays within noise of
-# the un-traced baseline (the observability layer must be free when off).
-# It covers the *disabled* sink only: what an enabled sink costs (JSONL
-# out, read back) is the repo benchmark's sim_traced workload and its
-# trace.* layer metrics, not this 10 % gate;
-# MLPERF_FAULT_OVERHEAD_MAX_PCT does the same for a disarmed FaultySut
-# wrapper (the chaos hooks must be free when no fault is armed);
-# MLPERF_WIRE_OVERHEAD_MAX_PCT bounds the loopback wire tax in the
-# wire_overhead bench (warn-only: loopback latency is kernel-dependent);
-# MLPERF_WIRE_CHAOS_OVERHEAD_MAX_PCT bounds the disarmed chaos-decorator
-# tax in wire_chaos_overhead (also warn-only, same noise caveat);
-# MLPERF_REPLAY_OVERHEAD_MAX_PCT bounds the DES replay-vs-native gap in
-# replay_reduce (warn-only — replay has historically been *faster* than
-# the native scheduler, so a warning here means the replay path grew a
-# hot-loop cost);
-# MLPERF_JOURNAL_OVERHEAD_MAX_PCT bounds the fsync-free checkpointing
-# tax in journal_overhead (warn-only). Binary checkpoint frames read
-# +180%, +128% and +246% on three consecutive ./ci.sh passes (+161%
-# twice standalone, +235% on a fourth pass); the allowance is twice
-# their median. The JSON frames they replaced read +454% and +428% on
-# the same box the same day, so a relapse is called out. It stays
-# warn-only because the readings spread nearly 2x: the two fsyncs
-# `create` always makes (header, meta frame) against a 1.6 ms plain
-# run, not the encoder — too noisy for a 5,000-query bench to fail on.
-BENCH_JSON="$(pwd)/target/bench-current.json"
-rm -f "$BENCH_JSON"
-MLPERF_BENCH_JSON="$BENCH_JSON" \
-MLPERF_BENCH_BUDGET_MS=50 \
-MLPERF_BENCH_LABEL="ci-smoke" \
-MLPERF_GIT_COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-MLPERF_TRACE_OVERHEAD_MAX_PCT=10 \
-MLPERF_FAULT_OVERHEAD_MAX_PCT=10 \
-MLPERF_WIRE_OVERHEAD_MAX_PCT=150 \
-MLPERF_WIRE_CHAOS_OVERHEAD_MAX_PCT=25 \
-MLPERF_REPLAY_OVERHEAD_MAX_PCT=25 \
-MLPERF_JOURNAL_OVERHEAD_MAX_PCT=360 \
-cargo bench -p mlperf-bench
-
-if [[ -f BENCH_PR10.json ]]; then
-  echo "== bench-compare vs committed baseline (hot-path + trace-overhead gates fail) =="
-  # The loadgen hot path (des_*, poisson_schedule, sample_indices) and the
-  # trace-overhead trio (run_simulated_*) are HARD gates: a median
-  # regression beyond the tolerance fails CI. Every other population stays
-  # advisory (bench-compare prints WARNING lines) — shared CI machines are
-  # noisy and those benches exist for trend-watching, not gating.
-  #
-  # Tolerance: 50%. Recorded headroom: the worst gated delta observed on
-  # the CI container when this gate was flipped to failing was +15.4%
-  # (des_single_stream_10000_queries), so 50% absorbs runner noise while
-  # still catching an accidental O(n) slip (those show up as >2x).
-  # Refresh the baseline (copy target/bench-current.json over
-  # BENCH_PR10.json) when a slowdown is intentional.
-  cargo run -q -p mlperf-harness --bin bench-compare -- \
-      "$(pwd)/BENCH_PR10.json" "$BENCH_JSON" --tolerance 50 \
-      --fail-on des_server --fail-on des_single_stream \
-      --fail-on poisson_schedule --fail-on sample_indices \
-      --fail-on run_simulated
-fi
+echo "== bench smoke (what is left of crates/bench runs once) =="
+# kernels, tables, scenarios, metrics_bench and journal_overhead time what
+# perf cannot see, print it and gate on nothing; otherwise only clippy's
+# --all-targets compiles them. The timing gate is the per-PR perf run.
+cargo bench -q -p mlperf-bench > /dev/null
 
 echo "CI green."

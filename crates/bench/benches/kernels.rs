@@ -12,7 +12,7 @@ use mlperf_tensor::{QTensor, Shape, Tensor};
 use std::hint::black_box;
 
 fn main() {
-    let bench = Bench::from_env();
+    let bench = Bench::from_args();
 
     let mut rng = Rng64::new(1);
     let input = Tensor::fill_with(Shape::d3(8, 16, 16), |_| rng.next_f64() as f32 - 0.5);
@@ -61,6 +61,4 @@ fn main() {
     bench.bench("gru_step_12_to_20", || {
         black_box(cell.step(&x, &h).expect("dims fixed"))
     });
-
-    bench.finish();
 }

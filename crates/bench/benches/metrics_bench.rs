@@ -8,7 +8,7 @@ use mlperf_stats::Rng64;
 use std::hint::black_box;
 
 fn main() {
-    let bench = Bench::from_env();
+    let bench = Bench::from_args();
 
     let mut rng = Rng64::new(1);
     let labels: Vec<usize> = (0..50_000).map(|_| rng.next_index(1_000)).collect();
@@ -75,6 +75,4 @@ fn main() {
     bench.bench("bleu_3k_sentence_corpus", || {
         black_box(corpus_bleu(&cands, &refs))
     });
-
-    bench.finish();
 }

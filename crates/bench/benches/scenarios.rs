@@ -10,7 +10,7 @@ use mlperf_sut::fleet::fleet;
 use std::hint::black_box;
 
 fn main() {
-    let bench = Bench::from_env();
+    let bench = Bench::from_args();
     let systems = fleet();
 
     let dc = systems
@@ -44,6 +44,4 @@ fn main() {
             ))
         });
     }
-
-    bench.finish();
 }

@@ -15,7 +15,7 @@ use mlperf_submission::report::{
 use std::hint::black_box;
 
 fn main() {
-    let bench = Bench::from_env();
+    let bench = Bench::from_args();
 
     bench.bench("table1_model_registry", || {
         black_box(tables::render_table1())
@@ -48,6 +48,4 @@ fn main() {
     bench.bench("fig7_results_per_architecture", || {
         black_box(figure7_by_architecture(&records))
     });
-
-    bench.finish();
 }

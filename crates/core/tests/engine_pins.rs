@@ -27,6 +27,7 @@ use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The engine calls under pin, one function per axis combination.
 mod engine {
@@ -197,12 +198,9 @@ impl Fold {
             .unwrap();
         }
         self.accuracy.push_str("--\n");
-        let counters = &out
-            .metrics
-            .as_ref()
-            .expect("traced runs carry metrics")
-            .counters;
-        for (name, value) in counters {
+        // An unobserved run carries no registry; a traced run that lost
+        // its own moves this column.
+        for (name, value) in out.metrics.iter().flat_map(|m| &m.counters) {
             writeln!(self.metrics, "{name}={value}").unwrap();
         }
         self.metrics.push_str("--\n");
@@ -256,42 +254,65 @@ fn qsl() -> MemoryQsl {
     MemoryQsl::new("pin-qsl", 120, 32)
 }
 
-fn plain(settings: &TestSettings, per_sample: Nanos) -> Pin {
+/// A `plain`-engine row: its settings and its device's per-sample time.
+type PlainRow = (TestSettings, Nanos);
+
+fn plain((settings, per_sample): PlainRow) -> Pin {
     let sink = RingBufferSink::unbounded();
-    let out = engine::plain(settings, &mut qsl(), &mut PinSut::new(per_sample), &sink);
+    let out = engine::plain(&settings, &mut qsl(), &mut PinSut::new(per_sample), &sink);
     let mut fold = Fold::default();
     fold.outcome(&out);
     fold.log(&sink);
     fold.pin()
 }
 
-fn single_stream(seed: u64) -> Pin {
+fn single_stream_row(seed: u64) -> PlainRow {
     let settings = seeded(TestSettings::single_stream(), seed)
         .with_min_query_count(96)
         .with_min_duration(Nanos::from_millis(2));
-    plain(&settings, Nanos::from_micros(50))
+    (settings, Nanos::from_micros(50))
 }
 
 /// 3 × 1.5 ms against a 5 ms interval: the index-dependent jitter pushes
 /// some queries over the boundary, so skips and `OverloadDropped` vary.
-fn multi_stream(seed: u64) -> Pin {
+fn multi_stream_row(seed: u64) -> PlainRow {
     let settings = seeded(TestSettings::multi_stream(3, Nanos::from_millis(5)), seed)
         .with_min_query_count(48)
         .with_min_duration(Nanos::from_millis(1));
-    plain(&settings, Nanos::from_micros(1_500))
+    (settings, Nanos::from_micros(1_500))
+}
+
+fn server_row(seed: u64) -> PlainRow {
+    (server(seed), Nanos::from_micros(200))
+}
+
+fn offline_row(seed: u64) -> PlainRow {
+    (offline(seed), Nanos::from_micros(10))
+}
+
+fn accuracy_row(seed: u64) -> PlainRow {
+    let settings = seeded(TestSettings::offline(), seed).with_mode(TestMode::AccuracyOnly);
+    (settings, Nanos::from_micros(10))
+}
+
+fn single_stream(seed: u64) -> Pin {
+    plain(single_stream_row(seed))
+}
+
+fn multi_stream(seed: u64) -> Pin {
+    plain(multi_stream_row(seed))
 }
 
 fn server_plain(seed: u64) -> Pin {
-    plain(&server(seed), Nanos::from_micros(200))
+    plain(server_row(seed))
 }
 
 fn offline_plain(seed: u64) -> Pin {
-    plain(&offline(seed), Nanos::from_micros(10))
+    plain(offline_row(seed))
 }
 
 fn accuracy(seed: u64) -> Pin {
-    let settings = seeded(TestSettings::offline(), seed).with_mode(TestMode::AccuracyOnly);
-    plain(&settings, Nanos::from_micros(10))
+    plain(accuracy_row(seed))
 }
 
 /// Records the server run, rebuilds its schedule (arrivals from the
@@ -502,4 +523,59 @@ fn the_engine_produces_what_it_was_blessed_to_produce() {
         }
     }
     assert!(moved.is_empty(), "engine output moved; it now is:\n{moved}");
+}
+
+/// A sink that is switched off and counts the events it is handed anyway.
+#[derive(Default)]
+struct DisabledSink {
+    records: AtomicU64,
+}
+
+impl TraceSink for DisabledSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&self, _ts_ns: u64, _event: &TraceEvent) {
+        self.records.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// "A disabled sink is free", without a clock: every `plain` row, in all
+/// four scenarios, re-run with the sink switched off, hands it no event —
+/// each `record` in the engine sits behind an `enabled()` guard — builds no
+/// registry, and produces the records and accuracy log the row pins.
+#[test]
+fn a_disabled_sink_is_handed_nothing_and_changes_nothing() {
+    let rows = [
+        ("single_stream", single_stream_row as fn(u64) -> PlainRow),
+        ("multi_stream", multi_stream_row),
+        ("server_plain", server_row),
+        ("offline_plain", offline_row),
+        ("accuracy", accuracy_row),
+    ];
+    for (name, row) in rows {
+        let (_, _, pinned) = PINS
+            .iter()
+            .find(|(n, ..)| *n == name)
+            .expect("a pinned row");
+        for (seed, want) in (1..).zip(pinned) {
+            let (settings, per_sample) = row(seed);
+            let sink = DisabledSink::default();
+            let out = engine::plain(&settings, &mut qsl(), &mut PinSut::new(per_sample), &sink);
+            let calls = sink.records.load(Ordering::Relaxed);
+            assert_eq!(
+                calls, 0,
+                "{name} seed {seed}: record calls on a disabled sink"
+            );
+            assert!(out.metrics.is_none(), "{name} seed {seed}: a registry");
+            let mut fold = Fold::default();
+            fold.outcome(&out);
+            assert_eq!(
+                fold.pin()[..2],
+                want[..2],
+                "{name} seed {seed}: records, accuracy log"
+            );
+        }
+    }
 }

@@ -20,10 +20,9 @@
 //! `--json`, and `--heatmap` write it (plus the machine-readable analysis
 //! and the per-window heatmap rows) to files instead.
 //!
-//! `--compare` sniffs its two arguments: BENCH suite JSONs diff via the
-//! bench comparator, metrics snapshots (raw or `netbench --metrics`
-//! documents) diff their shared latency histograms, recorded `MLPR`
-//! traces (alone, together, or against a detail log — the
+//! `--compare` sniffs its two arguments: metrics snapshots (raw or
+//! `netbench --metrics` documents) diff their shared latency histograms,
+//! recorded `MLPR` traces (alone, together, or against a detail log — the
 //! recorded-vs-replayed audit) diff by workload fingerprint against the
 //! equivalence bound, and anything else is treated as a pair
 //! of detail logs and diffed segment-by-segment at the nearest-rank
@@ -41,7 +40,6 @@
 use mlperf_analysis::{analyze_records, heatmap_jsonl, render_markdown, Analysis};
 use mlperf_loadgen::results::TestResult;
 use mlperf_replay::{fingerprint_of_records, EquivalenceBound, RecordedTrace, TraceFingerprint};
-use mlperf_trace::bench::{self, BenchReport};
 use mlperf_trace::flight::parse_flight_dump;
 use mlperf_trace::reader::read_detail_log_str;
 use mlperf_trace::{FromJson, JsonValue, MetricsSnapshot, ToJson, TraceRecord};
@@ -98,7 +96,6 @@ fn analyze_file(
 
 /// What kind of comparable artifact a `--compare` argument is.
 enum Comparable {
-    Bench(BenchReport),
     Metrics(MetricsSnapshot),
     Log(Vec<TraceRecord>),
     Trace(RecordedTrace),
@@ -117,11 +114,6 @@ fn load_comparable(path: &str) -> Result<Comparable, String> {
     let text = String::from_utf8(bytes)
         .map_err(|e| format!("{path}: not UTF-8 or a recorded trace: {e}"))?;
     if let Ok(doc) = JsonValue::parse(&text) {
-        if doc.get("benches").is_some() {
-            let report = BenchReport::from_json_value(&doc)
-                .map_err(|e| format!("{path}: bad bench report: {e}"))?;
-            return Ok(Comparable::Bench(report));
-        }
         if doc.get("histograms").is_some() {
             let snapshot = MetricsSnapshot::from_json_value(&doc)
                 .map_err(|e| format!("{path}: bad metrics snapshot: {e}"))?;
@@ -181,11 +173,6 @@ fn run_compare(base_path: &str, cand_path: &str, tolerance_pct: f64) -> Result<b
     let base = load_comparable(base_path)?;
     let cand = load_comparable(cand_path)?;
     let diff = match (&base, &cand) {
-        (Comparable::Bench(old), Comparable::Bench(new)) => {
-            let comparison = bench::compare(old, new, tolerance_pct);
-            print!("{}", comparison.table(tolerance_pct));
-            return Ok(comparison.passed());
-        }
         (Comparable::Metrics(old), Comparable::Metrics(new)) => {
             mlperf_analysis::diff_metrics(old, new, tolerance_pct)
         }
@@ -222,7 +209,7 @@ fn run_compare(base_path: &str, cand_path: &str, tolerance_pct: f64) -> Result<b
         _ => {
             return Err(format!(
                 "--compare needs two artifacts of the same kind \
-(bench JSON, metrics JSON, recorded trace, or detail log): {base_path} vs {cand_path}"
+(metrics JSON, recorded trace, or detail log): {base_path} vs {cand_path}"
             ))
         }
     };

@@ -28,8 +28,7 @@
 //!    (`results/fixtures/replay_reduced.mlpr`; `--bless` regenerates it).
 //! 2. **Wire leg** — a realtime run against a loopback daemon is
 //!    recorded and reduced 10x, then replayed over a fresh connection.
-//!    Asserts: identical verdicts and a fingerprint within bound (scale
-//!    it with `MLPERF_REPLAY_WIRE_BOUND_SCALE` on loaded machines).
+//!    Asserts: identical verdicts and a fingerprint within bound.
 //! 3. **Fleet leg** — the same reduced trace drives a 3-shard
 //!    `ShardedSut` fleet to a VALID run.
 
@@ -68,14 +67,9 @@ const FIXTURE: &str = "results/fixtures/replay_reduced.mlpr";
 /// projections at once), so the default is 3x the reduction bound. The
 /// replayed *arrival* process is deterministic and its axes sit at ~0
 /// regardless of the scale, so the audit still catches a broken
-/// scheduler. `MLPERF_REPLAY_WIRE_BOUND_SCALE` overrides the scale for
-/// slow or loaded machines.
+/// scheduler.
 fn wire_bound() -> EquivalenceBound {
-    let scale = std::env::var("MLPERF_REPLAY_WIRE_BOUND_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(3.0);
-    EquivalenceBound::default().scaled(scale)
+    EquivalenceBound::default().scaled(3.0)
 }
 
 fn verdict(out: &RunOutcome) -> String {

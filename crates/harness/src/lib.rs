@@ -1,7 +1,7 @@
 //! Experiment harness: the code behind every table and figure.
 //!
 //! Each `src/bin/` binary regenerates one artifact of the paper; the
-//! computations live here so the Criterion benches and integration tests
+//! computations live here so the `mlperf-bench` benches and integration tests
 //! can reuse them. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers.
 //!

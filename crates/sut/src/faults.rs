@@ -355,6 +355,7 @@ mod tests {
     use mlperf_loadgen::qsl::MemoryQsl;
     use mlperf_loadgen::sut::FixedLatencySut;
     use mlperf_loadgen::validate::ValidityIssue;
+    use mlperf_trace::RingBufferSink;
 
     fn server_settings() -> TestSettings {
         TestSettings::server(500.0, Nanos::from_millis(10))
@@ -368,18 +369,43 @@ mod tests {
 
     #[test]
     fn unarmed_plan_is_a_pass_through() {
-        let mut qsl = MemoryQsl::new("q", 16, 16);
-        let baseline = run_simulated(&server_settings(), &mut qsl, &mut inner()).unwrap();
-        let mut faulty = FaultySut::new(inner(), FaultPlan::new(42));
-        assert!(!faulty.plan().is_armed());
-        let out = run_simulated(&server_settings(), &mut qsl, &mut faulty).unwrap();
-        // Identical apart from the decorator suffix on the SUT name.
-        let strip = |line: String| line.split_once(" | ").expect("name field").1.to_string();
-        assert_eq!(
-            strip(baseline.result.summary_line()),
-            strip(out.result.summary_line()),
-            "inert plan must not change the run"
-        );
+        let scenarios = [
+            TestSettings::single_stream()
+                .with_min_query_count(200)
+                .with_min_duration(Nanos::from_millis(50)),
+            TestSettings::multi_stream(4, Nanos::from_millis(2))
+                .with_min_query_count(100)
+                .with_min_duration(Nanos::from_millis(50)),
+            server_settings(),
+            TestSettings::offline()
+                .with_offline_min_sample_count(500)
+                .with_min_duration(Nanos::from_millis(50)),
+        ];
+        for settings in scenarios {
+            let scenario = settings.scenario;
+            let mut qsl = MemoryQsl::new("q", 16, 16);
+            let baseline = run_simulated(&settings, &mut qsl, &mut inner()).unwrap();
+            let sink = Arc::new(RingBufferSink::unbounded());
+            let mut faulty = FaultySut::new(inner(), FaultPlan::new(42)).with_trace(sink.clone());
+            assert!(!faulty.plan().is_armed());
+            let out = run_simulated(&settings, &mut qsl, &mut faulty).unwrap();
+            // Every timestamp of every query, not a summary of them: the
+            // simulated clock makes the two streams comparable exactly.
+            assert!(!out.records.is_empty());
+            assert_eq!(baseline.records, out.records, "{scenario}: records");
+            assert_eq!(baseline.accuracy_log, out.accuracy_log, "{scenario}");
+            // Identical apart from the decorator suffix on the SUT name.
+            let strip = |line: String| line.split_once(" | ").expect("name field").1.to_string();
+            assert_eq!(
+                strip(baseline.result.summary_line()),
+                strip(out.result.summary_line()),
+                "{scenario}: inert plan must not change the run"
+            );
+            assert!(
+                sink.snapshot().is_empty(),
+                "{scenario}: an inert plan injects nothing, so it notes nothing"
+            );
+        }
     }
 
     #[test]

@@ -47,8 +47,6 @@
 //! * [`timeseries`] — [`timeseries::TimeSeriesSampler`], snapshotting the
 //!   metrics registry on a simulated-time grid so degradation curves are
 //!   plottable over a run.
-//! * [`bench`] — [`bench::BenchReport`] (the `BENCH_*.json` schema) and
-//!   [`bench::compare`], the perf-regression gate.
 //!
 //! # Example: record a run into a ring buffer
 //!
@@ -72,7 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bytes;
 pub mod chrome;
 pub mod crc;
@@ -85,7 +82,6 @@ pub mod profile;
 pub mod reader;
 pub mod timeseries;
 
-pub use bench::{BenchComparison, BenchEntry, BenchReport};
 pub use chrome::chrome_trace_json;
 pub use event::{
     parse_detail_log, render_detail_log, FanoutSink, JsonlSink, NoopSink, RingBufferSink,

@@ -439,6 +439,7 @@ impl Transport for ChaosTransport {
 mod tests {
     use super::*;
     use crate::frame::{open, seal};
+    use mlperf_trace::RingBufferSink;
     use std::collections::VecDeque;
     use std::sync::Mutex;
 
@@ -486,13 +487,38 @@ mod tests {
     fn disarmed_plan_is_pass_through() {
         let plan = WireChaosPlan::new(7);
         assert!(!plan.is_armed());
-        let (mut t, out, inp) = wrapped(plan);
+        let sink = Arc::new(RingBufferSink::unbounded());
+        let pipe = MemPipe::default();
+        let (out, inp) = (Arc::clone(&pipe.out), Arc::clone(&pipe.inp));
+        let session = Arc::new(ChaosSession::new(plan, "client", Some(sink.clone())));
+        let mut t = session.wrap(Box::new(pipe));
         let sealed = seal(b"payload");
         t.send(&sealed).unwrap();
         assert_eq!(out.lock().unwrap().len(), 1);
         assert_eq!(out.lock().unwrap()[0], sealed);
         inp.lock().unwrap().push_back(sealed.clone());
         assert_eq!(t.recv().unwrap(), sealed);
+        assert!(sink.snapshot().is_empty(), "nothing injected, no WireFault");
+
+        // A disarmed connection of an armed plan — any after the first —
+        // hands its clone (the client's reader half) the same pass-through:
+        // every frame would be corrupted if the clone re-armed itself.
+        let armed = WireChaosPlan::new(7)
+            .with_corrupt_recv(1.0)
+            .with_duplicate_send(1.0);
+        let pipe = MemPipe::default();
+        let (out, inp) = (Arc::clone(&pipe.out), Arc::clone(&pipe.inp));
+        let session = Arc::new(ChaosSession::new(armed, "client", Some(sink.clone())));
+        let _first = session.wrap(pipe.try_clone().unwrap());
+        let mut reader = session.wrap(Box::new(pipe)).try_clone().unwrap();
+        reader.send(&sealed).unwrap();
+        assert_eq!(*out.lock().unwrap(), std::slice::from_ref(&sealed));
+        inp.lock().unwrap().push_back(sealed.clone());
+        assert_eq!(reader.recv().unwrap(), sealed);
+        assert!(
+            sink.snapshot().is_empty(),
+            "a disarmed clone injects nothing"
+        );
     }
 
     #[test]
