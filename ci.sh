@@ -74,6 +74,19 @@ $strays"
 strays=$(grep -rn "env::var" crates src tests examples; grep -rnE "process::exit|MAX_PCT" crates/bench; ls BENCH_*.json 2>/dev/null) || true
 [[ -z "$strays" ]] || census_fail "an environment read, a gate in crates/bench or a stored bench baseline:
 $strays"
+# One protocol version on the wire, and one lock discipline under it: the
+# names that existed only because two versions did stay gone, and no
+# non-test lock in the endpoints, the router, the work queue or the sinks
+# unwraps its guard (`mlperf_trace::sync` takes a poisoned mutex anyway;
+# rustfmt may split `.lock()` from `.expect(`, so match across the newline).
+retired='MIN_PROTOCOL_VERSION|with_protocol|negotiated_version|Message::Issue\b|Message::Heartbeat\b'
+strays=$(grep -rnE "$retired" --include='*.rs' crates src tests examples || true)
+[[ -z "$strays" ]] || census_fail "a second protocol version's surface is back:
+$strays"
+for f in $(find crates/{wire,sut,core,trace}/src -name '*.rs'); do
+    unwrapped=$(before_tests "$f" | tr -d ' \n' | { grep -oE '\.lock\(\)\.(expect\(|unwrap\(\))' || true; } | wc -l)
+    [[ "$unwrapped" == 0 ]] || census_fail "$unwrapped .lock().expect(/.unwrap() sites in the non-test part of $f"
+done
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
@@ -109,7 +122,7 @@ echo "== crash chaos smoke (process-kill quadrant: journal resume is lossless) =
 # whole matrix renders byte-identically across two builds.
 cargo run -q --release -p mlperf-harness --bin chaos -- --crash --check > /dev/null
 
-echo "== netbench loopback smoke (network SUT: tracing + telemetry + interop) =="
+echo "== netbench loopback smoke (network SUT: tracing + telemetry) =="
 # Single-process wire smoke: a rig of one — a serving daemon and a RemoteSut
 # client on a loopback socket — runs the scaled-down offline + server pair
 # twice, asserting every run is VALID, the logical detail log
@@ -117,8 +130,7 @@ echo "== netbench loopback smoke (network SUT: tracing + telemetry + interop) ==
 # connections under the fixed seed, the merged client+server detail log
 # passes the TEST06 completeness audit with at least one end-to-end trace
 # (client issue -> server compute -> client complete under one trace id),
-# the daemon's live stats snapshot parses, and a v2-pinned client still
-# interoperates with the v3 daemon.
+# and the daemon's live stats snapshot parses.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --stats --check
 
 echo "== netbench fleet smoke (sharded serving survives losing a shard) =="
@@ -129,8 +141,7 @@ echo "== netbench fleet smoke (sharded serving survives losing a shard) =="
 # sharded log passes the completeness audit, and the victim's down +
 # failover rows are present). The first rig has lost its victim, so the
 # reproducibility leg is a second fresh rig: it must survive the same kill
-# and render a byte-identical logical log, and the v2 interop leg runs
-# against one of its survivors.
+# and render a byte-identical logical log.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --shards 3 --check
 
 echo "== replay roundtrip smoke (record -> reduce -> replay, three legs) =="

@@ -15,7 +15,7 @@ use mlperf_trace::{TraceEvent, TraceRecord};
 use crate::breakdown::{breakdown, Breakdown};
 use crate::heatmap::{auto_interval, heatmap, HeatmapRow};
 use crate::rootcause::{issue_texts, root_causes, RootCause};
-use crate::segment::{query_paths, QueryPath};
+use crate::segment::query_paths;
 use crate::shards::{shard_reports, ShardReport};
 
 /// The best clock-offset estimate seen for one peer host.
@@ -121,11 +121,6 @@ pub fn analyze_records(
         clock: clock_info(records),
         shards: shard_reports(records),
     }
-}
-
-/// Reconstructed paths for callers that need the raw per-query table.
-pub fn paths_of(records: &[TraceRecord]) -> Vec<QueryPath> {
-    query_paths(records)
 }
 
 /// Formats nanoseconds with a unit, using integer arithmetic only so the

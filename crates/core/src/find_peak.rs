@@ -82,11 +82,6 @@ impl PeakSearchOutcome {
             Self::Aborted { .. } => None,
         }
     }
-
-    /// True if the search gave up without a valid operating point.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, Self::Aborted { .. })
-    }
 }
 
 /// One probe of a peak search: a plain run at `target`, counted in `runs`

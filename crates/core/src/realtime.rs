@@ -32,6 +32,7 @@ use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{IssueOutcome, RealtimeSut};
 use crate::time::Nanos;
 use crate::LoadGenError;
+use mlperf_trace::sync::{lock, wait};
 use mlperf_trace::TraceSink;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver};
@@ -206,7 +207,7 @@ impl<T> WorkQueue<T> {
             return Err(item);
         }
         let wake = {
-            let mut state = self.state.lock().expect("work queue poisoned");
+            let mut state = lock(&self.state);
             if state.closed {
                 return Err(item);
             }
@@ -222,7 +223,7 @@ impl<T> WorkQueue<T> {
     /// The next item, blocking while the queue is empty and open; `None`
     /// once it is closed and drained.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("work queue poisoned");
+        let mut state = lock(&self.state);
         loop {
             if let Some(item) = state.items.pop_front() {
                 return Some(item);
@@ -231,14 +232,14 @@ impl<T> WorkQueue<T> {
                 return None;
             }
             state.idle += 1;
-            state = self.ready.wait(state).expect("work queue poisoned");
+            state = wait(&self.ready, state);
             state.idle -= 1;
         }
     }
 
     /// Closes the queue: workers drain what is queued, then see `None`.
     pub fn close(&self) {
-        self.state.lock().expect("work queue poisoned").closed = true;
+        lock(&self.state).closed = true;
         self.ready.notify_all();
     }
 }
@@ -727,13 +728,11 @@ mod tests {
             .any(|r| matches!(&r.event, TraceEvent::RunPhase { phase, .. } if phase == "report")));
     }
 
-    /// Logical identity of a run: the fields a crash + resume must
-    /// preserve exactly (ids, schedule, sample counts, error flags) —
-    /// wall-clock latencies legitimately differ between executions.
+    /// What a crash + resume must preserve exactly.
     fn logical(records: &[crate::record::QueryRecord]) -> Vec<(u64, u64, usize, bool)> {
         records
             .iter()
-            .map(|r| (r.id, r.scheduled_at.as_nanos(), r.sample_count, r.error))
+            .map(crate::record::QueryRecord::logical)
             .collect()
     }
 

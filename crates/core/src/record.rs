@@ -28,6 +28,21 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
+    /// The deterministic slice of the record — `(id, scheduled_at in ns,
+    /// sample_count, error)` — which a fixed seed reproduces exactly,
+    /// through a reconnect, a failover or a crash and resume. Everything
+    /// else in a record is a wall-clock reading and legitimately differs
+    /// between executions; every logical-log hash and every "rescued run
+    /// equals the baseline" check compares this.
+    pub fn logical(&self) -> (QueryId, u64, usize, bool) {
+        (
+            self.id,
+            self.scheduled_at.as_nanos(),
+            self.sample_count,
+            self.error,
+        )
+    }
+
     /// Latency from scheduled time to completion, for queries that produced
     /// a usable answer. Errored queries return `None`: they carry a
     /// completion timestamp (when the failure surfaced) but no service

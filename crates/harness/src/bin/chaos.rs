@@ -320,21 +320,15 @@ fn wire_settings(seed: u64) -> [(&'static str, TestSettings); 2] {
     ]
 }
 
-/// FNV-1a over a run's logical per-query records (id, scheduled time,
-/// sample count, error flag — the deterministic slice). Two VALID runs
-/// of the same seed hash identically, whatever the wire did.
+/// FNV-1a over a run's logical per-query records
+/// ([`QueryRecord::logical`](mlperf_loadgen::record::QueryRecord::logical)).
+/// Two VALID runs of the same seed hash identically, whatever the wire did.
 fn logical_hash(records: &[mlperf_loadgen::record::QueryRecord]) -> String {
     let mut text = String::new();
     for r in records {
         use std::fmt::Write as _;
-        let _ = write!(
-            text,
-            "{},{},{},{};",
-            r.id,
-            r.scheduled_at.as_nanos(),
-            r.sample_count,
-            r.error
-        );
+        let (id, scheduled_at_ns, sample_count, error) = r.logical();
+        let _ = write!(text, "{id},{scheduled_at_ns},{sample_count},{error};");
     }
     format!("{:016x}", fnv1a64(text.as_bytes()))
 }

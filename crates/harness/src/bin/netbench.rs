@@ -24,7 +24,7 @@
 //! Every run writes a *logical detail log*: the deterministic slice of the
 //! per-query records (id, scheduled time, sample count, error flag) that is
 //! byte-reproducible under a fixed seed — wall-clock latencies explicitly
-//! excluded. On a v3 link each run also produces a *merged* detail log:
+//! excluded. Each run also produces a *merged* detail log:
 //! client issue/complete spans, server queue/compute spans (shipped back at
 //! drain and re-stamped onto the client clock by the NTP-style offset
 //! estimator), and wire events, all on one time axis. `--detail` /
@@ -43,9 +43,8 @@
 //! victim — and asserts every run is VALID, the two logical logs render to
 //! identical bytes, the merged log passes the TEST06 completeness audit
 //! with no accuracy events and at least one end-to-end trace, a fleet's
-//! merged log carries the victim's `down` + `failover` rows, the stats
-//! snapshots parse (with `--stats`), and a v2-pinned client still
-//! completes a VALID run against a v3 daemon.
+//! merged log carries the victim's `down` + `failover` rows, and the stats
+//! snapshots parse (with `--stats`).
 //!
 //! [`DaemonStats`]: mlperf_wire::DaemonStats
 
@@ -258,11 +257,12 @@ fn summarize(
         .records
         .iter()
         .map(|r| {
+            let (id, scheduled_at_ns, sample_count, error) = r.logical();
             JsonValue::object(vec![
-                ("id", r.id.to_json_value()),
-                ("scheduled_at_ns", r.scheduled_at.as_nanos().to_json_value()),
-                ("sample_count", (r.sample_count as u64).to_json_value()),
-                ("error", r.error.to_json_value()),
+                ("id", id.to_json_value()),
+                ("scheduled_at_ns", scheduled_at_ns.to_json_value()),
+                ("sample_count", (sample_count as u64).to_json_value()),
+                ("error", error.to_json_value()),
             ])
         })
         .collect();
@@ -416,43 +416,6 @@ fn check_pair(summaries: &[RunSummary], victim: Option<&str>) -> Vec<String> {
         failures.extend(check_fleet_rescue(server, victim));
     }
     failures
-}
-
-/// One VALID run with the client pinned to protocol v2 proves the daemon
-/// at `addr` still interoperates with un-upgraded peers.
-fn check_v2_interop(addr: &str, seed: u64) -> Option<String> {
-    let seeds = SeedTriple::from_master(seed ^ 0x7632); // "v2"
-    let settings = TestSettings::offline()
-        .with_offline_min_sample_count(128)
-        .with_min_duration(Nanos::from_millis(1))
-        .with_seeds(seeds);
-    let mut qsl = MemoryQsl::new("netbench-qsl", 64, 64);
-    let config = RemoteSutConfig::default().with_protocol(2);
-    let wired = match Rig::over(addr).connect(
-        &settings,
-        qsl.total_sample_count() as u64,
-        |_| config.clone(),
-        BalancePolicy::WeightedThroughput,
-        None,
-        None,
-    ) {
-        Ok(wired) => wired,
-        Err(e) => return Some(format!("v2 interop: handshake failed: {e}")),
-    };
-    let negotiated = wired.clients[0].negotiated_version();
-    if negotiated != 2 {
-        return Some(format!(
-            "v2 interop: negotiated v{negotiated} instead of v2"
-        ));
-    }
-    match wired.run(&settings).run(&mut qsl, Arc::clone(&wired.sut)) {
-        Ok(out) if out.result.is_valid() => None,
-        Ok(out) => Some(format!(
-            "v2 interop: run INVALID: {:?}",
-            out.result.validity
-        )),
-        Err(e) => Some(format!("v2 interop: run failed: {e}")),
-    }
 }
 
 /// One console line covering every daemon, for `--watch`.
@@ -610,17 +573,13 @@ fn bench(rig: &Rig, victim: Option<usize>, opts: &Opts) -> Result<bool, String> 
             None => "logical detail log is not byte-reproducible across connections".into(),
         });
     }
-    let survivor = (0..rig.daemon_count())
-        .find(|i| Some(*i) != victim)
-        .expect("a victim is only chosen among two or more daemons");
-    failures.extend(check_v2_interop(again_rig.addr(survivor), opts.seed));
     for f in &failures {
         eprintln!("netbench check: {f}");
     }
     if failures.is_empty() {
         println!(
             "netbench check: OK ({} daemon(s){}, runs VALID, logical log byte-stable, merged \
-log complete with end-to-end traces, v2 interop VALID)",
+log complete with end-to-end traces)",
             rig.daemon_count(),
             victim_label.map_or(String::new(), |v| format!(", {v} killed mid-run")),
         );

@@ -16,7 +16,7 @@
 //! decorator. Two runs with the same plan, seeds, and settings produce
 //! byte-identical detail logs.
 
-use mlperf_loadgen::query::{Query, QueryCompletion};
+use mlperf_loadgen::query::Query;
 use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::splitmix64;
@@ -336,15 +336,6 @@ impl<S: SimSut> std::fmt::Debug for FaultySut<S> {
             .field("plan", &self.plan)
             .finish_non_exhaustive()
     }
-}
-
-/// Convenience: wraps a completion in an errored copy (used by resilience
-/// policies that synthesize failures, e.g. load shedding).
-pub fn errored_copy(completion: &QueryCompletion, finished_at: Nanos) -> QueryCompletion {
-    let mut c = completion.clone();
-    c.error = true;
-    c.finished_at = finished_at;
-    c
 }
 
 #[cfg(test)]

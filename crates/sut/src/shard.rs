@@ -36,6 +36,7 @@
 
 use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::sut::{IssueOutcome, RealtimeSut};
+use mlperf_trace::sync::lock;
 use mlperf_trace::{MetricsRegistry, TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -291,18 +292,13 @@ impl ShardedSut {
         self.policy
     }
 
-    /// Number of shards in the fleet.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// A point-in-time snapshot of every shard, in endpoint order.
     pub fn status(&self) -> Vec<ShardStatus> {
         self.shards
             .iter()
             .map(|s| ShardStatus {
                 label: s.label.clone(),
-                health: s.state.lock().expect("shard lock").health,
+                health: lock(&s.state).health,
                 outstanding: s.outstanding.load(Ordering::SeqCst),
                 routed: s.routed.load(Ordering::SeqCst),
                 ewma_ns: s.ewma_ns.load(Ordering::SeqCst),
@@ -315,7 +311,7 @@ impl ShardedSut {
         self.shards
             .iter()
             .find(|s| s.label == label)
-            .map(|s| s.state.lock().expect("shard lock").health)
+            .map(|s| lock(&s.state).health)
     }
 
     fn now_ns(&self) -> u64 {
@@ -351,7 +347,7 @@ impl ShardedSut {
                 continue;
             };
             let alive = probe();
-            let mut state = shard.state.lock().expect("shard lock");
+            let mut state = lock(&shard.state);
             match (state.health, alive) {
                 (ShardHealth::Up | ShardHealth::Suspect, false) => {
                     state.health = ShardHealth::Down;
@@ -379,7 +375,7 @@ impl ShardedSut {
     /// Whether shard `i` may take one more query right now.
     fn eligible(&self, i: usize) -> bool {
         let shard = &self.shards[i];
-        let state = shard.state.lock().expect("shard lock");
+        let state = lock(&shard.state);
         match state.health {
             ShardHealth::Up | ShardHealth::Suspect => true,
             ShardHealth::Down => false,
@@ -400,9 +396,7 @@ impl ShardedSut {
         let candidates = if candidates.is_empty() {
             (0..self.shards.len())
                 .filter(|i| {
-                    !tried.contains(i)
-                        && self.shards[*i].state.lock().expect("shard lock").health
-                            != ShardHealth::Down
+                    !tried.contains(i) && lock(&self.shards[*i].state).health != ShardHealth::Down
                 })
                 .collect()
         } else {
@@ -454,7 +448,7 @@ impl ShardedSut {
                     old - old / 8 + elapsed_ns / 8
                 })
             });
-        let mut state = shard.state.lock().expect("shard lock");
+        let mut state = lock(&shard.state);
         state.consecutive_failures = 0;
         match state.health {
             ShardHealth::Suspect => {
@@ -484,7 +478,7 @@ impl ShardedSut {
     /// Records a failed attempt, debouncing `Up → Suspect → Down`.
     fn note_failure(&self, i: usize, query_id: u64, why: &str) {
         let shard = &self.shards[i];
-        let mut state = shard.state.lock().expect("shard lock");
+        let mut state = lock(&shard.state);
         state.consecutive_failures += 1;
         let failures = state.consecutive_failures;
         match state.health {

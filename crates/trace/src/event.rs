@@ -13,6 +13,7 @@ use crate::json::{
     missing_field, write_escaped, write_u64, FromJson, JsonError, JsonValue, Members, Parser,
     Scalar, ToJson, Token,
 };
+use crate::sync::lock;
 
 /// One structured event in a LoadGen run.
 ///
@@ -715,22 +716,17 @@ impl RingBufferSink {
 
     /// Copies out the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.events
-            .lock()
-            .expect("ring buffer poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.events).iter().cloned().collect()
     }
 
     /// Number of events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().expect("ring buffer poisoned")
+        *lock(&self.dropped)
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("ring buffer poisoned").len()
+        lock(&self.events).len()
     }
 
     /// Whether no events have been retained.
@@ -747,10 +743,10 @@ impl Default for RingBufferSink {
 
 impl TraceSink for RingBufferSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
-        let mut events = self.events.lock().expect("ring buffer poisoned");
+        let mut events = lock(&self.events);
         if events.len() >= self.capacity {
             events.pop_front();
-            *self.dropped.lock().expect("ring buffer poisoned") += 1;
+            *lock(&self.dropped) += 1;
         }
         events.push_back(TraceRecord {
             ts_ns,
@@ -848,7 +844,7 @@ impl std::fmt::Debug for JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let mut out = lock(&self.out);
         let JsonlOut { writer, line } = &mut *out;
         line.clear();
         write_record(line, ts_ns, event);
@@ -859,7 +855,7 @@ impl TraceSink for JsonlSink {
     }
 
     fn flush(&self) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        let mut out = lock(&self.out);
         let _ = out.writer.flush();
     }
 }

@@ -44,6 +44,9 @@
 //! * [`profile`] — the *wall-clock* side of observability: a hierarchical
 //!   span profiler ([`profile_span!`]) with self-time tables and
 //!   flamegraph-compatible collapsed stacks.
+//! * [`sync`] — the one lock discipline: [`sync::lock`] and the `Condvar`
+//!   waits that take a poisoned mutex anyway, used at every lock site in
+//!   the wire endpoints, the shard router, the work queue and the sinks.
 //! * [`timeseries`] — [`timeseries::TimeSeriesSampler`], snapshotting the
 //!   metrics registry on a simulated-time grid so degradation curves are
 //!   plottable over a run.
@@ -80,6 +83,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod reader;
+pub mod sync;
 pub mod timeseries;
 
 pub use chrome::chrome_trace_json;

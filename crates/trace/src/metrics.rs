@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
+use crate::sync::lock;
 
 /// Linear sub-buckets per octave = `2^SUB_BITS`.
 const SUB_BITS: u32 = 5;
@@ -328,19 +329,19 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named counter.
     pub fn incr(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
+        let mut inner = lock(&self.inner);
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Sets the named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
+        let mut inner = lock(&self.inner);
         inner.gauges.insert(name.to_string(), value);
     }
 
     /// Records a value into the named histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
+        let mut inner = lock(&self.inner);
         inner
             .histograms
             .entry(name.to_string())
@@ -350,7 +351,7 @@ impl MetricsRegistry {
 
     /// Copies out the current state.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().expect("metrics poisoned").clone()
+        lock(&self.inner).clone()
     }
 }
 

@@ -41,6 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::sync::lock;
+
 /// Index of the synthetic root node in the span tree.
 const ROOT: usize = 0;
 
@@ -117,13 +119,13 @@ pub fn enabled() -> bool {
 /// Call between profiled sections; spans still open across a `reset` are
 /// dropped silently rather than corrupting the fresh tree.
 pub fn reset() {
-    *tree().lock().expect("span tree poisoned") = SpanTree::new();
+    *lock(tree()) = SpanTree::new();
     STACK.with(|stack| stack.borrow_mut().clear());
 }
 
 /// Snapshots the current span tree into a [`SpanReport`].
 pub fn report() -> SpanReport {
-    let tree = tree().lock().expect("span tree poisoned");
+    let tree = lock(tree());
     let mut rows = Vec::new();
     // Depth-first walk keeps parents before children, so the table reads
     // top-down and collapsed stacks can reuse the path accumulator.
@@ -173,7 +175,7 @@ impl SpanGuard {
             return Self { active: None };
         }
         let idx = {
-            let mut tree = tree().lock().expect("span tree poisoned");
+            let mut tree = lock(tree());
             let parent = STACK.with(|stack| stack.borrow().last().copied().unwrap_or(ROOT));
             tree.child(parent, name)
         };
@@ -196,7 +198,7 @@ impl Drop for SpanGuard {
                 stack.pop();
             }
         });
-        let mut tree = tree().lock().expect("span tree poisoned");
+        let mut tree = lock(tree());
         // A reset between enter and drop invalidates the index; skip.
         if let Some(node) = tree.nodes.get_mut(idx) {
             node.calls += 1;
@@ -328,7 +330,7 @@ pub(crate) mod test_lock {
     static LOCK: Mutex<()> = Mutex::new(());
 
     pub fn hold() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        crate::sync::lock(&LOCK)
     }
 }
 

@@ -19,6 +19,7 @@ use std::sync::Mutex;
 
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::sync::lock;
 
 /// One sampled interval of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +119,7 @@ impl TimeSeriesSampler {
     /// interval boundary at or before it. Cheap when no boundary was
     /// crossed (one lock, one compare).
     pub fn advance_to(&self, now_ns: u64, registry: &MetricsRegistry) {
-        let mut inner = self.inner.lock().expect("sampler poisoned");
+        let mut inner = lock(&self.inner);
         if now_ns < inner.next_at {
             return;
         }
@@ -143,13 +144,13 @@ impl TimeSeriesSampler {
 
     /// Copies out the rows sampled so far.
     pub fn rows(&self) -> Vec<TimeSeriesRow> {
-        self.inner.lock().expect("sampler poisoned").rows.clone()
+        lock(&self.inner).rows.clone()
     }
 
     /// Renders the rows as JSON Lines, one row object per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for row in &self.inner.lock().expect("sampler poisoned").rows {
+        for row in &lock(&self.inner).rows {
             out.push_str(&row.to_json_string());
             out.push('\n');
         }
@@ -162,7 +163,7 @@ impl TimeSeriesSampler {
         use std::fmt::Write as _;
         let mut out = String::from(CSV_HEADER);
         out.push('\n');
-        for row in &self.inner.lock().expect("sampler poisoned").rows {
+        for row in &lock(&self.inner).rows {
             let dvfs = row
                 .gauges
                 .get("dvfs_multiplier_milli")

@@ -9,6 +9,7 @@ use std::sync::Mutex;
 
 use mlperf_loadgen::query::Query;
 use mlperf_stats::rng::Rng64;
+use mlperf_trace::sync::lock;
 
 use crate::service::{ServedReply, WireService};
 
@@ -39,7 +40,7 @@ impl<S: WireService> WireService for SilentDropService<S> {
     }
 
     fn serve(&self, query: &Query) -> Option<ServedReply> {
-        let roll = self.rng.lock().expect("cheat rng poisoned").next_f64();
+        let roll = lock(&self.rng).next_f64();
         if roll < self.drop_fraction {
             return None;
         }
@@ -48,7 +49,7 @@ impl<S: WireService> WireService for SilentDropService<S> {
 
     fn reset(&self) {
         self.inner.reset();
-        *self.rng.lock().expect("cheat rng poisoned") = Rng64::new(self.seed);
+        *lock(&self.rng) = Rng64::new(self.seed);
     }
 }
 

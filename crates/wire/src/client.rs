@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,15 +40,16 @@ use mlperf_loadgen::sut::{IssueOutcome, RealtimeSut};
 use mlperf_stats::rng::splitmix64;
 use mlperf_trace::event::{parse_detail_log, TraceEvent, TraceSink};
 use mlperf_trace::metrics::MetricsRegistry;
+use mlperf_trace::sync::{lock, wait, wait_timeout, wait_timeout_while};
 
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::frame::WireError;
-use crate::message::{Hello, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::message::{Hello, Message, PROTOCOL_VERSION};
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
 
 /// How long [`RemoteSut::shutdown`] waits for the server's drained
 /// goodbye (and the event shipment that precedes it) before closing the
-/// socket regardless. Only applies on v3 links with a trace sink.
+/// socket regardless. Only applies with a trace sink attached.
 const GOODBYE_WAIT: Duration = Duration::from_secs(2);
 
 /// How a [`RemoteSut`] reconnects after a severed link.
@@ -88,16 +89,11 @@ pub struct RemoteSutConfig {
     /// grace needs a grace of three ticks (75 ms) or more.
     pub heartbeat_grace: Duration,
     /// Reconnect-and-resume policy; `None` (the default) fails the link on
-    /// the first disconnect, as protocol v1 did.
+    /// the first disconnect.
     pub resume: Option<ResumePolicy>,
     /// Client-side wire chaos plan, for fault-injection testing. `None`
     /// (or a disarmed plan) leaves the transport untouched.
     pub chaos: Option<WireChaosPlan>,
-    /// Protocol version to offer in the handshake. Defaults to
-    /// [`PROTOCOL_VERSION`]; set to an older supported version (e.g. `2`)
-    /// to interoperate with a daemon that has not been upgraded. Trace
-    /// propagation, clock probes, and event shipping need v3.
-    pub protocol: u16,
     /// Wire epoch to open the session at. `0` (the default) starts a
     /// fresh session; a nonzero value re-adopts the session's server-side
     /// completion journal, exactly as an in-process reconnect would —
@@ -115,7 +111,6 @@ impl Default for RemoteSutConfig {
             heartbeat_grace: Duration::from_secs(2),
             resume: None,
             chaos: None,
-            protocol: PROTOCOL_VERSION,
             initial_epoch: 0,
         }
     }
@@ -148,13 +143,6 @@ impl RemoteSutConfig {
     #[must_use]
     pub fn with_chaos(mut self, plan: WireChaosPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Offers an older protocol version in the handshake.
-    #[must_use]
-    pub fn with_protocol(mut self, version: u16) -> Self {
-        self.protocol = version;
         self
     }
 
@@ -226,17 +214,16 @@ struct ReplySlot {
 
 impl ReplySlot {
     fn fill(&self, reply: Reply) {
-        *self.reply.lock().expect("reply slot poisoned") = Some(reply);
+        *lock(&self.reply) = Some(reply);
         self.filled.notify_one();
     }
 
     /// The reply, or `None` when `timeout` passes without one.
     fn wait(&self, timeout: Duration) -> Option<Reply> {
-        let reply = self.reply.lock().expect("reply slot poisoned");
-        let (mut reply, _timed_out) = self
-            .filled
-            .wait_timeout_while(reply, timeout, |reply| reply.is_none())
-            .expect("reply slot poisoned");
+        let (mut reply, _timed_out) =
+            wait_timeout_while(&self.filled, lock(&self.reply), timeout, |reply| {
+                reply.is_none()
+            });
         reply.take()
     }
 }
@@ -248,9 +235,8 @@ struct Pending {
     sent_at: Option<Instant>,
     /// Kept for replay: a resumed link re-sends every in-flight query.
     query: Query,
-    /// Trace context carried by the issue frame; `0` on a v2 link. A
-    /// replay re-sends the *same* id, so the merged log stays exactly-once
-    /// per trace.
+    /// Trace context carried by the issue frame. A replay re-sends the
+    /// *same* id, so the merged log stays exactly-once per trace.
     trace_id: u64,
 }
 
@@ -281,8 +267,6 @@ struct ClientShared {
     stopping: AtomicBool,
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Protocol version both ends agreed on at the handshake.
-    negotiated: AtomicU16,
     /// Live wire epoch, mirrored for journal checkpoints: bumped on every
     /// reconnect, read (lock-free) each time a checkpoint is captured.
     epoch_watch: Arc<AtomicU32>,
@@ -299,18 +283,13 @@ impl ClientShared {
 
     /// The link state right now.
     fn link(&self) -> Link {
-        self.state.lock().expect("wire client state poisoned").link
-    }
-
-    /// Whether the negotiated protocol carries trace context (v3+).
-    fn traced(&self) -> bool {
-        self.negotiated.load(Ordering::SeqCst) >= 3
+        lock(&self.state).link
     }
 
     /// Deterministic trace id for one wire query: a resumed session
     /// replays in-flight queries under the *same* ids, so the merged log
-    /// stays exactly-once per trace. Never returns 0 (the untraced
-    /// sentinel).
+    /// stays exactly-once per trace. Never mints 0, which the analyzer's
+    /// report renders as "no trace seen"; the wire itself carries any id.
     fn trace_id_for(&self, query_id: u64) -> u64 {
         let id = splitmix64(self.base_hello.session ^ splitmix64(query_id ^ 0x7261_6365)); // "race"
         if id == 0 {
@@ -321,11 +300,8 @@ impl ClientShared {
     }
 
     /// Records one client-side instant span, stamped now, into the trace
-    /// sink. Untraced or with no sink it is a no-op that reads no clock.
+    /// sink. With no sink it is a no-op that reads no clock.
     fn span_event(&self, trace_id: u64, query_id: u64, phase: &str) {
-        if trace_id == 0 {
-            return;
-        }
         if let Some(sink) = &self.sink {
             if sink.enabled() {
                 sink.record(
@@ -394,7 +370,7 @@ impl ClientShared {
     /// Marks the link terminally dead and wakes every blocked issuer with
     /// [`Reply::Failed`]. Idempotent; the first reason and kind win.
     fn fail(&self, reason: &str, kind: FailKind) {
-        let mut st = self.state.lock().expect("wire client state poisoned");
+        let mut st = lock(&self.state);
         if matches!(st.link, Link::Dead(_)) {
             return;
         }
@@ -418,14 +394,14 @@ impl ClientShared {
     /// the reconnect replays them. No-op unless the link is up.
     fn sever(&self, reason: &str) {
         {
-            let mut st = self.state.lock().expect("wire client state poisoned");
+            let mut st = lock(&self.state);
             if !matches!(st.link, Link::Up) {
                 return;
             }
             st.link = Link::Down;
             st.reason = reason.to_string();
         }
-        self.writer.lock().expect("wire writer poisoned").shutdown();
+        lock(&self.writer).shutdown();
         self.window.notify_all();
         self.incr("wire_severs");
         if !self.stopping.load(Ordering::SeqCst) {
@@ -447,10 +423,7 @@ impl ClientShared {
         let encode_started = self.stamp();
         let payload = msg.to_wire();
         self.observe_since("wire_encode_ns", encode_started);
-        let result = {
-            let mut writer = self.writer.lock().expect("wire writer poisoned");
-            writer.send(&payload)
-        };
+        let result = lock(&self.writer).send(&payload);
         match result {
             Ok(()) => {
                 self.incr("wire_frames_sent");
@@ -473,10 +446,10 @@ impl ClientShared {
 }
 
 /// A freshly dialed, handshaken link: writer half, reader half, the peer
-/// address, the server's SUT name, and the negotiated protocol version.
-type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String, u16);
+/// address, and the server's SUT name.
+type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String);
 
-/// Dials `addrs` in order and performs the versioned handshake over the
+/// Dials `addrs` in order and performs the handshake over the
 /// (optionally chaos-wrapped) transport.
 fn dial(
     addrs: &[SocketAddr],
@@ -516,11 +489,9 @@ fn dial(
                 )))
             }
         };
-        // The server answers at a version no newer than what we offered
-        // and no older than the floor both sides support.
-        if !(MIN_PROTOCOL_VERSION..=hello.version).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::VersionMismatch {
-                ours: hello.version,
+                ours: PROTOCOL_VERSION,
                 theirs: version,
             });
         }
@@ -528,7 +499,7 @@ fn dial(
         // resumed session a replayed `Completion` can arrive right behind
         // it, already read ahead into this handle and no other.
         let writer = transport.try_clone()?;
-        return Ok((writer, transport, peer, sut_name, version));
+        return Ok((writer, transport, peer, sut_name));
     }
     Err(last_err)
 }
@@ -553,7 +524,7 @@ impl std::fmt::Debug for RemoteSut {
 }
 
 impl RemoteSut {
-    /// Connects and performs the versioned handshake.
+    /// Connects and performs the handshake.
     ///
     /// # Errors
     ///
@@ -591,8 +562,7 @@ impl RemoteSut {
             .clone()
             .map(|plan| Arc::new(ChaosSession::new(plan, "client", sink.clone())));
 
-        let (writer, reader_transport, peer, sut_name, negotiated) =
-            dial(&addrs, &hello, chaos.as_ref())?;
+        let (writer, reader_transport, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref())?;
         let epoch0 = hello.epoch;
 
         let shared = Arc::new(ClientShared {
@@ -617,20 +587,17 @@ impl RemoteSut {
             stopping: AtomicBool::new(false),
             sink,
             metrics,
-            negotiated: AtomicU16::new(negotiated),
             estimator: ClockEstimator::new(),
             probe_seq: AtomicU64::new(0),
         });
         shared.wire_event(
             "handshake",
             0,
-            &format!("peer={peer} sut={sut_name} v{negotiated}"),
+            &format!("peer={peer} sut={sut_name} v{PROTOCOL_VERSION}"),
         );
         // First clock sample right away, so even a short run gets an
         // aligned axis; heartbeats keep tightening it.
-        if shared.traced() {
-            shared.send_probe();
-        }
+        shared.send_probe();
 
         let reader = {
             let shared = Arc::clone(&shared);
@@ -667,7 +634,7 @@ impl RemoteSut {
                 ^ splitmix64(qsl_size ^ ((settings.scenario as u64) << 56)),
         );
         Hello {
-            version: config.protocol,
+            version: PROTOCOL_VERSION,
             scenario: settings.scenario,
             seeds: settings.seeds,
             qsl_size,
@@ -681,11 +648,6 @@ impl RemoteSut {
     /// The peer address this client connected to.
     pub fn peer(&self) -> &str {
         &self.peer
-    }
-
-    /// The protocol version both ends agreed on at the handshake.
-    pub fn negotiated_version(&self) -> u16 {
-        self.shared.negotiated.load(Ordering::SeqCst)
     }
 
     /// The session id identifying this run's journal on the server.
@@ -733,23 +695,14 @@ impl RemoteSut {
         if self.is_connected() {
             let _ = self.shared.send(&Message::Drain);
             self.shared.wire_event("drain", 0, "");
-            // On a traced link with a sink attached, the server ships its
-            // spans and a goodbye after draining; wait (bounded) so the
-            // merged log actually gets them before the socket closes.
-            if self.shared.sink.is_some() && self.shared.traced() {
+            // With a sink attached, the server ships its spans and a
+            // goodbye after draining; wait (bounded) so the merged log
+            // actually gets them before the socket closes.
+            if self.shared.sink.is_some() {
                 let deadline = Instant::now() + GOODBYE_WAIT;
-                let mut st = self
-                    .shared
-                    .state
-                    .lock()
-                    .expect("wire client state poisoned");
+                let mut st = lock(&self.shared.state);
                 while matches!(st.link, Link::Up) && Instant::now() < deadline {
-                    let (guard, _timeout) = self
-                        .shared
-                        .settled
-                        .wait_timeout(st, Duration::from_millis(20))
-                        .expect("wire client state poisoned");
-                    st = guard;
+                    (st, _) = wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
                 }
             }
         }
@@ -761,10 +714,7 @@ impl RemoteSut {
     /// is unparked so it sees the flag now rather than at the end of its
     /// interval.
     fn close(&self, reason: &str, kind: FailKind) {
-        let sever = || {
-            let writer = self.shared.writer.lock().expect("wire writer poisoned");
-            writer.shutdown();
-        };
+        let sever = || lock(&self.shared.writer).shutdown();
         sever();
         self.shared.fail(reason, kind);
         // A reconnect racing this close may have installed a fresh
@@ -772,15 +722,10 @@ impl RemoteSut {
         // `stopping`/`Dead` before installing, so at most one extra sever
         // is needed.
         sever();
-        if let Some(handle) = self.reader.lock().expect("reader handle poisoned").take() {
+        if let Some(handle) = lock(&self.reader).take() {
             let _ = handle.join();
         }
-        if let Some(handle) = self
-            .heartbeat
-            .lock()
-            .expect("heartbeat handle poisoned")
-            .take()
-        {
+        if let Some(handle) = lock(&self.heartbeat).take() {
             handle.thread().unpark();
             let _ = handle.join();
         }
@@ -837,21 +782,17 @@ impl RealtimeSut for RemoteSut {
         // register ourselves before the frame leaves so a fast reply
         // cannot race past the routing table. A `Down` link still admits
         // registrations — the reconnect replays them.
-        let trace_id = if shared.traced() {
-            shared.trace_id_for(query.id)
-        } else {
-            0
-        };
+        let trace_id = shared.trace_id_for(query.id);
         let slot = Arc::new(ReplySlot::default());
         {
-            let mut st = shared.state.lock().expect("wire client state poisoned");
+            let mut st = lock(&shared.state);
             loop {
                 match st.link {
                     Link::Dead(kind) => return kind.outcome(),
                     _ if st.in_flight < shared.config.max_in_flight => break,
                     _ => {
                         st.window_waiters += 1;
-                        st = shared.window.wait(st).expect("wire client state poisoned");
+                        st = wait(&shared.window, st);
                         st.window_waiters -= 1;
                     }
                 }
@@ -872,13 +813,16 @@ impl RealtimeSut for RemoteSut {
         // Best-effort: a send failure severs or fails the link. Severed,
         // our pending entry survives and the resume replay re-sends it;
         // failed, `fail` already filled our slot.
-        let _ = shared.send(&issue_message(query.clone(), trace_id));
+        let _ = shared.send(&Message::IssueTraced {
+            trace_id,
+            query: query.clone(),
+        });
 
         let timeout = shared.config.response_timeout;
         if let Some(reply) = slot.wait(timeout) {
             return reply.outcome();
         }
-        let mut st = shared.state.lock().expect("wire client state poisoned");
+        let mut st = lock(&shared.state);
         if st.pending.remove(&query.id).is_some() {
             st.in_flight = st.in_flight.saturating_sub(1);
             drop(st);
@@ -896,16 +840,6 @@ impl RealtimeSut for RemoteSut {
         drop(st);
         slot.wait(timeout)
             .map_or(IssueOutcome::Errored, Reply::outcome)
-    }
-}
-
-/// The issue frame for one query: trace context attached when the link
-/// negotiated v3, the plain v2 frame otherwise.
-fn issue_message(query: Query, trace_id: u64) -> Message {
-    if trace_id != 0 {
-        Message::IssueTraced { trace_id, query }
-    } else {
-        Message::Issue(query)
     }
 }
 
@@ -941,9 +875,9 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
             }) => {
                 shared.incr("wire_frames_received");
                 // A completion is as good as a heartbeat ack for liveness.
-                *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
+                *lock(&shared.last_pong) = Instant::now();
                 let (pending, slot_wanted) = {
-                    let mut st = shared.state.lock().expect("wire client state poisoned");
+                    let mut st = lock(&shared.state);
                     let pending = st.pending.remove(&query_id);
                     if pending.is_some() {
                         st.in_flight = st.in_flight.saturating_sub(1);
@@ -970,11 +904,11 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 }
             }
             Ok(Message::HeartbeatAck { .. }) => {
-                *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
+                *lock(&shared.last_pong) = Instant::now();
             }
             Ok(Message::ClockProbeAck { seq: _, t0, t1, t2 }) => {
                 // A probe ack is as good as a heartbeat ack for liveness.
-                *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
+                *lock(&shared.last_pong) = Instant::now();
                 let sample = ClockSample {
                     t0,
                     t1,
@@ -1090,7 +1024,7 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
             return None;
         }
         let hello = {
-            let mut st = shared.state.lock().expect("wire client state poisoned");
+            let mut st = lock(&shared.state);
             st.epoch += 1;
             shared.epoch_watch.store(st.epoch, Ordering::SeqCst);
             let mut hello = shared.base_hello.clone();
@@ -1098,7 +1032,7 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
             hello.resume = true;
             hello
         };
-        let (writer, reader, _peer, _name, _version) =
+        let (writer, reader, _peer, _name) =
             match dial(&shared.addrs, &hello, shared.chaos.as_ref()) {
                 Ok(parts) => parts,
                 Err(e) => {
@@ -1115,7 +1049,7 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         // with the new writer in place, a later sever closes *this*
         // transport and nothing leaks.
         let replay = {
-            let mut st = shared.state.lock().expect("wire client state poisoned");
+            let mut st = lock(&shared.state);
             if shared.stopping.load(Ordering::SeqCst) || matches!(st.link, Link::Dead(_)) {
                 writer.shutdown();
                 reader.shutdown();
@@ -1129,10 +1063,10 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
                 .map(|p| (p.query.clone(), p.trace_id))
                 .collect();
             queries.sort_by_key(|(q, _)| q.id);
-            *shared.writer.lock().expect("wire writer poisoned") = writer;
+            *lock(&shared.writer) = writer;
             queries
         };
-        *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
+        *lock(&shared.last_pong) = Instant::now();
         shared.window.notify_all();
         shared.incr("wire_resumes");
         shared.wire_event(
@@ -1146,14 +1080,15 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         );
         // A fresh link means a fresh network path: re-probe the clock so
         // the estimate reflects it.
-        if shared.traced() {
-            shared.send_probe();
-        }
+        shared.send_probe();
         // Replay the in-flight window under the *same* trace ids; the
         // server dedups by wire id, so a query that also made it out the
         // first time is served once and traced once.
         for (query, trace_id) in replay {
-            if shared.send(&issue_message(query, trace_id)).is_err() {
+            if shared
+                .send(&Message::IssueTraced { trace_id, query })
+                .is_err()
+            {
                 break; // the new link died already; the reader will retry
             }
         }
@@ -1190,25 +1125,17 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
             Link::Up => {}
         }
         seq += 1;
-        // On a traced link every heartbeat doubles as a clock probe: the
-        // ack refreshes liveness *and* can tighten the offset estimate.
-        let ping = if shared.traced() {
-            Message::ClockProbe {
-                seq,
-                t0: shared.now_ns(),
-            }
-        } else {
-            Message::Heartbeat { seq }
+        // Every heartbeat is a clock probe: the ack refreshes liveness
+        // *and* can tighten the offset estimate.
+        let ping = Message::ClockProbe {
+            seq,
+            t0: shared.now_ns(),
         };
         if shared.send(&ping).is_err() {
             continue; // sever/fail already handled by `send`
         }
         shared.incr("wire_heartbeats");
-        let silence = shared
-            .last_pong
-            .lock()
-            .expect("last pong poisoned")
-            .elapsed();
+        let silence = lock(&shared.last_pong).elapsed();
         if silence > shared.config.heartbeat_grace {
             shared.wire_event(
                 "heartbeat_loss",
@@ -1250,18 +1177,17 @@ mod tests {
     fn answer_to_next_issue(stream: &mut TcpStream) -> Message {
         loop {
             let frame = read_frame(stream).expect("a frame");
-            match Message::from_wire(&frame).expect("a message") {
-                Message::Issue(q) | Message::IssueTraced { query: q, .. } => {
-                    return Message::Completion {
-                        query_id: q.id,
-                        error: false,
-                        samples: vec![SampleCompletion {
-                            sample_id: q.id,
-                            payload: Default::default(),
-                        }],
-                    }
-                }
-                _ => {}
+            if let Message::IssueTraced { query: q, .. } =
+                Message::from_wire(&frame).expect("a message")
+            {
+                return Message::Completion {
+                    query_id: q.id,
+                    error: false,
+                    samples: vec![SampleCompletion {
+                        sample_id: q.id,
+                        payload: Default::default(),
+                    }],
+                };
             }
         }
     }

@@ -20,6 +20,8 @@
 
 use std::sync::Mutex;
 
+use mlperf_trace::sync::lock;
+
 /// One completed four-timestamp probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockSample {
@@ -79,7 +81,7 @@ impl ClockEstimator {
     /// (tightened) the estimate — i.e. it is the first sample or has a
     /// strictly smaller RTT than the current best.
     pub fn observe(&self, sample: ClockSample) -> bool {
-        let mut best = self.best.lock().expect("clock estimator poisoned");
+        let mut best = lock(&self.best);
         match *best {
             Some(current) if sample.rtt_ns() >= current.rtt_ns() => false,
             _ => {
@@ -91,7 +93,7 @@ impl ClockEstimator {
 
     /// The current best sample, if any probe completed.
     pub fn best(&self) -> Option<ClockSample> {
-        *self.best.lock().expect("clock estimator poisoned")
+        *lock(&self.best)
     }
 
     /// Estimated `server_clock - client_clock` in nanoseconds.

@@ -1,6 +1,6 @@
 //! Length-prefixed binary framing and the byte-level codec primitives.
 //!
-//! Every message on a wire connection travels as one *frame* (format v2):
+//! Every message on a wire connection travels as one *frame*:
 //!
 //! ```text
 //! +----------------+----------------+---------------------------------+
@@ -188,7 +188,7 @@ const READ_AHEAD: usize = 16 << 10;
 /// payload, and frames that arrived together cost one between them. What
 /// it has read ahead exists only here: the handle that has read from a
 /// stream must stay the one that reads from it.
-pub(crate) struct FrameReader {
+pub struct FrameReader {
     buf: Box<[u8]>,
     /// `buf[start..end]` is read and not yet handed out.
     start: usize,
@@ -203,8 +203,15 @@ impl std::fmt::Debug for FrameReader {
     }
 }
 
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FrameReader {
-    pub(crate) fn new() -> Self {
+    /// An empty reader with its buffer allocated.
+    pub fn new() -> Self {
         FrameReader {
             buf: vec![0u8; READ_AHEAD].into_boxed_slice(),
             start: 0,
@@ -220,7 +227,7 @@ impl FrameReader {
     /// As [`read_frame`]: [`WireError::Io`] on failure or EOF, between
     /// frames or within one, [`WireError::Protocol`] for a length prefix
     /// beyond [`MAX_FRAME_LEN`].
-    pub(crate) fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<Vec<u8>, WireError> {
+    pub fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<Vec<u8>, WireError> {
         while self.end - self.start < 4 {
             // At most three bytes to move, and then the whole buffer to
             // read into.

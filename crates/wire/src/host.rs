@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use mlperf_loadgen::query::{Query, QueryCompletion};
 use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
+use mlperf_trace::sync::{lock, wait_timeout};
 
 use crate::service::{ServedReply, WireService};
 
@@ -105,7 +106,7 @@ impl<S: SimSut + Send> WireService for SimHost<S> {
 
     fn serve(&self, query: &Query) -> Option<ServedReply> {
         let deadline = Instant::now() + self.stall_cap;
-        let mut state = self.state.lock().expect("sim host poisoned");
+        let mut state = lock(&self.state);
         let reaction = state.sut.on_query(self.now(), query);
         Self::absorb(&mut state, reaction);
         self.progress.notify_all();
@@ -139,16 +140,12 @@ impl<S: SimSut + Send> WireService for SimHost<S> {
                     .to_duration();
                 wait = wait.min(until.max(Duration::from_micros(50)));
             }
-            let (guard, _) = self
-                .progress
-                .wait_timeout(state, wait)
-                .expect("sim host poisoned");
-            state = guard;
+            (state, _) = wait_timeout(&self.progress, state, wait);
         }
     }
 
     fn reset(&self) {
-        let mut state = self.state.lock().expect("sim host poisoned");
+        let mut state = lock(&self.state);
         state.sut.reset();
         state.ready.clear();
         state.wakeups.clear();

@@ -14,8 +14,8 @@
 //! * [`frame`] — length-prefixed frames, the byte codec, and the per-frame
 //!   CRC32 seal that makes corruption a structured [`FrameError`];
 //! * [`message`] — the message vocabulary and binary layouts, behind a
-//!   versioned handshake that now carries a session id and epoch and
-//!   negotiates a protocol version range (v2 peers still interoperate);
+//!   handshake that carries the run's identity, a session id and epoch,
+//!   and the one protocol version both ends must speak;
 //! * [`clock`] — NTP-style four-timestamp offset estimation, so spans
 //!   from both hosts merge onto one aligned time axis;
 //! * [`stats`] — [`DaemonStats`] and [`fetch_stats`], the one-shot live
@@ -55,7 +55,7 @@ pub use client::{RemoteSut, RemoteSutConfig, ResumePolicy};
 pub use clock::{ClockEstimator, ClockSample};
 pub use frame::{FrameError, WireError, MAX_FRAME_LEN};
 pub use host::SimHost;
-pub use message::{Hello, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use message::{Hello, Message, PROTOCOL_VERSION};
 pub use server::{serve, serve_on, ServeConfig, ServerHandle};
 pub use service::{ServedReply, WireService};
 pub use stats::{fetch_stats, DaemonStats};

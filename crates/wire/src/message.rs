@@ -7,18 +7,18 @@
 //! | 1   | `Hello`        | version u16, scenario u8, 3× seed u64, qsl_size u64, max_in_flight u32, session u64, epoch u32, resume u8 |
 //! | 2   | `HelloAck`     | version u16, sut_name str, max_in_flight u32                |
 //! | 3   | `Reject`       | reason str                                                  |
-//! | 4   | `Issue`        | query_id u64, scheduled_at u64, tenant u32, n u32, n× (sample_id u64, index u64) |
+//! | 4   | —              | retired; rejected as an unknown tag                         |
 //! | 5   | `Completion`   | query_id u64, error u8, n u32, n× (sample_id u64, payload)  |
-//! | 6   | `Heartbeat`    | seq u64                                                     |
+//! | 6   | —              | retired; rejected as an unknown tag                         |
 //! | 7   | `HeartbeatAck` | seq u64                                                     |
 //! | 8   | `Drain`        | (empty)                                                     |
 //! | 9   | `Goodbye`      | served u64                                                  |
-//! | 10  | `IssueTraced`  | trace_id u64, then the `Issue` body (v3)                    |
-//! | 11  | `Events`       | jsonl str — server-side detail-log rows (v3)                |
-//! | 12  | `StatsRequest` | (empty) (v3)                                                |
-//! | 13  | `Stats`        | json str — daemon stats snapshot (v3)                       |
-//! | 14  | `ClockProbe`   | seq u64, t0 u64 (v3)                                        |
-//! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64 (v3)                        |
+//! | 10  | `IssueTraced`  | trace_id u64, query_id u64, scheduled_at u64, tenant u32, n u32, n× (sample_id u64, index u64) |
+//! | 11  | `Events`       | jsonl str — server-side detail-log rows                     |
+//! | 12  | `StatsRequest` | (empty)                                                     |
+//! | 13  | `Stats`        | json str — daemon stats snapshot                            |
+//! | 14  | `ClockProbe`   | seq u64, t0 u64                                             |
+//! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64                             |
 //!
 //! Response payloads are themselves tagged: 0 empty, 1 class (u64),
 //! 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
@@ -35,24 +35,10 @@ use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::SeedTriple;
 
-/// The newest protocol version this build speaks. The handshake
-/// *negotiates* within `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`: the
-/// server acks the client's offered version when it falls in that range
-/// and rejects anything outside it (never a silent downgrade from an
-/// unknown future version).
-///
-/// v1: length-prefixed frames, no integrity check, no sessions.
-/// v2: per-frame CRC32 ([`crate::frame::seal`]) and session-resume fields
-/// (`session`, `epoch`, `resume`) in [`Hello`].
-/// v3: distributed tracing and telemetry — trace-id-carrying issues
-/// (`IssueTraced`), server event shipping at drain (`Events`), daemon
-/// stats (`StatsRequest`/`Stats`), and NTP-style clock probes
-/// (`ClockProbe`/`ClockProbeAck`).
+/// The one protocol version this build speaks. A daemon rejects a `Hello`
+/// offering any other, and a client refuses an ack at any other: a peer
+/// from outside gets a structured refusal, never a guess at what it meant.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// The oldest protocol version still accepted in the handshake. v2 peers
-/// interoperate: they simply never send the v3 messages.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// What the client announces before any query flows: everything the server
 /// needs to pre-load its QSL and sanity-check the run (scenario, the three
@@ -99,8 +85,6 @@ pub enum Message {
         /// Why the server refused.
         reason: String,
     },
-    /// Client → server: run inference on a query.
-    Issue(Query),
     /// Server → client: a query resolved. `error` marks a structural
     /// failure (the remote engine errored/dropped); sample ids still echo.
     Completion {
@@ -111,14 +95,10 @@ pub enum Message {
         /// Per-sample completions.
         samples: Vec<SampleCompletion>,
     },
-    /// Either direction: liveness probe.
-    Heartbeat {
-        /// Monotonic probe sequence number.
-        seq: u64,
-    },
-    /// Reply to a [`Message::Heartbeat`], echoing its sequence number.
+    /// Server → client: the daemon vouching for its own liveness, unasked,
+    /// while a connection thread is inside the service.
     HeartbeatAck {
-        /// Echoed sequence number.
+        /// Always 0; the client ignores it.
         seq: u64,
     },
     /// Client → server: no more queries; flush outstanding completions.
@@ -128,34 +108,34 @@ pub enum Message {
         /// Queries the server resolved over the connection's lifetime.
         served: u64,
     },
-    /// Client → server (v3): run inference on a query, carrying the trace
-    /// id the server must tag its side of the work with.
+    /// Client → server: run inference on a query, carrying the trace id
+    /// the server must tag its side of the work with.
     IssueTraced {
         /// Trace id shared by every span of this query, on both hosts.
         trace_id: u64,
         /// The query.
         query: Query,
     },
-    /// Server → client (v3): a batch of server-side detail-log rows,
+    /// Server → client: a batch of server-side detail-log rows,
     /// JSONL-encoded `TraceRecord`s on the *server* clock. Shipped at
     /// drain, before `Goodbye`; the client re-stamps them onto its own
-    /// clock via the negotiated offset estimate.
+    /// clock via its offset estimate.
     Events {
         /// JSON Lines, one `TraceRecord` per line.
         jsonl: String,
     },
-    /// Client → server (v3): one-shot stats query. May open a dedicated
+    /// Client → server: one-shot stats query. May open a dedicated
     /// connection: a `StatsRequest` as the first frame (instead of
     /// `Hello`) gets a `Stats` reply and the connection closes.
     StatsRequest,
-    /// Server → client (v3): daemon stats snapshot as JSON (see
+    /// Server → client: daemon stats snapshot as JSON (see
     /// `DaemonStats` in the stats module).
     Stats {
         /// JSON-encoded `DaemonStats`.
         json: String,
     },
-    /// Client → server (v3): NTP-style clock probe. Doubles as a liveness
-    /// probe (the ack refreshes the heartbeat clock).
+    /// Client → server: NTP-style clock probe, and the client's liveness
+    /// ping (the ack refreshes the heartbeat clock).
     ClockProbe {
         /// Monotonic probe sequence number.
         seq: u64,
@@ -219,9 +199,7 @@ impl Message {
             Message::Hello(_) => "Hello",
             Message::HelloAck { .. } => "HelloAck",
             Message::Reject { .. } => "Reject",
-            Message::Issue(_) => "Issue",
             Message::Completion { .. } => "Completion",
-            Message::Heartbeat { .. } => "Heartbeat",
             Message::HeartbeatAck { .. } => "HeartbeatAck",
             Message::Drain => "Drain",
             Message::Goodbye { .. } => "Goodbye",
@@ -254,7 +232,7 @@ impl Message {
                 w.put_u32(h.max_in_flight);
                 w.put_u64(h.session);
                 w.put_u32(h.epoch);
-                w.put_u8(u8::from(h.resume));
+                w.put_bool(h.resume);
             }
             Message::HelloAck {
                 version,
@@ -270,10 +248,6 @@ impl Message {
                 w.put_u8(3);
                 w.put_str(reason);
             }
-            Message::Issue(query) => {
-                w.put_u8(4);
-                put_query(w, query);
-            }
             Message::Completion {
                 query_id,
                 error,
@@ -281,15 +255,11 @@ impl Message {
             } => {
                 w.put_u8(5);
                 w.put_u64(*query_id);
-                w.put_u8(u8::from(*error));
+                w.put_bool(*error);
                 w.put_list(samples, |w, s| {
                     w.put_u64(s.sample_id);
                     s.payload.encode_into(w);
                 });
-            }
-            Message::Heartbeat { seq } => {
-                w.put_u8(6);
-                w.put_u64(*seq);
             }
             Message::HeartbeatAck { seq } => {
                 w.put_u8(7);
@@ -373,7 +343,7 @@ impl Message {
                 max_in_flight: r.get_u32()?,
                 session: r.get_u64()?,
                 epoch: r.get_u32()?,
-                resume: r.get_u8()? != 0,
+                resume: r.get_bool("hello resume flag")?,
             }),
             2 => Message::HelloAck {
                 version: r.get_u16()?,
@@ -383,10 +353,9 @@ impl Message {
             3 => Message::Reject {
                 reason: r.get_str()?,
             },
-            4 => Message::Issue(get_query(&mut r)?),
             5 => {
                 let query_id = r.get_u64()?;
-                let error = r.get_u8()? != 0;
+                let error = r.get_bool("completion error flag")?;
                 let samples = r.get_list(9, |r| {
                     Ok(SampleCompletion {
                         sample_id: r.get_u64()?,
@@ -399,7 +368,6 @@ impl Message {
                     samples,
                 }
             }
-            6 => Message::Heartbeat { seq: r.get_u64()? },
             7 => Message::HeartbeatAck { seq: r.get_u64()? },
             8 => Message::Drain,
             9 => Message::Goodbye {
@@ -457,18 +425,6 @@ pub(crate) mod tests {
             Message::Reject {
                 reason: "version mismatch".into(),
             },
-            Message::Issue(Query {
-                id: 17,
-                samples: vec![
-                    QuerySample { id: 170, index: 3 },
-                    QuerySample {
-                        id: 171,
-                        index: 900,
-                    },
-                ],
-                scheduled_at: Nanos::from_micros(250),
-                tenant: 2,
-            }),
             Message::Completion {
                 query_id: 17,
                 error: false,
@@ -499,7 +455,6 @@ pub(crate) mod tests {
                     payload: ResponsePayload::Tokens(vec![5, 6, 7]),
                 }],
             },
-            Message::Heartbeat { seq: 41 },
             Message::HeartbeatAck { seq: 41 },
             Message::Drain,
             Message::Goodbye { served: 270_336 },
@@ -594,39 +549,40 @@ pub(crate) mod tests {
     }
 
     /// The byte codec moved crates and the payload codec moved into the
-    /// LoadGen; no byte on the wire did. Literal frames (as built before
-    /// the move) for the `Issue` and one `Completion` per payload variant,
-    /// and one hash over every sample message's frame.
+    /// LoadGen; no byte on the wire did. Literal frames for one
+    /// `Completion` per payload variant (as built before the move) and for
+    /// the `IssueTraced`, and one hash over every sample message's frame
+    /// (both as the last build that still had tags 4 and 6 printed them).
     #[test]
     #[rustfmt::skip]
     fn wire_bytes_are_what_they_were_before_the_codec_moved() {
         let messages = sample_messages();
         let pinned: [(usize, &[u8]); 4] = [
-            (3, &[165, 144, 154, 1, 4, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 3, 208, 144,
-                  0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 170, 0, 0, 0, 0, 0, 0, 0, 3,
-                  0, 0, 0, 0, 0, 0, 0, 171, 0, 0, 0, 0, 0, 0, 3, 132]),
-            (4, &[104, 94, 136, 103, 5, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 2,
+            (3, &[104, 94, 136, 103, 5, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 2,
                   0, 0, 0, 0, 0, 0, 0, 170, 1, 0, 0, 0, 0, 0, 0, 0, 7,
                   0, 0, 0, 0, 0, 0, 0, 171, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 63, 64, 0, 0,
                   0, 0, 0, 0, 63, 128, 0, 0, 64, 0, 0, 0, 64, 64, 0, 0]),
-            (5, &[247, 15, 160, 41, 5, 0, 0, 0, 0, 0, 0, 0, 18, 1, 0, 0, 0, 1,
+            (4, &[247, 15, 160, 41, 5, 0, 0, 0, 0, 0, 0, 0, 18, 1, 0, 0, 0, 1,
                   0, 0, 0, 0, 0, 0, 0, 180, 0]),
-            (6, &[68, 37, 199, 190, 5, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 0, 1,
+            (5, &[68, 37, 199, 190, 5, 0, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 0, 1,
                   0, 0, 0, 0, 0, 0, 0, 190, 3, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7]),
+            (9, &[16, 61, 23, 118, 10, 122, 195, 29, 0, 222, 173, 190, 239,
+                  0, 0, 0, 0, 0, 0, 0, 18, 0, 0, 0, 0, 0, 4, 147, 224, 0, 0, 0, 0, 0, 0, 0, 1,
+                  0, 0, 0, 0, 0, 0, 0, 180, 0, 0, 0, 0, 0, 0, 0, 5]),
         ];
         for (index, bytes) in pinned {
             assert_eq!(messages[index].to_wire(), bytes, "{:?}", messages[index]);
         }
         let all: Vec<u8> = messages.iter().flat_map(Message::to_wire).collect();
-        assert_eq!(all.len(), 573);
-        assert_eq!(mlperf_trace::crc::fnv1a64(&all), 0xb1e4_d4b3_4744_6d56);
+        assert_eq!(all.len(), 499);
+        assert_eq!(mlperf_trace::crc::fnv1a64(&all), 0xd428_1cc6_62e3_062b);
     }
 
     /// A short body still says what the cursor wanted, where, and what
     /// was left — through the shared codec's error, as `Protocol` text.
     #[test]
     fn truncation_error_names_wanted_offset_and_remaining() {
-        let bytes = Message::Heartbeat { seq: 41 }.encode();
+        let bytes = Message::HeartbeatAck { seq: 41 }.encode();
         match Message::decode(&bytes[..5]) {
             Err(WireError::Protocol(m)) => {
                 assert_eq!(m, "payload truncated: wanted 8 bytes at offset 1, 4 remain");

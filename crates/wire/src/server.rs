@@ -1,17 +1,18 @@
 //! The daemon-side endpoint: [`serve`] and [`ServerHandle`].
 //!
 //! `serve` exports any [`WireService`] over a TCP listener. Each accepted
-//! connection performs the versioned handshake, then pulls issue frames
+//! connection performs the handshake, then pulls issue frames
 //! off the socket, resolves them through the service, and writes
 //! completion frames back. A server-scenario session resolves them on a
 //! worker pool (one worker by default) fed through a work queue, so a
 //! pipelined client's backlog waits where it is observed; a closed-loop
 //! session (single-stream, multistream, offline: one query in flight by
 //! the scenario's own rules) is served on the connection thread itself and
-//! has no pool. Heartbeats are answered by the connection thread; while it
-//! is inside the service the daemon's one `wire-liveness` thread vouches
-//! for it with unasked `HeartbeatAck`s. `Drain` waits for the session's
-//! outstanding queries to resolve, then answers `Goodbye` and closes.
+//! has no pool. Clock probes — the client's liveness ping — are answered
+//! by the connection thread; while it is inside the service the daemon's
+//! one `wire-liveness` thread vouches for it with unasked `HeartbeatAck`s.
+//! `Drain` waits for the session's outstanding queries to resolve, then
+//! answers `Goodbye` and closes.
 //!
 //! Connections belong to **sessions** (the `session` id in the `Hello`).
 //! A session outlives its connections: it keeps a journal of every
@@ -44,9 +45,10 @@ use mlperf_loadgen::Scenario;
 use mlperf_trace::event::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
 use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
+use mlperf_trace::sync::{lock, wait_timeout};
 use mlperf_trace::JournalWriter;
 
-use crate::message::{Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::message::{Message, PROTOCOL_VERSION};
 use crate::service::{ServedReply, WireService};
 use crate::stats::DaemonStats;
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
@@ -203,15 +205,12 @@ struct OutstandingState {
 
 impl Outstanding {
     fn begin(&self) {
-        self.state
-            .lock()
-            .expect("server outstanding poisoned")
-            .queries += 1;
+        lock(&self.state).queries += 1;
     }
 
     fn end(&self) {
         let wake = {
-            let mut state = self.state.lock().expect("server outstanding poisoned");
+            let mut state = lock(&self.state);
             state.queries = state.queries.saturating_sub(1);
             state.queries == 0 && state.drainers > 0
         };
@@ -223,10 +222,7 @@ impl Outstanding {
     }
 
     fn count(&self) -> usize {
-        self.state
-            .lock()
-            .expect("server outstanding poisoned")
-            .queries
+        lock(&self.state).queries
     }
 
     /// Blocks until nothing is outstanding or `stop` is set, looking at
@@ -234,13 +230,10 @@ impl Outstanding {
     /// when the last completion's wake is what ended the wait.
     fn wait_idle(&self, poll: Duration, stop: &AtomicBool) -> u32 {
         let mut polls = 0;
-        let mut state = self.state.lock().expect("server outstanding poisoned");
+        let mut state = lock(&self.state);
         while state.queries > 0 && !stop.load(Ordering::SeqCst) {
             state.drainers += 1;
-            let (guard, timeout) = self
-                .idle
-                .wait_timeout(state, poll)
-                .expect("server outstanding poisoned");
+            let (guard, timeout) = wait_timeout(&self.idle, state, poll);
             state = guard;
             state.drainers -= 1;
             polls += u32::from(timeout.timed_out());
@@ -268,8 +261,8 @@ struct Session {
     /// liveness thread reads to vouch for a thread that cannot answer a
     /// heartbeat itself.
     serving_since: AtomicU64,
-    /// Server-side queue/compute spans for traced (v3) queries, shipped to
-    /// the client at drain so one run yields one merged detail log.
+    /// Server-side queue/compute spans, shipped to the client at drain so
+    /// one run yields one merged detail log.
     events: Arc<RingBufferSink>,
     /// The on-disk journal path, kept so a cleanly drained session can
     /// delete its file (the run is over; nothing is left to resume).
@@ -280,7 +273,6 @@ struct Session {
 /// server-clock instant it was accepted.
 struct WorkItem {
     query: Query,
-    /// `0` means untraced (a v2 `Issue` frame).
     trace_id: u64,
     enqueued_ns: u64,
 }
@@ -320,8 +312,7 @@ impl Session {
 
     /// [`Session::send`] for a message already encoded by `to_wire`.
     fn send_sealed(&self, payload: &[u8]) {
-        let mut guard = self.writer.lock().expect("session writer poisoned");
-        if let Some((_, transport)) = guard.as_mut() {
+        if let Some((_, transport)) = lock(&self.writer).as_mut() {
             let _ = transport.send(payload);
         }
     }
@@ -331,12 +322,11 @@ impl Session {
         if let Some(queue) = &self.work {
             queue.close();
         }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.workers.lock().expect("session workers poisoned"));
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for handle in handles {
             let _ = handle.join();
         }
-        if let Some((_, transport)) = self.writer.lock().expect("session writer poisoned").take() {
+        if let Some((_, transport)) = lock(&self.writer).take() {
             transport.shutdown();
         }
     }
@@ -419,8 +409,7 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] to reap them.
     pub fn kill(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        let conns = self.shared.conns.lock().expect("server conns poisoned");
-        for conn in conns.iter() {
+        for conn in lock(&self.shared.conns).iter() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         self.shared.wire_event("kill", 0, "all connections severed");
@@ -434,18 +423,14 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.unblock_accept();
-        let mut threads =
-            std::mem::take(&mut *self.threads.lock().expect("daemon threads poisoned")).into_iter();
+        let mut threads = std::mem::take(&mut *lock(&self.threads)).into_iter();
         // The accept thread before the sever, so nothing is accepted after
         // it...
         if let Some(accept) = threads.next() {
             let _ = accept.join();
         }
-        {
-            let conns = self.shared.conns.lock().expect("server conns poisoned");
-            for conn in conns.iter() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+        for conn in lock(&self.shared.conns).iter() {
+            let _ = conn.shutdown(Shutdown::Both);
         }
         // ...and the liveness thread after it: parked on its tick, or in a
         // vouch to a peer that stopped reading, which the sever ends.
@@ -453,32 +438,19 @@ impl ServerHandle {
             liveness.thread().unpark();
             let _ = liveness.join();
         }
-        let conn_threads: Vec<JoinHandle<()>> = std::mem::take(
-            &mut *self
-                .shared
-                .conn_threads
-                .lock()
-                .expect("server conn threads poisoned"),
-        );
+        let conn_threads: Vec<JoinHandle<()>> =
+            std::mem::take(&mut *lock(&self.shared.conn_threads));
         for handle in conn_threads {
             let _ = handle.join();
         }
-        let sessions: Vec<Arc<Session>> = self
-            .shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
+        let sessions: Vec<Arc<Session>> = lock(&self.shared.sessions)
             .drain()
             .map(|(_, s)| s)
             .collect();
         for session in sessions {
             session.retire();
         }
-        self.shared
-            .conns
-            .lock()
-            .expect("server conns poisoned")
-            .clear();
+        lock(&self.shared.conns).clear();
     }
 
     /// The accept loop blocks in `accept()`; poke it with a throwaway
@@ -546,11 +518,7 @@ pub fn serve(
             .name(name.to_string())
             .spawn(body)
         {
-            Ok(thread) => handle
-                .threads
-                .lock()
-                .expect("daemon threads poisoned")
-                .push(thread),
+            Ok(thread) => lock(&handle.threads).push(thread),
             Err(e) => {
                 // Reaps the one that did start.
                 handle.shutdown();
@@ -566,9 +534,9 @@ pub fn serve(
 /// inside the service, and a query may take longer than the client's
 /// `heartbeat_grace`; an in-flight query implies a live daemon, so the
 /// daemon says so: every tick, each session whose thread has been inside
-/// `serve` for a whole tick is sent `HeartbeatAck { seq: 0 }` — a frame
-/// both protocol versions have, whose `seq` the client ignores and whose
-/// arrival refreshes its liveness clock like any other ack.
+/// `serve` for a whole tick is sent `HeartbeatAck { seq: 0 }`, whose `seq`
+/// the client ignores and whose arrival refreshes its liveness clock like
+/// any other ack.
 fn liveness_loop(shared: &ServerShared) {
     let tick_ns = LIVENESS_TICK.as_nanos() as u64;
     while !shared.stop.load(Ordering::SeqCst) {
@@ -577,10 +545,7 @@ fn liveness_loop(shared: &ServerShared) {
         let now = shared.now_ns();
         // Collected first (an empty `Vec` allocates nothing): a send can
         // block on a full socket, and must not hold up a handshake.
-        let serving: Vec<Arc<Session>> = shared
-            .sessions
-            .lock()
-            .expect("server sessions poisoned")
+        let serving: Vec<Arc<Session>> = lock(&shared.sessions)
             .values()
             .filter(|session| {
                 let since = session.serving_since.load(Ordering::SeqCst);
@@ -626,11 +591,8 @@ fn accept_loop(
         if stream.set_nodelay(true).is_err() {
             continue;
         }
-        {
-            let mut conns = shared.conns.lock().expect("server conns poisoned");
-            if let Ok(clone) = stream.try_clone() {
-                conns.push(clone);
-            }
+        if let Ok(clone) = stream.try_clone() {
+            lock(&shared.conns).push(clone);
         }
         shared.wire_event("connect", 0, &peer.to_string());
         let service = Arc::clone(service);
@@ -642,11 +604,7 @@ fn accept_loop(
                 shared_t.wire_event("disconnect", 0, &peer.to_string());
             });
         if let Ok(handle) = handle {
-            shared
-                .conn_threads
-                .lock()
-                .expect("server conn threads poisoned")
-                .push(handle);
+            lock(&shared.conn_threads).push(handle);
         }
     }
 }
@@ -751,7 +709,7 @@ fn spawn_session(
             pool.push(handle);
         }
     }
-    *session.workers.lock().expect("session workers poisoned") = pool;
+    *lock(&session.workers) = pool;
     session
 }
 
@@ -769,18 +727,16 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
     shared
         .metrics
         .observe("wire_queue_ns", dequeued_ns.saturating_sub(enqueued_ns));
-    if trace_id != 0 {
-        session.events.record(
-            enqueued_ns,
-            &TraceEvent::SpanEvent {
-                host: shared.host_label.clone(),
-                trace_id,
-                query_id: query.id,
-                phase: "queue".to_string(),
-                dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
-            },
-        );
-    }
+    session.events.record(
+        enqueued_ns,
+        &TraceEvent::SpanEvent {
+            host: shared.host_label.clone(),
+            trace_id,
+            query_id: query.id,
+            phase: "queue".to_string(),
+            dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
+        },
+    );
     let served = catch_unwind(AssertUnwindSafe(|| service.serve(&query)));
     let reply = served.unwrap_or_else(|_| {
         let thread = std::thread::current();
@@ -797,18 +753,16 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
     shared
         .metrics
         .observe("wire_serve_ns", served_ns.saturating_sub(dequeued_ns));
-    if trace_id != 0 {
-        session.events.record(
-            dequeued_ns,
-            &TraceEvent::SpanEvent {
-                host: shared.host_label.clone(),
-                trace_id,
-                query_id: query.id,
-                phase: "compute".to_string(),
-                dur_ns: served_ns.saturating_sub(dequeued_ns),
-            },
-        );
-    }
+    session.events.record(
+        dequeued_ns,
+        &TraceEvent::SpanEvent {
+            host: shared.host_label.clone(),
+            trace_id,
+            query_id: query.id,
+            phase: "compute".to_string(),
+            dur_ns: served_ns.saturating_sub(dequeued_ns),
+        },
+    );
     match reply {
         Some(reply) => {
             // Journal first, then send: if the connection dies between the
@@ -827,7 +781,7 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
                 unreachable!("constructed above");
             };
             {
-                let mut book = session.book.lock().expect("session book poisoned");
+                let mut book = lock(&session.book);
                 book.in_progress.remove(&query.id);
                 if let Some(disk) = book.disk.as_mut() {
                     // Durable mirror first: the wire-codec bytes are the
@@ -846,20 +800,14 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
             // The service swallowed the query: no frame goes back, and
             // nothing is journaled — a replay will be swallowed again,
             // which is the point.
-            session
-                .book
-                .lock()
-                .expect("session book poisoned")
-                .in_progress
-                .remove(&query.id);
+            lock(&session.book).in_progress.remove(&query.id);
             shared.wire_event("dropped_reply", query.id, "service returned nothing");
         }
     }
     session.outstanding.end();
 }
 
-/// Routes one issued query (traced or not) through the session's journal
-/// discipline: fresh queries go to the worker pool — or, in a session that
+/// Routes one issued query through the session's journal discipline: fresh queries go to the worker pool — or, in a session that
 /// has none, are served here and now — journaled ones are answered by
 /// replay, in-progress duplicates are skipped. Returns `false` when the
 /// connection must drop (the work queue is gone).
@@ -876,7 +824,7 @@ fn handle_issue(
         Skip,
     }
     let action = {
-        let mut book = session.book.lock().expect("session book poisoned");
+        let mut book = lock(&session.book);
         if let Some((error, samples)) = book.journal.get(&query.id) {
             IssueAction::Replay(*error, samples.clone())
         } else if book.in_progress.contains(&query.id) {
@@ -939,7 +887,7 @@ fn answer_stats(
 ) {
     shared.metrics.incr("wire_stats_requests", 1);
     let (sessions, in_flight, session_outstanding) = {
-        let sessions = shared.sessions.lock().expect("server sessions poisoned");
+        let sessions = lock(&shared.sessions);
         let mut per_session: Vec<(u64, u64)> = sessions
             .iter()
             .map(|(id, s)| (*id, s.outstanding.count() as u64))
@@ -991,11 +939,9 @@ fn handle_conn(
         }
         _ => return, // includes the shutdown poke connection
     };
-    // Negotiate: the server speaks every version in the supported range
-    // and answers at the client's offered version. Anything outside the
-    // range — including a *newer* client — is rejected rather than
-    // silently downgraded.
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&hello.version) {
+    // One version: any other — older or newer — is refused with a reason
+    // rather than guessed at.
+    if hello.version != PROTOCOL_VERSION {
         shared.wire_event(
             "reject",
             0,
@@ -1003,7 +949,7 @@ fn handle_conn(
         );
         let reject = Message::Reject {
             reason: format!(
-                "protocol version mismatch: server v{MIN_PROTOCOL_VERSION}..v{PROTOCOL_VERSION}, client v{}",
+                "protocol version mismatch: server v{PROTOCOL_VERSION}, client v{}",
                 hello.version
             ),
         };
@@ -1018,7 +964,7 @@ fn handle_conn(
     // forgot it, starts an empty one — the replayed queries simply re-run).
     let fresh = hello.epoch == 0;
     let found = {
-        let mut sessions = shared.sessions.lock().expect("server sessions poisoned");
+        let mut sessions = lock(&shared.sessions);
         if fresh {
             sessions.remove(&hello.session)
         } else {
@@ -1041,11 +987,7 @@ fn handle_conn(
             // book starts empty and they simply re-run.
             let pooled = hello.scenario == Scenario::Server;
             let session = spawn_session(service, workers, pooled, shared, hello.session, !fresh);
-            shared
-                .sessions
-                .lock()
-                .expect("server sessions poisoned")
-                .insert(hello.session, Arc::clone(&session));
+            lock(&shared.sessions).insert(hello.session, Arc::clone(&session));
             session
         }
     };
@@ -1065,7 +1007,7 @@ fn handle_conn(
             Ok(w) => w,
             Err(_) => return,
         };
-        *session.writer.lock().expect("session writer poisoned") = Some((hello.epoch, writer));
+        *lock(&session.writer) = Some((hello.epoch, writer));
     }
     shared.wire_event(
         "handshake",
@@ -1083,11 +1025,6 @@ fn handle_conn(
             break;
         }
         match transport.recv().and_then(|p| Message::from_wire(&p)) {
-            Ok(Message::Issue(query)) => {
-                if !handle_issue(&**service, &session, shared, query, 0) {
-                    break;
-                }
-            }
             Ok(Message::IssueTraced { trace_id, query }) => {
                 if !handle_issue(&**service, &session, shared, query, trace_id) {
                     break;
@@ -1096,9 +1033,6 @@ fn handle_conn(
             // A duplicated Hello frame (chaos duplicate-send hits the
             // handshake) is harmless noise, not a protocol violation.
             Ok(Message::Hello(_)) => continue,
-            Ok(Message::Heartbeat { seq }) => {
-                session.send(&Message::HeartbeatAck { seq });
-            }
             Ok(Message::ClockProbe { seq, t0 }) => {
                 // Stamp receive and transmit on the server's clock; the
                 // client turns the four timestamps into an offset sample.
@@ -1109,15 +1043,13 @@ fn handle_conn(
             Ok(Message::Drain) => {
                 session.outstanding.wait_idle(DRAIN_POLL, &shared.stop);
                 shared.wire_event("drain", 0, "flushed outstanding queries");
-                // A v3 client gets the session's server-side spans shipped
-                // back before the goodbye, so its detail log covers both
-                // hosts. Chunked: each frame stays far below the cap.
-                if hello.version >= 3 {
-                    let records = session.events.snapshot();
-                    for chunk in records.chunks(EVENTS_CHUNK) {
-                        let jsonl = render_detail_log(chunk);
-                        session.send(&Message::Events { jsonl });
-                    }
+                // The session's server-side spans go back before the
+                // goodbye, so the client's detail log covers both hosts.
+                // Chunked: each frame stays far below the cap.
+                let records = session.events.snapshot();
+                for chunk in records.chunks(EVENTS_CHUNK) {
+                    let jsonl = render_detail_log(chunk);
+                    session.send(&Message::Events { jsonl });
                 }
                 session.send(&Message::Goodbye {
                     served: shared.served.load(Ordering::SeqCst),
@@ -1141,7 +1073,7 @@ fn handle_conn(
         // reap. The file goes under the lock, because the successor creates
         // its own only after taking the lock to look for a stale session.
         {
-            let mut sessions = shared.sessions.lock().expect("server sessions poisoned");
+            let mut sessions = lock(&shared.sessions);
             if sessions
                 .get(&hello.session)
                 .is_some_and(|s| Arc::ptr_eq(s, &session))
@@ -1157,7 +1089,7 @@ fn handle_conn(
         // The link died dirty: the session lives on for a resume. Clear
         // the writer only if it is still ours — a successor epoch may
         // already have installed a new one.
-        let mut writer = session.writer.lock().expect("session writer poisoned");
+        let mut writer = lock(&session.writer);
         if let Some((epoch, _)) = writer.as_ref() {
             if *epoch == hello.epoch {
                 if let Some((_, transport)) = writer.take() {

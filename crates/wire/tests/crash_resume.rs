@@ -40,13 +40,9 @@ fn service() -> Arc<SimHost<FixedLatencySut>> {
     )))
 }
 
-/// The fields a crash + resume must reproduce exactly; latencies
-/// legitimately differ between executions.
+/// What a crash + resume must reproduce exactly.
 fn logical(records: &[QueryRecord]) -> Vec<(u64, u64, usize, bool)> {
-    records
-        .iter()
-        .map(|r| (r.id, r.scheduled_at.as_nanos(), r.sample_count, r.error))
-        .collect()
+    records.iter().map(QueryRecord::logical).collect()
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
-use mlperf_loadgen::sut::{FixedLatencySut, IssueOutcome, RealtimeSut, SleepSut};
+use mlperf_loadgen::sut::{
+    FixedLatencySut, IssueOutcome, RealtimeSut, SimSut, SleepSut, SutReaction,
+};
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::validate::ValidityIssue;
 use mlperf_loadgen::{Query, Run};
@@ -158,23 +160,32 @@ fn killing_the_server_mid_run_yields_structured_invalid() {
     );
 }
 
+/// One version is spoken: a newer peer and an older one are both refused,
+/// with a reason naming what they offered.
 #[test]
 fn version_mismatch_is_rejected() {
     let settings = TestSettings::single_stream();
     let qsl = MemoryQsl::new("loop-qsl", 4, 4);
     let config = RemoteSutConfig::default();
-    let mut hello = hello_for(&settings, &qsl, &config);
-    hello.version = PROTOCOL_VERSION + 1;
-    let service = Arc::new(SimHost::new(FixedLatencySut::new(
-        "strict",
-        Nanos::from_micros(1),
-    )));
-    let err =
-        loopback(service, ServeConfig::default(), hello, config).expect_err("handshake must fail");
-    assert!(
-        matches!(err, WireError::Rejected(_)),
-        "expected Rejected, got {err:?}"
-    );
+    for offered in [PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1] {
+        let mut hello = hello_for(&settings, &qsl, &config);
+        hello.version = offered;
+        let service = Arc::new(SimHost::new(FixedLatencySut::new(
+            "strict",
+            Nanos::from_micros(1),
+        )));
+        match loopback(service, ServeConfig::default(), hello, config.clone()) {
+            Err(WireError::Rejected(reason)) => assert!(
+                reason.contains(&format!("client v{offered}")),
+                "v{offered} refused without naming it: {reason}"
+            ),
+            Err(other) => panic!("v{offered}: expected Rejected, got {other:?}"),
+            Ok((_client, server)) => {
+                server.shutdown();
+                panic!("a v{offered} handshake was accepted");
+            }
+        }
+    }
 }
 
 #[test]
@@ -350,54 +361,6 @@ fn silently_dropped_queries_vanish_and_stay_outstanding() {
     server.shutdown();
 }
 
-/// A client pinned to protocol v2 still completes a VALID run against a
-/// v3 daemon: the handshake negotiates down, and none of the v3 traffic
-/// (traced issues, clock probes, event shipping) appears on the wire.
-#[test]
-fn v2_client_interoperates_with_a_v3_daemon() {
-    let settings = TestSettings::single_stream()
-        .with_min_query_count(10)
-        .with_min_duration(Nanos::from_micros(1));
-    let mut qsl = MemoryQsl::new("loop-qsl", 8, 8);
-    let config = RemoteSutConfig::default().with_protocol(2);
-    let hello = hello_for(&settings, &qsl, &config);
-    assert_eq!(hello.version, 2);
-    let sink = Arc::new(RingBufferSink::unbounded());
-    let service = Arc::new(SimHost::new(FixedLatencySut::new(
-        "legacy-peer",
-        Nanos::from_micros(10),
-    )));
-    let (client, server) = loopback_instrumented(
-        service,
-        ServeConfig::default(),
-        hello,
-        config,
-        Some(sink.clone()),
-        None,
-    )
-    .expect("v2 handshake must be accepted");
-    assert_eq!(client.negotiated_version(), 2);
-
-    let out = Run::wall_clock(&settings)
-        .run(&mut qsl, Arc::new(client))
-        .expect("run");
-    assert!(out.result.is_valid(), "{:?}", out.result.validity);
-
-    // An untraced link produces wire events but never spans or syncs.
-    for record in sink.snapshot() {
-        assert!(
-            !matches!(
-                record.event,
-                mlperf_trace::TraceEvent::SpanEvent { .. }
-                    | mlperf_trace::TraceEvent::ClockSync { .. }
-            ),
-            "v2 link leaked v3 telemetry: {:?}",
-            record.event
-        );
-    }
-    server.shutdown();
-}
-
 /// `shutdown` wakes the parked heartbeat thread instead of waiting out its
 /// interval: closing an idle healthy link takes milliseconds even when the
 /// next heartbeat is seconds away.
@@ -510,12 +473,15 @@ fn journaled_completion_bytes_equal_the_bytes_on_the_socket() {
                 index: i as usize,
             })
             .collect();
-        let issue = Message::Issue(Query {
-            id,
-            samples,
-            scheduled_at: Nanos::ZERO,
-            tenant: 0,
-        });
+        let issue = Message::IssueTraced {
+            trace_id: 0x7AC3 + id,
+            query: Query {
+                id,
+                samples,
+                scheduled_at: Nanos::ZERO,
+                tenant: 0,
+            },
+        };
         write_frame(&mut stream, &issue.to_wire()).expect("issue");
         let payload = read_frame(&mut stream).expect("completion frame");
         assert!(matches!(
@@ -689,15 +655,50 @@ impl WireService for PanicsOnce {
     }
 }
 
+/// A simulated device that panics inside the third `on_query` it is
+/// handed — under `SimHost`'s own mutex, which the unwind poisons.
+struct PanicsInOnQuery {
+    inner: FixedLatencySut,
+    seen: u32,
+}
+
+impl SimSut for PanicsInOnQuery {
+    fn name(&self) -> &str {
+        "panics-in-on-query"
+    }
+
+    fn on_query(&mut self, now: Nanos, query: &Query) -> SutReaction {
+        self.seen += 1;
+        assert!(
+            self.seen != 3,
+            "query {} took the device down (a test)",
+            query.id
+        );
+        self.inner.on_query(now, query)
+    }
+}
+
 /// A service that panics costs the query it panicked on and nothing else,
 /// whichever thread was serving: the connection thread (single-stream) or
 /// a pool worker (server). One `service_panic` event names that thread.
+/// The same when the panic unwinds through a lock the service itself
+/// holds: a poisoned `SimHost` answers the next query normally.
 #[test]
 fn a_panicking_service_errors_one_query_and_the_session_survives() {
     let single = TestSettings::single_stream();
     let server_settings = TestSettings::server(100.0, Nanos::from_millis(50));
-    for (settings, thread) in [(single, "wire-conn-"), (server_settings, "wire-worker-0")] {
-        let service = Arc::new(PanicsOnce::default());
+    let panics_once = || -> Arc<dyn WireService> { Arc::new(PanicsOnce::default()) };
+    let poisons_its_host = || -> Arc<dyn WireService> {
+        Arc::new(SimHost::new(PanicsInOnQuery {
+            inner: FixedLatencySut::new("device", Nanos::from_micros(10)),
+            seen: 0,
+        }))
+    };
+    for (settings, thread, service) in [
+        (single.clone(), "wire-conn-", panics_once()),
+        (server_settings, "wire-worker-0", panics_once()),
+        (single, "wire-conn-", poisons_its_host()),
+    ] {
         let sink = Arc::new(RingBufferSink::unbounded());
         let serve = ServeConfig::default().with_sink(sink.clone());
         let qsl = MemoryQsl::new("loop-qsl", 4, 4);
