@@ -87,6 +87,14 @@ for f in $(find crates/{wire,sut,core,trace}/src -name '*.rs'); do
     unwrapped=$(before_tests "$f" | tr -d ' \n' | { grep -oE '\.lock\(\)\.(expect\(|unwrap\(\))' || true; } | wc -l)
     [[ "$unwrapped" == 0 ]] || census_fail "$unwrapped .lock().expect(/.unwrap() sites in the non-test part of $f"
 done
+# One fleet, the one its callers select: two balance policies, the health
+# machine's tuning as constants, no load shedding, no probabilistic recv
+# corruption, and one shard-kill experiment — `chaos --wire`'s row, not a
+# second netbench fleet mode.
+unselected='LeastOutstanding|LatencyEwma|ShardConfig|health_of|shed_threshold|corrupt_recv_prob'
+strays=$(grep -rnE "\b($unselected)\b" --include='*.rs' crates src tests examples; grep -n -- "--shards" crates/harness/src/bin/netbench.rs) || true
+[[ -z "$strays" ]] || census_fail "an option nobody selects is back:
+$strays"
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
@@ -103,12 +111,18 @@ echo "== chaos smoke (fault matrix: reproducibility + validity flips) =="
 # resilience policies. The table itself is noise in CI logs.
 cargo run -q --release -p mlperf-harness --bin chaos -- --check > /dev/null
 
-echo "== networked chaos smoke (wire faults: integrity + session resume) =="
+echo "== networked chaos smoke (wire faults, session resume, a fleet losing a shard) =="
 # The wire-fault half of the matrix: scenario x wire fault x resume over a
 # loopback daemon. Asserts corruption/truncation/partition surface as
 # error-fraction (CRC rejects, never a fake completion), an unresumed
 # disconnect ends IncompleteQueries, and reconnect+resume rescues it with
-# a logical detail log byte-identical to the fault-free baseline.
+# a logical detail log byte-identical to the fault-free baseline. Then the
+# fleet rows: three heterogeneous daemons behind a weighted ShardedSut,
+# one per shard fault. Every row's merged detail log passes the TEST06
+# completeness audit and every fault row stays VALID with the fault-free
+# row's logical-log hash; the shard-kill victim, killed with a query in
+# flight, goes down and has at least one failover row; a degraded shard
+# makes no health transition; a rebound one rejoins.
 cargo run -q --release -p mlperf-harness --bin chaos -- --wire --check > /dev/null
 
 echo "== crash chaos smoke (process-kill quadrant: journal resume is lossless) =="
@@ -132,17 +146,6 @@ echo "== netbench loopback smoke (network SUT: tracing + telemetry) =="
 # (client issue -> server compute -> client complete under one trace id),
 # and the daemon's live stats snapshot parses.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --stats --check
-
-echo "== netbench fleet smoke (sharded serving survives losing a shard) =="
-# Fleet mode, the same path over a rig of three: heterogeneous loopback
-# daemons behind one weighted ShardedSut router. A seeded victim daemon is
-# killed mid-server-run while it has a query in flight; the check asserts
-# the router rescues the in-flight work (the run stays VALID, the merged
-# sharded log passes the completeness audit, and the victim's down +
-# failover rows are present). The first rig has lost its victim, so the
-# reproducibility leg is a second fresh rig: it must survive the same kill
-# and render a byte-identical logical log.
-cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --shards 3 --check
 
 echo "== replay roundtrip smoke (record -> reduce -> replay, three legs) =="
 # The record-reduce-replay audit: a simulated server run is recorded,

@@ -166,6 +166,27 @@ pub enum IssueOutcome {
     Vanished,
 }
 
+impl IssueOutcome {
+    /// What [`RealtimeSut::issue`], which has no failure channel, returns
+    /// for this outcome of `query`: the completions, or one empty-payload
+    /// completion per sample of an errored or vanished query, so the
+    /// recorder's sample-id checks still hold. The wall-clock loop calls
+    /// `issue_outcome` and never takes the second branch.
+    pub fn into_samples(self, query: &Query) -> Vec<SampleCompletion> {
+        match self {
+            IssueOutcome::Completed(samples) => samples,
+            IssueOutcome::Errored | IssueOutcome::Vanished => query
+                .samples
+                .iter()
+                .map(|s| SampleCompletion {
+                    sample_id: s.id,
+                    payload: ResponsePayload::Empty,
+                })
+                .collect(),
+        }
+    }
+}
+
 /// A blocking wall-clock system under test.
 ///
 /// Implementations must be internally synchronized: the server-scenario

@@ -36,7 +36,9 @@
 //! resumes, and the router drains traffic back in under a warm-up cap).
 //! Each row records the verdict, the victim's observed health
 //! transitions, and the logical-log hash; every fault row's hash must
-//! equal the fault-free row's, proving the rescue lossless.
+//! equal the fault-free row's, proving the rescue lossless, every row's
+//! merged detail log must pass the TEST06 completeness audit, and the
+//! `shard-kill` row must show a `failover` row off the victim.
 //!
 //! `--crash` sweeps the *process-kill* quadrant: a journaled wall-clock
 //! run over a loopback daemon is halted at a checkpoint boundary and the
@@ -63,6 +65,8 @@
 //! disconnect under a resume policy is rescued to VALID with a logical
 //! detail log byte-identical to the fault-free run's.
 
+use mlperf_audit::tests::completeness_report;
+use mlperf_audit::AuditOutcome;
 use mlperf_harness::rig::{dump_flight, issue_kinds, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::run_simulated;
@@ -190,7 +194,6 @@ fn policy_for(scenario: Scenario, horizon: Nanos) -> ResiliencePolicy {
         timeout: Some(timeout),
         max_retries: 3,
         backoff: Nanos::from_micros(200),
-        shed_threshold: None,
     }
 }
 
@@ -481,11 +484,12 @@ const SHARD_PER_SAMPLE: [Nanos; 3] = [
     Nanos::from_micros(400),
 ];
 
-/// One row of the fleet fault matrix. Every field is deterministic under
-/// a fixed seed: the health transitions are forced (the watcher kills the
-/// victim only while it has a query in flight, and the rejoin rebind
-/// happens well inside the run), and the logical-log hash covers only
-/// the seeded schedule.
+/// One row of the fleet fault matrix. Every rendered field is
+/// deterministic under a fixed seed: the health transitions are forced
+/// (the watcher kills the victim only while it has a query in flight, and
+/// the rejoin rebind happens well inside the run), and the logical-log
+/// hash covers only the seeded schedule. The last two fields are checked
+/// but never rendered, so the committed matrix does not change with them.
 #[derive(Debug, Clone)]
 struct ShardCell {
     scenario: &'static str,
@@ -497,6 +501,10 @@ struct ShardCell {
     down_seen: bool,
     /// The victim transitioned back through `rejoin` (rebind faults only).
     rejoined: bool,
+    /// A `failover` row names the victim: a query was rescued off it.
+    failed_over: bool,
+    /// The TEST06 completeness verdict over the run's merged detail log.
+    completeness: AuditOutcome,
 }
 
 /// One fleet run: three heterogeneous loopback daemons behind a weighted
@@ -551,7 +559,7 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
     let out = match fault {
         // Kill on the victim's first query in flight. A run that ends
         // before the watcher strikes shows up as a row with no `down`.
-        "shard-kill" => wired.run_watched(victim, 1, || rig.kill(victim), run).0,
+        "shard-kill" => wired.run_watched(victim, || rig.kill(victim), run).0,
         // Kill, then rebind the same port with a fresh daemon after a down
         // window long enough for the router to notice.
         "shard-rejoin" => {
@@ -560,7 +568,7 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
                 std::thread::sleep(Duration::from_millis(60));
                 rebound = rig.respawn(victim, Rebind::SameAddress);
             };
-            wired.run_watched(victim, 1, strike, run).0
+            wired.run_watched(victim, strike, run).0
         }
         _ => run(),
     }
@@ -569,14 +577,15 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
     wired.drain();
 
     let victim_label = rig.label(victim);
-    let mut down_seen = false;
-    let mut rejoined = false;
-    for record in sink.snapshot() {
+    let records = sink.snapshot();
+    let (mut down_seen, mut rejoined, mut failed_over) = (false, false, false);
+    for record in &records {
         if let TraceEvent::ShardEvent { shard, kind, .. } = &record.event {
             if *shard == victim_label {
                 match kind.as_str() {
                     "down" => down_seen = true,
                     "rejoin" => rejoined = true,
+                    "failover" => failed_over = true,
                     _ => {}
                 }
             }
@@ -592,6 +601,8 @@ fn run_shard_cell(fault: &'static str, seed: u64) -> Result<ShardCell, String> {
         log_hash: valid.then(|| logical_hash(&out.records)),
         down_seen,
         rejoined,
+        failed_over,
+        completeness: completeness_report(&records).outcome,
     })
 }
 
@@ -834,8 +845,10 @@ fn render_shard_table(cells: &[ShardCell]) -> String {
 
 /// The fleet-matrix CI assertions, cell by cell: every fault row must
 /// stay VALID with a logical log byte-identical to the fault-free row's
-/// (the hashes match), and the victim's health transitions must land
-/// exactly as the fault dictates.
+/// (the hashes match) and a merged detail log that passes the TEST06
+/// completeness audit, and the victim's health transitions must land
+/// exactly as the fault dictates — the killed shard's with a failover
+/// row for the in-flight query it took down.
 fn check_shard(cells: &[ShardCell]) -> Vec<String> {
     let mut failures = Vec::new();
     let cell = |fault: &str| {
@@ -853,6 +866,14 @@ fn check_shard(cells: &[ShardCell]) -> Vec<String> {
     }
     if none.down_seen || none.rejoined {
         failures.push("fleet/none: health transitions fired with no fault injected".to_string());
+    }
+    for c in cells {
+        if let AuditOutcome::Fail(reason) = &c.completeness {
+            failures.push(format!(
+                "fleet/{}: merged detail log fails the completeness audit: {reason}",
+                c.fault
+            ));
+        }
     }
     for fault in ["shard-kill", "shard-degrade", "shard-rejoin"] {
         let c = cell(fault);
@@ -874,6 +895,10 @@ fn check_shard(cells: &[ShardCell]) -> Vec<String> {
     let kill = cell("shard-kill");
     if !kill.down_seen {
         failures.push("fleet/shard-kill: the killed shard never transitioned to down".to_string());
+    }
+    if !kill.failed_over {
+        failures
+            .push("fleet/shard-kill: no failover row rescued a query off the killed shard".into());
     }
     if kill.rejoined {
         failures.push("fleet/shard-kill: a permanently dead shard rejoined".to_string());
@@ -1688,9 +1713,49 @@ mod tests {
         let cell = run_shard_cell("shard-kill", 5).unwrap();
         assert!(cell.valid, "kill cell INVALID: {:?}", cell.issues);
         assert!(cell.down_seen, "victim never went down");
+        assert!(cell.failed_over, "no query failed over off the victim");
+        assert_eq!(cell.completeness, AuditOutcome::Pass);
         assert!(!cell.rejoined, "a dead shard cannot rejoin");
         let none = run_shard_cell("none", 5).unwrap();
         assert_eq!(cell.log_hash, none.log_hash, "rescue was not lossless");
+    }
+
+    /// What the matrix checks but does not render: a kill row without a
+    /// failover off the victim, or with a merged log that fails TEST06,
+    /// fails the check.
+    #[test]
+    fn check_shard_demands_a_failover_and_a_complete_log() {
+        let row = |fault, down_seen, rejoined| ShardCell {
+            scenario: "server",
+            fault,
+            valid: true,
+            issues: Vec::new(),
+            log_hash: Some("same".into()),
+            down_seen,
+            rejoined,
+            failed_over: down_seen,
+            completeness: AuditOutcome::Pass,
+        };
+        let mut cells = vec![
+            row("none", false, false),
+            row("shard-kill", true, false),
+            row("shard-degrade", false, false),
+            row("shard-rejoin", true, true),
+        ];
+        assert_eq!(check_shard(&cells), Vec::<String>::new());
+        cells[1].failed_over = false;
+        let failures = check_shard(&cells);
+        assert!(
+            failures.len() == 1 && failures[0].contains("failover"),
+            "{failures:?}"
+        );
+        cells[1].failed_over = true;
+        cells[1].completeness = AuditOutcome::Fail("double-counted completions".into());
+        let failures = check_shard(&cells);
+        assert!(
+            failures.len() == 1 && failures[0].contains("completeness"),
+            "{failures:?}"
+        );
     }
 
     #[test]

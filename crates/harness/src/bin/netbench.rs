@@ -6,20 +6,15 @@
 //! netbench --connect <addr> [opts]      drive a remote daemon (offline + server runs)
 //! netbench --loopback [opts]            single-process: daemon + client on 127.0.0.1
 //!
-//! opts: [--shards <n>] [--seed <n>] [--out <path>] [--metrics <path>]
-//!       [--detail <path>] [--chrome <path>] [--flight-dir <dir>]
-//!       [--analyze] [--stats] [--watch] [--check]
+//! opts: [--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>]
+//!       [--chrome <path>] [--flight-dir <dir>] [--analyze] [--stats]
+//!       [--watch] [--check]
 //! ```
 //!
-//! Every mode but `--serve` is the same path over a [`Rig`]: `--loopback`
-//! is a rig of one daemon, `--connect` a rig over an address somebody else
-//! serves, and `--loopback --shards N` a *fleet* — N heterogeneous
-//! loopback daemons (distinct per-sample service times, shard labels
-//! `shard-0`…) behind one `ShardedSut` router balancing by preset
-//! throughput weight. During a fleet's server-scenario run a seeded shard
-//! (`seed % N`) is killed mid-stream; the router's failover re-routes its
-//! in-flight queries so the run completes VALID, and the merged detail log
-//! gains `ShardEvent` rows (`route`/`failover`/`down`) proving it.
+//! Every mode but `--serve` is the same path over a [`Rig`] of one daemon:
+//! `--loopback` spawns it in-process, `--connect` wraps an address
+//! somebody else serves. A fleet that loses a shard mid-run is `chaos
+//! --wire`'s `shard-kill` row.
 //!
 //! Every run writes a *logical detail log*: the deterministic slice of the
 //! per-query records (id, scheduled time, sample count, error flag) that is
@@ -30,27 +25,24 @@
 //! estimator), and wire events, all on one time axis. `--detail` /
 //! `--chrome` export the server-scenario run's merged log as JSONL /
 //! Chrome trace JSON; `--metrics` writes the per-run wire metrics
-//! snapshots; `--stats` asks every daemon for a live [`DaemonStats`]
-//! snapshot, one table row each; `--watch` polls those snapshots into a
-//! live console line while the runs execute. A run that ends INVALID
-//! automatically leaves a flight-recorder dump of its freshest events
-//! under `--flight-dir`; `--analyze` additionally runs tail-latency
-//! forensics over the dumped tail and writes a `<dump>.analysis.md`
-//! root-cause report beside it.
+//! snapshots; `--stats` asks the daemon for a live [`DaemonStats`]
+//! snapshot; `--watch` polls those snapshots into a live console line
+//! while the runs execute. A run that ends INVALID automatically leaves a
+//! flight-recorder dump of its freshest events under `--flight-dir`;
+//! `--analyze` additionally runs tail-latency forensics over the dumped
+//! tail and writes a `<dump>.analysis.md` root-cause report beside it.
 //!
-//! `--check` is the CI smoke mode: it repeats the run pair — over fresh
-//! connections, or over a second fresh rig when the first one lost its
-//! victim — and asserts every run is VALID, the two logical logs render to
-//! identical bytes, the merged log passes the TEST06 completeness audit
-//! with no accuracy events and at least one end-to-end trace, a fleet's
-//! merged log carries the victim's `down` + `failover` rows, and the stats
-//! snapshots parse (with `--stats`).
+//! `--check` is the CI smoke mode: it repeats the run pair over fresh
+//! connections and asserts every run is VALID, the two logical logs render
+//! to identical bytes, the merged log passes the TEST06 completeness audit
+//! with no accuracy events and at least one end-to-end trace, and the
+//! stats snapshot parses (with `--stats`).
 //!
 //! [`DaemonStats`]: mlperf_wire::DaemonStats
 
 use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
-use mlperf_harness::rig::{device_per_sample, dump_flight, Rig, DEVICE_PER_SAMPLE};
+use mlperf_harness::rig::{dump_flight, Rig, DEVICE_PER_SAMPLE};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
 use mlperf_loadgen::sut::FixedLatencySut;
@@ -61,7 +53,7 @@ use mlperf_trace::chrome::chrome_trace_json;
 use mlperf_trace::event::TraceRecord;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::{render_detail_log, JsonValue, RingBufferSink, ToJson, TraceEvent};
-use mlperf_wire::{fetch_stats, serve_on, RemoteSutConfig, ResumePolicy, ServeConfig, SimHost};
+use mlperf_wire::{fetch_stats, serve_on, RemoteSutConfig, ServeConfig, SimHost};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,26 +61,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: netbench (--serve <addr> | --connect <addr> | --loopback) \
-[--shards <n>] [--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>] \
-[--chrome <path>] [--flight-dir <dir>] [--analyze] [--stats] [--watch] [--check]";
-
-/// The loopback rig: one benchmark device, or a heterogeneous fleet. The
-/// daemon replays the simulated per-sample service time on the wall clock,
-/// so a whole run pair stays fast enough for a CI smoke stage.
-fn spawn_rig(daemons: usize) -> Result<Rig, String> {
-    Rig::spawn("netbench-dev", &device_per_sample(daemons), |_| {
-        ServeConfig::default()
-    })
-}
+[--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>] [--chrome <path>] \
+[--flight-dir <dir>] [--analyze] [--stats] [--watch] [--check]";
 
 /// Scaled-down run pair. Both scenarios terminate on schedule-derived
 /// conditions (an offline run is one batch; the server issue loop stops on
 /// seeded arrival times), so the issued query stream — ids, scheduled
-/// times, sample counts — is deterministic under a fixed seed. When a
-/// victim is to be killed, server queries carry a sample batch so each
-/// routed query occupies its shard long enough for the watcher to catch
-/// the victim mid-query.
-fn run_pair(seed: u64, kill: bool) -> [(&'static str, TestSettings); 2] {
+/// times, sample counts — is deterministic under a fixed seed.
+fn run_pair(seed: u64) -> [(&'static str, TestSettings); 2] {
     let seeds = SeedTriple::from_master(seed);
     [
         (
@@ -103,7 +83,6 @@ fn run_pair(seed: u64, kill: bool) -> [(&'static str, TestSettings); 2] {
             TestSettings::server(200.0, Nanos::from_millis(50))
                 .with_min_query_count(48)
                 .with_min_duration(Nanos::from_millis(100))
-                .with_samples_per_query(if kill { 8 } else { 1 })
                 .with_seeds(seeds),
         ),
     ]
@@ -130,71 +109,39 @@ struct RunSummary {
     metrics: mlperf_trace::metrics::MetricsSnapshot,
 }
 
-/// Drives one scenario over fresh connections to every daemon of `rig` (a
-/// connection is a run: the handshake resets the service). With `kill`
-/// set, that shard's daemon dies the moment the router has its third query
-/// in flight on it — mid-query, so failover has real work to rescue.
-fn run_one(
-    rig: &Rig,
-    label: &'static str,
-    settings: &TestSettings,
-    kill: Option<usize>,
-) -> Result<RunSummary, String> {
+/// Drives one scenario over a fresh connection to the rig's daemon (a
+/// connection is a run: the handshake resets the service).
+fn run_one(rig: &Rig, label: &'static str, settings: &TestSettings) -> Result<RunSummary, String> {
     let mut qsl = MemoryQsl::new("netbench-qsl", 64, 64);
     let sink = Arc::new(RingBufferSink::unbounded());
     let metrics = Arc::new(MetricsRegistry::new());
 
-    // A fleet can lose a daemon, and wants to know fast: a killed daemon
-    // refuses redials, so two cheap resume attempts fail in ~20 ms and the
-    // shard's in-flight queries come back `Vanished` for the router to
-    // re-route — well inside the server scenario's 50 ms latency bound.
-    // A lone daemon has nowhere to fail over to; its link fails at once.
-    let mut config = RemoteSutConfig::default();
-    if rig.daemon_count() > 1 {
-        config = config.with_resume(ResumePolicy {
-            max_attempts: 2,
-            backoff: Duration::from_millis(10),
-        });
-    }
-    // One sink, one registry and one clock origin for every client, the
-    // router and the run loop: the merged log and the counters cover the
-    // whole rig on one time axis.
+    // One sink, one registry and one clock origin for the client and the
+    // run loop: the merged log and the counters share one time axis.
     let wired = rig
         .connect(
             settings,
             qsl.total_sample_count() as u64,
-            |_| config.clone(),
+            |_| RemoteSutConfig::default(),
             BalancePolicy::WeightedThroughput,
             Some(sink.clone()),
             Some(metrics.clone()),
         )
         .map_err(|e| format!("{label}: {e}"))?;
-    let mut run = || wired.run(settings).run(&mut qsl, Arc::clone(&wired.sut));
-    let (out, struck) = match kill {
-        Some(victim) => {
-            let (out, struck) = wired.run_watched(victim, 3, || rig.kill(victim), run);
-            (out, Some(struck))
-        }
-        None => (run(), None),
-    };
-    let out = out.map_err(|e| format!("{label}: run failed: {e}"))?;
-    if struck == Some(false) {
-        return Err(format!(
-            "{label}: kill watcher never caught the victim shard mid-query"
-        ));
-    }
+    let out = wired
+        .run(settings)
+        .run(&mut qsl, Arc::clone(&wired.sut))
+        .map_err(|e| format!("{label}: run failed: {e}"))?;
 
     // Drain before snapshotting: it ships the server-side spans into the
-    // shared sink. A killed daemon's spans die with it — the completeness
-    // audit is judged from client-side records, which survive the failover.
+    // shared sink.
     wired.drain();
     let snapshot = metrics.snapshot();
     let records = sink.snapshot();
     let rtt = snapshot.histograms.get("wire_rtt_ns");
-    let is_shard_row = |r: &&TraceRecord| matches!(r.event, TraceEvent::ShardEvent { .. });
     println!(
         "{label:<8} {:<8} queries={} samples={} wire: {} frames sent, rtt mean {:.1} us over {} \
-obs, {} shard rows{}",
+obs",
         if out.result.is_valid() {
             "VALID"
         } else {
@@ -205,8 +152,6 @@ obs, {} shard rows{}",
         snapshot.counter("wire_frames_sent"),
         rtt.map_or(0.0, |h| h.mean() / 1_000.0),
         rtt.map_or(0, |h| h.count()),
-        records.iter().filter(is_shard_row).count(),
-        struck.map_or("", |_| ", victim killed mid-query"),
     );
     Ok(summarize(label, &out, records, snapshot))
 }
@@ -230,8 +175,8 @@ fn summarize(
     let completeness = completeness_report(&records).outcome;
 
     // End-to-end traces: issue (client) + compute (any server-side host —
-    // `server`, or a shard label in fleet mode) + complete (client)
-    // sharing one trace id.
+    // `server`, or the shard label a `--connect`ed daemon was given) +
+    // complete (client) sharing one trace id.
     let mut by_phase: std::collections::HashMap<u64, [bool; 3]> = std::collections::HashMap::new();
     for record in &records {
         if let TraceEvent::SpanEvent {
@@ -292,7 +237,6 @@ fn summarize(
 
 /// Everything the command line selects besides the mode.
 struct Opts {
-    shards: Option<usize>,
     seed: u64,
     out: Option<String>,
     metrics: Option<String>,
@@ -305,18 +249,12 @@ struct Opts {
     check: bool,
 }
 
-/// Runs the offline + server pair over `rig`, killing `victim` (if any)
-/// mid-stream during the server run; returns the summaries and the
-/// rendered logical detail log.
-fn drive(
-    rig: &Rig,
-    victim: Option<usize>,
-    opts: &Opts,
-) -> Result<(Vec<RunSummary>, String), String> {
+/// Runs the offline + server pair over `rig`; returns the summaries and
+/// the rendered logical detail log.
+fn drive(rig: &Rig, opts: &Opts) -> Result<(Vec<RunSummary>, String), String> {
     let mut summaries = Vec::new();
-    for (label, settings) in run_pair(opts.seed, victim.is_some()) {
-        let kill = victim.filter(|_| label == "server");
-        let summary = run_one(rig, label, &settings, kill)?;
+    for (label, settings) in run_pair(opts.seed) {
+        let summary = run_one(rig, label, &settings)?;
         if !summary.valid {
             let path = format!("{}/netbench_flight_{label}.jsonl", opts.flight_dir);
             let reason = format!("{label} run INVALID: {}", summary.issues.join("; "));
@@ -324,13 +262,11 @@ fn drive(
         }
         summaries.push(summary);
     }
-    let mut fields = vec![("seed", opts.seed.to_json_value())];
-    if let Some(victim) = victim {
-        fields.push(("shards", (rig.daemon_count() as u64).to_json_value()));
-        fields.push(("victim", rig.label(victim).to_json_value()));
-    }
     let runs = summaries.iter().map(|s| s.logical_log.clone()).collect();
-    fields.push(("runs", JsonValue::Array(runs)));
+    let fields = vec![
+        ("seed", opts.seed.to_json_value()),
+        ("runs", JsonValue::Array(runs)),
+    ];
     let mut rendered = JsonValue::object(fields).to_pretty();
     rendered.push('\n');
     Ok((summaries, rendered))
@@ -377,101 +313,52 @@ fn check_summaries(summaries: &[RunSummary]) -> Vec<String> {
     failures
 }
 
-/// The `--check` assertions only a rig that lost its victim gets, over the
-/// server-scenario summary: the kill produced the victim's `down` transition
-/// plus at least one `failover` row rescuing a query off the dead shard.
-fn check_fleet_rescue(summary: &RunSummary, victim: &str) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut down = false;
-    let mut failovers = 0u64;
-    for record in &summary.records {
-        if let TraceEvent::ShardEvent { shard, kind, .. } = &record.event {
-            if shard == victim {
-                match kind.as_str() {
-                    "down" => down = true,
-                    "failover" => failovers += 1,
-                    _ => {}
-                }
-            }
-        }
-    }
-    if !down {
-        failures.push(format!(
-            "server: killed shard {victim} never transitioned to down in the merged log"
-        ));
-    }
-    if failovers == 0 {
-        failures.push(format!(
-            "server: no failover row rescued a query off killed shard {victim}"
-        ));
-    }
-    failures
-}
-
-/// Every per-run `--check` assertion over one driven pair.
-fn check_pair(summaries: &[RunSummary], victim: Option<&str>) -> Vec<String> {
-    let mut failures = check_summaries(summaries);
-    if let Some(victim) = victim {
-        let server = summaries.last().expect("run pair is never empty");
-        failures.extend(check_fleet_rescue(server, victim));
-    }
-    failures
-}
-
-/// One console line covering every daemon, for `--watch`.
+/// One console line for `--watch`: the daemon's live counters.
 fn watch_line(rig: &Rig) -> String {
-    let part = |i: usize| {
-        let label = rig.label(i);
-        match fetch_stats(rig.addr(i)) {
-            Ok(s) => format!("{label} served {} in-flight {}", s.served, s.in_flight),
-            Err(_) => format!("{label} dead"),
-        }
-    };
-    let parts: Vec<String> = (0..rig.daemon_count()).map(part).collect();
-    parts.join(" | ")
+    match fetch_stats(rig.addr(0)) {
+        Ok(s) => format!(
+            "{} served {} in-flight {}",
+            rig.label(0),
+            s.served,
+            s.in_flight
+        ),
+        Err(_) => format!("{} dead", rig.label(0)),
+    }
 }
 
-/// `--stats`: one live snapshot per daemon after the runs, one table row
-/// each. The victim is dead by now and reported as such; any other daemon
-/// that does not answer is the failure returned.
-fn stats_table(rig: &Rig, victim: Option<usize>) -> Option<String> {
-    let mut failure = None;
+/// `--stats`: one live snapshot of the daemon after the runs, as a table
+/// row; a daemon that does not answer is the failure returned.
+fn stats_table(rig: &Rig) -> Option<String> {
     println!("stats:");
-    for i in 0..rig.daemon_count() {
-        let label = rig.label(i);
-        match fetch_stats(rig.addr(i)) {
-            Ok(s) => {
-                let p99_us = s
-                    .snapshot
-                    .histograms
-                    .get("wire_serve_ns")
-                    .map_or(0.0, |h| h.quantile(0.99) as f64 / 1_000.0);
-                let per_session: Vec<String> = s
-                    .session_outstanding
-                    .iter()
-                    .map(|(sid, n)| format!("{sid}:{n}"))
-                    .collect();
-                println!(
-                    "  {label:<10} sut={} up {:.1}s served {} ({:.0} qps lifetime) in-flight {} \
-sessions {} replays {} dups {} p99 serve {p99_us:.0} us per-session [{}]",
-                    s.sut_name,
-                    s.uptime_ns as f64 / 1e9,
-                    s.served,
-                    s.throughput_qps(),
-                    s.in_flight,
-                    s.sessions,
-                    s.snapshot.counter("wire_replays"),
-                    s.snapshot.counter("wire_dup_issues"),
-                    per_session.join(","),
-                );
-            }
-            Err(_) if victim == Some(i) => {
-                println!("  {label:<10} dead (unreachable — killed mid-run)");
-            }
-            Err(e) => failure = Some(format!("stats snapshot failed: {e}")),
-        }
-    }
-    failure
+    let s = match fetch_stats(rig.addr(0)) {
+        Ok(s) => s,
+        Err(e) => return Some(format!("stats snapshot failed: {e}")),
+    };
+    let p99_us = s
+        .snapshot
+        .histograms
+        .get("wire_serve_ns")
+        .map_or(0.0, |h| h.quantile(0.99) as f64 / 1_000.0);
+    let per_session: Vec<String> = s
+        .session_outstanding
+        .iter()
+        .map(|(sid, n)| format!("{sid}:{n}"))
+        .collect();
+    println!(
+        "  {:<10} sut={} up {:.1}s served {} ({:.0} qps lifetime) in-flight {} sessions {} \
+replays {} dups {} p99 serve {p99_us:.0} us per-session [{}]",
+        rig.label(0),
+        s.sut_name,
+        s.uptime_ns as f64 / 1e9,
+        s.served,
+        s.throughput_qps(),
+        s.in_flight,
+        s.sessions,
+        s.snapshot.counter("wire_replays"),
+        s.snapshot.counter("wire_dup_issues"),
+        per_session.join(","),
+    );
+    None
 }
 
 /// Writes the requested artifact files (logical log, metrics snapshots,
@@ -529,8 +416,8 @@ fn write_artifacts(summaries: &[RunSummary], rendered: &str, opts: &Opts) -> Res
 /// The one path behind `--connect` and `--loopback`: drive the run pair
 /// over `rig`, write what was asked for, and with `--check` prove the
 /// result reproduces. `Ok(false)` is a failed check, already reported.
-fn bench(rig: &Rig, victim: Option<usize>, opts: &Opts) -> Result<bool, String> {
-    // --watch: poll every daemon's live stats onto one console line while
+fn bench(rig: &Rig, opts: &Opts) -> Result<bool, String> {
+    // --watch: poll the daemon's live stats onto one console line while
     // the runs execute.
     let done = AtomicBool::new(false);
     let (summaries, rendered) = std::thread::scope(|scope| {
@@ -544,44 +431,32 @@ fn bench(rig: &Rig, victim: Option<usize>, opts: &Opts) -> Result<bool, String> 
                 println!();
             });
         }
-        let driven = drive(rig, victim, opts);
+        let driven = drive(rig, opts);
         done.store(true, Ordering::SeqCst);
         driven
     })?;
     write_artifacts(&summaries, &rendered, opts)?;
-    let stats_failure = opts.stats.then(|| stats_table(rig, victim)).flatten();
+    let stats_failure = opts.stats.then(|| stats_table(rig)).flatten();
     if !opts.check {
         return stats_failure.map_or(Ok(true), |f| Err(format!("netbench: {f}")));
     }
 
-    let victim_label = victim.map(|v| rig.label(v));
-    let mut failures = check_pair(&summaries, victim_label.as_deref());
+    let mut failures = check_summaries(&summaries);
     failures.extend(stats_failure);
     // Reproducibility: the same seed must render a byte-identical logical
-    // detail log — over fresh connections, or, when the first rig lost its
-    // victim, over a second fresh rig that survives the same kill.
-    let fresh = match victim {
-        Some(_) => Some(spawn_rig(rig.daemon_count())?),
-        None => None,
-    };
-    let again_rig = fresh.as_ref().unwrap_or(rig);
-    let (again, rendered_again) = drive(again_rig, victim, opts)?;
-    failures.extend(check_pair(&again, victim_label.as_deref()));
+    // detail log over fresh connections.
+    let (again, rendered_again) = drive(rig, opts)?;
+    failures.extend(check_summaries(&again));
     if rendered != rendered_again {
-        failures.push(match fresh {
-            Some(_) => "fleet logical detail log is not byte-reproducible across fleets".into(),
-            None => "logical detail log is not byte-reproducible across connections".into(),
-        });
+        failures.push("logical detail log is not byte-reproducible across connections".into());
     }
     for f in &failures {
         eprintln!("netbench check: {f}");
     }
     if failures.is_empty() {
         println!(
-            "netbench check: OK ({} daemon(s){}, runs VALID, logical log byte-stable, merged \
-log complete with end-to-end traces)",
-            rig.daemon_count(),
-            victim_label.map_or(String::new(), |v| format!(", {v} killed mid-run")),
+            "netbench check: OK (runs VALID, logical log byte-stable, merged log complete with \
+end-to-end traces)"
         );
     }
     Ok(failures.is_empty())
@@ -597,7 +472,6 @@ fn main() -> ExitCode {
     let _flight = mlperf_harness::panic_guard::install("netbench");
     let mut mode: Option<Mode> = None;
     let mut opts = Opts {
-        shards: None,
         seed: 0xBE7C,
         out: None,
         metrics: None,
@@ -625,19 +499,6 @@ fn main() -> ExitCode {
                 });
             }
             "--loopback" => mode = Some(Mode::Loopback),
-            "--shards" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--shards needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                opts.shards = match v.parse() {
-                    Ok(n) => Some(n),
-                    Err(_) => {
-                        eprintln!("--shards needs an integer, got `{v}`\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--seed" => {
                 let Some(v) = it.next() else {
                     eprintln!("--seed needs a value\n{USAGE}");
@@ -679,19 +540,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // The fleet's daemons are spawned in-process, so --shards only makes
-    // sense with --loopback, and one of them must survive the kill.
-    if let Some(n) = opts.shards {
-        if !matches!(mode, Mode::Loopback) {
-            eprintln!("--shards spawns an in-process fleet; it requires --loopback\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-        if n < 2 {
-            eprintln!("--shards needs at least 2 endpoints (one must survive the kill)");
-            return ExitCode::FAILURE;
-        }
-    }
-
     let result = match mode {
         // --serve never returns: export the device and wait for clients.
         Mode::Serve(addr) => {
@@ -713,24 +561,23 @@ fn main() -> ExitCode {
                 Err(e) => Err(format!("cannot serve on {addr}: {e}")),
             }
         }
-        Mode::Connect(addr) => bench(&Rig::over(&addr), None, &opts),
-        Mode::Loopback => spawn_rig(opts.shards.unwrap_or(1)).and_then(|rig| {
-            let victim = opts.shards.map(|n| opts.seed as usize % n);
-            for (i, per_sample) in device_per_sample(rig.daemon_count()).iter().enumerate() {
+        Mode::Connect(addr) => bench(&Rig::over(&addr), &opts),
+        // The daemon replays the simulated per-sample service time on the
+        // wall clock, so a whole run pair stays fast enough for CI.
+        Mode::Loopback => {
+            let rig = Rig::spawn("netbench-dev", &[DEVICE_PER_SAMPLE], |_| {
+                ServeConfig::default()
+            });
+            rig.and_then(|rig| {
                 println!(
-                    "loopback daemon {} on {} ({} us/sample){}",
-                    rig.label(i),
-                    rig.addr(i),
-                    per_sample.as_nanos() / 1_000,
-                    if victim == Some(i) {
-                        ", dies mid-server-run"
-                    } else {
-                        ""
-                    },
+                    "loopback daemon {} on {} ({} us/sample)",
+                    rig.label(0),
+                    rig.addr(0),
+                    DEVICE_PER_SAMPLE.as_nanos() / 1_000,
                 );
-            }
-            bench(&rig, victim, &opts)
-        }),
+                bench(&rig, &opts)
+            })
+        }
     };
     match result {
         Ok(true) => ExitCode::SUCCESS,

@@ -324,7 +324,7 @@ fn replay_sim(trace: &RecordedTrace, seed: u64) -> Result<(RunOutcome, Vec<Trace
 }
 
 /// The loopback rig replays run over: the built-in benchmark device (the
-/// one netbench exports), or netbench's heterogeneous fleet of them.
+/// one netbench exports), or a heterogeneous fleet of them.
 fn spawn_rig(daemons: usize) -> Result<Rig, String> {
     Rig::spawn("replay-dev", &device_per_sample(daemons), |_| {
         ServeConfig::default()

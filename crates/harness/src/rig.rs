@@ -8,8 +8,8 @@
 //! drive — the lone client for one daemon, a [`ShardedSut`] router for
 //! more, chosen by the daemon count alone. [`Wired::run_watched`] is the
 //! deterministic kill trigger. What differs between callers (settings,
-//! service times, resume policies, chaos plans, the trigger threshold,
-//! every check) is theirs and is passed in; the rig has no options.
+//! service times, resume policies, chaos plans, every check) is theirs
+//! and is passed in; the rig has no options.
 //!
 //! Teardown is by scope. Declare the rig before what connects to it and
 //! every exit, early `?` included, unwinds the way the success path does:
@@ -265,13 +265,12 @@ impl Wired {
     }
 
     /// Runs `run` on this thread while a scoped watcher polls the router;
-    /// the moment shard `victim` has had at least `after_routed` queries
-    /// routed to it *and* has one in flight, the watcher calls `strike`,
-    /// once. Routing counts a query outstanding before it goes on the wire
-    /// and service time dwarfs the poll interval, so the strike lands
-    /// mid-query and failover has real work to rescue. Returns what `run`
-    /// returned and whether the strike happened (`false`: the run ended
-    /// first).
+    /// the moment shard `victim` has a query in flight, the watcher calls
+    /// `strike`, once. Routing counts a query outstanding before it goes
+    /// on the wire and service time dwarfs the poll interval, so the
+    /// strike lands mid-query and failover has real work to rescue.
+    /// Returns what `run` returned and whether the strike happened
+    /// (`false`: the run ended first).
     ///
     /// # Panics
     ///
@@ -279,7 +278,6 @@ impl Wired {
     pub fn run_watched<T>(
         &self,
         victim: usize,
-        after_routed: u64,
         strike: impl FnOnce() + Send,
         run: impl FnOnce() -> T,
     ) -> (T, bool) {
@@ -289,8 +287,7 @@ impl Wired {
         std::thread::scope(|scope| {
             let watcher = scope.spawn(|| {
                 while !done.load(Ordering::SeqCst) {
-                    let status = &router.status()[victim];
-                    if status.routed >= after_routed && status.outstanding > 0 {
+                    if router.status()[victim].outstanding > 0 {
                         strike();
                         return true;
                     }

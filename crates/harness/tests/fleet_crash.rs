@@ -32,7 +32,7 @@ fn settings() -> TestSettings {
         .with_min_duration(Nanos::from_millis(1))
 }
 
-/// Heterogeneous per-shard service times, like netbench's fleet.
+/// Heterogeneous per-shard service times, like the chaos fleet's.
 const SHARD_LATENCY: [Nanos; 3] = [
     Nanos::from_micros(100),
     Nanos::from_micros(150),

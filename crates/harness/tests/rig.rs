@@ -7,6 +7,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use mlperf_audit::tests::completeness_report;
 use mlperf_harness::rig::{Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
@@ -53,9 +54,7 @@ fn connect(
 fn a_rig_of_one_has_no_router_and_drives_the_client_itself() {
     let rig = spawn(&[50]);
     assert_eq!((rig.daemon_count(), rig.label(0).as_str()), (1, "server"));
-    let settings = TestSettings::offline()
-        .with_offline_min_sample_count(64)
-        .with_min_duration(Nanos::from_millis(1));
+    let settings = offline(64);
     let sink = Arc::new(RingBufferSink::unbounded());
     let wired = connect(
         &rig,
@@ -91,49 +90,68 @@ fn a_rig_of_one_has_no_router_and_drives_the_client_itself() {
     assert!(server_spans > 0, "the drain shipped no server span");
 }
 
+/// An offline run whose one query carries every sample.
+fn offline(samples: u64) -> TestSettings {
+    TestSettings::offline()
+        .with_offline_min_sample_count(samples)
+        .with_min_duration(Nanos::from_millis(1))
+}
+
 #[test]
 fn a_rig_of_three_routes_by_weight_and_labels_every_shard_row() {
     let rig = spawn(&[100, 200, 400]);
     let labels: Vec<String> = (0..3).map(|i| rig.label(i)).collect();
     assert_eq!(labels, ["shard-0", "shard-1", "shard-2"]);
-    let settings = server(70);
-    let sink = Arc::new(RingBufferSink::unbounded());
-    let policy = BalancePolicy::WeightedThroughput;
-    let wired = connect(&rig, &settings, policy, Some(sink.clone())).unwrap();
-    assert_eq!(wired.clients.len(), 3);
-    assert_eq!(wired.sut.name(), "rig-dev-fleet", "the router is the SUT");
+    for settings in [server(70), offline(1_024)] {
+        let sink = Arc::new(RingBufferSink::unbounded());
+        let policy = BalancePolicy::WeightedThroughput;
+        let wired = connect(&rig, &settings, policy, Some(sink.clone())).unwrap();
+        assert_eq!(wired.clients.len(), 3);
+        assert_eq!(wired.sut.name(), "rig-dev-fleet", "the router is the SUT");
 
-    let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
-    let out = wired
-        .run(&settings)
-        .run(&mut qsl, Arc::clone(&wired.sut))
-        .unwrap();
-    wired.drain();
+        let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
+        let out = wired
+            .run(&settings)
+            .run(&mut qsl, Arc::clone(&wired.sut))
+            .unwrap();
+        wired.drain();
+        let records = sink.snapshot();
 
-    // Weight is the reciprocal of service time: 4 : 2 : 1.
-    let router = wired.router.as_ref().unwrap();
-    let routed: Vec<u64> = router.status().iter().map(|s| s.routed).collect();
-    assert_eq!(
-        routed.iter().sum::<u64>(),
-        out.result.query_count,
-        "{routed:?}"
-    );
-    assert!(
-        routed[0] > routed[1] && routed[1] > routed[2] && routed[2] > 0,
-        "{routed:?}"
-    );
-
-    let mut shard_rows = 0;
-    for record in sink.snapshot() {
-        if let TraceEvent::ShardEvent { shard, .. } = &record.event {
-            assert!(labels.contains(shard), "row for unknown shard {shard}");
-            shard_rows += 1;
+        // Weight is the reciprocal of service time: 4 : 2 : 1, ties to the
+        // lowest index.
+        let router = wired.router.as_ref().unwrap();
+        let routed: Vec<u64> = router.status().iter().map(|s| s.routed).collect();
+        assert_eq!(
+            routed.iter().sum::<u64>(),
+            out.result.query_count,
+            "{routed:?}"
+        );
+        if out.result.query_count == 1 {
+            // The offline query goes whole to shard 0, and the fleet's
+            // merged log audits complete.
+            assert_eq!(routed, [1, 0, 0]);
+            assert!(out.result.is_valid(), "{:?}", out.result.validity);
+            let audit = completeness_report(&records).outcome;
+            assert!(audit.passed(), "{audit:?}");
+        } else {
+            assert!(
+                routed[0] > routed[1] && routed[1] > routed[2] && routed[2] > 0,
+                "{routed:?}"
+            );
         }
+
+        let mut shard_rows = 0;
+        for record in &records {
+            if let TraceEvent::ShardEvent { shard, .. } = &record.event {
+                assert!(labels.contains(shard), "row for unknown shard {shard}");
+                shard_rows += 1;
+            }
+        }
+        assert!(
+            shard_rows >= out.result.query_count,
+            "{shard_rows} shard rows"
+        );
     }
-    assert!(
-        shard_rows >= out.result.query_count,
-        "{shard_rows} shard rows"
-    );
 }
 
 #[test]
@@ -155,20 +173,22 @@ fn the_watcher_strikes_once_with_a_query_in_flight_or_not_at_all() {
     };
     let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
     let run = || wired.run(&settings).run(&mut qsl, Arc::clone(&wired.sut));
-    let (out, struck) = wired.run_watched(victim, 1, strike, run);
+    let (out, struck) = wired.run_watched(victim, strike, run);
     out.unwrap();
     assert!(struck);
     assert_eq!(strikes.load(Ordering::SeqCst), 1);
     assert!(in_flight_at_strike.load(Ordering::SeqCst) > 0);
 
-    // A threshold the run never reaches: the run ends first.
+    // A victim no query reaches — an offline run is one query, and
+    // round-robin hands it to shard 0 — is never struck: the run ends first.
+    let settings = offline(64);
     let wired = connect(&rig, &settings, BalancePolicy::RoundRobin, None).unwrap();
     let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
     let run = || wired.run(&settings).run(&mut qsl, Arc::clone(&wired.sut));
     let strike = || {
         strikes.fetch_add(1, Ordering::SeqCst);
     };
-    let (out, struck) = wired.run_watched(victim, u64::MAX, strike, run);
+    let (out, struck) = wired.run_watched(victim, strike, run);
     out.unwrap();
     assert!(!struck);
     assert_eq!(strikes.load(Ordering::SeqCst), 1);

@@ -194,7 +194,7 @@ impl RecordedTrace {
         let code = r.get_u8()?;
         let scenario = Scenario::from_tag(code)
             .ok_or_else(|| CodecError::Malformed(format!("scenario code {code}")))?;
-        let synthetic_indices = r.get_u8()? != 0;
+        let synthetic_indices = r.get_bool("synthetic-indices flag")?;
         let population = r.get_u64()?;
         let samples_per_query = r.get_u32()?;
         let target_latency_ns = r.get_u64()?;
@@ -209,7 +209,7 @@ impl RecordedTrace {
             Ok(RecordedQuery {
                 delta_ns,
                 latency_ns: (latency != u64::MAX).then_some(latency),
-                error: r.get_u8()? != 0,
+                error: r.get_bool("query error flag")?,
                 indices: r.get_list(4, ByteReader::get_u32)?,
             })
         })?;
@@ -444,6 +444,29 @@ mod tests {
             RecordedTrace::decode(&resealed(extended)),
             Err(CodecError::Malformed(text)) if text.contains("trailing")
         ));
+    }
+
+    /// A flag byte other than 0/1 is refused, not read as `true`: one
+    /// trace has one encoding, so decode → encode stays byte-identical.
+    #[test]
+    fn flag_bytes_decode_canonically() {
+        let bytes = sample_trace(2).encode();
+        // Header: magic 4, version 2, scenario 1, then the synthetic flag.
+        let synthetic_at = 7;
+        // First query: after the count, delta 8 and latency 8.
+        let error_at = 68 + 4 + 16;
+        for at in [synthetic_at, error_at] {
+            assert_eq!(bytes[at], 0);
+            let mut two = bytes.clone();
+            two[at] = 2;
+            assert!(
+                matches!(
+                    RecordedTrace::decode(&resealed(two)),
+                    Err(CodecError::Malformed(text)) if text.contains("flag")
+                ),
+                "flag byte 2 at offset {at} decoded"
+            );
+        }
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!   sustained throttling, and hard device death, layered over any engine.
 //! * [`resilience`] — recovery policies ([`resilience::ResilientSut`]):
 //!   per-query timeout, bounded retry with backoff, failover to a sibling
-//!   device, and priority-ordered load shedding.
+//!   device.
 //! * [`shard`] — fleet-scale routing ([`shard::ShardedSut`]): one
 //!   scenario's traffic fanned across N wall-clock endpoints under
-//!   pluggable balancing policies, with per-shard health tracking
-//!   (Up → Suspect → Down → Draining) and cross-shard failover.
+//!   round-robin or throughput-weighted balancing, with per-shard health
+//!   tracking (Up → Suspect → Down → Draining) and cross-shard failover.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +51,4 @@ pub use engine::{BatchPolicy, DeviceSut};
 pub use faults::{FaultPlan, FaultySut, StallWindow, ThrottleEpisode};
 pub use fleet::{fleet, FleetSystem};
 pub use resilience::{ResiliencePolicy, ResilientSut};
-pub use shard::{
-    BalancePolicy, ShardConfig, ShardEndpoint, ShardHealth, ShardProbe, ShardStatus, ShardedSut,
-};
+pub use shard::{BalancePolicy, ShardEndpoint, ShardHealth, ShardProbe, ShardStatus, ShardedSut};

@@ -12,9 +12,6 @@
 //!   attempt waiting one backoff step longer.
 //! * **Failover** — once retries are exhausted, the query runs once on a
 //!   sibling device (the fleet's spare), if one is attached.
-//! * **Load shedding** — past a queue-depth threshold, arriving queries
-//!   of the lowest-priority tenant resolve immediately as errors instead
-//!   of queueing, protecting higher-priority tenants' tail latency.
 //!
 //! Every recovery decision is emitted as a
 //! [`TraceEvent::RecoveryAction`] and a `recovery_*` counter, so the
@@ -44,16 +41,13 @@ pub struct ResiliencePolicy {
     pub max_retries: u32,
     /// Backoff before attempt `n` retries: `backoff × n`.
     pub backoff: Nanos,
-    /// Queue depth at which arriving lowest-priority queries are shed;
-    /// `None` disables shedding.
-    pub shed_threshold: Option<usize>,
 }
 
 impl ResiliencePolicy {
     /// Whether any policy is active. An inert policy makes
     /// [`ResilientSut`] a pass-through.
     pub fn is_armed(&self) -> bool {
-        self.timeout.is_some() || self.max_retries > 0 || self.shed_threshold.is_some()
+        self.timeout.is_some() || self.max_retries > 0
     }
 }
 
@@ -97,10 +91,6 @@ pub struct ResilientSut<S> {
     /// wakeup will fire), so any candidate not surfaced immediately must be
     /// re-armed later instead of dropped.
     wakeups: BinaryHeap<Reverse<Nanos>>,
-    /// Finish times of accepted completions, for queue-depth shedding.
-    busy: BinaryHeap<Reverse<Nanos>>,
-    /// Lowest-priority (highest-numbered) tenant observed so far.
-    max_tenant_seen: u32,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -118,8 +108,6 @@ impl<S: SimSut> ResilientSut<S> {
             abandoned: HashSet::new(),
             deadlines: BinaryHeap::new(),
             wakeups: BinaryHeap::new(),
-            busy: BinaryHeap::new(),
-            max_tenant_seen: 0,
             trace: None,
             metrics: None,
         }
@@ -142,11 +130,6 @@ impl<S: SimSut> ResilientSut<S> {
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
     }
 
     fn note(&self, at: Nanos, query_id: u64, action: &str, attempt: u32) {
@@ -226,7 +209,6 @@ impl<S: SimSut> ResilientSut<S> {
             self.note(detected, original.id, "exhausted", flight.attempt);
             out.completions
                 .push(QueryCompletion::errored(original, detected));
-            self.busy.push(Reverse(detected));
         }
     }
 
@@ -264,7 +246,6 @@ impl<S: SimSut> ResilientSut<S> {
                 self.recover(flight, detected, out);
             } else {
                 completion.query_id = flight.query.id;
-                self.busy.push(Reverse(completion.finished_at));
                 out.completions.push(completion);
             }
         }
@@ -306,18 +287,6 @@ impl<S: SimSut> ResilientSut<S> {
             merge_wakeup(out, Some(*t));
         }
     }
-
-    /// Current queue depth: accepted completions still in the simulated
-    /// future plus attempts with no completion yet.
-    fn depth(&mut self, now: Nanos) -> usize {
-        while let Some(Reverse(t)) = self.busy.peek().copied() {
-            if t > now {
-                break;
-            }
-            self.busy.pop();
-        }
-        self.busy.len() + self.in_flight.len()
-    }
 }
 
 fn merge_wakeup(out: &mut SutReaction, at: Option<Nanos>) {
@@ -338,17 +307,6 @@ impl<S: SimSut> SimSut for ResilientSut<S> {
         }
         let mut out = SutReaction::none();
         self.expire_deadlines(now, &mut out);
-        self.max_tenant_seen = self.max_tenant_seen.max(query.tenant);
-        if let Some(threshold) = self.policy.shed_threshold {
-            // Shed lowest-priority work first: only the highest-numbered
-            // tenant's arrivals are refused. (With one tenant, everyone is
-            // lowest priority and overload sheds across the board.)
-            if query.tenant == self.max_tenant_seen && self.depth(now) >= threshold {
-                self.note(now, query.id, "shed", 0);
-                out.completions.push(QueryCompletion::errored(query, now));
-                return out;
-            }
-        }
         let reaction = self.dispatch(now, query, 0, false);
         self.process(now, reaction, &mut out);
         // Arrivals reach only the primary, but `arm_next_wakeup` treats this
@@ -387,8 +345,6 @@ impl<S: SimSut> SimSut for ResilientSut<S> {
         self.abandoned.clear();
         self.deadlines.clear();
         self.wakeups.clear();
-        self.busy.clear();
-        self.max_tenant_seen = 0;
     }
 }
 
@@ -408,11 +364,8 @@ mod tests {
     use crate::faults::{FaultPlan, FaultySut};
     use mlperf_loadgen::config::TestSettings;
     use mlperf_loadgen::des::run_simulated;
-    use mlperf_loadgen::multitenant::run_multitenant_server;
     use mlperf_loadgen::qsl::MemoryQsl;
     use mlperf_loadgen::sut::FixedLatencySut;
-    use mlperf_loadgen::validate::ValidityIssue;
-    use mlperf_loadgen::Instruments;
 
     fn server_settings() -> TestSettings {
         TestSettings::server(500.0, Nanos::from_millis(20))
@@ -428,8 +381,8 @@ mod tests {
     fn inert_policy_is_a_pass_through() {
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let baseline = run_simulated(&server_settings(), &mut qsl, &mut fixed()).unwrap();
+        assert!(!ResiliencePolicy::default().is_armed());
         let mut resilient = ResilientSut::new(fixed(), ResiliencePolicy::default());
-        assert!(!resilient.policy().is_armed());
         let out = run_simulated(&server_settings(), &mut qsl, &mut resilient).unwrap();
         // Identical apart from the decorator suffix on the SUT name.
         let strip = |line: String| line.split_once(" | ").expect("name field").1.to_string();
@@ -481,7 +434,6 @@ mod tests {
             timeout: Some(Nanos::from_millis(2)),
             max_retries: 0,
             backoff: Nanos::ZERO,
-            shed_threshold: None,
         };
         let mut resilient =
             ResilientSut::new(FaultySut::new(fixed(), plan), policy).with_sibling(FaultySut::new(
@@ -491,43 +443,6 @@ mod tests {
         let out = run_simulated(&server_settings(), &mut qsl, &mut resilient).unwrap();
         assert!(out.result.is_valid(), "{:?}", out.result.validity);
         assert_eq!(out.result.error_count, 0);
-    }
-
-    #[test]
-    fn shedding_protects_the_high_priority_tenant() {
-        // One serial 500 us device shared by two tenants at 900 qps each:
-        // 1.8x overload. Shedding refuses tenant-1 work past a shallow
-        // queue, keeping tenant 0 inside its bound.
-        let a = TestSettings::server(900.0, Nanos::from_millis(10))
-            .with_min_query_count(300)
-            .with_min_duration(Nanos::from_millis(5));
-        let b = TestSettings::server(900.0, Nanos::from_millis(10))
-            .with_min_query_count(300)
-            .with_min_duration(Nanos::from_millis(5));
-        let mut qa = MemoryQsl::new("a", 16, 16);
-        let mut qb = MemoryQsl::new("b", 16, 16);
-        let policy = ResiliencePolicy {
-            shed_threshold: Some(4),
-            ..ResiliencePolicy::default()
-        };
-        let mut sut = ResilientSut::new(
-            FixedLatencySut::new("shared", Nanos::from_micros(500)),
-            policy,
-        );
-        let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-        let outcomes =
-            run_multitenant_server(&mut tenants, &mut sut, &Instruments::none()).unwrap();
-        assert!(
-            outcomes[0].result.is_valid(),
-            "tenant 0 must be protected: {:?}",
-            outcomes[0].result.validity
-        );
-        assert!(outcomes[1].result.error_count > 0, "tenant 1 work was shed");
-        assert!(outcomes[1]
-            .result
-            .validity
-            .iter()
-            .any(|i| matches!(i, ValidityIssue::ErrorFractionExceeded { .. })));
     }
 
     #[test]

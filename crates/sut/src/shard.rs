@@ -10,11 +10,10 @@
 //!
 //! Three concerns live here:
 //!
-//! * **Balancing** — a pluggable [`BalancePolicy`] picks the shard for
-//!   each query: round-robin, least-outstanding, latency-EWMA, or
-//!   weighted by preset throughput. Every policy is a pure function of
-//!   the call sequence, so a sequentially driven run yields a
-//!   byte-identical routing trace.
+//! * **Balancing** — a [`BalancePolicy`] picks the shard for each query:
+//!   round-robin, or weighted by preset throughput. Both are pure
+//!   functions of the call sequence, so a sequentially driven run yields
+//!   a byte-identical routing trace.
 //! * **Health** — each shard walks the state machine
 //!   `Up → Suspect → Down → Draining → Up`. Failures debounce through
 //!   `Suspect` before a shard is declared `Down`; an optional liveness
@@ -47,15 +46,9 @@ use std::time::Instant;
 pub enum BalancePolicy {
     /// Strict rotation over the eligible shards.
     RoundRobin,
-    /// The eligible shard with the fewest queries in flight (ties go to
-    /// the lowest shard index).
-    LeastOutstanding,
-    /// The eligible shard with the lowest exponentially weighted moving
-    /// average service latency; unmeasured shards are preferred.
-    LatencyEwma,
-    /// The eligible shard with the lowest routed-count-to-weight ratio,
-    /// so long-run traffic shares converge to the configured weights
-    /// (preset peak throughput).
+    /// The eligible shard with the lowest routed-count-to-weight ratio
+    /// (ties go to the lowest shard index), so long-run traffic shares
+    /// converge to the configured weights (preset peak throughput).
     WeightedThroughput,
 }
 
@@ -64,8 +57,6 @@ impl BalancePolicy {
     pub fn label(&self) -> &'static str {
         match self {
             BalancePolicy::RoundRobin => "round_robin",
-            BalancePolicy::LeastOutstanding => "least_outstanding",
-            BalancePolicy::LatencyEwma => "latency_ewma",
             BalancePolicy::WeightedThroughput => "weighted",
         }
     }
@@ -77,13 +68,12 @@ pub enum ShardHealth {
     /// Serving normally.
     Up,
     /// At least one recent failure; still routable while the failure
-    /// count debounces toward [`ShardConfig::down_after`].
+    /// count debounces toward `DOWN_AFTER` (2).
     Suspect,
     /// Declared dead: receives no traffic until a probe readmits it.
     Down,
-    /// Readmitted after `Down`; takes at most
-    /// [`ShardConfig::warmup_cap`] queries in flight until
-    /// [`ShardConfig::warmup_queries`] successes promote it to `Up`.
+    /// Readmitted after `Down`; takes at most `WARMUP_CAP` (1) query in
+    /// flight until `WARMUP_QUERIES` (3) successes promote it to `Up`.
     Draining,
 }
 
@@ -99,28 +89,14 @@ impl ShardHealth {
     }
 }
 
-/// Health state machine tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Consecutive failures after which a `Suspect` shard is declared
-    /// `Down` (the debounce depth; 1 = first failure past `Suspect`).
-    pub down_after: u32,
-    /// Maximum queries in flight on a `Draining` shard.
-    pub warmup_cap: usize,
-    /// Successful queries a `Draining` shard must serve before it is
-    /// promoted back to `Up`.
-    pub warmup_queries: u64,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            down_after: 2,
-            warmup_cap: 1,
-            warmup_queries: 3,
-        }
-    }
-}
+/// Consecutive failures after which a `Suspect` shard is declared `Down`
+/// (the debounce depth; 1 = the first failure past `Suspect`).
+const DOWN_AFTER: u32 = 2;
+/// Maximum queries in flight on a `Draining` shard.
+const WARMUP_CAP: usize = 1;
+/// Successful queries a `Draining` shard must serve before it is promoted
+/// back to `Up`.
+const WARMUP_QUERIES: u64 = 3;
 
 /// A liveness probe: `true` means the endpoint looks reachable. Wire
 /// shards use `RemoteSut::is_connected` (heartbeat/clock-probe driven).
@@ -192,8 +168,6 @@ struct Shard {
     state: Mutex<ShardState>,
     /// Queries currently in flight on this shard.
     outstanding: AtomicUsize,
-    /// EWMA of service latency in nanoseconds (0 = unmeasured).
-    ewma_ns: AtomicU64,
     /// Queries ever routed here (attempts, not successes).
     routed: AtomicU64,
 }
@@ -209,8 +183,6 @@ pub struct ShardStatus {
     pub outstanding: usize,
     /// Queries ever routed to this shard.
     pub routed: u64,
-    /// EWMA service latency in nanoseconds (0 = unmeasured).
-    pub ewma_ns: u64,
 }
 
 /// A [`RealtimeSut`] router fanning one scenario's traffic across N
@@ -219,7 +191,6 @@ pub struct ShardedSut {
     name: String,
     policy: BalancePolicy,
     shards: Vec<Shard>,
-    config: ShardConfig,
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
     origin: Instant,
@@ -235,7 +206,6 @@ impl ShardedSut {
             name: name.to_string(),
             policy,
             shards: Vec::new(),
-            config: ShardConfig::default(),
             sink: None,
             metrics: None,
             origin: Instant::now(),
@@ -256,15 +226,8 @@ impl ShardedSut {
                 drained: 0,
             }),
             outstanding: AtomicUsize::new(0),
-            ewma_ns: AtomicU64::new(0),
             routed: AtomicU64::new(0),
         });
-        self
-    }
-
-    /// Overrides the health state machine tuning.
-    pub fn with_config(mut self, config: ShardConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -287,11 +250,6 @@ impl ShardedSut {
         self
     }
 
-    /// The balancing policy in force.
-    pub fn policy(&self) -> BalancePolicy {
-        self.policy
-    }
-
     /// A point-in-time snapshot of every shard, in endpoint order.
     pub fn status(&self) -> Vec<ShardStatus> {
         self.shards
@@ -301,17 +259,8 @@ impl ShardedSut {
                 health: lock(&s.state).health,
                 outstanding: s.outstanding.load(Ordering::SeqCst),
                 routed: s.routed.load(Ordering::SeqCst),
-                ewma_ns: s.ewma_ns.load(Ordering::SeqCst),
             })
             .collect()
-    }
-
-    /// Current health of the labelled shard, if it exists.
-    pub fn health_of(&self, label: &str) -> Option<ShardHealth> {
-        self.shards
-            .iter()
-            .find(|s| s.label == label)
-            .map(|s| lock(&s.state).health)
     }
 
     fn now_ns(&self) -> u64 {
@@ -379,9 +328,7 @@ impl ShardedSut {
         match state.health {
             ShardHealth::Up | ShardHealth::Suspect => true,
             ShardHealth::Down => false,
-            ShardHealth::Draining => {
-                shard.outstanding.load(Ordering::SeqCst) < self.config.warmup_cap
-            }
+            ShardHealth::Draining => shard.outstanding.load(Ordering::SeqCst) < WARMUP_CAP,
         }
     }
 
@@ -410,14 +357,6 @@ impl ShardedSut {
                 let n = self.rr.fetch_add(1, Ordering::SeqCst);
                 candidates[n % candidates.len()]
             }
-            BalancePolicy::LeastOutstanding => *candidates
-                .iter()
-                .min_by_key(|i| (self.shards[**i].outstanding.load(Ordering::SeqCst), **i))
-                .expect("non-empty"),
-            BalancePolicy::LatencyEwma => *candidates
-                .iter()
-                .min_by_key(|i| (self.shards[**i].ewma_ns.load(Ordering::SeqCst), **i))
-                .expect("non-empty"),
             BalancePolicy::WeightedThroughput => *candidates
                 .iter()
                 .min_by(|a, b| {
@@ -436,18 +375,8 @@ impl ShardedSut {
 
     /// Records a successful attempt: failure streak resets, `Suspect`
     /// recovers to `Up`, `Draining` counts toward its warm-up promotion.
-    fn note_success(&self, i: usize, elapsed_ns: u64) {
+    fn note_success(&self, i: usize) {
         let shard = &self.shards[i];
-        // EWMA with alpha = 1/8; first sample seeds the average.
-        let _ = shard
-            .ewma_ns
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
-                Some(if old == 0 {
-                    elapsed_ns
-                } else {
-                    old - old / 8 + elapsed_ns / 8
-                })
-            });
         let mut state = lock(&shard.state);
         state.consecutive_failures = 0;
         match state.health {
@@ -458,7 +387,7 @@ impl ShardedSut {
             }
             ShardHealth::Draining => {
                 state.drained += 1;
-                if state.drained >= self.config.warmup_queries {
+                if state.drained >= WARMUP_QUERIES {
                     let served = state.drained;
                     state.health = ShardHealth::Up;
                     state.drained = 0;
@@ -487,7 +416,7 @@ impl ShardedSut {
                 drop(state);
                 self.emit(&shard.label, "suspect", query_id, why);
             }
-            ShardHealth::Suspect if failures > self.config.down_after => {
+            ShardHealth::Suspect if failures > DOWN_AFTER => {
                 state.health = ShardHealth::Down;
                 state.consecutive_failures = 0;
                 drop(state);
@@ -510,10 +439,7 @@ impl RealtimeSut for ShardedSut {
     }
 
     fn issue(&self, query: &Query) -> Vec<SampleCompletion> {
-        match self.issue_outcome(query) {
-            IssueOutcome::Completed(samples) => samples,
-            IssueOutcome::Errored | IssueOutcome::Vanished => Vec::new(),
-        }
+        self.issue_outcome(query).into_samples(query)
     }
 
     fn issue_outcome(&self, query: &Query) -> IssueOutcome {
@@ -531,13 +457,11 @@ impl RealtimeSut for ShardedSut {
             shard.routed.fetch_add(1, Ordering::SeqCst);
             shard.outstanding.fetch_add(1, Ordering::SeqCst);
             self.emit(&shard.label, "route", query.id, self.policy.label());
-            let started = Instant::now();
             let outcome = shard.sut.issue_outcome(query);
-            let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             shard.outstanding.fetch_sub(1, Ordering::SeqCst);
             match outcome {
                 IssueOutcome::Completed(samples) => {
-                    self.note_success(i, elapsed_ns);
+                    self.note_success(i);
                     return IssueOutcome::Completed(samples);
                 }
                 IssueOutcome::Errored => {
@@ -666,13 +590,13 @@ mod tests {
             .join("\n")
     }
 
+    fn health(sut: &ShardedSut, i: usize) -> ShardHealth {
+        sut.status()[i].health
+    }
+
     #[test]
     fn routing_is_deterministic_per_policy() {
-        for policy in [
-            BalancePolicy::RoundRobin,
-            BalancePolicy::LeastOutstanding,
-            BalancePolicy::WeightedThroughput,
-        ] {
+        for policy in [BalancePolicy::RoundRobin, BalancePolicy::WeightedThroughput] {
             let traces: Vec<String> = (0..2)
                 .map(|_| {
                     let sink = Arc::new(RingBufferSink::unbounded());
@@ -725,36 +649,32 @@ mod tests {
     fn failures_debounce_through_suspect_before_down() {
         let sink = Arc::new(RingBufferSink::unbounded());
         let (bad, broken) = ToggleSut::switchable("bad", false);
-        let sut = ShardedSut::new("fleet", BalancePolicy::LeastOutstanding)
+        let sut = ShardedSut::new("fleet", BalancePolicy::WeightedThroughput)
             .with_endpoint(ShardEndpoint::new("shard-0", bad))
             .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("ok")))
-            .with_config(ShardConfig {
-                down_after: 2,
-                ..ShardConfig::default()
-            })
             .with_sink(sink.clone());
         broken.store(true, Ordering::SeqCst);
-        // Least-outstanding ties go to shard-0, which fails over to
-        // shard-1 each time; the run still completes every query.
+        // Equal weights tie at every pick and ties go to shard-0, which
+        // fails over to shard-1 each time; every query still completes.
         assert!(matches!(
             sut.issue_outcome(&query(1)),
             IssueOutcome::Completed(_)
         ));
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Suspect));
+        assert_eq!(health(&sut, 0), ShardHealth::Suspect);
         assert!(matches!(
             sut.issue_outcome(&query(2)),
             IssueOutcome::Completed(_)
         ));
         assert_eq!(
-            sut.health_of("shard-0"),
-            Some(ShardHealth::Suspect),
+            health(&sut, 0),
+            ShardHealth::Suspect,
             "one failure past Suspect must not down the shard yet"
         );
         assert!(matches!(
             sut.issue_outcome(&query(3)),
             IssueOutcome::Completed(_)
         ));
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Down));
+        assert_eq!(health(&sut, 0), ShardHealth::Down);
         // Down shards receive no further traffic.
         let before = sut.status()[0].routed;
         sut.issue_outcome(&query(4));
@@ -781,13 +701,13 @@ mod tests {
             .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("ok")));
         broken.store(true, Ordering::SeqCst);
         sut.issue_outcome(&query(1));
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Suspect));
+        assert_eq!(health(&sut, 0), ShardHealth::Suspect);
         broken.store(false, Ordering::SeqCst);
         // Round-robin returns to shard-0 soon; a success clears Suspect.
         for id in 2..=4 {
             sut.issue_outcome(&query(id));
         }
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Up));
+        assert_eq!(health(&sut, 0), ShardHealth::Up);
     }
 
     #[test]
@@ -801,30 +721,25 @@ mod tests {
                     .with_probe(Arc::new(move || probe_alive.load(Ordering::SeqCst))),
             )
             .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("b")))
-            .with_config(ShardConfig {
-                down_after: 2,
-                warmup_cap: 1,
-                warmup_queries: 2,
-            })
             .with_sink(sink.clone());
         // Probe failure downs the shard without any query failing.
         alive.store(false, Ordering::SeqCst);
         sut.issue_outcome(&query(1));
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Down));
+        assert_eq!(health(&sut, 0), ShardHealth::Down);
         // Probe recovery readmits it as Draining...
         alive.store(true, Ordering::SeqCst);
         sut.issue_outcome(&query(2));
-        // ...and after warmup_queries successes it is Up again. (The
+        // ...and after WARMUP_QUERIES successes it is Up again. (The
         // first post-rejoin query may land on either shard; drive a few.)
         let mut seen_draining = false;
-        for id in 3..=8 {
-            if sut.health_of("shard-0") == Some(ShardHealth::Draining) {
+        for id in 3..=10 {
+            if health(&sut, 0) == ShardHealth::Draining {
                 seen_draining = true;
             }
             sut.issue_outcome(&query(id));
         }
         assert!(seen_draining, "rejoin must pass through Draining");
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Up));
+        assert_eq!(health(&sut, 0), ShardHealth::Up);
         let kinds: Vec<String> = sink
             .snapshot()
             .iter()
@@ -842,34 +757,38 @@ mod tests {
 
     #[test]
     fn draining_shard_respects_the_warmup_cap() {
-        // With warmup_cap = 0 a Draining shard is ineligible, so all
-        // traffic goes to the healthy shard until the cap admits it.
+        // A Draining shard with WARMUP_CAP queries in flight is ineligible,
+        // so all traffic goes to the healthy shard until one returns.
         let alive = Arc::new(AtomicBool::new(false));
         let probe_alive = alive.clone();
-        let sut = ShardedSut::new("fleet", BalancePolicy::LeastOutstanding)
+        let sut = ShardedSut::new("fleet", BalancePolicy::WeightedThroughput)
             .with_endpoint(
                 ShardEndpoint::new("shard-0", ToggleSut::healthy("a"))
                     .with_probe(Arc::new(move || probe_alive.load(Ordering::SeqCst))),
             )
-            .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("b")))
-            .with_config(ShardConfig {
-                down_after: 2,
-                warmup_cap: 0,
-                warmup_queries: 1,
-            });
+            .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("b")));
         sut.issue_outcome(&query(1));
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Down));
+        assert_eq!(health(&sut, 0), ShardHealth::Down);
         alive.store(true, Ordering::SeqCst);
+        // Sequential calls never overlap, so stand in for the in-flight
+        // queries of a concurrent run.
+        sut.shards[0]
+            .outstanding
+            .store(WARMUP_CAP, Ordering::SeqCst);
         let routed_before = sut.status()[0].routed;
         for id in 2..=6 {
             sut.issue_outcome(&query(id));
         }
-        assert_eq!(sut.health_of("shard-0"), Some(ShardHealth::Draining));
+        assert_eq!(health(&sut, 0), ShardHealth::Draining);
         assert_eq!(
             sut.status()[0].routed,
             routed_before,
-            "a zero-cap Draining shard must receive no traffic"
+            "a Draining shard at its cap must receive no traffic"
         );
+        // Under the cap it is the least-loaded shard again.
+        sut.shards[0].outstanding.store(0, Ordering::SeqCst);
+        sut.issue_outcome(&query(7));
+        assert_eq!(sut.status()[0].routed, routed_before + 1);
     }
 
     #[test]
@@ -885,19 +804,46 @@ mod tests {
         // surfaces (order here: shard-0 errored, then shard-1 vanished).
         assert_eq!(sut.issue_outcome(&query(1)), IssueOutcome::Vanished);
         // Once every shard is Down, the fleet reports Vanished outright.
-        while sut.health_of("shard-0") != Some(ShardHealth::Down)
-            || sut.health_of("shard-1") != Some(ShardHealth::Down)
-        {
+        while health(&sut, 0) != ShardHealth::Down || health(&sut, 1) != ShardHealth::Down {
             sut.issue_outcome(&query(2));
         }
         assert_eq!(sut.issue_outcome(&query(3)), IssueOutcome::Vanished);
+    }
+
+    /// `issue` has no failure channel: a query the fleet could not serve
+    /// still answers every sample, as `RemoteSut::issue` does, so the
+    /// recorder's sample-id checks hold.
+    #[test]
+    fn issue_over_an_all_failing_fleet_answers_every_sample() {
+        let (a, break_a) = ToggleSut::switchable("a", false);
+        let (b, break_b) = ToggleSut::switchable("b", true);
+        let sut = ShardedSut::new("fleet", BalancePolicy::RoundRobin)
+            .with_endpoint(ShardEndpoint::new("shard-0", a))
+            .with_endpoint(ShardEndpoint::new("shard-1", b));
+        break_a.store(true, Ordering::SeqCst);
+        break_b.store(true, Ordering::SeqCst);
+        let mut q = query(9);
+        q.samples = (0..3)
+            .map(|index| QuerySample {
+                id: 900 + index as u64,
+                index,
+            })
+            .collect();
+        let want: Vec<u64> = q.samples.iter().map(|s| s.id).collect();
+        // Errored and vanished attempts, then an all-Down fleet.
+        for _ in 0..4 {
+            let got: Vec<u64> = sut.issue(&q).iter().map(|c| c.sample_id).collect();
+            assert_eq!(got.len(), q.sample_count());
+            assert_eq!(got, want);
+        }
+        assert_eq!(health(&sut, 0), ShardHealth::Down);
     }
 
     #[test]
     fn failover_completes_the_query_exactly_once() {
         let sink = Arc::new(RingBufferSink::unbounded());
         let (bad, broken) = ToggleSut::switchable("bad", false);
-        let sut = ShardedSut::new("fleet", BalancePolicy::LeastOutstanding)
+        let sut = ShardedSut::new("fleet", BalancePolicy::WeightedThroughput)
             .with_endpoint(ShardEndpoint::new("shard-0", bad))
             .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("ok")))
             .with_sink(sink.clone());
@@ -930,7 +876,7 @@ mod tests {
     fn metrics_count_routes_and_failovers_per_shard() {
         let metrics = Arc::new(MetricsRegistry::new());
         let (bad, broken) = ToggleSut::switchable("bad", false);
-        let sut = ShardedSut::new("fleet", BalancePolicy::LeastOutstanding)
+        let sut = ShardedSut::new("fleet", BalancePolicy::WeightedThroughput)
             .with_endpoint(ShardEndpoint::new("shard-0", bad))
             .with_endpoint(ShardEndpoint::new("shard-1", ToggleSut::healthy("ok")))
             .with_metrics(metrics.clone());
@@ -941,30 +887,5 @@ mod tests {
         assert_eq!(snap.counter("shard_route_shard-1"), 1);
         assert_eq!(snap.counter("shard_failover_shard-0"), 1);
         assert_eq!(snap.counter("shard_failover"), 1);
-    }
-
-    #[test]
-    fn latency_ewma_prefers_the_faster_shard() {
-        let fast = Arc::new(mlperf_loadgen::sut::SleepSut::new(
-            "fast",
-            std::time::Duration::from_micros(50),
-        ));
-        let slow = Arc::new(mlperf_loadgen::sut::SleepSut::new(
-            "slow",
-            std::time::Duration::from_millis(3),
-        ));
-        let sut = ShardedSut::new("fleet", BalancePolicy::LatencyEwma)
-            .with_endpoint(ShardEndpoint::new("shard-0", slow))
-            .with_endpoint(ShardEndpoint::new("shard-1", fast));
-        for id in 1..=20 {
-            sut.issue_outcome(&query(id));
-        }
-        let status = sut.status();
-        // Both get probed while unmeasured; after that the fast shard
-        // wins every pick.
-        assert!(
-            status[1].routed > status[0].routed * 3,
-            "fast shard must dominate: {status:?}"
-        );
     }
 }

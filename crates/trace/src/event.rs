@@ -118,7 +118,7 @@ pub enum TraceEvent {
     RecoveryAction {
         /// Query id the action concerned.
         query_id: u64,
-        /// Action label: `timeout`, `retry`, `failover`, or `shed`.
+        /// Action label: `timeout`, `retry`, `failover`, or `exhausted`.
         action: String,
         /// 1-based attempt number (retries); 0 where not meaningful.
         attempt: u32,

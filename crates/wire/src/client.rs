@@ -759,20 +759,7 @@ impl RealtimeSut for RemoteSut {
     }
 
     fn issue(&self, query: &Query) -> Vec<SampleCompletion> {
-        match self.issue_outcome(query) {
-            IssueOutcome::Completed(samples) => samples,
-            // `issue` has no failure channel; echo empty payloads so the
-            // recorder's sample-id checks still hold. The wall-clock loop
-            // uses `issue_outcome` and never hits this path.
-            IssueOutcome::Errored | IssueOutcome::Vanished => query
-                .samples
-                .iter()
-                .map(|s| SampleCompletion {
-                    sample_id: s.id,
-                    payload: Default::default(),
-                })
-                .collect(),
-        }
+        self.issue_outcome(query).into_samples(query)
     }
 
     fn issue_outcome(&self, query: &Query) -> IssueOutcome {

@@ -27,7 +27,7 @@ pub struct DaemonStats {
     /// Name of the SUT the daemon exports.
     pub sut_name: String,
     /// Daemon-assigned shard label (empty when the daemon is not part of
-    /// a sharded fleet). `netbench --watch` keys its fleet table on it.
+    /// a sharded fleet).
     pub shard: String,
     /// Nanoseconds since the daemon started serving.
     pub uptime_ns: u64,

@@ -114,8 +114,6 @@ impl Transport for TcpTransport {
 #[derive(Debug, Clone)]
 pub struct WireChaosPlan {
     seed: u64,
-    /// Probability a received frame has one byte flipped.
-    pub corrupt_recv_prob: f64,
     /// Flip one byte in exactly this received frame (1-based index).
     pub corrupt_recv_at: Option<u64>,
     /// Truncate exactly this received frame (1-based index).
@@ -139,7 +137,6 @@ impl WireChaosPlan {
     pub fn new(seed: u64) -> Self {
         WireChaosPlan {
             seed,
-            corrupt_recv_prob: 0.0,
             corrupt_recv_at: None,
             truncate_recv_at: None,
             duplicate_send_prob: 0.0,
@@ -148,13 +145,6 @@ impl WireChaosPlan {
             partition_send_after: None,
             partition_recv_after: None,
         }
-    }
-
-    /// Arms per-frame byte corruption on the receive side.
-    #[must_use]
-    pub fn with_corrupt_recv(mut self, prob: f64) -> Self {
-        self.corrupt_recv_prob = prob.clamp(0.0, 1.0);
-        self
     }
 
     /// Flips one byte in exactly the `n`-th received frame (1-based).
@@ -209,8 +199,7 @@ impl WireChaosPlan {
 
     /// Whether any fault is armed. A disarmed plan is a pure pass-through.
     pub fn is_armed(&self) -> bool {
-        self.corrupt_recv_prob > 0.0
-            || self.corrupt_recv_at.is_some()
+        self.corrupt_recv_at.is_some()
             || self.truncate_recv_at.is_some()
             || self.duplicate_send_prob > 0.0
             || self.delay_recv.is_some()
@@ -409,10 +398,7 @@ impl Transport for ChaosTransport {
                     );
                 }
             }
-            let corrupt = plan.corrupt_recv_at == Some(frame)
-                || (plan.corrupt_recv_prob > 0.0
-                    && plan.draw(RECV_SALT, frame) < plan.corrupt_recv_prob);
-            if corrupt && !payload.is_empty() {
+            if plan.corrupt_recv_at == Some(frame) && !payload.is_empty() {
                 let pos = plan.flip_at(RECV_SALT, frame, payload.len());
                 payload[pos] ^= 0x20;
                 self.session
@@ -504,7 +490,7 @@ mod tests {
         // hands its clone (the client's reader half) the same pass-through:
         // every frame would be corrupted if the clone re-armed itself.
         let armed = WireChaosPlan::new(7)
-            .with_corrupt_recv(1.0)
+            .with_corrupt_recv_at(1)
             .with_duplicate_send(1.0);
         let pipe = MemPipe::default();
         let (out, inp) = (Arc::clone(&pipe.out), Arc::clone(&pipe.inp));
@@ -523,7 +509,7 @@ mod tests {
 
     #[test]
     fn corrupt_recv_is_caught_by_crc() {
-        let plan = WireChaosPlan::new(11).with_corrupt_recv(1.0);
+        let plan = WireChaosPlan::new(11).with_corrupt_recv_at(1);
         assert!(plan.is_armed());
         let (mut t, _out, inp) = wrapped(plan);
         inp.lock().unwrap().push_back(seal(b"an innocent frame"));
@@ -560,17 +546,12 @@ mod tests {
 
     #[test]
     fn injections_are_order_independent() {
-        // Same seed, same frame index => same corrupt decision, whatever
+        // Same seed, same frame index => same duplicate decision, whatever
         // happened before.
-        let plan = WireChaosPlan::new(23).with_corrupt_recv(0.5);
-        let picks: Vec<bool> = (1..=64)
-            .map(|frame| plan.draw(RECV_SALT, frame) < plan.corrupt_recv_prob)
-            .collect();
-        let replay: Vec<bool> = (1..=64)
-            .rev()
-            .map(|frame| plan.draw(RECV_SALT, frame) < plan.corrupt_recv_prob)
-            .rev()
-            .collect();
+        let plan = WireChaosPlan::new(23).with_duplicate_send(0.5);
+        let pick = |frame| plan.draw(SEND_SALT ^ 0xD0B, frame) < plan.duplicate_send_prob;
+        let picks: Vec<bool> = (1..=64).map(pick).collect();
+        let replay: Vec<bool> = (1..=64).rev().map(pick).rev().collect();
         assert_eq!(picks, replay);
         assert!(picks.iter().any(|&p| p));
         assert!(picks.iter().any(|&p| !p));
