@@ -7,8 +7,7 @@
 //! netbench --loopback [opts]            single-process: daemon + client on 127.0.0.1
 //!
 //! opts: [--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>]
-//!       [--chrome <path>] [--flight-dir <dir>] [--analyze] [--stats]
-//!       [--watch] [--check]
+//!       [--chrome <path>] [--flight-dir <dir>] [--stats] [--watch] [--check]
 //! ```
 //!
 //! Every mode but `--serve` is the same path over a [`Rig`] of one daemon:
@@ -28,9 +27,8 @@
 //! snapshots; `--stats` asks the daemon for a live [`DaemonStats`]
 //! snapshot; `--watch` polls those snapshots into a live console line
 //! while the runs execute. A run that ends INVALID automatically leaves a
-//! flight-recorder dump of its freshest events under `--flight-dir`;
-//! `--analyze` additionally runs tail-latency forensics over the dumped
-//! tail and writes a `<dump>.analysis.md` root-cause report beside it.
+//! flight-recorder dump of its freshest events under `--flight-dir`, with
+//! a `<dump>.analysis.md` root-cause report beside it.
 //!
 //! `--check` is the CI smoke mode: it repeats the run pair over fresh
 //! connections and asserts every run is VALID, the two logical logs render
@@ -62,7 +60,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: netbench (--serve <addr> | --connect <addr> | --loopback) \
 [--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>] [--chrome <path>] \
-[--flight-dir <dir>] [--analyze] [--stats] [--watch] [--check]";
+[--flight-dir <dir>] [--stats] [--watch] [--check]";
 
 /// Scaled-down run pair. Both scenarios terminate on schedule-derived
 /// conditions (an offline run is one batch; the server issue loop stops on
@@ -243,7 +241,6 @@ struct Opts {
     detail: Option<String>,
     chrome: Option<String>,
     flight_dir: String,
-    analyze: bool,
     stats: bool,
     watch: bool,
     check: bool,
@@ -258,7 +255,7 @@ fn drive(rig: &Rig, opts: &Opts) -> Result<(Vec<RunSummary>, String), String> {
         if !summary.valid {
             let path = format!("{}/netbench_flight_{label}.jsonl", opts.flight_dir);
             let reason = format!("{label} run INVALID: {}", summary.issues.join("; "));
-            dump_flight(&path, &reason, &summary.records, opts.analyze);
+            dump_flight(&path, &reason, &summary.records);
         }
         summaries.push(summary);
     }
@@ -478,7 +475,6 @@ fn main() -> ExitCode {
         detail: None,
         chrome: None,
         flight_dir: ".".to_string(),
-        analyze: false,
         stats: false,
         watch: false,
         check: false,
@@ -525,7 +521,6 @@ fn main() -> ExitCode {
                     _ => opts.flight_dir = v.clone(),
                 }
             }
-            "--analyze" => opts.analyze = true,
             "--stats" => opts.stats = true,
             "--watch" => opts.watch = true,
             "--check" => opts.check = true,

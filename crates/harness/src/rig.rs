@@ -328,23 +328,21 @@ pub fn issue_kinds(result: &TestResult) -> Vec<String> {
 const FLIGHT_TAIL: usize = 256;
 
 /// Writes the flight-recorder dump of an INVALID run — the freshest
-/// [`FLIGHT_TAIL`] of `records` under `reason` — to `path`, and says where
-/// it went. With `analyze`, the forensics layer runs over the dumped tail
-/// and leaves a root-cause report at `<path>.analysis.md`.
-pub fn dump_flight(path: &str, reason: &str, records: &[TraceRecord], analyze: bool) {
+/// [`FLIGHT_TAIL`] of `records` under `reason` — to `path`, runs the
+/// forensics layer over the dumped tail, leaves its root-cause report at
+/// `<path>.analysis.md`, and says where both went.
+pub fn dump_flight(path: &str, reason: &str, records: &[TraceRecord]) {
     let tail_start = records.len().saturating_sub(FLIGHT_TAIL);
     let tail = &records[tail_start..];
     match std::fs::write(path, render_flight_dump(reason, tail, tail_start as u64)) {
         Ok(()) => eprintln!("flight recorder: dumped {path}"),
         Err(e) => eprintln!("flight recorder: cannot write {path}: {e}"),
     }
-    if analyze {
-        let reasons = [reason.to_string()];
-        let analysis = mlperf_analysis::analyze_records(path, tail, &reasons, None);
-        let report_path = format!("{path}.analysis.md");
-        match std::fs::write(&report_path, mlperf_analysis::render_markdown(&analysis)) {
-            Ok(()) => eprintln!("forensics: wrote {report_path}"),
-            Err(e) => eprintln!("forensics: cannot write {report_path}: {e}"),
-        }
+    let reasons = [reason.to_string()];
+    let analysis = mlperf_analysis::analyze_records(path, tail, &reasons, None);
+    let report_path = format!("{path}.analysis.md");
+    match std::fs::write(&report_path, mlperf_analysis::render_markdown(&analysis)) {
+        Ok(()) => eprintln!("forensics: wrote {report_path}"),
+        Err(e) => eprintln!("forensics: cannot write {report_path}: {e}"),
     }
 }

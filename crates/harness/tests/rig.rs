@@ -1,18 +1,22 @@
 //! The loopback wire rig, tested where it lives: what `Rig::connect`
 //! builds for one daemon and for several, the watcher's trigger contract,
-//! `respawn`, and teardown on every exit. `fleet_crash.rs` is the
-//! integration test (journaled fleet, kill, successor, resume).
+//! `respawn`, teardown on every exit, and the flight dump of an INVALID
+//! run. `fleet_crash.rs` is the integration test (journaled fleet, kill,
+//! successor, resume).
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mlperf_audit::tests::completeness_report;
-use mlperf_harness::rig::{Rebind, Rig, Wired};
+use mlperf_harness::rig::{dump_flight, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
+use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
+use mlperf_loadgen::Run;
 use mlperf_sut::BalancePolicy;
+use mlperf_trace::flight::parse_flight_dump;
 use mlperf_trace::{RingBufferSink, TraceEvent};
 use mlperf_wire::{RemoteSutConfig, ServeConfig};
 
@@ -236,4 +240,37 @@ fn a_failed_connect_and_a_dropped_rig_leave_nothing_listening() {
     for addr in &addrs {
         assert!(TcpStream::connect(addr).is_err(), "{addr} still listens");
     }
+}
+
+#[test]
+fn a_flight_dump_always_leaves_its_root_cause_report_beside_it() {
+    // Every query of this server run busts the latency bound, so it is
+    // INVALID by `latency_bound_exceeded` under any seed.
+    let settings = TestSettings::server(2_000.0, Nanos::from_micros(50))
+        .with_min_query_count(64)
+        .with_min_duration(Nanos::from_millis(10));
+    let sink = RingBufferSink::unbounded();
+    let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
+    let mut sut = FixedLatencySut::new("rig-slow", Nanos::from_millis(2));
+    let out = Run::simulated(&settings)
+        .sink(&sink)
+        .run(&mut qsl, &mut sut)
+        .unwrap();
+    assert!(!out.result.is_valid());
+
+    let dir = std::env::temp_dir().join(format!("rig-flight-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("flight.jsonl").display().to_string();
+    dump_flight(&path, "rig run INVALID", &sink.snapshot());
+    let dump = std::fs::read_to_string(&path).map(|d| parse_flight_dump(&d));
+    let report = std::fs::read_to_string(format!("{path}.analysis.md"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dump = dump
+        .expect("the dump was written")
+        .expect("the dump parses");
+    assert_eq!(dump.reason, "rig run INVALID");
+    assert!(!dump.records.is_empty());
+    let report = report.expect("the analysis was written beside the dump");
+    assert!(report.contains("`latency_bound_exceeded`"), "{report}");
 }
