@@ -176,7 +176,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         let id = query_id(lane, ordinal);
         let mut query = build_query(id, &mut self.next_sample_id, indices, at);
         query.tenant = lane as u32;
-        self.lanes[lane].issue(&query, at, self.sink, self.metrics)?;
+        self.lanes[lane].issue(&query, at, self.sink)?;
         let reaction = self.sut.on_query(at, &query);
         if self.sink.enabled() {
             let sent = TraceEvent::QuerySent { query_id: id };
@@ -234,7 +234,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         let lane = self.lanes.get_mut(lane).ok_or_else(|| {
             LoadGenError::SutProtocol(format!("completion routed to unknown tenant {lane}"))
         })?;
-        lane.complete(completion, self.sink, self.metrics)
+        lane.complete(completion, self.sink)
     }
 
     /// The one arrival-driven loop: every open-loop run — the server
@@ -521,7 +521,12 @@ where
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    let mut sim = Sim::new(vec![Lane::new(settings)], sut, instruments, registry);
+    let mut sim = Sim::new(
+        vec![Lane::new(settings, registry)],
+        sut,
+        instruments,
+        registry,
+    );
     if let Some(cp) = &restored {
         sim.restore(cp)?;
     }

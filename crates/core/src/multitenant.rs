@@ -95,7 +95,9 @@ where
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    let lanes = tenants.iter().map(|(settings, _)| Lane::new(settings));
+    let lanes = tenants
+        .iter()
+        .map(|(settings, _)| Lane::new(settings, registry));
     let mut sim = Sim::new(lanes.collect(), sut, instruments, registry);
     sim.run_arrivals(&mut sources, None)?;
     if let (Some(sampler), Some(metrics)) = (instruments.sampler, registry) {

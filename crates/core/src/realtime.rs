@@ -278,11 +278,11 @@ impl Wall<'_> {
         issued_at: Nanos,
     ) -> Result<Nanos, LoadGenError> {
         let query = build_query(id, &mut self.next_sample_id, indices, scheduled_at);
-        self.lane.issue(&query, issued_at, self.sink, None)?;
+        self.lane.issue(&query, issued_at, self.sink)?;
         let outcome = self.sut.issue_outcome(&query);
         let finished = self.now();
         if let Some(completion) = resolve(&query, outcome, finished) {
-            self.lane.complete(&completion, self.sink, None)?;
+            self.lane.complete(&completion, self.sink)?;
         }
         Ok(finished)
     }
@@ -364,7 +364,7 @@ impl Wall<'_> {
             if !halted {
                 phase(self.sink, self.now(), "drain", self.lane.settings);
                 for completion in done_rx.iter() {
-                    self.lane.complete(&completion, self.sink, None)?;
+                    self.lane.complete(&completion, self.sink)?;
                 }
             }
             Ok(halted)
@@ -399,7 +399,7 @@ impl Wall<'_> {
             // The honest stamp: when the query actually left, which is the
             // arrival plus however late the pacer let go.
             let issued_at = self.now().max(arrival);
-            self.lane.issue(&query, issued_at, self.sink, None)?;
+            self.lane.issue(&query, issued_at, self.sink)?;
             hand_over(queue, query)?;
             if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &*source)
             {
@@ -415,7 +415,7 @@ impl Wall<'_> {
             // every issued query is outstanding at every checkpoint: the
             // stable prefix never advances and the journal is quadratic.
             for completion in done_rx.try_iter() {
-                self.lane.complete(&completion, self.sink, None)?;
+                self.lane.complete(&completion, self.sink)?;
             }
         }
         Ok(false)
@@ -452,7 +452,7 @@ where
         sink,
         start: origin,
         pacer: Pacer::default(),
-        lane: Lane::new(settings),
+        lane: Lane::new(settings, None),
         next_sample_id: 0,
     };
     let mut resend = Vec::new();

@@ -66,7 +66,7 @@ use crate::time::Nanos;
 use crate::validate::{check_run, overlatency_fraction, percentile_latency};
 use crate::LoadGenError;
 use mlperf_stats::Rng64;
-use mlperf_trace::{profile_span, MetricsRegistry, TraceEvent, TraceSink};
+use mlperf_trace::{profile_span, Counter, Histogram, MetricsRegistry, TraceEvent, TraceSink};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
@@ -403,6 +403,30 @@ pub(crate) fn phase(sink: &dyn TraceSink, at: Nanos, phase: &str, settings: &Tes
     }
 }
 
+/// The metrics an issue or a completion updates, resolved from the run's
+/// registry once, so a query pays for no name lookup.
+struct QueryMetrics {
+    queries_issued: Counter,
+    samples_issued: Counter,
+    queries_errored: Counter,
+    queries_completed: Counter,
+    samples_completed: Counter,
+    query_latency_ns: Histogram,
+}
+
+impl QueryMetrics {
+    fn resolve(registry: &MetricsRegistry) -> Self {
+        Self {
+            queries_issued: registry.counter("queries_issued"),
+            samples_issued: registry.counter("samples_issued"),
+            queries_errored: registry.counter("queries_errored"),
+            queries_completed: registry.counter("queries_completed"),
+            samples_completed: registry.counter("samples_completed"),
+            query_latency_ns: registry.histogram("query_latency_ns"),
+        }
+    }
+}
+
 /// One query stream's bookkeeping, shared by both clocks: its settings,
 /// its recorder and its accuracy-log sampler, plus the detail-log events
 /// and metrics an issue or a completion produces. A single-tenant run has
@@ -414,10 +438,11 @@ pub(crate) struct Lane<'a> {
     /// The share of response payloads that land in the accuracy log: all
     /// of them in accuracy mode, a seeded sample in performance mode.
     log_probability: f64,
+    metrics: Option<QueryMetrics>,
 }
 
 impl<'a> Lane<'a> {
-    pub(crate) fn new(settings: &'a TestSettings) -> Self {
+    pub(crate) fn new(settings: &'a TestSettings, metrics: Option<&MetricsRegistry>) -> Self {
         Self {
             settings,
             recorder: Recorder::new(),
@@ -426,6 +451,7 @@ impl<'a> Lane<'a> {
                 TestMode::AccuracyOnly => 1.0,
                 TestMode::PerformanceOnly => settings.accuracy_log_probability,
             },
+            metrics: metrics.map(QueryMetrics::resolve),
         }
     }
 
@@ -439,13 +465,12 @@ impl<'a> Lane<'a> {
         query: &Query,
         issued_at: Nanos,
         sink: &dyn TraceSink,
-        metrics: Option<&MetricsRegistry>,
     ) -> Result<(), LoadGenError> {
         self.recorder.record_issue(query, issued_at)?;
         trace_issue(sink, query, issued_at);
-        if let Some(m) = metrics {
-            m.incr("queries_issued", 1);
-            m.incr("samples_issued", query.sample_count() as u64);
+        if let Some(m) = &self.metrics {
+            m.queries_issued.incr(1);
+            m.samples_issued.incr(query.sample_count() as u64);
         }
         Ok(())
     }
@@ -457,7 +482,6 @@ impl<'a> Lane<'a> {
         &mut self,
         completion: &QueryCompletion,
         sink: &dyn TraceSink,
-        metrics: Option<&MetricsRegistry>,
     ) -> Result<(), LoadGenError> {
         let (p, rng) = (self.log_probability, &mut self.acc_rng);
         let logged_before = self.recorder.accuracy_log().len();
@@ -484,15 +508,15 @@ impl<'a> Lane<'a> {
                 sink.record(at, &TraceEvent::AccuracyLogged { query_id, samples });
             }
         }
-        if let Some(m) = metrics {
+        if let Some(m) = &self.metrics {
             if completion.error {
                 // Errored latencies stay out of the latency histogram: it
                 // summarizes service behaviour, not failure timing.
-                m.incr("queries_errored", 1);
+                m.queries_errored.incr(1);
             } else {
-                m.incr("queries_completed", 1);
-                m.incr("samples_completed", completion.samples.len() as u64);
-                m.observe("query_latency_ns", latency.as_nanos());
+                m.queries_completed.incr(1);
+                m.samples_completed.incr(completion.samples.len() as u64);
+                m.query_latency_ns.observe(latency.as_nanos());
             }
         }
         Ok(())

@@ -24,7 +24,9 @@ use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::{Instruments, Run};
 use mlperf_stats::rng::SeedTriple;
 use mlperf_trace::crc::fnv1a64;
-use mlperf_trace::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
+use mlperf_trace::{
+    render_detail_log, FromJson, MetricsSnapshot, RingBufferSink, ToJson, TraceEvent, TraceSink,
+};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -523,6 +525,33 @@ fn the_engine_produces_what_it_was_blessed_to_produce() {
         }
     }
     assert!(moved.is_empty(), "engine output moved; it now is:\n{moved}");
+}
+
+/// The `server_plain` row at seed 1: the whole `RunOutcome::metrics`
+/// snapshot as the build before per-name metric cells rendered it. The
+/// counters column above hashes the counters only; this holds the gauges
+/// and the latency histogram to the byte as well.
+const SERVER_METRICS: &str = concat!(
+    r#"{"counters":{"queries_completed":146,"queries_errored":14,"queries_issued":160,"#,
+    r#""samples_completed":146,"samples_issued":160,"validity_issues":1},"#,
+    r#""gauges":{"duration_secs":0.071877621,"metric_score":2000.0},"#,
+    r#""histograms":{"query_latency_ns":{"sub_bits":5,"buckets":["#,
+    r#"[432,9],[438,13],[440,1],[445,7],[449,10],[450,2],[451,1],[452,14],[453,1],[454,1],"#,
+    r#"[455,11],[457,3],[458,11],[459,1],[460,1],[461,1],[462,2],[463,1],[464,2],[465,2],"#,
+    r#"[466,1],[467,3],[468,1],[470,1],[471,1],[472,2],[473,1],[474,3],[475,1],[476,2],"#,
+    r#"[479,1],[480,2],[481,3],[482,8],[483,1],[484,3],[485,2],[486,2],[487,2],[490,2],"#,
+    r#"[491,1],[492,1],[494,2],[495,1],[496,2],[500,1],[502,1],[503,1]],"#,
+    r#""total":146,"sum":58024675,"min":0,"max":913119}}}"#,
+);
+
+#[test]
+fn the_server_rows_metrics_snapshot_is_the_blessed_one() {
+    let (settings, per_sample) = server_row(1);
+    let sink = RingBufferSink::unbounded();
+    let out = engine::plain(&settings, &mut qsl(), &mut PinSut::new(per_sample), &sink);
+    let metrics = out.metrics.expect("a traced run carries its metrics");
+    assert_eq!(metrics.to_json_string(), SERVER_METRICS);
+    assert_eq!(MetricsSnapshot::from_json_str(SERVER_METRICS), Ok(metrics));
 }
 
 /// A sink that is switched off and counts the events it is handed anyway.

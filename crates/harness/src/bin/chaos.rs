@@ -15,7 +15,7 @@
 //! renders identical bytes.
 
 use mlperf_audit::tests::completeness_report;
-use mlperf_harness::rig::{dump_flight, issue_kinds, Rebind, Rig, Wired};
+use mlperf_harness::rig::{dump_flight, issue_kinds, logical_hash, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::{run_simulated, RunOutcome};
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig};
@@ -30,7 +30,6 @@ use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_sut::faults::FaultPlan;
 use mlperf_sut::resilience::{ResiliencePolicy, ResilientSut};
 use mlperf_sut::{BalancePolicy, FaultySut};
-use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::{JsonValue, RingBufferSink, ToJson, TraceEvent};
 use mlperf_wire::{RemoteSutConfig, ResumePolicy, ServeConfig, WireChaosPlan};
 use std::fmt;
@@ -202,19 +201,6 @@ fn base_hash<'a>(cells: &'a [Cell], row: &Row) -> Option<&'a String> {
             (c.row.quadrant, c.row.scenario, c.row.fault) == (row.quadrant, row.scenario, "none")
         })
         .and_then(|c| c.runs.iter().find_map(|r| r.hash.as_ref()))
-}
-
-/// FNV-1a over a run's logical per-query records
-/// ([`QueryRecord::logical`](mlperf_loadgen::record::QueryRecord::logical)).
-/// Two VALID runs of the same seed hash identically, whatever the wire did.
-fn logical_hash(records: &[mlperf_loadgen::record::QueryRecord]) -> String {
-    let mut text = String::new();
-    for r in records {
-        use std::fmt::Write as _;
-        let (id, scheduled_at_ns, sample_count, error) = r.logical();
-        let _ = write!(text, "{id},{scheduled_at_ns},{sample_count},{error};");
-    }
-    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
 /// Local fault plans, placed relative to the scenario's fault-free

@@ -28,11 +28,12 @@
 //!    (`results/fixtures/replay_reduced.mlpr`; `--bless` regenerates it).
 //! 2. **Wire leg** — a realtime run against a loopback daemon is
 //!    recorded and reduced 10x, then replayed over a fresh connection.
-//!    Asserts: identical verdicts and a fingerprint within bound.
+//!    Asserts: identical verdicts, a complete replay, and the logical hash
+//!    of the simulated replay; the fingerprint distance is reported.
 //! 3. **Fleet leg** — the same reduced trace drives a 3-shard
 //!    `ShardedSut` fleet to a VALID run.
 
-use mlperf_harness::rig::{device_per_sample, Rig, DEVICE_PER_SAMPLE};
+use mlperf_harness::rig::{device_per_sample, logical_hash, Rig, DEVICE_PER_SAMPLE};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::RunOutcome;
 use mlperf_loadgen::qsl::MemoryQsl;
@@ -64,10 +65,10 @@ const FIXTURE: &str = "results/fixtures/replay_reduced.mlpr";
 
 /// Wire legs compare latencies across two live wall-clock runs, where a
 /// transient load spike legitimately shifts the whole distribution (both
-/// projections at once), so the default is 3x the reduction bound. The
-/// replayed *arrival* process is deterministic and its axes sit at ~0
-/// regardless of the scale, so the audit still catches a broken
-/// scheduler.
+/// projections at once), so the report holds them to 3x the reduction
+/// bound. Until latency over the wire is exact the bound is reported, not
+/// asserted: the wire leg asserts what it owns — verdict class,
+/// completeness and the logical hash of what it issued.
 fn wire_bound() -> EquivalenceBound {
     EquivalenceBound::default().scaled(3.0)
 }
@@ -379,8 +380,10 @@ fn replay_over(
 // roundtrip: the three-leg audit
 // ---------------------------------------------------------------------------
 
-/// Compares a reduced trace against the detail log of its replay; returns
-/// failure strings under the given bound.
+/// Compares a reduced trace against the detail log of its replay. Returns
+/// the fingerprint distance, the failures (a flipped verdict, an
+/// incomplete replay) and, apart from them, the fingerprint axes outside
+/// `bound`, which the caller decides whether to assert.
 fn audit_replay(
     leg: &str,
     reduced: &RecordedTrace,
@@ -388,7 +391,7 @@ fn audit_replay(
     replay_out: &RunOutcome,
     replay_records: &[TraceRecord],
     bound: &EquivalenceBound,
-) -> (Option<FingerprintDistance>, Vec<String>) {
+) -> (Option<FingerprintDistance>, Vec<String>, Vec<String>) {
     let mut failures = Vec::new();
     if original_out.result.is_valid() != replay_out.result.is_valid() {
         failures.push(format!(
@@ -406,17 +409,21 @@ fn audit_replay(
     }
     let Some(replayed) = fingerprint_of_records(replay_records) else {
         failures.push(format!("{leg}: replay detail log has no issued queries"));
-        return (None, failures);
+        return (None, failures, Vec::new());
     };
     let recorded = reduced.fingerprint();
     let distance = recorded.distance(&replayed);
-    if let Err(violations) = bound.check(&distance) {
-        print_latency_grids(&recorded, &replayed);
-        for v in violations {
-            failures.push(format!("{leg}: replay fingerprint out of bound: {v}"));
+    let out_of_bound = match bound.check(&distance) {
+        Ok(()) => Vec::new(),
+        Err(violations) => {
+            print_latency_grids(&recorded, &replayed);
+            violations
+                .iter()
+                .map(|v| format!("{leg}: replay fingerprint out of bound: {v}"))
+                .collect()
         }
-    }
-    (Some(distance), failures)
+    };
+    (Some(distance), failures, out_of_bound)
 }
 
 /// The seed the committed fixture was blessed under; the fixture
@@ -470,7 +477,7 @@ fn roundtrip_des(seed: u64, check: bool, bless: bool) -> Result<Vec<String>, Str
     // shift the simulated tail latencies a little past the stock bound on
     // some seeds; the audit tolerates that while still rejecting any
     // distribution-level mangling.
-    let (distance, replay_failures) = audit_replay(
+    let (distance, replay_failures, out_of_bound) = audit_replay(
         "des leg",
         &reduced,
         &original_out,
@@ -479,6 +486,7 @@ fn roundtrip_des(seed: u64, check: bool, bless: bool) -> Result<Vec<String>, Str
         &EquivalenceBound::default().scaled(1.5),
     );
     failures.extend(replay_failures);
+    failures.extend(out_of_bound);
     if let Some(d) = distance {
         print_distance("des leg: reduced vs replayed", &d);
     }
@@ -563,7 +571,7 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
         replay_over(&daemon, &reduced, seed).map_err(|e| format!("wire leg: replay: {e}"))?;
     drop(daemon);
     println!("wire leg: replay {}", verdict(&replay_out));
-    let (distance, replay_failures) = audit_replay(
+    let (distance, replay_failures, out_of_bound) = audit_replay(
         "wire leg",
         &reduced,
         &original_out,
@@ -572,8 +580,25 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
         &wire_bound(),
     );
     failures.extend(replay_failures);
+    for v in out_of_bound {
+        println!("{v} (reported, not asserted)");
+    }
     if let Some(d) = distance {
         print_distance("wire leg: reduced vs replayed", &d);
+    }
+    // What the wire leg issued — ids, scheduled times, sample counts,
+    // error flags — is the schedule's, so it hashes as the simulated
+    // replay of the same trace does.
+    let (sim_out, _) = replay_sim(&reduced, seed)?;
+    let (wire, sim) = (
+        logical_hash(&replay_out.records),
+        logical_hash(&sim_out.records),
+    );
+    println!("wire leg: logical hash {wire} (simulated replay {sim})");
+    if wire != sim {
+        failures.push(format!(
+            "wire leg: logical hash {wire} differs from the simulated replay's {sim}"
+        ));
     }
 
     // Fleet leg: the same reduced trace drives a 3-shard fleet VALID.
@@ -637,8 +662,9 @@ fn cmd_roundtrip(args: &[String]) -> Result<bool, String> {
 
     if failures.is_empty() {
         println!(
-            "replay roundtrip: OK (record -> reduce -> replay verdicts match, fingerprints \
-within bound, reduction byte-reproducible, fleet replay VALID)"
+            "replay roundtrip: OK (record -> reduce -> replay verdicts match, replays complete, \
+simulated fingerprint within bound, wire logical hash matches, reduction byte-reproducible, \
+fleet replay VALID)"
         );
         Ok(true)
     } else {

@@ -17,12 +17,14 @@
 //! down and joins their threads.
 
 use mlperf_loadgen::config::TestSettings;
+use mlperf_loadgen::record::QueryRecord;
 use mlperf_loadgen::results::TestResult;
 use mlperf_loadgen::run::WallClock;
 use mlperf_loadgen::sut::{FixedLatencySut, RealtimeSut};
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::Run;
 use mlperf_sut::{BalancePolicy, ShardEndpoint, ShardedSut};
+use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::event::{TraceRecord, TraceSink};
 use mlperf_trace::flight::render_flight_dump;
 use mlperf_trace::metrics::MetricsRegistry;
@@ -30,6 +32,19 @@ use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandl
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// FNV-1a over a run's logical per-query records
+/// ([`QueryRecord::logical`](mlperf_loadgen::record::QueryRecord::logical)).
+/// Two VALID runs of the same seed hash identically, whatever the wire did.
+pub fn logical_hash(records: &[QueryRecord]) -> String {
+    let mut text = String::new();
+    for r in records {
+        use std::fmt::Write as _;
+        let (id, scheduled_at_ns, sample_count, error) = r.logical();
+        let _ = write!(text, "{id},{scheduled_at_ns},{sample_count},{error};");
+    }
+    format!("{:016x}", fnv1a64(text.as_bytes()))
+}
 
 /// Per-sample service time of the benchmark device `netbench` exports and
 /// `replay` drives, simulated or over the wire.

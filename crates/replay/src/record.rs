@@ -257,7 +257,9 @@ pub fn record_trace(
             prev = at;
             RecordedQuery {
                 delta_ns,
-                latency_ns: state.latency_ns,
+                // `u64::MAX` is the encoding of "never resolved": a logged
+                // latency that large is kept one below it, not lost.
+                latency_ns: state.latency_ns.map(|ns| ns.min(u64::MAX - 1)),
                 error: state.error,
                 indices,
             }

@@ -35,7 +35,9 @@ const QUERY_MIN_BYTES: usize = 21;
 pub struct RecordedQuery {
     /// Nanoseconds since the previous query's arrival (0 for the first).
     pub delta_ns: u64,
-    /// Observed latency; `None` when the query never resolved.
+    /// Observed latency; `None` when the query never resolved. The
+    /// encoding spells `None` as `u64::MAX`, so `Some(u64::MAX)` does not
+    /// survive a round trip and the recorder never makes one.
     pub latency_ns: Option<u64>,
     /// Whether the query resolved as an error.
     pub error: bool,

@@ -4,14 +4,12 @@
 //! argument to [`TraceSink::record`]), not wall-clock time: a trace taken
 //! from a deterministic run is itself deterministic.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{
-    missing_field, write_escaped, write_u64, FromJson, JsonError, JsonValue, Members, Parser,
-    Scalar, ToJson, Token,
+    missing_field, write_u64, FromJson, JsonError, JsonValue, Parser, Picked, Scalar, ToJson, Token,
 };
 use crate::sync::lock;
 
@@ -408,110 +406,249 @@ impl TraceEvent {
             ),
         }
     }
+}
 
-    /// The inverse of [`TraceEvent::fields`]: builds variant `name` from
-    /// `get`, which finds a payload member by key. Both decoders — over a
-    /// tree ([`FromJson::from_json_value`]) and over a line
-    /// ([`TraceRecord::from_json_str`]) — come through here.
-    fn from_fields<'v>(
-        name: &str,
-        get: impl Fn(&str) -> Result<Token<'v>, JsonError>,
-    ) -> Result<Self, JsonError> {
-        let uint = |key| get(key)?.as_u64();
-        let size = |key| get(key)?.as_usize();
-        let uint32 = |key| get(key)?.as_u32();
-        let string = |key| get(key)?.into_string();
-        Ok(match name {
-            "RunPhase" => TraceEvent::RunPhase {
-                phase: string("phase")?,
-                scenario: string("scenario")?,
-            },
-            "QueryScheduled" => TraceEvent::QueryScheduled {
-                query_id: uint("query_id")?,
-                sample_count: size("sample_count")?,
-            },
-            "QueryIssued" => TraceEvent::QueryIssued {
-                query_id: uint("query_id")?,
-                sample_count: size("sample_count")?,
-                delay_ns: uint("delay_ns")?,
-            },
-            "QuerySent" => TraceEvent::QuerySent {
-                query_id: uint("query_id")?,
-            },
-            "QueryCompleted" => TraceEvent::QueryCompleted {
-                query_id: uint("query_id")?,
-                latency_ns: uint("latency_ns")?,
-            },
-            "BatchFormed" => TraceEvent::BatchFormed {
-                unit: size("unit")?,
-                batch_size: size("batch_size")?,
-                service_ns: uint("service_ns")?,
-            },
-            "DvfsStateChange" => TraceEvent::DvfsStateChange {
-                unit: size("unit")?,
-                multiplier_milli: uint32("multiplier_milli")?,
-            },
-            "OverloadDropped" => TraceEvent::OverloadDropped {
-                query_id: uint("query_id")?,
-                intervals: uint("intervals")?,
-            },
-            "AccuracyLogged" => TraceEvent::AccuracyLogged {
-                query_id: uint("query_id")?,
-                samples: size("samples")?,
-            },
-            "ValidityCheckFailed" => TraceEvent::ValidityCheckFailed {
-                issue: string("issue")?,
-            },
-            "PeakSearchStep" => TraceEvent::PeakSearchStep {
-                target: get("target")?.as_f64()?,
-                valid: get("valid")?.as_bool()?,
-            },
-            "QueryErrored" => TraceEvent::QueryErrored {
-                query_id: uint("query_id")?,
-                latency_ns: uint("latency_ns")?,
-            },
-            "FaultInjected" => TraceEvent::FaultInjected {
-                query_id: uint("query_id")?,
-                fault: string("fault")?,
-            },
-            "RecoveryAction" => TraceEvent::RecoveryAction {
-                query_id: uint("query_id")?,
-                action: string("action")?,
-                attempt: uint32("attempt")?,
-            },
-            "WireEvent" => TraceEvent::WireEvent {
-                endpoint: string("endpoint")?,
-                kind: string("kind")?,
-                query_id: uint("query_id")?,
-                detail: string("detail")?,
-            },
-            "WireFault" => TraceEvent::WireFault {
-                endpoint: string("endpoint")?,
-                fault: string("fault")?,
-                frame: uint("frame")?,
-                detail: string("detail")?,
-            },
-            "SpanEvent" => TraceEvent::SpanEvent {
-                host: string("host")?,
-                trace_id: uint("trace_id")?,
-                query_id: uint("query_id")?,
-                phase: string("phase")?,
-                dur_ns: uint("dur_ns")?,
-            },
-            "ClockSync" => TraceEvent::ClockSync {
-                host: string("host")?,
-                offset_ns: get("offset_ns")?.as_i64()?,
-                rtt_ns: uint("rtt_ns")?,
-            },
-            "ShardEvent" => TraceEvent::ShardEvent {
-                shard: string("shard")?,
-                kind: string("kind")?,
-                query_id: uint("query_id")?,
-                detail: string("detail")?,
-            },
-            other => return Err(JsonError::new(format!("unknown trace event {other:?}"))),
-        })
+/// How one variant is read back: the inverse of [`TraceEvent::fields`].
+/// `keys` are the payload keys in the order `fields` writes them, and
+/// `build` makes the variant from the payload members at those keys. Both
+/// decoders — over a tree ([`FromJson::from_json_value`]) and over a line
+/// ([`TraceRecord::from_json_str`]) — come through here.
+struct Shape {
+    name: &'static str,
+    keys: &'static [&'static str],
+    build: fn(&mut Picked<'_>) -> Result<TraceEvent, JsonError>,
+}
+
+impl Picked<'_> {
+    fn u64(&mut self, at: usize) -> Result<u64, JsonError> {
+        self.take(at)?.as_u64()
     }
+
+    fn usize(&mut self, at: usize) -> Result<usize, JsonError> {
+        self.take(at)?.as_usize()
+    }
+
+    fn u32(&mut self, at: usize) -> Result<u32, JsonError> {
+        self.take(at)?.as_u32()
+    }
+
+    fn string(&mut self, at: usize) -> Result<String, JsonError> {
+        self.take(at)?.into_string()
+    }
+}
+
+/// Every variant's [`Shape`]; the three a query writes lead, so a line
+/// finds its shape at the first or second name compared.
+const SHAPES: [Shape; 19] = [
+    Shape {
+        name: "QueryIssued",
+        keys: &["query_id", "sample_count", "delay_ns"],
+        build: |p| {
+            Ok(TraceEvent::QueryIssued {
+                query_id: p.u64(0)?,
+                sample_count: p.usize(1)?,
+                delay_ns: p.u64(2)?,
+            })
+        },
+    },
+    Shape {
+        name: "QuerySent",
+        keys: &["query_id"],
+        build: |p| {
+            Ok(TraceEvent::QuerySent {
+                query_id: p.u64(0)?,
+            })
+        },
+    },
+    Shape {
+        name: "QueryCompleted",
+        keys: &["query_id", "latency_ns"],
+        build: |p| {
+            Ok(TraceEvent::QueryCompleted {
+                query_id: p.u64(0)?,
+                latency_ns: p.u64(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "RunPhase",
+        keys: &["phase", "scenario"],
+        build: |p| {
+            Ok(TraceEvent::RunPhase {
+                phase: p.string(0)?,
+                scenario: p.string(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "QueryScheduled",
+        keys: &["query_id", "sample_count"],
+        build: |p| {
+            Ok(TraceEvent::QueryScheduled {
+                query_id: p.u64(0)?,
+                sample_count: p.usize(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "BatchFormed",
+        keys: &["unit", "batch_size", "service_ns"],
+        build: |p| {
+            Ok(TraceEvent::BatchFormed {
+                unit: p.usize(0)?,
+                batch_size: p.usize(1)?,
+                service_ns: p.u64(2)?,
+            })
+        },
+    },
+    Shape {
+        name: "DvfsStateChange",
+        keys: &["unit", "multiplier_milli"],
+        build: |p| {
+            Ok(TraceEvent::DvfsStateChange {
+                unit: p.usize(0)?,
+                multiplier_milli: p.u32(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "OverloadDropped",
+        keys: &["query_id", "intervals"],
+        build: |p| {
+            Ok(TraceEvent::OverloadDropped {
+                query_id: p.u64(0)?,
+                intervals: p.u64(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "AccuracyLogged",
+        keys: &["query_id", "samples"],
+        build: |p| {
+            Ok(TraceEvent::AccuracyLogged {
+                query_id: p.u64(0)?,
+                samples: p.usize(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "ValidityCheckFailed",
+        keys: &["issue"],
+        build: |p| {
+            Ok(TraceEvent::ValidityCheckFailed {
+                issue: p.string(0)?,
+            })
+        },
+    },
+    Shape {
+        name: "PeakSearchStep",
+        keys: &["target", "valid"],
+        build: |p| {
+            Ok(TraceEvent::PeakSearchStep {
+                target: p.take(0)?.as_f64()?,
+                valid: p.take(1)?.as_bool()?,
+            })
+        },
+    },
+    Shape {
+        name: "QueryErrored",
+        keys: &["query_id", "latency_ns"],
+        build: |p| {
+            Ok(TraceEvent::QueryErrored {
+                query_id: p.u64(0)?,
+                latency_ns: p.u64(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "FaultInjected",
+        keys: &["query_id", "fault"],
+        build: |p| {
+            Ok(TraceEvent::FaultInjected {
+                query_id: p.u64(0)?,
+                fault: p.string(1)?,
+            })
+        },
+    },
+    Shape {
+        name: "RecoveryAction",
+        keys: &["query_id", "action", "attempt"],
+        build: |p| {
+            Ok(TraceEvent::RecoveryAction {
+                query_id: p.u64(0)?,
+                action: p.string(1)?,
+                attempt: p.u32(2)?,
+            })
+        },
+    },
+    Shape {
+        name: "WireEvent",
+        keys: &["endpoint", "kind", "query_id", "detail"],
+        build: |p| {
+            Ok(TraceEvent::WireEvent {
+                endpoint: p.string(0)?,
+                kind: p.string(1)?,
+                query_id: p.u64(2)?,
+                detail: p.string(3)?,
+            })
+        },
+    },
+    Shape {
+        name: "WireFault",
+        keys: &["endpoint", "fault", "frame", "detail"],
+        build: |p| {
+            Ok(TraceEvent::WireFault {
+                endpoint: p.string(0)?,
+                fault: p.string(1)?,
+                frame: p.u64(2)?,
+                detail: p.string(3)?,
+            })
+        },
+    },
+    Shape {
+        name: "SpanEvent",
+        keys: &["host", "trace_id", "query_id", "phase", "dur_ns"],
+        build: |p| {
+            Ok(TraceEvent::SpanEvent {
+                host: p.string(0)?,
+                trace_id: p.u64(1)?,
+                query_id: p.u64(2)?,
+                phase: p.string(3)?,
+                dur_ns: p.u64(4)?,
+            })
+        },
+    },
+    Shape {
+        name: "ClockSync",
+        keys: &["host", "offset_ns", "rtt_ns"],
+        build: |p| {
+            Ok(TraceEvent::ClockSync {
+                host: p.string(0)?,
+                offset_ns: p.take(1)?.as_i64()?,
+                rtt_ns: p.u64(2)?,
+            })
+        },
+    },
+    Shape {
+        name: "ShardEvent",
+        keys: &["shard", "kind", "query_id", "detail"],
+        build: |p| {
+            Ok(TraceEvent::ShardEvent {
+                shard: p.string(0)?,
+                kind: p.string(1)?,
+                query_id: p.u64(2)?,
+                detail: p.string(3)?,
+            })
+        },
+    },
+];
+
+/// The shape of variant `name`.
+fn shape_of(name: &str) -> Result<&'static Shape, JsonError> {
+    SHAPES
+        .iter()
+        .find(|shape| shape.name == name)
+        .ok_or_else(|| JsonError::new(format!("unknown trace event {name:?}")))
 }
 
 impl ToJson for TraceEvent {
@@ -529,7 +666,8 @@ impl ToJson for TraceEvent {
 impl FromJson for TraceEvent {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
         let (name, payload) = value.as_variant()?;
-        TraceEvent::from_fields(name, |key| payload.field(key).map(JsonValue::shallow))
+        let shape = shape_of(name)?;
+        (shape.build)(&mut Picked::of(shape.keys, payload))
     }
 }
 
@@ -545,20 +683,19 @@ pub struct TraceRecord {
 /// Appends `{"ts_ns":N,"event":{"Variant":{...}}}`, the detail-log line
 /// of one record without its newline: the bytes
 /// `to_json_value().to_compact()` renders, written from the field table
-/// without building the tree.
+/// without building the tree. Variant names and keys are identifiers with
+/// nothing to escape, so they are copied as they are.
 fn write_record(out: &mut String, ts_ns: u64, event: &TraceEvent) {
     out.push_str("{\"ts_ns\":");
     write_u64(out, ts_ns);
-    out.push_str(",\"event\":{");
+    out.push_str(",\"event\":{\"");
     event.fields(|name, fields| {
-        write_escaped(out, name);
-        out.push_str(":{");
+        out.push_str(name);
+        out.push_str("\":{");
         for (i, (key, value)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(out, key);
-            out.push(':');
+            out.push_str(if i > 0 { ",\"" } else { "\"" });
+            out.push_str(key);
+            out.push_str("\":");
             value.write(out);
         }
     });
@@ -580,14 +717,15 @@ impl ToJson for TraceRecord {
     }
 }
 
-/// Reads the value of an `event` member: the variant name, with the
-/// variant's payload left in `payload`. The outer error is the document's
-/// (malformed JSON), the inner one the event's (not a one-member object),
-/// which the tree path would only raise once the whole line had parsed.
+/// Reads the value of an `event` member: the variant's shape, with the
+/// payload members it asks for left in `payload`. The outer error is the
+/// document's (malformed JSON), the inner one the event's (not a
+/// one-member object, or an unknown variant), which the tree path would
+/// only raise once the whole line had parsed.
 fn pull_event<'a>(
     parser: &mut Parser<'a>,
-    payload: &mut Members<'a>,
-) -> Result<Result<Cow<'a, str>, JsonError>, JsonError> {
+    payload: &mut Picked<'a>,
+) -> Result<Result<&'static Shape, JsonError>, JsonError> {
     if parser.peek() != Some(b'{') {
         let other = parser.token(1)?;
         return Ok(other.wrong_kind("single-variant object"));
@@ -598,8 +736,12 @@ fn pull_event<'a>(
     while more {
         let name = parser.key()?;
         if members == 0 {
-            parser.members(2, payload)?;
-            variant = Some(name);
+            let shape = shape_of(&name);
+            if let Ok(shape) = shape {
+                payload.ask(shape.keys);
+            }
+            parser.pick(2, payload)?;
+            variant = Some(shape);
         } else {
             parser.token(2)?;
         }
@@ -607,7 +749,7 @@ fn pull_event<'a>(
         more = parser.next(b'}')?;
     }
     Ok(match variant {
-        Some(name) if members == 1 => Ok(name),
+        Some(shape) if members == 1 => shape,
         _ => Token::Object.wrong_kind("single-variant object"),
     })
 }
@@ -629,7 +771,7 @@ impl FromJson for TraceRecord {
     fn from_json_str(input: &str) -> Result<Self, JsonError> {
         let mut parser = Parser::new(input);
         let (mut ts_ns, mut event) = (None, None);
-        let mut payload = Members::none();
+        let mut payload = Picked::new(&[]);
         if parser.peek() == Some(b'{') {
             let mut more = parser.open(b'{', b'}')?;
             while more {
@@ -650,8 +792,8 @@ impl FromJson for TraceRecord {
         }
         parser.finish()?;
         let ts_ns = ts_ns.ok_or_else(|| missing_field("ts_ns"))?.as_u64()?;
-        let name = event.ok_or_else(|| missing_field("event"))??;
-        let event = TraceEvent::from_fields(&name, |key| payload.get(key))?;
+        let shape = event.ok_or_else(|| missing_field("event"))??;
+        let event = (shape.build)(&mut payload)?;
         Ok(TraceRecord { ts_ns, event })
     }
 }
@@ -687,6 +829,9 @@ impl TraceSink for NoopSink {
     fn record(&self, _ts_ns: u64, _event: &TraceEvent) {}
 }
 
+/// Events per block of a [`RingBufferSink`].
+const RING_BLOCK: usize = 1024;
+
 /// An in-memory sink backed by a bounded ring buffer.
 ///
 /// When full, the oldest events are evicted — the tail of a long run is
@@ -695,8 +840,18 @@ impl TraceSink for NoopSink {
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
-    events: Mutex<VecDeque<TraceRecord>>,
-    dropped: Mutex<u64>,
+    ring: Mutex<Ring>,
+}
+
+/// The retained events and the eviction count, under one lock. Events
+/// live in blocks of [`RING_BLOCK`] that are allocated as the ring fills
+/// and freed as eviction empties them: a growing ring never copies what
+/// it holds, and never holds two copies of it.
+#[derive(Debug, Default)]
+struct Ring {
+    blocks: VecDeque<VecDeque<TraceRecord>>,
+    len: usize,
+    dropped: u64,
 }
 
 impl RingBufferSink {
@@ -704,8 +859,7 @@ impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-            dropped: Mutex::new(0),
+            ring: Mutex::new(Ring::default()),
         }
     }
 
@@ -716,17 +870,22 @@ impl RingBufferSink {
 
     /// Copies out the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        lock(&self.events).iter().cloned().collect()
+        let ring = lock(&self.ring);
+        let mut events = Vec::with_capacity(ring.len);
+        for block in &ring.blocks {
+            events.extend(block.iter().cloned());
+        }
+        events
     }
 
     /// Number of events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        *lock(&self.dropped)
+        lock(&self.ring).dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        lock(&self.events).len()
+        lock(&self.ring).len
     }
 
     /// Whether no events have been retained.
@@ -743,15 +902,31 @@ impl Default for RingBufferSink {
 
 impl TraceSink for RingBufferSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
-        let mut events = lock(&self.events);
-        if events.len() >= self.capacity {
-            events.pop_front();
-            *lock(&self.dropped) += 1;
-        }
-        events.push_back(TraceRecord {
+        let record = TraceRecord {
             ts_ns,
             event: event.clone(),
-        });
+        };
+        let mut ring = lock(&self.ring);
+        let ring = &mut *ring;
+        if ring.len == self.capacity {
+            if let Some(oldest) = ring.blocks.front_mut() {
+                oldest.pop_front();
+                if oldest.is_empty() {
+                    ring.blocks.pop_front();
+                }
+            }
+            ring.len -= 1;
+            ring.dropped += 1;
+        }
+        match ring.blocks.back_mut() {
+            Some(block) if block.len() < block.capacity() => block.push_back(record),
+            _ => {
+                let mut block = VecDeque::with_capacity(RING_BLOCK.min(self.capacity));
+                block.push_back(record);
+                ring.blocks.push_back(block);
+            }
+        }
+        ring.len += 1;
     }
 }
 
@@ -803,15 +978,37 @@ impl TraceSink for FanoutSink {
 /// A sink that streams events as JSON Lines — one `TraceRecord` object per
 /// line — to any writer. This is the repository's `mlperf_log_detail`
 /// analog.
+///
+/// Lines are rendered into a pending buffer and reach the writer in whole
+/// lines once [`JSONL_BATCH`] bytes are pending, at [`TraceSink::flush`]
+/// and when the sink is dropped.
 pub struct JsonlSink {
     out: Mutex<JsonlOut>,
 }
 
-/// The writer and the buffer each line is rendered into before it goes
-/// out in one `write_all`; under one lock, so the buffer is reused.
+/// How many bytes of lines a [`JsonlSink`] holds before it writes them.
+const JSONL_BATCH: usize = 32 * 1024;
+
+/// The writer and the lines not yet handed to it, under one lock.
 struct JsonlOut {
     writer: Box<dyn Write + Send>,
-    line: String,
+    pending: String,
+}
+
+impl JsonlOut {
+    /// Hands the pending lines to the writer. A sink must not panic the
+    /// run on I/O failure, and `TraceSink` has no way to report one: a
+    /// failed write is dropped, and the log is short by those lines.
+    fn write_pending(&mut self) {
+        let _ = self.writer.write_all(self.pending.as_bytes());
+        self.pending.clear();
+    }
+}
+
+impl Drop for JsonlOut {
+    fn drop(&mut self) {
+        self.write_pending();
+    }
 }
 
 impl JsonlSink {
@@ -820,7 +1017,8 @@ impl JsonlSink {
         Self {
             out: Mutex::new(JsonlOut {
                 writer,
-                line: String::new(),
+                // Room for a full batch plus the line that tips it over.
+                pending: String::with_capacity(2 * JSONL_BATCH),
             }),
         }
     }
@@ -831,8 +1029,7 @@ impl JsonlSink {
     ///
     /// Returns the underlying I/O error if the file cannot be created.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
+        Ok(Self::new(Box::new(std::fs::File::create(path)?)))
     }
 }
 
@@ -845,23 +1042,25 @@ impl std::fmt::Debug for JsonlSink {
 impl TraceSink for JsonlSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
         let mut out = lock(&self.out);
-        let JsonlOut { writer, line } = &mut *out;
-        line.clear();
-        write_record(line, ts_ns, event);
-        line.push('\n');
-        // A sink must not panic the run on I/O failure; the flush at the
-        // end surfaces persistent errors via the caller.
-        let _ = writer.write_all(line.as_bytes());
+        write_record(&mut out.pending, ts_ns, event);
+        out.pending.push('\n');
+        if out.pending.len() >= JSONL_BATCH {
+            out.write_pending();
+        }
     }
 
+    /// Writes the pending lines and flushes the writer. A failure is
+    /// dropped as a failed write is; a caller that must know the log is
+    /// whole reads it back.
     fn flush(&self) {
         let mut out = lock(&self.out);
+        out.write_pending();
         let _ = out.writer.flush();
     }
 }
 
 /// The non-blank lines of a detail log, each with its byte offset in
-/// `text`: the one place that decides what a line of a log is.
+/// `text`, for the parsers that hold the whole text in memory.
 pub(crate) fn detail_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     let mut at = 0;
     text.split_inclusive('\n').filter_map(move |line| {
@@ -1292,6 +1491,24 @@ mod tests {
         assert_eq!(sink.dropped(), 2);
         assert_eq!(events[0].ts_ns, 2);
         assert_eq!(events[2].ts_ns, 4);
+    }
+
+    #[test]
+    fn a_bounded_ring_keeps_exactly_the_newest_in_order() {
+        // Capacities below, at and across the ring's block size.
+        for capacity in [1, 1_000, RING_BLOCK, 2_500] {
+            let sink = RingBufferSink::new(capacity);
+            let total = 10_000u64;
+            for id in 0..total {
+                sink.record(id, &TraceEvent::QuerySent { query_id: id });
+                let held = (id + 1).min(capacity as u64);
+                assert_eq!(sink.len() as u64, held, "capacity {capacity}");
+                assert_eq!(sink.dropped(), id + 1 - held, "capacity {capacity}");
+            }
+            let kept: Vec<u64> = sink.snapshot().iter().map(|r| r.ts_ns).collect();
+            let want: Vec<u64> = (total - capacity as u64..total).collect();
+            assert_eq!(kept, want, "capacity {capacity}");
+        }
     }
 
     #[test]

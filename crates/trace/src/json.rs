@@ -68,6 +68,14 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError::new(message))
 }
 
+/// [`err`] for a message worth formatting only once the input has failed:
+/// kept out of line, so a parser's hot path carries none of it.
+#[cold]
+#[inline(never)]
+fn fail<T>(message: impl FnOnce() -> String) -> Result<T, JsonError> {
+    err(message())
+}
+
 impl JsonValue {
     /// Builds an object from `(key, value)` pairs.
     pub fn object(fields: Vec<(&str, JsonValue)>) -> JsonValue {
@@ -336,7 +344,9 @@ pub(crate) fn write_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| d as char));
+    if let Ok(digits) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(digits);
+    }
 }
 
 /// Appends `v` in decimal.
@@ -412,6 +422,9 @@ impl Scalar<'_> {
 pub(crate) enum Token<'a> {
     Null,
     Bool(bool),
+    /// An integer literal of at most 19 digits: every one a detail log
+    /// writes, held without widening.
+    Uint(u64),
     Int(i128),
     Float(f64),
     /// Borrowed from the input unless it held an escape.
@@ -425,7 +438,7 @@ impl Token<'_> {
         match self {
             Token::Null => "null",
             Token::Bool(_) => "bool",
-            Token::Int(_) => "integer",
+            Token::Uint(_) | Token::Int(_) => "integer",
             Token::Float(_) => "float",
             Token::Str(_) => "string",
             Token::Array => "array",
@@ -446,6 +459,7 @@ impl Token<'_> {
 
     pub(crate) fn as_u64(&self) -> Result<u64, JsonError> {
         match self {
+            Token::Uint(u) => Ok(*u),
             Token::Int(i) => {
                 u64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of u64 range")))
             }
@@ -455,6 +469,7 @@ impl Token<'_> {
 
     pub(crate) fn as_i64(&self) -> Result<i64, JsonError> {
         match self {
+            Token::Uint(u) => Token::Int(i128::from(*u)).as_i64(),
             Token::Int(i) => {
                 i64::try_from(*i).map_err(|_| JsonError::new(format!("{i} out of i64 range")))
             }
@@ -472,6 +487,7 @@ impl Token<'_> {
 
     pub(crate) fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
+            Token::Uint(u) => Ok(*u as f64),
             Token::Int(i) => Ok(*i as f64),
             Token::Float(f) => Ok(*f),
             Token::Null => Ok(f64::NAN),
@@ -487,51 +503,62 @@ impl Token<'_> {
     }
 }
 
-/// Objects this wide or narrower are held without touching the heap.
-const INLINE_MEMBERS: usize = 8;
+/// The most members a decoder picks out of one object.
+const MAX_PICKED: usize = 5;
 
-/// The members of one object in order, each value as a [`Token`]; looked
-/// up first match first, as [`JsonValue::field`] does, without the tree.
-pub(crate) struct Members<'a> {
-    inline: [(Cow<'a, str>, Token<'a>); INLINE_MEMBERS],
-    len: usize,
-    spill: Vec<(Cow<'a, str>, Token<'a>)>,
+/// The members of one object a decoder asked for by key, each held as a
+/// [`Token`] at its key's position: the first member with that key, as
+/// [`JsonValue::field`] finds it. Every other member is walked and
+/// dropped.
+pub(crate) struct Picked<'a> {
+    keys: &'static [&'static str],
+    values: [Option<Token<'a>>; MAX_PICKED],
 }
 
-impl<'a> Members<'a> {
-    /// No members: also what a value that is not an object has.
-    pub(crate) fn none() -> Self {
-        Members {
-            inline: std::array::from_fn(|_| (Cow::Borrowed(""), Token::Null)),
-            len: 0,
-            spill: Vec::new(),
+impl<'a> Picked<'a> {
+    /// Nothing picked yet out of an object with `keys`, at most
+    /// `MAX_PICKED` of them.
+    pub(crate) fn new(keys: &'static [&'static str]) -> Self {
+        debug_assert!(keys.len() <= MAX_PICKED, "{keys:?}");
+        Picked {
+            keys,
+            values: [const { None }; MAX_PICKED],
         }
     }
 
-    fn find(&self, key: &str) -> Option<&Token<'a>> {
-        self.inline[..self.len]
-            .iter()
-            .chain(&self.spill)
-            .find(|(k, _)| k == key)
-            .map(|(_, token)| token)
+    /// Asks for `keys` instead, before anything was picked.
+    pub(crate) fn ask(&mut self, keys: &'static [&'static str]) {
+        debug_assert!(keys.len() <= MAX_PICKED, "{keys:?}");
+        self.keys = keys;
     }
 
-    fn push(&mut self, key: Cow<'a, str>, token: Token<'a>) {
-        if self.len < INLINE_MEMBERS {
-            self.inline[self.len] = (key, token);
-            self.len += 1;
-        } else {
-            self.spill.push((key, token));
+    /// The members of `value` with `keys`; none when it is no object.
+    pub(crate) fn of(keys: &'static [&'static str], value: &'a JsonValue) -> Self {
+        let mut picked = Picked::new(keys);
+        if let JsonValue::Object(fields) = value {
+            for (key, member) in fields {
+                picked.offer(key, member.shallow());
+            }
+        }
+        picked
+    }
+
+    /// Keeps `token` if `key` is asked for and not yet seen.
+    fn offer(&mut self, key: &str, token: Token<'a>) {
+        if let Some(at) = self.keys.iter().position(|k| *k == key) {
+            self.values[at].get_or_insert(token);
         }
     }
 
-    /// A required member.
+    /// Takes out the member with the `at`-th key.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] when no member has `key`.
-    pub(crate) fn get(&self, key: &str) -> Result<Token<'a>, JsonError> {
-        self.find(key).cloned().ok_or_else(|| missing_field(key))
+    /// Returns [`JsonError`] when the object had no such member.
+    pub(crate) fn take(&mut self, at: usize) -> Result<Token<'a>, JsonError> {
+        self.values[at]
+            .take()
+            .ok_or_else(|| missing_field(self.keys[at]))
     }
 }
 
@@ -542,7 +569,7 @@ pub(crate) fn missing_field(key: &str) -> JsonError {
 /// The one tokenizer. [`JsonValue::parse`] builds a tree from it
 /// ([`Parser::value`]); a decoder that knows the shape it wants pulls
 /// from it ([`Parser::open`], [`Parser::key`], [`Parser::token`],
-/// [`Parser::members`], [`Parser::next`]) and so accepts and rejects
+/// [`Parser::pick`], [`Parser::next`]) and so accepts and rejects
 /// exactly the same documents, with the same error at the same byte.
 ///
 /// `depth` is the nesting level of the value about to be read, 0 for the
@@ -573,22 +600,26 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
+    #[inline]
     pub(crate) fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            err(format!("expected {:?} at byte {}", b as char, self.pos))
+            let at = self.pos;
+            fail(|| format!("expected {:?} at byte {at}", b as char))
         }
     }
 
@@ -603,6 +634,7 @@ impl<'a> Parser<'a> {
 
     /// Enters an array (`[`, `]`) or object (`{`, `}`); whether it has a
     /// first element.
+    #[inline]
     pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
         self.expect(open)?;
         self.skip_ws();
@@ -614,6 +646,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Steps past an element; whether another follows before `close`.
+    #[inline]
     pub(crate) fn next(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -626,14 +659,15 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 Ok(false)
             }
-            _ => err(format!(
-                "expected ',' or {:?} at byte {}",
-                close as char, self.pos
-            )),
+            _ => {
+                let at = self.pos;
+                fail(|| format!("expected ',' or {:?} at byte {at}", close as char))
+            }
         }
     }
 
     /// Reads `"key":` and stops at the member's value.
+    #[inline]
     pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let key = self.string()?;
         self.skip_ws();
@@ -644,6 +678,7 @@ impl<'a> Parser<'a> {
 
     /// Reads a scalar; an array or object is only announced, with the
     /// cursor left on its opening bracket.
+    #[inline]
     fn scalar(&mut self, depth: usize) -> Result<Token<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return err("document nests too deeply");
@@ -657,10 +692,10 @@ impl<'a> Parser<'a> {
             Some(b'[') => Ok(Token::Array),
             Some(b'{') => Ok(Token::Object),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => err(format!(
-                "unexpected character {:?} at byte {}",
-                other as char, self.pos
-            )),
+            Some(other) => {
+                let at = self.pos;
+                fail(|| format!("unexpected character {:?} at byte {at}", other as char))
+            }
         }
     }
 
@@ -670,20 +705,20 @@ impl<'a> Parser<'a> {
         self.walk(depth, None)
     }
 
-    /// [`Parser::token`], with the members of an object (nothing for any
-    /// other kind) left in `members`.
-    pub(crate) fn members(
+    /// [`Parser::token`], with the members of an object that `picked`
+    /// asks for (nothing for any other kind) left in it.
+    pub(crate) fn pick(
         &mut self,
         depth: usize,
-        members: &mut Members<'a>,
+        picked: &mut Picked<'a>,
     ) -> Result<Token<'a>, JsonError> {
-        self.walk(depth, Some(members))
+        self.walk(depth, Some(picked))
     }
 
     fn walk(
         &mut self,
         depth: usize,
-        mut keep: Option<&mut Members<'a>>,
+        mut keep: Option<&mut Picked<'a>>,
     ) -> Result<Token<'a>, JsonError> {
         let token = self.scalar(depth)?;
         match token {
@@ -699,8 +734,8 @@ impl<'a> Parser<'a> {
                 while more {
                     let key = self.key()?;
                     let member = self.token(depth + 1)?;
-                    if let Some(members) = keep.as_deref_mut() {
-                        members.push(key, member);
+                    if let Some(picked) = keep.as_deref_mut() {
+                        picked.offer(&key, member);
                     }
                     more = self.next(b'}')?;
                 }
@@ -715,6 +750,7 @@ impl<'a> Parser<'a> {
         Ok(match self.scalar(depth)? {
             Token::Null => JsonValue::Null,
             Token::Bool(b) => JsonValue::Bool(b),
+            Token::Uint(u) => JsonValue::Int(i128::from(u)),
             Token::Int(i) => JsonValue::Int(i),
             Token::Float(f) => JsonValue::Float(f),
             Token::Str(s) => JsonValue::Str(s.into_owned()),
@@ -740,36 +776,44 @@ impl<'a> Parser<'a> {
         })
     }
 
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        // Stays `None`, and the result borrowed, until the first escape.
-        let mut decoded: Option<String> = None;
+        let run = self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        self.escaped(run.to_string())
+    }
+
+    /// The characters from the cursor up to the next quote, backslash or
+    /// control byte. It ends only before an ASCII byte, so it is whole
+    /// characters.
+    #[inline]
+    fn run(&mut self) -> &'a str {
+        let rest = &self.src[self.pos..];
+        let end = rest
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        self.pos += end;
+        &rest[..end]
+    }
+
+    /// The rest of a string that holds an escape, `decoded` so far.
+    #[cold]
+    fn escaped(&mut self, mut decoded: String) -> Result<Cow<'a, str>, JsonError> {
         loop {
-            // Ends only before an ASCII byte, so `run` is whole characters.
-            let rest = &self.src[self.pos..];
-            let end = rest
-                .bytes()
-                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
-            let run = &rest[..end];
-            self.pos += end;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(match decoded {
-                        None => Cow::Borrowed(run),
-                        Some(mut out) => {
-                            out.push_str(run);
-                            Cow::Owned(out)
-                        }
-                    });
+                    return Ok(Cow::Owned(decoded));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let c = self.escape()?;
-                    let out = decoded.get_or_insert_with(String::new);
-                    out.push_str(run);
-                    out.push(c);
+                    decoded.push(self.escape()?);
+                    decoded.push_str(self.run());
                 }
                 _ => return err("unterminated string"),
             }
@@ -830,24 +874,27 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
+    #[inline]
     fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
         // A plain run of up to 19 digits cannot overflow a `u64`: almost
         // every number in a detail log, read without a second pass.
-        let mut plain = 0u64;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            if self.pos - start == 19 {
+        let rest = &self.src.as_bytes()[start..];
+        let (mut plain, mut digits) = (0u64, 0);
+        while let Some(&b @ b'0'..=b'9') = rest.get(digits) {
+            if digits == 19 {
                 break;
             }
             plain = plain * 10 + u64::from(b - b'0');
-            self.pos += 1;
+            digits += 1;
         }
         let more = matches!(
-            self.peek(),
+            rest.get(digits),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         );
-        if self.pos > start && !more {
-            return Ok(Token::Int(i128::from(plain)));
+        if digits > 0 && !more {
+            self.pos += digits;
+            return Ok(Token::Uint(plain));
         }
         let mut is_float = false;
         while let Some(b) = self.peek() {

@@ -7,7 +7,8 @@
 //! staying mergeable and O(1) to record into.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 use crate::sync::lock;
@@ -15,6 +16,9 @@ use crate::sync::lock;
 /// Linear sub-buckets per octave = `2^SUB_BITS`.
 const SUB_BITS: u32 = 5;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
+
+/// The bucket `u64::MAX` lands in: no value maps past it.
+const LAST_BUCKET: u32 = LogHistogram::bucket_index(u64::MAX);
 
 /// A mergeable latency histogram with logarithmic buckets.
 ///
@@ -24,7 +28,9 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// value.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LogHistogram {
-    counts: BTreeMap<u32, u64>,
+    /// Count per bucket index, dense up to the highest non-empty bucket
+    /// (never a trailing zero, so equal histograms are equal vectors).
+    counts: Vec<u64>,
     total: u64,
     sum: u128,
     min: u64,
@@ -35,7 +41,7 @@ impl LogHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -43,7 +49,7 @@ impl LogHistogram {
         }
     }
 
-    fn bucket_index(value: u64) -> u32 {
+    const fn bucket_index(value: u64) -> u32 {
         if value < SUB_COUNT {
             return value as u32;
         }
@@ -78,9 +84,25 @@ impl LogHistogram {
         (1u64 << octave) >> SUB_BITS
     }
 
+    /// The non-empty buckets, lowest index first.
+    fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0u32..)
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, count)| count > 0)
+    }
+
+    /// `counts[index]`, growing the vector to hold it.
+    fn slot(&mut self, index: u32) -> &mut u64 {
+        let index = index as usize;
+        if index >= self.counts.len() {
+            self.counts.resize(index + 1, 0);
+        }
+        &mut self.counts[index]
+    }
+
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        *self.counts.entry(Self::bucket_index(value)).or_insert(0) += 1;
+        *self.slot(Self::bucket_index(value)) += 1;
         self.total += 1;
         self.sum += u128::from(value);
         self.min = self.min.min(value);
@@ -126,7 +148,7 @@ impl LogHistogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0;
-        for (&index, &count) in &self.counts {
+        for (index, count) in self.buckets() {
             seen += count;
             if seen >= rank {
                 return Self::bucket_upper(index).min(self.max);
@@ -143,7 +165,7 @@ impl LogHistogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0;
-        for (&index, &count) in &self.counts {
+        for (index, count) in self.buckets() {
             seen += count;
             if seen >= rank {
                 return Self::bucket_width(index);
@@ -154,8 +176,8 @@ impl LogHistogram {
 
     /// Adds every recorded value of `other` into `self`.
     pub fn merge(&mut self, other: &LogHistogram) {
-        for (&index, &count) in &other.counts {
-            *self.counts.entry(index).or_insert(0) += count;
+        for (index, count) in other.buckets() {
+            *self.slot(index) += count;
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -176,14 +198,13 @@ impl LogHistogram {
     /// recoverable from bucket counts), which only widens — never
     /// misplaces — the reported quantile bucket.
     pub fn delta_since(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut counts = BTreeMap::new();
-        for (&index, &count) in &self.counts {
-            let before = earlier.counts.get(&index).copied().unwrap_or(0);
-            let delta = count.saturating_sub(before);
-            if delta > 0 {
-                counts.insert(index, delta);
-            }
-        }
+        let mut counts: Vec<u64> = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, count)| count.saturating_sub(earlier.counts.get(i).copied().unwrap_or(0)))
+            .collect();
+        trim(&mut counts);
         let total = self.total.saturating_sub(earlier.total);
         LogHistogram {
             counts,
@@ -195,12 +216,18 @@ impl LogHistogram {
     }
 }
 
+/// Drops trailing empty buckets, the one shape [`LogHistogram`] keeps.
+fn trim(counts: &mut Vec<u64>) {
+    while counts.last() == Some(&0) {
+        counts.pop();
+    }
+}
+
 impl ToJson for LogHistogram {
     fn to_json_value(&self) -> JsonValue {
         let buckets: Vec<JsonValue> = self
-            .counts
-            .iter()
-            .map(|(&index, &count)| {
+            .buckets()
+            .map(|(index, count)| {
                 JsonValue::Array(vec![
                     JsonValue::Int(i128::from(index)),
                     JsonValue::Int(i128::from(count)),
@@ -226,14 +253,21 @@ impl FromJson for LogHistogram {
                 "histogram sub_bits mismatch: file has {sub_bits}, expected {SUB_BITS}"
             )));
         }
-        let mut counts = BTreeMap::new();
+        let mut histogram = LogHistogram::new();
         for entry in value.field("buckets")?.as_array()? {
             let pair = entry.as_array()?;
             if pair.len() != 2 {
                 return Err(JsonError::new("histogram bucket must be [index, count]"));
             }
-            counts.insert(pair[0].as_u32()?, pair[1].as_u64()?);
+            let index = pair[0].as_u32()?;
+            if index > LAST_BUCKET {
+                return Err(JsonError::new(format!(
+                    "histogram bucket {index} past the last, {LAST_BUCKET}"
+                )));
+            }
+            *histogram.slot(index) = pair[1].as_u64()?;
         }
+        trim(&mut histogram.counts);
         let total = value.field("total")?.as_u64()?;
         let sum = match value.field("sum")? {
             JsonValue::Int(i) => {
@@ -248,11 +282,11 @@ impl FromJson for LogHistogram {
         };
         let min = value.field("min")?.as_u64()?;
         Ok(LogHistogram {
-            counts,
             total,
             sum,
             min: if total == 0 { u64::MAX } else { min },
             max: value.field("max")?.as_u64()?,
+            ..histogram
         })
     }
 }
@@ -312,13 +346,80 @@ impl FromJson for MetricsSnapshot {
     }
 }
 
+/// One counter's cell: its value, and whether anything was ever added to
+/// it. A counter that was only resolved stays out of the snapshot, as one
+/// that was never named does; an add of 0 puts it in, as it always has.
+/// Both are statistics that publish no other data, so they are `Relaxed`:
+/// a snapshot taken after the updating threads are joined sees every add.
+#[derive(Debug, Default)]
+struct CounterCell {
+    value: AtomicU64,
+    touched: AtomicBool,
+}
+
+/// A counter resolved once from a [`MetricsRegistry`]: an add is an atomic
+/// add and a store, with no lookup and no lock.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<CounterCell>);
+
+impl Counter {
+    /// Adds `delta` to the counter.
+    #[inline]
+    pub fn incr(&self, delta: u64) {
+        self.0.value.fetch_add(delta, Ordering::Relaxed);
+        self.0.touched.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A histogram resolved once from a [`MetricsRegistry`]: a record takes
+/// this histogram's own lock and nothing else.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Arc<Mutex<LogHistogram>>);
+
+impl Histogram {
+    /// Records a value into the histogram.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        lock(&self.0).record(value);
+    }
+}
+
+/// The registry's cells by name. A name is looked up, and allocated, once
+/// per registry; after that an update touches only its own cell.
+#[derive(Debug, Default)]
+struct Cells {
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
+}
+
+impl Cells {
+    fn counter(&mut self, name: &str) -> &Counter {
+        if !self.counters.contains_key(name) {
+            self.counters.insert(name.to_string(), Counter::default());
+        }
+        &self.counters[name]
+    }
+
+    fn histogram(&mut self, name: &str) -> &Histogram {
+        if !self.histograms.contains_key(name) {
+            self.histograms
+                .insert(name.to_string(), Histogram::default());
+        }
+        &self.histograms[name]
+    }
+}
+
 /// A shareable registry of run metrics.
 ///
 /// All methods take `&self`; the registry is safe to share behind an `Arc`
-/// between the LoadGen loop and device engines.
+/// between the LoadGen loop and device engines. A hot path resolves its
+/// [`Counter`] and [`Histogram`] handles once; [`incr`](Self::incr) and
+/// [`observe`](Self::observe) find the same cells by name, holding the
+/// registry's lock for the lookup and the update.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<MetricsSnapshot>,
+    cells: Mutex<Cells>,
 }
 
 impl MetricsRegistry {
@@ -327,31 +428,56 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The named counter's handle, creating its cell if needed. The
+    /// counter enters [`snapshot`](Self::snapshot) at its first add.
+    pub fn counter(&self, name: &str) -> Counter {
+        lock(&self.cells).counter(name).clone()
+    }
+
+    /// The named histogram's handle, creating its cell if needed. The
+    /// histogram enters [`snapshot`](Self::snapshot) at its first record.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        lock(&self.cells).histogram(name).clone()
+    }
+
     /// Adds `delta` to the named counter.
     pub fn incr(&self, name: &str, delta: u64) {
-        let mut inner = lock(&self.inner);
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        lock(&self.cells).counter(name).incr(delta);
     }
 
     /// Sets the named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = lock(&self.inner);
-        inner.gauges.insert(name.to_string(), value);
+        lock(&self.cells).gauges.insert(name.to_string(), value);
     }
 
     /// Records a value into the named histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        let mut inner = lock(&self.inner);
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        lock(&self.cells).histogram(name).observe(value);
     }
 
-    /// Copies out the current state.
+    /// Merges the cells into a point-in-time view: every counter that was
+    /// added to, every gauge, and every histogram that recorded a value.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        lock(&self.inner).clone()
+        let cells = lock(&self.cells);
+        let counters = cells
+            .counters
+            .iter()
+            .filter(|(_, c)| c.0.touched.load(Ordering::Relaxed))
+            .map(|(name, c)| (name.clone(), c.0.value.load(Ordering::Relaxed)))
+            .collect();
+        let histograms = cells
+            .histograms
+            .iter()
+            .filter_map(|(name, h)| {
+                let h = lock(&h.0);
+                (h.count() > 0).then(|| (name.clone(), h.clone()))
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            gauges: cells.gauges.clone(),
+            histograms,
+        }
     }
 }
 
@@ -541,11 +667,18 @@ mod tests {
     #[test]
     fn histogram_json_roundtrip() {
         let mut h = LogHistogram::new();
-        for v in [0, 1, 31, 32, 1000, 123_456_789, u64::MAX / 2] {
+        for v in [0, 1, 31, 32, 1000, 123_456_789, u64::MAX / 2, u64::MAX] {
             h.record(v);
         }
         let text = h.to_json_string();
         assert_eq!(LogHistogram::from_json_str(&text).unwrap(), h);
+        // No value lands past the last bucket, so no document may name one.
+        let past = text.replace(
+            &format!("[{LAST_BUCKET},1]"),
+            &format!("[{},1]", LAST_BUCKET + 1),
+        );
+        assert_ne!(past, text);
+        assert!(LogHistogram::from_json_str(&past).is_err());
 
         let empty = LogHistogram::new();
         let text = empty.to_json_string();
@@ -568,6 +701,34 @@ mod tests {
 
         let text = snap.to_json_string();
         assert_eq!(MetricsSnapshot::from_json_str(&text).unwrap(), snap);
+    }
+
+    #[test]
+    fn a_resolved_handle_enters_the_snapshot_at_its_first_update() {
+        let registry = MetricsRegistry::new();
+        let (counter, histogram) = (registry.counter("c"), registry.histogram("h"));
+        assert_eq!(registry.snapshot(), MetricsSnapshot::default());
+        // An add of 0 is an update, as it was when every add named its key.
+        counter.incr(0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters.get("c"), Some(&0));
+        assert!(snap.histograms.is_empty());
+        histogram.observe(7);
+        assert_eq!(
+            registry.snapshot().histogram("h").map(LogHistogram::count),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn concurrent_adds_to_one_counter_sum_exactly() {
+        let registry = MetricsRegistry::new();
+        let handle = registry.counter("queries_completed");
+        std::thread::scope(|scope| {
+            scope.spawn(|| (0..100_000).for_each(|_| handle.incr(1)));
+            (0..100_000).for_each(|_| registry.incr("queries_completed", 1));
+        });
+        assert_eq!(registry.snapshot().counter("queries_completed"), 200_000);
     }
 
     #[test]
