@@ -9,99 +9,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== engine census (one of everything, and the size metric) =="
-# Seconds, no timing. The run engine has one builder (`Run`), one event
-# heap, one wall-clock worker pool and one Poisson constructor; this stage
-# fails when a second copy of any of them, or an eleventh driver, appears.
-# The six names besides `run_simulated`, `run_multitenant_server` and the
-# two `find_peak_*` are `#[doc(hidden)]` delegations kept only because
-# `perfbench/` imports them; nothing in the workspace may call them.
-census_fail() { echo "engine census: $*" >&2; exit 1; }
-kept="find_peak_multistream find_peak_server_qps resume_journaled run_instrumented
-run_journaled run_multitenant_server run_realtime_traced_at run_simulated
-run_simulated_replay run_simulated_traced"
-drivers=$(grep -hoE "^pub fn (run_|resume_|find_peak_)\w+" crates/core/src/*.rs | sed 's/^pub fn //' | sort | xargs)
-[[ "$drivers" == "$(echo $kept)" ]] || census_fail "public drivers are: $drivers"
-heaps=$(grep -l "BinaryHeap" crates/core/src/*.rs | xargs)
-[[ "$heaps" == "crates/core/src/des.rs" ]] || census_fail "BinaryHeap in: $heaps"
-pools=$(cat crates/core/src/{realtime,replay,run}.rs | grep -c "thread::spawn")
-[[ "$pools" == 1 ]] || census_fail "$pools thread::spawn sites in realtime.rs/replay.rs/run.rs"
-# The wall-clock loops wait for the schedule in one place, the pacer, which
-# sleeps short of a deadline and yields up to it: a second `thread::sleep`
-# is a loop that issues a timer slack late again. And `TcpTransport` reads
-# through its receive buffer only; the unbuffered `read_frame` is there as
-# the reference its tests compare against.
+echo "== size metric (the census itself is tests/census.rs, run by cargo test) =="
+# The census — one of everything in the run engine, the retired names kept
+# out, and the public-surface report against results/public_surface.txt —
+# is a table-driven root test, so tier-1 `cargo test` enforces it.
 before_tests() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
-sleeps=$(before_tests crates/core/src/realtime.rs | grep -c "thread::sleep" || true)
-[[ "$sleeps" == 1 ]] || census_fail "$sleeps non-test thread::sleep sites in realtime.rs"
-unbuffered=$(before_tests crates/wire/src/transport.rs | grep -c "read_frame(" || true)
-[[ "$unbuffered" == 0 ]] || census_fail "$unbuffered non-test read_frame( calls in wire/src/transport.rs"
-# One work queue in the tree — core's `WorkQueue<T>`, which the daemon's
-# server-scenario pool takes too — and nothing built per query: no `mpsc`
-# in the wire's two endpoints. A completion there wakes a waiter only when
-# one is parked, with `notify_one`; `notify_all` is for the rare paths that
-# change what every waiter sees: the client's `fail` (issuers and the
-# shutdown wait), `sever`, resume and response timeout. The daemon has
-# none: closing its queue is `WorkQueue::close`.
-queues=$(grep -l "struct WorkQueue" crates/*/src/*.rs | xargs)
-[[ "$queues" == "crates/core/src/realtime.rs" ]] || census_fail "work queues in: $queues"
-for end in server client; do
-    chans=$(before_tests crates/wire/src/$end.rs | grep -c "mpsc" || true)
-    [[ "$chans" == 0 ]] || census_fail "$chans mentions of mpsc in wire/src/$end.rs"
-done
-wakes="$(before_tests crates/wire/src/server.rs | grep -c "notify_all" || true) $(before_tests crates/wire/src/client.rs | grep -c "notify_all" || true)"
-[[ "$wakes" == "0 5" ]] || census_fail "notify_all sites in wire/src/{server,client}.rs: $wakes (want 0 5)"
-poissons=$(cat crates/core/src/*.rs | grep -c "PoissonProcess::new")
-[[ "$poissons" == 1 ]] || census_fail "$poissons PoissonProcess::new sites in crates/core/src"
-shims='run_simulated_traced|run_instrumented|run_journaled|resume_journaled|run_simulated_replay|run_realtime_traced_at'
-callers=$(grep -rnE "\b($shims)\b" --include='*.rs' crates src tests examples | grep -vE "^crates/core/src/(des|realtime|replay)\.rs:[0-9]+:pub fn " || true)
-[[ -z "$callers" ]] || census_fail "perfbench-only names used in the workspace:
-$callers"
-# The loopback wire topology (daemons -> a RemoteSut each -> a weighted
-# ShardedSut -> a kill watcher) is built once, in crates/harness/src/rig.rs;
-# chaos, netbench, replay and the fleet-crash test pass in what differs.
-# A second hand-built fleet, a second copy of the netbench/replay service
-# cycle, or a daemon leaked to outlive its scope fails here.
-wiring='ShardEndpoint::new|RemoteSut::hello_for|ShardedSut::new'
-strays=$(grep -rnE "$wiring" crates/harness/src crates/harness/tests | grep -v "^crates/harness/src/rig\.rs:" || true)
-[[ -z "$strays" ]] || census_fail "fleet wiring outside crates/harness/src/rig.rs:
-$strays"
-strays=$(grep -rnE "fn fleet_per_sample|mem::forget" crates/harness/src crates/harness/tests || true)
-[[ -z "$strays" ]] || census_fail "a copied service cycle or a leaked handle in crates/harness:
-$strays"
-# One measuring system, perf, and no knob in the environment: nothing
-# reads a variable, no bench holds a threshold, no baseline is committed.
-strays=$(grep -rn "env::var" crates src tests examples; grep -rnE "process::exit|MAX_PCT" crates/bench; ls BENCH_*.json 2>/dev/null) || true
-[[ -z "$strays" ]] || census_fail "an environment read, a gate in crates/bench or a stored bench baseline:
-$strays"
-# One protocol version on the wire, and one lock discipline under it: the
-# names that existed only because two versions did stay gone, and no
-# non-test lock in the endpoints, the router, the work queue or the sinks
-# unwraps its guard (`mlperf_trace::sync` takes a poisoned mutex anyway;
-# rustfmt may split `.lock()` from `.expect(`, so match across the newline).
-retired='MIN_PROTOCOL_VERSION|with_protocol|negotiated_version|Message::Issue\b|Message::Heartbeat\b'
-strays=$(grep -rnE "$retired" --include='*.rs' crates src tests examples || true)
-[[ -z "$strays" ]] || census_fail "a second protocol version's surface is back:
-$strays"
-for f in $(find crates/{wire,sut,core,trace}/src -name '*.rs'); do
-    unwrapped=$(before_tests "$f" | tr -d ' \n' | { grep -oE '\.lock\(\)\.(expect\(|unwrap\(\))' || true; } | wc -l)
-    [[ "$unwrapped" == 0 ]] || census_fail "$unwrapped .lock().expect(/.unwrap() sites in the non-test part of $f"
-done
-# One fleet, the one its callers select: two balance policies, the health
-# machine's tuning as constants, no load shedding, no probabilistic recv
-# corruption, and one shard-kill experiment — `chaos --wire`'s row, not a
-# second netbench fleet mode.
-unselected='LeastOutstanding|LatencyEwma|ShardConfig|health_of|shed_threshold|corrupt_recv_prob'
-strays=$(grep -rnE "\b($unselected)\b" --include='*.rs' crates src tests examples; grep -n -- "--shards" crates/harness/src/bin/netbench.rs) || true
-[[ -z "$strays" ]] || census_fail "an option nobody selects is back:
-$strays"
-# One chaos matrix: one Cell and one row table, not a cell type, table and
-# check per quadrant; and a flight dump always carries its analysis, so no
-# harness binary has a flag for it.
-quadrants='WireCell|ShardCell|CrashCell|check_wire|check_shard|check_crash|render_wire_table|render_shard_table|render_crash_table'
-strays=$(grep -nE "$quadrants" crates/harness/src/bin/chaos.rs; grep -n -- "--analyze" crates/harness/src/bin/*.rs) || true
-[[ -z "$strays" ]] || census_fail "a per-quadrant chaos copy or --analyze is back:
-$strays"
 # The size metric every PR states: lines of crates/*/src before a file's
 # first #[cfg(test)], per crate and in total.
 find crates/*/src -name '*.rs' | sort | while read -r f; do

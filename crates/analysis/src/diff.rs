@@ -4,7 +4,7 @@
 //! segment-by-segment at the nearest-rank quantiles from `crates/stats`;
 //! the verdict names the segment whose p99 regressed the most. Two
 //! metrics-JSON snapshots diff the same way over their shared histograms,
-//! so a `netbench --stats` artifact can be compared without a detail log.
+//! so a `netbench --metrics` document compares without a detail log.
 
 use mlperf_stats::Percentile;
 use mlperf_trace::json::{JsonValue, ToJson};

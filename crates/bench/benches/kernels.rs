@@ -7,7 +7,7 @@ use mlperf_nn::network::NetworkBuilder;
 use mlperf_nn::QNetwork;
 use mlperf_stats::Rng64;
 use mlperf_tensor::ops::{conv2d, dense, Conv2dParams};
-use mlperf_tensor::quant::qconv2d;
+use mlperf_tensor::quant::{qconv2d_per_channel, ChannelQTensor};
 use mlperf_tensor::{QTensor, Shape, Tensor};
 use std::hint::black_box;
 
@@ -22,9 +22,9 @@ fn main() {
         black_box(conv2d(&input, &weight, &bias, Conv2dParams::UNIT).expect("shapes fixed"))
     });
     let qin = QTensor::quantize(&input);
-    let qw = QTensor::quantize(&weight);
+    let qw = ChannelQTensor::quantize_dim0(&weight);
     bench.bench("qconv2d_8x16x16_to_16ch_int8", || {
-        black_box(qconv2d(&qin, &qw, &bias, Conv2dParams::UNIT).expect("shapes fixed"))
+        black_box(qconv2d_per_channel(&qin, &qw, &bias, Conv2dParams::UNIT).expect("shapes fixed"))
     });
     let x = Tensor::fill_with(Shape::d1(256), |_| rng.next_f64() as f32);
     let w = Tensor::fill_with(Shape::d2(128, 256), |_| rng.next_f64() as f32 * 0.05);

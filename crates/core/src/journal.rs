@@ -28,7 +28,9 @@
 //! from the daemon's own journal, keeping execution effects exactly-once.
 
 use crate::config::TestSettings;
-use crate::record::{get_opt_nanos, put_opt_nanos, RecorderSnapshot};
+use crate::record::{
+    get_opt_nanos, put_opt_nanos, OutstandingEntry, QueryRecord, RecorderSnapshot,
+};
 use crate::run::Lane;
 use crate::time::Nanos;
 use crate::LoadGenError;
@@ -332,6 +334,8 @@ fn parse_scan(
             .map_err(|e| journal_err(&ctx, format!("checkpoint frame {checkpoints}: {e}")))?;
         folded_records.truncate(stable);
         folded_records.append(&mut cp.recorder.records);
+        check_outstanding(&cp.recorder.outstanding, &folded_records)
+            .map_err(|e| journal_err(&ctx, format!("checkpoint frame {checkpoints}: {e}")))?;
         folded_accuracy.append(&mut cp.recorder.accuracy_log);
         stable = stable_prefix(&cp.recorder.outstanding, folded_records.len());
         checkpoints += 1;
@@ -349,12 +353,39 @@ fn parse_scan(
     })
 }
 
+/// Every outstanding entry names an issued, uncompleted record of its own
+/// size. A resume re-sends those queries and completes them into those
+/// records, so a frame that says otherwise is refused however sound its
+/// bytes are (`tests/journal_load.rs` pins the two ways it went wrong).
+fn check_outstanding(
+    outstanding: &[OutstandingEntry],
+    records: &[QueryRecord],
+) -> Result<(), String> {
+    for e in outstanding {
+        match records.get(e.pos) {
+            Some(r)
+                if r.id == e.id
+                    && r.completed_at.is_none()
+                    && r.sample_count == e.samples.len() => {}
+            _ => {
+                return Err(format!(
+                    "outstanding query {} does not match record {} of {}",
+                    e.id,
+                    e.pos,
+                    records.len()
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The index below which a snapshot's records can never change again:
 /// everything before the lowest outstanding position is completed and
 /// immutable, while records at or past it may still be rewritten in place
 /// when their query completes. Delta frames must re-send that mutable
 /// suffix.
-fn stable_prefix(outstanding: &[crate::record::OutstandingEntry], records: usize) -> usize {
+fn stable_prefix(outstanding: &[OutstandingEntry], records: usize) -> usize {
     outstanding.iter().map(|e| e.pos).min().unwrap_or(records)
 }
 

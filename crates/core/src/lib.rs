@@ -45,8 +45,6 @@
 //! * [`multitenant`] — the multitenancy extension the paper names as
 //!   planned LoadGen work: several server streams sharing one SUT, each
 //!   holding its own QoS.
-//! * [`log`] — structured, serializable run logs (summary + per-query
-//!   detail + sampled accuracy payloads).
 //!
 //! # Example: simulated single-stream run
 //!
@@ -76,7 +74,6 @@ pub mod des;
 pub mod find_peak;
 pub mod instrument;
 pub mod journal;
-pub mod log;
 pub mod multitenant;
 pub mod qsl;
 pub mod query;

@@ -2,7 +2,6 @@
 
 use crate::time::Nanos;
 use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
 /// Identifier of an issued query, unique within one run.
 pub type QueryId = u64;
@@ -176,66 +175,6 @@ impl QueryCompletion {
     }
 }
 
-impl ToJson for ResponsePayload {
-    fn to_json_value(&self) -> JsonValue {
-        match self {
-            ResponsePayload::Empty => JsonValue::Str("Empty".into()),
-            ResponsePayload::Class(class) => {
-                JsonValue::object(vec![("Class", class.to_json_value())])
-            }
-            ResponsePayload::Boxes(boxes) => {
-                let items = boxes
-                    .iter()
-                    .map(|(class, score, rect)| {
-                        JsonValue::Array(vec![
-                            class.to_json_value(),
-                            score.to_json_value(),
-                            JsonValue::Array(rect.iter().map(|c| c.to_json_value()).collect()),
-                        ])
-                    })
-                    .collect();
-                JsonValue::object(vec![("Boxes", JsonValue::Array(items))])
-            }
-            ResponsePayload::Tokens(tokens) => {
-                JsonValue::object(vec![("Tokens", tokens.to_json_value())])
-            }
-        }
-    }
-}
-
-impl FromJson for ResponsePayload {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        if let Ok("Empty") = value.as_str() {
-            return Ok(ResponsePayload::Empty);
-        }
-        let (name, payload) = value.as_variant()?;
-        match name {
-            "Class" => Ok(ResponsePayload::Class(payload.as_usize()?)),
-            "Boxes" => {
-                let mut boxes = Vec::new();
-                for item in payload.as_array()? {
-                    let parts = item.as_array()?;
-                    if parts.len() != 3 {
-                        return Err(JsonError::new("box must be [class, score, rect]"));
-                    }
-                    let rect_parts = parts[2].as_array()?;
-                    if rect_parts.len() != 4 {
-                        return Err(JsonError::new("box rect must have 4 coordinates"));
-                    }
-                    let mut rect = [0.0f32; 4];
-                    for (slot, coord) in rect.iter_mut().zip(rect_parts) {
-                        *slot = coord.as_f32()?;
-                    }
-                    boxes.push((parts[0].as_usize()?, parts[1].as_f32()?, rect));
-                }
-                Ok(ResponsePayload::Boxes(boxes))
-            }
-            "Tokens" => Ok(ResponsePayload::Tokens(Vec::from_json_value(payload)?)),
-            other => Err(JsonError::new(format!("unknown payload variant {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,19 +199,6 @@ mod tests {
         assert!(ResponsePayload::default().is_empty());
         assert!(!ResponsePayload::Class(3).is_empty());
         assert!(!ResponsePayload::Tokens(vec![1]).is_empty());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        for payload in [
-            ResponsePayload::Empty,
-            ResponsePayload::Class(17),
-            ResponsePayload::Boxes(vec![(2, 0.9, [0.0, 0.0, 4.0, 4.0])]),
-            ResponsePayload::Tokens(vec![1, 2, 3]),
-        ] {
-            let json = payload.to_json_string();
-            assert_eq!(ResponsePayload::from_json_str(&json).unwrap(), payload);
-        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::query::{Query, QueryCompletion, QueryId, ResponsePayload, SampleIndex
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
 
 /// Per-query record retained for the detail log and metric computation.
@@ -78,59 +77,6 @@ pub struct LoggedResponse {
     pub sample_index: SampleIndex,
     /// The SUT's output.
     pub payload: ResponsePayload,
-}
-
-impl ToJson for QueryRecord {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("scheduled_at", self.scheduled_at.to_json_value()),
-            ("issued_at", self.issued_at.to_json_value()),
-            ("completed_at", self.completed_at.to_json_value()),
-            ("sample_count", self.sample_count.to_json_value()),
-            ("skipped_intervals", self.skipped_intervals.to_json_value()),
-            ("error", self.error.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for QueryRecord {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(QueryRecord {
-            id: value.field("id")?.as_u64()?,
-            scheduled_at: Nanos::from_json_value(value.field("scheduled_at")?)?,
-            issued_at: Nanos::from_json_value(value.field("issued_at")?)?,
-            completed_at: Option::from_json_value(value.field("completed_at")?)?,
-            sample_count: value.field("sample_count")?.as_usize()?,
-            skipped_intervals: value.field("skipped_intervals")?.as_u32()?,
-            // Logs written before the fault-injection extension lack the
-            // field; every completion then was a success.
-            error: match value.get("error") {
-                Some(v) => v.as_bool()?,
-                None => false,
-            },
-        })
-    }
-}
-
-impl ToJson for LoggedResponse {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("sample_id", self.sample_id.to_json_value()),
-            ("sample_index", self.sample_index.to_json_value()),
-            ("payload", self.payload.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for LoggedResponse {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(LoggedResponse {
-            sample_id: value.field("sample_id")?.as_u64()?,
-            sample_index: value.field("sample_index")?.as_usize()?,
-            payload: ResponsePayload::from_json_value(value.field("payload")?)?,
-        })
-    }
 }
 
 /// One still-outstanding query inside a [`RecorderSnapshot`]: enough to
@@ -569,7 +515,7 @@ mod tests {
     fn unknown_completion_rejected() {
         let mut r = Recorder::new();
         assert!(r
-            .record_completion(&completion(9, Nanos::SECOND), |_| false)
+            .record_completion(&completion(9, Nanos::from_secs(1)), |_| false)
             .is_err());
     }
 
@@ -577,10 +523,10 @@ mod tests {
     fn double_completion_rejected() {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::ZERO).unwrap();
-        r.record_completion(&completion(1, Nanos::SECOND), |_| false)
+        r.record_completion(&completion(1, Nanos::from_secs(1)), |_| false)
             .unwrap();
         assert!(r
-            .record_completion(&completion(1, Nanos::SECOND), |_| false)
+            .record_completion(&completion(1, Nanos::from_secs(1)), |_| false)
             .is_err());
     }
 
@@ -597,7 +543,7 @@ mod tests {
     fn wrong_sample_id_rejected() {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::ZERO).unwrap();
-        let mut c = completion(1, Nanos::SECOND);
+        let mut c = completion(1, Nanos::from_secs(1));
         c.samples[0].sample_id = 999;
         assert!(r.record_completion(&c, |_| false).is_err());
     }
@@ -606,7 +552,7 @@ mod tests {
     fn missing_samples_rejected() {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::ZERO).unwrap();
-        let mut c = completion(1, Nanos::SECOND);
+        let mut c = completion(1, Nanos::from_secs(1));
         c.samples.clear();
         assert!(r.record_completion(&c, |_| false).is_err());
     }
@@ -616,9 +562,9 @@ mod tests {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::ZERO).unwrap();
         r.record_issue(&query(2), Nanos::ZERO).unwrap();
-        r.record_completion(&completion(1, Nanos::SECOND), |_| true)
+        r.record_completion(&completion(1, Nanos::from_secs(1)), |_| true)
             .unwrap();
-        r.record_completion(&completion(2, Nanos::SECOND), |_| false)
+        r.record_completion(&completion(2, Nanos::from_secs(1)), |_| false)
             .unwrap();
         assert_eq!(r.accuracy_log().len(), 1);
         assert_eq!(r.accuracy_log()[0].sample_index, 3);
@@ -651,7 +597,7 @@ mod tests {
         assert_eq!(restored.outstanding(), 2);
         assert_eq!(restored.samples_completed(), 1);
         assert!(restored
-            .record_completion(&completion(2, Nanos::SECOND), |_| false)
+            .record_completion(&completion(2, Nanos::from_secs(1)), |_| false)
             .is_err());
         restored
             .record_completion(&completion(1, Nanos::from_micros(40)), |_| false)

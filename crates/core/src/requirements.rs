@@ -26,11 +26,6 @@ impl QosClass {
             QosClass::Translation => TailLatency::P97,
         }
     }
-
-    /// Maximum fraction of queries allowed over the bound.
-    pub fn max_overlatency_fraction(&self) -> f64 {
-        1.0 - self.tail_latency().fraction()
-    }
 }
 
 /// Minimum queries for a task class in a scenario (Table V, left of "/").
@@ -49,15 +44,6 @@ pub const OFFLINE_MIN_SAMPLES: u64 = 24_576;
 
 /// Minimum run duration for every benchmark (Section III-D).
 pub const MIN_DURATION_SECS: u64 = 60;
-
-/// Number of repetitions required per scenario (Section III-D): five for
-/// server (result is the minimum), one elsewhere.
-pub fn required_runs(scenario: Scenario) -> u32 {
-    match scenario {
-        Scenario::Server => 5,
-        _ => 1,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -87,20 +73,6 @@ mod tests {
             min_query_count(Scenario::MultiStream, QosClass::Translation),
             90_112
         );
-    }
-
-    #[test]
-    fn overlatency_budgets() {
-        assert!((QosClass::Vision.max_overlatency_fraction() - 0.01).abs() < 1e-12);
-        assert!((QosClass::Translation.max_overlatency_fraction() - 0.03).abs() < 1e-12);
-    }
-
-    #[test]
-    fn five_server_runs() {
-        assert_eq!(required_runs(Scenario::Server), 5);
-        assert_eq!(required_runs(Scenario::Offline), 1);
-        assert_eq!(required_runs(Scenario::SingleStream), 1);
-        assert_eq!(required_runs(Scenario::MultiStream), 1);
     }
 
     #[test]

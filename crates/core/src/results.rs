@@ -250,7 +250,7 @@ impl TestResult {
     /// summary log.
     pub fn summary_line(&self) -> String {
         format!(
-            "{} | {} | {} | {} | {} queries, {} samples in {} | {}",
+            "{} | {} | {} | {} | {} | {} queries, {} samples in {} | {}",
             self.sut_name,
             self.qsl_name,
             self.scenario,
@@ -260,6 +260,7 @@ impl TestResult {
                 "accuracy"
             },
             self.metric,
+            self.query_count,
             self.sample_count,
             self.duration,
             if self.is_valid() { "VALID" } else { "INVALID" },
@@ -379,13 +380,16 @@ mod tests {
             latency_stats: None,
             query_count: 100,
             error_count: 0,
-            sample_count: 100,
+            sample_count: 400,
             duration: Nanos::from_secs(61),
             validity: vec![],
         };
         let line = result.summary_line();
         assert!(line.contains("VALID"));
-        assert!(line.contains("12.50 QPS"));
+        assert!(
+            line.contains("| 12.50 QPS | 100 queries, 400 samples in"),
+            "{line}"
+        );
         assert!(result.is_valid());
     }
 

@@ -92,11 +92,6 @@ impl Scenario {
             Scenario::Offline => "photo categorization",
         }
     }
-
-    /// Whether the scenario enforces a latency bound on each query.
-    pub fn latency_constrained(&self) -> bool {
-        matches!(self, Scenario::MultiStream | Scenario::Server)
-    }
 }
 
 impl ToJson for Scenario {
@@ -192,14 +187,6 @@ mod tests {
             assert!(!s.samples_per_query_desc().is_empty());
             assert!(!s.example_use().is_empty());
         }
-    }
-
-    #[test]
-    fn latency_constraints() {
-        assert!(!Scenario::SingleStream.latency_constrained());
-        assert!(Scenario::MultiStream.latency_constrained());
-        assert!(Scenario::Server.latency_constrained());
-        assert!(!Scenario::Offline.latency_constrained());
     }
 
     #[test]

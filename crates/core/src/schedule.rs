@@ -22,7 +22,7 @@ use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_stats::dist::PoissonProcess;
 use mlperf_stats::Rng64;
-use mlperf_trace::{profile_span, TraceEvent, TraceSink};
+use mlperf_trace::profile_span;
 
 /// The server scenario's arrival process: the one place a Poisson process
 /// is built from settings.
@@ -69,34 +69,6 @@ pub fn server_arrivals(settings: &TestSettings, count: u64) -> Vec<Nanos> {
         .take(count as usize)
         .map(Nanos::from_secs_f64)
         .collect()
-}
-
-/// Arrival timestamps for `count` multistream intervals: `k * interval`.
-pub fn multistream_boundaries(settings: &TestSettings, count: u64) -> Vec<Nanos> {
-    (0..count)
-        .map(|k| settings.multistream_arrival_interval.mul(k))
-        .collect()
-}
-
-/// Announces a pre-materialized schedule to a trace sink: one
-/// [`TraceEvent::QueryScheduled`] per query, stamped with its arrival time.
-///
-/// The LoadGen materializes the whole schedule before the timed run begins
-/// (Figure 4), so the detail log can carry the planned arrivals alongside
-/// the observed issue/completion events.
-pub fn trace_schedule(sink: &dyn TraceSink, arrivals: &[Nanos], indices: &[Vec<SampleIndex>]) {
-    if !sink.enabled() {
-        return;
-    }
-    for (id, (at, samples)) in arrivals.iter().zip(indices).enumerate() {
-        sink.record(
-            at.as_nanos(),
-            &TraceEvent::QueryScheduled {
-                query_id: id as u64,
-                sample_count: samples.len(),
-            },
-        );
-    }
 }
 
 /// Builds a full query from pre-drawn indices.
@@ -348,53 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn multistream_boundaries_fixed_interval() {
-        let s = TestSettings::multi_stream(2, Nanos::from_millis(50));
-        let b = multistream_boundaries(&s, 4);
-        assert_eq!(
-            b,
-            vec![
-                Nanos::ZERO,
-                Nanos::from_millis(50),
-                Nanos::from_millis(100),
-                Nanos::from_millis(150)
-            ]
-        );
-    }
-
-    #[test]
-    fn trace_schedule_emits_one_event_per_query() {
-        use mlperf_trace::RingBufferSink;
-        let s = TestSettings::server(1_000.0, Nanos::from_millis(10));
-        let arrivals = server_arrivals(&s, 16);
-        let indices = sample_indices(&s, 32, 16);
-        let sink = RingBufferSink::unbounded();
-        trace_schedule(&sink, &arrivals, &indices);
-        let records = sink.snapshot();
-        assert_eq!(records.len(), 16);
-        for (k, r) in records.iter().enumerate() {
-            assert_eq!(r.ts_ns, arrivals[k].as_nanos());
-            match &r.event {
-                mlperf_trace::TraceEvent::QueryScheduled {
-                    query_id,
-                    sample_count,
-                } => {
-                    assert_eq!(*query_id, k as u64);
-                    assert_eq!(*sample_count, indices[k].len());
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn build_query_assigns_unique_sample_ids() {
         let mut next = 0u64;
         let q1 = build_query(0, &mut next, &[5, 6], Nanos::ZERO);
-        let q2 = build_query(1, &mut next, &[7], Nanos::SECOND);
+        let q2 = build_query(1, &mut next, &[7], Nanos::from_secs(1));
         assert_eq!(q1.samples[0].id, 0);
         assert_eq!(q1.samples[1].id, 1);
         assert_eq!(q2.samples[0].id, 2);
-        assert_eq!(q2.scheduled_at, Nanos::SECOND);
+        assert_eq!(q2.scheduled_at, Nanos::from_secs(1));
     }
 }

@@ -37,8 +37,6 @@ impl FromJson for Nanos {
 impl Nanos {
     /// Zero time.
     pub const ZERO: Nanos = Nanos(0);
-    /// One second.
-    pub const SECOND: Nanos = Nanos(1_000_000_000);
     /// The farthest representable instant.
     pub const MAX: Nanos = Nanos(u64::MAX);
 
@@ -174,7 +172,7 @@ mod tests {
     #[test]
     fn ordering() {
         assert!(Nanos::from_millis(1) < Nanos::from_millis(2));
-        assert!(Nanos::MAX > Nanos::SECOND);
+        assert!(Nanos::MAX > Nanos::from_secs(1));
     }
 
     #[test]

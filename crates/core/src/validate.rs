@@ -615,7 +615,7 @@ mod tests {
             },
             ValidityIssue::LatencyBoundExceeded {
                 percentile: 99.0,
-                bound: Nanos::SECOND,
+                bound: Nanos::from_secs(1),
                 observed: Nanos::from_secs(2),
             },
             ValidityIssue::IncompleteQueries { outstanding: 4 },
@@ -642,13 +642,13 @@ mod tests {
                 observed: 0,
             },
             ValidityIssue::RunTooShort {
-                required: Nanos::SECOND,
+                required: Nanos::from_secs(1),
                 observed: Nanos::ZERO,
             },
             ValidityIssue::LatencyBoundExceeded {
                 percentile: 99.0,
-                bound: Nanos::SECOND,
-                observed: Nanos::SECOND,
+                bound: Nanos::from_secs(1),
+                observed: Nanos::from_secs(1),
             },
             ValidityIssue::TooManySkippedIntervals {
                 max_fraction: 0.01,

@@ -8,7 +8,7 @@ use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::run_simulated;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::results::ScenarioMetric;
-use mlperf_loadgen::schedule::{multistream_boundaries, sample_indices, server_arrivals};
+use mlperf_loadgen::schedule::{sample_indices, server_arrivals};
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::SeedTriple;
@@ -47,23 +47,6 @@ fn sample_indices_stay_in_population() {
             assert!(
                 query.iter().all(|i| *i < population),
                 "case {case}: seed={seed} population={population}"
-            );
-        }
-    }
-}
-
-#[test]
-fn multistream_boundaries_are_exact_multiples() {
-    let mut rng = Rng64::new(0x434f_0003);
-    for case in 0..CASES {
-        let interval_us = 1 + rng.next_below(99_999);
-        let settings = TestSettings::multi_stream(1, Nanos::from_micros(interval_us));
-        let b = multistream_boundaries(&settings, 32);
-        for (k, t) in b.iter().enumerate() {
-            assert_eq!(
-                t.as_nanos(),
-                interval_us * 1_000 * k as u64,
-                "case {case}: interval_us={interval_us}"
             );
         }
     }

@@ -30,8 +30,10 @@ pub struct SyntheticImages {
     shape: Shape,
     len: usize,
     seed: u64,
-    noise: f32,
 }
+
+/// White-noise amplitude added to every pixel.
+const NOISE: f32 = 0.25;
 
 impl SyntheticImages {
     /// Creates a dataset of `len` images of the given shape.
@@ -42,18 +44,7 @@ impl SyntheticImages {
     pub fn new(shape: Shape, len: usize, seed: u64) -> Self {
         assert!(len > 0, "dataset must be non-empty");
         assert_eq!(shape.rank(), 3, "images are [C, H, W]");
-        Self {
-            shape,
-            len,
-            seed,
-            noise: 0.25,
-        }
-    }
-
-    /// Overrides the white-noise amplitude (default 0.25).
-    pub fn with_noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
+        Self { shape, len, seed }
     }
 
     /// Number of samples.
@@ -100,7 +91,6 @@ impl SyntheticImages {
             let amp = rng.next_f64() as f32 * 0.5 + 0.2;
             waves.push((fx, fy, phase, amp));
         }
-        let noise = self.noise;
         Ok(Tensor::fill_with(self.shape.clone(), |idx| {
             let (ch, y, x) = (idx[0], idx[1] as f32, idx[2] as f32);
             let mut v = 0.0f32;
@@ -111,7 +101,7 @@ impl SyntheticImages {
                         + phase)
                         .sin();
             }
-            v + (rng.next_f64() as f32 * 2.0 - 1.0) * noise
+            v + (rng.next_f64() as f32 * 2.0 - 1.0) * NOISE
         }))
     }
 
@@ -181,12 +171,5 @@ mod tests {
     #[should_panic(expected = "larger than dataset")]
     fn oversized_calibration_panics() {
         ds().calibration_indices(51);
-    }
-
-    #[test]
-    fn noise_override_changes_images() {
-        let base = SyntheticImages::new(Shape::d3(1, 8, 8), 5, 3);
-        let quiet = base.clone().with_noise(0.0);
-        assert_ne!(base.input(0).unwrap(), quiet.input(0).unwrap());
     }
 }

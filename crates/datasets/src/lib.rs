@@ -9,10 +9,9 @@
 //! networks over these inputs (see DESIGN.md for why that substitution
 //! preserves the quality-target machinery).
 //!
-//! The module also provides [`tracker::SampleTracker`], which implements the
-//! LoadGen's QSL load/unload accounting — loading samples into memory is an
-//! untimed operation, but the benchmark verifies the SUT only touches loaded
-//! samples.
+//! The module also provides [`tracker::SampleTracker`], the QSL's
+//! load/unload accounting: loading samples into memory is an untimed
+//! operation, and a load must stay inside the data set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +34,6 @@ pub enum DatasetError {
         /// The dataset length.
         len: usize,
     },
-    /// A sample was accessed without being loaded first.
-    SampleNotLoaded(usize),
 }
 
 impl std::fmt::Display for DatasetError {
@@ -44,9 +41,6 @@ impl std::fmt::Display for DatasetError {
         match self {
             DatasetError::IndexOutOfRange { index, len } => {
                 write!(f, "sample index {index} out of range for dataset of {len}")
-            }
-            DatasetError::SampleNotLoaded(i) => {
-                write!(f, "sample {i} accessed while not loaded")
             }
         }
     }

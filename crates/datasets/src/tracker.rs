@@ -1,9 +1,9 @@
 //! QSL load/unload accounting.
 //!
 //! At startup "the LoadGen requests that the SUT load data-set samples into
-//! memory" as an untimed operation (Section IV-B). The tracker enforces the
-//! contract: queries may only reference loaded samples, and the loaded set
-//! is bounded by the QSL's `performance_sample_count`.
+//! memory" as an untimed operation (Section IV-B). The tracker keeps the
+//! loaded set, refuses a load outside the data set, and records the
+//! largest resident set and the number of loads.
 
 use crate::DatasetError;
 use std::collections::HashSet;
@@ -17,10 +17,10 @@ use std::collections::HashSet;
 ///
 /// let mut t = SampleTracker::new(1000);
 /// t.load(&[3, 5, 7])?;
-/// assert!(t.is_loaded(5));
-/// t.access(5)?;
 /// t.unload(&[5]);
-/// assert!(t.access(5).is_err());
+/// t.load(&[9])?;
+/// assert_eq!(t.peak_resident(), 3);
+/// assert!(t.load(&[1000]).is_err());
 /// # Ok::<(), mlperf_datasets::DatasetError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -29,7 +29,6 @@ pub struct SampleTracker {
     loaded: HashSet<usize>,
     peak_resident: usize,
     load_calls: u64,
-    accesses: u64,
 }
 
 impl SampleTracker {
@@ -67,29 +66,6 @@ impl SampleTracker {
         }
     }
 
-    /// Whether a sample is currently resident.
-    pub fn is_loaded(&self, index: usize) -> bool {
-        self.loaded.contains(&index)
-    }
-
-    /// Records an access, enforcing residency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::SampleNotLoaded`] for non-resident samples.
-    pub fn access(&mut self, index: usize) -> Result<(), DatasetError> {
-        if !self.loaded.contains(&index) {
-            return Err(DatasetError::SampleNotLoaded(index));
-        }
-        self.accesses += 1;
-        Ok(())
-    }
-
-    /// Number of currently resident samples.
-    pub fn resident(&self) -> usize {
-        self.loaded.len()
-    }
-
     /// Largest resident set seen.
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
@@ -99,11 +75,6 @@ impl SampleTracker {
     pub fn load_calls(&self) -> u64 {
         self.load_calls
     }
-
-    /// Number of successful accesses.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
 }
 
 #[cfg(test)]
@@ -111,22 +82,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn load_access_unload_cycle() {
+    fn load_unload_cycle() {
         let mut t = SampleTracker::new(10);
         t.load(&[1, 2, 3]).unwrap();
-        assert_eq!(t.resident(), 3);
-        t.access(2).unwrap();
         t.unload(&[2]);
-        assert_eq!(t.resident(), 2);
-        assert!(matches!(t.access(2), Err(DatasetError::SampleNotLoaded(2))));
-        assert_eq!(t.accesses(), 1);
+        t.load(&[2, 4]).unwrap();
+        assert_eq!(t.peak_resident(), 4);
     }
 
     #[test]
     fn load_rejects_out_of_range_atomically() {
         let mut t = SampleTracker::new(5);
         assert!(t.load(&[1, 9]).is_err());
-        assert_eq!(t.resident(), 0, "failed load must not partially apply");
+        assert_eq!(t.peak_resident(), 0, "failed load must not partially apply");
     }
 
     #[test]
@@ -143,13 +111,14 @@ mod tests {
     fn duplicate_loads_idempotent() {
         let mut t = SampleTracker::new(10);
         t.load(&[1, 1, 1]).unwrap();
-        assert_eq!(t.resident(), 1);
+        assert_eq!(t.peak_resident(), 1);
     }
 
     #[test]
     fn unload_unknown_is_noop() {
         let mut t = SampleTracker::new(3);
         t.unload(&[7]);
-        assert_eq!(t.resident(), 0);
+        t.load(&[1]).unwrap();
+        assert_eq!(t.peak_resident(), 1);
     }
 }

@@ -195,13 +195,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     if journaling && tenants > 1 {
         return Err("journaled runs support a single tenant".to_string());
     }
-    if journaling && scenario != "server" && scenario != "offline" {
-        return Err(
-            "--journal/--resume-from require --scenario server or offline (the \
-             completion-driven scenarios have no issue boundary to checkpoint at)"
-                .to_string(),
-        );
-    }
 
     let settings = settings_for(&scenario, queries)?;
     let sink = Arc::new(RingBufferSink::unbounded());
@@ -488,5 +481,30 @@ mod tests {
         assert!(settings_for("bogus", None).is_err());
         let bumped = settings_for("server", Some(123_456)).expect("known scenario");
         assert_eq!(bumped.min_query_count, 123_456);
+    }
+
+    #[test]
+    fn a_journal_the_run_refuses_fails_with_run_checks_words_and_writes_nothing() {
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let journal = dir.join(format!("trace-refused-{tag}.mlpj"));
+        let trace = dir.join(format!("trace-refused-{tag}.jsonl"));
+        let args: Vec<String> = [
+            "--scenario",
+            "single-stream",
+            "--journal",
+            journal.to_str().expect("UTF-8 temp dir"),
+            "--trace",
+            trace.to_str().expect("UTF-8 temp dir"),
+        ]
+        .map(String::from)
+        .to_vec();
+        let err = cmd_run(&args, &mlperf_trace::FlightRecorder::new(16)).unwrap_err();
+        assert_eq!(
+            err,
+            "journaled run failed: bad test settings: \
+             journaled runs support the server and offline scenarios, not single-stream"
+        );
+        assert!(!journal.exists() && !trace.exists());
     }
 }

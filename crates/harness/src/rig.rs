@@ -131,11 +131,6 @@ impl Rig {
         }
     }
 
-    /// How many daemons the rig holds.
-    pub fn daemon_count(&self) -> usize {
-        self.addrs.len()
-    }
-
     /// The address daemon `i` listens on.
     pub fn addr(&self, i: usize) -> &str {
         &self.addrs[i]

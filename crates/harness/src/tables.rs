@@ -4,7 +4,7 @@ use mlperf_loadgen::requirements::{min_query_count, OFFLINE_MIN_SAMPLES};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_models::registry;
 use mlperf_models::zoo::{pareto_frontier, ZOO};
-use mlperf_stats::confidence::{QueryCountPlan, TailLatency, QUERY_COUNT_GRANULE};
+use mlperf_stats::confidence::{QueryCountPlan, TailLatency};
 
 /// Table I: the task/model/quality matrix.
 pub fn render_table1() -> String {
@@ -79,7 +79,7 @@ pub fn render_table4() -> String {
             plan.margin() * 100.0,
             plan.raw_queries(),
             plan.rounded_queries(),
-            plan.rounded_queries() / QUERY_COUNT_GRANULE
+            plan.granule_multiplier()
         ));
     }
     out

@@ -98,15 +98,6 @@ fn ngram_counts<T: std::hash::Hash + Eq + Clone>(tokens: &[T], n: usize) -> Hash
     counts
 }
 
-/// Sentence-level helper: BLEU of a single pair (still corpus math, just a
-/// corpus of one).
-pub fn sentence_bleu<T: std::hash::Hash + Eq + Clone>(candidate: &[T], reference: &[T]) -> f64 {
-    corpus_bleu(
-        std::slice::from_ref(&candidate.to_vec()),
-        std::slice::from_ref(&reference.to_vec()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,16 +201,6 @@ mod tests {
     fn empty_corpus_scores_zero() {
         let e: Vec<Vec<u32>> = vec![];
         assert_eq!(corpus_bleu(&e, &e), 0.0);
-    }
-
-    #[test]
-    fn sentence_bleu_matches_corpus_of_one() {
-        let c = s("the cat sat");
-        let r = s("the cat lay");
-        assert_eq!(
-            sentence_bleu(&c, &r),
-            corpus_bleu(std::slice::from_ref(&c), std::slice::from_ref(&r))
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Top-1 / Top-k classification accuracy.
+//! Top-1 classification accuracy.
 
 /// Fraction of samples whose predicted label equals the ground truth.
 ///
@@ -31,43 +31,6 @@ pub fn top1_accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Fraction of samples whose ground-truth label appears in the sample's
-/// ranked prediction list (first `k` entries considered).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths, are empty, or `k == 0`.
-pub fn topk_accuracy(ranked_predictions: &[Vec<usize>], labels: &[usize], k: usize) -> f64 {
-    assert_eq!(
-        ranked_predictions.len(),
-        labels.len(),
-        "predictions and labels must be parallel"
-    );
-    assert!(!labels.is_empty(), "cannot score an empty run");
-    assert!(k > 0, "k must be positive");
-    let correct = ranked_predictions
-        .iter()
-        .zip(labels)
-        .filter(|(preds, l)| preds.iter().take(k).any(|p| p == *l))
-        .count();
-    correct as f64 / labels.len() as f64
-}
-
-/// Ranks the classes of a probability/logit vector in descending score order.
-///
-/// Ties break toward the lower class index, matching the behaviour of
-/// `argmax` chains in the reference implementations.
-pub fn rank_classes(scores: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|a, b| {
-        scores[*b]
-            .partial_cmp(&scores[*a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,37 +52,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn top1_empty_panics() {
         top1_accuracy(&[], &[]);
-    }
-
-    #[test]
-    fn topk_widens_credit() {
-        let ranked = vec![vec![3, 1, 0], vec![2, 0, 1]];
-        let labels = [1, 1];
-        assert_eq!(topk_accuracy(&ranked, &labels, 1), 0.0);
-        assert_eq!(topk_accuracy(&ranked, &labels, 2), 0.5);
-        assert_eq!(topk_accuracy(&ranked, &labels, 3), 1.0);
-    }
-
-    #[test]
-    fn topk_equals_top1_at_k1() {
-        let ranked = vec![vec![3, 1], vec![2, 0], vec![1, 2]];
-        let labels = [3, 0, 1];
-        let p1: Vec<usize> = ranked.iter().map(|r| r[0]).collect();
-        assert_eq!(
-            topk_accuracy(&ranked, &labels, 1),
-            top1_accuracy(&p1, &labels)
-        );
-    }
-
-    #[test]
-    fn rank_classes_orders_descending_with_stable_ties() {
-        assert_eq!(rank_classes(&[0.1, 0.9, 0.5]), vec![1, 2, 0]);
-        assert_eq!(rank_classes(&[0.5, 0.5, 0.1]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn topk_zero_k_panics() {
-        topk_accuracy(&[vec![0]], &[0], 0);
     }
 }

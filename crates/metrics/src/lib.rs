@@ -4,7 +4,7 @@
 //! LoadGen accuracy-mode run, the logged responses are scored with the
 //! task-appropriate metric and compared against the Table I quality target.
 //!
-//! * [`classification`] — Top-1 / Top-k accuracy (ImageNet tasks).
+//! * [`classification`] — Top-1 accuracy (ImageNet tasks).
 //! * [`detection`] — mean average precision with IoU matching and 101-point
 //!   precision/recall interpolation (COCO tasks).
 //! * [`bleu`] — corpus-level BLEU with the standard 4-gram geometric mean
@@ -18,5 +18,5 @@ pub mod classification;
 pub mod detection;
 
 pub use bleu::corpus_bleu;
-pub use classification::{top1_accuracy, topk_accuracy};
+pub use classification::top1_accuracy;
 pub use detection::{mean_average_precision, BoundingBox, Detection, GroundTruth};

@@ -30,7 +30,7 @@ fn default_performance_count(task: TaskId) -> usize {
 /// assert_eq!(qsl.total_sample_count(), 512);
 /// assert!(qsl.performance_sample_count() <= 512);
 /// qsl.load_samples(&[0, 1]);
-/// assert!(qsl.tracker().is_loaded(1));
+/// assert_eq!(qsl.tracker().peak_resident(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskQsl {
@@ -54,22 +54,6 @@ impl TaskQsl {
             name: format!("{}-qsl", task.spec().model_name),
             total,
             performance: default_performance_count(task).min(total),
-            tracker: SampleTracker::new(total),
-        }
-    }
-
-    /// Creates a QSL with an explicit performance sample count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total == 0`, `performance == 0`, or
-    /// `performance > total`.
-    pub fn with_performance_count(task: TaskId, total: usize, performance: usize) -> Self {
-        assert!(total > 0 && performance > 0 && performance <= total);
-        Self {
-            name: format!("{}-qsl", task.spec().model_name),
-            total,
-            performance,
             tracker: SampleTracker::new(total),
         }
     }
@@ -132,16 +116,12 @@ mod tests {
     fn loading_tracks() {
         let mut q = TaskQsl::for_task(TaskId::ObjectDetectionLight, 50);
         q.load_samples(&[3, 4, 5]);
-        assert_eq!(q.tracker().resident(), 3);
         q.unload_samples(&[4]);
-        assert_eq!(q.tracker().resident(), 2);
+        q.load_samples(&[6]);
+        assert_eq!(q.tracker().peak_resident(), 3);
+        q.load_samples(&[7]);
+        assert_eq!(q.tracker().peak_resident(), 4);
         assert!(q.name().contains("SSD-MobileNet"));
-    }
-
-    #[test]
-    fn explicit_performance_count() {
-        let q = TaskQsl::with_performance_count(TaskId::MachineTranslation, 100, 10);
-        assert_eq!(q.performance_sample_count(), 10);
     }
 
     #[test]

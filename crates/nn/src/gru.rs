@@ -133,11 +133,6 @@ impl GruCell {
             + self.b_reset.len()
             + self.b_cand.len()
     }
-
-    /// Multiply-accumulates per step.
-    pub fn macs_per_step(&self) -> u64 {
-        (self.w_update.len() + self.w_reset.len() + self.w_cand.len()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +222,6 @@ mod tests {
         let cell = GruCell::new(4, 6, &mut rng);
         // Three gate matrices of [6 x 10] plus three [6] biases.
         assert_eq!(cell.param_count(), 3 * 60 + 3 * 6);
-        assert_eq!(cell.macs_per_step(), 180);
         assert_eq!(cell.input_dim(), 4);
         assert_eq!(cell.hidden_dim(), 6);
     }

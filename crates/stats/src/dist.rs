@@ -2,10 +2,8 @@
 //!
 //! * [`Exponential`] — inter-arrival gaps of the server scenario's Poisson
 //!   query process (Table II: "Poisson distribution").
-//! * [`Normal`] / [`LogNormal`] — latency jitter in the simulated devices.
+//! * [`LogNormal`] — latency jitter in the simulated devices.
 //! * [`PoissonProcess`] — an iterator of absolute arrival timestamps.
-//! * [`Categorical`] — weighted discrete choice (used by the synthetic
-//!   submission-round generator and sequence-length sampling for GNMT).
 
 use crate::rng::Rng64;
 
@@ -49,33 +47,6 @@ impl Exponential {
     pub fn sample(&self, rng: &mut Rng64) -> f64 {
         // Inverse-CDF; 1 - u avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.lambda
-    }
-}
-
-/// Normal distribution sampled via the Marsaglia polar method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::NegativeStdDev`] if `std_dev` is negative or
-    /// non-finite, or if `mean` is non-finite.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, DistError> {
-        if !mean.is_finite() || !std_dev.is_finite() || std_dev < 0.0 {
-            return Err(DistError::NegativeStdDev(std_dev));
-        }
-        Ok(Self { mean, std_dev })
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut Rng64) -> f64 {
-        self.mean + self.std_dev * standard_normal(rng)
     }
 }
 
@@ -188,61 +159,6 @@ impl Iterator for PoissonProcess {
     }
 }
 
-/// Weighted discrete distribution over `0..weights.len()`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
-    cumulative: Vec<f64>,
-}
-
-impl Categorical {
-    /// Builds the distribution from non-negative weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::BadWeights`] if `weights` is empty, contains a
-    /// negative or non-finite weight, or sums to zero.
-    pub fn new(weights: &[f64]) -> Result<Self, DistError> {
-        if weights.is_empty() || weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(DistError::BadWeights);
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(DistError::BadWeights);
-        }
-        let mut acc = 0.0;
-        let cumulative = weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect();
-        Ok(Self { cumulative })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the distribution has zero categories (never true for a
-    /// successfully constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Draws one category index.
-    pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
 /// Errors from distribution construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DistError {
@@ -250,8 +166,6 @@ pub enum DistError {
     NonPositiveRate(f64),
     /// A standard deviation was negative or a parameter non-finite.
     NegativeStdDev(f64),
-    /// Categorical weights were empty, negative, non-finite, or all zero.
-    BadWeights,
 }
 
 impl std::fmt::Display for DistError {
@@ -264,10 +178,6 @@ impl std::fmt::Display for DistError {
                     "standard deviation must be finite and non-negative, got {s}"
                 )
             }
-            DistError::BadWeights => write!(
-                f,
-                "weights must be non-empty, non-negative, and not all zero"
-            ),
         }
     }
 }
@@ -292,18 +202,6 @@ mod tests {
         assert!(Exponential::new(0.0).is_err());
         assert!(Exponential::new(-1.0).is_err());
         assert!(Exponential::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn normal_moments() {
-        let d = Normal::new(3.0, 2.0).unwrap();
-        let mut rng = Rng64::new(2);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.03, "mean={mean}");
-        assert!((var - 4.0).abs() < 0.1, "var={var}");
     }
 
     #[test]
@@ -346,32 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn categorical_respects_weights() {
-        let c = Categorical::new(&[1.0, 0.0, 3.0]).unwrap();
-        let mut rng = Rng64::new(6);
-        let mut counts = [0usize; 3];
-        for _ in 0..100_000 {
-            counts[c.sample(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((2.7..3.3).contains(&ratio), "ratio={ratio}");
-    }
-
-    #[test]
-    fn categorical_rejects_degenerate_weights() {
-        assert!(Categorical::new(&[]).is_err());
-        assert!(Categorical::new(&[0.0, 0.0]).is_err());
-        assert!(Categorical::new(&[1.0, -1.0]).is_err());
-        assert!(Categorical::new(&[f64::INFINITY]).is_err());
-    }
-
-    #[test]
     fn error_display_is_nonempty() {
         for e in [
             DistError::NonPositiveRate(0.0),
             DistError::NegativeStdDev(-1.0),
-            DistError::BadWeights,
         ] {
             assert!(!e.to_string().is_empty());
         }

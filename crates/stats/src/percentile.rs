@@ -4,10 +4,6 @@
 //! the p-th percentile of n samples is the value at (1-indexed) rank
 //! `ceil(p/100 * n)`. That is the definition [`Percentile::of`] implements
 //! and the one every scenario metric in this repository uses.
-//!
-//! For memory-bounded progress monitoring a streaming [`P2Estimator`]
-//! (Jain & Chlamtac's P² algorithm) is also provided; it is *not* used for
-//! official results.
 
 /// A percentile in `(0, 100)`, e.g. the 90th for single-stream or the 99th
 /// for server-scenario QoS.
@@ -94,120 +90,9 @@ impl std::fmt::Display for PercentileError {
 
 impl std::error::Error for PercentileError {}
 
-/// Streaming P² quantile estimator (Jain & Chlamtac, 1985).
-///
-/// Tracks one quantile with O(1) memory. Used for live progress display of
-/// long runs; official results always use the exact nearest-rank computation.
-#[derive(Debug, Clone)]
-pub struct P2Estimator {
-    p: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-    bootstrap: Vec<f64>,
-}
-
-impl P2Estimator {
-    /// Creates an estimator for `percentile`.
-    pub fn new(percentile: Percentile) -> Self {
-        let p = percentile.fraction();
-        Self {
-            p,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            increments: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            bootstrap: Vec::with_capacity(5),
-        }
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        if self.bootstrap.len() < 5 {
-            self.bootstrap.push(x);
-            if self.bootstrap.len() == 5 {
-                self.bootstrap
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-                self.heights.copy_from_slice(&self.bootstrap);
-            }
-            return;
-        }
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // Index of the cell containing x.
-            (1..5).position(|i| x < self.heights[i]).unwrap_or(3)
-        };
-        for pos in self.positions.iter_mut().skip(k + 1) {
-            *pos += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate, or `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.bootstrap.len() < 5 {
-            let mut v = self.bootstrap.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
-            let rank = ((self.p * v.len() as f64).ceil() as usize).clamp(1, v.len());
-            return Some(v[rank - 1]);
-        }
-        Some(self.heights[2])
-    }
-
-    /// Number of observations fed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng64;
 
     #[test]
     fn nearest_rank_matches_hand_computed_values() {
@@ -243,28 +128,6 @@ mod tests {
     #[should_panic(expected = "empty sample set")]
     fn empty_samples_panic() {
         Percentile::P90.of::<u64>(&[]);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_quantile() {
-        let mut est = P2Estimator::new(Percentile::P90);
-        let mut rng = Rng64::new(1);
-        for _ in 0..100_000 {
-            est.observe(rng.next_f64());
-        }
-        let e = est.estimate().unwrap();
-        assert!((e - 0.9).abs() < 0.01, "estimate={e}");
-    }
-
-    #[test]
-    fn p2_small_sample_exact() {
-        let mut est = P2Estimator::new(Percentile::new(50.0).unwrap());
-        assert_eq!(est.estimate(), None);
-        est.observe(3.0);
-        est.observe(1.0);
-        est.observe(2.0);
-        assert_eq!(est.estimate(), Some(2.0));
-        assert_eq!(est.count(), 3);
     }
 
     #[test]

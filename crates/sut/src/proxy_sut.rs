@@ -2,13 +2,13 @@
 //!
 //! Accuracy mode and the audit tests need SUTs whose responses can be
 //! scored. These constructors wire a [`DeviceSut`] to a proxy model so each
-//! completed sample carries a genuine payload (class, boxes, or tokens) at
-//! the chosen precision.
+//! completed sample carries a genuine payload (class or tokens) at the
+//! chosen precision.
 
 use crate::device::DeviceSpec;
 use crate::engine::{BatchPolicy, DeviceSut};
 use mlperf_loadgen::query::ResponsePayload;
-use mlperf_models::proxy::{ClassifierProxy, DetectorProxy, Precision, TranslatorProxy};
+use mlperf_models::proxy::{ClassifierProxy, Precision, TranslatorProxy};
 use mlperf_models::Workload;
 use std::sync::Arc;
 
@@ -23,31 +23,6 @@ pub fn classifier_sut(
     let len = proxy.len();
     DeviceSut::new(spec, Workload::new(task), policy).with_payloads(Arc::new(move |index| {
         ResponsePayload::Class(proxy.predict(precision, index % len))
-    }))
-}
-
-/// A device SUT answering with a detector proxy's boxes.
-pub fn detector_sut(
-    spec: DeviceSpec,
-    proxy: Arc<DetectorProxy>,
-    precision: Precision,
-    policy: BatchPolicy,
-) -> DeviceSut {
-    let task = proxy.task();
-    let len = proxy.len();
-    DeviceSut::new(spec, Workload::new(task), policy).with_payloads(Arc::new(move |index| {
-        let boxes = proxy
-            .detect(precision, index % len)
-            .into_iter()
-            .map(|d| {
-                (
-                    d.class,
-                    d.score,
-                    [d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2],
-                )
-            })
-            .collect();
-        ResponsePayload::Boxes(boxes)
     }))
 }
 
@@ -114,19 +89,6 @@ mod tests {
         }
         let logged_acc = proxy.score(&preds);
         assert_eq!(logged_acc, proxy.accuracy(Precision::Fp32));
-    }
-
-    #[test]
-    fn detector_payloads_are_boxes() {
-        let proxy = Arc::new(DetectorProxy::new(TaskId::ObjectDetectionLight, 20, 12));
-        let mut sut = detector_sut(spec(), proxy, Precision::Quantized, BatchPolicy::Immediate);
-        let settings = TestSettings::offline().with_mode(TestMode::AccuracyOnly);
-        let mut qsl = MemoryQsl::new("coco-syn", 20, 20);
-        let out = run_simulated(&settings, &mut qsl, &mut sut).unwrap();
-        assert!(out
-            .accuracy_log
-            .iter()
-            .all(|l| matches!(l.payload, ResponsePayload::Boxes(_))));
     }
 
     #[test]

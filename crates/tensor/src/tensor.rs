@@ -98,16 +98,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor, returning its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index.
     ///
     /// # Panics

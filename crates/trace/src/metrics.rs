@@ -4,7 +4,7 @@
 //! environment is offline): values are bucketed by octave with
 //! `2^SUB_BITS` linear sub-buckets per octave, giving a worst-case
 //! relative error of `2^-SUB_BITS` (~3% at the default of 5 bits) while
-//! staying mergeable and O(1) to record into.
+//! staying O(1) to record into.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,7 +20,7 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// The bucket `u64::MAX` lands in: no value maps past it.
 const LAST_BUCKET: u32 = LogHistogram::bucket_index(u64::MAX);
 
-/// A mergeable latency histogram with logarithmic buckets.
+/// A latency histogram with logarithmic buckets.
 ///
 /// Values below `2^SUB_BITS` are stored exactly; larger values land in the
 /// sub-bucket `[lower, upper)` whose width is `upper / 2^SUB_BITS`, so any
@@ -172,19 +172,6 @@ impl LogHistogram {
             }
         }
         1
-    }
-
-    /// Adds every recorded value of `other` into `self`.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (index, count) in other.buckets() {
-            *self.slot(index) += count;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        if other.total > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
     }
 
     /// The values recorded into `self` after `earlier` was snapshotted from
@@ -518,73 +505,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut combined = LogHistogram::new();
-        for i in 0..1000u64 {
-            let v = i * 7919 % 100_000;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        // (a ∪ b) ∪ c must equal a ∪ (b ∪ c), field for field.
-        let mk = |seed: u64, n: u64| {
-            let mut h = LogHistogram::new();
-            for i in 0..n {
-                h.record((i * seed * 2654435761) % 5_000_000);
-            }
-            h
-        };
-        let (a, b, c) = (mk(3, 500), mk(7, 400), mk(11, 300));
-        let left = {
-            let mut ab = a.clone();
-            ab.merge(&b);
-            ab.merge(&c);
-            ab
-        };
-        let right = {
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut a = a.clone();
-            a.merge(&bc);
-            a
-        };
-        assert_eq!(left, right);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 50, 7_777, 1 << 40] {
-            h.record(v);
-        }
-        let reference = h.clone();
-
-        // Non-empty ∪ empty: unchanged, and min/max are not clobbered by
-        // the empty histogram's sentinels (min = u64::MAX, max = 0).
-        h.merge(&LogHistogram::new());
-        assert_eq!(h, reference);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 1 << 40);
-
-        // Empty ∪ non-empty: adopts the other side wholesale.
-        let mut empty = LogHistogram::new();
-        empty.merge(&reference);
-        assert_eq!(empty, reference);
-
-        // Empty ∪ empty stays empty and keeps reporting zeros.
-        let mut ee = LogHistogram::new();
-        ee.merge(&LogHistogram::new());
+    fn an_empty_histogram_reports_zeros() {
+        let ee = LogHistogram::new();
         assert_eq!(ee.count(), 0);
         assert_eq!(ee.min(), 0);
         assert_eq!(ee.max(), 0);

@@ -33,6 +33,9 @@ pub struct SimHost<S> {
     state: Mutex<HostState<S>>,
     progress: Condvar,
     start: Instant,
+    /// How long a query may wait for its completion to materialize before
+    /// the host replies with an error: a stuck simulated device must not
+    /// hang the daemon.
     stall_cap: Duration,
 }
 
@@ -50,15 +53,6 @@ impl<S: SimSut + Send> SimHost<S> {
             start: Instant::now(),
             stall_cap: Duration::from_secs(5),
         }
-    }
-
-    /// Overrides how long a query may wait for its completion to
-    /// materialize before the host gives up and replies with an error
-    /// (a stuck simulated device must not hang the daemon).
-    #[must_use]
-    pub fn with_stall_cap(mut self, cap: Duration) -> Self {
-        self.stall_cap = cap;
-        self
     }
 
     fn now(&self) -> Nanos {
@@ -208,7 +202,8 @@ mod tests {
 
     #[test]
     fn stalled_device_resolves_as_error_not_hang() {
-        let host = SimHost::new(NeverCompletes).with_stall_cap(Duration::from_millis(50));
+        let mut host = SimHost::new(NeverCompletes);
+        host.stall_cap = Duration::from_millis(50);
         let reply = host.serve(&query(7)).expect("stall resolves to a reply");
         assert!(reply.error);
         assert_eq!(reply.samples[0].sample_id, 70);

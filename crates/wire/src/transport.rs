@@ -189,14 +189,6 @@ impl WireChaosPlan {
         self
     }
 
-    /// Discards every received frame after the `n`-th (one-way partition
-    /// in).
-    #[must_use]
-    pub fn with_partition_recv_after(mut self, n: u64) -> Self {
-        self.partition_recv_after = Some(n.max(1));
-        self
-    }
-
     /// Whether any fault is armed. A disarmed plan is a pure pass-through.
     pub fn is_armed(&self) -> bool {
         self.corrupt_recv_at.is_some()

@@ -246,10 +246,12 @@ fn heartbeat_loss_run_ends_error_fraction_exceeded_not_a_hang() {
         .with_min_query_count(5)
         .with_min_duration(Nanos::from_micros(1));
     let mut qsl = MemoryQsl::new("loop-qsl", 8, 8);
+    let mut partition = WireChaosPlan::new(0xBEA7);
+    partition.partition_recv_after = Some(1);
     let config = RemoteSutConfig::default()
         .with_heartbeat(Duration::from_millis(10), Duration::from_millis(60))
         .with_response_timeout(Duration::from_secs(5))
-        .with_chaos(WireChaosPlan::new(0xBEA7).with_partition_recv_after(1));
+        .with_chaos(partition);
     let hello = hello_for(&settings, &qsl, &config);
     let service = Arc::new(SimHost::new(FixedLatencySut::new(
         "muted",

@@ -10,7 +10,6 @@
 
 use mlperf_inference::loadgen::config::TestSettings;
 use mlperf_inference::loadgen::des::run_simulated;
-use mlperf_inference::loadgen::log::RunLog;
 use mlperf_inference::loadgen::scenario::Scenario;
 use mlperf_inference::loadgen::time::Nanos;
 use mlperf_inference::models::qsl::TaskQsl;
@@ -37,7 +36,17 @@ fn main() {
     let mut qsl = TaskQsl::for_task(task, 50_000);
     let mut sut = system.sut_for(task, Scenario::SingleStream);
 
-    let outcome = run_simulated(&settings, &mut qsl, &mut sut).expect("well-formed run");
-    let log = RunLog::from(outcome);
-    println!("{}", log.summary());
+    let result = run_simulated(&settings, &mut qsl, &mut sut)
+        .expect("well-formed run")
+        .result;
+    println!("{}", result.summary_line());
+    if let Some(l) = result.latency_stats {
+        println!(
+            "latency p50 {} | p90 {} | p99 {} | max {}",
+            l.p50, l.p90, l.p99, l.max
+        );
+    }
+    for issue in &result.validity {
+        println!("  * {issue}");
+    }
 }
