@@ -23,6 +23,15 @@ done | awk '{c[$1]+=$2; t+=$2} END{for (k in c) printf "  %-12s %6d\n", k, c[k] 
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== the paper's artifacts (every results/<name>.txt regenerates byte-identically) =="
+# Tables I-VII, Figures 1 and 5-8, the quality windows, the compliance audits
+# and the ablations, rendered by the one paper binary (the submission round
+# generated once, in memory) and compared with the committed results/*.txt.
+# This is the byte pin on tensor, nn, models, datasets, metrics, stats and
+# submission. On a mismatch it writes the fresh file under target/paper/ and
+# prints the cp that installs it; there is no bless switch.
+cargo run -q --release -p mlperf-harness --bin paper -- all --check
+
 echo "== chaos matrix (every row as expected, two builds identical, the committed pin) =="
 # All four quadrants, once. The expected outcomes are the ROWS table in
 # crates/harness/src/bin/chaos.rs; --check holds every row to its expected

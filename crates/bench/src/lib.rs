@@ -4,7 +4,7 @@
 //! kernels, accuracy-metric scoring, what `fsync` durability costs a
 //! journaled run) and table/figure regeneration benches — one per
 //! artifact of the paper's evaluation, exercising the same code paths as
-//! the `mlperf-harness` binaries at smoke scale. What LoadGen itself costs
+//! the `paper` binary at smoke scale. What LoadGen itself costs
 //! per query — engine, trace, wire, journal encoding, replay — is not
 //! here: that is the repo benchmark, `perfbench/`.
 

@@ -9,9 +9,9 @@
 //! networks over these inputs (see DESIGN.md for why that substitution
 //! preserves the quality-target machinery).
 //!
-//! The module also provides [`tracker::SampleTracker`], the QSL's
-//! load/unload accounting: loading samples into memory is an untimed
-//! operation, and a load must stay inside the data set.
+//! The module also provides [`tracker::SampleTracker`], the QSL's load
+//! check: loading samples into memory is an untimed operation, and a load
+//! must stay inside the data set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

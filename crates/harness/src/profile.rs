@@ -1,4 +1,4 @@
-//! Experiment profiles and CLI parsing.
+//! Experiment profiles.
 
 use mlperf_loadgen::time::Nanos;
 use mlperf_submission::round::RoundConfig;
@@ -15,29 +15,11 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Parses `--profile smoke|paper` from `std::env::args`; defaults to
-    /// [`Profile::Paper`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown profile name.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match args.iter().position(|a| a == "--profile") {
-            None => Profile::Paper,
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("smoke") => Profile::Smoke,
-                Some("paper") => Profile::Paper,
-                other => panic!("usage: --profile smoke|paper (got {other:?})"),
-            },
-        }
-    }
-
     /// The submission-round configuration for this profile.
     ///
     /// The paper profile runs the *official* rules — Table V query counts
     /// and 60-second minimum durations — under simulated time; the round
-    /// takes minutes of wall time and is cached under `results/`.
+    /// takes about a minute of wall time.
     pub fn round_config(&self, seed: u64) -> RoundConfig {
         match self {
             Profile::Smoke => RoundConfig::smoke(seed),

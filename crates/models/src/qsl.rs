@@ -17,7 +17,7 @@ fn default_performance_count(task: TaskId) -> usize {
     }
 }
 
-/// A QSL for one reference task, with load/unload accounting.
+/// A QSL for one reference task; a load outside the data set panics.
 ///
 /// # Examples
 ///
@@ -30,7 +30,6 @@ fn default_performance_count(task: TaskId) -> usize {
 /// assert_eq!(qsl.total_sample_count(), 512);
 /// assert!(qsl.performance_sample_count() <= 512);
 /// qsl.load_samples(&[0, 1]);
-/// assert_eq!(qsl.tracker().peak_resident(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TaskQsl {
@@ -57,11 +56,6 @@ impl TaskQsl {
             tracker: SampleTracker::new(total),
         }
     }
-
-    /// Read access to the load/unload accounting.
-    pub fn tracker(&self) -> &SampleTracker {
-        &self.tracker
-    }
 }
 
 impl QuerySampleLibrary for TaskQsl {
@@ -83,9 +77,7 @@ impl QuerySampleLibrary for TaskQsl {
             .expect("LoadGen only loads in-range indices");
     }
 
-    fn unload_samples(&mut self, indices: &[SampleIndex]) {
-        self.tracker.unload(indices);
-    }
+    fn unload_samples(&mut self, _indices: &[SampleIndex]) {}
 }
 
 #[cfg(test)]
@@ -113,15 +105,17 @@ mod tests {
     }
 
     #[test]
-    fn loading_tracks() {
+    fn loads_inside_the_data_set() {
         let mut q = TaskQsl::for_task(TaskId::ObjectDetectionLight, 50);
-        q.load_samples(&[3, 4, 5]);
+        q.load_samples(&[3, 4, 49]);
         q.unload_samples(&[4]);
-        q.load_samples(&[6]);
-        assert_eq!(q.tracker().peak_resident(), 3);
-        q.load_samples(&[7]);
-        assert_eq!(q.tracker().peak_resident(), 4);
         assert!(q.name().contains("SSD-MobileNet"));
+    }
+
+    #[test]
+    #[should_panic(expected = "in-range")]
+    fn an_out_of_range_load_panics() {
+        TaskQsl::for_task(TaskId::ObjectDetectionLight, 50).load_samples(&[50]);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::types::{Category, Division, SystemDescription};
 use mlperf_loadgen::results::TestResult;
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_models::TaskId;
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
 /// Review state of a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,37 +14,6 @@ pub enum ReviewStatus {
     Released,
     /// Rejected, with the reviewers' findings.
     Rejected(Vec<String>),
-}
-
-impl ToJson for ReviewStatus {
-    fn to_json_value(&self) -> JsonValue {
-        match self {
-            ReviewStatus::Pending => JsonValue::Str("Pending".into()),
-            ReviewStatus::Released => JsonValue::Str("Released".into()),
-            ReviewStatus::Rejected(findings) => {
-                JsonValue::object(vec![("Rejected", findings.to_json_value())])
-            }
-        }
-    }
-}
-
-impl FromJson for ReviewStatus {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        match value {
-            JsonValue::Str(s) => match s.as_str() {
-                "Pending" => Ok(ReviewStatus::Pending),
-                "Released" => Ok(ReviewStatus::Released),
-                other => Err(JsonError::new(format!("unknown review status {other:?}"))),
-            },
-            _ => {
-                let (name, payload) = value.as_variant()?;
-                if name != "Rejected" {
-                    return Err(JsonError::new(format!("unknown review status {name:?}")));
-                }
-                Ok(ReviewStatus::Rejected(Vec::from_json_value(payload)?))
-            }
-        }
-    }
 }
 
 /// A result submission: system description, claimed task/scenario, the
@@ -86,42 +54,6 @@ impl ResultRecord {
     /// Whether the record has been released.
     pub fn is_released(&self) -> bool {
         self.status == ReviewStatus::Released
-    }
-}
-
-impl ToJson for ResultRecord {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("division", self.division.to_json_value()),
-            ("category", self.category.to_json_value()),
-            ("system", self.system.to_json_value()),
-            ("model_name", self.model_name.to_json_value()),
-            ("scenario", self.scenario.to_json_value()),
-            ("result", self.result.to_json_value()),
-            ("measured_quality", self.measured_quality.to_json_value()),
-            ("reference_quality", self.reference_quality.to_json_value()),
-            ("status", self.status.to_json_value()),
-            ("notes", self.notes.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for ResultRecord {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(ResultRecord {
-            id: u64::from_json_value(value.field("id")?)?,
-            division: Division::from_json_value(value.field("division")?)?,
-            category: Category::from_json_value(value.field("category")?)?,
-            system: SystemDescription::from_json_value(value.field("system")?)?,
-            model_name: String::from_json_value(value.field("model_name")?)?,
-            scenario: Scenario::from_json_value(value.field("scenario")?)?,
-            result: TestResult::from_json_value(value.field("result")?)?,
-            measured_quality: f64::from_json_value(value.field("measured_quality")?)?,
-            reference_quality: f64::from_json_value(value.field("reference_quality")?)?,
-            status: ReviewStatus::from_json_value(value.field("status")?)?,
-            notes: String::from_json_value(value.field("notes")?)?,
-        })
     }
 }
 
@@ -186,17 +118,5 @@ mod tests {
         assert!(r.is_released());
         r.status = ReviewStatus::Rejected(vec!["too slow".into()]);
         assert!(!r.is_released());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut r = sample_record();
-        let json = r.to_json_string();
-        assert_eq!(ResultRecord::from_json_str(&json).unwrap(), r);
-        // The rejected variant uses the externally tagged form.
-        r.status = ReviewStatus::Rejected(vec!["latency bound".into()]);
-        let json = r.to_json_string();
-        assert!(json.contains("{\"Rejected\":[\"latency bound\"]}"));
-        assert_eq!(ResultRecord::from_json_str(&json).unwrap(), r);
     }
 }

@@ -1,7 +1,5 @@
 //! Divisions, categories, and system descriptions.
 
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
-
 /// Submission division (Section V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Division {
@@ -18,28 +16,6 @@ impl std::fmt::Display for Division {
         match self {
             Division::Closed => f.write_str("closed"),
             Division::Open => f.write_str("open"),
-        }
-    }
-}
-
-impl ToJson for Division {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                Division::Closed => "Closed",
-                Division::Open => "Open",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for Division {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "Closed" => Ok(Division::Closed),
-            "Open" => Ok(Division::Open),
-            other => Err(JsonError::new(format!("unknown division {other:?}"))),
         }
     }
 }
@@ -70,30 +46,6 @@ impl std::fmt::Display for Category {
     }
 }
 
-impl ToJson for Category {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                Category::Available => "Available",
-                Category::Preview => "Preview",
-                Category::Rdo => "Rdo",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for Category {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        match value.as_str()? {
-            "Available" => Ok(Category::Available),
-            "Preview" => Ok(Category::Preview),
-            "Rdo" => Ok(Category::Rdo),
-            other => Err(JsonError::new(format!("unknown category {other:?}"))),
-        }
-    }
-}
-
 /// The system-description file accompanying a submission: "accelerator
 /// count, CPU count, software release, and memory system" (Section V-A).
 #[derive(Debug, Clone, PartialEq)]
@@ -114,34 +66,6 @@ pub struct SystemDescription {
     pub memory_gib: u32,
 }
 
-impl ToJson for SystemDescription {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("system_name", self.system_name.to_json_value()),
-            ("vendor", self.vendor.to_json_value()),
-            ("framework", self.framework.to_json_value()),
-            ("architecture", self.architecture.to_json_value()),
-            ("accelerator_count", self.accelerator_count.to_json_value()),
-            ("cpu_count", self.cpu_count.to_json_value()),
-            ("memory_gib", self.memory_gib.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SystemDescription {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SystemDescription {
-            system_name: String::from_json_value(value.field("system_name")?)?,
-            vendor: String::from_json_value(value.field("vendor")?)?,
-            framework: String::from_json_value(value.field("framework")?)?,
-            architecture: String::from_json_value(value.field("architecture")?)?,
-            accelerator_count: u32::from_json_value(value.field("accelerator_count")?)?,
-            cpu_count: u32::from_json_value(value.field("cpu_count")?)?,
-            memory_gib: u32::from_json_value(value.field("memory_gib")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,27 +77,5 @@ mod tests {
         assert_eq!(Category::Available.to_string(), "available");
         assert_eq!(Category::Rdo.to_string(), "RDO");
         assert_eq!(Category::ALL.len(), 3);
-    }
-
-    #[test]
-    fn division_category_json_shapes() {
-        assert_eq!(Division::Closed.to_json_string(), "\"Closed\"");
-        assert_eq!(Category::Available.to_json_string(), "\"Available\"");
-        assert_eq!(Division::from_json_str("\"Open\"").unwrap(), Division::Open);
-    }
-
-    #[test]
-    fn system_description_json_roundtrip() {
-        let d = SystemDescription {
-            system_name: "edge-gpu".into(),
-            vendor: "Nimbus Graphics".into(),
-            framework: "TensorRT".into(),
-            architecture: "GPU".into(),
-            accelerator_count: 1,
-            cpu_count: 8,
-            memory_gib: 32,
-        };
-        let json = d.to_json_string();
-        assert_eq!(SystemDescription::from_json_str(&json).unwrap(), d);
     }
 }

@@ -11,7 +11,7 @@
 //! Uses the smoke profile so it finishes quickly — which also demonstrates
 //! the review pipeline's teeth: scaled-down runs violate the official
 //! Table V query counts and the 60-second rule, so the checker rejects
-//! most of them. The harness binaries (`--profile paper`) generate the
+//! most of them. `paper table6` (default `--profile paper`) generates the
 //! full official-rules round whose released counts reproduce Table VI.
 
 use mlperf_inference::submission::report::{

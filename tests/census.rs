@@ -358,7 +358,31 @@ const RULES: &[Rule] = &[
         pattern: Pattern::Line(&["--analyze"]),
         want: Want::Count(0),
         retired: "40416a0: a flight dump always carries its analysis",
-        plant: ("crates/harness/src/bin/fig6.rs", "const FLAG: &str = \"--analyze\";\n"),
+        plant: ("crates/harness/src/bin/paper.rs", "const FLAG: &str = \"--analyze\";\n"),
+    },
+    Rule {
+        name: "one paper binary",
+        scope: &[
+            "crates/harness/src/bin/table*.rs",
+            "crates/harness/src/bin/fig*.rs",
+            "crates/harness/src/bin/quality.rs",
+            "crates/harness/src/bin/audits.rs",
+            "crates/harness/src/bin/ablations.rs",
+        ],
+        part: Part::Whole,
+        pattern: Pattern::File,
+        want: Want::Count(0),
+        retired: "paper: one ARTIFACTS row per results/<name>.txt, and `paper all --check` pins them all",
+        plant: ("crates/harness/src/bin/table1.rs", "fn main() {}\n"),
+    },
+    Rule {
+        name: "no round cache",
+        scope: WORKSPACE_RS,
+        part: Part::Whole,
+        pattern: Pattern::Line(&["load_or_generate", "round-paper"]),
+        want: Want::Count(0),
+        retired: "paper: the round is generated once per process; a cache nothing invalidated answered from stale records",
+        plant: ("crates/harness/src/bin/paper.rs", "const CACHE: &str = \"results/round-paper.json\";\n"),
     },
 ];
 
