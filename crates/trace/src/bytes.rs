@@ -78,10 +78,11 @@ impl ByteWriter {
     }
 
     /// An encoder whose first four bytes are reserved for the checksum
-    /// [`ByteWriter::into_sealed`] patches in. Sized so a one-sample issue
-    /// or completion (the common wire frame) never regrows the buffer.
-    pub fn sealed() -> Self {
-        let mut w = Self::with_capacity(64);
+    /// [`ByteWriter::into_sealed`] patches in, with room for a sealed
+    /// frame of `capacity` bytes (the checksum included), so a caller
+    /// that knows the frame's size never regrows the buffer.
+    pub fn sealed(capacity: usize) -> Self {
+        let mut w = Self::with_capacity(capacity);
         w.put_bytes(&[0; 4]);
         w
     }
@@ -417,7 +418,7 @@ mod tests {
 
     #[test]
     fn sealed_writer_prefixes_the_crc_of_the_body() {
-        let mut w = ByteWriter::sealed();
+        let mut w = ByteWriter::sealed(64);
         w.put_str("body");
         let body = {
             let mut b = ByteWriter::new();

@@ -205,6 +205,9 @@ pub struct JournalWriter {
     unsynced: u32,
     /// Sync after this many appends (0 = sync on every append).
     fsync_every: u32,
+    /// The frame being written, kept between appends so each one reuses
+    /// the last one's allocation.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -226,6 +229,7 @@ impl JournalWriter {
             file,
             unsynced: 0,
             fsync_every,
+            frame: Vec::new(),
         })
     }
 
@@ -254,6 +258,7 @@ impl JournalWriter {
                 file,
                 unsynced: 0,
                 fsync_every,
+                frame: Vec::new(),
             },
             scan,
         ))
@@ -267,11 +272,12 @@ impl JournalWriter {
     /// written), otherwise the underlying I/O error.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
         let len = frame_len(payload.len())?;
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&len.to_be_bytes());
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.frame.clear();
+        self.frame.reserve(FRAME_HEADER_LEN + payload.len());
+        self.frame.extend_from_slice(&len.to_be_bytes());
+        self.frame.extend_from_slice(&crc32(payload).to_be_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.write_all(&self.frame)?;
         self.unsynced += 1;
         if self.unsynced > self.fsync_every {
             self.sync()?;

@@ -31,7 +31,8 @@
 //!   events dumped as a post-mortem when a run ends INVALID or aborts.
 //! * [`crc`] / [`bytes`] — one of each for every binary format (wire
 //!   frames, `MLPJ` journal frames and checkpoints, `MLPR`): the
-//!   slice-by-8 [`crc::crc32`], the FNV-1a [`crc::fnv1a64`], and the
+//!   [`crc::crc32`] (carry-less-multiply folding where the CPU has it,
+//!   slice-by-8 elsewhere), the FNV-1a [`crc::fnv1a64`], and the
 //!   big-endian codec [`bytes::ByteWriter`] / [`bytes::ByteReader`].
 //! * [`journal`] — [`journal::JournalWriter`] / [`journal::read_journal`],
 //!   the `MLPJ` append-only write-ahead journal (CRC-framed, batched
@@ -70,7 +71,7 @@
 //! assert!(timeline.contains("\"ph\":\"X\""));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bytes;

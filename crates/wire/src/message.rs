@@ -306,9 +306,26 @@ impl Message {
     /// Encodes the message and seals it for the wire: `crc32 || body`,
     /// byte for byte what `seal(&self.encode())` builds, in one buffer.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = ByteWriter::sealed();
+        let mut w = ByteWriter::sealed(self.wire_capacity());
         self.encode_into(&mut w);
         w.into_sealed()
+    }
+
+    /// The sealed frame's length where it is cheap to know, so
+    /// [`Message::to_wire`] allocates once: exact for an issue, and for a
+    /// completion whose payloads are all `Class` (an echo or classifier
+    /// reply; `Empty` ones fit with room to spare); 64 B otherwise, which
+    /// holds any one-sample frame of either.
+    fn wire_capacity(&self) -> usize {
+        match self {
+            // crc 4, tag 1, trace id 8, query id 8, scheduled 8, tenant 4,
+            // n 4; per sample id 8 + index 8.
+            Message::IssueTraced { query, .. } => 37 + 16 * query.samples.len(),
+            // crc 4, tag 1, query id 8, error 1, n 4; per sample id 8 +
+            // class payload 9.
+            Message::Completion { samples, .. } => 18 + 17 * samples.len(),
+            _ => 64,
+        }
     }
 
     /// Opens a sealed wire payload (verifying the CRC32) and decodes it.

@@ -367,6 +367,42 @@ fn an_all_empty_completion_is_the_allocation_ceiling() {
     assert!(largest > 4 * sealed.len() && largest <= CEILING * sealed.len());
 }
 
+/// `to_wire` sizes its buffer from the message: a 256-sample issue, and
+/// the class-payload completion that answers it, are each encoded into one
+/// allocation exactly the frame's length, never regrown on the way.
+#[test]
+fn a_256_sample_frame_is_sealed_in_one_allocation_of_its_length() {
+    let query = Query {
+        id: 7,
+        samples: (0..256)
+            .map(|i| QuerySample {
+                id: 1_000 + i,
+                index: i as usize * 3,
+            })
+            .collect(),
+        scheduled_at: Nanos::from_nanos(5_000),
+        tenant: 0,
+    };
+    let completion = Message::Completion {
+        query_id: query.id,
+        error: false,
+        samples: query
+            .samples
+            .iter()
+            .map(|s| SampleCompletion {
+                sample_id: s.id,
+                payload: ResponsePayload::Class(s.index % 1_000),
+            })
+            .collect(),
+    };
+    let issue = Message::IssueTraced { trace_id: 9, query };
+    for (message, len) in [(issue, 4_133), (completion, 4_370)] {
+        let (sealed, largest) = largest_alloc_during(|| message.to_wire());
+        assert_eq!(sealed.len(), len);
+        assert_eq!(largest, len);
+    }
+}
+
 /// A length prefix is believed up to `MAX_FRAME_LEN` (past it, nothing is
 /// allocated: `buffered_reader_refuses_an_oversized_prefix_as_read_frame_does`):
 /// a prefix that claims more than the stream holds costs the claim and

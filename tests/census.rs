@@ -57,6 +57,9 @@ const SURFACE_LIST: &str = "results/public_surface.txt";
 enum Part {
     Whole,
     NonTest,
+    /// The non-test part with comments and string literals blanked: what
+    /// the compiler reads, not what the prose says.
+    Code,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -82,6 +85,8 @@ enum Want {
     Files(&'static [&'static str]),
     /// Exactly these names.
     Names(&'static [&'static str]),
+    /// Exactly one hit, in this file.
+    OnceIn(&'static str),
 }
 
 struct Rule {
@@ -104,6 +109,14 @@ const WORKSPACE_RS: &[&str] = &[
     "src/**/*.rs",
     "tests/**/*.rs",
     "examples/**/*.rs",
+];
+
+/// Production code: the crates' and the root's sources and the benchmark's,
+/// without tests, benches or examples.
+const PRODUCTION_RS: &[&str] = &[
+    "crates/*/src/**/*.rs",
+    "src/**/*.rs",
+    "perfbench/src/**/*.rs",
 ];
 
 const RULES: &[Rule] = &[
@@ -384,6 +397,24 @@ const RULES: &[Rule] = &[
         retired: "paper: the round is generated once per process; a cache nothing invalidated answered from stale records",
         plant: ("crates/harness/src/bin/paper.rs", "const CACHE: &str = \"results/round-paper.json\";\n"),
     },
+    Rule {
+        name: "one unsafe",
+        scope: PRODUCTION_RS,
+        part: Part::Code,
+        pattern: Pattern::Word(&["unsafe"]),
+        want: Want::OnceIn("crates/trace/src/crc.rs"),
+        retired: "crc: the call into the carry-less-multiply kernel, right after its features are detected; every other line is checked by the compiler",
+        plant: ("crates/wire/src/frame.rs", "fn raw() { unsafe {} }\n"),
+    },
+    Rule {
+        name: "one unsafe allowance",
+        scope: PRODUCTION_RS,
+        part: Part::Code,
+        pattern: Pattern::Line(&["allow(unsafe_code)"]),
+        want: Want::OnceIn("crates/trace/src/crc.rs"),
+        retired: "crc: the dispatch into the kernel is the one item excused from `deny(unsafe_code)`; the other roots forbid it",
+        plant: ("crates/wire/src/frame.rs", "#[allow(unsafe_code)] fn raw() {}\n"),
+    },
 ];
 
 /// One match: `(path, 1-based line or 0, what matched)`.
@@ -392,9 +423,14 @@ type Hit = (String, usize, String);
 fn rule_hits(rule: &Rule, tree: &Tree) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (path, text) in tree.iter().filter(|(p, _)| in_scope(rule.scope, p)) {
+        let code;
         let text = match rule.part {
             Part::Whole => text.as_str(),
             Part::NonTest => non_test(text),
+            Part::Code => {
+                code = strip(non_test(text));
+                code.as_str()
+            }
         };
         let lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
         match rule.pattern {
@@ -450,6 +486,7 @@ fn check_rule(rule: &Rule, tree: &Tree) -> Result<(), String> {
             wanted.sort_unstable();
             found == wanted
         }
+        Want::OnceIn(file) => hits.len() == 1 && hits[0].0 == file,
     };
     if held {
         return Ok(());
