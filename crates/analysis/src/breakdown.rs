@@ -13,7 +13,7 @@ use mlperf_trace::json::{JsonValue, ToJson};
 use crate::segment::{QueryPath, Segment};
 
 /// The reporting percentiles, as `(label, fraction)` pairs.
-pub const REPORT_PERCENTILES: [(&str, f64); 4] = [
+pub(crate) const REPORT_PERCENTILES: [(&str, f64); 4] = [
     ("p50", 0.50),
     ("p90", 0.90),
     ("p99", 0.99),
@@ -22,27 +22,27 @@ pub const REPORT_PERCENTILES: [(&str, f64); 4] = [
 
 /// One row of the per-percentile breakdown table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PercentileRow {
+pub(crate) struct PercentileRow {
     /// Percentile label (`p50` ... `p99.9`).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The percentile as a fraction in `(0, 1)`.
-    pub fraction: f64,
+    pub(crate) fraction: f64,
     /// End-to-end latency at this percentile (ns).
-    pub e2e_ns: u64,
+    pub(crate) e2e_ns: u64,
     /// The query sitting at the nearest rank.
-    pub query_id: u64,
+    pub(crate) query_id: u64,
     /// Its distributed trace id (0 for local runs).
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Its issue slip (ns).
-    pub client_queue_ns: i64,
+    pub(crate) client_queue_ns: i64,
     /// Its network residual (ns).
-    pub network_ns: i64,
+    pub(crate) network_ns: i64,
     /// Its server-side queueing (ns).
-    pub server_queue_ns: i64,
+    pub(crate) server_queue_ns: i64,
     /// Its compute residency (ns).
-    pub compute_ns: i64,
+    pub(crate) compute_ns: i64,
     /// The segment this percentile is attributed to.
-    pub dominant: Segment,
+    pub(crate) dominant: Segment,
 }
 
 impl ToJson for PercentileRow {
@@ -63,23 +63,23 @@ impl ToJson for PercentileRow {
 
 /// Summed segment time over all completed queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SegmentTotals {
+pub(crate) struct SegmentTotals {
     /// Total issue slip (ns).
-    pub client_queue_ns: i64,
+    pub(crate) client_queue_ns: i64,
     /// Total network residual (ns).
-    pub network_ns: i64,
+    pub(crate) network_ns: i64,
     /// Total server-side queueing (ns).
-    pub server_queue_ns: i64,
+    pub(crate) server_queue_ns: i64,
     /// Total compute residency (ns).
-    pub compute_ns: i64,
+    pub(crate) compute_ns: i64,
     /// Total end-to-end latency (ns).
-    pub e2e_ns: i64,
+    pub(crate) e2e_ns: i64,
 }
 
 impl SegmentTotals {
     /// `(segment, total_ns, share_of_e2e)` rows in reporting order. Shares
     /// are 0 when no latency was recorded.
-    pub fn rows(&self) -> [(Segment, i64, f64); 4] {
+    pub(crate) fn rows(&self) -> [(Segment, i64, f64); 4] {
         let share = |ns: i64| {
             if self.e2e_ns > 0 {
                 ns as f64 / self.e2e_ns as f64
@@ -122,15 +122,15 @@ pub struct Breakdown {
     /// Queries seen in the log (issued).
     pub queries: usize,
     /// Queries that completed successfully.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Queries that resolved as errors/drops.
-    pub errored: usize,
+    pub(crate) errored: usize,
     /// Queries that never finished.
-    pub incomplete: usize,
+    pub(crate) incomplete: usize,
     /// One row per reporting percentile (empty when nothing finished).
-    pub rows: Vec<PercentileRow>,
+    pub(crate) rows: Vec<PercentileRow>,
     /// Segment sums over every finished query.
-    pub totals: SegmentTotals,
+    pub(crate) totals: SegmentTotals,
     /// Largest `|e2e - sum(segments)|` across queries — 0 by construction;
     /// `analyze --check` asserts it stayed that way.
     pub max_residual_ns: u64,
@@ -151,7 +151,7 @@ impl ToJson for Breakdown {
 }
 
 /// Builds the percentile breakdown from reconstructed query paths.
-pub fn breakdown(paths: &[QueryPath]) -> Breakdown {
+pub(crate) fn breakdown(paths: &[QueryPath]) -> Breakdown {
     let mut finished: Vec<&QueryPath> = paths.iter().filter(|p| p.completed_ns.is_some()).collect();
     // Nearest-rank over the scored latency; ties broken by query id so the
     // named query is deterministic.

@@ -16,13 +16,13 @@ use crate::segment::{QueryPath, Segment};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuantileSet {
     /// Median (ns).
-    pub p50_ns: i64,
+    pub(crate) p50_ns: i64,
     /// 90th percentile (ns).
-    pub p90_ns: i64,
+    pub(crate) p90_ns: i64,
     /// 99th percentile (ns).
     pub p99_ns: i64,
     /// 99.9th percentile (ns).
-    pub p999_ns: i64,
+    pub(crate) p999_ns: i64,
 }
 
 impl QuantileSet {

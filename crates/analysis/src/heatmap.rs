@@ -21,20 +21,20 @@ use crate::segment::QueryPath;
 pub struct HeatmapRow {
     /// End boundary of the window (ns); the row covers
     /// `[t_ns - interval, t_ns)`.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Queries that finished in the window.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Of those, how many resolved as errors.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Nearest-rank median latency in the window (0 when empty).
-    pub p50_ns: u64,
+    pub(crate) p50_ns: u64,
     /// Nearest-rank p99 latency in the window (0 when empty).
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// Largest latency in the window (0 when empty).
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
     /// Completions per log2 latency bucket: key `b` counts latencies in
     /// `[2^(b-1), 2^b)` ns (key 0 counts zero-latency completions).
-    pub buckets: BTreeMap<u32, u64>,
+    pub(crate) buckets: BTreeMap<u32, u64>,
 }
 
 impl ToJson for HeatmapRow {

@@ -58,10 +58,10 @@ pub mod rootcause;
 pub mod segment;
 pub mod shards;
 
-pub use breakdown::{breakdown, Breakdown, PercentileRow, SegmentTotals};
+pub(crate) use breakdown::{breakdown, Breakdown, PercentileRow, SegmentTotals};
 pub use diff::{diff_metrics, diff_paths, DiffRow, QuantileSet, RunDiff};
 pub use heatmap::{auto_interval, heatmap, heatmap_jsonl, HeatmapRow};
 pub use report::{analyze_records, fmt_ns, render_markdown, Analysis, ClockInfo};
 pub use rootcause::{detect_constraints, issue_texts, root_causes, Culprit, RootCause, Window};
 pub use segment::{query_paths, QueryPath, Segment};
-pub use shards::{shard_reports, ShardReport};
+pub(crate) use shards::{shard_reports, ShardReport};

@@ -22,11 +22,11 @@ use crate::shards::{shard_reports, ShardReport};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockInfo {
     /// Peer host label.
-    pub host: String,
+    pub(crate) host: String,
     /// Estimated `peer_clock - local_clock` (ns).
-    pub offset_ns: i64,
+    pub(crate) offset_ns: i64,
     /// RTT of the winning probe (ns); half of it bounds the offset error.
-    pub rtt_ns: u64,
+    pub(crate) rtt_ns: u64,
 }
 
 impl ToJson for ClockInfo {
@@ -43,19 +43,19 @@ impl ToJson for ClockInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Label for the analyzed artifact (file name, cell name, ...).
-    pub source: String,
+    pub(crate) source: String,
     /// Query counts and the per-percentile segment attribution.
     pub breakdown: Breakdown,
     /// Window width used for the heatmap (ns).
-    pub interval_ns: u64,
+    pub(crate) interval_ns: u64,
     /// Per-window latency profile.
     pub heatmap: Vec<HeatmapRow>,
     /// One entry per violated constraint; empty for VALID runs.
     pub root_causes: Vec<RootCause>,
     /// Final clock-sync estimate per peer host (merged logs only).
-    pub clock: Vec<ClockInfo>,
+    pub(crate) clock: Vec<ClockInfo>,
     /// Per-shard attribution (fleet runs only; empty otherwise).
-    pub shards: Vec<ShardReport>,
+    pub(crate) shards: Vec<ShardReport>,
 }
 
 impl ToJson for Analysis {

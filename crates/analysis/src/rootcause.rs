@@ -60,11 +60,11 @@ pub fn detect_constraints(text: &str) -> Vec<&'static str> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// Earliest relevant timestamp (ns).
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Latest relevant timestamp (ns).
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
     /// Offenders inside the window.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 impl ToJson for Window {
@@ -81,15 +81,15 @@ impl ToJson for Window {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Culprit {
     /// Distributed trace id (0 for local runs).
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Query id.
-    pub query_id: u64,
+    pub(crate) query_id: u64,
     /// Schedule-to-finish latency (0 when the query never finished).
-    pub e2e_ns: u64,
+    pub(crate) e2e_ns: u64,
     /// Dominant latency segment, when the query finished.
     pub dominant: Option<Segment>,
     /// Why this query is named.
-    pub note: String,
+    pub(crate) note: String,
 }
 
 impl ToJson for Culprit {
@@ -116,15 +116,15 @@ pub struct RootCause {
     /// Stable constraint kind (`error_fraction_exceeded`, ...).
     pub constraint: &'static str,
     /// The source text the constraint was recognized from.
-    pub detail: String,
+    pub(crate) detail: String,
     /// Where the offenders cluster in run time.
-    pub window: Option<Window>,
+    pub(crate) window: Option<Window>,
     /// Offending query ids (truncated to a fixed cap).
-    pub offending_queries: Vec<u64>,
+    pub(crate) offending_queries: Vec<u64>,
     /// Top critical-path queries, most significant first.
     pub culprits: Vec<Culprit>,
     /// Fault/wire/recovery event counts that explain the violation.
-    pub evidence: Vec<String>,
+    pub(crate) evidence: Vec<String>,
 }
 
 impl ToJson for RootCause {

@@ -37,7 +37,7 @@ pub enum Segment {
 
 impl Segment {
     /// Every segment, in reporting order.
-    pub const ALL: [Segment; 4] = [
+    pub(crate) const ALL: [Segment; 4] = [
         Segment::ClientQueue,
         Segment::Network,
         Segment::ServerQueue,
@@ -45,7 +45,7 @@ impl Segment {
     ];
 
     /// Stable snake_case label, used in tables and JSON.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Segment::ClientQueue => "client_queue",
             Segment::Network => "network",
@@ -67,18 +67,18 @@ pub struct QueryPath {
     /// Query id.
     pub query_id: u64,
     /// Distributed trace id shared with the server spans; 0 for local runs.
-    pub trace_id: u64,
+    pub(crate) trace_id: u64,
     /// Scheduled time on the client clock (ns).
-    pub scheduled_ns: u64,
+    pub(crate) scheduled_ns: u64,
     /// Issue time on the client clock (ns).
     pub issued_ns: u64,
     /// Completion (or failure) time on the client clock, if the query
     /// finished.
     pub completed_ns: Option<u64>,
     /// Whether the query resolved as an error/drop.
-    pub error: bool,
+    pub(crate) error: bool,
     /// Whether any server-side span was merged into the log for this query.
-    pub server_spans: bool,
+    pub(crate) server_spans: bool,
     /// Issue slip past the schedule (ns).
     pub client_queue_ns: i64,
     /// Server-side queueing (ns); 0 without server spans.
@@ -92,13 +92,13 @@ pub struct QueryPath {
 
 impl QueryPath {
     /// Schedule-to-completion latency (the scored latency), if finished.
-    pub fn e2e_ns(&self) -> Option<u64> {
+    pub(crate) fn e2e_ns(&self) -> Option<u64> {
         self.completed_ns
             .map(|c| c.saturating_sub(self.scheduled_ns))
     }
 
     /// The four segments in reporting order.
-    pub fn segments(&self) -> [(Segment, i64); 4] {
+    pub(crate) fn segments(&self) -> [(Segment, i64); 4] {
         [
             (Segment::ClientQueue, self.client_queue_ns),
             (Segment::Network, self.network_ns),
@@ -108,7 +108,7 @@ impl QueryPath {
     }
 
     /// The segment with the largest share of this query's latency.
-    pub fn dominant(&self) -> Segment {
+    pub(crate) fn dominant(&self) -> Segment {
         let mut best = Segment::ClientQueue;
         let mut best_ns = i64::MIN;
         for (segment, ns) in self.segments() {

@@ -20,30 +20,30 @@ use mlperf_trace::{TraceEvent, TraceRecord};
 
 /// Everything the log says about one shard.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardReport {
+pub(crate) struct ShardReport {
     /// The shard's label (the daemon's `host` / router endpoint label).
-    pub shard: String,
+    pub(crate) shard: String,
     /// Queries the router dispatched here (`route` rows; attempts, not
     /// successes).
-    pub routed: u64,
+    pub(crate) routed: u64,
     /// Failed attempts re-routed away from this shard (`failover` rows).
-    pub failovers: u64,
+    pub(crate) failovers: u64,
     /// Server-side spans attributed to this shard in the merged log.
-    pub spans: u64,
+    pub(crate) spans: u64,
     /// Summed server `queue` span time (ns).
-    pub queue_ns: u64,
+    pub(crate) queue_ns: u64,
     /// Summed server `compute` span time (ns).
-    pub compute_ns: u64,
+    pub(crate) compute_ns: u64,
     /// `down` health transitions observed.
-    pub downs: u64,
+    pub(crate) downs: u64,
     /// `rejoin` health transitions observed.
-    pub rejoins: u64,
+    pub(crate) rejoins: u64,
     /// Start of the failover window: the first `failover`/`down` row's
     /// timestamp (ns on the run clock); `None` if the shard never failed.
-    pub window_start_ns: Option<u64>,
+    pub(crate) window_start_ns: Option<u64>,
     /// End of the failover window: the `rejoin`/`drained` row if the
     /// shard came back, else the last `failover` row.
-    pub window_end_ns: Option<u64>,
+    pub(crate) window_end_ns: Option<u64>,
 }
 
 fn opt_ns(v: Option<u64>) -> JsonValue {
@@ -72,7 +72,7 @@ impl ToJson for ShardReport {
 
 /// Folds a merged detail log into one [`ShardReport`] per shard, in
 /// shard-label order. Empty for runs with no `ShardEvent` rows.
-pub fn shard_reports(records: &[TraceRecord]) -> Vec<ShardReport> {
+pub(crate) fn shard_reports(records: &[TraceRecord]) -> Vec<ShardReport> {
     let mut by_shard: BTreeMap<String, ShardReport> = BTreeMap::new();
     for record in records {
         let TraceEvent::ShardEvent { shard, kind, .. } = &record.event else {

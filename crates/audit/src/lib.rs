@@ -21,5 +21,5 @@
 pub mod checker;
 pub mod tests;
 
-pub use checker::{check_submission, CheckFinding, SubmissionCheckInput};
+pub(crate) use checker::{check_submission, CheckFinding, SubmissionCheckInput};
 pub use tests::{AuditOutcome, AuditReport};

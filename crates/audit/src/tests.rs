@@ -31,11 +31,11 @@ impl AuditOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// Audit name ("TEST01"-style plus a descriptive slug).
-    pub test: &'static str,
+    pub(crate) test: &'static str,
     /// Outcome.
     pub outcome: AuditOutcome,
     /// Measured evidence (ratios, counts).
-    pub details: String,
+    pub(crate) details: String,
 }
 
 impl AuditReport {

@@ -35,7 +35,7 @@ pub struct TestSettings {
     /// The scenario under test.
     pub scenario: Scenario,
     /// Performance or accuracy mode.
-    pub mode: TestMode,
+    pub(crate) mode: TestMode,
     /// The three decoupled RNG seeds.
     pub seeds: SeedTriple,
     /// Minimum number of queries (Table V).
@@ -44,25 +44,25 @@ pub struct TestSettings {
     /// power-management equilibrium (Section III-D).
     pub min_duration: Nanos,
     /// Samples per query (multistream N; 1 for single-stream/server).
-    pub samples_per_query: usize,
+    pub(crate) samples_per_query: usize,
     /// Poisson arrival rate for the server scenario, queries/second.
     pub server_target_qps: f64,
     /// Per-query latency bound (server QoS constraint or multistream
     /// interval bound, Table III).
-    pub target_latency: Nanos,
+    pub(crate) target_latency: Nanos,
     /// The percentile that must meet `target_latency` (p99 vision, p97
     /// translation) or that is reported (p90 single-stream).
-    pub target_latency_percentile: Percentile,
+    pub(crate) target_latency_percentile: Percentile,
     /// Fixed arrival interval for the multistream scenario (Table III).
-    pub multistream_arrival_interval: Nanos,
+    pub(crate) multistream_arrival_interval: Nanos,
     /// Maximum fraction of multistream queries that may cause one or more
     /// skipped intervals (1% by rule).
-    pub multistream_max_skip_fraction: f64,
+    pub(crate) multistream_max_skip_fraction: f64,
     /// Minimum samples in the single offline query (24,576 by rule).
     pub offline_min_sample_count: u64,
     /// Probability of logging a response payload in performance mode, for
     /// the accuracy-verification audit (Section V-B). 0 disables.
-    pub accuracy_log_probability: f64,
+    pub(crate) accuracy_log_probability: f64,
     /// Maximum fraction of issued queries that may resolve as errors/drops
     /// before the run is INVALID. The benchmark rules have no tolerance for
     /// failed queries, so the default is 0.0; resilience experiments relax
@@ -71,7 +71,7 @@ pub struct TestSettings {
     /// Worker threads the realtime server-scenario issue loop keeps in
     /// flight (4 by default, matching the reference LoadGen's thread pool).
     /// Network SUT benchmarks scale this up to fill a remote machine.
-    pub server_workers: usize,
+    pub(crate) server_workers: usize,
 }
 
 impl TestSettings {

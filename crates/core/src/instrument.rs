@@ -18,13 +18,13 @@ use mlperf_trace::{MetricsRegistry, NoopSink, TimeSeriesSampler, TraceSink};
 #[derive(Clone, Copy)]
 pub struct Instruments<'a> {
     /// Destination for simulated-time trace events ([`NoopSink`] = off).
-    pub sink: &'a dyn TraceSink,
+    pub(crate) sink: &'a dyn TraceSink,
     /// Optional simulated-time metrics sampler.
-    pub sampler: Option<&'a TimeSeriesSampler>,
+    pub(crate) sampler: Option<&'a TimeSeriesSampler>,
     /// Optional shared metrics registry. When `None`, the run creates its
     /// own registry if (and only if) the sink is enabled or a sampler is
     /// attached, matching PR 1's behavior.
-    pub metrics: Option<&'a MetricsRegistry>,
+    pub(crate) metrics: Option<&'a MetricsRegistry>,
 }
 
 impl std::fmt::Debug for Instruments<'_> {

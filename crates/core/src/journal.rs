@@ -45,13 +45,13 @@ use std::sync::Arc;
 /// frame in the file uses. This build reads and writes exactly one — the
 /// fixed-width binary layout of DESIGN §3g; any other first byte (JSON-era
 /// journals start with `{`) is refused on load, never mis-parsed.
-pub const PAYLOAD_FORMAT: u8 = 1;
+pub(crate) const PAYLOAD_FORMAT: u8 = 1;
 
 /// Digest of everything about a run's configuration that resume
 /// correctness depends on. A journal may only resume a run whose settings
 /// and QSL produce the same digest — anything else would silently splice
 /// two different schedules together.
-pub fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
+pub(crate) fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
     let text = format!(
         "{};{:?};{};{};{};{};{};{};{};{};{}",
         settings.scenario,
@@ -73,11 +73,11 @@ pub fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// The scenario, as its display string.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// [`settings_digest`] of the run's settings + QSL size.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// Performance-sample population the schedule draws from.
-    pub qsl_size: u64,
+    pub(crate) qsl_size: u64,
 }
 
 impl RunMeta {
@@ -206,22 +206,22 @@ impl Checkpoint {
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
     /// Where the journal lives.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Checkpoint every this many issued queries.
-    pub checkpoint_every: u64,
+    pub(crate) checkpoint_every: u64,
     /// `fsync` batching window for journal appends (0 = every append).
-    pub fsync_every: u32,
+    pub(crate) fsync_every: u32,
     /// Chaos hook: stop the run cleanly right after writing checkpoint
     /// with this `seq`, as if the process died at that boundary.
-    pub halt_after: Option<u64>,
+    pub(crate) halt_after: Option<u64>,
     /// Chaos hook: make the `halt_after` checkpoint a *torn* write — only
     /// a prefix of the frame lands on disk, exactly what a kill during the
     /// append leaves behind.
-    pub torn_halt: bool,
+    pub(crate) torn_halt: bool,
     /// Live wire-session epoch, mirrored by the remote SUT client; each
     /// checkpoint captures its current value so a resumed run reconnects
     /// one epoch up. `None` for purely local runs.
-    pub epoch_source: Option<Arc<AtomicU32>>,
+    pub(crate) epoch_source: Option<Arc<AtomicU32>>,
 }
 
 impl JournalConfig {
@@ -279,7 +279,7 @@ impl JournalConfig {
 #[derive(Debug)]
 pub struct LoadedJournal {
     /// Frame 0.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// The last complete checkpoint, if any was written.
     pub last: Option<Checkpoint>,
     /// Complete checkpoints on disk.
@@ -407,7 +407,7 @@ pub struct RunJournal<'a> {
     cfg: &'a JournalConfig,
     writer: JournalWriter,
     /// Complete checkpoints written (including any recovered on reopen).
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Records durably journaled *and immutable* (the stable prefix of
     /// the last frame written). The next frame carries only records past
     /// this mark, so building and serializing a checkpoint costs the delta
@@ -426,7 +426,7 @@ impl<'a> RunJournal<'a> {
     /// # Errors
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn create(cfg: &'a JournalConfig, meta: &RunMeta) -> Result<Self, LoadGenError> {
+    pub(crate) fn create(cfg: &'a JournalConfig, meta: &RunMeta) -> Result<Self, LoadGenError> {
         let ctx = cfg.path.display().to_string();
         let mut writer =
             JournalWriter::create(&cfg.path, cfg.fsync_every).map_err(|e| journal_err(&ctx, e))?;
@@ -451,7 +451,7 @@ impl<'a> RunJournal<'a> {
     ///
     /// Returns [`LoadGenError::Journal`] when the file is unreadable or
     /// its frames do not decode.
-    pub fn open_resume(cfg: &'a JournalConfig) -> Result<(Self, LoadedJournal), LoadGenError> {
+    pub(crate) fn open_resume(cfg: &'a JournalConfig) -> Result<(Self, LoadedJournal), LoadGenError> {
         let ctx = cfg.path.display().to_string();
         let (writer, scan) = JournalWriter::open_append(&cfg.path, cfg.fsync_every)
             .map_err(|e| journal_err(&ctx, e))?;
@@ -568,7 +568,7 @@ impl<'a> RunJournal<'a> {
     /// # Errors
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn checkpoint(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
+    pub(crate) fn checkpoint(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
         self.writer
             .append(&cp.encode())
             .map_err(|e| journal_err("checkpoint append", e))?;
@@ -588,7 +588,7 @@ impl<'a> RunJournal<'a> {
     /// # Errors
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn checkpoint_torn(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
+    pub(crate) fn checkpoint_torn(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
         let payload = cp.encode();
         self.writer
             .append_torn(&payload, payload.len() / 2)
@@ -600,7 +600,7 @@ impl<'a> RunJournal<'a> {
     /// # Errors
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
-    pub fn sync(&mut self) -> Result<(), LoadGenError> {
+    pub(crate) fn sync(&mut self) -> Result<(), LoadGenError> {
         self.writer
             .sync()
             .map_err(|e| journal_err("journal sync", e))

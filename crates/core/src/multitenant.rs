@@ -28,7 +28,7 @@ use mlperf_trace::{profile_span, MetricsRegistry};
 const TENANT_SHIFT: u32 = 56;
 
 /// Extracts the tenant index from a multitenant query id.
-pub fn tenant_of(query_id: u64) -> u32 {
+pub(crate) fn tenant_of(query_id: u64) -> u32 {
     (query_id >> TENANT_SHIFT) as u32
 }
 

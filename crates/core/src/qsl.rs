@@ -68,7 +68,7 @@ impl MemoryQsl {
     }
 
     /// Number of currently loaded samples.
-    pub fn loaded(&self) -> usize {
+    pub(crate) fn loaded(&self) -> usize {
         self.loaded.len()
     }
 }

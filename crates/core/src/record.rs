@@ -60,7 +60,7 @@ impl QueryRecord {
     /// infinitely late ([`Nanos::MAX`]), so they always land past any
     /// latency bound. Still-outstanding queries return `None` (they are
     /// caught separately by the incomplete-queries check).
-    pub fn scored_latency(&self) -> Option<Nanos> {
+    pub(crate) fn scored_latency(&self) -> Option<Nanos> {
         if self.error {
             return self.completed_at.map(|_| Nanos::MAX);
         }
@@ -144,7 +144,7 @@ impl RecorderSnapshot {
     /// Rebuilds the still-in-flight queries (id order) for re-issue after
     /// a resume. Journaled scenarios are single-tenant, so the tenant tag
     /// is always 0.
-    pub fn outstanding_queries(&self) -> Vec<Query> {
+    pub(crate) fn outstanding_queries(&self) -> Vec<Query> {
         self.outstanding
             .iter()
             .map(|e| Query {
@@ -356,7 +356,7 @@ impl Recorder {
     /// Multistream query ids are their issue order, so the lookup is O(1)
     /// by position (a linear scan here turns a 270K-query overrun run into
     /// O(n²)); falls back to a scan if ids were assigned differently.
-    pub fn record_skips(&mut self, query_id: QueryId, skips: u32) {
+    pub(crate) fn record_skips(&mut self, query_id: QueryId, skips: u32) {
         let pos = query_id as usize;
         if let Some(r) = self.records.get_mut(pos).filter(|r| r.id == query_id) {
             r.skipped_intervals = skips;
@@ -368,42 +368,42 @@ impl Recorder {
     }
 
     /// All query records in issue order.
-    pub fn records(&self) -> &[QueryRecord] {
+    pub(crate) fn records(&self) -> &[QueryRecord] {
         &self.records
     }
 
     /// The accuracy log accumulated so far.
-    pub fn accuracy_log(&self) -> &[LoggedResponse] {
+    pub(crate) fn accuracy_log(&self) -> &[LoggedResponse] {
         &self.accuracy_log
     }
 
     /// Consumes the recorder, returning records and accuracy log.
-    pub fn into_parts(self) -> (Vec<QueryRecord>, Vec<LoggedResponse>) {
+    pub(crate) fn into_parts(self) -> (Vec<QueryRecord>, Vec<LoggedResponse>) {
         (self.records, self.accuracy_log)
     }
 
     /// Number of queries issued.
-    pub fn issued(&self) -> u64 {
+    pub(crate) fn issued(&self) -> u64 {
         self.records.len() as u64
     }
 
     /// Number of queries still outstanding.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.outstanding.len()
     }
 
     /// Total samples completed successfully (errored queries excluded).
-    pub fn samples_completed(&self) -> u64 {
+    pub(crate) fn samples_completed(&self) -> u64 {
         self.samples_completed
     }
 
     /// Number of queries that resolved as errors.
-    pub fn errored(&self) -> u64 {
+    pub(crate) fn errored(&self) -> u64 {
         self.errored
     }
 
     /// Latest completion timestamp seen.
-    pub fn last_completion(&self) -> Nanos {
+    pub(crate) fn last_completion(&self) -> Nanos {
         self.last_completion
     }
 
@@ -415,7 +415,7 @@ impl Recorder {
     /// absolute positions. `records_from` must be a stable prefix — no
     /// outstanding entry below it — which is exactly the mark a
     /// `RunJournal` keeps.
-    pub fn snapshot_suffix(&self, records_from: usize, accuracy_from: usize) -> RecorderSnapshot {
+    pub(crate) fn snapshot_suffix(&self, records_from: usize, accuracy_from: usize) -> RecorderSnapshot {
         let mut outstanding: Vec<OutstandingEntry> = self
             .outstanding
             .iter()
@@ -439,7 +439,7 @@ impl Recorder {
     /// Rebuilds a recorder from a checkpoint snapshot. The result accepts
     /// completions for the snapshot's outstanding queries exactly as the
     /// original would have.
-    pub fn restore(snapshot: RecorderSnapshot) -> Self {
+    pub(crate) fn restore(snapshot: RecorderSnapshot) -> Self {
         Self {
             records: snapshot.records,
             outstanding: snapshot
@@ -455,7 +455,7 @@ impl Recorder {
     }
 
     /// Completed-query latencies (scheduled → finished).
-    pub fn latencies(&self) -> Vec<Nanos> {
+    pub(crate) fn latencies(&self) -> Vec<Nanos> {
         self.records
             .iter()
             .filter_map(QueryRecord::latency)

@@ -49,13 +49,13 @@ pub struct ReplaySchedule {
 impl ReplaySchedule {
     /// Number of queries in the schedule.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arrivals.len()
     }
 
     /// Whether the schedule has no queries.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
 

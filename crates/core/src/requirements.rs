@@ -20,7 +20,7 @@ pub enum QosClass {
 
 impl QosClass {
     /// The tail-latency percentile guaranteed for this class.
-    pub fn tail_latency(&self) -> TailLatency {
+    pub(crate) fn tail_latency(&self) -> TailLatency {
         match self {
             QosClass::Vision => TailLatency::P99,
             QosClass::Translation => TailLatency::P97,

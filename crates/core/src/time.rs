@@ -38,7 +38,7 @@ impl Nanos {
     /// Zero time.
     pub const ZERO: Nanos = Nanos(0);
     /// The farthest representable instant.
-    pub const MAX: Nanos = Nanos(u64::MAX);
+    pub(crate) const MAX: Nanos = Nanos(u64::MAX);
 
     /// From raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -90,7 +90,7 @@ impl Nanos {
     }
 
     /// Checked subtraction, `None` if `rhs > self`.
-    pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
+    pub(crate) fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
         self.0.checked_sub(rhs.0).map(Nanos)
     }
 

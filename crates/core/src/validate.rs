@@ -336,7 +336,7 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], fraction: f64) -> Option<T> {
 /// Errored queries count as infinitely late ([`Nanos::MAX`] via
 /// [`QueryRecord::scored_latency`]), so enough failures push any percentile
 /// past any finite bound — errors cannot hide from the server p99 rule.
-pub fn percentile_latency(records: &[QueryRecord], fraction: f64) -> Option<Nanos> {
+pub(crate) fn percentile_latency(records: &[QueryRecord], fraction: f64) -> Option<Nanos> {
     let mut latencies: Vec<Nanos> = records
         .iter()
         .filter_map(QueryRecord::scored_latency)
@@ -347,7 +347,7 @@ pub fn percentile_latency(records: &[QueryRecord], fraction: f64) -> Option<Nano
 
 /// Fraction of completed queries whose *scored* latency exceeds `bound`
 /// (errored queries always count as over the bound).
-pub fn overlatency_fraction(records: &[QueryRecord], bound: Nanos) -> f64 {
+pub(crate) fn overlatency_fraction(records: &[QueryRecord], bound: Nanos) -> f64 {
     let scored: Vec<Nanos> = records
         .iter()
         .filter_map(QueryRecord::scored_latency)

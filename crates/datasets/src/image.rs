@@ -58,12 +58,12 @@ impl SyntheticImages {
     }
 
     /// The per-sample tensor shape.
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
     /// The master seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 

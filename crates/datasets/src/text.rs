@@ -63,12 +63,12 @@ impl SyntheticSentences {
     }
 
     /// Whether the corpus is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The vocabulary size.
-    pub fn vocab_size(&self) -> u32 {
+    pub(crate) fn vocab_size(&self) -> u32 {
         self.vocab_size
     }
 

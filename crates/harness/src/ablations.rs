@@ -30,18 +30,18 @@ use mlperf_sut::fleet::fleet;
 #[derive(Debug, Clone)]
 pub struct Ablation {
     /// What was switched.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Metric with the mechanism on.
-    pub with_mechanism: f64,
+    pub(crate) with_mechanism: f64,
     /// Metric with the mechanism off.
-    pub without_mechanism: f64,
+    pub(crate) without_mechanism: f64,
     /// Unit label for the metric.
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
 }
 
 impl Ablation {
     /// `with / without` ratio.
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         self.with_mechanism / self.without_mechanism.max(1e-12)
     }
 }
@@ -72,7 +72,7 @@ fn peak_qps<S: SimSut>(task: TaskId, sut: &mut S, profile: Profile) -> f64 {
 
 /// Ablation 1: dynamic batching vs immediate execution for MobileNet
 /// server on the datacenter GPU.
-pub fn dynamic_batching(profile: Profile) -> Ablation {
+pub(crate) fn dynamic_batching(profile: Profile) -> Ablation {
     let system = fleet()
         .into_iter()
         .find(|s| s.spec.name == "datacenter-gpu")
@@ -92,7 +92,7 @@ pub fn dynamic_batching(profile: Profile) -> Ablation {
 }
 
 /// Ablation 2: length sorting for GNMT offline on the server CPU.
-pub fn length_sorting(profile: Profile) -> Ablation {
+pub(crate) fn length_sorting(profile: Profile) -> Ablation {
     let system = fleet()
         .into_iter()
         .find(|s| s.spec.name == "server-cpu")
@@ -125,7 +125,7 @@ pub fn length_sorting(profile: Profile) -> Ablation {
 
 /// Ablation 3: latency-budgeted batch cap vs batching to the memory limit
 /// for ResNet server on the datacenter GPU.
-pub fn adaptive_batch_cap(profile: Profile) -> Ablation {
+pub(crate) fn adaptive_batch_cap(profile: Profile) -> Ablation {
     let system = fleet()
         .into_iter()
         .find(|s| s.spec.name == "datacenter-gpu")
@@ -157,7 +157,7 @@ pub fn adaptive_batch_cap(profile: Profile) -> Ablation {
 
 /// Ablation 4: per-channel vs per-tensor INT8 weights on the heavy
 /// classifier proxy (accuracy, larger is better).
-pub fn per_channel_quantization(profile: Profile) -> Ablation {
+pub(crate) fn per_channel_quantization(profile: Profile) -> Ablation {
     use mlperf_nn::QNetwork;
     use mlperf_tensor::QTensor;
     let samples = profile.accuracy_samples().min(200);

@@ -24,25 +24,25 @@ use mlperf_sut::fleet::{figure6_systems, FleetSystem};
 #[derive(Debug, Clone)]
 pub struct Fig6Cell {
     /// System name.
-    pub system: String,
+    pub(crate) system: String,
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Peak valid server QPS (samples/s; server queries carry one sample).
-    pub server_qps: f64,
+    pub(crate) server_qps: f64,
     /// Offline throughput, samples/s.
-    pub offline_throughput: f64,
+    pub(crate) offline_throughput: f64,
 }
 
 impl Fig6Cell {
     /// Server-to-offline throughput ratio (the figure's y-axis).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.server_qps / self.offline_throughput.max(1e-12)
     }
 }
 
 /// Whether this system can serve this task at all (same precheck as round
 /// planning).
-pub fn servable(system: &FleetSystem, task: TaskId) -> bool {
+pub(crate) fn servable(system: &FleetSystem, task: TaskId) -> bool {
     system.can_serve(task)
 }
 

@@ -22,27 +22,27 @@ use mlperf_sut::fleet::{fleet, FleetSystem};
 
 /// One point of Figure 8.
 #[derive(Debug, Clone)]
-pub struct Fig8Point {
+pub(crate) struct Fig8Point {
     /// System name.
-    pub system: String,
+    pub(crate) system: String,
     /// The metric's scalar score (larger is better; latency inverted).
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// One column of Figure 8 (a model × scenario combination).
 #[derive(Debug, Clone)]
 pub struct Fig8Column {
     /// Task.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// Scenario.
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// All systems that produced a valid result.
-    pub points: Vec<Fig8Point>,
+    pub(crate) points: Vec<Fig8Point>,
 }
 
 impl Fig8Column {
     /// Max/min score ratio — the column's spread.
-    pub fn spread(&self) -> f64 {
+    pub(crate) fn spread(&self) -> f64 {
         let min = self
             .points
             .iter()
@@ -66,7 +66,7 @@ fn percentile_for(task: TaskId) -> Percentile {
 
 /// Whether a system runs a combination at all (segment rules mirror the
 /// submission round; GNMT multistream stays empty as in the paper).
-pub fn runs_combo(system: &FleetSystem, task: TaskId, scenario: Scenario) -> bool {
+pub(crate) fn runs_combo(system: &FleetSystem, task: TaskId, scenario: Scenario) -> bool {
     use mlperf_sut::fleet::MarketSegment::*;
     if task == TaskId::MachineTranslation && scenario == Scenario::MultiStream {
         return false;

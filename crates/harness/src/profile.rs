@@ -28,7 +28,7 @@ impl Profile {
     }
 
     /// Query-count scale for the scenario sweeps (figures 6 and 8).
-    pub fn sweep_query_scale(&self) -> f64 {
+    pub(crate) fn sweep_query_scale(&self) -> f64 {
         match self {
             Profile::Smoke => 0.002,
             Profile::Paper => 0.02,
@@ -36,7 +36,7 @@ impl Profile {
     }
 
     /// Minimum duration for sweep runs.
-    pub fn sweep_duration(&self) -> Nanos {
+    pub(crate) fn sweep_duration(&self) -> Nanos {
         match self {
             Profile::Smoke => Nanos::from_millis(5),
             Profile::Paper => Nanos::from_millis(500),

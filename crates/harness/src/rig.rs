@@ -254,7 +254,7 @@ pub struct Wired {
     pub clients: Vec<Arc<RemoteSut>>,
     /// The clock origin every client's spans, the router's rows and (via
     /// [`Wired::run`]) the run's events are measured from: one time axis.
-    pub origin: Instant,
+    pub(crate) origin: Instant,
     /// What to drive: the lone client, or the router over all of them.
     pub sut: Arc<dyn RealtimeSut>,
     /// The router, when the rig has more than one daemon.

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 /// Maximum n-gram order used by standard BLEU.
-pub const MAX_ORDER: usize = 4;
+pub(crate) const MAX_ORDER: usize = 4;
 
 /// Corpus BLEU over parallel candidate/reference token sequences.
 ///

@@ -42,7 +42,7 @@ impl BoundingBox {
     }
 
     /// Box area.
-    pub fn area(&self) -> f32 {
+    pub(crate) fn area(&self) -> f32 {
         (self.x2 - self.x1) * (self.y2 - self.y1)
     }
 
@@ -121,7 +121,7 @@ pub fn mean_average_precision(
 }
 
 /// Average precision for one class (101-point interpolation).
-pub fn average_precision(
+pub(crate) fn average_precision(
     detections: &[Detection],
     ground_truths: &[GroundTruth],
     class: usize,

@@ -124,7 +124,7 @@ impl ClassifierProxy {
     }
 
     /// Whether the dataset is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
 
@@ -133,7 +133,7 @@ impl ClassifierProxy {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn label(&self, index: usize) -> usize {
+    pub(crate) fn label(&self, index: usize) -> usize {
         self.labels[index]
     }
 

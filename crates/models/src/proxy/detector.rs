@@ -157,22 +157,22 @@ impl DetectorProxy {
     }
 
     /// The task this proxy stands in for.
-    pub fn task(&self) -> TaskId {
+    pub(crate) fn task(&self) -> TaskId {
         self.task
     }
 
     /// Number of images.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dataset.len()
     }
 
     /// Whether the dataset is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.dataset.is_empty()
     }
 
     /// The ground-truth annotations.
-    pub fn ground_truth(&self) -> &[GroundTruth] {
+    pub(crate) fn ground_truth(&self) -> &[GroundTruth] {
         &self.ground_truth
     }
 
@@ -181,7 +181,7 @@ impl DetectorProxy {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn detect(&self, precision: Precision, index: usize) -> Vec<Detection> {
+    pub(crate) fn detect(&self, precision: Precision, index: usize) -> Vec<Detection> {
         let input = self.dataset.input(index).expect("index in range");
         let out = match precision {
             Precision::Fp32 => self.teacher.forward(&input).expect("shape fixed"),
@@ -199,7 +199,7 @@ impl DetectorProxy {
     }
 
     /// Scores externally produced detections against the ground truth.
-    pub fn score(&self, detections: &[Detection]) -> f64 {
+    pub(crate) fn score(&self, detections: &[Detection]) -> f64 {
         mean_average_precision(detections, &self.ground_truth, IOU_THRESHOLD)
     }
 }

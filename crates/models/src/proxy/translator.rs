@@ -158,7 +158,7 @@ impl TranslatorProxy {
     }
 
     /// Whether the corpus is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.references.is_empty()
     }
 
@@ -167,12 +167,12 @@ impl TranslatorProxy {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn source(&self, index: usize) -> Vec<u32> {
+    pub(crate) fn source(&self, index: usize) -> Vec<u32> {
         self.corpus.sentence(index).expect("index in range")
     }
 
     /// The reference translation at `index`.
-    pub fn reference(&self, index: usize) -> &[u32] {
+    pub(crate) fn reference(&self, index: usize) -> &[u32] {
         &self.references[index]
     }
 

@@ -21,7 +21,7 @@ impl QualityTarget {
     /// # Panics
     ///
     /// Panics unless `reference > 0` and `0 < window <= 1`.
-    pub fn new(reference: f64, window: f64) -> Self {
+    pub(crate) fn new(reference: f64, window: f64) -> Self {
         assert!(reference > 0.0, "reference quality must be positive");
         assert!(
             window > 0.0 && window <= 1.0,
@@ -31,7 +31,7 @@ impl QualityTarget {
     }
 
     /// The paper's target for a task, against the paper's FP32 reference.
-    pub fn for_task(task: TaskId) -> Self {
+    pub(crate) fn for_task(task: TaskId) -> Self {
         let spec = task.spec();
         Self::new(spec.fp32_quality, spec.quality_window)
     }
@@ -44,7 +44,7 @@ impl QualityTarget {
     }
 
     /// The FP32 reference quality.
-    pub fn reference(&self) -> f64 {
+    pub(crate) fn reference(&self) -> f64 {
         self.reference
     }
 

@@ -67,7 +67,7 @@ pub struct ReferenceModel {
     /// Table I "data set" column.
     pub dataset: &'static str,
     /// FP32 reference quality (Top-1 %, mAP, or SacreBLEU).
-    pub fp32_quality: f64,
+    pub(crate) fp32_quality: f64,
     /// Required fraction of the FP32 quality (0.99, or 0.98 for the
     /// quantization-sensitive MobileNet classifier).
     pub quality_window: f64,

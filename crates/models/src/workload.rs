@@ -37,7 +37,7 @@ impl Workload {
     }
 
     /// The task this workload describes.
-    pub fn task(&self) -> TaskId {
+    pub(crate) fn task(&self) -> TaskId {
         self.task
     }
 

@@ -44,12 +44,12 @@ impl GruCell {
     }
 
     /// The input dimensionality.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.input_dim
     }
 
     /// The hidden-state dimensionality.
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.hidden_dim
     }
 
@@ -125,7 +125,7 @@ impl GruCell {
     }
 
     /// Total trainable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.w_update.len()
             + self.w_reset.len()
             + self.w_cand.len()

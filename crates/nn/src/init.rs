@@ -11,21 +11,21 @@ use mlperf_tensor::{Shape, Tensor};
 
 /// A weight initializer with a configurable gain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightInit {
+pub(crate) struct WeightInit {
     gain: f32,
 }
 
 impl WeightInit {
     /// He-style initializer (`gain = sqrt(2)`), the right default for
     /// ReLU-family networks.
-    pub fn he() -> Self {
+    pub(crate) fn he() -> Self {
         Self {
             gain: std::f32::consts::SQRT_2,
         }
     }
 
     /// Xavier-style initializer (`gain = 1`), used for tanh/sigmoid gates.
-    pub fn xavier() -> Self {
+    pub(crate) fn xavier() -> Self {
         Self { gain: 1.0 }
     }
 
@@ -37,24 +37,24 @@ impl WeightInit {
     }
 
     /// `[OutC, InC, K, K]` convolution weights.
-    pub fn conv_weight(&self, out_c: usize, in_c: usize, k: usize, rng: &mut Rng64) -> Tensor {
+    pub(crate) fn conv_weight(&self, out_c: usize, in_c: usize, k: usize, rng: &mut Rng64) -> Tensor {
         let fan_in = in_c * k * k;
         Tensor::fill_with(Shape::d4(out_c, in_c, k, k), |_| self.sample(fan_in, rng))
     }
 
     /// `[C, 1, K, K]` depthwise convolution weights.
-    pub fn depthwise_weight(&self, c: usize, k: usize, rng: &mut Rng64) -> Tensor {
+    pub(crate) fn depthwise_weight(&self, c: usize, k: usize, rng: &mut Rng64) -> Tensor {
         let fan_in = k * k;
         Tensor::fill_with(Shape::d4(c, 1, k, k), |_| self.sample(fan_in, rng))
     }
 
     /// `[Out, In]` dense weights.
-    pub fn dense_weight(&self, out: usize, inp: usize, rng: &mut Rng64) -> Tensor {
+    pub(crate) fn dense_weight(&self, out: usize, inp: usize, rng: &mut Rng64) -> Tensor {
         Tensor::fill_with(Shape::d2(out, inp), |_| self.sample(inp, rng))
     }
 
     /// Zero bias of length `n`.
-    pub fn bias(&self, n: usize) -> Tensor {
+    pub(crate) fn bias(&self, n: usize) -> Tensor {
         Tensor::zeros(Shape::d1(n))
     }
 }

@@ -20,7 +20,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation.
-    pub fn apply(&self, t: &Tensor) -> Tensor {
+    pub(crate) fn apply(&self, t: &Tensor) -> Tensor {
         match self {
             Activation::None => t.clone(),
             Activation::Relu => ops::relu(t),
@@ -33,7 +33,7 @@ impl Activation {
 
 /// A single network layer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Layer {
+pub(crate) enum Layer {
     /// Standard 2-D convolution.
     Conv2d {
         /// `[OutC, InC, KH, KW]` weights.
@@ -85,7 +85,7 @@ impl Layer {
     ///
     /// Propagates [`TensorError`] from the underlying kernel on shape
     /// disagreements.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
+    pub(crate) fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
         match self {
             Layer::Conv2d {
                 weight,
@@ -116,7 +116,7 @@ impl Layer {
     /// # Errors
     ///
     /// Returns [`TensorError`] when the layer cannot accept the shape.
-    pub fn output_shape(&self, input: &Shape) -> Result<Shape, TensorError> {
+    pub(crate) fn output_shape(&self, input: &Shape) -> Result<Shape, TensorError> {
         match self {
             Layer::Conv2d { weight, params, .. } => {
                 let (ic, h, w) = expect_rank3(input)?;
@@ -180,7 +180,7 @@ impl Layer {
     }
 
     /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         match self {
             Layer::Conv2d { weight, bias, .. }
             | Layer::DepthwiseConv2d { weight, bias, .. }
@@ -194,7 +194,7 @@ impl Layer {
     /// # Errors
     ///
     /// Returns [`TensorError`] when the layer cannot accept the shape.
-    pub fn mac_count(&self, input: &Shape) -> Result<u64, TensorError> {
+    pub(crate) fn mac_count(&self, input: &Shape) -> Result<u64, TensorError> {
         let out = self.output_shape(input)?;
         Ok(match self {
             Layer::Conv2d { weight, .. } => {

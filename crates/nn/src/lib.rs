@@ -44,7 +44,7 @@ pub mod layer;
 pub mod network;
 pub mod quantized;
 
-pub use layer::{Activation, Layer};
+pub(crate) use layer::{Activation, Layer};
 pub use network::{Network, NetworkBuilder};
 pub use quantized::QNetwork;
 

@@ -11,7 +11,7 @@ use crate::init::WeightInit;
 /// One node of a network: a plain layer or a residual block whose inner
 /// layers must preserve shape (`out = act(in + f(in))`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node {
+pub(crate) enum Node {
     /// A plain layer.
     Layer(Layer),
     /// A shape-preserving residual block.
@@ -36,7 +36,7 @@ pub struct Network {
 
 impl Network {
     /// The expected input shape.
-    pub fn input_shape(&self) -> &Shape {
+    pub(crate) fn input_shape(&self) -> &Shape {
         &self.input_shape
     }
 
@@ -46,7 +46,7 @@ impl Network {
     }
 
     /// The network's nodes.
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
@@ -325,7 +325,7 @@ impl NetworkBuilder {
     ///
     /// Never fails for builder-made networks; returns [`NnError`] only on
     /// internal shape inconsistency.
-    pub fn flatten(self) -> Result<Self, NnError> {
+    pub(crate) fn flatten(self) -> Result<Self, NnError> {
         self.push(Layer::Flatten)
     }
 
@@ -361,7 +361,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Returns [`NnError`] if the current shape is not rank 1.
-    pub fn softmax(self) -> Result<Self, NnError> {
+    pub(crate) fn softmax(self) -> Result<Self, NnError> {
         self.push(Layer::Softmax)
     }
 

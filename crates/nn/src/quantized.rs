@@ -120,7 +120,7 @@ impl QNetwork {
     /// # Errors
     ///
     /// Same conditions as [`QNetwork::quantize`].
-    pub fn quantize_mixed(
+    pub(crate) fn quantize_mixed(
         network: &Network,
         calibration: &[Tensor],
         fp32_head: bool,

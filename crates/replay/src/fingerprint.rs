@@ -17,34 +17,34 @@ use mlperf_trace::{TraceEvent, TraceRecord};
 use std::fmt;
 
 /// Number of equal-duration windows the rate shape is evaluated on.
-pub const RATE_WINDOWS: usize = 16;
+pub(crate) const RATE_WINDOWS: usize = 16;
 /// Number of equal-width population buckets the index profile uses.
-pub const INDEX_BUCKETS: usize = 16;
+pub(crate) const INDEX_BUCKETS: usize = 16;
 
 /// The statistical identity of one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceFingerprint {
     /// Total queries.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Queries that resolved as errors.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Span from first to last arrival, nanoseconds.
-    pub duration_ns: u64,
+    pub(crate) duration_ns: u64,
     /// Nearest-rank inter-arrival quantiles on [`QUANTILE_GRID`]
     /// (empty when fewer than two arrivals).
-    pub interarrival_q: Vec<u64>,
+    pub(crate) interarrival_q: Vec<u64>,
     /// Nearest-rank completion-latency quantiles on [`QUANTILE_GRID`]
     /// over non-errored queries (empty when none completed).
     pub latency_q: Vec<u64>,
     /// Squared coefficient of variation of the inter-arrival deltas —
     /// the index-of-dispersion-style burstiness (1 ≈ Poisson).
-    pub burstiness: f64,
+    pub(crate) burstiness: f64,
     /// Fraction of arrivals per equal-duration window ([`RATE_WINDOWS`]).
-    pub rate_shape: Vec<f64>,
+    pub(crate) rate_shape: Vec<f64>,
     /// Fraction of drawn samples per population bucket
     /// ([`INDEX_BUCKETS`]); empty when the source carried no indices
     /// (plain detail logs don't).
-    pub index_shape: Vec<f64>,
+    pub(crate) index_shape: Vec<f64>,
 }
 
 /// Distance between two fingerprints, one number per axis.
@@ -53,23 +53,23 @@ pub struct FingerprintDistance {
     /// KS-style probability-band distance between inter-arrival quantile
     /// grids (vertical axis — robust to the heavy near-zero tail of
     /// arrival gaps).
-    pub interarrival_gap: f64,
+    pub(crate) interarrival_gap: f64,
     /// Worst relative gap between latency quantile grids (value axis —
     /// the right reading when both sides carry the same recorded values,
     /// as in reduce acceptance).
-    pub latency_gap: f64,
+    pub(crate) latency_gap: f64,
     /// KS-style probability-band distance between latency quantile grids
     /// (vertical axis — robust to wall-clock tail noise, where one
     /// scheduler hiccup can multiply a p99 without moving the
     /// distribution).
-    pub latency_band: f64,
+    pub(crate) latency_band: f64,
     /// Relative gap between burstiness indices.
-    pub burstiness_gap: f64,
+    pub(crate) burstiness_gap: f64,
     /// KS max-CDF-gap between per-window arrival-rate shapes.
-    pub rate_shape_ks: f64,
+    pub(crate) rate_shape_ks: f64,
     /// KS max-CDF-gap between sample-index profiles (0 when either side
     /// carried no indices).
-    pub index_shape_ks: f64,
+    pub(crate) index_shape_ks: f64,
 }
 
 impl FingerprintDistance {
@@ -115,13 +115,13 @@ impl fmt::Display for FingerprintDistance {
 pub struct EquivalenceBound {
     /// Bound on the inter-arrival probability-band distance and on the
     /// latency relative gap (different units, same 0-is-identical scale).
-    pub max_quantile_gap: f64,
+    pub(crate) max_quantile_gap: f64,
     /// Bound on the latency probability-band distance.
-    pub max_latency_band: f64,
+    pub(crate) max_latency_band: f64,
     /// Bound on the burstiness gap.
-    pub max_burstiness_gap: f64,
+    pub(crate) max_burstiness_gap: f64,
     /// Bound on both KS shape distances (rate and index profile).
-    pub max_shape_ks: f64,
+    pub(crate) max_shape_ks: f64,
 }
 
 impl Default for EquivalenceBound {
@@ -196,11 +196,11 @@ impl EquivalenceBound {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundViolation {
     /// The axis name ([`FingerprintDistance::rows`] naming).
-    pub metric: &'static str,
+    pub(crate) metric: &'static str,
     /// The observed distance.
-    pub distance: f64,
+    pub(crate) distance: f64,
     /// The bound it exceeded.
-    pub bound: f64,
+    pub(crate) bound: f64,
 }
 
 impl fmt::Display for BoundViolation {
@@ -221,7 +221,7 @@ impl TraceFingerprint {
     /// of non-errored queries, `sample_indices` every drawn index (empty
     /// when unknown), `population` the QSL size the indices refer to.
     #[must_use]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         arrivals: &[u64],
         ok_latencies: &[u64],
         errors: u64,

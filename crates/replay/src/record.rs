@@ -29,18 +29,18 @@ const SYNTHETIC_INDEX_SEED: u64 = 0x4D4C_5052; // "MLPR"
 #[derive(Debug, Clone)]
 pub struct RecordOptions {
     /// QSL population the run loaded (bounds the sample indices).
-    pub population: u64,
+    pub(crate) population: u64,
     /// The run's QSL seed, when known; enables faithful index
     /// reconstruction.
-    pub qsl_seed: Option<u64>,
+    pub(crate) qsl_seed: Option<u64>,
     /// Latency bound to embed in the trace (the log does not record it).
-    pub target_latency_ns: u64,
+    pub(crate) target_latency_ns: u64,
     /// Percentile that bound applies to.
-    pub target_percentile: f64,
+    pub(crate) target_percentile: f64,
     /// Error-fraction tolerance to embed.
-    pub max_error_fraction: f64,
+    pub(crate) max_error_fraction: f64,
     /// Free-form provenance label (e.g. the log path).
-    pub source: String,
+    pub(crate) source: String,
 }
 
 impl Default for RecordOptions {
@@ -83,7 +83,7 @@ impl RecordOptions {
 
     /// Sets the error-fraction tolerance to embed.
     #[must_use]
-    pub fn with_max_error_fraction(mut self, f: f64) -> Self {
+    pub(crate) fn with_max_error_fraction(mut self, f: f64) -> Self {
         self.max_error_fraction = f;
         self
     }

@@ -30,17 +30,17 @@ use mlperf_stats::Rng64;
 use std::fmt;
 
 /// Most windows the reducer will stratify over.
-pub const MAX_WINDOWS: usize = 16;
+pub(crate) const MAX_WINDOWS: usize = 16;
 
 /// How to reduce: target length, determinism seed, acceptance bound.
 #[derive(Debug, Clone)]
 pub struct ReduceOptions {
     /// Number of queries the reduced trace should hold (2 ≤ target < n).
-    pub target: usize,
+    pub(crate) target: usize,
     /// Seed for the per-window delta shuffles.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Acceptance bound on the original-vs-reduced fingerprint distance.
-    pub bound: EquivalenceBound,
+    pub(crate) bound: EquivalenceBound,
 }
 
 impl ReduceOptions {

@@ -25,7 +25,7 @@ use std::fmt;
 /// File magic: the first four bytes of every recorded trace.
 pub const MAGIC: [u8; 4] = *b"MLPR";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Least bytes one encoded query occupies: delta, latency, error flag,
 /// index count.
 const QUERY_MIN_BYTES: usize = 21;
@@ -234,7 +234,7 @@ impl RecordedTrace {
     /// Arrival times (nanoseconds since the first arrival), the
     /// cumulative sum of the deltas.
     #[must_use]
-    pub fn arrivals(&self) -> Vec<u64> {
+    pub(crate) fn arrivals(&self) -> Vec<u64> {
         let mut at = 0u64;
         self.queries
             .iter()

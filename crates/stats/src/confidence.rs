@@ -39,7 +39,7 @@ pub enum TailLatency {
 
 impl TailLatency {
     /// The percentile as a fraction in `(0, 1)`.
-    pub fn fraction(&self) -> f64 {
+    pub(crate) fn fraction(&self) -> f64 {
         match self {
             TailLatency::P90 => 0.90,
             TailLatency::P95 => 0.95,
@@ -49,7 +49,7 @@ impl TailLatency {
     }
 
     /// All variants, in Table IV order (plus P97).
-    pub const ALL: [TailLatency; 4] = [
+    pub(crate) const ALL: [TailLatency; 4] = [
         TailLatency::P90,
         TailLatency::P95,
         TailLatency::P97,
@@ -84,7 +84,7 @@ impl Confidence {
     }
 
     /// The confidence as a fraction in `(0, 1)`.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.0
     }
 }
@@ -145,7 +145,7 @@ impl QueryCountPlan {
     }
 
     /// The tail-latency fraction this plan guarantees.
-    pub fn tail_latency(&self) -> f64 {
+    pub(crate) fn tail_latency(&self) -> f64 {
         self.tail_latency
     }
 

@@ -20,7 +20,7 @@ use crate::rng::Rng64;
 /// assert!(gap >= 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     lambda: f64,
 }
 
@@ -31,7 +31,7 @@ impl Exponential {
     ///
     /// Returns [`DistError::NonPositiveRate`] if `lambda` is not finite and
     /// positive.
-    pub fn new(lambda: f64) -> Result<Self, DistError> {
+    pub(crate) fn new(lambda: f64) -> Result<Self, DistError> {
         if !(lambda.is_finite() && lambda > 0.0) {
             return Err(DistError::NonPositiveRate(lambda));
         }
@@ -39,12 +39,12 @@ impl Exponential {
     }
 
     /// The rate parameter.
-    pub fn lambda(&self) -> f64 {
+    pub(crate) fn lambda(&self) -> f64 {
         self.lambda
     }
 
     /// Draws one sample (mean `1 / lambda`).
-    pub fn sample(&self, rng: &mut Rng64) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut Rng64) -> f64 {
         // Inverse-CDF; 1 - u avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.lambda
     }
@@ -68,7 +68,7 @@ impl LogNormal {
     ///
     /// Returns [`DistError::NegativeStdDev`] if `sigma` is negative or either
     /// parameter is non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
         if !mu.is_finite() || !sigma.is_finite() || sigma < 0.0 {
             return Err(DistError::NegativeStdDev(sigma));
         }

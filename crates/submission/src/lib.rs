@@ -29,5 +29,5 @@ pub mod round;
 pub mod types;
 
 pub use record::{ResultRecord, ReviewStatus};
-pub use round::{generate_round, RoundConfig, SubmissionRound};
-pub use types::{Category, Division, SystemDescription};
+pub(crate) use round::{generate_round, RoundConfig, SubmissionRound};
+pub(crate) use types::{Category, Division, SystemDescription};

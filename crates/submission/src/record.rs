@@ -21,33 +21,33 @@ pub enum ReviewStatus {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRecord {
     /// Unique id within the round.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Closed or open division.
     pub division: Division,
     /// Availability category.
-    pub category: Category,
+    pub(crate) category: Category,
     /// The system under test.
-    pub system: SystemDescription,
+    pub(crate) system: SystemDescription,
     /// Table I model name (closed division: the reference model).
-    pub model_name: String,
+    pub(crate) model_name: String,
     /// The scenario run.
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// The scored LoadGen result.
-    pub result: TestResult,
+    pub(crate) result: TestResult,
     /// Quality measured by the accuracy script.
-    pub measured_quality: f64,
+    pub(crate) measured_quality: f64,
     /// FP32 reference quality for the task on the proxy reference model.
-    pub reference_quality: f64,
+    pub(crate) reference_quality: f64,
     /// Review state.
-    pub status: ReviewStatus,
+    pub(crate) status: ReviewStatus,
     /// Open-division deviation notes (empty for closed).
-    pub notes: String,
+    pub(crate) notes: String,
 }
 
 impl ResultRecord {
     /// The task this record claims, resolved from the model name (known
     /// for closed-division records; open division may use custom models).
-    pub fn task(&self) -> Option<TaskId> {
+    pub(crate) fn task(&self) -> Option<TaskId> {
         TaskId::from_model_name(&self.model_name)
     }
 

@@ -24,7 +24,7 @@ fn released_closed(records: &[ResultRecord]) -> impl Iterator<Item = &ResultReco
 }
 
 /// Table VI: released result counts per model × scenario.
-pub fn table_vi_counts(records: &[ResultRecord]) -> BTreeMap<TaskId, [usize; 4]> {
+pub(crate) fn table_vi_counts(records: &[ResultRecord]) -> BTreeMap<TaskId, [usize; 4]> {
     let mut counts: BTreeMap<TaskId, [usize; 4]> =
         registry().iter().map(|m| (m.task, [0usize; 4])).collect();
     for record in released_closed(records) {
@@ -87,7 +87,7 @@ pub fn figure5_distribution(records: &[ResultRecord]) -> Vec<(TaskId, usize, f64
 }
 
 /// Table VII: framework × architecture coverage matrix.
-pub fn table_vii_matrix(records: &[ResultRecord]) -> BTreeMap<String, BTreeMap<String, usize>> {
+pub(crate) fn table_vii_matrix(records: &[ResultRecord]) -> BTreeMap<String, BTreeMap<String, usize>> {
     let mut matrix: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
     for record in released_closed(records) {
         *matrix

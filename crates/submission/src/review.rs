@@ -14,13 +14,13 @@ use mlperf_audit::checker::{check_submission, SubmissionCheckInput};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReviewStats {
     /// Total submissions reviewed.
-    pub submitted: usize,
+    pub(crate) submitted: usize,
     /// Released results.
-    pub released: usize,
+    pub(crate) released: usize,
     /// Rejected results.
-    pub rejected: usize,
+    pub(crate) rejected: usize,
     /// Total findings across rejected results.
-    pub findings: usize,
+    pub(crate) findings: usize,
 }
 
 impl std::fmt::Display for ReviewStats {
@@ -57,7 +57,7 @@ pub fn review_round(round: &mut SubmissionRound) -> ReviewStats {
 
 /// Reviews a single record, returning human-readable findings (empty =
 /// releasable).
-pub fn review_record(record: &ResultRecord) -> Vec<String> {
+pub(crate) fn review_record(record: &ResultRecord) -> Vec<String> {
     match record.division {
         Division::Closed => {
             let task = match record.task() {

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// Observed closed-division released-result counts per task ×
 /// `[single-stream, multistream, server, offline]` — the paper's Table VI.
-pub const TABLE_VI_PLAN: [(TaskId, [usize; 4]); 5] = [
+pub(crate) const TABLE_VI_PLAN: [(TaskId, [usize; 4]); 5] = [
     (TaskId::ImageClassificationHeavy, [19, 5, 10, 20]),
     (TaskId::ImageClassificationLight, [18, 3, 5, 11]),
     (TaskId::ObjectDetectionHeavy, [4, 4, 7, 12]),
@@ -40,26 +40,26 @@ pub const TABLE_VI_PLAN: [(TaskId, [usize; 4]); 5] = [
 #[derive(Debug, Clone)]
 pub struct RoundConfig {
     /// Master seed for all round-level choices.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Scales the Table V minimum query counts (1.0 = official).
-    pub query_scale: f64,
+    pub(crate) query_scale: f64,
     /// Minimum run duration (60 s official).
     pub min_duration: Nanos,
     /// Duration used during peak searches before the final validation run.
-    pub search_duration: Nanos,
+    pub(crate) search_duration: Nanos,
     /// How many open-division records to generate (paper: 429).
     pub open_division_count: usize,
     /// How many rule-violating closed submissions to inject (paper saw
     /// ~40 issues; ~14 results were withheld from release).
     pub violation_count: usize,
     /// Worker threads for run execution.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Samples per proxy dataset when measuring task qualities.
-    pub quality_samples: usize,
+    pub(crate) quality_samples: usize,
     /// Server runs last at least this many latency bounds, so queue
     /// divergence at overload has time to surface (30 for realistic runs;
     /// smoke profiles shrink it for speed).
-    pub divergence_bounds: f64,
+    pub(crate) divergence_bounds: f64,
 }
 
 impl RoundConfig {
@@ -118,7 +118,7 @@ pub struct SubmissionRound {
 
 impl SubmissionRound {
     /// Records in a division.
-    pub fn division(&self, division: Division) -> impl Iterator<Item = &ResultRecord> {
+    pub(crate) fn division(&self, division: Division) -> impl Iterator<Item = &ResultRecord> {
         self.records.iter().filter(move |r| r.division == division)
     }
 }

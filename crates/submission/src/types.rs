@@ -22,7 +22,7 @@ impl std::fmt::Display for Division {
 
 /// Hardware/software availability category (Section V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Category {
+pub(crate) enum Category {
     /// Readily available for rent or purchase.
     Available,
     /// Soon to be available.
@@ -33,7 +33,7 @@ pub enum Category {
 
 impl Category {
     /// All categories.
-    pub const ALL: [Category; 3] = [Category::Available, Category::Preview, Category::Rdo];
+    pub(crate) const ALL: [Category; 3] = [Category::Available, Category::Preview, Category::Rdo];
 }
 
 impl std::fmt::Display for Category {
@@ -49,21 +49,21 @@ impl std::fmt::Display for Category {
 /// The system-description file accompanying a submission: "accelerator
 /// count, CPU count, software release, and memory system" (Section V-A).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SystemDescription {
+pub(crate) struct SystemDescription {
     /// System name, unique within the round.
-    pub system_name: String,
+    pub(crate) system_name: String,
     /// Submitting organization.
-    pub vendor: String,
+    pub(crate) vendor: String,
     /// Inference framework / run time (Table VII rows).
-    pub framework: String,
+    pub(crate) framework: String,
     /// Processor architecture class (Figure 7 buckets).
-    pub architecture: String,
+    pub(crate) architecture: String,
     /// Number of accelerator units.
-    pub accelerator_count: u32,
+    pub(crate) accelerator_count: u32,
     /// Number of host CPUs.
-    pub cpu_count: u32,
+    pub(crate) cpu_count: u32,
     /// System memory in GiB.
-    pub memory_gib: u32,
+    pub(crate) memory_gib: u32,
 }
 
 #[cfg(test)]

@@ -264,7 +264,7 @@ impl SilentDropperSut {
     }
 
     /// How many queries have vanished so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 

@@ -21,7 +21,7 @@ pub enum Architecture {
 
 impl Architecture {
     /// All classes, in Figure 7 order.
-    pub const ALL: [Architecture; 5] = [
+    pub(crate) const ALL: [Architecture; 5] = [
         Architecture::Dsp,
         Architecture::Fpga,
         Architecture::Cpu,
@@ -56,7 +56,7 @@ pub struct ThermalModel {
 
 impl ThermalModel {
     /// Throughput multiplier at simulated time `now`.
-    pub fn multiplier(&self, now: Nanos) -> f64 {
+    pub(crate) fn multiplier(&self, now: Nanos) -> f64 {
         1.0 + (self.boost - 1.0) * (-now.as_secs_f64() / self.decay_secs).exp()
     }
 }
@@ -86,7 +86,7 @@ pub struct DeviceSpec {
     /// Architecture class.
     pub architecture: Architecture,
     /// Peak sustained throughput per execution unit, GOPS.
-    pub peak_gops: f64,
+    pub(crate) peak_gops: f64,
     /// Work per dispatch (GOPS) at which utilization reaches one half.
     pub work_half_gops: f64,
     /// Largest batch one unit executes at once (memory limit).
@@ -94,11 +94,11 @@ pub struct DeviceSpec {
     /// Number of independent execution units (accelerator cards, chips).
     pub units: usize,
     /// Fixed per-dispatch overhead (kernel launch, DMA, scheduling).
-    pub overhead: Nanos,
+    pub(crate) overhead: Nanos,
     /// Log-normal sigma of multiplicative service-time jitter.
-    pub jitter_sigma: f64,
+    pub(crate) jitter_sigma: f64,
     /// Optional cold-start boost / thermal throttle.
-    pub thermal: Option<ThermalModel>,
+    pub(crate) thermal: Option<ThermalModel>,
 }
 
 impl DeviceSpec {
@@ -135,7 +135,7 @@ impl DeviceSpec {
     }
 
     /// Adds service-time jitter.
-    pub fn with_jitter(mut self, sigma: f64) -> Self {
+    pub(crate) fn with_jitter(mut self, sigma: f64) -> Self {
         self.jitter_sigma = sigma;
         self
     }

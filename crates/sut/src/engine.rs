@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// Produces a per-sample accuracy payload (see
 /// [`crate::proxy_sut`] for proxy-backed providers).
-pub type PayloadFn = Arc<dyn Fn(usize) -> ResponsePayload + Send + Sync>;
+pub(crate) type PayloadFn = Arc<dyn Fn(usize) -> ResponsePayload + Send + Sync>;
 
 /// Per-query response-handling cost paid by the online (batched) path:
 /// every server query gets its own completion callback, while an offline
@@ -206,7 +206,7 @@ impl DeviceSut {
     }
 
     /// The device specification.
-    pub fn spec(&self) -> &DeviceSpec {
+    pub(crate) fn spec(&self) -> &DeviceSpec {
         &self.spec
     }
 

@@ -30,14 +30,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallWindow {
     /// When the stall begins.
-    pub start: Nanos,
+    pub(crate) start: Nanos,
     /// How long the device stays frozen.
-    pub duration: Nanos,
+    pub(crate) duration: Nanos,
 }
 
 impl StallWindow {
     /// First instant after the stall.
-    pub fn end(&self) -> Nanos {
+    pub(crate) fn end(&self) -> Nanos {
         self.start + self.duration
     }
 }
@@ -47,16 +47,16 @@ impl StallWindow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleEpisode {
     /// When throttling begins.
-    pub start: Nanos,
+    pub(crate) start: Nanos,
     /// How long it lasts.
-    pub duration: Nanos,
+    pub(crate) duration: Nanos,
     /// Service-time multiplier (> 1.0) applied to work inside the episode.
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
 }
 
 impl ThrottleEpisode {
     /// First instant after the episode.
-    pub fn end(&self) -> Nanos {
+    pub(crate) fn end(&self) -> Nanos {
         self.start + self.duration
     }
 }
@@ -69,18 +69,18 @@ impl ThrottleEpisode {
 pub struct FaultPlan {
     seed: u64,
     /// Per-query probability that the query resolves as an error.
-    pub transient_error_prob: f64,
+    pub(crate) transient_error_prob: f64,
     /// Per-query probability of a latency spike.
-    pub latency_spike_prob: f64,
+    pub(crate) latency_spike_prob: f64,
     /// Service-duration multiplier for spiked queries (> 1.0).
-    pub latency_spike_factor: f64,
+    pub(crate) latency_spike_factor: f64,
     /// Scheduled full-pause windows.
-    pub stalls: Vec<StallWindow>,
+    pub(crate) stalls: Vec<StallWindow>,
     /// Scheduled sustained-throttle episodes.
-    pub throttles: Vec<ThrottleEpisode>,
+    pub(crate) throttles: Vec<ThrottleEpisode>,
     /// The instant the device dies: queries issued at or after this time
     /// are never answered, and in-flight work never completes.
-    pub death_at: Option<Nanos>,
+    pub(crate) death_at: Option<Nanos>,
 }
 
 impl FaultPlan {
@@ -134,7 +134,7 @@ impl FaultPlan {
     }
 
     /// The decision seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -186,24 +186,24 @@ impl<S: SimSut> FaultySut<S> {
     }
 
     /// Attaches a trace sink for [`TraceEvent::FaultInjected`] records.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
+    pub(crate) fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
         self
     }
 
     /// Attaches a metrics registry for `fault_*` counters.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
     }
 
     /// The wrapped engine.
-    pub fn inner(&self) -> &S {
+    pub(crate) fn inner(&self) -> &S {
         &self.inner
     }
 
     /// The plan.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 

@@ -28,7 +28,7 @@ pub enum MarketSegment {
 
 impl MarketSegment {
     /// All segments.
-    pub const ALL: [MarketSegment; 4] = [
+    pub(crate) const ALL: [MarketSegment; 4] = [
         MarketSegment::Embedded,
         MarketSegment::Mobile,
         MarketSegment::Edge,

@@ -46,7 +46,7 @@ pub struct ResiliencePolicy {
 impl ResiliencePolicy {
     /// Whether any policy is active. An inert policy makes
     /// [`ResilientSut`] a pass-through.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.timeout.is_some() || self.max_retries > 0
     }
 }
@@ -121,13 +121,13 @@ impl<S: SimSut> ResilientSut<S> {
     }
 
     /// Attaches a trace sink for [`TraceEvent::RecoveryAction`] records.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
+    pub(crate) fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
         self
     }
 
     /// Attaches a metrics registry for `recovery_*` counters.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
     }

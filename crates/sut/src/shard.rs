@@ -54,7 +54,7 @@ pub enum BalancePolicy {
 
 impl BalancePolicy {
     /// Stable snake_case label used in trace rows and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BalancePolicy::RoundRobin => "round_robin",
             BalancePolicy::WeightedThroughput => "weighted",
@@ -79,7 +79,7 @@ pub enum ShardHealth {
 
 impl ShardHealth {
     /// Stable snake_case label used in trace rows and stats tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ShardHealth::Up => "up",
             ShardHealth::Suspect => "suspect",
@@ -176,9 +176,9 @@ struct Shard {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStatus {
     /// The shard's label.
-    pub label: String,
+    pub(crate) label: String,
     /// Current health.
-    pub health: ShardHealth,
+    pub(crate) health: ShardHealth,
     /// Queries in flight right now.
     pub outstanding: usize,
     /// Queries ever routed to this shard.

@@ -13,9 +13,9 @@ use crate::tensor::{Tensor, TensorError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dParams {
     /// Stride along both spatial axes.
-    pub stride: usize,
+    pub(crate) stride: usize,
     /// Symmetric zero padding along both spatial axes.
-    pub padding: usize,
+    pub(crate) padding: usize,
 }
 
 impl Conv2dParams {

@@ -34,7 +34,7 @@ impl QuantParams {
 
     /// Derives parameters by scanning a calibration tensor, exactly what the
     /// benchmark's fixed calibration set is for.
-    pub fn calibrate(tensor: &Tensor) -> Self {
+    pub(crate) fn calibrate(tensor: &Tensor) -> Self {
         Self::from_abs_max(tensor.abs_max())
     }
 
@@ -44,12 +44,12 @@ impl QuantParams {
     }
 
     /// Quantizes one real value to `i8` with round-to-nearest and saturation.
-    pub fn quantize_value(&self, x: f32) -> i8 {
+    pub(crate) fn quantize_value(&self, x: f32) -> i8 {
         (x / self.scale).round().clamp(-127.0, 127.0) as i8
     }
 
     /// Dequantizes one integer back to a real value.
-    pub fn dequantize_value(&self, q: i8) -> f32 {
+    pub(crate) fn dequantize_value(&self, q: i8) -> f32 {
         f32::from(q) * self.scale
     }
 }
@@ -97,7 +97,7 @@ impl QTensor {
     }
 
     /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
@@ -165,22 +165,22 @@ impl ChannelQTensor {
     }
 
     /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
     /// The per-channel scales.
-    pub fn scales(&self) -> &[f32] {
+    pub(crate) fn scales(&self) -> &[f32] {
         &self.scales
     }
 
     /// The raw `i8` payload.
-    pub fn data(&self) -> &[i8] {
+    pub(crate) fn data(&self) -> &[i8] {
         &self.data
     }
 
     /// Expands back to f32.
-    pub fn dequantize(&self) -> Tensor {
+    pub(crate) fn dequantize(&self) -> Tensor {
         let channels = self.scales.len();
         let per = self.data.len() / channels;
         let mut out = Vec::with_capacity(self.data.len());

@@ -71,7 +71,7 @@ impl Shape {
     }
 
     /// Whether the shape holds zero elements (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -85,7 +85,7 @@ impl Shape {
     }
 
     /// Row-major strides.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -99,7 +99,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] if the index rank differs
     /// from the shape rank or any coordinate exceeds its dimension.
-    pub fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
         if index.len() != self.dims.len() {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.to_vec(),

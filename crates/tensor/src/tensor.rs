@@ -31,7 +31,7 @@ impl Tensor {
     }
 
     /// A tensor filled with `value`.
-    pub fn full(shape: Shape, value: f32) -> Self {
+    pub(crate) fn full(shape: Shape, value: f32) -> Self {
         let len = shape.len();
         Self {
             shape,
@@ -89,7 +89,7 @@ impl Tensor {
     }
 
     /// Whether the tensor has zero elements (never true by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -114,13 +114,13 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
-    pub fn set(&mut self, index: &[usize], value: f32) {
+    pub(crate) fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index).expect("index in bounds");
         self.data[off] = value;
     }
 
     /// Returns a new tensor with `f` applied elementwise.
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Self {
+    pub(crate) fn map<F: Fn(f32) -> f32>(&self, f: F) -> Self {
         Self {
             shape: self.shape.clone(),
             data: self.data.iter().map(|x| f(*x)).collect(),
@@ -151,7 +151,7 @@ impl Tensor {
     }
 
     /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f32) -> Tensor {
+    pub(crate) fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
     }
 
@@ -189,7 +189,7 @@ impl Tensor {
     }
 
     /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
+    pub(crate) fn mean(&self) -> f32 {
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 }

@@ -184,7 +184,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes not yet consumed.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -203,7 +203,7 @@ impl<'a> ByteReader<'a> {
     /// Returns [`ByteError::Truncated`] when fewer remain (as do all
     /// readers below).
     #[inline]
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], ByteError> {
+    pub(crate) fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], ByteError> {
         if self.remaining() < n {
             return Err(self.truncated(n));
         }

@@ -35,7 +35,7 @@ impl FlightRecorder {
     }
 
     /// The underlying ring as a shareable sink.
-    pub fn sink(&self) -> Arc<RingBufferSink> {
+    pub(crate) fn sink(&self) -> Arc<RingBufferSink> {
         Arc::clone(&self.ring)
     }
 
@@ -45,7 +45,7 @@ impl FlightRecorder {
     }
 
     /// Renders the dump text without touching the filesystem.
-    pub fn render(&self, reason: &str) -> String {
+    pub(crate) fn render(&self, reason: &str) -> String {
         render_flight_dump(reason, &self.ring.snapshot(), self.ring.dropped())
     }
 

@@ -67,7 +67,7 @@ pub struct TornTail {
     pub byte_offset: u64,
     /// What the reader found at the tear (truncated frame, CRC mismatch,
     /// unparseable line).
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl std::fmt::Display for TornTail {

@@ -145,7 +145,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`JsonError`] for non-integers or out-of-range values.
-    pub fn as_u32(&self) -> Result<u32, JsonError> {
+    pub(crate) fn as_u32(&self) -> Result<u32, JsonError> {
         self.shallow().as_u32()
     }
 
@@ -164,7 +164,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`JsonError`] for non-numeric values.
-    pub fn as_f32(&self) -> Result<f32, JsonError> {
+    pub(crate) fn as_f32(&self) -> Result<f32, JsonError> {
         Ok(self.as_f64()? as f32)
     }
 

@@ -115,7 +115,7 @@ impl LogHistogram {
     }
 
     /// Smallest recorded value, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.total == 0 {
             0
         } else {
@@ -184,7 +184,7 @@ impl LogHistogram {
     /// the cumulative bounds (the exact interval extrema are not
     /// recoverable from bucket counts), which only widens — never
     /// misplaces — the reported quantile bucket.
-    pub fn delta_since(&self, earlier: &LogHistogram) -> LogHistogram {
+    pub(crate) fn delta_since(&self, earlier: &LogHistogram) -> LogHistogram {
         let mut counts: Vec<u64> = self
             .counts
             .iter()
@@ -284,7 +284,7 @@ pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges by name.
-    pub gauges: BTreeMap<String, f64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
     /// Latency histograms by name.
     pub histograms: BTreeMap<String, LogHistogram>,
 }

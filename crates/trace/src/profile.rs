@@ -110,7 +110,7 @@ pub fn set_enabled(enabled: bool) {
 }
 
 /// Whether span profiling is currently on.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -226,23 +226,23 @@ macro_rules! profile_span {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRow {
     /// Span names from the tree root down to this span.
-    pub path: Vec<&'static str>,
+    pub(crate) path: Vec<&'static str>,
     /// Number of completed occurrences.
     pub calls: u64,
     /// Total wall-clock time inside this span, children included.
     pub inclusive_ns: u64,
     /// Inclusive time minus the children's inclusive time.
-    pub exclusive_ns: u64,
+    pub(crate) exclusive_ns: u64,
 }
 
 impl SpanRow {
     /// The span's own name (last path element).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.path.last().copied().unwrap_or("")
     }
 
     /// Nesting depth (1 for top-level spans).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.path.len()
     }
 }
@@ -255,7 +255,7 @@ pub struct SpanReport {
 
 impl SpanReport {
     /// The aggregated spans in depth-first (parents-first) order.
-    pub fn rows(&self) -> &[SpanRow] {
+    pub(crate) fn rows(&self) -> &[SpanRow] {
         &self.rows
     }
 

@@ -31,21 +31,21 @@ pub struct TimeSeriesRow {
     /// Cumulative queries completed by this time.
     pub queries_completed: u64,
     /// Cumulative samples completed by this time.
-    pub samples_completed: u64,
+    pub(crate) samples_completed: u64,
     /// Queries issued but not yet completed at this time.
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
     /// Queries completed within this interval alone.
-    pub interval_completed: u64,
+    pub(crate) interval_completed: u64,
     /// Completed-query throughput of this interval, in queries/second of
     /// simulated time.
     pub throughput_qps: f64,
     /// p50 of query latencies completed within this interval (ns); 0 when
     /// the interval completed nothing.
-    pub p50_ns: u64,
+    pub(crate) p50_ns: u64,
     /// p90 of this interval's query latencies (ns).
-    pub p90_ns: u64,
+    pub(crate) p90_ns: u64,
     /// p99 of this interval's query latencies (ns).
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// Every gauge in the registry at sample time (e.g. DVFS multiplier,
     /// device queue depth).
     pub gauges: BTreeMap<String, f64>,
@@ -111,7 +111,7 @@ impl TimeSeriesSampler {
     }
 
     /// The sampling interval in simulated nanoseconds.
-    pub fn interval_ns(&self) -> u64 {
+    pub(crate) fn interval_ns(&self) -> u64 {
         self.interval_ns
     }
 

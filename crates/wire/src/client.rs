@@ -75,31 +75,31 @@ impl Default for ResumePolicy {
 pub struct RemoteSutConfig {
     /// Backpressure window: issuers block once this many queries are on
     /// the wire without a completion.
-    pub max_in_flight: u32,
+    pub(crate) max_in_flight: u32,
     /// How long an issuer waits for its completion frame before declaring
     /// the query vanished.
-    pub response_timeout: Duration,
+    pub(crate) response_timeout: Duration,
     /// Interval between heartbeat frames.
-    pub heartbeat_interval: Duration,
+    pub(crate) heartbeat_interval: Duration,
     /// Silence tolerated (no heartbeat ack, no completion) before the
     /// connection is declared dead. A daemon serving a closed-loop
     /// session's query on its connection thread answers no heartbeat
     /// meanwhile; it vouches for itself instead, at least every two of its
     /// 25 ms liveness ticks — so a client whose queries can outlast its own
     /// grace needs a grace of three ticks (75 ms) or more.
-    pub heartbeat_grace: Duration,
+    pub(crate) heartbeat_grace: Duration,
     /// Reconnect-and-resume policy; `None` (the default) fails the link on
     /// the first disconnect.
-    pub resume: Option<ResumePolicy>,
+    pub(crate) resume: Option<ResumePolicy>,
     /// Client-side wire chaos plan, for fault-injection testing. `None`
     /// (or a disarmed plan) leaves the transport untouched.
-    pub chaos: Option<WireChaosPlan>,
+    pub(crate) chaos: Option<WireChaosPlan>,
     /// Wire epoch to open the session at. `0` (the default) starts a
     /// fresh session; a nonzero value re-adopts the session's server-side
     /// completion journal, exactly as an in-process reconnect would —
     /// this is how a run resumed from a crash-safe journal reclaims its
     /// wire session after the client process died.
-    pub initial_epoch: u32,
+    pub(crate) initial_epoch: u32,
 }
 
 impl Default for RemoteSutConfig {
@@ -651,7 +651,7 @@ impl RemoteSut {
     }
 
     /// The session id identifying this run's journal on the server.
-    pub fn session(&self) -> u64 {
+    pub(crate) fn session(&self) -> u64 {
         self.shared.base_hello.session
     }
 

@@ -41,7 +41,7 @@ impl ClockSample {
     /// Computed in `i128` — the two clocks start at unrelated epochs, so
     /// the raw differences can exceed `i64` only if a host has been up
     /// for ~292 years; the final offset is clamped into `i64`.
-    pub fn offset_ns(&self) -> i64 {
+    pub(crate) fn offset_ns(&self) -> i64 {
         let outbound = self.t1 as i128 - self.t0 as i128;
         let inbound = self.t2 as i128 - self.t3 as i128;
         let offset = (outbound + inbound) / 2;
@@ -50,14 +50,14 @@ impl ClockSample {
 
     /// Network round-trip time in nanoseconds (server hold time removed).
     /// Saturates at 0 for nonsensical stamps instead of underflowing.
-    pub fn rtt_ns(&self) -> u64 {
+    pub(crate) fn rtt_ns(&self) -> u64 {
         let total = self.t3 as i128 - self.t0 as i128;
         let hold = self.t2 as i128 - self.t1 as i128;
         (total - hold).max(0) as u64
     }
 
     /// Worst-case error of [`ClockSample::offset_ns`]: half the RTT.
-    pub fn error_bound_ns(&self) -> u64 {
+    pub(crate) fn error_bound_ns(&self) -> u64 {
         self.rtt_ns() / 2
     }
 }
@@ -92,7 +92,7 @@ impl ClockEstimator {
     }
 
     /// The current best sample, if any probe completed.
-    pub fn best(&self) -> Option<ClockSample> {
+    pub(crate) fn best(&self) -> Option<ClockSample> {
         *lock(&self.best)
     }
 

@@ -25,7 +25,7 @@
 
 use std::io::{Read, Write};
 
-pub use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+pub(crate) use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
 pub use mlperf_trace::crc::crc32;
 
 /// Hard ceiling on a frame's payload size. An offline query over a
@@ -43,11 +43,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameError {
     /// Payload length from the frame header (checksum + body).
-    pub len: usize,
+    pub(crate) len: usize,
     /// CRC32 the sender sealed into the frame.
-    pub expected: u32,
+    pub(crate) expected: u32,
     /// CRC32 computed over the body as received.
-    pub found: u32,
+    pub(crate) found: u32,
 }
 
 impl std::fmt::Display for FrameError {

@@ -194,7 +194,7 @@ fn get_query(r: &mut ByteReader<'_>) -> Result<Query, WireError> {
 
 impl Message {
     /// Human-readable message name, for diagnostics.
-    pub fn tag_name(&self) -> &'static str {
+    pub(crate) fn tag_name(&self) -> &'static str {
         match self {
             Message::Hello(_) => "Hello",
             Message::HelloAck { .. } => "HelloAck",

@@ -85,21 +85,21 @@ pub struct ServeConfig {
     /// Workers resolving queries per connection. `0` means one. The pool
     /// is a server-scenario session's: a closed-loop session has one query
     /// in flight and is served on its connection thread.
-    pub workers_per_conn: usize,
+    pub(crate) workers_per_conn: usize,
     /// Optional sink receiving server-side `WireEvent`s
     /// (connect, reject, drain, disconnect, replay).
-    pub sink: Option<Arc<dyn TraceSink>>,
+    pub(crate) sink: Option<Arc<dyn TraceSink>>,
     /// Server-side wire chaos plan, for fault-injection testing. `None`
     /// (or a disarmed plan) leaves every transport untouched.
-    pub chaos: Option<WireChaosPlan>,
+    pub(crate) chaos: Option<WireChaosPlan>,
     /// Metrics registry backing the daemon's `Stats` snapshots. A default
     /// registry is created when not provided, so stats always work.
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    pub(crate) metrics: Option<Arc<MetricsRegistry>>,
     /// Daemon-assigned shard label. When set, server-side spans carry it
     /// as their `host` (so a merged fleet log attributes work per shard)
     /// and `Stats` snapshots report it; when `None` the daemon is a
     /// plain single host named `server`.
-    pub shard_label: Option<String>,
+    pub(crate) shard_label: Option<String>,
     /// Directory for durable per-session completion journals. When set,
     /// every resolved query is appended (wire-codec bytes in an `MLPJ`
     /// frame) to `session_<id>.mlpj` before its completion frame is sent,
@@ -107,7 +107,7 @@ pub struct ServeConfig {
     /// reconnects at a nonzero epoch — completions recorded before the
     /// crash are answered from disk, never re-run. `None` (the default)
     /// keeps session journals in memory only, as before.
-    pub journal_dir: Option<PathBuf>,
+    pub(crate) journal_dir: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for ServeConfig {
@@ -140,7 +140,7 @@ impl ServeConfig {
 
     /// Arms a server-side wire chaos plan.
     #[must_use]
-    pub fn with_chaos(mut self, plan: WireChaosPlan) -> Self {
+    pub(crate) fn with_chaos(mut self, plan: WireChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
     }

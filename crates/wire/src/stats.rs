@@ -28,7 +28,7 @@ pub struct DaemonStats {
     pub sut_name: String,
     /// Daemon-assigned shard label (empty when the daemon is not part of
     /// a sharded fleet).
-    pub shard: String,
+    pub(crate) shard: String,
     /// Nanoseconds since the daemon started serving.
     pub uptime_ns: u64,
     /// Queries resolved over the daemon's lifetime.

@@ -76,7 +76,7 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// Wraps a connected stream.
-    pub fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         TcpTransport {
             stream,
             scratch: Vec::new(),
@@ -115,18 +115,18 @@ impl Transport for TcpTransport {
 pub struct WireChaosPlan {
     seed: u64,
     /// Flip one byte in exactly this received frame (1-based index).
-    pub corrupt_recv_at: Option<u64>,
+    pub(crate) corrupt_recv_at: Option<u64>,
     /// Truncate exactly this received frame (1-based index).
-    pub truncate_recv_at: Option<u64>,
+    pub(crate) truncate_recv_at: Option<u64>,
     /// Probability a sent frame is sent twice.
-    pub duplicate_send_prob: f64,
+    pub(crate) duplicate_send_prob: f64,
     /// Slow-loris: sleep this long before every frame read.
-    pub delay_recv: Option<Duration>,
+    pub(crate) delay_recv: Option<Duration>,
     /// Sever the stream right after this many frames have been sent.
-    pub disconnect_after_send: Option<u64>,
+    pub(crate) disconnect_after_send: Option<u64>,
     /// One-way partition outbound: swallow every sent frame after this
     /// many (the stream stays open; only silence flows).
-    pub partition_send_after: Option<u64>,
+    pub(crate) partition_send_after: Option<u64>,
     /// One-way partition inbound: discard every received frame after this
     /// many (reads block until the stream dies).
     pub partition_recv_after: Option<u64>,
@@ -250,7 +250,7 @@ impl std::fmt::Debug for ChaosSession {
 
 impl ChaosSession {
     /// Creates a session for one endpoint (`"client"` or `"server"`).
-    pub fn new(
+    pub(crate) fn new(
         plan: WireChaosPlan,
         endpoint: &'static str,
         sink: Option<Arc<dyn TraceSink>>,
@@ -268,7 +268,7 @@ impl ChaosSession {
     /// armed whenever the plan is; later connections are pass-throughs,
     /// so reconnect+resume can heal the link. Partitions always heal on a
     /// new connection (a reconnect takes a new route).
-    pub fn wrap(self: &Arc<Self>, inner: Box<dyn Transport>) -> Box<dyn Transport> {
+    pub(crate) fn wrap(self: &Arc<Self>, inner: Box<dyn Transport>) -> Box<dyn Transport> {
         let conn = self.state.connections.fetch_add(1, Ordering::SeqCst) + 1;
         self.state.send_partitioned.store(false, Ordering::SeqCst);
         self.state.recv_partitioned.store(false, Ordering::SeqCst);
@@ -303,7 +303,7 @@ const RECV_SALT: u64 = 0x2ECF;
 /// A [`Transport`] decorator injecting the faults its [`ChaosSession`]'s
 /// plan describes. Disarmed (or cloned from a disarmed connection) it adds
 /// one atomic increment per frame to the hot path.
-pub struct ChaosTransport {
+pub(crate) struct ChaosTransport {
     inner: Box<dyn Transport>,
     session: Arc<ChaosSession>,
     armed: bool,
