@@ -47,14 +47,6 @@ impl TailLatency {
             TailLatency::P99 => 0.99,
         }
     }
-
-    /// All variants, in Table IV order (plus P97).
-    pub(crate) const ALL: [TailLatency; 4] = [
-        TailLatency::P90,
-        TailLatency::P95,
-        TailLatency::P97,
-        TailLatency::P99,
-    ];
 }
 
 impl std::fmt::Display for TailLatency {
@@ -142,11 +134,6 @@ impl QueryCountPlan {
             confidence: Confidence::C99.value(),
             margin: margin_for(tl),
         }
-    }
-
-    /// The tail-latency fraction this plan guarantees.
-    pub(crate) fn tail_latency(&self) -> f64 {
-        self.tail_latency
     }
 
     /// The confidence fraction.
@@ -410,7 +397,7 @@ mod tests {
 
     #[test]
     fn rounded_is_multiple_of_granule_and_at_least_raw() {
-        for t in TailLatency::ALL {
+        for t in [TailLatency::P90, TailLatency::P95, TailLatency::P97, TailLatency::P99] {
             let plan = QueryCountPlan::paper_default(t);
             assert_eq!(plan.rounded_queries() % QUERY_COUNT_GRANULE, 0);
             assert!(plan.rounded_queries() >= plan.raw_queries());

@@ -1,6 +1,6 @@
 //! Distribution sampling used by the benchmark.
 //!
-//! * [`Exponential`] — inter-arrival gaps of the server scenario's Poisson
+//! * `Exponential` — inter-arrival gaps of the server scenario's Poisson
 //!   query process (Table II: "Poisson distribution").
 //! * [`LogNormal`] — latency jitter in the simulated devices.
 //! * [`PoissonProcess`] — an iterator of absolute arrival timestamps.
@@ -8,17 +8,6 @@
 use crate::rng::Rng64;
 
 /// Exponential distribution with rate `lambda` (events per unit time).
-///
-/// # Examples
-///
-/// ```
-/// use mlperf_stats::{dist::Exponential, Rng64};
-///
-/// let exp = Exponential::new(10.0).unwrap();
-/// let mut rng = Rng64::new(1);
-/// let gap = exp.sample(&mut rng);
-/// assert!(gap >= 0.0);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Exponential {
     lambda: f64,
@@ -36,11 +25,6 @@ impl Exponential {
             return Err(DistError::NonPositiveRate(lambda));
         }
         Ok(Self { lambda })
-    }
-
-    /// The rate parameter.
-    pub(crate) fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Draws one sample (mean `1 / lambda`).
@@ -107,6 +91,15 @@ fn standard_normal(rng: &mut Rng64) -> f64 {
 ///
 /// This is exactly how the LoadGen materializes the server-scenario schedule:
 /// the whole arrival trace is a deterministic function of the schedule seed.
+///
+/// # Examples
+///
+/// ```
+/// use mlperf_stats::{dist::PoissonProcess, Rng64};
+///
+/// let arrivals: Vec<f64> = PoissonProcess::new(10.0, Rng64::new(1)).unwrap().take(3).collect();
+/// assert!(arrivals[0] >= 0.0 && arrivals.windows(2).all(|w| w[0] <= w[1]));
+/// ```
 #[derive(Debug, Clone)]
 pub struct PoissonProcess {
     exp: Exponential,

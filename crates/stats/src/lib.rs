@@ -41,7 +41,6 @@ pub mod equiv;
 pub mod percentile;
 pub mod rng;
 
-pub(crate) use confidence::{Confidence, QueryCountPlan, TailLatency};
 pub use equiv::{
     cdf_distance, cv_squared, grid_quantiles, max_rel_gap, quantile_band_distance, QUANTILE_GRID,
 };
