@@ -384,7 +384,7 @@ mod tests {
         // 2x2 input, 3x3 all-ones kernel, padding 1: each output = sum of the
         // 3x3 neighborhood that exists.
         let input = Tensor::from_vec(Shape::d3(1, 2, 2), vec![1., 2., 3., 4.]).unwrap();
-        let w = Tensor::full(Shape::d4(1, 1, 3, 3), 1.0);
+        let w = Tensor::fill_with(Shape::d4(1, 1, 3, 3), |_| 1.0);
         let b = Tensor::zeros(Shape::d1(1));
         let out = conv2d(&input, &w, &b, Conv2dParams::UNIT).unwrap();
         assert_eq!(out.shape().dims(), &[1, 2, 2]);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn conv2d_stride_and_bias() {
         let input = Tensor::fill_with(Shape::d3(1, 4, 4), |_| 1.0);
-        let w = Tensor::full(Shape::d4(2, 1, 2, 2), 1.0);
+        let w = Tensor::fill_with(Shape::d4(2, 1, 2, 2), |_| 1.0);
         let b = t1(&[0.5, -0.5]);
         let out = conv2d(&input, &w, &b, Conv2dParams::new(2, 0).unwrap()).unwrap();
         assert_eq!(out.shape().dims(), &[2, 2, 2]);

@@ -178,22 +178,6 @@ impl ChannelQTensor {
     pub(crate) fn data(&self) -> &[i8] {
         &self.data
     }
-
-    /// Expands back to f32.
-    pub(crate) fn dequantize(&self) -> Tensor {
-        let channels = self.scales.len();
-        let per = self.data.len() / channels;
-        let mut out = Vec::with_capacity(self.data.len());
-        for c in 0..channels {
-            let scale = self.scales[c];
-            out.extend(
-                self.data[c * per..(c + 1) * per]
-                    .iter()
-                    .map(|q| f32::from(*q) * scale),
-            );
-        }
-        Tensor::from_vec(self.shape.clone(), out).expect("shape preserved by construction")
-    }
 }
 
 /// Quantizes a tensor to 16-bit integers per output channel (dimension 0)
@@ -363,6 +347,14 @@ mod tests {
         assert_eq!(q.dequantize().data(), &[0.0; 4]);
     }
 
+    /// The f32 values a per-channel tensor of rank 2 stands for.
+    fn dequantize_dim0(q: &ChannelQTensor) -> Tensor {
+        let cols = q.shape().dims()[1];
+        Tensor::fill_with(q.shape().clone(), |i| {
+            f32::from(q.data()[i[0] * cols + i[1]]) * q.scales()[i[0]]
+        })
+    }
+
     #[test]
     fn per_channel_quantization_beats_per_tensor() {
         // A weight matrix with wildly different row magnitudes: per-tensor
@@ -372,7 +364,7 @@ mod tests {
             base * (1.0 + i[1] as f32 / 10.0)
         });
         let per_tensor = QTensor::quantize(&w).dequantize();
-        let per_channel = ChannelQTensor::quantize_dim0(&w).dequantize();
+        let per_channel = dequantize_dim0(&ChannelQTensor::quantize_dim0(&w));
         let err = |approx: &Tensor| {
             w.data()
                 .iter()
@@ -395,7 +387,7 @@ mod tests {
         });
         let q = ChannelQTensor::quantize_dim0(&w);
         assert_eq!(q.scales().len(), 3);
-        let back = q.dequantize();
+        let back = dequantize_dim0(&q);
         for c in 0..3 {
             let bound = q.scales()[c] / 2.0 + 1e-6;
             for j in 0..4 {
@@ -460,7 +452,7 @@ mod tests {
 
     #[test]
     fn external_params_used_for_activations() {
-        let t = Tensor::full(Shape::d1(2), 10.0);
+        let t = Tensor::fill_with(Shape::d1(2), |_| 10.0);
         let p = QuantParams::from_abs_max(127.0); // scale 1.0
         let q = QTensor::quantize_with(&t, p);
         assert_eq!(q.data(), &[10, 10]);

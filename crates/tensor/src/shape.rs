@@ -71,7 +71,7 @@ impl Shape {
     }
 
     /// Whether the shape holds zero elements (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -30,15 +30,6 @@ impl Tensor {
         }
     }
 
-    /// A tensor filled with `value`.
-    pub(crate) fn full(shape: Shape, value: f32) -> Self {
-        let len = shape.len();
-        Self {
-            shape,
-            data: vec![value; len],
-        }
-    }
-
     /// Builds a tensor from existing row-major data.
     ///
     /// # Errors
@@ -89,7 +80,7 @@ impl Tensor {
     }
 
     /// Whether the tensor has zero elements (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -107,16 +98,6 @@ impl Tensor {
     pub fn at(&self, index: &[usize]) -> f32 {
         let off = self.shape.offset(index).expect("index in bounds");
         self.data[off]
-    }
-
-    /// Sets the element at a multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub(crate) fn set(&mut self, index: &[usize], value: f32) {
-        let off = self.shape.offset(index).expect("index in bounds");
-        self.data[off] = value;
     }
 
     /// Returns a new tensor with `f` applied elementwise.
@@ -150,11 +131,6 @@ impl Tensor {
         })
     }
 
-    /// Multiplies every element by `s`.
-    pub(crate) fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
-    }
-
     /// Reinterprets the data under a new shape of equal length.
     ///
     /// # Errors
@@ -186,11 +162,6 @@ impl Tensor {
     /// Largest absolute value in the tensor (0 for all-zero tensors).
     pub fn abs_max(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, x| m.max(x.abs()))
-    }
-
-    /// Mean of all elements.
-    pub(crate) fn mean(&self) -> f32 {
-        self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 }
 
@@ -249,12 +220,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_full() {
+    fn zeros() {
         let z = Tensor::zeros(Shape::d2(2, 3));
         assert_eq!(z.len(), 6);
         assert!(z.data().iter().all(|x| *x == 0.0));
-        let f = Tensor::full(Shape::d1(4), 2.5);
-        assert!(f.data().iter().all(|x| *x == 2.5));
     }
 
     #[test]
@@ -276,28 +245,25 @@ mod tests {
     }
 
     #[test]
-    fn at_and_set() {
-        let mut t = Tensor::zeros(Shape::d3(2, 2, 2));
-        t.set(&[1, 0, 1], 7.0);
+    fn at_reads_row_major() {
+        let t = Tensor::from_vec(Shape::d3(2, 2, 2), vec![0., 0., 0., 0., 0., 7., 0., 0.]).unwrap();
         assert_eq!(t.at(&[1, 0, 1]), 7.0);
         assert_eq!(t.at(&[0, 0, 0]), 0.0);
     }
 
     #[test]
     fn add_and_shape_mismatch() {
-        let a = Tensor::full(Shape::d1(3), 1.0);
-        let b = Tensor::full(Shape::d1(3), 2.0);
+        let a = Tensor::fill_with(Shape::d1(3), |_| 1.0);
+        let b = Tensor::fill_with(Shape::d1(3), |_| 2.0);
         assert_eq!(a.add(&b).unwrap().data(), &[3.0; 3]);
-        let c = Tensor::full(Shape::d1(4), 2.0);
+        let c = Tensor::fill_with(Shape::d1(4), |_| 2.0);
         assert!(a.add(&c).is_err());
     }
 
     #[test]
-    fn map_scale_mean() {
+    fn map_applies_elementwise() {
         let t = Tensor::from_vec(Shape::d1(4), vec![1., 2., 3., 4.]).unwrap();
         assert_eq!(t.map(|x| x * x).data(), &[1., 4., 9., 16.]);
-        assert_eq!(t.scale(2.0).data(), &[2., 4., 6., 8.]);
-        assert_eq!(t.mean(), 2.5);
     }
 
     #[test]
