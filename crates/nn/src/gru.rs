@@ -43,16 +43,6 @@ impl GruCell {
         }
     }
 
-    /// The input dimensionality.
-    pub(crate) fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// The hidden-state dimensionality.
-    pub(crate) fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
     /// Fresh all-zero hidden state.
     pub fn zero_state(&self) -> Tensor {
         Tensor::zeros(Shape::d1(self.hidden_dim))
@@ -122,16 +112,6 @@ impl GruCell {
             w_cand: f(&self.w_cand),
             b_cand: self.b_cand.clone(),
         }
-    }
-
-    /// Total trainable parameters.
-    pub(crate) fn param_count(&self) -> usize {
-        self.w_update.len()
-            + self.w_reset.len()
-            + self.w_cand.len()
-            + self.b_update.len()
-            + self.b_reset.len()
-            + self.b_cand.len()
     }
 }
 
@@ -217,12 +197,16 @@ mod tests {
     }
 
     #[test]
-    fn counts() {
+    fn gate_shapes() {
         let mut rng = Rng64::new(6);
         let cell = GruCell::new(4, 6, &mut rng);
         // Three gate matrices of [6 x 10] plus three [6] biases.
-        assert_eq!(cell.param_count(), 3 * 60 + 3 * 6);
-        assert_eq!(cell.input_dim(), 4);
-        assert_eq!(cell.hidden_dim(), 6);
+        for w in [&cell.w_update, &cell.w_reset, &cell.w_cand] {
+            assert_eq!(w.shape().dims(), &[6, 10]);
+        }
+        for b in [&cell.b_update, &cell.b_reset, &cell.b_cand] {
+            assert_eq!(b.shape().dims(), &[6]);
+        }
+        assert_eq!((cell.input_dim, cell.hidden_dim), (4, 6));
     }
 }

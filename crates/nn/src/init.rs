@@ -37,7 +37,13 @@ impl WeightInit {
     }
 
     /// `[OutC, InC, K, K]` convolution weights.
-    pub(crate) fn conv_weight(&self, out_c: usize, in_c: usize, k: usize, rng: &mut Rng64) -> Tensor {
+    pub(crate) fn conv_weight(
+        &self,
+        out_c: usize,
+        in_c: usize,
+        k: usize,
+        rng: &mut Rng64,
+    ) -> Tensor {
         let fan_in = in_c * k * k;
         Tensor::fill_with(Shape::d4(out_c, in_c, k, k), |_| self.sample(fan_in, rng))
     }

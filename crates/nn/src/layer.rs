@@ -72,10 +72,6 @@ pub(crate) enum Layer {
     },
     /// Global average pooling (`[C,H,W]` → `[C]`).
     GlobalAvgPool,
-    /// Flattens any tensor to rank 1.
-    Flatten,
-    /// Softmax over a rank-1 tensor.
-    Softmax,
 }
 
 impl Layer {
@@ -106,8 +102,6 @@ impl Layer {
             } => Ok(activation.apply(&ops::dense(input, weight, bias)?)),
             Layer::MaxPool { k } => ops::maxpool2d(input, *k),
             Layer::GlobalAvgPool => ops::global_avgpool(input),
-            Layer::Flatten => input.reshape(Shape::d1(input.len())),
-            Layer::Softmax => ops::softmax(input),
         }
     }
 
@@ -165,16 +159,6 @@ impl Layer {
             Layer::GlobalAvgPool => {
                 let (c, _, _) = expect_rank3(input)?;
                 Ok(Shape::d1(c))
-            }
-            Layer::Flatten => Ok(Shape::d1(input.len())),
-            Layer::Softmax => {
-                if input.rank() != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        left: input.clone(),
-                        right: Shape::d1(input.len()),
-                    });
-                }
-                Ok(input.clone())
             }
         }
     }
@@ -278,9 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn flatten_and_pool_shapes() {
+    fn pool_shapes() {
         let input = Shape::d3(3, 8, 8);
-        assert_eq!(Layer::Flatten.output_shape(&input).unwrap().dims(), &[192]);
         assert_eq!(
             Layer::MaxPool { k: 2 }.output_shape(&input).unwrap().dims(),
             &[3, 4, 4]
@@ -303,7 +286,10 @@ mod tests {
             activation: Activation::None,
         };
         assert_eq!(dense.mac_count(&Shape::d1(4)).unwrap(), 40);
-        assert_eq!(Layer::Flatten.mac_count(&Shape::d3(1, 2, 2)).unwrap(), 0);
+        assert_eq!(
+            Layer::GlobalAvgPool.mac_count(&Shape::d3(1, 2, 2)).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -314,7 +300,7 @@ mod tests {
             activation: Activation::None,
         };
         assert_eq!(dense.param_count(), 50);
-        assert_eq!(Layer::Softmax.param_count(), 0);
+        assert_eq!(Layer::GlobalAvgPool.param_count(), 0);
     }
 
     #[test]
@@ -326,7 +312,7 @@ mod tests {
         };
         assert!(layer.output_shape(&Shape::d1(5)).is_err());
         assert!(layer.forward(&Tensor::zeros(Shape::d1(5))).is_err());
-        assert!(Layer::Softmax.output_shape(&Shape::d2(2, 2)).is_err());
+        assert!(Layer::GlobalAvgPool.output_shape(&Shape::d2(2, 2)).is_err());
         assert!(Layer::MaxPool { k: 9 }
             .output_shape(&Shape::d3(1, 4, 4))
             .is_err());

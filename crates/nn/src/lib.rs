@@ -27,11 +27,10 @@
 //!     .conv2d(4, 3, 1, 1, Activation::Relu, &mut rng)?
 //!     .global_avgpool()?
 //!     .dense(3, Activation::None, &mut rng)?
-//!     .softmax()?
 //!     .build();
 //! let input = Tensor::zeros(Shape::d3(1, 8, 8));
-//! let probs = net.forward(&input)?;
-//! assert_eq!(probs.len(), 3);
+//! let logits = net.forward(&input)?;
+//! assert_eq!(logits.len(), 3);
 //! # Ok::<(), mlperf_nn::NnError>(())
 //! ```
 
@@ -44,7 +43,6 @@ pub mod layer;
 pub mod network;
 pub mod quantized;
 
-pub(crate) use layer::{Activation, Layer};
 pub use network::{Network, NetworkBuilder};
 pub use quantized::QNetwork;
 

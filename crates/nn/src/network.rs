@@ -319,16 +319,6 @@ impl NetworkBuilder {
         self.push(Layer::GlobalAvgPool)
     }
 
-    /// Appends a flatten layer.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for builder-made networks; returns [`NnError`] only on
-    /// internal shape inconsistency.
-    pub(crate) fn flatten(self) -> Result<Self, NnError> {
-        self.push(Layer::Flatten)
-    }
-
     /// Appends a dense layer with `out` units.
     ///
     /// # Errors
@@ -354,15 +344,6 @@ impl NetworkBuilder {
             bias,
             activation,
         })
-    }
-
-    /// Appends a softmax layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] if the current shape is not rank 1.
-    pub(crate) fn softmax(self) -> Result<Self, NnError> {
-        self.push(Layer::Softmax)
     }
 
     /// Finalizes the network.
@@ -392,19 +373,15 @@ mod tests {
             .unwrap()
             .dense(5, Activation::None, &mut rng)
             .unwrap()
-            .softmax()
-            .unwrap()
             .build()
     }
 
     #[test]
-    fn forward_produces_distribution() {
+    fn forward_produces_one_value_per_class() {
         let net = tiny_cnn(1);
         assert_eq!(net.output_shape().dims(), &[5]);
         let input = Tensor::fill_with(Shape::d3(2, 8, 8), |i| (i[1] + i[2]) as f32 / 16.0);
-        let out = net.forward(&input).unwrap();
-        let sum: f32 = out.data().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
+        assert_eq!(net.forward(&input).unwrap().shape(), net.output_shape());
     }
 
     #[test]
