@@ -57,16 +57,6 @@ impl SyntheticImages {
         self.len == 0
     }
 
-    /// The per-sample tensor shape.
-    pub(crate) fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// The master seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Materializes sample `index`.
     ///
     /// # Errors

@@ -63,13 +63,8 @@ impl SyntheticSentences {
     }
 
     /// Whether the corpus is empty (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The vocabulary size.
-    pub(crate) fn vocab_size(&self) -> u32 {
-        self.vocab_size
     }
 
     /// The inclusive sentence-length range.
