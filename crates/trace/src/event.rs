@@ -889,7 +889,7 @@ impl RingBufferSink {
     }
 
     /// Whether no events have been retained.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

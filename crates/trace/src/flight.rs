@@ -34,11 +34,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The underlying ring as a shareable sink.
-    pub(crate) fn sink(&self) -> Arc<RingBufferSink> {
-        Arc::clone(&self.ring)
-    }
-
     /// Copies out the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.ring.snapshot()

@@ -96,6 +96,5 @@ pub use flight::{parse_flight_dump, FlightDump, FlightRecorder};
 pub use journal::{read_journal, JournalError, JournalScan, JournalWriter, TornTail};
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
 pub use metrics::{Counter, Histogram, LogHistogram, MetricsRegistry, MetricsSnapshot};
-pub(crate) use profile::{SpanGuard, SpanReport, SpanRow};
 pub use reader::{read_detail_log, read_detail_log_str, DetailLog};
 pub use timeseries::{TimeSeriesRow, TimeSeriesSampler};

@@ -32,7 +32,6 @@
 //! }
 //! profile::set_enabled(false);
 //! let report = profile::report();
-//! assert_eq!(report.rows().len(), 2);
 //! assert!(report.collapsed().contains("outer;inner"));
 //! ```
 
@@ -236,11 +235,6 @@ pub struct SpanRow {
 }
 
 impl SpanRow {
-    /// The span's own name (last path element).
-    pub(crate) fn name(&self) -> &'static str {
-        self.path.last().copied().unwrap_or("")
-    }
-
     /// Nesting depth (1 for top-level spans).
     pub(crate) fn depth(&self) -> usize {
         self.path.len()
@@ -254,11 +248,6 @@ pub struct SpanReport {
 }
 
 impl SpanReport {
-    /// The aggregated spans in depth-first (parents-first) order.
-    pub(crate) fn rows(&self) -> &[SpanRow] {
-        &self.rows
-    }
-
     /// Sum of the top-level spans' inclusive time: the profiled wall time.
     pub fn root_inclusive_ns(&self) -> u64 {
         self.rows
@@ -346,7 +335,7 @@ mod tests {
         {
             profile_span!("ghost");
         }
-        assert!(report().rows().is_empty());
+        assert!(report().rows.is_empty());
     }
 
     #[test]

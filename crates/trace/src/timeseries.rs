@@ -110,11 +110,6 @@ impl TimeSeriesSampler {
         }
     }
 
-    /// The sampling interval in simulated nanoseconds.
-    pub(crate) fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
     /// Advances simulated time to `now_ns`, emitting one row for every
     /// interval boundary at or before it. Cheap when no boundary was
     /// crossed (one lock, one compare).
@@ -339,6 +334,6 @@ mod tests {
     #[test]
     fn zero_interval_clamps() {
         let sampler = TimeSeriesSampler::new(0);
-        assert_eq!(sampler.interval_ns(), 1);
+        assert_eq!(sampler.interval_ns, 1);
     }
 }
