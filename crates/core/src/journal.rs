@@ -451,7 +451,9 @@ impl<'a> RunJournal<'a> {
     ///
     /// Returns [`LoadGenError::Journal`] when the file is unreadable or
     /// its frames do not decode.
-    pub(crate) fn open_resume(cfg: &'a JournalConfig) -> Result<(Self, LoadedJournal), LoadGenError> {
+    pub(crate) fn open_resume(
+        cfg: &'a JournalConfig,
+    ) -> Result<(Self, LoadedJournal), LoadGenError> {
         let ctx = cfg.path.display().to_string();
         let (writer, scan) = JournalWriter::open_append(&cfg.path, cfg.fsync_every)
             .map_err(|e| journal_err(&ctx, e))?;

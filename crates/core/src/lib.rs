@@ -94,7 +94,6 @@ pub use instrument::Instruments;
 pub use journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal, RunMeta};
 pub use query::{Query, QueryId, QuerySample, ResponsePayload, SampleIndex};
 pub use replay::ReplaySchedule;
-pub(crate) use results::{ScenarioMetric, TestResult};
 pub use run::Run;
 pub use scenario::Scenario;
 pub use time::Nanos;

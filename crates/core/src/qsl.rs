@@ -34,8 +34,8 @@ pub trait QuerySampleLibrary {
 ///
 /// let mut qsl = MemoryQsl::new("toy", 100, 16);
 /// assert_eq!(qsl.total_sample_count(), 100);
+/// assert_eq!(qsl.performance_sample_count(), 16);
 /// qsl.load_samples(&[0, 1, 2]);
-/// assert_eq!(qsl.loaded(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryQsl {
@@ -65,11 +65,6 @@ impl MemoryQsl {
             performance,
             loaded: std::collections::HashSet::new(),
         }
-    }
-
-    /// Number of currently loaded samples.
-    pub(crate) fn loaded(&self) -> usize {
-        self.loaded.len()
     }
 }
 
@@ -107,9 +102,9 @@ mod tests {
         assert_eq!(q.name(), "t");
         assert_eq!(q.performance_sample_count(), 4);
         q.load_samples(&[1, 2]);
-        assert_eq!(q.loaded(), 2);
+        assert_eq!(q.loaded.len(), 2);
         q.unload_samples(&[1]);
-        assert_eq!(q.loaded(), 1);
+        assert_eq!(q.loaded.len(), 1);
     }
 
     #[test]

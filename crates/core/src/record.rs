@@ -367,11 +367,6 @@ impl Recorder {
         }
     }
 
-    /// All query records in issue order.
-    pub(crate) fn records(&self) -> &[QueryRecord] {
-        &self.records
-    }
-
     /// The accuracy log accumulated so far.
     pub(crate) fn accuracy_log(&self) -> &[LoggedResponse] {
         &self.accuracy_log
@@ -382,24 +377,9 @@ impl Recorder {
         (self.records, self.accuracy_log)
     }
 
-    /// Number of queries issued.
-    pub(crate) fn issued(&self) -> u64 {
-        self.records.len() as u64
-    }
-
     /// Number of queries still outstanding.
     pub(crate) fn outstanding(&self) -> usize {
         self.outstanding.len()
-    }
-
-    /// Total samples completed successfully (errored queries excluded).
-    pub(crate) fn samples_completed(&self) -> u64 {
-        self.samples_completed
-    }
-
-    /// Number of queries that resolved as errors.
-    pub(crate) fn errored(&self) -> u64 {
-        self.errored
     }
 
     /// Latest completion timestamp seen.
@@ -415,7 +395,11 @@ impl Recorder {
     /// absolute positions. `records_from` must be a stable prefix — no
     /// outstanding entry below it — which is exactly the mark a
     /// `RunJournal` keeps.
-    pub(crate) fn snapshot_suffix(&self, records_from: usize, accuracy_from: usize) -> RecorderSnapshot {
+    pub(crate) fn snapshot_suffix(
+        &self,
+        records_from: usize,
+        accuracy_from: usize,
+    ) -> RecorderSnapshot {
         let mut outstanding: Vec<OutstandingEntry> = self
             .outstanding
             .iter()
@@ -452,14 +436,6 @@ impl Recorder {
             last_completion: snapshot.last_completion,
             errored: snapshot.errored,
         }
-    }
-
-    /// Completed-query latencies (scheduled → finished).
-    pub(crate) fn latencies(&self) -> Vec<Nanos> {
-        self.records
-            .iter()
-            .filter_map(QueryRecord::latency)
-            .collect()
     }
 }
 
@@ -499,8 +475,8 @@ mod tests {
             .record_completion(&completion(1, Nanos::from_micros(25)), |_| false)
             .unwrap();
         assert_eq!(latency, Nanos::from_micros(20));
-        assert_eq!(r.latencies(), vec![Nanos::from_micros(20)]);
-        assert_eq!(r.samples_completed(), 1);
+        assert_eq!(r.records[0].latency(), Some(Nanos::from_micros(20)));
+        assert_eq!(r.samples_completed, 1);
         assert_eq!(r.outstanding(), 0);
     }
 
@@ -593,9 +569,9 @@ mod tests {
         // The restored recorder behaves exactly like the original: known
         // outstanding queries complete, completed ones reject.
         let mut restored = Recorder::restore(back);
-        assert_eq!(restored.issued(), 3);
+        assert_eq!(restored.records.len(), 3);
         assert_eq!(restored.outstanding(), 2);
-        assert_eq!(restored.samples_completed(), 1);
+        assert_eq!(restored.samples_completed, 1);
         assert!(restored
             .record_completion(&completion(2, Nanos::from_secs(1)), |_| false)
             .is_err());
@@ -621,6 +597,6 @@ mod tests {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::ZERO).unwrap();
         r.record_skips(1, 3);
-        assert_eq!(r.records()[0].skipped_intervals, 3);
+        assert_eq!(r.records[0].skipped_intervals, 3);
     }
 }

@@ -47,18 +47,6 @@ pub struct ReplaySchedule {
 }
 
 impl ReplaySchedule {
-    /// Number of queries in the schedule.
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Whether the schedule has no queries.
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
     /// Checks the schedule's structural invariants.
     ///
     /// # Errors

@@ -767,6 +767,11 @@ mod tests {
         assert!(matches!(err, Err(LoadGenError::BadSettings(_))), "{err:?}");
         assert!(!path.exists());
         // A run that errors after its prologue leaves its samples loaded.
-        assert_eq!(qsl.loaded(), 0, "refused before the QSL was touched");
+        let untouched = format!("{:?}", MemoryQsl::new("q", 8, 8));
+        assert_eq!(
+            format!("{qsl:?}"),
+            untouched,
+            "refused before the QSL was touched"
+        );
     }
 }

@@ -89,11 +89,6 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction, `None` if `rhs > self`.
-    pub(crate) fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_sub(rhs.0).map(Nanos)
-    }
-
     /// Multiplies a duration by an integer count (saturating, unlike a
     /// `std::ops::Mul` impl, which is why this stays an inherent method).
     #[allow(clippy::should_implement_trait)]
@@ -162,7 +157,6 @@ mod tests {
         assert_eq!(a + b, Nanos::from_millis(8));
         assert_eq!(a.saturating_sub(b), Nanos::from_millis(2));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(a.mul(3), Nanos::from_millis(15));
         let mut c = a;
         c += b;
