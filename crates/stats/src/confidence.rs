@@ -397,7 +397,12 @@ mod tests {
 
     #[test]
     fn rounded_is_multiple_of_granule_and_at_least_raw() {
-        for t in [TailLatency::P90, TailLatency::P95, TailLatency::P97, TailLatency::P99] {
+        for t in [
+            TailLatency::P90,
+            TailLatency::P95,
+            TailLatency::P97,
+            TailLatency::P99,
+        ] {
             let plan = QueryCountPlan::paper_default(t);
             assert_eq!(plan.rounded_queries() % QUERY_COUNT_GRANULE, 0);
             assert!(plan.rounded_queries() >= plan.raw_queries());
