@@ -124,17 +124,8 @@ impl ClassifierProxy {
     }
 
     /// Whether the dataset is empty (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Ground-truth label of a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub(crate) fn label(&self, index: usize) -> usize {
-        self.labels[index]
     }
 
     /// The FP32 teacher network (for ablations and inspection).
@@ -215,7 +206,7 @@ mod tests {
         let a = ClassifierProxy::new(TaskId::ImageClassificationHeavy, 50, 3);
         let b = ClassifierProxy::new(TaskId::ImageClassificationHeavy, 50, 3);
         for i in 0..50 {
-            assert_eq!(a.label(i), b.label(i));
+            assert_eq!(a.labels[i], b.labels[i]);
             assert_eq!(a.predict(Precision::Fp32, i), b.predict(Precision::Fp32, i));
         }
     }
@@ -224,7 +215,7 @@ mod tests {
     fn seed_changes_everything() {
         let a = ClassifierProxy::new(TaskId::ImageClassificationHeavy, 80, 4);
         let b = ClassifierProxy::new(TaskId::ImageClassificationHeavy, 80, 5);
-        let same = (0..80).filter(|i| a.label(*i) == b.label(*i)).count();
+        let same = (0..80).filter(|i| a.labels[*i] == b.labels[*i]).count();
         assert!(same < 60, "labels should differ across seeds, same={same}");
     }
 

@@ -32,7 +32,6 @@ const IOU_THRESHOLD: f32 = 0.5;
 /// A runnable detection proxy for the two COCO tasks.
 #[derive(Debug)]
 pub struct DetectorProxy {
-    task: TaskId,
     dataset: SyntheticImages,
     teacher: Network,
     quantized: Network,
@@ -147,7 +146,6 @@ impl DetectorProxy {
             }
         }
         Self {
-            task,
             dataset,
             teacher,
             quantized,
@@ -156,24 +154,9 @@ impl DetectorProxy {
         }
     }
 
-    /// The task this proxy stands in for.
-    pub(crate) fn task(&self) -> TaskId {
-        self.task
-    }
-
     /// Number of images.
     pub(crate) fn len(&self) -> usize {
         self.dataset.len()
-    }
-
-    /// Whether the dataset is empty (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.dataset.is_empty()
-    }
-
-    /// The ground-truth annotations.
-    pub(crate) fn ground_truth(&self) -> &[GroundTruth] {
-        &self.ground_truth
     }
 
     /// Runs one inference and returns decoded detections.
@@ -196,11 +179,6 @@ impl DetectorProxy {
             .flat_map(|i| self.detect(precision, i))
             .collect();
         mean_average_precision(&detections, &self.ground_truth, IOU_THRESHOLD)
-    }
-
-    /// Scores externally produced detections against the ground truth.
-    pub(crate) fn score(&self, detections: &[Detection]) -> f64 {
-        mean_average_precision(detections, &self.ground_truth, IOU_THRESHOLD)
     }
 }
 
@@ -256,11 +234,8 @@ mod tests {
     #[test]
     fn ground_truth_nonempty_and_bounded() {
         let proxy = DetectorProxy::new(TaskId::ObjectDetectionLight, 60, 1);
-        assert!(
-            !proxy.ground_truth().is_empty(),
-            "no ground truth generated"
-        );
-        for gt in proxy.ground_truth() {
+        assert!(!proxy.ground_truth.is_empty(), "no ground truth generated");
+        for gt in &proxy.ground_truth {
             assert!(gt.bbox.x1 >= 0.0 && gt.bbox.x2 <= EXTENT);
             assert!(gt.class < NUM_CLASSES);
             assert!(gt.image_id < 60);
@@ -293,17 +268,8 @@ mod tests {
     fn deterministic() {
         let a = DetectorProxy::new(TaskId::ObjectDetectionLight, 20, 4);
         let b = DetectorProxy::new(TaskId::ObjectDetectionLight, 20, 4);
-        assert_eq!(a.ground_truth(), b.ground_truth());
+        assert_eq!(a.ground_truth, b.ground_truth);
         assert_eq!(a.detect(Precision::Fp32, 5), b.detect(Precision::Fp32, 5));
-    }
-
-    #[test]
-    fn score_matches_map() {
-        let proxy = DetectorProxy::new(TaskId::ObjectDetectionHeavy, 30, 5);
-        let dets: Vec<Detection> = (0..30)
-            .flat_map(|i| proxy.detect(Precision::Fp32, i))
-            .collect();
-        assert_eq!(proxy.score(&dets), proxy.map(Precision::Fp32));
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl TranslatorProxy {
     }
 
     /// Whether the corpus is empty (never true by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.references.is_empty()
     }
 
@@ -169,11 +169,6 @@ impl TranslatorProxy {
     /// Panics if `index` is out of range.
     pub(crate) fn source(&self, index: usize) -> Vec<u32> {
         self.corpus.sentence(index).expect("index in range")
-    }
-
-    /// The reference translation at `index`.
-    pub(crate) fn reference(&self, index: usize) -> &[u32] {
-        &self.references[index]
     }
 
     /// Translates one sentence.
@@ -255,7 +250,7 @@ mod tests {
         let a = TranslatorProxy::new(30, 5);
         let b = TranslatorProxy::new(30, 5);
         for i in 0..30 {
-            assert_eq!(a.reference(i), b.reference(i));
+            assert_eq!(a.references[i], b.references[i]);
             assert_eq!(
                 a.translate(Precision::Quantized, i),
                 b.translate(Precision::Quantized, i)

@@ -30,22 +30,11 @@ impl QualityTarget {
         Self { reference, window }
     }
 
-    /// The paper's target for a task, against the paper's FP32 reference.
-    pub(crate) fn for_task(task: TaskId) -> Self {
-        let spec = task.spec();
-        Self::new(spec.fp32_quality, spec.quality_window)
-    }
-
     /// The paper's *window* for a task applied to a measured FP32 reference
     /// quality — what this reproduction uses, since the proxy models have
     /// their own (measured) FP32 reference quality.
     pub fn for_task_with_reference(task: TaskId, measured_fp32: f64) -> Self {
         Self::new(measured_fp32, task.spec().quality_window)
-    }
-
-    /// The FP32 reference quality.
-    pub(crate) fn reference(&self) -> f64 {
-        self.reference
     }
 
     /// The minimum admissible quality.
@@ -79,7 +68,8 @@ mod tests {
     fn resnet_example_from_the_paper() {
         // "the ResNet-50 v1.5 model achieves 76.46% Top-1 accuracy, and an
         // equivalent model must achieve at least 75.70% Top-1 accuracy."
-        let t = QualityTarget::for_task(TaskId::ImageClassificationHeavy);
+        let task = TaskId::ImageClassificationHeavy;
+        let t = QualityTarget::for_task_with_reference(task, task.spec().fp32_quality);
         assert!((t.threshold() - 75.69).abs() < 0.01);
         assert!(t.is_met(75.70));
         assert!(!t.is_met(75.60));
@@ -87,7 +77,8 @@ mod tests {
 
     #[test]
     fn mobilenet_gets_the_wider_window() {
-        let t = QualityTarget::for_task(TaskId::ImageClassificationLight);
+        let task = TaskId::ImageClassificationLight;
+        let t = QualityTarget::for_task_with_reference(task, task.spec().fp32_quality);
         assert!((t.threshold() - 71.676 * 0.98).abs() < 1e-9);
     }
 

@@ -36,11 +36,6 @@ impl Workload {
         Self { task, sentences }
     }
 
-    /// The task this workload describes.
-    pub(crate) fn task(&self) -> TaskId {
-        self.task
-    }
-
     /// Operations for one inference on `sample_index`, in GOPS.
     pub fn ops_for_sample(&self, sample_index: usize) -> f64 {
         match &self.sentences {
