@@ -263,11 +263,6 @@ impl SilentDropperSut {
         }
     }
 
-    /// How many queries have vanished so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     fn censor(&mut self, mut reaction: SutReaction) -> SutReaction {
         let mut kept = Vec::with_capacity(reaction.completions.len());
         for completion in reaction.completions.drain(..) {
@@ -394,10 +389,10 @@ mod tests {
                 .len();
         }
         assert!(completed < 16, "no query was dropped");
-        assert!(sut.dropped() > 0);
-        assert_eq!(completed + sut.dropped() as usize, 16);
+        assert!(sut.dropped > 0);
+        assert_eq!(completed + sut.dropped as usize, 16);
         // The drop budget bounds the damage.
-        assert!(sut.dropped() <= 5, "dropped {} of 16", sut.dropped());
+        assert!(sut.dropped <= 5, "dropped {} of 16", sut.dropped);
         // After reset the first (unqueued) query completes normally.
         sut.reset();
         assert_eq!(

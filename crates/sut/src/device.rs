@@ -19,16 +19,7 @@ pub enum Architecture {
     Asic,
 }
 
-impl Architecture {
-    /// All classes, in Figure 7 order.
-    pub(crate) const ALL: [Architecture; 5] = [
-        Architecture::Dsp,
-        Architecture::Fpga,
-        Architecture::Cpu,
-        Architecture::Asic,
-        Architecture::Gpu,
-    ];
-}
+impl Architecture {}
 
 impl std::fmt::Display for Architecture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -352,6 +343,5 @@ mod tests {
     #[test]
     fn architecture_display() {
         assert_eq!(Architecture::Gpu.to_string(), "GPU");
-        assert_eq!(Architecture::ALL.len(), 5);
     }
 }

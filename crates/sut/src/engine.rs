@@ -205,11 +205,6 @@ impl DeviceSut {
         self
     }
 
-    /// The device specification.
-    pub(crate) fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
     fn payload(&self, index: usize) -> ResponsePayload {
         match &self.payloads {
             Some(f) => f(index),

@@ -21,8 +21,6 @@ use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::splitmix64;
 use mlperf_stats::Rng64;
-use mlperf_trace::{MetricsRegistry, TraceEvent, TraceSink};
-use std::sync::Arc;
 
 /// A window during which the device is completely paused (a GC pause, a
 /// firmware hiccup, a PCIe retrain): work finishing inside the window
@@ -133,11 +131,6 @@ impl FaultPlan {
         self
     }
 
-    /// The decision seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Whether any fault is armed. An unarmed plan makes [`FaultySut`]
     /// a pass-through.
     pub fn is_armed(&self) -> bool {
@@ -161,68 +154,18 @@ impl FaultPlan {
 /// The decorator rewrites the *reaction stream*: completions returned by
 /// the inner engine (from `on_query` or a later batched `on_wakeup`) are
 /// errored, delayed, stretched, or dropped per the plan; the inner engine
-/// never knows. Injected faults are emitted as
-/// [`TraceEvent::FaultInjected`] records and `fault_*` counters when a
-/// sink/registry is attached.
+/// never knows.
 pub struct FaultySut<S> {
     inner: S,
     plan: FaultPlan,
     name: String,
-    trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl<S: SimSut> FaultySut<S> {
     /// Wraps `inner` with `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         let name = format!("{}+faults", inner.name());
-        Self {
-            inner,
-            plan,
-            name,
-            trace: None,
-            metrics: None,
-        }
-    }
-
-    /// Attaches a trace sink for [`TraceEvent::FaultInjected`] records.
-    pub(crate) fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Attaches a metrics registry for `fault_*` counters.
-    pub(crate) fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The wrapped engine.
-    pub(crate) fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The plan.
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn note(&self, at: Nanos, query_id: u64, fault: &str) {
-        if let Some(m) = self.metrics.as_deref() {
-            m.incr("faults_injected", 1);
-            m.incr(&format!("fault_{fault}"), 1);
-        }
-        if let Some(sink) = self.trace.as_deref() {
-            if sink.enabled() {
-                sink.record(
-                    at.as_nanos(),
-                    &TraceEvent::FaultInjected {
-                        query_id,
-                        fault: fault.to_string(),
-                    },
-                );
-            }
-        }
+        Self { inner, plan, name }
     }
 
     /// Applies the plan to one reaction. `now` is the event time at which
@@ -240,7 +183,6 @@ impl<S: SimSut> FaultySut<S> {
                 let stretched =
                     Nanos::from_secs_f64(service.as_secs_f64() * self.plan.latency_spike_factor);
                 completion.finished_at = now + stretched;
-                self.note(now, completion.query_id, "latency_spike");
             }
             // Sustained throttling stretches the part of the service
             // interval that overlaps each episode.
@@ -253,7 +195,6 @@ impl<S: SimSut> FaultySut<S> {
                         Nanos::from_secs_f64(inside.as_secs_f64() * (episode.slowdown - 1.0));
                     if extra > Nanos::ZERO {
                         completion.finished_at += extra;
-                        self.note(now, completion.query_id, "throttle");
                     }
                 }
             }
@@ -263,18 +204,15 @@ impl<S: SimSut> FaultySut<S> {
             for stall in &self.plan.stalls {
                 if completion.finished_at >= stall.start && completion.finished_at < stall.end() {
                     completion.finished_at = stall.end();
-                    self.note(now, completion.query_id, "stall");
                 }
             }
             if self.plan.transient_error_prob > 0.0 && roll_error < self.plan.transient_error_prob {
                 completion.error = true;
-                self.note(now, completion.query_id, "transient_error");
             }
             // Death: completions that would land at or after the death
             // instant are never delivered.
             if let Some(death) = self.plan.death_at {
                 if completion.finished_at >= death {
-                    self.note(now, completion.query_id, "death");
                     continue;
                 }
             }
@@ -303,7 +241,6 @@ impl<S: SimSut> SimSut for FaultySut<S> {
             if now >= death {
                 // The device is gone: the query is accepted by the
                 // harness but never answered.
-                self.note(now, query.id, "death");
                 return SutReaction::none();
             }
         }
@@ -346,7 +283,6 @@ mod tests {
     use mlperf_loadgen::qsl::MemoryQsl;
     use mlperf_loadgen::sut::FixedLatencySut;
     use mlperf_loadgen::validate::ValidityIssue;
-    use mlperf_trace::RingBufferSink;
 
     fn server_settings() -> TestSettings {
         TestSettings::server(500.0, Nanos::from_millis(10))
@@ -376,9 +312,8 @@ mod tests {
             let scenario = settings.scenario;
             let mut qsl = MemoryQsl::new("q", 16, 16);
             let baseline = run_simulated(&settings, &mut qsl, &mut inner()).unwrap();
-            let sink = Arc::new(RingBufferSink::unbounded());
-            let mut faulty = FaultySut::new(inner(), FaultPlan::new(42)).with_trace(sink.clone());
-            assert!(!faulty.plan().is_armed());
+            let mut faulty = FaultySut::new(inner(), FaultPlan::new(42));
+            assert!(!faulty.plan.is_armed());
             let out = run_simulated(&settings, &mut qsl, &mut faulty).unwrap();
             // Every timestamp of every query, not a summary of them: the
             // simulated clock makes the two streams comparable exactly.
@@ -391,10 +326,6 @@ mod tests {
                 strip(baseline.result.summary_line()),
                 strip(out.result.summary_line()),
                 "{scenario}: inert plan must not change the run"
-            );
-            assert!(
-                sink.snapshot().is_empty(),
-                "{scenario}: an inert plan injects nothing, so it notes nothing"
             );
         }
     }
@@ -477,35 +408,10 @@ mod tests {
             .any(|i| matches!(i, ValidityIssue::IncompleteQueries { .. })));
     }
 
-    #[test]
-    fn faults_emit_trace_events_and_counters() {
-        use mlperf_trace::RingBufferSink;
-        let sink = Arc::new(RingBufferSink::unbounded());
-        let metrics = Arc::new(MetricsRegistry::new());
-        let plan = FaultPlan::new(3).with_transient_errors(1.0);
-        let mut faulty = FaultySut::new(inner(), plan)
-            .with_trace(sink.clone())
-            .with_metrics(metrics.clone());
-        let q = Query {
-            id: 0,
-            samples: vec![mlperf_loadgen::query::QuerySample { id: 1, index: 0 }],
-            scheduled_at: Nanos::ZERO,
-            tenant: 0,
-        };
-        let r = faulty.on_query(Nanos::ZERO, &q);
-        assert!(r.completions[0].error);
-        let records = sink.snapshot();
-        assert!(records.iter().any(|r| matches!(
-            &r.event,
-            TraceEvent::FaultInjected { fault, .. } if fault == "transient_error"
-        )));
-        assert_eq!(metrics.snapshot().counter("faults_injected"), 1);
-    }
-
     /// The headline reproducibility contract: two runs with the same fault
     /// seed produce *byte-identical* detail logs — every issue, completion,
-    /// error, and injected fault lands at the same nanosecond with the same
-    /// payload, so a degraded run can be replayed exactly from its seed.
+    /// and error lands at the same nanosecond with the same payload, so a
+    /// degraded run can be replayed exactly from its seed.
     #[test]
     fn same_seed_replays_to_byte_identical_detail_logs() {
         use mlperf_loadgen::Run;
@@ -516,11 +422,11 @@ mod tests {
                 .with_transient_errors(0.15)
                 .with_latency_spikes(0.05, 10.0)
                 .with_stall(Nanos::from_millis(10), Nanos::from_millis(5));
-            let sink = Arc::new(RingBufferSink::unbounded());
-            let mut faulty = FaultySut::new(inner(), plan).with_trace(sink.clone());
+            let sink = RingBufferSink::unbounded();
+            let mut faulty = FaultySut::new(inner(), plan);
             let mut qsl = MemoryQsl::new("q", 16, 16);
             Run::simulated(&server_settings())
-                .sink(&*sink)
+                .sink(&sink)
                 .run(&mut qsl, &mut faulty)
                 .unwrap();
             mlperf_trace::render_detail_log(&sink.snapshot())
@@ -529,7 +435,7 @@ mod tests {
         let first = detail_log();
         let second = detail_log();
         assert!(
-            first.lines().any(|l| l.contains("FaultInjected")),
+            first.lines().any(|l| l.contains("QueryErrored")),
             "armed plan must inject observable faults:\n{}",
             first.lines().take(5).collect::<Vec<_>>().join("\n")
         );

@@ -46,9 +46,7 @@ pub mod proxy_sut;
 pub mod resilience;
 pub mod shard;
 
-pub(crate) use device::{Architecture, DeviceSpec, ThermalModel};
 pub use engine::{BatchPolicy, DeviceSut};
 pub use faults::{FaultPlan, FaultySut, StallWindow, ThrottleEpisode};
 pub use fleet::{fleet, FleetSystem};
-pub(crate) use resilience::{ResiliencePolicy, ResilientSut};
 pub use shard::{BalancePolicy, ShardEndpoint, ShardHealth, ShardProbe, ShardStatus, ShardedSut};

@@ -13,11 +13,6 @@
 //! * **Failover** — once retries are exhausted, the query runs once on a
 //!   sibling device (the fleet's spare), if one is attached.
 //!
-//! Every recovery decision is emitted as a
-//! [`TraceEvent::RecoveryAction`] and a `recovery_*` counter, so the
-//! PR 1/2 observability pipeline shows exactly when and why each policy
-//! fired.
-//!
 //! Retries are re-issued under a *salted* query id (the attempt number
 //! XOR-ed into bits 48..56, below the tenant byte) and translated back
 //! before delivery, so the LoadGen sees exactly one completion per query
@@ -27,10 +22,8 @@
 use mlperf_loadgen::query::{Query, QueryCompletion};
 use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
-use mlperf_trace::{MetricsRegistry, TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
 
 /// Tunable recovery behaviour. The default is entirely inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,8 +84,6 @@ pub struct ResilientSut<S> {
     /// wakeup will fire), so any candidate not surfaced immediately must be
     /// re-armed later instead of dropped.
     wakeups: BinaryHeap<Reverse<Nanos>>,
-    trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl<S: SimSut> ResilientSut<S> {
@@ -108,8 +99,6 @@ impl<S: SimSut> ResilientSut<S> {
             abandoned: HashSet::new(),
             deadlines: BinaryHeap::new(),
             wakeups: BinaryHeap::new(),
-            trace: None,
-            metrics: None,
         }
     }
 
@@ -118,37 +107,6 @@ impl<S: SimSut> ResilientSut<S> {
     pub fn with_sibling(mut self, sibling: S) -> Self {
         self.sibling = Some(sibling);
         self
-    }
-
-    /// Attaches a trace sink for [`TraceEvent::RecoveryAction`] records.
-    pub(crate) fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Attaches a metrics registry for `recovery_*` counters.
-    pub(crate) fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    fn note(&self, at: Nanos, query_id: u64, action: &str, attempt: u32) {
-        if let Some(m) = self.metrics.as_deref() {
-            m.incr("recovery_actions", 1);
-            m.incr(&format!("recovery_{action}"), 1);
-        }
-        if let Some(sink) = self.trace.as_deref() {
-            if sink.enabled() {
-                sink.record(
-                    at.as_nanos(),
-                    &TraceEvent::RecoveryAction {
-                        query_id,
-                        action: action.to_string(),
-                        attempt,
-                    },
-                );
-            }
-        }
     }
 
     /// Dispatches one attempt, registering flight state and deadline.
@@ -193,20 +151,17 @@ impl<S: SimSut> ResilientSut<S> {
         if !flight.on_sibling && flight.attempt < self.policy.max_retries {
             let attempt = flight.attempt + 1;
             let retry_at = detected + self.policy.backoff.mul(u64::from(attempt));
-            self.note(detected, original.id, "retry", attempt);
             let query = original.clone();
             let reaction = self.dispatch(retry_at, &query, attempt, false);
             self.process(retry_at, reaction, out);
         } else if !flight.on_sibling && self.sibling.is_some() {
             let attempt = flight.attempt + 1;
             let retry_at = detected + self.policy.backoff.mul(u64::from(attempt));
-            self.note(detected, original.id, "failover", attempt);
             let query = original.clone();
             let reaction = self.dispatch(retry_at, &query, attempt, true);
             self.process(retry_at, reaction, out);
         } else {
             // Out of options: the query resolves as an error.
-            self.note(detected, original.id, "exhausted", flight.attempt);
             out.completions
                 .push(QueryCompletion::errored(original, detected));
         }
@@ -240,7 +195,6 @@ impl<S: SimSut> ResilientSut<S> {
                 let detected = if completion.error {
                     completion.finished_at.max(now)
                 } else {
-                    self.note(now, flight.query.id, "timeout", flight.attempt);
                     (flight.issued_at + self.policy.timeout.expect("timed_out")).max(now)
                 };
                 self.recover(flight, detected, out);
@@ -268,7 +222,6 @@ impl<S: SimSut> ResilientSut<S> {
             }
             let flight = self.in_flight.remove(&wire_id).expect("checked above");
             self.abandoned.insert(wire_id);
-            self.note(deadline, flight.query.id, "timeout", flight.attempt);
             self.recover(flight, deadline.max(now), out);
         }
     }
@@ -443,29 +396,5 @@ mod tests {
         let out = run_simulated(&server_settings(), &mut qsl, &mut resilient).unwrap();
         assert!(out.result.is_valid(), "{:?}", out.result.validity);
         assert_eq!(out.result.error_count, 0);
-    }
-
-    #[test]
-    fn recovery_actions_are_observable() {
-        use mlperf_trace::RingBufferSink;
-        let sink = Arc::new(RingBufferSink::unbounded());
-        let metrics = Arc::new(MetricsRegistry::new());
-        let plan = FaultPlan::new(17).with_transient_errors(0.2);
-        let policy = ResiliencePolicy {
-            max_retries: 4,
-            backoff: Nanos::from_micros(100),
-            ..ResiliencePolicy::default()
-        };
-        let mut sut = ResilientSut::new(FaultySut::new(fixed(), plan), policy)
-            .with_trace(sink.clone())
-            .with_metrics(metrics.clone());
-        let mut qsl = MemoryQsl::new("q", 16, 16);
-        run_simulated(&server_settings(), &mut qsl, &mut sut).unwrap();
-        let retries: u64 = metrics.snapshot().counter("recovery_retry");
-        assert!(retries > 0, "20% error rate must trigger retries");
-        assert!(sink.snapshot().iter().any(|r| matches!(
-            &r.event,
-            TraceEvent::RecoveryAction { action, .. } if action == "retry"
-        )));
     }
 }

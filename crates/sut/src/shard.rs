@@ -77,17 +77,7 @@ pub enum ShardHealth {
     Draining,
 }
 
-impl ShardHealth {
-    /// Stable snake_case label used in trace rows and stats tables.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            ShardHealth::Up => "up",
-            ShardHealth::Suspect => "suspect",
-            ShardHealth::Down => "down",
-            ShardHealth::Draining => "draining",
-        }
-    }
-}
+impl ShardHealth {}
 
 /// Consecutive failures after which a `Suspect` shard is declared `Down`
 /// (the debounce depth; 1 = the first failure past `Suspect`).
