@@ -650,11 +650,6 @@ impl RemoteSut {
         &self.peer
     }
 
-    /// The session id identifying this run's journal on the server.
-    pub(crate) fn session(&self) -> u64 {
-        self.shared.base_hello.session
-    }
-
     /// Live view of the wire epoch: starts at the handshake epoch and is
     /// bumped on every reconnect. Hand it to the run journal's
     /// `epoch_source` so each checkpoint records which epoch to resume at.

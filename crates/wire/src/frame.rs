@@ -25,7 +25,7 @@
 
 use std::io::{Read, Write};
 
-pub(crate) use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::bytes::ByteError;
 pub use mlperf_trace::crc::crc32;
 
 /// Hard ceiling on a frame's payload size. An offline query over a

@@ -29,11 +29,12 @@
 //! CRC32, as [`crate::frame::seal`] would — via [`Message::to_wire`] /
 //! [`Message::from_wire`]; see [`crate::frame`] for the frame format.
 
-use crate::frame::{open, ByteReader, ByteWriter, WireError};
+use crate::frame::{open, WireError};
 use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleCompletion};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::SeedTriple;
+use mlperf_trace::bytes::{ByteReader, ByteWriter};
 
 /// The one protocol version this build speaks. A daemon rejects a `Hello`
 /// offering any other, and a client refuses an ack at any other: a peer

@@ -51,7 +51,7 @@ use mlperf_trace::JournalWriter;
 use crate::message::{Message, PROTOCOL_VERSION};
 use crate::service::{ServedReply, WireService};
 use crate::stats::DaemonStats;
-use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
+use crate::transport::{TcpTransport, Transport};
 
 /// Server-side spans retained per session for shipping at drain. Bounded:
 /// a pathological run keeps the freshest tail, which is what a post-mortem
@@ -89,9 +89,6 @@ pub struct ServeConfig {
     /// Optional sink receiving server-side `WireEvent`s
     /// (connect, reject, drain, disconnect, replay).
     pub(crate) sink: Option<Arc<dyn TraceSink>>,
-    /// Server-side wire chaos plan, for fault-injection testing. `None`
-    /// (or a disarmed plan) leaves every transport untouched.
-    pub(crate) chaos: Option<WireChaosPlan>,
     /// Metrics registry backing the daemon's `Stats` snapshots. A default
     /// registry is created when not provided, so stats always work.
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
@@ -115,7 +112,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("workers_per_conn", &self.workers_per_conn)
             .field("sink", &self.sink.is_some())
-            .field("chaos", &self.chaos)
             .field("metrics", &self.metrics.is_some())
             .field("shard_label", &self.shard_label)
             .field("journal_dir", &self.journal_dir)
@@ -135,13 +131,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Arms a server-side wire chaos plan.
-    #[must_use]
-    pub(crate) fn with_chaos(mut self, plan: WireChaosPlan) -> Self {
-        self.chaos = Some(plan);
         self
     }
 
@@ -338,7 +327,6 @@ struct ServerShared {
     conns: Mutex<Vec<TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
-    chaos: Option<Arc<ChaosSession>>,
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Arc<MetricsRegistry>,
     start: Instant,
@@ -474,17 +462,12 @@ pub fn serve(
     config: ServeConfig,
 ) -> Result<ServerHandle, crate::frame::WireError> {
     let addr = listener.local_addr()?;
-    let chaos = config
-        .chaos
-        .clone()
-        .map(|plan| Arc::new(ChaosSession::new(plan, "server", config.sink.clone())));
     let shared = Arc::new(ServerShared {
         stop: AtomicBool::new(false),
         served: AtomicU64::new(0),
         conns: Mutex::new(Vec::new()),
         conn_threads: Mutex::new(Vec::new()),
         sessions: Mutex::new(HashMap::new()),
-        chaos,
         sink: config.sink.clone(),
         metrics: config
             .metrics
@@ -922,11 +905,7 @@ fn handle_conn(
     workers: usize,
     shared: &Arc<ServerShared>,
 ) {
-    let base: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
-    let mut transport = match &shared.chaos {
-        Some(session) => session.wrap(base),
-        None => base,
-    };
+    let mut transport: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
 
     // --- handshake (or a one-shot stats probe) ---
     let hello = match transport.recv().and_then(|p| Message::from_wire(&p)) {
