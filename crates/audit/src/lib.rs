@@ -21,5 +21,4 @@
 pub mod checker;
 pub mod tests;
 
-pub(crate) use checker::{check_submission, CheckFinding, SubmissionCheckInput};
 pub use tests::{AuditOutcome, AuditReport};
