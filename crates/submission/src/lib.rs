@@ -29,5 +29,3 @@ pub mod round;
 pub mod types;
 
 pub use record::{ResultRecord, ReviewStatus};
-pub(crate) use round::{generate_round, RoundConfig, SubmissionRound};
-pub(crate) use types::{Category, Division, SystemDescription};

@@ -87,7 +87,9 @@ pub fn figure5_distribution(records: &[ResultRecord]) -> Vec<(TaskId, usize, f64
 }
 
 /// Table VII: framework × architecture coverage matrix.
-pub(crate) fn table_vii_matrix(records: &[ResultRecord]) -> BTreeMap<String, BTreeMap<String, usize>> {
+pub(crate) fn table_vii_matrix(
+    records: &[ResultRecord],
+) -> BTreeMap<String, BTreeMap<String, usize>> {
     let mut matrix: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
     for record in released_closed(records) {
         *matrix

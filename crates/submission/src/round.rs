@@ -116,13 +116,6 @@ pub struct SubmissionRound {
     pub task_qualities: HashMap<TaskId, (f64, f64)>,
 }
 
-impl SubmissionRound {
-    /// Records in a division.
-    pub(crate) fn division(&self, division: Division) -> impl Iterator<Item = &ResultRecord> {
-        self.records.iter().filter(move |r| r.division == division)
-    }
-}
-
 /// Measures FP32/INT8 quality for every task with the runnable proxies.
 pub fn measure_task_qualities(seed: u64, samples: usize) -> HashMap<TaskId, (f64, f64)> {
     let mut out = HashMap::new();
@@ -698,8 +691,9 @@ mod tests {
         assert_eq!(round.records, round2.records);
         // Most closed records should be valid runs.
         let valid = round
-            .division(Division::Closed)
-            .filter(|r| r.result.is_valid())
+            .records
+            .iter()
+            .filter(|r| r.division == Division::Closed && r.result.is_valid())
             .count();
         assert!(valid > 120, "only {valid} valid closed runs");
     }

@@ -31,11 +31,6 @@ pub(crate) enum Category {
     Rdo,
 }
 
-impl Category {
-    /// All categories.
-    pub(crate) const ALL: [Category; 3] = [Category::Available, Category::Preview, Category::Rdo];
-}
-
 impl std::fmt::Display for Category {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -76,6 +71,5 @@ mod tests {
         assert_eq!(Division::Open.to_string(), "open");
         assert_eq!(Category::Available.to_string(), "available");
         assert_eq!(Category::Rdo.to_string(), "RDO");
-        assert_eq!(Category::ALL.len(), 3);
     }
 }
