@@ -37,8 +37,6 @@ pub struct RecordOptions {
     pub(crate) target_latency_ns: u64,
     /// Percentile that bound applies to.
     pub(crate) target_percentile: f64,
-    /// Error-fraction tolerance to embed.
-    pub(crate) max_error_fraction: f64,
     /// Free-form provenance label (e.g. the log path).
     pub(crate) source: String,
 }
@@ -50,7 +48,6 @@ impl Default for RecordOptions {
             qsl_seed: None,
             target_latency_ns: u64::MAX / 2,
             target_percentile: 99.0,
-            max_error_fraction: 0.0,
             source: String::new(),
         }
     }
@@ -78,13 +75,6 @@ impl RecordOptions {
     pub fn with_latency_target(mut self, bound_ns: u64, percentile: f64) -> Self {
         self.target_latency_ns = bound_ns;
         self.target_percentile = percentile;
-        self
-    }
-
-    /// Sets the error-fraction tolerance to embed.
-    #[must_use]
-    pub(crate) fn with_max_error_fraction(mut self, f: f64) -> Self {
-        self.max_error_fraction = f;
         self
     }
 
@@ -274,7 +264,8 @@ pub fn record_trace(
         target_latency_ns: opts.target_latency_ns,
         target_percentile: opts.target_percentile,
         server_target_qps,
-        max_error_fraction: opts.max_error_fraction,
+        // The log records no tolerance; a recording embeds none.
+        max_error_fraction: 0.0,
         interval_ns,
         synthetic_indices: synthetic,
         queries,
