@@ -117,18 +117,6 @@ pub struct RunDiff {
     pub verdict: String,
 }
 
-impl ToJson for RunDiff {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("base_queries", self.base_queries.to_json_value()),
-            ("cand_queries", self.cand_queries.to_json_value()),
-            ("rows", self.rows.to_json_value()),
-            ("regressed", self.regressed.to_json_value()),
-            ("verdict", self.verdict.to_json_value()),
-        ])
-    }
-}
-
 fn segment_values(paths: &[QueryPath], segment: Segment) -> Vec<i64> {
     paths
         .iter()

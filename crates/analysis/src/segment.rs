@@ -19,7 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use mlperf_trace::json::{JsonValue, ToJson};
 use mlperf_trace::{TraceEvent, TraceRecord};
 
 /// One of the four critical-path segments.
@@ -126,23 +125,6 @@ impl QueryPath {
         let Some(e2e) = self.e2e_ns() else { return 0 };
         let sum = self.client_queue_ns + self.network_ns + self.server_queue_ns + self.compute_ns;
         e2e as i64 - sum
-    }
-}
-
-impl ToJson for QueryPath {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("query_id", self.query_id.to_json_value()),
-            ("trace_id", self.trace_id.to_json_value()),
-            ("scheduled_ns", self.scheduled_ns.to_json_value()),
-            ("issued_ns", self.issued_ns.to_json_value()),
-            ("completed_ns", self.completed_ns.to_json_value()),
-            ("error", self.error.to_json_value()),
-            ("client_queue_ns", self.client_queue_ns.to_json_value()),
-            ("network_ns", self.network_ns.to_json_value()),
-            ("server_queue_ns", self.server_queue_ns.to_json_value()),
-            ("compute_ns", self.compute_ns.to_json_value()),
-        ])
     }
 }
 

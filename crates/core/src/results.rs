@@ -1,6 +1,5 @@
 //! Run results: the scenario metric plus supporting statistics.
 
-use crate::config::TestMode;
 use crate::scenario::Scenario;
 use crate::time::Nanos;
 use crate::validate::ValidityIssue;
@@ -306,12 +305,6 @@ impl FromJson for TestResult {
             duration: Nanos::from_json_value(value.field("duration")?)?,
             validity: Vec::from_json_value(value.field("validity")?)?,
         })
-    }
-}
-
-impl From<TestMode> for bool {
-    fn from(m: TestMode) -> bool {
-        matches!(m, TestMode::PerformanceOnly)
     }
 }
 

@@ -35,12 +35,3 @@ pub enum Precision {
     /// not use INT8).
     Quantized,
 }
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Precision::Fp32 => f.write_str("fp32"),
-            Precision::Quantized => f.write_str("quantized"),
-        }
-    }
-}

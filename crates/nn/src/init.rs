@@ -65,12 +65,6 @@ impl WeightInit {
     }
 }
 
-impl Default for WeightInit {
-    fn default() -> Self {
-        Self::he()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -239,12 +239,6 @@ impl SeedTriple {
     }
 }
 
-impl Default for SeedTriple {
-    fn default() -> Self {
-        Self::OFFICIAL
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -894,12 +894,6 @@ impl RingBufferSink {
     }
 }
 
-impl Default for RingBufferSink {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
 impl TraceSink for RingBufferSink {
     fn record(&self, ts_ns: u64, event: &TraceEvent) {
         let record = TraceRecord {

@@ -159,15 +159,6 @@ impl JsonValue {
         self.shallow().as_f64()
     }
 
-    /// The value as `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] for non-numeric values.
-    pub(crate) fn as_f32(&self) -> Result<f32, JsonError> {
-        Ok(self.as_f64()? as f32)
-    }
-
     /// The value as `&str`.
     ///
     /// # Errors
@@ -959,12 +950,6 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        value.as_bool()
-    }
-}
-
 macro_rules! int_json {
     ($($ty:ty),*) => {$(
         impl ToJson for $ty {
@@ -995,18 +980,6 @@ impl ToJson for f64 {
 impl FromJson for f64 {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
         value.as_f64()
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Float(f64::from(*self))
-    }
-}
-
-impl FromJson for f32 {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        value.as_f32()
     }
 }
 

@@ -61,15 +61,6 @@ pub struct ResumePolicy {
     pub backoff: Duration,
 }
 
-impl Default for ResumePolicy {
-    fn default() -> Self {
-        ResumePolicy {
-            max_attempts: 5,
-            backoff: Duration::from_millis(20),
-        }
-    }
-}
-
 /// Tuning knobs for a [`RemoteSut`] connection.
 #[derive(Debug, Clone)]
 pub struct RemoteSutConfig {
