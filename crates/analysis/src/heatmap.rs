@@ -131,7 +131,7 @@ pub fn heatmap_jsonl(rows: &[HeatmapRow]) -> String {
 
 /// A default window width for a run spanning `span_ns`: the span split
 /// into ~16 windows, rounded up to a 1/2/5 · 10^k "nice" width.
-pub fn auto_interval(span_ns: u64) -> u64 {
+pub(crate) fn auto_interval(span_ns: u64) -> u64 {
     let target = span_ns / 16 + 1;
     let mut width = 1u64;
     loop {

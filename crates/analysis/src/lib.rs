@@ -58,7 +58,7 @@ pub mod segment;
 pub mod shards;
 
 pub use diff::{diff_metrics, diff_paths, DiffRow, QuantileSet, RunDiff};
-pub use heatmap::{auto_interval, heatmap, heatmap_jsonl, HeatmapRow};
-pub use report::{analyze_records, fmt_ns, render_markdown, Analysis, ClockInfo};
-pub use rootcause::{detect_constraints, issue_texts, root_causes, Culprit, RootCause, Window};
+pub use heatmap::{heatmap, heatmap_jsonl, HeatmapRow};
+pub use report::{analyze_records, render_markdown, Analysis};
+pub use rootcause::{detect_constraints, issue_texts, root_causes, Culprit, RootCause};
 pub use segment::{query_paths, QueryPath, Segment};

@@ -20,7 +20,7 @@ use crate::shards::{shard_reports, ShardReport};
 
 /// The best clock-offset estimate seen for one peer host.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClockInfo {
+pub(crate) struct ClockInfo {
     /// Peer host label.
     pub(crate) host: String,
     /// Estimated `peer_clock - local_clock` (ns).
@@ -126,7 +126,7 @@ pub fn analyze_records(
 /// Formats nanoseconds with a unit, using integer arithmetic only so the
 /// output is identical on every platform: `850ns`, `12.345us`, `3.200ms`,
 /// `1.500s`.
-pub fn fmt_ns(ns: i64) -> String {
+pub(crate) fn fmt_ns(ns: i64) -> String {
     let sign = if ns < 0 { "-" } else { "" };
     let abs = ns.unsigned_abs();
     let (unit, div) = if abs < 1_000 {

@@ -58,7 +58,7 @@ pub fn detect_constraints(text: &str) -> Vec<&'static str> {
 
 /// The time window a root cause's offenders cluster in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Window {
+pub(crate) struct Window {
     /// Earliest relevant timestamp (ns).
     pub(crate) start_ns: u64,
     /// Latest relevant timestamp (ns).

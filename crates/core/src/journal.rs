@@ -71,7 +71,7 @@ pub(crate) fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
 
 /// Frame 0 of every run journal: what run this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMeta {
+pub(crate) struct RunMeta {
     /// The scenario, as its display string.
     pub(crate) scenario: String,
     /// [`settings_digest`] of the run's settings + QSL size.
@@ -403,7 +403,7 @@ pub(crate) struct CursorState {
 /// The typed journal a journaled run threads through its issue loop, on
 /// either clock.
 #[derive(Debug)]
-pub struct RunJournal<'a> {
+pub(crate) struct RunJournal<'a> {
     cfg: &'a JournalConfig,
     writer: JournalWriter,
     /// Complete checkpoints written (including any recovered on reopen).

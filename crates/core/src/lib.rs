@@ -91,7 +91,7 @@ pub mod validate;
 
 pub use config::{TestMode, TestSettings};
 pub use instrument::Instruments;
-pub use journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal, RunMeta};
+pub use journal::{Checkpoint, JournalConfig, JournaledRun};
 pub use query::{Query, QueryId, QuerySample, ResponsePayload, SampleIndex};
 pub use replay::ReplaySchedule;
 pub use run::Run;

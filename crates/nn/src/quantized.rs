@@ -30,7 +30,7 @@ enum QLayer {
         activation: Activation,
         input_quant: QuantParams,
     },
-    /// Layers that stay in FP32 (pooling, flatten, softmax, depthwise —
+    /// Layers that stay in FP32 (pooling and depthwise —
     /// depthwise is kept FP32 like many early mobile runtimes did).
     Passthrough(Layer),
 }
@@ -203,11 +203,6 @@ impl QNetwork {
             input_shape: network.input_shape().clone(),
             nodes,
         })
-    }
-
-    /// The expected input shape.
-    pub fn input_shape(&self) -> &mlperf_tensor::Shape {
-        &self.input_shape
     }
 
     /// Runs a quantized forward pass.

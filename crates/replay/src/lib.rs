@@ -39,5 +39,5 @@ pub use fingerprint::{
     fingerprint_of_records, BoundViolation, EquivalenceBound, FingerprintDistance, TraceFingerprint,
 };
 pub use record::{record_trace, RecordError, RecordOptions};
-pub use reduce::{check_equivalence, reduce_trace, ReduceError, ReduceOptions};
+pub use reduce::{reduce_trace, ReduceError, ReduceOptions};
 pub use trace::{CodecError, RecordedQuery, RecordedTrace, MAGIC};

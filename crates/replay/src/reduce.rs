@@ -123,7 +123,7 @@ impl std::error::Error for ReduceError {}
 /// # Errors
 ///
 /// [`ReduceError::Equivalence`] listing every violated bound.
-pub fn check_equivalence(
+pub(crate) fn check_equivalence(
     original: &RecordedTrace,
     candidate: &RecordedTrace,
     bound: &EquivalenceBound,

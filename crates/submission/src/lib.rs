@@ -28,4 +28,4 @@ pub mod review;
 pub mod round;
 pub mod types;
 
-pub use record::{ResultRecord, ReviewStatus};
+pub use record::ResultRecord;

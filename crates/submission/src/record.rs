@@ -7,7 +7,7 @@ use mlperf_models::TaskId;
 
 /// Review state of a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReviewStatus {
+pub(crate) enum ReviewStatus {
     /// Not yet reviewed.
     Pending,
     /// Cleared for release.

@@ -26,7 +26,7 @@ use mlperf_stats::Rng64;
 /// firmware hiccup, a PCIe retrain): work finishing inside the window
 /// slides to its end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallWindow {
+pub(crate) struct StallWindow {
     /// When the stall begins.
     pub(crate) start: Nanos,
     /// How long the device stays frozen.
@@ -43,7 +43,7 @@ impl StallWindow {
 /// A sustained throttle episode (thermal or power capping): service time
 /// spent inside the episode is stretched by `slowdown`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThrottleEpisode {
+pub(crate) struct ThrottleEpisode {
     /// When throttling begins.
     pub(crate) start: Nanos,
     /// How long it lasts.

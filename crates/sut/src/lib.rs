@@ -47,6 +47,6 @@ pub mod resilience;
 pub mod shard;
 
 pub use engine::{BatchPolicy, DeviceSut};
-pub use faults::{FaultPlan, FaultySut, StallWindow, ThrottleEpisode};
+pub use faults::{FaultPlan, FaultySut};
 pub use fleet::{fleet, FleetSystem};
-pub use shard::{BalancePolicy, ShardEndpoint, ShardHealth, ShardProbe, ShardStatus, ShardedSut};
+pub use shard::{BalancePolicy, ShardEndpoint, ShardProbe, ShardStatus, ShardedSut};

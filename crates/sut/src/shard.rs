@@ -64,7 +64,7 @@ impl BalancePolicy {
 
 /// Per-shard health as seen by the router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHealth {
+pub(crate) enum ShardHealth {
     /// Serving normally.
     Up,
     /// At least one recent failure; still routable while the failure

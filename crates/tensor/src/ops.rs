@@ -242,30 +242,6 @@ pub fn sigmoid(input: &Tensor) -> Tensor {
     input.map(|x| 1.0 / (1.0 + (-x).exp()))
 }
 
-/// Numerically stable softmax over a rank-1 tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the input is not rank 1.
-pub fn softmax(input: &Tensor) -> Result<Tensor, TensorError> {
-    if input.shape().rank() != 1 {
-        return Err(TensorError::ShapeMismatch {
-            left: input.shape().clone(),
-            right: Shape::d1(input.len()),
-        });
-    }
-    let max = input
-        .data()
-        .iter()
-        .fold(f32::NEG_INFINITY, |m, x| m.max(*x));
-    let exps: Vec<f32> = input.data().iter().map(|x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    Tensor::from_vec(
-        input.shape().clone(),
-        exps.into_iter().map(|e| e / sum).collect(),
-    )
-}
-
 /// Dense (fully connected) layer: input `[In]`, weight `[Out, In]`,
 /// bias `[Out]` → `[Out]`.
 ///
@@ -459,17 +435,6 @@ mod tests {
         assert!((s.data()[0] - 0.5).abs() < 1e-6);
         let t = tanh(&t1(&[0.0]));
         assert_eq!(t.data()[0], 0.0);
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_orders() {
-        let out = softmax(&t1(&[1., 2., 3.])).unwrap();
-        let sum: f32 = out.data().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(out.data()[2] > out.data()[1] && out.data()[1] > out.data()[0]);
-        // Stable under large inputs.
-        let big = softmax(&t1(&[1000., 1001.])).unwrap();
-        assert!(big.data().iter().all(|p| p.is_finite()));
     }
 
     #[test]

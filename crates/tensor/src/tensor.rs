@@ -131,15 +131,6 @@ impl Tensor {
         })
     }
 
-    /// Reinterprets the data under a new shape of equal length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if lengths differ.
-    pub fn reshape(&self, shape: Shape) -> Result<Tensor, TensorError> {
-        Tensor::from_vec(shape, self.data.clone())
-    }
-
     /// Index of the maximum element (first on ties).
     ///
     /// # Panics
@@ -277,14 +268,6 @@ mod tests {
         let t = Tensor::from_vec(Shape::d1(3), vec![-7., 2., 5.]).unwrap();
         assert_eq!(t.abs_max(), 7.0);
         assert_eq!(Tensor::zeros(Shape::d1(2)).abs_max(), 0.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let r = t.reshape(Shape::d2(3, 2)).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(Shape::d1(5)).is_err());
     }
 
     #[test]

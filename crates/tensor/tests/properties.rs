@@ -4,7 +4,7 @@
 //! framework; failure messages carry the case number for replay.
 
 use mlperf_stats::Rng64;
-use mlperf_tensor::ops::{conv2d, dense, matmul, relu, softmax, Conv2dParams};
+use mlperf_tensor::ops::{conv2d, dense, matmul, relu, Conv2dParams};
 use mlperf_tensor::{QTensor, Shape, Tensor};
 
 const CASES: u64 = 32;
@@ -83,41 +83,6 @@ fn relu_is_idempotent_and_nonnegative() {
         assert!(once.data().iter().all(|x| *x >= 0.0), "case {case}");
         let twice = relu(&once);
         assert_eq!(twice.data(), once.data(), "case {case}");
-    }
-}
-
-#[test]
-fn softmax_is_distribution() {
-    let mut rng = Rng64::new(0x544e_0004);
-    for case in 0..CASES {
-        let len = 1 + rng.next_index(31);
-        let data = small_vec(&mut rng, len);
-        let t = Tensor::from_vec(Shape::d1(len), data).unwrap();
-        let s = softmax(&t).unwrap();
-        let sum: f32 = s.data().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-4, "case {case}: sum={sum}");
-        assert!(
-            s.data().iter().all(|p| *p >= 0.0 && *p <= 1.0),
-            "case {case}"
-        );
-    }
-}
-
-#[test]
-fn softmax_preserves_argmax() {
-    let mut rng = Rng64::new(0x544e_0005);
-    let mut accepted = 0;
-    while accepted < CASES {
-        let len = 2 + rng.next_index(30);
-        let data: Vec<i32> = (0..len).map(|_| rng.next_below(100) as i32 - 50).collect();
-        // Distinct integer logits: argmax survives softmax exactly.
-        let mut seen = std::collections::HashSet::new();
-        if !data.iter().all(|x| seen.insert(*x)) {
-            continue;
-        }
-        accepted += 1;
-        let t = Tensor::from_vec(Shape::d1(len), data.iter().map(|x| *x as f32).collect()).unwrap();
-        assert_eq!(softmax(&t).unwrap().argmax(), t.argmax(), "data={data:?}");
     }
 }
 

@@ -59,7 +59,7 @@ pub use message::{Hello, Message, PROTOCOL_VERSION};
 pub use server::{serve, serve_on, ServeConfig, ServerHandle};
 pub use service::{ServedReply, WireService};
 pub use stats::{fetch_stats, DaemonStats};
-pub use transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
+pub use transport::WireChaosPlan;
 
 use std::sync::Arc;
 

@@ -32,7 +32,7 @@ use crate::frame::{write_frame_via, FrameReader, WireError};
 /// receives on the handle it read the handshake on — what that handle has
 /// read ahead of the frame it returned stays with it — and sends on a
 /// [`Transport::try_clone`] of it, kept behind a mutex.
-pub trait Transport: Send {
+pub(crate) trait Transport: Send {
     /// Sends one frame payload.
     ///
     /// # Errors
@@ -64,7 +64,7 @@ pub trait Transport: Send {
 
 /// The production transport: length-prefixed frames over a [`TcpStream`].
 #[derive(Debug)]
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     stream: TcpStream,
     /// Where `send` assembles `len ‖ payload` for its one write; kept so
     /// the steady state allocates nothing per frame.
@@ -231,7 +231,7 @@ struct ChaosState {
 /// state, and the trace sink injections are reported to. One session wraps
 /// every (re)connection of its endpoint, so one-shot faults fire exactly
 /// once.
-pub struct ChaosSession {
+pub(crate) struct ChaosSession {
     plan: WireChaosPlan,
     state: Arc<ChaosState>,
     endpoint: &'static str,
