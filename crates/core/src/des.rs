@@ -428,8 +428,9 @@ where
 // The four names below are what `perfbench/` imports from this module. It
 // is frozen for any PR that is not a benchmark PR, so they stay as
 // delegations to the builder at their old paths and signatures; nothing
-// else in the workspace may call them (ci.sh's engine census checks), and
-// the benchmark PR that moves `perfbench` to `Run` deletes them.
+// else in the workspace may call them (the "perfbench-only shims have no
+// workspace caller" row of `tests/census.rs` checks), and the benchmark PR
+// that moves `perfbench` to `Run` deletes them.
 
 #[doc(hidden)]
 pub fn run_simulated_traced<Q, S>(
