@@ -15,10 +15,12 @@ echo "== size metric (the census itself is tests/census.rs, run by cargo test) =
 # is a table-driven root test, so tier-1 `cargo test` enforces it.
 before_tests() { awk '/#\[cfg\(test\)\]/{exit} {print}' "$1"; }
 # The size metric every PR states: lines of crates/*/src before a file's
-# first #[cfg(test)], per crate and in total.
+# first #[cfg(test)], per crate and in total. Beside it, the `pub`
+# declarations of the same text: lines that start (after indentation) with
+# `pub `, so `pub(crate)` is not counted. Both are printed; neither gates.
 find crates/*/src -name '*.rs' | sort | while read -r f; do
-    echo "$(echo "$f" | cut -d/ -f2) $(before_tests "$f" | wc -l)"
-done | awk '{c[$1]+=$2; t+=$2} END{for (k in c) printf "  %-12s %6d\n", k, c[k] | "sort"; close("sort"); printf "  %-12s %6d non-test lines\n", "crates/*/src", t}'
+    echo "$(echo "$f" | cut -d/ -f2) $(before_tests "$f" | wc -l) $(before_tests "$f" | grep -c '^[[:space:]]*pub ')"
+done | awk '{c[$1]+=$2; p[$1]+=$3; t+=$2; u+=$3} END{for (k in c) printf "  %-12s %6d %5d pub\n", k, c[k], p[k] | "sort"; close("sort"); printf "  %-12s %6d non-test lines, %d pub\n", "crates/*/src", t, u}'
 
 echo "== cargo test =="
 cargo test --workspace -q

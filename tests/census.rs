@@ -29,12 +29,25 @@
 //! on a mismatch the fresh rendering is written under `target/` and the
 //! failure prints the `cp` that installs it.
 //!
+//! **Cross-crate column.** The same items are also counted by references
+//! from outside their own crate's library (`crates/X/src` less
+//! `src/bin/`, whose binaries are crates of their own): the other crates'
+//! sources with their test modules, every `tests/`, `benches/` and
+//! `examples/` directory (the crate's own `crates/X/tests` included), the
+//! binaries, `src/` and `perfbench/src`. An item at zero fails, and there
+//! is no list to excuse it: what only its own crate names is `pub(crate)`
+//! or private, so rustc's `dead_code` lint sees it, and `clippy -D
+//! warnings` fails on it once nothing in the crate uses it either. That
+//! lint also covers what a name count cannot: fields, enum variants, trait
+//! impls of crate-private types, and dead items whose names collide with
+//! live ones in the same crate. The "no dead-code allowance" rule keeps the
+//! lint from being silenced.
+//!
 //! Limits. The count is by name, with comments and string literals
-//! blanked and `use` statements skipped, so it is conservative: two items that
-//! share a name share a count, and a dead item whose name collides with a
-//! live one (another type's method, a field, a local) is missed. Enum
-//! variants and fields are not items. Trait impls are not items either, so
-//! a dead `impl ToJson for X` is invisible here.
+//! blanked and `use` statements skipped, so it is conservative: a `pub`
+//! item whose name another crate uses for something else (a method of its
+//! own, a field, a local) counts as named across crates and is missed.
+//! Trait impls of `pub` types are not items; rustc treats them as used.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -407,6 +420,15 @@ const RULES: &[Rule] = &[
         plant: ("crates/wire/src/frame.rs", "fn raw() { unsafe {} }\n"),
     },
     Rule {
+        name: "no dead-code allowance",
+        scope: PRODUCTION_RS,
+        part: Part::Code,
+        pattern: Pattern::Line(&["allow(dead_code)", "expect(dead_code)", "allow(unused"]),
+        want: Want::Count(0),
+        retired: "narrowing: what no other crate names is pub(crate), so `dead_code` sees it; an allowance would hide it again one item at a time",
+        plant: ("crates/wire/src/frame.rs", "#[allow(dead_code)]\nfn unread() {}\n"),
+    },
+    Rule {
         name: "one unsafe allowance",
         scope: PRODUCTION_RS,
         part: Part::Code,
@@ -515,6 +537,10 @@ struct Item {
     kind: &'static str,
     /// `Type::method` for an inherent method, else the item's name.
     name: String,
+    /// What other crates see of it: a fn's signature (with its inherent
+    /// impl's header), a struct's header and `pub` fields, the whole of an
+    /// enum or trait, the line of a type, const or static.
+    interface: String,
 }
 
 impl Item {
@@ -592,10 +618,36 @@ struct Surface {
     items: Vec<Item>,
     production: Refs,
     tests: Refs,
+    /// Every reference from each crate's library, keyed by crate
+    /// directory name, test modules included.
+    libraries: BTreeMap<String, Refs>,
+    /// Every reference from outside the crates' libraries.
+    outside: Refs,
+}
+
+impl Surface {
+    /// References to an item's name from outside its own crate's library.
+    fn cross_crate(&self, item: &Item) -> usize {
+        let own = library(&item.path);
+        let libraries: usize = self
+            .libraries
+            .iter()
+            .filter(|(krate, _)| Some(krate.as_str()) != own)
+            .map(|(_, refs)| refs.count(item.ident()))
+            .sum();
+        libraries + self.outside.count(item.ident())
+    }
 }
 
 fn is_item_source(path: &str) -> bool {
     glob("crates/*/src/**/*.rs", path)
+}
+
+/// The crate whose library `path` is part of: `X` for `crates/X/src/**`,
+/// except `src/bin/`, whose binaries are crates of their own.
+fn library(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    (rest.starts_with("src/") && !rest.starts_with("src/bin/")).then_some(krate)
 }
 
 fn is_production(path: &str) -> bool {
@@ -609,6 +661,8 @@ fn surface(tree: &Tree) -> Surface {
     let mut items_found = Vec::new();
     let mut production = Vec::new();
     let mut tests = Vec::new();
+    // (library crate or None, stripped text) of every file.
+    let mut files = Vec::new();
     for (path, text) in tree.iter().filter(|(p, _)| p.ends_with(".rs")) {
         if is_production(path) {
             let code = non_test(text);
@@ -616,10 +670,13 @@ fn surface(tree: &Tree) -> Surface {
             if is_item_source(path) {
                 items_found.extend(items(path, &stripped));
             }
+            let test_part = strip(&text[code.len()..]);
+            files.push((library(path), format!("{stripped}{test_part}")));
             production.push(stripped);
-            tests.push(strip(&text[code.len()..]));
+            tests.push(test_part);
         } else {
             tests.push(strip(text));
+            files.push((library(path), strip(text)));
         }
     }
     items_found.sort();
@@ -627,10 +684,22 @@ fn surface(tree: &Tree) -> Surface {
     let mut s = Surface {
         production: Refs::new(&items_found),
         tests: Refs::new(&items_found),
+        libraries: BTreeMap::new(),
+        outside: Refs::new(&items_found),
         items: items_found,
     };
     production.iter().for_each(|code| s.production.add(code));
     tests.iter().for_each(|code| s.tests.add(code));
+    for (krate, code) in &files {
+        match krate {
+            Some(krate) => s
+                .libraries
+                .entry(krate.to_string())
+                .or_insert_with(|| Refs::new(&s.items))
+                .add(code),
+            None => s.outside.add(code),
+        }
+    }
     s
 }
 
@@ -650,23 +719,37 @@ fn impl_header(line: &str) -> Option<&str> {
 fn items(path: &str, stripped: &str) -> Vec<Item> {
     let mut found = Vec::new();
     let mut depth = 0usize;
-    // (inherent self type, depth at the impl header, body entered)
-    let mut imp: Option<(Option<&str>, usize, bool)> = None;
-    for line in stripped.lines() {
+    // (inherent self type, its header, depth at the header, body entered)
+    let mut imp: Option<(Option<&str>, &str, usize, bool)> = None;
+    // (self type, line) of each associated type a trait impl declares.
+    let mut assoc = Vec::new();
+    let lines: Vec<&str> = stripped.lines().collect();
+    for (at, line) in lines.iter().enumerate() {
         let trimmed = line.trim_start();
         if let Some(header) = impl_header(line) {
             let (ty, of_trait) = impl_type(header);
-            imp = Some(((!of_trait).then_some(ty), depth, false));
+            imp = Some(((!of_trait).then_some(ty), header, depth, false));
+            if of_trait {
+                assoc.push((ty, String::new()));
+            }
+        }
+        if let (Some((None, _, d, true)), Some(last)) = (imp, assoc.last_mut()) {
+            if depth == d + 1 && trimmed.starts_with("type ") {
+                last.1.push_str(line);
+            }
         }
         if let Some((kind, name)) = pub_item(trimmed) {
-            let name = match imp {
-                Some((Some(ty), d, true)) if depth == d + 1 => format!("{ty}::{name}"),
-                _ => name.to_string(),
+            let (name, header) = match imp {
+                Some((Some(ty), header, d, true)) if depth == d + 1 => {
+                    (format!("{ty}::{name}"), header)
+                }
+                _ => (name.to_string(), ""),
             };
             found.push(Item {
                 path: path.to_string(),
                 kind,
                 name,
+                interface: format!("{header}\n{}", interface(kind, &lines[at..])),
             });
         }
         for &c in line.as_bytes() {
@@ -675,15 +758,54 @@ fn items(path: &str, stripped: &str) -> Vec<Item> {
                 b'}' => depth = depth.saturating_sub(1),
                 _ => continue,
             }
-            if let Some((_, d, entered)) = &mut imp {
+            if let Some((_, _, d, entered)) = &mut imp {
                 *entered |= depth > *d;
             }
         }
-        if matches!(&imp, Some((_, d, true)) if depth <= *d) {
+        if matches!(&imp, Some((_, _, d, true)) if depth <= *d) {
             imp = None;
         }
     }
+    // A trait impl's associated types are part of its self type's
+    // interface (rustc refuses a crate-private one there: E0446).
+    for (ty, types) in assoc {
+        for item in found.iter_mut().filter(|i| i.kind != "fn" && i.name == ty) {
+            item.interface.push_str(&types);
+        }
+    }
     found
+}
+
+/// The [`Item::interface`] of the item declared on `lines[0]`.
+fn interface(kind: &str, lines: &[&str]) -> String {
+    let mut out = String::new();
+    let mut depth = 0usize;
+    for (i, line) in lines.iter().enumerate() {
+        if kind == "fn" {
+            let end = line.find(['{', ';']);
+            out.push_str(&line[..end.unwrap_or(line.len())]);
+            out.push('\n');
+            if end.is_some() {
+                break;
+            }
+            continue;
+        }
+        if i == 0 || kind != "struct" || line.trim_start().starts_with("pub ") {
+            out.push_str(line);
+            out.push('\n');
+        }
+        for c in line.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if depth == 0 && (line.contains('}') || line.trim_end().ends_with(';')) {
+            break;
+        }
+    }
+    out
 }
 
 /// `(kind, name)` of a line that declares a `pub` item.
@@ -800,6 +922,42 @@ fn surface_report(s: &Surface, listed: &str) -> (String, Vec<String>) {
         }
     }
     (fresh, problems)
+}
+
+/// Every `pub` item that nothing outside its crate's library names, and
+/// that no such item's interface names either: each should be
+/// `pub(crate)` or private. A type that only a named item's signature or
+/// `pub` field mentions stays `pub`, as rustc's `private_interfaces` lint
+/// asks.
+fn crate_local(s: &Surface) -> Vec<String> {
+    let mut reached: Vec<bool> = s.items.iter().map(|i| s.cross_crate(i) > 0).collect();
+    let mut frontier: Vec<usize> = (0..reached.len()).filter(|&i| reached[i]).collect();
+    while let Some(from) = frontier.pop() {
+        let from = &s.items[from];
+        for (_, tok) in idents(&from.interface) {
+            for (j, to) in s.items.iter().enumerate() {
+                if !reached[j]
+                    && to.kind != "fn"
+                    && to.ident() == tok
+                    && library(&to.path) == library(&from.path)
+                {
+                    reached[j] = true;
+                    frontier.push(j);
+                }
+            }
+        }
+    }
+    s.items
+        .iter()
+        .zip(reached)
+        .filter(|(_, reached)| !reached)
+        .map(|(i, _)| {
+            format!(
+                "crate-local: {} is named only inside its own crate",
+                i.key()
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1116,6 +1274,40 @@ fn the_surface_check_fails_on_an_unlisted_dead_item_and_on_a_stale_entry() {
             .contains(&"stale: crates/core/src/run.rs fn census_gone no longer exists".to_string()),
         "{problems:?}"
     );
+}
+
+#[test]
+fn every_public_item_is_named_outside_its_crate() {
+    let local = crate_local(real_surface());
+    assert!(
+        local.is_empty(),
+        "`pub` items that nothing outside their crate's library names:\n  {}\n\
+         Make each pub(crate) (or private), then delete what dead_code reports.",
+        local.join("\n  ")
+    );
+}
+
+#[test]
+fn the_cross_crate_column_fails_on_an_item_only_its_own_file_calls() {
+    let plant = planted(
+        tree(),
+        (
+            "crates/wire/src/frame.rs",
+            "pub fn census_planted_local() {}\nfn caller() { census_planted_local(); }\n",
+        ),
+    );
+    let s = surface(&plant);
+    assert!(
+        crate_local(&s)
+            .iter()
+            .any(|p| p.contains("crates/wire/src/frame.rs fn census_planted_local")),
+        "{:?}",
+        crate_local(&s)
+    );
+    // A production caller in its own file satisfies the surface list, so
+    // only the cross-crate column catches it.
+    let (_, problems) = surface_report(&s, &committed_list());
+    assert!(!problems.iter().any(|p| p.contains("census_planted_local")));
 }
 
 #[test]
