@@ -88,10 +88,4 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- \
     --workload all --seed 1 --quick > /dev/null
 
-echo "== bench smoke (what is left of crates/bench runs once) =="
-# kernels, tables, scenarios, metrics_bench and journal_overhead time what
-# perf cannot see, print it and gate on nothing; otherwise only clippy's
-# --all-targets compiles them. The timing gate is the per-PR perf run.
-cargo bench -q -p mlperf-bench > /dev/null
-
 echo "CI green."

@@ -71,20 +71,14 @@ impl ToJson for LatencyStats {
 
 impl FromJson for LatencyStats {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        let p99 = Nanos::from_json_value(value.field("p99")?)?;
         Ok(LatencyStats {
             min: Nanos::from_json_value(value.field("min")?)?,
             mean: Nanos::from_json_value(value.field("mean")?)?,
             p50: Nanos::from_json_value(value.field("p50")?)?,
             p90: Nanos::from_json_value(value.field("p90")?)?,
             p97: Nanos::from_json_value(value.field("p97")?)?,
-            p99,
-            // Logs written before p99.9 was tracked get the closest
-            // conservative stand-in.
-            p999: match value.get("p999") {
-                Some(v) => Nanos::from_json_value(v)?,
-                None => p99,
-            },
+            p99: Nanos::from_json_value(value.field("p99")?)?,
+            p999: Nanos::from_json_value(value.field("p999")?)?,
             max: Nanos::from_json_value(value.field("max")?)?,
         })
     }
@@ -295,12 +289,7 @@ impl FromJson for TestResult {
             metric: ScenarioMetric::from_json_value(value.field("metric")?)?,
             latency_stats: Option::from_json_value(value.field("latency_stats")?)?,
             query_count: value.field("query_count")?.as_u64()?,
-            // Results written before the fault-injection extension lack the
-            // field; every query then succeeded.
-            error_count: match value.get("error_count") {
-                Some(v) => v.as_u64()?,
-                None => 0,
-            },
+            error_count: value.field("error_count")?.as_u64()?,
             sample_count: value.field("sample_count")?.as_u64()?,
             duration: Nanos::from_json_value(value.field("duration")?)?,
             validity: Vec::from_json_value(value.field("validity")?)?,
@@ -387,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn result_without_error_count_parses_as_zero() {
+    fn result_without_error_count_is_an_error() {
         let result = TestResult {
             sut_name: "sut".into(),
             qsl_name: "qsl".into(),
@@ -406,15 +395,19 @@ mod tests {
         let json = result.to_json_string();
         assert_eq!(TestResult::from_json_str(&json).unwrap(), result);
         let legacy = json.replace("\"error_count\":3,", "");
-        let parsed = TestResult::from_json_str(&legacy).unwrap();
-        assert_eq!(parsed.error_count, 0);
+        assert_ne!(legacy, json, "the field was in the rendering");
+        assert!(TestResult::from_json_str(&legacy).is_err());
     }
 
     #[test]
-    fn latency_stats_without_p999_falls_back_to_p99() {
-        let json = r#"{"min":1,"mean":2,"p50":2,"p90":3,"p97":4,"p99":5,"max":6}"#;
-        let stats = LatencyStats::from_json_str(json).unwrap();
-        assert_eq!(stats.p999, Nanos::from_nanos(5));
+    fn latency_stats_without_p999_is_an_error() {
+        let full = r#"{"min":1,"mean":2,"p50":2,"p90":3,"p97":4,"p99":5,"p999":6,"max":6}"#;
+        assert_eq!(
+            LatencyStats::from_json_str(full).unwrap().p999,
+            Nanos::from_nanos(6)
+        );
+        let legacy = r#"{"min":1,"mean":2,"p50":2,"p90":3,"p97":4,"p99":5,"max":6}"#;
+        assert!(LatencyStats::from_json_str(legacy).is_err());
     }
 
     #[test]

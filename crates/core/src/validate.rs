@@ -13,6 +13,9 @@ use crate::scenario::Scenario;
 use crate::time::Nanos;
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
+/// The one nearest-rank rule, from `mlperf_stats`; callers name it here.
+pub use mlperf_stats::percentile::nearest_rank;
+
 /// A specific rule violation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidityIssue {
@@ -304,33 +307,6 @@ pub fn check_run(
     issues
 }
 
-/// Nearest-rank selection from a **sorted ascending** slice.
-///
-/// This is the one percentile definition shared by the validity rules
-/// ([`percentile_latency`]) and the reported latency statistics
-/// ([`LatencyStats`]), so a run can never pass the p99 bound while
-/// reporting a p99 above it. The rule, including its tie-breaking and
-/// rounding behaviour:
-///
-/// * `rank = ceil(fraction * n)`, clamped to `[1, n]`, 1-indexed.
-/// * The result is `sorted[rank - 1]` — always an **observed** value, never
-///   an interpolation. Rounding is therefore *up*: for n = 100 and
-///   fraction 0.99 the 99th of 100 values is chosen, so exactly one value
-///   may sit above the p99 without moving it.
-/// * Ties need no special handling: equal values occupy adjacent ranks and
-///   nearest-rank selection picks the same value for any rank in the tie.
-///
-/// Returns `None` only for an empty slice.
-///
-/// [`LatencyStats`]: crate::results::LatencyStats
-pub fn nearest_rank<T: Copy>(sorted: &[T], fraction: f64) -> Option<T> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = (fraction * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
-
 /// Nearest-rank percentile over *scored* latencies of completed queries.
 ///
 /// Errored queries count as infinitely late ([`Nanos::MAX`] via
@@ -500,19 +476,6 @@ mod tests {
         assert!((overlatency_fraction(&records, Nanos::from_micros(15)) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(percentile_latency(&[], 0.5), None);
         assert_eq!(overlatency_fraction(&[], Nanos::ZERO), 0.0);
-    }
-
-    #[test]
-    fn nearest_rank_rule() {
-        let v = [10u64, 20, 20, 30];
-        // ceil(0.5 * 4) = 2 -> second value; the tie at 20 is immaterial.
-        assert_eq!(nearest_rank(&v, 0.5), Some(20));
-        // ceil(0.99 * 4) = 4 -> the maximum.
-        assert_eq!(nearest_rank(&v, 0.99), Some(30));
-        // Fractions at/below 1/n clamp to the minimum rank.
-        assert_eq!(nearest_rank(&v, 0.0), Some(10));
-        assert_eq!(nearest_rank(&v, 1.0), Some(30));
-        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
     }
 
     #[test]

@@ -55,7 +55,11 @@ fn percentile_for(task: TaskId) -> Percentile {
 
 /// Measures one (system, model) cell; `None` if the system cannot serve
 /// the model within its QoS bound.
-pub fn measure_cell(system: &FleetSystem, task: TaskId, profile: Profile) -> Option<Fig6Cell> {
+pub(crate) fn measure_cell(
+    system: &FleetSystem,
+    task: TaskId,
+    profile: Profile,
+) -> Option<Fig6Cell> {
     if !servable(system, task) {
         return None;
     }

@@ -2,8 +2,7 @@
 //!
 //! The `paper` binary regenerates every artifact of the paper's evaluation
 //! and, with `--check`, compares each with its committed `results/` file;
-//! the computations live here so the `mlperf-bench` benches and integration
-//! tests can reuse them. See DESIGN.md §4 for the experiment index and
+//! the computations live here so the integration tests can reuse them. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers.
 //!
 //! `paper` accepts `--profile smoke|paper` (default `paper` — the

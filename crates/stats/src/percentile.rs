@@ -2,8 +2,35 @@
 //!
 //! The LoadGen reports tail latencies with the **nearest-rank** convention:
 //! the p-th percentile of n samples is the value at (1-indexed) rank
-//! `ceil(p/100 * n)`. That is the definition [`Percentile::of`] implements
-//! and the one every scenario metric in this repository uses.
+//! `ceil(p/100 * n)`. That is the definition [`nearest_rank`] implements,
+//! [`Percentile::of`] calls, and every scenario metric in this repository
+//! uses.
+
+/// Nearest-rank selection from a **sorted ascending** slice.
+///
+/// This is the one percentile definition: LoadGen's validity rules and its
+/// reported latency statistics both call it (as
+/// `mlperf_loadgen::validate::nearest_rank`), and so does
+/// [`Percentile::of_sorted`], so a run can never pass the p99 bound while
+/// reporting a p99 above it. The rule, including its tie-breaking and
+/// rounding behaviour:
+///
+/// * `rank = ceil(fraction * n)`, clamped to `[1, n]`, 1-indexed.
+/// * The result is `sorted[rank - 1]` — always an **observed** value, never
+///   an interpolation. Rounding is therefore *up*: for n = 100 and
+///   fraction 0.99 the 99th of 100 values is chosen, so exactly one value
+///   may sit above the p99 without moving it.
+/// * Ties need no special handling: equal values occupy adjacent ranks and
+///   nearest-rank selection picks the same value for any rank in the tie.
+///
+/// Returns `None` only for an empty slice.
+pub fn nearest_rank<T: Copy>(sorted: &[T], fraction: f64) -> Option<T> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = (fraction * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
 
 /// A percentile in `(0, 100)`, e.g. the 90th for single-stream or the 99th
 /// for server-scenario QoS.
@@ -47,10 +74,7 @@ impl Percentile {
     /// Panics if `sorted` is empty; callers gate on having recorded at least
     /// one latency.
     pub fn of_sorted<T: Copy>(&self, sorted: &[T]) -> T {
-        assert!(!sorted.is_empty(), "percentile of empty sample set");
-        let n = sorted.len();
-        let rank = (self.fraction() * n as f64).ceil() as usize;
-        sorted[rank.clamp(1, n) - 1]
+        nearest_rank(sorted, self.fraction()).expect("percentile of empty sample set")
     }
 
     /// Nearest-rank percentile of unsorted samples (copies and sorts).
@@ -93,6 +117,19 @@ impl std::error::Error for PercentileError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_rule() {
+        let v = [10u64, 20, 20, 30];
+        // ceil(0.5 * 4) = 2 -> second value; the tie at 20 is immaterial.
+        assert_eq!(nearest_rank(&v, 0.5), Some(20));
+        // ceil(0.99 * 4) = 4 -> the maximum.
+        assert_eq!(nearest_rank(&v, 0.99), Some(30));
+        // Fractions at/below 1/n clamp to the minimum rank.
+        assert_eq!(nearest_rank(&v, 0.0), Some(10));
+        assert_eq!(nearest_rank(&v, 1.0), Some(30));
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+    }
 
     #[test]
     fn nearest_rank_matches_hand_computed_values() {

@@ -19,8 +19,6 @@ pub enum Architecture {
     Asic,
 }
 
-impl Architecture {}
-
 impl std::fmt::Display for Architecture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {

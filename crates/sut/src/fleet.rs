@@ -26,8 +26,6 @@ pub enum MarketSegment {
     Datacenter,
 }
 
-impl MarketSegment {}
-
 /// One system of the simulated fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSystem {

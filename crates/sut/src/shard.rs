@@ -77,8 +77,6 @@ pub(crate) enum ShardHealth {
     Draining,
 }
 
-impl ShardHealth {}
-
 /// Consecutive failures after which a `Suspect` shard is declared `Down`
 /// (the debounce depth; 1 = the first failure past `Suspect`).
 const DOWN_AFTER: u32 = 2;

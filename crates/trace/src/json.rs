@@ -2,9 +2,7 @@
 //!
 //! The build environment is offline, so the workspace cannot lean on
 //! `serde`/`serde_json`; this module is the hand-rolled replacement. It
-//! deliberately mirrors serde_json's default data model so artifacts
-//! written by earlier versions of the repository (e.g. the cached
-//! submission round under `results/`) keep parsing:
+//! deliberately mirrors serde_json's default data model:
 //!
 //! * unit enum variants serialize as `"VariantName"`,
 //! * data-carrying variants as `{"VariantName": {...}}`,

@@ -2,34 +2,26 @@
 //!
 //! `RemoteSut` implements [`RealtimeSut`], so `Run::wall_clock` drives a
 //! machine on the other end of a TCP connection exactly as it drives an
-//! in-process SUT. Internally it keeps a bounded in-flight window
-//! (backpressure), a reader thread routing completion frames to blocked
-//! issuers, and a heartbeat thread that detects a silently dead peer. With
-//! a [`ResumePolicy`] armed, the reader also owns the reconnect loop: on a
-//! severed link it redials with bounded backoff, re-handshakes with the
-//! same session id at a bumped epoch, and replays every in-flight query —
-//! the server's completion journal dedups by wire id, so nothing is
-//! double-counted.
+//! in-process SUT. Its link decisions — the bounded in-flight window, the
+//! pending table, heartbeat grace, sever or fail, the resume replay — are
+//! `protocol::ClientCore`'s. This module is the threads that feed the core
+//! and carry out what it decides: issuers blocked on their replies; a
+//! reader routing completion frames and, with a [`ResumePolicy`] armed,
+//! redialing a severed link at a bumped epoch and replaying the in-flight
+//! window (the server's completion journal dedups by wire id); and a
+//! heartbeat that probes for a silently dead peer.
 //!
-//! Failure mapping — this is the contract the validity rules lean on:
-//!
-//! * corrupt frame (CRC failure), protocol violation, or heartbeat loss →
-//!   [`IssueOutcome::Errored`] → errored completions → the
-//!   `ErrorFractionExceeded` rule: the link was alive enough to prove the
-//!   peer misbehaved;
-//! * hard disconnect (EOF/reset) without resume, or resume exhausted →
-//!   [`IssueOutcome::Vanished`] → the queries stay outstanding → the
-//!   `IncompleteQueries` rule and the TEST06 completeness audit: the
-//!   completions' fate is genuinely unknown, and claiming "errored" would
-//!   fabricate a resolution;
-//! * response timeout on a live connection (the server swallowed the
-//!   frame) → [`IssueOutcome::Vanished`], as before.
-//!
-//! No path can hang the run.
+//! The failure mapping, which the validity rules lean on: a corrupt frame,
+//! a protocol violation or heartbeat loss is [`IssueOutcome::Errored`] —
+//! the link was alive enough to prove the peer misbehaved, and
+//! `ErrorFractionExceeded` sees it; a disconnect without resume, resume
+//! exhausted, or a response timeout is [`IssueOutcome::Vanished`] — the
+//! query stays outstanding for `IncompleteQueries` and TEST06, because its
+//! fate is unknown and "errored" would fabricate a resolution. No path can
+//! hang the run.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,7 +37,9 @@ use mlperf_trace::sync::{lock, wait, wait_timeout, wait_timeout_while};
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::frame::WireError;
 use crate::message::{Hello, Message, PROTOCOL_VERSION};
+use crate::protocol::{classify, Admit, ClientCore, FailKind, Lost, Tick};
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
+use crate::WireLog;
 
 /// How long [`RemoteSut::shutdown`] waits for the server's drained
 /// goodbye (and the event shipment that precedes it) before closing the
@@ -146,100 +140,28 @@ impl RemoteSutConfig {
     }
 }
 
-/// How a terminally failed link resolves its queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailKind {
-    /// The peer provably misbehaved → errored completions.
-    Errored,
-    /// The queries' fate is unknown → they stay outstanding.
-    Vanished,
-}
-
-impl FailKind {
-    fn outcome(self) -> IssueOutcome {
-        match self {
-            FailKind::Errored => IssueOutcome::Errored,
-            FailKind::Vanished => IssueOutcome::Vanished,
-        }
-    }
-}
-
-/// Link state. `Down` is transient: the reader thread owns the reconnect
-/// and either restores `Up` or settles on `Dead`.
-#[derive(Debug, Clone, Copy)]
-enum Link {
-    Up,
-    Down,
-    Dead(FailKind),
-}
-
-/// What the reader thread hands back to a blocked issuer.
-enum Reply {
-    Completion {
-        error: bool,
-        samples: Vec<SampleCompletion>,
-    },
-    Failed(FailKind),
-}
-
-impl Reply {
-    fn outcome(self) -> IssueOutcome {
-        match self {
-            Reply::Completion {
-                error: false,
-                samples,
-            } => IssueOutcome::Completed(samples),
-            Reply::Completion { error: true, .. } => IssueOutcome::Errored,
-            Reply::Failed(kind) => kind.outcome(),
-        }
-    }
-}
-
 /// One query's reply on its way from the reader thread to the issuer
 /// blocked on it: filled once, taken once.
 #[derive(Default)]
 struct ReplySlot {
-    reply: Mutex<Option<Reply>>,
+    outcome: Mutex<Option<IssueOutcome>>,
     filled: Condvar,
 }
 
 impl ReplySlot {
-    fn fill(&self, reply: Reply) {
-        *lock(&self.reply) = Some(reply);
+    fn fill(&self, outcome: IssueOutcome) {
+        *lock(&self.outcome) = Some(outcome);
         self.filled.notify_one();
     }
 
-    /// The reply, or `None` when `timeout` passes without one.
-    fn wait(&self, timeout: Duration) -> Option<Reply> {
-        let (mut reply, _timed_out) =
-            wait_timeout_while(&self.filled, lock(&self.reply), timeout, |reply| {
-                reply.is_none()
+    /// The outcome, or `None` when `timeout` passes without one.
+    fn wait(&self, timeout: Duration) -> Option<IssueOutcome> {
+        let (mut outcome, _timed_out) =
+            wait_timeout_while(&self.filled, lock(&self.outcome), timeout, |outcome| {
+                outcome.is_none()
             });
-        reply.take()
+        outcome.take()
     }
-}
-
-struct Pending {
-    slot: Arc<ReplySlot>,
-    /// When the query was registered — read only to observe the round
-    /// trip, so only taken with a metrics registry attached.
-    sent_at: Option<Instant>,
-    /// Kept for replay: a resumed link re-sends every in-flight query.
-    query: Query,
-    /// Trace context carried by the issue frame. A replay re-sends the
-    /// *same* id, so the merged log stays exactly-once per trace.
-    trace_id: u64,
-}
-
-struct ClientState {
-    link: Link,
-    reason: String,
-    epoch: u32,
-    in_flight: u32,
-    /// Issuers parked on [`ClientShared::window`]: a completion wakes one
-    /// only when there is one.
-    window_waiters: u32,
-    pending: HashMap<u64, Pending>,
 }
 
 struct ClientShared {
@@ -248,90 +170,51 @@ struct ClientShared {
     base_hello: Hello,
     writer: Mutex<Box<dyn Transport>>,
     chaos: Option<Arc<ChaosSession>>,
-    state: Mutex<ClientState>,
+    /// Every link decision (`protocol::ClientCore`).
+    state: Mutex<ClientCore<Arc<ReplySlot>>>,
     /// Issuers waiting for a slot in the in-flight window.
     window: Condvar,
     /// `shutdown` waiting for the link to leave `Up` (the drained goodbye).
     settled: Condvar,
-    start: Instant,
-    last_pong: Mutex<Instant>,
+    log: WireLog,
     stopping: AtomicBool,
-    sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
     /// Live wire epoch, mirrored for journal checkpoints: bumped on every
     /// reconnect, read (lock-free) each time a checkpoint is captured.
     epoch_watch: Arc<AtomicU32>,
     /// Client↔server clock offset, tightened by every probe.
     estimator: ClockEstimator,
-    /// Sequence numbers for clock probes (handshake + heartbeats).
-    probe_seq: AtomicU64,
 }
 
 impl ClientShared {
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// The link state right now.
-    fn link(&self) -> Link {
-        lock(&self.state).link
-    }
-
     /// Deterministic trace id for one wire query: a resumed session
     /// replays in-flight queries under the *same* ids, so the merged log
     /// stays exactly-once per trace. Never mints 0, which the analyzer's
     /// report renders as "no trace seen"; the wire itself carries any id.
     fn trace_id_for(&self, query_id: u64) -> u64 {
-        let id = splitmix64(self.base_hello.session ^ splitmix64(query_id ^ 0x7261_6365)); // "race"
-        if id == 0 {
-            1
-        } else {
-            id
-        }
+        splitmix64(self.base_hello.session ^ splitmix64(query_id ^ 0x7261_6365)).max(1)
+        // "race"
     }
 
     /// Records one client-side instant span, stamped now, into the trace
     /// sink. With no sink it is a no-op that reads no clock.
     fn span_event(&self, trace_id: u64, query_id: u64, phase: &str) {
-        if let Some(sink) = &self.sink {
-            if sink.enabled() {
-                sink.record(
-                    self.now_ns(),
-                    &TraceEvent::SpanEvent {
-                        host: "client".to_string(),
-                        trace_id,
-                        query_id,
-                        phase: phase.to_string(),
-                        dur_ns: 0,
-                    },
-                );
-            }
-        }
+        self.log.record(|| TraceEvent::SpanEvent {
+            host: "client".to_string(),
+            trace_id,
+            query_id,
+            phase: phase.to_string(),
+            dur_ns: 0,
+        });
     }
 
     /// Fires one clock probe at the server (best-effort).
     fn send_probe(&self) {
-        let seq = self.probe_seq.fetch_add(1, Ordering::SeqCst);
+        let seq = lock(&self.state).probe();
         let _ = self.send(&Message::ClockProbe {
             seq,
-            t0: self.now_ns(),
+            t0: self.log.now_ns(),
         });
-    }
-
-    fn wire_event(&self, kind: &str, query_id: u64, detail: &str) {
-        if let Some(sink) = &self.sink {
-            if sink.enabled() {
-                sink.record(
-                    self.now_ns(),
-                    &TraceEvent::WireEvent {
-                        endpoint: "client".to_string(),
-                        kind: kind.to_string(),
-                        query_id,
-                        detail: detail.to_string(),
-                    },
-                );
-            }
-        }
     }
 
     fn incr(&self, name: &str) {
@@ -358,52 +241,39 @@ impl ClientShared {
         }
     }
 
-    /// Marks the link terminally dead and wakes every blocked issuer with
-    /// [`Reply::Failed`]. Idempotent; the first reason and kind win.
-    fn fail(&self, reason: &str, kind: FailKind) {
-        let mut st = lock(&self.state);
-        if matches!(st.link, Link::Dead(_)) {
-            return;
-        }
-        st.link = Link::Dead(kind);
-        st.reason = reason.to_string();
-        st.in_flight = 0;
-        for (_, pending) in st.pending.drain() {
-            pending.slot.fill(Reply::Failed(kind));
-        }
-        drop(st);
-        self.window.notify_all();
-        self.settled.notify_all();
-        self.incr("wire_disconnects");
-        if !self.stopping.load(Ordering::SeqCst) {
-            self.wire_event("disconnect", 0, reason);
-        }
-    }
-
-    /// Marks the link down (resume pending) and severs the current
-    /// transport so the reader notices. Pending queries stay registered —
-    /// the reconnect replays them. No-op unless the link is up.
-    fn sever(&self, reason: &str) {
-        {
-            let mut st = lock(&self.state);
-            if !matches!(st.link, Link::Up) {
-                return;
+    /// Carries out what losing the link decided: a sever shuts the
+    /// transport so the reader notices (pending queries stay registered;
+    /// the reconnect replays them), a failure resolves every waiter and
+    /// wakes everyone who watches the link.
+    fn settle(&self, lost: Lost<Arc<ReplySlot>>, reason: &str) {
+        let kind = match lost {
+            Lost::Dead | Lost::Down { severed: false } => return,
+            Lost::Down { severed: true } => {
+                lock(&self.writer).shutdown();
+                self.window.notify_all();
+                self.incr("wire_severs");
+                "sever"
             }
-            st.link = Link::Down;
-            st.reason = reason.to_string();
-        }
-        lock(&self.writer).shutdown();
-        self.window.notify_all();
-        self.incr("wire_severs");
+            Lost::Failed(kind, waiters) => {
+                for waiter in waiters {
+                    waiter.fill(kind.outcome());
+                }
+                self.window.notify_all();
+                self.settled.notify_all();
+                self.incr("wire_disconnects");
+                "disconnect"
+            }
+        };
         if !self.stopping.load(Ordering::SeqCst) {
-            self.wire_event("sever", 0, reason);
+            self.log.wire_event(kind, 0, reason);
         }
     }
 
-    /// Whether a send/read failure should be handled by reconnecting
-    /// rather than failing the run.
-    fn resume_armed(&self) -> bool {
-        self.config.resume.is_some() && !self.stopping.load(Ordering::SeqCst)
+    /// Fails the link, whatever resume says. Idempotent; the first reason
+    /// and kind win.
+    fn fail(&self, reason: &str, kind: FailKind) {
+        let lost = lock(&self.state).fail(kind);
+        self.settle(lost, reason);
     }
 
     /// Encodes and sends one frame, timing the encode. A socket failure
@@ -422,13 +292,10 @@ impl ClientShared {
             }
             Err(e) => {
                 if !self.stopping.load(Ordering::SeqCst) {
-                    if self.resume_armed() {
-                        self.sever(&format!("send failed: {e}"));
-                    } else {
-                        // The frame never left; its fate (and that of every
-                        // in-flight sibling) is unknown.
-                        self.fail(&format!("send failed: {e}"), FailKind::Vanished);
-                    }
+                    // The frame never left; its fate (and that of every
+                    // in-flight sibling) is unknown.
+                    let lost = lock(&self.state).lose(FailKind::Vanished);
+                    self.settle(lost, &format!("send failed: {e}"));
                 }
                 Err(e)
             }
@@ -447,52 +314,37 @@ fn dial(
     hello: &Hello,
     chaos: Option<&Arc<ChaosSession>>,
 ) -> Result<DialedLink, WireError> {
-    let mut last_err = WireError::Disconnected("no addresses to dial".to_string());
-    for addr in addrs {
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = e.into();
-                continue;
-            }
-        };
-        stream.set_nodelay(true)?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".to_string());
-        let base: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
-        let mut transport = match chaos {
-            Some(session) => session.wrap(base),
-            None => base,
-        };
-        transport.send(&Message::Hello(hello.clone()).to_wire())?;
-        let ack = Message::from_wire(&transport.recv()?)?;
-        let (version, sut_name) = match ack {
-            Message::HelloAck {
-                version, sut_name, ..
-            } => (version, sut_name),
-            Message::Reject { reason } => return Err(WireError::Rejected(reason)),
-            other => {
-                return Err(WireError::Protocol(format!(
-                    "expected HelloAck, got {}",
-                    other.tag_name()
-                )))
-            }
-        };
-        if version != PROTOCOL_VERSION {
-            return Err(WireError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: version,
-            });
+    let (tcp, peer) = TcpTransport::dial(addrs.iter().copied())?;
+    let base: Box<dyn Transport> = Box::new(tcp);
+    let mut transport = match chaos {
+        Some(session) => session.wrap(base),
+        None => base,
+    };
+    transport.send(&Message::Hello(hello.clone()).to_wire())?;
+    let ack = Message::from_wire(&transport.recv()?)?;
+    let (version, sut_name) = match ack {
+        Message::HelloAck {
+            version, sut_name, ..
+        } => (version, sut_name),
+        Message::Reject { reason } => return Err(WireError::Rejected(reason)),
+        other => {
+            return Err(WireError::Protocol(format!(
+                "expected HelloAck, got {}",
+                other.tag_name()
+            )))
         }
-        // The handle that read the `HelloAck` stays the reader: on a
-        // resumed session a replayed `Completion` can arrive right behind
-        // it, already read ahead into this handle and no other.
-        let writer = transport.try_clone()?;
-        return Ok((writer, transport, peer, sut_name));
+    };
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::VersionMismatch {
+            ours: PROTOCOL_VERSION,
+            theirs: version,
+        });
     }
-    Err(last_err)
+    // The handle that read the `HelloAck` stays the reader: on a resumed
+    // session a replayed `Completion` can arrive right behind it, already
+    // read ahead into this handle and no other.
+    let writer = transport.try_clone()?;
+    Ok((writer, transport, peer, sut_name))
 }
 
 /// A [`RealtimeSut`] whose machinery lives on the other end of a TCP
@@ -501,8 +353,8 @@ pub struct RemoteSut {
     name: String,
     peer: String,
     shared: Arc<ClientShared>,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    heartbeat: Mutex<Option<JoinHandle<()>>>,
+    /// The reader, then the heartbeat.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for RemoteSut {
@@ -554,34 +406,22 @@ impl RemoteSut {
             .map(|plan| Arc::new(ChaosSession::new(plan, "client", sink.clone())));
 
         let (writer, reader_transport, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref())?;
-        let epoch0 = hello.epoch;
-
         let shared = Arc::new(ClientShared {
+            epoch_watch: Arc::new(AtomicU32::new(hello.epoch)),
+            state: Mutex::new(ClientCore::new(hello.epoch, &config)),
             config,
             addrs,
             base_hello: hello,
             writer: Mutex::new(writer),
             chaos,
-            state: Mutex::new(ClientState {
-                link: Link::Up,
-                reason: String::new(),
-                epoch: epoch0,
-                in_flight: 0,
-                window_waiters: 0,
-                pending: HashMap::new(),
-            }),
             window: Condvar::new(),
             settled: Condvar::new(),
-            epoch_watch: Arc::new(AtomicU32::new(epoch0)),
-            start: Instant::now(),
-            last_pong: Mutex::new(Instant::now()),
+            log: WireLog::new("client", sink),
             stopping: AtomicBool::new(false),
-            sink,
             metrics,
             estimator: ClockEstimator::new(),
-            probe_seq: AtomicU64::new(0),
         });
-        shared.wire_event(
+        shared.log.wire_event(
             "handshake",
             0,
             &format!("peer={peer} sut={sut_name} v{PROTOCOL_VERSION}"),
@@ -590,27 +430,19 @@ impl RemoteSut {
         // aligned axis; heartbeats keep tightening it.
         shared.send_probe();
 
-        let reader = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wire-reader".to_string())
-                .spawn(move || reader_loop(&shared, reader_transport))
-                .map_err(WireError::Io)?
-        };
-        let heartbeat = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wire-heartbeat".to_string())
-                .spawn(move || heartbeat_loop(&shared))
-                .map_err(WireError::Io)?
-        };
-
+        let reading = Arc::clone(&shared);
+        let reader = std::thread::Builder::new()
+            .name("wire-reader".to_string())
+            .spawn(move || reader_loop(&reading, reader_transport))?;
+        let beating = Arc::clone(&shared);
+        let heartbeat = std::thread::Builder::new()
+            .name("wire-heartbeat".to_string())
+            .spawn(move || heartbeat_loop(&beating))?;
         Ok(RemoteSut {
             name: sut_name,
             peer,
             shared,
-            reader: Mutex::new(Some(reader)),
-            heartbeat: Mutex::new(Some(heartbeat)),
+            threads: Mutex::new(vec![reader, heartbeat]),
         })
     }
 
@@ -652,7 +484,7 @@ impl RemoteSut {
     /// at. Drive the run loop with the same origin and run events land on
     /// the same axis as the wire spans.
     pub fn clock_origin(&self) -> Instant {
-        self.shared.start
+        self.shared.log.start
     }
 
     /// Estimated `server_clock - client_clock` in nanoseconds, if at
@@ -669,7 +501,7 @@ impl RemoteSut {
 
     /// Whether the link is up (not reconnecting, not dead).
     pub fn is_connected(&self) -> bool {
-        matches!(self.shared.link(), Link::Up)
+        lock(&self.shared.state).is_up()
     }
 
     /// Sends `Drain`, closes the socket, and joins the worker threads.
@@ -680,14 +512,14 @@ impl RemoteSut {
         }
         if self.is_connected() {
             let _ = self.shared.send(&Message::Drain);
-            self.shared.wire_event("drain", 0, "");
+            self.shared.log.wire_event("drain", 0, "");
             // With a sink attached, the server ships its spans and a
             // goodbye after draining; wait (bounded) so the merged log
             // actually gets them before the socket closes.
-            if self.shared.sink.is_some() {
+            if self.shared.log.sink.is_some() {
                 let deadline = Instant::now() + GOODBYE_WAIT;
                 let mut st = lock(&self.shared.state);
-                while matches!(st.link, Link::Up) && Instant::now() < deadline {
+                while st.is_up() && Instant::now() < deadline {
                     (st, _) = wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
                 }
             }
@@ -708,10 +540,7 @@ impl RemoteSut {
         // `stopping`/`Dead` before installing, so at most one extra sever
         // is needed.
         sever();
-        if let Some(handle) = lock(&self.reader).take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = lock(&self.heartbeat).take() {
+        for handle in std::mem::take(&mut *lock(&self.threads)) {
             handle.thread().unpark();
             let _ = handle.join();
         }
@@ -728,6 +557,7 @@ impl RemoteSut {
             return;
         }
         self.shared
+            .log
             .wire_event("abandon", 0, "severed without drain");
         self.close("client abandoned", FailKind::Vanished);
     }
@@ -751,35 +581,22 @@ impl RealtimeSut for RemoteSut {
     fn issue_outcome(&self, query: &Query) -> IssueOutcome {
         let shared = &self.shared;
 
-        // Backpressure: wait for a slot in the in-flight window, then
-        // register ourselves before the frame leaves so a fast reply
-        // cannot race past the routing table. A `Down` link still admits
-        // registrations — the reconnect replays them.
+        // Backpressure: wait for a slot in the in-flight window; the core
+        // registers the query before its frame leaves.
         let trace_id = shared.trace_id_for(query.id);
         let slot = Arc::new(ReplySlot::default());
         {
             let mut st = lock(&shared.state);
             loop {
-                match st.link {
-                    Link::Dead(kind) => return kind.outcome(),
-                    _ if st.in_flight < shared.config.max_in_flight => break,
-                    _ => {
-                        st.window_waiters += 1;
+                match st.issue(shared.log.now_ns(), query, trace_id, &slot) {
+                    Admit::Send => break,
+                    Admit::Refuse(kind) => return kind.outcome(),
+                    Admit::Wait => {
                         st = wait(&shared.window, st);
-                        st.window_waiters -= 1;
+                        st.unpark_issuer();
                     }
                 }
             }
-            st.in_flight += 1;
-            st.pending.insert(
-                query.id,
-                Pending {
-                    slot: Arc::clone(&slot),
-                    sent_at: shared.stamp(),
-                    query: query.clone(),
-                    trace_id,
-                },
-            );
         }
 
         shared.span_event(trace_id, query.id, "issue");
@@ -792,40 +609,23 @@ impl RealtimeSut for RemoteSut {
         });
 
         let timeout = shared.config.response_timeout;
-        if let Some(reply) = slot.wait(timeout) {
-            return reply.outcome();
+        if let Some(outcome) = slot.wait(timeout) {
+            return outcome;
         }
-        let mut st = lock(&shared.state);
-        if st.pending.remove(&query.id).is_some() {
-            st.in_flight = st.in_flight.saturating_sub(1);
-            drop(st);
+        let timed_out = lock(&shared.state).time_out(query.id);
+        if let Some(outcome) = timed_out {
             shared.window.notify_all();
             shared.incr("wire_timeouts");
-            shared.wire_event(
+            shared.log.wire_event(
                 "response_timeout",
                 query.id,
                 "no completion frame within the response timeout",
             );
-            return IssueOutcome::Vanished;
+            return outcome;
         }
         // The reply raced in between our timeout and taking the lock: the
         // reader has our entry, and fills the slot next.
-        drop(st);
-        slot.wait(timeout)
-            .map_or(IssueOutcome::Errored, Reply::outcome)
-    }
-}
-
-/// How a read error resolves the link when resume is off (or exhausted).
-fn classify(e: &WireError) -> (String, FailKind) {
-    match e {
-        // An integrity or protocol failure proves the peer (or the path)
-        // is actively garbling the run.
-        WireError::Frame(fe) => (format!("corrupt frame: {fe}"), FailKind::Errored),
-        WireError::Protocol(msg) => (format!("protocol error: {msg}"), FailKind::Errored),
-        // EOF/reset: in-flight completions may or may not have resolved
-        // remotely; their fate is unknown.
-        other => (format!("read failed: {other}"), FailKind::Vanished),
+        slot.wait(timeout).unwrap_or(IssueOutcome::Errored)
     }
 }
 
@@ -847,62 +647,39 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 samples,
             }) => {
                 shared.incr("wire_frames_received");
-                // A completion is as good as a heartbeat ack for liveness.
-                *lock(&shared.last_pong) = Instant::now();
-                let (pending, slot_wanted) = {
-                    let mut st = lock(&shared.state);
-                    let pending = st.pending.remove(&query_id);
-                    if pending.is_some() {
-                        st.in_flight = st.in_flight.saturating_sub(1);
-                    }
-                    (pending, st.window_waiters > 0)
-                };
-                match pending {
-                    Some(p) => {
+                let resolved =
+                    lock(&shared.state).complete(shared.log.now_ns(), query_id, error, samples);
+                match resolved {
+                    Some(r) => {
                         // One slot came free: one parked issuer, if any.
-                        if slot_wanted {
+                        if r.wake_issuer {
                             shared.window.notify_one();
                         }
-                        shared.observe_since("wire_rtt_ns", p.sent_at);
-                        shared.span_event(p.trace_id, query_id, "complete");
-                        p.slot.fill(Reply::Completion { error, samples });
+                        shared.observe("wire_rtt_ns", r.rtt_ns);
+                        shared.span_event(r.trace_id, query_id, "complete");
+                        r.waiter.fill(r.outcome);
                     }
                     None => {
-                        // Reply for a query we already resolved: a timeout,
-                        // or a journal replay whose original made it
-                        // through. Either way it must not count twice.
                         shared.incr("wire_orphan_completions");
-                        shared.wire_event("orphan_completion", query_id, "already resolved");
+                        shared
+                            .log
+                            .wire_event("orphan_completion", query_id, "already resolved");
                     }
                 }
             }
-            Ok(Message::HeartbeatAck { .. }) => {
-                *lock(&shared.last_pong) = Instant::now();
-            }
+            Ok(Message::HeartbeatAck { .. }) => lock(&shared.state).heard(shared.log.now_ns()),
             Ok(Message::ClockProbeAck { seq: _, t0, t1, t2 }) => {
-                // A probe ack is as good as a heartbeat ack for liveness.
-                *lock(&shared.last_pong) = Instant::now();
-                let sample = ClockSample {
-                    t0,
-                    t1,
-                    t2,
-                    t3: shared.now_ns(),
-                };
+                let t3 = shared.log.now_ns();
+                lock(&shared.state).heard(t3);
+                let sample = ClockSample { t0, t1, t2, t3 };
                 shared.incr("wire_clock_probes");
                 if shared.estimator.observe(sample) {
                     shared.observe("wire_clock_rtt_ns", sample.rtt_ns());
-                    if let Some(sink) = &shared.sink {
-                        if sink.enabled() {
-                            sink.record(
-                                shared.now_ns(),
-                                &TraceEvent::ClockSync {
-                                    host: "server".to_string(),
-                                    offset_ns: sample.offset_ns(),
-                                    rtt_ns: sample.rtt_ns(),
-                                },
-                            );
-                        }
-                    }
+                    shared.log.record(|| TraceEvent::ClockSync {
+                        host: "server".to_string(),
+                        offset_ns: sample.offset_ns(),
+                        rtt_ns: sample.rtt_ns(),
+                    });
                 }
             }
             Ok(Message::Events { jsonl }) => {
@@ -912,7 +689,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 match parse_detail_log(&jsonl) {
                     Ok(records) => {
                         shared.incr("wire_event_frames");
-                        if let Some(sink) = &shared.sink {
+                        if let Some(sink) = &shared.log.sink {
                             for record in records {
                                 if sink.enabled() {
                                     sink.record(
@@ -924,12 +701,16 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                         }
                     }
                     Err(e) => {
-                        shared.wire_event("bad_events_frame", 0, &format!("{e}"));
+                        shared
+                            .log
+                            .wire_event("bad_events_frame", 0, &format!("{e}"));
                     }
                 }
             }
             Ok(Message::Goodbye { served }) => {
-                shared.wire_event("goodbye", 0, &format!("served={served}"));
+                shared
+                    .log
+                    .wire_event("goodbye", 0, &format!("served={served}"));
                 shared.fail("server closed after drain", FailKind::Errored);
                 return;
             }
@@ -947,16 +728,16 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 let (reason, kind) = classify(&e);
                 if let WireError::Frame(_) = e {
                     shared.incr("wire_crc_failures");
-                    shared.wire_event("corrupt_frame", 0, &reason);
+                    shared.log.wire_event("corrupt_frame", 0, &reason);
                 }
-                if matches!(shared.link(), Link::Dead(_)) {
-                    return; // e.g. heartbeat loss already failed the run
-                }
-                let Some(policy) = shared.config.resume else {
-                    shared.fail(&reason, kind);
+                // Dead already (e.g. heartbeat loss failed the run), dead
+                // now (no resume), or down for the redial below.
+                let lost = lock(&shared.state).lose(kind);
+                let redial = matches!(lost, Lost::Down { .. });
+                shared.settle(lost, &reason);
+                let Some(policy) = shared.config.resume.filter(|_| redial) else {
                     return;
                 };
-                shared.sever(&reason);
                 match reconnect(shared, policy) {
                     Some(new_reader) => {
                         transport = new_reader;
@@ -978,7 +759,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
         // During a shutdown drain the reader must keep going long enough
         // to absorb the server's shipped events and goodbye — those paths
         // return on their own. Bail here only once the link is settled.
-        if shared.stopping.load(Ordering::SeqCst) && matches!(shared.link(), Link::Dead(_)) {
+        if shared.stopping.load(Ordering::SeqCst) && !lock(&shared.state).is_up() {
             return;
         }
     }
@@ -996,20 +777,15 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         if shared.stopping.load(Ordering::SeqCst) {
             return None;
         }
-        let hello = {
-            let mut st = lock(&shared.state);
-            st.epoch += 1;
-            shared.epoch_watch.store(st.epoch, Ordering::SeqCst);
-            let mut hello = shared.base_hello.clone();
-            hello.epoch = st.epoch;
-            hello.resume = true;
-            hello
-        };
+        let mut hello = shared.base_hello.clone();
+        hello.epoch = lock(&shared.state).redial();
+        hello.resume = true;
+        shared.epoch_watch.store(hello.epoch, Ordering::SeqCst);
         let (writer, reader, _peer, _name) =
             match dial(&shared.addrs, &hello, shared.chaos.as_ref()) {
                 Ok(parts) => parts,
                 Err(e) => {
-                    shared.wire_event(
+                    shared.log.wire_event(
                         "resume_attempt_failed",
                         0,
                         &format!("epoch={} attempt={attempt}: {e}", hello.epoch),
@@ -1023,26 +799,22 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         // transport and nothing leaks.
         let replay = {
             let mut st = lock(&shared.state);
-            if shared.stopping.load(Ordering::SeqCst) || matches!(st.link, Link::Dead(_)) {
+            let replay = if shared.stopping.load(Ordering::SeqCst) {
+                None
+            } else {
+                st.resumed(shared.log.now_ns())
+            };
+            let Some(replay) = replay else {
                 writer.shutdown();
                 reader.shutdown();
                 return None;
-            }
-            st.link = Link::Up;
-            st.reason.clear();
-            let mut queries: Vec<(Query, u64)> = st
-                .pending
-                .values()
-                .map(|p| (p.query.clone(), p.trace_id))
-                .collect();
-            queries.sort_by_key(|(q, _)| q.id);
+            };
             *lock(&shared.writer) = writer;
-            queries
+            replay
         };
-        *lock(&shared.last_pong) = Instant::now();
         shared.window.notify_all();
         shared.incr("wire_resumes");
-        shared.wire_event(
+        shared.log.wire_event(
             "resume",
             0,
             &format!(
@@ -1071,11 +843,10 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
 }
 
 /// Pings the server every `heartbeat_interval`; a completion or ack
-/// refreshes `last_pong`. `heartbeat_grace` of silence severs the link
-/// (resume armed — the reader reconnects) or fails the run as errored, so
-/// blocked issuers resolve instead of hanging.
+/// refreshes the core's last-heard time. `heartbeat_grace` of silence
+/// severs the link (resume armed — the reader reconnects) or fails the run
+/// as errored, so blocked issuers resolve instead of hanging.
 fn heartbeat_loop(shared: &Arc<ClientShared>) {
-    let mut seq: u64 = 0;
     loop {
         // Parked, not asleep: `RemoteSut::close` unparks this thread once
         // `stopping` is set, so a shutdown never waits out the interval.
@@ -1090,39 +861,29 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
             }
             std::thread::park_timeout(left);
         }
-        match shared.link() {
-            Link::Dead(_) => return,
-            // Reconnecting: silence is expected; the resume resets the
-            // pong clock.
-            Link::Down => continue,
-            Link::Up => {}
-        }
-        seq += 1;
+        let seq = match lock(&shared.state).tick() {
+            Tick::Stop => return,
+            Tick::Skip => continue,
+            Tick::Probe(seq) => seq,
+        };
         // Every heartbeat is a clock probe: the ack refreshes liveness
         // *and* can tighten the offset estimate.
         let ping = Message::ClockProbe {
             seq,
-            t0: shared.now_ns(),
+            t0: shared.log.now_ns(),
         };
         if shared.send(&ping).is_err() {
             continue; // sever/fail already handled by `send`
         }
         shared.incr("wire_heartbeats");
-        let silence = lock(&shared.last_pong).elapsed();
-        if silence > shared.config.heartbeat_grace {
-            shared.wire_event(
+        let judged = lock(&shared.state).judge(shared.log.now_ns());
+        if let Some((silence_ns, lost)) = judged {
+            shared.log.wire_event(
                 "heartbeat_loss",
                 0,
-                &format!("no ack for {} ms", silence.as_millis()),
+                &format!("no ack for {} ms", silence_ns / 1_000_000),
             );
-            if shared.resume_armed() {
-                shared.sever("heartbeat loss");
-            } else {
-                // The peer is alive enough to hold the socket open but
-                // not answering: that is misbehavior, not a vanish.
-                shared.fail("heartbeat loss", FailKind::Errored);
-                return;
-            }
+            shared.settle(lost, "heartbeat loss");
         }
     }
 }
@@ -1133,7 +894,7 @@ mod tests {
     use crate::frame::{read_frame, write_frame};
     use mlperf_loadgen::query::QuerySample;
     use mlperf_loadgen::time::Nanos;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Barrier;
 
     fn query(id: u64) -> Query {

@@ -23,6 +23,9 @@
 //! * [`transport`] — the [`Transport`] abstraction over a framed byte
 //!   pipe, plus [`WireChaosPlan`] / [`ChaosSession`], the seeded wire
 //!   fault injector that decorates either endpoint;
+//! * `protocol` — the two sans-I/O cores, `ClientCore` and `SessionCore`,
+//!   that hold every link and session decision; the endpoints below are
+//!   the threads and sockets that drive them;
 //! * [`client`] — [`RemoteSut`], with bounded in-flight backpressure,
 //!   heartbeats, the errored/vanished failure mapping, and
 //!   reconnect-and-resume under a [`ResumePolicy`];
@@ -45,6 +48,7 @@ pub mod clock;
 pub mod frame;
 pub mod host;
 pub mod message;
+mod protocol;
 pub mod server;
 pub mod service;
 pub mod stats;
@@ -62,6 +66,51 @@ pub use stats::{fetch_stats, DaemonStats};
 pub use transport::WireChaosPlan;
 
 use std::sync::Arc;
+use std::time::Instant;
+
+use mlperf_trace::event::{TraceEvent, TraceSink};
+
+/// An endpoint's trace context: the sink its wire events go to, and the
+/// instant its span clock starts at. The client, the daemon and each chaos
+/// session hold one.
+pub(crate) struct WireLog {
+    pub(crate) sink: Option<Arc<dyn TraceSink>>,
+    pub(crate) start: Instant,
+    pub(crate) endpoint: &'static str,
+}
+
+impl WireLog {
+    pub(crate) fn new(endpoint: &'static str, sink: Option<Arc<dyn TraceSink>>) -> Self {
+        WireLog {
+            sink,
+            start: Instant::now(),
+            endpoint,
+        }
+    }
+
+    /// Nanoseconds since `start`: the endpoint's span clock.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Records `event()`, stamped now. With no enabled sink it reads no
+    /// clock and builds no event.
+    pub(crate) fn record(&self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.sink.as_ref().filter(|s| s.enabled()) {
+            sink.record(self.now_ns(), &event());
+        }
+    }
+
+    /// Records one `WireEvent` from this endpoint.
+    pub(crate) fn wire_event(&self, kind: &str, query_id: u64, detail: &str) {
+        self.record(|| TraceEvent::WireEvent {
+            endpoint: self.endpoint.to_string(),
+            kind: kind.to_string(),
+            query_id,
+            detail: detail.to_string(),
+        });
+    }
+}
 
 /// Spins up a daemon on a loopback port and connects a [`RemoteSut`] to
 /// it — the single-process topology CI uses.
@@ -91,7 +140,7 @@ pub fn loopback_instrumented(
     serve_config: ServeConfig,
     hello: Hello,
     client_config: RemoteSutConfig,
-    sink: Option<Arc<dyn mlperf_trace::event::TraceSink>>,
+    sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<mlperf_trace::metrics::MetricsRegistry>>,
 ) -> Result<(RemoteSut, ServerHandle), WireError> {
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;

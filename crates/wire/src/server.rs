@@ -1,45 +1,35 @@
 //! The daemon-side endpoint: [`serve`] and [`ServerHandle`].
 //!
-//! `serve` exports any [`WireService`] over a TCP listener. Each accepted
-//! connection performs the handshake, then pulls issue frames
-//! off the socket, resolves them through the service, and writes
-//! completion frames back. A server-scenario session resolves them on a
-//! worker pool (one worker by default) fed through a work queue, so a
-//! pipelined client's backlog waits where it is observed; a closed-loop
-//! session (single-stream, multistream, offline: one query in flight by
-//! the scenario's own rules) is served on the connection thread itself and
-//! has no pool. Clock probes — the client's liveness ping — are answered
-//! by the connection thread; while it is inside the service the daemon's
-//! one `wire-liveness` thread vouches for it with unasked `HeartbeatAck`s.
-//! `Drain` waits for the session's outstanding queries to resolve, then
-//! answers `Goodbye` and closes.
+//! `serve` exports any [`WireService`] over a TCP listener. Connections
+//! belong to **sessions** (the `session` id in the `Hello`), which outlive
+//! them. Every session decision — attach fresh, resume, or adopt a journal
+//! from disk; answer an issue fresh, from the completion journal, or not at
+//! all; when `Drain` may answer `Goodbye` — is `protocol::SessionCore`'s,
+//! kept under the session's book lock. This module is the threads and
+//! sockets around it. A connection's thread reads every frame its client
+//! sends. A server-scenario session is served on a worker pool fed through
+//! a work queue, so a pipelined client's backlog waits where it is
+//! observed; a closed-loop session (one query in flight by the scenario's
+//! own rules) is served on the connection thread itself, and while that
+//! thread is inside the service the daemon's one `wire-liveness` thread
+//! vouches for it with unasked `HeartbeatAck`s.
 //!
-//! Connections belong to **sessions** (the `session` id in the `Hello`).
-//! A session outlives its connections: it keeps a journal of every
-//! resolved query and the set still in progress, so a client that loses
-//! its link mid-run can reconnect at a bumped epoch and replay its
-//! in-flight window. Replayed queries that already resolved are answered
-//! straight from the journal — served exactly once, never re-run and
-//! never double-counted. Epoch 0 always starts the session (and the
-//! service) fresh.
-//!
-//! [`ServerHandle::kill`] exists for resilience testing: it severs every
-//! live connection abruptly — the moral equivalent of yanking the
-//! machine's power cord mid-run — so clients exercise their disconnect
-//! path. [`ServerHandle::shutdown`] is the opposite: it stops accepting,
-//! severs what remains, and joins the accept, liveness, connection, and
-//! worker threads, so the port is immediately rebindable.
+//! [`ServerHandle::kill`] severs every live connection abruptly — the
+//! machine's power cord yanked mid-run — so clients exercise their
+//! disconnect path. [`ServerHandle::shutdown`] stops accepting, severs what
+//! remains, and joins the accept, liveness, connection, and worker threads,
+//! so the port is immediately rebindable.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mlperf_loadgen::query::{Query, SampleCompletion};
+use mlperf_loadgen::query::Query;
 use mlperf_loadgen::realtime::WorkQueue;
 use mlperf_loadgen::Scenario;
 use mlperf_trace::event::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
@@ -49,9 +39,11 @@ use mlperf_trace::sync::{lock, wait_timeout};
 use mlperf_trace::JournalWriter;
 
 use crate::message::{Message, PROTOCOL_VERSION};
+use crate::protocol::{Attach, CompletionMap, Route, SessionCore};
 use crate::service::{ServedReply, WireService};
 use crate::stats::DaemonStats;
 use crate::transport::{TcpTransport, Transport};
+use crate::WireLog;
 
 /// Server-side spans retained per session for shipping at drain. Bounded:
 /// a pathological run keeps the freshest tail, which is what a post-mortem
@@ -157,78 +149,17 @@ impl ServeConfig {
     }
 }
 
-/// wire query id → resolved reply `(error, samples)`, kept for journal
-/// replay within a session and recovered from disk across daemon restarts.
-type CompletionMap = HashMap<u64, (bool, Vec<SampleCompletion>)>;
-
 /// Everything a session remembers across connections, under one lock so a
 /// completion can never fall between "no longer in progress" and "not yet
 /// journaled".
 struct SessionBook {
-    /// wire query id → resolved reply, kept for journal replay.
-    journal: CompletionMap,
-    /// Queries handed to workers but not yet resolved.
-    in_progress: HashSet<u64>,
-    /// Durable mirror of `journal`, when the daemon has a journal dir:
-    /// completions are appended (as wire-codec `Completion` frames) under
-    /// the same lock that updates the map, so the disk image can never
+    /// Every session decision (`protocol::SessionCore`).
+    core: SessionCore,
+    /// Durable mirror of the core's journal, when the daemon has a journal
+    /// dir: completions are appended (as wire-codec `Completion` frames)
+    /// under the same lock that journals them, so the disk image can never
     /// miss an entry the memory image has acknowledged.
     disk: Option<JournalWriter>,
-}
-
-/// Queries a session has accepted but not yet resolved; `Drain` waits for
-/// none. A completion wakes a drainer only when one is parked — the count
-/// is kept under the same lock — so a query pays for no `futex` call that
-/// nobody is waiting on.
-#[derive(Default)]
-struct Outstanding {
-    state: Mutex<OutstandingState>,
-    idle: Condvar,
-}
-
-#[derive(Default)]
-struct OutstandingState {
-    queries: usize,
-    drainers: usize,
-}
-
-impl Outstanding {
-    fn begin(&self) {
-        lock(&self.state).queries += 1;
-    }
-
-    fn end(&self) {
-        let wake = {
-            let mut state = lock(&self.state);
-            state.queries = state.queries.saturating_sub(1);
-            state.queries == 0 && state.drainers > 0
-        };
-        if wake {
-            // One live connection a session, so one drainer; a second (a
-            // stale epoch's) would leave on its next poll.
-            self.idle.notify_one();
-        }
-    }
-
-    fn count(&self) -> usize {
-        lock(&self.state).queries
-    }
-
-    /// Blocks until nothing is outstanding or `stop` is set, looking at
-    /// `stop` every `poll`. Returns how many polls expired on the way: zero
-    /// when the last completion's wake is what ended the wait.
-    fn wait_idle(&self, poll: Duration, stop: &AtomicBool) -> u32 {
-        let mut polls = 0;
-        let mut state = lock(&self.state);
-        while state.queries > 0 && !stop.load(Ordering::SeqCst) {
-            state.drainers += 1;
-            let (guard, timeout) = wait_timeout(&self.idle, state, poll);
-            state = guard;
-            state.drainers -= 1;
-            polls += u32::from(timeout.timed_out());
-        }
-        polls
-    }
 }
 
 /// One logical client run. Connections come and go (each at a distinct
@@ -237,7 +168,8 @@ impl Outstanding {
 struct Session {
     id: u64,
     book: Mutex<SessionBook>,
-    outstanding: Outstanding,
+    /// `Drain` parked until the core's outstanding count reaches zero.
+    idle: Condvar,
     /// The live connection's writer half, tagged with its epoch so a dead
     /// connection's epilogue cannot clear a successor's writer.
     writer: Mutex<Option<(u32, Box<dyn Transport>)>>,
@@ -306,6 +238,15 @@ impl Session {
         }
     }
 
+    /// A fresh query is settled (`SessionCore::settled`): the last one wakes
+    /// the parked drainer, if any. One live connection a session, so one
+    /// drainer; a second (a stale epoch's) would leave on its next poll.
+    fn settle(&self) {
+        if lock(&self.book).core.settled() {
+            self.idle.notify_one();
+        }
+    }
+
     /// Closes the work queue, joins the workers, and closes the writer.
     fn retire(&self) {
         if let Some(queue) = &self.work {
@@ -327,9 +268,8 @@ struct ServerShared {
     conns: Mutex<Vec<TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
-    sink: Option<Arc<dyn TraceSink>>,
+    log: WireLog,
     metrics: Arc<MetricsRegistry>,
-    start: Instant,
     /// `host` label stamped on server-side spans: the shard label when
     /// this daemon is part of a fleet, else `server`.
     host_label: String,
@@ -337,29 +277,6 @@ struct ServerShared {
     shard: String,
     /// Directory for durable session journals (`None` = memory only).
     journal_dir: Option<PathBuf>,
-}
-
-impl ServerShared {
-    /// Nanoseconds since the daemon started — the server's span clock.
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    fn wire_event(&self, kind: &str, query_id: u64, detail: &str) {
-        if let Some(sink) = &self.sink {
-            if sink.enabled() {
-                sink.record(
-                    self.now_ns(),
-                    &TraceEvent::WireEvent {
-                        endpoint: "server".to_string(),
-                        kind: kind.to_string(),
-                        query_id,
-                        detail: detail.to_string(),
-                    },
-                );
-            }
-        }
-    }
 }
 
 /// Handle to a running daemon. Dropping the handle does *not* stop the
@@ -400,7 +317,9 @@ impl ServerHandle {
         for conn in lock(&self.shared.conns).iter() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        self.shared.wire_event("kill", 0, "all connections severed");
+        self.shared
+            .log
+            .wire_event("kill", 0, "all connections severed");
         self.unblock_accept();
     }
 
@@ -468,12 +387,11 @@ pub fn serve(
         conns: Mutex::new(Vec::new()),
         conn_threads: Mutex::new(Vec::new()),
         sessions: Mutex::new(HashMap::new()),
-        sink: config.sink.clone(),
+        log: WireLog::new("server", config.sink.clone()),
         metrics: config
             .metrics
             .clone()
             .unwrap_or_else(|| Arc::new(MetricsRegistry::new())),
-        start: Instant::now(),
         host_label: config
             .shard_label
             .clone()
@@ -525,7 +443,7 @@ fn liveness_loop(shared: &ServerShared) {
     while !shared.stop.load(Ordering::SeqCst) {
         // Parked, not asleep: `shutdown` unparks this thread.
         std::thread::park_timeout(LIVENESS_TICK);
-        let now = shared.now_ns();
+        let now = shared.log.now_ns();
         // Collected first (an empty `Vec` allocates nothing): a send can
         // block on a full socket, and must not hold up a handshake.
         let serving: Vec<Arc<Session>> = lock(&shared.sessions)
@@ -577,14 +495,14 @@ fn accept_loop(
         if let Ok(clone) = stream.try_clone() {
             lock(&shared.conns).push(clone);
         }
-        shared.wire_event("connect", 0, &peer.to_string());
+        shared.log.wire_event("connect", 0, &peer.to_string());
         let service = Arc::clone(service);
         let shared_t = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name(format!("wire-conn-{peer}"))
             .spawn(move || {
                 handle_conn(stream, &service, workers, &shared_t);
-                shared_t.wire_event("disconnect", 0, &peer.to_string());
+                shared_t.log.wire_event("disconnect", 0, &peer.to_string());
             });
         if let Ok(handle) = handle {
             lock(&shared.conn_threads).push(handle);
@@ -592,15 +510,15 @@ fn accept_loop(
     }
 }
 
-/// Opens (or, on resume, re-adopts) a session's durable journal. Returns
+/// Opens (or, adopting, re-adopts) a session's durable journal. Returns
 /// the writer, the path, and the completion map recovered from disk —
-/// empty unless `resume` found a journal left by a previous daemon
+/// empty unless `adopt` found a journal left by a previous daemon
 /// process. Disk failures degrade to a memory-only session: the run
 /// proceeds, it just cannot survive another daemon death.
 fn open_session_disk(
     shared: &ServerShared,
     session_id: u64,
-    resume: bool,
+    adopt: bool,
 ) -> (Option<JournalWriter>, Option<PathBuf>, CompletionMap) {
     let mut recovered = HashMap::new();
     let Some(dir) = &shared.journal_dir else {
@@ -608,7 +526,7 @@ fn open_session_disk(
     };
     let _ = std::fs::create_dir_all(dir);
     let path = dir.join(format!("session_{session_id:016x}.mlpj"));
-    let writer = if resume && path.exists() {
+    let writer = if adopt && path.exists() {
         match JournalWriter::open_append(&path, JOURNAL_FSYNC_BATCH) {
             Ok((writer, scan)) => {
                 for frame in &scan.records {
@@ -622,9 +540,11 @@ fn open_session_disk(
                     }
                 }
                 if let Some(torn) = &scan.torn {
-                    shared.wire_event("journal_salvage", 0, &torn.to_string());
+                    shared
+                        .log
+                        .wire_event("journal_salvage", 0, &torn.to_string());
                 }
-                shared.wire_event(
+                shared.log.wire_event(
                     "journal_recover",
                     0,
                     &format!("session={session_id:#x} completions={}", recovered.len()),
@@ -632,7 +552,9 @@ fn open_session_disk(
                 Some(writer)
             }
             Err(e) => {
-                shared.wire_event("journal_error", 0, &format!("open: {e}"));
+                shared
+                    .log
+                    .wire_event("journal_error", 0, &format!("open: {e}"));
                 None
             }
         }
@@ -644,27 +566,26 @@ fn open_session_disk(
     (writer, Some(path), recovered)
 }
 
-/// Starts a fresh session — with a worker pool when `pooled` (the server
+/// Starts a session — with a worker pool when `pooled` (the server
 /// scenario), with none otherwise. With a journal dir configured, the
-/// session's completion book is mirrored to (and, at a nonzero epoch,
-/// recovered from) `session_<id>.mlpj` in that dir.
+/// session's completion book is mirrored to (and, adopting, recovered
+/// from) `session_<id>.mlpj` in that dir.
 fn spawn_session(
     service: &Arc<dyn WireService>,
     workers: usize,
     pooled: bool,
     shared: &Arc<ServerShared>,
     session_id: u64,
-    resume: bool,
+    adopt: bool,
 ) -> Arc<Session> {
-    let (disk, disk_path, recovered) = open_session_disk(shared, session_id, resume);
+    let (disk, disk_path, recovered) = open_session_disk(shared, session_id, adopt);
     let session = Arc::new(Session {
         id: session_id,
         book: Mutex::new(SessionBook {
-            journal: recovered,
-            in_progress: HashSet::new(),
+            core: SessionCore::new(recovered),
             disk,
         }),
-        outstanding: Outstanding::default(),
+        idle: Condvar::new(),
         writer: Mutex::new(None),
         work: pooled.then(|| Arc::new(WorkQueue::default())),
         workers: Mutex::new(Vec::new()),
@@ -706,20 +627,21 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
         trace_id,
         enqueued_ns,
     } = item;
-    let dequeued_ns = shared.now_ns();
-    shared
-        .metrics
-        .observe("wire_queue_ns", dequeued_ns.saturating_sub(enqueued_ns));
-    session.events.record(
-        enqueued_ns,
-        &TraceEvent::SpanEvent {
+    // A server-side span, shipped to the client at drain, and its histogram.
+    let span = |phase: &str, metric: &str, from_ns: u64, to_ns: u64| {
+        let dur_ns = to_ns.saturating_sub(from_ns);
+        shared.metrics.observe(metric, dur_ns);
+        let event = TraceEvent::SpanEvent {
             host: shared.host_label.clone(),
             trace_id,
             query_id: query.id,
-            phase: "queue".to_string(),
-            dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
-        },
-    );
+            phase: phase.to_string(),
+            dur_ns,
+        };
+        session.events.record(from_ns, &event);
+    };
+    let dequeued_ns = shared.log.now_ns();
+    span("queue", "wire_queue_ns", enqueued_ns, dequeued_ns);
     let served = catch_unwind(AssertUnwindSafe(|| service.serve(&query)));
     let reply = served.unwrap_or_else(|_| {
         let thread = std::thread::current();
@@ -728,31 +650,15 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
             thread.name().unwrap_or("<unnamed>"),
             session.id
         );
-        shared.wire_event("service_panic", query.id, &detail);
+        shared.log.wire_event("service_panic", query.id, &detail);
         shared.metrics.incr("wire_service_panics", 1);
         Some(ServedReply::errored(&query))
     });
-    let served_ns = shared.now_ns();
-    shared
-        .metrics
-        .observe("wire_serve_ns", served_ns.saturating_sub(dequeued_ns));
-    session.events.record(
-        dequeued_ns,
-        &TraceEvent::SpanEvent {
-            host: shared.host_label.clone(),
-            trace_id,
-            query_id: query.id,
-            phase: "compute".to_string(),
-            dur_ns: served_ns.saturating_sub(dequeued_ns),
-        },
-    );
+    span("compute", "wire_serve_ns", dequeued_ns, shared.log.now_ns());
     match reply {
         Some(reply) => {
-            // Journal first, then send: if the connection dies between the
-            // two, the reply survives for replay. One critical section
-            // retires "in progress" and records the journal entry
-            // atomically. Encoded once: the same sealed bytes go to disk
-            // and socket.
+            // Journal first, then send (`SessionCore::served`); encoded
+            // once, so the same sealed bytes go to disk and socket.
             let error = reply.error;
             let completion = Message::Completion {
                 query_id: query.id,
@@ -765,7 +671,6 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
             };
             {
                 let mut book = lock(&session.book);
-                book.in_progress.remove(&query.id);
                 if let Some(disk) = book.disk.as_mut() {
                     // Durable mirror first: the wire-codec bytes are the
                     // journal payload, so replay after a daemon restart
@@ -773,27 +678,25 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
                     // uses.
                     let _ = disk.append(&sealed);
                 }
-                book.journal.insert(query.id, (error, samples));
+                book.core.served(query.id, Some((error, samples)));
             }
             session.send_sealed(&sealed);
             shared.served.fetch_add(1, Ordering::SeqCst);
             shared.metrics.incr("wire_served", 1);
         }
         None => {
-            // The service swallowed the query: no frame goes back, and
-            // nothing is journaled — a replay will be swallowed again,
-            // which is the point.
-            lock(&session.book).in_progress.remove(&query.id);
-            shared.wire_event("dropped_reply", query.id, "service returned nothing");
+            lock(&session.book).core.served(query.id, None);
+            shared
+                .log
+                .wire_event("dropped_reply", query.id, "service returned nothing");
         }
     }
-    session.outstanding.end();
+    session.settle();
 }
 
-/// Routes one issued query through the session's journal discipline: fresh queries go to the worker pool — or, in a session that
-/// has none, are served here and now — journaled ones are answered by
-/// replay, in-progress duplicates are skipped. Returns `false` when the
-/// connection must drop (the work queue is gone).
+/// Carries out how the session routes an issued query: a fresh one goes to
+/// the worker pool or, in a session that has none, is served here and now.
+/// Returns `false` when the connection must drop (the work queue is gone).
 fn handle_issue(
     service: &dyn WireService,
     session: &Session,
@@ -801,34 +704,18 @@ fn handle_issue(
     query: Query,
     trace_id: u64,
 ) -> bool {
-    enum IssueAction {
-        Fresh,
-        Replay(bool, Vec<SampleCompletion>),
-        Skip,
-    }
-    let action = {
-        let mut book = lock(&session.book);
-        if let Some((error, samples)) = book.journal.get(&query.id) {
-            IssueAction::Replay(*error, samples.clone())
-        } else if book.in_progress.contains(&query.id) {
-            IssueAction::Skip
-        } else {
-            book.in_progress.insert(query.id);
-            IssueAction::Fresh
-        }
-    };
-    match action {
-        IssueAction::Fresh => {
-            session.outstanding.begin();
+    let route = lock(&session.book).core.issue(query.id);
+    match route {
+        Route::Fresh => {
             let item = WorkItem {
                 query,
                 trace_id,
-                enqueued_ns: shared.now_ns(),
+                enqueued_ns: shared.log.now_ns(),
             };
             match &session.work {
                 Some(queue) => {
                     if queue.push(item).is_err() {
-                        session.outstanding.end();
+                        session.settle();
                         return false;
                     }
                 }
@@ -841,10 +728,8 @@ fn handle_issue(
                 }
             }
         }
-        IssueAction::Replay(error, samples) => {
-            // Resolved in a previous epoch (or while the link
-            // was down): answer from the journal, do not re-run.
-            shared.wire_event("replay", query.id, "journal hit");
+        Route::Replay(error, samples) => {
+            shared.log.wire_event("replay", query.id, "journal hit");
             shared.metrics.incr("wire_replays", 1);
             session.send(&Message::Completion {
                 query_id: query.id,
@@ -852,10 +737,10 @@ fn handle_issue(
                 samples,
             });
         }
-        IssueAction::Skip => {
-            // Replayed while the original is still in the service: its
-            // completion will answer both.
-            shared.wire_event("dup_issue", query.id, "already in progress");
+        Route::Skip => {
+            shared
+                .log
+                .wire_event("dup_issue", query.id, "already in progress");
             shared.metrics.incr("wire_dup_issues", 1);
         }
     }
@@ -873,7 +758,7 @@ fn answer_stats(
         let sessions = lock(&shared.sessions);
         let mut per_session: Vec<(u64, u64)> = sessions
             .iter()
-            .map(|(id, s)| (*id, s.outstanding.count() as u64))
+            .map(|(id, s)| (*id, lock(&s.book).core.outstanding() as u64))
             .collect();
         per_session.sort_unstable();
         let in_flight: u64 = per_session.iter().map(|(_, n)| n).sum();
@@ -882,7 +767,7 @@ fn answer_stats(
     let stats = DaemonStats {
         sut_name: service.name().to_string(),
         shard: shared.shard.clone(),
-        uptime_ns: shared.now_ns(),
+        uptime_ns: shared.log.now_ns(),
         served: shared.served.load(Ordering::SeqCst),
         sessions,
         in_flight,
@@ -921,7 +806,7 @@ fn handle_conn(
     // One version: any other — older or newer — is refused with a reason
     // rather than guessed at.
     if hello.version != PROTOCOL_VERSION {
-        shared.wire_event(
+        shared.log.wire_event(
             "reject",
             0,
             &format!("version mismatch: client v{}", hello.version),
@@ -937,35 +822,28 @@ fn handle_conn(
     }
 
     // --- session attach ---
-    // Epoch 0 is the authoritative start of a run: any stale session with
-    // the same id is retired and the service state cleared. A non-zero
-    // epoch resumes the existing session (or, if the daemon restarted and
-    // forgot it, starts an empty one — the replayed queries simply re-run).
-    let fresh = hello.epoch == 0;
-    let found = {
+    let (attach, found) = {
         let mut sessions = lock(&shared.sessions);
-        if fresh {
-            sessions.remove(&hello.session)
-        } else {
-            sessions.get(&hello.session).cloned()
-        }
+        let attach = SessionCore::attach(hello.epoch, sessions.contains_key(&hello.session));
+        let found = match attach {
+            Attach::Fresh => sessions.remove(&hello.session),
+            Attach::Resume | Attach::Adopt => sessions.get(&hello.session).cloned(),
+        };
+        (attach, found)
     };
     let session = match found {
-        Some(session) if !fresh => session,
+        Some(session) if attach == Attach::Resume => session,
         stale => {
             if let Some(stale) = stale {
                 stale.retire();
             }
-            if fresh {
+            if attach == Attach::Fresh {
                 // A fresh session is a fresh run: let stateful services clear.
                 service.reset();
             }
-            // On a resume the daemon forgot this session (it restarted).
-            // With a journal dir the session book is rebuilt from disk and
-            // replayed queries answer without re-running; without one the
-            // book starts empty and they simply re-run.
             let pooled = hello.scenario == Scenario::Server;
-            let session = spawn_session(service, workers, pooled, shared, hello.session, !fresh);
+            let adopt = attach == Attach::Adopt;
+            let session = spawn_session(service, workers, pooled, shared, hello.session, adopt);
             lock(&shared.sessions).insert(hello.session, Arc::clone(&session));
             session
         }
@@ -988,7 +866,7 @@ fn handle_conn(
         };
         *lock(&session.writer) = Some((hello.epoch, writer));
     }
-    shared.wire_event(
+    shared.log.wire_event(
         "handshake",
         0,
         &format!(
@@ -1015,13 +893,20 @@ fn handle_conn(
             Ok(Message::ClockProbe { seq, t0 }) => {
                 // Stamp receive and transmit on the server's clock; the
                 // client turns the four timestamps into an offset sample.
-                let t1 = shared.now_ns();
-                let t2 = shared.now_ns();
+                let t1 = shared.log.now_ns();
+                let t2 = shared.log.now_ns();
                 session.send(&Message::ClockProbeAck { seq, t0, t1, t2 });
             }
             Ok(Message::Drain) => {
-                session.outstanding.wait_idle(DRAIN_POLL, &shared.stop);
-                shared.wire_event("drain", 0, "flushed outstanding queries");
+                let mut book = lock(&session.book);
+                while !shared.stop.load(Ordering::SeqCst) && !book.core.drain() {
+                    (book, _) = wait_timeout(&session.idle, book, DRAIN_POLL);
+                    book.core.unpark_drainer();
+                }
+                drop(book);
+                shared
+                    .log
+                    .wire_event("drain", 0, "flushed outstanding queries");
                 // The session's server-side spans go back before the
                 // goodbye, so the client's detail log covers both hosts.
                 // Chunked: each frame stays far below the cap.
@@ -1083,31 +968,6 @@ fn handle_conn(
 mod tests {
     use super::*;
     use mlperf_loadgen::sut::SleepSut;
-
-    /// No lost wake-up between the last completion and a parked drainer:
-    /// with the poll a minute away, only the completion's own notify can
-    /// end the wait, and it does so without a poll expiring.
-    #[test]
-    fn a_drainer_parked_before_the_last_completion_is_woken_by_it() {
-        let outstanding = Outstanding::default();
-        let stop = AtomicBool::new(false);
-        outstanding.begin();
-        outstanding.begin();
-        let polls = std::thread::scope(|scope| {
-            let drainer = scope.spawn(|| outstanding.wait_idle(Duration::from_secs(60), &stop));
-            // Counted under the lock it then waits on: once the count
-            // reads 1 the drainer is parked, or will be before this
-            // thread can take the lock again.
-            while outstanding.state.lock().unwrap().drainers == 0 {
-                std::thread::yield_now();
-            }
-            outstanding.end();
-            outstanding.end();
-            drainer.join().unwrap()
-        });
-        assert_eq!(polls, 0, "the drainer left on a poll, not on the wake");
-        assert_eq!(outstanding.count(), 0);
-    }
 
     /// `shutdown` means "holds no threads": every thread the daemon starts
     /// — accept, liveness, connection, worker — holds the shared state.

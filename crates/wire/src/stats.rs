@@ -12,7 +12,7 @@
 //! [`Message::StatsRequest`]: crate::message::Message::StatsRequest
 //! [`Message::Stats`]: crate::message::Message::Stats
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 
 use mlperf_trace::json::{FromJson, JsonError, JsonValue, ToJson};
 use mlperf_trace::metrics::MetricsSnapshot;
@@ -114,30 +114,18 @@ impl FromJson for DaemonStats {
 /// if the daemon answers with anything but `Stats` or the JSON does not
 /// parse, plus the usual frame errors.
 pub fn fetch_stats<A: ToSocketAddrs>(addr: A) -> Result<DaemonStats, WireError> {
-    let mut last_err = WireError::Disconnected("no addresses to dial".to_string());
-    for addr in addr.to_socket_addrs()? {
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = e.into();
-                continue;
-            }
-        };
-        stream.set_nodelay(true)?;
-        let mut transport = TcpTransport::new(stream);
-        transport.send(&Message::StatsRequest.to_wire())?;
-        let reply = Message::from_wire(&transport.recv()?)?;
-        transport.shutdown();
-        return match reply {
-            Message::Stats { json } => DaemonStats::from_json_str(&json)
-                .map_err(|e| WireError::Protocol(format!("malformed stats json: {e}"))),
-            other => Err(WireError::Protocol(format!(
-                "expected Stats, got {}",
-                other.tag_name()
-            ))),
-        };
+    let (mut transport, _peer) = TcpTransport::dial(addr.to_socket_addrs()?)?;
+    transport.send(&Message::StatsRequest.to_wire())?;
+    let reply = Message::from_wire(&transport.recv()?)?;
+    transport.shutdown();
+    match reply {
+        Message::Stats { json } => DaemonStats::from_json_str(&json)
+            .map_err(|e| WireError::Protocol(format!("malformed stats json: {e}"))),
+        other => Err(WireError::Protocol(format!(
+            "expected Stats, got {}",
+            other.tag_name()
+        ))),
     }
-    Err(last_err)
 }
 
 #[cfg(test)]

@@ -16,15 +16,16 @@
 //!
 //! [`seal`]: crate::frame::seal
 
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mlperf_stats::rng::splitmix64;
 use mlperf_trace::event::{TraceEvent, TraceSink};
 
 use crate::frame::{write_frame_via, FrameReader, WireError};
+use crate::WireLog;
 
 /// Moves whole frame payloads over some byte stream.
 ///
@@ -82,6 +83,25 @@ impl TcpTransport {
             scratch: Vec::new(),
             inbox: FrameReader::new(),
         }
+    }
+
+    /// Connects to the first of `addrs` that accepts, with `TCP_NODELAY`
+    /// set (every frame is one write, and goes out now), and returns the
+    /// stream with its peer's address.
+    pub(crate) fn dial(
+        addrs: impl IntoIterator<Item = SocketAddr>,
+    ) -> Result<(Self, String), WireError> {
+        let mut last_err = WireError::Disconnected("no addresses to dial".to_string());
+        for addr in addrs {
+            match TcpStream::connect(addr) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    return Ok((TcpTransport::new(stream), addr.to_string()));
+                }
+                Err(e) => last_err = e.into(),
+            }
+        }
+        Err(last_err)
     }
 }
 
@@ -234,16 +254,14 @@ struct ChaosState {
 pub(crate) struct ChaosSession {
     plan: WireChaosPlan,
     state: Arc<ChaosState>,
-    endpoint: &'static str,
-    sink: Option<Arc<dyn TraceSink>>,
-    start: Instant,
+    log: WireLog,
 }
 
 impl std::fmt::Debug for ChaosSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosSession")
             .field("plan", &self.plan)
-            .field("endpoint", &self.endpoint)
+            .field("endpoint", &self.log.endpoint)
             .finish_non_exhaustive()
     }
 }
@@ -258,9 +276,7 @@ impl ChaosSession {
         ChaosSession {
             plan,
             state: Arc::new(ChaosState::default()),
-            endpoint,
-            sink,
-            start: Instant::now(),
+            log: WireLog::new(endpoint, sink),
         }
     }
 
@@ -280,20 +296,13 @@ impl ChaosSession {
         })
     }
 
-    fn emit(&self, fault: &str, frame: u64, detail: String) {
-        if let Some(sink) = &self.sink {
-            if sink.enabled() {
-                sink.record(
-                    self.start.elapsed().as_nanos() as u64,
-                    &TraceEvent::WireFault {
-                        endpoint: self.endpoint.to_string(),
-                        fault: fault.to_string(),
-                        frame,
-                        detail,
-                    },
-                );
-            }
-        }
+    fn emit(&self, fault: &str, frame: u64, detail: &str) {
+        self.log.record(|| TraceEvent::WireFault {
+            endpoint: self.log.endpoint.to_string(),
+            fault: fault.to_string(),
+            frame,
+            detail: detail.to_string(),
+        });
     }
 }
 
@@ -325,7 +334,7 @@ impl Transport for ChaosTransport {
             if frame > after {
                 state.send_partitioned.store(true, Ordering::SeqCst);
                 self.session
-                    .emit("partition", frame, "outbound frames swallowed".to_string());
+                    .emit("partition", frame, "outbound frames swallowed");
                 return Ok(());
             }
         }
@@ -336,14 +345,14 @@ impl Transport for ChaosTransport {
             && plan.draw(SEND_SALT ^ 0xD0B, frame) < plan.duplicate_send_prob
         {
             self.session
-                .emit("duplicate", frame, "send: frame sent twice".to_string());
+                .emit("duplicate", frame, "send: frame sent twice");
             self.inner.send(payload)?;
         }
 
         if let Some(at) = plan.disconnect_after_send {
             if frame >= at && !state.disconnect_fired.swap(true, Ordering::SeqCst) {
                 self.session
-                    .emit("disconnect", frame, "stream severed mid-run".to_string());
+                    .emit("disconnect", frame, "stream severed mid-run");
                 self.inner.shutdown();
             }
         }
@@ -371,7 +380,7 @@ impl Transport for ChaosTransport {
                     .swap(true, Ordering::SeqCst)
             {
                 self.session
-                    .emit("partition", frame, "inbound frames discarded".to_string());
+                    .emit("partition", frame, "inbound frames discarded");
             }
 
             let mut payload = self.inner.recv()?;
@@ -383,18 +392,15 @@ impl Transport for ChaosTransport {
                 if frame == at && !payload.is_empty() {
                     let keep = payload.len() / 2;
                     payload.truncate(keep);
-                    self.session.emit(
-                        "truncate",
-                        frame,
-                        format!("recv: payload cut to {keep} bytes"),
-                    );
+                    let detail = format!("recv: payload cut to {keep} bytes");
+                    self.session.emit("truncate", frame, &detail);
                 }
             }
             if plan.corrupt_recv_at == Some(frame) && !payload.is_empty() {
                 let pos = plan.flip_at(RECV_SALT, frame, payload.len());
                 payload[pos] ^= 0x20;
-                self.session
-                    .emit("corrupt", frame, format!("recv: flipped byte {pos}"));
+                let detail = format!("recv: flipped byte {pos}");
+                self.session.emit("corrupt", frame, &detail);
             }
             return Ok(payload);
         }

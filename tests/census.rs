@@ -230,6 +230,26 @@ const RULES: &[Rule] = &[
         plant: ("crates/wire/src/client.rs", "fn wake(c: &Condvar) { c.notify_all(); }\n"),
     },
     Rule {
+        name: "wire protocol cores are sans-I/O",
+        scope: &["crates/wire/src/protocol.rs"],
+        part: Part::Code,
+        pattern: Pattern::Word(&[
+            "Instant",
+            "SystemTime",
+            "thread",
+            "sleep",
+            "Mutex",
+            "Condvar",
+            "TcpStream",
+            "Transport",
+            "TraceSink",
+            "MetricsRegistry",
+        ]),
+        want: Want::Count(0),
+        retired: "protocol: ClientCore and SessionCore take time as now_ns and return decisions; clocks, threads, locks, sockets and sinks are their drivers'",
+        plant: ("crates/wire/src/protocol.rs", "fn now() { let _ = std::time::Instant::now(); }\n"),
+    },
+    Rule {
         name: "one Poisson constructor",
         scope: &["crates/core/src/*.rs"],
         part: Part::Whole,
@@ -285,15 +305,6 @@ const RULES: &[Rule] = &[
         want: Want::Count(0),
         retired: "4958ae3: the eleven MLPERF_* variables went; a knob is a flag or nothing",
         plant: ("src/lib.rs", "fn knob() { std::env::var(\"MLPERF_X\"); }\n"),
-    },
-    Rule {
-        name: "no gate in crates/bench",
-        scope: &["crates/bench/**/*.rs"],
-        part: Part::Whole,
-        pattern: Pattern::Line(&["process::exit", "MAX_PCT"]),
-        want: Want::Count(0),
-        retired: "4958ae3: one measuring system, perf; crates/bench prints and gates on nothing",
-        plant: ("crates/bench/benches/kernels.rs", "const MAX_PCT: f64 = 5.0;\n"),
     },
     Rule {
         name: "no stored bench baseline",
