@@ -55,11 +55,7 @@ fn percentile_for(task: TaskId) -> Percentile {
 
 /// Measures one (system, model) cell; `None` if the system cannot serve
 /// the model within its QoS bound.
-pub(crate) fn measure_cell(
-    system: &FleetSystem,
-    task: TaskId,
-    profile: Profile,
-) -> Option<Fig6Cell> {
+fn measure_cell(system: &FleetSystem, task: TaskId, profile: Profile) -> Option<Fig6Cell> {
     if !servable(system, task) {
         return None;
     }

@@ -86,7 +86,7 @@ pub(crate) fn runs_combo(system: &FleetSystem, task: TaskId, scenario: Scenario)
 }
 
 /// Scores one system on one combination; `None` if it cannot run it.
-pub(crate) fn score_combo(
+fn score_combo(
     system: &FleetSystem,
     task: TaskId,
     scenario: Scenario,

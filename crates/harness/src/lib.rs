@@ -2,8 +2,9 @@
 //!
 //! The `paper` binary regenerates every artifact of the paper's evaluation
 //! and, with `--check`, compares each with its committed `results/` file;
-//! the computations live here so the integration tests can reuse them. See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured numbers.
+//! the computations live here so the integration tests can reuse them.
+//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured numbers.
 //!
 //! `paper` accepts `--profile smoke|paper` (default `paper` — the
 //! calibrated reproduction profile; `smoke` is a seconds-scale check).

@@ -122,9 +122,7 @@ pub fn render_table_vii(records: &[ResultRecord]) -> String {
 }
 
 /// Figure 7: released results per architecture class, per model.
-pub(crate) fn figure7_by_architecture(
-    records: &[ResultRecord],
-) -> BTreeMap<String, BTreeMap<String, usize>> {
+fn figure7_by_architecture(records: &[ResultRecord]) -> BTreeMap<String, BTreeMap<String, usize>> {
     let mut out: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
     for record in released_closed(records) {
         *out.entry(record.system.architecture.clone())

@@ -191,9 +191,9 @@ impl ClientShared {
     /// replays in-flight queries under the *same* ids, so the merged log
     /// stays exactly-once per trace. Never mints 0, which the analyzer's
     /// report renders as "no trace seen"; the wire itself carries any id.
+    /// The salt is ASCII "race".
     fn trace_id_for(&self, query_id: u64) -> u64 {
         splitmix64(self.base_hello.session ^ splitmix64(query_id ^ 0x7261_6365)).max(1)
-        // "race"
     }
 
     /// Records one client-side instant span, stamped now, into the trace
@@ -223,15 +223,15 @@ impl ClientShared {
         }
     }
 
-    /// The start of an interval [`ClientShared::observe_since`] will
-    /// observe: no registry, no clock read.
-    fn stamp(&self) -> Option<Instant> {
-        self.metrics.as_ref().map(|_| Instant::now())
+    /// Now on the span clock, as the start of an interval the registry
+    /// will observe: no registry, no clock read.
+    fn stamp(&self) -> Option<u64> {
+        self.metrics.as_ref().map(|_| self.log.now_ns())
     }
 
-    fn observe_since(&self, name: &str, started: Option<Instant>) {
+    fn observe_since(&self, name: &str, started: Option<u64>) {
         if let (Some(m), Some(started)) = (&self.metrics, started) {
-            m.observe(name, started.elapsed().as_nanos() as u64);
+            m.observe(name, self.log.now_ns().saturating_sub(started));
         }
     }
 
@@ -507,7 +507,7 @@ impl RemoteSut {
     /// Sends `Drain`, closes the socket, and joins the worker threads.
     /// Called by `Drop`; safe to call more than once.
     pub fn shutdown(&self) {
-        if self.shared.stopping.swap(true, Ordering::SeqCst) {
+        if !self.stop() {
             return;
         }
         if self.is_connected() {
@@ -525,6 +525,16 @@ impl RemoteSut {
             }
         }
         self.close("client shutdown", FailKind::Errored);
+    }
+
+    /// Marks the client stopping, once (`false` if it already was): from
+    /// now on a lost link fails rather than waiting on a redial.
+    fn stop(&self) -> bool {
+        let first = !self.shared.stopping.swap(true, Ordering::SeqCst);
+        if first {
+            lock(&self.shared.state).stop();
+        }
+        first
     }
 
     /// Severs the transport, fails the link, and joins the reader and
@@ -553,7 +563,7 @@ impl RemoteSut {
     /// configured) alive for a successor client to resume at a bumped
     /// epoch. Safe to call more than once; a later `Drop` is a no-op.
     pub fn abandon(&self) {
-        if self.shared.stopping.swap(true, Ordering::SeqCst) {
+        if !self.stop() {
             return;
         }
         self.shared
@@ -588,7 +598,7 @@ impl RealtimeSut for RemoteSut {
         {
             let mut st = lock(&shared.state);
             loop {
-                match st.issue(shared.log.now_ns(), query, trace_id, &slot) {
+                match st.issue(shared.stamp(), query, trace_id, &slot) {
                     Admit::Send => break,
                     Admit::Refuse(kind) => return kind.outcome(),
                     Admit::Wait => {
@@ -655,7 +665,9 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                         if r.wake_issuer {
                             shared.window.notify_one();
                         }
-                        shared.observe("wire_rtt_ns", r.rtt_ns);
+                        if let Some(rtt_ns) = r.rtt_ns {
+                            shared.observe("wire_rtt_ns", rtt_ns);
+                        }
                         shared.span_event(r.trace_id, query_id, "complete");
                         r.waiter.fill(r.outcome);
                     }
@@ -739,10 +751,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                     return;
                 };
                 match reconnect(shared, policy) {
-                    Some(new_reader) => {
-                        transport = new_reader;
-                        continue;
-                    }
+                    Some(new_reader) => transport = new_reader,
                     None => {
                         shared.fail(
                             &format!(

@@ -57,11 +57,12 @@ enum Link {
     Dead(FailKind),
 }
 
-/// One query on the wire: its waiter, and what a resume replays — the
-/// query under the *same* trace id, so the merged log stays exactly-once.
+/// One query on the wire: its waiter, when it was sent (if anyone times
+/// round trips), and what a resume replays — the query under the *same*
+/// trace id, so the merged log stays exactly-once.
 struct Pending<W> {
     waiter: W,
-    sent_ns: u64,
+    sent_ns: Option<u64>,
     query: Query,
     trace_id: u64,
 }
@@ -83,7 +84,7 @@ pub(crate) struct Resolved<W> {
     pub(crate) waiter: W,
     pub(crate) outcome: IssueOutcome,
     pub(crate) trace_id: u64,
-    pub(crate) rtt_ns: u64,
+    pub(crate) rtt_ns: Option<u64>,
     pub(crate) wake_issuer: bool,
 }
 
@@ -125,7 +126,7 @@ pub(crate) struct ClientCore<W> {
     probe_seq: u64,
 }
 
-impl<W> ClientCore<W> {
+impl<W: Clone> ClientCore<W> {
     /// A link just handshaken at `epoch`, heard at the clock's origin.
     pub(crate) fn new(epoch: u32, config: &RemoteSutConfig) -> Self {
         ClientCore {
@@ -147,10 +148,13 @@ impl<W> ClientCore<W> {
 
     /// An issue, registered before its frame leaves so a fast reply cannot
     /// race past the table. A `Down` link still admits: the resume replays.
-    pub(crate) fn issue(&mut self, now_ns: u64, query: &Query, trace_id: u64, waiter: &W) -> Admit
-    where
-        W: Clone,
-    {
+    pub(crate) fn issue(
+        &mut self,
+        sent_ns: Option<u64>,
+        query: &Query,
+        trace_id: u64,
+        waiter: &W,
+    ) -> Admit {
         if let Link::Dead(kind) = self.link {
             return Admit::Refuse(kind);
         }
@@ -160,7 +164,7 @@ impl<W> ClientCore<W> {
         }
         let pending = Pending {
             waiter: waiter.clone(),
-            sent_ns: now_ns,
+            sent_ns,
             query: query.clone(),
             trace_id,
         };
@@ -192,7 +196,7 @@ impl<W> ClientCore<W> {
                 IssueOutcome::Completed(samples)
             },
             trace_id: p.trace_id,
-            rtt_ns: now_ns.saturating_sub(p.sent_ns),
+            rtt_ns: p.sent_ns.map(|sent| now_ns.saturating_sub(sent)),
             wake_issuer: self.window_waiters > 0,
         })
     }
@@ -255,6 +259,11 @@ impl<W> ClientCore<W> {
         self.pending
             .remove(&query_id)
             .map(|_| IssueOutcome::Vanished)
+    }
+
+    /// The driver is stopping: no redial will come, so a later loss fails.
+    pub(crate) fn stop(&mut self) {
+        self.resume = false;
     }
 
     /// A redial attempt: the epoch to handshake at.
@@ -413,6 +422,7 @@ mod tests {
         TimeOut(u64),
         Redial,
         Resumed,
+        Stop,
     }
 
     fn query(id: u64) -> Query {
@@ -461,7 +471,7 @@ mod tests {
         for (now, input) in script {
             out.push(match input {
                 In::Issue(id) => {
-                    format!("{:?}", core.issue(now, &query(id), id ^ 0xAB, &id))
+                    format!("{:?}", core.issue(Some(now), &query(id), id ^ 0xAB, &id))
                 }
                 In::Unpark => {
                     core.unpark_issuer();
@@ -469,7 +479,7 @@ mod tests {
                 }
                 In::Complete(id, error) => match core.complete(now, id, error, Vec::new()) {
                     Some(r) => format!(
-                        "resolved {} {} trace={:#x} rtt={} wake={}",
+                        "resolved {} {} trace={:#x} rtt={:?} wake={}",
                         r.waiter,
                         show_outcome(&r.outcome),
                         r.trace_id,
@@ -505,6 +515,10 @@ mod tests {
                     ),
                     None => "drop the new link".into(),
                 },
+                In::Stop => {
+                    core.stop();
+                    "stopping".into()
+                }
             });
         }
         out
@@ -538,7 +552,7 @@ mod tests {
                     "Send",
                     "Send",
                     "Wait",
-                    "resolved 1 errored trace=0xaa rtt=80 wake=true",
+                    "resolved 1 errored trace=0xaa rtt=Some(80) wake=true",
                     "parked=0",
                     "Send",
                 ],
@@ -589,7 +603,7 @@ mod tests {
                     "epoch 1",
                     "epoch 2",
                     "replay [(1, 170), (2, 169)]",
-                    "resolved 1 completed trace=0xaa rtt=60 wake=true",
+                    "resolved 1 completed trace=0xaa rtt=Some(60) wake=true",
                 ],
             ),
             (
@@ -658,9 +672,15 @@ mod tests {
                     "orphan",
                     "orphan",
                     "Send",
-                    "resolved 2 completed trace=0xa9 rtt=10 wake=false",
+                    "resolved 2 completed trace=0xa9 rtt=Some(10) wake=false",
                     "racing",
                 ],
+            ),
+            (
+                "stopping disarms resume: the next loss fails the link",
+                true,
+                vec![(0, In::Issue(1)), (1, In::Stop), (2_001, In::Judge)],
+                &["Send", "stopping", "silent 2001: failed Errored [1]"],
             ),
             (
                 "the first failure's kind wins",
