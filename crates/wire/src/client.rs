@@ -767,7 +767,8 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
         }
         // During a shutdown drain the reader must keep going long enough
         // to absorb the server's shipped events and goodbye — those paths
-        // return on their own. Bail here only once the link is settled.
+        // return on their own. Bail here only once the link is not up (a
+        // stopping client redials nothing).
         if shared.stopping.load(Ordering::SeqCst) && !lock(&shared.state).is_up() {
             return;
         }

@@ -116,7 +116,7 @@ pub(crate) struct ClientCore<W> {
     epoch: u32,
     max_in_flight: u32,
     /// Issuers parked on a full window: a completion wakes one only when
-    /// there is one.
+    /// there is one. The client's own tests read it to know one is parked.
     pub(crate) window_waiters: u32,
     /// Wire query id → pending query; its size is the in-flight count.
     pending: HashMap<u64, Pending<W>>,
