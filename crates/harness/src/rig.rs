@@ -28,7 +28,9 @@ use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::event::{TraceRecord, TraceSink};
 use mlperf_trace::flight::render_flight_dump;
 use mlperf_trace::metrics::MetricsRegistry;
-use mlperf_wire::{serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost};
+use mlperf_wire::{
+    serve_on, RemoteSut, RemoteSutConfig, ServeConfig, ServerHandle, SimHost, WireService,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,6 +102,19 @@ impl Rig {
         per_sample: &[Nanos],
         serve: impl Fn(usize) -> ServeConfig,
     ) -> Result<Rig, String> {
+        Rig::spawn_exporting(name, per_sample, serve, |_, device| device)
+    }
+
+    /// [`Rig::spawn`], with daemon `i` exporting what `export(i, device)`
+    /// makes of its device — a test wraps one shard's device in a fault.
+    /// The weights stay the devices' own; a respawned daemon exports the
+    /// plain device.
+    pub fn spawn_exporting(
+        name: &str,
+        per_sample: &[Nanos],
+        serve: impl Fn(usize) -> ServeConfig,
+        export: impl Fn(usize, Arc<dyn WireService>) -> Arc<dyn WireService>,
+    ) -> Result<Rig, String> {
         let mut rig = Rig {
             name: name.to_string(),
             addrs: Vec::new(),
@@ -111,7 +126,7 @@ impl Rig {
             if fleet {
                 config = config.with_shard_label(&format!("shard-{i}"));
             }
-            let handle = bind("127.0.0.1:0", name, per_sample, &config)?;
+            let handle = bind("127.0.0.1:0", export(i, device(name, per_sample)), &config)?;
             rig.addrs.push(handle.addr().to_string());
             rig.spawned.push(Spawned {
                 per_sample,
@@ -164,7 +179,8 @@ impl Rig {
             Rebind::SameAddress => self.addrs[i].as_str(),
             Rebind::FreshPort => "127.0.0.1:0",
         };
-        daemon.handle = bind(addr, &self.name, daemon.per_sample, &daemon.config)?;
+        let device = device(&self.name, daemon.per_sample);
+        daemon.handle = bind(addr, device, &daemon.config)?;
         self.addrs[i] = daemon.handle.addr().to_string();
         Ok(())
     }
@@ -237,14 +253,18 @@ impl Drop for Rig {
     }
 }
 
+/// The device a rig daemon exports: a [`FixedLatencySut`] called `name`.
+fn device(name: &str, per_sample: Nanos) -> Arc<dyn WireService> {
+    Arc::new(SimHost::new(FixedLatencySut::new(name, per_sample)))
+}
+
 fn bind(
     addr: &str,
-    name: &str,
-    per_sample: Nanos,
+    service: Arc<dyn WireService>,
     config: &ServeConfig,
 ) -> Result<ServerHandle, String> {
-    let device = SimHost::new(FixedLatencySut::new(name, per_sample));
-    serve_on(addr, Arc::new(device), config.clone())
+    let name = service.name().to_string();
+    serve_on(addr, service, config.clone())
         .map_err(|e| format!("cannot start a {name} daemon on {addr}: {e}"))
 }
 

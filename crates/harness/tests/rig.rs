@@ -5,20 +5,23 @@
 //! successor, resume).
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mlperf_audit::tests::completeness_report;
 use mlperf_harness::rig::{dump_flight, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
+use mlperf_loadgen::query::Query;
 use mlperf_loadgen::sut::FixedLatencySut;
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::Run;
+use mlperf_stats::rng::SeedTriple;
 use mlperf_sut::BalancePolicy;
 use mlperf_trace::flight::parse_flight_dump;
+use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::{RingBufferSink, TraceEvent};
-use mlperf_wire::{RemoteSutConfig, ServeConfig};
+use mlperf_wire::{RemoteSutConfig, ServeConfig, ServedReply, WireService};
 
 const QSL: usize = 16;
 
@@ -155,6 +158,139 @@ fn a_rig_of_three_routes_by_weight_and_labels_every_shard_row() {
             shard_rows >= out.result.query_count,
             "{shard_rows} shard rows"
         );
+    }
+}
+
+/// A device that panics inside the third query it is handed, across every
+/// session of its daemon, and serves the rest as the device it wraps.
+struct PanicsOnce {
+    device: Arc<dyn WireService>,
+    seen: AtomicU64,
+}
+
+impl WireService for PanicsOnce {
+    fn name(&self) -> &str {
+        self.device.name()
+    }
+
+    fn serve(&self, query: &Query) -> Option<ServedReply> {
+        let nth = self.seen.fetch_add(1, Ordering::SeqCst) + 1;
+        assert!(nth != 3, "query {} took shard 1 down (a test)", query.id);
+        self.device.serve(query)
+    }
+}
+
+/// Shard 1's device panics once while two sessions run through the same
+/// rig of three. The daemon answers the query it panicked on as errored,
+/// the router fails it over, and nothing else notices: both runs end
+/// VALID (or, were the failover to lose it, at an error fraction of 1/n),
+/// every link stays up, and dropping the rig still joins every daemon
+/// thread.
+#[test]
+fn a_shard_whose_device_panics_once_costs_one_failover_and_nothing_else() {
+    let daemon_log = Arc::new(RingBufferSink::unbounded());
+    let panicking = Arc::new(std::sync::Mutex::new(None::<Arc<PanicsOnce>>));
+    let rig = {
+        let daemon_log = Arc::clone(&daemon_log);
+        let serve = move |i: usize| match i {
+            1 => ServeConfig::default().with_sink(Arc::clone(&daemon_log) as _),
+            _ => ServeConfig::default(),
+        };
+        let panicking = Arc::clone(&panicking);
+        let export = move |i: usize, device: Arc<dyn WireService>| -> Arc<dyn WireService> {
+            if i != 1 {
+                return device;
+            }
+            let wrapped = Arc::new(PanicsOnce {
+                device,
+                seen: AtomicU64::new(0),
+            });
+            *panicking.lock().unwrap() = Some(Arc::clone(&wrapped));
+            wrapped
+        };
+        let per_sample = [100, 200, 400].map(Nanos::from_micros);
+        Rig::spawn_exporting("rig-dev", &per_sample, serve, export).expect("spawn rig")
+    };
+    let service = panicking
+        .lock()
+        .unwrap()
+        .take()
+        .expect("shard 1 is wrapped");
+
+    let metrics = Arc::new(MetricsRegistry::new());
+    let session = |seed: u64| {
+        let settings = server(70).with_seeds(SeedTriple::from_master(seed));
+        let wired = rig
+            .connect(
+                &settings,
+                QSL as u64,
+                |_| RemoteSutConfig::default(),
+                BalancePolicy::WeightedThroughput,
+                None,
+                Some(Arc::clone(&metrics)),
+            )
+            .expect("connect");
+        (settings, wired)
+    };
+    let sessions = [session(11), session(12)];
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = sessions
+            .iter()
+            .map(|(settings, wired)| {
+                scope.spawn(move || {
+                    let mut qsl = MemoryQsl::new("rig-qsl", QSL, QSL);
+                    let out = wired.run(settings).run(&mut qsl, Arc::clone(&wired.sut));
+                    out.expect("the run must finish").result
+                })
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+
+    assert!(
+        service.seen.load(Ordering::SeqCst) >= 3,
+        "shard 1 never saw a third query"
+    );
+    let failovers = metrics.snapshot().counter("shard_failover");
+    for result in &results {
+        let rescued = result.is_valid() && result.error_count == 0;
+        let one_lost = result.error_count == 1;
+        assert!(rescued || one_lost, "{:?}", result.validity);
+    }
+    let errored: u64 = results.iter().map(|r| r.error_count).sum();
+    assert_eq!(
+        failovers + errored,
+        1,
+        "one panic, one failover or one error"
+    );
+    for (_, wired) in &sessions {
+        assert!(
+            wired.clients.iter().all(|c| c.is_connected()),
+            "a link died with the panic"
+        );
+    }
+    let panics = daemon_log
+        .snapshot()
+        .into_iter()
+        .filter(
+            |r| matches!(&r.event, TraceEvent::WireEvent { kind, .. } if kind == "service_panic"),
+        )
+        .count();
+    assert_eq!(panics, 1);
+
+    let addrs: Vec<String> = (0..3).map(|i| rig.addr(i).to_string()).collect();
+    for (_, wired) in &sessions {
+        wired.drain();
+    }
+    drop(sessions);
+    drop(rig);
+    assert_eq!(
+        Arc::strong_count(&service),
+        1,
+        "a daemon thread outlived the rig"
+    );
+    for addr in &addrs {
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still listens");
     }
 }
 

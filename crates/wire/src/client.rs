@@ -3,13 +3,23 @@
 //! `RemoteSut` implements [`RealtimeSut`], so `Run::wall_clock` drives a
 //! machine on the other end of a TCP connection exactly as it drives an
 //! in-process SUT. Its link decisions — the bounded in-flight window, the
-//! pending table, heartbeat grace, sever or fail, the resume replay — are
-//! `protocol::ClientCore`'s. This module is the threads that feed the core
-//! and carry out what it decides: issuers blocked on their replies; a
-//! reader routing completion frames and, with a [`ResumePolicy`] armed,
-//! redialing a severed link at a bumped epoch and replaying the in-flight
-//! window (the server's completion journal dedups by wire id); and a
-//! heartbeat that probes for a silently dead peer.
+//! pending table, heartbeat grace, sever or fail, the resume replay, and
+//! who reads the link — are `protocol::ClientCore`'s. This module is the
+//! threads that feed the core and carry out what it decides: the issuers,
+//! and one heartbeat that probes for a silently dead peer.
+//!
+//! Reading is a role, not a thread (leader/follower). An issuer admitted
+//! while nobody reads sends its query and reads the socket itself; while it
+//! reads it routes every frame — other issuers' completions, acks, shipped
+//! events, the goodbye — and, with a [`ResumePolicy`] armed, redials a
+//! severed link at a bumped epoch and replays the in-flight window (the
+//! server's completion journal dedups by wire id). It gives the role up as
+//! soon as its own outcome is known, and the core promotes the lowest
+//! still-pending waiter to read next. A closed loop's round trip is thus
+//! issuer → daemon → issuer, with no client thread in between. Reads time
+//! out every heartbeat interval, so a holder wakes to judge the link and
+//! its own response deadline; an idle link is read by the heartbeat after
+//! its probe, and `shutdown` reads for the drained goodbye.
 //!
 //! The failure mapping, which the validity rules lean on: a corrupt frame,
 //! a protocol violation or heartbeat loss is [`IssueOutcome::Errored`] —
@@ -37,13 +47,14 @@ use mlperf_trace::sync::{lock, wait, wait_timeout, wait_timeout_while};
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::frame::WireError;
 use crate::message::{Hello, Message, PROTOCOL_VERSION};
-use crate::protocol::{classify, Admit, ClientCore, FailKind, Lost, Tick};
+use crate::protocol::{classify, Admit, ClientCore, FailKind, Lost, Reader, Tick};
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
 use crate::WireLog;
 
-/// How long [`RemoteSut::shutdown`] waits for the server's drained
+/// How long [`RemoteSut::shutdown`] reads for the server's drained
 /// goodbye (and the event shipment that precedes it) before closing the
-/// socket regardless. Only applies with a trace sink attached.
+/// socket regardless — checked between reads, so up to one heartbeat
+/// interval more on a silent link. Only applies with a trace sink attached.
 const GOODBYE_WAIT: Duration = Duration::from_secs(2);
 
 /// How a [`RemoteSut`] reconnects after a severed link.
@@ -62,9 +73,11 @@ pub struct RemoteSutConfig {
     /// the wire without a completion.
     pub(crate) max_in_flight: u32,
     /// How long an issuer waits for its completion frame before declaring
-    /// the query vanished.
+    /// the query vanished. An issuer reading the link checks it between
+    /// reads, so to within one heartbeat interval.
     pub(crate) response_timeout: Duration,
-    /// Interval between heartbeat frames.
+    /// Interval between heartbeat frames, and the read half's timeout:
+    /// whoever reads the link wakes at least this often to judge it.
     pub(crate) heartbeat_interval: Duration,
     /// Silence tolerated (no heartbeat ack, no completion) before the
     /// connection is declared dead. A daemon serving a closed-loop
@@ -140,28 +153,63 @@ impl RemoteSutConfig {
     }
 }
 
-/// One query's reply on its way from the reader thread to the issuer
-/// blocked on it: filled once, taken once.
+/// What a waiting issuer is handed: its query's outcome, or the read role.
+enum Reply {
+    Outcome(IssueOutcome),
+    /// "You read next": the previous holder gave the role up.
+    Read,
+}
+
+/// One waiting issuer's mailbox, filled by whoever holds the read role (or
+/// fails the link) and taken by the issuer.
 #[derive(Default)]
 struct ReplySlot {
-    outcome: Mutex<Option<IssueOutcome>>,
+    reply: Mutex<Option<Reply>>,
     filled: Condvar,
 }
 
 impl ReplySlot {
-    fn fill(&self, outcome: IssueOutcome) {
-        *lock(&self.outcome) = Some(outcome);
-        self.filled.notify_one();
+    /// An outcome always lands; the role never displaces an outcome, which
+    /// a failing link may have delivered first.
+    fn fill(&self, reply: Reply) {
+        let mut slot = lock(&self.reply);
+        if matches!(reply, Reply::Outcome(_)) || slot.is_none() {
+            *slot = Some(reply);
+            drop(slot);
+            self.filled.notify_one();
+        }
     }
 
-    /// The outcome, or `None` when `timeout` passes without one.
-    fn wait(&self, timeout: Duration) -> Option<IssueOutcome> {
-        let (mut outcome, _timed_out) =
-            wait_timeout_while(&self.filled, lock(&self.outcome), timeout, |outcome| {
-                outcome.is_none()
+    /// The reply, or `None` when `timeout` passes without one.
+    fn wait(&self, timeout: Duration) -> Option<Reply> {
+        let (mut reply, _timed_out) =
+            wait_timeout_while(&self.filled, lock(&self.reply), timeout, |reply| {
+                reply.is_none()
             });
-        outcome.take()
+        reply.take()
     }
+}
+
+/// What a holder of the read role reads for, and so when it gives it up.
+#[derive(Clone, Copy)]
+enum Until {
+    /// An issuer: its own reply, by its response deadline.
+    Reply { query_id: u64, deadline: Instant },
+    /// The heartbeat: the ack of its probe (or a later one), or one
+    /// interval of silence.
+    Ack(u64),
+    /// `shutdown`: the drained goodbye taking the link down, or the
+    /// deadline.
+    Goodbye(Instant),
+}
+
+/// A read that found nothing within the heartbeat interval (the read
+/// half's timeout): a tick, never a loss by itself.
+fn timed_out(e: &WireError) -> bool {
+    matches!(e, WireError::Io(io) if matches!(
+        io.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ))
 }
 
 struct ClientShared {
@@ -169,6 +217,9 @@ struct ClientShared {
     addrs: Vec<SocketAddr>,
     base_hello: Hello,
     writer: Mutex<Box<dyn Transport>>,
+    /// The read half. Only the read role's holder takes this lock, so it
+    /// waits at most for the previous holder to finish returning.
+    reader: Mutex<Box<dyn Transport>>,
     chaos: Option<Arc<ChaosSession>>,
     /// Every link decision (`protocol::ClientCore`).
     state: Mutex<ClientCore<Arc<ReplySlot>>>,
@@ -242,9 +293,9 @@ impl ClientShared {
     }
 
     /// Carries out what losing the link decided: a sever shuts the
-    /// transport so the reader notices (pending queries stay registered;
-    /// the reconnect replays them), a failure resolves every waiter and
-    /// wakes everyone who watches the link.
+    /// transport so the read role's holder notices (pending queries stay
+    /// registered; its reconnect replays them), a failure resolves every
+    /// waiter and wakes everyone who watches the link.
     fn settle(&self, lost: Lost<Arc<ReplySlot>>, reason: &str) {
         let kind = match lost {
             Lost::Dead | Lost::Down { severed: false } => return,
@@ -256,7 +307,7 @@ impl ClientShared {
             }
             Lost::Failed(kind, waiters) => {
                 for waiter in waiters {
-                    waiter.fill(kind.outcome());
+                    waiter.fill(Reply::Outcome(kind.outcome()));
                 }
                 self.window.notify_all();
                 self.settled.notify_all();
@@ -267,6 +318,21 @@ impl ClientShared {
         if !self.stopping.load(Ordering::SeqCst) {
             self.log.wire_event(kind, 0, reason);
         }
+    }
+
+    /// An issuer's response timeout passed: the query vanishes unless its
+    /// reply was routed meanwhile (`None`). A holder that timed out hands
+    /// the role on: the second value is who reads next.
+    fn time_out(&self, query_id: u64) -> Option<(IssueOutcome, Option<Arc<ReplySlot>>)> {
+        let timed_out = lock(&self.state).time_out(query_id)?;
+        self.window.notify_all();
+        self.incr("wire_timeouts");
+        self.log.wire_event(
+            "response_timeout",
+            query_id,
+            "no completion frame within the response timeout",
+        );
+        Some(timed_out)
     }
 
     /// Fails the link, whatever resume says. Idempotent; the first reason
@@ -308,20 +374,29 @@ impl ClientShared {
 type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String);
 
 /// Dials `addrs` in order and performs the handshake over the
-/// (optionally chaos-wrapped) transport.
+/// (optionally chaos-wrapped) transport. Reads on the link time out every
+/// `tick` (the heartbeat interval), so whoever holds the read role wakes
+/// to judge the link; the handshake reads through those ticks.
 fn dial(
     addrs: &[SocketAddr],
     hello: &Hello,
     chaos: Option<&Arc<ChaosSession>>,
+    tick: Duration,
 ) -> Result<DialedLink, WireError> {
     let (tcp, peer) = TcpTransport::dial(addrs.iter().copied())?;
+    tcp.set_read_timeout(tick)?;
     let base: Box<dyn Transport> = Box::new(tcp);
     let mut transport = match chaos {
         Some(session) => session.wrap(base),
         None => base,
     };
     transport.send(&Message::Hello(hello.clone()).to_wire())?;
-    let ack = Message::from_wire(&transport.recv()?)?;
+    let ack = loop {
+        match transport.recv() {
+            Err(e) if timed_out(&e) => {}
+            frame => break Message::from_wire(&frame?)?,
+        }
+    };
     let (version, sut_name) = match ack {
         Message::HelloAck {
             version, sut_name, ..
@@ -340,7 +415,7 @@ fn dial(
             theirs: version,
         });
     }
-    // The handle that read the `HelloAck` stays the reader: on a resumed
+    // The handle that read the `HelloAck` stays the read half: on a resumed
     // session a replayed `Completion` can arrive right behind it, already
     // read ahead into this handle and no other.
     let writer = transport.try_clone()?;
@@ -353,8 +428,9 @@ pub struct RemoteSut {
     name: String,
     peer: String,
     shared: Arc<ClientShared>,
-    /// The reader, then the heartbeat.
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The one thread a client spawns: the heartbeat. Reading is a role
+    /// the issuers, the heartbeat and `shutdown` take in turn.
+    heartbeat: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for RemoteSut {
@@ -405,7 +481,8 @@ impl RemoteSut {
             .clone()
             .map(|plan| Arc::new(ChaosSession::new(plan, "client", sink.clone())));
 
-        let (writer, reader_transport, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref())?;
+        let tick = config.heartbeat_interval;
+        let (writer, reader, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref(), tick)?;
         let shared = Arc::new(ClientShared {
             epoch_watch: Arc::new(AtomicU32::new(hello.epoch)),
             state: Mutex::new(ClientCore::new(hello.epoch, &config)),
@@ -413,6 +490,7 @@ impl RemoteSut {
             addrs,
             base_hello: hello,
             writer: Mutex::new(writer),
+            reader: Mutex::new(reader),
             chaos,
             window: Condvar::new(),
             settled: Condvar::new(),
@@ -430,10 +508,6 @@ impl RemoteSut {
         // aligned axis; heartbeats keep tightening it.
         shared.send_probe();
 
-        let reading = Arc::clone(&shared);
-        let reader = std::thread::Builder::new()
-            .name("wire-reader".to_string())
-            .spawn(move || reader_loop(&reading, reader_transport))?;
         let beating = Arc::clone(&shared);
         let heartbeat = std::thread::Builder::new()
             .name("wire-heartbeat".to_string())
@@ -442,7 +516,7 @@ impl RemoteSut {
             name: sut_name,
             peer,
             shared,
-            threads: Mutex::new(vec![reader, heartbeat]),
+            heartbeat: Mutex::new(Some(heartbeat)),
         })
     }
 
@@ -514,13 +588,22 @@ impl RemoteSut {
             let _ = self.shared.send(&Message::Drain);
             self.shared.log.wire_event("drain", 0, "");
             // With a sink attached, the server ships its spans and a
-            // goodbye after draining; wait (bounded) so the merged log
-            // actually gets them before the socket closes.
+            // goodbye after draining; read for them (bounded) so the merged
+            // log actually gets them before the socket closes. Whoever
+            // holds the read role meanwhile routes them instead.
             if self.shared.log.sink.is_some() {
                 let deadline = Instant::now() + GOODBYE_WAIT;
-                let mut st = lock(&self.shared.state);
-                while st.is_up() && Instant::now() < deadline {
-                    (st, _) = wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
+                loop {
+                    let mut st = lock(&self.shared.state);
+                    if !st.is_up() || Instant::now() >= deadline {
+                        break;
+                    }
+                    if st.claim() {
+                        drop(st);
+                        hold(&self.shared, Until::Goodbye(deadline));
+                    } else {
+                        let _ = wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
+                    }
                 }
             }
         }
@@ -537,10 +620,10 @@ impl RemoteSut {
         first
     }
 
-    /// Severs the transport, fails the link, and joins the reader and
-    /// heartbeat threads; `stopping` is already set. The heartbeat thread
-    /// is unparked so it sees the flag now rather than at the end of its
-    /// interval.
+    /// Severs the transport, fails the link, and joins the heartbeat
+    /// thread; `stopping` is already set. The heartbeat thread is unparked
+    /// so it sees the flag now rather than at the end of its interval, and
+    /// the sever wakes whoever is reading.
     fn close(&self, reason: &str, kind: FailKind) {
         let sever = || lock(&self.shared.writer).shutdown();
         sever();
@@ -550,7 +633,7 @@ impl RemoteSut {
         // `stopping`/`Dead` before installing, so at most one extra sever
         // is needed.
         sever();
-        for handle in std::mem::take(&mut *lock(&self.threads)) {
+        if let Some(handle) = lock(&self.heartbeat).take() {
             handle.thread().unpark();
             let _ = handle.join();
         }
@@ -592,14 +675,15 @@ impl RealtimeSut for RemoteSut {
         let shared = &self.shared;
 
         // Backpressure: wait for a slot in the in-flight window; the core
-        // registers the query before its frame leaves.
+        // registers the query before its frame leaves, and says whether
+        // this issuer now reads the link.
         let trace_id = shared.trace_id_for(query.id);
         let slot = Arc::new(ReplySlot::default());
-        {
+        let mut read = {
             let mut st = lock(&shared.state);
             loop {
                 match st.issue(shared.stamp(), query, trace_id, &slot) {
-                    Admit::Send => break,
+                    Admit::Send { read } => break read,
                     Admit::Refuse(kind) => return kind.outcome(),
                     Admit::Wait => {
                         st = wait(&shared.window, st);
@@ -607,7 +691,7 @@ impl RealtimeSut for RemoteSut {
                     }
                 }
             }
-        }
+        };
 
         shared.span_event(trace_id, query.id, "issue");
         // Best-effort: a send failure severs or fails the link. Severed,
@@ -619,33 +703,77 @@ impl RealtimeSut for RemoteSut {
         });
 
         let timeout = shared.config.response_timeout;
-        if let Some(outcome) = slot.wait(timeout) {
-            return outcome;
+        let deadline = Instant::now() + timeout;
+        let until = Until::Reply {
+            query_id: query.id,
+            deadline,
+        };
+        loop {
+            if read {
+                if let Some(outcome) = hold(shared, until) {
+                    return outcome;
+                }
+                // The link died under us: `fail` fills our slot.
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            match slot.wait(left) {
+                Some(Reply::Outcome(outcome)) => return outcome,
+                Some(Reply::Read) => read = true,
+                None => {
+                    if let Some((outcome, promoted)) = shared.time_out(query.id) {
+                        if let Some(next) = promoted {
+                            next.fill(Reply::Read);
+                        }
+                        return outcome;
+                    }
+                    // The reply raced in between our timeout and taking the
+                    // lock: the holder has our entry, and fills the slot
+                    // next.
+                    return match slot.wait(timeout) {
+                        Some(Reply::Outcome(outcome)) => outcome,
+                        _ => IssueOutcome::Errored,
+                    };
+                }
+            }
         }
-        let timed_out = lock(&shared.state).time_out(query.id);
-        if let Some(outcome) = timed_out {
-            shared.window.notify_all();
-            shared.incr("wire_timeouts");
-            shared.log.wire_event(
-                "response_timeout",
-                query.id,
-                "no completion frame within the response timeout",
-            );
-            return outcome;
-        }
-        // The reply raced in between our timeout and taking the lock: the
-        // reader has our entry, and fills the slot next.
-        slot.wait(timeout).unwrap_or(IssueOutcome::Errored)
     }
 }
 
-/// Reads frames until the link terminally dies, routing completions to
-/// their blocked issuers, acks to the heartbeat monitor, and — with resume
-/// armed — owning the reconnect loop.
-fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
+/// Holds the read role — granted by the core to an issuer, the heartbeat or
+/// `shutdown` — and reads the link for `until`. Returns an issuer's own
+/// outcome when it read it (or timed out) itself; `None` when the link's
+/// death took the role away, or the heartbeat's or `shutdown`'s read
+/// ended. The waiter promoted
+/// on the way out is woken once the read half is unlocked.
+fn hold(shared: &ClientShared, until: Until) -> Option<IssueOutcome> {
+    let mut half = lock(&shared.reader);
+    let (outcome, promoted) = read_link(shared, &mut half, until);
+    drop(half);
+    if let Some(next) = promoted {
+        next.fill(Reply::Read);
+    }
+    outcome
+}
+
+/// The holder's loop: routes every frame — completions to their waiters
+/// (exactly once; a second copy is an orphan), acks to the liveness clock
+/// and the clock estimator, shipped events into the sink, the goodbye and
+/// any protocol violation into a failed link — and, with resume armed,
+/// redials a lost link and reads on at the new epoch. A read that times
+/// out is a tick: judge the link, and the holder's own deadline. Returns
+/// the holder's own outcome, if it learned it, and who was promoted.
+fn read_link(
+    shared: &ClientShared,
+    half: &mut Box<dyn Transport>,
+    until: Until,
+) -> (Option<IssueOutcome>, Option<Arc<ReplySlot>>) {
+    let me = match until {
+        Until::Reply { query_id, .. } => Reader::Issuer(query_id),
+        Until::Ack(_) | Until::Goodbye(_) => Reader::Watch,
+    };
     loop {
         let decode_started = shared.stamp();
-        let message = transport.recv().and_then(|payload| {
+        let message = half.recv().and_then(|payload| {
             let msg = Message::from_wire(&payload);
             shared.observe_since("wire_decode_ns", decode_started);
             msg
@@ -669,7 +797,10 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                             shared.observe("wire_rtt_ns", rtt_ns);
                         }
                         shared.span_event(r.trace_id, query_id, "complete");
-                        r.waiter.fill(r.outcome);
+                        if me == Reader::Issuer(query_id) {
+                            return (Some(r.outcome), r.promoted);
+                        }
+                        r.waiter.fill(Reply::Outcome(r.outcome));
                     }
                     None => {
                         shared.incr("wire_orphan_completions");
@@ -680,7 +811,7 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 }
             }
             Ok(Message::HeartbeatAck { .. }) => lock(&shared.state).heard(shared.log.now_ns()),
-            Ok(Message::ClockProbeAck { seq: _, t0, t1, t2 }) => {
+            Ok(Message::ClockProbeAck { seq, t0, t1, t2 }) => {
                 let t3 = shared.log.now_ns();
                 lock(&shared.state).heard(t3);
                 let sample = ClockSample { t0, t1, t2, t3 };
@@ -692,6 +823,9 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                         offset_ns: sample.offset_ns(),
                         rtt_ns: sample.rtt_ns(),
                     });
+                }
+                if matches!(until, Until::Ack(probe) if seq >= probe) {
+                    return (None, lock(&shared.state).release());
                 }
             }
             Ok(Message::Events { jsonl }) => {
@@ -724,18 +858,39 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                     .log
                     .wire_event("goodbye", 0, &format!("served={served}"));
                 shared.fail("server closed after drain", FailKind::Errored);
-                return;
+                return (None, None);
             }
             Ok(other) => {
                 shared.fail(
                     &format!("unexpected message from server: {}", other.tag_name()),
                     FailKind::Errored,
                 );
-                return;
+                return (None, None);
+            }
+            Err(e) if timed_out(&e) => {
+                let judged = lock(&shared.state).judge(shared.log.now_ns());
+                if let Some((silence_ns, lost)) = judged {
+                    shared.log.wire_event(
+                        "heartbeat_loss",
+                        0,
+                        &format!("no ack for {} ms", silence_ns / 1_000_000),
+                    );
+                    shared.settle(lost, "heartbeat loss");
+                }
+                if let Until::Ack(_) = until {
+                    // One interval without the ack: the next tick probes
+                    // (and judges) again. A link the judgement just took
+                    // down is read on, so its redial starts now.
+                    let mut st = lock(&shared.state);
+                    if st.is_up() {
+                        return (None, st.release());
+                    }
+                }
             }
             Err(e) => {
                 if shared.stopping.load(Ordering::SeqCst) {
-                    return;
+                    // `close` severed the link, and fails it as it says.
+                    return (None, None);
                 }
                 let (reason, kind) = classify(&e);
                 if let WireError::Frame(_) = e {
@@ -748,10 +903,10 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                 let redial = matches!(lost, Lost::Down { .. });
                 shared.settle(lost, &reason);
                 let Some(policy) = shared.config.resume.filter(|_| redial) else {
-                    return;
+                    return (None, None);
                 };
                 match reconnect(shared, policy) {
-                    Some(new_reader) => transport = new_reader,
+                    Some(new_reader) => *half = new_reader,
                     None => {
                         shared.fail(
                             &format!(
@@ -760,25 +915,39 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                             ),
                             kind,
                         );
-                        return;
+                        return (None, None);
                     }
                 }
             }
         }
-        // During a shutdown drain the reader must keep going long enough
-        // to absorb the server's shipped events and goodbye — those paths
-        // return on their own. Bail here only once the link is not up (a
-        // stopping client redials nothing).
-        if shared.stopping.load(Ordering::SeqCst) && !lock(&shared.state).is_up() {
-            return;
+        // Every frame but the holder's own reply, and every tick, ends
+        // here: read on only while the role is still ours and its purpose
+        // unmet.
+        let mut st = lock(&shared.state);
+        if !st.holds(me) {
+            return (None, None);
+        }
+        match until {
+            Until::Reply { query_id, deadline } if Instant::now() >= deadline => {
+                drop(st);
+                return match shared.time_out(query_id) {
+                    Some((outcome, promoted)) => (Some(outcome), promoted),
+                    None => (None, None),
+                };
+            }
+            Until::Goodbye(deadline) if !st.is_up() || Instant::now() >= deadline => {
+                return (None, st.release());
+            }
+            _ => {}
         }
     }
 }
 
 /// Redials with bounded backoff, re-handshakes at a bumped epoch, installs
-/// the fresh transport, and replays every in-flight query. Returns the new
-/// reader half, or `None` when the attempts are exhausted.
-fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn Transport>> {
+/// the fresh writer half, and replays every in-flight query. Returns the
+/// new read half for the role's holder, or `None` when the attempts are
+/// exhausted.
+fn reconnect(shared: &ClientShared, policy: ResumePolicy) -> Option<Box<dyn Transport>> {
     for attempt in 1..=policy.max_attempts.max(1) {
         if shared.stopping.load(Ordering::SeqCst) {
             return None;
@@ -791,18 +960,22 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         hello.epoch = lock(&shared.state).redial();
         hello.resume = true;
         shared.epoch_watch.store(hello.epoch, Ordering::SeqCst);
-        let (writer, reader, _peer, _name) =
-            match dial(&shared.addrs, &hello, shared.chaos.as_ref()) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    shared.log.wire_event(
-                        "resume_attempt_failed",
-                        0,
-                        &format!("epoch={} attempt={attempt}: {e}", hello.epoch),
-                    );
-                    continue;
-                }
-            };
+        let (writer, reader, _peer, _name) = match dial(
+            &shared.addrs,
+            &hello,
+            shared.chaos.as_ref(),
+            shared.config.heartbeat_interval,
+        ) {
+            Ok(parts) => parts,
+            Err(e) => {
+                shared.log.wire_event(
+                    "resume_attempt_failed",
+                    0,
+                    &format!("epoch={} attempt={attempt}: {e}", hello.epoch),
+                );
+                continue;
+            }
+        };
 
         // Install atomically against shutdown/fail: once the link is Up
         // with the new writer in place, a later sever closes *this*
@@ -844,7 +1017,7 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
                 .send(&Message::IssueTraced { trace_id, query })
                 .is_err()
             {
-                break; // the new link died already; the reader will retry
+                break; // the new link died already; the holder will retry
             }
         }
         return Some(reader);
@@ -854,9 +1027,10 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
 
 /// Pings the server every `heartbeat_interval`; a completion or ack
 /// refreshes the core's last-heard time. `heartbeat_grace` of silence
-/// severs the link (resume armed — the reader reconnects) or fails the run
-/// as errored, so blocked issuers resolve instead of hanging.
-fn heartbeat_loop(shared: &Arc<ClientShared>) {
+/// severs the link (resume armed — the read role's holder reconnects) or
+/// fails the run as errored, so blocked issuers resolve instead of hanging.
+/// A link nobody reads is read here, after the probe, until its ack.
+fn heartbeat_loop(shared: &ClientShared) {
     loop {
         // Parked, not asleep: `RemoteSut::close` unparks this thread once
         // `stopping` is set, so a shutdown never waits out the interval.
@@ -871,10 +1045,10 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
             }
             std::thread::park_timeout(left);
         }
-        let seq = match lock(&shared.state).tick() {
+        let (seq, read) = match lock(&shared.state).tick() {
             Tick::Stop => return,
             Tick::Skip => continue,
-            Tick::Probe(seq) => seq,
+            Tick::Probe { seq, read } => (seq, read),
         };
         // Every heartbeat is a clock probe: the ack refreshes liveness
         // *and* can tighten the offset estimate.
@@ -882,18 +1056,21 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
             seq,
             t0: shared.log.now_ns(),
         };
-        if shared.send(&ping).is_err() {
-            continue; // sever/fail already handled by `send`
+        // A failed send severed or failed the link already.
+        if shared.send(&ping).is_ok() {
+            shared.incr("wire_heartbeats");
+            let judged = lock(&shared.state).judge(shared.log.now_ns());
+            if let Some((silence_ns, lost)) = judged {
+                shared.log.wire_event(
+                    "heartbeat_loss",
+                    0,
+                    &format!("no ack for {} ms", silence_ns / 1_000_000),
+                );
+                shared.settle(lost, "heartbeat loss");
+            }
         }
-        shared.incr("wire_heartbeats");
-        let judged = lock(&shared.state).judge(shared.log.now_ns());
-        if let Some((silence_ns, lost)) = judged {
-            shared.log.wire_event(
-                "heartbeat_loss",
-                0,
-                &format!("no ack for {} ms", silence_ns / 1_000_000),
-            );
-            shared.settle(lost, "heartbeat loss");
+        if read {
+            hold(shared, Until::Ack(seq));
         }
     }
 }
@@ -982,8 +1159,8 @@ mod tests {
             step.wait();
             scope.spawn(|| issue(2));
             // Counted under the lock it then waits on: once the count
-            // reads 1 the issuer is parked, or will be before the reader
-            // thread can take the lock to retire query 1.
+            // reads 1 the issuer is parked, or will be before query 1's
+            // issuer, reading its own reply, can take the lock to retire it.
             let parked = || client.shared.state.lock().unwrap().window_waiters;
             while parked() == 0 {
                 std::thread::yield_now();
@@ -992,5 +1169,74 @@ mod tests {
         });
         client.shutdown();
         server.join().expect("hand-rolled server");
+    }
+
+    /// Answers every query with its own samples, from a pool of two
+    /// workers, so replies to a pipelined window come back in any order.
+    struct Echo;
+
+    impl crate::WireService for Echo {
+        fn name(&self) -> &str {
+            "echo"
+        }
+
+        fn serve(&self, query: &Query) -> Option<crate::ServedReply> {
+            Some(crate::ServedReply {
+                error: false,
+                ..crate::ServedReply::errored(query)
+            })
+        }
+    }
+
+    /// The read role under load: eight issuers share one link with a
+    /// window of four, so the role changes hands thousands of times, by
+    /// own replies and by promotion. Every reply reaches its own issuer
+    /// exactly once — nothing is orphaned, nothing is lost to a hand-off
+    /// (the response timeout is far beyond the run).
+    #[test]
+    fn eight_issuers_hand_the_read_role_around_a_window_of_four() {
+        const ISSUERS: u64 = 8;
+        const EACH: u64 = 1_250;
+        let config = RemoteSutConfig {
+            max_in_flight: 4,
+            response_timeout: Duration::from_secs(60),
+            ..RemoteSutConfig::default()
+        };
+        let settings = TestSettings::server(100.0, mlperf_loadgen::time::Nanos::from_millis(50));
+        let hello = RemoteSut::hello_for(&settings, 8, &config);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let serve = crate::ServeConfig::default().with_workers_per_conn(2);
+        let (client, server) = crate::loopback_instrumented(
+            Arc::new(Echo),
+            serve,
+            hello,
+            config,
+            None,
+            Some(Arc::clone(&metrics)),
+        )
+        .expect("loopback");
+        std::thread::scope(|scope| {
+            for issuer in 0..ISSUERS {
+                let client = &client;
+                scope.spawn(move || {
+                    for k in 0..EACH {
+                        let id = issuer * EACH + k;
+                        match client.issue_outcome(&query(id)) {
+                            IssueOutcome::Completed(samples) => {
+                                let ids: Vec<u64> = samples.iter().map(|s| s.sample_id).collect();
+                                assert_eq!(ids, [id], "query {id} got another's reply");
+                            }
+                            other => panic!("query {id}: {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+        let counters = metrics.snapshot();
+        assert_eq!(counters.counter("wire_orphan_completions"), 0);
+        assert_eq!(counters.counter("wire_frames_received"), ISSUERS * EACH);
+        assert!(client.is_connected());
+        client.shutdown();
+        server.shutdown();
     }
 }

@@ -187,12 +187,17 @@ const READ_AHEAD: usize = 16 << 10;
 /// in one piece costs one `read`, not one for the prefix and one for the
 /// payload, and frames that arrived together cost one between them. What
 /// it has read ahead exists only here: the handle that has read from a
-/// stream must stay the one that reads from it.
+/// stream must stay the one that reads from it. A read that fails part way
+/// through a frame — a socket read timeout — loses nothing: the next call
+/// resumes that frame where it stopped.
 pub struct FrameReader {
     buf: Box<[u8]>,
     /// `buf[start..end]` is read and not yet handed out.
     start: usize,
     end: usize,
+    /// A frame whose prefix has been read and whose payload has not all
+    /// arrived: the payload sized by the prefix, and how much of it is in.
+    partial: Option<(Vec<u8>, usize)>,
 }
 
 impl std::fmt::Debug for FrameReader {
@@ -216,6 +221,7 @@ impl FrameReader {
             buf: vec![0u8; READ_AHEAD].into_boxed_slice(),
             start: 0,
             end: 0,
+            partial: None,
         }
     }
 
@@ -228,38 +234,53 @@ impl FrameReader {
     /// frames or within one, [`WireError::Protocol`] for a length prefix
     /// beyond [`MAX_FRAME_LEN`].
     pub fn next_frame<R: Read>(&mut self, reader: &mut R) -> Result<Vec<u8>, WireError> {
-        while self.end - self.start < 4 {
-            // At most three bytes to move, and then the whole buffer to
-            // read into.
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-            match reader.read(&mut self.buf[self.end..]) {
-                Ok(0) => {
-                    // What `read_exact` says at this point in `read_frame`.
-                    let eof = std::io::ErrorKind::UnexpectedEof;
-                    return Err(std::io::Error::new(eof, "failed to fill whole buffer").into());
+        if self.partial.is_none() {
+            while self.end - self.start < 4 {
+                // At most three bytes to move, and then the whole buffer to
+                // read into.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                match reader.read(&mut self.buf[self.end..]) {
+                    Ok(0) => return Err(unexpected_eof()),
+                    Ok(n) => self.end += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
                 }
-                Ok(n) => self.end += n,
+            }
+            let prefix = &self.buf[self.start..self.start + 4];
+            let len = payload_len(prefix.try_into().expect("four bytes"))?;
+            self.start += 4;
+            let held = len.min(self.end - self.start);
+            let mut payload = Vec::with_capacity(len);
+            payload.extend_from_slice(&self.buf[self.start..self.start + held]);
+            self.start += held;
+            if held == len {
+                return Ok(payload);
+            }
+            // The rest has yet to arrive, or never fitted: it goes straight
+            // into the payload, and the buffer is empty again.
+            payload.resize(len, 0);
+            self.partial = Some((payload, held));
+        }
+        let (payload, filled) = self.partial.as_mut().expect("a frame in progress");
+        while *filled < payload.len() {
+            match reader.read(&mut payload[*filled..]) {
+                Ok(0) => return Err(unexpected_eof()),
+                Ok(n) => *filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        let prefix = &self.buf[self.start..self.start + 4];
-        let len = payload_len(prefix.try_into().expect("four bytes"))?;
-        self.start += 4;
-        let held = len.min(self.end - self.start);
-        let mut payload = Vec::with_capacity(len);
-        payload.extend_from_slice(&self.buf[self.start..self.start + held]);
-        self.start += held;
-        if held < len {
-            // The rest has yet to arrive, or never fitted: it goes straight
-            // into the payload, and the buffer is empty again.
-            payload.resize(len, 0);
-            reader.read_exact(&mut payload[held..])?;
-        }
-        Ok(payload)
+        Ok(self.partial.take().expect("a frame in progress").0)
     }
+}
+
+/// What `read_exact` says when the stream ends short, so both frame
+/// readers report an EOF alike wherever it falls.
+fn unexpected_eof() -> WireError {
+    let eof = std::io::ErrorKind::UnexpectedEof;
+    std::io::Error::new(eof, "failed to fill whole buffer").into()
 }
 
 /// Seals a message body into a frame payload: `crc32(body) || body`.
@@ -520,6 +541,61 @@ mod tests {
             frames.next_frame(&mut reader).unwrap();
         }
         assert_eq!(reader.reads, 3);
+    }
+
+    /// `bytes` in reads of `chunk` bytes, each preceded by one read that
+    /// times out, as a socket with a read timeout does on a slow link.
+    struct Stalling<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        stalled: bool,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.stalled && !self.bytes.is_empty() {
+                self.stalled = true;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.stalled = false;
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// A read that times out anywhere in a frame — in the prefix, between
+    /// prefix and payload, inside a payload larger than the buffer — is
+    /// an error that loses nothing: the next call resumes the frame.
+    #[test]
+    fn a_read_timeout_mid_frame_resumes_the_frame() {
+        let mut stream = seeded_stream(0x71CC, 24);
+        let big: Vec<u8> = (0..2 * READ_AHEAD + 3).map(|i| (i % 241) as u8).collect();
+        write_frame(&mut stream, &big).unwrap();
+        write_frame(&mut stream, b"after").unwrap();
+        let (expected, _) = drain_unbuffered(&stream);
+        for chunk in [1, 3, 5, 64, 1_000, READ_AHEAD + 7] {
+            let mut reader = Stalling {
+                bytes: &stream,
+                chunk,
+                stalled: false,
+            };
+            let mut frames = FrameReader::new();
+            let (mut payloads, mut stalls) = (Vec::new(), 0);
+            let end = loop {
+                match frames.next_frame(&mut reader) {
+                    Ok(payload) => payloads.push(payload),
+                    Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        stalls += 1;
+                    }
+                    Err(e) => break e,
+                }
+            };
+            assert!(payloads == expected, "delivered in {chunk}-byte reads");
+            assert!(stalls > 0, "no stall in {chunk}-byte reads");
+            assert!(matches!(end, WireError::Io(_)), "{end:?}");
+        }
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub(crate) fn classify(e: &WireError) -> (String, FailKind) {
     }
 }
 
-/// Link state. `Down` is transient: the reader redials and either restores
-/// `Up` or settles on `Dead`, whose kind is the first failure's.
+/// Link state. `Down` is transient: the holder of the read role redials and
+/// either restores `Up` or settles on `Dead`, whose kind is the first
+/// failure's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Link {
     Up,
@@ -67,11 +68,26 @@ struct Pending<W> {
     trace_id: u64,
 }
 
+/// Who reads the link. Reading is a role, not a thread: one party at a time
+/// holds it, and only the holder touches the read half.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reader {
+    /// Nobody: nothing is pending, or the link is dead.
+    Nobody,
+    /// The issuer of this query, until its own outcome is known.
+    Issuer(u64),
+    /// The heartbeat reading an idle link for its probe's ack, or
+    /// `shutdown` reading for the drained goodbye, until it releases.
+    Watch,
+}
+
 /// What an issuer does with its query.
 #[derive(Debug)]
 pub(crate) enum Admit {
-    /// Registered: send the issue frame and wait for the reply.
-    Send,
+    /// Registered: send the issue frame, then read the link until the
+    /// reply (`read`: nobody was reading, so the issuer holds the role), or
+    /// wait for whoever reads to hand over the reply or the role.
+    Send { read: bool },
     /// The window is full: park, [`ClientCore::unpark_issuer`], ask again.
     Wait,
     /// The link is dead: the query resolves as this kind says, unsent.
@@ -79,41 +95,53 @@ pub(crate) enum Admit {
 }
 
 /// A completion routed to its waiter. `wake_issuer`: a window slot came
-/// free and an issuer is parked on it.
+/// free and an issuer is parked on it. `promoted`: the query was the read
+/// role's holder's own, so the role passed to this waiter, the lowest
+/// still-pending id (or to nobody, when nothing is pending).
 pub(crate) struct Resolved<W> {
     pub(crate) waiter: W,
     pub(crate) outcome: IssueOutcome,
     pub(crate) trace_id: u64,
     pub(crate) rtt_ns: Option<u64>,
     pub(crate) wake_issuer: bool,
+    pub(crate) promoted: Option<W>,
 }
 
-/// What a heartbeat tick does: stop (the link is dead), skip (it is
-/// reconnecting, so silence is expected), or send a clock probe.
+/// What a heartbeat tick does: stop (the link is dead), skip (the read
+/// role's holder is reconnecting, so silence is expected), or send a clock
+/// probe — and with `read`, hold the read role, which was free, until its
+/// ack.
 #[derive(Debug)]
 pub(crate) enum Tick {
     Stop,
     Skip,
-    Probe(u64),
+    Probe { seq: u64, read: bool },
 }
 
 /// What losing (or failing) the link did.
 pub(crate) enum Lost<W> {
     /// Already dead: nothing changes.
     Dead,
-    /// Down with resume armed: the reader redials. `severed` when this
-    /// input took it down, so the driver shuts the transport.
+    /// Down with resume armed: the read role's holder redials. `severed`
+    /// when this input took it down, so the transport is shut.
     Down { severed: bool },
     /// Dead now: resolve each waiter with the kind's outcome.
     Failed(FailKind, Vec<W>),
 }
 
 /// The client's half of the protocol: the link and its epoch, the
-/// in-flight window and pending table, and heartbeat liveness. `W` is
-/// whatever the driver wakes an issuer through.
+/// in-flight window and pending table, heartbeat liveness, and who reads.
+/// `W` is whatever wakes a waiting issuer.
+///
+/// The read role follows the leader/follower pattern. An issuer admitted
+/// while nobody reads takes it; a holder gives it up as soon as its own
+/// outcome is known (its reply, its response timeout, or the link dying),
+/// and the lowest still-pending id is promoted to read next. So while the
+/// link lives, a pending query always has a reader.
 pub(crate) struct ClientCore<W> {
     link: Link,
     epoch: u32,
+    reader: Reader,
     max_in_flight: u32,
     /// Issuers parked on a full window: a completion wakes one only when
     /// there is one. The client's own tests read it to know one is parked.
@@ -132,6 +160,7 @@ impl<W: Clone> ClientCore<W> {
         ClientCore {
             link: Link::Up,
             epoch,
+            reader: Reader::Nobody,
             max_in_flight: config.max_in_flight,
             window_waiters: 0,
             pending: HashMap::new(),
@@ -144,6 +173,39 @@ impl<W: Clone> ClientCore<W> {
 
     pub(crate) fn is_up(&self) -> bool {
         self.link == Link::Up
+    }
+
+    /// Whether `who` holds the read role: a holder reads on only while it
+    /// does, and stops once the link's death took the role away.
+    pub(crate) fn holds(&self, who: Reader) -> bool {
+        self.reader == who
+    }
+
+    /// If `from` holds the read role, it passes to the lowest still-pending
+    /// id — who is returned, to be woken — or to nobody.
+    fn pass_on(&mut self, from: Reader) -> Option<W> {
+        if self.reader != from {
+            return None;
+        }
+        let next = self.pending.iter().min_by_key(|(id, _)| **id);
+        self.reader = next.map_or(Reader::Nobody, |(&id, _)| Reader::Issuer(id));
+        next.map(|(_, p)| p.waiter.clone())
+    }
+
+    /// `shutdown`'s bid for the read role: granted only on a live link
+    /// nobody reads.
+    pub(crate) fn claim(&mut self) -> bool {
+        let free = self.link == Link::Up && self.reader == Reader::Nobody;
+        if free {
+            self.reader = Reader::Watch;
+        }
+        free
+    }
+
+    /// The heartbeat or `shutdown` gives the role up, to the lowest id
+    /// admitted while it read, if any.
+    pub(crate) fn release(&mut self) -> Option<W> {
+        self.pass_on(Reader::Watch)
     }
 
     /// An issue, registered before its frame leaves so a fast reply cannot
@@ -169,7 +231,11 @@ impl<W: Clone> ClientCore<W> {
             trace_id,
         };
         self.pending.insert(query.id, pending);
-        Admit::Send
+        let read = self.reader == Reader::Nobody;
+        if read {
+            self.reader = Reader::Issuer(query.id);
+        }
+        Admit::Send { read }
     }
 
     pub(crate) fn unpark_issuer(&mut self) {
@@ -188,6 +254,7 @@ impl<W: Clone> ClientCore<W> {
     ) -> Option<Resolved<W>> {
         self.last_heard_ns = now_ns;
         let p = self.pending.remove(&query_id)?;
+        let promoted = self.pass_on(Reader::Issuer(query_id));
         Some(Resolved {
             waiter: p.waiter,
             outcome: if error {
@@ -198,6 +265,7 @@ impl<W: Clone> ClientCore<W> {
             trace_id: p.trace_id,
             rtt_ns: p.sent_ns.map(|sent| now_ns.saturating_sub(sent)),
             wake_issuer: self.window_waiters > 0,
+            promoted,
         })
     }
 
@@ -213,21 +281,35 @@ impl<W: Clone> ClientCore<W> {
         self.probe_seq - 1
     }
 
-    /// A heartbeat interval passed. Every heartbeat is a clock probe.
+    /// A heartbeat interval passed. Every heartbeat is a clock probe, and
+    /// a link nobody reads is read by the heartbeat: an idle link's acks,
+    /// or a down link's redial, which nobody else is making.
     pub(crate) fn tick(&mut self) -> Tick {
-        match self.link {
-            Link::Dead(_) => Tick::Stop,
-            Link::Down => Tick::Skip,
-            Link::Up => Tick::Probe(self.probe()),
+        match (self.link, self.reader) {
+            (Link::Dead(_), _) => Tick::Stop,
+            (Link::Down, Reader::Issuer(_) | Reader::Watch) => Tick::Skip,
+            (Link::Up | Link::Down, reader) => {
+                let read = reader == Reader::Nobody;
+                if read {
+                    self.reader = Reader::Watch;
+                }
+                Tick::Probe {
+                    seq: self.probe(),
+                    read,
+                }
+            }
         }
     }
 
-    /// After a heartbeat's probe went out: more than the grace of silence
+    /// After a heartbeat's probe went out, or a holder's read found an
+    /// interval of silence: on a live link, more than the grace of silence
     /// (no ack, no completion) loses the link as errored, since the peer
     /// holds the socket open but does not answer. Returns the silence too.
+    /// A link already down or dead is not judged again.
     pub(crate) fn judge(&mut self, now_ns: u64) -> Option<(u64, Lost<W>)> {
         let silence = now_ns.saturating_sub(self.last_heard_ns);
-        (silence > self.grace_ns).then(|| (silence, self.lose(FailKind::Errored)))
+        (self.link == Link::Up && silence > self.grace_ns)
+            .then(|| (silence, self.lose(FailKind::Errored)))
     }
 
     /// A failed send or read, or heartbeat loss: with resume armed the
@@ -250,15 +332,20 @@ impl<W: Clone> ClientCore<W> {
             return Lost::Dead;
         }
         self.link = Link::Dead(kind);
+        self.reader = Reader::Nobody;
         Lost::Failed(kind, self.pending.drain().map(|(_, p)| p.waiter).collect())
     }
 
     /// An issuer's response timeout passed: the query vanishes, unless its
     /// reply was routed meanwhile (`None`: the waiter is about to get it).
-    pub(crate) fn time_out(&mut self, query_id: u64) -> Option<IssueOutcome> {
-        self.pending
-            .remove(&query_id)
-            .map(|_| IssueOutcome::Vanished)
+    /// A holder that times out gives the role up; the second value is who
+    /// was promoted.
+    pub(crate) fn time_out(&mut self, query_id: u64) -> Option<(IssueOutcome, Option<W>)> {
+        self.pending.remove(&query_id)?;
+        Some((
+            IssueOutcome::Vanished,
+            self.pass_on(Reader::Issuer(query_id)),
+        ))
     }
 
     /// The driver is stopping: no redial will come, so a later loss fails.
@@ -423,6 +510,12 @@ mod tests {
         Redial,
         Resumed,
         Stop,
+        /// `shutdown` bids for the read role.
+        Claim,
+        /// The heartbeat or `shutdown` gives the read role up.
+        Release,
+        /// Who reads the link now.
+        Reader,
     }
 
     fn query(id: u64) -> Query {
@@ -445,6 +538,11 @@ mod tests {
         }
     }
 
+    /// Who a release promoted, when anybody.
+    fn show_promoted(promoted: Option<u64>) -> String {
+        promoted.map_or_else(String::new, |id| format!(" promote={id}"))
+    }
+
     fn show_outcome(outcome: &IssueOutcome) -> &'static str {
         match outcome {
             IssueOutcome::Completed(_) => "completed",
@@ -456,12 +554,17 @@ mod tests {
     /// Feeds `script` — `(now_ns, input)` — to a fresh core with a window
     /// of two and renders each decision.
     fn run_client(resume: bool, script: Vec<(u64, In)>) -> Vec<String> {
+        run_client_in(2, resume, script)
+    }
+
+    /// [`run_client`] with a window of `window`.
+    fn run_client_in(window: u32, resume: bool, script: Vec<(u64, In)>) -> Vec<String> {
         let policy = crate::client::ResumePolicy {
             max_attempts: 1,
             backoff: Duration::ZERO,
         };
         let config = RemoteSutConfig {
-            max_in_flight: 2,
+            max_in_flight: window,
             heartbeat_grace: Duration::from_nanos(2_000),
             resume: resume.then_some(policy),
             ..RemoteSutConfig::default()
@@ -479,12 +582,13 @@ mod tests {
                 }
                 In::Complete(id, error) => match core.complete(now, id, error, Vec::new()) {
                     Some(r) => format!(
-                        "resolved {} {} trace={:#x} rtt={:?} wake={}",
+                        "resolved {} {} trace={:#x} rtt={:?} wake={}{}",
                         r.waiter,
                         show_outcome(&r.outcome),
                         r.trace_id,
                         r.rtt_ns,
-                        r.wake_issuer
+                        r.wake_issuer,
+                        show_promoted(r.promoted)
                     ),
                     None => "orphan".into(),
                 },
@@ -495,7 +599,8 @@ mod tests {
                 In::Tick => format!("{:?}", core.tick()),
                 In::Judge => match core.judge(now) {
                     Some((silence, lost)) => format!("silent {silence}: {}", show_lost(lost)),
-                    None => "alive".into(),
+                    None if core.is_up() => "alive".into(),
+                    None => "not judged".into(),
                 },
                 In::ReadError(e) => {
                     let (_, kind) = classify(&e);
@@ -504,7 +609,9 @@ mod tests {
                 In::SendError => show_lost(core.lose(FailKind::Vanished)),
                 In::Fail(kind) => show_lost(core.fail(kind)),
                 In::TimeOut(id) => match core.time_out(id) {
-                    Some(outcome) => show_outcome(&outcome).into(),
+                    Some((outcome, promoted)) => {
+                        format!("{}{}", show_outcome(&outcome), show_promoted(promoted))
+                    }
                     None => "racing".into(),
                 },
                 In::Redial => format!("epoch {}", core.redial()),
@@ -519,6 +626,9 @@ mod tests {
                     core.stop();
                     "stopping".into()
                 }
+                In::Claim => format!("claim={}", core.claim()),
+                In::Release => format!("release{}", show_promoted(core.release())),
+                In::Reader => format!("reader={:?}", core.reader),
             });
         }
         out
@@ -549,19 +659,19 @@ mod tests {
                     (96, In::Issue(3)),
                 ],
                 &[
-                    "Send",
-                    "Send",
+                    "Send { read: true }",
+                    "Send { read: false }",
                     "Wait",
-                    "resolved 1 errored trace=0xaa rtt=Some(80) wake=true",
+                    "resolved 1 errored trace=0xaa rtt=Some(80) wake=true promote=2",
                     "parked=0",
-                    "Send",
+                    "Send { read: false }",
                 ],
             ),
             (
                 "a corrupt frame fails the link as errored",
                 false,
                 vec![(0, In::Issue(1)), (5, In::ReadError(corrupt())), (6, In::Issue(2))],
-                &["Send", "failed Errored [1]", "Refuse(Errored)"],
+                &["Send { read: true }", "failed Errored [1]", "Refuse(Errored)"],
             ),
             (
                 "a protocol error fails the link as errored",
@@ -570,13 +680,13 @@ mod tests {
                     (0, In::Issue(1)),
                     (5, In::ReadError(WireError::Protocol("bad tag".into()))),
                 ],
-                &["Send", "failed Errored [1]"],
+                &["Send { read: true }", "failed Errored [1]"],
             ),
             (
                 "EOF with no resume: the in-flight window vanishes",
                 false,
                 vec![(0, In::Issue(1)), (0, In::Issue(2)), (5, In::ReadError(eof()))],
-                &["Send", "Send", "failed Vanished [1, 2]"],
+                &["Send { read: true }", "Send { read: false }", "failed Vanished [1, 2]"],
             ),
             (
                 "resume armed: sever, redial, replay in id order under the same trace ids",
@@ -594,8 +704,8 @@ mod tests {
                     (60, In::Complete(1, false)),
                 ],
                 &[
-                    "Send",
-                    "Send",
+                    "Send { read: true }",
+                    "Send { read: false }",
                     "down severed=true",
                     "Wait",
                     "down severed=false",
@@ -616,7 +726,13 @@ mod tests {
                     (99, In::Fail(FailKind::Errored)),
                     (99, In::Resumed),
                 ],
-                &["Send", "down severed=true", "epoch 1", "failed Errored [1]", "drop the new link"],
+                &[
+                    "Send { read: true }",
+                    "down severed=true",
+                    "epoch 1",
+                    "failed Errored [1]",
+                    "drop the new link",
+                ],
             ),
             (
                 "heartbeat: a probe per tick, acks and completions keep it alive, the grace expiring fails it as errored",
@@ -633,24 +749,24 @@ mod tests {
                     (3_700, In::Tick),
                 ],
                 &[
-                    "Send",
-                    "Probe(0)",
+                    "Send { read: true }",
+                    "Probe { seq: 0, read: false }",
                     "alive",
                     "heard",
-                    "Probe(1)",
+                    "Probe { seq: 1, read: false }",
                     "alive",
-                    "Probe(2)",
+                    "Probe { seq: 2, read: false }",
                     "silent 2100: failed Errored [1]",
                     "Stop",
                 ],
             ),
             (
-                "heartbeat grace expiring with resume armed severs the link",
+                "heartbeat grace expiring with resume armed severs the link, once: a down link is not judged",
                 true,
                 vec![(2_001, In::Judge), (2_002, In::Judge), (2_003, In::Resumed)],
                 &[
                     "silent 2001: down severed=true",
-                    "silent 2002: down severed=false",
+                    "not judged",
                     "replay []",
                 ],
             ),
@@ -667,11 +783,11 @@ mod tests {
                     (60, In::TimeOut(2)),
                 ],
                 &[
-                    "Send",
+                    "Send { read: true }",
                     "vanished",
                     "orphan",
                     "orphan",
-                    "Send",
+                    "Send { read: true }",
                     "resolved 2 completed trace=0xa9 rtt=Some(10) wake=false",
                     "racing",
                 ],
@@ -680,7 +796,7 @@ mod tests {
                 "stopping disarms resume: the next loss fails the link",
                 true,
                 vec![(0, In::Issue(1)), (1, In::Stop), (2_001, In::Judge)],
-                &["Send", "stopping", "silent 2001: failed Errored [1]"],
+                &["Send { read: true }", "stopping", "silent 2001: failed Errored [1]"],
             ),
             (
                 "the first failure's kind wins",
@@ -693,11 +809,200 @@ mod tests {
                     (4, In::Issue(2)),
                     (5, In::Tick),
                 ],
-                &["Send", "failed Vanished [1]", "dead", "dead", "Refuse(Vanished)", "Stop"],
+                &[
+                    "Send { read: true }",
+                    "failed Vanished [1]",
+                    "dead",
+                    "dead",
+                    "Refuse(Vanished)",
+                    "Stop",
+                ],
             ),
         ];
         for (name, resume, script, want) in rows {
             assert_eq!(run_client(resume, script), want, "{name}");
+        }
+    }
+
+    /// The read role (leader/follower): who reads the link, how it passes
+    /// on, and who redials. Waiters are the query ids, in a window of four.
+    #[test]
+    fn the_read_role_passes_to_the_lowest_pending_waiter() {
+        type Row = (&'static str, bool, Vec<(u64, In)>, &'static [&'static str]);
+        let rows: Vec<Row> = vec![
+            (
+                "a lone issuer reads, and its own reply leaves nobody reading",
+                false,
+                vec![
+                    (0, In::Issue(1)),
+                    (1, In::Reader),
+                    (5, In::Complete(1, false)),
+                    (6, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "reader=Issuer(1)",
+                    "resolved 1 completed trace=0xaa rtt=Some(5) wake=false",
+                    "reader=Nobody",
+                ],
+            ),
+            (
+                "a second issuer waits; routing another's reply keeps the role; the holder's own promotes the lowest pending id",
+                false,
+                vec![
+                    (0, In::Issue(7)),
+                    (1, In::Issue(9)),
+                    (2, In::Issue(8)),
+                    (3, In::Reader),
+                    (4, In::Complete(9, false)),
+                    (5, In::Reader),
+                    (6, In::Complete(7, false)),
+                    (7, In::Reader),
+                    (8, In::Complete(8, false)),
+                    (9, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "Send { read: false }",
+                    "Send { read: false }",
+                    "reader=Issuer(7)",
+                    "resolved 9 completed trace=0xa2 rtt=Some(3) wake=false",
+                    "reader=Issuer(7)",
+                    "resolved 7 completed trace=0xac rtt=Some(6) wake=false promote=8",
+                    "reader=Issuer(8)",
+                    "resolved 8 completed trace=0xa3 rtt=Some(6) wake=false",
+                    "reader=Nobody",
+                ],
+            ),
+            (
+                "a holder whose response deadline passes releases the role and promotes; a waiter's does not move it",
+                false,
+                vec![
+                    (0, In::Issue(1)),
+                    (0, In::Issue(2)),
+                    (0, In::Issue(3)),
+                    (9, In::TimeOut(1)),
+                    (9, In::Reader),
+                    (9, In::TimeOut(3)),
+                    (9, In::Reader),
+                    (9, In::TimeOut(2)),
+                    (9, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "Send { read: false }",
+                    "Send { read: false }",
+                    "vanished promote=2",
+                    "reader=Issuer(2)",
+                    "vanished",
+                    "reader=Issuer(2)",
+                    "vanished",
+                    "reader=Nobody",
+                ],
+            ),
+            (
+                "a loss while the role is held hands the redial to the holder",
+                true,
+                vec![
+                    (0, In::Issue(1)),
+                    (0, In::Issue(2)),
+                    (1, In::SendError),
+                    (2, In::Reader),
+                    (3, In::Tick),
+                    (4, In::ReadError(eof())),
+                    (5, In::Redial),
+                    (6, In::Resumed),
+                    (7, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "Send { read: false }",
+                    "down severed=true",
+                    "reader=Issuer(1)",
+                    "Skip",
+                    "down severed=false",
+                    "epoch 1",
+                    "replay [(1, 170), (2, 169)]",
+                    "reader=Issuer(1)",
+                ],
+            ),
+            (
+                "a link lost while nobody reads is read, and redialed, by the heartbeat",
+                true,
+                vec![
+                    (2_001, In::Judge),
+                    (2_001, In::Reader),
+                    (2_002, In::Tick),
+                    (2_002, In::Reader),
+                    (2_003, In::Issue(1)),
+                ],
+                &[
+                    "silent 2001: down severed=true",
+                    "reader=Nobody",
+                    "Probe { seq: 0, read: true }",
+                    "reader=Watch",
+                    "Send { read: false }",
+                ],
+            ),
+            (
+                "a dead link assigns no role",
+                false,
+                vec![
+                    (0, In::Issue(1)),
+                    (1, In::Fail(FailKind::Errored)),
+                    (2, In::Reader),
+                    (3, In::Claim),
+                    (4, In::Tick),
+                    (5, In::Issue(2)),
+                    (6, In::Release),
+                    (7, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "failed Errored [1]",
+                    "reader=Nobody",
+                    "claim=false",
+                    "Stop",
+                    "Refuse(Errored)",
+                    "release",
+                    "reader=Nobody",
+                ],
+            ),
+            (
+                "the heartbeat and shutdown get the role only when it is free, and pass it on",
+                false,
+                vec![
+                    (0, In::Tick),
+                    (1, In::Reader),
+                    (2, In::Issue(1)),
+                    (3, In::Tick),
+                    (4, In::Claim),
+                    (5, In::Release),
+                    (6, In::Reader),
+                    (7, In::Complete(1, false)),
+                    (8, In::Claim),
+                    (9, In::Tick),
+                    (10, In::Release),
+                    (11, In::Reader),
+                ],
+                &[
+                    "Probe { seq: 0, read: true }",
+                    "reader=Watch",
+                    "Send { read: false }",
+                    "Probe { seq: 1, read: false }",
+                    "claim=false",
+                    "release promote=1",
+                    "reader=Issuer(1)",
+                    "resolved 1 completed trace=0xaa rtt=Some(5) wake=false",
+                    "claim=true",
+                    "Probe { seq: 2, read: false }",
+                    "release",
+                    "reader=Nobody",
+                ],
+            ),
+        ];
+        for (name, resume, script, want) in rows {
+            assert_eq!(run_client_in(4, resume, script), want, "{name}");
         }
     }
 

@@ -42,12 +42,15 @@ pub(crate) trait Transport: Send {
     /// stream is gone and [`WireError::Protocol`] for oversized payloads.
     fn send(&mut self, payload: &[u8]) -> Result<(), WireError>;
 
-    /// Receives one frame payload, blocking until a frame or an error.
+    /// Receives one frame payload, blocking until a frame or an error. A
+    /// read timeout on the stream surfaces as an I/O error of kind
+    /// `WouldBlock` or `TimedOut` that consumed no frame: the next call
+    /// resumes the frame where the last one stopped.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Io`] on stream failure or EOF and
-    /// [`WireError::Protocol`] for an oversized length prefix.
+    /// Returns [`WireError::Io`] on stream failure, EOF or a read timeout,
+    /// and [`WireError::Protocol`] for an oversized length prefix.
     fn recv(&mut self) -> Result<Vec<u8>, WireError>;
 
     /// Severs the stream in both directions; pending and future operations
@@ -102,6 +105,15 @@ impl TcpTransport {
             }
         }
         Err(last_err)
+    }
+
+    /// Makes every `recv` on this stream (and its clones) give up after
+    /// `timeout` with a `WouldBlock` or `TimedOut` I/O error, and resume the
+    /// frame where it stopped on the next call. A zero timeout leaves reads
+    /// blocking.
+    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> Result<(), WireError> {
+        let timeout = (!timeout.is_zero()).then_some(timeout);
+        Ok(self.stream.set_read_timeout(timeout)?)
     }
 }
 
@@ -360,13 +372,18 @@ impl Transport for ChaosTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, WireError> {
+        // A frame is counted once it has arrived: a read that timed out
+        // consumed none, so it shifts no fault onto a later frame. One
+        // handle reads at a time, so the load and the add do not race.
+        let count = || self.session.state.recvd.fetch_add(1, Ordering::SeqCst);
         if !self.armed {
-            self.session.state.recvd.fetch_add(1, Ordering::SeqCst);
-            return self.inner.recv();
+            let payload = self.inner.recv()?;
+            count();
+            return Ok(payload);
         }
         let plan = self.session.plan.clone();
         loop {
-            let frame = self.session.state.recvd.fetch_add(1, Ordering::SeqCst) + 1;
+            let frame = self.session.state.recvd.load(Ordering::SeqCst) + 1;
             if let Some(delay) = plan.delay_recv {
                 std::thread::sleep(delay);
             }
@@ -384,6 +401,7 @@ impl Transport for ChaosTransport {
             }
 
             let mut payload = self.inner.recv()?;
+            count();
             if partitioned {
                 continue; // discard and keep reading: one-way silence
             }

@@ -70,8 +70,10 @@ fn loopback_offline_run_is_valid() {
         .expect("run");
     assert!(out.result.is_valid(), "{:?}", out.result.validity);
     assert!(out.result.sample_count >= 64);
-    assert!(server.served() >= 1);
     server.shutdown();
+    // Counted after the send, so read once the serving thread is joined:
+    // the issuer reading its own reply can finish the run first.
+    assert!(server.served() >= 1);
 }
 
 #[test]
@@ -232,6 +234,115 @@ fn heartbeat_loss_fails_pending_queries_instead_of_hanging() {
     assert!(!client.is_connected());
     client.shutdown();
     zombie.join().unwrap();
+}
+
+/// The same silence met by an issuer that holds the read role — a closed
+/// loop reading its own replies — after the peer has answered once: the
+/// holder wakes every heartbeat interval, the grace expires, and the query
+/// resolves as errored long before its response timeout.
+#[test]
+fn a_silent_peer_resolves_the_issuer_reading_its_own_reply() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let _hello = read_frame(&mut stream).expect("hello frame");
+        let ack = Message::HelloAck {
+            version: PROTOCOL_VERSION,
+            sut_name: "falls-silent".to_string(),
+            max_in_flight: 4,
+        };
+        write_frame(&mut stream, &ack.to_wire()).expect("ack");
+        // Answer the first query, then read and discard everything.
+        loop {
+            let frame = read_frame(&mut stream).expect("a frame");
+            if let Ok(Message::IssueTraced { query, .. }) = Message::from_wire(&frame) {
+                let reply = Message::Completion {
+                    query_id: query.id,
+                    error: false,
+                    samples: answered(&query).expect("an answer").samples,
+                };
+                write_frame(&mut stream, &reply.to_wire()).expect("completion");
+                break;
+            }
+        }
+        while read_frame(&mut stream).is_ok() {}
+    });
+
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let config = RemoteSutConfig::default()
+        .with_heartbeat(Duration::from_millis(10), Duration::from_millis(80))
+        .with_response_timeout(Duration::from_secs(30));
+    let hello = hello_for(&settings, &qsl, &config);
+    let client = RemoteSut::connect(addr, hello, config).expect("handshake");
+
+    assert!(matches!(
+        client.issue_outcome(&query(1)),
+        IssueOutcome::Completed(_)
+    ));
+    let started = std::time::Instant::now();
+    let outcome = client.issue_outcome(&query(2));
+    assert_eq!(outcome, IssueOutcome::Errored, "heartbeat loss => errored");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "heartbeat loss must beat the 30s response timeout"
+    );
+    assert!(!client.is_connected());
+    client.shutdown();
+    peer.join().unwrap();
+}
+
+/// An idle link is read by the heartbeat after each probe: held for three
+/// times the grace with no query at all, it stays up, and every ack it
+/// read kept the clock estimate at least as tight as it was.
+#[test]
+fn an_idle_link_stays_up_past_its_grace() {
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let grace = Duration::from_millis(60);
+    let config = RemoteSutConfig::default().with_heartbeat(Duration::from_millis(10), grace);
+    let hello = hello_for(&settings, &qsl, &config);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let service = Arc::new(SimHost::new(FixedLatencySut::new(
+        "idle-peer",
+        Nanos::from_micros(10),
+    )));
+    let (client, server) = loopback_instrumented(
+        service,
+        ServeConfig::default(),
+        hello,
+        config,
+        None,
+        Some(metrics.clone()),
+    )
+    .expect("loopback");
+
+    let started = std::time::Instant::now();
+    let first = loop {
+        if let Some(bound) = client.clock_error_bound_ns() {
+            break bound;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "no clock probe was acked"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let probes = metrics.snapshot().counter("wire_clock_probes");
+    std::thread::sleep(3 * grace);
+    assert!(client.is_connected(), "an idle link was judged dead");
+    let bound = client.clock_error_bound_ns().expect("a bound");
+    assert!(
+        bound <= first,
+        "the error bound widened: {first} -> {bound} ns"
+    );
+    assert!(
+        metrics.snapshot().counter("wire_clock_probes") > probes,
+        "nobody read the idle link's acks"
+    );
+    client.shutdown();
+    server.shutdown();
 }
 
 #[test]

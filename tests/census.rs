@@ -230,6 +230,15 @@ const RULES: &[Rule] = &[
         plant: ("crates/wire/src/client.rs", "fn wake(c: &Condvar) { c.notify_all(); }\n"),
     },
     Rule {
+        name: "one client thread besides the issuers",
+        scope: &["crates/wire/src/client.rs"],
+        part: Part::Code,
+        pattern: Pattern::Line(&["thread::Builder::new()", "thread::spawn"]),
+        want: Want::Count(1),
+        retired: "read role: the issuer reads its own reply (ClientCore assigns who reads); the heartbeat is the one thread a client spawns, and a reader thread beside the role would be a second read path",
+        plant: ("crates/wire/src/client.rs", "fn reader() { std::thread::spawn(|| ()); }\n"),
+    },
+    Rule {
         name: "wire protocol cores are sans-I/O",
         scope: &["crates/wire/src/protocol.rs"],
         part: Part::Code,
