@@ -123,7 +123,8 @@ pub struct RootCause {
     pub(crate) offending_queries: Vec<u64>,
     /// Top critical-path queries, most significant first.
     pub culprits: Vec<Culprit>,
-    /// Fault/wire/recovery event counts that explain the violation.
+    /// Wire-fault, wire-event and overload counts that explain the
+    /// violation.
     pub(crate) evidence: Vec<String>,
 }
 
@@ -151,13 +152,12 @@ pub fn issue_texts(records: &[TraceRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Counts the injected-fault / wire / recovery events that explain *why* a
-/// constraint broke, as stable one-line strings.
+/// Counts the injected wire faults, link events and overload drops that
+/// explain *why* a constraint broke, as stable one-line strings.
 fn collect_evidence(records: &[TraceRecord]) -> Vec<String> {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for record in records {
         let key = match &record.event {
-            TraceEvent::FaultInjected { fault, .. } => Some(format!("fault_injected {fault}")),
             TraceEvent::WireFault {
                 endpoint, fault, ..
             } => Some(format!("wire_fault {fault} ({endpoint})")),
@@ -169,7 +169,6 @@ fn collect_evidence(records: &[TraceRecord]) -> Vec<String> {
             {
                 Some(format!("wire_event {kind}"))
             }
-            TraceEvent::RecoveryAction { action, .. } => Some(format!("recovery {action}")),
             TraceEvent::OverloadDropped { .. } => Some("overload_dropped".to_string()),
             _ => None,
         };
@@ -365,9 +364,11 @@ mod tests {
             ));
             records.push(rec(
                 ts,
-                TraceEvent::FaultInjected {
-                    query_id: id,
-                    fault: "transient_error".into(),
+                TraceEvent::WireFault {
+                    endpoint: "client".into(),
+                    fault: "corrupt".into(),
+                    frame: id,
+                    detail: "recv: flipped byte 17".into(),
                 },
             ));
         }
@@ -388,7 +389,7 @@ mod tests {
         assert_eq!(c.culprits[0].query_id, 3, "slowest failure first");
         assert!(c
             .evidence
-            .contains(&"fault_injected transient_error x2".to_string()));
+            .contains(&"wire_fault corrupt (client) x2".to_string()));
     }
 
     #[test]

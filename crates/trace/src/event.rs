@@ -9,403 +9,293 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{
-    missing_field, write_u64, FromJson, JsonError, JsonValue, Parser, Picked, Scalar, ToJson, Token,
+    missing_field, write_u64, FromJson, JsonError, JsonValue, Parser, Picked, Scalar, ToJson,
+    Token, MAX_PICKED,
 };
 use crate::sync::lock;
 
-/// One structured event in a LoadGen run.
+/// Declares [`TraceEvent`] once, and generates from that one declaration
+/// everything that spells a variant out: the enum, `kind()`, the field
+/// table `fields()` both encoders read, and `SHAPES`, which both decoders
+/// read.
 ///
-/// The taxonomy mirrors the lifecycle stages the MLPerf LoadGen detail log
-/// exposes: scheduling, issue, device-side batching, completion, plus the
-/// exceptional paths (drops, validity failures) and run bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A run phase boundary (e.g. "issue", "drain", "report").
-    RunPhase {
-        /// Phase label.
-        phase: String,
-        /// Scenario code (e.g. "server").
-        scenario: String,
-    },
-    /// The schedule for a query was generated.
-    QueryScheduled {
-        /// Query id.
-        query_id: u64,
-        /// Number of samples in the query.
-        sample_count: usize,
-    },
-    /// LoadGen issued a query to the SUT.
-    QueryIssued {
-        /// Query id.
-        query_id: u64,
-        /// Number of samples in the query.
-        sample_count: usize,
-        /// Nanoseconds the issue slipped past its scheduled time.
-        delay_ns: u64,
-    },
-    /// The query left LoadGen for the SUT transport (issue path end).
-    QuerySent {
-        /// Query id.
-        query_id: u64,
-    },
-    /// The SUT completed a query.
-    QueryCompleted {
-        /// Query id.
-        query_id: u64,
-        /// Issue-to-completion latency in nanoseconds.
-        latency_ns: u64,
-    },
-    /// A device engine formed a batch and dispatched it.
-    BatchFormed {
-        /// Device unit (lane) index the batch ran on.
-        unit: usize,
-        /// Number of samples in the batch.
-        batch_size: usize,
-        /// Simulated service time of the batch in nanoseconds.
-        service_ns: u64,
-    },
-    /// The device's effective clock multiplier changed (thermal/DVFS).
-    DvfsStateChange {
-        /// Device unit index.
-        unit: usize,
-        /// Clock multiplier scaled by 1000 (e.g. 1250 = 1.25x).
-        multiplier_milli: u32,
-    },
-    /// A MultiStream interval was skipped because the SUT fell behind.
-    OverloadDropped {
-        /// Query id whose tardiness caused the skip.
-        query_id: u64,
-        /// Number of intervals skipped.
-        intervals: u64,
-    },
-    /// A sample's response was recorded into the accuracy log.
-    AccuracyLogged {
-        /// Query id the sample belongs to.
-        query_id: u64,
-        /// Number of samples logged for the query.
-        samples: usize,
-    },
-    /// A validity rule failed during result finalization.
-    ValidityCheckFailed {
-        /// Human-readable description of the failed rule.
-        issue: String,
-    },
-    /// One step of a FindPeakPerformance search.
-    PeakSearchStep {
-        /// The load target tried (QPS or stream count).
-        target: f64,
-        /// Whether the run at that target was valid.
-        valid: bool,
-    },
-    /// The SUT resolved a query as an error/drop instead of an answer.
-    QueryErrored {
-        /// Query id.
-        query_id: u64,
-        /// Schedule-to-failure latency in nanoseconds.
-        latency_ns: u64,
-    },
-    /// A fault plan fired on a query (fault-injection extension).
-    FaultInjected {
-        /// Query id the fault hit.
-        query_id: u64,
-        /// Fault kind label: `transient_error`, `latency_spike`, `stall`,
-        /// `throttle`, or `death`.
-        fault: String,
-    },
-    /// A resilience policy acted on a query.
-    RecoveryAction {
-        /// Query id the action concerned.
-        query_id: u64,
-        /// Action label: `timeout`, `retry`, `failover`, or `exhausted`.
-        action: String,
-        /// 1-based attempt number (retries); 0 where not meaningful.
-        attempt: u32,
-    },
-    /// Something happened on the network SUT transport (wire extension).
-    WireEvent {
-        /// Which endpoint observed it: `client` or `server`.
-        endpoint: String,
-        /// Event label: `connect`, `handshake`, `heartbeat_loss`,
-        /// `disconnect`, `response_timeout`, `drain`, or `reject`.
-        kind: String,
-        /// Query id the event concerned; 0 where not query-scoped.
-        query_id: u64,
-        /// Free-form context (peer address, reject reason, ...).
-        detail: String,
-    },
-    /// A chaos transport injected a fault into the wire (network chaos
-    /// extension). Distinct from [`TraceEvent::FaultInjected`], which is
-    /// device-side: this one fires per *frame*, not per query.
-    WireFault {
-        /// Which endpoint's transport injected it: `client` or `server`.
-        endpoint: String,
-        /// Fault kind label: `corrupt`, `truncate`, `duplicate`, `delay`,
-        /// `partition`, or `disconnect`.
-        fault: String,
-        /// 1-based frame index (per direction) the fault hit.
-        frame: u64,
-        /// Free-form context (direction, byte offset, ...).
-        detail: String,
-    },
-    /// One phase of a distributed query span (wire tracing extension).
+/// An entry is a variant's docs, its name, its `kind()` label and its
+/// fields in the order a detail-log line writes them. Entry order is
+/// `SHAPES` order. Each variant gets a compile-time check that a decoder
+/// can pick all of its fields out of one object.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum TraceEvent {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident($label:literal) {
+                    $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )+
+                },
+            )+
+        }
+
+        impl TraceEvent {
+            $(#[$kind_meta:meta])*
+            $kind_vis:vis fn kind(&self) -> &'static str;
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum TraceEvent {
+            $(
+                $(#[$variant_meta])*
+                $variant { $( $(#[$field_meta])* $field: $ty, )+ },
+            )+
+        }
+
+        impl TraceEvent {
+            $(#[$kind_meta])*
+            $kind_vis fn kind(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $label, )+
+                }
+            }
+
+            /// The event's JSON shape: the variant name and its fields in
+            /// the order they are written. Both encoders — the tree
+            /// ([`ToJson::to_json_value`]) and the streamed line
+            /// (`write_record`) — read it from here.
+            fn fields<R>(
+                &self,
+                visit: impl FnOnce(&'static str, &[(&'static str, Scalar<'_>)]) -> R,
+            ) -> R {
+                match self {
+                    $(
+                        TraceEvent::$variant { $($field),+ } => visit(
+                            stringify!($variant),
+                            &[$( (stringify!($field), Field::scalar($field)) ),+],
+                        ),
+                    )+
+                }
+            }
+        }
+
+        $(
+            const _: () = assert!(
+                [$(stringify!($field)),+].len() <= MAX_PICKED,
+                concat!(stringify!($variant), " has more fields than a decoder picks"),
+            );
+        )+
+
+        /// Every variant's [`Shape`], in declaration order.
+        const SHAPES: &[Shape] = &[
+            $(
+                Shape {
+                    name: stringify!($variant),
+                    keys: &[$(stringify!($field)),+],
+                    build: |p| {
+                        let mut at = 0;
+                        Ok(TraceEvent::$variant { $( $field: next_field(p, &mut at)?, )+ })
+                    },
+                },
+            )+
+        ];
+    };
+}
+
+trace_events! {
+    /// One structured event in a LoadGen run.
     ///
-    /// `ts_ns` of the enclosing record is the phase *start*; `dur_ns` is
-    /// its length (0 for instantaneous marks). Server-side spans are
-    /// re-stamped onto the client clock via the handshake clock-offset
-    /// estimate before they land in a merged detail log.
-    SpanEvent {
-        /// Host the phase ran on: `client`, `server`, or a daemon name.
-        host: String,
-        /// Trace id shared by every phase of one query across hosts.
-        trace_id: u64,
-        /// Query id the span belongs to.
-        query_id: u64,
-        /// Phase label: `issue`, `queue`, `compute`, or `complete`.
-        phase: String,
-        /// Phase duration in nanoseconds (0 for instants).
-        dur_ns: u64,
-    },
-    /// A clock-offset estimate between this host and a peer (wire tracing
-    /// extension). Recorded whenever a four-timestamp probe improves the
-    /// estimate.
-    ClockSync {
-        /// Peer host label the offset is measured against.
-        host: String,
-        /// Estimated `peer_clock - local_clock` in nanoseconds.
-        offset_ns: i64,
-        /// Round-trip time of the winning probe in nanoseconds.
-        rtt_ns: u64,
-    },
-    /// A sharded-SUT router decision or shard health transition (fleet
-    /// extension). Routing rows (`route`, `failover`) are query-scoped;
-    /// health rows (`suspect`, `down`, `rejoin`, `drained`, `up`) carry
-    /// `query_id` 0.
-    ShardEvent {
-        /// Label of the shard the event concerns (e.g. `shard-2`).
-        shard: String,
-        /// Event label: `route`, `failover`, `suspect`, `down`, `rejoin`,
-        /// `drained`, or `up`.
-        kind: String,
-        /// Query id the event concerned; 0 where not query-scoped.
-        query_id: u64,
-        /// Free-form context (policy name, failure reason, drain count).
-        detail: String,
-    },
-}
+    /// The taxonomy mirrors the lifecycle stages the MLPerf LoadGen detail
+    /// log exposes: issue, device-side batching, completion, plus the
+    /// exceptional paths (drops, validity failures) and run bookkeeping.
+    /// The three a query writes come first, so a line finds its shape at
+    /// the first or second name compared.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// LoadGen issued a query to the SUT.
+        QueryIssued("query_issued") {
+            /// Query id.
+            query_id: u64,
+            /// Number of samples in the query.
+            sample_count: usize,
+            /// Nanoseconds the issue slipped past its scheduled time.
+            delay_ns: u64,
+        },
+        /// The query left LoadGen for the SUT transport (issue path end).
+        QuerySent("query_sent") {
+            /// Query id.
+            query_id: u64,
+        },
+        /// The SUT completed a query.
+        QueryCompleted("query_completed") {
+            /// Query id.
+            query_id: u64,
+            /// Issue-to-completion latency in nanoseconds.
+            latency_ns: u64,
+        },
+        /// A run phase boundary (e.g. "issue", "drain", "report").
+        RunPhase("run_phase") {
+            /// Phase label.
+            phase: String,
+            /// Scenario code (e.g. "server").
+            scenario: String,
+        },
+        /// A device engine formed a batch and dispatched it.
+        BatchFormed("batch_formed") {
+            /// Device unit (lane) index the batch ran on.
+            unit: usize,
+            /// Number of samples in the batch.
+            batch_size: usize,
+            /// Simulated service time of the batch in nanoseconds.
+            service_ns: u64,
+        },
+        /// The device's effective clock multiplier changed (thermal/DVFS).
+        DvfsStateChange("dvfs_state_change") {
+            /// Device unit index.
+            unit: usize,
+            /// Clock multiplier scaled by 1000 (e.g. 1250 = 1.25x).
+            multiplier_milli: u32,
+        },
+        /// A MultiStream interval was skipped because the SUT fell behind.
+        OverloadDropped("overload_dropped") {
+            /// Query id whose tardiness caused the skip.
+            query_id: u64,
+            /// Number of intervals skipped.
+            intervals: u64,
+        },
+        /// A sample's response was recorded into the accuracy log.
+        AccuracyLogged("accuracy_logged") {
+            /// Query id the sample belongs to.
+            query_id: u64,
+            /// Number of samples logged for the query.
+            samples: usize,
+        },
+        /// A validity rule failed during result finalization.
+        ValidityCheckFailed("validity_check_failed") {
+            /// Human-readable description of the failed rule.
+            issue: String,
+        },
+        /// One step of a FindPeakPerformance search.
+        PeakSearchStep("peak_search_step") {
+            /// The load target tried (QPS or stream count).
+            target: f64,
+            /// Whether the run at that target was valid.
+            valid: bool,
+        },
+        /// The SUT resolved a query as an error/drop instead of an answer.
+        QueryErrored("query_errored") {
+            /// Query id.
+            query_id: u64,
+            /// Schedule-to-failure latency in nanoseconds.
+            latency_ns: u64,
+        },
+        /// Something happened on the network SUT transport (wire extension).
+        WireEvent("wire_event") {
+            /// Which endpoint observed it: `client` or `server`.
+            endpoint: String,
+            /// Event label: `connect`, `handshake`, `heartbeat_loss`,
+            /// `disconnect`, `response_timeout`, `drain`, or `reject`.
+            kind: String,
+            /// Query id the event concerned; 0 where not query-scoped.
+            query_id: u64,
+            /// Free-form context (peer address, reject reason, ...).
+            detail: String,
+        },
+        /// A chaos transport injected a fault into the wire (network chaos
+        /// extension). It fires per *frame*, not per query.
+        WireFault("wire_fault") {
+            /// Which endpoint's transport injected it: `client` or `server`.
+            endpoint: String,
+            /// Fault kind label: `corrupt`, `truncate`, `duplicate`, `delay`,
+            /// `partition`, or `disconnect`.
+            fault: String,
+            /// 1-based frame index (per direction) the fault hit.
+            frame: u64,
+            /// Free-form context (direction, byte offset, ...).
+            detail: String,
+        },
+        /// One phase of a distributed query span (wire tracing extension).
+        ///
+        /// `ts_ns` of the enclosing record is the phase *start*; `dur_ns` is
+        /// its length (0 for instantaneous marks). Server-side spans are
+        /// re-stamped onto the client clock via the handshake clock-offset
+        /// estimate before they land in a merged detail log.
+        SpanEvent("span") {
+            /// Host the phase ran on: `client`, `server`, or a daemon name.
+            host: String,
+            /// Trace id shared by every phase of one query across hosts.
+            trace_id: u64,
+            /// Query id the span belongs to.
+            query_id: u64,
+            /// Phase label: `issue`, `queue`, `compute`, or `complete`.
+            phase: String,
+            /// Phase duration in nanoseconds (0 for instants).
+            dur_ns: u64,
+        },
+        /// A clock-offset estimate between this host and a peer (wire tracing
+        /// extension). Recorded whenever a four-timestamp probe improves the
+        /// estimate.
+        ClockSync("clock_sync") {
+            /// Peer host label the offset is measured against.
+            host: String,
+            /// Estimated `peer_clock - local_clock` in nanoseconds.
+            offset_ns: i64,
+            /// Round-trip time of the winning probe in nanoseconds.
+            rtt_ns: u64,
+        },
+        /// A sharded-SUT router decision or shard health transition (fleet
+        /// extension). Routing rows (`route`, `failover`) are query-scoped;
+        /// health rows (`suspect`, `down`, `rejoin`, `drained`, `up`) carry
+        /// `query_id` 0.
+        ShardEvent("shard_event") {
+            /// Label of the shard the event concerns (e.g. `shard-2`).
+            shard: String,
+            /// Event label: `route`, `failover`, `suspect`, `down`, `rejoin`,
+            /// `drained`, or `up`.
+            kind: String,
+            /// Query id the event concerned; 0 where not query-scoped.
+            query_id: u64,
+            /// Free-form context (policy name, failure reason, drain count).
+            detail: String,
+        },
+    }
 
-impl TraceEvent {
-    /// Short event-kind label, used for summaries and counters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::RunPhase { .. } => "run_phase",
-            TraceEvent::QueryScheduled { .. } => "query_scheduled",
-            TraceEvent::QueryIssued { .. } => "query_issued",
-            TraceEvent::QuerySent { .. } => "query_sent",
-            TraceEvent::QueryCompleted { .. } => "query_completed",
-            TraceEvent::BatchFormed { .. } => "batch_formed",
-            TraceEvent::DvfsStateChange { .. } => "dvfs_state_change",
-            TraceEvent::OverloadDropped { .. } => "overload_dropped",
-            TraceEvent::AccuracyLogged { .. } => "accuracy_logged",
-            TraceEvent::ValidityCheckFailed { .. } => "validity_check_failed",
-            TraceEvent::PeakSearchStep { .. } => "peak_search_step",
-            TraceEvent::QueryErrored { .. } => "query_errored",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::RecoveryAction { .. } => "recovery_action",
-            TraceEvent::WireEvent { .. } => "wire_event",
-            TraceEvent::WireFault { .. } => "wire_fault",
-            TraceEvent::SpanEvent { .. } => "span",
-            TraceEvent::ClockSync { .. } => "clock_sync",
-            TraceEvent::ShardEvent { .. } => "shard_event",
-        }
+    impl TraceEvent {
+        /// Short event-kind label, used for summaries and counters.
+        pub fn kind(&self) -> &'static str;
     }
 }
 
-impl TraceEvent {
-    /// The event's JSON shape, once: the variant name and its fields in
-    /// the order they are written. Both encoders — the tree
-    /// ([`ToJson::to_json_value`]) and the streamed line (`write_record`)
-    /// — read it from here.
-    fn fields<R>(&self, visit: impl FnOnce(&'static str, &[(&'static str, Scalar<'_>)]) -> R) -> R {
-        use Scalar::{Bool, Str, F64, I64, U64};
-        let size = |n: &usize| U64(*n as u64);
-        match self {
-            TraceEvent::RunPhase { phase, scenario } => visit(
-                "RunPhase",
-                &[("phase", Str(phase)), ("scenario", Str(scenario))],
-            ),
-            TraceEvent::QueryScheduled {
-                query_id,
-                sample_count,
-            } => visit(
-                "QueryScheduled",
-                &[
-                    ("query_id", U64(*query_id)),
-                    ("sample_count", size(sample_count)),
-                ],
-            ),
-            TraceEvent::QueryIssued {
-                query_id,
-                sample_count,
-                delay_ns,
-            } => visit(
-                "QueryIssued",
-                &[
-                    ("query_id", U64(*query_id)),
-                    ("sample_count", size(sample_count)),
-                    ("delay_ns", U64(*delay_ns)),
-                ],
-            ),
-            TraceEvent::QuerySent { query_id } => {
-                visit("QuerySent", &[("query_id", U64(*query_id))])
+/// A type a [`TraceEvent`] field may have: the [`Scalar`] it writes, and
+/// how it reads back from the [`Token`] at its key.
+trait Field: Sized {
+    fn scalar(&self) -> Scalar<'_>;
+    fn read(token: Token<'_>) -> Result<Self, JsonError>;
+}
+
+/// `impl Field` for each field type, from its `Scalar` and its `Token`
+/// accessor.
+macro_rules! field_types {
+    ($($ty:ty => |$v:ident| $scalar:expr, $read:ident;)+) => {
+        $(
+            impl Field for $ty {
+                fn scalar(&self) -> Scalar<'_> {
+                    let $v = self;
+                    $scalar
+                }
+
+                fn read(token: Token<'_>) -> Result<Self, JsonError> {
+                    token.$read()
+                }
             }
-            TraceEvent::QueryCompleted {
-                query_id,
-                latency_ns,
-            } => visit(
-                "QueryCompleted",
-                &[
-                    ("query_id", U64(*query_id)),
-                    ("latency_ns", U64(*latency_ns)),
-                ],
-            ),
-            TraceEvent::BatchFormed {
-                unit,
-                batch_size,
-                service_ns,
-            } => visit(
-                "BatchFormed",
-                &[
-                    ("unit", size(unit)),
-                    ("batch_size", size(batch_size)),
-                    ("service_ns", U64(*service_ns)),
-                ],
-            ),
-            TraceEvent::DvfsStateChange {
-                unit,
-                multiplier_milli,
-            } => visit(
-                "DvfsStateChange",
-                &[
-                    ("unit", size(unit)),
-                    ("multiplier_milli", U64(u64::from(*multiplier_milli))),
-                ],
-            ),
-            TraceEvent::OverloadDropped {
-                query_id,
-                intervals,
-            } => visit(
-                "OverloadDropped",
-                &[("query_id", U64(*query_id)), ("intervals", U64(*intervals))],
-            ),
-            TraceEvent::AccuracyLogged { query_id, samples } => visit(
-                "AccuracyLogged",
-                &[("query_id", U64(*query_id)), ("samples", size(samples))],
-            ),
-            TraceEvent::ValidityCheckFailed { issue } => {
-                visit("ValidityCheckFailed", &[("issue", Str(issue))])
-            }
-            TraceEvent::PeakSearchStep { target, valid } => visit(
-                "PeakSearchStep",
-                &[("target", F64(*target)), ("valid", Bool(*valid))],
-            ),
-            TraceEvent::QueryErrored {
-                query_id,
-                latency_ns,
-            } => visit(
-                "QueryErrored",
-                &[
-                    ("query_id", U64(*query_id)),
-                    ("latency_ns", U64(*latency_ns)),
-                ],
-            ),
-            TraceEvent::FaultInjected { query_id, fault } => visit(
-                "FaultInjected",
-                &[("query_id", U64(*query_id)), ("fault", Str(fault))],
-            ),
-            TraceEvent::RecoveryAction {
-                query_id,
-                action,
-                attempt,
-            } => visit(
-                "RecoveryAction",
-                &[
-                    ("query_id", U64(*query_id)),
-                    ("action", Str(action)),
-                    ("attempt", U64(u64::from(*attempt))),
-                ],
-            ),
-            TraceEvent::WireEvent {
-                endpoint,
-                kind,
-                query_id,
-                detail,
-            } => visit(
-                "WireEvent",
-                &[
-                    ("endpoint", Str(endpoint)),
-                    ("kind", Str(kind)),
-                    ("query_id", U64(*query_id)),
-                    ("detail", Str(detail)),
-                ],
-            ),
-            TraceEvent::WireFault {
-                endpoint,
-                fault,
-                frame,
-                detail,
-            } => visit(
-                "WireFault",
-                &[
-                    ("endpoint", Str(endpoint)),
-                    ("fault", Str(fault)),
-                    ("frame", U64(*frame)),
-                    ("detail", Str(detail)),
-                ],
-            ),
-            TraceEvent::SpanEvent {
-                host,
-                trace_id,
-                query_id,
-                phase,
-                dur_ns,
-            } => visit(
-                "SpanEvent",
-                &[
-                    ("host", Str(host)),
-                    ("trace_id", U64(*trace_id)),
-                    ("query_id", U64(*query_id)),
-                    ("phase", Str(phase)),
-                    ("dur_ns", U64(*dur_ns)),
-                ],
-            ),
-            TraceEvent::ClockSync {
-                host,
-                offset_ns,
-                rtt_ns,
-            } => visit(
-                "ClockSync",
-                &[
-                    ("host", Str(host)),
-                    ("offset_ns", I64(*offset_ns)),
-                    ("rtt_ns", U64(*rtt_ns)),
-                ],
-            ),
-            TraceEvent::ShardEvent {
-                shard,
-                kind,
-                query_id,
-                detail,
-            } => visit(
-                "ShardEvent",
-                &[
-                    ("shard", Str(shard)),
-                    ("kind", Str(kind)),
-                    ("query_id", U64(*query_id)),
-                    ("detail", Str(detail)),
-                ],
-            ),
-        }
-    }
+        )+
+    };
+}
+
+field_types! {
+    u64 => |v| Scalar::U64(*v), as_u64;
+    usize => |v| Scalar::U64(*v as u64), as_usize;
+    u32 => |v| Scalar::U64(u64::from(*v)), as_u32;
+    i64 => |v| Scalar::I64(*v), as_i64;
+    f64 => |v| Scalar::F64(*v), as_f64;
+    bool => |v| Scalar::Bool(*v), as_bool;
+    String => |v| Scalar::Str(v), into_string;
 }
 
 /// How one variant is read back: the inverse of [`TraceEvent::fields`].
@@ -419,229 +309,12 @@ struct Shape {
     build: fn(&mut Picked<'_>) -> Result<TraceEvent, JsonError>,
 }
 
-impl Picked<'_> {
-    fn u64(&mut self, at: usize) -> Result<u64, JsonError> {
-        self.take(at)?.as_u64()
-    }
-
-    fn usize(&mut self, at: usize) -> Result<usize, JsonError> {
-        self.take(at)?.as_usize()
-    }
-
-    fn u32(&mut self, at: usize) -> Result<u32, JsonError> {
-        self.take(at)?.as_u32()
-    }
-
-    fn string(&mut self, at: usize) -> Result<String, JsonError> {
-        self.take(at)?.into_string()
-    }
+/// Reads the member at the `at`-th key as a `T`, and moves `at` on to the
+/// next key.
+fn next_field<T: Field>(picked: &mut Picked<'_>, at: &mut usize) -> Result<T, JsonError> {
+    *at += 1;
+    T::read(picked.take(*at - 1)?)
 }
-
-/// Every variant's [`Shape`]; the three a query writes lead, so a line
-/// finds its shape at the first or second name compared.
-const SHAPES: [Shape; 19] = [
-    Shape {
-        name: "QueryIssued",
-        keys: &["query_id", "sample_count", "delay_ns"],
-        build: |p| {
-            Ok(TraceEvent::QueryIssued {
-                query_id: p.u64(0)?,
-                sample_count: p.usize(1)?,
-                delay_ns: p.u64(2)?,
-            })
-        },
-    },
-    Shape {
-        name: "QuerySent",
-        keys: &["query_id"],
-        build: |p| {
-            Ok(TraceEvent::QuerySent {
-                query_id: p.u64(0)?,
-            })
-        },
-    },
-    Shape {
-        name: "QueryCompleted",
-        keys: &["query_id", "latency_ns"],
-        build: |p| {
-            Ok(TraceEvent::QueryCompleted {
-                query_id: p.u64(0)?,
-                latency_ns: p.u64(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "RunPhase",
-        keys: &["phase", "scenario"],
-        build: |p| {
-            Ok(TraceEvent::RunPhase {
-                phase: p.string(0)?,
-                scenario: p.string(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "QueryScheduled",
-        keys: &["query_id", "sample_count"],
-        build: |p| {
-            Ok(TraceEvent::QueryScheduled {
-                query_id: p.u64(0)?,
-                sample_count: p.usize(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "BatchFormed",
-        keys: &["unit", "batch_size", "service_ns"],
-        build: |p| {
-            Ok(TraceEvent::BatchFormed {
-                unit: p.usize(0)?,
-                batch_size: p.usize(1)?,
-                service_ns: p.u64(2)?,
-            })
-        },
-    },
-    Shape {
-        name: "DvfsStateChange",
-        keys: &["unit", "multiplier_milli"],
-        build: |p| {
-            Ok(TraceEvent::DvfsStateChange {
-                unit: p.usize(0)?,
-                multiplier_milli: p.u32(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "OverloadDropped",
-        keys: &["query_id", "intervals"],
-        build: |p| {
-            Ok(TraceEvent::OverloadDropped {
-                query_id: p.u64(0)?,
-                intervals: p.u64(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "AccuracyLogged",
-        keys: &["query_id", "samples"],
-        build: |p| {
-            Ok(TraceEvent::AccuracyLogged {
-                query_id: p.u64(0)?,
-                samples: p.usize(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "ValidityCheckFailed",
-        keys: &["issue"],
-        build: |p| {
-            Ok(TraceEvent::ValidityCheckFailed {
-                issue: p.string(0)?,
-            })
-        },
-    },
-    Shape {
-        name: "PeakSearchStep",
-        keys: &["target", "valid"],
-        build: |p| {
-            Ok(TraceEvent::PeakSearchStep {
-                target: p.take(0)?.as_f64()?,
-                valid: p.take(1)?.as_bool()?,
-            })
-        },
-    },
-    Shape {
-        name: "QueryErrored",
-        keys: &["query_id", "latency_ns"],
-        build: |p| {
-            Ok(TraceEvent::QueryErrored {
-                query_id: p.u64(0)?,
-                latency_ns: p.u64(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "FaultInjected",
-        keys: &["query_id", "fault"],
-        build: |p| {
-            Ok(TraceEvent::FaultInjected {
-                query_id: p.u64(0)?,
-                fault: p.string(1)?,
-            })
-        },
-    },
-    Shape {
-        name: "RecoveryAction",
-        keys: &["query_id", "action", "attempt"],
-        build: |p| {
-            Ok(TraceEvent::RecoveryAction {
-                query_id: p.u64(0)?,
-                action: p.string(1)?,
-                attempt: p.u32(2)?,
-            })
-        },
-    },
-    Shape {
-        name: "WireEvent",
-        keys: &["endpoint", "kind", "query_id", "detail"],
-        build: |p| {
-            Ok(TraceEvent::WireEvent {
-                endpoint: p.string(0)?,
-                kind: p.string(1)?,
-                query_id: p.u64(2)?,
-                detail: p.string(3)?,
-            })
-        },
-    },
-    Shape {
-        name: "WireFault",
-        keys: &["endpoint", "fault", "frame", "detail"],
-        build: |p| {
-            Ok(TraceEvent::WireFault {
-                endpoint: p.string(0)?,
-                fault: p.string(1)?,
-                frame: p.u64(2)?,
-                detail: p.string(3)?,
-            })
-        },
-    },
-    Shape {
-        name: "SpanEvent",
-        keys: &["host", "trace_id", "query_id", "phase", "dur_ns"],
-        build: |p| {
-            Ok(TraceEvent::SpanEvent {
-                host: p.string(0)?,
-                trace_id: p.u64(1)?,
-                query_id: p.u64(2)?,
-                phase: p.string(3)?,
-                dur_ns: p.u64(4)?,
-            })
-        },
-    },
-    Shape {
-        name: "ClockSync",
-        keys: &["host", "offset_ns", "rtt_ns"],
-        build: |p| {
-            Ok(TraceEvent::ClockSync {
-                host: p.string(0)?,
-                offset_ns: p.take(1)?.as_i64()?,
-                rtt_ns: p.u64(2)?,
-            })
-        },
-    },
-    Shape {
-        name: "ShardEvent",
-        keys: &["shard", "kind", "query_id", "detail"],
-        build: |p| {
-            Ok(TraceEvent::ShardEvent {
-                shard: p.string(0)?,
-                kind: p.string(1)?,
-                query_id: p.u64(2)?,
-                detail: p.string(3)?,
-            })
-        },
-    },
-];
 
 /// The shape of variant `name`.
 fn shape_of(name: &str) -> Result<&'static Shape, JsonError> {
@@ -1090,6 +763,7 @@ pub fn render_detail_log(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -1129,15 +803,6 @@ mod tests {
             TraceEvent::QueryErrored {
                 query_id: 11,
                 latency_ns: 88_000,
-            },
-            TraceEvent::FaultInjected {
-                query_id: 11,
-                fault: "transient_error".into(),
-            },
-            TraceEvent::RecoveryAction {
-                query_id: 11,
-                action: "retry".into(),
-                attempt: 2,
             },
             TraceEvent::WireEvent {
                 endpoint: "client".into(),
@@ -1226,16 +891,6 @@ mod tests {
                     },
                 ),
                 r#"{"ts_ns":0,"event":{"RunPhase":{"phase":"is\"sue","scenario":"ser\\ver"}}}"#,
-            ),
-            (
-                at(
-                    u64::MAX,
-                    TraceEvent::QueryScheduled {
-                        query_id: u64::MAX,
-                        sample_count: 2,
-                    },
-                ),
-                r#"{"ts_ns":18446744073709551615,"event":{"QueryScheduled":{"query_id":18446744073709551615,"sample_count":2}}}"#,
             ),
             (
                 at(
@@ -1354,27 +1009,6 @@ mod tests {
             ),
             (
                 at(
-                    14,
-                    TraceEvent::FaultInjected {
-                        query_id: 11,
-                        fault: s("transient_error"),
-                    },
-                ),
-                r#"{"ts_ns":14,"event":{"FaultInjected":{"query_id":11,"fault":"transient_error"}}}"#,
-            ),
-            (
-                at(
-                    15,
-                    TraceEvent::RecoveryAction {
-                        query_id: 11,
-                        action: s("retry"),
-                        attempt: 2,
-                    },
-                ),
-                r#"{"ts_ns":15,"event":{"RecoveryAction":{"query_id":11,"action":"retry","attempt":2}}}"#,
-            ),
-            (
-                at(
                     16,
                     TraceEvent::WireEvent {
                         endpoint: s("client"),
@@ -1439,9 +1073,14 @@ mod tests {
     #[test]
     fn every_variant_renders_its_golden_line_both_ways() {
         let golden = golden_lines();
-        let kinds: std::collections::BTreeSet<_> =
-            golden.iter().map(|(r, _)| r.event.kind()).collect();
-        assert_eq!(kinds.len(), 19, "a line for every variant");
+        let names: BTreeSet<_> = golden
+            .iter()
+            .map(|(r, _)| r.event.fields(|name, _| name))
+            .collect();
+        let declared: BTreeSet<_> = SHAPES.iter().map(|shape| shape.name).collect();
+        assert_eq!(names, declared, "a golden line for every declared variant");
+        let kinds: BTreeSet<_> = golden.iter().map(|(r, _)| r.event.kind()).collect();
+        assert_eq!(kinds.len(), SHAPES.len(), "one kind label per variant");
         for (record, line) in &golden {
             assert_eq!(record.to_json_string(), *line, "streamed");
             assert_eq!(record.to_json_value().to_compact(), *line, "tree");

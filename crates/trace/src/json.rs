@@ -492,8 +492,9 @@ impl Token<'_> {
     }
 }
 
-/// The most members a decoder picks out of one object.
-const MAX_PICKED: usize = 5;
+/// The most members a decoder picks out of one object. The trace-event
+/// declaration checks every variant against it at compile time.
+pub(crate) const MAX_PICKED: usize = 5;
 
 /// The members of one object a decoder asked for by key, each held as a
 /// [`Token`] at its key's position: the first member with that key, as
@@ -508,7 +509,6 @@ impl<'a> Picked<'a> {
     /// Nothing picked yet out of an object with `keys`, at most
     /// `MAX_PICKED` of them.
     pub(crate) fn new(keys: &'static [&'static str]) -> Self {
-        debug_assert!(keys.len() <= MAX_PICKED, "{keys:?}");
         Picked {
             keys,
             values: [const { None }; MAX_PICKED],
@@ -517,7 +517,6 @@ impl<'a> Picked<'a> {
 
     /// Asks for `keys` instead, before anything was picked.
     pub(crate) fn ask(&mut self, keys: &'static [&'static str]) {
-        debug_assert!(keys.len() <= MAX_PICKED, "{keys:?}");
         self.keys = keys;
     }
 

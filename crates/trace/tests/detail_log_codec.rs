@@ -51,10 +51,6 @@ fn one_of_each() -> Vec<TraceRecord> {
             phase: s("is\"sue"),
             scenario: s("ser\\ver"),
         },
-        TraceEvent::QueryScheduled {
-            query_id: u64::MAX,
-            sample_count: 2,
-        },
         TraceEvent::QueryIssued {
             query_id: 135_167,
             sample_count: 1,
@@ -96,15 +92,6 @@ fn one_of_each() -> Vec<TraceRecord> {
         TraceEvent::QueryErrored {
             query_id: 11,
             latency_ns: 88_000,
-        },
-        TraceEvent::FaultInjected {
-            query_id: 11,
-            fault: s("transient_error"),
-        },
-        TraceEvent::RecoveryAction {
-            query_id: 11,
-            action: s("retry"),
-            attempt: 2,
         },
         TraceEvent::WireEvent {
             endpoint: s("client"),

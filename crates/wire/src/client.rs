@@ -320,6 +320,20 @@ impl ClientShared {
         }
     }
 
+    /// Judges the link's silence now: past the heartbeat grace it is a
+    /// `heartbeat_loss`, logged and then settled as the core decided.
+    fn judge(&self) {
+        let judged = lock(&self.state).judge(self.log.now_ns());
+        if let Some((silence_ns, lost)) = judged {
+            self.log.wire_event(
+                "heartbeat_loss",
+                0,
+                &format!("no ack for {} ms", silence_ns / 1_000_000),
+            );
+            self.settle(lost, "heartbeat loss");
+        }
+    }
+
     /// An issuer's response timeout passed: the query vanishes unless its
     /// reply was routed meanwhile (`None`). A holder that timed out hands
     /// the role on: the second value is who reads next.
@@ -578,7 +592,8 @@ impl RemoteSut {
         lock(&self.shared.state).is_up()
     }
 
-    /// Sends `Drain`, closes the socket, and joins the worker threads.
+    /// Sends `Drain`, closes the socket, and joins the heartbeat thread,
+    /// the client's one thread.
     /// Called by `Drop`; safe to call more than once.
     pub fn shutdown(&self) {
         if !self.stop() {
@@ -868,15 +883,7 @@ fn read_link(
                 return (None, None);
             }
             Err(e) if timed_out(&e) => {
-                let judged = lock(&shared.state).judge(shared.log.now_ns());
-                if let Some((silence_ns, lost)) = judged {
-                    shared.log.wire_event(
-                        "heartbeat_loss",
-                        0,
-                        &format!("no ack for {} ms", silence_ns / 1_000_000),
-                    );
-                    shared.settle(lost, "heartbeat loss");
-                }
+                shared.judge();
                 if let Until::Ack(_) = until {
                     // One interval without the ack: the next tick probes
                     // (and judges) again. A link the judgement just took
@@ -1059,15 +1066,7 @@ fn heartbeat_loop(shared: &ClientShared) {
         // A failed send severed or failed the link already.
         if shared.send(&ping).is_ok() {
             shared.incr("wire_heartbeats");
-            let judged = lock(&shared.state).judge(shared.log.now_ns());
-            if let Some((silence_ns, lost)) = judged {
-                shared.log.wire_event(
-                    "heartbeat_loss",
-                    0,
-                    &format!("no ack for {} ms", silence_ns / 1_000_000),
-                );
-                shared.settle(lost, "heartbeat loss");
-            }
+            shared.judge();
         }
         if read {
             hold(shared, Until::Ack(seq));

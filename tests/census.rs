@@ -88,6 +88,13 @@ enum Pattern {
     PubFn(&'static [&'static str]),
     /// Every file in scope.
     File,
+    /// Each variant of `enum_name` that the declaration in `declared_in`
+    /// lists (a line of its code that reads `Variant(...) {`) and no file
+    /// in scope names as `enum_name::Variant`.
+    Unnamed {
+        enum_name: &'static str,
+        declared_in: &'static str,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -457,6 +464,28 @@ const RULES: &[Rule] = &[
         retired: "crc: the dispatch into the kernel is the one item excused from `deny(unsafe_code)`; the other roots forbid it",
         plant: ("crates/wire/src/frame.rs", "#[allow(unsafe_code)] fn raw() {}\n"),
     },
+    Rule {
+        name: "every trace event has a producer",
+        scope: &[
+            "crates/*/src/**/*.rs",
+            "src/**/*.rs",
+            "perfbench/src/**/*.rs",
+            "!crates/analysis/**",
+            "!crates/trace/src/event.rs",
+            "!crates/trace/src/chrome.rs",
+        ],
+        part: Part::Code,
+        pattern: Pattern::Unnamed {
+            enum_name: "TraceEvent",
+            declared_in: "crates/trace/src/event.rs",
+        },
+        want: Want::Count(0),
+        retired: "trace: `QueryScheduled` never had a producer, and once the fault decorators lost their hooks `FaultInjected` and `RecoveryAction` were only matched by the analyzer; the codec, the golden lines and the analyzer kept all three",
+        plant: (
+            "crates/trace/src/event.rs",
+            "        OnlyTested(\"only_tested\") {\n            query_id: u64,\n        },\n",
+        ),
+    },
 ];
 
 /// One match: `(path, 1-based line or 0, what matched)`.
@@ -464,6 +493,7 @@ type Hit = (String, usize, String);
 
 fn rule_hits(rule: &Rule, tree: &Tree) -> Vec<Hit> {
     let mut hits = Vec::new();
+    let mut named = BTreeSet::new();
     for (path, text) in tree.iter().filter(|(p, _)| in_scope(rule.scope, p)) {
         let code;
         let text = match rule.part {
@@ -507,9 +537,57 @@ fn rule_hits(rule: &Rule, tree: &Tree) -> Vec<Hit> {
                 }
             }
             Pattern::File => hits.push((path.clone(), 0, path.clone())),
+            Pattern::Unnamed { enum_name, .. } => {
+                for (at, _) in text.match_indices(enum_name) {
+                    let path_of = text[at + enum_name.len()..].strip_prefix("::");
+                    if let (Some(rest), false) = (path_of, text[..at].ends_with(is_ident)) {
+                        let variant = rest.split(|c: char| !is_ident(c)).next();
+                        named.insert(variant.unwrap_or("").to_string());
+                    }
+                }
+            }
         }
     }
+    if let Pattern::Unnamed {
+        enum_name,
+        declared_in,
+    } = rule.pattern
+    {
+        let declared = declared_variants(tree, declared_in);
+        if declared.is_empty() {
+            let what = format!("no `{enum_name}` declaration found");
+            hits.push((declared_in.to_string(), 0, what));
+        }
+        hits.extend(
+            declared
+                .into_iter()
+                .filter(|(_, variant)| !named.contains(variant))
+                .map(|(line, variant)| (declared_in.to_string(), line, variant)),
+        );
+    }
     hits
+}
+
+/// `(1-based line, name)` of each variant the declaration in `path`
+/// lists: a line of its code that reads `Name(...) {`, where the label in
+/// the parentheses is a string literal, blanked with the others.
+fn declared_variants(tree: &Tree, path: &str) -> Vec<(usize, String)> {
+    let Some((_, text)) = tree.iter().find(|(p, _)| p == path) else {
+        return Vec::new();
+    };
+    strip(non_test(text))
+        .lines()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let (name, rest) = line.trim().split_once('(')?;
+            let (label, open) = rest.split_once(')')?;
+            let declares = name.starts_with(|c: char| c.is_ascii_uppercase())
+                && name.chars().all(is_ident)
+                && label.trim().is_empty()
+                && open.trim() == "{";
+            declares.then(|| (i + 1, name.to_string()))
+        })
+        .collect()
 }
 
 /// `Ok` when the tree holds the rule, else what it found.
