@@ -2,33 +2,20 @@
 //!
 //! `RemoteSut` implements [`RealtimeSut`], so `Run::wall_clock` drives a
 //! machine on the other end of a TCP connection exactly as it drives an
-//! in-process SUT. Its link decisions — the bounded in-flight window, the
-//! pending table, heartbeat grace, sever or fail, the resume replay, and
-//! who reads the link — are `protocol::ClientCore`'s. This module is the
-//! threads that feed the core and carry out what it decides: the issuers,
-//! and one heartbeat that probes for a silently dead peer.
-//!
-//! Reading is a role, not a thread (leader/follower). An issuer admitted
-//! while nobody reads sends its query and reads the socket itself; while it
-//! reads it routes every frame — other issuers' completions, acks, shipped
-//! events, the goodbye — and, with a [`ResumePolicy`] armed, redials a
-//! severed link at a bumped epoch and replays the in-flight window (the
-//! server's completion journal dedups by wire id). It gives the role up as
-//! soon as its own outcome is known, and the core promotes the lowest
-//! still-pending waiter to read next. A closed loop's round trip is thus
-//! issuer → daemon → issuer, with no client thread in between. Reads time
-//! out every heartbeat interval, so a holder wakes to judge the link and
-//! its own response deadline; an idle link is read by the heartbeat after
-//! its probe, and `shutdown` reads for the drained goodbye.
+//! in-process SUT. `protocol::ClientCore` makes every link decision and
+//! sequences the protocol: the window, the pending table, who reads the
+//! link and for what, where each frame goes, heartbeat grace, sever or
+//! fail, and a resume's redial, handshake and replay. This module is the
+//! I/O around it: sockets, the issuers (whichever holds the read role
+//! reads and redials for everyone), the one heartbeat thread, the clock,
+//! the sink and the metrics.
 //!
 //! The failure mapping, which the validity rules lean on: a corrupt frame,
-//! a protocol violation or heartbeat loss is [`IssueOutcome::Errored`] —
-//! the link was alive enough to prove the peer misbehaved, and
-//! `ErrorFractionExceeded` sees it; a disconnect without resume, resume
-//! exhausted, or a response timeout is [`IssueOutcome::Vanished`] — the
-//! query stays outstanding for `IncompleteQueries` and TEST06, because its
-//! fate is unknown and "errored" would fabricate a resolution. No path can
-//! hang the run.
+//! a protocol violation or heartbeat loss is [`IssueOutcome::Errored`] (the
+//! peer provably misbehaved); a disconnect without resume, resume exhausted
+//! or a response timeout is [`IssueOutcome::Vanished`] (the query's fate is
+//! unknown, so it stays outstanding for `IncompleteQueries` and TEST06). No
+//! path can hang the run.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -44,10 +31,10 @@ use mlperf_trace::event::{parse_detail_log, TraceEvent, TraceSink};
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::sync::{lock, wait, wait_timeout, wait_timeout_while};
 
-use crate::clock::{ClockEstimator, ClockSample};
+use crate::clock::ClockEstimator;
 use crate::frame::WireError;
 use crate::message::{Hello, Message, PROTOCOL_VERSION};
-use crate::protocol::{classify, Admit, ClientCore, FailKind, Lost, Reader, Tick};
+use crate::protocol::{Admit, ClientCore, FailKind, Farewell, Got, Lost, Next, Resume, Tick};
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
 use crate::WireLog;
 
@@ -72,9 +59,8 @@ pub struct RemoteSutConfig {
     /// Backpressure window: issuers block once this many queries are on
     /// the wire without a completion.
     pub(crate) max_in_flight: u32,
-    /// How long an issuer waits for its completion frame before declaring
-    /// the query vanished. An issuer reading the link checks it between
-    /// reads, so to within one heartbeat interval.
+    /// How long an issuer waits for its completion frame (or the handshake
+    /// for its reply) before declaring the query vanished (the dial failed).
     pub(crate) response_timeout: Duration,
     /// Interval between heartbeat frames, and the read half's timeout:
     /// whoever reads the link wakes at least this often to judge it.
@@ -190,28 +176,6 @@ impl ReplySlot {
     }
 }
 
-/// What a holder of the read role reads for, and so when it gives it up.
-#[derive(Clone, Copy)]
-enum Until {
-    /// An issuer: its own reply, by its response deadline.
-    Reply { query_id: u64, deadline: Instant },
-    /// The heartbeat: the ack of its probe (or a later one), or one
-    /// interval of silence.
-    Ack(u64),
-    /// `shutdown`: the drained goodbye taking the link down, or the
-    /// deadline.
-    Goodbye(Instant),
-}
-
-/// A read that found nothing within the heartbeat interval (the read
-/// half's timeout): a tick, never a loss by itself.
-fn timed_out(e: &WireError) -> bool {
-    matches!(e, WireError::Io(io) if matches!(
-        io.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ))
-}
-
 struct ClientShared {
     config: RemoteSutConfig,
     addrs: Vec<SocketAddr>,
@@ -320,25 +284,69 @@ impl ClientShared {
         }
     }
 
-    /// Judges the link's silence now: past the heartbeat grace it is a
-    /// `heartbeat_loss`, logged and then settled as the core decided.
-    fn judge(&self) {
-        let judged = lock(&self.state).judge(self.log.now_ns());
-        if let Some((silence_ns, lost)) = judged {
-            self.log.wire_event(
-                "heartbeat_loss",
-                0,
-                &format!("no ack for {} ms", silence_ns / 1_000_000),
-            );
-            self.settle(lost, "heartbeat loss");
+    /// Carries out what one input to the core brought.
+    fn carry_out(&self, got: Got<Arc<ReplySlot>>) {
+        match got {
+            Got::Nothing => {}
+            Got::Resolved(r) => {
+                self.incr("wire_frames_received");
+                // One slot came free: one parked issuer, if any.
+                if r.wake_issuer {
+                    self.window.notify_one();
+                }
+                self.observe("wire_rtt_ns", r.rtt_ns);
+                self.span_event(r.trace_id, r.query_id, "complete");
+                if let Some((waiter, outcome)) = r.fill {
+                    waiter.fill(Reply::Outcome(outcome));
+                }
+            }
+            Got::Orphan(query_id) => {
+                self.incr("wire_frames_received");
+                self.incr("wire_orphan_completions");
+                self.log
+                    .wire_event("orphan_completion", query_id, "already resolved");
+            }
+            Got::Clock(sample) => {
+                self.incr("wire_clock_probes");
+                if self.estimator.observe(sample) {
+                    self.observe("wire_clock_rtt_ns", sample.rtt_ns());
+                    self.log.record(|| TraceEvent::ClockSync {
+                        host: "server".to_string(),
+                        offset_ns: sample.offset_ns(),
+                        rtt_ns: sample.rtt_ns(),
+                    });
+                }
+            }
+            // The server shipping its spans at drain: each record re-stamped
+            // from the server clock onto ours, then merged into the sink.
+            Got::Events(jsonl) => match parse_detail_log(&jsonl) {
+                Ok(records) => {
+                    self.incr("wire_event_frames");
+                    let sink = self.log.sink.as_ref();
+                    for record in records {
+                        if let Some(sink) = sink.filter(|s| s.enabled()) {
+                            let ts_ns = self.estimator.align_to_client(record.ts_ns);
+                            sink.record(ts_ns, &record.event);
+                        }
+                    }
+                }
+                Err(e) => self.log.wire_event("bad_events_frame", 0, &format!("{e}")),
+            },
+            Got::Lost(lost, note, reason) => {
+                if let Some((kind, detail)) = note {
+                    if kind == "corrupt_frame" {
+                        self.incr("wire_crc_failures");
+                    }
+                    self.log.wire_event(kind, 0, &detail);
+                }
+                self.settle(lost, &reason);
+            }
         }
     }
 
-    /// An issuer's response timeout passed: the query vanishes unless its
-    /// reply was routed meanwhile (`None`). A holder that timed out hands
-    /// the role on: the second value is who reads next.
-    fn time_out(&self, query_id: u64) -> Option<(IssueOutcome, Option<Arc<ReplySlot>>)> {
-        let timed_out = lock(&self.state).time_out(query_id)?;
+    /// A query's response timeout passed (the core already resolved it):
+    /// every parked issuer may now fit, and the timeout is counted.
+    fn timed_out(&self, query_id: u64) {
         self.window.notify_all();
         self.incr("wire_timeouts");
         self.log.wire_event(
@@ -346,14 +354,6 @@ impl ClientShared {
             query_id,
             "no completion frame within the response timeout",
         );
-        Some(timed_out)
-    }
-
-    /// Fails the link, whatever resume says. Idempotent; the first reason
-    /// and kind win.
-    fn fail(&self, reason: &str, kind: FailKind) {
-        let lost = lock(&self.state).fail(kind);
-        self.settle(lost, reason);
     }
 
     /// Encodes and sends one frame, timing the encode. A socket failure
@@ -365,21 +365,14 @@ impl ClientShared {
         let payload = msg.to_wire();
         self.observe_since("wire_encode_ns", encode_started);
         let result = lock(&self.writer).send(&payload);
-        match result {
-            Ok(()) => {
-                self.incr("wire_frames_sent");
-                Ok(())
-            }
+        match &result {
+            Ok(()) => self.incr("wire_frames_sent"),
             Err(e) => {
-                if !self.stopping.load(Ordering::SeqCst) {
-                    // The frame never left; its fate (and that of every
-                    // in-flight sibling) is unknown.
-                    let lost = lock(&self.state).lose(FailKind::Vanished);
-                    self.settle(lost, &format!("send failed: {e}"));
-                }
-                Err(e)
+                let lost = lock(&self.state).send_failed();
+                self.settle(lost, &format!("send failed: {e}"));
             }
         }
+        result
     }
 }
 
@@ -387,48 +380,32 @@ impl ClientShared {
 /// address, and the server's SUT name.
 type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String);
 
-/// Dials `addrs` in order and performs the handshake over the
-/// (optionally chaos-wrapped) transport. Reads on the link time out every
-/// `tick` (the heartbeat interval), so whoever holds the read role wakes
-/// to judge the link; the handshake reads through those ticks.
+/// Dials `addrs` in order and handshakes over the (optionally
+/// chaos-wrapped) transport, whose reads time out every heartbeat interval
+/// so a holder of the read role wakes to judge the link.
 fn dial(
     addrs: &[SocketAddr],
     hello: &Hello,
     chaos: Option<&Arc<ChaosSession>>,
-    tick: Duration,
+    config: &RemoteSutConfig,
 ) -> Result<DialedLink, WireError> {
     let (tcp, peer) = TcpTransport::dial(addrs.iter().copied())?;
-    tcp.set_read_timeout(tick)?;
+    tcp.set_read_timeout(config.heartbeat_interval)?;
     let base: Box<dyn Transport> = Box::new(tcp);
     let mut transport = match chaos {
         Some(session) => session.wrap(base),
         None => base,
     };
     transport.send(&Message::Hello(hello.clone()).to_wire())?;
-    let ack = loop {
-        match transport.recv() {
-            Err(e) if timed_out(&e) => {}
-            frame => break Message::from_wire(&frame?)?,
+    let sent = Instant::now();
+    let timeout_ns = config.response_timeout.as_nanos() as u64;
+    let sut_name = loop {
+        let got = transport.recv().and_then(|p| Message::from_wire(&p));
+        let waited_ns = sent.elapsed().as_nanos() as u64;
+        if let Some(name) = ClientCore::<()>::handshake(waited_ns, timeout_ns, got)? {
+            break name;
         }
     };
-    let (version, sut_name) = match ack {
-        Message::HelloAck {
-            version, sut_name, ..
-        } => (version, sut_name),
-        Message::Reject { reason } => return Err(WireError::Rejected(reason)),
-        other => {
-            return Err(WireError::Protocol(format!(
-                "expected HelloAck, got {}",
-                other.tag_name()
-            )))
-        }
-    };
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::VersionMismatch {
-            ours: PROTOCOL_VERSION,
-            theirs: version,
-        });
-    }
     // The handle that read the `HelloAck` stays the read half: on a resumed
     // session a replayed `Completion` can arrive right behind it, already
     // read ahead into this handle and no other.
@@ -463,8 +440,10 @@ impl RemoteSut {
     ///
     /// Returns [`WireError::Io`] if the TCP connect fails,
     /// [`WireError::VersionMismatch`] / [`WireError::Rejected`] if the
-    /// server refuses the handshake, and [`WireError::Protocol`] if the
-    /// server answers with anything but `HelloAck`/`Reject`.
+    /// server refuses the handshake, [`WireError::Protocol`] if the server
+    /// answers with anything but `HelloAck`/`Reject`, and
+    /// [`WireError::Disconnected`] if it answers nothing within the
+    /// response timeout.
     pub fn connect<A: ToSocketAddrs>(
         addr: A,
         hello: Hello,
@@ -495,8 +474,7 @@ impl RemoteSut {
             .clone()
             .map(|plan| Arc::new(ChaosSession::new(plan, "client", sink.clone())));
 
-        let tick = config.heartbeat_interval;
-        let (writer, reader, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref(), tick)?;
+        let (writer, reader, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref(), &config)?;
         let shared = Arc::new(ClientShared {
             epoch_watch: Arc::new(AtomicU32::new(hello.epoch)),
             state: Mutex::new(ClientCore::new(hello.epoch, &config)),
@@ -607,17 +585,20 @@ impl RemoteSut {
             // log actually gets them before the socket closes. Whoever
             // holds the read role meanwhile routes them instead.
             if self.shared.log.sink.is_some() {
-                let deadline = Instant::now() + GOODBYE_WAIT;
+                let log = &self.shared.log;
+                let deadline_ns = log.now_ns() + GOODBYE_WAIT.as_nanos() as u64;
                 loop {
                     let mut st = lock(&self.shared.state);
-                    if !st.is_up() || Instant::now() >= deadline {
-                        break;
-                    }
-                    if st.claim() {
-                        drop(st);
-                        hold(&self.shared, Until::Goodbye(deadline));
-                    } else {
-                        let _ = wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
+                    match st.farewell(log.now_ns(), deadline_ns) {
+                        Farewell::Done => break,
+                        Farewell::Read => {
+                            drop(st);
+                            hold(&self.shared);
+                        }
+                        Farewell::Wait => {
+                            let _ =
+                                wait_timeout(&self.shared.settled, st, Duration::from_millis(20));
+                        }
                     }
                 }
             }
@@ -642,7 +623,8 @@ impl RemoteSut {
     fn close(&self, reason: &str, kind: FailKind) {
         let sever = || lock(&self.shared.writer).shutdown();
         sever();
-        self.shared.fail(reason, kind);
+        let lost = lock(&self.shared.state).fail(kind);
+        self.shared.settle(lost, reason);
         // A reconnect racing this close may have installed a fresh
         // transport after the sever above; the reconnect path re-checks
         // `stopping`/`Dead` before installing, so at most one extra sever
@@ -694,11 +676,12 @@ impl RealtimeSut for RemoteSut {
         // this issuer now reads the link.
         let trace_id = shared.trace_id_for(query.id);
         let slot = Arc::new(ReplySlot::default());
-        let mut read = {
+        let (mut read, issued_ns) = {
             let mut st = lock(&shared.state);
             loop {
-                match st.issue(shared.stamp(), query, trace_id, &slot) {
-                    Admit::Send { read } => break read,
+                let now_ns = shared.log.now_ns();
+                match st.issue(now_ns, query, trace_id, &slot) {
+                    Admit::Send { read } => break (read, now_ns),
                     Admit::Refuse(kind) => return kind.outcome(),
                     Admit::Wait => {
                         st = wait(&shared.window, st);
@@ -718,24 +701,22 @@ impl RealtimeSut for RemoteSut {
         });
 
         let timeout = shared.config.response_timeout;
-        let deadline = Instant::now() + timeout;
-        let until = Until::Reply {
-            query_id: query.id,
-            deadline,
-        };
+        let deadline_ns = issued_ns.saturating_add(timeout.as_nanos() as u64);
         loop {
             if read {
-                if let Some(outcome) = hold(shared, until) {
+                if let Some(outcome) = hold(shared) {
                     return outcome;
                 }
                 // The link died under us: `fail` fills our slot.
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            match slot.wait(left) {
+            let left = deadline_ns.saturating_sub(shared.log.now_ns());
+            match slot.wait(Duration::from_nanos(left)) {
                 Some(Reply::Outcome(outcome)) => return outcome,
                 Some(Reply::Read) => read = true,
                 None => {
-                    if let Some((outcome, promoted)) = shared.time_out(query.id) {
+                    let timed_out = lock(&shared.state).time_out(query.id);
+                    if let Some((outcome, promoted)) = timed_out {
+                        shared.timed_out(query.id);
                         if let Some(next) = promoted {
                             next.fill(Reply::Read);
                         }
@@ -754,282 +735,108 @@ impl RealtimeSut for RemoteSut {
     }
 }
 
-/// Holds the read role — granted by the core to an issuer, the heartbeat or
-/// `shutdown` — and reads the link for `until`. Returns an issuer's own
-/// outcome when it read it (or timed out) itself; `None` when the link's
-/// death took the role away, or the heartbeat's or `shutdown`'s read
-/// ended. The waiter promoted
-/// on the way out is woken once the read half is unlocked.
-fn hold(shared: &ClientShared, until: Until) -> Option<IssueOutcome> {
+/// Holds the read role the core granted (to an issuer, the heartbeat or
+/// `shutdown`): reads the link, feeds `ClientCore::read` each frame, tick
+/// and read error, and does what it decides until the role is given up.
+/// Returns an issuer's own outcome, when it learned it; the promoted waiter
+/// is woken once the read half is unlocked.
+fn hold(shared: &ClientShared) -> Option<IssueOutcome> {
     let mut half = lock(&shared.reader);
-    let (outcome, promoted) = read_link(shared, &mut half, until);
-    drop(half);
-    if let Some(next) = promoted {
-        next.fill(Reply::Read);
-    }
-    outcome
-}
-
-/// The holder's loop: routes every frame — completions to their waiters
-/// (exactly once; a second copy is an orphan), acks to the liveness clock
-/// and the clock estimator, shipped events into the sink, the goodbye and
-/// any protocol violation into a failed link — and, with resume armed,
-/// redials a lost link and reads on at the new epoch. A read that times
-/// out is a tick: judge the link, and the holder's own deadline. Returns
-/// the holder's own outcome, if it learned it, and who was promoted.
-fn read_link(
-    shared: &ClientShared,
-    half: &mut Box<dyn Transport>,
-    until: Until,
-) -> (Option<IssueOutcome>, Option<Arc<ReplySlot>>) {
-    let me = match until {
-        Until::Reply { query_id, .. } => Reader::Issuer(query_id),
-        Until::Ack(_) | Until::Goodbye(_) => Reader::Watch,
-    };
-    loop {
+    let (own, promoted) = loop {
         let decode_started = shared.stamp();
-        let message = half.recv().and_then(|payload| {
+        let got = half.recv().and_then(|payload| {
             let msg = Message::from_wire(&payload);
             shared.observe_since("wire_decode_ns", decode_started);
             msg
         });
-        match message {
-            Ok(Message::Completion {
-                query_id,
-                error,
-                samples,
-            }) => {
-                shared.incr("wire_frames_received");
-                let resolved =
-                    lock(&shared.state).complete(shared.log.now_ns(), query_id, error, samples);
-                match resolved {
-                    Some(r) => {
-                        // One slot came free: one parked issuer, if any.
-                        if r.wake_issuer {
-                            shared.window.notify_one();
-                        }
-                        if let Some(rtt_ns) = r.rtt_ns {
-                            shared.observe("wire_rtt_ns", rtt_ns);
-                        }
-                        shared.span_event(r.trace_id, query_id, "complete");
-                        if me == Reader::Issuer(query_id) {
-                            return (Some(r.outcome), r.promoted);
-                        }
-                        r.waiter.fill(Reply::Outcome(r.outcome));
-                    }
-                    None => {
-                        shared.incr("wire_orphan_completions");
-                        shared
-                            .log
-                            .wire_event("orphan_completion", query_id, "already resolved");
-                    }
-                }
+        let (got, next) = lock(&shared.state).read(shared.log.now_ns(), got);
+        shared.carry_out(got);
+        match next {
+            Next::Read => {}
+            Next::Leave(own, promoted) => break (own, promoted),
+            Next::TimedOut(query_id, promoted) => {
+                shared.timed_out(query_id);
+                break (Some(IssueOutcome::Vanished), promoted);
             }
-            Ok(Message::HeartbeatAck { .. }) => lock(&shared.state).heard(shared.log.now_ns()),
-            Ok(Message::ClockProbeAck { seq, t0, t1, t2 }) => {
-                let t3 = shared.log.now_ns();
-                lock(&shared.state).heard(t3);
-                let sample = ClockSample { t0, t1, t2, t3 };
-                shared.incr("wire_clock_probes");
-                if shared.estimator.observe(sample) {
-                    shared.observe("wire_clock_rtt_ns", sample.rtt_ns());
-                    shared.log.record(|| TraceEvent::ClockSync {
-                        host: "server".to_string(),
-                        offset_ns: sample.offset_ns(),
-                        rtt_ns: sample.rtt_ns(),
-                    });
-                }
-                if matches!(until, Until::Ack(probe) if seq >= probe) {
-                    return (None, lock(&shared.state).release());
-                }
-            }
-            Ok(Message::Events { jsonl }) => {
-                // The server shipping its spans at drain. Re-stamp each
-                // record from the server clock onto ours using the offset
-                // estimate, then merge into the local sink.
-                match parse_detail_log(&jsonl) {
-                    Ok(records) => {
-                        shared.incr("wire_event_frames");
-                        if let Some(sink) = &shared.log.sink {
-                            for record in records {
-                                if sink.enabled() {
-                                    sink.record(
-                                        shared.estimator.align_to_client(record.ts_ns),
-                                        &record.event,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        shared
-                            .log
-                            .wire_event("bad_events_frame", 0, &format!("{e}"));
-                    }
-                }
-            }
-            Ok(Message::Goodbye { served }) => {
-                shared
-                    .log
-                    .wire_event("goodbye", 0, &format!("served={served}"));
-                shared.fail("server closed after drain", FailKind::Errored);
-                return (None, None);
-            }
-            Ok(other) => {
-                shared.fail(
-                    &format!("unexpected message from server: {}", other.tag_name()),
-                    FailKind::Errored,
-                );
-                return (None, None);
-            }
-            Err(e) if timed_out(&e) => {
-                shared.judge();
-                if let Until::Ack(_) = until {
-                    // One interval without the ack: the next tick probes
-                    // (and judges) again. A link the judgement just took
-                    // down is read on, so its redial starts now.
-                    let mut st = lock(&shared.state);
-                    if st.is_up() {
-                        return (None, st.release());
-                    }
-                }
-            }
-            Err(e) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    // `close` severed the link, and fails it as it says.
-                    return (None, None);
-                }
-                let (reason, kind) = classify(&e);
-                if let WireError::Frame(_) = e {
-                    shared.incr("wire_crc_failures");
-                    shared.log.wire_event("corrupt_frame", 0, &reason);
-                }
-                // Dead already (e.g. heartbeat loss failed the run), dead
-                // now (no resume), or down for the redial below.
-                let lost = lock(&shared.state).lose(kind);
-                let redial = matches!(lost, Lost::Down { .. });
-                shared.settle(lost, &reason);
-                let Some(policy) = shared.config.resume.filter(|_| redial) else {
-                    return (None, None);
-                };
-                match reconnect(shared, policy) {
-                    Some(new_reader) => *half = new_reader,
-                    None => {
-                        shared.fail(
-                            &format!(
-                                "resume failed after {} attempts: {reason}",
-                                policy.max_attempts.max(1)
-                            ),
-                            kind,
-                        );
-                        return (None, None);
-                    }
-                }
-            }
+            Next::Redial(attempt) => match redial(shared, attempt) {
+                Some(fresh) => *half = fresh,
+                None => break (None, None),
+            },
         }
-        // Every frame but the holder's own reply, and every tick, ends
-        // here: read on only while the role is still ours and its purpose
-        // unmet.
-        let mut st = lock(&shared.state);
-        if !st.holds(me) {
-            return (None, None);
-        }
-        match until {
-            Until::Reply { query_id, deadline } if Instant::now() >= deadline => {
-                drop(st);
-                return match shared.time_out(query_id) {
-                    Some((outcome, promoted)) => (Some(outcome), promoted),
-                    None => (None, None),
-                };
-            }
-            Until::Goodbye(deadline) if !st.is_up() || Instant::now() >= deadline => {
-                return (None, st.release());
-            }
-            _ => {}
-        }
+    };
+    drop(half);
+    if let Some(next) = promoted {
+        next.fill(Reply::Read);
     }
+    own
 }
 
-/// Redials with bounded backoff, re-handshakes at a bumped epoch, installs
-/// the fresh writer half, and replays every in-flight query. Returns the
-/// new read half for the role's holder, or `None` when the attempts are
-/// exhausted.
-fn reconnect(shared: &ClientShared, policy: ResumePolicy) -> Option<Box<dyn Transport>> {
-    for attempt in 1..=policy.max_attempts.max(1) {
-        if shared.stopping.load(Ordering::SeqCst) {
-            return None;
-        }
-        std::thread::sleep(policy.backoff.saturating_mul(attempt));
-        if shared.stopping.load(Ordering::SeqCst) {
-            return None;
-        }
+/// Redials with bounded backoff at the epoch the core bumps, then does what
+/// `ClientCore::dialed` decides: install the link and replay, try again,
+/// or give up. Returns the new read half, or `None` when resume failed.
+fn redial(shared: &ClientShared, mut attempt: u32) -> Option<Box<dyn Transport>> {
+    let backoff = shared.config.resume.map_or(Duration::ZERO, |p| p.backoff);
+    let stopping = || shared.stopping.load(Ordering::SeqCst);
+    loop {
+        let go = !stopping() && {
+            std::thread::sleep(backoff.saturating_mul(attempt));
+            !stopping()
+        };
         let mut hello = shared.base_hello.clone();
-        hello.epoch = lock(&shared.state).redial();
-        hello.resume = true;
-        shared.epoch_watch.store(hello.epoch, Ordering::SeqCst);
-        let (writer, reader, _peer, _name) = match dial(
-            &shared.addrs,
-            &hello,
-            shared.chaos.as_ref(),
-            shared.config.heartbeat_interval,
-        ) {
-            Ok(parts) => parts,
-            Err(e) => {
-                shared.log.wire_event(
-                    "resume_attempt_failed",
-                    0,
-                    &format!("epoch={} attempt={attempt}: {e}", hello.epoch),
-                );
+        let dialed = go.then(|| {
+            hello.epoch = lock(&shared.state).redial();
+            hello.resume = true;
+            shared.epoch_watch.store(hello.epoch, Ordering::SeqCst);
+            let config = &shared.config;
+            dial(&shared.addrs, &hello, shared.chaos.as_ref(), config).inspect_err(|e| {
+                let detail = format!("epoch={} attempt={attempt}: {e}", hello.epoch);
+                shared.log.wire_event("resume_attempt_failed", 0, &detail);
+            })
+        });
+        let ok = matches!(dialed, Some(Ok(_)));
+        // Decided and installed under one lock: once the link is Up with
+        // the new writer in place, a later sever closes *this* transport.
+        let mut st = lock(&shared.state);
+        let (replay, reader) = match (st.dialed(shared.log.now_ns(), ok), dialed) {
+            (Resume::Replay(replay), Some(Ok((writer, reader, ..)))) => {
+                *lock(&shared.writer) = writer;
+                drop(st);
+                (replay, reader)
+            }
+            (Resume::Again(next), _) => {
+                attempt = next;
                 continue;
             }
-        };
-
-        // Install atomically against shutdown/fail: once the link is Up
-        // with the new writer in place, a later sever closes *this*
-        // transport and nothing leaks.
-        let replay = {
-            let mut st = lock(&shared.state);
-            let replay = if shared.stopping.load(Ordering::SeqCst) {
-                None
-            } else {
-                st.resumed(shared.log.now_ns())
-            };
-            let Some(replay) = replay else {
-                writer.shutdown();
-                reader.shutdown();
+            (Resume::GiveUp(lost, reason), dialed) => {
+                drop(st);
+                if let Some(Ok((writer, reader, ..))) = dialed {
+                    writer.shutdown();
+                    reader.shutdown();
+                }
+                shared.settle(lost, &reason);
                 return None;
-            };
-            *lock(&shared.writer) = writer;
-            replay
+            }
+            (Resume::Replay(_), _) => unreachable!("replays only a dialed link"),
         };
         shared.window.notify_all();
         shared.incr("wire_resumes");
-        shared.log.wire_event(
-            "resume",
-            0,
-            &format!(
-                "epoch={} attempt={attempt} replaying {} in-flight",
-                hello.epoch,
-                replay.len()
-            ),
+        let detail = format!(
+            "epoch={} attempt={attempt} replaying {} in-flight",
+            hello.epoch,
+            replay.len()
         );
+        shared.log.wire_event("resume", 0, &detail);
         // A fresh link means a fresh network path: re-probe the clock so
         // the estimate reflects it.
         shared.send_probe();
-        // Replay the in-flight window under the *same* trace ids; the
-        // server dedups by wire id, so a query that also made it out the
-        // first time is served once and traced once.
-        for (query, trace_id) in replay {
-            if shared
-                .send(&Message::IssueTraced { trace_id, query })
-                .is_err()
-            {
-                break; // the new link died already; the holder will retry
-            }
-        }
+        // Replay the in-flight window under the *same* trace ids (the server
+        // dedups by wire id); a failed send means the new link died already,
+        // and the holder redials again.
+        let _ = replay.into_iter().try_for_each(|(query, trace_id)| {
+            shared.send(&Message::IssueTraced { trace_id, query })
+        });
         return Some(reader);
     }
-    None
 }
 
 /// Pings the server every `heartbeat_interval`; a completion or ack
@@ -1042,15 +849,15 @@ fn heartbeat_loop(shared: &ClientShared) {
         // Parked, not asleep: `RemoteSut::close` unparks this thread once
         // `stopping` is set, so a shutdown never waits out the interval.
         let wake_at = Instant::now() + shared.config.heartbeat_interval;
-        loop {
-            if shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            let left = wake_at.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+        let stopping = || shared.stopping.load(Ordering::SeqCst);
+        while let Some(left) = wake_at.checked_duration_since(Instant::now()) {
+            if stopping() || left.is_zero() {
                 break;
             }
             std::thread::park_timeout(left);
+        }
+        if stopping() {
+            return;
         }
         let (seq, read) = match lock(&shared.state).tick() {
             Tick::Stop => return,
@@ -1066,10 +873,11 @@ fn heartbeat_loop(shared: &ClientShared) {
         // A failed send severed or failed the link already.
         if shared.send(&ping).is_ok() {
             shared.incr("wire_heartbeats");
-            shared.judge();
+            let judged = lock(&shared.state).judge(shared.log.now_ns());
+            shared.carry_out(judged);
         }
         if read {
-            hold(shared, Until::Ack(seq));
+            hold(shared);
         }
     }
 }
@@ -1237,5 +1045,31 @@ mod tests {
         assert!(client.is_connected());
         client.shutdown();
         server.shutdown();
+    }
+
+    /// A peer whose kernel completes the connect but that never answers the
+    /// handshake (a listener that never accepts) fails `connect` once the
+    /// response timeout passes, instead of reading ticks forever. The
+    /// channel's own bound turns a regression into a failure, not a hang.
+    #[test]
+    fn a_handshake_nobody_answers_fails_connect_at_the_response_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let config = RemoteSutConfig::default()
+            .with_response_timeout(Duration::from_millis(300))
+            .with_heartbeat(Duration::from_millis(50), Duration::from_millis(100));
+        let hello = RemoteSut::hello_for(&TestSettings::single_stream(), 8, &config);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(RemoteSut::connect(addr, hello, config).map(|_| ()));
+        });
+        let connected = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("connect returned rather than hung");
+        assert!(
+            matches!(&connected, Err(WireError::Disconnected(why)) if why.contains("handshake")),
+            "{connected:?}"
+        );
+        drop(listener);
     }
 }

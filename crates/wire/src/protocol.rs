@@ -1,14 +1,13 @@
-//! The wire protocol's decisions, without I/O: [`ClientCore`] for
-//! [`RemoteSut`](crate::RemoteSut) and [`SessionCore`] for a daemon session.
+//! The wire protocol without I/O: [`ClientCore`] sequences
+//! [`RemoteSut`](crate::RemoteSut), [`SessionCore`] a daemon's connections.
 //!
 //! Each core is a plain struct its driver keeps under the one lock it
-//! already takes (`RemoteSut`'s link state, a session's book) and feeds one
-//! input at a time: an issue, a decoded frame, a read error, a heartbeat
-//! tick, a redial, a timeout, a served reply, a drain. A method returns a
-//! decision; the driver turns it into frames, wakeups, trace events and
-//! metrics. Nothing here reads a clock, blocks, locks or touches a socket
-//! (`tests/census.rs` holds this file to that): time comes in as `now_ns`,
-//! so every decision is testable from a scripted input sequence.
+//! already takes and feeds one input at a time (an issue, a decoded frame
+//! or read error, a tick, a handshake reply, a served reply, a drain); each
+//! method returns one decision. Nothing here reads a clock, blocks, locks
+//! or touches a socket (`tests/census.rs` holds this file to that): time
+//! comes in as `now_ns`, so scripted tables test every decision, and the
+//! one-thread simulation at the end of this file the whole protocol.
 
 use std::collections::{HashMap, HashSet};
 
@@ -16,7 +15,9 @@ use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::sut::IssueOutcome;
 
 use crate::client::RemoteSutConfig;
+use crate::clock::ClockSample;
 use crate::frame::WireError;
+use crate::message::{Hello, Message, PROTOCOL_VERSION};
 
 /// How a terminally failed link resolves its queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,12 +41,21 @@ impl FailKind {
 /// an integrity or protocol failure proves the peer (or the path) is
 /// garbling the run; after EOF or a reset the in-flight queries' fate is
 /// unknown.
-pub(crate) fn classify(e: &WireError) -> (String, FailKind) {
+fn classify(e: &WireError) -> (String, FailKind) {
     match e {
         WireError::Frame(fe) => (format!("corrupt frame: {fe}"), FailKind::Errored),
         WireError::Protocol(msg) => (format!("protocol error: {msg}"), FailKind::Errored),
         other => (format!("read failed: {other}"), FailKind::Vanished),
     }
+}
+
+/// A read that found nothing within the read half's timeout: a tick, never
+/// a loss by itself.
+fn timed_out(e: &WireError) -> bool {
+    matches!(e, WireError::Io(io) if matches!(
+        io.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ))
 }
 
 /// Link state. `Down` is transient: the holder of the read role redials and
@@ -58,35 +68,36 @@ enum Link {
     Dead(FailKind),
 }
 
-/// One query on the wire: its waiter, when it was sent (if anyone times
-/// round trips), and what a resume replays — the query under the *same*
-/// trace id, so the merged log stays exactly-once.
+/// One query on the wire: its waiter, send time and response deadline, and
+/// what a resume replays — the query under the *same* trace id.
 struct Pending<W> {
     waiter: W,
-    sent_ns: Option<u64>,
+    sent_ns: u64,
+    deadline_ns: u64,
     query: Query,
     trace_id: u64,
 }
 
-/// Who reads the link. Reading is a role, not a thread: one party at a time
-/// holds it, and only the holder touches the read half.
+/// Who reads the link, and what for, which says when it gives the role up.
+/// Reading is a role, not a thread: only the holder touches the read half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Reader {
+enum Reader {
     /// Nobody: nothing is pending, or the link is dead.
     Nobody,
-    /// The issuer of this query, until its own outcome is known.
+    /// This query's issuer, until its reply, its deadline or the link's death.
     Issuer(u64),
-    /// The heartbeat reading an idle link for its probe's ack, or
-    /// `shutdown` reading for the drained goodbye, until it releases.
-    Watch,
+    /// The heartbeat, until this probe's ack (or a later one), or one
+    /// interval of silence on a live link.
+    Probe(u64),
+    /// `shutdown`, until the goodbye takes the link down, or this deadline.
+    Goodbye(u64),
 }
 
 /// What an issuer does with its query.
 #[derive(Debug)]
 pub(crate) enum Admit {
-    /// Registered: send the issue frame, then read the link until the
-    /// reply (`read`: nobody was reading, so the issuer holds the role), or
-    /// wait for whoever reads to hand over the reply or the role.
+    /// Registered: send the issue frame, then read the link (`read`: the
+    /// role was free, now it is the issuer's) or wait on the slot.
     Send { read: bool },
     /// The window is full: park, [`ClientCore::unpark_issuer`], ask again.
     Wait,
@@ -94,17 +105,15 @@ pub(crate) enum Admit {
     Refuse(FailKind),
 }
 
-/// A completion routed to its waiter. `wake_issuer`: a window slot came
-/// free and an issuer is parked on it. `promoted`: the query was the read
-/// role's holder's own, so the role passed to this waiter, the lowest
-/// still-pending id (or to nobody, when nothing is pending).
+/// A completion routed to its query. `wake_issuer`: an issuer is parked on
+/// the slot it freed. `fill`: another issuer's outcome to hand over (`None`
+/// for the holder's own, which [`Next::Leave`] returns).
 pub(crate) struct Resolved<W> {
-    pub(crate) waiter: W,
-    pub(crate) outcome: IssueOutcome,
+    pub(crate) query_id: u64,
     pub(crate) trace_id: u64,
-    pub(crate) rtt_ns: Option<u64>,
+    pub(crate) rtt_ns: u64,
     pub(crate) wake_issuer: bool,
-    pub(crate) promoted: Option<W>,
+    pub(crate) fill: Option<(W, IssueOutcome)>,
 }
 
 /// What a heartbeat tick does: stop (the link is dead), skip (the read
@@ -129,15 +138,64 @@ pub(crate) enum Lost<W> {
     Failed(FailKind, Vec<W>),
 }
 
-/// The client's half of the protocol: the link and its epoch, the
-/// in-flight window and pending table, heartbeat liveness, and who reads.
-/// `W` is whatever wakes a waiting issuer.
-///
-/// The read role follows the leader/follower pattern. An issuer admitted
-/// while nobody reads takes it; a holder gives it up as soon as its own
-/// outcome is known (its reply, its response timeout, or the link dying),
-/// and the lowest still-pending id is promoted to read next. So while the
-/// link lives, a pending query always has a reader.
+/// What one input brought, for the driver to carry out.
+pub(crate) enum Got<W> {
+    /// Nothing: a liveness ack, or a tick on a link that is alive.
+    Nothing,
+    Resolved(Resolved<W>),
+    /// A completion for a query no longer pending, counted once.
+    Orphan(u64),
+    /// A clock probe's four timestamps; the ack also proved the peer alive.
+    Clock(ClockSample),
+    /// The server's spans, shipped at drain.
+    Events(String),
+    /// The link was lost: report the wire event that says how, if any
+    /// (`heartbeat_loss`, `corrupt_frame`, `goodbye`), then settle it for
+    /// the reason given.
+    Lost(Lost<W>, Option<(&'static str, String)>, String),
+}
+
+/// What the read role's holder does after a read.
+pub(crate) enum Next<W> {
+    Read,
+    /// Give the role up to the promoted waiter (the lowest pending id); an
+    /// issuer returns its own outcome, when it read it.
+    Leave(Option<IssueOutcome>, Option<W>),
+    /// The holder's own deadline passed: this query vanished; the role went
+    /// to the promoted waiter.
+    TimedOut(u64, Option<W>),
+    /// Redial (attempt 1 of an outage), then read on at the new epoch.
+    Redial(u32),
+}
+
+/// One read's decision: what it brought, and what the holder does next.
+pub(crate) type Step<W> = (Got<W>, Next<W>);
+
+/// What a redial's handshake decided: install the link and send these in
+/// id order under their trace ids; try this attempt after `attempt ×
+/// backoff`; or drop the new link, if any, and settle the loss.
+pub(crate) enum Resume<W> {
+    Replay(Vec<(Query, u64)>),
+    Again(u32),
+    GiveUp(Lost<W>, String),
+}
+
+/// What `shutdown`, waiting for the drained goodbye, does next: close (the
+/// link left `Up`, or the deadline passed), read for it (it holds the role
+/// now), or wait while someone else reads.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Farewell {
+    Done,
+    Read,
+    Wait,
+}
+
+/// The client's half of the protocol: the link and its epoch, the window
+/// and pending table, liveness, the resume attempts, and who reads for
+/// what (leader/follower: an issuer admitted while nobody reads takes the
+/// role, and gives it up to the lowest pending id once its own outcome is
+/// known, so a pending query on a live link always has a reader). `W` is
+/// whatever wakes a waiting issuer.
 pub(crate) struct ClientCore<W> {
     link: Link,
     epoch: u32,
@@ -149,9 +207,15 @@ pub(crate) struct ClientCore<W> {
     /// Wire query id → pending query; its size is the in-flight count.
     pending: HashMap<u64, Pending<W>>,
     resume: bool,
+    stopping: bool,
+    timeout_ns: u64,
     grace_ns: u64,
     last_heard_ns: u64,
     probe_seq: u64,
+    max_attempts: u32,
+    attempt: u32,
+    /// The read error that took the link down for the current redial.
+    outage: Option<(String, FailKind)>,
 }
 
 impl<W: Clone> ClientCore<W> {
@@ -165,20 +229,49 @@ impl<W: Clone> ClientCore<W> {
             window_waiters: 0,
             pending: HashMap::new(),
             resume: config.resume.is_some(),
+            stopping: false,
+            timeout_ns: config.response_timeout.as_nanos() as u64,
             grace_ns: config.heartbeat_grace.as_nanos() as u64,
             last_heard_ns: 0,
             probe_seq: 0,
+            max_attempts: config.resume.map_or(1, |p| p.max_attempts.max(1)),
+            attempt: 0,
+            outage: None,
+        }
+    }
+
+    /// A handshake's reply, `waited_ns` after the `Hello` went: the SUT
+    /// name, `None` to read on (a tick within the response timeout, which
+    /// bounds the wait), or why the dial failed.
+    pub(crate) fn handshake(
+        waited_ns: u64,
+        timeout_ns: u64,
+        got: Result<Message, WireError>,
+    ) -> Result<Option<String>, WireError> {
+        match got {
+            Ok(Message::HelloAck {
+                version, sut_name, ..
+            }) if version == PROTOCOL_VERSION => Ok(Some(sut_name)),
+            Ok(Message::HelloAck { version, .. }) => Err(WireError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: version,
+            }),
+            Ok(Message::Reject { reason }) => Err(WireError::Rejected(reason)),
+            Ok(other) => Err(WireError::Protocol(format!(
+                "expected HelloAck, got {}",
+                other.tag_name()
+            ))),
+            Err(e) if timed_out(&e) && waited_ns < timeout_ns => Ok(None),
+            Err(e) if timed_out(&e) => Err(WireError::Disconnected(format!(
+                "no handshake reply within {} ms",
+                timeout_ns / 1_000_000
+            ))),
+            Err(e) => Err(e),
         }
     }
 
     pub(crate) fn is_up(&self) -> bool {
         self.link == Link::Up
-    }
-
-    /// Whether `who` holds the read role: a holder reads on only while it
-    /// does, and stops once the link's death took the role away.
-    pub(crate) fn holds(&self, who: Reader) -> bool {
-        self.reader == who
     }
 
     /// If `from` holds the read role, it passes to the lowest still-pending
@@ -192,31 +285,28 @@ impl<W: Clone> ClientCore<W> {
         next.map(|(_, p)| p.waiter.clone())
     }
 
-    /// `shutdown`'s bid for the read role: granted only on a live link
-    /// nobody reads.
-    pub(crate) fn claim(&mut self) -> bool {
-        let free = self.link == Link::Up && self.reader == Reader::Nobody;
-        if free {
-            self.reader = Reader::Watch;
+    /// The holder gives the role up, having learned nothing of its own.
+    fn leave(&mut self) -> Next<W> {
+        Next::Leave(None, self.pass_on(self.reader))
+    }
+
+    /// `shutdown`, waiting until `deadline_ns` for the drained goodbye,
+    /// bids for the read role: granted only on a live link nobody reads.
+    pub(crate) fn farewell(&mut self, now_ns: u64, deadline_ns: u64) -> Farewell {
+        if self.link != Link::Up || now_ns >= deadline_ns {
+            Farewell::Done
+        } else if self.reader == Reader::Nobody {
+            self.reader = Reader::Goodbye(deadline_ns);
+            Farewell::Read
+        } else {
+            Farewell::Wait
         }
-        free
     }
 
-    /// The heartbeat or `shutdown` gives the role up, to the lowest id
-    /// admitted while it read, if any.
-    pub(crate) fn release(&mut self) -> Option<W> {
-        self.pass_on(Reader::Watch)
-    }
-
-    /// An issue, registered before its frame leaves so a fast reply cannot
-    /// race past the table. A `Down` link still admits: the resume replays.
-    pub(crate) fn issue(
-        &mut self,
-        sent_ns: Option<u64>,
-        query: &Query,
-        trace_id: u64,
-        waiter: &W,
-    ) -> Admit {
+    /// An issue at `now_ns`, registered before its frame leaves so a fast
+    /// reply cannot race past the table. A `Down` link still admits: the
+    /// resume replays.
+    pub(crate) fn issue(&mut self, now_ns: u64, query: &Query, trace_id: u64, waiter: &W) -> Admit {
         if let Link::Dead(kind) = self.link {
             return Admit::Refuse(kind);
         }
@@ -226,7 +316,8 @@ impl<W: Clone> ClientCore<W> {
         }
         let pending = Pending {
             waiter: waiter.clone(),
-            sent_ns,
+            sent_ns: now_ns,
+            deadline_ns: now_ns.saturating_add(self.timeout_ns),
             query: query.clone(),
             trace_id,
         };
@@ -242,36 +333,116 @@ impl<W: Clone> ClientCore<W> {
         self.window_waiters -= 1;
     }
 
-    /// A `Completion` frame, which also proves the peer alive. `None` for
-    /// an orphan — a query a timeout already resolved, or a replay whose
-    /// original made it through — which must not count twice.
-    pub(crate) fn complete(
-        &mut self,
-        now_ns: u64,
-        query_id: u64,
-        error: bool,
-        samples: Vec<SampleCompletion>,
-    ) -> Option<Resolved<W>> {
-        self.last_heard_ns = now_ns;
-        let p = self.pending.remove(&query_id)?;
-        let promoted = self.pass_on(Reader::Issuer(query_id));
-        Some(Resolved {
-            waiter: p.waiter,
-            outcome: if error {
-                IssueOutcome::Errored
-            } else {
-                IssueOutcome::Completed(samples)
-            },
-            trace_id: p.trace_id,
-            rtt_ns: p.sent_ns.map(|sent| now_ns.saturating_sub(sent)),
-            wake_issuer: self.window_waiters > 0,
-            promoted,
-        })
+    /// One read by the role's holder — a decoded frame, a tick (judge the
+    /// link) or a read error (sever for a redial, or fail as its kind) —
+    /// and what the holder does next.
+    pub(crate) fn read(&mut self, now_ns: u64, got: Result<Message, WireError>) -> Step<W> {
+        let got = match got {
+            Ok(Message::Completion {
+                query_id,
+                error,
+                samples,
+            }) => {
+                self.last_heard_ns = now_ns;
+                let Some(p) = self.pending.remove(&query_id) else {
+                    return self.then(now_ns, Got::Orphan(query_id));
+                };
+                let outcome = if error {
+                    IssueOutcome::Errored
+                } else {
+                    IssueOutcome::Completed(samples)
+                };
+                let (fill, own) = match self.reader == Reader::Issuer(query_id) {
+                    true => (None, Some(outcome)),
+                    false => (Some((p.waiter, outcome)), None),
+                };
+                let promoted = self.pass_on(Reader::Issuer(query_id));
+                let got = Got::Resolved(Resolved {
+                    query_id,
+                    trace_id: p.trace_id,
+                    rtt_ns: now_ns.saturating_sub(p.sent_ns),
+                    wake_issuer: self.window_waiters > 0,
+                    fill,
+                });
+                if own.is_some() {
+                    return (got, Next::Leave(own, promoted));
+                }
+                got
+            }
+            Ok(Message::HeartbeatAck { .. }) => {
+                self.last_heard_ns = now_ns;
+                Got::Nothing
+            }
+            Ok(Message::ClockProbeAck { seq, t0, t1, t2 }) => {
+                self.last_heard_ns = now_ns;
+                let got = Got::Clock(ClockSample {
+                    t0,
+                    t1,
+                    t2,
+                    t3: now_ns,
+                });
+                if matches!(self.reader, Reader::Probe(probe) if seq >= probe) {
+                    return (got, self.leave());
+                }
+                got
+            }
+            Ok(Message::Events { jsonl }) => Got::Events(jsonl),
+            Ok(Message::Goodbye { served }) => {
+                let note = Some(("goodbye", format!("served={served}")));
+                let reason = "server closed after drain".into();
+                Got::Lost(self.fail(FailKind::Errored), note, reason)
+            }
+            Ok(other) => {
+                let reason = format!("unexpected message from server: {}", other.tag_name());
+                Got::Lost(self.fail(FailKind::Errored), None, reason)
+            }
+            Err(e) if timed_out(&e) => {
+                let judged = self.judge(now_ns);
+                // One interval without the heartbeat's ack: the next tick
+                // probes again. A link the judgement just took down is read
+                // on, so its redial starts now.
+                if matches!(self.reader, Reader::Probe(_)) && self.is_up() {
+                    return (judged, self.leave());
+                }
+                judged
+            }
+            // `close` severed the link, and fails it as it says.
+            Err(_) if self.stopping => return (Got::Nothing, Next::Leave(None, None)),
+            Err(e) => {
+                let (reason, kind) = classify(&e);
+                let cause =
+                    matches!(e, WireError::Frame(_)).then(|| ("corrupt_frame", reason.clone()));
+                let lost = self.lose(kind);
+                if let Lost::Down { .. } = lost {
+                    self.outage = Some((reason.clone(), kind));
+                    self.attempt = 1;
+                    return (Got::Lost(lost, cause, reason), Next::Redial(1));
+                }
+                Got::Lost(lost, cause, reason)
+            }
+        };
+        self.then(now_ns, got)
     }
 
-    /// A heartbeat or clock-probe ack: the peer is alive.
-    pub(crate) fn heard(&mut self, now_ns: u64) {
-        self.last_heard_ns = now_ns;
+    /// After a read that left the holder's purpose open: read on while the
+    /// role is still its own (the link's death takes it away) and its own
+    /// deadline, or `shutdown`'s, has not passed.
+    fn then(&mut self, now_ns: u64, got: Got<W>) -> Step<W> {
+        let next = match self.reader {
+            Reader::Nobody => Next::Leave(None, None),
+            Reader::Issuer(query_id)
+                if self
+                    .pending
+                    .get(&query_id)
+                    .is_some_and(|p| now_ns >= p.deadline_ns) =>
+            {
+                self.pending.remove(&query_id);
+                Next::TimedOut(query_id, self.pass_on(self.reader))
+            }
+            Reader::Goodbye(deadline) if !self.is_up() || now_ns >= deadline => self.leave(),
+            _ => Next::Read,
+        };
+        (got, next)
     }
 
     /// The next clock probe's sequence number; handshake, resume and
@@ -281,40 +452,42 @@ impl<W: Clone> ClientCore<W> {
         self.probe_seq - 1
     }
 
-    /// A heartbeat interval passed. Every heartbeat is a clock probe, and
-    /// a link nobody reads is read by the heartbeat: an idle link's acks,
-    /// or a down link's redial, which nobody else is making.
+    /// A heartbeat interval passed: probe, and read a link nobody reads (an
+    /// idle link's acks, or a down link's redial nobody else is making).
     pub(crate) fn tick(&mut self) -> Tick {
         match (self.link, self.reader) {
             (Link::Dead(_), _) => Tick::Stop,
-            (Link::Down, Reader::Issuer(_) | Reader::Watch) => Tick::Skip,
-            (Link::Up | Link::Down, reader) => {
-                let read = reader == Reader::Nobody;
+            (Link::Down, Reader::Nobody) | (Link::Up, _) => {
+                let seq = self.probe();
+                let read = self.reader == Reader::Nobody;
                 if read {
-                    self.reader = Reader::Watch;
+                    self.reader = Reader::Probe(seq);
                 }
-                Tick::Probe {
-                    seq: self.probe(),
-                    read,
-                }
+                Tick::Probe { seq, read }
             }
+            (Link::Down, _) => Tick::Skip,
         }
     }
 
-    /// After a heartbeat's probe went out, or a holder's read found an
-    /// interval of silence: on a live link, more than the grace of silence
-    /// (no ack, no completion) loses the link as errored, since the peer
-    /// holds the socket open but does not answer. Returns the silence too.
-    /// A link already down or dead is not judged again.
-    pub(crate) fn judge(&mut self, now_ns: u64) -> Option<(u64, Lost<W>)> {
+    /// After a probe went out, or a holder's read found an interval of
+    /// silence: more than the grace of it loses a live link as errored (the
+    /// peer holds the socket open but does not answer). A link already down
+    /// or dead is not judged again.
+    pub(crate) fn judge(&mut self, now_ns: u64) -> Got<W> {
         let silence = now_ns.saturating_sub(self.last_heard_ns);
-        (self.link == Link::Up && silence > self.grace_ns)
-            .then(|| (silence, self.lose(FailKind::Errored)))
+        if self.link != Link::Up || silence <= self.grace_ns {
+            return Got::Nothing;
+        }
+        let note = Some((
+            "heartbeat_loss",
+            format!("no ack for {} ms", silence / 1_000_000),
+        ));
+        Got::Lost(self.lose(FailKind::Errored), note, "heartbeat loss".into())
     }
 
-    /// A failed send or read, or heartbeat loss: with resume armed the
-    /// link goes down for a redial, else it dies as `kind`.
-    pub(crate) fn lose(&mut self, kind: FailKind) -> Lost<W> {
+    /// A failed read, or heartbeat loss: with resume armed the link goes
+    /// down for a redial, else it dies as `kind`.
+    fn lose(&mut self, kind: FailKind) -> Lost<W> {
         match self.link {
             Link::Up | Link::Down if self.resume => {
                 let severed = self.link == Link::Up;
@@ -323,6 +496,15 @@ impl<W: Clone> ClientCore<W> {
             }
             _ => self.fail(kind),
         }
+    }
+
+    /// A frame that never left: its fate, and every in-flight sibling's, is
+    /// unknown. Once the client is stopping, `close` decides instead.
+    pub(crate) fn send_failed(&mut self) -> Lost<W> {
+        if self.stopping {
+            return Lost::Dead;
+        }
+        self.lose(FailKind::Vanished)
     }
 
     /// The link dies whatever resume says: goodbye, a protocol violation,
@@ -342,15 +524,15 @@ impl<W: Clone> ClientCore<W> {
     /// was promoted.
     pub(crate) fn time_out(&mut self, query_id: u64) -> Option<(IssueOutcome, Option<W>)> {
         self.pending.remove(&query_id)?;
-        Some((
-            IssueOutcome::Vanished,
-            self.pass_on(Reader::Issuer(query_id)),
-        ))
+        let promoted = self.pass_on(Reader::Issuer(query_id));
+        Some((IssueOutcome::Vanished, promoted))
     }
 
-    /// The driver is stopping: no redial will come, so a later loss fails.
+    /// The driver is stopping: no redial will come, so a later loss fails,
+    /// and a read or send error is `close`'s to settle.
     pub(crate) fn stop(&mut self) {
         self.resume = false;
+        self.stopping = true;
     }
 
     /// A redial attempt: the epoch to handshake at.
@@ -359,22 +541,36 @@ impl<W: Clone> ClientCore<W> {
         self.epoch
     }
 
-    /// A redial handshook: the link is up and heard again, and every
-    /// in-flight query goes out again, in id order, under its trace id.
-    /// `None` when the link died meanwhile: drop the new one.
-    pub(crate) fn resumed(&mut self, now_ns: u64) -> Option<Vec<(Query, u64)>> {
-        if let Link::Dead(_) = self.link {
-            return None;
+    /// A redial's handshake succeeded (`ok`: up and heard, replay the
+    /// window) or failed (the next attempt, until they are spent; then the
+    /// link dies as the outage's read error said). A dead link or a
+    /// stopping client drops the new one.
+    pub(crate) fn dialed(&mut self, now_ns: u64, ok: bool) -> Resume<W> {
+        let live = self.resume && !matches!(self.link, Link::Dead(_));
+        if live && ok {
+            self.link = Link::Up;
+            self.last_heard_ns = now_ns;
+            let mut replay: Vec<(Query, u64)> = self
+                .pending
+                .values()
+                .map(|p| (p.query.clone(), p.trace_id))
+                .collect();
+            replay.sort_by_key(|(q, _)| q.id);
+            return Resume::Replay(replay);
         }
-        self.link = Link::Up;
-        self.last_heard_ns = now_ns;
-        let mut replay: Vec<(Query, u64)> = self
-            .pending
-            .values()
-            .map(|p| (p.query.clone(), p.trace_id))
-            .collect();
-        replay.sort_by_key(|(q, _)| q.id);
-        Some(replay)
+        if live && self.attempt < self.max_attempts {
+            self.attempt += 1;
+            return Resume::Again(self.attempt);
+        }
+        let (reason, kind) = self
+            .outage
+            .take()
+            .unwrap_or_else(|| ("link lost".into(), FailKind::Vanished));
+        let reason = format!(
+            "resume failed after {} attempts: {reason}",
+            self.max_attempts
+        );
+        Resume::GiveUp(self.fail(kind), reason)
     }
 }
 
@@ -393,6 +589,29 @@ pub(crate) enum Attach {
     /// A later epoch of a session this daemon forgot (it restarted): the
     /// journal is read back from disk, if any; else replays simply re-run.
     Adopt,
+}
+
+/// What a connection's first frame opens: a run's handshake at our version;
+/// a telemetry poll (answer `Stats`, close); a handshake at another version
+/// (log `event`, refuse with `reason`); or nothing (the shutdown poke).
+pub(crate) enum Open {
+    Hello(Hello),
+    Stats,
+    Reject { event: String, reason: String },
+    Close,
+}
+
+/// What a connection does with one of its client's frames: route an issue
+/// (and its trace id) through [`SessionCore::issue`]; answer a clock probe;
+/// ignore a duplicated `Hello`; answer `Goodbye` once
+/// [`SessionCore::drain`] allows; or close, with the wire event that says
+/// why when the client broke the protocol or a frame arrived corrupt.
+pub(crate) enum Conn {
+    Issue(Query, u64),
+    Probe { seq: u64, t0: u64 },
+    Ignore,
+    Drain,
+    Close(Option<(&'static str, String)>),
 }
 
 /// How a session routes an issued query: serve it fresh, answer it from
@@ -426,6 +645,58 @@ impl SessionCore {
             journal: recovered,
             ..SessionCore::default()
         }
+    }
+
+    /// A connection's first frame. One version: any other — older or newer
+    /// — is refused with a reason rather than guessed at.
+    pub(crate) fn open(got: Result<Message, WireError>) -> Open {
+        match got {
+            Ok(Message::Hello(hello)) if hello.version == PROTOCOL_VERSION => Open::Hello(hello),
+            Ok(Message::Hello(Hello { version, .. })) => Open::Reject {
+                event: format!("version mismatch: client v{version}"),
+                reason: format!(
+                    "protocol version mismatch: server v{PROTOCOL_VERSION}, client v{version}"
+                ),
+            },
+            Ok(Message::StatsRequest) => Open::Stats,
+            _ => Open::Close,
+        }
+    }
+
+    /// Every later frame of a connection: the read error or the frame that
+    /// ends it, or what to do with it.
+    pub(crate) fn frame(got: Result<Message, WireError>) -> Conn {
+        let why = |kind, detail| Conn::Close(Some((kind, detail)));
+        match got {
+            Ok(Message::IssueTraced { trace_id, query }) => Conn::Issue(query, trace_id),
+            Ok(Message::Hello(_)) => Conn::Ignore,
+            Ok(Message::ClockProbe { seq, t0 }) => Conn::Probe { seq, t0 },
+            Ok(Message::Drain) => Conn::Drain,
+            Ok(Message::Goodbye { .. }) => Conn::Close(None),
+            Ok(other) => why(
+                "protocol_error",
+                format!("unexpected message from client: {}", other.tag_name()),
+            ),
+            Err(WireError::Frame(e)) => why("corrupt_frame", format!("corrupt frame: {e}")),
+            Err(WireError::Protocol(msg)) => {
+                why("protocol_error", format!("protocol error: {msg}"))
+            }
+            Err(_) => Conn::Close(None),
+        }
+    }
+
+    /// The completions a restarted daemon reads back from a session's
+    /// journal: each frame that decodes as a `Completion`.
+    pub(crate) fn recover(frames: &[Vec<u8>]) -> CompletionMap {
+        let completion = |frame: &Vec<u8>| match Message::from_wire(frame) {
+            Ok(Message::Completion {
+                query_id,
+                error,
+                samples,
+            }) => Some((query_id, (error, samples))),
+            _ => None,
+        };
+        frames.iter().filter_map(completion).collect()
     }
 
     /// A handshake at `epoch`, for a session the daemon holds (`live`) or
@@ -508,11 +779,13 @@ mod tests {
         Fail(FailKind),
         TimeOut(u64),
         Redial,
-        Resumed,
+        /// A redial's handshake succeeded or failed.
+        Dialed(bool),
         Stop,
-        /// `shutdown` bids for the read role.
+        /// `shutdown` bids for the read role, for two nanoseconds.
         Claim,
-        /// The heartbeat or `shutdown` gives the read role up.
+        /// The holder's read finds an interval of silence: the heartbeat
+        /// and `shutdown` give the read role up.
         Release,
         /// Who reads the link now.
         Reader,
@@ -559,8 +832,21 @@ mod tests {
 
     /// [`run_client`] with a window of `window`.
     fn run_client_in(window: u32, resume: bool, script: Vec<(u64, In)>) -> Vec<String> {
+        run_client_with(1, window, resume, script)
+    }
+
+    /// The default response timeout: 10 s.
+    const TIMEOUT_NS: u64 = 10_000_000_000;
+
+    /// [`run_client_in`] with a resume policy of `attempts` attempts.
+    fn run_client_with(
+        attempts: u32,
+        window: u32,
+        resume: bool,
+        script: Vec<(u64, In)>,
+    ) -> Vec<String> {
         let policy = crate::client::ResumePolicy {
-            max_attempts: 1,
+            max_attempts: attempts,
             backoff: Duration::ZERO,
         };
         let config = RemoteSutConfig {
@@ -573,40 +859,35 @@ mod tests {
         let mut out = Vec::new();
         for (now, input) in script {
             out.push(match input {
-                In::Issue(id) => {
-                    format!("{:?}", core.issue(Some(now), &query(id), id ^ 0xAB, &id))
-                }
+                In::Issue(id) => format!("{:?}", core.issue(now, &query(id), id ^ 0xAB, &id)),
                 In::Unpark => {
                     core.unpark_issuer();
                     format!("parked={}", core.window_waiters)
                 }
-                In::Complete(id, error) => match core.complete(now, id, error, Vec::new()) {
-                    Some(r) => format!(
-                        "resolved {} {} trace={:#x} rtt={:?} wake={}{}",
-                        r.waiter,
-                        show_outcome(&r.outcome),
-                        r.trace_id,
-                        r.rtt_ns,
-                        r.wake_issuer,
-                        show_promoted(r.promoted)
-                    ),
-                    None => "orphan".into(),
-                },
+                In::Complete(id, error) => {
+                    let samples = Vec::new();
+                    let frame = Message::Completion {
+                        query_id: id,
+                        error,
+                        samples,
+                    };
+                    show_step(core.read(now, Ok(frame)))
+                }
                 In::Heard => {
-                    core.heard(now);
+                    core.read(now, Ok(Message::HeartbeatAck { seq: 0 }));
                     "heard".into()
                 }
                 In::Tick => format!("{:?}", core.tick()),
-                In::Judge => match core.judge(now) {
-                    Some((silence, lost)) => format!("silent {silence}: {}", show_lost(lost)),
-                    None if core.is_up() => "alive".into(),
-                    None => "not judged".into(),
-                },
-                In::ReadError(e) => {
-                    let (_, kind) = classify(&e);
-                    show_lost(core.lose(kind))
+                In::Judge => {
+                    let silence = now - core.last_heard_ns;
+                    match core.judge(now) {
+                        Got::Lost(lost, ..) => format!("silent {silence}: {}", show_lost(lost)),
+                        _ if core.is_up() => "alive".into(),
+                        _ => "not judged".into(),
+                    }
                 }
-                In::SendError => show_lost(core.lose(FailKind::Vanished)),
+                In::ReadError(e) => show_step(core.read(now, Err(e))),
+                In::SendError => show_lost(core.send_failed()),
                 In::Fail(kind) => show_lost(core.fail(kind)),
                 In::TimeOut(id) => match core.time_out(id) {
                     Some((outcome, promoted)) => {
@@ -615,23 +896,72 @@ mod tests {
                     None => "racing".into(),
                 },
                 In::Redial => format!("epoch {}", core.redial()),
-                In::Resumed => match core.resumed(now) {
-                    Some(replay) => format!(
+                In::Dialed(ok) => match core.dialed(now, ok) {
+                    Resume::Replay(replay) => format!(
                         "replay {:?}",
                         replay.iter().map(|(q, t)| (q.id, *t)).collect::<Vec<_>>()
                     ),
-                    None => "drop the new link".into(),
+                    Resume::Again(attempt) => format!("again {attempt}"),
+                    Resume::GiveUp(Lost::Dead, _) => "drop the new link".into(),
+                    Resume::GiveUp(lost, reason) => format!("{}: {reason}", show_lost(lost)),
                 },
                 In::Stop => {
                     core.stop();
                     "stopping".into()
                 }
-                In::Claim => format!("claim={}", core.claim()),
-                In::Release => format!("release{}", show_promoted(core.release())),
-                In::Reader => format!("reader={:?}", core.reader),
+                In::Claim => format!("claim={}", core.farewell(now, now + 2) == Farewell::Read),
+                In::Release => show_step(core.read(now, Err(tick()))),
+                In::Reader => format!("reader={}", show_reader(core.reader)),
             });
         }
         out
+    }
+
+    /// What one read decided, as the tables spell it: a completion routed
+    /// (and the role promoted, when it was the holder's own), an orphan, a
+    /// lost link, a timeout, or the role given up.
+    fn show_step((got, next): Step<u64>) -> String {
+        let (own, promoted) = match next {
+            Next::Leave(own, promoted) => (own, promoted),
+            Next::TimedOut(id, promoted) => {
+                return format!("timed out {id}{}", show_promoted(promoted))
+            }
+            Next::Read | Next::Redial(_) => (None, None),
+        };
+        match got {
+            Got::Resolved(r) => {
+                let outcome = r
+                    .fill
+                    .map(|(_, outcome)| outcome)
+                    .or(own)
+                    .expect("an outcome");
+                format!(
+                    "resolved {} {} trace={:#x} rtt=Some({}) wake={}{}",
+                    r.query_id,
+                    show_outcome(&outcome),
+                    r.trace_id,
+                    r.rtt_ns,
+                    r.wake_issuer,
+                    show_promoted(promoted)
+                )
+            }
+            Got::Orphan(_) => "orphan".into(),
+            Got::Lost(lost, ..) => show_lost(lost),
+            _ => format!("release{}", show_promoted(promoted)),
+        }
+    }
+
+    /// The heartbeat and `shutdown` both read as a watcher.
+    fn show_reader(reader: Reader) -> String {
+        match reader {
+            Reader::Probe(_) | Reader::Goodbye(_) => "Watch".into(),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// A read that timed out: one heartbeat interval of silence.
+    fn tick() -> WireError {
+        WireError::Io(std::io::ErrorKind::WouldBlock.into())
     }
 
     fn corrupt() -> WireError {
@@ -700,7 +1030,7 @@ mod tests {
                     (8, In::Tick),
                     (9, In::Redial),
                     (9, In::Redial),
-                    (50, In::Resumed),
+                    (50, In::Dialed(true)),
                     (60, In::Complete(1, false)),
                 ],
                 &[
@@ -724,7 +1054,7 @@ mod tests {
                     (5, In::ReadError(corrupt())),
                     (9, In::Redial),
                     (99, In::Fail(FailKind::Errored)),
-                    (99, In::Resumed),
+                    (99, In::Dialed(true)),
                 ],
                 &[
                     "Send { read: true }",
@@ -763,7 +1093,7 @@ mod tests {
             (
                 "heartbeat grace expiring with resume armed severs the link, once: a down link is not judged",
                 true,
-                vec![(2_001, In::Judge), (2_002, In::Judge), (2_003, In::Resumed)],
+                vec![(2_001, In::Judge), (2_002, In::Judge), (2_003, In::Dialed(true))],
                 &[
                     "silent 2001: down severed=true",
                     "not judged",
@@ -911,7 +1241,7 @@ mod tests {
                     (3, In::Tick),
                     (4, In::ReadError(eof())),
                     (5, In::Redial),
-                    (6, In::Resumed),
+                    (6, In::Dialed(true)),
                     (7, In::Reader),
                 ],
                 &[
@@ -1003,6 +1333,144 @@ mod tests {
         ];
         for (name, resume, script, want) in rows {
             assert_eq!(run_client_in(4, resume, script), want, "{name}");
+        }
+    }
+
+    /// What the read role's holder reads for, and the redial sequence:
+    /// its own deadline, the policy's attempts, and a stopping client.
+    #[test]
+    fn the_holder_reads_until_its_purpose_is_met_and_redials_as_the_policy_allows() {
+        type Row = (&'static str, bool, Vec<(u64, In)>, &'static [&'static str]);
+        let rows: Vec<Row> = vec![
+            (
+                "a holder whose own response deadline passes while it reads times its query out",
+                false,
+                vec![
+                    (0, In::Issue(1)),
+                    (5, In::Issue(2)),
+                    (1_000, In::Heard),
+                    (TIMEOUT_NS - 1, In::Complete(2, false)),
+                    (TIMEOUT_NS, In::Heard),
+                    (TIMEOUT_NS + 1, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "Send { read: false }",
+                    "heard",
+                    "resolved 2 completed trace=0xa9 rtt=Some(9999999994) wake=false",
+                    "heard",
+                    "reader=Nobody",
+                ],
+            ),
+            (
+                "a tick past the deadline times out the holder (alive) and promotes the next waiter",
+                false,
+                vec![
+                    (0, In::Issue(1)),
+                    (5, In::Issue(2)),
+                    (TIMEOUT_NS - 1, In::Heard),
+                    (TIMEOUT_NS, In::Release),
+                    (TIMEOUT_NS, In::Reader),
+                ],
+                &[
+                    "Send { read: true }",
+                    "Send { read: false }",
+                    "heard",
+                    "timed out 1 promote=2",
+                    "reader=Issuer(2)",
+                ],
+            ),
+            (
+                "every failed attempt is followed by the next, until the attempts are spent",
+                true,
+                vec![
+                    (0, In::Issue(1)),
+                    (5, In::ReadError(eof())),
+                    (6, In::Redial),
+                    (7, In::Dialed(false)),
+                    (8, In::Redial),
+                    (9, In::Dialed(false)),
+                    (10, In::Redial),
+                    (11, In::Dialed(false)),
+                    (12, In::Issue(2)),
+                ],
+                &[
+                    "Send { read: true }",
+                    "down severed=true",
+                    "epoch 1",
+                    "again 2",
+                    "epoch 2",
+                    "again 3",
+                    "epoch 3",
+                    "failed Vanished [1]: resume failed after 3 attempts: read failed: wire disconnected: eof",
+                    "Refuse(Vanished)",
+                ],
+            ),
+            (
+                "a stopping client's read error is close's to settle; a redial gives up",
+                true,
+                vec![
+                    (0, In::Issue(1)),
+                    (1, In::Stop),
+                    (2, In::ReadError(eof())),
+                    (3, In::Reader),
+                    (4, In::Dialed(true)),
+                ],
+                &[
+                    "Send { read: true }",
+                    "stopping",
+                    "release",
+                    "reader=Issuer(1)",
+                    "failed Vanished [1]: resume failed after 3 attempts: link lost",
+                ],
+            ),
+        ];
+        for (name, resume, script, want) in rows {
+            assert_eq!(run_client_with(3, 4, resume, script), want, "{name}");
+        }
+    }
+
+    /// The handshake's reply, against a response timeout of 10 ms: a tick
+    /// reads on until the timeout, which fails the dial, so a peer that
+    /// accepts and never answers cannot hang `connect` or a redial.
+    #[test]
+    fn the_handshake_takes_its_reply_or_gives_up_at_the_response_timeout() {
+        let ms = 1_000_000;
+        let ack = |version| Message::HelloAck {
+            version,
+            sut_name: "sut".into(),
+            max_in_flight: 4,
+        };
+        let rows: Vec<(u64, Result<Message, WireError>, &str)> = vec![
+            (ms, Ok(ack(PROTOCOL_VERSION)), "Ok(Some(\"sut\"))"),
+            (0, Err(tick()), "Ok(None)"),
+            (10 * ms - 1, Err(tick()), "Ok(None)"),
+            (
+                10 * ms,
+                Err(tick()),
+                "wire disconnected: no handshake reply within 10 ms",
+            ),
+            (ms, Ok(ack(2)), "wire version mismatch: ours v3, peer v2"),
+            (
+                ms,
+                Ok(Message::Reject {
+                    reason: "full".into(),
+                }),
+                "handshake rejected: full",
+            ),
+            (
+                ms,
+                Ok(Message::Goodbye { served: 0 }),
+                "wire protocol error: expected HelloAck, got Goodbye",
+            ),
+            (ms, Err(eof()), "wire disconnected: eof"),
+        ];
+        for (waited_ns, got, want) in rows {
+            let decided = match ClientCore::<u64>::handshake(waited_ns, 10 * ms, got) {
+                Ok(name) => format!("Ok({name:?})"),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(decided, want, "after {waited_ns} ns");
         }
     }
 
@@ -1124,5 +1592,1268 @@ mod tests {
         let mut core = SessionCore::default();
         let decisions = run_session(&mut core, vec![S::Issue(1), S::Settled, S::Drain]);
         assert_eq!(decisions, ["Fresh", "wake=false", "goodbye=true"]);
+    }
+
+    /// A connection's first frame and every later one, as the daemon's core
+    /// routes them: the handshake, the probes, the drain, and each way a
+    /// connection ends, with the wire event that names a misbehaving client.
+    #[test]
+    fn a_connection_opens_and_closes_as_the_session_core_says() {
+        let hello = |version| {
+            let mut hello = match crate::message::tests::sample_messages().remove(0) {
+                Message::Hello(hello) => hello,
+                other => panic!("{other:?}"),
+            };
+            hello.version = version;
+            Message::Hello(hello)
+        };
+        let open = |got| match SessionCore::open(got) {
+            Open::Hello(h) => format!("hello v{}", h.version),
+            Open::Stats => "stats".into(),
+            Open::Reject { event, reason } => format!("reject ({event}): {reason}"),
+            Open::Close => "close".into(),
+        };
+        assert_eq!(open(Ok(hello(PROTOCOL_VERSION))), "hello v3");
+        assert_eq!(
+            open(Ok(hello(2))),
+            "reject (version mismatch: client v2): protocol version mismatch: server v3, client v2"
+        );
+        assert_eq!(open(Ok(Message::StatsRequest)), "stats");
+        assert_eq!(open(Ok(Message::Drain)), "close");
+        assert_eq!(open(Err(eof())), "close");
+
+        let frame = |got| match SessionCore::frame(got) {
+            Conn::Issue(q, trace) => format!("issue {} trace={trace}", q.id),
+            Conn::Probe { seq, t0 } => format!("probe {seq} {t0}"),
+            Conn::Ignore => "ignore".into(),
+            Conn::Drain => "drain".into(),
+            Conn::Close(None) => "close".into(),
+            Conn::Close(Some((kind, detail))) => format!("close {kind}: {detail}"),
+        };
+        let rows: Vec<(Result<Message, WireError>, &str)> = vec![
+            (
+                Ok(Message::IssueTraced {
+                    trace_id: 9,
+                    query: query(4),
+                }),
+                "issue 4 trace=9",
+            ),
+            (Ok(Message::ClockProbe { seq: 2, t0: 7 }), "probe 2 7"),
+            (Ok(hello(PROTOCOL_VERSION)), "ignore"),
+            (Ok(Message::Drain), "drain"),
+            (Ok(Message::Goodbye { served: 1 }), "close"),
+            (
+                Ok(Message::HeartbeatAck { seq: 0 }),
+                "close protocol_error: unexpected message from client: HeartbeatAck",
+            ),
+            (
+                Err(WireError::Protocol("unknown tag 99".into())),
+                "close protocol_error: protocol error: unknown tag 99",
+            ),
+            (Err(eof()), "close"),
+        ];
+        for (got, want) in rows {
+            assert_eq!(frame(got), want);
+        }
+        let corrupt = frame(Err(corrupt()));
+        assert!(
+            corrupt.starts_with("close corrupt_frame: corrupt frame: "),
+            "{corrupt}"
+        );
+    }
+
+    /// A restarted daemon reads back what its journal's frames say, and
+    /// only the completions.
+    #[test]
+    fn a_journal_is_recovered_from_its_completion_frames() {
+        let frames: Vec<Vec<u8>> = crate::message::tests::sample_messages()
+            .iter()
+            .map(Message::to_wire)
+            .chain([vec![0, 1, 2]])
+            .collect();
+        let recovered = SessionCore::recover(&frames);
+        let want: CompletionMap = crate::message::tests::sample_messages()
+            .into_iter()
+            .filter_map(|m| match m {
+                Message::Completion {
+                    query_id,
+                    error,
+                    samples,
+                } => Some((query_id, (error, samples))),
+                _ => None,
+            })
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(recovered, want);
+    }
+}
+
+/// The whole wire protocol, simulated on one thread in virtual time: one
+/// [`ClientCore`] and one [`SessionCore`], driven exactly as `client.rs` and
+/// `server.rs` drive them — issuers that read their own replies or wait on
+/// a slot, a heartbeat that probes, judges and reads an idle link, a holder
+/// that redials and replays, `shutdown`'s drain and goodbye, a daemon
+/// connection per dial, a service, and drains — joined by a seeded
+/// in-memory link that carries real sealed `frame.rs` bytes and applies a
+/// [`WireChaosPlan`]'s six fault kinds (corrupt, truncate, duplicate,
+/// delay, partition, disconnect) at either end, plus dials that are
+/// refused or answered by a silent listener.
+///
+/// Each seed draws 1–8 issuers, a window of 1–4, resume on or off, inline
+/// or pooled serving, and its faults, and asserts: every query resolves
+/// exactly once, with the outcome the failure mapping prescribes (a reply
+/// is the service's own answer for that id; a failed link resolves with the
+/// first failure's kind, which is the kind its cause maps to; a timeout is
+/// `Vanished` and only after the deadline); no replay re-runs a journaled
+/// id; while a waiter is pending on a link that is not dead, someone holds
+/// the read role, and a promotion goes to the lowest pending id; a silence
+/// is judged only on a live link; epochs only grow; and the run ends, with
+/// nothing due while a waiter waits, before its horizon. A failing seed is
+/// printed with its draw, and becomes a row of [`PINNED`].
+#[cfg(test)]
+mod sim {
+    use super::*;
+    use crate::transport::WireChaosPlan;
+    use mlperf_loadgen::query::QuerySample;
+    use mlperf_loadgen::time::Nanos;
+    use mlperf_stats::rng::splitmix64;
+    use std::collections::VecDeque;
+    use std::time::Duration;
+
+    const MS: u64 = 1_000_000;
+    /// The heartbeat interval, and the read half's timeout.
+    const INTERVAL: u64 = 10 * MS;
+    const GRACE: u64 = 45 * MS;
+    const TIMEOUT: u64 = 250 * MS;
+    const BACKOFF: u64 = 3 * MS;
+    const ATTEMPTS: u32 = 3;
+    const GOODBYE_WAIT: u64 = 2_000 * MS;
+    /// `shutdown`'s poll while someone else reads for the goodbye.
+    const FAREWELL_POLL: u64 = 20 * MS;
+    /// A run still going at this virtual time hangs.
+    const HORIZON: u64 = 600_000 * MS;
+    const SEEDS: u64 = 10_000;
+
+    /// Seeds that once found a bug, each with what it found; they run
+    /// first, every time.
+    const PINNED: &[(u64, &str)] = &[
+        (
+            0,
+            "a promotion that skipped the lowest pending id left it unread",
+        ),
+        (
+            0,
+            "a judge of a link that was not up reported a second silence",
+        ),
+        (1, "a later failure's kind overwrote the first one's"),
+        (1, "a promotion skipped the lowest pending id"),
+        (23, "a replay re-ran a journaled id"),
+    ];
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0 % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// One seed's draw.
+    #[derive(Debug)]
+    struct Setup {
+        issuers: usize,
+        each: u64,
+        window: u32,
+        resume: bool,
+        inline: bool,
+        abandon: bool,
+        latency: u64,
+        /// The client's and the daemon's plans (armed on the first
+        /// connection only, as `ChaosSession::wrap` arms them).
+        plans: [WireChaosPlan; 2],
+        refused_dials: u32,
+        silent_dials: u32,
+    }
+
+    fn plan(seed: u64, r: &mut Rng) -> WireChaosPlan {
+        let n = 1 + r.below(12);
+        let plan = WireChaosPlan::new(seed);
+        match r.below(8) {
+            0 => plan.with_corrupt_recv_at(n),
+            1 => plan.with_truncate_recv_at(n),
+            2 => plan.with_duplicate_send(0.3),
+            3 => plan.with_delay_recv(Duration::from_nanos(r.below(4 * MS))),
+            4 => plan.with_partition_send_after(n),
+            5 => plan.with_disconnect_after_send(n),
+            6 => {
+                let mut plan = plan;
+                plan.partition_recv_after = Some(n);
+                plan
+            }
+            _ => plan,
+        }
+    }
+
+    fn setup(seed: u64) -> Setup {
+        let mut r = Rng(seed ^ 0x5151_7e57);
+        let client = plan(seed, &mut r);
+        let server = if r.chance(25) {
+            plan(seed ^ 1, &mut r)
+        } else {
+            WireChaosPlan::new(seed)
+        };
+        let resume = r.chance(50);
+        Setup {
+            issuers: 1 + r.below(8) as usize,
+            each: 1 + r.below(3),
+            window: 1 + r.below(4) as u32,
+            resume,
+            inline: r.chance(50),
+            abandon: r.chance(20),
+            latency: 50_000 + r.below(400_000),
+            plans: [client, server],
+            refused_dials: if resume { r.below(3) as u32 } else { 0 },
+            silent_dials: if resume && r.chance(20) { 1 } else { 0 },
+        }
+    }
+
+    /// The service's answer for a query: swallowed (`None`), errored, or
+    /// its own sample back; and how long it takes.
+    fn answer(seed: u64, id: u64) -> (Option<bool>, u64) {
+        let h = splitmix64(seed ^ splitmix64(id));
+        let reply = match h % 20 {
+            0 => None,
+            1 | 2 => Some(true),
+            _ => Some(false),
+        };
+        (reply, (h >> 8) % (3 * MS))
+    }
+
+    fn samples(id: u64) -> Vec<SampleCompletion> {
+        vec![SampleCompletion {
+            sample_id: id,
+            payload: Default::default(),
+        }]
+    }
+
+    fn query(id: u64) -> Query {
+        Query {
+            id,
+            samples: vec![QuerySample { id, index: 0 }],
+            scheduled_at: Nanos::ZERO,
+            tenant: 0,
+        }
+    }
+
+    /// How a query's outcome was decided.
+    #[derive(Debug, Clone, Copy)]
+    enum How {
+        Reply,
+        Failed(FailKind),
+        TimedOut,
+    }
+
+    enum Slot {
+        Outcome(IssueOutcome, How),
+        Read,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Is {
+        Start(u64),
+        Parked,
+        /// Waiting on its slot until this deadline.
+        Waiting(u64),
+        Holding,
+        Done,
+    }
+
+    struct Issuer {
+        issued: u64,
+        /// The query in flight and when it was issued.
+        query: Option<(u64, u64)>,
+        state: Is,
+        slot: Option<Slot>,
+        /// A window notify reached it while parked.
+        woken: bool,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Party {
+        Issuer(usize),
+        Beat,
+        Bye,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Role {
+        Read(u64),
+        /// Asleep until the next redial attempt.
+        Backoff(u64),
+        Handshake {
+            pipe: usize,
+            sent: u64,
+            since: u64,
+        },
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Bye {
+        Running,
+        Farewell { deadline: u64, at: u64 },
+        Closed,
+    }
+
+    /// One TCP connection, by its ends.
+    struct Pipe {
+        client_open: bool,
+        server_open: bool,
+        /// The daemon read its handshake, at this epoch.
+        hello: Option<u32>,
+        /// A listener that never accepts: the kernel connected, nobody
+        /// answers.
+        silent: bool,
+        /// An inline-served query holds the connection thread until then.
+        busy_until: u64,
+    }
+
+    struct Frame {
+        at: u64,
+        pipe: usize,
+        bytes: Vec<u8>,
+    }
+
+    /// One endpoint's chaos counters (`ChaosState`).
+    #[derive(Default)]
+    struct Chaos {
+        sent: u64,
+        recvd: u64,
+        send_partitioned: bool,
+        recv_partitioned: bool,
+        disconnect_fired: bool,
+    }
+
+    const CLIENT: usize = 0;
+    const SERVER: usize = 1;
+
+    struct World {
+        seed: u64,
+        s: Setup,
+        now: u64,
+        core: ClientCore<usize>,
+        issuers: Vec<Issuer>,
+        holder: Option<(Party, Role)>,
+        beat_at: Option<u64>,
+        bye: Bye,
+        stopping: bool,
+        pipes: Vec<Pipe>,
+        read_pipe: usize,
+        write_pipe: usize,
+        /// Frames in flight, by the end that receives them.
+        to: [VecDeque<Frame>; 2],
+        chaos: [Chaos; 2],
+        session: SessionCore,
+        writer: Option<(u32, usize)>,
+        serving: Vec<(u64, u64, usize)>,
+        drainer: Option<usize>,
+        refused: u32,
+        silent: u32,
+        decided: HashSet<u64>,
+        pending: HashSet<u64>,
+        journaled: HashSet<u64>,
+        first_kind: Option<FailKind>,
+        /// The kind the read error that took the link down maps to.
+        outage: FailKind,
+        client_epoch: u32,
+        server_epoch: Option<u32>,
+    }
+
+    type Checked = Result<(), String>;
+
+    fn fail_if(bad: bool, what: impl FnOnce() -> String) -> Checked {
+        if bad {
+            Err(what())
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The kind the failure mapping gives a read's input: EOF or a reset
+    /// vanishes; a tick's judged silence, a corrupt frame and a protocol
+    /// violation are errors.
+    fn mapped(got: &Result<Message, WireError>) -> FailKind {
+        match got {
+            Err(e) if timed_out(e) => FailKind::Errored,
+            Err(WireError::Io(_) | WireError::Disconnected(_)) => FailKind::Vanished,
+            _ => FailKind::Errored,
+        }
+    }
+
+    impl World {
+        fn new(seed: u64) -> Self {
+            let s = setup(seed);
+            let config = RemoteSutConfig {
+                max_in_flight: s.window,
+                response_timeout: Duration::from_nanos(TIMEOUT),
+                heartbeat_interval: Duration::from_nanos(INTERVAL),
+                heartbeat_grace: Duration::from_nanos(GRACE),
+                resume: s.resume.then_some(crate::client::ResumePolicy {
+                    max_attempts: ATTEMPTS,
+                    backoff: Duration::from_nanos(BACKOFF),
+                }),
+                ..RemoteSutConfig::default()
+            };
+            let issuers = (0..s.issuers)
+                .map(|i| Issuer {
+                    issued: 0,
+                    query: None,
+                    state: Is::Start(i as u64 * 100_000),
+                    slot: None,
+                    woken: false,
+                })
+                .collect();
+            let pipe = |hello| Pipe {
+                client_open: true,
+                server_open: true,
+                hello,
+                silent: false,
+                busy_until: 0,
+            };
+            World {
+                seed,
+                now: 0,
+                core: ClientCore::new(0, &config),
+                issuers,
+                holder: None,
+                beat_at: Some(INTERVAL),
+                bye: Bye::Running,
+                stopping: false,
+                // Pipe 0 is the dead placeholder; pipe 1, the first dial,
+                // handshook at epoch 0 before the run starts.
+                pipes: vec![pipe(None), pipe(Some(0))],
+                read_pipe: 1,
+                write_pipe: 1,
+                to: [VecDeque::new(), VecDeque::new()],
+                chaos: [Chaos::default(), Chaos::default()],
+                session: SessionCore::new(CompletionMap::new()),
+                writer: Some((0, 1)),
+                serving: Vec::new(),
+                drainer: None,
+                refused: s.refused_dials,
+                silent: s.silent_dials,
+                decided: HashSet::new(),
+                pending: HashSet::new(),
+                journaled: HashSet::new(),
+                first_kind: None,
+                outage: FailKind::Vanished,
+                client_epoch: 0,
+                server_epoch: Some(0),
+                s,
+            }
+        }
+
+        // --- the link ---------------------------------------------------
+
+        /// `side` sends `msg` on `pipe`, through its chaos plan.
+        fn transmit(&mut self, side: usize, pipe: usize, msg: &Message) {
+            let bytes = msg.to_wire();
+            let plan = &self.s.plans[side];
+            let armed = pipe == 1 && plan.is_armed();
+            let c = &mut self.chaos[side];
+            c.sent += 1;
+            let frame = c.sent;
+            if armed && (c.send_partitioned || plan.partition_send_after.is_some_and(|n| frame > n))
+            {
+                c.send_partitioned = true;
+                return;
+            }
+            let copies = if armed
+                && plan.duplicate_send_prob > 0.0
+                && splitmix64(self.seed ^ frame ^ 0xD0B) % 10 < 3
+            {
+                2
+            } else {
+                1
+            };
+            let delay = match &self.s.plans[1 - side] {
+                p if pipe == 1 && p.is_armed() => p.delay_recv.map_or(0, |d| d.as_nanos() as u64),
+                _ => 0,
+            };
+            for _ in 0..copies {
+                let last = self.to[1 - side].back().map_or(0, |f| f.at);
+                let at = last.max(self.now + self.s.latency + delay);
+                let bytes = bytes.clone();
+                self.to[1 - side].push_back(Frame { at, pipe, bytes });
+            }
+            let c = &mut self.chaos[side];
+            if armed
+                && plan.disconnect_after_send.is_some_and(|n| frame >= n)
+                && !c.disconnect_fired
+            {
+                c.disconnect_fired = true;
+                if side == CLIENT {
+                    self.pipes[pipe].client_open = false;
+                } else {
+                    self.server_close(pipe);
+                }
+            }
+        }
+
+        /// `side` receives one frame of `pipe`'s: `None` when its plan
+        /// discards it (a partition), else the decoded message or error.
+        fn receive(&mut self, side: usize, at: usize) -> Option<Result<Message, WireError>> {
+            let Frame {
+                pipe, mut bytes, ..
+            } = self.to[side].remove(at).expect("a frame");
+            let plan = &self.s.plans[side];
+            let c = &mut self.chaos[side];
+            c.recvd += 1;
+            let frame = c.recvd;
+            if pipe == 1 && plan.is_armed() {
+                if c.recv_partitioned || plan.partition_recv_after.is_some_and(|n| frame > n) {
+                    c.recv_partitioned = true;
+                    return None;
+                }
+                if plan.truncate_recv_at == Some(frame) {
+                    bytes.truncate(bytes.len() / 2);
+                }
+                if plan.corrupt_recv_at == Some(frame) {
+                    let at = splitmix64(self.seed ^ frame) as usize % bytes.len();
+                    bytes[at] ^= 0x20;
+                }
+            }
+            Some(Message::from_wire(&bytes))
+        }
+
+        /// When the client's next read of `pipe`, begun at `since`, ends,
+        /// and with which frame (`None`: EOF or a timeout, by the time).
+        fn client_read_at(&mut self, pipe: usize, since: u64) -> (u64, Option<usize>) {
+            self.to[CLIENT].retain(|f| f.pipe >= pipe);
+            if !self.pipes[pipe].client_open {
+                return (self.now, None);
+            }
+            match self.to[CLIENT].iter().position(|f| f.pipe == pipe) {
+                Some(i) if self.to[CLIENT][i].at <= since + INTERVAL => {
+                    (self.to[CLIENT][i].at.max(self.now), Some(i))
+                }
+                None if !self.pipes[pipe].server_open => (self.now, None),
+                _ => (since + INTERVAL, None),
+            }
+        }
+
+        /// The client reads `pipe`: a frame, a tick, or EOF; `None` while
+        /// a partition discards what arrives.
+        fn client_read(&mut self, pipe: usize, since: u64) -> Option<Result<Message, WireError>> {
+            match self.client_read_at(pipe, since) {
+                (_, Some(i)) => self.receive(CLIENT, i),
+                _ if !self.pipes[pipe].client_open || !self.pipes[pipe].server_open => {
+                    Some(Err(WireError::Disconnected("eof".into())))
+                }
+                _ => Some(Err(WireError::Io(std::io::ErrorKind::WouldBlock.into()))),
+            }
+        }
+
+        // --- the client's driver ------------------------------------------
+
+        fn client_send(&mut self, msg: &Message) -> Checked {
+            let pipe = self.write_pipe;
+            if !self.pipes[pipe].client_open {
+                let lost = self.core.send_failed();
+                return self.settle(lost, FailKind::Vanished);
+            }
+            self.transmit(CLIENT, pipe, msg);
+            Ok(())
+        }
+
+        /// `ClientShared::settle`, checking the kind against the mapping.
+        fn settle(&mut self, lost: Lost<usize>, expect: FailKind) -> Checked {
+            match lost {
+                Lost::Dead | Lost::Down { severed: false } => Ok(()),
+                Lost::Down { severed: true } => {
+                    self.pipes[self.write_pipe].client_open = false;
+                    self.notify_all();
+                    Ok(())
+                }
+                Lost::Failed(kind, waiters) => {
+                    fail_if(kind != expect, || {
+                        format!("link failed {kind:?}, mapped {expect:?}")
+                    })?;
+                    fail_if(self.first_kind.is_some(), || "link failed twice".into())?;
+                    self.first_kind = Some(kind);
+                    for i in waiters {
+                        self.decide(i, kind.outcome(), How::Failed(kind))?;
+                    }
+                    self.notify_all();
+                    Ok(())
+                }
+            }
+        }
+
+        fn notify_all(&mut self) {
+            for issuer in &mut self.issuers {
+                issuer.woken = true;
+            }
+        }
+
+        /// The core decided issuer `i`'s query: exactly once, and only a
+        /// query that is in flight.
+        fn decide(&mut self, i: usize, outcome: IssueOutcome, how: How) -> Checked {
+            let Some((id, _)) = self.issuers[i].query else {
+                return Err(format!("resolved issuer {i}, which has nothing in flight"));
+            };
+            fail_if(!self.decided.insert(id), || {
+                format!("query {id} resolved twice")
+            })?;
+            self.pending.remove(&id);
+            self.issuers[i].slot = Some(Slot::Outcome(outcome, how));
+            Ok(())
+        }
+
+        /// The promoted waiter must be the lowest pending id.
+        fn promote(&mut self, promoted: Option<usize>) -> Checked {
+            let Some(i) = promoted else { return Ok(()) };
+            let id = self.issuers[i].query.map(|(id, _)| id);
+            let lowest = self.pending.iter().min().copied();
+            fail_if(id != lowest, || {
+                format!("promoted {id:?}, lowest pending {lowest:?}")
+            })?;
+            if self.issuers[i].slot.is_none() {
+                self.issuers[i].slot = Some(Slot::Read);
+            }
+            Ok(())
+        }
+
+        /// `ClientShared::carry_out`.
+        fn carry_out(&mut self, got: Got<usize>, was_up: bool, expect: FailKind) -> Checked {
+            match got {
+                Got::Resolved(r) => {
+                    if r.wake_issuer {
+                        if let Some(parked) =
+                            self.issuers.iter_mut().find(|i| i.state == Is::Parked)
+                        {
+                            parked.woken = true;
+                        }
+                    }
+                    match r.fill {
+                        Some((i, outcome)) => self.decide(i, outcome, How::Reply),
+                        None => Ok(()),
+                    }
+                }
+                Got::Lost(lost, note, _) => {
+                    let judged = matches!(note, Some(("heartbeat_loss", _)));
+                    fail_if(judged && !was_up, || "judged a link that was not up".into())?;
+                    self.settle(lost, expect)
+                }
+                _ => Ok(()),
+            }
+        }
+
+        /// Issuer `i` resolves its query as the core decided.
+        fn resolve(&mut self, i: usize, outcome: IssueOutcome, how: How) -> Checked {
+            let (id, issued) = self.issuers[i].query.take().expect("in flight");
+            let (reply, _) = answer(self.seed, id);
+            let held = match (how, &outcome) {
+                (How::Reply, IssueOutcome::Errored) => reply == Some(true),
+                (How::Reply, IssueOutcome::Completed(s)) => {
+                    reply == Some(false) && *s == samples(id)
+                }
+                (How::Failed(kind), outcome) => {
+                    Some(kind) == self.first_kind && *outcome == kind.outcome()
+                }
+                (How::TimedOut, IssueOutcome::Vanished) => self.now >= issued + TIMEOUT,
+                _ => false,
+            };
+            fail_if(!held, || format!("query {id}: {outcome:?} by {how:?}"))?;
+            let issuer = &mut self.issuers[i];
+            issuer.slot = None;
+            issuer.state = if issuer.issued < self.s.each {
+                Is::Start(self.now)
+            } else {
+                Is::Done
+            };
+            Ok(())
+        }
+
+        fn issue(&mut self, i: usize) -> Checked {
+            if self.issuers[i].state == Is::Parked {
+                self.core.unpark_issuer();
+            }
+            let issuer = &mut self.issuers[i];
+            issuer.woken = false;
+            let id = issuer.issued * self.s.issuers as u64 + i as u64;
+            let q = query(id);
+            match self.core.issue(self.now, &q, id ^ 0xAB, &i) {
+                Admit::Wait => issuer.state = Is::Parked,
+                Admit::Refuse(kind) => {
+                    issuer.issued += 1;
+                    issuer.query = Some((id, self.now));
+                    fail_if(Some(kind) != self.first_kind, || {
+                        format!("refused as {kind:?}")
+                    })?;
+                    self.decided.insert(id);
+                    return self.resolve(i, kind.outcome(), How::Failed(kind));
+                }
+                Admit::Send { read } => {
+                    issuer.issued += 1;
+                    issuer.query = Some((id, self.now));
+                    issuer.state = Is::Waiting(self.now + TIMEOUT);
+                    self.pending.insert(id);
+                    if read {
+                        issuer.state = Is::Holding;
+                        self.holder = Some((Party::Issuer(i), Role::Read(self.now)));
+                    }
+                    let trace_id = id ^ 0xAB;
+                    self.client_send(&Message::IssueTraced { trace_id, query: q })?;
+                }
+            }
+            Ok(())
+        }
+
+        /// Issuer `i`, waiting, takes its slot or times out.
+        fn wait(&mut self, i: usize) -> Checked {
+            match self.issuers[i].slot.take() {
+                Some(Slot::Outcome(outcome, how)) => self.resolve(i, outcome, how),
+                Some(Slot::Read) => {
+                    self.issuers[i].state = Is::Holding;
+                    self.holder = Some((Party::Issuer(i), Role::Read(self.now)));
+                    Ok(())
+                }
+                None => {
+                    let (id, _) = self.issuers[i].query.expect("in flight");
+                    let Some((outcome, promoted)) = self.core.time_out(id) else {
+                        return Err(format!("query {id}: no reply coming, yet none routed"));
+                    };
+                    fail_if(!self.decided.insert(id), || {
+                        format!("query {id} resolved twice")
+                    })?;
+                    self.pending.remove(&id);
+                    self.promote(promoted)?;
+                    self.notify_all();
+                    self.resolve(i, outcome, How::TimedOut)
+                }
+            }
+        }
+
+        /// The holder's party after `hold` returned.
+        fn released(&mut self, party: Party, own: Option<(IssueOutcome, How)>) -> Checked {
+            self.holder = None;
+            match party {
+                Party::Issuer(i) => match own {
+                    Some((outcome, how)) => self.resolve(i, outcome, how),
+                    None => {
+                        let (_, issued) = self.issuers[i].query.expect("in flight");
+                        self.issuers[i].state = Is::Waiting(issued + TIMEOUT);
+                        Ok(())
+                    }
+                },
+                Party::Beat => {
+                    self.beat_at = Some(self.now + INTERVAL);
+                    Ok(())
+                }
+                Party::Bye => {
+                    if let Bye::Farewell { deadline, .. } = self.bye {
+                        self.bye = Bye::Farewell {
+                            deadline,
+                            at: self.now,
+                        };
+                    }
+                    Ok(())
+                }
+            }
+        }
+
+        /// One step of the holder: a read fed to `ClientCore::read`, or a
+        /// step of its redial.
+        fn hold(&mut self, party: Party, role: Role) -> Checked {
+            match role {
+                Role::Read(since) => {
+                    let Some(got) = self.client_read(self.read_pipe, since) else {
+                        return Ok(()); // discarded: read on
+                    };
+                    let expect = mapped(&got);
+                    let (was_up, own_id) = (
+                        self.core.is_up(),
+                        match party {
+                            Party::Issuer(i) => self.issuers[i].query.map(|(id, _)| id),
+                            _ => None,
+                        },
+                    );
+                    let (got, next) = self.core.read(self.now, got);
+                    self.carry_out(got, was_up, expect)?;
+                    match next {
+                        Next::Read => self.holder = Some((party, Role::Read(self.now))),
+                        Next::Leave(own, promoted) => {
+                            if let (Some(_), Some(id)) = (&own, own_id) {
+                                fail_if(!self.decided.insert(id), || format!("query {id} twice"))?;
+                                self.pending.remove(&id);
+                            }
+                            self.promote(promoted)?;
+                            self.released(party, own.map(|o| (o, How::Reply)))?;
+                        }
+                        Next::TimedOut(id, promoted) => {
+                            fail_if(own_id != Some(id), || {
+                                format!("timed out {id}, not its own")
+                            })?;
+                            fail_if(!self.decided.insert(id), || format!("query {id} twice"))?;
+                            self.pending.remove(&id);
+                            self.promote(promoted)?;
+                            self.notify_all();
+                            self.released(party, Some((IssueOutcome::Vanished, How::TimedOut)))?;
+                        }
+                        Next::Redial(attempt) => {
+                            self.outage = expect;
+                            let until = self.now + BACKOFF * u64::from(attempt);
+                            self.holder = Some((party, Role::Backoff(until)));
+                        }
+                    }
+                    Ok(())
+                }
+                Role::Backoff(_) => {
+                    if self.stopping {
+                        return self.dialed(party, None);
+                    }
+                    let epoch = self.core.redial();
+                    fail_if(epoch <= self.client_epoch, || {
+                        format!("epoch {epoch} did not grow")
+                    })?;
+                    self.client_epoch = epoch;
+                    if self.refused > 0 {
+                        self.refused -= 1;
+                        return self.dialed(party, None);
+                    }
+                    let silent = self.silent > 0;
+                    self.silent -= u32::from(silent);
+                    self.pipes.push(Pipe {
+                        client_open: true,
+                        server_open: true,
+                        hello: None,
+                        silent,
+                        busy_until: 0,
+                    });
+                    let pipe = self.pipes.len() - 1;
+                    let mut hello = crate::message::tests::sample_messages().remove(0);
+                    if let Message::Hello(h) = &mut hello {
+                        h.epoch = epoch;
+                    }
+                    self.transmit(CLIENT, pipe, &hello);
+                    let (sent, since) = (self.now, self.now);
+                    self.holder = Some((party, Role::Handshake { pipe, sent, since }));
+                    Ok(())
+                }
+                Role::Handshake { pipe, sent, since } => {
+                    let Some(got) = self.client_read(pipe, since) else {
+                        return Ok(());
+                    };
+                    match ClientCore::<usize>::handshake(self.now - sent, TIMEOUT, got) {
+                        Ok(None) => {
+                            let since = self.now;
+                            self.holder = Some((party, Role::Handshake { pipe, sent, since }));
+                            Ok(())
+                        }
+                        Ok(Some(_)) => self.dialed(party, Some(pipe)),
+                        Err(_) => {
+                            self.pipes[pipe].client_open = false;
+                            self.dialed(party, None)
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `ClientCore::dialed` and what the driver does with it.
+        fn dialed(&mut self, party: Party, pipe: Option<usize>) -> Checked {
+            match self.core.dialed(self.now, pipe.is_some()) {
+                Resume::Replay(replay) => {
+                    let pipe = pipe.expect("dialed");
+                    (self.read_pipe, self.write_pipe) = (pipe, pipe);
+                    self.notify_all();
+                    let seq = self.core.probe();
+                    self.client_send(&Message::ClockProbe { seq, t0: self.now })?;
+                    for (query, trace_id) in replay {
+                        self.client_send(&Message::IssueTraced { trace_id, query })?;
+                    }
+                    self.holder = Some((party, Role::Read(self.now)));
+                    Ok(())
+                }
+                Resume::Again(attempt) => {
+                    let until = self.now + BACKOFF * u64::from(attempt);
+                    self.holder = Some((party, Role::Backoff(until)));
+                    Ok(())
+                }
+                Resume::GiveUp(lost, _) => {
+                    if let Some(pipe) = pipe {
+                        self.pipes[pipe].client_open = false;
+                    }
+                    self.settle(lost, self.outage)?;
+                    self.released(party, None)
+                }
+            }
+        }
+
+        fn beat(&mut self) -> Checked {
+            self.beat_at = None;
+            if self.stopping {
+                return Ok(());
+            }
+            match self.core.tick() {
+                Tick::Stop => Ok(()),
+                Tick::Skip => {
+                    self.beat_at = Some(self.now + INTERVAL);
+                    Ok(())
+                }
+                Tick::Probe { seq, read } => {
+                    let up = self.pipes[self.write_pipe].client_open;
+                    self.client_send(&Message::ClockProbe { seq, t0: self.now })?;
+                    if up {
+                        let was_up = self.core.is_up();
+                        let judged = self.core.judge(self.now);
+                        self.carry_out(judged, was_up, FailKind::Errored)?;
+                    }
+                    if read {
+                        self.holder = Some((Party::Beat, Role::Read(self.now)));
+                    } else {
+                        self.beat_at = Some(self.now + INTERVAL);
+                    }
+                    Ok(())
+                }
+            }
+        }
+
+        /// `RemoteSut::shutdown` (or `abandon`), once every issuer is done.
+        fn bye(&mut self) -> Checked {
+            match self.bye {
+                Bye::Running => {
+                    self.stopping = true;
+                    self.core.stop();
+                    if self.core.is_up() && !self.s.abandon {
+                        self.client_send(&Message::Drain)?;
+                        let deadline = self.now + GOODBYE_WAIT;
+                        self.bye = Bye::Farewell {
+                            deadline,
+                            at: self.now,
+                        };
+                        return Ok(());
+                    }
+                    self.close()
+                }
+                Bye::Farewell { deadline, .. } => match self.core.farewell(self.now, deadline) {
+                    Farewell::Done => self.close(),
+                    Farewell::Read => {
+                        self.bye = Bye::Farewell {
+                            deadline,
+                            at: u64::MAX,
+                        };
+                        self.holder = Some((Party::Bye, Role::Read(self.now)));
+                        Ok(())
+                    }
+                    Farewell::Wait => {
+                        let at = self.now + FAREWELL_POLL;
+                        self.bye = Bye::Farewell { deadline, at };
+                        Ok(())
+                    }
+                },
+                Bye::Closed => Ok(()),
+            }
+        }
+
+        fn close(&mut self) -> Checked {
+            self.bye = Bye::Closed;
+            self.pipes[self.write_pipe].client_open = false;
+            self.pipes[self.read_pipe].client_open = false;
+            let kind = if self.s.abandon {
+                FailKind::Vanished
+            } else {
+                FailKind::Errored
+            };
+            let lost = self.core.fail(kind);
+            self.settle(lost, kind)?;
+            // After the close, the link refuses as its first failure said.
+            match self.core.issue(self.now, &query(u64::MAX), 0, &0) {
+                Admit::Refuse(kind) if Some(kind) == self.first_kind => Ok(()),
+                other => Err(format!(
+                    "after close: {other:?}, first {:?}",
+                    self.first_kind
+                )),
+            }
+        }
+
+        // --- the daemon's driver -------------------------------------------
+
+        fn server_send(&mut self, msg: &Message) {
+            if let Some((_, pipe)) = self.writer {
+                if self.pipes[pipe].server_open {
+                    self.transmit(SERVER, pipe, msg);
+                }
+            }
+        }
+
+        fn server_close(&mut self, pipe: usize) {
+            self.pipes[pipe].server_open = false;
+            if self.writer.is_some_and(|(_, p)| p == pipe) {
+                self.writer = None;
+            }
+            if self.drainer == Some(pipe) {
+                self.drainer = None;
+            }
+        }
+
+        /// The daemon's next read: the earliest frame on a connection
+        /// whose thread is free, or the EOF of one the client closed.
+        fn server_read_at(&self) -> Option<(u64, Option<usize>, usize)> {
+            let frame = self.to[SERVER]
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| self.pipes[f.pipe].server_open)
+                .map(|(i, f)| (f.at.max(self.pipes[f.pipe].busy_until), Some(i), f.pipe))
+                .min_by_key(|(at, ..)| *at);
+            let eof = self.pipes.iter().enumerate().find(|(p, pipe)| {
+                !pipe.client_open
+                    && pipe.server_open
+                    && !self.to[SERVER].iter().any(|f| f.pipe == *p)
+            });
+            let eof = eof.map(|(p, pipe)| (pipe.busy_until.max(self.now), None, p));
+            frame.into_iter().chain(eof).min_by_key(|(at, ..)| *at)
+        }
+
+        fn server_read(&mut self, frame: Option<usize>, pipe: usize) -> Checked {
+            let got = match frame {
+                Some(i) => match self.receive(SERVER, i) {
+                    Some(got) => got,
+                    None => return Ok(()),
+                },
+                None => Err(WireError::Disconnected("eof".into())),
+            };
+            if self.pipes[pipe].silent {
+                if frame.is_none() {
+                    self.server_close(pipe);
+                }
+                return Ok(());
+            }
+            if self.pipes[pipe].hello.is_none() {
+                let Open::Hello(hello) = SessionCore::open(got) else {
+                    self.server_close(pipe);
+                    return Ok(());
+                };
+                let live = true;
+                let attach = SessionCore::attach(hello.epoch, live);
+                fail_if(attach != Attach::Resume, || format!("attached {attach:?}"))?;
+                let grew = self.server_epoch.is_some_and(|e| hello.epoch > e);
+                fail_if(!grew, || {
+                    format!(
+                        "daemon saw epoch {} after {:?}",
+                        hello.epoch, self.server_epoch
+                    )
+                })?;
+                self.server_epoch = Some(hello.epoch);
+                self.pipes[pipe].hello = Some(hello.epoch);
+                self.writer = Some((hello.epoch, pipe));
+                let ack = Message::HelloAck {
+                    version: PROTOCOL_VERSION,
+                    sut_name: "sim".into(),
+                    max_in_flight: hello.max_in_flight,
+                };
+                self.server_send(&ack);
+                return Ok(());
+            }
+            match SessionCore::frame(got) {
+                Conn::Issue(query, _) => match self.session.issue(query.id) {
+                    Route::Fresh => {
+                        let id = query.id;
+                        fail_if(self.journaled.contains(&id), || {
+                            format!("re-ran journaled {id}")
+                        })?;
+                        let done = self.now + answer(self.seed, id).1;
+                        if self.s.inline {
+                            self.pipes[pipe].busy_until = done;
+                        }
+                        self.serving.push((done, id, pipe));
+                    }
+                    Route::Replay(error, samples) => {
+                        let query_id = query.id;
+                        self.server_send(&Message::Completion {
+                            query_id,
+                            error,
+                            samples,
+                        });
+                    }
+                    Route::Skip => {}
+                },
+                Conn::Probe { seq, t0 } => {
+                    let (t1, t2) = (self.now, self.now);
+                    self.server_send(&Message::ClockProbeAck { seq, t0, t1, t2 });
+                }
+                Conn::Ignore => {}
+                Conn::Drain => {
+                    if self.session.drain() {
+                        self.goodbye(pipe);
+                    } else {
+                        self.drainer = Some(pipe);
+                    }
+                }
+                Conn::Close(_) => self.server_close(pipe),
+            }
+            Ok(())
+        }
+
+        fn goodbye(&mut self, pipe: usize) {
+            let served = self.journaled.len() as u64;
+            self.server_send(&Message::Goodbye { served });
+            self.server_close(pipe);
+        }
+
+        fn served(&mut self, k: usize) {
+            let (_, id, _) = self.serving.swap_remove(k);
+            match answer(self.seed, id).0 {
+                Some(error) => {
+                    self.session.served(id, Some((error, samples(id))));
+                    self.journaled.insert(id);
+                    let samples = samples(id);
+                    self.server_send(&Message::Completion {
+                        query_id: id,
+                        error,
+                        samples,
+                    });
+                }
+                None => self.session.served(id, None),
+            }
+            if self.session.settled() {
+                if let Some(pipe) = self.drainer {
+                    self.session.unpark_drainer();
+                    if self.session.drain() {
+                        self.drainer = None;
+                        self.goodbye(pipe);
+                    }
+                }
+            }
+        }
+
+        // --- the loop -----------------------------------------------------
+
+        /// The read role's invariant: a waiter pending on a link that is
+        /// not dead has a reader.
+        fn check_reader(&self) -> Checked {
+            let dead = matches!(self.core.link, Link::Dead(_));
+            let unread =
+                !dead && !self.core.pending.is_empty() && self.core.reader == Reader::Nobody;
+            fail_if(unread, || {
+                format!("{} pending, nobody reads", self.core.pending.len())
+            })
+        }
+
+        fn step(&mut self) -> Result<bool, String> {
+            #[derive(Clone, Copy)]
+            enum Ev {
+                Server(Option<usize>, usize),
+                Served(usize),
+                Hold,
+                Issuer(usize),
+                Beat,
+                Bye,
+            }
+            let mut next: Option<(u64, Ev)> = None;
+            let mut offer = |at: u64, ev: Ev| {
+                if next.is_none_or(|(t, _)| at < t) {
+                    next = Some((at, ev));
+                }
+            };
+            if let Some((at, frame, pipe)) = self.server_read_at() {
+                offer(at, Ev::Server(frame, pipe));
+            }
+            if let Some((k, (at, ..))) = self.serving.iter().enumerate().min_by_key(|(_, s)| s.0) {
+                offer(*at, Ev::Served(k));
+            }
+            if let Some((_, role)) = self.holder {
+                let at = match role {
+                    Role::Read(since) => self.client_read_at(self.read_pipe, since).0,
+                    Role::Backoff(until) => until,
+                    Role::Handshake { pipe, since, .. } => self.client_read_at(pipe, since).0,
+                };
+                offer(at, Ev::Hold);
+            }
+            for (i, issuer) in self.issuers.iter().enumerate() {
+                let at = match issuer.state {
+                    Is::Start(at) => at,
+                    Is::Parked if issuer.woken => self.now,
+                    Is::Waiting(_) if issuer.slot.is_some() => self.now,
+                    Is::Waiting(deadline) => deadline,
+                    _ => continue,
+                };
+                offer(at.max(self.now), Ev::Issuer(i));
+            }
+            if let Some(at) = self.beat_at {
+                offer(at, Ev::Beat);
+            }
+            let all_done = self.issuers.iter().all(|i| i.state == Is::Done);
+            match self.bye {
+                Bye::Running if all_done => offer(self.now, Ev::Bye),
+                Bye::Farewell { at, .. } if at != u64::MAX => offer(at.max(self.now), Ev::Bye),
+                _ => {}
+            }
+            let Some((at, ev)) = next else {
+                let stuck = self.issuers.iter().filter(|i| i.state != Is::Done).count();
+                fail_if(stuck > 0 || self.bye != Bye::Closed, || {
+                    format!("nothing due, {stuck} issuers waiting")
+                })?;
+                return Ok(false);
+            };
+            self.now = at;
+            fail_if(at > HORIZON, || "past the horizon".into())?;
+            match ev {
+                Ev::Server(frame, pipe) => self.server_read(frame, pipe)?,
+                Ev::Served(k) => self.served(k),
+                Ev::Hold => {
+                    let (party, role) = self.holder.expect("a holder");
+                    self.hold(party, role)?;
+                }
+                Ev::Issuer(i) => match self.issuers[i].state {
+                    Is::Start(_) | Is::Parked => self.issue(i)?,
+                    _ => self.wait(i)?,
+                },
+                Ev::Beat => self.beat()?,
+                Ev::Bye => self.bye()?,
+            }
+            self.check_reader()?;
+            Ok(true)
+        }
+    }
+
+    /// One seed's run: `Err` names the first invariant it broke.
+    fn run(seed: u64) -> Result<(), String> {
+        let mut world = World::new(seed);
+        let mut steps = 0u32;
+        while world
+            .step()
+            .map_err(|e| format!("t={} ns: {e}", world.now))?
+        {
+            steps += 1;
+            fail_if(steps > 1_000_000, || "a million steps".into())?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_seeded_run_keeps_the_protocol_invariants() {
+        let started = std::time::Instant::now();
+        let pinned = PINNED.iter().map(|(seed, _)| *seed);
+        let failures: Vec<String> = pinned
+            .chain(0..SEEDS)
+            .filter_map(|seed| {
+                run(seed)
+                    .err()
+                    .map(|e| format!("seed {seed} {:?}: {e}", setup(seed)))
+            })
+            .take(5)
+            .collect();
+        eprintln!(
+            "wire simulation: {} seeds in {:?}",
+            PINNED.len() as u64 + SEEDS,
+            started.elapsed()
+        );
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 }

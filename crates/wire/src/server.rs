@@ -2,17 +2,17 @@
 //!
 //! `serve` exports any [`WireService`] over a TCP listener. Connections
 //! belong to **sessions** (the `session` id in the `Hello`), which outlive
-//! them. Every session decision — attach fresh, resume, or adopt a journal
-//! from disk; answer an issue fresh, from the completion journal, or not at
-//! all; when `Drain` may answer `Goodbye` — is `protocol::SessionCore`'s,
-//! kept under the session's book lock. This module is the threads and
-//! sockets around it. A connection's thread reads every frame its client
-//! sends. A server-scenario session is served on a worker pool fed through
-//! a work queue, so a pipelined client's backlog waits where it is
-//! observed; a closed-loop session (one query in flight by the scenario's
-//! own rules) is served on the connection thread itself, and while that
-//! thread is inside the service the daemon's one `wire-liveness` thread
-//! vouches for it with unasked `HeartbeatAck`s.
+//! them. `protocol::SessionCore` makes every session decision and routes
+//! every frame: open, attach fresh, resume or adopt a journal from disk;
+//! answer an issue fresh, from the completion journal or not at all; when
+//! `Drain` may answer `Goodbye`; and why a connection closes. This module
+//! is the threads and sockets around it. A connection's thread reads every
+//! frame its client sends. A server-scenario session is served on a worker
+//! pool fed through a work queue, so a pipelined client's backlog waits
+//! where it is observed; a closed-loop session (one query in flight by the
+//! scenario's own rules) is served on the connection thread itself, and
+//! while that thread is inside the service the daemon's one `wire-liveness`
+//! thread vouches for it with unasked `HeartbeatAck`s.
 //!
 //! [`ServerHandle::kill`] severs every live connection abruptly — the
 //! machine's power cord yanked mid-run — so clients exercise their
@@ -38,8 +38,8 @@ use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::sync::{lock, wait_timeout};
 use mlperf_trace::JournalWriter;
 
-use crate::message::{Message, PROTOCOL_VERSION};
-use crate::protocol::{Attach, CompletionMap, Route, SessionCore};
+use crate::message::Message;
+use crate::protocol::{Attach, CompletionMap, Conn, Open, Route, SessionCore};
 use crate::service::{ServedReply, WireService};
 use crate::stats::DaemonStats;
 use crate::transport::{TcpTransport, Transport};
@@ -78,8 +78,8 @@ pub struct ServeConfig {
     /// is a server-scenario session's: a closed-loop session has one query
     /// in flight and is served on its connection thread.
     pub(crate) workers_per_conn: usize,
-    /// Optional sink receiving server-side `WireEvent`s
-    /// (connect, reject, drain, disconnect, replay).
+    /// Optional sink receiving server-side `WireEvent`s (connect, reject,
+    /// drain, disconnect, replay, and why a connection was dropped).
     pub(crate) sink: Option<Arc<dyn TraceSink>>,
     /// Metrics registry backing the daemon's `Stats` snapshots. A default
     /// registry is created when not provided, so stats always work.
@@ -520,7 +520,7 @@ fn open_session_disk(
     session_id: u64,
     adopt: bool,
 ) -> (Option<JournalWriter>, Option<PathBuf>, CompletionMap) {
-    let mut recovered = HashMap::new();
+    let mut recovered = CompletionMap::new();
     let Some(dir) = &shared.journal_dir else {
         return (None, None, recovered);
     };
@@ -529,16 +529,7 @@ fn open_session_disk(
     let writer = if adopt && path.exists() {
         match JournalWriter::open_append(&path, JOURNAL_FSYNC_BATCH) {
             Ok((writer, scan)) => {
-                for frame in &scan.records {
-                    if let Ok(Message::Completion {
-                        query_id,
-                        error,
-                        samples,
-                    }) = Message::from_wire(frame)
-                    {
-                        recovered.insert(query_id, (error, samples));
-                    }
-                }
+                recovered = SessionCore::recover(&scan.records);
                 if let Some(torn) = &scan.torn {
                     shared
                         .log
@@ -782,8 +773,9 @@ fn answer_stats(
     );
 }
 
-/// Runs one connection: handshake, session attach, then the
-/// issue/complete loop until the client drains or the socket dies.
+/// Runs one connection: recv, decode, ask the session core, do what it
+/// says — handshake and attach, then every frame until the client drains
+/// or the connection ends.
 fn handle_conn(
     stream: TcpStream,
     service: &Arc<dyn WireService>,
@@ -792,34 +784,17 @@ fn handle_conn(
 ) {
     let mut transport: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
 
-    // --- handshake (or a one-shot stats probe) ---
-    let hello = match transport.recv().and_then(|p| Message::from_wire(&p)) {
-        Ok(Message::Hello(h)) => h,
-        Ok(Message::StatsRequest) => {
-            // A telemetry poll, not a run: answer and close. It never
-            // touches the serving path's sessions.
-            answer_stats(&mut transport, service, shared);
+    // --- handshake, or a stats probe, which touches no session ---
+    let hello = match SessionCore::open(transport.recv().and_then(|p| Message::from_wire(&p))) {
+        Open::Hello(hello) => hello,
+        Open::Stats => return answer_stats(&mut transport, service, shared),
+        Open::Reject { event, reason } => {
+            shared.log.wire_event("reject", 0, &event);
+            let _ = transport.send(&Message::Reject { reason }.to_wire());
             return;
         }
-        _ => return, // includes the shutdown poke connection
+        Open::Close => return,
     };
-    // One version: any other — older or newer — is refused with a reason
-    // rather than guessed at.
-    if hello.version != PROTOCOL_VERSION {
-        shared.log.wire_event(
-            "reject",
-            0,
-            &format!("version mismatch: client v{}", hello.version),
-        );
-        let reject = Message::Reject {
-            reason: format!(
-                "protocol version mismatch: server v{PROTOCOL_VERSION}, client v{}",
-                hello.version
-            ),
-        };
-        let _ = transport.send(&reject.to_wire());
-        return;
-    }
 
     // --- session attach ---
     let (attach, found) = {
@@ -859,13 +834,10 @@ fn handle_conn(
     }
     // Install this connection's writer; the epoch tag keeps a dead
     // predecessor's epilogue from clearing it.
-    {
-        let writer = match transport.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        *lock(&session.writer) = Some((hello.epoch, writer));
-    }
+    let Ok(writer) = transport.try_clone() else {
+        return;
+    };
+    *lock(&session.writer) = Some((hello.epoch, writer));
     shared.log.wire_event(
         "handshake",
         0,
@@ -877,27 +849,22 @@ fn handle_conn(
 
     // --- read loop ---
     let mut clean = false;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match transport.recv().and_then(|p| Message::from_wire(&p)) {
-            Ok(Message::IssueTraced { trace_id, query }) => {
+    while !shared.stop.load(Ordering::SeqCst) {
+        match SessionCore::frame(transport.recv().and_then(|p| Message::from_wire(&p))) {
+            Conn::Issue(query, trace_id) => {
                 if !handle_issue(&**service, &session, shared, query, trace_id) {
                     break;
                 }
             }
-            // A duplicated Hello frame (chaos duplicate-send hits the
-            // handshake) is harmless noise, not a protocol violation.
-            Ok(Message::Hello(_)) => continue,
-            Ok(Message::ClockProbe { seq, t0 }) => {
+            Conn::Ignore => {}
+            Conn::Probe { seq, t0 } => {
                 // Stamp receive and transmit on the server's clock; the
                 // client turns the four timestamps into an offset sample.
                 let t1 = shared.log.now_ns();
                 let t2 = shared.log.now_ns();
                 session.send(&Message::ClockProbeAck { seq, t0, t1, t2 });
             }
-            Ok(Message::Drain) => {
+            Conn::Drain => {
                 let mut book = lock(&session.book);
                 while !shared.stop.load(Ordering::SeqCst) && !book.core.drain() {
                     (book, _) = wait_timeout(&session.idle, book, DRAIN_POLL);
@@ -921,9 +888,12 @@ fn handle_conn(
                 clean = true;
                 break;
             }
-            Ok(Message::Goodbye { .. }) => break,
-            Ok(_) => break, // protocol violation: drop the connection
-            Err(_) => break,
+            Conn::Close(why) => {
+                if let Some((kind, detail)) = why {
+                    shared.log.wire_event(kind, 0, &detail);
+                }
+                break;
+            }
         }
     }
 
@@ -954,11 +924,12 @@ fn handle_conn(
         // the writer only if it is still ours — a successor epoch may
         // already have installed a new one.
         let mut writer = lock(&session.writer);
-        if let Some((epoch, _)) = writer.as_ref() {
-            if *epoch == hello.epoch {
-                if let Some((_, transport)) = writer.take() {
-                    transport.shutdown();
-                }
+        if writer
+            .as_ref()
+            .is_some_and(|(epoch, _)| *epoch == hello.epoch)
+        {
+            if let Some((_, transport)) = writer.take() {
+                transport.shutdown();
             }
         }
     }
@@ -992,5 +963,57 @@ mod tests {
         assert_eq!(since.load(Ordering::SeqCst), 500);
         drop(live_epoch);
         assert_eq!(since.load(Ordering::SeqCst), 0);
+    }
+
+    /// The daemon says why it dropped a connection: a frame the protocol
+    /// does not allow is a `protocol_error`, bytes that fail their CRC a
+    /// `corrupt_frame`, each a server `WireEvent` in the daemon's sink.
+    #[test]
+    fn a_dropped_connection_is_logged_with_its_reason() {
+        use crate::frame::{read_frame, write_frame};
+        use crate::{RemoteSut, RemoteSutConfig};
+        use mlperf_loadgen::config::TestSettings;
+
+        let sink = Arc::new(RingBufferSink::new(64));
+        let service = Arc::new(SleepSut::new("idle", Duration::ZERO));
+        let config = ServeConfig::default().with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        let handle = serve_on("127.0.0.1:0", service, config).expect("serve");
+        let hello = RemoteSut::hello_for(
+            &TestSettings::single_stream(),
+            8,
+            &RemoteSutConfig::default(),
+        );
+        let mut corrupt = Message::Drain.to_wire();
+        corrupt[0] ^= 0x20;
+        for frame in [Message::HeartbeatAck { seq: 0 }.to_wire(), corrupt] {
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+            write_frame(&mut stream, &Message::Hello(hello.clone()).to_wire()).expect("hello");
+            read_frame(&mut stream).expect("the ack");
+            write_frame(&mut stream, &frame).expect("the frame");
+            assert!(read_frame(&mut stream).is_err(), "the daemon closes");
+        }
+        handle.shutdown();
+        let reasons: Vec<(String, String)> = sink
+            .snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::WireEvent {
+                    endpoint,
+                    kind,
+                    detail,
+                    ..
+                } if endpoint == "server"
+                    && (kind == "protocol_error" || kind == "corrupt_frame") =>
+                {
+                    Some((kind, detail))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons.len(), 2, "{reasons:?}");
+        assert_eq!(reasons[0].0, "protocol_error");
+        assert_eq!(reasons[0].1, "unexpected message from client: HeartbeatAck");
+        assert_eq!(reasons[1].0, "corrupt_frame");
+        assert!(reasons[1].1.starts_with("corrupt frame: "), "{reasons:?}");
     }
 }

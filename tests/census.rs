@@ -266,6 +266,18 @@ const RULES: &[Rule] = &[
         plant: ("crates/wire/src/protocol.rs", "fn now() { let _ = std::time::Instant::now(); }\n"),
     },
     Rule {
+        name: "frames are routed in the cores",
+        scope: &["crates/wire/src/client.rs", "crates/wire/src/server.rs"],
+        part: Part::Code,
+        pattern: Pattern::Squeezed(&["Ok(Message::"]),
+        want: Want::Count(0),
+        retired: "thin wire drivers: ClientCore::{read, handshake} and SessionCore::{open, frame, recover} take each decoded frame; the drivers match only on what the cores decide",
+        plant: (
+            "crates/wire/src/server.rs",
+            "fn r(m: Result<Message, ()>) { if let Ok(Message::Drain) = m {} }\n",
+        ),
+    },
+    Rule {
         name: "one Poisson constructor",
         scope: &["crates/core/src/*.rs"],
         part: Part::Whole,
