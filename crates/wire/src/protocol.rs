@@ -1734,8 +1734,9 @@ mod sim {
     const HORIZON: u64 = 600_000 * MS;
     const SEEDS: u64 = 10_000;
 
-    /// Seeds that once found a bug, each with what it found; they run
-    /// first, every time.
+    /// Seeds that caught a deliberately broken core, each with the break
+    /// (mutations made in a copy of this file), plus any seed that ever
+    /// fails; they run first, every time.
     const PINNED: &[(u64, &str)] = &[
         (
             0,
