@@ -1697,7 +1697,8 @@ mod tests {
 /// in-memory link that carries real sealed `frame.rs` bytes and applies a
 /// [`WireChaosPlan`]'s six fault kinds (corrupt, truncate, duplicate,
 /// delay, partition, disconnect) at either end, plus dials that are
-/// refused or answered by a silent listener.
+/// refused or answered by a silent listener, and a daemon that dies and
+/// restarts from its journal file (less an unsynced tail).
 ///
 /// Each seed draws 1–8 issuers, a window of 1–4, resume on or off, inline
 /// or pooled serving, and its faults, and asserts: every query resolves
@@ -1707,7 +1708,8 @@ mod tests {
 /// `Vanished` and only after the deadline); no replay re-runs a journaled
 /// id; while a waiter is pending on a link that is not dead, someone holds
 /// the read role, and a promotion goes to the lowest pending id; a silence
-/// is judged only on a live link; epochs only grow; and the run ends, with
+/// is judged only on a live link; epochs only grow; a restarted daemon
+/// recovers exactly what its journal file holds; and the run ends, with
 /// nothing due while a waiter waits, before its horizon. A failing seed is
 /// printed with its draw, and becomes a row of [`PINNED`].
 #[cfg(test)]
@@ -1749,6 +1751,10 @@ mod sim {
         (1, "a later failure's kind overwrote the first one's"),
         (1, "a promotion skipped the lowest pending id"),
         (23, "a replay re-ran a journaled id"),
+        (
+            83,
+            "a restarted daemon recovered only the clean completions",
+        ),
     ];
 
     struct Rng(u64);
@@ -1779,6 +1785,9 @@ mod sim {
         plans: [WireChaosPlan; 2],
         refused_dials: u32,
         silent_dials: u32,
+        /// When the daemon dies and restarts, keeping its journal file but
+        /// for an unsynced tail of this many frames.
+        restart: Option<(u64, usize)>,
     }
 
     fn plan(seed: u64, r: &mut Rng) -> WireChaosPlan {
@@ -1820,6 +1829,9 @@ mod sim {
             plans: [client, server],
             refused_dials: if resume { r.below(3) as u32 } else { 0 },
             silent_dials: if resume && r.chance(20) { 1 } else { 0 },
+            restart: r
+                .chance(15)
+                .then(|| (2 * MS + r.below(60 * MS), r.below(3) as usize)),
         }
     }
 
@@ -1959,6 +1971,11 @@ mod sim {
         to: [VecDeque<Frame>; 2],
         chaos: [Chaos; 2],
         session: SessionCore,
+        /// Whether the daemon holds the session (a restart forgets it).
+        live: bool,
+        /// The session's journal file: each query id and its sealed
+        /// `Completion` frame.
+        disk: Vec<(u64, Vec<u8>)>,
         writer: Option<(u32, usize)>,
         serving: Vec<(u64, u64, usize)>,
         drainer: Option<usize>,
@@ -2042,6 +2059,8 @@ mod sim {
                 to: [VecDeque::new(), VecDeque::new()],
                 chaos: [Chaos::default(), Chaos::default()],
                 session: SessionCore::new(CompletionMap::new()),
+                live: true,
+                disk: Vec::new(),
                 writer: Some((0, 1)),
                 serving: Vec::new(),
                 drainer: None,
@@ -2640,9 +2659,25 @@ mod sim {
                     self.server_close(pipe);
                     return Ok(());
                 };
-                let live = true;
-                let attach = SessionCore::attach(hello.epoch, live);
-                fail_if(attach != Attach::Resume, || format!("attached {attach:?}"))?;
+                let attach = SessionCore::attach(hello.epoch, self.live);
+                let want = if self.live {
+                    Attach::Resume
+                } else {
+                    Attach::Adopt
+                };
+                fail_if(attach != want, || format!("attached {attach:?}"))?;
+                if attach == Attach::Adopt {
+                    // A restarted daemon reads the session back from disk.
+                    let frames: Vec<Vec<u8>> = self.disk.iter().map(|(_, f)| f.clone()).collect();
+                    let recovered = SessionCore::recover(&frames);
+                    self.journaled = self.disk.iter().map(|(id, _)| *id).collect();
+                    let read_back: HashSet<u64> = recovered.keys().copied().collect();
+                    fail_if(read_back != self.journaled, || {
+                        "recovered another journal".into()
+                    })?;
+                    self.session = SessionCore::new(recovered);
+                    self.live = true;
+                }
                 let grew = self.server_epoch.is_some_and(|e| hello.epoch > e);
                 fail_if(!grew, || {
                     format!(
@@ -2711,14 +2746,17 @@ mod sim {
             let (_, id, _) = self.serving.swap_remove(k);
             match answer(self.seed, id).0 {
                 Some(error) => {
-                    self.session.served(id, Some((error, samples(id))));
-                    self.journaled.insert(id);
                     let samples = samples(id);
-                    self.server_send(&Message::Completion {
+                    let completion = Message::Completion {
                         query_id: id,
                         error,
-                        samples,
-                    });
+                        samples: samples.clone(),
+                    };
+                    // Journal first, on disk and in memory, then send.
+                    self.disk.push((id, completion.to_wire()));
+                    self.session.served(id, Some((error, samples)));
+                    self.journaled.insert(id);
+                    self.server_send(&completion);
                 }
                 None => self.session.served(id, None),
             }
@@ -2731,6 +2769,20 @@ mod sim {
                     }
                 }
             }
+        }
+
+        /// The daemon process dies (every connection with it, and the work
+        /// in progress) and a new one listens, with the journal file less
+        /// its unsynced tail.
+        fn restart(&mut self, unsynced: usize) {
+            self.s.restart = None;
+            for pipe in 0..self.pipes.len() {
+                self.server_close(pipe);
+            }
+            self.to[SERVER].clear();
+            self.serving.clear();
+            self.live = false;
+            self.disk.truncate(self.disk.len().saturating_sub(unsynced));
         }
 
         // --- the loop -----------------------------------------------------
@@ -2751,6 +2803,7 @@ mod sim {
             enum Ev {
                 Server(Option<usize>, usize),
                 Served(usize),
+                Restart(usize),
                 Hold,
                 Issuer(usize),
                 Beat,
@@ -2767,6 +2820,9 @@ mod sim {
             }
             if let Some((k, (at, ..))) = self.serving.iter().enumerate().min_by_key(|(_, s)| s.0) {
                 offer(*at, Ev::Served(k));
+            }
+            if let Some((at, unsynced)) = self.s.restart {
+                offer(at.max(self.now), Ev::Restart(unsynced));
             }
             if let Some((_, role)) = self.holder {
                 let at = match role {
@@ -2807,6 +2863,7 @@ mod sim {
             match ev {
                 Ev::Server(frame, pipe) => self.server_read(frame, pipe)?,
                 Ev::Served(k) => self.served(k),
+                Ev::Restart(unsynced) => self.restart(unsynced),
                 Ev::Hold => {
                     let (party, role) = self.holder.expect("a holder");
                     self.hold(party, role)?;
