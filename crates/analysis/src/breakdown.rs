@@ -214,6 +214,7 @@ mod tests {
             scheduled_ns: 0,
             issued_ns: 0,
             completed_ns: Some(e2e as u64),
+            sample_count: 1,
             error: false,
             server_spans: false,
             client_queue_ns: e2e - compute,

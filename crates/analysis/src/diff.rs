@@ -229,6 +229,7 @@ mod tests {
             scheduled_ns: 0,
             issued_ns: 0,
             completed_ns: Some(e2e as u64),
+            sample_count: 1,
             error: false,
             server_spans: true,
             client_queue_ns: 0,

@@ -18,8 +18,10 @@
 //! * [`rootcause`] — [`rootcause::root_causes`] names each violated
 //!   constraint and argues it from the log: offending queries, their time
 //!   window, critical-path trace ids, and injected-fault evidence.
-//! * [`heatmap`] — [`heatmap::heatmap`] buckets completions onto the
-//!   timeseries sampler's interval grid for latency-over-time rendering.
+//! * [`heatmap`] — [`heatmap::heatmap`] buckets completions into
+//!   `k · interval` windows and stamps each with the load at its boundary
+//!   (issued, in flight, samples, DVFS state): the run's time series, for
+//!   every clock and transport that writes a detail log.
 //! * [`diff`] — [`diff::diff_paths`] / [`diff::diff_metrics`] compare two
 //!   runs at nearest-rank quantiles and name the segment that regressed.
 //! * [`shards`] — [`shards::shard_reports`] folds a fleet run's

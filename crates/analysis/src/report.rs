@@ -48,7 +48,7 @@ pub struct Analysis {
     pub breakdown: Breakdown,
     /// Window width used for the heatmap (ns).
     pub(crate) interval_ns: u64,
-    /// Per-window latency profile.
+    /// Per-window latency profile and load.
     pub heatmap: Vec<HeatmapRow>,
     /// One entry per violated constraint; empty for VALID runs.
     pub root_causes: Vec<RootCause>,
@@ -116,7 +116,7 @@ pub fn analyze_records(
         source: source.to_string(),
         breakdown: breakdown(&paths),
         interval_ns,
-        heatmap: heatmap(&paths, interval_ns),
+        heatmap: heatmap(&paths, records, interval_ns),
         root_causes: root_causes(records, &texts),
         clock: clock_info(records),
         shards: shard_reports(records),
@@ -301,22 +301,39 @@ pub fn render_markdown(analysis: &Analysis) -> String {
     if analysis.heatmap.is_empty() {
         out.push_str("No completions to bucket.\n\n");
     } else {
-        md_header(
-            &mut out,
-            &["window end", "count", "errors", "p50", "p99", "max"],
-        );
+        // The DVFS column only where the log has device events.
+        let dvfs = analysis.heatmap.iter().any(|r| r.dvfs_milli.is_some());
+        let mut header = vec![
+            "window end",
+            "count",
+            "errors",
+            "p50",
+            "p99",
+            "max",
+            "issued",
+            "in flight",
+            "samples",
+        ];
+        if dvfs {
+            header.push("dvfs");
+        }
+        md_header(&mut out, &header);
         for row in &analysis.heatmap {
-            md_row(
-                &mut out,
-                &[
-                    fmt_ns(row.t_ns as i64),
-                    format!("{}", row.count),
-                    format!("{}", row.errors),
-                    fmt_ns(row.p50_ns as i64),
-                    fmt_ns(row.p99_ns as i64),
-                    fmt_ns(row.max_ns as i64),
-                ],
-            );
+            let mut cells = vec![
+                fmt_ns(row.t_ns as i64),
+                format!("{}", row.count),
+                format!("{}", row.errors),
+                fmt_ns(row.p50_ns as i64),
+                fmt_ns(row.p99_ns as i64),
+                fmt_ns(row.max_ns as i64),
+                format!("{}", row.issued),
+                format!("{}", row.in_flight),
+                format!("{}", row.samples),
+            ];
+            if dvfs {
+                cells.push(row.dvfs_milli.map_or("-".into(), |m| format!("{m}")));
+            }
+            md_row(&mut out, &cells);
         }
         out.push('\n');
     }

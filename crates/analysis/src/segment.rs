@@ -74,6 +74,8 @@ pub struct QueryPath {
     /// Completion (or failure) time on the client clock, if the query
     /// finished.
     pub completed_ns: Option<u64>,
+    /// Samples the query carried (`QueryIssued.sample_count`).
+    pub(crate) sample_count: u64,
     /// Whether the query resolved as an error/drop.
     pub(crate) error: bool,
     /// Whether any server-side span was merged into the log for this query.
@@ -133,6 +135,7 @@ struct Partial {
     scheduled_ns: Option<u64>,
     issued_ns: Option<u64>,
     completed_ns: Option<u64>,
+    sample_count: u64,
     error: bool,
     trace_id: u64,
     delay_ns: u64,
@@ -152,10 +155,13 @@ pub fn query_paths(records: &[TraceRecord]) -> Vec<QueryPath> {
     for record in records {
         match &record.event {
             TraceEvent::QueryIssued {
-                query_id, delay_ns, ..
+                query_id,
+                sample_count,
+                delay_ns,
             } => {
                 let p = partials.entry(*query_id).or_default();
                 p.issued_ns = Some(record.ts_ns);
+                p.sample_count = *sample_count as u64;
                 p.scheduled_ns = Some(record.ts_ns.saturating_sub(*delay_ns));
                 p.delay_ns = *delay_ns;
             }
@@ -225,6 +231,7 @@ pub fn query_paths(records: &[TraceRecord]) -> Vec<QueryPath> {
             scheduled_ns,
             issued_ns,
             completed_ns: p.completed_ns,
+            sample_count: p.sample_count,
             error: p.error,
             server_spans: p.server_spans,
             client_queue_ns,

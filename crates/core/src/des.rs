@@ -26,7 +26,7 @@ use crate::sut::{SimSut, SutReaction};
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::profile_span;
-use mlperf_trace::{MetricsRegistry, MetricsSnapshot, TimeSeriesSampler, TraceEvent, TraceSink};
+use mlperf_trace::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -102,18 +102,15 @@ pub(crate) struct Sim<'a, 's, S: SimSut + ?Sized> {
     next_sample_id: u64,
     seq: u64,
     events_processed: u64,
-    /// Simulated time of the event being processed.
-    pub(crate) now: Nanos,
     sink: &'a dyn TraceSink,
     metrics: Option<&'a MetricsRegistry>,
-    sampler: Option<&'a TimeSeriesSampler>,
 }
 
 impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
     pub(crate) fn new(
         lanes: Vec<Lane<'a>>,
         sut: &'s mut S,
-        instruments: &Instruments<'a>,
+        sink: &'a dyn TraceSink,
         metrics: Option<&'a MetricsRegistry>,
     ) -> Self {
         Self {
@@ -123,10 +120,8 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
             next_sample_id: 0,
             seq: 0,
             events_processed: 0,
-            now: Nanos::ZERO,
-            sink: instruments.sink,
+            sink,
             metrics,
-            sampler: instruments.sampler,
         }
     }
 
@@ -151,16 +146,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
                 "event budget of {MAX_EVENTS} exhausted; SUT appears to loop"
             )));
         }
-        let event = self.heap.pop().map(|Reverse(e)| e);
-        if let Some(event) = event.as_ref() {
-            self.now = event.at;
-            // Sample *before* the event is processed, so each row reflects
-            // the state strictly before its boundary.
-            if let (Some(sampler), Some(metrics)) = (self.sampler, self.metrics) {
-                sampler.advance_to(event.at.as_nanos(), metrics);
-            }
-        }
-        Ok(event)
+        Ok(self.heap.pop().map(|Reverse(e)| e))
     }
 
     /// Issues query number `ordinal` of `lane` at `at`, exactly on
@@ -522,12 +508,7 @@ where
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    let mut sim = Sim::new(
-        vec![Lane::new(settings, registry)],
-        sut,
-        instruments,
-        registry,
-    );
+    let mut sim = Sim::new(vec![Lane::new(settings, registry)], sut, sink, registry);
     if let Some(cp) = &restored {
         sim.restore(cp)?;
     }
@@ -564,9 +545,6 @@ where
         tap.sync()?;
     }
     let outcome = finish_run(lane, sut.name(), qsl.name(), sink, registry);
-    if let (Some(sampler), Some(registry)) = (instruments.sampler, registry) {
-        sampler.finish(outcome.result.duration.as_nanos(), registry);
-    }
     sink.flush();
     Ok(JournaledRun::Finished(Box::new(outcome)))
 }

@@ -89,9 +89,9 @@ impl PeakSearchOutcome {
 ///
 /// Only the search itself is instrumented (step events, a profiler span
 /// per probe); the inner LoadGen runs stay uninstrumented because each
-/// restarts simulated time at zero, which would scramble a sampler or
-/// trace timeline. For the same reason a step is stamped with its ordinal,
-/// not a clock.
+/// restarts simulated time at zero, which would scramble a trace timeline
+/// and every window derived from it. For the same reason a step is stamped
+/// with its ordinal, not a clock.
 fn probe<Q, S>(
     settings: &TestSettings,
     target: f64,

@@ -31,7 +31,7 @@
 //!   write-ahead journal at deterministic boundaries, and the
 //!   roll-back-and-re-execute resume semantics built on them.
 //! * [`instrument`] — [`instrument::Instruments`], the observability
-//!   bundle (trace sink, time-series sampler, shared metrics registry).
+//!   bundle (trace sink, shared metrics registry).
 //! * [`realtime`] — a thread-based wall-clock issue loop mirroring the C++
 //!   LoadGen's operation, used by the quickstart example and tests.
 //! * [`replay`] — a recorded schedule as a first-class arrival process:

@@ -48,10 +48,10 @@ pub(crate) fn query_id(lane: usize, ordinal: u64) -> u64 {
 ///
 /// All tenants' events interleave into `instruments.sink` in simulated-time
 /// order, which is exactly what a cross-tenant timeline needs (the tenant
-/// is recoverable from the query id via [`tenant_of`]). An attached
-/// [`mlperf_trace::TimeSeriesSampler`] and the metrics (a supplied registry
-/// or a run-private one) likewise observe the *combined* load, not any
-/// single tenant's view.
+/// is recoverable from the query id via [`tenant_of`]). The metrics (a
+/// supplied registry or a run-private one) likewise observe the *combined*
+/// load, not any single tenant's view, and so does the time series
+/// `mlperf_analysis::heatmap` derives from that log.
 ///
 /// # Errors
 ///
@@ -98,11 +98,8 @@ where
     let lanes = tenants
         .iter()
         .map(|(settings, _)| Lane::new(settings, registry));
-    let mut sim = Sim::new(lanes.collect(), sut, instruments, registry);
+    let mut sim = Sim::new(lanes.collect(), sut, instruments.sink, registry);
     sim.run_arrivals(&mut sources, None)?;
-    if let (Some(sampler), Some(metrics)) = (instruments.sampler, registry) {
-        sampler.finish(sim.now.as_nanos(), metrics);
-    }
     let lanes = std::mem::take(&mut sim.lanes);
     let mut outcomes = Vec::with_capacity(lanes.len());
     let sink = instruments.sink;

@@ -40,13 +40,14 @@
 //! # }
 //! ```
 //!
-//! The sampler and a shared registry ride simulated time; a wall-clock run
-//! takes a sink and nothing else:
+//! A shared registry rides simulated time; a wall-clock run takes a sink
+//! and nothing else (its time series is derived from that detail log, as
+//! every run's is):
 //!
 //! ```compile_fail
 //! # use mlperf_loadgen::{Instruments, Run, TestSettings};
-//! # fn f(s: &TestSettings, sampler: &mlperf_trace::TimeSeriesSampler) {
-//! Run::wall_clock(s).instruments(&Instruments::none().with_sampler(sampler));
+//! # fn f(s: &TestSettings, registry: &mlperf_trace::MetricsRegistry) {
+//! Run::wall_clock(s).instruments(&Instruments::none().with_metrics(registry));
 //! # }
 //! ```
 
@@ -184,10 +185,10 @@ impl<'a, C, P> Run<'a, C, P> {
 }
 
 impl<'a, P> Run<'a, Simulated, P> {
-    /// Attaches the whole observability bundle: sink, simulated-time
-    /// sampler, caller-owned registry shared with device engines. It
-    /// replaces all three, so an earlier [`sink`](Run::sink) is dropped for
-    /// the bundle's own; call `sink` after this to override just that.
+    /// Attaches the whole observability bundle: sink and caller-owned
+    /// registry shared with device engines. It replaces both, so an
+    /// earlier [`sink`](Run::sink) is dropped for the bundle's own; call
+    /// `sink` after this to override just that.
     #[must_use]
     pub fn instruments(mut self, instruments: &Instruments<'a>) -> Self {
         self.instruments = *instruments;

@@ -5,8 +5,7 @@
 //! trace run [--scenario single-stream|multistream|server|offline]
 //!           [--trace <path>] [--trace-format jsonl|chrome]
 //!           [--tenants <n>] [--queries <n>] [--profile] [--collapsed <path>]
-//!           [--timeseries <path>] [--timeseries-format jsonl|csv]
-//!           [--interval-ms <n>] [--metrics <path>]
+//!           [--metrics <path>]
 //! trace summary <detail.jsonl>
 //! ```
 //!
@@ -31,10 +30,15 @@
 //! against one shared device via the multitenancy extension. `--profile`
 //! turns on the wall-clock span profiler and prints the self-time table;
 //! `--collapsed` additionally writes flamegraph.pl-compatible collapsed
-//! stacks. `--timeseries` attaches a simulated-time sampler and writes one
-//! row of run metrics per `--interval-ms` of simulated time. `--metrics`
-//! writes the run's full metrics-registry snapshot (counters, gauges, and
-//! log-bucketed latency histograms) as a machine-readable JSON artifact.
+//! stacks. `--metrics` writes the run's full metrics-registry snapshot
+//! (counters, gauges, and log-bucketed latency histograms) as a
+//! machine-readable JSON artifact.
+//!
+//! A time series of the run is derived from its detail log:
+//! `trace run --trace-format jsonl --trace x.jsonl`, then
+//! `analyze --log x.jsonl --heatmap rows.jsonl --interval-ms N` writes one
+//! row per `N` ms window (issued, in flight, completions, samples, latency
+//! quantiles, DVFS state).
 
 use mlperf_harness::panic_guard;
 use mlperf_loadgen::config::TestSettings;
@@ -48,7 +52,7 @@ use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_trace::{
     chrome_trace_json, profile, render_detail_log, FanoutSink, JsonValue, LogHistogram,
-    MetricsRegistry, RingBufferSink, TimeSeriesSampler, ToJson, TraceEvent, TraceRecord,
+    MetricsRegistry, RingBufferSink, ToJson, TraceEvent, TraceRecord,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -58,8 +62,7 @@ const USAGE: &str = "usage:
   trace run [--scenario single-stream|multistream|server|offline] \\
             [--trace <path>] [--trace-format jsonl|chrome] \\
             [--tenants <n>] [--queries <n>] [--profile] [--collapsed <path>] \\
-            [--timeseries <path>] [--timeseries-format jsonl|csv] \\
-            [--interval-ms <n>] [--metrics <path>] \\
+            [--metrics <path>] \\
             [--journal <path>] [--resume-from <path>] \\
             [--checkpoint-every <n>] [--halt-after <seq>]
   trace summary <detail.jsonl>";
@@ -107,9 +110,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     let mut tenants = 1usize;
     let mut profile_on = false;
     let mut collapsed_path: Option<String> = None;
-    let mut timeseries_path: Option<String> = None;
-    let mut timeseries_format = "jsonl".to_string();
-    let mut interval_ms = 100u64;
     let mut metrics_path: Option<String> = None;
     let mut queries: Option<u64> = None;
     let mut journal_path: Option<String> = None;
@@ -140,16 +140,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
                 collapsed_path = Some(value_of("--collapsed")?);
                 profile_on = true;
             }
-            "--timeseries" => timeseries_path = Some(value_of("--timeseries")?),
             "--metrics" => metrics_path = Some(value_of("--metrics")?),
-            "--timeseries-format" => timeseries_format = value_of("--timeseries-format")?,
-            "--interval-ms" => {
-                let v = value_of("--interval-ms")?;
-                interval_ms =
-                    v.parse::<u64>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        format!("--interval-ms needs a positive integer, got `{v}`")
-                    })?;
-            }
             "--queries" => {
                 let v = value_of("--queries")?;
                 queries = Some(
@@ -180,11 +171,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     if format != "jsonl" && format != "chrome" {
         return Err(format!("unknown trace format `{format}`\n{USAGE}"));
     }
-    if timeseries_format != "jsonl" && timeseries_format != "csv" {
-        return Err(format!(
-            "unknown timeseries format `{timeseries_format}`\n{USAGE}"
-        ));
-    }
     if tenants > 1 && scenario != "server" {
         return Err("--tenants requires --scenario server".to_string());
     }
@@ -205,7 +191,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         Arc::new(flight.clone()),
     ]);
     let registry = Arc::new(MetricsRegistry::new());
-    let sampler = TimeSeriesSampler::new(interval_ms.saturating_mul(1_000_000));
     let device = DeviceSpec::new(
         "trace-demo-gpu",
         Architecture::Gpu,
@@ -237,10 +222,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         sut = sut.with_tenant_workload(Workload::new(TaskId::ImageClassificationLight));
     }
 
-    let mut instruments = Instruments::traced(&fan).with_metrics(&registry);
-    if timeseries_path.is_some() {
-        instruments = instruments.with_sampler(&sampler);
-    }
+    let instruments = Instruments::traced(&fan).with_metrics(&registry);
 
     if profile_on {
         profile::reset();
@@ -357,21 +339,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         text.push('\n');
         std::fs::write(mpath, text).map_err(|e| format!("cannot write {mpath}: {e}"))?;
         println!("wrote metrics snapshot to {mpath}");
-    }
-
-    if let Some(ts_path) = &timeseries_path {
-        let rows = sampler.rows();
-        let rendered = match timeseries_format.as_str() {
-            "csv" => sampler.to_csv(),
-            _ => sampler.to_jsonl(),
-        };
-        std::fs::write(ts_path, rendered).map_err(|e| format!("cannot write {ts_path}: {e}"))?;
-        println!(
-            "wrote {} time-series rows ({} ms simulated interval) to {ts_path} \
-             ({timeseries_format})",
-            rows.len(),
-            interval_ms
-        );
     }
 
     if profile_on {

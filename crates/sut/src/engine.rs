@@ -190,8 +190,9 @@ impl DeviceSut {
     /// and `batched_samples`, observes `batch_service_ns`, and mirrors the
     /// most recent thermal multiplier into the `dvfs_multiplier_milli`
     /// gauge. Share the registry with the LoadGen run (via
-    /// `Instruments::with_metrics`) and a time-series sampler sees device
-    /// state alongside query state.
+    /// `Instruments::with_metrics`) and its snapshot holds device state
+    /// alongside query state; the DVFS state over time is the
+    /// `DvfsStateChange` events of the detail log ([`DeviceSut::with_trace`]).
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self

@@ -48,9 +48,6 @@
 //! * [`sync`] — the one lock discipline: [`sync::lock`] and the `Condvar`
 //!   waits that take a poisoned mutex anyway, used at every lock site in
 //!   the wire endpoints, the shard router, the work queue and the sinks.
-//! * [`timeseries`] — [`timeseries::TimeSeriesSampler`], snapshotting the
-//!   metrics registry on a simulated-time grid so degradation curves are
-//!   plottable over a run.
 //!
 //! # Example: record a run into a ring buffer
 //!
@@ -85,7 +82,6 @@ pub mod metrics;
 pub mod profile;
 pub mod reader;
 pub mod sync;
-pub mod timeseries;
 
 pub use chrome::chrome_trace_json;
 pub use event::{
@@ -97,4 +93,3 @@ pub use journal::{read_journal, JournalError, JournalScan, JournalWriter, TornTa
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
 pub use metrics::{Counter, Histogram, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use reader::{read_detail_log, read_detail_log_str, DetailLog};
-pub use timeseries::{TimeSeriesRow, TimeSeriesSampler};

@@ -173,34 +173,6 @@ impl LogHistogram {
         }
         1
     }
-
-    /// The values recorded into `self` after `earlier` was snapshotted from
-    /// it: per-bucket count difference, used by the time-series sampler to
-    /// compute per-interval quantiles from the cumulative run histogram.
-    ///
-    /// `earlier` must be a previous snapshot of the same histogram;
-    /// differences are saturating, so an unrelated histogram degrades to an
-    /// empty-ish delta instead of panicking. The delta's `min`/`max` are
-    /// the cumulative bounds (the exact interval extrema are not
-    /// recoverable from bucket counts), which only widens — never
-    /// misplaces — the reported quantile bucket.
-    pub(crate) fn delta_since(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut counts: Vec<u64> = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, count)| count.saturating_sub(earlier.counts.get(i).copied().unwrap_or(0)))
-            .collect();
-        trim(&mut counts);
-        let total = self.total.saturating_sub(earlier.total);
-        LogHistogram {
-            counts,
-            total,
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: if total == 0 { u64::MAX } else { self.min },
-            max: if total == 0 { 0 } else { self.max },
-        }
-    }
 }
 
 /// Drops trailing empty buckets, the one shape [`LogHistogram`] keeps.
@@ -552,38 +524,6 @@ mod tests {
         for q in [0.01, 0.5, 1.0] {
             assert_eq!(h.quantile_resolution(q), 1);
         }
-    }
-
-    #[test]
-    fn delta_since_matches_late_recordings() {
-        let mut h = LogHistogram::new();
-        for v in [10u64, 20, 300] {
-            h.record(v);
-        }
-        let snapshot = h.clone();
-        let mut late_only = LogHistogram::new();
-        for v in [400u64, 5_000, 20, 1 << 20] {
-            h.record(v);
-            late_only.record(v);
-        }
-        let delta = h.delta_since(&snapshot);
-        assert_eq!(delta.count(), 4);
-        assert_eq!(delta.counts, late_only.counts);
-        assert_eq!(delta.sum, late_only.sum);
-        // Quantiles over the delta agree with the late-only histogram.
-        for q in [0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(delta.quantile(q), late_only.quantile(q));
-        }
-    }
-
-    #[test]
-    fn delta_since_self_is_empty() {
-        let mut h = LogHistogram::new();
-        h.record(42);
-        let delta = h.delta_since(&h.clone());
-        assert_eq!(delta.count(), 0);
-        assert_eq!(delta.quantile(0.5), 0);
-        assert_eq!(delta, LogHistogram::new());
     }
 
     #[test]

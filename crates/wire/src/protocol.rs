@@ -593,12 +593,14 @@ pub(crate) enum Attach {
 
 /// What a connection's first frame opens: a run's handshake at our version;
 /// a telemetry poll (answer `Stats`, close); a handshake at another version
-/// (log `event`, refuse with `reason`); or nothing (the shutdown poke).
+/// (log `event`, refuse with `reason`); or nothing (the shutdown poke),
+/// with the wire event that says why when the peer sent no first frame
+/// before the read half's handshake deadline.
 pub(crate) enum Open {
     Hello(Hello),
     Stats,
     Reject { event: String, reason: String },
-    Close,
+    Close(Option<(&'static str, String)>),
 }
 
 /// What a connection does with one of its client's frames: route an issue
@@ -659,7 +661,11 @@ impl SessionCore {
                 ),
             },
             Ok(Message::StatsRequest) => Open::Stats,
-            _ => Open::Close,
+            Err(e) if timed_out(&e) => Open::Close(Some((
+                "handshake_timeout",
+                "no first frame before the handshake deadline".into(),
+            ))),
+            _ => Open::Close(None),
         }
     }
 
@@ -1611,7 +1617,8 @@ mod tests {
             Open::Hello(h) => format!("hello v{}", h.version),
             Open::Stats => "stats".into(),
             Open::Reject { event, reason } => format!("reject ({event}): {reason}"),
-            Open::Close => "close".into(),
+            Open::Close(None) => "close".into(),
+            Open::Close(Some((kind, detail))) => format!("close {kind}: {detail}"),
         };
         assert_eq!(open(Ok(hello(PROTOCOL_VERSION))), "hello v3");
         assert_eq!(
@@ -1621,6 +1628,10 @@ mod tests {
         assert_eq!(open(Ok(Message::StatsRequest)), "stats");
         assert_eq!(open(Ok(Message::Drain)), "close");
         assert_eq!(open(Err(eof())), "close");
+        assert_eq!(
+            open(Err(WireError::Io(std::io::ErrorKind::WouldBlock.into()))),
+            "close handshake_timeout: no first frame before the handshake deadline"
+        );
 
         let frame = |got| match SessionCore::frame(got) {
             Conn::Issue(q, trace) => format!("issue {} trace={trace}", q.id),

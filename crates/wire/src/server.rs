@@ -71,6 +71,12 @@ const LIVENESS_TICK: Duration = Duration::from_millis(25);
 /// flag. Not what releases it: the last completion wakes it.
 const DRAIN_POLL: Duration = Duration::from_millis(100);
 
+/// How long a new connection may take to send its first frame (`Hello` or
+/// a stats probe). A client sends it as soon as it connects, so only a
+/// peer that connects and stays silent waits this long, and then it is
+/// dropped instead of holding a connection thread until `shutdown`.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Tuning knobs for a serving daemon.
 #[derive(Clone, Default)]
 pub struct ServeConfig {
@@ -740,7 +746,7 @@ fn handle_issue(
 
 /// Answers a `StatsRequest` probe connection with one `Stats` frame.
 fn answer_stats(
-    transport: &mut Box<dyn Transport>,
+    transport: &mut dyn Transport,
     service: &Arc<dyn WireService>,
     shared: &Arc<ServerShared>,
 ) {
@@ -782,9 +788,12 @@ fn handle_conn(
     workers: usize,
     shared: &Arc<ServerShared>,
 ) {
-    let mut transport: Box<dyn Transport> = Box::new(TcpTransport::new(stream));
+    let mut transport = TcpTransport::new(stream);
 
     // --- handshake, or a stats probe, which touches no session ---
+    if transport.set_read_timeout(HANDSHAKE_DEADLINE).is_err() {
+        return;
+    }
     let hello = match SessionCore::open(transport.recv().and_then(|p| Message::from_wire(&p))) {
         Open::Hello(hello) => hello,
         Open::Stats => return answer_stats(&mut transport, service, shared),
@@ -793,7 +802,13 @@ fn handle_conn(
             let _ = transport.send(&Message::Reject { reason }.to_wire());
             return;
         }
-        Open::Close => return,
+        Open::Close(why) => {
+            if let Some((kind, detail)) = why {
+                shared.log.wire_event(kind, 0, &detail);
+                transport.shutdown();
+            }
+            return;
+        }
     };
 
     // --- session attach ---
@@ -829,7 +844,11 @@ fn handle_conn(
         sut_name: service.name().to_string(),
         max_in_flight: hello.max_in_flight,
     };
-    if transport.send(&ack.to_wire()).is_err() {
+    // Answered: from here on a quiet link is the client's heartbeat to
+    // judge, so reads block again.
+    if transport.send(&ack.to_wire()).is_err()
+        || transport.set_read_timeout(Duration::ZERO).is_err()
+    {
         return;
     }
     // Install this connection's writer; the epoch tag keeps a dead
@@ -1015,5 +1034,48 @@ mod tests {
         assert_eq!(reasons[0].1, "unexpected message from client: HeartbeatAck");
         assert_eq!(reasons[1].0, "corrupt_frame");
         assert!(reasons[1].1.starts_with("corrupt frame: "), "{reasons:?}");
+    }
+
+    /// A peer that connects and never sends `Hello` is dropped at the
+    /// handshake deadline, with the reason logged, instead of holding its
+    /// connection thread and socket until `shutdown`.
+    #[test]
+    fn a_silent_connection_is_dropped_at_the_handshake_deadline() {
+        use std::io::Read;
+        use std::time::Instant;
+
+        let sink = Arc::new(RingBufferSink::new(64));
+        let service = Arc::new(SleepSut::new("idle", Duration::ZERO));
+        let config = ServeConfig::default().with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        let handle = serve_on("127.0.0.1:0", service, config).expect("serve");
+        let mut silent = TcpStream::connect(handle.addr()).expect("connect");
+        let connected = Instant::now();
+        let slack = Duration::from_secs(3);
+        let finished = loop {
+            let threads = lock(&handle.shared.conn_threads);
+            if !threads.is_empty() && threads.iter().all(JoinHandle::is_finished) {
+                break Some(connected.elapsed());
+            }
+            drop(threads);
+            if connected.elapsed() > HANDSHAKE_DEADLINE + slack {
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let waited = finished.expect("the connection thread outlived the handshake deadline");
+        assert!(waited >= HANDSHAKE_DEADLINE / 2, "dropped after {waited:?}");
+        // The daemon closed its end: the silent peer reads end-of-stream.
+        silent.set_read_timeout(Some(slack)).expect("timeout");
+        assert_eq!(silent.read(&mut [0u8; 1]).expect("eof, not a timeout"), 0);
+        handle.shutdown();
+        let timeouts = sink
+            .snapshot()
+            .into_iter()
+            .filter(|r| {
+                matches!(&r.event, TraceEvent::WireEvent { endpoint, kind, .. }
+                    if endpoint == "server" && kind == "handshake_timeout")
+            })
+            .count();
+        assert_eq!(timeouts, 1);
     }
 }

@@ -498,6 +498,20 @@ const RULES: &[Rule] = &[
             "        OnlyTested(\"only_tested\") {\n            query_id: u64,\n        },\n",
         ),
     },
+    Rule {
+        name: "one windowed view",
+        scope: PRODUCTION_RS,
+        part: Part::NonTest,
+        pattern: Pattern::Word(&[
+            "TimeSeriesSampler",
+            "TimeSeriesRow",
+            "with_sampler",
+            "delta_since",
+        ]),
+        want: Want::Count(0),
+        retired: "heatmap: a run's time series is the analyzer's heatmap rows, derived from the detail log on every clock; the sampler polled the registry from the simulated event loop only",
+        plant: ("crates/core/src/instrument.rs", "fn with_sampler() {}\n"),
+    },
 ];
 
 /// One match: `(path, 1-based line or 0, what matched)`.

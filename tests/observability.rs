@@ -1,22 +1,23 @@
 //! Integration tests for the observability layer: Chrome-trace export of a
-//! real device run, time-series sampling of a multitenant run, and the
-//! wall-clock span profiler.
+//! real device run, the time series derived from the detail log of a
+//! multitenant run and of a wall-clock run, and the wall-clock span
+//! profiler.
 
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use mlperf_analysis::HeatmapRow;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
+use mlperf_loadgen::sut::SleepSut;
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::{Instruments, Run};
 use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
-use mlperf_trace::{
-    chrome_trace_json, profile, JsonValue, MetricsRegistry, RingBufferSink, TimeSeriesSampler,
-};
+use mlperf_trace::{chrome_trace_json, profile, JsonValue, RingBufferSink, TraceRecord};
 
 /// The span profiler is process-global, so tests that enable it (or that
 /// merely execute instrumented code while another test has it enabled)
@@ -106,6 +107,12 @@ fn chrome_export_of_device_run_round_trips() {
     );
 }
 
+/// A run's time series is derived from its detail log: the analyzer's
+/// heatmap rows, one per `interval` of the log's clock.
+fn series(records: &[TraceRecord], interval_ns: u64) -> Vec<HeatmapRow> {
+    mlperf_analysis::analyze_records("series", records, &[], Some(interval_ns)).heatmap
+}
+
 #[test]
 fn multitenant_timeseries_covers_the_run() {
     let _guard = hold_profiler();
@@ -118,18 +125,15 @@ fn multitenant_timeseries_covers_the_run() {
         .with_min_duration(Nanos::from_millis(5));
     let mut qa = MemoryQsl::new("tenant-a", 64, 64);
     let mut qb = MemoryQsl::new("tenant-b", 64, 64);
-    let registry = Arc::new(MetricsRegistry::new());
+    let sink = Arc::new(RingBufferSink::unbounded());
     let mut sut = DeviceSut::new(
         demo_device(2),
         Workload::new(TaskId::ImageClassificationLight),
         BatchPolicy::Immediate,
     )
-    .with_metrics(registry.clone());
+    .with_trace(sink.clone());
 
-    let sampler = TimeSeriesSampler::new(interval_ns);
-    let instruments = Instruments::none()
-        .with_metrics(&registry)
-        .with_sampler(&sampler);
+    let instruments = Instruments::traced(sink.as_ref());
     let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
     let outcomes = run_multitenant_server(&mut tenants, &mut sut, &instruments)
         .expect("multitenant smoke run succeeds");
@@ -142,14 +146,14 @@ fn multitenant_timeseries_covers_the_run() {
     }
 
     // At least floor(duration / interval) rows, timestamps on the interval
-    // grid and strictly increasing, and the counters must account for both
-    // tenants' full query counts by the final row.
+    // grid and strictly increasing, and the counts must account for both
+    // tenants' queries, interleaved in one log.
     let duration_ns = outcomes
         .iter()
         .map(|o| o.result.duration.as_nanos())
         .max()
         .expect("two outcomes");
-    let rows = sampler.rows();
+    let rows = series(&sink.snapshot(), interval_ns);
     let expected = (duration_ns / interval_ns) as usize;
     assert!(
         rows.len() >= expected,
@@ -158,19 +162,40 @@ fn multitenant_timeseries_covers_the_run() {
     );
     assert!(rows.windows(2).all(|w| w[0].t_ns < w[1].t_ns));
     assert!(rows.iter().all(|r| r.t_ns % interval_ns == 0));
-    // The registry holds both tenants' full query counts; the last row is
-    // a snapshot at the final interval boundary, so it may miss the tail
-    // issued after that boundary but can never overshoot.
-    assert_eq!(registry.snapshot().counter("queries_issued"), 400 + 200);
+    // The last row counts what was issued before its boundary, which can
+    // never overshoot both tenants' full query counts.
     let last = rows.last().expect("non-empty");
-    assert!(last.queries_issued <= 400 + 200);
-    assert!(last.queries_issued > 500, "most of the run is sampled");
-    assert!(last.queries_completed <= last.queries_issued);
-    assert!(rows.iter().any(|r| r.throughput_qps > 0.0));
-    // The device shares its DVFS state through the same registry.
-    assert!(rows
-        .iter()
-        .any(|r| r.gauges.contains_key("dvfs_multiplier_milli")));
+    assert!(last.issued <= 400 + 200);
+    assert!(last.issued > 500, "most of the run is in the series");
+    let completed: u64 = rows.iter().map(|r| r.count).sum();
+    assert!(completed <= last.issued);
+    assert!(rows.iter().any(|r| r.count > 0));
+    // The device's DVFS state comes from its own events in the same log.
+    assert!(rows.iter().any(|r| r.dvfs_milli.is_some()));
+}
+
+#[test]
+fn wall_clock_server_run_has_a_series() {
+    let _guard = hold_profiler();
+    let settings = TestSettings::server(1_000.0, Nanos::from_millis(50))
+        .with_min_query_count(64)
+        .with_min_duration(Nanos::from_millis(20));
+    let mut qsl = MemoryQsl::new("obs-qsl", 64, 64);
+    let sink = RingBufferSink::unbounded();
+    let outcome = Run::wall_clock(&settings)
+        .sink(&sink)
+        .run(
+            &mut qsl,
+            Arc::new(SleepSut::new("sleep", Duration::from_micros(200))),
+        )
+        .expect("wall-clock run completes");
+
+    // Only what the log owns is asserted, not the wall-clock verdict.
+    let rows = series(&sink.snapshot(), 10_000_000);
+    assert!(rows.iter().any(|r| r.issued > 0 && r.count > 0));
+    let last = rows.last().expect("the run completed queries");
+    assert_eq!(last.issued, outcome.records.len() as u64);
+    assert_eq!(last.in_flight, 0);
 }
 
 #[test]
