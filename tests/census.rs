@@ -509,7 +509,7 @@ const RULES: &[Rule] = &[
             "delta_since",
         ]),
         want: Want::Count(0),
-        retired: "heatmap: a run's time series is the analyzer's heatmap rows, derived from the detail log on every clock; the sampler polled the registry from the simulated event loop only",
+        retired: "07bcd04: a run's time series is the analyzer's heatmap rows, derived from the detail log on every clock; the sampler polled the registry from the simulated event loop only",
         plant: ("crates/core/src/instrument.rs", "fn with_sampler() {}\n"),
     },
 ];
