@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! analyze --log <detail.jsonl>          critical-path report for one run
-//! analyze --merged <detail.jsonl>       alias for --log (merged cross-host logs)
 //! analyze --compare <base> <cand>       cross-run diff: which segment regressed
 //! analyze --check                       CI mode: regenerate the committed artifacts
 //!
@@ -38,6 +37,7 @@
 //! rewrites the artifacts instead of diffing them.
 
 use mlperf_analysis::{analyze_records, heatmap_jsonl, render_markdown, Analysis};
+use mlperf_harness::cli::{self, Command, Flag};
 use mlperf_loadgen::results::TestResult;
 use mlperf_replay::{fingerprint_of_records, EquivalenceBound, RecordedTrace, TraceFingerprint};
 use mlperf_trace::flight::parse_flight_dump;
@@ -45,10 +45,22 @@ use mlperf_trace::reader::read_detail_log_str;
 use mlperf_trace::{FromJson, JsonValue, MetricsSnapshot, ToJson, TraceRecord};
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: analyze (--log <jsonl> | --merged <jsonl> | --compare <base> <cand> | --check) \
-[--outcome <result.json>] [--interval-ms <n>] [--report <out.md>] [--json <out.json>] \
-[--heatmap <out.jsonl>] [--tolerance <pct>] [--bless]";
+static ANALYZE: Command = Command::new(
+    "analyze",
+    "",
+    &[
+        Flag::value("--log", "<jsonl>"),
+        Flag::value("--compare", "<base> <cand>"),
+        cli::CHECK,
+        Flag::value("--outcome", "<result.json>"),
+        Flag::value("--interval-ms", "<n>"),
+        Flag::value("--report", "<out.md>"),
+        Flag::value("--json", "<out.json>"),
+        Flag::value("--heatmap", "<out.jsonl>"),
+        Flag::value("--tolerance", "<pct>"),
+        cli::BLESS,
+    ],
+);
 
 /// Committed fixture: one merged cross-host detail log from a loopback
 /// netbench server run (recorded once; see EXPERIMENTS.md).
@@ -316,132 +328,48 @@ fn run_check(bless: bool) -> Result<Vec<String>, String> {
 
 fn main() -> ExitCode {
     let _flight = mlperf_harness::panic_guard::install("analyze");
-    let mut log_path: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut outcome_path: Option<String> = None;
-    let mut interval_ns: Option<u64> = None;
-    let mut report_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut heatmap_path: Option<String> = None;
-    let mut tolerance_pct = 10.0f64;
-    let mut check_mode = false;
-    let mut bless = false;
+    cli::exit(analyze(&cli::args()))
+}
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log" | "--merged" | "--outcome" | "--report" | "--json" | "--heatmap" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{arg} needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--log" | "--merged" => log_path = Some(v.clone()),
-                    "--outcome" => outcome_path = Some(v.clone()),
-                    "--report" => report_path = Some(v.clone()),
-                    "--json" => json_path = Some(v.clone()),
-                    _ => heatmap_path = Some(v.clone()),
-                }
-            }
-            "--compare" => {
-                let (Some(base), Some(cand)) = (it.next(), it.next()) else {
-                    eprintln!("--compare needs two paths\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                compare = Some((base.clone(), cand.clone()));
-            }
-            "--interval-ms" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--interval-ms needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match v.parse::<u64>() {
-                    Ok(ms) if ms > 0 => interval_ns = Some(ms * 1_000_000),
-                    _ => {
-                        eprintln!("--interval-ms needs a positive integer, got `{v}`\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--tolerance" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--tolerance needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                tolerance_pct = match v.parse() {
-                    Ok(pct) => pct,
-                    Err(_) => {
-                        eprintln!("--tolerance needs a number, got `{v}`\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--check" => check_mode = true,
-            "--bless" => bless = true,
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+/// Runs the mode `argv` selects; `Ok(false)` is a failed check or a
+/// regression, already reported.
+fn analyze(argv: &[String]) -> Result<bool, String> {
+    let args = ANALYZE.parse(argv)?;
+    let tolerance_pct = args.number("--tolerance", ..)?.unwrap_or(10.0);
+    let interval_ns = args
+        .number("--interval-ms", 1..)?
+        .map(|ms: u64| ms * 1_000_000);
+
+    if args.switch("--check") {
+        let failures =
+            run_check(args.switch("--bless")).map_err(|e| format!("analyze check: {e}"))?;
+        for f in &failures {
+            eprintln!("analyze check: {f}");
         }
-    }
-
-    if check_mode {
-        return match run_check(bless) {
-            Ok(failures) if failures.is_empty() => {
-                println!(
-                    "analyze check: OK (artifacts byte-stable, residual 0ns, \
+        if failures.is_empty() {
+            println!(
+                "analyze check: OK (artifacts byte-stable, residual 0ns, \
 flight dump explains its constraints)"
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("analyze check: {f}");
-                }
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("analyze check: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some((base, cand)) = compare {
-        return match run_compare(&base, &cand, tolerance_pct) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let Some(path) = log_path else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let analysis = match analyze_file(&path, outcome_path.as_deref(), interval_ns) {
-        Ok(analysis) => analysis,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+            );
         }
-    };
+        return Ok(failures.is_empty());
+    }
+
+    if let Some([base, cand]) = args.values("--compare") {
+        return run_compare(base, cand, tolerance_pct);
+    }
+
+    let path = args.value("--log").ok_or_else(|| ANALYZE.usage())?;
+    let analysis = analyze_file(path, args.value("--outcome"), interval_ns)?;
     let (markdown, json) = render_artifacts(&analysis);
     let mut wrote_something = false;
-    for (target, text) in [
-        (&report_path, &markdown),
-        (&json_path, &json),
-        (&heatmap_path, &heatmap_jsonl(&analysis.heatmap)),
+    for (flag, text) in [
+        ("--report", &markdown),
+        ("--json", &json),
+        ("--heatmap", &heatmap_jsonl(&analysis.heatmap)),
     ] {
-        if let Some(out) = target {
-            if let Err(e) = std::fs::write(out, text) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(out) = args.value(flag) {
+            std::fs::write(out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
             println!("wrote {out}");
             wrote_something = true;
         }
@@ -449,5 +377,5 @@ flight dump explains its constraints)"
     if !wrote_something {
         print!("{markdown}");
     }
-    ExitCode::SUCCESS
+    Ok(true)
 }

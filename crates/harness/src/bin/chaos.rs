@@ -15,6 +15,7 @@
 //! renders identical bytes.
 
 use mlperf_audit::tests::completeness_report;
+use mlperf_harness::cli::{self, Flag};
 use mlperf_harness::rig::{dump_flight, issue_kinds, logical_hash, Rebind, Rig, Wired};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::{run_simulated, RunOutcome};
@@ -39,8 +40,26 @@ use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str =
-    "usage: chaos [--seed <n>] [--out <path>] [--check] [--wire] [--crash] [--flight-dir <dir>]";
+static COMMANDS: &[cli::Command] = &[
+    cli::Command::new(
+        "chaos",
+        "",
+        &[
+            cli::SEED,
+            cli::OUT,
+            cli::CHECK,
+            Flag::switch("--wire"),
+            Flag::switch("--crash"),
+            Flag::value("--flight-dir", "<dir>"),
+        ],
+    ),
+    cli::Command::new("chaos __crash-daemon", "<journal-dir>", &[]),
+    cli::Command::new(
+        "chaos __crash-client",
+        "<addr> <journal> <torn> <seed>",
+        &[],
+    ),
+];
 
 /// The matrix: quadrant, scenario, fault, and the outcome the row must
 /// observe. An outcome is each run's verdict — `VALID`, or the run's
@@ -679,32 +698,21 @@ fn park(status: &str) -> ! {
 /// Hidden subcommand: a crash-quadrant daemon child. Serves on an
 /// ephemeral port with a disk session journal and parks, reporting
 /// `ADDR <addr>`.
-fn crash_daemon_child(args: &[String]) -> ExitCode {
-    let [journal_dir] = args else {
-        return fail("__crash-daemon <journal-dir>");
-    };
-    match crash_rig(Path::new(journal_dir)) {
-        Ok(rig) => park(&format!("ADDR {}", rig.addr(0))),
-        Err(e) => fail(&format!("crash daemon cannot serve: {e}")),
-    }
+fn crash_daemon_child(journal_dir: &str) -> Result<(), String> {
+    let rig =
+        crash_rig(Path::new(journal_dir)).map_err(|e| format!("crash daemon cannot serve: {e}"))?;
+    park(&format!("ADDR {}", rig.addr(0)))
 }
 
 /// Hidden subcommand: a crash-quadrant client child. Runs a fresh
 /// journaled run halted at [`CRASH_HALT_AT`] (tearing the final frame
-/// when asked) and parks — sockets open, no drain — reporting
+/// when `torn` is `1`) and parks — sockets open, no drain — reporting
 /// `HALTED <seq>`.
-fn crash_client_child(args: &[String]) -> ExitCode {
-    let [addr, journal, torn, seed] = args else {
-        return fail("__crash-client <addr> <journal> <torn 0|1> <seed>");
-    };
-    let halted = match seed.parse() {
-        Ok(seed) => halt_crash_run(addr, Path::new(journal), seed, torn == "1"),
-        Err(_) => Err(format!("bad seed `{seed}`")),
-    };
-    match halted {
-        Ok((_wired, checkpoint)) => park(&format!("HALTED {checkpoint}")),
-        Err(e) => fail(&format!("crash client: {e}")),
-    }
+fn crash_client_child(addr: &str, journal: &str, torn: &str, seed: &str) -> Result<(), String> {
+    let seed = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?;
+    let (_wired, checkpoint) = halt_crash_run(addr, Path::new(journal), seed, torn == "1")
+        .map_err(|e| format!("crash client: {e}"))?;
+    park(&format!("HALTED {checkpoint}"))
 }
 
 /// A crash child process. Dropping it `SIGKILL`s and reaps it — the
@@ -994,11 +1002,6 @@ fn violations(first: &[Cell], second: &[Cell]) -> Vec<String> {
     failures
 }
 
-fn fail(problem: &str) -> ExitCode {
-    eprintln!("{problem}");
-    ExitCode::FAILURE
-}
-
 /// Builds, prints and writes the matrix; with `check`, builds it again and
 /// applies the two rules.
 fn chaos(
@@ -1034,45 +1037,35 @@ fn chaos(
 
 fn main() -> ExitCode {
     let _flight = mlperf_harness::panic_guard::install("chaos");
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit(dispatch(&cli::args()).map(|()| true))
+}
+
+fn dispatch(argv: &[String]) -> Result<(), String> {
+    let (command, rest) = cli::select(COMMANDS, argv)?;
+    let args = command.parse(rest)?;
     // Hidden crash-quadrant worker subcommands: these processes exist to
     // be SIGKILLed by the parent sweep.
-    match args.first().map(String::as_str) {
-        Some("__crash-daemon") => return crash_daemon_child(&args[1..]),
-        Some("__crash-client") => return crash_client_child(&args[1..]),
-        _ => {}
-    }
-    let mut seed = 0xC4A05u64;
-    let (mut out_path, mut flight_dir) = (None, None);
-    let mut quadrants = vec!["local"];
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--wire" => quadrants.extend(["wire", "fleet"]),
-            "--crash" => quadrants.push("crash"),
-            "--seed" | "--out" | "--flight-dir" => {
-                let Some(v) = it.next() else {
-                    return fail(&format!("{arg} needs a value\n{USAGE}"));
-                };
-                match arg.as_str() {
-                    "--out" => out_path = Some(v.as_str()),
-                    "--flight-dir" => flight_dir = Some(v.as_str()),
-                    _ => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(_) => {
-                            return fail(&format!("--seed needs an integer, got `{v}`\n{USAGE}"))
-                        }
-                    },
-                }
-            }
-            other => return fail(&format!("unknown flag `{other}`\n{USAGE}")),
+    match (command.sub(), args.positionals()) {
+        ("__crash-daemon", [journal_dir]) => crash_daemon_child(journal_dir),
+        ("__crash-client", [addr, journal, torn, seed]) => {
+            crash_client_child(addr, journal, torn, seed)
         }
-    }
-    match chaos(seed, &quadrants, out_path, flight_dir, check) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
+        _ => {
+            let mut quadrants = vec!["local"];
+            if args.switch("--wire") {
+                quadrants.extend(["wire", "fleet"]);
+            }
+            if args.switch("--crash") {
+                quadrants.push("crash");
+            }
+            chaos(
+                args.number("--seed", ..)?.unwrap_or(0xC4A05),
+                &quadrants,
+                args.value("--out"),
+                args.value("--flight-dir"),
+                args.switch("--check"),
+            )
+        }
     }
 }
 

@@ -40,6 +40,7 @@
 
 use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
+use mlperf_harness::cli::{self, Args, Command, Flag};
 use mlperf_harness::rig::{dump_flight, Rig, DEVICE_PER_SAMPLE};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::{MemoryQsl, QuerySampleLibrary};
@@ -58,9 +59,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: netbench (--serve <addr> | --connect <addr> | --loopback) \
-[--seed <n>] [--out <path>] [--metrics <path>] [--detail <path>] [--chrome <path>] \
-[--flight-dir <dir>] [--stats] [--watch] [--check]";
+static NETBENCH: Command = Command::new(
+    "netbench",
+    "",
+    &[
+        Flag::value("--serve", "<addr>"),
+        Flag::value("--connect", "<addr>"),
+        Flag::switch("--loopback"),
+        cli::SEED,
+        cli::OUT,
+        Flag::value("--metrics", "<path>"),
+        Flag::value("--detail", "<path>"),
+        Flag::value("--chrome", "<path>"),
+        Flag::value("--flight-dir", "<dir>"),
+        Flag::switch("--stats"),
+        Flag::switch("--watch"),
+        cli::CHECK,
+    ],
+);
 
 /// Scaled-down run pair. Both scenarios terminate on schedule-derived
 /// conditions (an offline run is one batch; the server issue loop stops on
@@ -233,27 +249,15 @@ fn summarize(
     }
 }
 
-/// Everything the command line selects besides the mode.
-struct Opts {
-    seed: u64,
-    out: Option<String>,
-    metrics: Option<String>,
-    detail: Option<String>,
-    chrome: Option<String>,
-    flight_dir: String,
-    stats: bool,
-    watch: bool,
-    check: bool,
-}
-
 /// Runs the offline + server pair over `rig`; returns the summaries and
 /// the rendered logical detail log.
-fn drive(rig: &Rig, opts: &Opts) -> Result<(Vec<RunSummary>, String), String> {
+fn drive(rig: &Rig, args: &Args, seed: u64) -> Result<(Vec<RunSummary>, String), String> {
+    let flight_dir = args.value("--flight-dir").unwrap_or(".");
     let mut summaries = Vec::new();
-    for (label, settings) in run_pair(opts.seed) {
+    for (label, settings) in run_pair(seed) {
         let summary = run_one(rig, label, &settings)?;
         if !summary.valid {
-            let path = format!("{}/netbench_flight_{label}.jsonl", opts.flight_dir);
+            let path = format!("{flight_dir}/netbench_flight_{label}.jsonl");
             let reason = format!("{label} run INVALID: {}", summary.issues.join("; "));
             dump_flight(&path, &reason, &summary.records);
         }
@@ -261,7 +265,7 @@ fn drive(rig: &Rig, opts: &Opts) -> Result<(Vec<RunSummary>, String), String> {
     }
     let runs = summaries.iter().map(|s| s.logical_log.clone()).collect();
     let fields = vec![
-        ("seed", opts.seed.to_json_value()),
+        ("seed", seed.to_json_value()),
         ("runs", JsonValue::Array(runs)),
     ];
     let mut rendered = JsonValue::object(fields).to_pretty();
@@ -360,16 +364,21 @@ replays {} dups {} p99 serve {p99_us:.0} us per-session [{}]",
 
 /// Writes the requested artifact files (logical log, metrics snapshots,
 /// merged detail log, Chrome trace) for a finished run pair.
-fn write_artifacts(summaries: &[RunSummary], rendered: &str, opts: &Opts) -> Result<(), String> {
-    if let Some(path) = &opts.out {
+fn write_artifacts(
+    summaries: &[RunSummary],
+    rendered: &str,
+    args: &Args,
+    seed: u64,
+) -> Result<(), String> {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote logical detail log to {path}");
     }
 
     // Machine-readable wire metrics, one snapshot per run.
-    if let Some(path) = &opts.metrics {
+    if let Some(path) = args.value("--metrics") {
         let doc = JsonValue::object(vec![
-            ("seed", opts.seed.to_json_value()),
+            ("seed", seed.to_json_value()),
             ("tool", "netbench".to_json_value()),
             (
                 "runs",
@@ -394,14 +403,15 @@ fn write_artifacts(summaries: &[RunSummary], rendered: &str, opts: &Opts) -> Res
 
     // The merged, clock-aligned detail log of the server-scenario run (the
     // richer of the pair), as JSONL and/or a Chrome trace.
-    if opts.detail.is_some() || opts.chrome.is_some() {
+    let (detail, chrome) = (args.value("--detail"), args.value("--chrome"));
+    if detail.is_some() || chrome.is_some() {
         let merged = &summaries.last().expect("run pair is never empty").records;
-        if let Some(path) = &opts.detail {
+        if let Some(path) = detail {
             std::fs::write(path, render_detail_log(merged))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote merged detail log to {path}");
         }
-        if let Some(path) = &opts.chrome {
+        if let Some(path) = chrome {
             std::fs::write(path, chrome_trace_json(merged))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote chrome trace to {path}");
@@ -413,12 +423,12 @@ fn write_artifacts(summaries: &[RunSummary], rendered: &str, opts: &Opts) -> Res
 /// The one path behind `--connect` and `--loopback`: drive the run pair
 /// over `rig`, write what was asked for, and with `--check` prove the
 /// result reproduces. `Ok(false)` is a failed check, already reported.
-fn bench(rig: &Rig, opts: &Opts) -> Result<bool, String> {
+fn bench(rig: &Rig, args: &Args, seed: u64) -> Result<bool, String> {
     // --watch: poll the daemon's live stats onto one console line while
     // the runs execute.
     let done = AtomicBool::new(false);
     let (summaries, rendered) = std::thread::scope(|scope| {
-        if opts.watch {
+        if args.switch("--watch") {
             scope.spawn(|| {
                 while !done.load(Ordering::SeqCst) {
                     print!("\rwatch: {}        ", watch_line(rig));
@@ -428,13 +438,13 @@ fn bench(rig: &Rig, opts: &Opts) -> Result<bool, String> {
                 println!();
             });
         }
-        let driven = drive(rig, opts);
+        let driven = drive(rig, args, seed);
         done.store(true, Ordering::SeqCst);
         driven
     })?;
-    write_artifacts(&summaries, &rendered, opts)?;
-    let stats_failure = opts.stats.then(|| stats_table(rig)).flatten();
-    if !opts.check {
+    write_artifacts(&summaries, &rendered, args, seed)?;
+    let stats_failure = args.switch("--stats").then(|| stats_table(rig)).flatten();
+    if !args.switch("--check") {
         return stats_failure.map_or(Ok(true), |f| Err(format!("netbench: {f}")));
     }
 
@@ -442,7 +452,7 @@ fn bench(rig: &Rig, opts: &Opts) -> Result<bool, String> {
     failures.extend(stats_failure);
     // Reproducibility: the same seed must render a byte-identical logical
     // detail log over fresh connections.
-    let (again, rendered_again) = drive(rig, opts)?;
+    let (again, rendered_again) = drive(rig, args, seed)?;
     failures.extend(check_summaries(&again));
     if rendered != rendered_again {
         failures.push("logical detail log is not byte-reproducible across connections".into());
@@ -459,127 +469,45 @@ end-to-end traces)"
     Ok(failures.is_empty())
 }
 
-enum Mode {
-    Serve(String),
-    Connect(String),
-    Loopback,
-}
-
 fn main() -> ExitCode {
     let _flight = mlperf_harness::panic_guard::install("netbench");
-    let mut mode: Option<Mode> = None;
-    let mut opts = Opts {
-        seed: 0xBE7C,
-        out: None,
-        metrics: None,
-        detail: None,
-        chrome: None,
-        flight_dir: ".".to_string(),
-        stats: false,
-        watch: false,
-        check: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--serve" | "--connect" => {
-                let Some(addr) = it.next() else {
-                    eprintln!("{arg} needs an address\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                mode = Some(if arg == "--serve" {
-                    Mode::Serve(addr.clone())
-                } else {
-                    Mode::Connect(addr.clone())
-                });
-            }
-            "--loopback" => mode = Some(Mode::Loopback),
-            "--seed" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--seed needs a value\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                opts.seed = match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--seed needs an integer, got `{v}`\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--out" | "--metrics" | "--detail" | "--chrome" | "--flight-dir" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{arg} needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--out" => opts.out = Some(v.clone()),
-                    "--metrics" => opts.metrics = Some(v.clone()),
-                    "--detail" => opts.detail = Some(v.clone()),
-                    "--chrome" => opts.chrome = Some(v.clone()),
-                    _ => opts.flight_dir = v.clone(),
-                }
-            }
-            "--stats" => opts.stats = true,
-            "--watch" => opts.watch = true,
-            "--check" => opts.check = true,
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    cli::exit(netbench(&cli::args()))
+}
 
-    let Some(mode) = mode else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match mode {
-        // --serve never returns: export the device and wait for clients.
-        Mode::Serve(addr) => {
-            let device = FixedLatencySut::new("netbench-dev", DEVICE_PER_SAMPLE);
-            match serve_on(
-                &addr,
-                Arc::new(SimHost::new(device)),
-                ServeConfig::default(),
-            ) {
-                Ok(handle) => {
-                    println!(
-                        "serving netbench-dev on {} (one run per connection; ctrl-c to stop)",
-                        handle.addr()
-                    );
-                    loop {
-                        std::thread::sleep(Duration::from_secs(3600));
-                    }
-                }
-                Err(e) => Err(format!("cannot serve on {addr}: {e}")),
-            }
-        }
-        Mode::Connect(addr) => bench(&Rig::over(&addr), &opts),
-        // The daemon replays the simulated per-sample service time on the
-        // wall clock, so a whole run pair stays fast enough for CI.
-        Mode::Loopback => {
-            let rig = Rig::spawn("netbench-dev", &[DEVICE_PER_SAMPLE], |_| {
-                ServeConfig::default()
-            });
-            rig.and_then(|rig| {
-                println!(
-                    "loopback daemon {} on {} ({} us/sample)",
-                    rig.label(0),
-                    rig.addr(0),
-                    DEVICE_PER_SAMPLE.as_nanos() / 1_000,
-                );
-                bench(&rig, &opts)
-            })
-        }
-    };
-    match result {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
+/// Runs the mode `argv` selects: `--serve`, else `--connect`, else
+/// `--loopback`. `Ok(false)` is a failed check, already reported.
+fn netbench(argv: &[String]) -> Result<bool, String> {
+    let args = NETBENCH.parse(argv)?;
+    let seed = args.number("--seed", ..)?.unwrap_or(0xBE7C);
+    // --serve never returns: export the device and wait for clients.
+    if let Some(addr) = args.value("--serve") {
+        let device = FixedLatencySut::new("netbench-dev", DEVICE_PER_SAMPLE);
+        let handle = serve_on(addr, Arc::new(SimHost::new(device)), ServeConfig::default())
+            .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+        println!(
+            "serving netbench-dev on {} (one run per connection; ctrl-c to stop)",
+            handle.addr()
+        );
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
         }
     }
+    if let Some(addr) = args.value("--connect") {
+        return bench(&Rig::over(addr), &args, seed);
+    }
+    if !args.switch("--loopback") {
+        return Err(NETBENCH.usage());
+    }
+    // The daemon replays the simulated per-sample service time on the
+    // wall clock, so a whole run pair stays fast enough for CI.
+    let rig = Rig::spawn("netbench-dev", &[DEVICE_PER_SAMPLE], |_| {
+        ServeConfig::default()
+    })?;
+    println!(
+        "loopback daemon {} on {} ({} us/sample)",
+        rig.label(0),
+        rig.addr(0),
+        DEVICE_PER_SAMPLE.as_nanos() / 1_000,
+    );
+    bench(&rig, &args, seed)
 }

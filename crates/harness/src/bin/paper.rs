@@ -17,6 +17,7 @@ use mlperf_audit::tests::{
     accuracy_verification, alternate_seed_test, caching_detection, custom_dataset_test,
     detail_log_compliance,
 };
+use mlperf_harness::cli::{self, Command, Flag};
 use mlperf_harness::{ablations, fig6, fig8, tables, Profile};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::qsl::MemoryQsl;
@@ -37,7 +38,11 @@ use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: paper <name>...|all [--profile smoke|paper] [--check]";
+static PAPER: Command = Command::new(
+    "paper",
+    "<name>...|all",
+    &[Flag::value("--profile", "smoke|paper"), cli::CHECK],
+);
 
 /// Seed of the submission round.
 const ROUND_SEED: u64 = 0x6d6c_7065_7266;
@@ -232,34 +237,31 @@ struct Cli {
 }
 
 fn parse(args: &[String]) -> Result<Cli, String> {
+    let args = PAPER.parse(args)?;
+    let refuse = |problem: &str| Err(format!("{problem}\n{}", PAPER.usage()));
     let mut cli = Cli {
         artifacts: Vec::new(),
-        profile: Profile::Paper,
-        check: false,
+        profile: match args.value("--profile") {
+            Some("smoke") => Profile::Smoke,
+            _ => Profile::Paper,
+        },
+        check: args.switch("--check"),
     };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => cli.check = true,
-            "--profile" => {
-                cli.profile = match args.next().map(String::as_str) {
-                    Some("smoke") => Profile::Smoke,
-                    Some("paper") => Profile::Paper,
-                    other => return Err(format!("--profile takes smoke|paper, got {other:?}")),
-                }
-            }
-            "all" => cli.artifacts.extend(ARTIFACTS),
-            name => match ARTIFACTS.iter().find(|(n, _)| *n == name) {
-                Some(artifact) => cli.artifacts.push(artifact),
-                None => return Err(format!("unknown artifact {name:?}")),
-            },
+    for name in args.positionals() {
+        if name == "all" {
+            cli.artifacts.extend(ARTIFACTS);
+            continue;
+        }
+        match ARTIFACTS.iter().find(|(n, _)| n == name) {
+            Some(artifact) => cli.artifacts.push(artifact),
+            None => return refuse(&format!("unknown artifact {name:?}")),
         }
     }
     if cli.artifacts.is_empty() {
-        return Err("name an artifact, or all".into());
+        return refuse("name an artifact, or all");
     }
     if cli.check && cli.profile == Profile::Smoke {
-        return Err("--check compares with the paper profile's results/, not smoke".into());
+        return refuse("--check compares with the paper profile's results/, not smoke");
     }
     Ok(cli)
 }
@@ -295,11 +297,10 @@ fn check(ctx: &mut Ctx, artifacts: &[&Artifact]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse(&args) {
+    let cli = match parse(&cli::args()) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("paper: {e}\n{USAGE}");
+            eprintln!("paper: {e}");
             return ExitCode::from(2);
         }
     };

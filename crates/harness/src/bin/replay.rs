@@ -33,6 +33,7 @@
 //! 3. **Fleet leg** — the same reduced trace drives a 3-shard
 //!    `ShardedSut` fleet to a VALID run.
 
+use mlperf_harness::cli::{self, Args, Command, Flag};
 use mlperf_harness::rig::{device_per_sample, logical_hash, Rig, DEVICE_PER_SAMPLE};
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::des::RunOutcome;
@@ -51,11 +52,45 @@ use mlperf_wire::{RemoteSutConfig, ServeConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: replay <record|reduce|run|roundtrip> [opts]
-  record    --detail <jsonl> --population <n> [--qsl-seed <n>] [--source <label>] --out <mlpr>
-  reduce    --in <mlpr> --target <n> [--seed <n>] [--scale <f>] --out <mlpr>
-  run       --in <mlpr> [--wire | --shards <n>] [--seed <n>] [--detail <jsonl>]
-  roundtrip [--check] [--bless] [--seed <n>]";
+/// The recorded trace `reduce` and `run` read.
+const IN: Flag = Flag::value("--in", "<mlpr>");
+
+static COMMANDS: &[Command] = &[
+    Command::new(
+        "replay record",
+        "",
+        &[
+            Flag::value("--detail", "<jsonl>"),
+            Flag::value("--population", "<n>"),
+            Flag::value("--qsl-seed", "<n>"),
+            Flag::value("--source", "<label>"),
+            cli::OUT,
+        ],
+    ),
+    Command::new(
+        "replay reduce",
+        "",
+        &[
+            IN,
+            Flag::value("--target", "<n>"),
+            cli::SEED,
+            Flag::value("--scale", "<f>"),
+            cli::OUT,
+        ],
+    ),
+    Command::new(
+        "replay run",
+        "",
+        &[
+            IN,
+            Flag::switch("--wire"),
+            Flag::value("--shards", "<n>"),
+            cli::SEED,
+            Flag::value("--detail", "<jsonl>"),
+        ],
+    ),
+    Command::new("replay roundtrip", "", &[cli::CHECK, cli::BLESS, cli::SEED]),
+];
 
 /// QSL population for the audit runs.
 const POPULATION: usize = 64;
@@ -143,40 +178,18 @@ fn describe(trace: &RecordedTrace) -> String {
 // record / reduce / run subcommands
 // ---------------------------------------------------------------------------
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
-    let mut detail = None;
-    let mut population = None;
-    let mut qsl_seed = None;
-    let mut source = None;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--detail" => detail = Some(value("--detail")?),
-            "--population" => {
-                population = Some(parse_u64(&value("--population")?, "--population")?)
-            }
-            "--qsl-seed" => qsl_seed = Some(parse_u64(&value("--qsl-seed")?, "--qsl-seed")?),
-            "--source" => source = Some(value("--source")?),
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("record: unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    let detail = detail.ok_or(format!("record needs --detail\n{USAGE}"))?;
-    let population = population.ok_or(format!("record needs --population\n{USAGE}"))?;
-    let out = out.ok_or(format!("record needs --out\n{USAGE}"))?;
+fn cmd_record(args: &Args) -> Result<(), String> {
+    let detail: String = args.required("--detail")?;
+    let population = args.required("--population")?;
+    let out: String = args.required("--out")?;
+    let qsl_seed = args.number("--qsl-seed", ..)?;
 
     let log = read_detail_log(&detail).map_err(|e| e.to_string())?;
     for issue in &log.issues {
         eprintln!("record: note: {issue}");
     }
     let mut opts = RecordOptions::for_population(population)
-        .with_source(source.unwrap_or_else(|| detail.clone()));
+        .with_source(args.value("--source").unwrap_or(&detail));
     if let Some(seed) = qsl_seed {
         opts = opts.with_qsl_seed(seed);
     }
@@ -186,37 +199,12 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_reduce(args: &[String]) -> Result<(), String> {
-    let mut input = None;
-    let mut target = None;
-    let mut seed = None;
-    let mut scale = None;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--in" => input = Some(value("--in")?),
-            "--target" => target = Some(parse_u64(&value("--target")?, "--target")? as usize),
-            "--seed" => seed = Some(parse_u64(&value("--seed")?, "--seed")?),
-            "--scale" => {
-                let v = value("--scale")?;
-                scale = Some(
-                    v.parse::<f64>()
-                        .map_err(|_| format!("--scale needs a number, got `{v}`\n{USAGE}"))?,
-                );
-            }
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("reduce: unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    let input = input.ok_or(format!("reduce needs --in\n{USAGE}"))?;
-    let target = target.ok_or(format!("reduce needs --target\n{USAGE}"))?;
-    let out = out.ok_or(format!("reduce needs --out\n{USAGE}"))?;
+fn cmd_reduce(args: &Args) -> Result<(), String> {
+    let input: String = args.required("--in")?;
+    let target = args.required("--target")?;
+    let out: String = args.required("--out")?;
+    let seed = args.number("--seed", ..)?;
+    let scale = args.number("--scale", ..)?;
 
     let trace = load_trace(&input)?;
     let mut opts = ReduceOptions::new(target);
@@ -238,36 +226,15 @@ fn cmd_reduce(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let mut input = None;
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let input: String = args.required("--in")?;
+    let seed = args.number("--seed", ..)?.unwrap_or(0xBE7C);
     // How many loopback daemons to replay over: none (the discrete-event
     // loop), one (`--wire`), or a fleet (`--shards N`).
-    let mut daemons = None;
-    let mut seed = 0xBE7Cu64;
-    let mut detail_out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--in" => input = Some(value("--in")?),
-            "--wire" => daemons = Some(1),
-            "--shards" => {
-                let shards = parse_u64(&value("--shards")?, "--shards")? as usize;
-                if shards < 2 {
-                    return Err("--shards needs at least 2 endpoints".into());
-                }
-                daemons = Some(shards);
-            }
-            "--seed" => seed = parse_u64(&value("--seed")?, "--seed")?,
-            "--detail" => detail_out = Some(value("--detail")?),
-            other => return Err(format!("run: unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    let input = input.ok_or(format!("run needs --in\n{USAGE}"))?;
+    let daemons = match args.number("--shards", 2..)? {
+        Some(shards) => Some(shards),
+        None => args.switch("--wire").then_some(1),
+    };
     let trace = load_trace(&input)?;
     println!("replaying {input}: {}", describe(&trace));
 
@@ -288,8 +255,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             &trace.fingerprint().distance(&replayed),
         );
     }
-    if let Some(path) = detail_out {
-        std::fs::write(&path, render_detail_log(&records))
+    if let Some(path) = args.value("--detail") {
+        std::fs::write(path, render_detail_log(&records))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote replay detail log to {path}");
     }
@@ -638,26 +605,11 @@ fn fleet_shards_touched(records: &[TraceRecord]) -> usize {
     shards.len()
 }
 
-fn cmd_roundtrip(args: &[String]) -> Result<bool, String> {
-    let mut check = false;
-    let mut bless = false;
-    let mut seed = ROUNDTRIP_SEED;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--bless" => bless = true,
-            "--seed" => {
-                let Some(v) = it.next() else {
-                    return Err(format!("--seed needs a value\n{USAGE}"));
-                };
-                seed = parse_u64(v, "--seed")?;
-            }
-            other => return Err(format!("roundtrip: unknown flag `{other}`\n{USAGE}")),
-        }
-    }
+fn cmd_roundtrip(args: &Args) -> Result<bool, String> {
+    let seed = args.number("--seed", ..)?.unwrap_or(ROUNDTRIP_SEED);
+    let check = args.switch("--check");
 
-    let mut failures = roundtrip_des(seed, check, bless)?;
+    let mut failures = roundtrip_des(seed, check, args.switch("--bless"))?;
     failures.extend(roundtrip_wire(seed)?);
 
     if failures.is_empty() {
@@ -675,31 +627,21 @@ fleet replay VALID)"
     }
 }
 
-fn parse_u64(v: &str, flag: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} needs an integer, got `{v}`\n{USAGE}"))
-}
-
 fn main() -> ExitCode {
     let _flight = mlperf_harness::panic_guard::install("replay");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match cmd.as_str() {
-        "record" => cmd_record(rest).map(|()| true),
-        "reduce" => cmd_reduce(rest).map(|()| true),
-        "run" => cmd_run(rest).map(|()| true),
-        "roundtrip" => cmd_roundtrip(rest),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match result {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+    cli::exit(dispatch(&cli::args()))
+}
+
+/// Runs the subcommand `argv` names; `Ok(false)` is a failed check,
+/// already reported.
+fn dispatch(argv: &[String]) -> Result<bool, String> {
+    let (command, rest) = cli::select(COMMANDS, argv)?;
+    let args = command.parse(rest)?;
+    match command.sub() {
+        "record" => cmd_record(&args).map(|()| true),
+        "reduce" => cmd_reduce(&args).map(|()| true),
+        "run" => cmd_run(&args).map(|()| true),
+        "roundtrip" => cmd_roundtrip(&args),
+        other => unreachable!("replay declares no `{other}`"),
     }
 }

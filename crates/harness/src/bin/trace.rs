@@ -1,20 +1,12 @@
 //! Detail-log driver: runs a smoke-scale traced LoadGen run and exports the
-//! event stream, or summarizes an existing detail log.
-//!
-//! ```text
-//! trace run [--scenario single-stream|multistream|server|offline]
-//!           [--trace <path>] [--trace-format jsonl|chrome]
-//!           [--tenants <n>] [--queries <n>] [--profile] [--collapsed <path>]
-//!           [--metrics <path>]
-//! trace summary <detail.jsonl>
-//! ```
+//! event stream. Its flags are the `RUN` declaration below.
 //!
 //! `run` records every LoadGen and device event (issue, batch, DVFS,
 //! completion, validity) of one smoke run; `--queries` overrides the
 //! scenario's smoke-scale minimum query count (e.g. a 100k-query detail
 //! log as a record–reduce–replay corpus). With `--trace-format chrome` the
 //! output loads directly into `chrome://tracing` or Perfetto; `jsonl` writes
-//! the `mlperf_log_detail` analog that `summary` (and
+//! the `mlperf_log_detail` analog that `analyze --log` (and
 //! `mlperf_trace::read_detail_log`) read back.
 //!
 //! `run` can also be made **crash-safe**: `--journal <path>` appends
@@ -40,6 +32,7 @@
 //! row per `N` ms window (issued, in flight, completions, samples, latency
 //! quantiles, DVFS state).
 
+use mlperf_harness::cli::{self, Command, Flag};
 use mlperf_harness::panic_guard;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::journal::JournalConfig;
@@ -51,37 +44,37 @@ use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
 use mlperf_trace::{
-    chrome_trace_json, profile, render_detail_log, FanoutSink, JsonValue, LogHistogram,
-    MetricsRegistry, RingBufferSink, ToJson, TraceEvent, TraceRecord,
+    chrome_trace_json, profile, render_detail_log, FanoutSink, JsonValue, MetricsRegistry,
+    RingBufferSink, ToJson,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-const USAGE: &str = "usage:
-  trace run [--scenario single-stream|multistream|server|offline] \\
-            [--trace <path>] [--trace-format jsonl|chrome] \\
-            [--tenants <n>] [--queries <n>] [--profile] [--collapsed <path>] \\
-            [--metrics <path>] \\
-            [--journal <path>] [--resume-from <path>] \\
-            [--checkpoint-every <n>] [--halt-after <seq>]
-  trace summary <detail.jsonl>";
+const RUN: Command = Command::new(
+    "trace run",
+    "",
+    &[
+        Flag::value("--scenario", "single-stream|multistream|server|offline"),
+        Flag::value("--trace", "<path>"),
+        Flag::value("--trace-format", "jsonl|chrome"),
+        Flag::value("--tenants", "<n>"),
+        Flag::value("--queries", "<n>"),
+        Flag::switch("--profile"),
+        Flag::value("--collapsed", "<path>"),
+        Flag::value("--metrics", "<path>"),
+        Flag::value("--journal", "<path>"),
+        Flag::value("--resume-from", "<path>"),
+        Flag::value("--checkpoint-every", "<n>"),
+        Flag::value("--halt-after", "<seq>"),
+    ],
+);
 
 fn main() -> ExitCode {
     let flight = panic_guard::install("trace");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], &flight),
-        Some("summary") => cmd_summary(&args[1..]),
-        _ => Err(USAGE.to_string()),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    let argv = cli::args();
+    let run = cli::select(&[RUN], &argv).and_then(|(_, rest)| cmd_run(rest, &flight));
+    cli::exit(run.map(|()| true))
 }
 
 fn settings_for(scenario: &str, queries: Option<u64>) -> Result<TestSettings, String> {
@@ -94,7 +87,7 @@ fn settings_for(scenario: &str, queries: Option<u64>) -> Result<TestSettings, St
             TestSettings::server(1_000.0, Nanos::from_millis(15)).with_min_query_count(1_024)
         }
         "offline" => TestSettings::offline(),
-        other => return Err(format!("unknown scenario `{other}`\n{USAGE}")),
+        other => return Err(format!("unknown scenario `{other}`")),
     };
     let settings = match queries {
         Some(n) => settings.with_min_query_count(n),
@@ -104,73 +97,19 @@ fn settings_for(scenario: &str, queries: Option<u64>) -> Result<TestSettings, St
 }
 
 fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(), String> {
-    let mut scenario = "server".to_string();
-    let mut path = "trace-out.json".to_string();
-    let mut format = "chrome".to_string();
-    let mut tenants = 1usize;
-    let mut profile_on = false;
-    let mut collapsed_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut queries: Option<u64> = None;
-    let mut journal_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut checkpoint_every = 16u64;
-    let mut halt_after: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--scenario" => scenario = value_of("--scenario")?,
-            "--trace" => path = value_of("--trace")?,
-            "--trace-format" => format = value_of("--trace-format")?,
-            "--tenants" => {
-                let v = value_of("--tenants")?;
-                tenants = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| (1..=255).contains(n))
-                    .ok_or_else(|| format!("--tenants needs a count in 1..=255, got `{v}`"))?;
-            }
-            "--profile" => profile_on = true,
-            "--collapsed" => {
-                collapsed_path = Some(value_of("--collapsed")?);
-                profile_on = true;
-            }
-            "--metrics" => metrics_path = Some(value_of("--metrics")?),
-            "--queries" => {
-                let v = value_of("--queries")?;
-                queries = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|n| *n > 0)
-                        .ok_or_else(|| format!("--queries needs a positive integer, got `{v}`"))?,
-                );
-            }
-            "--journal" => journal_path = Some(value_of("--journal")?),
-            "--resume-from" => resume_path = Some(value_of("--resume-from")?),
-            "--checkpoint-every" => {
-                let v = value_of("--checkpoint-every")?;
-                checkpoint_every = v.parse::<u64>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                    format!("--checkpoint-every needs a positive integer, got `{v}`")
-                })?;
-            }
-            "--halt-after" => {
-                let v = value_of("--halt-after")?;
-                halt_after = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--halt-after needs a checkpoint seq, got `{v}`"))?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    if format != "jsonl" && format != "chrome" {
-        return Err(format!("unknown trace format `{format}`\n{USAGE}"));
-    }
+    let args = RUN.parse(args)?;
+    let scenario = args.value("--scenario").unwrap_or("server");
+    let path = args.value("--trace").unwrap_or("trace-out.json");
+    let format = args.value("--trace-format").unwrap_or("chrome");
+    let tenants = args.number("--tenants", 1..=255)?.unwrap_or(1usize);
+    let collapsed_path = args.value("--collapsed");
+    let profile_on = args.switch("--profile") || collapsed_path.is_some();
+    let metrics_path = args.value("--metrics");
+    let queries = args.number("--queries", 1..)?;
+    let journal_path = args.value("--journal");
+    let resume_path = args.value("--resume-from");
+    let checkpoint_every = args.number("--checkpoint-every", 1..)?.unwrap_or(16);
+    let halt_after = args.number("--halt-after", ..)?;
     if tenants > 1 && scenario != "server" {
         return Err("--tenants requires --scenario server".to_string());
     }
@@ -182,7 +121,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         return Err("journaled runs support a single tenant".to_string());
     }
 
-    let settings = settings_for(&scenario, queries)?;
+    let settings = settings_for(scenario, queries)?;
     let sink = Arc::new(RingBufferSink::unbounded());
     // Tee the run's events into the panic guard's flight recorder so a
     // crash dumps the freshest tail next to the artifacts.
@@ -204,7 +143,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         boost: 1.3,
         decay_secs: 0.5,
     });
-    let policy = match scenario.as_str() {
+    let policy = match scenario {
         "server" => BatchPolicy::DynamicBatch {
             timeout: Nanos::from_millis(2),
             max_batch: 16,
@@ -258,15 +197,14 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         let mut qsl = MemoryQsl::new("trace-demo-qsl", 1_024, 1_024);
         let resuming = resume_path.is_some();
         let jpath = journal_path
-            .clone()
-            .or_else(|| resume_path.clone())
+            .or(resume_path)
             .expect("journaling implies a path");
-        let mut cfg = JournalConfig::new(&jpath).with_checkpoint_every(checkpoint_every);
+        let mut cfg = JournalConfig::new(jpath).with_checkpoint_every(checkpoint_every);
         if let Some(seq) = halt_after {
             cfg = cfg.with_halt_after(seq);
         }
         // The panic hook fsyncs this journal before the process unwinds.
-        panic_guard::guard_journal(&jpath);
+        panic_guard::guard_journal(jpath);
         let run = Run::simulated(&settings).instruments(&instruments);
         let run = if resuming {
             run.resume(&cfg)
@@ -305,11 +243,11 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     }
     let records = sink.snapshot();
 
-    let rendered = match format.as_str() {
+    let rendered = match format {
         "chrome" => chrome_trace_json(&records),
         _ => render_detail_log(&records),
     };
-    std::fs::write(&path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
+    std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
 
     if let Some(metrics) = &outcome.metrics {
         if let Some(h) = metrics.histogram("query_latency_ns") {
@@ -328,7 +266,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         println!("open chrome://tracing or https://ui.perfetto.dev and load the file");
     }
 
-    if let Some(mpath) = &metrics_path {
+    if let Some(mpath) = metrics_path {
         let doc = JsonValue::object(vec![
             ("tool", "trace".to_json_value()),
             ("scenario", scenario.to_json_value()),
@@ -349,7 +287,7 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
             report.root_inclusive_ns() as f64 / 1e6
         );
         print!("{}", report.table());
-        if let Some(cpath) = &collapsed_path {
+        if let Some(cpath) = collapsed_path {
             let collapsed = report.collapsed();
             std::fs::write(cpath, &collapsed).map_err(|e| format!("cannot write {cpath}: {e}"))?;
             println!(
@@ -361,84 +299,9 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     Ok(())
 }
 
-fn cmd_summary(args: &[String]) -> Result<(), String> {
-    let [path] = args else {
-        return Err(USAGE.to_string());
-    };
-    let log = mlperf_trace::read_detail_log(path).map_err(|e| e.to_string())?;
-    for issue in &log.issues {
-        eprintln!("warning: {issue}");
-    }
-    print!("{}", summarize(&log.records));
-    Ok(())
-}
-
-/// Renders the per-kind event counts and the completion-latency quantiles of
-/// a detail log.
-fn summarize(records: &[TraceRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut kinds: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let mut latencies = LogHistogram::new();
-    for record in records {
-        *kinds.entry(record.event.kind()).or_insert(0) += 1;
-        if let TraceEvent::QueryCompleted { latency_ns, .. } = record.event {
-            latencies.record(latency_ns);
-        }
-    }
-    let span_ns = records.last().map_or(0, |r| r.ts_ns);
-    let _ = writeln!(
-        out,
-        "{} events over {:.3} simulated seconds",
-        records.len(),
-        span_ns as f64 / 1e9
-    );
-    for (kind, count) in &kinds {
-        let _ = writeln!(out, "  {kind:<24} {count:>8}");
-    }
-    if latencies.count() > 0 {
-        let _ = writeln!(
-            out,
-            "completion latency: p50={} p90={} p99={} max={} ns over {} queries",
-            latencies.quantile(0.50),
-            latencies.quantile(0.90),
-            latencies.quantile(0.99),
-            latencies.max(),
-            latencies.count(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summarize_counts_kinds_and_latencies() {
-        let records = vec![
-            TraceRecord {
-                ts_ns: 0,
-                event: TraceEvent::QueryIssued {
-                    query_id: 0,
-                    sample_count: 1,
-                    delay_ns: 0,
-                },
-            },
-            TraceRecord {
-                ts_ns: 1_000,
-                event: TraceEvent::QueryCompleted {
-                    query_id: 0,
-                    latency_ns: 1_000,
-                },
-            },
-        ];
-        let text = summarize(&records);
-        assert!(text.contains("2 events"));
-        assert!(text.contains("query_issued"));
-        assert!(text.contains("over 1 queries"));
-    }
 
     #[test]
     fn every_scenario_has_settings() {

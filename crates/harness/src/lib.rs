@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod cli;
 pub mod fig6;
 pub mod fig8;
 pub mod panic_guard;

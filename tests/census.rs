@@ -3,8 +3,10 @@
 //! Both halves read the source text of the checkout
 //! (`env!("CARGO_MANIFEST_DIR")`): every `.rs` file under `crates/`,
 //! `src/`, `tests/`, `examples/` and `perfbench/src/`, plus the names of
-//! the files at the root. This file is left out of the set, because its
-//! own patterns (`env::var`, the retired names) would match themselves.
+//! the files at the root and the text of one of them, `ci.sh`, whose
+//! stages the runner rule ("every declared flag has a runner") reads. This
+//! file is left out of the set, because its own patterns (`env::var`, the
+//! retired names) would match themselves.
 //! A file's *non-test part* is its lines before the first `#[cfg(test)]`,
 //! the same cut `ci.sh`'s size metric makes.
 //!
@@ -95,6 +97,16 @@ enum Pattern {
         enum_name: &'static str,
         declared_in: &'static str,
     },
+    /// Each flag and subcommand that the declaration in a binary's file
+    /// (`crates/harness/src/bin/<binary>.rs`) lists and nothing runs. The
+    /// declaration is every `Flag::switch("..")`, `Flag::value("..", ..)`
+    /// and `Command::new("<binary> <sub>", ..)` in the file's non-test
+    /// part, and every `cli::NAME` of a flag `cli.rs` declares as a
+    /// `pub const`. It is run when a non-comment `ci.sh` line has it as a
+    /// word after `--bin <binary>`, or a file under
+    /// `crates/harness/tests/` that names `CARGO_BIN_EXE_<binary>` holds it
+    /// as a string literal. A file that declares no command is a hit too.
+    Unrun,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -499,6 +511,30 @@ const RULES: &[Rule] = &[
         ),
     },
     Rule {
+        name: "every declared flag has a runner",
+        scope: &["crates/harness/src/bin/*.rs"],
+        part: Part::NonTest,
+        pattern: Pattern::Unrun,
+        want: Want::Count(0),
+        retired: "cli: each binary's command line is one declaration; `trace summary` and `analyze --merged` went, and tests/modes.rs runs the modes no ci.sh stage did",
+        plant: (
+            "crates/harness/src/bin/netbench.rs",
+            "const UNRUN: Flag = Flag::switch(\"--census-planted\");\n",
+        ),
+    },
+    Rule {
+        name: "one command-line reader",
+        scope: &["crates/**/*.rs"],
+        part: Part::Code,
+        pattern: Pattern::Line(&["env::args"]),
+        want: Want::Files(&["crates/harness/src/cli.rs"]),
+        retired: "cli: six binaries each read std::env::args and hand-rolled a loop, a usage string and their own error words",
+        plant: (
+            "crates/harness/src/bin/paper.rs",
+            "fn argv() -> Vec<String> { std::env::args().collect() }\n",
+        ),
+    },
+    Rule {
         name: "one windowed view",
         scope: PRODUCTION_RS,
         part: Part::NonTest,
@@ -563,6 +599,7 @@ fn rule_hits(rule: &Rule, tree: &Tree) -> Vec<Hit> {
                 }
             }
             Pattern::File => hits.push((path.clone(), 0, path.clone())),
+            Pattern::Unrun => hits.extend(unrun(tree, path, text)),
             Pattern::Unnamed { enum_name, .. } => {
                 for (at, _) in text.match_indices(enum_name) {
                     let path_of = text[at + enum_name.len()..].strip_prefix("::");
@@ -614,6 +651,96 @@ fn declared_variants(tree: &Tree, path: &str) -> Vec<(usize, String)> {
             declares.then(|| (i + 1, name.to_string()))
         })
         .collect()
+}
+
+/// The calls that declare a flag.
+const FLAG_CALLS: &[&str] = &["Flag::switch(", "Flag::value("];
+
+/// The flags and subcommands the binary declared in `path` lists (its
+/// non-test `text`) that nothing runs, as hits; see [`Pattern::Unrun`].
+fn unrun(tree: &Tree, path: &str, text: &str) -> Vec<Hit> {
+    let binary = path
+        .rsplit('/')
+        .next()
+        .unwrap_or("")
+        .trim_end_matches(".rs");
+    let file = |p: &str| tree.iter().find(|(q, _)| q == p).map_or("", |(_, t)| t);
+    let shared: Vec<(String, String)> = file("crates/harness/src/cli.rs")
+        .lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix("pub const ")?;
+            let (name, flag) = rest.split_once(": Flag = ")?;
+            Some((
+                format!("cli::{name}"),
+                literals_after(flag, FLAG_CALLS).pop()?,
+            ))
+        })
+        .collect();
+    let mut declared: Vec<String> = literals_after(text, FLAG_CALLS);
+    declared.extend(
+        shared
+            .iter()
+            .filter(|(name, _)| contains_word(text, name))
+            .map(|(_, flag)| flag.clone()),
+    );
+    let commands = literals_after(text, &["Command::new("]);
+    declared.extend(
+        commands
+            .iter()
+            .filter_map(|c| c.split_once(' ').map(|(_, sub)| sub.to_string())),
+    );
+    let mut run: BTreeSet<&str> = BTreeSet::new();
+    for line in file("ci.sh")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+    {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if let Some(at) = words.windows(2).position(|w| w == ["--bin", binary]) {
+            run.extend(&words[at + 2..]);
+        }
+    }
+    let exe = format!("CARGO_BIN_EXE_{binary}");
+    let tests: Vec<&str> = tree
+        .iter()
+        .filter(|(p, t)| p.starts_with("crates/harness/tests/") && t.contains(&exe))
+        .map(|(_, t)| t.as_str())
+        .collect();
+    let is_run = |literal: &str| {
+        let quoted = format!("\"{literal}\"");
+        run.contains(literal) || tests.iter().any(|t| t.contains(&quoted))
+    };
+    let mut hits: Vec<Hit> = declared
+        .into_iter()
+        .collect::<BTreeSet<String>>()
+        .into_iter()
+        .filter(|literal| !is_run(literal))
+        .map(|literal| {
+            (
+                path.to_string(),
+                0,
+                format!("{binary} {literal} has no runner"),
+            )
+        })
+        .collect();
+    if commands.is_empty() {
+        hits.push((path.to_string(), 0, format!("{binary} declares no command")));
+    }
+    hits
+}
+
+/// The string literal that follows each occurrence of a needle, past any
+/// whitespace: `Flag::value(\n "--x"` gives `--x`.
+fn literals_after(text: &str, needles: &[&str]) -> Vec<String> {
+    let mut found = Vec::new();
+    for needle in needles {
+        for (at, _) in text.match_indices(needle) {
+            let rest = text[at + needle.len()..].trim_start();
+            if let Some((literal, _)) = rest.strip_prefix('"').and_then(|r| r.split_once('"')) {
+                found.push(literal.to_string());
+            }
+        }
+    }
+    found
 }
 
 /// `Ok` when the tree holds the rule, else what it found.
@@ -1271,10 +1398,12 @@ fn tree() -> &'static Tree {
         for entry in std::fs::read_dir(root()).expect("the checkout is readable") {
             let entry = entry.expect("a root entry");
             if entry.file_type().expect("a file type").is_file() {
-                tree.push((
-                    entry.file_name().to_string_lossy().into_owned(),
-                    String::new(),
-                ));
+                let name = entry.file_name().to_string_lossy().into_owned();
+                let text = match name.as_str() {
+                    "ci.sh" => std::fs::read_to_string(entry.path()).expect("ci.sh is UTF-8"),
+                    _ => String::new(),
+                };
+                tree.push((name, text));
             }
         }
         tree.retain(|(path, _)| path != SELF);
