@@ -14,7 +14,6 @@
 use crate::config::{TestMode, TestSettings};
 use crate::instrument::Instruments;
 use crate::journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal};
-use crate::multitenant::{query_id, tenant_of};
 use crate::qsl::QuerySampleLibrary;
 use crate::query::{QueryCompletion, SampleIndex};
 use crate::record::{LoggedResponse, QueryRecord};
@@ -50,8 +49,8 @@ pub struct RunOutcome {
 
 #[derive(Debug)]
 enum EventKind {
-    /// The lane's arrival source is due.
-    Arrival(usize),
+    /// The arrival source (or the next multistream interval) is due.
+    Arrival,
     Wakeup,
     Completion(QueryCompletion),
 }
@@ -90,15 +89,12 @@ impl Ord for Event {
     }
 }
 
-/// The simulator: one event heap and one SUT under one or more [`Lane`]s.
-/// A single-tenant run is lane 0; the multitenant extension adds a lane
-/// per tenant. A query id is (tenant byte, ordinal) and completions route
-/// by the byte, so lane 0's ids are the plain ordinals.
-pub(crate) struct Sim<'a, 's, S: SimSut + ?Sized> {
+/// The simulator: one event heap and one SUT under the run's one
+/// [`Lane`]. A query's id is its ordinal in the run.
+struct Sim<'a, 's, S: SimSut + ?Sized> {
     sut: &'s mut S,
     heap: BinaryHeap<Reverse<Event>>,
-    pub(crate) lanes: Vec<Lane<'a>>,
-    /// Response ids are unique across the SUT, whichever lane issued.
+    lane: Lane<'a>,
     next_sample_id: u64,
     seq: u64,
     events_processed: u64,
@@ -107,8 +103,8 @@ pub(crate) struct Sim<'a, 's, S: SimSut + ?Sized> {
 }
 
 impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
-    pub(crate) fn new(
-        lanes: Vec<Lane<'a>>,
+    fn new(
+        lane: Lane<'a>,
         sut: &'s mut S,
         sink: &'a dyn TraceSink,
         metrics: Option<&'a MetricsRegistry>,
@@ -116,7 +112,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         Self {
             sut,
             heap: BinaryHeap::new(),
-            lanes,
+            lane,
             next_sample_id: 0,
             seq: 0,
             events_processed: 0,
@@ -135,8 +131,8 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         }));
     }
 
-    fn schedule_arrival(&mut self, lane: usize, at: Nanos) {
-        self.push(at, 0, EventKind::Arrival(lane));
+    fn schedule_arrival(&mut self, at: Nanos) {
+        self.push(at, 0, EventKind::Arrival);
     }
 
     fn pop(&mut self) -> Result<Option<Event>, LoadGenError> {
@@ -149,27 +145,23 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         Ok(self.heap.pop().map(|Reverse(e)| e))
     }
 
-    /// Issues query number `ordinal` of `lane` at `at`, exactly on
-    /// schedule (simulated issue has no delay); returns its id.
+    /// Issues query number `ordinal` at `at`, exactly on schedule
+    /// (simulated issue has no delay); the ordinal is the query's id.
     fn issue(
         &mut self,
-        lane: usize,
         ordinal: u64,
         indices: &[SampleIndex],
         at: Nanos,
-    ) -> Result<u64, LoadGenError> {
+    ) -> Result<(), LoadGenError> {
         profile_span!("loadgen/issue");
-        let id = query_id(lane, ordinal);
-        let mut query = build_query(id, &mut self.next_sample_id, indices, at);
-        query.tenant = lane as u32;
-        self.lanes[lane].issue(&query, at, self.sink)?;
+        let query = build_query(ordinal, &mut self.next_sample_id, indices, at);
+        self.lane.issue(&query, at, self.sink)?;
         let reaction = self.sut.on_query(at, &query);
         if self.sink.enabled() {
-            let sent = TraceEvent::QuerySent { query_id: id };
+            let sent = TraceEvent::QuerySent { query_id: ordinal };
             self.sink.record(at.as_nanos(), &sent);
         }
-        self.apply(at, reaction)?;
-        Ok(id)
+        self.apply(at, reaction)
     }
 
     fn apply(&mut self, now: Nanos, reaction: SutReaction) -> Result<(), LoadGenError> {
@@ -199,13 +191,13 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         self.apply(now, reaction)
     }
 
-    /// Restores a checkpoint into lane 0, then re-sends every query that
+    /// Restores a checkpoint into the lane, then re-sends every query that
     /// was outstanding at it to the (reset) SUT so their completions
     /// re-enter the event heap. The issues already happened before the
     /// crash and are already recorded; only the SUT's side runs again.
     fn restore(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
         self.next_sample_id = cp.next_sample_id;
-        for query in self.lanes[0].restore(cp) {
+        for query in self.lane.restore(cp) {
             let now = query.scheduled_at;
             trace_issue(self.sink, &query, now);
             let reaction = self.sut.on_query(now, &query);
@@ -216,33 +208,26 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
 
     fn complete(&mut self, completion: &QueryCompletion) -> Result<(), LoadGenError> {
         profile_span!("loadgen/complete");
-        let lane = tenant_of(completion.query_id) as usize;
-        let lane = self.lanes.get_mut(lane).ok_or_else(|| {
-            LoadGenError::SutProtocol(format!("completion routed to unknown tenant {lane}"))
-        })?;
-        lane.complete(completion, self.sink)
+        self.lane.complete(completion, self.sink)
     }
 
     /// The one arrival-driven loop: every open-loop run — the server
-    /// scenario, a replayed schedule, N tenants' Poisson streams — is
-    /// `sources[lane]` issued into `lanes[lane]` until all sources end and
-    /// the heap is empty. With a journal attached (single lane, the
-    /// resumable source), a checkpoint is captured every
+    /// scenario or a replayed schedule — is `source` issued into the lane
+    /// until the source ends and the heap is empty. With a journal attached
+    /// (the resumable source), a checkpoint is captured every
     /// `checkpoint_every` issued queries; returns `true` when its armed
     /// halt fired and the run stopped at that boundary.
-    pub(crate) fn run_arrivals(
+    fn run_arrivals(
         &mut self,
-        sources: &mut [ArrivalSource<'_>],
+        mut source: ArrivalSource<'_>,
         mut journal: Option<&mut RunJournal<'_>>,
     ) -> Result<bool, LoadGenError> {
-        for (lane, source) in sources.iter().enumerate() {
-            if let Some(at) = source.pending() {
-                self.schedule_arrival(lane, at);
-            }
+        if let Some(at) = source.pending() {
+            self.schedule_arrival(at);
         }
         while let Some(event) = self.pop()? {
-            let lane = match event.kind {
-                EventKind::Arrival(lane) => lane,
+            match event.kind {
+                EventKind::Arrival => {}
                 EventKind::Wakeup => {
                     self.wakeup(event.at)?;
                     continue;
@@ -251,20 +236,18 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
                     self.complete(&c)?;
                     continue;
                 }
-            };
-            let source = &mut sources[lane];
+            }
             let (ordinal, at, indices) = source
                 .next(PoissonCursor::advance_simulated)
                 .expect("arrival event without pending arrival");
             debug_assert_eq!(at, event.at);
-            self.issue(lane, ordinal, &indices, at)?;
+            self.issue(ordinal, &indices, at)?;
             if let Some(next) = source.pending() {
-                self.schedule_arrival(lane, next);
+                self.schedule_arrival(next);
             }
-            if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &*source)
-            {
+            if let (Some(tap), ArrivalSource::Poisson(cursor)) = (journal.as_deref_mut(), &source) {
                 if tap.due(ordinal + 1)
-                    && tap.capture(cursor.state(), self.next_sample_id, at, &self.lanes[lane])?
+                    && tap.capture(cursor.state(), self.next_sample_id, at, &self.lane)?
                 {
                     return Ok(true);
                 }
@@ -275,16 +258,16 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
 
     fn run_single_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
         let (ordinal, indices) = cursor.draw();
-        self.issue(0, ordinal, &indices, Nanos::ZERO)?;
+        self.issue(ordinal, &indices, Nanos::ZERO)?;
         while let Some(event) = self.pop()? {
             match event.kind {
-                EventKind::Arrival(_) => unreachable!("single-stream issues on completion"),
+                EventKind::Arrival => unreachable!("single-stream issues on completion"),
                 EventKind::Wakeup => self.wakeup(event.at)?,
                 EventKind::Completion(c) => {
                     self.complete(&c)?;
                     if cursor.more(c.finished_at) {
                         let (ordinal, indices) = cursor.draw();
-                        self.issue(0, ordinal, &indices, c.finished_at)?;
+                        self.issue(ordinal, &indices, c.finished_at)?;
                     }
                 }
             }
@@ -293,15 +276,17 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
     }
 
     fn run_multi_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
-        let interval = self.lanes[0].settings.multistream_arrival_interval;
+        let interval = self.lane.settings.multistream_arrival_interval;
         let (ordinal, indices) = cursor.draw();
+        self.issue(ordinal, &indices, Nanos::ZERO)?;
         // (query id, issue boundary) of the in-flight query.
-        let mut in_flight = Some((self.issue(0, ordinal, &indices, Nanos::ZERO)?, Nanos::ZERO));
+        let mut in_flight = Some((ordinal, Nanos::ZERO));
         while let Some(event) = self.pop()? {
             let c = match event.kind {
-                EventKind::Arrival(_) => {
+                EventKind::Arrival => {
                     let (ordinal, indices) = cursor.draw();
-                    in_flight = Some((self.issue(0, ordinal, &indices, event.at)?, event.at));
+                    self.issue(ordinal, &indices, event.at)?;
+                    in_flight = Some((ordinal, event.at));
                     continue;
                 }
                 EventKind::Wakeup => {
@@ -326,7 +311,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
             let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
             let skips = (consumed - 1) as u32;
             if skips > 0 {
-                self.lanes[0].recorder.record_skips(id, skips);
+                self.lane.recorder.record_skips(id, skips);
                 if self.sink.enabled() {
                     self.sink.record(
                         c.finished_at.as_nanos(),
@@ -342,7 +327,7 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
             }
             let next_boundary = boundary + interval.mul(consumed);
             if cursor.more(next_boundary) {
-                self.schedule_arrival(0, next_boundary);
+                self.schedule_arrival(next_boundary);
             }
         }
         Ok(())
@@ -361,21 +346,16 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         resumed: bool,
     ) -> Result<bool, LoadGenError> {
         if !resumed {
-            self.issue(0, 0, indices, Nanos::ZERO)?;
+            self.issue(0, indices, Nanos::ZERO)?;
             if let Some(tap) = journal {
-                if tap.capture(
-                    cursor.state(),
-                    self.next_sample_id,
-                    Nanos::ZERO,
-                    &self.lanes[0],
-                )? {
+                if tap.capture(cursor.state(), self.next_sample_id, Nanos::ZERO, &self.lane)? {
                     return Ok(true);
                 }
             }
         }
         while let Some(event) = self.pop()? {
             match event.kind {
-                EventKind::Arrival(_) => {
+                EventKind::Arrival => {
                     return Err(LoadGenError::SutProtocol(
                         "arrival event in drain phase".into(),
                     ))
@@ -508,14 +488,14 @@ where
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    let mut sim = Sim::new(vec![Lane::new(settings, registry)], sut, sink, registry);
+    let mut sim = Sim::new(Lane::new(settings, registry), sut, sink, registry);
     if let Some(cp) = &restored {
         sim.restore(cp)?;
     }
     let halted = {
         profile_span!("loadgen/event_loop");
         let mut cursor = SampleCursor::new(settings, population);
-        let mut open_loop = |source| sim.run_arrivals(&mut [source], tap.as_mut());
+        let mut open_loop = |source| sim.run_arrivals(source, tap.as_mut());
         match (settings.mode, arrivals, settings.scenario) {
             (TestMode::AccuracyOnly, ..) => sim.run_batch(&cursor, &loaded, None, false)?,
             (_, Arrivals::Replay(schedule), _) => open_loop(ArrivalSource::Replay {
@@ -536,7 +516,7 @@ where
         }
     };
     qsl.unload_samples(&loaded);
-    let lane = sim.lanes.remove(0);
+    let lane = sim.lane;
     if let Some(tap) = tap.as_mut() {
         if halted {
             sink.flush();

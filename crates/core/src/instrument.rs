@@ -2,8 +2,8 @@
 //!
 //! Everything observability-related a run can carry is one
 //! [`Instruments`] value — [`crate::Run::instruments`] takes it, as do the
-//! multitenant runner and the peak searches — so an addition extends one
-//! struct instead of multiplying entry points:
+//! peak searches — so an addition extends one struct instead of
+//! multiplying entry points:
 //!
 //! * a [`TraceSink`] for the simulated-time detail log, from which every
 //!   windowed view of the run (`mlperf_analysis::heatmap`) is derived,

@@ -42,9 +42,6 @@
 //! * [`requirements`] — Table V minimum query/sample counts.
 //! * [`find_peak`] — FindPeakPerformance searches for the server and
 //!   multistream scenarios.
-//! * [`multitenant`] — the multitenancy extension the paper names as
-//!   planned LoadGen work: several server streams sharing one SUT, each
-//!   holding its own QoS.
 //!
 //! # Example: simulated single-stream run
 //!
@@ -74,7 +71,6 @@ pub mod des;
 pub mod find_peak;
 pub mod instrument;
 pub mod journal;
-pub mod multitenant;
 pub mod qsl;
 pub mod query;
 pub mod realtime;

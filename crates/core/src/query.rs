@@ -29,9 +29,10 @@ pub struct Query {
     pub samples: Vec<QuerySample>,
     /// When the LoadGen scheduled the query (the latency reference point).
     pub scheduled_at: Nanos,
-    /// Which model/stream this query belongs to — 0 for every standard
-    /// scenario; the multitenancy extension (Section IV-B mentions it as a
-    /// planned LoadGen mode) tags each tenant's queries.
+    /// Always 0: a run drives one query stream. The field stays because
+    /// the wire's `IssueTraced` frame carries it (the literal-frame pin
+    /// holds those bytes) and the benchmark builds `Query` literals with
+    /// it.
     pub tenant: u32,
 }
 

@@ -142,8 +142,7 @@ pub struct RecorderSnapshot {
 
 impl RecorderSnapshot {
     /// Rebuilds the still-in-flight queries (id order) for re-issue after
-    /// a resume. Journaled scenarios are single-tenant, so the tenant tag
-    /// is always 0.
+    /// a resume.
     pub(crate) fn outstanding_queries(&self) -> Vec<Query> {
         self.outstanding
             .iter()

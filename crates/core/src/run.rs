@@ -343,9 +343,18 @@ pub(crate) fn check(
 }
 
 /// What every run does before its first query: validate the settings,
-/// refuse an empty QSL, and load the samples the mode needs — untimed
-/// (Figure 3, steps 1-4). Returns the loaded indices.
-pub(crate) fn prologue<Q>(settings: &TestSettings, qsl: &mut Q) -> Result<Vec<usize>, LoadGenError>
+/// refuse an empty QSL and load the samples the mode needs — untimed
+/// (Figure 3, steps 1-4) — then attach the run's journal when the plan has
+/// one (with the checkpoint a resumed run continues from), and open the
+/// detail log with the `issue` or `resume` mark. Returns the loaded
+/// indices.
+#[allow(clippy::type_complexity)]
+pub(crate) fn start<'a, Q>(
+    settings: &TestSettings,
+    qsl: &mut Q,
+    sink: &dyn TraceSink,
+    arrivals: Arrivals<'a>,
+) -> Result<(Vec<usize>, Option<RunJournal<'a>>, Option<Checkpoint>), LoadGenError>
 where
     Q: QuerySampleLibrary + ?Sized,
 {
@@ -360,25 +369,10 @@ where
         TestMode::PerformanceOnly => (0..qsl.performance_sample_count()).collect(),
         TestMode::AccuracyOnly => (0..qsl.total_sample_count()).collect(),
     };
-    profile_span!("loadgen/load_samples");
-    qsl.load_samples(&loaded);
-    Ok(loaded)
-}
-
-/// What a single-tenant run adds to the [`prologue`]: its journal, when
-/// the plan has one — with the checkpoint a resumed run continues from —
-/// and the `issue` / `resume` mark that opens the detail log.
-#[allow(clippy::type_complexity)]
-pub(crate) fn start<'a, Q>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sink: &dyn TraceSink,
-    arrivals: Arrivals<'a>,
-) -> Result<(Vec<usize>, Option<RunJournal<'a>>, Option<Checkpoint>), LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-{
-    let loaded = prologue(settings, qsl)?;
+    {
+        profile_span!("loadgen/load_samples");
+        qsl.load_samples(&loaded);
+    }
     let (journal, restored) = match arrivals {
         Arrivals::Journal { cfg, resume } => {
             let (journal, restored) = RunJournal::attach(cfg, settings, loaded.len(), resume)?;
@@ -430,8 +424,7 @@ impl QueryMetrics {
 
 /// One query stream's bookkeeping, shared by both clocks: its settings,
 /// its recorder and its accuracy-log sampler, plus the detail-log events
-/// and metrics an issue or a completion produces. A single-tenant run has
-/// one; a multitenant run has one per tenant.
+/// and metrics an issue or a completion produces. Every run has one.
 pub(crate) struct Lane<'a> {
     pub(crate) settings: &'a TestSettings,
     pub(crate) recorder: Recorder,

@@ -14,14 +14,13 @@
 use mlperf_loadgen::config::{TestMode, TestSettings};
 use mlperf_loadgen::des::RunOutcome;
 use mlperf_loadgen::journal::{load_run_journal, JournalConfig, JournaledRun};
-use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::query::{Query, QueryCompletion, ResponsePayload, SampleCompletion};
 use mlperf_loadgen::replay::ReplaySchedule;
 use mlperf_loadgen::schedule::sample_indices;
 use mlperf_loadgen::sut::{SimSut, SutReaction};
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::{Instruments, Run};
+use mlperf_loadgen::Run;
 use mlperf_stats::rng::SeedTriple;
 use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::{
@@ -70,14 +69,6 @@ mod engine {
         } else {
             run.journal(cfg).run(qsl, sut).expect("journaled run")
         }
-    }
-
-    pub fn multitenant(
-        tenants: &mut [(&TestSettings, &mut MemoryQsl)],
-        sut: &mut PinSut,
-        sink: &dyn TraceSink,
-    ) -> Vec<RunOutcome> {
-        run_multitenant_server(tenants, sut, &Instruments::traced(sink)).expect("multitenant run")
     }
 }
 
@@ -170,8 +161,6 @@ struct Fold {
     detail: String,
     metrics: String,
     journal: Vec<u8>,
-    /// Leave `AccuracyLogged` events out of the detail log.
-    hide_accuracy_logged: bool,
 }
 
 impl Fold {
@@ -210,11 +199,7 @@ impl Fold {
 
     fn log(&mut self, sink: &RingBufferSink) {
         assert_eq!(sink.dropped(), 0);
-        let mut records = sink.snapshot();
-        if self.hide_accuracy_logged {
-            records.retain(|r| !matches!(r.event, TraceEvent::AccuracyLogged { .. }));
-        }
-        self.detail.push_str(&render_detail_log(&records));
+        self.detail.push_str(&render_detail_log(&sink.snapshot()));
         self.detail.push_str("--\n");
     }
 
@@ -344,29 +329,6 @@ fn replay(seed: u64) -> Pin {
     fold.pin()
 }
 
-fn multitenant(seed: u64, log_probability: f64, hide_accuracy_logged: bool) -> Pin {
-    let a = server(seed).with_accuracy_log_probability(log_probability);
-    let b = seeded(
-        TestSettings::server(900.0, Nanos::from_millis(20)),
-        seed ^ 0xb,
-    )
-    .with_min_query_count(70)
-    .with_min_duration(Nanos::from_millis(5))
-    .with_accuracy_log_probability(log_probability);
-    let (mut qa, mut qb) = (qsl(), MemoryQsl::new("pin-qsl-b", 64, 48));
-    let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-    let sink = RingBufferSink::unbounded();
-    let mut sut = PinSut::new(Nanos::from_micros(150));
-    let outcomes = engine::multitenant(&mut tenants, &mut sut, &sink);
-    let mut fold = Fold {
-        hide_accuracy_logged,
-        ..Fold::default()
-    };
-    outcomes.iter().for_each(|out| fold.outcome(out));
-    fold.log(&sink);
-    fold.pin()
-}
-
 fn journal_path(name: &str, seed: u64) -> PathBuf {
     let file = format!(
         "mlperf_engine_pins_{}_{name}_{seed}.mlpj",
@@ -419,20 +381,6 @@ fn journaled(name: &str, settings: &TestSettings, per_sample: Nanos, every: u64,
     fold.pin()
 }
 
-fn multitenant_silent(seed: u64) -> Pin {
-    multitenant(seed, 0.0, false)
-}
-
-fn multitenant_logged(seed: u64) -> Pin {
-    multitenant(seed, 0.25, false)
-}
-
-/// `multitenant_logged` with the `AccuracyLogged` events taken back out of
-/// its detail log: the row as the parent produced it.
-fn multitenant_logged_minus_accuracy_events(seed: u64) -> Pin {
-    multitenant(seed, 0.25, true)
-}
-
 fn journaled_server(seed: u64) -> Pin {
     journaled("server", &server(seed), Nanos::from_micros(200), 16, seed)
 }
@@ -444,13 +392,8 @@ fn journaled_offline(seed: u64) -> Pin {
 type Case = (&'static str, fn(u64) -> Pin, [Pin; 3]);
 
 /// Blessed by the tree at cbcf059, the parent of the one-engine refactor,
-/// and unchanged by it — except the detail-log column of
-/// `multitenant_logged`: the multitenant loop had its own completion body,
-/// which never emitted `AccuracyLogged`; it now shares the simulator's, so
-/// a tenant that samples its accuracy log says so in the detail log as a
-/// single-tenant run always has. `multitenant_logged_minus_accuracy_events`
-/// is that row with those events filtered back out, and all five of its
-/// columns are the parent's `multitenant_logged`.
+/// and unchanged by it. Every performance-mode row samples its
+/// accuracy log at `seeded`'s 0.25, so the sampler stays pinned.
 #[rustfmt::skip]
 const PINS: &[Case] = &[
     ("single_stream", single_stream, [
@@ -482,21 +425,6 @@ const PINS: &[Case] = &[
         [0xacbf22677ac0a0f9, 0x2db8834403a377f3, 0x2ff7a779a2c1bb3a, 0x082a62563ffeea1a, 0x0000000000000000],
         [0xc0916afa2eeeb390, 0xa2fea0e3e405abb6, 0x076218aef86db8d6, 0x082a62563ffeea1a, 0x0000000000000000],
         [0x024a3d33b0a40624, 0xd83ac913915cf161, 0x5598c9262fe41cd0, 0x082a62563ffeea1a, 0x0000000000000000],
-    ]),
-    ("multitenant_silent", multitenant_silent, [
-        [0xf58206e2a81329dc, 0x8593cfb12cc2ce31, 0x68cf48153d814dda, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0x32052f2379523e2d, 0x8593cfb12cc2ce31, 0x73152012adb53d54, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0xce3dfc58fce9a1d1, 0x8593cfb12cc2ce31, 0x9acaae927bb47c52, 0xc326ade55bed8cec, 0x0000000000000000],
-    ]),
-    ("multitenant_logged", multitenant_logged, [
-        [0xf58206e2a81329dc, 0x672cee85ecfb97e9, 0x3d7f3b1c1257c627, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0x32052f2379523e2d, 0xe88cf48627996194, 0xc9159425eedc057b, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0xce3dfc58fce9a1d1, 0xbbe9d518f1ab638a, 0xedd5794cd035b54f, 0xc326ade55bed8cec, 0x0000000000000000],
-    ]),
-    ("multitenant_logged_minus_accuracy_events", multitenant_logged_minus_accuracy_events, [
-        [0xf58206e2a81329dc, 0x672cee85ecfb97e9, 0x68cf48153d814dda, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0x32052f2379523e2d, 0xe88cf48627996194, 0x73152012adb53d54, 0xc326ade55bed8cec, 0x0000000000000000],
-        [0xce3dfc58fce9a1d1, 0xbbe9d518f1ab638a, 0x9acaae927bb47c52, 0xc326ade55bed8cec, 0x0000000000000000],
     ]),
     ("journaled_server", journaled_server, [
         [0xdf8bc440893f472d, 0xa3c45bbc8a64bf73, 0x4a74151c893bf980, 0xb8d89ce9a49dcc0d, 0xbdf5c39272f945e9],

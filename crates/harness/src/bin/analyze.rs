@@ -131,8 +131,8 @@ fn load_comparable(path: &str) -> Result<Comparable, String> {
                 .map_err(|e| format!("{path}: bad metrics snapshot: {e}"))?;
             return Ok(Comparable::Metrics(snapshot));
         }
-        // A `netbench --metrics` document: one snapshot per run, keyed by
-        // scenario. Fold them into one snapshot with prefixed names.
+        // A `netbench --metrics` or `trace run --metrics` document: one
+        // snapshot per run, keyed by scenario. Fold them into one snapshot with prefixed names.
         if let Some(JsonValue::Array(runs)) = doc.get("runs") {
             let mut merged = MetricsSnapshot::default();
             for run in runs {

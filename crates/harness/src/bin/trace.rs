@@ -18,13 +18,12 @@
 //! checkpoint and re-executes the run to completion — the resumed detail
 //! log is logically identical to an uninterrupted run's.
 //!
-//! `--tenants N` (server scenario only) runs N concurrent server streams
-//! against one shared device via the multitenancy extension. `--profile`
-//! turns on the wall-clock span profiler and prints the self-time table;
-//! `--collapsed` additionally writes flamegraph.pl-compatible collapsed
-//! stacks. `--metrics` writes the run's full metrics-registry snapshot
-//! (counters, gauges, and log-bucketed latency histograms) as a
-//! machine-readable JSON artifact.
+//! `--profile` turns on the wall-clock span profiler and prints the
+//! self-time table; `--collapsed` additionally writes flamegraph.pl-compatible
+//! collapsed stacks. `--metrics` writes the run's full metrics-registry
+//! snapshot (counters, gauges, and log-bucketed latency histograms) in
+//! `netbench --metrics`'s shape, one entry under `runs`, so
+//! `analyze --compare` diffs two of them.
 //!
 //! A time series of the run is derived from its detail log:
 //! `trace run --trace-format jsonl --trace x.jsonl`, then
@@ -36,7 +35,6 @@ use mlperf_harness::cli::{self, Command, Flag};
 use mlperf_harness::panic_guard;
 use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::journal::JournalConfig;
-use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::time::Nanos;
 use mlperf_loadgen::{Instruments, JournaledRun, Run};
@@ -58,7 +56,6 @@ const RUN: Command = Command::new(
         Flag::value("--scenario", "single-stream|multistream|server|offline"),
         Flag::value("--trace", "<path>"),
         Flag::value("--trace-format", "jsonl|chrome"),
-        Flag::value("--tenants", "<n>"),
         Flag::value("--queries", "<n>"),
         Flag::switch("--profile"),
         Flag::value("--collapsed", "<path>"),
@@ -101,7 +98,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     let scenario = args.value("--scenario").unwrap_or("server");
     let path = args.value("--trace").unwrap_or("trace-out.json");
     let format = args.value("--trace-format").unwrap_or("chrome");
-    let tenants = args.number("--tenants", 1..=255)?.unwrap_or(1usize);
     let collapsed_path = args.value("--collapsed");
     let profile_on = args.switch("--profile") || collapsed_path.is_some();
     let metrics_path = args.value("--metrics");
@@ -110,16 +106,10 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     let resume_path = args.value("--resume-from");
     let checkpoint_every = args.number("--checkpoint-every", 1..)?.unwrap_or(16);
     let halt_after = args.number("--halt-after", ..)?;
-    if tenants > 1 && scenario != "server" {
-        return Err("--tenants requires --scenario server".to_string());
-    }
     if journal_path.is_some() && resume_path.is_some() {
         return Err("--journal and --resume-from are mutually exclusive".to_string());
     }
     let journaling = journal_path.is_some() || resume_path.is_some();
-    if journaling && tenants > 1 {
-        return Err("journaled runs support a single tenant".to_string());
-    }
 
     let settings = settings_for(scenario, queries)?;
     let sink = Arc::new(RingBufferSink::unbounded());
@@ -157,9 +147,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     )
     .with_trace(Arc::new(fan.clone()))
     .with_metrics(registry.clone());
-    for _ in 1..tenants {
-        sut = sut.with_tenant_workload(Workload::new(TaskId::ImageClassificationLight));
-    }
 
     let instruments = Instruments::traced(&fan).with_metrics(&registry);
 
@@ -168,33 +155,8 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
         profile::set_enabled(true);
     }
     let wall_start = Instant::now();
-    let outcome = if tenants > 1 {
-        let per_tenant: Vec<TestSettings> = (0..tenants)
-            .map(|t| {
-                let mut s = settings.clone();
-                // Split the target load and decorrelate the streams.
-                s.server_target_qps = settings.server_target_qps / tenants as f64;
-                s.seeds.schedule_seed ^= t as u64;
-                s.seeds.qsl_seed ^= (t as u64) << 8;
-                s.with_min_query_count(settings.min_query_count / tenants as u64)
-            })
-            .collect();
-        let mut qsls: Vec<MemoryQsl> = (0..tenants)
-            .map(|t| MemoryQsl::new(&format!("trace-demo-qsl-{t}"), 1_024, 1_024))
-            .collect();
-        let mut pairs: Vec<(&TestSettings, &mut MemoryQsl)> =
-            per_tenant.iter().zip(qsls.iter_mut()).collect();
-        let outcomes = run_multitenant_server(&mut pairs, &mut sut, &instruments)
-            .map_err(|e| format!("run failed: {e}"))?;
-        for (t, out) in outcomes.iter().enumerate() {
-            println!("tenant {t}: {}", out.result.summary_line());
-        }
-        outcomes
-            .into_iter()
-            .next()
-            .expect("at least one tenant outcome")
-    } else if journaling {
-        let mut qsl = MemoryQsl::new("trace-demo-qsl", 1_024, 1_024);
+    let mut qsl = MemoryQsl::new("trace-demo-qsl", 1_024, 1_024);
+    let outcome = if journaling {
         let resuming = resume_path.is_some();
         let jpath = journal_path
             .or(resume_path)
@@ -229,7 +191,6 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
             }
         }
     } else {
-        let mut qsl = MemoryQsl::new("trace-demo-qsl", 1_024, 1_024);
         let outcome = Run::simulated(&settings)
             .instruments(&instruments)
             .run(&mut qsl, &mut sut)
@@ -267,11 +228,13 @@ fn cmd_run(args: &[String], flight: &mlperf_trace::FlightRecorder) -> Result<(),
     }
 
     if let Some(mpath) = metrics_path {
+        let run = JsonValue::object(vec![
+            ("scenario", scenario.to_json_value()),
+            ("metrics", registry.snapshot().to_json_value()),
+        ]);
         let doc = JsonValue::object(vec![
             ("tool", "trace".to_json_value()),
-            ("scenario", scenario.to_json_value()),
-            ("tenants", (tenants as u64).to_json_value()),
-            ("metrics", registry.snapshot().to_json_value()),
+            ("runs", JsonValue::Array(vec![run])),
         ]);
         let mut text = doc.to_pretty();
         text.push('\n');

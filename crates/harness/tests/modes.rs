@@ -134,7 +134,7 @@ fn checkout() -> PathBuf {
 }
 
 #[test]
-fn trace_runs_tenants_a_profile_and_a_halted_journal_to_completion() {
+fn trace_runs_metrics_a_profile_and_a_halted_journal_to_completion() {
     Scratch::new("trace", &[]).run(&[
         (
             "trace",
@@ -142,14 +142,17 @@ fn trace_runs_tenants_a_profile_and_a_halted_journal_to_completion() {
                 "run",
                 "--scenario",
                 "server",
-                "--tenants",
-                "2",
                 "--queries",
                 "256",
                 "--metrics",
                 "metrics.json",
             ],
-            Want::Exit(true, "tenant 1: "),
+            Want::Exit(true, "trace-demo-gpu | trace-demo-qsl | server | "),
+        ),
+        (
+            "analyze",
+            &["--compare", "metrics.json", "metrics.json"],
+            Want::Exit(true, "compare: metrics.json vs metrics.json"),
         ),
         (
             "trace",

@@ -46,7 +46,6 @@ pub enum BatchPolicy {
 #[derive(Debug, Clone)]
 struct Pending {
     query_id: u64,
-    tenant: u32,
     arrival: Nanos,
     samples: Vec<(u64, usize)>,
 }
@@ -63,7 +62,7 @@ struct Pending {
 /// scenario (Figure 6, Section VI-B).
 pub struct DeviceSut {
     spec: DeviceSpec,
-    workloads: Vec<Workload>,
+    workload: Workload,
     policy: BatchPolicy,
     length_sorting: bool,
     payloads: Option<PayloadFn>,
@@ -72,7 +71,7 @@ pub struct DeviceSut {
     busy_until: Vec<Nanos>,
     queue: VecDeque<Pending>,
     queued_samples: usize,
-    mean_ops: Vec<f64>,
+    mean_ops: f64,
     armed_wakeup: Option<Nanos>,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -93,14 +92,14 @@ impl DeviceSut {
     /// Creates an engine for `spec` running `workload` under `policy`.
     pub fn new(spec: DeviceSpec, workload: Workload, policy: BatchPolicy) -> Self {
         let seed = 0x5d5d_0001;
-        let mean_ops = vec![workload.mean_ops(1_024)];
+        let mean_ops = workload.mean_ops(1_024);
         Self {
             busy_until: vec![Nanos::ZERO; spec.units],
             last_dvfs_milli: vec![None; spec.units],
             rng: Rng64::new(seed),
             seed,
             spec,
-            workloads: vec![workload],
+            workload,
             policy,
             length_sorting: false,
             payloads: None,
@@ -113,34 +112,14 @@ impl DeviceSut {
         }
     }
 
-    /// Adds a further tenant's workload (multitenancy extension): queries
-    /// tagged `tenant = n` use the `n`-th workload's per-sample costs, and
-    /// the dynamic batcher never mixes tenants within one dispatch.
-    pub fn with_tenant_workload(mut self, workload: Workload) -> Self {
-        self.mean_ops.push(workload.mean_ops(1_024));
-        self.workloads.push(workload);
-        self
-    }
-
-    fn workload_for(&self, tenant: u32) -> &Workload {
-        self.workloads
-            .get(tenant as usize)
-            .unwrap_or(&self.workloads[0])
-    }
-
     /// Chunk size minimizing the estimated makespan of an `n`-sample query
     /// over the available units: small chunks parallelize a multistream
     /// query across accelerators; huge offline queries converge to full
     /// batches automatically.
-    fn best_chunk(&self, tenant: u32, n: usize) -> usize {
+    fn best_chunk(&self, n: usize) -> usize {
         if n <= 1 {
             return 1;
         }
-        let mean = self
-            .mean_ops
-            .get(tenant as usize)
-            .copied()
-            .unwrap_or(self.mean_ops[0]);
         let units = self.spec.units;
         let mut best = (f64::INFINITY, 1usize);
         let mut c = 1usize;
@@ -150,7 +129,7 @@ impl DeviceSut {
             let span = rounds as f64
                 * self
                     .spec
-                    .batch1_latency(mean * c.min(n) as f64)
+                    .batch1_latency(self.mean_ops * c.min(n) as f64)
                     .as_secs_f64();
             if span < best.0 {
                 best = (span, c);
@@ -276,8 +255,8 @@ impl DeviceSut {
     }
 
     /// Cost of a chunk of sample indices, with padding for variable loads.
-    fn chunk_ops(&self, tenant: u32, indices: &[usize]) -> f64 {
-        let workload = self.workload_for(tenant);
+    fn chunk_ops(&self, indices: &[usize]) -> f64 {
+        let workload = &self.workload;
         if workload.is_variable() {
             let max = indices
                 .iter()
@@ -293,7 +272,7 @@ impl DeviceSut {
     fn run_immediate(&mut self, now: Nanos, query: &Query) -> QueryCompletion {
         profile_span!("sut/run_immediate");
         let mut order: Vec<usize> = (0..query.samples.len()).collect();
-        let workload = self.workload_for(query.tenant);
+        let workload = &self.workload;
         if self.length_sorting && workload.is_variable() {
             order.sort_by(|a, b| {
                 let ca = workload.ops_for_sample(query.samples[*a].index);
@@ -302,10 +281,10 @@ impl DeviceSut {
             });
         }
         let mut finish = now;
-        let chunk_size = self.best_chunk(query.tenant, order.len());
+        let chunk_size = self.best_chunk(order.len());
         for chunk in order.chunks(chunk_size) {
             let indices: Vec<usize> = chunk.iter().map(|i| query.samples[*i].index).collect();
-            let ops = self.chunk_ops(query.tenant, &indices);
+            let ops = self.chunk_ops(&indices);
             let done = self.dispatch_batch(now, ops, indices.len());
             finish = finish.max(done);
         }
@@ -345,16 +324,12 @@ impl DeviceSut {
             if !(full || due) {
                 break;
             }
-            // Pop queries until max_batch samples are gathered; never mix
-            // tenants (models) within one dispatch.
+            // Pop queries until max_batch samples are gathered.
             let mut batch: Vec<Pending> = Vec::new();
             let mut samples = 0usize;
-            let batch_tenant = self.queue.front().map(|p| p.tenant);
             while let Some(front) = self.queue.front() {
                 let next = front.samples.len();
-                if !batch.is_empty()
-                    && (samples + next > target_batch || Some(front.tenant) != batch_tenant)
-                {
+                if !batch.is_empty() && samples + next > target_batch {
                     break;
                 }
                 samples += next;
@@ -368,7 +343,7 @@ impl DeviceSut {
                 .iter()
                 .flat_map(|p| p.samples.iter().map(|(_, idx)| *idx))
                 .collect();
-            let ops = self.chunk_ops(batch_tenant.unwrap_or(0), &indices);
+            let ops = self.chunk_ops(&indices);
             // Per-query response handling (see RESPONSE_HANDLING).
             let tax = RESPONSE_HANDLING.mul(batch.len() as u64);
             let finish = self.dispatch_batch_taxed(now, ops, indices.len(), tax);
@@ -417,7 +392,6 @@ impl SimSut for DeviceSut {
                 self.queued_samples += query.samples.len();
                 self.queue.push_back(Pending {
                     query_id: query.id,
-                    tenant: query.tenant,
                     arrival: now,
                     samples: query.samples.iter().map(|s| (s.id, s.index)).collect(),
                 });

@@ -14,7 +14,7 @@
 //!   sibling device (the fleet's spare), if one is attached.
 //!
 //! Retries are re-issued under a *salted* query id (the attempt number
-//! XOR-ed into bits 48..56, below the tenant byte) and translated back
+//! XOR-ed into bits 48..56) and translated back
 //! before delivery, so the LoadGen sees exactly one completion per query
 //! while the fault plan sees each attempt as a distinct query and rolls
 //! fresh, still-deterministic fault verdicts.
@@ -44,8 +44,10 @@ impl ResiliencePolicy {
     }
 }
 
-/// Attempt salts live in the byte below the tenant byte, so salted ids
-/// collide with genuine ids only after 2^48 queries.
+/// Attempt salts live in bits 48..56, so salted ids collide with genuine
+/// ids only after 2^48 queries. The shift keeps its value because the
+/// fault plan rolls its verdicts from the salted ids, and
+/// `results/chaos_matrix.json` pins those verdicts.
 const SALT_SHIFT: u32 = 48;
 
 fn salted(id: u64, attempt: u32) -> u64 {

@@ -5,7 +5,7 @@
 //! INVALID, aborts, or a chaos cell needs a post-mortem, [`FlightRecorder::dump_to`]
 //! writes the retained tail as a *flight dump*: a one-line JSON header
 //! (reason, event count, how many older events were evicted) followed by
-//! the standard detail-log JSONL, so `trace summary` and
+//! the standard detail-log JSONL, so `analyze --log` and
 //! [`parse_detail_log`](crate::parse_detail_log) tooling read the body
 //! unchanged.
 

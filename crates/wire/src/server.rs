@@ -271,8 +271,13 @@ impl Session {
 struct ServerShared {
     stop: AtomicBool,
     served: AtomicU64,
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// A clone of each open connection's stream, by connection id, for
+    /// `kill` and `shutdown` to sever; a connection removes its own when
+    /// it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Each connection's thread, by connection id; the accept loop joins
+    /// the finished ones, `shutdown` the rest.
+    conn_threads: Mutex<HashMap<u64, JoinHandle<()>>>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     log: WireLog,
     metrics: Arc<MetricsRegistry>,
@@ -320,7 +325,7 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] to reap them.
     pub fn kill(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for conn in lock(&self.shared.conns).iter() {
+        for conn in lock(&self.shared.conns).values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         self.shared
@@ -342,7 +347,7 @@ impl ServerHandle {
         if let Some(accept) = threads.next() {
             let _ = accept.join();
         }
-        for conn in lock(&self.shared.conns).iter() {
+        for conn in lock(&self.shared.conns).values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // ...and the liveness thread after it: parked on its tick, or in a
@@ -351,9 +356,8 @@ impl ServerHandle {
             liveness.thread().unpark();
             let _ = liveness.join();
         }
-        let conn_threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock(&self.shared.conn_threads));
-        for handle in conn_threads {
+        let conn_threads = std::mem::take(&mut *lock(&self.shared.conn_threads));
+        for handle in conn_threads.into_values() {
             let _ = handle.join();
         }
         let sessions: Vec<Arc<Session>> = lock(&self.shared.sessions)
@@ -363,6 +367,7 @@ impl ServerHandle {
         for session in sessions {
             session.retire();
         }
+        // Only a connection thread that panicked left its clone behind.
         lock(&self.shared.conns).clear();
     }
 
@@ -390,8 +395,8 @@ pub fn serve(
     let shared = Arc::new(ServerShared {
         stop: AtomicBool::new(false),
         served: AtomicU64::new(0),
-        conns: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
+        conn_threads: Mutex::new(HashMap::new()),
         sessions: Mutex::new(HashMap::new()),
         log: WireLog::new("server", config.sink.clone()),
         metrics: config
@@ -487,7 +492,7 @@ fn accept_loop(
     workers: usize,
     shared: &Arc<ServerShared>,
 ) {
-    loop {
+    for id in 0u64.. {
         let (stream, peer) = match listener.accept() {
             Ok(pair) => pair,
             Err(_) => return,
@@ -495,11 +500,19 @@ fn accept_loop(
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
+        // The threads of connections that have ended are joined here, so
+        // a daemon that serves forever holds only its live ones.
+        let finished: Vec<(u64, JoinHandle<()>)> = lock(&shared.conn_threads)
+            .extract_if(|_, thread| thread.is_finished())
+            .collect();
+        for (_, thread) in finished {
+            let _ = thread.join();
+        }
         if stream.set_nodelay(true).is_err() {
             continue;
         }
         if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).push(clone);
+            lock(&shared.conns).insert(id, clone);
         }
         shared.log.wire_event("connect", 0, &peer.to_string());
         let service = Arc::clone(service);
@@ -508,10 +521,16 @@ fn accept_loop(
             .name(format!("wire-conn-{peer}"))
             .spawn(move || {
                 handle_conn(stream, &service, workers, &shared_t);
+                lock(&shared_t.conns).remove(&id);
                 shared_t.log.wire_event("disconnect", 0, &peer.to_string());
             });
-        if let Ok(handle) = handle {
-            lock(&shared.conn_threads).push(handle);
+        match handle {
+            Ok(handle) => {
+                lock(&shared.conn_threads).insert(id, handle);
+            }
+            Err(_) => {
+                lock(&shared.conns).remove(&id);
+            }
         }
     }
 }
@@ -1053,7 +1072,7 @@ mod tests {
         let slack = Duration::from_secs(3);
         let finished = loop {
             let threads = lock(&handle.shared.conn_threads);
-            if !threads.is_empty() && threads.iter().all(JoinHandle::is_finished) {
+            if !threads.is_empty() && threads.values().all(JoinHandle::is_finished) {
                 break Some(connected.elapsed());
             }
             drop(threads);

@@ -153,7 +153,7 @@ const PRODUCTION_RS: &[&str] = &[
 
 const RULES: &[Rule] = &[
     Rule {
-        name: "ten public run entry points",
+        name: "nine public run entry points",
         scope: &["crates/core/src/*.rs"],
         part: Part::Whole,
         pattern: Pattern::PubFn(&["run_", "resume_", "find_peak_"]),
@@ -163,7 +163,6 @@ const RULES: &[Rule] = &[
             "resume_journaled",
             "run_instrumented",
             "run_journaled",
-            "run_multitenant_server",
             "run_realtime_traced_at",
             "run_simulated",
             "run_simulated_replay",
@@ -547,6 +546,24 @@ const RULES: &[Rule] = &[
         want: Want::Count(0),
         retired: "07bcd04: a run's time series is the analyzer's heatmap rows, derived from the detail log on every clock; the sampler polled the registry from the simulated event loop only",
         plant: ("crates/core/src/instrument.rs", "fn with_sampler() {}\n"),
+    },
+    Rule {
+        name: "one query stream per run",
+        scope: &["crates/**/*.rs"],
+        part: Part::Whole,
+        pattern: Pattern::Word(&[
+            "multitenant",
+            "run_multitenant_server",
+            "with_tenant_workload",
+            "tenant_of",
+            "--tenants",
+        ]),
+        want: Want::Count(0),
+        retired: "one stream: des::Sim drives one lane and a query's id is its ordinal; the multitenancy extension (a lane and a tenant byte per stream, a workload per tenant in DeviceSut) served only `trace run --tenants`, and the paper's v0.5 LoadGen has no such mode",
+        plant: (
+            "crates/harness/src/bin/trace.rs",
+            "const TENANTS: Flag = Flag::value(\"--tenants\", \"<n>\");\n",
+        ),
     },
 ];
 

@@ -241,44 +241,3 @@ fn realtime_and_simulated_agree_on_fixed_latency() {
         "wire p90 {wp90} wildly off simulated {sp90}"
     );
 }
-
-#[test]
-fn multitenant_server_shares_one_gpu() {
-    use mlperf_inference::loadgen::multitenant::run_multitenant_server;
-    use mlperf_inference::loadgen::Instruments;
-    use mlperf_inference::models::Workload;
-
-    let gpu = system("datacenter-gpu");
-    let vision = TaskId::ImageClassificationHeavy;
-    let translation = TaskId::MachineTranslation;
-    let mut sut = gpu
-        .sut_for(vision, Scenario::Server)
-        .with_tenant_workload(Workload::new(translation));
-    let vision_settings = TestSettings::server(300.0, vision.spec().server_latency_bound)
-        .with_min_query_count(1_000)
-        .with_min_duration(Nanos::from_millis(100));
-    let translation_settings = TestSettings::server(50.0, translation.spec().server_latency_bound)
-        .with_min_query_count(100)
-        .with_min_duration(Nanos::from_millis(100));
-    let mut vision_qsl = TaskQsl::for_task(vision, 2_048);
-    let mut translation_qsl = TaskQsl::for_task(translation, 2_048);
-    let mut tenants: Vec<(&TestSettings, &mut TaskQsl)> = vec![
-        (&vision_settings, &mut vision_qsl),
-        (&translation_settings, &mut translation_qsl),
-    ];
-    let outcomes = run_multitenant_server(&mut tenants, &mut sut, &Instruments::none())
-        .expect("well-formed run");
-    assert_eq!(outcomes.len(), 2);
-    assert!(
-        outcomes[0].result.is_valid(),
-        "{:?}",
-        outcomes[0].result.validity
-    );
-    assert!(
-        outcomes[1].result.is_valid(),
-        "{:?}",
-        outcomes[1].result.validity
-    );
-    assert_eq!(outcomes[0].result.query_count, 1_000);
-    assert_eq!(outcomes[1].result.query_count, 100);
-}

@@ -1,6 +1,6 @@
 //! Integration tests for the observability layer: Chrome-trace export of a
 //! real device run, the time series derived from the detail log of a
-//! multitenant run and of a wall-clock run, and the wall-clock span
+//! simulated run and of a wall-clock run, and the wall-clock span
 //! profiler.
 
 use std::sync::Arc;
@@ -9,11 +9,10 @@ use std::time::{Duration, Instant};
 
 use mlperf_analysis::HeatmapRow;
 use mlperf_loadgen::config::TestSettings;
-use mlperf_loadgen::multitenant::run_multitenant_server;
 use mlperf_loadgen::qsl::MemoryQsl;
 use mlperf_loadgen::sut::SleepSut;
 use mlperf_loadgen::time::Nanos;
-use mlperf_loadgen::{Instruments, Run};
+use mlperf_loadgen::Run;
 use mlperf_models::{TaskId, Workload};
 use mlperf_sut::device::{Architecture, DeviceSpec, ThermalModel};
 use mlperf_sut::engine::{BatchPolicy, DeviceSut};
@@ -114,17 +113,13 @@ fn series(records: &[TraceRecord], interval_ns: u64) -> Vec<HeatmapRow> {
 }
 
 #[test]
-fn multitenant_timeseries_covers_the_run() {
+fn simulated_timeseries_covers_the_run() {
     let _guard = hold_profiler();
     let interval_ns = 50_000_000u64; // 50 ms of simulated time
-    let a = TestSettings::server(400.0, Nanos::from_millis(20))
-        .with_min_query_count(400)
+    let settings = TestSettings::server(600.0, Nanos::from_millis(20))
+        .with_min_query_count(600)
         .with_min_duration(Nanos::from_millis(5));
-    let b = TestSettings::server(200.0, Nanos::from_millis(30))
-        .with_min_query_count(200)
-        .with_min_duration(Nanos::from_millis(5));
-    let mut qa = MemoryQsl::new("tenant-a", 64, 64);
-    let mut qb = MemoryQsl::new("tenant-b", 64, 64);
+    let mut qsl = MemoryQsl::new("obs-qsl", 64, 64);
     let sink = Arc::new(RingBufferSink::unbounded());
     let mut sut = DeviceSut::new(
         demo_device(2),
@@ -132,27 +127,16 @@ fn multitenant_timeseries_covers_the_run() {
         BatchPolicy::Immediate,
     )
     .with_trace(sink.clone());
-
-    let instruments = Instruments::traced(sink.as_ref());
-    let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-    let outcomes = run_multitenant_server(&mut tenants, &mut sut, &instruments)
-        .expect("multitenant smoke run succeeds");
-    for (i, out) in outcomes.iter().enumerate() {
-        assert!(
-            out.result.is_valid(),
-            "tenant {i}: {:?}",
-            out.result.validity
-        );
-    }
+    let outcome = Run::simulated(&settings)
+        .sink(sink.as_ref())
+        .run(&mut qsl, &mut sut)
+        .expect("simulated smoke run succeeds");
+    assert!(outcome.result.is_valid(), "{:?}", outcome.result.validity);
 
     // At least floor(duration / interval) rows, timestamps on the interval
-    // grid and strictly increasing, and the counts must account for both
-    // tenants' queries, interleaved in one log.
-    let duration_ns = outcomes
-        .iter()
-        .map(|o| o.result.duration.as_nanos())
-        .max()
-        .expect("two outcomes");
+    // grid and strictly increasing, and the counts must account for the
+    // run's queries.
+    let duration_ns = outcome.result.duration.as_nanos();
     let rows = series(&sink.snapshot(), interval_ns);
     let expected = (duration_ns / interval_ns) as usize;
     assert!(
@@ -163,9 +147,9 @@ fn multitenant_timeseries_covers_the_run() {
     assert!(rows.windows(2).all(|w| w[0].t_ns < w[1].t_ns));
     assert!(rows.iter().all(|r| r.t_ns % interval_ns == 0));
     // The last row counts what was issued before its boundary, which can
-    // never overshoot both tenants' full query counts.
+    // never overshoot the run's full query count.
     let last = rows.last().expect("non-empty");
-    assert!(last.issued <= 400 + 200);
+    assert!(last.issued <= outcome.records.len() as u64);
     assert!(last.issued > 500, "most of the run is in the series");
     let completed: u64 = rows.iter().map(|r| r.count).sum();
     assert!(completed <= last.issued);
