@@ -17,7 +17,6 @@ use crate::trace::{RecordedQuery, RecordedTrace};
 use mlperf_loadgen::Scenario;
 use mlperf_stats::Rng64;
 use mlperf_trace::{TraceEvent, TraceRecord};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Seed for the fallback index draw when the original QSL seed is
@@ -106,13 +105,15 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-#[derive(Default)]
-struct QueryState {
-    scheduled: Option<u64>,
+/// One issued query on its way to a [`RecordedQuery`].
+struct Entry {
+    id: u64,
+    /// `ts_ns - delay_ns` of its first `QueryIssued`.
+    scheduled: u64,
     sample_count: usize,
-    latency_ns: Option<u64>,
-    error: bool,
-    resolved: bool,
+    /// Its first resolution: the latency, and whether it was an error.
+    resolution: Option<(u64, bool)>,
+    indices: Vec<u32>,
 }
 
 /// Extracts a [`RecordedTrace`] from a stream of trace records.
@@ -135,8 +136,21 @@ pub fn record_trace(
     }
 
     let mut scenario = None;
-    // BTreeMap: query-id order is the RNG consumption order.
-    let mut states: BTreeMap<u64, QueryState> = BTreeMap::new();
+    // `(id, scheduled, samples)` per issue and `(id, latency, errored)`
+    // per resolution, in log order. Both are sized before they fill: grown
+    // by doubling, they leave freed blocks that the long-lived index
+    // vectors below land in, and the heap's resident size creeps up from
+    // one recording to the next.
+    let (mut issued, mut resolved) = (0, 0);
+    for r in records {
+        match r.event {
+            TraceEvent::QueryIssued { .. } => issued += 1,
+            TraceEvent::QueryCompleted { .. } | TraceEvent::QueryErrored { .. } => resolved += 1,
+            _ => {}
+        }
+    }
+    let mut issues: Vec<(u64, u64, usize)> = Vec::with_capacity(issued);
+    let mut resolutions: Vec<(u64, u64, bool)> = Vec::with_capacity(resolved);
     for r in records {
         match &r.event {
             TraceEvent::RunPhase { phase, scenario: s }
@@ -148,73 +162,66 @@ pub fn record_trace(
                 query_id,
                 sample_count,
                 delay_ns,
-            } => {
-                let state = states.entry(*query_id).or_default();
-                if state.scheduled.is_none() {
-                    state.scheduled = Some(r.ts_ns.saturating_sub(*delay_ns));
-                    state.sample_count = *sample_count;
-                }
-            }
+            } => issues.push((*query_id, r.ts_ns.saturating_sub(*delay_ns), *sample_count)),
             TraceEvent::QueryCompleted {
                 query_id,
                 latency_ns,
-            } => {
-                let state = states.entry(*query_id).or_default();
-                if !state.resolved {
-                    state.resolved = true;
-                    state.latency_ns = Some(*latency_ns);
-                }
-            }
+            } => resolutions.push((*query_id, *latency_ns, false)),
             TraceEvent::QueryErrored {
                 query_id,
                 latency_ns,
-            } => {
-                let state = states.entry(*query_id).or_default();
-                if !state.resolved {
-                    state.resolved = true;
-                    state.error = true;
-                    state.latency_ns = Some(*latency_ns);
-                }
-            }
+            } => resolutions.push((*query_id, *latency_ns, true)),
             _ => {}
         }
     }
-    // Completions without an issue record (merged logs can clip the
-    // front) cannot be scheduled; drop them.
-    states.retain(|_, s| s.scheduled.is_some());
-    if states.is_empty() {
+    // Each sorted once, stably, into query-id order — the order every
+    // scenario consumes the QSL RNG in — so an id's first row is its
+    // first in the log, and that is the one kept.
+    issues.sort_by_key(|&(id, ..)| id);
+    issues.dedup_by_key(|&mut (id, ..)| id);
+    resolutions.sort_by_key(|&(id, ..)| id);
+    resolutions.dedup_by_key(|&mut (id, ..)| id);
+    if issues.is_empty() {
         return Err(RecordError::NoQueries);
     }
 
-    // Re-derive indices in query-id order — the order every scenario
-    // consumes the QSL RNG in.
+    // Re-derive indices in query-id order, each query's drawn straight
+    // into its `u32`s, and pair each query with its resolution.
+    // Completions without an issue record (merged logs can clip the
+    // front) cannot be scheduled; they are passed over.
     let synthetic = opts.qsl_seed.is_none();
     let mut rng = Rng64::new(opts.qsl_seed.unwrap_or(SYNTHETIC_INDEX_SEED));
-    let mut entries: Vec<(u64, QueryState, Vec<u32>)> = Vec::with_capacity(states.len());
-    for (id, state) in states {
-        let count = state.sample_count.max(1);
-        let indices: Vec<u32> = rng
-            .sample_with_replacement(opts.population as usize, count)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect();
-        entries.push((id, state, indices));
-    }
+    let population = opts.population as usize;
+    let mut resolutions = resolutions.into_iter().peekable();
+    let mut entries: Vec<Entry> = issues
+        .into_iter()
+        .map(|(id, scheduled, sample_count)| {
+            while resolutions.next_if(|&(other, ..)| other < id).is_some() {}
+            Entry {
+                id,
+                scheduled,
+                sample_count,
+                resolution: resolutions
+                    .next_if(|&(other, ..)| other == id)
+                    .map(|(_, latency_ns, error)| (latency_ns, error)),
+                indices: (0..sample_count.max(1))
+                    .map(|_| rng.next_index(population) as u32)
+                    .collect(),
+            }
+        })
+        .collect();
 
     // Arrival order: by scheduled time, query id as the tiebreak.
-    entries.sort_by_key(|(id, state, _)| (state.scheduled.unwrap_or(0), *id));
+    entries.sort_by_key(|e| (e.scheduled, e.id));
 
     let samples_per_query = entries
         .iter()
-        .map(|(_, s, _)| s.sample_count)
+        .map(|e| e.sample_count)
         .max()
         .unwrap_or(1)
         .max(1) as u32;
 
-    let scheduled: Vec<u64> = entries
-        .iter()
-        .map(|(_, s, _)| s.scheduled.unwrap_or(0))
-        .collect();
+    let scheduled: Vec<u64> = entries.iter().map(|e| e.scheduled).collect();
     let first = scheduled[0];
     let span_ns = scheduled.last().unwrap() - first;
 
@@ -241,17 +248,16 @@ pub fn record_trace(
     let mut prev = first;
     let queries = entries
         .into_iter()
-        .map(|(_, state, indices)| {
-            let at = state.scheduled.unwrap_or(prev);
-            let delta_ns = at - prev;
-            prev = at;
+        .map(|e| {
+            let delta_ns = e.scheduled - prev;
+            prev = e.scheduled;
             RecordedQuery {
                 delta_ns,
                 // `u64::MAX` is the encoding of "never resolved": a logged
                 // latency that large is kept one below it, not lost.
-                latency_ns: state.latency_ns.map(|ns| ns.min(u64::MAX - 1)),
-                error: state.error,
-                indices,
+                latency_ns: e.resolution.map(|(ns, _)| ns.min(u64::MAX - 1)),
+                error: e.resolution.is_some_and(|(_, error)| error),
+                indices: e.indices,
             }
         })
         .collect();
@@ -377,6 +383,51 @@ mod tests {
         assert!(trace.queries[1].error);
         assert_eq!(trace.queries[1].latency_ns, Some(200));
         assert_eq!(trace.queries[2].latency_ns, None);
+    }
+
+    #[test]
+    fn the_first_issue_and_the_first_resolution_win() {
+        let records = vec![
+            phase("server"),
+            // A resolution may come first in a merged log, and a query
+            // resolved twice keeps the first; one never issued is passed
+            // over.
+            complete(50, 1, 40),
+            issue(1_000, 1, 100),
+            issue(2_000, 1, 0),
+            TraceRecord {
+                ts_ns: 1_500,
+                event: TraceEvent::QueryErrored {
+                    query_id: 1,
+                    latency_ns: 7,
+                },
+            },
+            complete(2_100, 9, 1),
+            issue(3_000, 0, 0),
+            TraceRecord {
+                ts_ns: 3_100,
+                event: TraceEvent::QueryErrored {
+                    query_id: 0,
+                    latency_ns: 100,
+                },
+            },
+            complete(3_200, 0, 200),
+        ];
+        let opts = RecordOptions::for_population(16).with_qsl_seed(5);
+        let trace = record_trace(&records, &opts).expect("records");
+        assert_eq!(trace.queries.len(), 2);
+        // Query 1 was scheduled at 900 by its first issue, query 0 at 3_000.
+        assert_eq!(trace.arrivals(), vec![0, 2_100]);
+        assert_eq!(trace.queries[0].latency_ns, Some(40));
+        assert!(!trace.queries[0].error);
+        assert_eq!(trace.queries[1].latency_ns, Some(100));
+        assert!(trace.queries[1].error);
+        // Indices are drawn in query-id order: query 0's first.
+        let mut rng = Rng64::new(5);
+        let first = rng.next_index(16) as u32;
+        let second = rng.next_index(16) as u32;
+        assert_eq!(trace.queries[1].indices, vec![first]);
+        assert_eq!(trace.queries[0].indices, vec![second]);
     }
 
     #[test]

@@ -225,10 +225,20 @@ pub fn reduce_trace(
     // Arrival-normalization convention: the first query arrives at 0.
     queries[0].delta_ns = 0;
 
+    // The header field by field: `..trace.clone()` would copy all n
+    // queries only to drop them.
     let reduced = RecordedTrace {
+        scenario: trace.scenario,
         source: format!("{} (reduced {n}->{m})", trace.source),
+        population: trace.population,
+        samples_per_query: trace.samples_per_query,
+        target_latency_ns: trace.target_latency_ns,
+        target_percentile: trace.target_percentile,
+        server_target_qps: trace.server_target_qps,
+        max_error_fraction: trace.max_error_fraction,
+        interval_ns: trace.interval_ns,
+        synthetic_indices: trace.synthetic_indices,
         queries,
-        ..trace.clone()
     };
     check_equivalence(trace, &reduced, &opts.bound)?;
     Ok(reduced)

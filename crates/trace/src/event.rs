@@ -9,15 +9,15 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{
-    missing_field, write_u64, FromJson, JsonError, JsonValue, Parser, Picked, Scalar, ToJson,
-    Token, MAX_PICKED,
+    missing_field, write_u64, Canonical, FromJson, JsonError, JsonValue, Parser, Picked, Scalar,
+    ToJson, Token, MAX_PICKED,
 };
 use crate::sync::lock;
 
 /// Declares [`TraceEvent`] once, and generates from that one declaration
 /// everything that spells a variant out: the enum, `kind()`, the field
-/// table `fields()` both encoders read, and `SHAPES`, which both decoders
-/// read.
+/// table `fields()` both encoders read, and `SHAPES`, which every decoder
+/// reads.
 ///
 /// An entry is a variant's docs, its name, its `kind()` label and its
 /// fields in the order a detail-log line writes them. Entry order is
@@ -91,6 +91,18 @@ macro_rules! trace_events {
                     build: |p| {
                         let mut at = 0;
                         Ok(TraceEvent::$variant { $( $field: next_field(p, &mut at)?, )+ })
+                    },
+                    canonical: |c| {
+                        let mut first = true;
+                        Some(TraceEvent::$variant {
+                            $(
+                                $field: canonical_member(
+                                    c,
+                                    &mut first,
+                                    concat!("\"", stringify!($field), "\":"),
+                                )?,
+                            )+
+                        })
                     },
                 },
             )+
@@ -262,17 +274,21 @@ trace_events! {
     }
 }
 
-/// A type a [`TraceEvent`] field may have: the [`Scalar`] it writes, and
-/// how it reads back from the [`Token`] at its key.
+/// A type a [`TraceEvent`] field may have: the [`Scalar`] it writes, how
+/// it reads back from the [`Token`] at its key, and how it reads from a
+/// canonical line when the value is in the form `Scalar::write` gives it
+/// (`None` where the type cannot be sure, and the line takes the general
+/// path).
 trait Field: Sized {
     fn scalar(&self) -> Scalar<'_>;
     fn read(token: Token<'_>) -> Result<Self, JsonError>;
+    fn canonical(cursor: &mut Canonical<'_>) -> Option<Self>;
 }
 
-/// `impl Field` for each field type, from its `Scalar` and its `Token`
-/// accessor.
+/// `impl Field` for each field type, from its `Scalar`, its `Token`
+/// accessor and its canonical read.
 macro_rules! field_types {
-    ($($ty:ty => |$v:ident| $scalar:expr, $read:ident;)+) => {
+    ($($ty:ty => |$v:ident| $scalar:expr, $read:ident, |$c:pat_param| $canonical:expr;)+) => {
         $(
             impl Field for $ty {
                 fn scalar(&self) -> Scalar<'_> {
@@ -283,30 +299,40 @@ macro_rules! field_types {
                 fn read(token: Token<'_>) -> Result<Self, JsonError> {
                     token.$read()
                 }
+
+                #[inline]
+                fn canonical($c: &mut Canonical<'_>) -> Option<Self> {
+                    $canonical
+                }
             }
         )+
     };
 }
 
 field_types! {
-    u64 => |v| Scalar::U64(*v), as_u64;
-    usize => |v| Scalar::U64(*v as u64), as_usize;
-    u32 => |v| Scalar::U64(u64::from(*v)), as_u32;
-    i64 => |v| Scalar::I64(*v), as_i64;
-    f64 => |v| Scalar::F64(*v), as_f64;
-    bool => |v| Scalar::Bool(*v), as_bool;
-    String => |v| Scalar::Str(v), into_string;
+    u64 => |v| Scalar::U64(*v), as_u64, |c| c.digits();
+    usize => |v| Scalar::U64(*v as u64), as_usize, |c| usize::try_from(c.digits()?).ok();
+    u32 => |v| Scalar::U64(u64::from(*v)), as_u32, |c| u32::try_from(c.digits()?).ok();
+    i64 => |v| Scalar::I64(*v), as_i64, |c| i64::try_from(c.signed()?).ok();
+    // A float's shortest text is not worth a second reader: the general
+    // path takes every line that has one.
+    f64 => |v| Scalar::F64(*v), as_f64, |_| None;
+    bool => |v| Scalar::Bool(*v), as_bool, |c| c.bool();
+    String => |v| Scalar::Str(v), into_string, |c| c.plain_str().map(String::from);
 }
 
 /// How one variant is read back: the inverse of [`TraceEvent::fields`].
 /// `keys` are the payload keys in the order `fields` writes them, and
 /// `build` makes the variant from the payload members at those keys. Both
 /// decoders — over a tree ([`FromJson::from_json_value`]) and over a line
-/// ([`TraceRecord::from_json_str`]) — come through here.
+/// ([`TraceRecord::from_json_str`]) — come through here. `canonical`
+/// reads the payload members straight off a line that holds them exactly
+/// as `fields` writes them, and answers `None` for any other line.
 struct Shape {
     name: &'static str,
     keys: &'static [&'static str],
     build: fn(&mut Picked<'_>) -> Result<TraceEvent, JsonError>,
+    canonical: fn(&mut Canonical<'_>) -> Option<TraceEvent>,
 }
 
 /// Reads the member at the `at`-th key as a `T`, and moves `at` on to the
@@ -314,6 +340,21 @@ struct Shape {
 fn next_field<T: Field>(picked: &mut Picked<'_>, at: &mut usize) -> Result<T, JsonError> {
     *at += 1;
     T::read(picked.take(*at - 1)?)
+}
+
+/// Reads `"key":` (after a `,` unless it is the `first` member) and the
+/// value behind it as a `T`, in canonical form.
+#[inline]
+fn canonical_member<T: Field>(
+    cursor: &mut Canonical<'_>,
+    first: &mut bool,
+    key: &str,
+) -> Option<T> {
+    if !std::mem::take(first) {
+        cursor.literal(",")?;
+    }
+    cursor.literal(key)?;
+    T::canonical(cursor)
 }
 
 /// The shape of variant `name`.
@@ -390,6 +431,27 @@ impl ToJson for TraceRecord {
     }
 }
 
+/// Reads a line in the one form [`write_record`] writes it —
+/// `{"ts_ns":N,"event":{"Variant":{"k1":v1,…}}}` with the keys in declared
+/// order and only JSON whitespace after — in one forward pass, without
+/// the tokenizer. `None` for any other line (a float, `null`, an escape,
+/// another key order, a member too many or too few), which then takes the
+/// general path: whatever this accepts, that path accepts with the same
+/// value.
+fn canonical_record(line: &str) -> Option<TraceRecord> {
+    let mut cursor = Canonical::new(line);
+    cursor.literal("{\"ts_ns\":")?;
+    let ts_ns = cursor.digits()?;
+    cursor.literal(",\"event\":{")?;
+    let name = cursor.plain_str()?;
+    let shape = SHAPES.iter().find(|shape| shape.name == name)?;
+    cursor.literal(":{")?;
+    let event = (shape.canonical)(&mut cursor)?;
+    cursor.literal("}}}")?;
+    cursor.end()?;
+    Some(TraceRecord { ts_ns, event })
+}
+
 /// Reads the value of an `event` member: the variant's shape, with the
 /// payload members it asks for left in `payload`. The outer error is the
 /// document's (malformed JSON), the inner one the event's (not a
@@ -435,13 +497,17 @@ impl FromJson for TraceRecord {
         })
     }
 
-    /// Reads a detail-log line without building its tree: one walk with
-    /// the tokenizer [`JsonValue::parse`] uses, then the checks
+    /// Reads a detail-log line without building its tree: a line in the
+    /// form the encoder writes in one forward pass, any other with one
+    /// walk with the tokenizer [`JsonValue::parse`] uses, then the checks
     /// [`FromJson::from_json_value`] makes, in its order. A line is
     /// accepted, or rejected with the same error, exactly as
     /// `from_json_value(&JsonValue::parse(line)?)` would: any key order,
     /// the first of a duplicated key, unknown members ignored.
     fn from_json_str(input: &str) -> Result<Self, JsonError> {
+        if let Some(record) = canonical_record(input) {
+            return Ok(record);
+        }
         let mut parser = Parser::new(input);
         let (mut ts_ns, mut event) = (None, None);
         let mut payload = Picked::new(&[]);
@@ -1094,6 +1160,39 @@ mod tests {
         let records: Vec<_> = golden.iter().map(|(r, _)| r.clone()).collect();
         let lines: Vec<_> = golden.iter().map(|(_, line)| *line).collect();
         assert_eq!(render_detail_log(&records), lines.join("\n") + "\n");
+    }
+
+    #[test]
+    fn the_one_pass_reader_takes_every_line_it_can_and_only_those() {
+        let mut taken = 0;
+        for (record, line) in golden_lines() {
+            let tree = TraceRecord::from_json_value(&JsonValue::parse(line).unwrap()).unwrap();
+            let plain = !line.contains('\\')
+                && record
+                    .event
+                    .fields(|_, fields| fields.iter().all(|(_, v)| !matches!(v, Scalar::F64(_))));
+            // A 20-digit number is the general walk's, too.
+            let short = line
+                .split(|c: char| !c.is_ascii_digit())
+                .all(|digits| digits.len() <= 19);
+            match canonical_record(line) {
+                Some(fast) => {
+                    assert!(plain && short, "taken: {line}");
+                    assert_eq!(fast, tree, "{line}");
+                    taken += 1;
+                }
+                None => assert!(!(plain && short), "fell back: {line}"),
+            }
+            // And with whitespace after it, which a line read from a file
+            // carries.
+            let ended = format!("{line} \t\r\n");
+            assert_eq!(canonical_record(&ended).is_some(), plain && short, "{line}");
+            assert_eq!(canonical_record(&format!("{line}\u{c}")), None, "{line}");
+        }
+        assert_eq!(
+            taken, 12,
+            "all but two escapes, three floats and a 20-digit id"
+        );
     }
 
     #[test]

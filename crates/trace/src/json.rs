@@ -906,6 +906,94 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A cursor over a document in the one form a flat-record encoder writes:
+/// no whitespace, keys in written order, strings with nothing escaped,
+/// integers as plain digit runs. Each read answers `None` at the first
+/// byte that form would not hold, and the caller then reads the document
+/// with [`Parser`] instead. It only answers where the tokenizer would
+/// answer the same.
+pub(crate) struct Canonical<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Canonical<'a> {
+    /// A cursor at the first byte of `src`.
+    pub(crate) fn new(src: &'a str) -> Self {
+        Canonical { src, pos: 0 }
+    }
+
+    /// Steps past `text`.
+    #[inline]
+    pub(crate) fn literal(&mut self, text: &str) -> Option<()> {
+        let end = self.pos + text.len();
+        let here = self.src.as_bytes().get(self.pos..end)?;
+        (here == text.as_bytes()).then(|| self.pos = end)
+    }
+
+    /// Ends the document: nothing but JSON whitespace is left.
+    #[inline]
+    pub(crate) fn end(&self) -> Option<()> {
+        self.src.as_bytes()[self.pos..]
+            .iter()
+            .all(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .then_some(())
+    }
+
+    /// A run of 1 to 19 digits, which no `u64` overflows, not followed by
+    /// anything that would make it a longer or a fractional number.
+    #[inline]
+    pub(crate) fn digits(&mut self) -> Option<u64> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let (mut value, mut len) = (0u64, 0);
+        while let Some(&b @ b'0'..=b'9') = rest.get(len) {
+            if len == 19 {
+                return None;
+            }
+            value = value * 10 + u64::from(b - b'0');
+            len += 1;
+        }
+        if len == 0 || matches!(rest.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return None;
+        }
+        self.pos += len;
+        Some(value)
+    }
+
+    /// [`Canonical::digits`], after a `-` if there is one.
+    #[inline]
+    pub(crate) fn signed(&mut self) -> Option<i128> {
+        let negative = self.literal("-").is_some();
+        let magnitude = i128::from(self.digits()?);
+        Some(if negative { -magnitude } else { magnitude })
+    }
+
+    /// `true` or `false`.
+    #[inline]
+    pub(crate) fn bool(&mut self) -> Option<bool> {
+        if self.literal("true").is_some() {
+            Some(true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    /// A string literal with no escape and no control byte in it.
+    #[inline]
+    pub(crate) fn plain_str(&mut self) -> Option<&'a str> {
+        self.literal("\"")?;
+        let rest = &self.src.as_bytes()[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .filter(|&len| rest[len] == b'"')?;
+        // The run ends before an ASCII byte, so it is whole characters.
+        let run = self.src.get(self.pos..self.pos + len)?;
+        self.pos += len + 1;
+        Some(run)
+    }
+}
+
 /// Conversion into the JSON data model.
 pub trait ToJson {
     /// Builds the [`JsonValue`] representation.

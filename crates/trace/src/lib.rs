@@ -18,7 +18,8 @@
 //! * [`json`] — [`json::JsonValue`] plus the [`json::ToJson`] /
 //!   [`json::FromJson`] traits; output shapes match serde_json's defaults
 //!   so pre-existing artifacts keep parsing. One tokenizer serves the
-//!   tree parser and the detail log's pull decoder.
+//!   tree parser and the detail log's pull decoder; a line in the form
+//!   the encoder writes is read in one pass before either.
 //! * [`event`] — the [`event::TraceEvent`] taxonomy, the
 //!   [`event::TraceSink`] trait, the built-in sinks
 //!   ([`event::NoopSink`], [`event::RingBufferSink`],

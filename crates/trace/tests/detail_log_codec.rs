@@ -251,6 +251,88 @@ fn pull_and_tree_agree_on_every_mutation_of_every_variant() {
     );
 }
 
+/// Lines at the edges of what a line decoder can read in one pass:
+/// integers of 19 and 20 digits, each side of a field's range, leading
+/// zeros, `-0`, and a form feed after the line, which is not JSON
+/// whitespace. Each comes with whether the tree accepts it.
+fn edge_lines() -> Vec<(&'static str, bool)> {
+    vec![
+        (
+            r#"{"ts_ns":9999999999999999999,"event":{"QuerySent":{"query_id":1000000000000000000}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":18446744073709551615,"event":{"QuerySent":{"query_id":10000000000000000000}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"QuerySent":{"query_id":18446744073709551616}}}"#,
+            false,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"DvfsStateChange":{"unit":0,"multiplier_milli":4294967295}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"DvfsStateChange":{"unit":0,"multiplier_milli":4294967296}}}"#,
+            false,
+        ),
+        (
+            r#"{"ts_ns":007,"event":{"QueryCompleted":{"query_id":00,"latency_ns":0009}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":-0,"event":{"QuerySent":{"query_id":-0}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"ClockSync":{"host":"h","offset_ns":-0,"rtt_ns":-0}}}"#,
+            true,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"ClockSync":{"host":"h","offset_ns":-9223372036854775809,"rtt_ns":1}}}"#,
+            false,
+        ),
+        (
+            r#"{"ts_ns":1,"event":{"ClockSync":{"host":"h","offset_ns":9223372036854775807,"rtt_ns":1}}}"#,
+            true,
+        ),
+        (
+            "{\"ts_ns\":1,\"event\":{\"QuerySent\":{\"query_id\":1}}}\u{c}",
+            false,
+        ),
+        (
+            "{\"ts_ns\":1,\"event\":{\"QuerySent\":{\"query_id\":1}}} \t\r\n",
+            true,
+        ),
+    ]
+}
+
+#[test]
+fn pull_and_tree_agree_on_every_mutation_of_every_edge_line() {
+    let mut rng = Rng64::new(0x0ED6_E11E);
+    for (line, accepted) in edge_lines() {
+        assert_eq!(assert_same(line), accepted, "{line}");
+        let value = JsonValue::parse(line).ok();
+        for i in 0..2_000 {
+            // The edge itself survives only in the line as written; a
+            // structural change re-renders it.
+            let mut mutated = match &value {
+                Some(value) if i % 3 != 1 => {
+                    let mut value = value.clone();
+                    mutate_structure(&mut rng, &mut value);
+                    value.to_compact()
+                }
+                _ => line.to_string(),
+            };
+            if i % 3 != 0 {
+                mutated = mutate_bytes(&mut rng, &mutated);
+            }
+            assert_same(&mutated);
+        }
+    }
+}
+
 #[test]
 fn acceptance_is_what_the_tree_path_accepts() {
     let canonical = TraceRecord {

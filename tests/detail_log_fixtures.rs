@@ -5,9 +5,14 @@
 //! re-analyzes. The streaming encoder must render every one of their
 //! record lines byte for byte, and the one-pass reader must hand back
 //! what the tree decoder reads off the same lines: the on-disk format is
-//! pinned by artifacts, not only by this codec's own round trip.
+//! pinned by artifacts, not only by this codec's own round trip. A log
+//! the sink writes reaches the one-pass reader of the lines it writes and
+//! the general walk of those it cannot take, and both agree with the tree.
 
-use mlperf_trace::{read_detail_log, render_detail_log, FromJson, JsonValue, ToJson, TraceRecord};
+use mlperf_trace::{
+    read_detail_log, render_detail_log, FromJson, JsonValue, JsonlSink, ToJson, TraceEvent,
+    TraceRecord, TraceSink,
+};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -67,4 +72,89 @@ fn committed_fixtures_re_render_byte_identically_and_read_back_the_same() {
         assert_eq!(log.issues, reasons, "{name}");
     }
     assert_eq!(record_lines, 386, "89 flight-dump events + 297 merged");
+}
+
+#[test]
+fn a_sink_written_log_reads_back_the_same_three_ways() {
+    let path = std::env::temp_dir().join(format!("detail-log-{}.jsonl", std::process::id()));
+    let s = String::from;
+    // The three lines of a query, a phase, and the integer boundaries:
+    // 19 digits is the most the one-pass reader takes, 20 go the general
+    // way, as do a float and an escape.
+    let events = [
+        TraceEvent::RunPhase {
+            phase: s("issue"),
+            scenario: s("server"),
+        },
+        TraceEvent::QueryIssued {
+            query_id: 0,
+            sample_count: 1,
+            delay_ns: 0,
+        },
+        TraceEvent::QuerySent { query_id: 0 },
+        TraceEvent::QueryCompleted {
+            query_id: 0,
+            latency_ns: 50_000,
+        },
+        TraceEvent::QueryIssued {
+            query_id: u64::MAX,
+            sample_count: usize::MAX,
+            delay_ns: 9_999_999_999_999_999_999,
+        },
+        TraceEvent::QuerySent {
+            query_id: 10_000_000_000_000_000_000,
+        },
+        TraceEvent::QueryCompleted {
+            query_id: 1,
+            latency_ns: u64::MAX,
+        },
+        TraceEvent::DvfsStateChange {
+            unit: 0,
+            multiplier_milli: u32::MAX,
+        },
+        TraceEvent::ClockSync {
+            host: s("server"),
+            offset_ns: i64::MIN,
+            rtt_ns: 0,
+        },
+        TraceEvent::ClockSync {
+            host: s("ser\"ver"),
+            offset_ns: i64::MAX,
+            rtt_ns: 1,
+        },
+        TraceEvent::PeakSearchStep {
+            target: 2.5,
+            valid: true,
+        },
+        TraceEvent::RunPhase {
+            phase: s("report"),
+            scenario: s("server"),
+        },
+    ];
+    let sink = JsonlSink::create(&path).expect("log is created");
+    for (i, event) in events.iter().enumerate() {
+        let ts_ns = [u64::MAX, 9_999_999_999_999_999_999, 0][i % 3];
+        sink.record(ts_ns, event);
+    }
+    sink.flush();
+    drop(sink);
+
+    let text = std::fs::read_to_string(&path).expect("log reads");
+    let log = read_detail_log(&path).expect("log parses");
+    std::fs::remove_file(&path).expect("log is removed");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), events.len());
+    assert_eq!(log.records.len(), events.len());
+    assert_eq!(log.torn, None);
+    for ((line, read), event) in lines.iter().zip(&log.records).zip(&events) {
+        let tree = TraceRecord::from_json_value(&JsonValue::parse(line).expect("line parses"))
+            .expect("line is a record");
+        assert_eq!(&tree.event, event, "{line}");
+        assert_eq!(read, &tree, "reader: {line}");
+        assert_eq!(
+            TraceRecord::from_json_str(line).as_ref(),
+            Ok(&tree),
+            "pull decoder: {line}"
+        );
+    }
 }
