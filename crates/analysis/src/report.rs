@@ -77,18 +77,13 @@ fn clock_info(records: &[TraceRecord]) -> Vec<ClockInfo> {
     // host is its best estimate.
     let mut best: BTreeMap<String, ClockInfo> = BTreeMap::new();
     for record in records {
-        if let TraceEvent::ClockSync {
-            host,
-            offset_ns,
-            rtt_ns,
-        } = &record.event
-        {
+        if let TraceEvent::ClockSync(sync) = &record.event {
             best.insert(
-                host.clone(),
+                sync.host.clone(),
                 ClockInfo {
-                    host: host.clone(),
-                    offset_ns: *offset_ns,
-                    rtt_ns: *rtt_ns,
+                    host: sync.host.clone(),
+                    offset_ns: sync.offset_ns,
+                    rtt_ns: sync.rtt_ns,
                 },
             );
         }
@@ -394,6 +389,7 @@ pub fn render_markdown(analysis: &Analysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlperf_trace::{ClockSync, ShardEvent, ValidityCheckFailed};
 
     fn rec(ts_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord { ts_ns, event }
@@ -420,11 +416,11 @@ mod tests {
         }
         records.push(rec(
             500,
-            TraceEvent::ClockSync {
+            TraceEvent::from(ClockSync {
                 host: "server".into(),
                 offset_ns: -1_200,
                 rtt_ns: 9_000,
-            },
+            }),
         ));
         records
     }
@@ -449,9 +445,9 @@ mod tests {
         let mut records = sample_records();
         records.push(rec(
             70_000,
-            TraceEvent::ValidityCheckFailed {
+            TraceEvent::from(ValidityCheckFailed {
                 issue: "run too short: 70us < 60s".into(),
-            },
+            }),
         ));
         let a = analyze_records("short.jsonl", &records, &[], None);
         assert_eq!(a.root_causes.len(), 1);
@@ -465,21 +461,21 @@ mod tests {
         let mut records = sample_records();
         records.push(rec(
             5_000,
-            TraceEvent::ShardEvent {
+            TraceEvent::from(ShardEvent {
                 shard: "shard-1".into(),
                 kind: "route".into(),
                 query_id: 5,
                 detail: "weighted".into(),
-            },
+            }),
         ));
         records.push(rec(
             6_000,
-            TraceEvent::ShardEvent {
+            TraceEvent::from(ShardEvent {
                 shard: "shard-1".into(),
                 kind: "failover".into(),
                 query_id: 5,
                 detail: "vanished; rerouting".into(),
-            },
+            }),
         ));
         let a = analyze_records("fleet.jsonl", &records, &[], None);
         assert_eq!(a.shards.len(), 1);

@@ -146,7 +146,7 @@ pub fn issue_texts(records: &[TraceRecord]) -> Vec<String> {
     records
         .iter()
         .filter_map(|r| match &r.event {
-            TraceEvent::ValidityCheckFailed { issue } => Some(issue.clone()),
+            TraceEvent::ValidityCheckFailed(failed) => Some(failed.issue.clone()),
             _ => None,
         })
         .collect()
@@ -158,16 +158,16 @@ fn collect_evidence(records: &[TraceRecord]) -> Vec<String> {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for record in records {
         let key = match &record.event {
-            TraceEvent::WireFault {
-                endpoint, fault, ..
-            } => Some(format!("wire_fault {fault} ({endpoint})")),
-            TraceEvent::WireEvent { kind, .. }
+            TraceEvent::WireFault(fault) => {
+                Some(format!("wire_fault {} ({})", fault.fault, fault.endpoint))
+            }
+            TraceEvent::WireEvent(event)
                 if matches!(
-                    kind.as_str(),
+                    event.kind.as_str(),
                     "heartbeat_loss" | "disconnect" | "response_timeout" | "reject"
                 ) =>
             {
-                Some(format!("wire_event {kind}"))
+                Some(format!("wire_event {}", event.kind))
             }
             TraceEvent::OverloadDropped { .. } => Some("overload_dropped".to_string()),
             _ => None,
@@ -308,6 +308,7 @@ pub fn root_causes(records: &[TraceRecord], texts: &[String]) -> Vec<RootCause> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlperf_trace::{WireEvent, WireFault};
 
     fn rec(ts_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord { ts_ns, event }
@@ -364,12 +365,12 @@ mod tests {
             ));
             records.push(rec(
                 ts,
-                TraceEvent::WireFault {
+                TraceEvent::from(WireFault {
                     endpoint: "client".into(),
                     fault: "corrupt".into(),
                     frame: id,
                     detail: "recv: flipped byte 17".into(),
-                },
+                }),
             ));
         }
         let texts = vec!["errored-query fraction 0.6667 exceeds 0.0200".to_string()];
@@ -406,12 +407,12 @@ mod tests {
             ),
             rec(
                 2_000,
-                TraceEvent::WireEvent {
+                TraceEvent::from(WireEvent {
                     endpoint: "client".into(),
                     kind: "disconnect".into(),
                     query_id: 0,
                     detail: "peer gone".into(),
-                },
+                }),
             ),
         ];
         let texts = vec!["1 queries never completed".to_string()];

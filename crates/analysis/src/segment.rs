@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use mlperf_trace::{TraceEvent, TraceRecord};
+use mlperf_trace::{SpanEvent, TraceEvent, TraceRecord};
 
 /// One of the four critical-path segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -174,13 +174,14 @@ pub fn query_paths(records: &[TraceRecord]) -> Vec<QueryPath> {
                 p.completed_ns = Some(record.ts_ns);
                 p.error = true;
             }
-            TraceEvent::SpanEvent {
-                host,
-                trace_id,
-                query_id,
-                phase,
-                dur_ns,
-            } => {
+            TraceEvent::SpanEvent(span) => {
+                let SpanEvent {
+                    host,
+                    trace_id,
+                    query_id,
+                    phase,
+                    dur_ns,
+                } = &**span;
                 let p = partials.entry(*query_id).or_default();
                 if *trace_id != 0 {
                     p.trace_id = *trace_id;
@@ -254,13 +255,13 @@ mod tests {
     fn span(ts_ns: u64, host: &str, query_id: u64, phase: &str, dur_ns: u64) -> TraceRecord {
         rec(
             ts_ns,
-            TraceEvent::SpanEvent {
+            TraceEvent::from(SpanEvent {
                 host: host.into(),
                 trace_id: 0x77,
                 query_id,
                 phase: phase.into(),
                 dur_ns,
-            },
+            }),
         )
     }
 

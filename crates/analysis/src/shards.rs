@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use mlperf_trace::json::{JsonValue, ToJson};
-use mlperf_trace::{TraceEvent, TraceRecord};
+use mlperf_trace::{ShardEvent, SpanEvent, TraceEvent, TraceRecord};
 
 /// Everything the log says about one shard.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -75,9 +75,10 @@ impl ToJson for ShardReport {
 pub(crate) fn shard_reports(records: &[TraceRecord]) -> Vec<ShardReport> {
     let mut by_shard: BTreeMap<String, ShardReport> = BTreeMap::new();
     for record in records {
-        let TraceEvent::ShardEvent { shard, kind, .. } = &record.event else {
+        let TraceEvent::ShardEvent(event) = &record.event else {
             continue;
         };
+        let ShardEvent { shard, kind, .. } = &**event;
         let entry = by_shard
             .entry(shard.clone())
             .or_insert_with(|| ShardReport {
@@ -110,15 +111,15 @@ pub(crate) fn shard_reports(records: &[TraceRecord]) -> Vec<ShardReport> {
         return Vec::new();
     }
     for record in records {
-        let TraceEvent::SpanEvent {
+        let TraceEvent::SpanEvent(span) = &record.event else {
+            continue;
+        };
+        let SpanEvent {
             host,
             phase,
             dur_ns,
             ..
-        } = &record.event
-        else {
-            continue;
-        };
+        } = &**span;
         let Some(entry) = by_shard.get_mut(host) else {
             continue;
         };
@@ -143,25 +144,25 @@ mod tests {
     fn shard_ev(ts_ns: u64, shard: &str, kind: &str, query_id: u64) -> TraceRecord {
         rec(
             ts_ns,
-            TraceEvent::ShardEvent {
+            TraceEvent::from(ShardEvent {
                 shard: shard.into(),
                 kind: kind.into(),
                 query_id,
                 detail: String::new(),
-            },
+            }),
         )
     }
 
     fn span_ev(ts_ns: u64, host: &str, phase: &str, dur_ns: u64) -> TraceRecord {
         rec(
             ts_ns,
-            TraceEvent::SpanEvent {
+            TraceEvent::from(SpanEvent {
                 host: host.into(),
                 trace_id: 0x1,
                 query_id: 1,
                 phase: phase.into(),
                 dur_ns,
-            },
+            }),
         )
     }
 

@@ -19,7 +19,7 @@
 //!   (bounded) alignment error.
 
 use mlperf_analysis::query_paths;
-use mlperf_trace::{TraceEvent, TraceRecord};
+use mlperf_trace::{SpanEvent, TraceEvent, TraceRecord};
 use mlperf_wire::{ClockEstimator, ClockSample};
 
 /// True one-way delays and service times of the synthetic run (ns).
@@ -36,13 +36,13 @@ fn rec(ts_ns: u64, event: TraceEvent) -> TraceRecord {
 fn span(ts_ns: u64, host: &str, phase: &str, query_id: u64, dur_ns: u64) -> TraceRecord {
     rec(
         ts_ns,
-        TraceEvent::SpanEvent {
+        TraceEvent::from(SpanEvent {
             host: host.into(),
             trace_id: 0x1000 + query_id,
             query_id,
             phase: phase.into(),
             dur_ns,
-        },
+        }),
     )
 }
 
@@ -102,20 +102,13 @@ fn envelopes(records: &[TraceRecord]) -> Vec<(u64, u64, u64, u64, u64)> {
         let mut queue_start = None;
         let mut compute_span = None;
         for record in records {
-            if let TraceEvent::SpanEvent {
-                host,
-                query_id,
-                phase,
-                dur_ns,
-                ..
-            } = &record.event
-            {
-                if *query_id != path.query_id || host == "client" {
+            if let TraceEvent::SpanEvent(span) = &record.event {
+                if span.query_id != path.query_id || span.host == "client" {
                     continue;
                 }
-                match phase.as_str() {
+                match span.phase.as_str() {
                     "queue" => queue_start = Some(record.ts_ns),
-                    "compute" => compute_span = Some((record.ts_ns, record.ts_ns + dur_ns)),
+                    "compute" => compute_span = Some((record.ts_ns, record.ts_ns + span.dur_ns)),
                     _ => {}
                 }
             }

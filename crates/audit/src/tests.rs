@@ -686,8 +686,8 @@ mod unit {
         let records = sink.snapshot();
         let shard_kind = |kind: &str| {
             records.iter().any(|r| {
-                matches!(&r.event, TraceEvent::ShardEvent { kind: k, shard, .. }
-                    if k == kind && shard == "shard-0")
+                matches!(&r.event, TraceEvent::ShardEvent(event)
+                    if event.kind == kind && event.shard == "shard-0")
             })
         };
         assert!(

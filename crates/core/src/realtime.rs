@@ -725,7 +725,7 @@ mod tests {
         assert_eq!(completed, out.result.query_count);
         assert!(records
             .iter()
-            .any(|r| matches!(&r.event, TraceEvent::RunPhase { phase, .. } if phase == "report")));
+            .any(|r| matches!(&r.event, TraceEvent::RunPhase(run) if run.phase == "report")));
     }
 
     /// What a crash + resume must preserve exactly.

@@ -67,7 +67,10 @@ use crate::time::Nanos;
 use crate::validate::{check_run, overlatency_fraction, percentile_latency};
 use crate::LoadGenError;
 use mlperf_stats::Rng64;
-use mlperf_trace::{profile_span, Counter, Histogram, MetricsRegistry, TraceEvent, TraceSink};
+use mlperf_trace::{
+    profile_span, Counter, Histogram, MetricsRegistry, RunPhase, TraceEvent, TraceSink,
+    ValidityCheckFailed,
+};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
@@ -394,7 +397,10 @@ pub(crate) fn phase(sink: &dyn TraceSink, at: Nanos, phase: &str, settings: &Tes
     if sink.enabled() {
         let scenario = settings.scenario.to_string();
         let phase = phase.into();
-        sink.record(at.as_nanos(), &TraceEvent::RunPhase { phase, scenario });
+        sink.record(
+            at.as_nanos(),
+            &TraceEvent::from(RunPhase { phase, scenario }),
+        );
     }
 }
 
@@ -569,9 +575,9 @@ pub(crate) fn finish_run(
         for issue in &validity {
             sink.record(
                 duration.as_nanos(),
-                &TraceEvent::ValidityCheckFailed {
+                &TraceEvent::from(ValidityCheckFailed {
                     issue: issue.to_string(),
-                },
+                }),
             );
         }
     }

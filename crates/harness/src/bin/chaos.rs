@@ -592,8 +592,8 @@ fn run_fleet(row: &Row, seed: u64) -> Result<Cell, String> {
     let records = sink.snapshot();
     let seen = |kind: &str| {
         records.iter().any(|r| {
-            matches!(&r.event, TraceEvent::ShardEvent { shard, kind: k, .. }
-                if *shard == victim_label && k == kind)
+            matches!(&r.event, TraceEvent::ShardEvent(event)
+                if event.shard == victim_label && event.kind == kind)
         })
     };
     let (down, rejoined) = (seen("down"), seen("rejoin"));

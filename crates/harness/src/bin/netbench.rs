@@ -193,20 +193,14 @@ fn summarize(
     // complete (client) sharing one trace id.
     let mut by_phase: std::collections::HashMap<u64, [bool; 3]> = std::collections::HashMap::new();
     for record in &records {
-        if let TraceEvent::SpanEvent {
-            host,
-            trace_id,
-            phase,
-            ..
-        } = &record.event
-        {
-            let slot = match (host.as_str(), phase.as_str()) {
+        if let TraceEvent::SpanEvent(span) = &record.event {
+            let slot = match (span.host.as_str(), span.phase.as_str()) {
                 ("client", "issue") => 0,
                 (h, "compute") if h != "client" => 1,
                 ("client", "complete") => 2,
                 _ => continue,
             };
-            by_phase.entry(*trace_id).or_default()[slot] = true;
+            by_phase.entry(span.trace_id).or_default()[slot] = true;
         }
     }
     let end_to_end_traces = by_phase.values().filter(|p| p.iter().all(|&b| b)).count();

@@ -598,8 +598,8 @@ fn roundtrip_wire(seed: u64) -> Result<Vec<String>, String> {
 fn fleet_shards_touched(records: &[TraceRecord]) -> usize {
     let mut shards = std::collections::HashSet::new();
     for record in records {
-        if let mlperf_trace::TraceEvent::ShardEvent { shard, .. } = &record.event {
-            shards.insert(shard.clone());
+        if let mlperf_trace::TraceEvent::ShardEvent(event) = &record.event {
+            shards.insert(event.shard.clone());
         }
     }
     shards.len()

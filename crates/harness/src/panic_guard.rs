@@ -97,7 +97,7 @@ fn on_panic(info: &PanicHookInfo<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlperf_trace::TraceSink;
+    use mlperf_trace::{RunPhase, TraceSink};
 
     /// The hook machinery is process-global, so one test exercises the
     /// whole lifecycle: install, record, guard a journal, fire.
@@ -111,10 +111,10 @@ mod tests {
         let recorder = install("panic-guard-test");
         recorder.record(
             7,
-            &mlperf_trace::TraceEvent::RunPhase {
+            &mlperf_trace::TraceEvent::from(RunPhase {
                 phase: "issue".into(),
                 scenario: "server".into(),
-            },
+            }),
         );
         guard_journal(&journal);
         // Point the dump into the temp dir (the default lands in cwd).

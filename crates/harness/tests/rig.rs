@@ -86,8 +86,8 @@ fn a_rig_of_one_has_no_router_and_drives_the_client_itself() {
     let mut server_spans = 0;
     for record in sink.snapshot() {
         match &record.event {
-            TraceEvent::SpanEvent { host, .. } if host != "client" => {
-                assert_eq!(host, "server");
+            TraceEvent::SpanEvent(span) if span.host != "client" => {
+                assert_eq!(span.host, "server");
                 server_spans += 1;
             }
             TraceEvent::ShardEvent { .. } => panic!("a rig of one routed: {record:?}"),
@@ -149,7 +149,8 @@ fn a_rig_of_three_routes_by_weight_and_labels_every_shard_row() {
 
         let mut shard_rows = 0;
         for record in &records {
-            if let TraceEvent::ShardEvent { shard, .. } = &record.event {
+            if let TraceEvent::ShardEvent(event) = &record.event {
+                let shard = &event.shard;
                 assert!(labels.contains(shard), "row for unknown shard {shard}");
                 shard_rows += 1;
             }
@@ -273,7 +274,7 @@ fn a_shard_whose_device_panics_once_costs_one_failover_and_nothing_else() {
         .snapshot()
         .into_iter()
         .filter(
-            |r| matches!(&r.event, TraceEvent::WireEvent { kind, .. } if kind == "service_panic"),
+            |r| matches!(&r.event, TraceEvent::WireEvent(event) if event.kind == "service_panic"),
         )
         .count();
     assert_eq!(panics, 1);

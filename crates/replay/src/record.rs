@@ -153,10 +153,8 @@ pub fn record_trace(
     let mut resolutions: Vec<(u64, u64, bool)> = Vec::with_capacity(resolved);
     for r in records {
         match &r.event {
-            TraceEvent::RunPhase { phase, scenario: s }
-                if phase == "issue" && scenario.is_none() =>
-            {
-                scenario = s.parse::<Scenario>().ok();
+            TraceEvent::RunPhase(run_phase) if run_phase.phase == "issue" && scenario.is_none() => {
+                scenario = run_phase.scenario.parse::<Scenario>().ok();
             }
             TraceEvent::QueryIssued {
                 query_id,
@@ -281,6 +279,7 @@ pub fn record_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlperf_trace::RunPhase;
 
     fn issue(ts_ns: u64, query_id: u64, delay_ns: u64) -> TraceRecord {
         TraceRecord {
@@ -306,10 +305,10 @@ mod tests {
     fn phase(scenario: &str) -> TraceRecord {
         TraceRecord {
             ts_ns: 0,
-            event: TraceEvent::RunPhase {
+            event: TraceEvent::from(RunPhase {
                 phase: "issue".into(),
                 scenario: scenario.into(),
-            },
+            }),
         }
     }
 

@@ -36,7 +36,7 @@
 use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::sut::{IssueOutcome, RealtimeSut};
 use mlperf_trace::sync::lock;
-use mlperf_trace::{MetricsRegistry, TraceEvent, TraceSink};
+use mlperf_trace::{MetricsRegistry, ShardEvent, TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -264,12 +264,12 @@ impl ShardedSut {
             if sink.enabled() {
                 sink.record(
                     self.now_ns(),
-                    &TraceEvent::ShardEvent {
+                    &TraceEvent::from(ShardEvent {
                         shard: shard.to_string(),
                         kind: kind.to_string(),
                         query_id,
                         detail: detail.to_string(),
-                    },
+                    }),
                 );
             }
         }
@@ -671,8 +671,8 @@ mod tests {
             .snapshot()
             .iter()
             .filter_map(|r| match &r.event {
-                TraceEvent::ShardEvent { shard, kind, .. } if shard == "shard-0" => {
-                    Some(kind.clone())
+                TraceEvent::ShardEvent(event) if event.shard == "shard-0" => {
+                    Some(event.kind.clone())
                 }
                 _ => None,
             })
@@ -732,8 +732,8 @@ mod tests {
             .snapshot()
             .iter()
             .filter_map(|r| match &r.event {
-                TraceEvent::ShardEvent { shard, kind, .. } if shard == "shard-0" => {
-                    Some(kind.clone())
+                TraceEvent::ShardEvent(event) if event.shard == "shard-0" => {
+                    Some(event.kind.clone())
                 }
                 _ => None,
             })
@@ -845,12 +845,9 @@ mod tests {
             .snapshot()
             .iter()
             .filter_map(|r| match &r.event {
-                TraceEvent::ShardEvent {
-                    shard,
-                    kind,
-                    query_id: 7,
-                    ..
-                } => Some((shard.clone(), kind.clone())),
+                TraceEvent::ShardEvent(event) if event.query_id == 7 => {
+                    Some((event.shard.clone(), event.kind.clone()))
+                }
                 _ => None,
             })
             .collect();

@@ -15,7 +15,7 @@
 //! server span reads as "server / lane 0", not a bare pid/tid pair.
 //! Everything else becomes instant (`ph:"i"`) events.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{ClockSync, RunPhase, ShardEvent, SpanEvent, TraceEvent, TraceRecord};
 use crate::json::{JsonValue, ToJson};
 
 /// pid used for query-lifecycle spans.
@@ -262,16 +262,17 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     ]),
                 ));
             }
-            TraceEvent::ValidityCheckFailed { issue } => {
+            TraceEvent::ValidityCheckFailed(failed) => {
                 entries.push(instant(
-                    format!("INVALID: {issue}"),
+                    format!("INVALID: {}", failed.issue),
                     record.ts_ns,
                     QUERY_PID,
                     0,
-                    JsonValue::object(vec![("issue", JsonValue::Str(issue.clone()))]),
+                    JsonValue::object(vec![("issue", JsonValue::Str(failed.issue.clone()))]),
                 ));
             }
-            TraceEvent::RunPhase { phase, scenario } => {
+            TraceEvent::RunPhase(run_phase) => {
+                let RunPhase { phase, scenario } = &**run_phase;
                 entries.push(instant(
                     format!("phase: {phase}"),
                     record.ts_ns,
@@ -307,10 +308,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut hosts: Vec<&str> = records
         .iter()
         .filter_map(|r| match &r.event {
-            TraceEvent::SpanEvent { host, .. } | TraceEvent::ClockSync { host, .. } => {
-                Some(host.as_str())
-            }
-            TraceEvent::ShardEvent { shard, .. } => Some(shard.as_str()),
+            TraceEvent::SpanEvent(span) => Some(span.host.as_str()),
+            TraceEvent::ClockSync(sync) => Some(sync.host.as_str()),
+            TraceEvent::ShardEvent(shard) => Some(shard.shard.as_str()),
             _ => None,
         })
         .collect();
@@ -326,13 +326,14 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut wire_spans: Vec<(usize, u64, u64, String, JsonValue)> = Vec::new();
     for record in records {
         match &record.event {
-            TraceEvent::SpanEvent {
-                host,
-                trace_id,
-                query_id,
-                phase,
-                dur_ns,
-            } => {
+            TraceEvent::SpanEvent(span) => {
+                let SpanEvent {
+                    host,
+                    trace_id,
+                    query_id,
+                    phase,
+                    dur_ns,
+                } = &**span;
                 wire_spans.push((
                     host_idx(host),
                     record.ts_ns,
@@ -345,11 +346,12 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     ]),
                 ));
             }
-            TraceEvent::ClockSync {
-                host,
-                offset_ns,
-                rtt_ns,
-            } => {
+            TraceEvent::ClockSync(sync) => {
+                let ClockSync {
+                    host,
+                    offset_ns,
+                    rtt_ns,
+                } = &**sync;
                 entries.push(instant(
                     format!("clock sync: offset {offset_ns} ns (rtt {rtt_ns} ns)"),
                     record.ts_ns,
@@ -361,12 +363,13 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     ]),
                 ));
             }
-            TraceEvent::ShardEvent {
-                shard,
-                kind,
-                query_id,
-                detail,
-            } => {
+            TraceEvent::ShardEvent(shard_event) => {
+                let ShardEvent {
+                    shard,
+                    kind,
+                    query_id,
+                    detail,
+                } = &**shard_event;
                 entries.push(instant(
                     format!("shard {kind} q{query_id}"),
                     record.ts_ns,
@@ -451,6 +454,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ValidityCheckFailed;
 
     fn rec(ts_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord { ts_ns, event }
@@ -583,9 +587,9 @@ mod tests {
             ),
             rec(
                 30,
-                TraceEvent::ValidityCheckFailed {
+                TraceEvent::from(ValidityCheckFailed {
                     issue: "too few queries".into(),
-                },
+                }),
             ),
         ];
         let doc = JsonValue::parse(&chrome_trace_json(&records)).unwrap();
@@ -631,13 +635,13 @@ mod tests {
         let span_ev = |ts, host: &str, phase: &str, dur| {
             rec(
                 ts,
-                TraceEvent::SpanEvent {
+                TraceEvent::from(SpanEvent {
                     host: host.into(),
                     trace_id: 0xABCD,
                     query_id: 1,
                     phase: phase.into(),
                     dur_ns: dur,
-                },
+                }),
             )
         };
         let records = vec![
@@ -647,11 +651,11 @@ mod tests {
             span_ev(1_000, "client", "complete", 0),
             rec(
                 500,
-                TraceEvent::ClockSync {
+                TraceEvent::from(ClockSync {
                     host: "server".into(),
                     offset_ns: -40,
                     rtt_ns: 200,
-                },
+                }),
             ),
         ];
         let doc = JsonValue::parse(&chrome_trace_json(&records)).unwrap();
@@ -740,13 +744,13 @@ mod tests {
         let span_ev = |ts, host: &str| {
             rec(
                 ts,
-                TraceEvent::SpanEvent {
+                TraceEvent::from(SpanEvent {
                     host: host.into(),
                     trace_id: 0xABCD,
                     query_id: 1,
                     phase: "compute".into(),
                     dur_ns: 10,
-                },
+                }),
             )
         };
         let records = vec![
@@ -756,12 +760,12 @@ mod tests {
             span_ev(40, "shard-1"),
             rec(
                 50,
-                TraceEvent::ShardEvent {
+                TraceEvent::from(ShardEvent {
                     shard: "shard-10".into(),
                     kind: "failover".into(),
                     query_id: 1,
                     detail: "vanished; rerouting".into(),
-                },
+                }),
             ),
         ];
         let doc = JsonValue::parse(&chrome_trace_json(&records)).unwrap();

@@ -15,14 +15,18 @@ use crate::json::{
 use crate::sync::lock;
 
 /// Declares [`TraceEvent`] once, and generates from that one declaration
-/// everything that spells a variant out: the enum, `kind()`, the field
-/// table `fields()` both encoders read, and `SHAPES`, which every decoder
-/// reads.
+/// everything that spells a variant out: the enum, the payload structs of
+/// the boxed variants, `kind()`, the field table `fields()` both encoders
+/// read, and `SHAPES`, which every decoder reads.
 ///
 /// An entry is a variant's docs, its name, its `kind()` label and its
-/// fields in the order a detail-log line writes them. Entry order is
-/// `SHAPES` order. Each variant gets a compile-time check that a decoder
-/// can pick all of its fields out of one object.
+/// fields in the order a detail-log line writes them. The entries in the
+/// enum are struct variants, held inline. Each entry in the `boxed` group
+/// becomes a payload struct of the variant's name, with the same fields
+/// and docs, the variant `Name(Box<Name>)`, and `From<Name>` for
+/// `TraceEvent`. Entry order is `SHAPES` order, the enum's entries first.
+/// Each variant gets a compile-time check that a decoder can pick all of
+/// its fields out of one object.
 macro_rules! trace_events {
     (
         $(#[$meta:meta])*
@@ -31,6 +35,16 @@ macro_rules! trace_events {
                 $(#[$variant_meta:meta])*
                 $variant:ident($label:literal) {
                     $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )+
+                },
+            )+
+        }
+
+        $(#[$boxed_group_meta:meta])*
+        boxed {
+            $(
+                $(#[$boxed_meta:meta])*
+                $boxed:ident($boxed_label:literal) {
+                    $( $(#[$boxed_field_meta:meta])* $boxed_field:ident: $boxed_ty:ty, )+
                 },
             )+
         }
@@ -46,13 +60,32 @@ macro_rules! trace_events {
                 $(#[$variant_meta])*
                 $variant { $( $(#[$field_meta])* $field: $ty, )+ },
             )+
+            $(
+                $(#[$boxed_meta])*
+                $boxed(Box<$boxed>),
+            )+
         }
+
+        $(
+            $(#[$boxed_meta])*
+            #[derive(Debug, Clone, PartialEq)]
+            $vis struct $boxed {
+                $( $(#[$boxed_field_meta])* pub $boxed_field: $boxed_ty, )+
+            }
+
+            impl From<$boxed> for TraceEvent {
+                fn from(event: $boxed) -> Self {
+                    TraceEvent::$boxed(Box::new(event))
+                }
+            }
+        )+
 
         impl TraceEvent {
             $(#[$kind_meta])*
             $kind_vis fn kind(&self) -> &'static str {
                 match self {
                     $( TraceEvent::$variant { .. } => $label, )+
+                    $( TraceEvent::$boxed(_) => $boxed_label, )+
                 }
             }
 
@@ -71,43 +104,55 @@ macro_rules! trace_events {
                             &[$( (stringify!($field), Field::scalar($field)) ),+],
                         ),
                     )+
+                    $(
+                        TraceEvent::$boxed(event) => {
+                            let $boxed { $($boxed_field),+ } = &**event;
+                            visit(
+                                stringify!($boxed),
+                                &[$( (stringify!($boxed_field), Field::scalar($boxed_field)) ),+],
+                            )
+                        }
+                    )+
                 }
             }
         }
 
-        $(
-            const _: () = assert!(
-                [$(stringify!($field)),+].len() <= MAX_PICKED,
-                concat!(stringify!($variant), " has more fields than a decoder picks"),
-            );
-        )+
-
         /// Every variant's [`Shape`], in declaration order.
         const SHAPES: &[Shape] = &[
-            $(
-                Shape {
-                    name: stringify!($variant),
-                    keys: &[$(stringify!($field)),+],
-                    build: |p| {
-                        let mut at = 0;
-                        Ok(TraceEvent::$variant { $( $field: next_field(p, &mut at)?, )+ })
-                    },
-                    canonical: |c| {
-                        let mut first = true;
-                        Some(TraceEvent::$variant {
-                            $(
-                                $field: canonical_member(
-                                    c,
-                                    &mut first,
-                                    concat!("\"", stringify!($field), "\":"),
-                                )?,
-                            )+
-                        })
-                    },
-                },
-            )+
+            $( trace_events!(@shape $variant, [TraceEvent::$variant], $($field),+), )+
+            $( trace_events!(@shape $boxed, [$boxed], $($boxed_field),+), )+
         ];
     };
+
+    // The `Shape` of one variant, whose fields `$($make)+ { .. }` builds: the
+    // variant itself, or its boxed payload, which `TraceEvent::from` boxes
+    // (for a variant it is the identity).
+    (@shape $name:ident, [$($make:tt)+], $($field:ident),+) => {{
+        const _: () = assert!(
+            [$(stringify!($field)),+].len() <= MAX_PICKED,
+            concat!(stringify!($name), " has more fields than a decoder picks"),
+        );
+        Shape {
+            name: stringify!($name),
+            keys: &[$(stringify!($field)),+],
+            build: |p| {
+                let mut at = 0;
+                Ok(TraceEvent::from($($make)+ { $( $field: next_field(p, &mut at)?, )+ }))
+            },
+            canonical: |c| {
+                let mut first = true;
+                Some(TraceEvent::from($($make)+ {
+                    $(
+                        $field: canonical_member(
+                            c,
+                            &mut first,
+                            concat!("\"", stringify!($field), "\":"),
+                        )?,
+                    )+
+                }))
+            },
+        }
+    }};
 }
 
 trace_events! {
@@ -141,13 +186,6 @@ trace_events! {
             /// Issue-to-completion latency in nanoseconds.
             latency_ns: u64,
         },
-        /// A run phase boundary (e.g. "issue", "drain", "report").
-        RunPhase("run_phase") {
-            /// Phase label.
-            phase: String,
-            /// Scenario code (e.g. "server").
-            scenario: String,
-        },
         /// A device engine formed a batch and dispatched it.
         BatchFormed("batch_formed") {
             /// Device unit (lane) index the batch ran on.
@@ -178,11 +216,6 @@ trace_events! {
             /// Number of samples logged for the query.
             samples: usize,
         },
-        /// A validity rule failed during result finalization.
-        ValidityCheckFailed("validity_check_failed") {
-            /// Human-readable description of the failed rule.
-            issue: String,
-        },
         /// One step of a FindPeakPerformance search.
         PeakSearchStep("peak_search_step") {
             /// The load target tried (QPS or stream count).
@@ -196,6 +229,26 @@ trace_events! {
             query_id: u64,
             /// Schedule-to-failure latency in nanoseconds.
             latency_ns: u64,
+        },
+    }
+
+    /// The variants that carry strings. Inline, their two to three
+    /// `String`s would set the size of every event — 88 bytes where a
+    /// query's three events need at most 24 — and every ring block, flight
+    /// recorder slot and read-back log would be sized by them; boxed, an
+    /// event is 32 bytes and only these pay an allocation.
+    boxed {
+        /// A run phase boundary (e.g. "issue", "drain", "report").
+        RunPhase("run_phase") {
+            /// Phase label.
+            phase: String,
+            /// Scenario code (e.g. "server").
+            scenario: String,
+        },
+        /// A validity rule failed during result finalization.
+        ValidityCheckFailed("validity_check_failed") {
+            /// Human-readable description of the failed rule.
+            issue: String,
         },
         /// Something happened on the network SUT transport (wire extension).
         WireEvent("wire_event") {
@@ -393,6 +446,10 @@ pub struct TraceRecord {
     /// The event.
     pub event: TraceEvent,
 }
+
+// Every ring block, flight-recorder slot and read-back log is sized by
+// this: a field that grows it belongs in a `boxed` entry.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 40);
 
 /// Appends `{"ts_ns":N,"event":{"Variant":{...}}}`, the detail-log line
 /// of one record without its newline: the bytes
@@ -833,10 +890,10 @@ mod tests {
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::RunPhase {
+            TraceEvent::from(RunPhase {
                 phase: "issue".into(),
                 scenario: "server".into(),
-            },
+            }),
             TraceEvent::QueryIssued {
                 query_id: 7,
                 sample_count: 2,
@@ -859,9 +916,9 @@ mod tests {
                 query_id: 9,
                 intervals: 3,
             },
-            TraceEvent::ValidityCheckFailed {
+            TraceEvent::from(ValidityCheckFailed {
                 issue: "run too short".into(),
-            },
+            }),
             TraceEvent::PeakSearchStep {
                 target: 125.5,
                 valid: true,
@@ -870,36 +927,36 @@ mod tests {
                 query_id: 11,
                 latency_ns: 88_000,
             },
-            TraceEvent::WireEvent {
+            TraceEvent::from(WireEvent {
                 endpoint: "client".into(),
                 kind: "heartbeat_loss".into(),
                 query_id: 0,
                 detail: "no pong for 250ms".into(),
-            },
-            TraceEvent::WireFault {
+            }),
+            TraceEvent::from(WireFault {
                 endpoint: "client".into(),
                 fault: "corrupt".into(),
                 frame: 4,
                 detail: "recv: flipped byte 17".into(),
-            },
-            TraceEvent::SpanEvent {
+            }),
+            TraceEvent::from(SpanEvent {
                 host: "server".into(),
                 trace_id: 0xDEAD_BEEF_CAFE_F00D,
                 query_id: 7,
                 phase: "compute".into(),
                 dur_ns: 42_000,
-            },
-            TraceEvent::ClockSync {
+            }),
+            TraceEvent::from(ClockSync {
                 host: "server".into(),
                 offset_ns: -1_250,
                 rtt_ns: 18_000,
-            },
-            TraceEvent::ShardEvent {
+            }),
+            TraceEvent::from(ShardEvent {
                 shard: "shard-2".into(),
                 kind: "failover".into(),
                 query_id: 7,
                 detail: "shard-0 vanished".into(),
-            },
+            }),
         ]
     }
 
@@ -951,10 +1008,10 @@ mod tests {
             (
                 at(
                     0,
-                    TraceEvent::RunPhase {
+                    TraceEvent::from(RunPhase {
                         phase: s("is\"sue"),
                         scenario: s("ser\\ver"),
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":0,"event":{"RunPhase":{"phase":"is\"sue","scenario":"ser\\ver"}}}"#,
             ),
@@ -1027,9 +1084,9 @@ mod tests {
             (
                 at(
                     9,
-                    TraceEvent::ValidityCheckFailed {
+                    TraceEvent::from(ValidityCheckFailed {
                         issue: s("a\nb\r\tc\u{1}\u{1f}é😀/"),
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":9,"event":{"ValidityCheckFailed":{"issue":"a\nb\r\tc\u0001\u001fé😀/"}}}"#,
             ),
@@ -1076,60 +1133,60 @@ mod tests {
             (
                 at(
                     16,
-                    TraceEvent::WireEvent {
+                    TraceEvent::from(WireEvent {
                         endpoint: s("client"),
                         kind: s("heartbeat_loss"),
                         query_id: 0,
                         detail: s(""),
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":16,"event":{"WireEvent":{"endpoint":"client","kind":"heartbeat_loss","query_id":0,"detail":""}}}"#,
             ),
             (
                 at(
                     17,
-                    TraceEvent::WireFault {
+                    TraceEvent::from(WireFault {
                         endpoint: s("server"),
                         fault: s("corrupt"),
                         frame: 4,
                         detail: s("recv: flipped byte 17"),
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":17,"event":{"WireFault":{"endpoint":"server","fault":"corrupt","frame":4,"detail":"recv: flipped byte 17"}}}"#,
             ),
             (
                 at(
                     18,
-                    TraceEvent::SpanEvent {
+                    TraceEvent::from(SpanEvent {
                         host: s("server"),
                         trace_id: 0xDEAD_BEEF_CAFE_F00D,
                         query_id: 7,
                         phase: s("compute"),
                         dur_ns: 42_000,
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":18,"event":{"SpanEvent":{"host":"server","trace_id":16045690984503111693,"query_id":7,"phase":"compute","dur_ns":42000}}}"#,
             ),
             (
                 at(
                     19,
-                    TraceEvent::ClockSync {
+                    TraceEvent::from(ClockSync {
                         host: s("server"),
                         offset_ns: i64::MIN,
                         rtt_ns: 18_000,
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":19,"event":{"ClockSync":{"host":"server","offset_ns":-9223372036854775808,"rtt_ns":18000}}}"#,
             ),
             (
                 at(
                     20,
-                    TraceEvent::ShardEvent {
+                    TraceEvent::from(ShardEvent {
                         shard: s("shard-2"),
                         kind: s("failover"),
                         query_id: 7,
                         detail: s("shard-0 vanished"),
-                    },
+                    }),
                 ),
                 r#"{"ts_ns":20,"event":{"ShardEvent":{"shard":"shard-2","kind":"failover","query_id":7,"detail":"shard-0 vanished"}}}"#,
             ),

@@ -86,8 +86,9 @@ pub mod sync;
 
 pub use chrome::chrome_trace_json;
 pub use event::{
-    parse_detail_log, render_detail_log, FanoutSink, JsonlSink, NoopSink, RingBufferSink,
-    TraceEvent, TraceRecord, TraceSink,
+    parse_detail_log, render_detail_log, ClockSync, FanoutSink, JsonlSink, NoopSink,
+    RingBufferSink, RunPhase, ShardEvent, SpanEvent, TraceEvent, TraceRecord, TraceSink,
+    ValidityCheckFailed, WireEvent, WireFault,
 };
 pub use flight::{parse_flight_dump, FlightDump, FlightRecorder};
 pub use journal::{read_journal, JournalError, JournalScan, JournalWriter, TornTail};

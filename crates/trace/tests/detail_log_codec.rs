@@ -12,7 +12,8 @@
 
 use mlperf_stats::rng::Rng64;
 use mlperf_trace::{
-    FromJson, JsonError, JsonValue, JsonlSink, ToJson, TraceEvent, TraceRecord, TraceSink,
+    ClockSync, FromJson, JsonError, JsonValue, JsonlSink, RunPhase, ShardEvent, SpanEvent, ToJson,
+    TraceEvent, TraceRecord, TraceSink, ValidityCheckFailed, WireEvent, WireFault,
 };
 
 #[path = "support/counting_alloc.rs"]
@@ -47,10 +48,10 @@ fn assert_same(line: &str) -> bool {
 fn one_of_each() -> Vec<TraceRecord> {
     let s = String::from;
     let events = vec![
-        TraceEvent::RunPhase {
+        TraceEvent::from(RunPhase {
             phase: s("is\"sue"),
             scenario: s("ser\\ver"),
-        },
+        }),
         TraceEvent::QueryIssued {
             query_id: 135_167,
             sample_count: 1,
@@ -78,9 +79,9 @@ fn one_of_each() -> Vec<TraceRecord> {
             query_id: 9,
             samples: 4,
         },
-        TraceEvent::ValidityCheckFailed {
+        TraceEvent::from(ValidityCheckFailed {
             issue: s("a\nb\tc\u{1}é😀"),
-        },
+        }),
         TraceEvent::PeakSearchStep {
             target: 125.5,
             valid: true,
@@ -93,36 +94,36 @@ fn one_of_each() -> Vec<TraceRecord> {
             query_id: 11,
             latency_ns: 88_000,
         },
-        TraceEvent::WireEvent {
+        TraceEvent::from(WireEvent {
             endpoint: s("client"),
             kind: s("heartbeat_loss"),
             query_id: 0,
             detail: s("no pong for 250ms"),
-        },
-        TraceEvent::WireFault {
+        }),
+        TraceEvent::from(WireFault {
             endpoint: s("client"),
             fault: s("corrupt"),
             frame: 4,
             detail: s("recv: flipped byte 17"),
-        },
-        TraceEvent::SpanEvent {
+        }),
+        TraceEvent::from(SpanEvent {
             host: s("server"),
             trace_id: 0xDEAD_BEEF_CAFE_F00D,
             query_id: 7,
             phase: s("compute"),
             dur_ns: 42_000,
-        },
-        TraceEvent::ClockSync {
+        }),
+        TraceEvent::from(ClockSync {
             host: s("server"),
             offset_ns: i64::MIN,
             rtt_ns: 18_000,
-        },
-        TraceEvent::ShardEvent {
+        }),
+        TraceEvent::from(ShardEvent {
             shard: s("shard-2"),
             kind: s("failover"),
             query_id: 7,
             detail: s("shard-0 vanished"),
-        },
+        }),
     ];
     events
         .into_iter()

@@ -27,7 +27,7 @@ use mlperf_loadgen::config::TestSettings;
 use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::sut::{IssueOutcome, RealtimeSut};
 use mlperf_stats::rng::splitmix64;
-use mlperf_trace::event::{parse_detail_log, TraceEvent, TraceSink};
+use mlperf_trace::event::{parse_detail_log, ClockSync, SpanEvent, TraceEvent, TraceSink};
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::sync::{lock, wait, wait_timeout, wait_timeout_while};
 
@@ -214,12 +214,14 @@ impl ClientShared {
     /// Records one client-side instant span, stamped now, into the trace
     /// sink. With no sink it is a no-op that reads no clock.
     fn span_event(&self, trace_id: u64, query_id: u64, phase: &str) {
-        self.log.record(|| TraceEvent::SpanEvent {
-            host: "client".to_string(),
-            trace_id,
-            query_id,
-            phase: phase.to_string(),
-            dur_ns: 0,
+        self.log.record(|| {
+            TraceEvent::from(SpanEvent {
+                host: "client".to_string(),
+                trace_id,
+                query_id,
+                phase: phase.to_string(),
+                dur_ns: 0,
+            })
         });
     }
 
@@ -310,10 +312,12 @@ impl ClientShared {
                 self.incr("wire_clock_probes");
                 if self.estimator.observe(sample) {
                     self.observe("wire_clock_rtt_ns", sample.rtt_ns());
-                    self.log.record(|| TraceEvent::ClockSync {
-                        host: "server".to_string(),
-                        offset_ns: sample.offset_ns(),
-                        rtt_ns: sample.rtt_ns(),
+                    self.log.record(|| {
+                        TraceEvent::from(ClockSync {
+                            host: "server".to_string(),
+                            offset_ns: sample.offset_ns(),
+                            rtt_ns: sample.rtt_ns(),
+                        })
                     });
                 }
             }

@@ -68,7 +68,7 @@ pub use transport::WireChaosPlan;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mlperf_trace::event::{TraceEvent, TraceSink};
+use mlperf_trace::event::{TraceEvent, TraceSink, WireEvent};
 
 /// An endpoint's trace context: the sink its wire events go to, and the
 /// instant its span clock starts at. The client, the daemon and each chaos
@@ -103,11 +103,13 @@ impl WireLog {
 
     /// Records one `WireEvent` from this endpoint.
     pub(crate) fn wire_event(&self, kind: &str, query_id: u64, detail: &str) {
-        self.record(|| TraceEvent::WireEvent {
-            endpoint: self.endpoint.to_string(),
-            kind: kind.to_string(),
-            query_id,
-            detail: detail.to_string(),
+        self.record(|| {
+            TraceEvent::from(WireEvent {
+                endpoint: self.endpoint.to_string(),
+                kind: kind.to_string(),
+                query_id,
+                detail: detail.to_string(),
+            })
         });
     }
 }

@@ -32,7 +32,7 @@ use std::time::Duration;
 use mlperf_loadgen::query::Query;
 use mlperf_loadgen::realtime::WorkQueue;
 use mlperf_loadgen::Scenario;
-use mlperf_trace::event::{render_detail_log, RingBufferSink, TraceEvent, TraceSink};
+use mlperf_trace::event::{render_detail_log, RingBufferSink, SpanEvent, TraceEvent, TraceSink};
 use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::sync::{lock, wait_timeout};
@@ -647,13 +647,13 @@ fn serve_item(service: &dyn WireService, session: &Session, shared: &ServerShare
     let span = |phase: &str, metric: &str, from_ns: u64, to_ns: u64| {
         let dur_ns = to_ns.saturating_sub(from_ns);
         shared.metrics.observe(metric, dur_ns);
-        let event = TraceEvent::SpanEvent {
+        let event = TraceEvent::from(SpanEvent {
             host: shared.host_label.clone(),
             trace_id,
             query_id: query.id,
             phase: phase.to_string(),
             dur_ns,
-        };
+        });
         session.events.record(from_ns, &event);
     };
     let dequeued_ns = shared.log.now_ns();
@@ -1035,15 +1035,11 @@ mod tests {
             .snapshot()
             .into_iter()
             .filter_map(|r| match r.event {
-                TraceEvent::WireEvent {
-                    endpoint,
-                    kind,
-                    detail,
-                    ..
-                } if endpoint == "server"
-                    && (kind == "protocol_error" || kind == "corrupt_frame") =>
+                TraceEvent::WireEvent(event)
+                    if event.endpoint == "server"
+                        && (event.kind == "protocol_error" || event.kind == "corrupt_frame") =>
                 {
-                    Some((kind, detail))
+                    Some((event.kind, event.detail))
                 }
                 _ => None,
             })
@@ -1091,8 +1087,8 @@ mod tests {
             .snapshot()
             .into_iter()
             .filter(|r| {
-                matches!(&r.event, TraceEvent::WireEvent { endpoint, kind, .. }
-                    if endpoint == "server" && kind == "handshake_timeout")
+                matches!(&r.event, TraceEvent::WireEvent(event)
+                    if event.endpoint == "server" && event.kind == "handshake_timeout")
             })
             .count();
         assert_eq!(timeouts, 1);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mlperf_stats::rng::splitmix64;
-use mlperf_trace::event::{TraceEvent, TraceSink};
+use mlperf_trace::event::{TraceEvent, TraceSink, WireFault};
 
 use crate::frame::{write_frame_via, FrameReader, WireError};
 use crate::WireLog;
@@ -309,11 +309,13 @@ impl ChaosSession {
     }
 
     fn emit(&self, fault: &str, frame: u64, detail: &str) {
-        self.log.record(|| TraceEvent::WireFault {
-            endpoint: self.log.endpoint.to_string(),
-            fault: fault.to_string(),
-            frame,
-            detail: detail.to_string(),
+        self.log.record(|| {
+            TraceEvent::from(WireFault {
+                endpoint: self.log.endpoint.to_string(),
+                fault: fault.to_string(),
+                frame,
+                detail: detail.to_string(),
+            })
         });
     }
 }

@@ -515,7 +515,7 @@ fn a_run_issued_under_trace_id_zero_is_served_and_traced() {
         spans
             .iter()
             .filter(|row| {
-                matches!(&row.event, TraceEvent::SpanEvent { trace_id: 0, phase, .. } if phase == wanted)
+                matches!(&row.event, TraceEvent::SpanEvent(span) if span.trace_id == 0 && span.phase == wanted)
             })
             .count()
     };

@@ -839,12 +839,9 @@ fn a_panicking_service_errors_one_query_and_the_session_survives() {
             .snapshot()
             .into_iter()
             .filter_map(|record| match record.event {
-                mlperf_trace::TraceEvent::WireEvent {
-                    kind,
-                    query_id,
-                    detail,
-                    ..
-                } if kind == "service_panic" => Some((query_id, detail)),
+                mlperf_trace::TraceEvent::WireEvent(event) if event.kind == "service_panic" => {
+                    Some((event.query_id, event.detail))
+                }
                 _ => None,
             })
             .collect();

@@ -98,16 +98,16 @@ fn disconnect_with_resume_finishes_valid_without_double_counting() {
     assert!(
         wire_events.iter().any(|r| matches!(
             &r.event,
-            TraceEvent::WireEvent { endpoint, kind, .. }
-                if endpoint == "client" && kind == "resume"
+            TraceEvent::WireEvent(event)
+                if event.endpoint == "client" && event.kind == "resume"
         )),
         "the client must record the resume"
     );
     assert!(
         wire_events.iter().any(|r| matches!(
             &r.event,
-            TraceEvent::WireEvent { endpoint, kind, .. }
-                if endpoint == "server" && kind == "replay"
+            TraceEvent::WireEvent(event)
+                if event.endpoint == "server" && event.kind == "replay"
         )),
         "the replayed issue must be answered from the server journal"
     );
@@ -197,11 +197,10 @@ fn resume_replays_under_the_same_trace_ids_exactly_once() {
     // reused its original id and the journal answered without re-running.
     let mut phases: HashMap<(u64, String), usize> = HashMap::new();
     for record in &records {
-        if let TraceEvent::SpanEvent {
-            trace_id, phase, ..
-        } = &record.event
-        {
-            *phases.entry((*trace_id, phase.clone())).or_insert(0) += 1;
+        if let TraceEvent::SpanEvent(span) = &record.event {
+            *phases
+                .entry((span.trace_id, span.phase.clone()))
+                .or_insert(0) += 1;
         }
     }
     assert!(!phases.is_empty(), "the merged log must contain spans");
@@ -367,8 +366,8 @@ impl WireService for HeldUntilReplayed {
 
 impl TraceSink for HeldUntilReplayed {
     fn record(&self, _ts_ns: u64, event: &TraceEvent) {
-        if let TraceEvent::WireEvent { kind, .. } = event {
-            self.events.lock().unwrap().push(kind.clone());
+        if let TraceEvent::WireEvent(event) = event {
+            self.events.lock().unwrap().push(event.kind.clone());
             self.turn.notify_all();
         }
     }

@@ -92,7 +92,8 @@ enum Pattern {
     File,
     /// Each variant of `enum_name` that the declaration in `declared_in`
     /// lists (a line of its code that reads `Variant(...) {`) and no file
-    /// in scope names as `enum_name::Variant`.
+    /// in scope names, as `enum_name::Variant` or — a boxed variant is
+    /// built as its payload struct of the same name — as `Variant {`.
     Unnamed {
         enum_name: &'static str,
         declared_in: &'static str,
@@ -623,6 +624,13 @@ fn rule_hits(rule: &Rule, tree: &Tree) -> Vec<Hit> {
                     if let (Some(rest), false) = (path_of, text[..at].ends_with(is_ident)) {
                         let variant = rest.split(|c: char| !is_ident(c)).next();
                         named.insert(variant.unwrap_or("").to_string());
+                    }
+                }
+                for (at, _) in text.match_indices('{') {
+                    let head = text[..at].trim_end();
+                    let name = &head[head.trim_end_matches(is_ident).len()..];
+                    if name.starts_with(|c: char| c.is_ascii_uppercase()) {
+                        named.insert(name.to_string());
                     }
                 }
             }

@@ -8,11 +8,14 @@
 //! pinned by artifacts, not only by this codec's own round trip. A log
 //! the sink writes reaches the one-pass reader of the lines it writes and
 //! the general walk of those it cannot take, and both agree with the tree.
+//! Every variant, inline or boxed, comes back whole from every sink.
 
 use mlperf_trace::{
-    read_detail_log, render_detail_log, FromJson, JsonValue, JsonlSink, ToJson, TraceEvent,
-    TraceRecord, TraceSink,
+    parse_flight_dump, read_detail_log, render_detail_log, ClockSync, FlightRecorder, FromJson,
+    JsonValue, JsonlSink, RingBufferSink, RunPhase, ShardEvent, SpanEvent, ToJson, TraceEvent,
+    TraceRecord, TraceSink, ValidityCheckFailed, WireEvent, WireFault,
 };
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -82,10 +85,10 @@ fn a_sink_written_log_reads_back_the_same_three_ways() {
     // 19 digits is the most the one-pass reader takes, 20 go the general
     // way, as do a float and an escape.
     let events = [
-        TraceEvent::RunPhase {
+        TraceEvent::from(RunPhase {
             phase: s("issue"),
             scenario: s("server"),
-        },
+        }),
         TraceEvent::QueryIssued {
             query_id: 0,
             sample_count: 1,
@@ -112,24 +115,24 @@ fn a_sink_written_log_reads_back_the_same_three_ways() {
             unit: 0,
             multiplier_milli: u32::MAX,
         },
-        TraceEvent::ClockSync {
+        TraceEvent::from(ClockSync {
             host: s("server"),
             offset_ns: i64::MIN,
             rtt_ns: 0,
-        },
-        TraceEvent::ClockSync {
+        }),
+        TraceEvent::from(ClockSync {
             host: s("ser\"ver"),
             offset_ns: i64::MAX,
             rtt_ns: 1,
-        },
+        }),
         TraceEvent::PeakSearchStep {
             target: 2.5,
             valid: true,
         },
-        TraceEvent::RunPhase {
+        TraceEvent::from(RunPhase {
             phase: s("report"),
             scenario: s("server"),
-        },
+        }),
     ];
     let sink = JsonlSink::create(&path).expect("log is created");
     for (i, event) in events.iter().enumerate() {
@@ -157,4 +160,140 @@ fn a_sink_written_log_reads_back_the_same_three_ways() {
             "pull decoder: {line}"
         );
     }
+}
+
+/// One event of each variant, the boxed ones with strings that need
+/// escaping, at the integer extremes.
+fn one_of_each() -> Vec<TraceEvent> {
+    let s = String::from;
+    vec![
+        TraceEvent::QueryIssued {
+            query_id: u64::MAX,
+            sample_count: usize::MAX,
+            delay_ns: 15,
+        },
+        TraceEvent::QuerySent { query_id: 7 },
+        TraceEvent::QueryCompleted {
+            query_id: 7,
+            latency_ns: 130_000,
+        },
+        TraceEvent::BatchFormed {
+            unit: 1,
+            batch_size: 8,
+            service_ns: 42_000,
+        },
+        TraceEvent::DvfsStateChange {
+            unit: 0,
+            multiplier_milli: u32::MAX,
+        },
+        TraceEvent::OverloadDropped {
+            query_id: 9,
+            intervals: 3,
+        },
+        TraceEvent::AccuracyLogged {
+            query_id: 9,
+            samples: 4,
+        },
+        TraceEvent::PeakSearchStep {
+            target: -125.5,
+            valid: true,
+        },
+        TraceEvent::QueryErrored {
+            query_id: 11,
+            latency_ns: 88_000,
+        },
+        TraceEvent::from(RunPhase {
+            phase: s("is\"sue"),
+            scenario: s("ser\\ver"),
+        }),
+        TraceEvent::from(ValidityCheckFailed {
+            issue: s("a\nb\r\tc\u{1}é😀/"),
+        }),
+        TraceEvent::from(WireEvent {
+            endpoint: s("client"),
+            kind: s("heartbeat_loss"),
+            query_id: 0,
+            detail: s(""),
+        }),
+        TraceEvent::from(WireFault {
+            endpoint: s("server"),
+            fault: s("corrupt"),
+            frame: u64::MAX,
+            detail: s("recv: flipped byte 17"),
+        }),
+        TraceEvent::from(SpanEvent {
+            host: s("shard-10"),
+            trace_id: 0xDEAD_BEEF_CAFE_F00D,
+            query_id: 7,
+            phase: s("compute"),
+            dur_ns: 42_000,
+        }),
+        TraceEvent::from(ClockSync {
+            host: s("server"),
+            offset_ns: i64::MIN,
+            rtt_ns: 18_000,
+        }),
+        TraceEvent::from(ShardEvent {
+            shard: s("shard-2"),
+            kind: s("failover"),
+            query_id: 7,
+            detail: s("shard-0 vanished: \"reset\""),
+        }),
+    ]
+}
+
+#[test]
+fn every_variant_comes_back_whole_from_every_sink() {
+    let events = one_of_each();
+    let kinds: BTreeSet<&str> = events.iter().map(TraceEvent::kind).collect();
+    assert_eq!(kinds.len(), 16, "one event of each variant");
+    let records: Vec<TraceRecord> = events
+        .iter()
+        .enumerate()
+        .map(|(i, event)| TraceRecord {
+            ts_ns: i as u64 * 1_000,
+            event: event.clone(),
+        })
+        .collect();
+
+    // A ring of three evicts every event but the last three, boxed
+    // payloads among them, and holds the newest three in order after
+    // every record.
+    let ring = RingBufferSink::new(3);
+    for (i, record) in records.iter().enumerate() {
+        ring.record(record.ts_ns, &record.event);
+        assert_eq!(
+            ring.snapshot(),
+            records[i.saturating_sub(2)..=i],
+            "after {i}"
+        );
+    }
+    assert_eq!(ring.dropped(), 13);
+
+    // A flight recorder, in memory and through its dump.
+    let recorder = FlightRecorder::new(records.len());
+    for record in &records {
+        recorder.record(record.ts_ns, &record.event);
+    }
+    assert_eq!(recorder.snapshot(), records);
+    let dump = std::env::temp_dir().join(format!("flight-{}.jsonl", std::process::id()));
+    recorder
+        .dump_to(&dump, "every variant")
+        .expect("dump is written");
+    let text = std::fs::read_to_string(&dump).expect("dump reads");
+    std::fs::remove_file(&dump).expect("dump is removed");
+    let parsed = parse_flight_dump(&text).expect("dump parses");
+    assert_eq!((parsed.evicted, parsed.records), (0, records.clone()));
+
+    // A detail log on disk, read back by the streaming reader.
+    let path = std::env::temp_dir().join(format!("every-variant-{}.jsonl", std::process::id()));
+    let sink = JsonlSink::create(&path).expect("log is created");
+    for record in &records {
+        sink.record(record.ts_ns, &record.event);
+    }
+    drop(sink);
+    let log = read_detail_log(&path).expect("log reads");
+    std::fs::remove_file(&path).expect("log is removed");
+    assert_eq!(log.torn, None);
+    assert_eq!(log.records, records);
 }
