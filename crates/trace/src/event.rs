@@ -39,7 +39,6 @@ macro_rules! trace_events {
             )+
         }
 
-        $(#[$boxed_group_meta:meta])*
         boxed {
             $(
                 $(#[$boxed_meta:meta])*
@@ -232,11 +231,11 @@ trace_events! {
         },
     }
 
-    /// The variants that carry strings. Inline, their two to three
-    /// `String`s would set the size of every event — 88 bytes where a
-    /// query's three events need at most 24 — and every ring block, flight
-    /// recorder slot and read-back log would be sized by them; boxed, an
-    /// event is 32 bytes and only these pay an allocation.
+    // The variants that carry strings. Inline, their `String`s would set
+    // the size of every event — 88 bytes where a query's three events
+    // need at most 24 — and every ring block, flight-recorder slot and
+    // read-back log would be sized by them; boxed, an event is 32 bytes
+    // and only these pay an allocation.
     boxed {
         /// A run phase boundary (e.g. "issue", "drain", "report").
         RunPhase("run_phase") {
