@@ -28,13 +28,12 @@
 //! from the daemon's own journal, keeping execution effects exactly-once.
 
 use crate::config::TestSettings;
-use crate::record::{
-    get_opt_nanos, put_opt_nanos, OutstandingEntry, QueryRecord, RecorderSnapshot,
-};
+use crate::record::{OutstandingEntry, QueryRecord, RecorderSnapshot};
 use crate::run::Lane;
 use crate::time::Nanos;
 use crate::LoadGenError;
-use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::byte_layout;
+use mlperf_trace::bytes::{ByteError, ByteLayout, ByteWriter};
 use mlperf_trace::crc::fnv1a64;
 use mlperf_trace::journal::{read_journal, JournalWriter, TornTail};
 use std::path::{Path, PathBuf};
@@ -69,25 +68,25 @@ pub(crate) fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// Frame 0 of every run journal: what run this is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RunMeta {
-    /// The scenario, as its display string.
-    pub(crate) scenario: String,
-    /// [`settings_digest`] of the run's settings + QSL size.
-    pub(crate) digest: u64,
-    /// Performance-sample population the schedule draws from.
-    pub(crate) qsl_size: u64,
+byte_layout! {
+    /// Frame 0 of every run journal: what run this is.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct RunMeta {
+        /// The scenario, as its display string.
+        pub(crate) scenario: String,
+        /// [`settings_digest`] of the run's settings + QSL size.
+        pub(crate) digest: u64,
+        /// Performance-sample population the schedule draws from.
+        pub(crate) qsl_size: u64,
+    }
 }
 
 impl RunMeta {
     /// The meta frame: [`PAYLOAD_FORMAT`], then the fields.
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(PAYLOAD_FORMAT);
-        w.put_str(&self.scenario);
-        w.put_u64(self.digest);
-        w.put_u64(self.qsl_size);
+        PAYLOAD_FORMAT.put(&mut w);
+        self.put(&mut w);
         w.into_bytes()
     }
 
@@ -95,9 +94,7 @@ impl RunMeta {
     /// before reading a field, so another encoding is never mis-parsed.
     fn decode(bytes: &[u8]) -> Result<Self, String> {
         match bytes.split_first() {
-            Some((&PAYLOAD_FORMAT, fields)) => {
-                Self::decode_fields(fields).map_err(|e| e.to_string())
-            }
+            Some((&PAYLOAD_FORMAT, fields)) => Self::from_bytes(fields).map_err(|e| e.to_string()),
             Some((other, _)) => Err(format!(
                 "payload format byte {other:#04x}, this build reads only {PAYLOAD_FORMAT:#04x}: \
                  the journal was written by another build (JSON-era journals start with `{{`) \
@@ -106,71 +103,43 @@ impl RunMeta {
             None => Err("empty frame".into()),
         }
     }
+}
 
-    fn decode_fields(bytes: &[u8]) -> Result<Self, ByteError> {
-        let mut r = ByteReader::new(bytes);
-        let meta = RunMeta {
-            scenario: r.get_str()?,
-            digest: r.get_u64()?,
-            qsl_size: r.get_u64()?,
-        };
-        r.finish()?;
-        Ok(meta)
+byte_layout! {
+    /// A complete image of the issue loop at one issued-query boundary.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Checkpoint {
+        /// Checkpoint index (0-based, in journal order).
+        pub seq: u64,
+        /// Queries issued so far.
+        pub issued: u64,
+        /// Next sample (response) id to assign.
+        pub next_sample_id: u64,
+        /// Elapsed run clock at capture (virtual time in the DES; wall time
+        /// since origin in realtime runs).
+        pub wall: Nanos,
+        /// The already-drawn arrival not yet issued, if any (server scenario).
+        pub pending_arrival: Option<Nanos> = "pending_arrival flag",
+        /// QSL sampling RNG state.
+        pub qsl_rng: [u64; 4],
+        /// Poisson schedule RNG state (server scenario; zeroes otherwise).
+        pub sched_rng: [u64; 4],
+        /// The Poisson process clock, as `f64` bits (server scenario).
+        pub sched_now_bits: u64,
+        /// Accuracy-sampling RNG state.
+        pub acc_rng: [u64; 4],
+        /// Wire session epoch in force at capture; 0 for purely local runs.
+        pub epoch: u32,
+        /// The recorder: records, outstanding queries, accuracy log, counters.
+        pub recorder: RecorderSnapshot,
     }
 }
 
-fn put_rng_state(w: &mut ByteWriter, s: &[u64; 4]) {
-    s.iter().for_each(|word| w.put_u64(*word));
-}
-
-fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], ByteError> {
-    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
-}
-
-/// A complete image of the issue loop at one issued-query boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    /// Checkpoint index (0-based, in journal order).
-    pub seq: u64,
-    /// Queries issued so far.
-    pub issued: u64,
-    /// Next sample (response) id to assign.
-    pub next_sample_id: u64,
-    /// Elapsed run clock at capture (virtual time in the DES; wall time
-    /// since origin in realtime runs).
-    pub wall: Nanos,
-    /// The already-drawn arrival not yet issued, if any (server scenario).
-    pub pending_arrival: Option<Nanos>,
-    /// QSL sampling RNG state.
-    pub qsl_rng: [u64; 4],
-    /// Poisson schedule RNG state (server scenario; zeroes otherwise).
-    pub sched_rng: [u64; 4],
-    /// The Poisson process clock, as `f64` bits (server scenario).
-    pub sched_now_bits: u64,
-    /// Accuracy-sampling RNG state.
-    pub acc_rng: [u64; 4],
-    /// Wire session epoch in force at capture; 0 for purely local runs.
-    pub epoch: u32,
-    /// The recorder: records, outstanding queries, accuracy log, counters.
-    pub recorder: RecorderSnapshot,
-}
-
 impl Checkpoint {
-    /// The checkpoint as one journal frame payload: fixed-width
-    /// big-endian fields in declaration order (layout: DESIGN §3g).
+    /// The checkpoint as one journal frame payload (layout: DESIGN §3g).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(256 + 48 * self.recorder.records.len());
-        w.put_u64(self.seq);
-        w.put_u64(self.issued);
-        w.put_u64(self.next_sample_id);
-        w.put_u64(self.wall.as_nanos());
-        put_opt_nanos(&mut w, self.pending_arrival);
-        put_rng_state(&mut w, &self.qsl_rng);
-        put_rng_state(&mut w, &self.sched_rng);
-        w.put_u64(self.sched_now_bits);
-        put_rng_state(&mut w, &self.acc_rng);
-        w.put_u32(self.epoch);
-        self.recorder.encode_into(&mut w);
+        self.put(&mut w);
         w.into_bytes()
     }
 
@@ -183,22 +152,7 @@ impl Checkpoint {
     /// Returns [`ByteError`] on truncation, a flag other than 0/1, an
     /// unknown payload tag, an impossible count, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, ByteError> {
-        let mut r = ByteReader::new(bytes);
-        let cp = Checkpoint {
-            seq: r.get_u64()?,
-            issued: r.get_u64()?,
-            next_sample_id: r.get_u64()?,
-            wall: Nanos::from_nanos(r.get_u64()?),
-            pending_arrival: get_opt_nanos(&mut r, "pending_arrival flag")?,
-            qsl_rng: get_rng_state(&mut r)?,
-            sched_rng: get_rng_state(&mut r)?,
-            sched_now_bits: r.get_u64()?,
-            acc_rng: get_rng_state(&mut r)?,
-            epoch: r.get_u32()?,
-            recorder: RecorderSnapshot::decode_from(&mut r)?,
-        };
-        r.finish()?;
-        Ok(cp)
+        Self::from_bytes(bytes)
     }
 }
 
@@ -674,6 +628,30 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(Checkpoint::decode(&trailing).is_err());
+    }
+
+    /// The meta frame is crate-private, so `tests/layout_totality.rs`
+    /// cannot reach it: its share of that check, every truncation and a
+    /// trailing byte, is here.
+    #[test]
+    fn a_meta_frame_is_its_format_byte_and_its_declared_fields() {
+        let meta = RunMeta {
+            scenario: "server".into(),
+            digest: 3,
+            qsl_size: 8,
+        };
+        let bytes = meta.encode();
+        assert_eq!(bytes[..6], [PAYLOAD_FORMAT, 0, 0, 0, 6, b's']);
+        assert_eq!(RunMeta::decode(&bytes), Ok(meta));
+        for cut in 0..bytes.len() {
+            assert!(RunMeta::decode(&bytes[..cut]).is_err(), "cut to {cut}");
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert_eq!(
+            RunMeta::decode(&trailing),
+            Err("1 trailing bytes after message".into())
+        );
     }
 
     /// Builds before the binary codec wrote each frame as JSON text. Such

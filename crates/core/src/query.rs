@@ -1,7 +1,7 @@
 //! Queries, samples, and responses.
 
 use crate::time::Nanos;
-use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::byte_layout;
 
 /// Identifier of an issued query, unique within one run.
 pub type QueryId = u64;
@@ -9,31 +9,35 @@ pub type QueryId = u64;
 /// Index of a sample within the data set.
 pub type SampleIndex = usize;
 
-/// One sample reference inside a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct QuerySample {
-    /// Response-tracking id, unique per sample per run.
-    pub id: u64,
-    /// Which data-set sample to run inference on.
-    pub index: SampleIndex,
+byte_layout! {
+    /// One sample reference inside a query.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct QuerySample {
+        /// Response-tracking id, unique per sample per run.
+        pub id: u64,
+        /// Which data-set sample to run inference on.
+        pub index: SampleIndex,
+    }
 }
 
-/// A query: "a request for inference on one or more samples" (Section IV-B).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Query {
-    /// The query id.
-    pub id: QueryId,
-    /// The samples composing the query. Contiguous in memory by rule for
-    /// multistream/offline; here that is represented by the samples sharing
-    /// one `Vec`.
-    pub samples: Vec<QuerySample>,
-    /// When the LoadGen scheduled the query (the latency reference point).
-    pub scheduled_at: Nanos,
-    /// Always 0: a run drives one query stream. The field stays because
-    /// the wire's `IssueTraced` frame carries it (the literal-frame pin
-    /// holds those bytes) and the benchmark builds `Query` literals with
-    /// it.
-    pub tenant: u32,
+byte_layout! {
+    /// A query: "a request for inference on one or more samples" (Section IV-B).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Query {
+        /// The query id.
+        pub id: QueryId,
+        /// When the LoadGen scheduled the query (the latency reference point).
+        pub scheduled_at: Nanos,
+        /// Always 0: a run drives one query stream. The field stays because
+        /// the wire's `IssueTraced` frame carries it (the literal-frame pin
+        /// holds those bytes) and the benchmark builds `Query` literals with
+        /// it.
+        pub tenant: u32,
+        /// The samples composing the query. Contiguous in memory by rule for
+        /// multistream/offline; here that is represented by the samples sharing
+        /// one `Vec`.
+        pub samples: Vec<QuerySample>,
+    }
 }
 
 impl Query {
@@ -43,22 +47,25 @@ impl Query {
     }
 }
 
-/// Task-specific inference output carried back for accuracy checking.
-///
-/// The LoadGen does not interpret payloads; it logs them (always in accuracy
-/// mode, randomly sampled in performance mode for the accuracy-verification
-/// audit) and the task's accuracy script scores them.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum ResponsePayload {
-    /// No payload (performance mode default).
-    #[default]
-    Empty,
-    /// Classification: predicted class index.
-    Class(usize),
-    /// Detection: `(class, score, [x1, y1, x2, y2])` per box.
-    Boxes(Vec<(usize, f32, [f32; 4])>),
-    /// Translation: output token ids.
-    Tokens(Vec<u32>),
+byte_layout! {
+    /// Task-specific inference output carried back for accuracy checking.
+    ///
+    /// The LoadGen does not interpret payloads; it logs them (always in accuracy
+    /// mode, randomly sampled in performance mode for the accuracy-verification
+    /// audit) and the task's accuracy script scores them. Wire completions and
+    /// run-journal accuracy entries share its one layout.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub enum ResponsePayload: "payload" {
+        /// No payload (performance mode default).
+        #[default]
+        Empty = 0,
+        /// Classification: predicted class index.
+        Class(usize) = 1,
+        /// Detection: `(class, score, [x1, y1, x2, y2])` per box.
+        Boxes(Vec<(usize, f32, [f32; 4])>) = 2,
+        /// Translation: output token ids.
+        Tokens(Vec<u32>) = 3,
+    }
 }
 
 impl ResponsePayload {
@@ -66,67 +73,17 @@ impl ResponsePayload {
     pub fn is_empty(&self) -> bool {
         matches!(self, ResponsePayload::Empty)
     }
-
-    /// Appends the binary form wire completions and run-journal accuracy
-    /// entries share: a tag byte (0 empty, 1 class, 2 boxes, 3 tokens),
-    /// then a class `u64`, a list of (class `u64`, score `f32`, 4 × `f32`),
-    /// or a list of token `u32`s.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self {
-            ResponsePayload::Empty => w.put_u8(0),
-            ResponsePayload::Class(class) => {
-                w.put_u8(1);
-                w.put_u64(*class as u64);
-            }
-            ResponsePayload::Boxes(boxes) => {
-                w.put_u8(2);
-                w.put_list(boxes, |w, (class, score, rect)| {
-                    w.put_u64(*class as u64);
-                    w.put_f32(*score);
-                    for coord in rect {
-                        w.put_f32(*coord);
-                    }
-                });
-            }
-            ResponsePayload::Tokens(tokens) => {
-                w.put_u8(3);
-                w.put_list(tokens, |w, t| w.put_u32(*t));
-            }
-        }
-    }
-
-    /// Reads what [`ResponsePayload::encode_into`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ByteError`] on truncation, an unknown tag, or a count the
-    /// remaining bytes cannot hold.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
-        match r.get_u8()? {
-            0 => Ok(ResponsePayload::Empty),
-            1 => Ok(ResponsePayload::Class(r.get_u64()? as usize)),
-            2 => Ok(ResponsePayload::Boxes(r.get_list(28, |r| {
-                let class = r.get_u64()? as usize;
-                let score = r.get_f32()?;
-                let rect = [r.get_f32()?, r.get_f32()?, r.get_f32()?, r.get_f32()?];
-                Ok((class, score, rect))
-            })?)),
-            3 => Ok(ResponsePayload::Tokens(r.get_list(4, ByteReader::get_u32)?)),
-            other => Err(ByteError::Invalid {
-                what: "payload tag",
-                value: u64::from(other),
-            }),
-        }
-    }
 }
 
-/// Completion of one sample of a query, reported by the SUT.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleCompletion {
-    /// The sample's response id (must echo [`QuerySample::id`]).
-    pub sample_id: u64,
-    /// Inference output for accuracy checking.
-    pub payload: ResponsePayload,
+byte_layout! {
+    /// Completion of one sample of a query, reported by the SUT.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SampleCompletion {
+        /// The sample's response id (must echo [`QuerySample::id`]).
+        pub sample_id: u64,
+        /// Inference output for accuracy checking.
+        pub payload: ResponsePayload,
+    }
 }
 
 /// Completion of a whole query at a point in simulated/wall time.
@@ -204,23 +161,26 @@ mod tests {
 
     #[test]
     fn payload_roundtrips_through_bytes() {
+        use mlperf_trace::bytes::{ByteError, ByteLayout};
         for payload in [
             ResponsePayload::Empty,
             ResponsePayload::Class(17),
             ResponsePayload::Boxes(vec![(2, 0.9, [0.0, 0.0, 4.0, 4.0])]),
             ResponsePayload::Tokens(vec![1, 2, 3]),
         ] {
-            let mut w = ByteWriter::new();
-            payload.encode_into(&mut w);
-            let mut r = ByteReader::new(w.as_bytes());
-            assert_eq!(ResponsePayload::decode_from(&mut r).unwrap(), payload);
-            r.finish().unwrap();
+            assert_eq!(
+                ResponsePayload::from_bytes(&payload.to_bytes()),
+                Ok(payload)
+            );
         }
-        let unknown_tag = ResponsePayload::decode_from(&mut ByteReader::new(&[9]));
-        assert!(matches!(
+        let unknown_tag = ResponsePayload::from_bytes(&[9]);
+        assert_eq!(
             unknown_tag,
-            Err(ByteError::Invalid { value: 9, .. })
-        ));
+            Err(ByteError::UnknownTag {
+                what: "payload",
+                tag: 9
+            })
+        );
     }
 
     #[test]

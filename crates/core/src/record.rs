@@ -3,27 +3,29 @@
 use crate::query::{Query, QueryCompletion, QueryId, ResponsePayload, SampleIndex};
 use crate::time::Nanos;
 use crate::LoadGenError;
-use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::byte_layout;
 use std::collections::HashMap;
 
-/// Per-query record retained for the detail log and metric computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryRecord {
-    /// Query id.
-    pub id: QueryId,
-    /// When the schedule wanted the query issued (latency reference point).
-    pub scheduled_at: Nanos,
-    /// When the LoadGen actually issued it.
-    pub issued_at: Nanos,
-    /// When the SUT finished it (`None` while outstanding).
-    pub completed_at: Option<Nanos>,
-    /// Number of samples in the query.
-    pub sample_count: usize,
-    /// Multistream only: intervals this query overran.
-    pub skipped_intervals: u32,
-    /// The query resolved as an error/drop: the SUT acknowledged it (so it
-    /// is not outstanding) but produced no usable answer.
-    pub error: bool,
+byte_layout! {
+    /// Per-query record retained for the detail log and metric computation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QueryRecord {
+        /// Query id.
+        pub id: QueryId,
+        /// When the schedule wanted the query issued (latency reference point).
+        pub scheduled_at: Nanos,
+        /// When the LoadGen actually issued it.
+        pub issued_at: Nanos,
+        /// When the SUT finished it (`None` while outstanding).
+        pub completed_at: Option<Nanos> = "completed_at flag",
+        /// Number of samples in the query.
+        pub sample_count: usize,
+        /// Multistream only: intervals this query overran.
+        pub skipped_intervals: u32,
+        /// The query resolved as an error/drop: the SUT acknowledged it (so it
+        /// is not outstanding) but produced no usable answer.
+        pub error: bool = "record error flag",
+    }
 }
 
 impl QueryRecord {
@@ -68,76 +70,56 @@ impl QueryRecord {
     }
 }
 
-/// A response payload kept for accuracy checking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoggedResponse {
-    /// The sample's response id.
-    pub sample_id: u64,
-    /// The data-set index the sample referred to.
-    pub sample_index: SampleIndex,
-    /// The SUT's output.
-    pub payload: ResponsePayload,
-}
-
-/// One still-outstanding query inside a [`RecorderSnapshot`]: enough to
-/// both restore the recorder's bookkeeping and re-issue the query itself
-/// after a resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutstandingEntry {
-    /// The query id.
-    pub id: QueryId,
-    /// Position of the query's record in [`RecorderSnapshot::records`].
-    pub pos: usize,
-    /// Sample `(response id, data-set index)` pairs, in issue order.
-    pub samples: Vec<(u64, SampleIndex)>,
-}
-
-/// Writes an optional timestamp: a 0/1 flag, then the `u64` when present.
-pub(crate) fn put_opt_nanos(w: &mut ByteWriter, t: Option<Nanos>) {
-    w.put_bool(t.is_some());
-    if let Some(t) = t {
-        w.put_u64(t.as_nanos());
+byte_layout! {
+    /// A response payload kept for accuracy checking.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LoggedResponse {
+        /// The sample's response id.
+        pub sample_id: u64,
+        /// The data-set index the sample referred to.
+        pub sample_index: SampleIndex,
+        /// The SUT's output.
+        pub payload: ResponsePayload,
     }
 }
 
-/// Reads what [`put_opt_nanos`] wrote.
-pub(crate) fn get_opt_nanos(
-    r: &mut ByteReader<'_>,
-    what: &'static str,
-) -> Result<Option<Nanos>, ByteError> {
-    let present = r.get_bool(what)?;
-    present
-        .then(|| r.get_u64().map(Nanos::from_nanos))
-        .transpose()
+byte_layout! {
+    /// One still-outstanding query inside a [`RecorderSnapshot`]: enough to
+    /// both restore the recorder's bookkeeping and re-issue the query itself
+    /// after a resume.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OutstandingEntry {
+        /// The query id.
+        pub id: QueryId,
+        /// Position of the query's record in [`RecorderSnapshot::records`].
+        pub pos: usize,
+        /// Sample `(response id, data-set index)` pairs, in issue order.
+        pub samples: Vec<(u64, SampleIndex)>,
+    }
 }
 
-// The least bytes one item of each list in a checkpoint frame occupies
-// (layout: DESIGN §3g): what `get_list` checks a count against.
-const RECORD_MIN_BYTES: usize = 38; // 3×u64, flag, u64, u32, flag
-const OUTSTANDING_MIN_BYTES: usize = 20; // 2×u64, sample count
-const SAMPLE_BYTES: usize = 16; // 2×u64
-const LOGGED_MIN_BYTES: usize = 17; // 2×u64, payload tag
-
-/// A serializable image of a [`Recorder`]'s complete state.
-///
-/// This is what a run checkpoint carries: restoring it with
-/// [`Recorder::restore`] yields a recorder indistinguishable from the one
-/// snapshotted, and [`RecorderSnapshot::outstanding_queries`] rebuilds the
-/// in-flight [`Query`] values a resumed run must re-issue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecorderSnapshot {
-    /// Every query record, in issue order.
-    pub records: Vec<QueryRecord>,
-    /// Outstanding queries, sorted by id (canonical byte order).
-    pub outstanding: Vec<OutstandingEntry>,
-    /// The accuracy log accumulated so far.
-    pub accuracy_log: Vec<LoggedResponse>,
-    /// Samples completed successfully.
-    pub samples_completed: u64,
-    /// Latest completion timestamp seen.
-    pub last_completion: Nanos,
-    /// Queries resolved as errors.
-    pub errored: u64,
+byte_layout! {
+    /// A serializable image of a [`Recorder`]'s complete state.
+    ///
+    /// This is what a run checkpoint carries: restoring it with
+    /// [`Recorder::restore`] yields a recorder indistinguishable from the one
+    /// snapshotted, and [`RecorderSnapshot::outstanding_queries`] rebuilds the
+    /// in-flight [`Query`] values a resumed run must re-issue.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RecorderSnapshot {
+        /// Every query record, in issue order.
+        pub records: Vec<QueryRecord>,
+        /// Outstanding queries, sorted by id (canonical byte order).
+        pub outstanding: Vec<OutstandingEntry>,
+        /// The accuracy log accumulated so far.
+        pub accuracy_log: Vec<LoggedResponse>,
+        /// Samples completed successfully.
+        pub samples_completed: u64,
+        /// Latest completion timestamp seen.
+        pub last_completion: Nanos,
+        /// Queries resolved as errors.
+        pub errored: u64,
+    }
 }
 
 impl RecorderSnapshot {
@@ -166,72 +148,6 @@ impl RecorderSnapshot {
         e: &'a OutstandingEntry,
     ) -> impl Iterator<Item = (u64, SampleIndex)> + 'a {
         e.samples.iter().copied()
-    }
-}
-
-impl RecorderSnapshot {
-    /// Appends the snapshot's binary form (a checkpoint frame's tail).
-    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_list(&self.records, |w, record| {
-            w.put_u64(record.id);
-            w.put_u64(record.scheduled_at.as_nanos());
-            w.put_u64(record.issued_at.as_nanos());
-            put_opt_nanos(w, record.completed_at);
-            w.put_u64(record.sample_count as u64);
-            w.put_u32(record.skipped_intervals);
-            w.put_bool(record.error);
-        });
-        w.put_list(&self.outstanding, |w, entry| {
-            w.put_u64(entry.id);
-            w.put_u64(entry.pos as u64);
-            w.put_list(&entry.samples, |w, (sid, sindex)| {
-                w.put_u64(*sid);
-                w.put_u64(*sindex as u64);
-            });
-        });
-        w.put_list(&self.accuracy_log, |w, logged| {
-            w.put_u64(logged.sample_id);
-            w.put_u64(logged.sample_index as u64);
-            logged.payload.encode_into(w);
-        });
-        w.put_u64(self.samples_completed);
-        w.put_u64(self.last_completion.as_nanos());
-        w.put_u64(self.errored);
-    }
-
-    /// Reads what [`RecorderSnapshot::encode_into`] wrote.
-    pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
-        Ok(RecorderSnapshot {
-            records: r.get_list(RECORD_MIN_BYTES, |r| {
-                Ok(QueryRecord {
-                    id: r.get_u64()?,
-                    scheduled_at: Nanos::from_nanos(r.get_u64()?),
-                    issued_at: Nanos::from_nanos(r.get_u64()?),
-                    completed_at: get_opt_nanos(r, "completed_at flag")?,
-                    sample_count: r.get_u64()? as usize,
-                    skipped_intervals: r.get_u32()?,
-                    error: r.get_bool("record error flag")?,
-                })
-            })?,
-            outstanding: r.get_list(OUTSTANDING_MIN_BYTES, |r| {
-                Ok(OutstandingEntry {
-                    id: r.get_u64()?,
-                    pos: r.get_u64()? as usize,
-                    samples: r
-                        .get_list(SAMPLE_BYTES, |r| Ok((r.get_u64()?, r.get_u64()? as usize)))?,
-                })
-            })?,
-            accuracy_log: r.get_list(LOGGED_MIN_BYTES, |r| {
-                Ok(LoggedResponse {
-                    sample_id: r.get_u64()?,
-                    sample_index: r.get_u64()? as usize,
-                    payload: ResponsePayload::decode_from(r)?,
-                })
-            })?,
-            samples_completed: r.get_u64()?,
-            last_completion: Nanos::from_nanos(r.get_u64()?),
-            errored: r.get_u64()?,
-        })
     }
 }
 
@@ -442,6 +358,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::query::{QuerySample, SampleCompletion};
+    use mlperf_trace::bytes::ByteLayout;
 
     fn query(id: u64) -> Query {
         Query {
@@ -557,12 +474,7 @@ mod tests {
         let snap = r.snapshot_suffix(0, 0);
         assert_eq!(snap.outstanding.len(), 2);
         assert_eq!(snap.outstanding[0].id, 1);
-        let mut w = ByteWriter::new();
-        snap.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = RecorderSnapshot::decode_from(&mut r).unwrap();
-        r.finish().unwrap();
+        let back = RecorderSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(back, snap);
 
         // The restored recorder behaves exactly like the original: known

@@ -1,27 +1,31 @@
 //! The four evaluation scenarios (Table II).
 
-use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
+use mlperf_trace::{byte_layout, FromJson, JsonError, JsonValue, ToJson};
 
-/// An MLPerf Inference scenario.
-///
-/// Each one targets a real-world use case surveyed from the consortium's
-/// membership: single-stream for latency-critical client apps, multistream
-/// for fixed-rate multi-camera pipelines, server for Poisson web traffic,
-/// and offline for throughput-oriented batch processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scenario {
-    /// One query at a time; next issued on completion. Metric: 90th-
-    /// percentile latency.
-    SingleStream,
-    /// Queries of N samples at a fixed arrival interval with skipping.
-    /// Metric: number of streams N subject to the latency bound.
-    MultiStream,
-    /// Poisson arrivals, one sample per query. Metric: achievable QPS
-    /// subject to the latency bound.
-    Server,
-    /// One query with every sample, latency unconstrained. Metric:
-    /// throughput in samples/second.
-    Offline,
+byte_layout! {
+    /// An MLPerf Inference scenario.
+    ///
+    /// Each one targets a real-world use case surveyed from the consortium's
+    /// membership: single-stream for latency-critical client apps, multistream
+    /// for fixed-rate multi-camera pipelines, server for Poisson web traffic,
+    /// and offline for throughput-oriented batch processing. In binary
+    /// records (wire `Hello`, the `MLPR` header) it is one byte, its
+    /// position in [`Scenario::ALL`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Scenario: "scenario" {
+        /// One query at a time; next issued on completion. Metric: 90th-
+        /// percentile latency.
+        SingleStream = 0,
+        /// Queries of N samples at a fixed arrival interval with skipping.
+        /// Metric: number of streams N subject to the latency bound.
+        MultiStream = 1,
+        /// Poisson arrivals, one sample per query. Metric: achievable QPS
+        /// subject to the latency bound.
+        Server = 2,
+        /// One query with every sample, latency unconstrained. Metric:
+        /// throughput in samples/second.
+        Offline = 3,
+    }
 }
 
 impl Scenario {
@@ -32,17 +36,6 @@ impl Scenario {
         Scenario::Server,
         Scenario::Offline,
     ];
-
-    /// The scenario's byte in binary formats (wire `Hello`, `MLPR`
-    /// header): its position in [`Scenario::ALL`].
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// The scenario a [`Scenario::tag`] byte names, if any.
-    pub fn from_tag(tag: u8) -> Option<Scenario> {
-        Self::ALL.get(usize::from(tag)).copied()
-    }
 
     /// The canonical short code used in the paper's figures (SS/MS/S/O).
     pub fn code(&self) -> &'static str {
@@ -171,12 +164,21 @@ mod tests {
     /// The tags are bytes on the wire and in committed `MLPR` fixtures.
     #[test]
     fn tags_are_pinned_and_round_trip() {
-        let tags: Vec<u8> = Scenario::ALL.iter().map(|s| s.tag()).collect();
-        assert_eq!(tags, [0, 1, 2, 3]);
+        use mlperf_trace::bytes::{ByteError, ByteLayout};
+        let tags: Vec<Vec<u8>> = Scenario::ALL.iter().map(|s| s.to_bytes()).collect();
+        assert_eq!(tags, [[0], [1], [2], [3]]);
         for scenario in Scenario::ALL {
-            assert_eq!(Scenario::from_tag(scenario.tag()), Some(scenario));
+            assert_eq!(Scenario::from_bytes(&scenario.to_bytes()), Ok(scenario));
         }
-        assert_eq!(Scenario::from_tag(4), None);
+        let unknown = Scenario::from_bytes(&[4]).unwrap_err();
+        assert_eq!(
+            unknown,
+            ByteError::UnknownTag {
+                what: "scenario",
+                tag: 4
+            }
+        );
+        assert_eq!(unknown.to_string(), "unknown scenario tag 4");
     }
 
     #[test]

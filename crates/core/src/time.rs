@@ -5,6 +5,7 @@
 //! duration (the benchmark never needs negative time, and saturating
 //! subtraction makes misuse loud in tests rather than undefined).
 
+use mlperf_trace::bytes::{ByteError, ByteLayout, ByteReader, ByteWriter};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
 /// A timestamp or duration in nanoseconds.
@@ -31,6 +32,21 @@ impl ToJson for Nanos {
 impl FromJson for Nanos {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
         Ok(Nanos(value.as_u64()?))
+    }
+}
+
+/// A `u64` of nanoseconds in every binary record.
+impl ByteLayout for Nanos {
+    const MIN_BYTES: usize = 8;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        u64::get(r).map(Nanos)
     }
 }
 

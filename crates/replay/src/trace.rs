@@ -6,11 +6,10 @@
 //! reference fingerprint, and enough of the original run's settings to
 //! rebuild a [`TestSettings`] whose validity rules match the recording.
 //!
-//! The on-disk format is written with the byte codec the wire and the run
-//! journal use (`mlperf_trace::bytes`): a `MLPR` magic, a version,
-//! big-endian fixed-width integers, IEEE-754 bit patterns for floats,
-//! length-prefixed UTF-8 strings, and a trailing CRC-32 over everything
-//! before it. Encoding is a pure function of the
+//! The on-disk format is a `MLPR` magic, a `u16` version, the
+//! [`RecordedTrace`] declared with the byte codec the wire and the run
+//! journal use (`mlperf_trace::bytes`), and a trailing CRC-32 over
+//! everything before it. Encoding is a pure function of the
 //! struct — byte-reproducibility of the whole record→reduce pipeline
 //! rests on that, so nothing here consults clocks, hashes maps, or pads.
 
@@ -18,7 +17,8 @@ use crate::fingerprint::TraceFingerprint;
 use mlperf_loadgen::replay::ReplaySchedule;
 use mlperf_loadgen::{Nanos, Scenario, TestSettings};
 use mlperf_stats::Percentile;
-use mlperf_trace::bytes::{ByteError, ByteReader, ByteWriter};
+use mlperf_trace::byte_layout;
+use mlperf_trace::bytes::{ByteError, ByteLayout, ByteReader, ByteWriter};
 use mlperf_trace::crc::crc32;
 use std::fmt;
 
@@ -26,51 +26,56 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"MLPR";
 /// Current format version.
 pub(crate) const VERSION: u16 = 1;
-/// Least bytes one encoded query occupies: delta, latency, error flag,
-/// index count.
-const QUERY_MIN_BYTES: usize = 21;
 
-/// One recorded query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedQuery {
-    /// Nanoseconds since the previous query's arrival (0 for the first).
-    pub delta_ns: u64,
-    /// Observed latency; `None` when the query never resolved. The
-    /// encoding spells `None` as `u64::MAX`, so `Some(u64::MAX)` does not
-    /// survive a round trip and the recorder never makes one.
-    pub latency_ns: Option<u64>,
-    /// Whether the query resolved as an error.
-    pub error: bool,
-    /// The sample indices the query drew.
-    pub indices: Vec<u32>,
+byte_layout! {
+    /// One recorded query.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RecordedQuery {
+        /// Nanoseconds since the previous query's arrival (0 for the first).
+        pub delta_ns: u64,
+        /// Observed latency; `None` when the query never resolved. The
+        /// encoding spells `None` as `u64::MAX`, so `Some(u64::MAX)` does not
+        /// survive a round trip and the recorder never makes one.
+        pub latency_ns: Option<u64> as u64 {
+            |latency| latency.unwrap_or(u64::MAX),
+            |latency| (latency != u64::MAX).then_some(latency),
+        },
+        /// Whether the query resolved as an error.
+        pub error: bool = "query error flag",
+        /// The sample indices the query drew.
+        pub indices: Vec<u32>,
+    }
 }
 
-/// A recorded workload, standalone and replayable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedTrace {
-    /// The scenario the run was recorded under.
-    pub scenario: Scenario,
-    /// Where the trace came from (a path, a run label); free-form.
-    pub source: String,
-    /// QSL population the sample indices refer to.
-    pub population: u64,
-    /// Samples per query of the recorded settings (max observed batch).
-    pub samples_per_query: u32,
-    /// The recorded run's per-query latency bound.
-    pub target_latency_ns: u64,
-    /// The percentile that bound applies to (e.g. 99.0).
-    pub target_percentile: f64,
-    /// Mean arrival rate over the recording, queries/second.
-    pub server_target_qps: f64,
-    /// The recorded run's error-fraction tolerance.
-    pub max_error_fraction: f64,
-    /// Median inter-arrival gap (the multistream interval analog).
-    pub interval_ns: u64,
-    /// True when the recorder had no QSL seed and drew indices from a
-    /// fallback seed instead of reconstructing the original draw.
-    pub synthetic_indices: bool,
-    /// The queries, in arrival order.
-    pub queries: Vec<RecordedQuery>,
+byte_layout! {
+    /// A recorded workload, standalone and replayable: the body of an
+    /// `MLPR` file, between its header and its CRC.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RecordedTrace {
+        /// The scenario the run was recorded under.
+        pub scenario: Scenario,
+        /// True when the recorder had no QSL seed and drew indices from a
+        /// fallback seed instead of reconstructing the original draw.
+        pub synthetic_indices: bool = "synthetic-indices flag",
+        /// QSL population the sample indices refer to.
+        pub population: u64,
+        /// Samples per query of the recorded settings (max observed batch).
+        pub samples_per_query: u32,
+        /// The recorded run's per-query latency bound.
+        pub target_latency_ns: u64,
+        /// The percentile that bound applies to (e.g. 99.0).
+        pub target_percentile: f64,
+        /// Mean arrival rate over the recording, queries/second.
+        pub server_target_qps: f64,
+        /// The recorded run's error-fraction tolerance.
+        pub max_error_fraction: f64,
+        /// Median inter-arrival gap (the multistream interval analog).
+        pub interval_ns: u64,
+        /// Where the trace came from (a path, a run label); free-form.
+        pub source: String,
+        /// The queries, in arrival order.
+        pub queries: Vec<RecordedQuery>,
+    }
 }
 
 /// Why a byte stream is not a recorded trace.
@@ -144,22 +149,7 @@ impl RecordedTrace {
         let mut w = ByteWriter::with_capacity(64 + self.queries.len() * 25);
         w.put_bytes(&MAGIC);
         w.put_u16(VERSION);
-        w.put_u8(self.scenario.tag());
-        w.put_bool(self.synthetic_indices);
-        w.put_u64(self.population);
-        w.put_u32(self.samples_per_query);
-        w.put_u64(self.target_latency_ns);
-        w.put_f64(self.target_percentile);
-        w.put_f64(self.server_target_qps);
-        w.put_f64(self.max_error_fraction);
-        w.put_u64(self.interval_ns);
-        w.put_str(&self.source);
-        w.put_list(&self.queries, |w, q| {
-            w.put_u64(q.delta_ns);
-            w.put_u64(q.latency_ns.unwrap_or(u64::MAX));
-            w.put_bool(q.error);
-            w.put_list(&q.indices, |w, i| w.put_u32(*i));
-        });
+        self.put(&mut w);
         let crc = crc32(w.as_bytes());
         w.put_u32(crc);
         w.into_bytes()
@@ -193,42 +183,9 @@ impl RecordedTrace {
         if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
-        let code = r.get_u8()?;
-        let scenario = Scenario::from_tag(code)
-            .ok_or_else(|| CodecError::Malformed(format!("scenario code {code}")))?;
-        let synthetic_indices = r.get_bool("synthetic-indices flag")?;
-        let population = r.get_u64()?;
-        let samples_per_query = r.get_u32()?;
-        let target_latency_ns = r.get_u64()?;
-        let target_percentile = r.get_f64()?;
-        let server_target_qps = r.get_f64()?;
-        let max_error_fraction = r.get_f64()?;
-        let interval_ns = r.get_u64()?;
-        let source = r.get_str()?;
-        let queries = r.get_list(QUERY_MIN_BYTES, |r| {
-            let delta_ns = r.get_u64()?;
-            let latency = r.get_u64()?;
-            Ok(RecordedQuery {
-                delta_ns,
-                latency_ns: (latency != u64::MAX).then_some(latency),
-                error: r.get_bool("query error flag")?,
-                indices: r.get_list(4, ByteReader::get_u32)?,
-            })
-        })?;
+        let trace = RecordedTrace::get(&mut r)?;
         r.finish()?;
-        Ok(RecordedTrace {
-            scenario,
-            source,
-            population,
-            samples_per_query,
-            target_latency_ns,
-            target_percentile,
-            server_target_qps,
-            max_error_fraction,
-            interval_ns,
-            synthetic_indices,
-            queries,
-        })
+        Ok(trace)
     }
 
     /// Arrival times (nanoseconds since the first arrival), the
@@ -423,7 +380,7 @@ mod tests {
         assert_eq!(
             RecordedTrace::decode(&resealed(absurd_queries)),
             Err(CodecError::Truncated {
-                need: u32::MAX as usize * QUERY_MIN_BYTES,
+                need: u32::MAX as usize * RecordedQuery::MIN_BYTES,
                 have: 2 * 25,
             })
         );

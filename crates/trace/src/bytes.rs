@@ -1,13 +1,33 @@
-//! The workspace's one byte codec: an append-only big-endian writer and a
-//! bounds-checked cursor.
+//! The workspace's one byte codec: an append-only big-endian writer, a
+//! bounds-checked cursor, and one declared layout per binary record.
 //!
 //! Wire messages, run-journal checkpoints and the `MLPR` recorded trace
-//! are written and read through these two types: fixed-width big-endian
-//! integers, floats as IEEE-754 bit patterns, strings and lists behind a
-//! `u32` length. Like [`crate::crc`] it lives in the leaf crate so every
-//! codec can reach it (`mlperf_wire::frame` re-exports it). Accessors are
-//! `#[inline]`: the workspace builds without LTO, and a call per field
-//! across the crate boundary would cost more than the field.
+//! are all [`ByteLayout`] values. A record is declared once, with
+//! [`byte_layout!`](crate::byte_layout) around its own struct or enum
+//! declaration, and both halves of its codec are generated from that one
+//! list of fields, so they cannot disagree. What a field's type puts on
+//! the wire:
+//!
+//! * `u8`, `u16`, `u32`, `u64`: fixed-width big-endian; `usize` as `u64`;
+//!   `f32`, `f64`: their IEEE-754 bit patterns;
+//! * `bool`: one byte, 0 or 1 — a *flag*, whose declaration names the
+//!   label any other byte's error carries;
+//! * `Option<T>`: a flag, then `T` when it is 1;
+//! * `String`: a `u32` byte length, then UTF-8;
+//! * `Vec<T>`: a `u32` item count, then the items. The count is checked
+//!   against the bytes that remain, at `T::MIN_BYTES` each, before the
+//!   list is allocated;
+//! * `[T; N]` and tuples: their items in order, with no count;
+//! * a declared struct: its fields in declaration order (wire order);
+//! * a declared enum: a `u8` tag, then the variant's fields. A tag no
+//!   variant declares — a retired one included — is an error.
+//!
+//! Like [`crate::crc`] this lives in the leaf crate so every codec can
+//! reach it. Everything a field calls is `#[inline]`: the workspace builds
+//! without LTO, and a call per field across the crate boundary would cost
+//! more than the field. The framing around a record (the `MLPR` magic,
+//! version and CRC trailer, a run journal's format byte, a wire frame's
+//! seal) is written by hand around the declared body.
 
 use crate::crc::crc32;
 
@@ -29,12 +49,19 @@ pub enum ByteError {
     Utf8,
     /// Bytes remain after the last field.
     Trailing(usize),
-    /// A tag or flag holds a value the format gives no meaning.
+    /// A flag holds a byte other than 0 or 1.
     Invalid {
         /// Which field.
         what: &'static str,
         /// What it held.
         value: u64,
+    },
+    /// A tagged record's tag names no variant.
+    UnknownTag {
+        /// Which record.
+        what: &'static str,
+        /// The tag.
+        tag: u8,
     },
 }
 
@@ -52,6 +79,7 @@ impl std::fmt::Display for ByteError {
             ByteError::Utf8 => write!(f, "invalid UTF-8 in string field"),
             ByteError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
             ByteError::Invalid { what, value } => write!(f, "invalid {what} {value}"),
+            ByteError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
         }
     }
 }
@@ -111,60 +139,14 @@ impl ByteWriter {
         self.buf.extend_from_slice(v);
     }
 
-    /// Appends one byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a flag as one byte, 0 or 1.
-    #[inline]
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Appends a big-endian `u16`.
-    #[inline]
+    /// Appends a big-endian `u16` (framing: the `MLPR` version).
     pub fn put_u16(&mut self, v: u16) {
-        self.put_bytes(&v.to_be_bytes());
+        v.put(self);
     }
 
-    /// Appends a big-endian `u32`.
-    #[inline]
+    /// Appends a big-endian `u32` (framing: the `MLPR` trailer).
     pub fn put_u32(&mut self, v: u32) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    #[inline]
-    pub fn put_u64(&mut self, v: u64) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    #[inline]
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    #[inline]
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
-        self.put_bytes(v.as_bytes());
-    }
-
-    /// Appends a `u32` item count, then each item through `put`.
-    pub fn put_list<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
-        self.put_u32(items.len() as u32);
-        for item in items {
-            put(self, item);
-        }
+        v.put(self);
     }
 }
 
@@ -184,7 +166,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes not yet consumed.
     #[inline]
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -196,14 +178,13 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Reads `n` raw bytes.
+    /// Reads `n` raw bytes; a failed read consumes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`ByteError::Truncated`] when fewer remain (as do all
-    /// readers below).
+    /// Returns [`ByteError::Truncated`] when fewer remain.
     #[inline]
-    pub(crate) fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], ByteError> {
+    fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], ByteError> {
         if self.remaining() < n {
             return Err(self.truncated(n));
         }
@@ -220,94 +201,13 @@ impl<'a> ByteReader<'a> {
             .expect("get_bytes(N) is N long"))
     }
 
-    /// Reads one byte.
-    #[inline]
-    pub fn get_u8(&mut self) -> Result<u8, ByteError> {
-        Ok(self.get_bytes(1)?[0])
-    }
-
-    /// Reads a flag written by [`ByteWriter::put_bool`].
+    /// Reads a big-endian `u16` (framing: the `MLPR` version).
     ///
     /// # Errors
     ///
-    /// Returns [`ByteError::Invalid`] naming `what` for any byte but 0/1.
-    #[inline]
-    pub fn get_bool(&mut self, what: &'static str) -> Result<bool, ByteError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(ByteError::Invalid {
-                what,
-                value: u64::from(other),
-            }),
-        }
-    }
-
-    /// Reads a big-endian `u16`.
-    #[inline]
+    /// Returns [`ByteError::Truncated`] when fewer than two bytes remain.
     pub fn get_u16(&mut self) -> Result<u16, ByteError> {
-        Ok(u16::from_be_bytes(self.get_array()?))
-    }
-
-    /// Reads a big-endian `u32`.
-    #[inline]
-    pub fn get_u32(&mut self) -> Result<u32, ByteError> {
-        Ok(u32::from_be_bytes(self.get_array()?))
-    }
-
-    /// Reads a big-endian `u64`.
-    #[inline]
-    pub fn get_u64(&mut self) -> Result<u64, ByteError> {
-        Ok(u64::from_be_bytes(self.get_array()?))
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    #[inline]
-    pub fn get_f32(&mut self) -> Result<f32, ByteError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    #[inline]
-    pub fn get_f64(&mut self) -> Result<f64, ByteError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a `u32` item count, then that many items through `get`.
-    /// `item_bytes` is the least one item occupies: the list is allocated
-    /// only once `count × item_bytes` is known to fit in what remains.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ByteError::Truncated`] for a count the remaining bytes
-    /// cannot hold, and whatever `get` returns.
-    pub fn get_list<T>(
-        &mut self,
-        item_bytes: usize,
-        mut get: impl FnMut(&mut Self) -> Result<T, ByteError>,
-    ) -> Result<Vec<T>, ByteError> {
-        let count = self.get_u32()? as usize;
-        let wanted = count.saturating_mul(item_bytes);
-        if wanted > self.remaining() {
-            return Err(self.truncated(wanted));
-        }
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            items.push(get(self)?);
-        }
-        Ok(items)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ByteError::Utf8`] for bytes that are not UTF-8.
-    pub fn get_str(&mut self) -> Result<String, ByteError> {
-        let len = self.get_u32()? as usize;
-        std::str::from_utf8(self.get_bytes(len)?)
-            .map(str::to_owned)
-            .map_err(|_| ByteError::Utf8)
+        u16::get(self)
     }
 
     /// Asserts the buffer was fully consumed.
@@ -323,45 +223,566 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A value with one byte layout: what [`byte_layout!`](crate::byte_layout)
+/// generates for a declared record, and what this module implements for
+/// the types its fields use (see the module docs for each one's bytes).
+pub trait ByteLayout: Sized {
+    /// The least bytes one encoded value occupies: what a list's count is
+    /// checked against before the list is allocated.
+    const MIN_BYTES: usize;
+
+    /// A declared record's rows of its layout table, as its module docs
+    /// show them; empty for the built-in types.
+    const LAYOUT: &'static str = "";
+
+    /// Appends the value.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads a value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ByteError`] on truncation, a flag other than 0/1, an
+    /// unknown tag, a count the remaining bytes cannot hold or bad UTF-8.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError>;
+
+    /// [`ByteLayout::get`] for a field declared with a flag label: a flag
+    /// byte other than 0/1 is refused as [`ByteError::Invalid`] naming
+    /// `what`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ByteLayout::get`].
+    #[inline]
+    fn get_flag(r: &mut ByteReader<'_>, _what: &'static str) -> Result<Self, ByteError> {
+        Self::get(r)
+    }
+
+    /// The value alone in a buffer of its own.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Reads a buffer that holds one value and nothing after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ByteLayout::get`], plus [`ByteError::Trailing`].
+    fn from_bytes(bytes: &[u8]) -> Result<Self, ByteError> {
+        let mut r = ByteReader::new(bytes);
+        let value = Self::get(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
+macro_rules! big_endian {
+    ($($ty:ty),+) => {$(
+        impl ByteLayout for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+
+            #[inline]
+            fn put(&self, w: &mut ByteWriter) {
+                w.put_bytes(&self.to_be_bytes());
+            }
+
+            #[inline]
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+                Ok(<$ty>::from_be_bytes(r.get_array()?))
+            }
+        }
+    )+};
+}
+
+big_endian!(u8, u16, u32, u64, f32, f64);
+
+impl ByteLayout for usize {
+    const MIN_BYTES: usize = 8;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        (*self as u64).put(w);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+impl ByteLayout for bool {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        u8::from(*self).put(w);
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        Self::get_flag(r, "flag")
+    }
+
+    #[inline]
+    fn get_flag(r: &mut ByteReader<'_>, what: &'static str) -> Result<Self, ByteError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ByteError::Invalid {
+                what,
+                value: u64::from(other),
+            }),
+        }
+    }
+}
+
+impl<T: ByteLayout> ByteLayout for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        Self::get_flag(r, "flag")
+    }
+
+    #[inline]
+    fn get_flag(r: &mut ByteReader<'_>, what: &'static str) -> Result<Self, ByteError> {
+        bool::get_flag(r, what)?.then(|| T::get(r)).transpose()
+    }
+}
+
+impl ByteLayout for String {
+    const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        (self.len() as u32).put(w);
+        w.put_bytes(self.as_bytes());
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        let len = u32::get(r)? as usize;
+        std::str::from_utf8(r.get_bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| ByteError::Utf8)
+    }
+}
+
+impl<T: ByteLayout> ByteLayout for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        (self.len() as u32).put(w);
+        for item in self {
+            item.put(w);
+        }
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        const { assert!(T::MIN_BYTES > 0, "a list item must occupy bytes") };
+        let count = u32::get(r)? as usize;
+        let wanted = count.saturating_mul(T::MIN_BYTES);
+        if wanted > r.remaining() {
+            return Err(r.truncated(wanted));
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: ByteLayout + Copy + Default, const N: usize> ByteLayout for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        for item in self {
+            item.put(w);
+        }
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! tuple {
+    ($($ty:ident $value:ident),+) => {
+        impl<$($ty: ByteLayout),+> ByteLayout for ($($ty,)+) {
+            const MIN_BYTES: usize = 0 $(+ $ty::MIN_BYTES)+;
+
+            #[inline]
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($value,)+) = self;
+                $($value.put(w);)+
+            }
+
+            #[inline]
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+                Ok(($($ty::get(r)?,)+))
+            }
+        }
+    };
+}
+
+tuple!(A a, B b);
+tuple!(A a, B b, C c);
+
+/// Declares a binary record once and generates its [`ByteLayout`].
+///
+/// It wraps the record's own declaration, docs and derives included:
+///
+/// * a struct with named fields, listed in wire order;
+/// * an enum with a `u8` tag per variant: `Variant = tag` for a unit
+///   variant, `Variant(Type) = tag`, or `Variant { fields } = tag`. The
+///   header names the record in an unknown tag's error and lists the
+///   tags no variant may take again: `pub enum Message: "message",
+///   retired [4, 6] { … }`. Two variants sharing a tag, or a variant
+///   taking a retired one, fail to compile. The enum also gets
+///   `tag_name()`, its variant's name for diagnostics.
+///
+/// A field is `name: Type`, with one of two suffixes:
+///
+/// * `= "label"` on a flag (`bool`, `Option<T>`) names the field in a
+///   bad flag's error ("invalid completion error flag 2");
+/// * `as Wire { to, from }` spells the layout of a type that cannot
+///   implement [`ByteLayout`] itself (one from a crate below this one, or
+///   a second layout for a built-in type): `to: fn(&Type) -> Wire` and
+///   `from: fn(Wire) -> Type`.
+///
+/// [`ByteLayout::MIN_BYTES`] is the sum of the fields' (the tag plus the
+/// smallest variant for an enum), and [`ByteLayout::LAYOUT`] renders the
+/// declaration as Markdown table rows: `` | `Record` | `field: Type`, … | ``
+/// for a struct, `` | tag | `Variant` | fields | `` per tag for an enum.
+#[macro_export]
+macro_rules! byte_layout {
+    (@min $ty:ty) => {
+        <$ty as $crate::bytes::ByteLayout>::MIN_BYTES
+    };
+    (@min $ty:ty as $wire:ty { $to:expr, $from:expr }) => {
+        <$wire as $crate::bytes::ByteLayout>::MIN_BYTES
+    };
+    (@put $w:ident, $value:expr, $ty:ty) => {
+        $crate::bytes::ByteLayout::put($value, $w)
+    };
+    (@put $w:ident, $value:expr, $ty:ty as $wire:ty { $to:expr, $from:expr }) => {{
+        let to: fn(&$ty) -> $wire = $to;
+        $crate::bytes::ByteLayout::put(&to($value), $w)
+    }};
+    (@get $r:ident, $ty:ty) => {
+        <$ty as $crate::bytes::ByteLayout>::get($r)?
+    };
+    (@get $r:ident, $ty:ty = $label:literal) => {
+        <$ty as $crate::bytes::ByteLayout>::get_flag($r, $label)?
+    };
+    (@get $r:ident, $ty:ty as $wire:ty { $to:expr, $from:expr }) => {{
+        let from: fn($wire) -> $ty = $from;
+        from(<$wire as $crate::bytes::ByteLayout>::get($r)?)
+    }};
+    (@field $field:ident $ty:ty) => {
+        concat!("`", stringify!($field), ": ", stringify!($ty), "`")
+    };
+    (@field $field:ident $ty:ty as $wire:ty { $to:expr, $from:expr }) => {
+        concat!("`", stringify!($field), ": ", stringify!($ty), " as ", stringify!($wire), "`")
+    };
+    (@join) => {
+        "(empty)"
+    };
+    (@join $first:expr $(, $rest:expr)*) => {
+        concat!($first $(, ", ", $rest)*)
+    };
+    (@pattern $bind:ident, $name:ident :: $variant:ident) => {
+        $name::$variant
+    };
+    (@pattern $bind:ident, $name:ident :: $variant:ident ($inner:ty)) => {
+        $name::$variant($bind)
+    };
+    (@pattern $bind:ident, $name:ident :: $variant:ident { $($field:ident),* }) => {
+        $name::$variant { $($field),* }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_attr:meta])*
+                $field_vis:vis $field:ident: $ty:ty
+                $(= $label:literal)?
+                $(as $wire:ty { $to:expr, $from:expr $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::bytes::ByteLayout for $name {
+            const MIN_BYTES: usize =
+                0 $(+ $crate::byte_layout!(@min $ty $(as $wire { $to, $from })?))*;
+
+            const LAYOUT: &'static str = concat!(
+                "| `", stringify!($name), "` | ",
+                $crate::byte_layout!(@join $($crate::byte_layout!(
+                    @field $field $ty $(as $wire { $to, $from })?
+                )),*),
+                " |\n",
+            );
+
+            #[inline]
+            fn put(&self, w: &mut $crate::bytes::ByteWriter) {
+                $($crate::byte_layout!(
+                    @put w, &self.$field, $ty $(as $wire { $to, $from })?
+                );)*
+            }
+
+            #[inline]
+            fn get(
+                r: &mut $crate::bytes::ByteReader<'_>,
+            ) -> Result<Self, $crate::bytes::ByteError> {
+                Ok($name {
+                    $($field: $crate::byte_layout!(
+                        @get r, $ty $(= $label)? $(as $wire { $to, $from })?
+                    ),)*
+                })
+            }
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis enum $name:ident: $what:literal $(, retired [$($retired:literal),*])? {
+            $(
+                $(#[$variant_attr:meta])*
+                $variant:ident
+                $(($inner:ty))?
+                $({
+                    $(
+                        $(#[$field_attr:meta])*
+                        $field:ident: $ty:ty
+                        $(= $label:literal)?
+                        $(as $wire:ty { $to:expr, $from:expr $(,)? })?
+                    ),* $(,)?
+                })?
+                = $tag:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis enum $name {
+            $(
+                $(#[$variant_attr])*
+                $variant $(($inner))? $({ $($(#[$field_attr])* $field: $ty,)* })?,
+            )*
+        }
+
+        const _: () = {
+            let live: &[u8] = &[$($tag),*];
+            let all: &[u8] = &[$($tag,)* $($($retired),*)?];
+            let mut i = 0;
+            while i < live.len() {
+                let mut j = i + 1;
+                while j < all.len() {
+                    assert!(all[i] != all[j], "a tag is declared twice or retired");
+                    j += 1;
+                }
+                i += 1;
+            }
+        };
+
+        impl $name {
+            /// The variant's name, for diagnostics.
+            pub fn tag_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => stringify!($variant),)*
+                }
+            }
+        }
+
+        impl $crate::bytes::ByteLayout for $name {
+            const MIN_BYTES: usize = {
+                let mut least = usize::MAX;
+                $(
+                    let size = 0 $(+ <$inner as $crate::bytes::ByteLayout>::MIN_BYTES)?
+                        $($(+ $crate::byte_layout!(@min $ty $(as $wire { $to, $from })?))*)?;
+                    if size < least {
+                        least = size;
+                    }
+                )*
+                1 + least
+            };
+
+            const LAYOUT: &'static str = concat!(
+                $(
+                    "| ", stringify!($tag), " | `", stringify!($variant), "` | ",
+                    $crate::byte_layout!(@join
+                        $(concat!("`", stringify!($inner), "`"))?
+                        $($($crate::byte_layout!(
+                            @field $field $ty $(as $wire { $to, $from })?
+                        )),*)?
+                    ),
+                    " |\n",
+                )*
+                $($("| ", stringify!($retired), " | — | retired: an unknown tag |\n",)*)?
+            );
+
+            #[inline]
+            fn put(&self, w: &mut $crate::bytes::ByteWriter) {
+                match self {
+                    $($crate::byte_layout!(
+                        @pattern value, $name::$variant $(($inner))? $({ $($field),* })?
+                    ) => {
+                        <u8 as $crate::bytes::ByteLayout>::put(&$tag, w);
+                        $(<$inner as $crate::bytes::ByteLayout>::put(value, w);)?
+                        $($($crate::byte_layout!(
+                            @put w, $field, $ty $(as $wire { $to, $from })?
+                        );)*)?
+                    })*
+                }
+            }
+
+            #[inline]
+            fn get(
+                r: &mut $crate::bytes::ByteReader<'_>,
+            ) -> Result<Self, $crate::bytes::ByteError> {
+                Ok(match <u8 as $crate::bytes::ByteLayout>::get(r)? {
+                    $($tag => $name::$variant
+                        $((<$inner as $crate::bytes::ByteLayout>::get(r)?))?
+                        $({$($field: $crate::byte_layout!(
+                            @get r, $ty $(= $label)? $(as $wire { $to, $from })?
+                        ),)*})?,)*
+                    tag => return Err($crate::bytes::ByteError::UnknownTag { what: $what, tag }),
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    crate::byte_layout! {
+        /// A record with one field of each kind.
+        #[derive(Debug, Clone, PartialEq)]
+        struct Sample {
+            tag: u8,
+            small: u16,
+            count: u32,
+            big: u64,
+            ratio: f32,
+            precise: f64,
+            name: String,
+            flag: bool = "sample flag",
+            at: Option<u64> = "at flag",
+            pair: (u64, usize),
+            words: [u32; 2],
+            items: Vec<u16>,
+            nanos: u64 as [u8; 8] { |v| v.to_be_bytes(), u64::from_be_bytes },
+        }
+    }
+
+    crate::byte_layout! {
+        /// A tagged record with a retired tag.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shape: "shape", retired [2] {
+            Point = 1,
+            Circle(u32) = 3,
+            Rect { w: u16, h: u16 } = 4,
+        }
+    }
+
+    fn sample() -> Sample {
+        Sample {
+            tag: 7,
+            small: 1_000,
+            count: 70_000,
+            big: u64::MAX - 3,
+            ratio: 0.25,
+            precise: -0.125,
+            name: "schnell".into(),
+            flag: true,
+            at: Some(5),
+            pair: (1, 2),
+            words: [3, 4],
+            items: vec![258, 3],
+            nanos: 9,
+        }
+    }
+
     #[test]
-    fn scalar_roundtrip() {
-        let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_bool(true);
-        w.put_u16(1_000);
-        w.put_u32(70_000);
-        w.put_u64(u64::MAX - 3);
-        w.put_f32(0.25);
-        w.put_f64(-0.125);
-        w.put_str("schnell");
-        w.put_bytes(b"raw");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert!(r.get_bool("flag").unwrap());
-        assert_eq!(r.get_u16().unwrap(), 1_000);
-        assert_eq!(r.get_u32().unwrap(), 70_000);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f32().unwrap(), 0.25);
-        assert_eq!(r.get_f64().unwrap(), -0.125);
-        assert_eq!(r.get_str().unwrap(), "schnell");
-        assert_eq!(r.get_bytes(3).unwrap(), b"raw");
-        r.finish().unwrap();
+    fn a_declared_struct_puts_its_fields_in_order() {
+        let bytes = sample().to_bytes();
+        let mut expected = vec![7, 3, 232, 0, 1, 17, 112];
+        expected.extend((u64::MAX - 3).to_be_bytes());
+        expected.extend(0.25f32.to_bits().to_be_bytes());
+        expected.extend((-0.125f64).to_bits().to_be_bytes());
+        expected.extend([0, 0, 0, 7]);
+        expected.extend(b"schnell");
+        expected.extend([1, 1, 0, 0, 0, 0, 0, 0, 0, 5]);
+        expected.extend([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        expected.extend([0, 0, 0, 3, 0, 0, 0, 4]);
+        expected.extend([0, 0, 0, 2, 1, 2, 0, 3]);
+        expected.extend([0, 0, 0, 0, 0, 0, 0, 9]);
+        assert_eq!(bytes, expected);
+        assert_eq!(Sample::from_bytes(&bytes), Ok(sample()));
+        assert_eq!(Sample::MIN_BYTES, bytes.len() - 7 - 8 - 4);
+    }
+
+    #[test]
+    fn the_layout_table_renders_the_declaration() {
+        assert_eq!(
+            Sample::LAYOUT,
+            "| `Sample` | `tag: u8`, `small: u16`, `count: u32`, `big: u64`, `ratio: f32`, \
+             `precise: f64`, `name: String`, `flag: bool`, `at: Option<u64>`, \
+             `pair: (u64, usize)`, `words: [u32; 2]`, `items: Vec<u16>`, \
+             `nanos: u64 as [u8; 8]` |\n"
+        );
+        assert_eq!(
+            Shape::LAYOUT,
+            "| 1 | `Point` | (empty) |\n| 3 | `Circle` | `u32` |\n\
+             | 4 | `Rect` | `w: u16`, `h: u16` |\n| 2 | — | retired: an unknown tag |\n"
+        );
+        assert_eq!(Shape::MIN_BYTES, 1);
+        assert_eq!(Shape::Rect { w: 1, h: 2 }.tag_name(), "Rect");
+    }
+
+    #[test]
+    fn a_tagged_record_refuses_an_undeclared_or_retired_tag() {
+        for shape in [Shape::Point, Shape::Circle(9), Shape::Rect { w: 1, h: 2 }] {
+            assert_eq!(Shape::from_bytes(&shape.to_bytes()), Ok(shape));
+        }
+        assert_eq!(Shape::Rect { w: 1, h: 2 }.to_bytes(), [4, 0, 1, 0, 2]);
+        for tag in [0, 2, 5, 255] {
+            let err = Shape::from_bytes(&[tag]).unwrap_err();
+            assert_eq!(err, ByteError::UnknownTag { what: "shape", tag });
+            assert_eq!(err.to_string(), format!("unknown shape tag {tag}"));
+        }
     }
 
     #[test]
     fn truncation_names_wanted_offset_and_remaining() {
-        let mut w = ByteWriter::new();
-        w.put_u8(1);
-        w.put_u64(42);
-        let bytes = w.into_bytes();
+        let bytes = (1u8, 42u64).to_bytes();
         let mut r = ByteReader::new(&bytes[..5]);
-        r.get_u8().unwrap();
-        let err = r.get_u64().unwrap_err();
+        u8::get(&mut r).unwrap();
+        let err = u64::get(&mut r).unwrap_err();
         assert_eq!(
             err,
             ByteError::Truncated {
@@ -380,18 +801,20 @@ mod tests {
 
     #[test]
     fn trailing_bytes_bad_flags_and_bad_utf8_rejected() {
-        let mut r = ByteReader::new(&[1, 2]);
-        assert!(r.get_bool("flag").unwrap());
+        let mut bad_flag = sample().to_bytes();
+        bad_flag[7 + 8 + 4 + 8 + 4 + 7] = 2;
+        let err = Sample::from_bytes(&bad_flag).unwrap_err();
+        assert_eq!(err.to_string(), "invalid sample flag 2");
         assert_eq!(
-            r.get_bool("error flag"),
+            Option::<u8>::get_flag(&mut ByteReader::new(&[3]), "at flag"),
             Err(ByteError::Invalid {
-                what: "error flag",
-                value: 2
+                what: "at flag",
+                value: 3
             })
         );
-        assert_eq!(ByteReader::new(&[9]).finish(), Err(ByteError::Trailing(1)));
+        assert_eq!(u8::from_bytes(&[9, 9]), Err(ByteError::Trailing(1)));
         assert_eq!(
-            ByteReader::new(&[0, 0, 0, 2, 0xff, 0xfe]).get_str(),
+            String::from_bytes(&[0, 0, 0, 2, 0xff, 0xfe]),
             Err(ByteError::Utf8)
         );
     }
@@ -401,30 +824,20 @@ mod tests {
         // Claims 2^32-1 sixteen-byte items with four bytes behind it.
         let bytes = [0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4];
         assert_eq!(
-            ByteReader::new(&bytes).get_list(16, ByteReader::get_u64),
+            Vec::<(u64, u64)>::from_bytes(&bytes),
             Err(ByteError::Truncated {
                 wanted: (u32::MAX as usize) * 16,
                 offset: 4,
                 remaining: 4
             })
         );
-        let mut w = ByteWriter::new();
-        w.put_list(&[258u16, 3], |w, v| w.put_u16(*v));
-        assert_eq!(w.as_bytes(), [0, 0, 0, 2, 1, 2, 0, 3]);
-        let mut r = ByteReader::new(w.as_bytes());
-        assert_eq!(r.get_list(2, ByteReader::get_u16), Ok(vec![258, 3]));
-        r.finish().unwrap();
     }
 
     #[test]
     fn sealed_writer_prefixes_the_crc_of_the_body() {
         let mut w = ByteWriter::sealed(64);
-        w.put_str("body");
-        let body = {
-            let mut b = ByteWriter::new();
-            b.put_str("body");
-            b.into_bytes()
-        };
+        String::from("body").put(&mut w);
+        let body = String::from("body").to_bytes();
         let sealed = w.into_sealed();
         assert_eq!(sealed[..4], crc32(&body).to_be_bytes());
         assert_eq!(sealed[4..], body[..]);

@@ -9,8 +9,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{
-    missing_field, write_u64, Canonical, FromJson, JsonError, JsonValue, Parser, Picked, Scalar,
-    ToJson, Token, MAX_PICKED,
+    write_u64, Canonical, FromJson, JsonError, JsonValue, Picked, Scalar, ToJson, Token, MAX_PICKED,
 };
 use crate::sync::lock;
 
@@ -375,11 +374,11 @@ field_types! {
 
 /// How one variant is read back: the inverse of [`TraceEvent::fields`].
 /// `keys` are the payload keys in the order `fields` writes them, and
-/// `build` makes the variant from the payload members at those keys. Both
-/// decoders — over a tree ([`FromJson::from_json_value`]) and over a line
-/// ([`TraceRecord::from_json_str`]) — come through here. `canonical`
-/// reads the payload members straight off a line that holds them exactly
-/// as `fields` writes them, and answers `None` for any other line.
+/// `build` makes the variant from the payload members at those keys, for
+/// the tree decoder ([`FromJson::from_json_value`]). `canonical` reads the
+/// payload members straight off a line that holds them exactly as
+/// `fields` writes them, and answers `None` for any other line, which
+/// [`TraceRecord::from_json_str`] then reads through the tree.
 struct Shape {
     name: &'static str,
     keys: &'static [&'static str],
@@ -491,8 +490,8 @@ impl ToJson for TraceRecord {
 /// `{"ts_ns":N,"event":{"Variant":{"k1":v1,…}}}` with the keys in declared
 /// order and only JSON whitespace after — in one forward pass, without
 /// the tokenizer. `None` for any other line (a float, `null`, an escape,
-/// another key order, a member too many or too few), which then takes the
-/// general path: whatever this accepts, that path accepts with the same
+/// another key order, a member too many or too few), which then goes
+/// through the tree: whatever this accepts, the tree accepts with the same
 /// value.
 fn canonical_record(line: &str) -> Option<TraceRecord> {
     let mut cursor = Canonical::new(line);
@@ -508,43 +507,6 @@ fn canonical_record(line: &str) -> Option<TraceRecord> {
     Some(TraceRecord { ts_ns, event })
 }
 
-/// Reads the value of an `event` member: the variant's shape, with the
-/// payload members it asks for left in `payload`. The outer error is the
-/// document's (malformed JSON), the inner one the event's (not a
-/// one-member object, or an unknown variant), which the tree path would
-/// only raise once the whole line had parsed.
-fn pull_event<'a>(
-    parser: &mut Parser<'a>,
-    payload: &mut Picked<'a>,
-) -> Result<Result<&'static Shape, JsonError>, JsonError> {
-    if parser.peek() != Some(b'{') {
-        let other = parser.token(1)?;
-        return Ok(other.wrong_kind("single-variant object"));
-    }
-    let mut variant = None;
-    let mut members = 0;
-    let mut more = parser.open(b'{', b'}')?;
-    while more {
-        let name = parser.key()?;
-        if members == 0 {
-            let shape = shape_of(&name);
-            if let Ok(shape) = shape {
-                payload.ask(shape.keys);
-            }
-            parser.pick(2, payload)?;
-            variant = Some(shape);
-        } else {
-            parser.token(2)?;
-        }
-        members += 1;
-        more = parser.next(b'}')?;
-    }
-    Ok(match variant {
-        Some(shape) if members == 1 => shape,
-        _ => Token::Object.wrong_kind("single-variant object"),
-    })
-}
-
 impl FromJson for TraceRecord {
     fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
         Ok(TraceRecord {
@@ -553,43 +515,16 @@ impl FromJson for TraceRecord {
         })
     }
 
-    /// Reads a detail-log line without building its tree: a line in the
-    /// form the encoder writes in one forward pass, any other with one
-    /// walk with the tokenizer [`JsonValue::parse`] uses, then the checks
-    /// [`FromJson::from_json_value`] makes, in its order. A line is
-    /// accepted, or rejected with the same error, exactly as
-    /// `from_json_value(&JsonValue::parse(line)?)` would: any key order,
-    /// the first of a duplicated key, unknown members ignored.
+    /// Reads a detail-log line: a line in the form the encoder writes in
+    /// one forward pass without a tree, any other (an escape, a float, a
+    /// reordered or extra member) as `from_json_value(&JsonValue::parse(line)?)`,
+    /// so every line is accepted, or rejected with the same error, exactly
+    /// as the tree accepts or rejects it.
     fn from_json_str(input: &str) -> Result<Self, JsonError> {
-        if let Some(record) = canonical_record(input) {
-            return Ok(record);
+        match canonical_record(input) {
+            Some(record) => Ok(record),
+            None => Self::from_json_value(&JsonValue::parse(input)?),
         }
-        let mut parser = Parser::new(input);
-        let (mut ts_ns, mut event) = (None, None);
-        let mut payload = Picked::new(&[]);
-        if parser.peek() == Some(b'{') {
-            let mut more = parser.open(b'{', b'}')?;
-            while more {
-                let key = parser.key()?;
-                match &*key {
-                    "ts_ns" if ts_ns.is_none() => ts_ns = Some(parser.token(1)?),
-                    "event" if event.is_none() => {
-                        event = Some(pull_event(&mut parser, &mut payload)?);
-                    }
-                    _ => {
-                        parser.token(1)?;
-                    }
-                }
-                more = parser.next(b'}')?;
-            }
-        } else {
-            parser.token(0)?;
-        }
-        parser.finish()?;
-        let ts_ns = ts_ns.ok_or_else(|| missing_field("ts_ns"))?.as_u64()?;
-        let shape = event.ok_or_else(|| missing_field("event"))??;
-        let event = (shape.build)(&mut payload)?;
-        Ok(TraceRecord { ts_ns, event })
     }
 }
 
@@ -1227,7 +1162,7 @@ mod tests {
                 && record
                     .event
                     .fields(|_, fields| fields.iter().all(|(_, v)| !matches!(v, Scalar::F64(_))));
-            // A 20-digit number is the general walk's, too.
+            // A 20-digit number is the tree's, too.
             let short = line
                 .split(|c: char| !c.is_ascii_digit())
                 .all(|digits| digits.len() <= 19);

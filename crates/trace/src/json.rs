@@ -405,7 +405,7 @@ impl Scalar<'_> {
 }
 
 /// One JSON value with its containers elided: scalars in full, an array
-/// or object by kind only. It is what the pull parser yields per value
+/// or object by kind only. It is what the tokenizer yields per value
 /// and what every typed accessor reads.
 #[derive(Clone)]
 pub(crate) enum Token<'a> {
@@ -498,31 +498,20 @@ pub(crate) const MAX_PICKED: usize = 5;
 
 /// The members of one object a decoder asked for by key, each held as a
 /// [`Token`] at its key's position: the first member with that key, as
-/// [`JsonValue::field`] finds it. Every other member is walked and
-/// dropped.
+/// [`JsonValue::field`] finds it. Every other member is left out.
 pub(crate) struct Picked<'a> {
     keys: &'static [&'static str],
     values: [Option<Token<'a>>; MAX_PICKED],
 }
 
 impl<'a> Picked<'a> {
-    /// Nothing picked yet out of an object with `keys`, at most
-    /// `MAX_PICKED` of them.
-    pub(crate) fn new(keys: &'static [&'static str]) -> Self {
-        Picked {
+    /// The members of `value` with `keys` (at most `MAX_PICKED` of them);
+    /// none when it is no object.
+    pub(crate) fn of(keys: &'static [&'static str], value: &'a JsonValue) -> Self {
+        let mut picked = Picked {
             keys,
             values: [const { None }; MAX_PICKED],
-        }
-    }
-
-    /// Asks for `keys` instead, before anything was picked.
-    pub(crate) fn ask(&mut self, keys: &'static [&'static str]) {
-        self.keys = keys;
-    }
-
-    /// The members of `value` with `keys`; none when it is no object.
-    pub(crate) fn of(keys: &'static [&'static str], value: &'a JsonValue) -> Self {
-        let mut picked = Picked::new(keys);
+        };
         if let JsonValue::Object(fields) = value {
             for (key, member) in fields {
                 picked.offer(key, member.shallow());
@@ -550,26 +539,23 @@ impl<'a> Picked<'a> {
     }
 }
 
-pub(crate) fn missing_field(key: &str) -> JsonError {
+fn missing_field(key: &str) -> JsonError {
     JsonError::new(format!("missing field {key:?}"))
 }
 
-/// The one tokenizer. [`JsonValue::parse`] builds a tree from it
-/// ([`Parser::value`]); a decoder that knows the shape it wants pulls
-/// from it ([`Parser::open`], [`Parser::key`], [`Parser::token`],
-/// [`Parser::pick`], [`Parser::next`]) and so accepts and rejects
-/// exactly the same documents, with the same error at the same byte.
+/// The one tokenizer: [`JsonValue::parse`] builds a tree from it
+/// ([`Parser::value`]).
 ///
 /// `depth` is the nesting level of the value about to be read, 0 for the
 /// document itself.
-pub(crate) struct Parser<'a> {
+struct Parser<'a> {
     src: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     /// A parser at the first non-blank byte of `src`.
-    pub(crate) fn new(src: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         let mut parser = Parser { src, pos: 0 };
         parser.skip_ws();
         parser
@@ -580,7 +566,7 @@ impl<'a> Parser<'a> {
     /// # Errors
     ///
     /// Returns [`JsonError`] if anything but whitespace is left.
-    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+    fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos != self.src.len() {
             return err(format!("trailing characters at byte {}", self.pos));
@@ -596,7 +582,7 @@ impl<'a> Parser<'a> {
     }
 
     #[inline]
-    pub(crate) fn peek(&self) -> Option<u8> {
+    fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
@@ -623,7 +609,7 @@ impl<'a> Parser<'a> {
     /// Enters an array (`[`, `]`) or object (`{`, `}`); whether it has a
     /// first element.
     #[inline]
-    pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
         self.expect(open)?;
         self.skip_ws();
         if self.peek() == Some(close) {
@@ -635,7 +621,7 @@ impl<'a> Parser<'a> {
 
     /// Steps past an element; whether another follows before `close`.
     #[inline]
-    pub(crate) fn next(&mut self, close: u8) -> Result<bool, JsonError> {
+    fn next(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b',') => {
@@ -656,7 +642,7 @@ impl<'a> Parser<'a> {
 
     /// Reads `"key":` and stops at the member's value.
     #[inline]
-    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let key = self.string()?;
         self.skip_ws();
         self.expect(b':')?;
@@ -685,52 +671,6 @@ impl<'a> Parser<'a> {
                 fail(|| format!("unexpected character {:?} at byte {at}", other as char))
             }
         }
-    }
-
-    /// Reads one value, walking (and so validating) a container without
-    /// keeping it.
-    pub(crate) fn token(&mut self, depth: usize) -> Result<Token<'a>, JsonError> {
-        self.walk(depth, None)
-    }
-
-    /// [`Parser::token`], with the members of an object that `picked`
-    /// asks for (nothing for any other kind) left in it.
-    pub(crate) fn pick(
-        &mut self,
-        depth: usize,
-        picked: &mut Picked<'a>,
-    ) -> Result<Token<'a>, JsonError> {
-        self.walk(depth, Some(picked))
-    }
-
-    fn walk(
-        &mut self,
-        depth: usize,
-        mut keep: Option<&mut Picked<'a>>,
-    ) -> Result<Token<'a>, JsonError> {
-        let token = self.scalar(depth)?;
-        match token {
-            Token::Array => {
-                let mut more = self.open(b'[', b']')?;
-                while more {
-                    self.token(depth + 1)?;
-                    more = self.next(b']')?;
-                }
-            }
-            Token::Object => {
-                let mut more = self.open(b'{', b'}')?;
-                while more {
-                    let key = self.key()?;
-                    let member = self.token(depth + 1)?;
-                    if let Some(picked) = keep.as_deref_mut() {
-                        picked.offer(&key, member);
-                    }
-                    more = self.next(b'}')?;
-                }
-            }
-            _ => {}
-        }
-        Ok(token)
     }
 
     /// Reads one value as a tree.

@@ -17,15 +17,16 @@
 //!
 //! * [`json`] — [`json::JsonValue`] plus the [`json::ToJson`] /
 //!   [`json::FromJson`] traits; output shapes match serde_json's defaults
-//!   so pre-existing artifacts keep parsing. One tokenizer serves the
-//!   tree parser and the detail log's pull decoder; a line in the form
-//!   the encoder writes is read in one pass before either.
+//!   so pre-existing artifacts keep parsing. A detail-log line in the
+//!   form the encoder writes is read in one pass without a tree; any
+//!   other line goes through the tree.
 //! * [`event`] — the [`event::TraceEvent`] taxonomy, the
 //!   [`event::TraceSink`] trait, the built-in sinks
 //!   ([`event::NoopSink`], [`event::RingBufferSink`],
 //!   [`event::JsonlSink`]), and the detail-log line codec
 //!   ([`event::render_detail_log`] / [`event::parse_detail_log`]), which
-//!   streams records to text and pulls them back without a tree.
+//!   streams records to text and reads the encoder's own lines back
+//!   without a tree.
 //! * [`chrome`] — [`chrome::chrome_trace_json`], converting a recorded
 //!   event stream into a `chrome://tracing` / Perfetto-loadable timeline.
 //! * [`flight`] — [`flight::FlightRecorder`], a bounded ring of recent
@@ -34,7 +35,9 @@
 //!   frames, `MLPJ` journal frames and checkpoints, `MLPR`): the
 //!   [`crc::crc32`] (carry-less-multiply folding where the CPU has it,
 //!   slice-by-8 elsewhere), the FNV-1a [`crc::fnv1a64`], and the
-//!   big-endian codec [`bytes::ByteWriter`] / [`bytes::ByteReader`].
+//!   big-endian codec: [`bytes::ByteLayout`], implemented by every record
+//!   declared with [`byte_layout!`], over [`bytes::ByteWriter`] /
+//!   [`bytes::ByteReader`].
 //! * [`journal`] — [`journal::JournalWriter`] / [`journal::read_journal`],
 //!   the `MLPJ` append-only write-ahead journal (CRC-framed, batched
 //!   `fsync`, torn-tail salvage) that crash-safe runs checkpoint into.

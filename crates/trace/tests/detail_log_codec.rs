@@ -1,6 +1,7 @@
 //! The detail-log line codec: one function, two implementations.
 //!
-//! `TraceRecord::from_json_str` pulls a record straight out of a line and
+//! `TraceRecord::from_json_str` reads a record straight out of a line the
+//! encoder wrote (any other line through the tree) and
 //! `TraceRecord::to_json_string` / `JsonlSink` stream one straight into
 //! bytes; the `JsonValue` tree path (`JsonValue::parse` +
 //! `from_json_value`, `to_json_value` + `to_compact`) is the reference.
@@ -26,16 +27,18 @@ fn tree(line: &str) -> Result<TraceRecord, JsonError> {
 }
 
 /// Decodes `line` both ways and holds them to the same result — value or
-/// error text — and the pull decoder to an allocation the line's length
-/// accounts for. Returns whether the line was accepted.
+/// error text — and the line reader to an allocation the line's length
+/// accounts for, or else no larger than the tree path's own (the reader
+/// hands every line it cannot take in one pass to that path). Returns
+/// whether the line was accepted.
 fn assert_same(line: &str) -> bool {
     let (pulled, largest) = largest_alloc_during(|| TraceRecord::from_json_str(line));
+    let (tree, tree_largest) = largest_alloc_during(|| tree(line));
     assert!(
-        largest <= 4 * line.len() + 64,
+        largest <= (4 * line.len() + 64).max(tree_largest),
         "a {}-byte line made the decoder allocate {largest} bytes: {line}",
         line.len()
     );
-    let tree = tree(line);
     // NaN is not `==` itself; the debug text is.
     if pulled != tree {
         assert_eq!(format!("{pulled:?}"), format!("{tree:?}"), "{line}");

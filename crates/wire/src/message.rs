@@ -1,314 +1,208 @@
 //! The wire message vocabulary and its binary layouts.
 //!
-//! One [`Message`] per frame. Tags and layouts (all integers big-endian):
+//! One [`Message`] per frame: a tag byte, then the variant's fields in the
+//! order its declaration lists them. The tables below are the ones the
+//! declarations generate (a test holds them equal); the bytes of each
+//! field type are in `mlperf_trace::bytes`: integers big-endian, `usize`,
+//! `QueryId` and `Nanos` as `u64`, `bool` one byte 0/1, `String` a `u32`
+//! length and UTF-8, `Vec` a `u32` count and the items, a tuple or array
+//! its items. `SeedTriple` is spelled as the qsl, schedule and accuracy
+//! seeds.
 //!
-//! | tag | message        | payload layout                                              |
-//! |-----|----------------|-------------------------------------------------------------|
-//! | 1   | `Hello`        | version u16, scenario u8, 3× seed u64, qsl_size u64, max_in_flight u32, session u64, epoch u32, resume u8 |
-//! | 2   | `HelloAck`     | version u16, sut_name str, max_in_flight u32                |
-//! | 3   | `Reject`       | reason str                                                  |
-//! | 4   | —              | retired; rejected as an unknown tag                         |
-//! | 5   | `Completion`   | query_id u64, error u8, n u32, n× (sample_id u64, payload)  |
-//! | 6   | —              | retired; rejected as an unknown tag                         |
-//! | 7   | `HeartbeatAck` | seq u64                                                     |
-//! | 8   | `Drain`        | (empty)                                                     |
-//! | 9   | `Goodbye`      | served u64                                                  |
-//! | 10  | `IssueTraced`  | trace_id u64, query_id u64, scheduled_at u64, tenant u32, n u32, n× (sample_id u64, index u64) |
-//! | 11  | `Events`       | jsonl str — server-side detail-log rows                     |
-//! | 12  | `StatsRequest` | (empty)                                                     |
-//! | 13  | `Stats`        | json str — daemon stats snapshot                            |
-//! | 14  | `ClockProbe`   | seq u64, t0 u64                                             |
-//! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64                             |
+//! | tag | message | fields |
+//! |-----|---------|--------|
+//! | 1 | `Hello` | `Hello` |
+//! | 2 | `HelloAck` | `version: u16`, `sut_name: String`, `max_in_flight: u32` |
+//! | 3 | `Reject` | `reason: String` |
+//! | 4 | — | retired: an unknown tag |
+//! | 5 | `Completion` | `query_id: u64`, `error: bool`, `samples: Vec<SampleCompletion>` |
+//! | 6 | — | retired: an unknown tag |
+//! | 7 | `HeartbeatAck` | `seq: u64` |
+//! | 8 | `Drain` | (empty) |
+//! | 9 | `Goodbye` | `served: u64` |
+//! | 10 | `IssueTraced` | `trace_id: u64`, `query: Query` |
+//! | 11 | `Events` | `jsonl: String` |
+//! | 12 | `StatsRequest` | (empty) |
+//! | 13 | `Stats` | `json: String` |
+//! | 14 | `ClockProbe` | `seq: u64`, `t0: u64` |
+//! | 15 | `ClockProbeAck` | `seq: u64`, `t0: u64`, `t1: u64`, `t2: u64` |
 //!
-//! Response payloads are themselves tagged: 0 empty, 1 class (u64),
-//! 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
-//! (n u32, n× u32): `ResponsePayload::{encode_into, decode_from}` in the
-//! LoadGen crate, shared with the run journal.
+//! The records those frames carry:
+//!
+//! | record | fields |
+//! |--------|--------|
+//! | `Hello` | `version: u16`, `scenario: Scenario`, `seeds: SeedTriple as [u64; 3]`, `qsl_size: u64`, `max_in_flight: u32`, `session: u64`, `epoch: u32`, `resume: bool` |
+//! | `Query` | `id: QueryId`, `scheduled_at: Nanos`, `tenant: u32`, `samples: Vec<QuerySample>` |
+//! | `QuerySample` | `id: u64`, `index: SampleIndex` |
+//! | `SampleCompletion` | `sample_id: u64`, `payload: ResponsePayload` |
+//!
+//! A response payload is tagged too, with one layout the run journal's
+//! accuracy entries share (a `Scenario` is one byte, its position in
+//! `Scenario::ALL`):
+//!
+//! | tag | payload | fields |
+//! |-----|---------|--------|
+//! | 0 | `Empty` | (empty) |
+//! | 1 | `Class` | `usize` |
+//! | 2 | `Boxes` | `Vec<(usize, f32, [f32; 4])>` |
+//! | 3 | `Tokens` | `Vec<u32>` |
 //!
 //! On the wire every encoded message travels sealed — prefixed by its
 //! CRC32, as [`crate::frame::seal`] would — via [`Message::to_wire`] /
 //! [`Message::from_wire`]; see [`crate::frame`] for the frame format.
 
 use crate::frame::{open, WireError};
-use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleCompletion};
+use mlperf_loadgen::query::{Query, SampleCompletion};
 use mlperf_loadgen::scenario::Scenario;
-use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::SeedTriple;
-use mlperf_trace::bytes::{ByteReader, ByteWriter};
+use mlperf_trace::byte_layout;
+use mlperf_trace::bytes::{ByteLayout, ByteWriter};
 
 /// The one protocol version this build speaks. A daemon rejects a `Hello`
 /// offering any other, and a client refuses an ack at any other: a peer
 /// from outside gets a structured refusal, never a guess at what it meant.
 pub const PROTOCOL_VERSION: u16 = 3;
 
-/// What the client announces before any query flows: everything the server
-/// needs to pre-load its QSL and sanity-check the run (scenario, the three
-/// rulebook seeds, QSL size) plus the backpressure window it intends to use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hello {
-    /// Client protocol version.
-    pub version: u16,
-    /// Scenario the run will drive.
-    pub scenario: Scenario,
-    /// The run's seed triple (qsl, schedule, accuracy).
-    pub seeds: SeedTriple,
-    /// Number of samples in the client's QSL.
-    pub qsl_size: u64,
-    /// Maximum queries the client will keep in flight.
-    pub max_in_flight: u32,
-    /// Stable id for the run's session; survives reconnects so the server
-    /// can key its completion journal.
-    pub session: u64,
-    /// 0 for a fresh run; incremented on every reconnect of the same
-    /// session. The server resets its service only on epoch 0.
-    pub epoch: u32,
-    /// Whether the client may reconnect and resume after a disconnect (it
-    /// has a resume policy armed).
-    pub resume: bool,
+byte_layout! {
+    /// What the client announces before any query flows: everything the server
+    /// needs to pre-load its QSL and sanity-check the run (scenario, the three
+    /// rulebook seeds, QSL size) plus the backpressure window it intends to use.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Hello {
+        /// Client protocol version.
+        pub version: u16,
+        /// Scenario the run will drive.
+        pub scenario: Scenario,
+        /// The run's seed triple (qsl, schedule, accuracy).
+        pub seeds: SeedTriple as [u64; 3] {
+            |s| [s.qsl_seed, s.schedule_seed, s.accuracy_seed],
+            |[qsl_seed, schedule_seed, accuracy_seed]| SeedTriple {
+                qsl_seed,
+                schedule_seed,
+                accuracy_seed,
+            },
+        },
+        /// Number of samples in the client's QSL.
+        pub qsl_size: u64,
+        /// Maximum queries the client will keep in flight.
+        pub max_in_flight: u32,
+        /// Stable id for the run's session; survives reconnects so the server
+        /// can key its completion journal.
+        pub session: u64,
+        /// 0 for a fresh run; incremented on every reconnect of the same
+        /// session. The server resets its service only on epoch 0.
+        pub epoch: u32,
+        /// Whether the client may reconnect and resume after a disconnect (it
+        /// has a resume policy armed).
+        pub resume: bool = "hello resume flag",
+    }
 }
 
-/// One message on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Client → server: handshake open.
-    Hello(Hello),
-    /// Server → client: handshake accept.
-    HelloAck {
-        /// Server protocol version.
-        version: u16,
-        /// Name of the SUT the server exports.
-        sut_name: String,
-        /// In-flight window the server granted.
-        max_in_flight: u32,
-    },
-    /// Server → client: handshake refusal; the connection closes after.
-    Reject {
-        /// Why the server refused.
-        reason: String,
-    },
-    /// Server → client: a query resolved. `error` marks a structural
-    /// failure (the remote engine errored/dropped); sample ids still echo.
-    Completion {
-        /// Query id being resolved.
-        query_id: u64,
-        /// Whether the query resolved as an error.
-        error: bool,
-        /// Per-sample completions.
-        samples: Vec<SampleCompletion>,
-    },
-    /// Server → client: the daemon vouching for its own liveness, unasked,
-    /// while a connection thread is inside the service.
-    HeartbeatAck {
-        /// Always 0; the client ignores it.
-        seq: u64,
-    },
-    /// Client → server: no more queries; flush outstanding completions.
-    Drain,
-    /// Server → client: drain finished, connection closing.
-    Goodbye {
-        /// Queries the server resolved over the connection's lifetime.
-        served: u64,
-    },
-    /// Client → server: run inference on a query, carrying the trace id
-    /// the server must tag its side of the work with.
-    IssueTraced {
-        /// Trace id shared by every span of this query, on both hosts.
-        trace_id: u64,
-        /// The query.
-        query: Query,
-    },
-    /// Server → client: a batch of server-side detail-log rows,
-    /// JSONL-encoded `TraceRecord`s on the *server* clock. Shipped at
-    /// drain, before `Goodbye`; the client re-stamps them onto its own
-    /// clock via its offset estimate.
-    Events {
-        /// JSON Lines, one `TraceRecord` per line.
-        jsonl: String,
-    },
-    /// Client → server: one-shot stats query. May open a dedicated
-    /// connection: a `StatsRequest` as the first frame (instead of
-    /// `Hello`) gets a `Stats` reply and the connection closes.
-    StatsRequest,
-    /// Server → client: daemon stats snapshot as JSON (see
-    /// `DaemonStats` in the stats module).
-    Stats {
-        /// JSON-encoded `DaemonStats`.
-        json: String,
-    },
-    /// Client → server: NTP-style clock probe, and the client's liveness
-    /// ping (the ack refreshes the heartbeat clock).
-    ClockProbe {
-        /// Monotonic probe sequence number.
-        seq: u64,
-        /// Client clock at send, in nanoseconds.
-        t0: u64,
-    },
-    /// Reply to a [`Message::ClockProbe`]: echoes `t0` and adds the
-    /// server-clock receive (`t1`) and transmit (`t2`) stamps. The client
-    /// supplies `t3` (its receive time) to complete the four-timestamp
-    /// offset estimate.
-    ClockProbeAck {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Echoed client send time.
-        t0: u64,
-        /// Server clock when the probe arrived.
-        t1: u64,
-        /// Server clock when the ack left.
-        t2: u64,
-    },
-}
-
-fn get_scenario(r: &mut ByteReader<'_>) -> Result<Scenario, WireError> {
-    let tag = r.get_u8()?;
-    Scenario::from_tag(tag)
-        .ok_or_else(|| WireError::Protocol(format!("unknown scenario tag {tag}")))
-}
-
-fn put_query(w: &mut ByteWriter, query: &Query) {
-    w.put_u64(query.id);
-    w.put_u64(query.scheduled_at.as_nanos());
-    w.put_u32(query.tenant);
-    w.put_list(&query.samples, |w, s| {
-        w.put_u64(s.id);
-        w.put_u64(s.index as u64);
-    });
-}
-
-fn get_query(r: &mut ByteReader<'_>) -> Result<Query, WireError> {
-    let id = r.get_u64()?;
-    let scheduled_at = Nanos::from_nanos(r.get_u64()?);
-    let tenant = r.get_u32()?;
-    let samples = r.get_list(16, |r| {
-        Ok(QuerySample {
-            id: r.get_u64()?,
-            index: r.get_u64()? as usize,
-        })
-    })?;
-    Ok(Query {
-        id,
-        samples,
-        scheduled_at,
-        tenant,
-    })
+byte_layout! {
+    /// One message on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message: "message", retired [4, 6] {
+        /// Client → server: handshake open.
+        Hello(Hello) = 1,
+        /// Server → client: handshake accept.
+        HelloAck {
+            /// Server protocol version.
+            version: u16,
+            /// Name of the SUT the server exports.
+            sut_name: String,
+            /// In-flight window the server granted.
+            max_in_flight: u32,
+        } = 2,
+        /// Server → client: handshake refusal; the connection closes after.
+        Reject {
+            /// Why the server refused.
+            reason: String,
+        } = 3,
+        /// Server → client: a query resolved. `error` marks a structural
+        /// failure (the remote engine errored/dropped); sample ids still echo.
+        Completion {
+            /// Query id being resolved.
+            query_id: u64,
+            /// Whether the query resolved as an error.
+            error: bool = "completion error flag",
+            /// Per-sample completions.
+            samples: Vec<SampleCompletion>,
+        } = 5,
+        /// Server → client: the daemon vouching for its own liveness, unasked,
+        /// while a connection thread is inside the service.
+        HeartbeatAck {
+            /// Always 0; the client ignores it.
+            seq: u64,
+        } = 7,
+        /// Client → server: no more queries; flush outstanding completions.
+        Drain = 8,
+        /// Server → client: drain finished, connection closing.
+        Goodbye {
+            /// Queries the server resolved over the connection's lifetime.
+            served: u64,
+        } = 9,
+        /// Client → server: run inference on a query, carrying the trace id
+        /// the server must tag its side of the work with.
+        IssueTraced {
+            /// Trace id shared by every span of this query, on both hosts.
+            trace_id: u64,
+            /// The query.
+            query: Query,
+        } = 10,
+        /// Server → client: a batch of server-side detail-log rows,
+        /// JSONL-encoded `TraceRecord`s on the *server* clock. Shipped at
+        /// drain, before `Goodbye`; the client re-stamps them onto its own
+        /// clock via its offset estimate.
+        Events {
+            /// JSON Lines, one `TraceRecord` per line.
+            jsonl: String,
+        } = 11,
+        /// Client → server: one-shot stats query. May open a dedicated
+        /// connection: a `StatsRequest` as the first frame (instead of
+        /// `Hello`) gets a `Stats` reply and the connection closes.
+        StatsRequest = 12,
+        /// Server → client: daemon stats snapshot as JSON (see
+        /// `DaemonStats` in the stats module).
+        Stats {
+            /// JSON-encoded `DaemonStats`.
+            json: String,
+        } = 13,
+        /// Client → server: NTP-style clock probe, and the client's liveness
+        /// ping (the ack refreshes the heartbeat clock).
+        ClockProbe {
+            /// Monotonic probe sequence number.
+            seq: u64,
+            /// Client clock at send, in nanoseconds.
+            t0: u64,
+        } = 14,
+        /// Reply to a [`Message::ClockProbe`]: echoes `t0` and adds the
+        /// server-clock receive (`t1`) and transmit (`t2`) stamps. The client
+        /// supplies `t3` (its receive time) to complete the four-timestamp
+        /// offset estimate.
+        ClockProbeAck {
+            /// Echoed sequence number.
+            seq: u64,
+            /// Echoed client send time.
+            t0: u64,
+            /// Server clock when the probe arrived.
+            t1: u64,
+            /// Server clock when the ack left.
+            t2: u64,
+        } = 15,
+    }
 }
 
 impl Message {
-    /// Human-readable message name, for diagnostics.
-    pub(crate) fn tag_name(&self) -> &'static str {
-        match self {
-            Message::Hello(_) => "Hello",
-            Message::HelloAck { .. } => "HelloAck",
-            Message::Reject { .. } => "Reject",
-            Message::Completion { .. } => "Completion",
-            Message::HeartbeatAck { .. } => "HeartbeatAck",
-            Message::Drain => "Drain",
-            Message::Goodbye { .. } => "Goodbye",
-            Message::IssueTraced { .. } => "IssueTraced",
-            Message::Events { .. } => "Events",
-            Message::StatsRequest => "StatsRequest",
-            Message::Stats { .. } => "Stats",
-            Message::ClockProbe { .. } => "ClockProbe",
-            Message::ClockProbeAck { .. } => "ClockProbeAck",
-        }
-    }
-
     /// Encodes the message as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    fn encode_into(&self, w: &mut ByteWriter) {
-        match self {
-            Message::Hello(h) => {
-                w.put_u8(1);
-                w.put_u16(h.version);
-                w.put_u8(h.scenario.tag());
-                w.put_u64(h.seeds.qsl_seed);
-                w.put_u64(h.seeds.schedule_seed);
-                w.put_u64(h.seeds.accuracy_seed);
-                w.put_u64(h.qsl_size);
-                w.put_u32(h.max_in_flight);
-                w.put_u64(h.session);
-                w.put_u32(h.epoch);
-                w.put_bool(h.resume);
-            }
-            Message::HelloAck {
-                version,
-                sut_name,
-                max_in_flight,
-            } => {
-                w.put_u8(2);
-                w.put_u16(*version);
-                w.put_str(sut_name);
-                w.put_u32(*max_in_flight);
-            }
-            Message::Reject { reason } => {
-                w.put_u8(3);
-                w.put_str(reason);
-            }
-            Message::Completion {
-                query_id,
-                error,
-                samples,
-            } => {
-                w.put_u8(5);
-                w.put_u64(*query_id);
-                w.put_bool(*error);
-                w.put_list(samples, |w, s| {
-                    w.put_u64(s.sample_id);
-                    s.payload.encode_into(w);
-                });
-            }
-            Message::HeartbeatAck { seq } => {
-                w.put_u8(7);
-                w.put_u64(*seq);
-            }
-            Message::Drain => {
-                w.put_u8(8);
-            }
-            Message::Goodbye { served } => {
-                w.put_u8(9);
-                w.put_u64(*served);
-            }
-            Message::IssueTraced { trace_id, query } => {
-                w.put_u8(10);
-                w.put_u64(*trace_id);
-                put_query(w, query);
-            }
-            Message::Events { jsonl } => {
-                w.put_u8(11);
-                w.put_str(jsonl);
-            }
-            Message::StatsRequest => {
-                w.put_u8(12);
-            }
-            Message::Stats { json } => {
-                w.put_u8(13);
-                w.put_str(json);
-            }
-            Message::ClockProbe { seq, t0 } => {
-                w.put_u8(14);
-                w.put_u64(*seq);
-                w.put_u64(*t0);
-            }
-            Message::ClockProbeAck { seq, t0, t1, t2 } => {
-                w.put_u8(15);
-                w.put_u64(*seq);
-                w.put_u64(*t0);
-                w.put_u64(*t1);
-                w.put_u64(*t2);
-            }
-        }
+        self.to_bytes()
     }
 
     /// Encodes the message and seals it for the wire: `crc32 || body`,
     /// byte for byte what `seal(&self.encode())` builds, in one buffer.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut w = ByteWriter::sealed(self.wire_capacity());
-        self.encode_into(&mut w);
+        self.put(&mut w);
         w.into_sealed()
     }
 
@@ -347,81 +241,15 @@ impl Message {
     /// Returns [`WireError::Protocol`] for unknown tags, truncation, or
     /// trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-        let mut r = ByteReader::new(payload);
-        let message = match r.get_u8()? {
-            1 => Message::Hello(Hello {
-                version: r.get_u16()?,
-                scenario: get_scenario(&mut r)?,
-                seeds: SeedTriple {
-                    qsl_seed: r.get_u64()?,
-                    schedule_seed: r.get_u64()?,
-                    accuracy_seed: r.get_u64()?,
-                },
-                qsl_size: r.get_u64()?,
-                max_in_flight: r.get_u32()?,
-                session: r.get_u64()?,
-                epoch: r.get_u32()?,
-                resume: r.get_bool("hello resume flag")?,
-            }),
-            2 => Message::HelloAck {
-                version: r.get_u16()?,
-                sut_name: r.get_str()?,
-                max_in_flight: r.get_u32()?,
-            },
-            3 => Message::Reject {
-                reason: r.get_str()?,
-            },
-            5 => {
-                let query_id = r.get_u64()?;
-                let error = r.get_bool("completion error flag")?;
-                let samples = r.get_list(9, |r| {
-                    Ok(SampleCompletion {
-                        sample_id: r.get_u64()?,
-                        payload: ResponsePayload::decode_from(r)?,
-                    })
-                })?;
-                Message::Completion {
-                    query_id,
-                    error,
-                    samples,
-                }
-            }
-            7 => Message::HeartbeatAck { seq: r.get_u64()? },
-            8 => Message::Drain,
-            9 => Message::Goodbye {
-                served: r.get_u64()?,
-            },
-            10 => Message::IssueTraced {
-                trace_id: r.get_u64()?,
-                query: get_query(&mut r)?,
-            },
-            11 => Message::Events {
-                jsonl: r.get_str()?,
-            },
-            12 => Message::StatsRequest,
-            13 => Message::Stats { json: r.get_str()? },
-            14 => Message::ClockProbe {
-                seq: r.get_u64()?,
-                t0: r.get_u64()?,
-            },
-            15 => Message::ClockProbeAck {
-                seq: r.get_u64()?,
-                t0: r.get_u64()?,
-                t1: r.get_u64()?,
-                t2: r.get_u64()?,
-            },
-            other => {
-                return Err(WireError::Protocol(format!("unknown message tag {other}")));
-            }
-        };
-        r.finish()?;
-        Ok(message)
+        Ok(Message::from_bytes(payload)?)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mlperf_loadgen::query::{QuerySample, ResponsePayload};
+    use mlperf_loadgen::time::Nanos;
 
     pub(crate) fn sample_messages() -> Vec<Message> {
         vec![

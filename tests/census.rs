@@ -120,6 +120,8 @@ enum Want {
     Names(&'static [&'static str]),
     /// Exactly one hit, in this file.
     OnceIn(&'static str),
+    /// Exactly this many hits, all in this file.
+    CountIn(usize, &'static str),
 }
 
 struct Rule {
@@ -549,6 +551,20 @@ const RULES: &[Rule] = &[
         plant: ("crates/core/src/instrument.rs", "fn with_sampler() {}\n"),
     },
     Rule {
+        name: "one byte layout",
+        scope: &["crates/*/src/**/*.rs", "!crates/trace/src/bytes.rs"],
+        part: Part::Code,
+        pattern: Pattern::Squeezed(&[
+            ".put_u8(", ".put_u16(", ".put_u32(", ".put_u64(", ".put_f32(", ".put_f64(",
+            ".put_bool(", ".put_str(", ".put_bytes(", ".put_list(",
+            ".get_u8(", ".get_u16(", ".get_u32(", ".get_u64(", ".get_f32(", ".get_f64(",
+            ".get_bool(", ".get_str(", ".get_bytes(", ".get_list(",
+        ]),
+        want: Want::CountIn(4, "crates/replay/src/trace.rs"),
+        retired: "byte_layout!: every binary record (wire messages, run-journal payloads, MLPR) is declared once and both codec halves are generated from it; the hand-written put_*/get_* halves went. The four left are MLPR's framing: magic, version and CRC trailer written, version read",
+        plant: ("crates/wire/src/message.rs", "fn twice(w: &mut ByteWriter) { w.put_u64(1); }\n"),
+    },
+    Rule {
         name: "one query stream per run",
         scope: &["crates/**/*.rs"],
         part: Part::Whole,
@@ -785,6 +801,7 @@ fn check_rule(rule: &Rule, tree: &Tree) -> Result<(), String> {
             found == wanted
         }
         Want::OnceIn(file) => hits.len() == 1 && hits[0].0 == file,
+        Want::CountIn(n, file) => hits.len() == n && hits.iter().all(|h| h.0 == file),
     };
     if held {
         return Ok(());
