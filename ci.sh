@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# An unresolved intra-doc link, or one to a private item, is a doc that
+# renders as plain text where it promises a link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== size metric (the census itself is tests/census.rs, run by cargo test) =="
 # The census — one of everything in the run engine, the retired names kept
 # out, and the public-surface report against results/public_surface.txt —

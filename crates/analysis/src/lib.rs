@@ -12,19 +12,19 @@
 //!   client-queue / network / server-queue / compute segments that sum to
 //!   the end-to-end latency *exactly* (the network segment is the signed
 //!   residual, so clock skew is visible instead of silently absorbed).
-//! * [`breakdown`] — [`breakdown::breakdown`] attributes p50/p90/p99/p99.9
+//! * [`breakdown`] — `breakdown::breakdown` attributes p50/p90/p99/p99.9
 //!   to the dominant segment of the query at each nearest rank, matching
 //!   the percentile convention the validity rules use.
 //! * [`rootcause`] — [`rootcause::root_causes`] names each violated
 //!   constraint and argues it from the log: offending queries, their time
 //!   window, critical-path trace ids, and injected-fault evidence.
-//! * [`heatmap`] — [`heatmap::heatmap`] buckets completions into
+//! * [`heatmap`](mod@heatmap) — [`heatmap::heatmap`] buckets completions into
 //!   `k · interval` windows and stamps each with the load at its boundary
 //!   (issued, in flight, samples, DVFS state): the run's time series, for
 //!   every clock and transport that writes a detail log.
 //! * [`diff`] — [`diff::diff_paths`] / [`diff::diff_metrics`] compare two
 //!   runs at nearest-rank quantiles and name the segment that regressed.
-//! * [`shards`] — [`shards::shard_reports`] folds a fleet run's
+//! * [`shards`] — `shards::shard_reports` folds a fleet run's
 //!   `ShardEvent` rows and per-shard server spans into one attribution
 //!   row per shard, naming each dead shard's failover window.
 //! * [`report`] — [`report::analyze_records`] runs the whole pipeline and

@@ -4,7 +4,7 @@
 //! kinds: router rows ([`TraceEvent::ShardEvent`] — `route`, `failover`,
 //! and the health transitions) and server spans whose `host` is the
 //! daemon's shard label. This module folds both into one
-//! [`ShardReport`] per shard, so the forensics report can answer "which
+//! `ShardReport` per shard, so the forensics report can answer "which
 //! shard did the work, which shard died, and when was the failover
 //! window" from the log alone.
 //!

@@ -15,12 +15,12 @@ use crate::config::{TestMode, TestSettings};
 use crate::instrument::Instruments;
 use crate::journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal};
 use crate::qsl::QuerySampleLibrary;
-use crate::query::{QueryCompletion, SampleIndex};
+use crate::query::{Query, QueryCompletion, SampleIndex};
 use crate::record::{LoggedResponse, QueryRecord};
 use crate::results::TestResult;
-use crate::run::{finish_run, start, trace_issue, Arrivals, Lane, Run};
+use crate::run::{finish_run, start, trace_issue, Arrivals, Lane, Run, Sizing};
 use crate::scenario::Scenario;
-use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
+use crate::schedule::{refill_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{SimSut, SutReaction};
 use crate::time::Nanos;
 use crate::LoadGenError;
@@ -91,10 +91,16 @@ impl Ord for Event {
 
 /// The simulator: one event heap and one SUT under the run's one
 /// [`Lane`]. A query's id is its ordinal in the run.
+///
+/// Every query of the run is drawn into `indices` and issued from `query`,
+/// both refilled in place, so issuing allocates nothing once they have
+/// grown to the run's query size.
 struct Sim<'a, 's, S: SimSut + ?Sized> {
     sut: &'s mut S,
     heap: BinaryHeap<Reverse<Event>>,
     lane: Lane<'a>,
+    indices: Vec<SampleIndex>,
+    query: Query,
     next_sample_id: u64,
     seq: u64,
     events_processed: u64,
@@ -103,16 +109,27 @@ struct Sim<'a, 's, S: SimSut + ?Sized> {
 }
 
 impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
+    /// A simulator whose event heap and query buffers are sized once by
+    /// `sizing`: in flight, each query has its completion queued, plus one
+    /// arrival and one wakeup.
     fn new(
         lane: Lane<'a>,
+        sizing: Sizing,
         sut: &'s mut S,
         sink: &'a dyn TraceSink,
         metrics: Option<&'a MetricsRegistry>,
     ) -> Self {
         Self {
             sut,
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(sizing.in_flight + 2),
             lane,
+            indices: Vec::with_capacity(sizing.samples),
+            query: Query {
+                id: 0,
+                scheduled_at: Nanos::ZERO,
+                tenant: 0,
+                samples: Vec::with_capacity(sizing.samples),
+            },
             next_sample_id: 0,
             seq: 0,
             events_processed: 0,
@@ -145,18 +162,15 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         Ok(self.heap.pop().map(|Reverse(e)| e))
     }
 
-    /// Issues query number `ordinal` at `at`, exactly on schedule
-    /// (simulated issue has no delay); the ordinal is the query's id.
-    fn issue(
-        &mut self,
-        ordinal: u64,
-        indices: &[SampleIndex],
-        at: Nanos,
-    ) -> Result<(), LoadGenError> {
+    /// Issues query number `ordinal`, whose samples were drawn into
+    /// `self.indices`, at `at`, exactly on schedule (simulated issue has
+    /// no delay); the ordinal is the query's id.
+    fn issue(&mut self, ordinal: u64, at: Nanos) -> Result<(), LoadGenError> {
         profile_span!("loadgen/issue");
-        let query = build_query(ordinal, &mut self.next_sample_id, indices, at);
-        self.lane.issue(&query, at, self.sink)?;
-        let reaction = self.sut.on_query(at, &query);
+        let query = &mut self.query;
+        refill_query(query, ordinal, &mut self.next_sample_id, &self.indices, at);
+        self.lane.issue(query, at, self.sink)?;
+        let reaction = self.sut.on_query(at, query);
         if self.sink.enabled() {
             let sent = TraceEvent::QuerySent { query_id: ordinal };
             self.sink.record(at.as_nanos(), &sent);
@@ -237,11 +251,11 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
                     continue;
                 }
             }
-            let (ordinal, at, indices) = source
-                .next(PoissonCursor::advance_simulated)
+            let (ordinal, at) = source
+                .next_into(PoissonCursor::advance_simulated, &mut self.indices)
                 .expect("arrival event without pending arrival");
             debug_assert_eq!(at, event.at);
-            self.issue(ordinal, &indices, at)?;
+            self.issue(ordinal, at)?;
             if let Some(next) = source.pending() {
                 self.schedule_arrival(next);
             }
@@ -257,8 +271,8 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
     }
 
     fn run_single_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
-        let (ordinal, indices) = cursor.draw();
-        self.issue(ordinal, &indices, Nanos::ZERO)?;
+        let ordinal = cursor.draw_into(&mut self.indices);
+        self.issue(ordinal, Nanos::ZERO)?;
         while let Some(event) = self.pop()? {
             match event.kind {
                 EventKind::Arrival => unreachable!("single-stream issues on completion"),
@@ -266,8 +280,8 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
                 EventKind::Completion(c) => {
                     self.complete(&c)?;
                     if cursor.more(c.finished_at) {
-                        let (ordinal, indices) = cursor.draw();
-                        self.issue(ordinal, &indices, c.finished_at)?;
+                        let ordinal = cursor.draw_into(&mut self.indices);
+                        self.issue(ordinal, c.finished_at)?;
                     }
                 }
             }
@@ -277,15 +291,15 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
 
     fn run_multi_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
         let interval = self.lane.settings.multistream_arrival_interval;
-        let (ordinal, indices) = cursor.draw();
-        self.issue(ordinal, &indices, Nanos::ZERO)?;
+        let ordinal = cursor.draw_into(&mut self.indices);
+        self.issue(ordinal, Nanos::ZERO)?;
         // (query id, issue boundary) of the in-flight query.
         let mut in_flight = Some((ordinal, Nanos::ZERO));
         while let Some(event) = self.pop()? {
             let c = match event.kind {
                 EventKind::Arrival => {
-                    let (ordinal, indices) = cursor.draw();
-                    self.issue(ordinal, &indices, event.at)?;
+                    let ordinal = cursor.draw_into(&mut self.indices);
+                    self.issue(ordinal, event.at)?;
                     in_flight = Some((ordinal, event.at));
                     continue;
                 }
@@ -333,20 +347,20 @@ impl<'a, 's, S: SimSut + ?Sized> Sim<'a, 's, S> {
         Ok(())
     }
 
-    /// One query, then the completion drain: the offline batch, or in
-    /// accuracy mode the entire data set once. A journaled offline run
-    /// checkpoints right after the issue; a run resumed from that
-    /// checkpoint skips the issue (the query is outstanding and was
-    /// re-sent during restore) and goes straight to the drain.
+    /// One query of the samples already in `self.indices`, then the
+    /// completion drain: the offline batch, or in accuracy mode the entire
+    /// data set once. A journaled offline run checkpoints right after the
+    /// issue; a run resumed from that checkpoint skips the issue (the
+    /// query is outstanding and was re-sent during restore) and goes
+    /// straight to the drain.
     fn run_batch(
         &mut self,
         cursor: &SampleCursor<'_>,
-        indices: &[SampleIndex],
         journal: Option<&mut RunJournal<'_>>,
         resumed: bool,
     ) -> Result<bool, LoadGenError> {
         if !resumed {
-            self.issue(0, indices, Nanos::ZERO)?;
+            self.issue(0, Nanos::ZERO)?;
             if let Some(tap) = journal {
                 if tap.capture(cursor.state(), self.next_sample_id, Nanos::ZERO, &self.lane)? {
                     return Ok(true);
@@ -488,7 +502,9 @@ where
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    let mut sim = Sim::new(Lane::new(settings, registry), sut, sink, registry);
+    let sizing = Sizing::of(settings, &arrivals);
+    let lane = Lane::new(settings, sizing, registry);
+    let mut sim = Sim::new(lane, sizing, sut, sink, registry);
     if let Some(cp) = &restored {
         sim.restore(cp)?;
     }
@@ -497,7 +513,10 @@ where
         let mut cursor = SampleCursor::new(settings, population);
         let mut open_loop = |source| sim.run_arrivals(source, tap.as_mut());
         match (settings.mode, arrivals, settings.scenario) {
-            (TestMode::AccuracyOnly, ..) => sim.run_batch(&cursor, &loaded, None, false)?,
+            (TestMode::AccuracyOnly, ..) => {
+                sim.indices.extend_from_slice(&loaded);
+                sim.run_batch(&cursor, None, false)?
+            }
             (_, Arrivals::Replay(schedule), _) => open_loop(ArrivalSource::Replay {
                 schedule,
                 population,
@@ -510,8 +529,8 @@ where
                 open_loop(ArrivalSource::Poisson(poisson))?
             }
             (_, _, Scenario::Offline) => {
-                let (_, indices) = cursor.draw();
-                sim.run_batch(&cursor, &indices, tap.as_mut(), restored.is_some())?
+                cursor.draw_into(&mut sim.indices);
+                sim.run_batch(&cursor, tap.as_mut(), restored.is_some())?
             }
         }
     };

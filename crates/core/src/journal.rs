@@ -6,7 +6,7 @@
 //! LoadGen run writes into that WAL so a fresh process can pick the run
 //! back up after a `kill -9`.
 //!
-//! A run journal holds one [`RunMeta`] record (frame 0) followed by
+//! A run journal holds one `RunMeta` record (frame 0) followed by
 //! [`Checkpoint`] records at deterministic issued-query boundaries. A
 //! checkpoint is a complete image of the issue loop at a boundary:
 //!
@@ -648,10 +648,7 @@ mod tests {
         }
         let mut trailing = bytes;
         trailing.push(0);
-        assert_eq!(
-            RunMeta::decode(&trailing),
-            Err("1 trailing bytes after message".into())
-        );
+        assert_eq!(RunMeta::decode(&trailing), Err("1 trailing byte".into()));
     }
 
     /// Builds before the binary codec wrote each frame as JSON text. Such

@@ -26,7 +26,7 @@ use crate::des::RunOutcome;
 use crate::journal::{JournaledRun, RunJournal};
 use crate::qsl::QuerySampleLibrary;
 use crate::query::{Query, QueryCompletion, SampleIndex};
-use crate::run::{finish_run, phase, start, trace_issue, Arrivals, Lane, Run};
+use crate::run::{finish_run, phase, start, trace_issue, Arrivals, Lane, Run, Sizing};
 use crate::scenario::Scenario;
 use crate::schedule::{build_query, ArrivalSource, PoissonCursor, SampleCursor};
 use crate::sut::{IssueOutcome, RealtimeSut};
@@ -288,8 +288,9 @@ impl Wall<'_> {
     }
 
     fn run_single_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
+        let mut indices = Vec::new();
         loop {
-            let (id, indices) = cursor.draw();
+            let id = cursor.draw_into(&mut indices);
             let now = self.now();
             let finished = self.issue_blocking(id, &indices, now, now)?;
             if !cursor.more(finished) {
@@ -300,10 +301,10 @@ impl Wall<'_> {
 
     fn run_multi_stream(&mut self, mut cursor: SampleCursor<'_>) -> Result<(), LoadGenError> {
         let interval = self.lane.settings.multistream_arrival_interval;
-        let mut boundary = Nanos::ZERO;
+        let (mut boundary, mut indices) = (Nanos::ZERO, Vec::new());
         loop {
             self.pacer.wait_until(boundary, &mut self.start);
-            let (id, indices) = cursor.draw();
+            let id = cursor.draw_into(&mut indices);
             // The pool's stamp: the boundary plus however late we met it.
             let issued_at = self.now().max(boundary);
             let finished = self.issue_blocking(id, &indices, boundary, issued_at)?;
@@ -393,7 +394,9 @@ impl Wall<'_> {
             trace_issue(self.sink, &query, query.scheduled_at);
             hand_over(queue, query)?;
         }
-        while let Some((id, arrival, indices)) = source.next(PoissonCursor::advance_wall) {
+        let mut indices = Vec::new();
+        while let Some((id, arrival)) = source.next_into(PoissonCursor::advance_wall, &mut indices)
+        {
             self.pacer.wait_until(arrival, &mut self.start);
             let query = build_query(id, &mut self.next_sample_id, &indices, arrival);
             // The honest stamp: when the query actually left, which is the
@@ -452,7 +455,7 @@ where
         sink,
         start: origin,
         pacer: Pacer::default(),
-        lane: Lane::new(settings, None),
+        lane: Lane::new(settings, Sizing::of(settings, &arrivals), None),
         next_sample_id: 0,
     };
     let mut resend = Vec::new();
@@ -485,7 +488,11 @@ where
             let mut source = ArrivalSource::Poisson(cursor);
             wall.run_pool(&mut source, resend, tap.as_mut())?
         }
-        (_, _, Scenario::Offline) => batch(&mut wall, &cursor.draw().1)?,
+        (_, _, Scenario::Offline) => {
+            let mut indices = Vec::new();
+            cursor.draw_into(&mut indices);
+            batch(&mut wall, &indices)?
+        }
     };
     qsl.unload_samples(&loaded);
     if let Some(tap) = tap.as_mut() {

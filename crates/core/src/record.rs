@@ -4,7 +4,9 @@ use crate::query::{Query, QueryCompletion, QueryId, ResponsePayload, SampleIndex
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::byte_layout;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 byte_layout! {
     /// Per-query record retained for the detail log and metric computation.
@@ -151,12 +153,41 @@ impl RecorderSnapshot {
     }
 }
 
+/// Hashes a query id with one multiply by 2⁶⁴/φ. Ids are a run's
+/// ordinals, not input an adversary picks, so SipHash's keyed rounds buy
+/// nothing here; the multiply maps consecutive ids to distinct low bits
+/// (the table's bucket) and spreads them over the high bits (its tag).
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An issued query's samples: `(response id, data-set index)` in order.
+type Samples = Vec<(u64, SampleIndex)>;
+
 /// Records issues and completions, enforcing the SUT protocol.
 #[derive(Debug, Default)]
 pub struct Recorder {
     records: Vec<QueryRecord>,
-    // query id -> (position in records, sample ids and indices in order)
-    outstanding: HashMap<QueryId, (usize, Vec<(u64, SampleIndex)>)>,
+    // query id -> (position in records, its samples)
+    outstanding: HashMap<QueryId, (usize, Samples), BuildHasherDefault<IdHasher>>,
+    /// Emptied sample lists of completed queries, which the next issues
+    /// refill instead of allocating their own.
+    spare: Vec<Samples>,
     accuracy_log: Vec<LoggedResponse>,
     samples_completed: u64,
     last_completion: Nanos,
@@ -169,19 +200,40 @@ impl Recorder {
         Self::default()
     }
 
+    /// An empty recorder that holds `queries` records, and `in_flight`
+    /// outstanding queries of `samples` samples each, before it grows.
+    pub(crate) fn with_capacity(queries: usize, in_flight: usize, samples: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(queries),
+            outstanding: HashMap::with_capacity_and_hasher(in_flight, Default::default()),
+            spare: (0..in_flight)
+                .map(|_| Vec::with_capacity(samples))
+                .collect(),
+            ..Self::default()
+        }
+    }
+
+    /// How many records the store holds before it grows.
+    pub(crate) fn capacity(&self) -> usize {
+        self.records.capacity()
+    }
+
     /// Registers an issued query.
     ///
     /// # Errors
     ///
     /// Returns [`LoadGenError::SutProtocol`] on duplicate query ids.
     pub fn record_issue(&mut self, query: &Query, issued_at: Nanos) -> Result<(), LoadGenError> {
-        if self.outstanding.contains_key(&query.id) {
+        let Entry::Vacant(slot) = self.outstanding.entry(query.id) else {
             return Err(LoadGenError::SutProtocol(format!(
                 "query {} issued twice",
                 query.id
             )));
-        }
+        };
+        let mut samples = self.spare.pop().unwrap_or_default();
+        samples.extend(query.samples.iter().map(|s| (s.id, s.index)));
         let pos = self.records.len();
+        slot.insert((pos, samples));
         self.records.push(QueryRecord {
             id: query.id,
             scheduled_at: query.scheduled_at,
@@ -191,10 +243,6 @@ impl Recorder {
             skipped_intervals: 0,
             error: false,
         });
-        self.outstanding.insert(
-            query.id,
-            (pos, query.samples.iter().map(|s| (s.id, s.index)).collect()),
-        );
         Ok(())
     }
 
@@ -214,15 +262,15 @@ impl Recorder {
         completion: &QueryCompletion,
         mut log_payload: F,
     ) -> Result<Nanos, LoadGenError> {
-        let (pos, samples) = self
-            .outstanding
-            .remove(&completion.query_id)
-            .ok_or_else(|| {
-                LoadGenError::SutProtocol(format!(
-                    "completion for unknown or already-completed query {}",
-                    completion.query_id
-                ))
-            })?;
+        let (pos, mut samples) =
+            self.outstanding
+                .remove(&completion.query_id)
+                .ok_or_else(|| {
+                    LoadGenError::SutProtocol(format!(
+                        "completion for unknown or already-completed query {}",
+                        completion.query_id
+                    ))
+                })?;
         let record = &mut self.records[pos];
         if completion.finished_at < record.issued_at {
             return Err(LoadGenError::SutProtocol(format!(
@@ -262,6 +310,8 @@ impl Recorder {
         } else {
             self.samples_completed += samples.len() as u64;
         }
+        samples.clear();
+        self.spare.push(samples);
         self.last_completion = self.last_completion.max(completion.finished_at);
         Ok(completion.finished_at.saturating_sub(record.scheduled_at))
     }
@@ -335,17 +385,21 @@ impl Recorder {
         }
     }
 
-    /// Rebuilds a recorder from a checkpoint snapshot. The result accepts
+    /// Rebuilds a recorder from a checkpoint snapshot, its record store
+    /// sized for at least `capacity` records. The result accepts
     /// completions for the snapshot's outstanding queries exactly as the
     /// original would have.
-    pub(crate) fn restore(snapshot: RecorderSnapshot) -> Self {
+    pub(crate) fn restore(snapshot: RecorderSnapshot, capacity: usize) -> Self {
+        let mut records = snapshot.records;
+        records.reserve(capacity.saturating_sub(records.len()));
         Self {
-            records: snapshot.records,
+            records,
             outstanding: snapshot
                 .outstanding
                 .into_iter()
                 .map(|e| (e.id, (e.pos, e.samples)))
                 .collect(),
+            spare: Vec::new(),
             accuracy_log: snapshot.accuracy_log,
             samples_completed: snapshot.samples_completed,
             last_completion: snapshot.last_completion,
@@ -479,7 +533,7 @@ mod tests {
 
         // The restored recorder behaves exactly like the original: known
         // outstanding queries complete, completed ones reject.
-        let mut restored = Recorder::restore(back);
+        let mut restored = Recorder::restore(back, 0);
         assert_eq!(restored.records.len(), 3);
         assert_eq!(restored.outstanding(), 2);
         assert_eq!(restored.samples_completed, 1);

@@ -441,11 +441,69 @@ pub(crate) struct Lane<'a> {
     metrics: Option<QueryMetrics>,
 }
 
+/// The most queries a lane's record store reserves up front: 2²² records
+/// (about 235 MB of address space). Table IV's largest count, 270,336,
+/// is far below it; the cap only keeps a count no run reaches, such as
+/// `with_min_query_count(u64::MAX)`, from being asked of the allocator.
+const MAX_RESERVED_QUERIES: u64 = 1 << 22;
+
+/// Queries an open-loop run's in-flight bookkeeping holds before it
+/// grows. A VALID run's queue stays far shorter; a closed-loop or offline
+/// run keeps one query in flight.
+const OPEN_LOOP_IN_FLIGHT: usize = 64;
+
+/// What a run's bookkeeping is sized for before its first query, so that
+/// it does not grow while the run issues.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sizing {
+    /// Queries the run records, as far as is known before the first: a
+    /// replayed schedule's length, the one query of an offline or accuracy
+    /// run, else `min_query_count`, which every run that ends normally
+    /// issues at least. A run that must also fill `min_duration` may issue
+    /// more; the record store grows for those.
+    pub(crate) queries: usize,
+    /// Queries in flight at once.
+    pub(crate) in_flight: usize,
+    /// Samples in one query, where the settings say it.
+    pub(crate) samples: usize,
+}
+
+impl Sizing {
+    pub(crate) fn of(settings: &TestSettings, arrivals: &Arrivals<'_>) -> Self {
+        let (queries, open_loop) = match (settings.mode, arrivals, settings.scenario) {
+            (TestMode::AccuracyOnly, ..) => (1, false),
+            (_, Arrivals::Replay(schedule), _) => (schedule.arrivals.len() as u64, true),
+            (_, _, Scenario::Offline) => (1, false),
+            (_, _, scenario) => (settings.min_query_count, scenario == Scenario::Server),
+        };
+        let queries = queries.min(MAX_RESERVED_QUERIES) as usize;
+        Self {
+            queries,
+            in_flight: if open_loop {
+                OPEN_LOOP_IN_FLIGHT.min(queries)
+            } else {
+                1
+            },
+            // An accuracy run's one query is the whole QSL, not known here.
+            samples: match (settings.mode, settings.scenario) {
+                (TestMode::AccuracyOnly, _) => 0,
+                (_, Scenario::Offline) => settings.offline_min_sample_count as usize,
+                _ => settings.samples_per_query,
+            },
+        }
+    }
+}
+
 impl<'a> Lane<'a> {
-    pub(crate) fn new(settings: &'a TestSettings, metrics: Option<&MetricsRegistry>) -> Self {
+    /// The lane of a run of `settings`, its recorder sized once.
+    pub(crate) fn new(
+        settings: &'a TestSettings,
+        sizing: Sizing,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Self {
         Self {
             settings,
-            recorder: Recorder::new(),
+            recorder: Recorder::with_capacity(sizing.queries, sizing.in_flight, sizing.samples),
             acc_rng: Rng64::new(settings.seeds.accuracy_seed),
             log_probability: match settings.mode {
                 TestMode::AccuracyOnly => 1.0,
@@ -527,7 +585,8 @@ impl<'a> Lane<'a> {
     /// the resumed run re-sends to the SUT without re-recording them.
     pub(crate) fn restore(&mut self, cp: &Checkpoint) -> Vec<Query> {
         self.acc_rng = Rng64::from_state(cp.acc_rng);
-        self.recorder = Recorder::restore(cp.recorder.clone());
+        let capacity = self.recorder.capacity();
+        self.recorder = Recorder::restore(cp.recorder.clone(), capacity);
         cp.recorder.outstanding_queries()
     }
 }
@@ -588,7 +647,8 @@ pub(crate) fn finish_run(
         .sum();
     let error_count = records.iter().filter(|r| r.error).count() as u64;
     let metric = compute_metric(settings, &records, duration, samples_completed);
-    let latencies: Vec<Nanos> = records.iter().filter_map(QueryRecord::latency).collect();
+    let mut latencies = Vec::with_capacity(records.len());
+    latencies.extend(records.iter().filter_map(QueryRecord::latency));
     let result = TestResult {
         sut_name: sut_name.to_string(),
         qsl_name: qsl_name.to_string(),
@@ -773,5 +833,35 @@ mod tests {
             untouched,
             "refused before the QSL was touched"
         );
+    }
+
+    /// The record store is sized for what the run is known to fill, and a
+    /// count no run reaches is capped rather than asked of the allocator.
+    #[test]
+    fn a_lane_reserves_what_its_run_fills_and_never_an_absurd_count() {
+        let recorded = ReplaySchedule {
+            scenario: Scenario::Server,
+            arrivals: vec![Nanos::ZERO; 3],
+            indices: vec![vec![0]; 3],
+        };
+        let server = TestSettings::server(100.0, Nanos::from_millis(10)).with_min_query_count(500);
+        let endless = TestSettings::single_stream().with_min_query_count(u64::MAX);
+        let accuracy = server.clone().with_mode(TestMode::AccuracyOnly);
+        let offline = TestSettings::offline();
+        let table: [(&TestSettings, Arrivals<'_>, usize, usize); 5] = [
+            (&server, Arrivals::Scenario, 500, OPEN_LOOP_IN_FLIGHT),
+            (&server, Arrivals::Replay(&recorded), 3, 3),
+            (&offline, Arrivals::Scenario, 1, 1),
+            (&accuracy, Arrivals::Scenario, 1, 1),
+            (&endless, Arrivals::Scenario, 1 << 22, 1),
+        ];
+        for (settings, arrivals, queries, in_flight) in table {
+            let sizing = Sizing::of(settings, &arrivals);
+            let what = format!("{} {arrivals:?}", settings.scenario);
+            assert_eq!(sizing.queries, queries, "{what}");
+            assert_eq!(sizing.in_flight, in_flight, "{what}");
+            let lane = Lane::new(settings, sizing, None);
+            assert!(lane.recorder.capacity() >= queries, "{what}");
+        }
     }
 }

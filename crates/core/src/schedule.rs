@@ -73,23 +73,34 @@ pub fn server_arrivals(settings: &TestSettings, count: u64) -> Vec<Nanos> {
 
 /// Builds a full query from pre-drawn indices.
 pub fn build_query(id: u64, next_sample_id: &mut u64, indices: &[SampleIndex], at: Nanos) -> Query {
-    let samples = indices
-        .iter()
-        .map(|index| {
-            let sid = *next_sample_id;
-            *next_sample_id += 1;
-            QuerySample {
-                id: sid,
-                index: *index,
-            }
-        })
-        .collect();
-    Query {
+    let mut query = Query {
         id,
-        samples,
+        samples: Vec::new(),
         scheduled_at: at,
         tenant: 0,
-    }
+    };
+    refill_query(&mut query, id, next_sample_id, indices, at);
+    query
+}
+
+/// [`build_query`] into an existing query, reusing its sample list: the
+/// simulated loop issues every query of a run from one `Query`.
+#[inline]
+pub(crate) fn refill_query(
+    query: &mut Query,
+    id: u64,
+    next_sample_id: &mut u64,
+    indices: &[SampleIndex],
+    at: Nanos,
+) {
+    query.id = id;
+    query.scheduled_at = at;
+    query.samples.clear();
+    query.samples.extend(indices.iter().map(|&index| {
+        let sid = *next_sample_id;
+        *next_sample_id += 1;
+        QuerySample { id: sid, index }
+    }));
 }
 
 /// Which query is next and which samples it holds: the part of a run's
@@ -111,18 +122,21 @@ impl<'a> SampleCursor<'a> {
         }
     }
 
-    /// Draws the next query: its ordinal and its sample indices — one
-    /// offline batch, `samples_per_query` otherwise.
+    /// Draws the next query's sample indices — one offline batch,
+    /// `samples_per_query` otherwise — into `indices`, which it clears
+    /// first, so a loop reuses one buffer; returns the query's ordinal.
     #[inline]
-    pub(crate) fn draw(&mut self) -> (u64, Vec<SampleIndex>) {
+    pub(crate) fn draw_into(&mut self, indices: &mut Vec<SampleIndex>) -> u64 {
         let count = match self.settings.scenario {
             Scenario::Offline => self.settings.offline_min_sample_count as usize,
             _ => self.settings.samples_per_query,
         };
         let ordinal = self.issued;
         self.issued += 1;
-        let indices = self.qsl_rng.sample_with_replacement(self.population, count);
-        (ordinal, indices)
+        let (rng, population) = (&mut self.qsl_rng, self.population);
+        indices.clear();
+        indices.extend((0..count).map(|_| rng.next_index(population)));
+        ordinal
     }
 
     /// Whether a query at `at` is still owed: the run goes on until both
@@ -197,8 +211,8 @@ impl<'a> PoissonCursor<'a> {
     // Which arrival ends a Poisson run differs by clock, and both
     // behaviours are pinned by logical-log hashes (DESIGN §3, "where the
     // two clocks still differ"), so each issue loop hands
-    // `ArrivalSource::next` its own rule for lining up the arrival after
-    // the one it just took at `taken`.
+    // `ArrivalSource::next_into` its own rule for lining up the arrival
+    // after the one it just took at `taken`.
 
     /// The simulated loop's rule: the first arrival at or past
     /// `min_duration` is drawn but never issued.
@@ -244,21 +258,23 @@ impl<'a> ArrivalSource<'a> {
         }
     }
 
-    /// Takes the pending arrival — query ordinal, arrival time, sample
-    /// indices — and lines up the one after it: a recorded schedule's next
-    /// entry, or whatever `advance` (the calling loop's
-    /// `PoissonCursor::advance_*`) says follows.
+    /// Takes the pending arrival — its query ordinal and arrival time,
+    /// its sample indices into `indices` (cleared first) — and lines up
+    /// the one after it: a recorded schedule's next entry, or whatever
+    /// `advance` (the calling loop's `PoissonCursor::advance_*`) says
+    /// follows.
     #[inline]
-    pub(crate) fn next(
+    pub(crate) fn next_into(
         &mut self,
         advance: impl FnOnce(&mut PoissonCursor<'a>, Nanos),
-    ) -> Option<(u64, Nanos, Vec<SampleIndex>)> {
+        indices: &mut Vec<SampleIndex>,
+    ) -> Option<(u64, Nanos)> {
         let at = self.pending()?;
         match self {
             Self::Poisson(cursor) => {
-                let (ordinal, indices) = cursor.samples.draw();
+                let ordinal = cursor.samples.draw_into(indices);
                 advance(cursor, at);
-                Some((ordinal, at, indices))
+                Some((ordinal, at))
             }
             Self::Replay {
                 schedule,
@@ -270,8 +286,9 @@ impl<'a> ArrivalSource<'a> {
                 // than rejecting the run.
                 let ordinal = *next;
                 *next += 1;
-                let indices = schedule.indices[ordinal].iter().map(|i| i % *population);
-                Some((ordinal as u64, at, indices.collect()))
+                indices.clear();
+                indices.extend(schedule.indices[ordinal].iter().map(|i| i % *population));
+                Some((ordinal as u64, at))
             }
         }
     }

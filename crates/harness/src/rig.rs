@@ -358,7 +358,7 @@ pub fn issue_kinds(result: &TestResult) -> Vec<String> {
 const FLIGHT_TAIL: usize = 256;
 
 /// Writes the flight-recorder dump of an INVALID run — the freshest
-/// [`FLIGHT_TAIL`] of `records` under `reason` — to `path`, runs the
+/// `FLIGHT_TAIL` of `records` under `reason` — to `path`, runs the
 /// forensics layer over the dumped tail, leaves its root-cause report at
 /// `<path>.analysis.md`, and says where both went.
 pub fn dump_flight(path: &str, reason: &str, records: &[TraceRecord]) {

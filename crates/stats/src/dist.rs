@@ -63,7 +63,7 @@ impl LogNormal {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LogNormal::new`].
+    /// Same conditions as `LogNormal::new`.
     pub fn jitter(sigma: f64) -> Result<Self, DistError> {
         Self::new(0.0, sigma)
     }

@@ -24,7 +24,7 @@ use mlperf_models::{TaskId, Workload};
 use mlperf_stats::Rng64;
 use mlperf_sut::fleet::{fleet, FleetSystem, MarketSegment};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Observed closed-division released-result counts per task ×
 /// `[single-stream, multistream, server, offline]` — the paper's Table VI.
@@ -556,45 +556,37 @@ fn inject_violations(records: &mut Vec<ResultRecord>, config: &RoundConfig, next
 /// Generates the full round: plans, executes runs (in parallel), and
 /// injects the violation tranche. All records come back `Pending`.
 pub fn generate_round(config: &RoundConfig) -> SubmissionRound {
-    let qualities = Arc::new(measure_task_qualities(config.seed, config.quality_samples));
+    let qualities = measure_task_qualities(config.seed, config.quality_samples);
     let plan = plan_round(config, &qualities);
     let next_id = plan.len() as u64;
     let threads = config.threads.max(1);
-    let mut records: Vec<ResultRecord> = if threads == 1 {
-        plan.iter()
-            .map(|p| run_one(p, config, &qualities))
-            .collect()
-    } else {
-        // Round-robin assignment: expensive runs (official-length server
-        // finals) cluster in the plan, so contiguous chunks leave one
-        // straggler thread grinding alone.
-        let mut chunks: Vec<Vec<Planned>> = vec![Vec::new(); threads];
-        for (i, p) in plan.iter().enumerate() {
-            chunks[i % threads].push(p.clone());
+    // One shared queue: each worker takes the next run nobody has taken,
+    // so an expensive run (an official-length server final) holds up only
+    // its own worker. Which worker ran what does not matter: every run is
+    // a function of its plan entry, and the sort below restores id order.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        while let Some(p) = plan.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push(run_one(p, config, &qualities));
         }
-        let mut out: Vec<ResultRecord> = Vec::with_capacity(plan.len());
+        done
+    };
+    let mut records: Vec<ResultRecord> = if threads == 1 {
+        worker()
+    } else {
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in &chunks {
-                let qualities = Arc::clone(&qualities);
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|p| run_one(p, config, &qualities))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                out.extend(handle.join().expect("round worker panicked"));
-            }
-        });
-        out
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            let done = workers.into_iter().map(|w| w.join());
+            done.flat_map(|run| run.expect("round worker panicked"))
+                .collect()
+        })
     };
     records.sort_by_key(|r| r.id);
     inject_violations(&mut records, config, next_id);
     SubmissionRound {
         records,
-        task_qualities: Arc::try_unwrap(qualities).unwrap_or_else(|arc| (*arc).clone()),
+        task_qualities: qualities,
     }
 }
 

@@ -8,6 +8,7 @@ use mlperf_models::Workload;
 use mlperf_stats::Rng64;
 use mlperf_trace::{profile_span, MetricsRegistry, TraceEvent, TraceSink};
 use std::collections::VecDeque;
+use std::mem::take;
 use std::sync::Arc;
 
 /// Produces a per-sample accuracy payload (see
@@ -43,11 +44,20 @@ pub enum BatchPolicy {
     },
 }
 
+/// A query waiting in the dynamic batcher; its samples wait in
+/// [`DeviceSut`]'s `queued_samples`, in arrival order.
 #[derive(Debug, Clone)]
 struct Pending {
     query_id: u64,
     arrival: Nanos,
-    samples: Vec<(u64, usize)>,
+    samples: usize,
+}
+
+fn payload(payloads: &Option<PayloadFn>, index: usize) -> ResponsePayload {
+    match payloads {
+        Some(f) => f(index),
+        None => ResponsePayload::Empty,
+    }
 }
 
 /// A [`SimSut`] over a [`DeviceSpec`] and a task [`Workload`].
@@ -70,7 +80,15 @@ pub struct DeviceSut {
     rng: Rng64,
     busy_until: Vec<Nanos>,
     queue: VecDeque<Pending>,
-    queued_samples: usize,
+    /// `(response id, data-set index)` of every queued query's samples,
+    /// oldest query first.
+    queued_samples: VecDeque<(u64, usize)>,
+    /// Scratch buffers every query reuses: the immediate path's sample
+    /// order, a dispatched chunk's data-set indices, and the queries one
+    /// drain of the batcher dispatched, with their finish times.
+    order: Vec<usize>,
+    indices: Vec<usize>,
+    drained: Vec<(Pending, Nanos)>,
     mean_ops: f64,
     armed_wakeup: Option<Nanos>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -104,7 +122,10 @@ impl DeviceSut {
             length_sorting: false,
             payloads: None,
             queue: VecDeque::new(),
-            queued_samples: 0,
+            queued_samples: VecDeque::new(),
+            order: Vec::new(),
+            indices: Vec::new(),
+            drained: Vec::new(),
             mean_ops,
             armed_wakeup: None,
             trace: None,
@@ -183,13 +204,6 @@ impl DeviceSut {
         self.seed = seed;
         self.rng = Rng64::new(seed);
         self
-    }
-
-    fn payload(&self, index: usize) -> ResponsePayload {
-        match &self.payloads {
-            Some(f) => f(index),
-            None => ResponsePayload::Empty,
-        }
     }
 
     /// Earliest-free execution unit.
@@ -271,7 +285,9 @@ impl DeviceSut {
     /// Runs a whole query immediately, chunked across units.
     fn run_immediate(&mut self, now: Nanos, query: &Query) -> QueryCompletion {
         profile_span!("sut/run_immediate");
-        let mut order: Vec<usize> = (0..query.samples.len()).collect();
+        let (mut order, mut indices) = (take(&mut self.order), take(&mut self.indices));
+        order.clear();
+        order.extend(0..query.samples.len());
         let workload = &self.workload;
         if self.length_sorting && workload.is_variable() {
             order.sort_by(|a, b| {
@@ -283,11 +299,14 @@ impl DeviceSut {
         let mut finish = now;
         let chunk_size = self.best_chunk(order.len());
         for chunk in order.chunks(chunk_size) {
-            let indices: Vec<usize> = chunk.iter().map(|i| query.samples[*i].index).collect();
+            indices.clear();
+            indices.extend(chunk.iter().map(|i| query.samples[*i].index));
             let ops = self.chunk_ops(&indices);
             let done = self.dispatch_batch(now, ops, indices.len());
             finish = finish.max(done);
         }
+        (self.order, self.indices) = (order, indices);
+        let payloads = &self.payloads;
         QueryCompletion::ok(
             query.id,
             finish,
@@ -296,7 +315,7 @@ impl DeviceSut {
                 .iter()
                 .map(|s| SampleCompletion {
                     sample_id: s.id,
-                    payload: self.payload(s.index),
+                    payload: payload(payloads, s.index),
                 })
                 .collect(),
         )
@@ -313,9 +332,13 @@ impl DeviceSut {
     ) -> SutReaction {
         profile_span!("sut/drain_queue");
         let target_batch = target_batch.min(self.spec.max_batch).max(1);
-        let mut reaction = SutReaction::none();
+        let (mut drained, mut indices) = (take(&mut self.drained), take(&mut self.indices));
+        // Samples at the front of `queued_samples` that this drain has
+        // dispatched; they leave the queue with their completions.
+        let mut dispatched = 0;
         loop {
-            let full = self.queued_samples >= target_batch;
+            let waiting = self.queued_samples.len() - dispatched;
+            let full = waiting >= target_batch;
             let due = force_due
                 && self
                     .queue
@@ -325,43 +348,49 @@ impl DeviceSut {
                 break;
             }
             // Pop queries until max_batch samples are gathered.
-            let mut batch: Vec<Pending> = Vec::new();
+            let first = drained.len();
             let mut samples = 0usize;
             while let Some(front) = self.queue.front() {
-                let next = front.samples.len();
-                if !batch.is_empty() && samples + next > target_batch {
+                let next = front.samples;
+                if drained.len() > first && samples + next > target_batch {
                     break;
                 }
                 samples += next;
-                self.queued_samples -= next;
-                batch.push(self.queue.pop_front().expect("front exists"));
+                let pending = self.queue.pop_front().expect("front exists");
+                drained.push((pending, Nanos::ZERO));
                 if samples >= target_batch {
                     break;
                 }
             }
-            let indices: Vec<usize> = batch
-                .iter()
-                .flat_map(|p| p.samples.iter().map(|(_, idx)| *idx))
-                .collect();
+            indices.clear();
+            let batch = self.queued_samples.range(dispatched..dispatched + samples);
+            indices.extend(batch.map(|(_, idx)| *idx));
+            dispatched += samples;
             let ops = self.chunk_ops(&indices);
             // Per-query response handling (see RESPONSE_HANDLING).
-            let tax = RESPONSE_HANDLING.mul(batch.len() as u64);
+            let tax = RESPONSE_HANDLING.mul((drained.len() - first) as u64);
             let finish = self.dispatch_batch_taxed(now, ops, indices.len(), tax);
-            for pending in batch {
-                reaction.completions.push(QueryCompletion::ok(
-                    pending.query_id,
-                    finish,
-                    pending
-                        .samples
-                        .iter()
-                        .map(|(sid, idx)| SampleCompletion {
-                            sample_id: *sid,
-                            payload: self.payload(*idx),
-                        })
-                        .collect(),
-                ));
+            for (_, at) in &mut drained[first..] {
+                *at = finish;
             }
         }
+        // One `Vec` per reaction that completes anything, sized exactly.
+        let payloads = &self.payloads;
+        let mut samples = self.queued_samples.drain(..dispatched);
+        let completions = drained.drain(..).map(|(pending, finish)| {
+            let samples = samples.by_ref().take(pending.samples);
+            let samples = samples.map(|(sample_id, idx)| SampleCompletion {
+                sample_id,
+                payload: payload(payloads, idx),
+            });
+            QueryCompletion::ok(pending.query_id, finish, samples.collect())
+        });
+        let mut reaction = SutReaction {
+            completions: completions.collect(),
+            wakeup_at: None,
+        };
+        drop(samples);
+        (self.drained, self.indices) = (drained, indices);
         if let Some(front) = self.queue.front() {
             let needed = (front.arrival + timeout).max(now);
             // Deduplicate: re-requesting a wakeup on every drain floods the
@@ -389,11 +418,12 @@ impl SimSut for DeviceSut {
         match self.policy {
             BatchPolicy::Immediate => SutReaction::complete(self.run_immediate(now, query)),
             BatchPolicy::DynamicBatch { timeout, max_batch } => {
-                self.queued_samples += query.samples.len();
+                let samples = query.samples.iter().map(|s| (s.id, s.index));
+                self.queued_samples.extend(samples);
                 self.queue.push_back(Pending {
                     query_id: query.id,
                     arrival: now,
-                    samples: query.samples.iter().map(|s| (s.id, s.index)).collect(),
+                    samples: query.samples.len(),
                 });
                 self.drain_queue(now, timeout, max_batch, false)
             }
@@ -416,7 +446,7 @@ impl SimSut for DeviceSut {
         self.busy_until = vec![Nanos::ZERO; self.spec.units];
         self.last_dvfs_milli = vec![None; self.spec.units];
         self.queue.clear();
-        self.queued_samples = 0;
+        self.queued_samples.clear();
         self.armed_wakeup = None;
         self.rng = Rng64::new(self.seed);
     }

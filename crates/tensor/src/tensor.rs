@@ -93,7 +93,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of bounds; use [`Shape::offset`] for a
+    /// Panics if the index is out of bounds; use `Shape::offset` for a
     /// fallible path.
     pub fn at(&self, index: &[usize]) -> f32 {
         let off = self.shape.offset(index).expect("index in bounds");

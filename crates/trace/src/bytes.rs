@@ -77,7 +77,8 @@ impl std::fmt::Display for ByteError {
                 "payload truncated: wanted {wanted} bytes at offset {offset}, {remaining} remain"
             ),
             ByteError::Utf8 => write!(f, "invalid UTF-8 in string field"),
-            ByteError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
+            ByteError::Trailing(1) => write!(f, "1 trailing byte"),
+            ByteError::Trailing(n) => write!(f, "{n} trailing bytes"),
             ByteError::Invalid { what, value } => write!(f, "invalid {what} {value}"),
             ByteError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
         }
@@ -813,6 +814,8 @@ mod tests {
             })
         );
         assert_eq!(u8::from_bytes(&[9, 9]), Err(ByteError::Trailing(1)));
+        assert_eq!(ByteError::Trailing(1).to_string(), "1 trailing byte");
+        assert_eq!(ByteError::Trailing(2).to_string(), "2 trailing bytes");
         assert_eq!(
             String::from_bytes(&[0, 0, 0, 2, 0xff, 0xfe]),
             Err(ByteError::Utf8)

@@ -8,12 +8,12 @@
 //! beside it for the same reason.
 //!
 //! Two paths compute one value. On x86-64 with PCLMULQDQ and SSE4.1
-//! (detected at run time) [`fold`] folds an input's whole 16-byte blocks
-//! with the carry-less multiplier, ≈ 20 GB/s on one core, and [`table`]
-//! finishes the tail. Every other CPU and target runs [`table`], a safe
+//! (detected at run time) `fold` folds an input's whole 16-byte blocks
+//! with the carry-less multiplier, ≈ 20 GB/s on one core, and `table`
+//! finishes the tail. Every other CPU and target runs `table`, a safe
 //! slice-by-8 loop at ≈ 1.2–1.6 GB/s, over all of it. Both take and return
 //! the raw CRC state, so one composes with the other and the tests compare
-//! them directly. The call into [`fold`] right after the detection is the
+//! them directly. The call into `fold` right after the detection is the
 //! one place in the workspace's library code that the compiler cannot
 //! check; `tests/census.rs` pins that it stays the only one.
 

@@ -704,7 +704,7 @@ impl TraceSink for FanoutSink {
 /// analog.
 ///
 /// Lines are rendered into a pending buffer and reach the writer in whole
-/// lines once [`JSONL_BATCH`] bytes are pending, at [`TraceSink::flush`]
+/// lines once `JSONL_BATCH` bytes are pending, at [`TraceSink::flush`]
 /// and when the sink is dropped.
 pub struct JsonlSink {
     out: Mutex<JsonlOut>,

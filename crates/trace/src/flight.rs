@@ -19,8 +19,8 @@ use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 
 /// A shareable bounded event ring that can post-mortem itself.
 ///
-/// Clone-cheap (`Arc` inside); hand [`FlightRecorder::sink`] to anything
-/// that wants a `TraceSink` and keep one handle around for the dump.
+/// Clone-cheap (`Arc` inside) and itself a [`TraceSink`]: hand a clone to
+/// anything that wants a sink and keep one handle around for the dump.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: Arc<RingBufferSink>,

@@ -12,7 +12,7 @@
 //! `mlperf_trace::crc`, re-exported here) covers the body; it is sealed in
 //! by [`seal`] and checked by [`open`] *above* the raw transport,
 //! so a byte flipped anywhere in transit — including by a
-//! [`ChaosTransport`](crate::transport::ChaosTransport) — surfaces as a
+//! `ChaosTransport` — surfaces as a
 //! structured [`FrameError`], never as a plausible message. The body is a
 //! tagged binary encoding of one [`Message`]; see [`crate::message`] for
 //! the per-message layouts, written and read with the workspace's one byte
@@ -182,7 +182,7 @@ fn payload_len(prefix: [u8; 4]) -> Result<usize, WireError> {
 const READ_AHEAD: usize = 16 << 10;
 
 /// [`read_frame`] for a long-lived connection, the read side of
-/// [`write_frame_via`]: a fixed buffer takes whatever the stream has ready
+/// `write_frame_via`: a fixed buffer takes whatever the stream has ready
 /// in one `read` and hands whole frames out of it, so a frame that arrived
 /// in one piece costs one `read`, not one for the prefix and one for the
 /// payload, and frames that arrived together cost one between them. What

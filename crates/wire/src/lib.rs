@@ -20,8 +20,8 @@
 //!   from both hosts merge onto one aligned time axis;
 //! * [`stats`] — [`DaemonStats`] and [`fetch_stats`], the one-shot live
 //!   telemetry probe a running daemon answers without a handshake;
-//! * [`transport`] — the [`Transport`] abstraction over a framed byte
-//!   pipe, plus [`WireChaosPlan`] / [`ChaosSession`], the seeded wire
+//! * [`transport`] — the `Transport` abstraction over a framed byte
+//!   pipe, plus [`WireChaosPlan`] / `ChaosSession`, the seeded wire
 //!   fault injector that decorates either endpoint;
 //! * `protocol` — the two sans-I/O cores, `ClientCore` and `SessionCore`,
 //!   that hold every link and session decision; the endpoints below are

@@ -384,7 +384,7 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Io`] if the listener's local address cannot be
+/// Returns [`WireError::Io`](crate::WireError::Io) if the listener's local address cannot be
 /// resolved or the accept or liveness thread cannot spawn.
 pub fn serve(
     listener: TcpListener,
@@ -477,7 +477,7 @@ fn liveness_loop(shared: &ServerShared) {
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Io`] if the bind fails, plus [`serve`]'s failures.
+/// Returns [`WireError::Io`](crate::WireError::Io) if the bind fails, plus [`serve`]'s failures.
 pub fn serve_on(
     addr: &str,
     service: Arc<dyn WireService>,

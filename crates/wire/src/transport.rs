@@ -1,9 +1,9 @@
 //! The frame transport abstraction and its chaos-injecting decorator.
 //!
-//! [`Transport`] is the seam between the message layer and the raw stream:
+//! `Transport` is the seam between the message layer and the raw stream:
 //! it moves opaque frame payloads (already [`seal`]ed — checksum included)
-//! and nothing else. [`TcpTransport`] is the production implementation;
-//! [`ChaosTransport`] decorates any transport with a seeded
+//! and nothing else. `TcpTransport` is the production implementation;
+//! `ChaosTransport` decorates any transport with a seeded
 //! [`WireChaosPlan`] that corrupts, truncates, duplicates, delays,
 //! partitions, or severs frames *below* the CRC check — so every injected
 //! fault is caught by the integrity layer or surfaced by the protocol's
