@@ -2,9 +2,11 @@
 //!
 //! The durable layer under crash-safe runs. `mlperf_trace::journal` owns
 //! the *bytes* (the `MLPJ` append-only WAL: CRC-framed records, batched
-//! `fsync`, torn-tail salvage); this module owns the *meaning*: what a
-//! LoadGen run writes into that WAL so a fresh process can pick the run
-//! back up after a `kill -9`.
+//! `fsync`, torn-tail salvage, read as a stream); this module owns the
+//! *meaning*: what a LoadGen run writes into that WAL so a fresh process
+//! can pick the run back up after a `kill -9`. Loading folds each frame as
+//! the reader hands it over, so a load holds the folded history, the last
+//! checkpoint and one frame, never the file.
 //!
 //! A run journal holds one `RunMeta` record (frame 0) followed by
 //! [`Checkpoint`] records at deterministic issued-query boundaries. A
@@ -28,14 +30,14 @@
 //! from the daemon's own journal, keeping execution effects exactly-once.
 
 use crate::config::TestSettings;
-use crate::record::{OutstandingEntry, QueryRecord, RecorderSnapshot};
+use crate::record::{LoggedResponse, OutstandingEntry, QueryRecord, RecorderSnapshot};
 use crate::run::Lane;
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_trace::byte_layout;
 use mlperf_trace::bytes::{ByteError, ByteLayout, ByteWriter};
 use mlperf_trace::crc::fnv1a64;
-use mlperf_trace::journal::{read_journal, JournalWriter, TornTail};
+use mlperf_trace::journal::{scan_journal, JournalWriter, TornTail};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
@@ -255,56 +257,76 @@ fn journal_err(context: &str, e: impl std::fmt::Display) -> LoadGenError {
 /// run journal, or its frames do not decode.
 pub fn load_run_journal(path: impl AsRef<Path>) -> Result<LoadedJournal, LoadGenError> {
     let path = path.as_ref();
-    let scan = read_journal(path).map_err(|e| journal_err(&path.display().to_string(), e))?;
-    parse_scan(path, scan.records, scan.torn)
+    let mut fold = Fold::default();
+    scan_journal(path, |frame| fold.frame(frame))
+        .and_then(|torn| fold.finish(torn))
+        .map_err(|e| journal_err(&path.display().to_string(), e))
 }
 
-fn parse_scan(
-    path: &Path,
-    records: Vec<Vec<u8>>,
-    torn: Option<TornTail>,
-) -> Result<LoadedJournal, LoadGenError> {
-    let ctx = path.display().to_string();
-    let mut frames = records.into_iter();
-    let meta_bytes = frames
-        .next()
-        .ok_or_else(|| journal_err(&ctx, "journal has no meta frame"))?;
-    let meta =
-        RunMeta::decode(&meta_bytes).map_err(|e| journal_err(&ctx, format!("meta frame: {e}")))?;
-    let mut last: Option<Checkpoint> = None;
-    let mut checkpoints = 0u64;
-    // Checkpoint frames are deltas: each carries only the records past the
-    // previous frame's *stable prefix* — records below the lowest
-    // outstanding position, which can never be rewritten — plus the
-    // accuracy entries appended since (so the journal grows with the run
-    // plus the outstanding window, not quadratically). Fold the history
-    // back together as we pass it: roll the mutable suffix back to the
-    // prior stable mark, then splice in this frame's copy.
-    let mut folded_records = Vec::new();
-    let mut folded_accuracy = Vec::new();
-    let mut stable = 0usize;
-    for frame in frames {
-        let mut cp = Checkpoint::decode(&frame)
-            .map_err(|e| journal_err(&ctx, format!("checkpoint frame {checkpoints}: {e}")))?;
-        folded_records.truncate(stable);
-        folded_records.append(&mut cp.recorder.records);
-        check_outstanding(&cp.recorder.outstanding, &folded_records)
-            .map_err(|e| journal_err(&ctx, format!("checkpoint frame {checkpoints}: {e}")))?;
-        folded_accuracy.append(&mut cp.recorder.accuracy_log);
-        stable = stable_prefix(&cp.recorder.outstanding, folded_records.len());
-        checkpoints += 1;
-        last = Some(cp);
+/// Why a journal did not load: its file, or what a frame says.
+type FoldError = Box<dyn std::error::Error>;
+
+/// The one fold over a run journal's frames, fed as they stream off disk
+/// by [`load_run_journal`] and [`RunJournal::open_resume`] alike.
+///
+/// Checkpoint frames are deltas: each carries only the records past the
+/// previous frame's *stable prefix* — records below the lowest outstanding
+/// position, which can never be rewritten — plus the accuracy entries
+/// appended since (so the journal grows with the run plus the outstanding
+/// window, not quadratically). The fold puts the history back together as
+/// it passes: it rolls the mutable suffix back to the prior stable mark,
+/// then splices in each frame's copy. It keeps only the folded history and
+/// the last checkpoint.
+#[derive(Default)]
+struct Fold {
+    meta: Option<RunMeta>,
+    last: Option<Checkpoint>,
+    checkpoints: u64,
+    records: Vec<QueryRecord>,
+    accuracy: Vec<LoggedResponse>,
+    stable: usize,
+}
+
+impl Fold {
+    /// Folds in the next frame: the meta frame first, then checkpoints.
+    fn frame(&mut self, bytes: &[u8]) -> Result<(), FoldError> {
+        if self.meta.is_none() {
+            let meta = RunMeta::decode(bytes).map_err(|e| format!("meta frame: {e}"))?;
+            self.meta = Some(meta);
+            return Ok(());
+        }
+        let n = self.checkpoints;
+        // The previous checkpoint is superseded; free it before this one
+        // decodes beside it.
+        self.last = None;
+        let mut cp = Checkpoint::decode(bytes).map_err(|e| format!("checkpoint frame {n}: {e}"))?;
+        self.records.truncate(self.stable);
+        self.records.append(&mut cp.recorder.records);
+        check_outstanding(&cp.recorder.outstanding, &self.records)
+            .map_err(|e| format!("checkpoint frame {n}: {e}"))?;
+        self.accuracy.append(&mut cp.recorder.accuracy_log);
+        self.stable = stable_prefix(&cp.recorder.outstanding, self.records.len());
+        self.checkpoints += 1;
+        self.last = Some(cp);
+        Ok(())
     }
-    if let Some(cp) = last.as_mut() {
-        cp.recorder.records = folded_records;
-        cp.recorder.accuracy_log = folded_accuracy;
+
+    /// The journal as loaded: the last checkpoint holds the whole folded
+    /// history.
+    fn finish(self, torn: Option<TornTail>) -> Result<LoadedJournal, FoldError> {
+        let meta = self.meta.ok_or("journal has no meta frame")?;
+        let mut last = self.last;
+        if let Some(cp) = last.as_mut() {
+            cp.recorder.records = self.records;
+            cp.recorder.accuracy_log = self.accuracy;
+        }
+        Ok(LoadedJournal {
+            meta,
+            last,
+            checkpoints: self.checkpoints,
+            torn,
+        })
     }
-    Ok(LoadedJournal {
-        meta,
-        last,
-        checkpoints,
-        torn,
-    })
 }
 
 /// Every outstanding entry names an issued, uncompleted record of its own
@@ -408,10 +430,11 @@ impl<'a> RunJournal<'a> {
     pub(crate) fn open_resume(
         cfg: &'a JournalConfig,
     ) -> Result<(Self, LoadedJournal), LoadGenError> {
-        let ctx = cfg.path.display().to_string();
-        let (writer, scan) = JournalWriter::open_append(&cfg.path, cfg.fsync_every)
-            .map_err(|e| journal_err(&ctx, e))?;
-        let loaded = parse_scan(&cfg.path, scan.records, scan.torn)?;
+        let mut fold = Fold::default();
+        let (writer, loaded) =
+            JournalWriter::open_append(&cfg.path, cfg.fsync_every, |frame| fold.frame(frame))
+                .and_then(|(writer, torn)| Ok((writer, fold.finish(torn)?)))
+                .map_err(|e| journal_err(&cfg.path.display().to_string(), e))?;
         let (records_flushed, accuracy_flushed) = loaded.last.as_ref().map_or((0, 0), |cp| {
             (
                 stable_prefix(&cp.recorder.outstanding, cp.recorder.records.len()),

@@ -13,18 +13,29 @@
 //!
 //! * **Appends are atomic at the frame level.** A frame is valid only when
 //!   its full payload is present and its CRC matches; a crash mid-append
-//!   leaves a *torn tail* that [`read_journal`] detects, reports as a
+//!   leaves a *torn tail* that [`scan_journal`] detects, reports as a
 //!   structured [`TornTail`], and drops — every frame before it is intact.
-//! * **`fsync` is batched.** Every `fsync_every`-th append syncs the file
-//!   (and [`JournalWriter::sync`] forces it), so the window of journaled-
-//!   but-unsynced records is bounded and configurable; a crash can lose at
-//!   most that window, never corrupt what came before.
+//! * **`fsync` is batched.** Up to `fsync_every` appends ride unsynced and
+//!   the next one syncs the file (and [`JournalWriter::sync`] forces it),
+//!   so the window of journaled-but-unsynced records is bounded and
+//!   configurable; a crash can lose at most that window, never corrupt
+//!   what came before.
 //! * **Reopen resumes cleanly.** [`JournalWriter::open_append`] scans the
 //!   existing file, truncates any torn tail, and appends after the last
 //!   valid frame, so a restarted process continues the same journal.
+//!
+//! Reading streams. One reader serves every caller: it holds a read buffer
+//! of at most 64 KiB and one payload buffer the size of the largest frame,
+//! and hands each CRC-checked payload to the caller's visitor as a
+//! borrowed slice, so a loader folds frames as they arrive and never holds
+//! the file or a copy of its frames. [`read_journal`] is a collector over
+//! it for callers that want the frames as values. Each append still
+//! reaches the OS in one `write` before it returns: nothing is buffered in
+//! user space across appends, so a `kill -9` loses nothing the page cache
+//! already holds.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::crc::crc32;
@@ -121,79 +132,133 @@ pub struct JournalScan {
     pub torn: Option<TornTail>,
 }
 
-/// Scans the bytes of a journal (past the caller-verified header).
-fn scan_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<TornTail>) {
-    let mut records = Vec::new();
-    let mut at = 0usize;
+/// The most a reader buffers ahead of the frame it is checking.
+const READ_BUFFER: u64 = 64 * 1024;
+
+/// Reads into `buf` until it is full or the input ends; returns the bytes
+/// read, so an end of file short of a frame is a tear, not an error.
+fn fill(input: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match input.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// The one `MLPJ` frame reader. Streams `file` from its start: checks the
+/// header, then hands each CRC-checked payload to `visit` in append order,
+/// until the end of the file or the first torn frame, which it returns.
+///
+/// It holds one frame: a read buffer of at most [`READ_BUFFER`] bytes and
+/// one payload buffer, reused and grown to exactly the largest frame. A
+/// frame's declared length is checked against the bytes the file has left
+/// before the payload buffer grows, so a lying length is a tear, never an
+/// allocation.
+fn stream_frames<E: From<JournalError>>(
+    file: &File,
+    mut visit: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<Option<TornTail>, E> {
+    let file_len = file.metadata().map_err(JournalError::from)?.len();
+    let mut input = BufReader::with_capacity(file_len.min(READ_BUFFER) as usize, file);
+    let mut header = [0u8; HEADER_LEN as usize];
+    if fill(&mut input, &mut header).map_err(JournalError::from)? < header.len()
+        || header[..4] != MAGIC
+    {
+        return Err(JournalError::BadMagic.into());
+    }
+    let version = u16::from_be_bytes([header[4], header[5]]);
+    if version != VERSION {
+        return Err(JournalError::BadVersion(version).into());
+    }
+    let mut payload = Vec::new();
+    let mut at = HEADER_LEN;
+    let mut frames = 0usize;
     loop {
-        if at == bytes.len() {
-            return (records, None);
-        }
-        let torn = |records: &Vec<Vec<u8>>, reason: String| TornTail {
-            valid_records: records.len(),
-            byte_offset: HEADER_LEN + at as u64,
-            reason,
+        let torn = |reason: String| {
+            Ok(Some(TornTail {
+                valid_records: frames,
+                byte_offset: at,
+                reason,
+            }))
         };
-        if bytes.len() - at < FRAME_HEADER_LEN {
-            let reason = format!(
-                "frame header cut after {} of {FRAME_HEADER_LEN} bytes",
-                bytes.len() - at
-            );
-            let t = torn(&records, reason);
-            return (records, Some(t));
+        let mut head = [0u8; FRAME_HEADER_LEN];
+        match fill(&mut input, &mut head).map_err(JournalError::from)? {
+            0 => return Ok(None),
+            FRAME_HEADER_LEN => {}
+            got => {
+                return torn(format!(
+                    "frame header cut after {got} of {FRAME_HEADER_LEN} bytes"
+                ))
+            }
         }
-        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let expect = u32::from_be_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+        let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
+        let expect = u32::from_be_bytes([head[4], head[5], head[6], head[7]]);
         if len > MAX_FRAME_LEN {
-            let t = torn(&records, format!("implausible frame length {len}"));
-            return (records, Some(t));
+            return torn(format!("implausible frame length {len}"));
         }
-        let body_start = at + FRAME_HEADER_LEN;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            let reason = format!(
-                "frame payload cut after {} of {len} bytes",
-                bytes.len() - body_start
-            );
-            let t = torn(&records, reason);
-            return (records, Some(t));
+        let left = file_len.saturating_sub(at + FRAME_HEADER_LEN as u64);
+        if u64::from(len) > left {
+            return torn(format!("frame payload cut after {left} of {len} bytes"));
         }
-        let body = &bytes[body_start..body_end];
-        let got = crc32(body);
+        let body = len as usize;
+        if payload.len() < body {
+            payload.reserve_exact(body - payload.len());
+            payload.resize(body, 0);
+        }
+        let got = fill(&mut input, &mut payload[..body]).map_err(JournalError::from)?;
+        if got < body {
+            return torn(format!("frame payload cut after {got} of {len} bytes"));
+        }
+        let got = crc32(&payload[..body]);
         if got != expect {
-            let t = torn(
-                &records,
-                format!("frame CRC mismatch (expect {expect:08x}, got {got:08x})"),
-            );
-            return (records, Some(t));
+            return torn(format!(
+                "frame CRC mismatch (expect {expect:08x}, got {got:08x})"
+            ));
         }
-        records.push(body.to_vec());
-        at = body_end;
+        visit(&payload[..body])?;
+        frames += 1;
+        at += (FRAME_HEADER_LEN + body) as u64;
     }
 }
 
-/// Reads a whole journal: header check, then every valid frame.
+/// Streams a journal's valid frames through `visit`, in append order, and
+/// returns its torn tail, if the file ends in one.
 ///
-/// A torn tail (crash mid-append) is salvaged, not rejected: the valid
-/// prefix comes back in [`JournalScan::records`] with the tear described
-/// in [`JournalScan::torn`].
+/// A torn tail (crash mid-append) is salvaged, not rejected: `visit` sees
+/// every frame before it. `visit` may stop the scan by returning an error,
+/// which comes back as is.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] (converted to `E`) only when the file cannot
+/// be read or its header is not a journal's, and whatever `visit` returns.
+pub fn scan_journal<E: From<JournalError>>(
+    path: impl AsRef<Path>,
+    visit: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<Option<TornTail>, E> {
+    let file = File::open(path.as_ref()).map_err(JournalError::from)?;
+    stream_frames(&file, visit)
+}
+
+/// Reads a whole journal: every valid frame, copied out, and the torn
+/// tail. A collector over [`scan_journal`] for callers that want the
+/// frames as values; a loader folds them as they stream instead.
 ///
 /// # Errors
 ///
 /// Returns [`JournalError`] only when the file cannot be read or its
 /// header is not a journal's.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalScan, JournalError> {
-    let mut file = File::open(path.as_ref())?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN as usize || bytes[..4] != MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    let version = u16::from_be_bytes(bytes[4..6].try_into().expect("2 bytes"));
-    if version != VERSION {
-        return Err(JournalError::BadVersion(version));
-    }
-    let (records, torn) = scan_frames(&bytes[HEADER_LEN as usize..]);
+    let mut records = Vec::new();
+    let torn = scan_journal(path, |frame| {
+        records.push(frame.to_vec());
+        Ok::<(), JournalError>(())
+    })?;
     Ok(JournalScan { records, torn })
 }
 
@@ -213,9 +278,9 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Creates (or truncates) a journal file and writes the header.
     ///
-    /// `fsync_every` batches durability: the file is synced after every
-    /// `fsync_every` appends (0 syncs on each append). The header itself
-    /// is synced immediately.
+    /// `fsync_every` batches durability: up to `fsync_every` appends ride
+    /// unsynced and the next one syncs the file (0 syncs on each append).
+    /// The header itself is synced immediately.
     ///
     /// # Errors
     ///
@@ -233,26 +298,31 @@ impl JournalWriter {
         })
     }
 
-    /// Reopens an existing journal for appending: scans it, truncates any
-    /// torn tail, and positions after the last valid frame. Returns the
-    /// writer plus what the scan recovered (so a restarted process reads
-    /// its own history and continues in one step).
+    /// Reopens an existing journal for appending: streams its valid frames
+    /// through `visit`, truncates any torn tail, and positions after the
+    /// last valid frame, all through one handle. Returns the writer plus
+    /// the tear, if there was one (so a restarted process reads its own
+    /// history and continues in one step).
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError`] when the file cannot be read or is not a
-    /// journal.
-    pub fn open_append(
+    /// Returns [`JournalError`] (converted to `E`) when the file cannot be
+    /// read or written or is not a journal, and whatever `visit` returns.
+    pub fn open_append<E: From<JournalError>>(
         path: impl AsRef<Path>,
         fsync_every: u32,
-    ) -> Result<(Self, JournalScan), JournalError> {
-        let scan = read_journal(&path)?;
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        if let Some(torn) = &scan.torn {
-            file.set_len(torn.byte_offset)?;
+        visit: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(Self, Option<TornTail>), E> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .map_err(JournalError::from)?;
+        let torn = stream_frames(&file, visit)?;
+        if let Some(torn) = &torn {
+            file.set_len(torn.byte_offset).map_err(JournalError::from)?;
         }
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
+        file.seek(SeekFrom::End(0)).map_err(JournalError::from)?;
         Ok((
             Self {
                 file,
@@ -260,7 +330,7 @@ impl JournalWriter {
                 fsync_every,
                 frame: Vec::new(),
             },
-            scan,
+            torn,
         ))
     }
 
@@ -441,9 +511,14 @@ mod tests {
         w.append(b"alpha").unwrap();
         w.append_torn(b"beta-torn", 2).unwrap();
         drop(w);
-        let (mut w, scan) = JournalWriter::open_append(&path, 0).unwrap();
-        assert_eq!(scan.records, vec![b"alpha".to_vec()]);
-        assert!(scan.torn.is_some());
+        let mut records = Vec::new();
+        let (mut w, torn) = JournalWriter::open_append(&path, 0, |frame| {
+            records.push(frame.to_vec());
+            Ok::<(), JournalError>(())
+        })
+        .unwrap();
+        assert_eq!(records, vec![b"alpha".to_vec()]);
+        assert!(torn.is_some());
         w.append(b"gamma").unwrap();
         drop(w);
         let scan = read_journal(&path).unwrap();

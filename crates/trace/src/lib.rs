@@ -38,9 +38,10 @@
 //!   big-endian codec: [`bytes::ByteLayout`], implemented by every record
 //!   declared with [`byte_layout!`], over [`bytes::ByteWriter`] /
 //!   [`bytes::ByteReader`].
-//! * [`journal`] — [`journal::JournalWriter`] / [`journal::read_journal`],
+//! * [`journal`] — [`journal::JournalWriter`] / [`journal::scan_journal`],
 //!   the `MLPJ` append-only write-ahead journal (CRC-framed, batched
-//!   `fsync`, torn-tail salvage) that crash-safe runs checkpoint into.
+//!   `fsync`, torn-tail salvage, read as a stream) that crash-safe runs
+//!   checkpoint into.
 //! * [`reader`] — [`reader::read_detail_log`], the one place that sniffs
 //!   a detail-log artifact's shape (plain JSONL vs flight dump) for every
 //!   consumer of recorded runs.

@@ -691,18 +691,18 @@ impl SessionCore {
         }
     }
 
-    /// The completions a restarted daemon reads back from a session's
-    /// journal: each frame that decodes as a `Completion`.
-    pub(crate) fn recover(frames: &[Vec<u8>]) -> CompletionMap {
-        let completion = |frame: &Vec<u8>| match Message::from_wire(frame) {
-            Ok(Message::Completion {
-                query_id,
-                error,
-                samples,
-            }) => Some((query_id, (error, samples))),
-            _ => None,
-        };
-        frames.iter().filter_map(completion).collect()
+    /// One frame of a session's journal, as a restarted daemon reads it
+    /// back: a frame that decodes as a `Completion` goes into `journal`,
+    /// any other is skipped.
+    pub(crate) fn recover(journal: &mut CompletionMap, frame: &[u8]) {
+        if let Ok(Message::Completion {
+            query_id,
+            error,
+            samples,
+        }) = Message::from_wire(frame)
+        {
+            journal.insert(query_id, (error, samples));
+        }
     }
 
     /// A handshake at `epoch`, for a session the daemon holds (`live`) or
@@ -1677,12 +1677,14 @@ mod tests {
     /// only the completions.
     #[test]
     fn a_journal_is_recovered_from_its_completion_frames() {
-        let frames: Vec<Vec<u8>> = crate::message::tests::sample_messages()
+        let mut recovered = CompletionMap::new();
+        for frame in crate::message::tests::sample_messages()
             .iter()
             .map(Message::to_wire)
             .chain([vec![0, 1, 2]])
-            .collect();
-        let recovered = SessionCore::recover(&frames);
+        {
+            SessionCore::recover(&mut recovered, &frame);
+        }
         let want: CompletionMap = crate::message::tests::sample_messages()
             .into_iter()
             .filter_map(|m| match m {
@@ -2679,8 +2681,10 @@ mod sim {
                 fail_if(attach != want, || format!("attached {attach:?}"))?;
                 if attach == Attach::Adopt {
                     // A restarted daemon reads the session back from disk.
-                    let frames: Vec<Vec<u8>> = self.disk.iter().map(|(_, f)| f.clone()).collect();
-                    let recovered = SessionCore::recover(&frames);
+                    let mut recovered = CompletionMap::new();
+                    for (_, frame) in &self.disk {
+                        SessionCore::recover(&mut recovered, frame);
+                    }
                     self.journaled = self.disk.iter().map(|(id, _)| *id).collect();
                     let read_back: HashSet<u64> = recovered.keys().copied().collect();
                     fail_if(read_back != self.journaled, || {

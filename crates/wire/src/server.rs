@@ -36,7 +36,7 @@ use mlperf_trace::event::{render_detail_log, RingBufferSink, SpanEvent, TraceEve
 use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::sync::{lock, wait_timeout};
-use mlperf_trace::JournalWriter;
+use mlperf_trace::{JournalError, JournalWriter};
 
 use crate::message::Message;
 use crate::protocol::{Attach, CompletionMap, Conn, Open, Route, SessionCore};
@@ -552,10 +552,13 @@ fn open_session_disk(
     let _ = std::fs::create_dir_all(dir);
     let path = dir.join(format!("session_{session_id:016x}.mlpj"));
     let writer = if adopt && path.exists() {
-        match JournalWriter::open_append(&path, JOURNAL_FSYNC_BATCH) {
-            Ok((writer, scan)) => {
-                recovered = SessionCore::recover(&scan.records);
-                if let Some(torn) = &scan.torn {
+        let opened = JournalWriter::open_append(&path, JOURNAL_FSYNC_BATCH, |frame| {
+            SessionCore::recover(&mut recovered, frame);
+            Ok::<(), JournalError>(())
+        });
+        match opened {
+            Ok((writer, torn)) => {
+                if let Some(torn) = &torn {
                     shared
                         .log
                         .wire_event("journal_salvage", 0, &torn.to_string());
@@ -568,6 +571,9 @@ fn open_session_disk(
                 Some(writer)
             }
             Err(e) => {
+                // A journal that could not be read to its end is not
+                // adopted, in part or whole.
+                recovered.clear();
                 shared
                     .log
                     .wire_event("journal_error", 0, &format!("open: {e}"));

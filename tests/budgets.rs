@@ -1,8 +1,9 @@
-//! Allocation budgets: what a simulated query costs the heap, counted
-//! exactly and asserted.
+//! Allocation budgets: what a simulated query costs the heap, and what
+//! loading a run journal holds, counted exactly and asserted.
 //!
-//! Each row runs `run_simulated` twice with the same seeds, at N and at
-//! 2N queries (an offline row: N and 2N samples in its one query), and
+//! Each row runs `run_simulated` (or, on the journaled row, the same run
+//! with a journal attached) twice with the same seeds, at N and at 2N
+//! queries (an offline row: N and 2N samples in its one query), and
 //! counts this thread's allocations with the allocator the decoder tests
 //! share (`counting_alloc`). The SUT runs inside [`Metered`], which counts
 //! the allocations of its own calls apart; the rest are the LoadGen's.
@@ -11,27 +12,35 @@
 //! difference divided by N is the steady-state count per query (per
 //! sample offline), and each row compares it with its budget exactly.
 //!
-//! The LoadGen's budget is 0 on every row. The SUT's is what the
+//! The LoadGen's budget is 0 on every plain row; the journaled row pays
+//! for its checkpoint frames ([`ROWS`]). The SUT's is what the
 //! [`SimSut`] contract makes it pay: a completion owns its sample list
 //! and a reaction owns its completion list, so every completion costs one
 //! allocation and every reaction that completes anything one more — 2 a
 //! query for a SUT that answers each query on its own.
+//!
+//! The load budget counts this thread's live heap bytes through
+//! `load_run_journal` and holds what it keeps beside its result to the
+//! read buffer and two frames.
 
 #[path = "../crates/trace/tests/support/counting_alloc.rs"]
-#[allow(dead_code)] // the budgets count allocations; sizes are the decoder tests' concern
+#[allow(dead_code)] // budgets count and weigh the heap; sizes are the decoders' concern
 mod counting_alloc;
 
-use counting_alloc::allocations_during;
+use counting_alloc::{allocations_during, live_bytes_during};
 use mlperf_inference::loadgen::config::TestSettings;
 use mlperf_inference::loadgen::des::run_simulated;
+use mlperf_inference::loadgen::journal::{load_run_journal, Checkpoint, JournalConfig};
 use mlperf_inference::loadgen::qsl::MemoryQsl;
 use mlperf_inference::loadgen::query::Query;
 use mlperf_inference::loadgen::scenario::Scenario;
 use mlperf_inference::loadgen::sut::{FixedLatencySut, SimSut, SutReaction};
 use mlperf_inference::loadgen::time::Nanos;
+use mlperf_inference::loadgen::Run;
 use mlperf_inference::models::TaskId;
 use mlperf_inference::stats::rng::SeedTriple;
 use mlperf_inference::sut::fleet::fleet;
+use mlperf_inference::trace::journal::read_journal;
 
 /// Queries (offline: samples) of a row's shorter run; the longer has 2N.
 const N: u64 = 2_048;
@@ -40,12 +49,25 @@ const POPULATION: usize = 1_024;
 /// The device stack's model: ResNet-50, as in the benchmark's `sim_plain`.
 const TASK: TaskId = TaskId::ImageClassificationHeavy;
 
+/// Checkpoint interval of the journaled row, as in the benchmark's
+/// `sim_journaled`.
+const CHECKPOINT_EVERY: u64 = 64;
+
 #[derive(Debug, Clone, Copy)]
 enum Stack {
     /// A serial 50 µs-per-sample `FixedLatencySut`.
     Null,
     /// The fleet's `datacenter-gpu` under the scenario's batching policy.
     Device,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Durability {
+    /// `run_simulated`.
+    Plain,
+    /// The same run with a journal attached: a checkpoint frame every
+    /// [`CHECKPOINT_EVERY`] queries, no `fsync` between them.
+    Journaled,
 }
 
 /// A [`SimSut`] that counts what the SUT inside it allocates, and the
@@ -126,10 +148,16 @@ fn settings(stack: Stack, scenario: Scenario, queries: u64) -> TestSettings {
         .with_seeds(SeedTriple::from_master(7))
 }
 
-fn count<S: SimSut>(settings: &TestSettings, sut: S) -> Count {
+fn count<S: SimSut>(settings: &TestSettings, journal: Option<&JournalConfig>, sut: S) -> Count {
     let mut qsl = MemoryQsl::new("budget-qsl", POPULATION, POPULATION);
     let mut sut = Metered::new(sut);
-    let (outcome, total) = allocations_during(|| run_simulated(settings, &mut qsl, &mut sut));
+    let (outcome, total) = allocations_during(|| match journal {
+        None => run_simulated(settings, &mut qsl, &mut sut),
+        Some(cfg) => Run::simulated(settings)
+            .journal(cfg)
+            .run(&mut qsl, &mut sut)
+            .map(|run| run.finished().expect("no halt is armed")),
+    });
     let outcome = outcome.expect("the run completes");
     assert!(outcome.result.is_valid(), "{:?}", outcome.result.validity);
     Count {
@@ -140,11 +168,20 @@ fn count<S: SimSut>(settings: &TestSettings, sut: S) -> Count {
     }
 }
 
-fn run(stack: Stack, scenario: Scenario, queries: u64) -> Count {
+fn run(stack: Stack, durability: Durability, scenario: Scenario, queries: u64) -> Count {
     let settings = settings(stack, scenario, queries);
-    match stack {
+    let path = std::env::temp_dir().join(format!(
+        "mlpj_budget_{}_{stack:?}_{scenario}.mlpj",
+        std::process::id()
+    ));
+    let cfg = JournalConfig::new(&path)
+        .with_checkpoint_every(CHECKPOINT_EVERY)
+        .with_fsync_every(u32::MAX);
+    let journal = matches!(durability, Durability::Journaled).then_some(&cfg);
+    let count = match stack {
         Stack::Null => count(
             &settings,
+            journal,
             FixedLatencySut::new("null-sut", Nanos::from_micros(50)),
         ),
         Stack::Device => {
@@ -152,42 +189,92 @@ fn run(stack: Stack, scenario: Scenario, queries: u64) -> Count {
                 .into_iter()
                 .find(|s| s.spec.name == "datacenter-gpu")
                 .expect("the fleet has a datacenter-gpu");
-            count(&settings, gpu.sut_for(TASK, scenario))
+            count(&settings, journal, gpu.sut_for(TASK, scenario))
+        }
+    };
+    std::fs::remove_file(&path).ok();
+    count
+}
+
+/// One row of the table: a run, and what it may allocate in steady state.
+struct Row {
+    stack: Stack,
+    durability: Durability,
+    scenario: Scenario,
+    /// The LoadGen's allocations: so many every so many queries.
+    loadgen: (u64, u64),
+    /// The SUT's per query; `None` for the dynamic batcher, whose
+    /// reactions answer a varying number of queries each: it is held to
+    /// the contract's price alone.
+    sut: Option<u64>,
+}
+
+impl Row {
+    /// A `run_simulated` row: the LoadGen allocates nothing a query.
+    const fn plain(stack: Stack, scenario: Scenario, sut: Option<u64>) -> Self {
+        Row {
+            stack,
+            durability: Durability::Plain,
+            scenario,
+            loadgen: (0, 1),
+            sut,
         }
     }
 }
 
-/// Every row: `(stack, scenario, the LoadGen's allocations per query, the
-/// SUT's)`, in steady state; offline rows count per sample. The SUT's is
-/// `None` for the dynamic batcher, whose reactions answer a varying
-/// number of queries each: it is held to the contract's price alone.
-const ROWS: [(Stack, Scenario, u64, Option<u64>); 8] = [
-    (Stack::Null, Scenario::Server, 0, Some(2)),
-    (Stack::Null, Scenario::SingleStream, 0, Some(2)),
-    (Stack::Null, Scenario::MultiStream, 0, Some(2)),
-    (Stack::Null, Scenario::Offline, 0, Some(0)),
-    (Stack::Device, Scenario::Server, 0, None),
-    (Stack::Device, Scenario::SingleStream, 0, Some(2)),
-    (Stack::Device, Scenario::MultiStream, 0, Some(2)),
-    (Stack::Device, Scenario::Offline, 0, Some(0)),
+/// Every row, in steady state; offline rows count per sample.
+///
+/// The journaled row pays for its checkpoint frames, one every
+/// [`CHECKPOINT_EVERY`] queries: the recorder's suffix snapshot (its
+/// records, and for queries in flight at the boundary the outstanding list
+/// and one sample list each) and the frame's encoding buffer. That is 147
+/// allocations over the 32 checkpoints of N more queries at these seeds,
+/// 0.0718 a query.
+const ROWS: [Row; 9] = [
+    Row::plain(Stack::Null, Scenario::Server, Some(2)),
+    Row::plain(Stack::Null, Scenario::SingleStream, Some(2)),
+    Row::plain(Stack::Null, Scenario::MultiStream, Some(2)),
+    Row::plain(Stack::Null, Scenario::Offline, Some(0)),
+    Row::plain(Stack::Device, Scenario::Server, None),
+    Row::plain(Stack::Device, Scenario::SingleStream, Some(2)),
+    Row::plain(Stack::Device, Scenario::MultiStream, Some(2)),
+    Row::plain(Stack::Device, Scenario::Offline, Some(0)),
+    Row {
+        stack: Stack::Null,
+        durability: Durability::Journaled,
+        scenario: Scenario::Server,
+        loadgen: (147, N),
+        sut: Some(2),
+    },
 ];
 
 #[test]
 fn a_simulated_query_allocates_what_its_row_budgets() {
     let mut failures = Vec::new();
-    for (stack, scenario, loadgen, sut) in ROWS {
-        let (short, long) = (run(stack, scenario, N), run(stack, scenario, 2 * N));
+    for Row {
+        stack,
+        durability,
+        scenario,
+        loadgen: (loadgen, per),
+        sut,
+    } in ROWS
+    {
+        let (short, long) = (
+            run(stack, durability, scenario, N),
+            run(stack, durability, scenario, 2 * N),
+        );
         let diff = |f: fn(&Count) -> u64| f(&long) - f(&short);
-        let row = format!("{stack:?} {scenario}");
+        let row = format!("{stack:?} {durability:?} {scenario}");
         println!(
-            "{row:<24} LoadGen {:.3} a query, SUT {:.3} ({N} → {} queries: {short:?} → {long:?})",
+            "{row:<34} LoadGen {:.4} a query, SUT {:.3} ({N} → {} queries: {short:?} → {long:?})",
             diff(|c| c.loadgen) as f64 / N as f64,
             diff(|c| c.sut) as f64 / N as f64,
             2 * N,
         );
-        if diff(|c| c.loadgen) != loadgen * N {
+        if diff(|c| c.loadgen) * per != loadgen * N {
             failures.push(format!(
-                "{row}: the LoadGen allocated {} more for {N} more queries; budget {loadgen} a query",
+                "{row}: the LoadGen allocated {} more for {N} more queries; budget {loadgen} \
+                 every {per} queries",
                 diff(|c| c.loadgen)
             ));
         }
@@ -207,4 +294,63 @@ fn a_simulated_query_allocates_what_its_row_budgets() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Queries of the journal the memory budget loads: a 418 KB file, six
+/// times the read buffer and over a hundred times its largest frame.
+const LOADED_QUERIES: u64 = 8_192;
+
+/// The most a journal reader buffers ahead of the frame it checks.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// Loading a journal streams it: beside the checkpoint it returns, the
+/// loader holds the read buffer and two frames, one frame's payload and
+/// one frame's decoded checkpoint at a time, never the file or a copy of
+/// its frames. Live bytes are counted exactly, by the allocator, not read
+/// from the kernel's resident-set figures.
+#[test]
+fn loading_a_journal_holds_one_frame_beside_what_it_returns() {
+    let path = std::env::temp_dir().join(format!("mlpj_budget_{}_load.mlpj", std::process::id()));
+    let cfg = JournalConfig::new(&path)
+        .with_checkpoint_every(CHECKPOINT_EVERY)
+        .with_fsync_every(u32::MAX);
+    let settings = settings(Stack::Null, Scenario::Server, LOADED_QUERIES);
+    let mut qsl = MemoryQsl::new("budget-qsl", POPULATION, POPULATION);
+    let mut sut = FixedLatencySut::new("null-sut", Nanos::from_micros(50));
+    Run::simulated(&settings)
+        .journal(&cfg)
+        .run(&mut qsl, &mut sut)
+        .expect("the journaled run completes");
+    let file = std::fs::metadata(&path).expect("journal written").len() as usize;
+    // A frame twice over: its bytes as read, and the checkpoint they
+    // decode to (each checkpoint frame is the meta frame's successor).
+    let scan = read_journal(&path).expect("journal reads");
+    let largest_frame = scan.records.iter().map(Vec::len).max().expect("frames");
+    let largest_decoded = scan.records[1..]
+        .iter()
+        .map(|frame| live_bytes_during(|| Checkpoint::decode(frame)).2 as usize)
+        .max()
+        .expect("checkpoint frames");
+    drop(scan);
+
+    let (loaded, peak, retained) = live_bytes_during(|| load_run_journal(&path));
+    let loaded = loaded.expect("the journal loads");
+    assert!(loaded.torn.is_none());
+    assert_eq!(loaded.checkpoints, LOADED_QUERIES / CHECKPOINT_EVERY);
+    let budget = file.min(READ_BUFFER) + largest_frame + largest_decoded;
+    println!(
+        "load of a {file}-byte journal (largest frame {largest_frame} bytes, \
+         {largest_decoded} decoded): peak {peak} bytes live, {retained} returned, {} beside \
+         them; budget {budget}",
+        peak - retained
+    );
+    assert!(
+        peak - retained <= budget as isize,
+        "loading a {file}-byte journal held {} bytes beside the {retained} it returned; \
+         budget {budget}: the read buffer and a {largest_frame}-byte frame, once as bytes and \
+         once decoded ({largest_decoded})",
+        peak - retained
+    );
+    drop(loaded);
+    std::fs::remove_file(&path).ok();
 }

@@ -565,6 +565,18 @@ const RULES: &[Rule] = &[
         plant: ("crates/wire/src/message.rs", "fn twice(w: &mut ByteWriter) { w.put_u64(1); }\n"),
     },
     Rule {
+        name: "production loads stream",
+        scope: &["crates/*/src/**/*.rs"],
+        part: Part::Code,
+        pattern: Pattern::Squeezed(&["read_journal("]),
+        want: Want::CountIn(1, "crates/trace/src/journal.rs"),
+        retired: "streaming journal reader: every loader folds frames as scan_journal streams them, holding one frame; the collecting read_journal, which copies every frame out, is its one definition here and stays for perfbench and the tests",
+        plant: (
+            "crates/core/src/journal.rs",
+            "fn whole(p: &Path) { let _ = read_journal(p); }\n",
+        ),
+    },
+    Rule {
         name: "one query stream per run",
         scope: &["crates/**/*.rs"],
         part: Part::Whole,
